@@ -2,10 +2,11 @@
 //! front-end itself costs per command (virtual flash time is free —
 //! this isolates queue bookkeeping + arbitration + mapping-path CPU).
 //!
-//! Three axes: single queue vs four tenant queues, round-robin vs
-//! weighted vs host-priority arbitration, and background-GC dispatch
-//! in the loop (replenish/victim-selection overhead on a device at
-//! its watermark).
+//! Four axes: single queue vs four tenant queues, round-robin vs
+//! weighted vs host-priority arbitration, background-GC dispatch in
+//! the loop (replenish/victim-selection overhead on a device at its
+//! watermark), and a 1012-queue open-loop fleet with sparse arrivals —
+//! the case where a pump iteration must not cost O(queues).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use leaftl_core::LeaFtlConfig;
@@ -124,5 +125,48 @@ fn bench_background_gc(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_arbiters, bench_background_gc);
+/// Fleet scale: 1012 tenant queues, open loop, weighted arbitration.
+/// Arrivals are spread so that at any instant most heads lie in the
+/// future and a handful are ready; per command the front-end runs a
+/// dispatch iteration and, as often, one that only advances the clock
+/// to the next arrival. What an iteration costs when most queues have
+/// nothing to offer is what this group shows.
+fn bench_fleet(c: &mut Criterion) {
+    const QUEUES: usize = 1012;
+    const OPS_PER_QUEUE: usize = 2;
+    const MEAN_GAP_NS: u64 = 10_000;
+    let mut group = c.benchmark_group("queue_fleet_open_loop");
+    group.throughput(Throughput::Elements((QUEUES * OPS_PER_QUEUE) as u64));
+    let mut ssd = prefilled();
+    let mut rng = StdRng::seed_from_u64(29);
+    // (queue, arrival offset, lpa), in arrival order; each queue's
+    // arrivals ascend because the offsets do.
+    let mut at_ns = 0u64;
+    let arrivals: Vec<(usize, u64, Lpa)> = (0..QUEUES * OPS_PER_QUEUE)
+        .map(|_| {
+            at_ns += rng.gen_range(0..2 * MEAN_GAP_NS);
+            let queue = rng.gen_range(0..QUEUES);
+            (queue, at_ns, Lpa::new(rng.gen_range(0u64..1024)))
+        })
+        .collect();
+    group.bench_function(BenchmarkId::new("read_q1012", "weighted"), |b| {
+        b.iter(|| {
+            // The SSD's clock carries over between iterations.
+            let base_ns = ssd.now_ns();
+            let mut device = Device::new(&mut ssd, arbiter_for("weighted", QUEUES));
+            for &(queue, offset_ns, lpa) in &arrivals {
+                device
+                    .enqueue_to(
+                        queue,
+                        black_box(leaftl_sim::IoRequest::read(lpa).at(base_ns + offset_ns)),
+                    )
+                    .expect("enqueue");
+            }
+            black_box(device.drain().expect("drain"))
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_arbiters, bench_background_gc, bench_fleet);
 criterion_main!(benches);

@@ -5,9 +5,10 @@
 //! and it is the main lever a device has over inter-tenant fairness and
 //! host-vs-background-GC tail latency. The [`Arbiter`] trait makes the
 //! policy pluggable: the device hands it a snapshot of every source
-//! with dispatchable work — the host submission queues plus the
-//! internal GC migration queue — and the arbiter names the source to
-//! serve. Three policies ship:
+//! with dispatchable work — the ready host submission queues as a
+//! bitset ([`ReadySet`]) plus the internal GC migration queue — and the
+//! arbiter names the source to serve. Three policies ship, each walking
+//! only the ready queues in ascending order:
 //!
 //! * [`RoundRobin`] — NVMe's default: every source (GC included) gets
 //!   an equal turn.
@@ -31,20 +32,134 @@ pub enum Source {
     Gc,
 }
 
-/// Snapshot of one host submission queue, as seen by the arbiter.
-#[derive(Debug, Clone, Copy)]
-pub struct QueueView {
-    /// Commands pending on the queue (dispatched excluded).
-    pub pending: usize,
-    /// Whether the head command has arrived (is dispatchable now).
-    pub head_ready: bool,
+/// A set of host-queue indices, one bit per queue — how the device
+/// tells an arbiter which heads are dispatchable. Iteration is in
+/// ascending queue order and skips empty words, so a policy walks
+/// `O(ready + queues / 64)` instead of every queue.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReadySet {
+    words: Vec<u64>,
+    queues: usize,
+    len: usize,
+}
+
+impl ReadySet {
+    /// An empty set over host queues `0..queues`.
+    pub fn new(queues: usize) -> Self {
+        ReadySet {
+            words: vec![0; queues.div_ceil(64)],
+            queues,
+            len: 0,
+        }
+    }
+
+    /// The number of host queues the set ranges over (the device's
+    /// queue count), not the number of members.
+    pub fn queues(&self) -> usize {
+        self.queues
+    }
+
+    /// Members in the set.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no queue is in the set.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Whether `queue` is in the set (`false` beyond the range).
+    pub fn contains(&self, queue: usize) -> bool {
+        queue < self.queues && self.words[queue / 64] & (1 << (queue % 64)) != 0
+    }
+
+    /// Adds `queue`; returns whether it was absent.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `queue` is beyond the set's range.
+    pub fn insert(&mut self, queue: usize) -> bool {
+        assert!(queue < self.queues, "queue {queue} beyond the ready set");
+        let added = !self.contains(queue);
+        self.words[queue / 64] |= 1 << (queue % 64);
+        self.len += usize::from(added);
+        added
+    }
+
+    /// Removes `queue`; returns whether it was present.
+    pub fn remove(&mut self, queue: usize) -> bool {
+        let removed = self.contains(queue);
+        if removed {
+            self.words[queue / 64] &= !(1 << (queue % 64));
+            self.len -= 1;
+        }
+        removed
+    }
+
+    /// Empties the set.
+    pub fn clear(&mut self) {
+        self.words.fill(0);
+        self.len = 0;
+    }
+
+    /// Adds every member of `other`, word by word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two sets range over different queue counts.
+    pub fn union_with(&mut self, other: &ReadySet) {
+        assert_eq!(self.queues, other.queues, "ready sets of different devices");
+        for (word, &theirs) in self.words.iter_mut().zip(&other.words) {
+            self.len += (theirs & !*word).count_ones() as usize;
+            *word |= theirs;
+        }
+    }
+
+    /// The smallest member `>= from`, if any.
+    pub fn first_at_or_after(&self, from: usize) -> Option<usize> {
+        let mut index = from / 64;
+        let mut word = *self.words.get(index)? & (u64::MAX << (from % 64));
+        loop {
+            if word != 0 {
+                return Some(index * 64 + word.trailing_zeros() as usize);
+            }
+            index += 1;
+            word = *self.words.get(index)?;
+        }
+    }
+
+    /// The members in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.words.iter().enumerate().flat_map(|(index, &word)| {
+            std::iter::successors((word != 0).then_some(word), |&rest| {
+                let rest = rest & (rest - 1);
+                (rest != 0).then_some(rest)
+            })
+            .map(move |rest| index * 64 + rest.trailing_zeros() as usize)
+        })
+    }
+}
+
+impl FromIterator<bool> for ReadySet {
+    /// One flag per host queue, in queue order.
+    fn from_iter<I: IntoIterator<Item = bool>>(flags: I) -> Self {
+        let flags: Vec<bool> = flags.into_iter().collect();
+        let mut set = ReadySet::new(flags.len());
+        for (queue, _) in flags.iter().enumerate().filter(|(_, &ready)| ready) {
+            set.insert(queue);
+        }
+        set
+    }
 }
 
 /// Everything an arbiter may consult when picking the next source.
 #[derive(Debug)]
 pub struct ArbiterView<'a> {
-    /// One entry per host submission queue.
-    pub host: &'a [QueueView],
+    /// The host queues whose head command is dispatchable now (arrived,
+    /// a depth slot free, not deferred by admission control). Ranges
+    /// over all of the device's host queues.
+    pub ready: &'a ReadySet,
     /// Pending background GC migrations.
     pub gc_pending: usize,
     /// Pending background translation-shard compactions (served from
@@ -60,25 +175,25 @@ pub struct ArbiterView<'a> {
 }
 
 impl ArbiterView<'_> {
+    /// Whether the internal background source has dispatchable work.
+    pub fn background_ready(&self) -> bool {
+        self.gc_pending + self.compact_pending + self.maplog_pending > 0
+    }
+
     /// Whether `source` has dispatchable work right now.
     pub fn is_ready(&self, source: Source) -> bool {
         match source {
-            Source::Host(i) => self.host.get(i).is_some_and(|q| q.head_ready),
-            Source::Gc => self.gc_pending + self.compact_pending + self.maplog_pending > 0,
+            Source::Host(i) => self.ready.contains(i),
+            Source::Gc => self.background_ready(),
         }
     }
 
     /// All sources with dispatchable work, host queues first.
     pub fn ready_sources(&self) -> impl Iterator<Item = Source> + '_ {
-        self.host
+        self.ready
             .iter()
-            .enumerate()
-            .filter(|(_, q)| q.head_ready)
-            .map(|(i, _)| Source::Host(i))
-            .chain(
-                (self.gc_pending + self.compact_pending + self.maplog_pending > 0)
-                    .then_some(Source::Gc),
-            )
+            .map(Source::Host)
+            .chain(self.background_ready().then_some(Source::Gc))
     }
 }
 
@@ -118,21 +233,23 @@ impl RoundRobin {
 
 impl Arbiter for RoundRobin {
     fn pick(&mut self, view: &ArbiterView<'_>) -> Source {
-        let slots = view.host.len() + 1; // + the GC queue
-        for step in 0..slots {
-            let slot = (self.cursor + step) % slots;
-            let source = if slot < view.host.len() {
-                Source::Host(slot)
-            } else {
-                Source::Gc
-            };
-            if view.is_ready(source) {
-                self.cursor = (slot + 1) % slots;
-                return source;
-            }
-        }
-        // Caller guarantees a ready source; fall back defensively.
-        view.ready_sources().next().unwrap_or(Source::Gc)
+        let hosts = view.ready.queues();
+        let slots = hosts + 1; // + the GC queue
+        let start = self.cursor % slots;
+        // The rotation from `start`: host queues `start..`, the GC
+        // slot, then host queues `..start`.
+        let (source, slot) = if let Some(queue) = view.ready.first_at_or_after(start) {
+            (Source::Host(queue), queue)
+        } else if view.background_ready() {
+            (Source::Gc, hosts)
+        } else if let Some(queue) = view.ready.first_at_or_after(0) {
+            (Source::Host(queue), queue)
+        } else {
+            // Caller guarantees a ready source; fall back defensively.
+            return Source::Gc;
+        };
+        self.cursor = (slot + 1) % slots;
+        source
     }
 
     fn name(&self) -> &'static str {
@@ -177,24 +294,20 @@ impl Arbiter for Weighted {
         // Rotate over the *device's* queues, not just the configured
         // weight vector — extra queues get default weight rather than
         // starving. Slot layout: `[Host(0) … Host(n-1), Gc]`.
-        let hosts = view.host.len().max(self.host_weights.len());
+        let hosts = view.ready.queues().max(self.host_weights.len());
         let slots = hosts + 1;
         if self.credit.len() != slots {
             self.credit = vec![0; slots];
         }
-        let slot_source = |slot: usize| {
-            if slot < hosts {
-                Source::Host(slot)
-            } else {
-                Source::Gc
-            }
-        };
         let mut total: i64 = 0;
         let mut best: Option<(i64, usize)> = None;
-        for slot in 0..slots {
-            if !view.is_ready(slot_source(slot)) {
-                continue;
-            }
+        // Only ready sources accrue credit; ascending slot order makes
+        // the lowest slot win a credit tie.
+        let ready_slots = view
+            .ready
+            .iter()
+            .chain(view.background_ready().then_some(hosts));
+        for slot in ready_slots {
             let weight = if slot < hosts {
                 self.host_weight(slot) as i64
             } else {
@@ -207,10 +320,14 @@ impl Arbiter for Weighted {
             }
         }
         let Some((_, winner)) = best else {
-            return view.ready_sources().next().unwrap_or(Source::Gc);
+            return Source::Gc;
         };
         self.credit[winner] -= total;
-        slot_source(winner)
+        if winner < hosts {
+            Source::Host(winner)
+        } else {
+            Source::Gc
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -248,15 +365,17 @@ impl HostPriority {
 
 impl Arbiter for HostPriority {
     fn pick(&mut self, view: &ArbiterView<'_>) -> Source {
-        let queues = view.host.len().max(1);
-        for step in 0..queues {
-            let slot = (self.cursor + step) % queues;
-            if view.is_ready(Source::Host(slot)) {
-                self.cursor = (slot + 1) % queues;
-                return Source::Host(slot);
-            }
-        }
-        Source::Gc
+        let queues = view.ready.queues().max(1);
+        let start = self.cursor % queues;
+        let Some(queue) = view
+            .ready
+            .first_at_or_after(start)
+            .or_else(|| view.ready.first_at_or_after(0))
+        else {
+            return Source::Gc;
+        };
+        self.cursor = (queue + 1) % queues;
+        Source::Host(queue)
     }
 
     fn name(&self) -> &'static str {
@@ -268,9 +387,9 @@ impl Arbiter for HostPriority {
 mod tests {
     use super::*;
 
-    fn view<'a>(host: &'a [QueueView], gc_pending: usize) -> ArbiterView<'a> {
+    fn view(ready: &ReadySet, gc_pending: usize) -> ArbiterView<'_> {
         ArbiterView {
-            host,
+            ready,
             gc_pending,
             compact_pending: 0,
             maplog_pending: 0,
@@ -279,17 +398,48 @@ mod tests {
         }
     }
 
-    fn ready(pending: usize) -> QueueView {
-        QueueView {
-            pending,
-            head_ready: pending > 0,
+    /// One flag per queue: whether its head is ready.
+    fn ready<const N: usize>(flags: [bool; N]) -> ReadySet {
+        flags.into_iter().collect()
+    }
+
+    #[test]
+    fn ready_set_iterates_ascending_across_word_boundaries() {
+        let mut set = ReadySet::new(130);
+        for queue in [129, 0, 64, 63, 65, 127] {
+            assert!(set.insert(queue));
         }
+        assert!(!set.insert(64), "already present");
+        assert_eq!(set.len(), 6);
+        assert_eq!(
+            set.iter().collect::<Vec<_>>(),
+            vec![0, 63, 64, 65, 127, 129]
+        );
+        assert_eq!(set.first_at_or_after(0), Some(0));
+        assert_eq!(set.first_at_or_after(1), Some(63));
+        assert_eq!(set.first_at_or_after(64), Some(64));
+        assert_eq!(set.first_at_or_after(66), Some(127));
+        assert_eq!(set.first_at_or_after(128), Some(129));
+        assert_eq!(set.first_at_or_after(130), None);
+        assert_eq!(set.first_at_or_after(1_000), None);
+        assert!(set.remove(64) && !set.remove(64));
+        assert!(!set.contains(64) && set.contains(65) && !set.contains(130));
+        assert_eq!(set.len(), 5);
+
+        let mut other = ReadySet::new(130);
+        other.insert(64);
+        other.insert(65);
+        set.union_with(&other);
+        assert_eq!(set.len(), 6, "a shared member counts once");
+        set.clear();
+        assert!(set.is_empty() && set.iter().next().is_none());
+        assert_eq!(ReadySet::new(0).first_at_or_after(0), None);
     }
 
     #[test]
     fn round_robin_rotates_over_all_sources() {
         let mut arbiter = RoundRobin::new();
-        let host = [ready(4), ready(4)];
+        let host = ready([true, true]);
         let picks: Vec<Source> = (0..6).map(|_| arbiter.pick(&view(&host, 3))).collect();
         assert_eq!(
             picks,
@@ -307,7 +457,7 @@ mod tests {
     #[test]
     fn round_robin_skips_empty_queues() {
         let mut arbiter = RoundRobin::new();
-        let host = [ready(0), ready(4)];
+        let host = ready([false, true]);
         assert_eq!(arbiter.pick(&view(&host, 0)), Source::Host(1));
         assert_eq!(arbiter.pick(&view(&host, 0)), Source::Host(1));
     }
@@ -315,7 +465,7 @@ mod tests {
     #[test]
     fn weighted_serves_proportionally_and_interleaved() {
         let mut arbiter = Weighted::new(vec![3, 1], 1);
-        let host = [ready(100), ready(100)];
+        let host = ready([true, true]);
         let picks: Vec<Source> = (0..10).map(|_| arbiter.pick(&view(&host, 100))).collect();
         let count = |s: Source| picks.iter().filter(|&&p| p == s).count();
         assert_eq!(count(Source::Host(0)), 6);
@@ -331,7 +481,7 @@ mod tests {
         // Two weights configured, three queues on the device: queue 2
         // must still get default-weight service, not starve.
         let mut arbiter = Weighted::new(vec![3, 1], 1);
-        let host = [ready(100), ready(100), ready(100)];
+        let host = ready([true, true, true]);
         let picks: Vec<Source> = (0..12).map(|_| arbiter.pick(&view(&host, 0))).collect();
         let served_q2 = picks.iter().filter(|&&p| p == Source::Host(2)).count();
         assert!(served_q2 >= 2, "unweighted queue got {served_q2}/12 turns");
@@ -340,7 +490,7 @@ mod tests {
     #[test]
     fn set_weight_retunes_and_grows_the_vector() {
         let mut arbiter = Weighted::new(vec![1, 1], 1);
-        let host = [ready(100), ready(100)];
+        let host = ready([true, true]);
         // Flip queue 0 from 1:1 to 3:1 at runtime: service follows.
         arbiter.set_weight(0, 3);
         let picks: Vec<Source> = (0..8).map(|_| arbiter.pick(&view(&host, 0))).collect();
@@ -358,7 +508,7 @@ mod tests {
     fn set_weight_defaults_to_noop_for_unweighted_policies() {
         let mut arbiter = RoundRobin::new();
         arbiter.set_weight(0, 100);
-        let host = [ready(4), ready(4)];
+        let host = ready([true, true]);
         // Still an equal-turn rotation.
         assert_eq!(arbiter.pick(&view(&host, 0)), Source::Host(0));
         assert_eq!(arbiter.pick(&view(&host, 0)), Source::Host(1));
@@ -368,7 +518,7 @@ mod tests {
     #[test]
     fn weighted_gives_all_to_the_only_ready_source() {
         let mut arbiter = Weighted::new(vec![1, 5], 2);
-        let host = [ready(10), ready(0)];
+        let host = ready([true, false]);
         for _ in 0..4 {
             assert_eq!(arbiter.pick(&view(&host, 0)), Source::Host(0));
         }
@@ -376,14 +526,10 @@ mod tests {
 
     #[test]
     fn compactions_make_the_background_source_ready() {
-        let host = [ready(0)];
+        let host = ready([false]);
         let v = ArbiterView {
-            host: &host,
-            gc_pending: 0,
             compact_pending: 3,
-            maplog_pending: 0,
-            free_fraction: 0.5,
-            now_ns: 0,
+            ..view(&host, 0)
         };
         assert!(v.is_ready(Source::Gc));
         assert_eq!(v.ready_sources().next(), Some(Source::Gc));
@@ -393,14 +539,10 @@ mod tests {
 
     #[test]
     fn maplog_ops_make_the_background_source_ready() {
-        let host = [ready(0)];
+        let host = ready([false]);
         let v = ArbiterView {
-            host: &host,
-            gc_pending: 0,
-            compact_pending: 0,
             maplog_pending: 2,
-            free_fraction: 0.5,
-            now_ns: 0,
+            ..view(&host, 0)
         };
         assert!(v.is_ready(Source::Gc));
         assert_eq!(v.ready_sources().next(), Some(Source::Gc));
@@ -409,11 +551,11 @@ mod tests {
     #[test]
     fn host_priority_starves_gc_while_host_is_ready() {
         let mut arbiter = HostPriority::new();
-        let host = [ready(2), ready(2)];
+        let host = ready([true, true]);
         for _ in 0..8 {
             assert_ne!(arbiter.pick(&view(&host, 5)), Source::Gc);
         }
-        let idle = [ready(0), ready(0)];
+        let idle = ready([false, false]);
         assert_eq!(arbiter.pick(&view(&idle, 5)), Source::Gc);
     }
 }

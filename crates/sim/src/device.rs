@@ -54,6 +54,40 @@
 //! enough in-flight erases complete, which is the only point where
 //! background GC blocks the host.
 //!
+//! # Dispatch index
+//!
+//! The pump decides, every iteration, which host heads are
+//! dispatchable, whether any is held back by admission control, when
+//! the next head arrives and whether anything is pending at all. None
+//! of that is recomputed by walking the queues; it is kept
+//! incrementally, so an iteration costs `O(ready + queues / 64)` however
+//! many tenants the device has. Three invariants carry it:
+//!
+//! 1. **Every non-empty queue's head is in exactly one place**: the
+//!    min-heap of future arrivals, or the arrived set of its readiness
+//!    class (guaranteed; best-effort; best-effort block-consuming). A
+//!    head enters the heap when it becomes the head (submission to an
+//!    empty queue, or the command before it was dispatched), moves to
+//!    its class set at the first observing iteration at or after its
+//!    arrival, and leaves the set when it is popped. The ready set the
+//!    arbiter sees is the word-wise union of the class sets whose gate
+//!    is open.
+//! 2. **Gates are sampled only at observing iterations** — those with a
+//!    free depth slot, the only ones that look at host queues at all. A
+//!    class's admission gate (the best-effort slot cap; the slot cap or
+//!    the GC-floor margin) opens and closes for all its members at
+//!    once, so the wait is accounted per gate, not per queue: the gate
+//!    accumulates its closed time, a head joining the set records the
+//!    accumulated value, and the difference at pop time is that head's
+//!    deferral.
+//! 3. **Windows are settled at pop**: a head can only be dispatched
+//!    while its gate is open, so by then every closed window it sat
+//!    through has ended and [`Device::admission_wait_per_queue`] is
+//!    exact once the device is drained.
+//!
+//! Debug builds recompute all of it from the queues every iteration
+//! and assert equality, so every `Device` test checks the index.
+//!
 //! # Example
 //!
 //! ```
@@ -74,7 +108,7 @@
 //! # }
 //! ```
 
-use crate::arbiter::{Arbiter, ArbiterView, QueueView, RoundRobin, Source};
+use crate::arbiter::{Arbiter, ArbiterView, ReadySet, RoundRobin, Source};
 use crate::config::{CompactionMode, GcMode};
 use crate::error::SimError;
 use crate::mapping::MappingScheme;
@@ -261,6 +295,91 @@ struct HostQueue {
     arrival_floor_ns: u64,
 }
 
+/// What decides whether a host queue's arrived head is dispatchable:
+/// the queue's service class and whether the head consumes blocks.
+/// Admission throttling holds a best-effort head back while its class
+/// has used up its slot share (the guaranteed reserve keeps depth slots
+/// turning over for SLO tenants even when a burst of best-effort writes
+/// is stacked behind a long migrate+erase round), or — near the GC hard
+/// floor — when it would consume blocks the settled headroom should
+/// keep for guaranteed tenants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum HeadClass {
+    /// A guaranteed queue, or any queue of a device without a QoS
+    /// controller: never deferred.
+    Guaranteed,
+    /// Best-effort, head consumes no blocks: gated by the best-effort
+    /// slot cap.
+    BestEffort,
+    /// Best-effort, block-consuming head: gated by the slot cap and by
+    /// the admission margin above the GC hard floor.
+    BestEffortConsuming,
+}
+
+impl HeadClass {
+    const ALL: [HeadClass; 3] = [
+        HeadClass::Guaranteed,
+        HeadClass::BestEffort,
+        HeadClass::BestEffortConsuming,
+    ];
+
+    /// Trace label of the class's admission gate.
+    fn gate_name(self) -> &'static str {
+        match self {
+            HeadClass::Guaranteed => "none",
+            HeadClass::BestEffort => "slot",
+            HeadClass::BestEffortConsuming => "floor",
+        }
+    }
+}
+
+/// One readiness class's part of the dispatch index: the queues whose
+/// head has arrived, and the closed-time account of the gate they all
+/// sit behind.
+#[derive(Debug)]
+struct ClassIndex {
+    arrived: ReadySet,
+    /// When the gate's current closed window opened, as sampled at an
+    /// observing iteration (`None` while open).
+    closed_since: Option<u64>,
+    /// Closed time of all ended windows.
+    closed_total_ns: u64,
+}
+
+impl ClassIndex {
+    fn new(queues: usize) -> Self {
+        ClassIndex {
+            arrived: ReadySet::new(queues),
+            closed_since: None,
+            closed_total_ns: 0,
+        }
+    }
+
+    /// Virtual time the gate has been closed up to `now`. A member's
+    /// deferral is the difference between its leaving and joining
+    /// values.
+    fn closed_ns(&self, now: u64) -> u64 {
+        self.closed_total_ns
+            + self
+                .closed_since
+                .map_or(0, |since| now.saturating_sub(since))
+    }
+
+    /// Records the gate's state at an observing iteration; returns
+    /// whether it changed.
+    fn sample_gate(&mut self, closed: bool, now: u64) -> bool {
+        match (closed, self.closed_since) {
+            (true, None) => self.closed_since = Some(now),
+            (false, Some(since)) => {
+                self.closed_total_ns += now.saturating_sub(since);
+                self.closed_since = None;
+            }
+            (true, Some(_)) | (false, None) => return false,
+        }
+        true
+    }
+}
+
 /// A selected-but-not-dispatched background migration.
 #[derive(Debug, Clone, Copy)]
 struct PendingMigration {
@@ -304,9 +423,19 @@ pub struct Device<'a, S: MappingScheme + Clone> {
     /// rescan on every dispatch while the device is pinned below the
     /// watermark with nothing collectible.
     gc_scan_exhausted: Option<(u64, u64)>,
-    /// Scratch buffer for the per-dispatch arbiter view (reused to
-    /// avoid a per-command allocation).
-    view_scratch: Vec<QueueView>,
+    /// Host commands pending across all queues.
+    host_pending: usize,
+    /// Queue heads that had not arrived by the last observing
+    /// iteration, as a min-heap of `(arrival_ns, queue)`.
+    future_heads: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Arrived heads and gate accounts, indexed by `HeadClass as usize`.
+    classes: [ClassIndex; 3],
+    /// The ready set handed to the arbiter: the union of the arrived
+    /// sets whose gate is open, recomposed every iteration.
+    ready: ReadySet,
+    /// Reusable buffers for one read burst's commands and addresses.
+    batch_scratch: Vec<(u64, IoRequest)>,
+    lpa_scratch: Vec<Lpa>,
     /// Completion times of dispatched host commands (min-heap); its
     /// size is the outstanding host-command count.
     inflight: BinaryHeap<Reverse<u64>>,
@@ -356,12 +485,12 @@ pub struct Device<'a, S: MappingScheme + Clone> {
     /// The closed-loop QoS controller (absent on non-QoS devices —
     /// which then behave byte-identically to pre-QoS builds).
     qos: Option<QosController>,
-    /// Per-queue virtual time the head spent deferred by QoS admission
-    /// throttling.
+    /// Per-queue virtual time dispatched heads spent deferred by QoS
+    /// admission throttling.
     admission_wait_ns: Vec<u64>,
-    /// When the queue's current admission deferral window opened
-    /// (`None` while not deferred).
-    admission_deferred_since: Vec<Option<u64>>,
+    /// The class gate's closed time when the queue's head joined its
+    /// arrived set.
+    admission_mark: Vec<u64>,
     /// Completion times of in-flight best-effort host commands (subset
     /// of `inflight`) — sized against `be_slot_cap` so best-effort
     /// traffic can never hold every depth slot.
@@ -412,7 +541,12 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             gc_queued: HashSet::new(),
             gc_pending_net_blocks: 0.0,
             gc_scan_exhausted: None,
-            view_scratch: Vec::new(),
+            host_pending: 0,
+            future_heads: BinaryHeap::new(),
+            classes: HeadClass::ALL.map(|_| ClassIndex::new(config.queues)),
+            ready: ReadySet::new(config.queues),
+            batch_scratch: Vec::new(),
+            lpa_scratch: Vec::new(),
             inflight: BinaryHeap::new(),
             gc_inflight: BinaryHeap::new(),
             completed: Vec::new(),
@@ -430,7 +564,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             dispatch_budget: None,
             poisoned: false,
             admission_wait_ns: vec![0; config.queues],
-            admission_deferred_since: vec![None; config.queues],
+            admission_mark: vec![0; config.queues],
             be_inflight: BinaryHeap::new(),
             be_slot_cap,
             qos,
@@ -474,13 +608,17 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     }
 
     /// Total virtual nanoseconds host queue heads spent deferred by
-    /// QoS admission throttling (always 0 without a controller).
+    /// QoS admission throttling (always 0 without a controller). A
+    /// head's deferral is added when it is dispatched, so the value is
+    /// exact once the device is drained; on a halted or failed device
+    /// the heads still queued have not been counted.
     pub fn admission_wait_ns(&self) -> u64 {
         self.admission_wait_ns.iter().sum()
     }
 
-    /// Per-queue virtual nanoseconds the queue's head spent deferred
-    /// by QoS admission throttling.
+    /// Per-queue virtual nanoseconds the queue's heads spent deferred
+    /// by QoS admission throttling; exact once the device is drained
+    /// (see [`Device::admission_wait_ns`]).
     pub fn admission_wait_per_queue(&self) -> &[u64] {
         &self.admission_wait_ns
     }
@@ -562,7 +700,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     /// device traffic, not host-submittable.
     pub fn submit_to(&mut self, queue: usize, request: IoRequest) -> Result<u64, SimError> {
         let id = self.enqueue_to(queue, request)?;
-        if self.pending_total() >= self.queue_depth {
+        if self.host_pending >= self.queue_depth {
             if let Err(e) = self.pump() {
                 self.poisoned = true;
                 return Err(e);
@@ -605,6 +743,10 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         let id = self.next_id;
         self.next_id += 1;
         slot.pending.push_back((id, request));
+        self.host_pending += 1;
+        if slot.pending.len() == 1 {
+            self.future_heads.push(Reverse((request.arrival_ns, queue)));
+        }
         Ok(id)
     }
 
@@ -655,10 +797,6 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         // the clock catches up).
         self.retire_due();
         Ok(self.take_completions())
-    }
-
-    fn pending_total(&self) -> usize {
-        self.queues.iter().map(|q| q.pending.len()).sum()
     }
 
     /// Retires dispatched entries whose completion time has passed.
@@ -1025,6 +1163,144 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         }
     }
 
+    /// The readiness class of `queue`'s current head.
+    fn head_class(&self, queue: usize) -> HeadClass {
+        let best_effort = self
+            .qos
+            .as_ref()
+            .is_some_and(|qos| qos.class(queue) == SloClass::BestEffort);
+        let consumes = self.queues[queue]
+            .pending
+            .front()
+            .is_some_and(|&(_, r)| r.command.consumes_blocks());
+        match (best_effort, consumes) {
+            (false, _) => HeadClass::Guaranteed,
+            (true, false) => HeadClass::BestEffort,
+            (true, true) => HeadClass::BestEffortConsuming,
+        }
+    }
+
+    /// The host half of an *observing* iteration (one with a free depth
+    /// slot): moves heads that have arrived by `now` from the heap into
+    /// their class sets, samples the admission gates, and recomposes
+    /// `self.ready` from the classes whose gate is open. Returns
+    /// whether any arrived head is deferred behind a closed gate.
+    fn observe_hosts(&mut self, now: u64) -> bool {
+        while let Some(&Reverse((arrival_ns, queue))) = self.future_heads.peek() {
+            if arrival_ns > now {
+                break;
+            }
+            self.future_heads.pop();
+            let class = &mut self.classes[self.head_class(queue) as usize];
+            class.arrived.insert(queue);
+            self.admission_mark[queue] = class.closed_ns(now);
+        }
+        let slots_full = self.be_inflight.len() >= self.be_slot_cap;
+        let gate_closed = [false, slots_full, slots_full || self.admission_pressured()];
+        let mut deferred_any = false;
+        self.ready.clear();
+        for kind in HeadClass::ALL {
+            let class = &mut self.classes[kind as usize];
+            let closed = gate_closed[kind as usize];
+            if class.sample_gate(closed, now) && self.ssd.trace_enabled() {
+                self.ssd.tracer_mut().control_instant(
+                    if closed {
+                        "admission_gate_close"
+                    } else {
+                        "admission_gate_open"
+                    },
+                    now,
+                    vec![
+                        ("gate", ArgValue::Str(kind.gate_name())),
+                        ("members", ArgValue::U64(class.arrived.len() as u64)),
+                    ],
+                );
+            }
+            if closed {
+                deferred_any |= !class.arrived.is_empty();
+            } else {
+                self.ready.union_with(&class.arrived);
+            }
+        }
+        deferred_any
+    }
+
+    /// Index maintenance for `popped` commands leaving the front of
+    /// `queue`, whose head was of `class`: the queue leaves its arrived
+    /// set, the closed gate time the head sat through is settled into
+    /// `admission_wait_ns`, and the new head — if any — goes to the
+    /// heap, to be classified by the next observing iteration.
+    fn head_popped(&mut self, queue: usize, class: HeadClass, popped: usize, now: u64) {
+        self.host_pending -= popped;
+        let class = &mut self.classes[class as usize];
+        class.arrived.remove(queue);
+        self.admission_wait_ns[queue] += class
+            .closed_ns(now)
+            .saturating_sub(self.admission_mark[queue]);
+        if let Some(&(_, next)) = self.queues[queue].pending.front() {
+            self.future_heads.push(Reverse((next.arrival_ns, queue)));
+        }
+    }
+
+    /// The per-queue scan the dispatch index replaced, kept as the
+    /// reference debug builds hold the index to at every iteration.
+    #[cfg(debug_assertions)]
+    fn check_index_against_scan(&self, now: u64, host_blocked: bool, deferred_any: bool) {
+        let pending: usize = self.queues.iter().map(|q| q.pending.len()).sum();
+        assert_eq!(self.host_pending, pending, "pending counter");
+        let mut indexed = vec![0u32; self.queues.len()];
+        for &Reverse((arrival_ns, queue)) in &self.future_heads {
+            indexed[queue] += 1;
+            let head = self.queues[queue].pending.front();
+            assert_eq!(head.map(|&(_, r)| r.arrival_ns), Some(arrival_ns));
+        }
+        for kind in HeadClass::ALL {
+            for queue in self.classes[kind as usize].arrived.iter() {
+                indexed[queue] += 1;
+                assert_eq!(self.head_class(queue), kind, "queue {queue}'s class set");
+            }
+        }
+        for (queue, slot) in self.queues.iter().enumerate() {
+            let expected = u32::from(!slot.pending.is_empty());
+            assert_eq!(
+                indexed[queue], expected,
+                "queue {queue}'s head is indexed once"
+            );
+        }
+        if host_blocked {
+            assert!(self.ready.is_empty() && !deferred_any);
+            return;
+        }
+        let slots_full = self.be_inflight.len() >= self.be_slot_cap;
+        let pressured = self.admission_pressured();
+        let mut ready = ReadySet::new(self.queues.len());
+        let mut deferred = false;
+        let mut earliest_arrival = None;
+        for (queue, slot) in self.queues.iter().enumerate() {
+            let Some(&(_, head)) = slot.pending.front() else {
+                continue;
+            };
+            if head.arrival_ns > now {
+                earliest_arrival =
+                    Some(earliest_arrival.map_or(head.arrival_ns, |t: u64| t.min(head.arrival_ns)));
+                continue;
+            }
+            let best_effort = self
+                .qos
+                .as_ref()
+                .is_some_and(|qos| qos.class(queue) == SloClass::BestEffort);
+            if best_effort && (slots_full || (pressured && head.command.consumes_blocks())) {
+                deferred = true;
+            } else {
+                ready.insert(queue);
+            }
+        }
+        assert_eq!(self.ready, ready, "ready set and count");
+        assert_eq!(deferred_any, deferred, "deferred_any");
+        let heap_top = self.future_heads.peek().map(|&Reverse((t, _))| t);
+        assert_eq!(heap_top, earliest_arrival, "earliest future arrival");
+    }
+
     /// Dispatches pending commands until every host queue is empty,
     /// respecting arrivals, the queue depth, and the arbiter.
     fn pump(&mut self) -> Result<(), SimError> {
@@ -1038,8 +1314,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             self.replenish_gc();
             self.replenish_compaction();
             self.qos_tick_if_due();
-            let host_pending = self.pending_total();
-            if host_pending == 0
+            if self.host_pending == 0
                 && self.gc_pending.is_empty()
                 && self.compact_pending.is_empty()
                 && self.ssd.maplog_pending() == 0
@@ -1048,13 +1323,9 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             }
 
             let now = self.ssd.now_ns();
-            // Host commands are dispatchable when arrived and a depth
-            // slot is free; GC is always dispatchable. The view lives
-            // in a reused scratch buffer (one dispatch per iteration —
-            // no per-command allocation).
+            // Host commands are dispatchable when arrived, admitted and
+            // a depth slot is free; GC is always dispatchable.
             let host_blocked = self.inflight.len() >= self.queue_depth;
-            let admission_pressured = self.admission_pressured();
-            let be_slots_full = self.be_inflight.len() >= self.be_slot_cap;
             // GC pacing: with a controller active, queued migrations
             // are invisible to the arbiter while the concurrency limit
             // is reached — the backlog trickles out as erases land
@@ -1067,72 +1338,28 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             } else {
                 self.gc_pending.len()
             };
-            let mut deferred_any = false;
-            self.view_scratch.clear();
-            for queue in 0..self.queues.len() {
-                let pending = self.queues[queue].pending.len();
-                let head = self.queues[queue].pending.front();
-                let mut head_ready =
-                    !host_blocked && head.is_some_and(|&(_, r)| r.arrival_ns <= now);
-                if head_ready {
-                    // Admission throttling: a best-effort head is held
-                    // back while its class has used up its slot share
-                    // (the guaranteed reserve keeps depth slots turning
-                    // over for SLO tenants even when a burst of
-                    // best-effort writes is stacked behind a long
-                    // migrate+erase round), or — near the GC hard
-                    // floor — when it would consume blocks the settled
-                    // headroom should keep for guaranteed tenants. The
-                    // deferred time accrues to `admission_wait_ns`.
-                    let consumes = head.is_some_and(|&(_, r)| r.command.consumes_blocks());
-                    let best_effort = self
-                        .qos
-                        .as_ref()
-                        .is_some_and(|qos| qos.class(queue) == SloClass::BestEffort);
-                    if best_effort && (be_slots_full || (admission_pressured && consumes)) {
-                        head_ready = false;
-                        deferred_any = true;
-                        if self.admission_deferred_since[queue].is_none() {
-                            self.admission_deferred_since[queue] = Some(now);
-                            if self.ssd.trace_enabled() {
-                                self.ssd.tracer_mut().control_instant(
-                                    "admission_defer",
-                                    now,
-                                    vec![("queue", ArgValue::U64(queue as u64))],
-                                );
-                            }
-                        }
-                    } else if let Some(since) = self.admission_deferred_since[queue].take() {
-                        self.admission_wait_ns[queue] += now.saturating_sub(since);
-                        if self.ssd.trace_enabled() {
-                            self.ssd.tracer_mut().control_instant(
-                                "admission_resume",
-                                now,
-                                vec![
-                                    ("queue", ArgValue::U64(queue as u64)),
-                                    ("waited_ns", ArgValue::U64(now.saturating_sub(since))),
-                                ],
-                            );
-                        }
-                    }
-                }
-                self.view_scratch.push(QueueView {
-                    pending,
-                    head_ready,
-                });
-            }
-            let ready_hosts = self.view_scratch.iter().filter(|q| q.head_ready).count();
+            let deferred_any = if host_blocked {
+                self.ready.clear();
+                false
+            } else {
+                self.observe_hosts(now)
+            };
+            #[cfg(debug_assertions)]
+            self.check_index_against_scan(now, host_blocked, deferred_any);
 
-            if ready_hosts == 0
-                && gc_dispatchable == 0
-                && self.compact_pending.is_empty()
-                && self.ssd.maplog_pending() == 0
-            {
-                if host_blocked {
+            let view = ArbiterView {
+                ready: &self.ready,
+                gc_pending: gc_dispatchable,
+                compact_pending: self.compact_pending.len(),
+                maplog_pending: self.ssd.maplog_pending(),
+                free_fraction: self.ssd.free_fraction(),
+                now_ns: now,
+            };
+            if self.ready.is_empty() && !view.background_ready() {
+                let wake = if host_blocked {
                     // Queue full: the host blocks until the earliest
                     // in-flight command completes.
-                    let Reverse(complete_ns) = self.inflight.pop().expect("non-empty");
-                    self.ssd.advance_to(complete_ns);
+                    self.inflight.pop().map(|Reverse(complete_ns)| complete_ns)
                 } else {
                     // Everything pending arrives in the future — except
                     // heads the admission control deferred, which wake
@@ -1143,51 +1370,40 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
                     // target always exists and past-arrival heads
                     // cannot spin.
                     let earliest_arrival = self
-                        .queues
-                        .iter()
-                        .filter_map(|q| q.pending.front())
-                        .map(|&(_, r)| r.arrival_ns)
-                        .filter(|&arrival| arrival > now)
-                        .min();
+                        .future_heads
+                        .peek()
+                        .map(|&Reverse((arrival_ns, _))| arrival_ns);
                     let erase_wake = (deferred_any || gc_throttled)
                         .then(|| self.gc_inflight.peek().map(|&Reverse(t)| t))
                         .flatten();
                     let slot_wake = deferred_any
                         .then(|| self.be_inflight.peek().map(|&Reverse(t)| t))
                         .flatten();
-                    let wake = [earliest_arrival, erase_wake, slot_wake]
+                    [earliest_arrival, erase_wake, slot_wake]
                         .into_iter()
                         .flatten()
                         .min()
-                        .unwrap_or_else(|| {
-                            unreachable!("a deferred head has an in-flight wake source")
-                        });
-                    self.ssd.advance_to(wake);
-                }
+                };
+                let Some(wake) = wake else {
+                    return Err(self.stalled(now));
+                };
+                self.ssd.advance_to(wake);
                 continue;
             }
 
-            let view = ArbiterView {
-                host: &self.view_scratch,
-                gc_pending: gc_dispatchable,
-                compact_pending: self.compact_pending.len(),
-                maplog_pending: self.ssd.maplog_pending(),
-                free_fraction: self.ssd.free_fraction(),
-                now_ns: now,
-            };
             let mut source = self.arbiter.pick(&view);
             if !view.is_ready(source) {
                 // A buggy policy degrades to FIFO, never wedges.
-                source = view.ready_sources().next().expect("a source is ready");
+                let Some(first_ready) = view.ready_sources().next() else {
+                    return Err(self.stalled(now));
+                };
+                source = first_ready;
             }
             // Read bursts are capped at the picked queue's fair share
             // of the free depth, so batching (which amortises the
             // mapping traversal) cannot turn per-command arbitration
             // into whole-queue-depth bursts while other sources wait.
-            let background_ready = gc_dispatchable > 0
-                || !self.compact_pending.is_empty()
-                || self.ssd.maplog_pending() > 0;
-            let ready_sources = ready_hosts + usize::from(background_ready);
+            let ready_sources = self.ready.len() + usize::from(view.background_ready());
             match source {
                 Source::Gc => {
                     // The internal background source: space reclamation
@@ -1205,34 +1421,25 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         }
     }
 
+    /// The scheduler found work pending but nothing to dispatch and
+    /// nothing to wait for.
+    fn stalled(&self, now_ns: u64) -> SimError {
+        SimError::DispatchStalled {
+            now_ns,
+            pending: self.host_pending,
+        }
+    }
+
     /// Dispatches the head command (or, for reads, the leading arrived
     /// read burst, capped at this queue's fair share of the free depth
     /// among `ready_sources` contenders) of host queue `queue`.
     fn dispatch_host(&mut self, queue: usize, ready_sources: usize) -> Result<(), SimError> {
-        // A dispatch ends any open admission-deferral window (the view
-        // loop normally closes it when the gate clears; this is the
-        // backstop so the accounting can never leak across commands).
-        if let Some(since) = self.admission_deferred_since[queue].take() {
-            let now = self.ssd.now_ns();
-            self.admission_wait_ns[queue] += now.saturating_sub(since);
-            if self.ssd.trace_enabled() {
-                self.ssd.tracer_mut().control_instant(
-                    "admission_resume",
-                    now,
-                    vec![
-                        ("queue", ArgValue::U64(queue as u64)),
-                        ("waited_ns", ArgValue::U64(now.saturating_sub(since))),
-                    ],
-                );
-            }
-        }
-        let head = self.queues[queue]
-            .pending
-            .front()
-            .expect("picked queue is non-empty")
-            .1
-            .command;
-        if self.ssd.gc_mode() == GcMode::Background && head.consumes_blocks() {
+        let Some(&(id, req)) = self.queues[queue].pending.front() else {
+            // A ready bit for an empty queue: the index is broken.
+            return Err(self.stalled(self.ssd.now_ns()));
+        };
+        let class = self.head_class(queue);
+        if self.ssd.gc_mode() == GcMode::Background && req.command.consumes_blocks() {
             self.enforce_hard_floor()?;
         }
         let now = self.ssd.now_ns();
@@ -1241,49 +1448,52 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         // A best-effort read burst must not overshoot the class's slot
         // cap (the head itself was admitted, so at least one slot is
         // its to take).
-        if self
-            .qos
-            .as_ref()
-            .is_some_and(|qos| qos.class(queue) == SloClass::BestEffort)
-        {
+        if class != HeadClass::Guaranteed {
             burst = burst
                 .min(self.be_slot_cap.saturating_sub(self.be_inflight.len()))
                 .max(1);
         }
-        match head {
+        match req.command {
             Command::Read { .. } => {
                 // Batch the queue's leading run of already-arrived
                 // reads so the scheme amortises the group traversal.
-                let mut batch: Vec<(u64, IoRequest)> = Vec::new();
+                let mut batch = std::mem::take(&mut self.batch_scratch);
+                let mut lpas = std::mem::take(&mut self.lpa_scratch);
+                batch.clear();
+                lpas.clear();
                 while batch.len() < burst {
-                    match self.queues[queue].pending.front() {
-                        Some(&(_, req))
-                            if matches!(req.command, Command::Read { .. })
-                                && req.arrival_ns <= now =>
-                        {
-                            batch.push(self.queues[queue].pending.pop_front().expect("non-empty"));
-                        }
-                        Some(_) | None => break,
+                    let Some(&(id, req)) = self.queues[queue].pending.front() else {
+                        break;
+                    };
+                    let Command::Read { lpa } = req.command else {
+                        break;
+                    };
+                    if req.arrival_ns > now {
+                        break;
                     }
+                    self.queues[queue].pending.pop_front();
+                    batch.push((id, req));
+                    lpas.push(lpa);
                 }
+                self.head_popped(queue, class, batch.len(), now);
                 self.consume_budget(batch.len() as u64);
-                let lpas: Vec<Lpa> = batch
-                    .iter()
-                    .map(|&(_, req)| req.command.lpa().expect("read has an lpa"))
-                    .collect();
                 let outcomes = self.ssd.service_read_batch(&lpas)?;
-                for ((id, req), (data, complete_ns)) in batch.into_iter().zip(outcomes) {
+                for (&(id, req), (data, complete_ns)) in batch.iter().zip(outcomes) {
                     self.finish(id, queue, req, data, now, complete_ns);
                 }
+                self.batch_scratch = batch;
+                self.lpa_scratch = lpas;
             }
             Command::Write { lpa, content } => {
-                let (id, req) = self.queues[queue].pending.pop_front().expect("non-empty");
+                self.queues[queue].pending.pop_front();
+                self.head_popped(queue, class, 1, now);
                 self.consume_budget(1);
                 let complete_ns = self.ssd.service_write(lpa, content)?;
                 self.finish(id, queue, req, None, now, complete_ns);
             }
             Command::Flush => {
-                let (id, req) = self.queues[queue].pending.pop_front().expect("non-empty");
+                self.queues[queue].pending.pop_front();
+                self.head_popped(queue, class, 1, now);
                 self.consume_budget(1);
                 let complete_ns = self.ssd.service_flush()?;
                 self.finish(id, queue, req, None, now, complete_ns);
@@ -1381,9 +1591,9 @@ impl<S: MappingScheme + Clone> Drop for Device<'_, S> {
         // dispatch already surfaced an error, and drops during a panic
         // unwind.
         debug_assert!(
-            self.poisoned || std::thread::panicking() || self.pending_total() == 0,
+            self.poisoned || std::thread::panicking() || self.host_pending == 0,
             "Device dropped with {} pending host commands — call drain() first",
-            self.pending_total()
+            self.host_pending
         );
     }
 }
@@ -1901,6 +2111,59 @@ mod tests {
         device.drain().unwrap();
         assert_eq!(device.admission_wait_ns(), 0);
         assert!(device.qos_ticks().is_empty());
+    }
+
+    /// An arbiter that always names a source without dispatchable work.
+    #[derive(Debug)]
+    struct Stubborn;
+
+    impl Arbiter for Stubborn {
+        fn pick(&mut self, view: &ArbiterView<'_>) -> Source {
+            Source::Host(view.ready.queues())
+        }
+
+        fn name(&self) -> &'static str {
+            "stubborn"
+        }
+    }
+
+    #[test]
+    fn non_ready_pick_degrades_to_the_first_ready_source() {
+        let mut device_ssd = ssd();
+        let mut device = Device::new(
+            &mut device_ssd,
+            DeviceConfig::new(3, 1).with_arbiter(Box::new(Stubborn)),
+        );
+        for queue in [2, 1, 2, 1] {
+            device
+                .enqueue_to(queue, IoRequest::write(Lpa::new(queue as u64), 7))
+                .unwrap();
+        }
+        let mut completions = device.drain().unwrap();
+        completions.sort_by_key(|c| (c.dispatch_ns, c.id));
+        // FIFO over sources: the lowest ready queue drains first.
+        let order: Vec<u32> = completions.iter().map(|c| c.queue).collect();
+        assert_eq!(order, vec![1, 1, 2, 2]);
+    }
+
+    #[test]
+    fn wedged_scheduler_is_an_error_not_a_panic() {
+        let mut device_ssd = ssd();
+        let mut device = Device::new(&mut device_ssd, DeviceConfig::single(4));
+        device
+            .enqueue_to(0, IoRequest::write(Lpa::new(0), 1))
+            .unwrap();
+        // Break a scheduling assumption from inside the module: a
+        // zero depth blocks the host with nothing in flight to wait
+        // for.
+        device.queue_depth = 0;
+        assert!(matches!(
+            device.drain(),
+            Err(SimError::DispatchStalled { pending: 1, .. })
+        ));
+        // The failed run poisoned the device: dropping it with the
+        // command still queued does not trip the undrained assert.
+        assert!(device.poisoned);
     }
 
     #[test]

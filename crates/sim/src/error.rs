@@ -35,6 +35,16 @@ pub enum SimError {
         /// Submission queues in the device config.
         queues: usize,
     },
+    /// The device scheduler has work pending but found nothing to
+    /// dispatch and no completion, arrival or erase to wait for — a
+    /// scheduling invariant is broken (device logic bug). The device is
+    /// poisoned rather than left spinning.
+    DispatchStalled {
+        /// Virtual time at which the scheduler wedged.
+        now_ns: u64,
+        /// Host commands still pending.
+        pending: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -56,6 +66,11 @@ impl fmt::Display for SimError {
                 f,
                 "trace names {streams} distinct streams but the device has only {queues} \
                  submission queues — raise `DeviceConfig::queues` to at least the stream count"
+            ),
+            SimError::DispatchStalled { now_ns, pending } => write!(
+                f,
+                "dispatch stalled at {now_ns} ns with {pending} host commands pending \
+                 and nothing to wait for"
             ),
         }
     }

@@ -15,8 +15,11 @@
 //!   instead of a solid block of back-to-back migrations,
 //! * each **die** track alternates host reads with migration
 //!   read/program bursts and the occasional long erase,
-//! * the **control** track carries `gc_select`, `qos_tick`,
-//!   `admission_defer`/`admission_resume` and `gc_stall` instants.
+//! * the **control** track carries `gc_select`, `qos_tick`, `gc_stall`
+//!   and `admission_gate_close`/`admission_gate_open` instants — one
+//!   per admission gate (`gate`: `slot` for the best-effort slot cap,
+//!   `floor` for the slot cap or the GC-floor margin), with the number
+//!   of queue heads behind it (`members`).
 
 use leaftl_repro::core::LeaFtlConfig;
 use leaftl_repro::sim::{

@@ -1,0 +1,413 @@
+//! Golden test for the device's dispatch index.
+//!
+//! `Device::pump` keeps its ready set, future-arrival heap, pending
+//! counter and admission accounting incrementally instead of scanning
+//! every host queue per iteration. The constants below were recorded
+//! on the commit *before* that rewrite (full per-iteration scan), so
+//! they pin the index to the scan's behaviour: same picks, same
+//! dispatch times, same admission wait to the nanosecond.
+//!
+//! The scenario is a small fixed-seed open-loop fleet on a pre-aged,
+//! GC-pressured device: 72 queues (the ready bitset crosses a word
+//! boundary), guaranteed and best-effort readers and writers, so all
+//! three readiness classes are populated and both admission gates (the
+//! best-effort slot cap and the GC-floor margin) open and close while
+//! queues sit behind them. The request stream comes from a generator
+//! local to this file: the constants depend on `leaftl_sim` alone.
+//!
+//! The proptest at the end holds the three bitset arbitration policies
+//! to a slice-walk transcription of the algorithms they replaced.
+
+use leaftl_repro::flash::Lpa;
+use leaftl_repro::sim::{
+    Arbiter, ArbiterView, Device, DeviceConfig, ExactPageMap, HostPriority, IoRequest,
+    QosControllerConfig, QosSpec, ReadySet, RoundRobin, Slo, Source, Ssd, SsdConfig, Weighted,
+};
+use proptest::collection::vec;
+use proptest::prelude::*;
+
+const QUEUES: usize = 72;
+const GUARANTEED_READERS: usize = 4;
+const GUARANTEED_WRITERS: usize = 2;
+const BEST_EFFORT_WRITERS: usize = 34;
+const QUEUE_DEPTH: usize = 16;
+
+/// splitmix64 — the fleet's only randomness.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
+/// A small device, twice overwritten, with the hard floor at the low
+/// watermark so background GC, the floor gate and hard-floor stalls
+/// all engage; the tiny DRAM makes reads reach flash.
+fn aged_ssd() -> Ssd<ExactPageMap> {
+    let mut config = SsdConfig::small_test();
+    config.op_ratio = 0.5;
+    config.gc_low_watermark = 0.08;
+    config.gc_high_watermark = 0.12;
+    config.gc_hard_floor = 0.08;
+    config.dram_bytes = 64 * 1024;
+    let logical = config.logical_pages();
+    let mut ssd = Ssd::new(config, ExactPageMap::new());
+    for round in 0..2u64 {
+        for i in 0..logical {
+            ssd.write(Lpa::new((i * 7 + round) % logical), round * logical + i)
+                .expect("pre-age write");
+        }
+    }
+    ssd.flush().expect("pre-age flush");
+    ssd
+}
+
+/// Per-queue SLOs: the leading queues are guaranteed, the rest
+/// best-effort.
+fn slos() -> Vec<Slo> {
+    (0..QUEUES)
+        .map(|queue| {
+            if queue < GUARANTEED_READERS + GUARANTEED_WRITERS {
+                Slo::guaranteed(2_000.0)
+            } else {
+                Slo::best_effort()
+            }
+        })
+        .collect()
+}
+
+/// The open-loop request stream, as `(queue, request)` in submission
+/// order. Queues `0..4` are guaranteed readers, `4..6` guaranteed
+/// writers, `6..40` best-effort writers, `40..72` best-effort mixed
+/// readers (three reads to one write). Every 32nd command of a writer
+/// is a flush.
+fn fleet(logical: u64) -> Vec<(usize, IoRequest)> {
+    let mut rng = Rng(0x001e_af71);
+    let mut requests = Vec::new();
+    for queue in 0..QUEUES {
+        let writers_end = GUARANTEED_READERS + GUARANTEED_WRITERS + BEST_EFFORT_WRITERS;
+        let (ops, mean_gap_ns, write_share) = if queue < GUARANTEED_READERS {
+            (180, 150_000, 0)
+        } else if queue < GUARANTEED_READERS + GUARANTEED_WRITERS {
+            (120, 250_000, 4)
+        } else if queue < writers_end {
+            (90, 300_000, 4)
+        } else {
+            (90, 300_000, 1)
+        };
+        let mut at_ns = rng.next() % mean_gap_ns;
+        for op in 0..ops {
+            let lpa = Lpa::new(rng.next() % logical);
+            let request = if write_share == 4 && op % 32 == 31 {
+                IoRequest::flush()
+            } else if rng.next() % 4 < write_share {
+                IoRequest::write(lpa, ((queue as u64) << 32) | op)
+            } else {
+                IoRequest::read(lpa)
+            };
+            requests.push((queue, request.at(at_ns).on_stream(queue as u32)));
+            // Uniform on [0, 2·mean): bursts and lulls without floats.
+            at_ns += rng.next() % (2 * mean_gap_ns);
+        }
+    }
+    requests
+}
+
+/// What one run is pinned by.
+#[derive(Debug, PartialEq, Eq)]
+struct Golden {
+    /// FNV-1a over every completion's `(id, queue, dispatch_ns,
+    /// complete_ns)`, in `drain`'s order.
+    completions_fnv: u64,
+    completions: usize,
+    admission_wait_per_queue: Vec<u64>,
+    qos_ticks: usize,
+    dispatches: u64,
+    gc_dispatched: u64,
+}
+
+fn fnv1a(hash: &mut u64, value: u64) {
+    for byte in value.to_le_bytes() {
+        *hash ^= byte as u64;
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+fn run(arbiter: Box<dyn Arbiter>, qos: bool) -> Golden {
+    let mut ssd = aged_ssd();
+    let logical = ssd.config().logical_pages();
+    let mut config = DeviceConfig::new(QUEUES, QUEUE_DEPTH)
+        .background_gc()
+        .with_arbiter(arbiter);
+    if qos {
+        config = config.with_qos(QosSpec::new(slos()).with_controller(QosControllerConfig {
+            control_interval_ns: 1_000_000,
+            admission_margin: 0.10,
+            guaranteed_slot_reserve: 10,
+            gc_pacing_limit: 1,
+            min_window_samples: 2,
+            ..QosControllerConfig::default()
+        }));
+    }
+    let mut device = Device::new(&mut ssd, config);
+    for (queue, request) in fleet(logical) {
+        device.enqueue_to(queue, request).expect("enqueue");
+    }
+    let completions = device.drain().expect("drain");
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for c in &completions {
+        fnv1a(&mut hash, c.id);
+        fnv1a(&mut hash, c.queue as u64);
+        fnv1a(&mut hash, c.dispatch_ns);
+        fnv1a(&mut hash, c.complete_ns);
+    }
+    Golden {
+        completions_fnv: hash,
+        completions: completions.len(),
+        admission_wait_per_queue: device.admission_wait_per_queue().to_vec(),
+        qos_ticks: device.qos_ticks().len(),
+        dispatches: device.dispatches(),
+        gc_dispatched: device.gc_dispatched(),
+    }
+}
+
+#[test]
+fn weighted_qos_fleet_matches_the_full_scan() {
+    let weights = (0..QUEUES as u32).map(|queue| 1 + queue % 5).collect();
+    let golden = run(Box::new(Weighted::new(weights, 2)), true);
+    assert_eq!(
+        golden,
+        Golden {
+            completions_fnv: 8798802540353862997,
+            completions: 7069,
+            admission_wait_per_queue: vec![
+                0, 0, 0, 0, 0, 0, 293897280, 303013280, 293897280, 303013280, 293897280, 299313280,
+                299313280, 303013280, 293897280, 293897280, 293897280, 293897280, 299313280,
+                303013280, 303013280, 303013280, 306901280, 303013280, 303013280, 306901280,
+                293897280, 286057280, 293897280, 289977280, 286057280, 289977280, 293897280,
+                289977280, 283377280, 286057280, 283377280, 293897280, 293897280, 293897280,
+                198316320, 169451360, 184908600, 168724400, 178182040, 135618280, 181459640,
+                176863000, 165557360, 188198280, 189481200, 178726080, 198356480, 176339320,
+                182025120, 178096840, 176254120, 191271160, 174615800, 152617400, 224282360,
+                203410400, 168624320, 165533320, 195445160, 166470000, 168207520, 176278040,
+                181066680, 196540520, 131463800, 168710240
+            ],
+            qos_ticks: 264,
+            dispatches: 7069,
+            gc_dispatched: 169,
+        }
+    );
+}
+
+#[test]
+fn round_robin_fleet_matches_the_full_scan() {
+    let golden = run(Box::new(RoundRobin::new()), false);
+    assert_eq!(
+        golden,
+        Golden {
+            completions_fnv: 16710729521875921783,
+            completions: 7067,
+            admission_wait_per_queue: vec![0; QUEUES],
+            qos_ticks: 0,
+            dispatches: 7067,
+            gc_dispatched: 167,
+        }
+    );
+}
+
+#[test]
+fn host_priority_fleet_matches_the_full_scan() {
+    let golden = run(Box::new(HostPriority::new()), false);
+    assert_eq!(
+        golden,
+        Golden {
+            completions_fnv: 4004211629408222265,
+            completions: 7068,
+            admission_wait_per_queue: vec![0; QUEUES],
+            qos_ticks: 0,
+            dispatches: 7068,
+            gc_dispatched: 168,
+        }
+    );
+}
+
+/// The three policies as they were before the ready bitset: each walks
+/// one `head_ready` flag per host queue, slot layout
+/// `[Host(0) … Host(n-1), Gc]`.
+mod slice_walk {
+    use super::Source;
+
+    fn is_ready(host: &[bool], background: bool, source: Source) -> bool {
+        match source {
+            Source::Host(queue) => host.get(queue).copied().unwrap_or(false),
+            Source::Gc => background,
+        }
+    }
+
+    #[derive(Default)]
+    pub struct RoundRobin {
+        cursor: usize,
+    }
+
+    impl RoundRobin {
+        pub fn pick(&mut self, host: &[bool], background: bool) -> Source {
+            let slots = host.len() + 1;
+            for step in 0..slots {
+                let slot = (self.cursor + step) % slots;
+                let source = if slot < host.len() {
+                    Source::Host(slot)
+                } else {
+                    Source::Gc
+                };
+                if is_ready(host, background, source) {
+                    self.cursor = (slot + 1) % slots;
+                    return source;
+                }
+            }
+            Source::Gc
+        }
+    }
+
+    pub struct Weighted {
+        host_weights: Vec<u32>,
+        gc_weight: u32,
+        credit: Vec<i64>,
+    }
+
+    impl Weighted {
+        pub fn new(host_weights: &[u32], gc_weight: u32) -> Self {
+            Weighted {
+                host_weights: host_weights.iter().map(|&w| w.max(1)).collect(),
+                gc_weight: gc_weight.max(1),
+                credit: Vec::new(),
+            }
+        }
+
+        pub fn set_weight(&mut self, queue: usize, weight: u32) {
+            if self.host_weights.len() <= queue {
+                self.host_weights.resize(queue + 1, 1);
+            }
+            self.host_weights[queue] = weight.max(1);
+        }
+
+        pub fn pick(&mut self, host: &[bool], background: bool) -> Source {
+            let hosts = host.len().max(self.host_weights.len());
+            let slots = hosts + 1;
+            if self.credit.len() != slots {
+                self.credit = vec![0; slots];
+            }
+            let slot_source = |slot: usize| {
+                if slot < hosts {
+                    Source::Host(slot)
+                } else {
+                    Source::Gc
+                }
+            };
+            let mut total = 0i64;
+            let mut best: Option<(i64, usize)> = None;
+            for slot in 0..slots {
+                if !is_ready(host, background, slot_source(slot)) {
+                    continue;
+                }
+                let weight = if slot < hosts {
+                    self.host_weights.get(slot).copied().unwrap_or(1) as i64
+                } else {
+                    self.gc_weight as i64
+                };
+                self.credit[slot] += weight;
+                total += weight;
+                if best.is_none_or(|(credit, _)| self.credit[slot] > credit) {
+                    best = Some((self.credit[slot], slot));
+                }
+            }
+            let Some((_, winner)) = best else {
+                return Source::Gc;
+            };
+            self.credit[winner] -= total;
+            slot_source(winner)
+        }
+    }
+
+    #[derive(Default)]
+    pub struct HostPriority {
+        cursor: usize,
+    }
+
+    impl HostPriority {
+        pub fn pick(&mut self, host: &[bool], background: bool) -> Source {
+            let queues = host.len().max(1);
+            for step in 0..queues {
+                let slot = (self.cursor + step) % queues;
+                if is_ready(host, background, Source::Host(slot)) {
+                    self.cursor = (slot + 1) % queues;
+                    return Source::Host(slot);
+                }
+            }
+            Source::Gc
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Over random ready sets, weights, retunes and queue counts that
+    /// straddle the bitset's word boundaries, every pick of the three
+    /// bitset policies equals the slice walk's — cursors and credits
+    /// included, since each sequence starts from wherever the previous
+    /// picks left them.
+    #[test]
+    fn bitset_policies_pick_what_the_slice_walk_picks(
+        queues in 1usize..131,
+        weights in vec(0u32..40, 0..140),
+        gc_weight in 0u32..5,
+        steps in vec((0u64..u64::MAX, 0u64..6, proptest::bool::ANY, 0u32..64), 1..80),
+    ) {
+        let mut round_robin = (RoundRobin::new(), slice_walk::RoundRobin::default());
+        let mut weighted = (
+            Weighted::new(weights.clone(), gc_weight),
+            slice_walk::Weighted::new(&weights, gc_weight),
+        );
+        let mut host_priority = (HostPriority::new(), slice_walk::HostPriority::default());
+        for (step, &(seed, density, background, retune)) in steps.iter().enumerate() {
+            // density 0 readies nothing, 5 and up everything.
+            let mut rng = Rng(seed);
+            let host: Vec<bool> = (0..queues).map(|_| rng.next() % 5 < density).collect();
+            let ready: ReadySet = host.iter().copied().collect();
+            if retune % 4 == 0 {
+                // Sometimes beyond the device's queues: the vector grows.
+                let queue = rng.next() as usize % (queues + 8);
+                weighted.0.set_weight(queue, retune);
+                weighted.1.set_weight(queue, retune);
+            }
+            let view = ArbiterView {
+                ready: &ready,
+                gc_pending: usize::from(background),
+                compact_pending: 0,
+                maplog_pending: 0,
+                free_fraction: 0.5,
+                now_ns: step as u64,
+            };
+            prop_assert_eq!(
+                round_robin.0.pick(&view),
+                round_robin.1.pick(&host, background),
+                "round-robin, step {}", step
+            );
+            prop_assert_eq!(
+                weighted.0.pick(&view),
+                weighted.1.pick(&host, background),
+                "weighted, step {}", step
+            );
+            prop_assert_eq!(
+                host_priority.0.pick(&view),
+                host_priority.1.pick(&host, background),
+                "host-priority, step {}", step
+            );
+        }
+    }
+}

@@ -15,7 +15,7 @@
 //! inter-arrival gap (the offered load the SLO math assumes is the
 //! load actually generated).
 
-use leaftl_repro::sim::{Arbiter, ArbiterView, QueueView, Source, Weighted};
+use leaftl_repro::sim::{Arbiter, ArbiterView, ReadySet, Source, Weighted};
 use leaftl_repro::workloads::{multi_tenant_trace, qos_fleet, QosFleetSpec};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -23,16 +23,11 @@ use proptest::prelude::*;
 /// Long-run dispatch shares of a saturated [`Weighted`] arbiter: every
 /// host queue always ready, no background work, `rounds` picks.
 fn dispatch_shares(arbiter: &mut Weighted, queues: usize, rounds: usize) -> Vec<f64> {
-    let host: Vec<QueueView> = (0..queues)
-        .map(|_| QueueView {
-            pending: usize::MAX / 2,
-            head_ready: true,
-        })
-        .collect();
+    let ready: ReadySet = (0..queues).map(|_| true).collect();
     let mut picks = vec![0u64; queues];
     for _ in 0..rounds {
         let view = ArbiterView {
-            host: &host,
+            ready: &ready,
             gc_pending: 0,
             compact_pending: 0,
             maplog_pending: 0,
