@@ -4,23 +4,16 @@
 //! Three axes:
 //!
 //! * **Small bursts (32)** — the per-dispatch burst of a QD=32 device:
-//!   stays on the sequential fan-out path, so this axis measures pure
-//!   routing + merge overhead. Historically sharding "won" at this
+//!   pure routing + merge overhead. Historically sharding "won" at this
 //!   burst size only because the demand-paging residency check walked
 //!   every group (`memory_bytes` was O(groups)) and each shard walked
 //!   just its slice; with the incremental accounting that check is
 //!   O(1) for any table size (see `table_micro`), the artifact is
 //!   gone, and 1-shard vs 8-shard small-burst costs sit close
 //!   together.
-//! * **Large bursts (4096)** — above the dispatch threshold: the
-//!   persistent per-shard worker pool, the raw batch-translation
-//!   scaling number.
-//! * **Pool vs sequential** — the same large burst forced through
-//!   `lookup_batch_pooled` and `lookup_batch_sequential`, so the
-//!   channel-handoff overhead of the worker pool is measured directly
-//!   against the single-threaded baseline at every shard count (on a
-//!   single-core host the pool leg shows the pure overhead; on
-//!   multi-core it shows the speedup).
+//! * **Large bursts (4096)** — the same partition → per-shard → merge
+//!   loop where the per-shard sub-batches are long enough for the
+//!   group-memoised traversal to amortise.
 //! * **Sorted flush splitting** — `update_batch_sorted` boundary
 //!   splitting vs the monolithic learn path.
 
@@ -84,23 +77,6 @@ fn bench_lookup_fanout(c: &mut Criterion) {
     }
 }
 
-fn bench_pool_vs_sequential(c: &mut Criterion) {
-    const LEN: usize = 4096;
-    let lpas = burst(LEN, 99);
-    let mut group = c.benchmark_group("shard_lookup_pool_vs_sequential");
-    group.throughput(Throughput::Elements(LEN as u64));
-    for &shards in &[1usize, 2, 4, 8] {
-        let mut scheme = warmed(shards);
-        group.bench_function(BenchmarkId::new("pooled", shards), |b| {
-            b.iter(|| black_box(scheme.lookup_batch_pooled(black_box(&lpas))))
-        });
-        group.bench_function(BenchmarkId::new("sequential", shards), |b| {
-            b.iter(|| black_box(scheme.lookup_batch_sequential(black_box(&lpas))))
-        });
-    }
-    group.finish();
-}
-
 fn bench_sorted_split(c: &mut Criterion) {
     let mut group = c.benchmark_group("shard_update_sorted");
     const FLUSH: usize = 2048;
@@ -127,10 +103,5 @@ fn bench_sorted_split(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_lookup_fanout,
-    bench_pool_vs_sequential,
-    bench_sorted_split
-);
+criterion_group!(benches, bench_lookup_fanout, bench_sorted_split);
 criterion_main!(benches);

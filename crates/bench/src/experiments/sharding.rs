@@ -3,7 +3,7 @@
 //! concurrent, and what background compaction costs now that it is
 //! arbitrated device traffic instead of a free flush-path side effect.
 //!
-//! Three parts:
+//! Two parts:
 //!
 //! 1. **Shard × QD sweep** (virtual time): LeaFTL γ=4 behind a
 //!    `ShardedMapping` at 1/2/4/8 shards, queue depth 1/8/32, with
@@ -14,29 +14,19 @@
 //!    the no-concurrency cross-check (sharding buys little when one
 //!    command is in flight). Background compactions must be non-zero —
 //!    the sweep's cost is on the timeline, not hidden.
-//! 2. **Batch-translation throughput** (host wall-clock): the same
-//!    learned state translated through `lookup_batch` bursts; shards
-//!    are disjoint, so large bursts fan out onto the persistent
-//!    per-shard worker pool. Three legs per shard count — the adaptive
-//!    entry point (pool engaged only on multi-core hosts), the forced
-//!    pool, and the sequential baseline — so the handoff overhead and
-//!    the scaling are both visible. This is the raw
-//!    translation-service number, independent of flash timing.
-//! 3. **Inline vs background compaction** at 4 shards / QD=32: the
+//! 2. **Inline vs background compaction** at 4 shards / QD=32: the
 //!    same workload with compaction as flush side effect vs as
 //!    arbitrated `Command::Compact` traffic, showing where the sweep's
 //!    latency lands in each regime.
 
 use crate::common::{print_table, Scale, SEED};
-use leaftl_core::{LeaFtlConfig, MappingScheme, ShardedMapping};
-use leaftl_flash::Lpa;
+use leaftl_core::{LeaFtlConfig, ShardedMapping};
 use leaftl_sim::{
     replay, replay_queued_with, DeviceConfig, DramPolicy, LeaFtlScheme, QueuedReplayReport, Ssd,
     SsdConfig,
 };
 use leaftl_workloads::{oltp, warmup_ops};
 use serde_json::{json, Value};
-use std::time::Instant;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const DEPTHS: [usize; 3] = [1, 8, 32];
@@ -100,74 +90,16 @@ fn background_device(queue_depth: usize, segments: usize) -> DeviceConfig {
         .with_compaction_thresholds(LEVEL_THRESHOLD, segments)
 }
 
-/// Which `ShardedMapping` entry point a throughput leg measures.
-#[derive(Debug, Clone, Copy)]
-enum LookupMode {
-    /// The production entry point: pool above the dispatch threshold on
-    /// multi-core hosts, sequential otherwise.
-    Adaptive,
-    /// The persistent worker pool, unconditionally.
-    Pooled,
-    /// The single-threaded baseline, unconditionally.
-    Sequential,
-}
-
-/// Wall-clock batch-translation throughput of the warmed state, in
-/// million translations per second: `rounds` bursts of `burst`
-/// Zipf-skewed addresses (large bursts fan out onto the persistent
-/// per-shard worker pool — the service's raw scaling number).
-fn translation_mtps(
-    scheme: &mut ShardedMapping<LeaFtlScheme>,
-    logical: u64,
-    burst: usize,
-    rounds: usize,
-    mode: LookupMode,
-) -> f64 {
-    // Deterministic skewed address stream (LCG + quadratic fold onto a
-    // hot region, cheap stand-in for Zipf).
-    let mut state = SEED;
-    let bursts: Vec<Vec<Lpa>> = (0..rounds)
-        .map(|_| {
-            (0..burst)
-                .map(|_| {
-                    state = state
-                        .wrapping_mul(6364136223846793005)
-                        .wrapping_add(1442695040888963407);
-                    let u = (state >> 11) as f64 / (1u64 << 53) as f64;
-                    Lpa::new(((u * u * logical as f64) as u64).min(logical - 1))
-                })
-                .collect()
-        })
-        .collect();
-    let started = Instant::now();
-    let mut hits = 0usize;
-    for lpas in &bursts {
-        let results = match mode {
-            LookupMode::Adaptive => scheme.lookup_batch(lpas),
-            LookupMode::Pooled => scheme.lookup_batch_pooled(lpas),
-            LookupMode::Sequential => scheme.lookup_batch_sequential(lpas),
-        };
-        hits += results.iter().filter(|(hit, _)| hit.is_some()).count();
-    }
-    let elapsed = started.elapsed().as_secs_f64().max(1e-9);
-    assert!(hits > 0, "warmed state must resolve translations");
-    (burst * rounds) as f64 / elapsed / 1e6
-}
-
 /// The shard-count × queue-depth sweep plus the compaction-cost
 /// comparison.
 pub fn sharding(quick: bool) -> Value {
     let scale = Scale::perf(quick);
-    let burst = 4096usize;
-    let rounds = if quick { 64 } else { 256 };
     const COMPARE_SHARDS: usize = 4;
     const COMPARE_DEPTH: usize = 32;
 
     // One warmed device per shard count, cloned per measurement cell.
     let mut rows = Vec::new();
     let mut sweep_out = Vec::new();
-    let mut mtps_rows = Vec::new();
-    let mut mtps_out = Vec::new();
     let mut inline_report: Option<QueuedReplayReport> = None;
     let mut background_report: Option<QueuedReplayReport> = None;
     for &shards in &SHARD_COUNTS {
@@ -219,26 +151,7 @@ pub fn sharding(quick: bool) -> Value {
             "translation_stall_ns": stalls,
         }));
 
-        // ---- Part 2: wall-clock batch-translation throughput --------
-        let mut scheme = base.scheme().clone();
-        let mtps = translation_mtps(&mut scheme, logical, burst, rounds, LookupMode::Adaptive);
-        let pooled = translation_mtps(&mut scheme, logical, burst, rounds, LookupMode::Pooled);
-        let sequential =
-            translation_mtps(&mut scheme, logical, burst, rounds, LookupMode::Sequential);
-        mtps_rows.push(vec![
-            format!("{shards}"),
-            format!("{mtps:.2} M/s"),
-            format!("{pooled:.2} M/s"),
-            format!("{sequential:.2} M/s"),
-        ]);
-        mtps_out.push(json!({
-            "shards": shards,
-            "mtps": mtps,
-            "mtps_pooled": pooled,
-            "mtps_sequential": sequential,
-        }));
-
-        // ---- Part 3: the inline-compaction reference leg ------------
+        // ---- Part 2: the inline-compaction reference leg ------------
         if shards == COMPARE_SHARDS {
             let mut ssd = base.clone();
             inline_report = Some(
@@ -252,31 +165,6 @@ pub fn sharding(quick: bool) -> Value {
         &["shards", "QD=1", "QD=8", "QD=32"],
         &rows,
     );
-    print_table(
-        &format!(
-            "Sharding: batch-translation throughput, {burst}-address bursts (host wall-clock; pooled = persistent per-shard workers)"
-        ),
-        &["shards", "adaptive", "pooled", "sequential"],
-        &mtps_rows,
-    );
-
-    // The translation service must never *lose* throughput as shards
-    // grow: on multi-core hosts the pool scales it up; on a single-core
-    // host (CI containers) the adaptive path stays sequential, so 8
-    // shards ≈ 1 shard. The 0.9 factor absorbs wall-clock jitter.
-    let mtps_of = |n: usize| {
-        mtps_out
-            .iter()
-            .find(|v| v["shards"] == json!(n))
-            .and_then(|v| v["mtps"].as_f64())
-            .expect("shard leg ran")
-    };
-    let (one, eight) = (mtps_of(1), mtps_of(8));
-    assert!(
-        eight >= one * 0.9,
-        "8-shard batch translation regressed vs 1 shard: {eight:.2} < {one:.2} M/s"
-    );
-
     let inline_report = inline_report.expect("4-shard leg ran");
     let background_report = background_report.expect("4-shard QD=32 cell ran");
     let (shards, depth) = (COMPARE_SHARDS, COMPARE_DEPTH);
@@ -304,11 +192,6 @@ pub fn sharding(quick: bool) -> Value {
     json!({
         "experiment": "sharding",
         "qd_sweep": sweep_out,
-        "translation": {
-            "burst": burst,
-            "rounds": rounds,
-            "series": mtps_out,
-        },
         "compaction": {
             "shards": shards,
             "queue_depth": depth,

@@ -80,7 +80,7 @@ pub use level::Level;
 pub use plr::LearnedPiece;
 pub use scheme::{ExactPageMap, MapCost, MappingLookup, MappingScheme, ShardPressure};
 pub use segment::Segment;
-pub use shards::{host_parallelism, ShardedMapping, PARALLEL_BATCH_MIN};
+pub use shards::ShardedMapping;
 pub use stats::{percentile, MemoryBreakdown, TableStats};
 pub use table::{LeaFtlTable, LookupResult, TableWalk};
 pub use validate::InvariantViolation;

@@ -13,6 +13,12 @@
 //! per shard, which is what lets the device front-end schedule it as
 //! background traffic instead of a stop-the-world flush side effect.
 //!
+//! The parallelism is the *simulated device's*: the simulator gives
+//! every shard its own translation-CPU timeline, so lookups on
+//! different shards overlap in virtual time. On the host a burst is
+//! translated shard by shard on the caller's thread — no simulated
+//! path issues bursts large enough for host threads to pay.
+//!
 //! # Equivalence
 //!
 //! Because shard boundaries are group-aligned and every learned
@@ -26,140 +32,10 @@
 //! its siblings absorbed ([`MappingScheme::note_sibling_writes`]), so
 //! a shard seeing 1/N of the traffic still compacts on the device's
 //! write interval rather than N× less often.
-//!
-//! # Parallel fan-out
-//!
-//! Shards are disjoint, so a large burst fans out across a *persistent
-//! worker pool* — one long-lived worker thread per shard, each draining
-//! its own channel work queue (the FMMU map-management-unit shape from
-//! PAPERS.md). The caller submits one job per non-empty shard, keeps
-//! the largest sub-batch for itself, and blocks until every worker
-//! acknowledges — so there is no thread spawn/join on the hot path, only
-//! a channel handoff. The pool engages only when the host actually has
-//! more than one CPU ([`std::thread::available_parallelism`]); on a
-//! single-core host every burst takes the sequential path, which is
-//! faster there by construction. Both paths return bit-identical
-//! results in the caller's order, pinned by the `sharding_equivalence`
-//! proptests via the forced [`ShardedMapping::lookup_batch_pooled`] /
-//! [`ShardedMapping::lookup_batch_sequential`] entry points.
 
 use crate::scheme::{MapCost, MappingLookup, MappingScheme, ShardPressure};
 use leaftl_flash::{Lpa, Ppa};
-use std::fmt;
 use std::ops::Deref;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock};
-use std::thread::JoinHandle;
-
-/// Minimum burst size (addresses) before the fan-out dispatches to the
-/// persistent per-shard workers; below this the channel handoff and
-/// worker wakeup (~a few µs per engaged shard) exceed the translation
-/// work itself (~0.17 µs per resident address post-incremental
-/// accounting, so an 8-way fan-out breaks even around a couple hundred
-/// addresses). The old threshold of 1024 was calibrated against
-/// per-burst thread *spawn* cost and the pre-incremental O(groups)
-/// lookup walk; with long-lived workers the handoff is all that is
-/// left to amortise. Note the fan-out additionally requires a
-/// multi-core host — see [`host_parallelism`].
-pub const PARALLEL_BATCH_MIN: usize = 256;
-
-/// Detected host CPU count (cached). The worker pool only engages when
-/// this exceeds 1: on a single-core host the workers would timeshare
-/// the caller's CPU and every handoff is pure overhead, so the
-/// adaptive path stays sequential there (the pooled path remains
-/// reachable explicitly via [`ShardedMapping::lookup_batch_pooled`]
-/// for tests and benches).
-pub fn host_parallelism() -> usize {
-    static LANES: OnceLock<usize> = OnceLock::new();
-    *LANES.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
-/// A shard's completed fan-out job: the results for the sub-batch it
-/// was handed, or `None` if the shard's `lookup_batch` panicked.
-type JobResult = (usize, Option<Vec<(Option<MappingLookup>, MapCost)>>);
-
-struct Worker {
-    queue: Option<mpsc::Sender<Vec<Lpa>>>,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// Persistent per-shard translation workers. Worker `i` is spawned
-/// lazily on the first pooled burst, permanently owns a handle to
-/// shard `i`'s state, and lives until the mapping is dropped, draining
-/// its own channel work queue of sub-batches; each completed job posts
-/// its results on a shared completion channel. Pure execution
-/// machinery — all mapping state stays behind the shard mutexes.
-struct WorkerPool {
-    workers: Vec<Worker>,
-    done_tx: mpsc::Sender<JobResult>,
-    done_rx: mpsc::Receiver<JobResult>,
-}
-
-impl WorkerPool {
-    fn new() -> Self {
-        let (done_tx, done_rx) = mpsc::channel();
-        WorkerPool {
-            workers: Vec::new(),
-            done_tx,
-            done_rx,
-        }
-    }
-
-    /// Spawns workers for shard indices `self.workers.len()..`, each
-    /// capturing its shard's cell.
-    fn ensure<S: MappingScheme + Send + 'static>(&mut self, cells: &[Arc<Mutex<S>>]) {
-        while self.workers.len() < cells.len() {
-            let index = self.workers.len();
-            let cell = Arc::clone(&cells[index]);
-            let (tx, rx) = mpsc::channel::<Vec<Lpa>>();
-            let done = self.done_tx.clone();
-            let handle = std::thread::spawn(move || {
-                while let Ok(batch) = rx.recv() {
-                    // A panic inside the shard's lookup (or a mutex
-                    // poisoned by an earlier one) is reported as a
-                    // failed job, never silently dropped — the
-                    // submitter counts completions.
-                    let result = catch_unwind(AssertUnwindSafe(|| {
-                        cell.lock().expect("shard mutex").lookup_batch(&batch)
-                    }))
-                    .ok();
-                    if done.send((index, result)).is_err() {
-                        break;
-                    }
-                }
-            });
-            self.workers.push(Worker {
-                queue: Some(tx),
-                handle: Some(handle),
-            });
-        }
-    }
-
-    fn submit(&self, shard: usize, batch: Vec<Lpa>) {
-        self.workers[shard]
-            .queue
-            .as_ref()
-            .expect("translation worker queue")
-            .send(batch)
-            .expect("translation worker exited");
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Close each queue so the worker's `recv` loop ends, then join.
-        for worker in &mut self.workers {
-            worker.queue = None;
-            if let Some(handle) = worker.handle.take() {
-                let _ = handle.join();
-            }
-        }
-    }
-}
 
 /// A range-sharded translation service over any [`MappingScheme`].
 ///
@@ -175,13 +51,9 @@ impl Drop for WorkerPool {
 /// assert_ne!(sharded.shard_of(Lpa::new(10)), sharded.shard_of(Lpa::new(3000)));
 /// assert_eq!(sharded.lookup(Lpa::new(3000)).0.unwrap().ppa, Ppa::new(71));
 /// ```
+#[derive(Debug, Clone)]
 pub struct ShardedMapping<S> {
-    /// Each shard behind its own mutex so the persistent worker for
-    /// shard `i` can hold a handle to it. Outside pooled fan-out every
-    /// lock is uncontended (the workers are idle, parked on their
-    /// queues), so the sequential paths pay only an uncontended-lock
-    /// fetch per shard access.
-    shards: Vec<Arc<Mutex<S>>>,
+    shards: Vec<S>,
     /// LPAs per shard; a multiple of [`Lpa::GROUP_SIZE`] so no learned
     /// group straddles two shards. LPAs at or beyond
     /// `span × shard_count` route to the last shard.
@@ -191,35 +63,6 @@ pub struct ShardedMapping<S> {
     /// shards permanently unroutable at small capacities; the DRAM
     /// budget is divided across the routable shards only.
     routable: usize,
-    /// Lazily-spawned persistent fan-out workers, one per shard. Pure
-    /// execution machinery: holds no mapping state, so clones start
-    /// with a fresh (empty) pool.
-    pool: WorkerPool,
-}
-
-impl<S: fmt::Debug> fmt::Debug for ShardedMapping<S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardedMapping")
-            .field("shards", &self.shards)
-            .field("span", &self.span)
-            .field("routable", &self.routable)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<S: Clone> Clone for ShardedMapping<S> {
-    fn clone(&self) -> Self {
-        ShardedMapping {
-            shards: self
-                .shards
-                .iter()
-                .map(|cell| Arc::new(Mutex::new(cell.lock().expect("shard mutex").clone())))
-                .collect(),
-            span: self.span,
-            routable: self.routable,
-            pool: WorkerPool::new(),
-        }
-    }
 }
 
 impl<S> ShardedMapping<S> {
@@ -237,12 +80,9 @@ impl<S> ShardedMapping<S> {
         // trailing shards with an empty range.
         let routable = ((capacity_lpas.saturating_sub(1) / span) as usize + 1).min(count);
         ShardedMapping {
-            shards: (0..count)
-                .map(|index| Arc::new(Mutex::new(build(index))))
-                .collect(),
+            shards: (0..count).map(&mut build).collect(),
             span,
             routable,
-            pool: WorkerPool::new(),
         }
     }
 
@@ -257,22 +97,14 @@ impl<S> ShardedMapping<S> {
         self.routable
     }
 
-    /// Read access to one shard's inner scheme (an uncontended lock
-    /// guard — the shard's worker only holds the lock while a fan-out
-    /// job is in flight, and fan-out never overlaps these accessors
-    /// because both need the `ShardedMapping`).
+    /// Read access to one shard's inner scheme.
     pub fn shard(&self, index: usize) -> impl Deref<Target = S> + '_ {
-        self.lock(index)
+        &self.shards[index]
     }
 
-    /// Iterates the inner schemes in shard order, locking one at a
-    /// time.
+    /// Iterates the inner schemes in shard order.
     pub fn shards(&self) -> impl Iterator<Item = impl Deref<Target = S> + '_> + '_ {
-        (0..self.shards.len()).map(|index| self.lock(index))
-    }
-
-    fn lock(&self, index: usize) -> MutexGuard<'_, S> {
-        self.shards[index].lock().expect("shard mutex")
+        self.shards.iter()
     }
 
     fn route(&self, lpa: Lpa) -> usize {
@@ -280,7 +112,7 @@ impl<S> ShardedMapping<S> {
     }
 }
 
-impl<S: MappingScheme + Send + 'static> ShardedMapping<S> {
+impl<S: MappingScheme> ShardedMapping<S> {
     /// Compacts every shard unconditionally (tests and offline
     /// footprint measurements; the device compacts shards individually
     /// through [`MappingScheme::maintain_shard`]).
@@ -291,111 +123,16 @@ impl<S: MappingScheme + Send + 'static> ShardedMapping<S> {
         }
         cost
     }
-
-    /// Splits the burst into per-shard sub-batches, recording where
-    /// each address came from so results merge back in caller order.
-    fn partition(&self, lpas: &[Lpa]) -> (Vec<Vec<Lpa>>, Vec<(u32, u32)>) {
-        let mut per_shard: Vec<Vec<Lpa>> = vec![Vec::new(); self.shards.len()];
-        let mut slots: Vec<(u32, u32)> = Vec::with_capacity(lpas.len());
-        for &lpa in lpas {
-            let shard = self.route(lpa);
-            slots.push((shard as u32, per_shard[shard].len() as u32));
-            per_shard[shard].push(lpa);
-        }
-        (per_shard, slots)
-    }
-
-    fn merge(
-        slots: Vec<(u32, u32)>,
-        per_shard_results: Vec<Vec<(Option<MappingLookup>, MapCost)>>,
-    ) -> Vec<(Option<MappingLookup>, MapCost)> {
-        slots
-            .into_iter()
-            .map(|(shard, index)| per_shard_results[shard as usize][index as usize])
-            .collect()
-    }
-
-    /// Forced sequential fan-out: shard by shard on the caller's
-    /// thread. This is the oracle the pooled path must match
-    /// bit-for-bit, and the baseline the `shard_micro`
-    /// pool-vs-sequential series compares against.
-    pub fn lookup_batch_sequential(
-        &mut self,
-        lpas: &[Lpa],
-    ) -> Vec<(Option<MappingLookup>, MapCost)> {
-        if self.shards.len() == 1 {
-            return self.lock(0).lookup_batch(lpas);
-        }
-        let (per_shard, slots) = self.partition(lpas);
-        let results = per_shard
-            .iter()
-            .enumerate()
-            .map(|(index, batch)| self.lock(index).lookup_batch(batch))
-            .collect();
-        Self::merge(slots, results)
-    }
-
-    /// Forced pooled fan-out: dispatches to the persistent workers
-    /// regardless of burst size or host CPU count. Tests and benches
-    /// use this to exercise the worker machinery deterministically;
-    /// production traffic goes through [`MappingScheme::lookup_batch`],
-    /// which only engages the pool when it pays.
-    pub fn lookup_batch_pooled(&mut self, lpas: &[Lpa]) -> Vec<(Option<MappingLookup>, MapCost)> {
-        let (per_shard, slots) = self.partition(lpas);
-        let results = self.fanout_pooled(per_shard);
-        Self::merge(slots, results)
-    }
-
-    /// Submits every non-empty sub-batch except the largest to its
-    /// shard's persistent worker, translates the largest inline on the
-    /// caller's thread (keeping the critical path local and saving one
-    /// handoff), then blocks until every worker has posted its
-    /// results.
-    fn fanout_pooled(
-        &mut self,
-        mut per_shard: Vec<Vec<Lpa>>,
-    ) -> Vec<Vec<(Option<MappingLookup>, MapCost)>> {
-        self.pool.ensure(&self.shards);
-        let mut outs: Vec<Vec<(Option<MappingLookup>, MapCost)>> =
-            vec![Vec::new(); self.shards.len()];
-        let mut inline = 0usize;
-        for (index, batch) in per_shard.iter().enumerate() {
-            if batch.len() > per_shard[inline].len() {
-                inline = index;
-            }
-        }
-        let mut jobs = 0usize;
-        for (index, batch) in per_shard.iter_mut().enumerate() {
-            if index == inline || batch.is_empty() {
-                continue;
-            }
-            self.pool.submit(index, std::mem::take(batch));
-            jobs += 1;
-        }
-        outs[inline] = self.lock(inline).lookup_batch(&per_shard[inline]);
-        // Collect every completion before surfacing a panic so no
-        // worker is still mid-job when the caller unwinds.
-        let mut panicked = false;
-        for _ in 0..jobs {
-            let (index, result) = self.pool.done_rx.recv().expect("translation worker pool");
-            match result {
-                Some(results) => outs[index] = results,
-                None => panicked = true,
-            }
-        }
-        assert!(!panicked, "shard translation worker panicked");
-        outs
-    }
 }
 
-impl<S: MappingScheme + Send + 'static> MappingScheme for ShardedMapping<S> {
+impl<S: MappingScheme> MappingScheme for ShardedMapping<S> {
     fn name(&self) -> &'static str {
-        self.lock(0).name()
+        self.shards[0].name()
     }
 
     fn update_batch(&mut self, pairs: &[(Lpa, Ppa)]) -> MapCost {
         if self.shards.len() == 1 {
-            return self.lock(0).update_batch(pairs);
+            return self.shards[0].update_batch(pairs);
         }
         // Dedup last-wins before splitting: each inner table counts the
         // *deduped* writes it learns, so sibling credits computed from
@@ -423,7 +160,7 @@ impl<S: MappingScheme + Send + 'static> MappingScheme for ShardedMapping<S> {
 
     fn update_batch_sorted(&mut self, pairs: &[(Lpa, Ppa)]) -> MapCost {
         if self.shards.len() == 1 {
-            return self.lock(0).update_batch_sorted(pairs);
+            return self.shards[0].update_batch_sorted(pairs);
         }
         // Sorted input means shard ids are non-decreasing: split into
         // contiguous runs at shard boundaries, no copying.
@@ -437,15 +174,15 @@ impl<S: MappingScheme + Send + 'static> MappingScheme for ShardedMapping<S> {
                 end += 1;
             }
             own[shard] += end - start;
-            cost.add(self.lock(shard).update_batch_sorted(&pairs[start..end]));
+            cost.add(self.shards[shard].update_batch_sorted(&pairs[start..end]));
             start = end;
         }
         // Device-wide maintenance cadence: every shard's interval
         // counter advances with every device write, not just its own.
-        for (index, own) in own.into_iter().enumerate() {
+        for (shard, own) in self.shards.iter_mut().zip(own) {
             let siblings = (pairs.len() - own) as u64;
             if siblings > 0 {
-                self.lock(index).note_sibling_writes(siblings);
+                shard.note_sibling_writes(siblings);
             }
         }
         cost
@@ -453,32 +190,44 @@ impl<S: MappingScheme + Send + 'static> MappingScheme for ShardedMapping<S> {
 
     fn lookup(&mut self, lpa: Lpa) -> (Option<MappingLookup>, MapCost) {
         let shard = self.route(lpa);
-        self.lock(shard).lookup(lpa)
+        self.shards[shard].lookup(lpa)
     }
 
     fn lookup_batch(&mut self, lpas: &[Lpa]) -> Vec<(Option<MappingLookup>, MapCost)> {
         if self.shards.len() == 1 {
-            return self.lock(0).lookup_batch(lpas);
+            return self.shards[0].lookup_batch(lpas);
         }
-        // Adaptive dispatch: the persistent workers only pay when the
-        // burst amortises the channel handoffs AND the host has CPUs
-        // for the workers to run on. Either path returns bit-identical
-        // results (pinned by the sharding_equivalence proptests).
-        if lpas.len() >= PARALLEL_BATCH_MIN && host_parallelism() > 1 {
-            self.lookup_batch_pooled(lpas)
-        } else {
-            self.lookup_batch_sequential(lpas)
+        // Partition the burst into per-shard sub-batches, recording
+        // where each address went so results merge back in caller
+        // order; each shard then translates its sub-batch in one call
+        // (amortising its group traversal).
+        let mut per_shard: Vec<Vec<Lpa>> = vec![Vec::new(); self.shards.len()];
+        let mut slots: Vec<(usize, usize)> = Vec::with_capacity(lpas.len());
+        for &lpa in lpas {
+            let shard = self.route(lpa);
+            slots.push((shard, per_shard[shard].len()));
+            per_shard[shard].push(lpa);
         }
+        let results: Vec<Vec<(Option<MappingLookup>, MapCost)>> = self
+            .shards
+            .iter_mut()
+            .zip(&per_shard)
+            .map(|(shard, batch)| shard.lookup_batch(batch))
+            .collect();
+        slots
+            .into_iter()
+            .map(|(shard, index)| results[shard][index])
+            .collect()
     }
 
     fn lookup_is_pure(&self) -> bool {
-        (0..self.shards.len()).all(|index| self.lock(index).lookup_is_pure())
+        self.shards.iter().all(S::lookup_is_pure)
     }
 
     fn memory_bytes(&self) -> usize {
-        (0..self.shards.len()).fold(0usize, |sum, index| {
-            sum.saturating_add(self.lock(index).memory_bytes())
-        })
+        self.shards
+            .iter()
+            .fold(0, |sum, shard| sum.saturating_add(shard.memory_bytes()))
     }
 
     fn set_memory_budget(&mut self, bytes: usize) {
@@ -490,21 +239,21 @@ impl<S: MappingScheme + Send + 'static> MappingScheme for ShardedMapping<S> {
         // state and get a token 1-byte budget.
         let per_shard = bytes / self.routable;
         let remainder = bytes % self.routable;
-        for index in 0..self.shards.len() {
+        for (index, shard) in self.shards.iter_mut().enumerate() {
             let slice = if index < self.routable {
                 per_shard + usize::from(index < remainder)
             } else {
                 0
             };
-            self.lock(index).set_memory_budget(slice.max(1));
+            shard.set_memory_budget(slice.max(1));
         }
     }
 
     fn maintain(&mut self) -> (MapCost, bool) {
         let mut cost = MapCost::FREE;
         let mut compacted = false;
-        for index in 0..self.shards.len() {
-            let (c, ran) = self.lock(index).maintain();
+        for shard in &mut self.shards {
+            let (c, ran) = shard.maintain();
             cost.add(c);
             compacted |= ran;
         }
@@ -515,18 +264,18 @@ impl<S: MappingScheme + Send + 'static> MappingScheme for ShardedMapping<S> {
         // Shards learn their slices concurrently; the batch's critical
         // path is bounded by one shard's cost model (the inner schemes
         // share it).
-        self.lock(0).learn_cost_ns(batch_len)
+        self.shards[0].learn_cost_ns(batch_len)
     }
 
     fn snapshot_bytes(&self) -> usize {
-        (0..self.shards.len()).fold(0usize, |sum, index| {
-            sum.saturating_add(self.lock(index).snapshot_bytes())
-        })
+        self.shards
+            .iter()
+            .fold(0, |sum, shard| sum.saturating_add(shard.snapshot_bytes()))
     }
 
     fn checkpoint_footprint(&self) -> (usize, usize) {
-        (0..self.shards.len()).fold((0usize, 0usize), |(seg, crb), index| {
-            let (s_seg, s_crb) = self.lock(index).checkpoint_footprint();
+        self.shards.iter().fold((0, 0), |(seg, crb), shard| {
+            let (s_seg, s_crb) = shard.checkpoint_footprint();
             (seg.saturating_add(s_seg), crb.saturating_add(s_crb))
         })
     }
@@ -540,15 +289,15 @@ impl<S: MappingScheme + Send + 'static> MappingScheme for ShardedMapping<S> {
     }
 
     fn shard_pressure(&self, shard: usize) -> ShardPressure {
-        self.lock(shard).shard_pressure(0)
+        self.shards[shard].shard_pressure(0)
     }
 
     fn maintain_shard(&mut self, shard: usize) -> (MapCost, bool) {
-        self.lock(shard).maintain_shard(0)
+        self.shards[shard].maintain_shard(0)
     }
 
     fn compact_cost_ns(&self, shard: usize) -> u64 {
-        self.lock(shard).compact_cost_ns(0)
+        self.shards[shard].compact_cost_ns(0)
     }
 }
 
@@ -623,93 +372,6 @@ mod tests {
         for (&lpa, got) in burst.iter().zip(&merged) {
             assert_eq!(*got, sharded.lookup(lpa), "lpa {lpa}");
         }
-    }
-
-    #[test]
-    fn pooled_and_sequential_fanout_are_identical() {
-        let mut sharded = ShardedMapping::new(8, 1 << 16, |_| ExactPageMap::new());
-        sharded.update_batch(&pairs(0..(1 << 16), 100_000));
-        // Forced through the persistent workers regardless of host CPU
-        // count; the pointwise lookups below are the sequential oracle.
-        let burst: Vec<Lpa> = (0..(PARALLEL_BATCH_MIN as u64 * 2))
-            .map(|i| Lpa::new((i * 31) % (1 << 16)))
-            .collect();
-        assert!(burst.len() >= PARALLEL_BATCH_MIN);
-        let pooled = sharded.lookup_batch_pooled(&burst);
-        for (&lpa, got) in burst.iter().zip(&pooled) {
-            assert_eq!(*got, sharded.lookup(lpa), "lpa {lpa}");
-        }
-    }
-
-    #[test]
-    fn pooled_fanout_handles_small_and_skewed_bursts() {
-        let mut sharded = ShardedMapping::new(4, 4096, |_| ExactPageMap::new());
-        sharded.update_batch(&pairs(0..4096, 100_000));
-        // All addresses land in shard 0: the caller translates inline,
-        // zero jobs are dispatched, wait(0) returns immediately.
-        let skew: Vec<Lpa> = (0..16u64).map(Lpa::new).collect();
-        let got = sharded.lookup_batch_pooled(&skew);
-        let want = sharded.lookup_batch_sequential(&skew);
-        assert_eq!(got, want);
-        // A two-address burst touching two shards: one worker handoff.
-        let tiny = vec![Lpa::new(1), Lpa::new(2000)];
-        let got = sharded.lookup_batch_pooled(&tiny);
-        let want = sharded.lookup_batch_sequential(&tiny);
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn pool_survives_reuse_and_clone_starts_fresh() {
-        let mut sharded = ShardedMapping::new(8, 1 << 14, |_| ExactPageMap::new());
-        sharded.update_batch(&pairs(0..(1 << 14), 100_000));
-        let burst: Vec<Lpa> = (0..512u64)
-            .map(|i| Lpa::new((i * 97) % (1 << 14)))
-            .collect();
-        let first = sharded.lookup_batch_pooled(&burst);
-        // Same persistent workers serve a second burst.
-        let second = sharded.lookup_batch_pooled(&burst);
-        assert_eq!(first, second);
-        // Clones carry the mapping state but spawn their own workers.
-        let mut cloned = sharded.clone();
-        assert_eq!(cloned.lookup_batch_pooled(&burst), first);
-    }
-
-    /// A scheme whose lookups panic on a poisoned address; the pool
-    /// must surface the panic instead of hanging or corrupting state.
-    #[derive(Debug, Clone, Default)]
-    struct PanicScheme;
-
-    impl MappingScheme for PanicScheme {
-        fn name(&self) -> &'static str {
-            "panic"
-        }
-        fn update_batch(&mut self, _pairs: &[(Lpa, Ppa)]) -> MapCost {
-            MapCost::FREE
-        }
-        fn lookup(&mut self, lpa: Lpa) -> (Option<MappingLookup>, MapCost) {
-            assert!(lpa.raw() != 7, "poisoned lookup");
-            (None, MapCost::FREE)
-        }
-        fn memory_bytes(&self) -> usize {
-            0
-        }
-        fn set_memory_budget(&mut self, _bytes: usize) {}
-        fn maintain(&mut self) -> (MapCost, bool) {
-            (MapCost::FREE, false)
-        }
-    }
-
-    #[test]
-    fn worker_panic_propagates_to_caller() {
-        let mut sharded = ShardedMapping::new(2, 512, |_| PanicScheme);
-        // LPA 7 routes to shard 0, LPA 300 to shard 1; make shard 1 the
-        // larger (inline) sub-batch so the poisoned shard 0 goes to a
-        // worker.
-        let burst = vec![Lpa::new(7), Lpa::new(300), Lpa::new(301)];
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            sharded.lookup_batch_pooled(&burst);
-        }));
-        assert!(caught.is_err(), "worker panic must propagate");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! dispatch time, atomically per command. With a single queue and
 //! [`GcMode::Synchronous`], dispatch order is submission order and the
 //! device's final state is *identical at every queue depth* to the
-//! legacy blocking [`Ssd::read`]/[`Ssd::write`] path (the
+//! blocking [`Ssd::read`]/[`Ssd::write`] interface (the
 //! `engine_equivalence` proptests pin this; depth 1 is additionally
 //! cycle-exact). What queue depth, queue count, arbitration policy and
 //! GC mode change is *which command dispatches next* and *time*: flash
@@ -36,9 +36,10 @@
 //! data read overlap the slower request's flash traffic on the die
 //! timelines, and the time a lookup does spend queued behind a busy
 //! shard CPU is charged to
-//! [`crate::SimStats::translation_stall_ns`]. Bursts of a single read
-//! (queue depth 1) take the unpipelined path verbatim, which keeps the
-//! depth-1 cycle-exactness guarantee above.
+//! [`crate::SimStats::translation_stall_ns`]. A burst of a single read
+//! (queue depth 1) is the degenerate case — translation reads, lookup
+//! and data probes chain serially — and it is also what the blocking
+//! [`Ssd::read`] runs, which is why depth 1 is cycle-exact with it.
 //!
 //! # Background GC
 //!
@@ -111,11 +112,11 @@
 use crate::arbiter::{Arbiter, ArbiterView, ReadySet, RoundRobin, Source};
 use crate::config::{CompactionMode, GcMode};
 use crate::error::SimError;
-use crate::mapping::MappingScheme;
 use crate::qos::{QosController, QosSpec, QosTick, SloClass};
 use crate::request::{Command, IoCompletion, IoRequest};
 use crate::ssd::Ssd;
 use crate::trace::ArgValue;
+use leaftl_core::{MappingScheme, ShardPressure};
 use leaftl_flash::{BlockId, Lpa};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
@@ -463,7 +464,7 @@ pub struct Device<'a, S: MappingScheme + Clone> {
     /// threshold configs (a threshold at or below a shard's live
     /// segment population) from re-compacting a shard on every flush
     /// that only touched its neighbours.
-    compact_stamp: Vec<Option<crate::mapping::ShardPressure>>,
+    compact_stamp: Vec<Option<ShardPressure>>,
     /// Program stamp of the last pressure scan (scan skipped while it
     /// is unchanged).
     compact_scan_stamp: Option<u64>,
@@ -1603,7 +1604,7 @@ mod tests {
     use super::*;
     use crate::arbiter::{HostPriority, Weighted};
     use crate::config::SsdConfig;
-    use crate::mapping::ExactPageMap;
+    use leaftl_core::ExactPageMap;
     use leaftl_flash::Lpa;
 
     fn ssd() -> Ssd<ExactPageMap> {

@@ -18,8 +18,9 @@
 //! proptests).
 
 use crate::lru::LruCache;
-use crate::mapping::{MapCost, MappingLookup, MappingScheme, ShardPressure};
-use leaftl_core::{LeaFtlConfig, LeaFtlTable, TableStats};
+use leaftl_core::{
+    LeaFtlConfig, LeaFtlTable, MapCost, MappingLookup, MappingScheme, ShardPressure, TableStats,
+};
 use leaftl_flash::{Lpa, Ppa};
 
 /// Base CPU cost of one compaction sweep (setup + re-layering), on top

@@ -62,7 +62,6 @@ mod device;
 mod error;
 mod leaftl_scheme;
 pub mod lru;
-mod mapping;
 mod qos;
 mod replay;
 mod request;
@@ -78,10 +77,10 @@ pub use device::{
     CompactionScheduler, Device, DeviceConfig, COMPACT_QUEUE, GC_QUEUE, MAPLOG_QUEUE,
 };
 pub use error::SimError;
-pub use leaftl_scheme::LeaFtlScheme;
-pub use mapping::{
+pub use leaftl_core::{
     ExactPageMap, MapCost, MappingLookup, MappingScheme, ShardPressure, ShardedMapping,
 };
+pub use leaftl_scheme::LeaFtlScheme;
 pub use qos::{QosController, QosControllerConfig, QosSpec, QosTick, QueueTick, Slo, SloClass};
 pub use replay::{
     replay, replay_open_loop, replay_open_loop_with, replay_queued, replay_queued_with, HostOp,

@@ -22,12 +22,12 @@
 
 use crate::device::{Device, DeviceConfig};
 use crate::error::SimError;
-use crate::mapping::MappingScheme;
 use crate::qos::QosTick;
 use crate::request::{IoKind, IoRequest};
 use crate::ssd::Ssd;
 use crate::stats::{LatencyHistogram, SimStats};
 use crate::trace::UtilizationReport;
+use leaftl_core::MappingScheme;
 use leaftl_flash::Lpa;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -623,7 +623,7 @@ where
 mod tests {
     use super::*;
     use crate::config::SsdConfig;
-    use crate::mapping::ExactPageMap;
+    use leaftl_core::ExactPageMap;
 
     #[test]
     fn replay_mixed_ops() {

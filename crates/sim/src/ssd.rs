@@ -7,11 +7,11 @@ use crate::clock::SimClock;
 use crate::config::{CheckpointMode, CompactionMode, GcMode, GcPolicy, SsdConfig};
 use crate::error::SimError;
 use crate::lru::LruCache;
-use crate::mapping::{MapCost, MappingLookup, MappingScheme, ShardPressure};
 use crate::stats::SimStats;
 use crate::trace::{FlashOpKind, TraceSink, Tracer, TrafficClass, UtilizationReport};
 use crate::translog::{LogOp, LogPayload, TransLog};
 use crate::validity::Validity;
+use leaftl_core::{MapCost, MappingLookup, MappingScheme, ShardPressure};
 use leaftl_flash::{BlockId, Die, FlashDevice, Lpa, Ppa};
 use std::collections::{HashMap, HashSet};
 
@@ -20,7 +20,10 @@ use std::collections::{HashMap, HashSet};
 const DRAM_HIT_NS: u64 = 1_000;
 
 /// Snapshot of the DRAM-resident FTL state persisted to flash
-/// (mapping table + BVC, §3.8).
+/// (mapping table + BVC, §3.8) — the baseline recovery restores before
+/// scanning what changed since. [`CheckpointMode::DramSnapshot`] keeps
+/// one in [`Ssd::snapshot`]; a durable flash-log checkpoint unpacks
+/// into the same shape.
 #[derive(Debug, Clone)]
 struct Snapshot<S> {
     scheme: S,
@@ -74,12 +77,14 @@ impl RecoveryReport {
 /// Host I/O is page-granular. [`Ssd::read`] / [`Ssd::write`] are the
 /// blocking queue-depth-1 interface: each request completes (advancing
 /// the virtual clock) before the next is issued, with GC running
-/// synchronously inside the flush path — the cycle-exact legacy
-/// contract. Internally both are thin wrappers over non-blocking
-/// *service* paths that schedule flash work on per-die timelines and
-/// return a completion deadline — the multi-queue [`crate::Device`]
-/// drives those same paths with many commands in flight to model
-/// submission/completion queues, arbitration and background GC.
+/// synchronously inside the flush path. Both are thin wrappers over
+/// the non-blocking *service* paths, which schedule flash work on
+/// per-die timelines and return a completion deadline — the
+/// multi-queue [`crate::Device`] drives those same paths with many
+/// commands in flight to model submission/completion queues,
+/// arbitration and background GC, so a queue-depth-1 device is
+/// cycle-exact with the blocking interface because it runs the same
+/// code.
 ///
 /// # Example
 ///
@@ -135,32 +140,40 @@ pub struct Ssd<S: MappingScheme + Clone> {
 /// The state half of a resolved read: which pages must be read (in
 /// probe order), what the live page holds, and whether the prediction
 /// missed. Produced by [`Ssd::plan_read_probes`]; the caller turns the
-/// probe list into die time whenever its scheduling policy dictates.
+/// probe list into die time ([`Ssd::schedule_probes`]) whenever its
+/// scheduling policy dictates.
 struct ReadPlan {
     exact: Ppa,
     content: u64,
     mispredicted: bool,
     probes: Vec<Ppa>,
+    /// Whether `probes[0]` is a host read's predicted page — the one
+    /// probe that counts as a data read. Every other probe is a
+    /// misprediction read.
+    leads_with_data_read: bool,
 }
 
-/// One request's fate after the pipelined pass over a read burst's
-/// state (see [`Ssd::service_read_batch`]): everything the timing pass
-/// needs, with all state mutations already committed in batch order.
-enum ReadOutcome {
-    /// Buffer or read-cache hit: completes at dispatch + DRAM latency.
-    Dram(u64),
-    /// Never-written page: pays its translation charge, then completes.
-    Unmapped { lpa: Lpa, cost: MapCost },
-    /// Flash-backed read: translation charge → shard-CPU grant → data
-    /// probes.
-    Flash {
-        lpa: Lpa,
-        cost: MapCost,
-        cpu_ns: u64,
-        shard: usize,
-        content: u64,
-        probes: Vec<Ppa>,
-    },
+/// A read that missed DRAM, after the state pass over its burst (see
+/// [`Ssd::service_read_batch`]): what the timing pass still owes it,
+/// with all state mutations already committed in batch order.
+struct PendingRead {
+    /// The request's position in the burst.
+    index: usize,
+    lpa: Lpa,
+    /// The translation charge the request pays from the dispatch
+    /// point.
+    cost: MapCost,
+    /// The lookup and data probes that follow the charge; `None` for
+    /// a never-written page, which completes once the charge is paid.
+    grant: Option<CpuGrant>,
+}
+
+/// A flash-backed read's claim on its shard's translation CPU, and the
+/// data probes that follow the grant.
+struct CpuGrant {
+    cpu_ns: u64,
+    shard: usize,
+    plan: ReadPlan,
 }
 
 impl<S: MappingScheme + Clone> Ssd<S> {
@@ -183,7 +196,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             // compaction for the whole sweep — so one shard stalls
             // every concurrent translation while N shards only stall
             // their own range. At queue depth 1 the CPU is always idle
-            // by dispatch time, keeping the legacy path cycle-exact.
+            // by dispatch time, so the grant adds the bare lookup cost.
             clock: SimClock::with_cpus(config.geometry.total_dies(), shard_count),
             allocator: BlockAllocator::with_stripe(config.geometry, config.stripe_pages),
             validity: Validity::new(config.geometry),
@@ -401,50 +414,23 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         Die::new((tpage % self.config.geometry.total_dies() as u64) as u32)
     }
 
-    /// Charges translation I/O with the host blocked on the reads
-    /// (legacy blocking call sites: flush-side maintenance).
-    fn charge_map_cost(&mut self, lpa: Lpa, cost: MapCost) {
-        let now = self.clock.now_ns();
-        let ready = self.charge_map_cost_at_class(lpa, cost, now, TrafficClass::Compact);
-        self.clock.wait_until(ready);
-    }
-
-    /// Translation I/O issued from the asynchronous flush path: it
-    /// occupies dies (delaying future reads) without blocking the host
-    /// directly. `class` attributes the die time to whoever triggered
-    /// the mapping update (host flush, GC re-learning, compaction).
-    fn charge_map_cost_background(&mut self, lpa: Lpa, cost: MapCost, class: TrafficClass) {
-        if cost.translation_reads == 0 && cost.translation_writes == 0 {
-            return;
-        }
-        let die = self.translation_die(lpa);
-        for _ in 0..cost.translation_reads {
-            let end = self.clock.schedule(die, self.config.timing.read_ns);
-            self.stats.flash.translation_reads += 1;
-            self.note_flash_op(class, FlashOpKind::Read, die, end);
-        }
-        for _ in 0..cost.translation_writes {
-            let end = self.clock.schedule(die, self.config.timing.program_ns);
-            self.stats.flash.translation_programs += 1;
-            self.note_flash_op(class, FlashOpKind::Program, die, end);
-        }
-    }
-
-    /// Charges translation I/O on one request's dependency chain:
-    /// reads serialise after `ready_ns` (the request waits on them),
-    /// write-backs are fired asynchronously at the same floor. Returns
-    /// the request's new ready time. The global clock does not move.
-    fn charge_map_cost_at(&mut self, lpa: Lpa, cost: MapCost, ready_ns: u64) -> u64 {
-        self.charge_map_cost_at_class(lpa, cost, ready_ns, TrafficClass::Host)
-    }
-
-    fn charge_map_cost_at_class(
+    /// Charges a mapping operation's translation I/O: reads chain on
+    /// the translation die starting no earlier than `floor_ns`,
+    /// write-backs follow them asynchronously. Returns when the reads
+    /// are done — a caller that depends on them waits for (or chains
+    /// from) that time, one that only occupies the die drops it. All of
+    /// a call's ops land on one die, so its FIFO orders them the same
+    /// whether they chain from each other or are each scheduled "now".
+    /// `class` attributes the die time to whoever triggered the
+    /// operation. The global clock does not move.
+    fn charge_map_cost(
         &mut self,
         lpa: Lpa,
         cost: MapCost,
-        mut ready_ns: u64,
+        floor_ns: u64,
         class: TrafficClass,
     ) -> u64 {
+        let mut ready_ns = floor_ns;
         if cost.translation_reads == 0 && cost.translation_writes == 0 {
             return ready_ns;
         }
@@ -457,8 +443,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             self.note_flash_op(class, FlashOpKind::Read, die, ready_ns);
         }
         for _ in 0..cost.translation_writes {
-            // Write-backs are asynchronous: they occupy the die but do
-            // not extend the request.
+            // Write-backs occupy the die but extend nothing.
             let end = self
                 .clock
                 .schedule_after(die, ready_ns, self.config.timing.program_ns);
@@ -479,50 +464,45 @@ impl<S: MappingScheme + Clone> Ssd<S> {
 
     /// Reads one logical page. Returns `None` for never-written pages.
     ///
-    /// Blocking queue-depth-1 wrapper over [`Ssd::service_read`]: the
-    /// virtual clock advances to the request's completion before
-    /// returning, exactly the legacy closed-loop semantics.
+    /// The blocking queue-depth-1 interface: services a burst of one
+    /// ([`Ssd::service_read_batch`]) and advances the virtual clock to
+    /// its completion before returning.
     ///
     /// # Errors
     ///
     /// * [`SimError::LpaOutOfRange`] — address beyond logical capacity.
     /// * [`SimError::MappingCorruption`] — internal consistency bug.
     pub fn read(&mut self, lpa: Lpa) -> Result<Option<u64>, SimError> {
-        let (value, complete_ns) = self.service_read(lpa)?;
+        let (value, complete_ns) = self.service_read_batch(&[lpa])?[0];
         self.clock.wait_until(complete_ns);
         Ok(value)
     }
 
-    /// Services one read without blocking the virtual clock: flash work
-    /// is chained on the per-die timelines starting at the current
-    /// dispatch time, and the request's completion time is returned
-    /// alongside the value. State (caches, stats, device) changes
-    /// immediately; only time is deferred. The queued engine overlaps
-    /// requests by dispatching the next one before waiting.
-    pub(crate) fn service_read(&mut self, lpa: Lpa) -> Result<(Option<u64>, u64), SimError> {
-        self.service_read_inner(lpa, None)
-    }
-
-    /// Services a burst of reads dispatched together as a *pipeline*:
-    /// state advances in strict batch order (so results, flash-op
-    /// counts, cache/CMT mutations and scheme state are bit-identical
-    /// to servicing the burst sequentially), while on the timeline each
-    /// request's map lookup proceeds *out of order* — a resident
-    /// request's sub-µs lookup no longer waits behind an earlier
-    /// request's demand-paged translation-page read for the shard CPU,
-    /// and its data read overlaps that translation read on the die
-    /// timelines ([`Ssd::service_read_pipelined`]).
+    /// Services a burst of reads dispatched together, without blocking
+    /// the virtual clock: state (caches, stats, device) changes
+    /// immediately, flash work is chained on the per-die timelines
+    /// from the current dispatch time, and each request's value is
+    /// returned with its completion time. This is the only read
+    /// implementation — the blocking [`Ssd::read`] and a queue-depth-1
+    /// device service bursts of one.
+    ///
+    /// The burst is a *pipeline*: state advances in strict batch order
+    /// (so results, flash-op counts, cache/CMT mutations and scheme
+    /// state are bit-identical to servicing the burst one request at a
+    /// time), while on the timeline each request's map lookup proceeds
+    /// *out of order* — a resident request's sub-µs lookup does not
+    /// wait behind an earlier request's demand-paged translation-page
+    /// read for the shard CPU, and its data read overlaps that
+    /// translation read on the die timelines
+    /// ([`Ssd::service_read_pipelined`]).
     ///
     /// Resident tables additionally amortise the mapping-table
     /// traversal across the batch via [`MappingScheme::lookup_batch`].
     /// Hoisting the translations ahead of servicing is only legal while
     /// the scheme's lookups are pure ([`MappingScheme::lookup_is_pure`],
     /// i.e. the table is resident); under demand paging each request
-    /// translates at its turn instead, so cache/CMT mutations keep the
-    /// blocking path's order.
-    ///
-    /// Single-request bursts (queue depth 1) take the blocking
-    /// request path verbatim and stay cycle-exact with it.
+    /// translates at its turn instead, so cache/CMT mutations keep
+    /// submission order.
     pub(crate) fn service_read_batch(
         &mut self,
         lpas: &[Lpa],
@@ -530,22 +510,17 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         for &lpa in lpas {
             self.check_lpa(lpa)?;
         }
-        if lpas.len() < 2 {
-            return lpas
-                .iter()
-                .map(|&lpa| self.service_read_inner(lpa, None))
-                .collect();
-        }
         // Prefetch translations only for the *first* occurrence of each
         // address that misses DRAM right now. Later occurrences re-check
         // at their turn — they either hit the cache the first read
-        // populated (no lookup, like the blocking path) or fall back to
-        // a pointwise lookup at exactly the moment the blocking path
-        // would. (With a pure lookup this is an optimisation, not a
-        // correctness condition.)
-        let mut prefetched: Vec<Option<(Option<MappingLookup>, MapCost)>> = vec![None; lpas.len()];
-        if self.scheme.lookup_is_pure() {
-            let mut seen = std::collections::HashSet::new();
+        // populated (no lookup) or fall back to a pointwise lookup at
+        // their turn. (With a pure lookup this is an optimisation, not
+        // a correctness condition.) Left empty when nothing is hoisted:
+        // a burst of one has no traversal to share.
+        let mut prefetched: Vec<Option<(Option<MappingLookup>, MapCost)>> = Vec::new();
+        if lpas.len() > 1 && self.scheme.lookup_is_pure() {
+            prefetched.resize(lpas.len(), None);
+            let mut seen = HashSet::new();
             let mut slots: Vec<usize> = Vec::new();
             let mut needs_lookup: Vec<Lpa> = Vec::new();
             for (index, &lpa) in lpas.iter().enumerate() {
@@ -568,12 +543,14 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     }
 
     /// The two-pass pipelined burst: pass 1 commits every state change
-    /// in batch order (exactly what sequential servicing would do);
-    /// pass 2 lays the work onto the timelines with out-of-order
-    /// lookups — translation charges chain per request, then shard CPUs
-    /// are granted in *map-ready* order rather than batch order, and
-    /// each granted request's data probes claim die time immediately,
-    /// overlapping later-ready requests' translation reads.
+    /// in batch order (exactly what servicing the requests one by one
+    /// would do); pass 2 lays the work onto the timelines with
+    /// out-of-order lookups — translation charges chain per request,
+    /// then shard CPUs are granted in *map-ready* order rather than
+    /// batch order, and each granted request's data probes claim die
+    /// time immediately, overlapping later-ready requests' translation
+    /// reads. A burst of one degenerates to the serial chain
+    /// translation reads → lookup → data probes.
     fn service_read_pipelined(
         &mut self,
         lpas: &[Lpa],
@@ -582,31 +559,47 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         let started = self.clock.now_ns();
         let page_bytes = self.config.geometry.page_size as usize;
 
-        // Pass 1 — state, strict batch order.
-        let mut outcomes: Vec<ReadOutcome> = Vec::with_capacity(lpas.len());
+        // Pass 1 — state, strict batch order. A DRAM hit's result is
+        // final; a miss gets its value now and is queued for pass 2,
+        // which fills in its completion time.
+        let mut results: Vec<(Option<u64>, u64)> = Vec::with_capacity(lpas.len());
+        let mut pending: Vec<PendingRead> = Vec::new();
         for (index, &lpa) in lpas.iter().enumerate() {
             self.stats.host_reads += 1;
-            if let Some(content) = self.buffer.get(lpa) {
+            let dram_hit = if let Some(content) = self.buffer.get(lpa) {
                 self.stats.buffer_hits += 1;
-                self.stats.read_latency.record(DRAM_HIT_NS);
-                outcomes.push(ReadOutcome::Dram(content));
-                continue;
-            }
-            if let Some(&content) = self.read_cache.get(&lpa) {
+                Some(content)
+            } else if let Some(&content) = self.read_cache.get(&lpa) {
                 self.stats.cache_hits += 1;
+                Some(content)
+            } else {
+                None
+            };
+            if dram_hit.is_some() {
                 self.stats.read_latency.record(DRAM_HIT_NS);
-                outcomes.push(ReadOutcome::Dram(content));
+                results.push((dram_hit, started + DRAM_HIT_NS));
                 continue;
             }
-            let (hit, cost) = match prefetched[index].take() {
+            let (hit, cost) = match prefetched.get_mut(index).and_then(Option::take) {
                 Some(looked) => looked,
                 None => self.scheme.lookup(lpa),
             };
             let Some(hit) = hit else {
                 self.stats.unmapped_reads += 1;
-                outcomes.push(ReadOutcome::Unmapped { lpa, cost });
+                results.push((None, started));
+                pending.push(PendingRead {
+                    index,
+                    lpa,
+                    cost,
+                    grant: None,
+                });
                 continue;
             };
+            // Mapping-table CPU cost, serialised on the target shard's
+            // translation CPU: concurrent lookups routed to one shard
+            // queue behind each other (and behind an in-flight
+            // background compaction of that shard), while lookups on
+            // other shards proceed unimpeded.
             let cpu_ns = self.config.lookup_base_ns
                 + self.config.lookup_per_level_ns * hit.levels_visited.saturating_sub(1) as u64;
             let shard = self.scheme.shard_of(lpa).min(self.clock.cpus() - 1);
@@ -619,173 +612,85 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             }
             self.read_cache.insert(lpa, plan.content, page_bytes, false);
             self.enforce_cache_capacity();
-            outcomes.push(ReadOutcome::Flash {
+            results.push((Some(plan.content), started));
+            pending.push(PendingRead {
+                index,
                 lpa,
                 cost,
-                cpu_ns,
-                shard,
-                content: plan.content,
-                probes: plan.probes,
+                grant: Some(CpuGrant {
+                    cpu_ns,
+                    shard,
+                    plan,
+                }),
             });
         }
 
         // Pass 2 — time. Translation charges chain per request from the
-        // shared dispatch point, in batch order (same per-die chaining
-        // as the blocking path).
-        let mut ready: Vec<u64> = vec![started; outcomes.len()];
-        for (index, outcome) in outcomes.iter().enumerate() {
-            if let ReadOutcome::Unmapped { lpa, cost } | ReadOutcome::Flash { lpa, cost, .. } =
-                outcome
-            {
-                ready[index] = self.charge_map_cost_at(*lpa, *cost, started);
-            }
+        // shared dispatch point, in batch order; each leaves the
+        // request map-ready.
+        for read in &pending {
+            results[read.index].1 =
+                self.charge_map_cost(read.lpa, read.cost, started, TrafficClass::Host);
         }
         // Out-of-order stage: grant shard CPUs in map-ready order (ties
         // broken by batch index), and let each granted request's data
         // probes claim die time immediately — a resident lookup and its
         // data read overlap an earlier request's in-flight
         // translation-page read instead of queueing behind it.
-        let mut grant_order: Vec<usize> = (0..outcomes.len())
-            .filter(|&index| matches!(outcomes[index], ReadOutcome::Flash { .. }))
-            .collect();
-        grant_order.sort_by_key(|&index| (ready[index], index));
-        for &index in &grant_order {
-            let ReadOutcome::Flash {
-                cpu_ns,
-                shard,
-                probes,
-                ..
-            } = &outcomes[index]
-            else {
-                unreachable!("grant_order holds flash outcomes only");
-            };
-            let (cpu_start, cpu_done) = self.clock.cpu_reserve(*shard, ready[index], *cpu_ns);
-            self.stats.translation_stall_ns += cpu_start.saturating_sub(ready[index]);
-            self.tracer
-                .cpu_span(*shard, "lookup", cpu_done, *cpu_ns, TrafficClass::Host);
-            ready[index] = self.schedule_probes(probes, cpu_done, TrafficClass::Host);
-        }
-
-        let mut results = Vec::with_capacity(outcomes.len());
-        for (index, outcome) in outcomes.into_iter().enumerate() {
-            match outcome {
-                ReadOutcome::Dram(content) => results.push((Some(content), started + DRAM_HIT_NS)),
-                ReadOutcome::Unmapped { .. } => {
-                    self.stats.read_latency.record(ready[index] - started);
-                    results.push((None, ready[index]));
-                }
-                ReadOutcome::Flash { content, .. } => {
-                    self.stats.read_latency.record(ready[index] - started);
-                    results.push((Some(content), ready[index]));
-                }
+        pending.sort_unstable_by_key(|read| (results[read.index].1, read.index));
+        for read in &pending {
+            let map_ready = results[read.index].1;
+            if let Some(grant) = &read.grant {
+                let (cpu_start, cpu_done) =
+                    self.clock.cpu_reserve(grant.shard, map_ready, grant.cpu_ns);
+                self.stats.translation_stall_ns += cpu_start.saturating_sub(map_ready);
+                self.tracer.cpu_span(
+                    grant.shard,
+                    "lookup",
+                    cpu_done,
+                    grant.cpu_ns,
+                    TrafficClass::Host,
+                );
+                results[read.index].1 =
+                    self.schedule_probes(&grant.plan, cpu_done, TrafficClass::Host);
             }
+            let complete_ns = results[read.index].1;
+            self.stats
+                .read_latency
+                .record(complete_ns.saturating_sub(started));
         }
         Ok(results)
     }
 
-    fn service_read_inner(
-        &mut self,
-        lpa: Lpa,
-        prefetched: Option<(Option<MappingLookup>, MapCost)>,
-    ) -> Result<(Option<u64>, u64), SimError> {
-        self.check_lpa(lpa)?;
-        let started = self.clock.now_ns();
-        self.stats.host_reads += 1;
-
-        if let Some(content) = self.buffer.get(lpa) {
-            self.stats.buffer_hits += 1;
-            self.stats.read_latency.record(DRAM_HIT_NS);
-            return Ok((Some(content), started + DRAM_HIT_NS));
-        }
-        if let Some(&content) = self.read_cache.get(&lpa) {
-            self.stats.cache_hits += 1;
-            self.stats.read_latency.record(DRAM_HIT_NS);
-            return Ok((Some(content), started + DRAM_HIT_NS));
-        }
-
-        let (hit, cost) = match prefetched {
-            Some(looked) => looked,
-            None => self.scheme.lookup(lpa),
-        };
-        let mut ready = self.charge_map_cost_at(lpa, cost, started);
-        let Some(hit) = hit else {
-            self.stats.unmapped_reads += 1;
-            self.stats.read_latency.record(ready - started);
-            return Ok((None, ready));
-        };
-        // Mapping-table CPU cost: serial within the request *and*
-        // serialised on the target shard's translation CPU — concurrent
-        // lookups routed to one shard queue behind each other (and
-        // behind an in-flight background compaction of that shard),
-        // while lookups on other shards proceed unimpeded. At queue
-        // depth 1 the shard CPU is always idle by dispatch time, so
-        // this degenerates to the legacy `ready += cpu_ns`.
-        let cpu_ns = self.config.lookup_base_ns
-            + self.config.lookup_per_level_ns * hit.levels_visited.saturating_sub(1) as u64;
-        let shard = self.scheme.shard_of(lpa).min(self.clock.cpus() - 1);
-        let (cpu_start, cpu_done) = self.clock.cpu_reserve(shard, ready, cpu_ns);
-        self.stats.translation_stall_ns += cpu_start.saturating_sub(ready);
-        self.tracer
-            .cpu_span(shard, "lookup", cpu_done, cpu_ns, TrafficClass::Host);
-        ready = cpu_done;
-        self.stats.lookup_cpu_ns += cpu_ns;
-        self.stats.lookups += 1;
-        self.stats.record_lookup_levels(hit.levels_visited);
-
-        let (_, content, mispredicted, ready) =
-            self.resolve_read_at(lpa, &hit, true, ready, TrafficClass::Host)?;
-        if mispredicted {
-            self.stats.mispredictions += 1;
-        }
-        let page_bytes = self.config.geometry.page_size as usize;
-        self.read_cache.insert(lpa, content, page_bytes, false);
-        self.enforce_cache_capacity();
-        self.stats.read_latency.record(ready - started);
-        Ok((Some(content), ready))
-    }
-
-    /// Resolves a (possibly approximate) prediction to the live page,
-    /// charging flash reads on the request's dependency chain starting
-    /// at `ready_ns`. Returns
-    /// `(exact_ppa, content, mispredicted, ready_ns)`.
-    ///
-    /// Thin timing wrapper over [`Ssd::plan_read_probes`]: the probe
-    /// sequence is pure state logic, so planning first and scheduling
-    /// after is bit-identical to charging as the probes proceed — and
-    /// it is what lets the pipelined batch path plan every request's
-    /// probes in batch order (state) while scheduling them in CPU-grant
-    /// order (time).
-    fn resolve_read_at(
-        &mut self,
-        lpa: Lpa,
-        hit: &MappingLookup,
-        host_read: bool,
-        mut ready_ns: u64,
-        class: TrafficClass,
-    ) -> Result<(Ppa, u64, bool, u64), SimError> {
-        let plan = self.plan_read_probes(lpa, hit, host_read)?;
-        ready_ns = self.schedule_probes(&plan.probes, ready_ns, class);
-        Ok((plan.exact, plan.content, plan.mispredicted, ready_ns))
-    }
-
-    /// Chains `probes` flash reads on a request's dependency chain
-    /// starting at `ready_ns`; returns the chain's completion time.
-    fn schedule_probes(&mut self, probes: &[Ppa], mut ready_ns: u64, class: TrafficClass) -> u64 {
-        for &ppa in probes {
+    /// Chains a plan's probes as flash reads on a request's dependency
+    /// chain starting at `ready_ns`; returns the chain's completion
+    /// time. The only place a probe is put on a die, so it is also
+    /// where the probe is counted: what [`SimStats`] counts is what the
+    /// dies were charged, whatever became of the plans that were never
+    /// scheduled.
+    fn schedule_probes(&mut self, plan: &ReadPlan, mut ready_ns: u64, class: TrafficClass) -> u64 {
+        for (index, &ppa) in plan.probes.iter().enumerate() {
             let die = self.config.geometry.die_of(ppa);
             ready_ns = self
                 .clock
                 .schedule_after(die, ready_ns, self.config.timing.read_ns);
+            if index == 0 && plan.leads_with_data_read {
+                self.stats.flash.data_reads += 1;
+            } else {
+                self.stats.flash.misprediction_reads += 1;
+            }
             self.note_flash_op(class, FlashOpKind::Read, die, ready_ns);
         }
         ready_ns
     }
 
     /// Resolves a (possibly approximate) prediction to the live page
-    /// without touching any timeline: walks the probe sequence against
-    /// the device, charges the read *counts* (data vs misprediction),
-    /// and returns the pages that must be read, in order, for the
-    /// caller to schedule.
+    /// without touching any timeline or counter: walks the probe
+    /// sequence against the device and returns the pages that must be
+    /// read, in order, for the caller to schedule. Planning first and
+    /// scheduling after is what lets a burst plan every request's
+    /// probes in batch order (state) while scheduling them in CPU-grant
+    /// order (time).
     ///
     /// Correct-page criterion: the OOB reverse mapping matches *and* the
     /// PVT says the page is live — stale copies of the same LPA within
@@ -799,26 +704,21 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         let gamma = hit.error_bound as u64;
         let predicted = hit.ppa;
         let mut probes: Vec<Ppa> = Vec::with_capacity(1);
-        let mut charge_read = |ssd: &mut Self, ppa: Ppa, first: bool| {
-            if first && host_read {
-                ssd.stats.flash.data_reads += 1;
-            } else {
-                ssd.stats.flash.misprediction_reads += 1;
-            }
-            probes.push(ppa);
+        let plan = |exact: Ppa, content: u64, probes: Vec<Ppa>| ReadPlan {
+            exact,
+            content,
+            mispredicted: exact != predicted,
+            // The predicted page, when in range, is always probed first.
+            leads_with_data_read: host_read && probes.first() == Some(&predicted),
+            probes,
         };
 
         // First attempt: the predicted page.
         if self.config.geometry.contains(predicted) {
-            charge_read(self, predicted, true);
+            probes.push(predicted);
             if let Ok(view) = self.device.read(predicted) {
                 if view.lpa == Some(lpa) && self.validity.is_valid(predicted) {
-                    return Ok(ReadPlan {
-                        exact: predicted,
-                        content: view.content,
-                        mispredicted: false,
-                        probes,
-                    });
+                    return Ok(plan(predicted, view.content, probes));
                 }
                 // Misprediction: consult the OOB reverse-mapping window
                 // of the page we already read (§3.5) — one extra flash
@@ -827,15 +727,10 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                     for delta in window.find(lpa) {
                         let candidate = Ppa::new((predicted.raw() as i64 + delta) as u64);
                         if self.validity.is_valid(candidate) {
-                            charge_read(self, candidate, false);
+                            probes.push(candidate);
                             let view = self.device.read(candidate)?;
                             debug_assert_eq!(view.lpa, Some(lpa));
-                            return Ok(ReadPlan {
-                                exact: candidate,
-                                content: view.content,
-                                mispredicted: true,
-                                probes,
-                            });
+                            return Ok(plan(candidate, view.content, probes));
                         }
                     }
                 }
@@ -856,15 +751,10 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 if !self.config.geometry.contains(candidate) || !self.validity.is_valid(candidate) {
                     continue;
                 }
-                charge_read(self, candidate, false);
+                probes.push(candidate);
                 if let Ok(view) = self.device.read(candidate) {
                     if view.lpa == Some(lpa) {
-                        return Ok(ReadPlan {
-                            exact: candidate,
-                            content: view.content,
-                            mispredicted: true,
-                            probes,
-                        });
+                        return Ok(plan(candidate, view.content, probes));
                     }
                 }
             }
@@ -882,14 +772,14 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             return Ok(hit.ppa);
         }
         self.stats.lookups += 1;
+        let plan = self.plan_read_probes(lpa, hit, false)?;
         let floor = self.clock.now_ns();
-        let (ppa, _, mispredicted, ready) =
-            self.resolve_read_at(lpa, hit, false, floor, TrafficClass::Host)?;
+        let ready = self.schedule_probes(&plan, floor, TrafficClass::Host);
         self.clock.wait_until(ready);
-        if mispredicted {
+        if plan.mispredicted {
             self.stats.mispredictions += 1;
         }
-        Ok(ppa)
+        Ok(plan.exact)
     }
 
     /// Writes one logical page. The page lands in the write buffer; a
@@ -1014,7 +904,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         // leaves the learned table alone.
         if self.compaction_mode == CompactionMode::Inline {
             let (cost, compacted) = self.scheme.maintain();
-            self.charge_map_cost(Lpa::new(0), cost);
+            let now = self.clock.now_ns();
+            let ready = self.charge_map_cost(Lpa::new(0), cost, now, TrafficClass::Compact);
+            self.clock.wait_until(ready);
             if compacted {
                 self.stats.compactions += 1;
             }
@@ -1042,7 +934,10 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     fn invalidate_via_lookup(&mut self, batch: &[(Lpa, Ppa)]) -> Result<(), SimError> {
         for &(lpa, _) in batch {
             let (hit, cost) = self.scheme.lookup(lpa);
-            self.charge_map_cost_background(lpa, cost, TrafficClass::Host);
+            // Asynchronous flush: the translation I/O occupies its die
+            // (delaying future reads) without blocking the host.
+            let now = self.clock.now_ns();
+            self.charge_map_cost(lpa, cost, now, TrafficClass::Host);
             if let Some(hit) = hit {
                 let old = self.resolve_for_invalidation(lpa, &hit)?;
                 self.validity.invalidate(old);
@@ -1066,7 +961,8 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         } else {
             self.scheme.update_batch(batch)
         };
-        self.charge_map_cost_background(batch[0].0, cost, class);
+        let now = self.clock.now_ns();
+        self.charge_map_cost(batch[0].0, cost, now, class);
         let learn_ns = self.scheme.learn_cost_ns(batch.len());
         self.stats.learn_cpu_ns += learn_ns;
         for &(_, ppa) in batch {
@@ -1378,11 +1274,11 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         let shard = shard.min(self.clock.cpus() - 1);
         let sweep_ns = self.scheme.compact_cost_ns(shard);
         let (cost, compacted) = self.scheme.maintain_shard(shard);
-        self.charge_map_cost_background(Lpa::new(0), cost, TrafficClass::Compact);
+        let now = self.clock.now_ns();
+        self.charge_map_cost(Lpa::new(0), cost, now, TrafficClass::Compact);
         if compacted {
             self.stats.compactions += 1;
         }
-        let now = self.clock.now_ns();
         let (_, done) = self.clock.cpu_reserve(shard, now, sweep_ns);
         self.tracer.cpu_span(
             shard,
@@ -1750,92 +1646,22 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     }
 
     /// Simulates a power cut: DRAM state (write buffer, caches, mapping
-    /// table, PVT/BVC) is lost; flash survives. Recovery restores the
-    /// newest durable checkpoint — the DRAM snapshot under
-    /// [`CheckpointMode::DramSnapshot`], the newest complete flash-log
-    /// generation under [`CheckpointMode::FlashLog`] — replays the
-    /// durable log tail (FlashLog only), and scans only the data
-    /// blocks written since, re-learning mappings from their OOB
-    /// reverse mappings (§3.8).
+    /// table, PVT/BVC) is lost; flash survives. One routine recovers
+    /// every [`CheckpointMode`]: read the translation log's blocks
+    /// back and keep only entries whose pages all survived the cut
+    /// (durability is physical, so a torn entry is always a queue
+    /// suffix); restore the newest durable baseline — a log checkpoint
+    /// generation, else the DRAM snapshot, else pristine state; replay
+    /// the durable delta tail; and OOB-scan only the data blocks
+    /// written after the last durable entry, re-learning mappings from
+    /// their reverse mappings (§3.8) — O(dirty), not O(device). Only
+    /// [`CheckpointMode::FlashLog`] ever writes the log, so in the
+    /// other modes the log scan and the tail replay are empty and the
+    /// snapshot is the whole baseline.
     pub fn crash_and_recover(&mut self) -> Result<RecoveryReport, SimError> {
         let lost_buffered_writes = self.buffer.len();
         self.buffer = WriteBuffer::new();
         self.read_cache = LruCache::new();
-        match self.config.checkpoint_mode {
-            CheckpointMode::FlashLog => self.recover_from_translog(lost_buffered_writes),
-            CheckpointMode::DramSnapshot | CheckpointMode::Disabled => {
-                self.recover_from_snapshot(lost_buffered_writes)
-            }
-        }
-    }
-
-    /// Legacy recovery: restore the DRAM snapshot (or pristine state)
-    /// and OOB-scan everything written since.
-    fn recover_from_snapshot(
-        &mut self,
-        lost_buffered_writes: usize,
-    ) -> Result<RecoveryReport, SimError> {
-        let blocks = self.config.geometry.blocks;
-        let (scheme, mut validity, write_ptrs, erase_counts) = match &self.snapshot {
-            Some(snapshot) => (
-                snapshot.scheme.clone(),
-                snapshot.validity.clone(),
-                snapshot.write_ptrs.clone(),
-                snapshot.erase_counts.clone(),
-            ),
-            None => (
-                self.pristine_scheme.clone(),
-                Validity::new(self.config.geometry),
-                vec![0; blocks as usize],
-                vec![0; blocks as usize],
-            ),
-        };
-
-        // Which pages changed since the snapshot: recycled blocks are
-        // rescanned entirely; still-open blocks only from the page the
-        // snapshot had seen.
-        let mut scan_from: Vec<(BlockId, u32)> = Vec::new();
-        for raw in 0..blocks {
-            let block = BlockId::new(raw);
-            let state = self.device.block(block);
-            if state.erase_count() != erase_counts[raw as usize] {
-                validity.clear_block(block);
-                if !state.is_erased() {
-                    scan_from.push((block, 0));
-                }
-            } else if state.write_ptr() > write_ptrs[raw as usize] {
-                scan_from.push((block, write_ptrs[raw as usize]));
-            }
-        }
-
-        let scan_start_ns = self.clock.now_ns();
-        self.scheme = scheme;
-        self.validity = validity;
-
-        let recovered_pages = self.scan_and_replay(&scan_from);
-        self.rebuild_allocator_after_crash();
-
-        Ok(RecoveryReport {
-            scanned_data_blocks: scan_from.len(),
-            scanned_log_blocks: 0,
-            replayed_log_entries: 0,
-            recovered_pages,
-            lost_buffered_writes,
-            maplog_bytes_written: self.maplog_bytes_written,
-            scan_time_ns: self.clock.now_ns().saturating_sub(scan_start_ns),
-        })
-    }
-
-    /// Flash-log recovery: read the log blocks back, keep only entries
-    /// whose pages all survived the cut (durability is physical, so a
-    /// torn entry is always a queue suffix), restore the newest durable
-    /// checkpoint, replay the durable delta tail, and OOB-scan only the
-    /// data blocks written after the last durable entry — O(dirty), not
-    /// O(device).
-    fn recover_from_translog(
-        &mut self,
-        lost_buffered_writes: usize,
-    ) -> Result<RecoveryReport, SimError> {
         let blocks = self.config.geometry.blocks;
         let scan_start_ns = self.clock.now_ns();
         self.translog.discard_volatile();
@@ -1868,49 +1694,46 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         self.clock.wait_until(deadline);
         self.translog.retain_durable(&found);
 
-        // Restore the newest durable checkpoint generation, or pristine
-        // state if none completed before the cut.
+        // Restore the newest durable baseline.
         let checkpoint_seq = self.translog.durable_checkpoint_seq();
         if let Some(upto) = checkpoint_seq {
             self.translog.prune_superseded(upto);
         }
-        let (scheme, mut validity, base_write_ptrs, base_erase_counts) = match checkpoint_seq
-            .and_then(|seq| self.translog.entries().get(&seq))
-        {
+        let baseline = match checkpoint_seq.and_then(|seq| self.translog.entries().get(&seq)) {
             Some(entry) => match &entry.payload {
-                LogPayload::Checkpoint(boxed) => (
-                    boxed.0.clone(),
-                    boxed.1.clone(),
-                    entry.write_ptrs.clone(),
-                    entry.erase_counts.clone(),
-                ),
+                LogPayload::Checkpoint(boxed) => Snapshot {
+                    scheme: boxed.0.clone(),
+                    validity: boxed.1.clone(),
+                    write_ptrs: entry.write_ptrs.clone(),
+                    erase_counts: entry.erase_counts.clone(),
+                },
                 LogPayload::Delta(_) => unreachable!("durable_checkpoint_seq names a checkpoint"),
             },
-            None => (
-                self.pristine_scheme.clone(),
-                Validity::new(self.config.geometry),
-                vec![0; blocks as usize],
-                vec![0; blocks as usize],
-            ),
+            None => self.snapshot.clone().unwrap_or_else(|| Snapshot {
+                scheme: self.pristine_scheme.clone(),
+                validity: Validity::new(self.config.geometry),
+                write_ptrs: vec![0; blocks as usize],
+                erase_counts: vec![0; blocks as usize],
+            }),
         };
-        // Blocks recycled since the checkpoint hold none of the pages
+        self.scheme = baseline.scheme;
+        self.validity = baseline.validity;
+        // Blocks recycled since the baseline hold none of the pages
         // its validity bitmap believes in; erase counts are monotonic,
         // so a mismatch is exactly "recycled since".
         for raw in 0..blocks {
             let block = BlockId::new(raw);
-            if self.device.block(block).erase_count() != base_erase_counts[raw as usize] {
-                validity.clear_block(block);
+            if self.device.block(block).erase_count() != baseline.erase_counts[raw as usize] {
+                self.validity.clear_block(block);
             }
         }
-        self.scheme = scheme;
-        self.validity = validity;
 
         // Replay the durable delta tail in append order. The final
         // durable entry's captured block vectors become the baseline
         // for the data scan: everything it journalled is already
         // replayed, so only younger pages need the OOB scan.
-        let mut final_write_ptrs = base_write_ptrs;
-        let mut final_erase_counts = base_erase_counts;
+        let mut final_write_ptrs = baseline.write_ptrs;
+        let mut final_erase_counts = baseline.erase_counts;
         let mut replayed_log_entries = 0usize;
         let tail: Vec<(u64, Vec<(Lpa, Ppa)>)> = self
             .translog
@@ -1931,8 +1754,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         }
 
         // Pass 2: OOB-scan only data blocks that changed after the last
-        // durable log entry. Log-owned blocks hold no reverse mappings
-        // and were already read in pass 1.
+        // durable entry: recycled blocks entirely, still-open blocks
+        // only from the page the entry had seen. Log-owned blocks hold
+        // no reverse mappings and were already read in pass 1.
         let mut scan_from: Vec<(BlockId, u32)> = Vec::new();
         for raw in 0..blocks {
             let block = BlockId::new(raw);
@@ -2030,14 +1854,11 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 // copy is gone).
                 if !hit.approximate {
                     self.validity.invalidate(hit.ppa);
-                } else {
+                } else if let Ok(plan) = self.plan_read_probes(lpa, &hit, false) {
                     let floor = self.clock.now_ns();
-                    if let Ok((old, _, _, ready)) =
-                        self.resolve_read_at(lpa, &hit, false, floor, TrafficClass::MapLog)
-                    {
-                        self.clock.wait_until(ready);
-                        self.validity.invalidate(old);
-                    }
+                    let ready = self.schedule_probes(&plan, floor, TrafficClass::MapLog);
+                    self.clock.wait_until(ready);
+                    self.validity.invalidate(plan.exact);
                 }
             }
         }
@@ -2076,7 +1897,7 @@ pub(crate) struct MapLogDispatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::ExactPageMap;
+    use leaftl_core::ExactPageMap;
 
     fn ssd() -> Ssd<ExactPageMap> {
         Ssd::new(SsdConfig::small_test(), ExactPageMap::new())
@@ -2402,8 +2223,8 @@ mod tests {
         assert_eq!(ssd.stats().translation_stall_ns, 0);
         assert_eq!(ssd.stats().flash.translation_reads, 1);
 
-        // State is bit-identical to servicing the burst through the
-        // blocking path in submission order.
+        // State is bit-identical to servicing the requests one burst
+        // each, in submission order.
         let mut twin = demand_ssd(slow.raw());
         assert_eq!(twin.read(slow).unwrap(), Some(500 + slow.raw()));
         assert_eq!(twin.read(fast).unwrap(), Some(500 + fast.raw()));

@@ -7,7 +7,7 @@
 //!
 //! * **Checkpoints** — a full clone of the learned mapping table plus
 //!   the page-validity bitmap, sized by
-//!   [`crate::mapping::MappingScheme::checkpoint_footprint`] and
+//!   [`crate::MappingScheme::checkpoint_footprint`] and
 //!   written as a run of metadata pages. A checkpoint is durable only
 //!   once *every* page has physically programmed — a power cut in the
 //!   middle leaves a torn, ignored generation.

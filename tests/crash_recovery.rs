@@ -6,10 +6,22 @@
 use leaftl_repro::baselines::Dftl;
 use leaftl_repro::core::LeaFtlConfig;
 use leaftl_repro::flash::Lpa;
-use leaftl_repro::sim::{LeaFtlScheme, MappingScheme, Ssd, SsdConfig};
+use leaftl_repro::sim::{LeaFtlScheme, MappingScheme, RecoveryReport, Ssd, SsdConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
+
+/// Recovers `ssd` from a power cut, then checks the accounting identity
+/// recovery used to break: every flash op [`SimStats`] counts was
+/// attributed to a die, and vice versa.
+///
+/// [`SimStats`]: leaftl_repro::sim::SimStats
+fn recover<S: MappingScheme + Clone>(ssd: &mut Ssd<S>) -> RecoveryReport {
+    let report = ssd.crash_and_recover().expect("recover");
+    ssd.check_utilization_conservation()
+        .expect("utilization conserved after recovery");
+    report
+}
 
 /// Writes a deterministic mixed pattern, tracking what was flushed.
 /// Returns (flushed shadow, buffered-at-crash count).
@@ -65,7 +77,7 @@ fn leaftl_crash_after_churn_gamma0() {
     let scheme = LeaFtlScheme::new(LeaFtlConfig::default());
     let mut ssd = Ssd::new(SsdConfig::small_test(), scheme);
     let shadow = churn(&mut ssd, 11, 400);
-    let report = ssd.crash_and_recover().unwrap();
+    let report = recover(&mut ssd);
     verify_recovered(&mut ssd, &shadow, report.lost_buffered_writes);
 }
 
@@ -76,7 +88,7 @@ fn leaftl_crash_after_churn_gamma4() {
     let scheme = LeaFtlScheme::new(LeaFtlConfig::default().with_gamma(4));
     let mut ssd = Ssd::new(config, scheme);
     let shadow = churn(&mut ssd, 22, 400);
-    let report = ssd.crash_and_recover().unwrap();
+    let report = recover(&mut ssd);
     verify_recovered(&mut ssd, &shadow, report.lost_buffered_writes);
     // Device stays fully operational after recovery.
     let shadow2 = churn(&mut ssd, 23, 100);
@@ -90,7 +102,7 @@ fn leaftl_crash_after_churn_gamma4() {
 fn dftl_crash_recovery_matches() {
     let mut ssd = Ssd::new(SsdConfig::small_test(), Dftl::new());
     let shadow = churn(&mut ssd, 33, 400);
-    let report = ssd.crash_and_recover().unwrap();
+    let report = recover(&mut ssd);
     verify_recovered(&mut ssd, &shadow, report.lost_buffered_writes);
 }
 
@@ -101,11 +113,11 @@ fn snapshot_shrinks_scan() {
     let shadow = churn(&mut ssd, 44, 300);
     // Crash without snapshot: scans everything programmed.
     let mut cold = ssd.clone();
-    let cold_report = cold.crash_and_recover().unwrap();
+    let cold_report = recover(&mut cold);
 
     // Same state with a snapshot right before the crash: tiny scan.
     ssd.take_snapshot();
-    let warm_report = ssd.crash_and_recover().unwrap();
+    let warm_report = recover(&mut ssd);
     assert!(
         warm_report.scanned_blocks() < cold_report.scanned_blocks(),
         "warm {} !< cold {}",
@@ -123,7 +135,7 @@ fn repeated_crashes_are_survivable() {
     let mut shadow = HashMap::new();
     for round in 0..5u64 {
         let newer = churn(&mut ssd, 100 + round, 120);
-        let report = ssd.crash_and_recover().unwrap();
+        let report = recover(&mut ssd);
         // Keep only versions that can have survived.
         for (lpa, v) in newer {
             shadow.insert(lpa, v);
@@ -154,6 +166,6 @@ fn crash_with_gc_history_recovers() {
         }
     }
     assert!(ssd.stats().gc_runs > 0, "test needs GC churn");
-    let report = ssd.crash_and_recover().unwrap();
+    let report = recover(&mut ssd);
     verify_recovered(&mut ssd, &shadow, report.lost_buffered_writes);
 }

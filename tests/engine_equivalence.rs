@@ -3,11 +3,17 @@
 //! **Single queue + synchronous GC ≡ blocking path.** At *any* queue
 //! depth, a single-queue [`Device`] in [`GcMode::Synchronous`]
 //! dispatches commands in submission order, so the device ends in
-//! exactly the state the legacy blocking replay produces — identical
+//! exactly the state the blocking replay produces — identical
 //! flash contents (per-page content, reverse mapping and program
 //! sequence), identical mapping state, identical flash-op counts, and
 //! identical read results. Queue depth may only change *when* things
 //! happen, never *what* happens.
+//!
+//! Blocking reads and device reads run one implementation — a burst of
+//! one is its degenerate case, pinned by `tests/read_path_golden.rs` —
+//! so for reads this compares burst shapes (one request at a time
+//! against whatever bursts the queue depth forms), and for writes,
+//! flushes and GC the blocking wrappers against device dispatch.
 //!
 //! The invariant is checked in both memory regimes: resident mapping
 //! tables (where read bursts hoist translations through
@@ -110,7 +116,7 @@ where
     S: MappingScheme + Clone,
     F: Fn() -> Ssd<S>,
 {
-    // Legacy blocking run.
+    // Blocking run.
     let mut blocking = build();
     let logical = blocking.config().logical_pages();
     let ops = page_ops(actions, logical);

@@ -1,0 +1,506 @@
+//! Golden test for the read path and the recovery routine.
+//!
+//! Blocking [`Ssd::read`], single-request device bursts and deeper
+//! bursts all run one read implementation, and every checkpoint mode
+//! recovers through one routine. The constants below were recorded on
+//! the commit *before* those merges — when the blocking read had its
+//! own code and `DramSnapshot` and `FlashLog` recovered through
+//! separate functions — so they pin the merged code to what both old
+//! copies did, to the nanosecond. The equivalence suites cannot: after
+//! the merge their blocking and QD=1 legs run the same code.
+//!
+//! The traces come from a generator local to this file, so the
+//! constants depend on the simulator crates alone.
+
+use leaftl_repro::baselines::Dftl;
+use leaftl_repro::core::{LeaFtlConfig, ShardedMapping};
+use leaftl_repro::flash::Lpa;
+use leaftl_repro::sim::{
+    CheckpointMode, Device, DeviceConfig, DramPolicy, IoRequest, LeaFtlScheme, MappingScheme,
+    SimStats, Ssd, SsdConfig,
+};
+
+/// splitmix64 — the traces' only randomness.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Write(u64, u64),
+    Read(u64),
+    Flush,
+}
+
+/// A mixed trace: short sequential and strided write runs over the
+/// lower three quarters of the logical space (irregular enough that
+/// γ > 0 learns approximate segments), reads split between a 16-page
+/// hot set (cache hits), the written range (flash reads) and the whole
+/// space (the top quarter is never written: unmapped reads), and an
+/// occasional host flush.
+fn mixed_trace(logical: u64, seed: u64, actions: usize) -> Vec<Op> {
+    let mut rng = Rng(seed);
+    let written = logical * 3 / 4;
+    let mut content = 0u64;
+    let mut ops = Vec::new();
+    for _ in 0..actions {
+        match rng.next() % 100 {
+            0..=44 => {
+                let start = rng.next() % written;
+                let len = 1 + rng.next() % 8;
+                let stride = 1 + (rng.next() % 4) / 3 * (1 + rng.next() % 3);
+                for j in 0..len {
+                    content += 1;
+                    ops.push(Op::Write((start + j * stride) % written, content));
+                }
+            }
+            45..=64 => ops.push(Op::Read((rng.next() % 16) * 53 % written)),
+            65..=84 => ops.push(Op::Read(rng.next() % written)),
+            85..=97 => ops.push(Op::Read(rng.next() % logical)),
+            _ => ops.push(Op::Flush),
+        }
+    }
+    ops
+}
+
+fn fnv1a(hash: &mut u64, value: u64) {
+    for byte in value.to_le_bytes() {
+        *hash ^= byte as u64;
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+fn fnv_str(text: &str) -> u64 {
+    let mut hash = FNV_OFFSET;
+    for byte in text.bytes() {
+        fnv1a(&mut hash, byte as u64);
+    }
+    hash
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// What one run is pinned by.
+#[derive(Debug, PartialEq, Eq)]
+struct Golden {
+    /// FNV-1a over every read's `(value, now_ns)` after it returns
+    /// (blocking runs), or every completion's `(id, data, dispatch_ns,
+    /// complete_ns)` in submission order (device runs).
+    io_fnv: u64,
+    /// FNV-1a of `format!("{:?}", ssd.stats())`.
+    stats_fnv: u64,
+    /// FNV-1a of `format!("{:?}", ssd.utilization())`.
+    utilization_fnv: u64,
+    now_ns: u64,
+    lookups: u64,
+    mispredictions: u64,
+    unmapped_reads: u64,
+    cache_hits: u64,
+    translation_reads: u64,
+    translation_stall_ns: u64,
+}
+
+fn golden<S: MappingScheme + Clone>(ssd: &Ssd<S>, io_fnv: u64) -> Golden {
+    let stats = ssd.stats();
+    Golden {
+        io_fnv,
+        stats_fnv: fnv_str(&format!("{stats:?}")),
+        utilization_fnv: fnv_str(&format!("{:?}", ssd.utilization())),
+        now_ns: ssd.now_ns(),
+        lookups: stats.lookups,
+        mispredictions: stats.mispredictions,
+        unmapped_reads: stats.unmapped_reads,
+        cache_hits: stats.cache_hits,
+        translation_reads: stats.flash.translation_reads,
+        translation_stall_ns: stats.translation_stall_ns,
+    }
+}
+
+/// Replays `ops` through the blocking interface.
+fn run_blocking<S: MappingScheme + Clone>(ssd: &mut Ssd<S>, ops: &[Op]) -> u64 {
+    let mut hash = FNV_OFFSET;
+    for &op in ops {
+        match op {
+            Op::Write(lpa, content) => ssd.write(Lpa::new(lpa), content).expect("write"),
+            Op::Read(lpa) => {
+                let value = ssd.read(Lpa::new(lpa)).expect("read");
+                fnv1a(&mut hash, value.map_or(u64::MAX, |v| v));
+                fnv1a(&mut hash, ssd.now_ns());
+            }
+            Op::Flush => ssd.flush().expect("flush"),
+        }
+    }
+    hash
+}
+
+/// Replays `ops` through a single-queue device. With `cut`, power
+/// fails after that many dispatched commands and the hash covers the
+/// completions retired by then.
+fn run_device<S: MappingScheme + Clone>(
+    ssd: &mut Ssd<S>,
+    ops: &[Op],
+    config: DeviceConfig,
+    cut: Option<u64>,
+) -> u64 {
+    let mut device = Device::new(ssd, config);
+    if let Some(dispatches) = cut {
+        device.halt_after_dispatches(dispatches);
+    }
+    for &op in ops {
+        match op {
+            Op::Write(lpa, content) => device.submit_write(Lpa::new(lpa), content).expect("write"),
+            Op::Read(lpa) => device.submit_read(Lpa::new(lpa)).expect("read"),
+            Op::Flush => device.submit_to(0, IoRequest::flush()).expect("flush"),
+        };
+    }
+    let mut completions = if cut.is_some() {
+        let retired = device.take_completions();
+        device.power_cut();
+        retired
+    } else {
+        device.drain().expect("drain")
+    };
+    completions.sort_by_key(|c| c.id);
+    let mut hash = FNV_OFFSET;
+    for c in &completions {
+        fnv1a(&mut hash, c.id);
+        fnv1a(&mut hash, c.data.map_or(u64::MAX, |v| v));
+        fnv1a(&mut hash, c.dispatch_ns);
+        fnv1a(&mut hash, c.complete_ns);
+    }
+    hash
+}
+
+fn leaftl(gamma: u32) -> LeaFtlScheme {
+    LeaFtlScheme::new(
+        LeaFtlConfig::default()
+            .with_gamma(gamma)
+            .with_compaction_interval(300),
+    )
+}
+
+/// (a) Demand-paged LeaFTL at γ = 4: the mapping budget is a tenth of
+/// a 32 KB DRAM, below the table's footprint, and the rest is a
+/// seven-page data cache.
+#[test]
+fn blocking_demand_paged_leaftl_gamma4() {
+    let mut config = SsdConfig::small_test();
+    config.gamma = 4;
+    config.dram_bytes = 32 * 1024;
+    config.dram_policy = DramPolicy::DataFloor(0.9);
+    let mut ssd = Ssd::new(config, leaftl(4));
+    let ops = mixed_trace(ssd.config().logical_pages(), 0x5eed_0001, 1_500);
+    let io_fnv = run_blocking(&mut ssd, &ops);
+    let got = golden(&ssd, io_fnv);
+    // The run must cover every branch of the read path.
+    assert!(!ssd.scheme().lookup_is_pure(), "table must be demand-paged");
+    assert!(got.mispredictions > 0, "{got:?}");
+    assert!(got.unmapped_reads > 0, "{got:?}");
+    assert!(got.cache_hits > 0, "{got:?}");
+    assert!(got.translation_reads > 0, "{got:?}");
+    assert_eq!(
+        got,
+        Golden {
+            io_fnv: 5180673312208199893,
+            stats_fnv: 3107938122972593603,
+            utilization_fnv: 620484655841209740,
+            now_ns: 750988310,
+            lookups: 1432,
+            mispredictions: 925,
+            unmapped_reads: 341,
+            cache_hits: 22,
+            translation_reads: 56,
+            translation_stall_ns: 0,
+        }
+    );
+}
+
+/// (b) DFTL with a 2 KB DRAM: a tiny CMT and no data cache, so nearly
+/// every read pays a translation-page read before its data read.
+#[test]
+fn blocking_dftl_at_2kb() {
+    let mut config = SsdConfig::small_test();
+    config.dram_bytes = 2 * 1024;
+    let mut ssd = Ssd::new(config, Dftl::new());
+    let ops = mixed_trace(ssd.config().logical_pages(), 0x5eed_0002, 1_500);
+    let io_fnv = run_blocking(&mut ssd, &ops);
+    let got = golden(&ssd, io_fnv);
+    assert!(got.translation_reads > 0, "{got:?}");
+    assert_eq!(
+        got,
+        Golden {
+            io_fnv: 9405201517048347156,
+            stats_fnv: 8918252177164717981,
+            utilization_fnv: 9115954397720977724,
+            now_ns: 785505880,
+            lookups: 448,
+            mispredictions: 0,
+            unmapped_reads: 341,
+            cache_hits: 0,
+            translation_reads: 4269,
+            translation_stall_ns: 0,
+        }
+    );
+}
+
+/// A 48 KB DRAM holds the whole learned table (lookups stay pure, so
+/// bursts hoist them through `lookup_batch`) but only a ten-page data
+/// cache, so most reads reach flash.
+fn sharded_resident() -> Ssd<ShardedMapping<LeaFtlScheme>> {
+    let mut config = SsdConfig::small_test();
+    config.gamma = 4;
+    config.dram_bytes = 48 * 1024;
+    let logical = config.logical_pages();
+    Ssd::new(config, ShardedMapping::new(4, logical, |_| leaftl(4)))
+}
+
+/// (c) A resident 4-shard LeaFTL through a device at queue depth 1:
+/// every read is a burst of one, translated through `lookup_batch`.
+#[test]
+fn device_qd1_four_shard_resident_leaftl() {
+    let mut ssd = sharded_resident();
+    let ops = mixed_trace(ssd.config().logical_pages(), 0x5eed_0003, 1_500);
+    let io_fnv = run_device(&mut ssd, &ops, DeviceConfig::single(1), None);
+    assert!(ssd.scheme().lookup_is_pure(), "table must be resident");
+    assert_eq!(
+        golden(&ssd, io_fnv),
+        Golden {
+            io_fnv: 15992051511792097215,
+            stats_fnv: 12028930393322483346,
+            utilization_fnv: 15056353838126652915,
+            now_ns: 777478350,
+            lookups: 1550,
+            mispredictions: 985,
+            unmapped_reads: 338,
+            cache_hits: 18,
+            translation_reads: 0,
+            translation_stall_ns: 0,
+        }
+    );
+}
+
+/// (c) The same device at queue depth 8: multi-request bursts, shard
+/// CPUs granted in map-ready order.
+#[test]
+fn device_qd8_four_shard_resident_leaftl() {
+    let mut ssd = sharded_resident();
+    let ops = mixed_trace(ssd.config().logical_pages(), 0x5eed_0003, 1_500);
+    let io_fnv = run_device(&mut ssd, &ops, DeviceConfig::single(8), None);
+    let got = golden(&ssd, io_fnv);
+    assert!(got.translation_stall_ns > 0, "bursts must contend: {got:?}");
+    assert_eq!(
+        got,
+        Golden {
+            io_fnv: 3604013824667168467,
+            stats_fnv: 2227349543740799391,
+            utilization_fnv: 15056353838126652915,
+            now_ns: 766902840,
+            lookups: 1550,
+            mispredictions: 985,
+            unmapped_reads: 338,
+            cache_hits: 18,
+            translation_reads: 0,
+            translation_stall_ns: 12860,
+        }
+    );
+}
+
+/// What one power cut is pinned by.
+#[derive(Debug, PartialEq, Eq)]
+struct RecoveryGolden {
+    pre_crash: Golden,
+    /// `format!("{:?}", report)` of the full [`RecoveryReport`].
+    ///
+    /// [`RecoveryReport`]: leaftl_repro::sim::RecoveryReport
+    report: String,
+    recovered_now_ns: u64,
+    /// Post-recovery stats with `flash.misprediction_reads` masked:
+    /// the parent commit counted lenient-invalidation probes there
+    /// that were never put on a die, and the merge stops doing so.
+    recovered_stats_fnv: u64,
+    recovered_utilization_fnv: u64,
+    /// FNV-1a over `(value, now_ns)` of a read of every logical page
+    /// after recovery.
+    readback_fnv: u64,
+}
+
+/// An aged γ = 4 LeaFTL device: ten rounds of overwrites, part strided
+/// and part scattered, so GC has run, checkpoints exist and recovery's
+/// lenient invalidation meets approximate mappings whose old copy sits
+/// in a recycled block; then the mixed trace. Blocking runs are cut at
+/// the end of the trace with writes still buffered; with `cut`, the
+/// trace goes through a background-GC device at queue depth 4 and
+/// power fails after that many dispatched commands, queued log pages
+/// and migrations included.
+fn crash_run(mode: CheckpointMode, cut: Option<u64>) -> RecoveryGolden {
+    let mut config = SsdConfig::small_test();
+    config.gamma = 4;
+    config.checkpoint_mode = mode;
+    let mut ssd = Ssd::new(config, leaftl(4));
+    let logical = ssd.config().logical_pages();
+    let mut rng = Rng(0x5eed_0004);
+    let mut ops = Vec::new();
+    let mut content = 1u64 << 32;
+    for round in 0..10u64 {
+        for i in 0..logical / 3 {
+            content += 1;
+            let lpa = if rng.next() % 8 < 3 {
+                rng.next() % (logical / 2)
+            } else {
+                (i * 5 + round * 11) % (logical / 3)
+            };
+            ops.push(Op::Write(lpa, content));
+        }
+    }
+    ops.extend(mixed_trace(logical, 0x5eed_0005, 600));
+    let io_fnv = match cut {
+        None => run_blocking(&mut ssd, &ops),
+        Some(_) => run_device(&mut ssd, &ops, DeviceConfig::single(4).background_gc(), cut),
+    };
+    assert!(ssd.stats().gc_runs > 0, "device must be aged");
+    let pre_crash = golden(&ssd, io_fnv);
+
+    let report = ssd.crash_and_recover().expect("recover");
+    let recovered_now_ns = ssd.now_ns();
+    let mut masked: SimStats = ssd.stats().clone();
+    masked.flash.misprediction_reads = 0;
+    let recovered_stats_fnv = fnv_str(&format!("{masked:?}"));
+    let recovered_utilization_fnv = fnv_str(&format!("{:?}", ssd.utilization()));
+    let mut readback_fnv = FNV_OFFSET;
+    for lpa in 0..logical {
+        let value = ssd.read(Lpa::new(lpa)).expect("read");
+        fnv1a(&mut readback_fnv, value.map_or(u64::MAX, |v| v));
+        fnv1a(&mut readback_fnv, ssd.now_ns());
+    }
+    RecoveryGolden {
+        pre_crash,
+        report: format!("{report:?}"),
+        recovered_now_ns,
+        recovered_stats_fnv,
+        recovered_utilization_fnv,
+        readback_fnv,
+    }
+}
+
+/// Baseline from the DRAM snapshot the last GC pass took; no log.
+#[test]
+fn dram_snapshot_recovery() {
+    assert_eq!(
+        crash_run(CheckpointMode::DramSnapshot, None),
+        RecoveryGolden {
+            pre_crash: Golden {
+                io_fnv: 3470803923610264822,
+                stats_fnv: 10473371503686509500,
+                utilization_fnv: 10073633229323354667,
+                now_ns: 1786017290,
+                lookups: 4868,
+                mispredictions: 3261,
+                unmapped_reads: 58,
+                cache_hits: 248,
+                translation_reads: 0,
+                translation_stall_ns: 0,
+            },
+            report: "RecoveryReport { scanned_data_blocks: 2, scanned_log_blocks: 0, replayed_log_entries: 0, recovered_pages: 40, lost_buffered_writes: 26, scan_time_ns: 1640000, maplog_bytes_written: 0 }"
+                .into(),
+            recovered_now_ns: 1787657290,
+            recovered_stats_fnv: 3467639696768338744,
+            recovered_utilization_fnv: 17359405694748706096,
+            readback_fnv: 6302500432727862992,
+        }
+    );
+}
+
+/// Baseline from the newest durable log checkpoint plus the delta
+/// tail, after a blocking run (the log is durable at every flush).
+#[test]
+fn flash_log_recovery() {
+    assert_eq!(
+        crash_run(CheckpointMode::FlashLog, None),
+        RecoveryGolden {
+            pre_crash: Golden {
+                io_fnv: 13473768594721914275,
+                stats_fnv: 3142476937563843451,
+                utilization_fnv: 10568403973099014164,
+                now_ns: 1947782360,
+                lookups: 4856,
+                mispredictions: 3225,
+                unmapped_reads: 58,
+                cache_hits: 248,
+                translation_reads: 0,
+                translation_stall_ns: 0,
+            },
+            report: "RecoveryReport { scanned_data_blocks: 0, scanned_log_blocks: 1, replayed_log_entries: 3, recovered_pages: 0, lost_buffered_writes: 26, scan_time_ns: 480000, maplog_bytes_written: 1802240 }"
+                .into(),
+            recovered_now_ns: 1948262360,
+            recovered_stats_fnv: 6794469830314404860,
+            recovered_utilization_fnv: 9728413470877440205,
+            readback_fnv: 9876078521789360871,
+        }
+    );
+}
+
+/// The same through a background-GC device cut mid-run: log entries
+/// still queued are lost, so the data scan has work left.
+#[test]
+fn flash_log_recovery_after_a_mid_run_power_cut() {
+    assert_eq!(
+        crash_run(CheckpointMode::FlashLog, Some(3_750)),
+        RecoveryGolden {
+            pre_crash: Golden {
+                io_fnv: 4753519197936110659,
+                stats_fnv: 8389839329168573080,
+                utilization_fnv: 3407867097756461760,
+                now_ns: 780470000,
+                lookups: 2515,
+                mispredictions: 1672,
+                unmapped_reads: 0,
+                cache_hits: 0,
+                translation_reads: 0,
+                translation_stall_ns: 0,
+            },
+            report: "RecoveryReport { scanned_data_blocks: 6, scanned_log_blocks: 1, replayed_log_entries: 9, recovered_pages: 44, lost_buffered_writes: 3, scan_time_ns: 9697000, maplog_bytes_written: 729088 }"
+                .into(),
+            recovered_now_ns: 790167000,
+            recovered_stats_fnv: 13162733136810749919,
+            recovered_utilization_fnv: 9745733859352699446,
+            readback_fnv: 4151876126809927903,
+        }
+    );
+}
+
+/// No checkpoint at all: pristine baseline, every programmed block
+/// scanned.
+#[test]
+fn checkpointless_recovery() {
+    assert_eq!(
+        crash_run(CheckpointMode::Disabled, None),
+        RecoveryGolden {
+            pre_crash: Golden {
+                io_fnv: 18354919835988192738,
+                stats_fnv: 18169877545372728627,
+                utilization_fnv: 16185512941395526808,
+                now_ns: 1781141290,
+                lookups: 4868,
+                mispredictions: 3261,
+                unmapped_reads: 58,
+                cache_hits: 248,
+                translation_reads: 0,
+                translation_stall_ns: 0,
+            },
+            report: "RecoveryReport { scanned_data_blocks: 56, scanned_log_blocks: 0, replayed_log_entries: 0, recovered_pages: 1683, lost_buffered_writes: 26, scan_time_ns: 18920000, maplog_bytes_written: 0 }"
+                .into(),
+            recovered_now_ns: 1800061290,
+            recovered_stats_fnv: 11568339611985744991,
+            recovered_utilization_fnv: 8590782726011679187,
+            readback_fnv: 11111464954761827259,
+        }
+    );
+}

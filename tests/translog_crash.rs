@@ -17,8 +17,8 @@
 use leaftl_repro::core::LeaFtlConfig;
 use leaftl_repro::flash::{BlockId, FlashGeometry, Lpa};
 use leaftl_repro::sim::{
-    CheckpointMode, Device, DeviceConfig, ExactPageMap, LeaFtlScheme, MappingScheme, Ssd,
-    SsdConfig, MAPLOG_QUEUE,
+    CheckpointMode, Device, DeviceConfig, ExactPageMap, LeaFtlScheme, MappingScheme,
+    RecoveryReport, Ssd, SsdConfig, MAPLOG_QUEUE,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -89,6 +89,18 @@ fn run_to_cut(
         }
     }
     (ssd, total)
+}
+
+/// Recovers `ssd` from a power cut, then checks the accounting identity
+/// recovery used to break: every flash op [`SimStats`] counts was
+/// attributed to a die, and vice versa.
+///
+/// [`SimStats`]: leaftl_repro::sim::SimStats
+fn recover<S: MappingScheme + Clone>(ssd: &mut Ssd<S>) -> RecoveryReport {
+    let report = ssd.crash_and_recover().expect("recover");
+    ssd.check_utilization_conservation()
+        .expect("utilization conserved after recovery");
+    report
 }
 
 /// Independent recovery oracle, computed straight from the surviving
@@ -203,7 +215,7 @@ fn crash_point_sweep_recovers_at_every_cut() {
     for k in (0..=total).step_by(step as usize) {
         let (mut ssd, _) = run_to_cut(&config, &ops, Some(k));
         let truth = flash_ground_truth(&ssd);
-        ssd.crash_and_recover().expect("recover");
+        recover(&mut ssd);
         assert_recovered_matches(&mut ssd, &truth, &format!("cut {k}"));
         swept += 1;
     }
@@ -219,12 +231,12 @@ fn recovery_at_cut_is_reusable() {
     let (_, total) = run_to_cut(&config, &ops, None);
     for k in [total / 4, total / 2, 3 * total / 4] {
         let (mut ssd, _) = run_to_cut(&config, &ops, Some(k));
-        ssd.crash_and_recover().expect("recover");
+        recover(&mut ssd);
         for i in 0..40u64 {
             ssd.write(Lpa::new(i), 900_000 + i).expect("write");
         }
         ssd.flush().expect("flush");
-        ssd.crash_and_recover().expect("second recover");
+        recover(&mut ssd);
         for i in 0..40u64 {
             assert_eq!(
                 ssd.read(Lpa::new(i)).expect("read"),
@@ -256,7 +268,7 @@ fn leaftl_flashlog_crash_recovers_with_memory_bound() {
     }
     assert!(ssd.stats().gc_runs > 0, "workload must trigger GC");
     let truth = flash_ground_truth(&ssd);
-    let report = ssd.crash_and_recover().expect("recover");
+    let report = recover(&mut ssd);
     assert!(report.scanned_log_blocks > 0, "recovery must read the log");
     assert_recovered_matches(&mut ssd, &truth, "leaftl flashlog");
     // §3.1 post-recovery: learned segments cost at most one 8-byte
@@ -291,8 +303,8 @@ fn log_replay_scans_strictly_fewer_blocks_than_full_scan() {
     };
     let mut logged = build(CheckpointMode::FlashLog);
     let mut bare = build(CheckpointMode::Disabled);
-    let logged_report = logged.crash_and_recover().expect("recover");
-    let bare_report = bare.crash_and_recover().expect("recover");
+    let logged_report = recover(&mut logged);
+    let bare_report = recover(&mut bare);
     assert!(
         logged_report.scanned_data_blocks < bare_report.scanned_data_blocks,
         "log replay scanned {} data blocks, full scan {}",
@@ -326,7 +338,7 @@ fn reclaimed_log_blocks_return_to_the_allocator() {
     );
     // Still a working device with correct contents.
     let truth = flash_ground_truth(&ssd);
-    ssd.crash_and_recover().expect("recover");
+    recover(&mut ssd);
     assert_recovered_matches(&mut ssd, &truth, "post-churn");
 }
 
@@ -354,7 +366,7 @@ proptest! {
         let cut = total * cut_permille / 1_000;
         let (mut ssd, _) = run_to_cut(&config, &ops, Some(cut));
         let truth = flash_ground_truth(&ssd);
-        ssd.crash_and_recover().expect("recover");
+        recover(&mut ssd);
         let written: HashSet<u64> = ops.iter().map(|&(lpa, _)| lpa).collect();
         for (&lpa, &v) in &truth {
             prop_assert_eq!(
