@@ -1,5 +1,6 @@
-//! Lookup + residency-touch cost vs table size: the incremental
-//! accounting regression guard.
+//! Lookup + residency-touch cost, and compaction cost after one flush,
+//! vs table size: the regression guard for "host work is proportional
+//! to what an operation touches, not to the table".
 //!
 //! Every `LeaFtlScheme::lookup` runs a residency check
 //! (`touch_group`) that consults the table's total footprint and — when
@@ -9,7 +10,7 @@
 //! per-lookup cost grew linearly with table size (the `shard_micro`
 //! burst-32 "sharding win" was mostly that artifact).
 //!
-//! Two axes, each at 64 vs 4096 resident groups (64× the state):
+//! Three axes, each at 64 vs 4096 resident groups (64× the state):
 //!
 //! * **resident** — the paper's headline case: the whole table fits in
 //!   DRAM, `touch_group` is one footprint comparison. Per-lookup cost
@@ -17,6 +18,11 @@
 //! * **paged** — budget below the footprint: every lookup pays the
 //!   LRU residency check with the exact per-group byte charge. Cost is
 //!   per-group work (hash + list splice), still flat in group count.
+//! * **compact after flush** — one 256-page flush into an already swept
+//!   table, then a sweep. The sweep visits only the groups the flush
+//!   learned into (the same sixteen clusters' worth at either size), so
+//!   flush + sweep must be flat in group count; when every sweep walked
+//!   every group it grew 64× with the table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use leaftl_core::LeaFtlConfig;
@@ -106,5 +112,60 @@ fn bench_lookup_paged(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_lookup_resident, bench_lookup_paged);
+/// Sorted 256-page flushes of sixteen 16-page clusters with irregular
+/// gaps — the same number of groups touched whatever the table size.
+fn clustered_flushes(space: u64, count: u64) -> Vec<Vec<(Lpa, Ppa)>> {
+    let mut rng = StdRng::seed_from_u64(23);
+    (0..count)
+        .map(|flush| {
+            let mut lpas: Vec<u64> = (0..16)
+                .flat_map(|_| {
+                    let mut lpa = rng.gen_range(0u64..space - 64);
+                    (0..16)
+                        .map(|_| {
+                            lpa += rng.gen_range(1u64..4);
+                            lpa
+                        })
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            lpas.sort_unstable();
+            lpas.dedup();
+            lpas.iter()
+                .zip(6 * space + flush * 256..)
+                .map(|(&lpa, ppa)| (Lpa::new(lpa), Ppa::new(ppa)))
+                .collect()
+        })
+        .collect()
+}
+
+/// One flush into a swept table, then the sweep the background
+/// scheduler would dispatch (`maintain_shard` = `LeaFtlTable::compact`
+/// + the residency re-sync).
+fn bench_compact_after_flush(c: &mut Criterion) {
+    let mut group = c.benchmark_group("table_compact_after_flush");
+    for &groups in &GROUP_COUNTS {
+        let mut scheme = warmed(groups);
+        // The first sweep after warming is the full walk; time the
+        // steady state behind it.
+        scheme.maintain_shard(0);
+        let flushes = clustered_flushes(groups * 256, 32);
+        let mut next = 0usize;
+        group.bench_function(BenchmarkId::from_parameter(groups), |b| {
+            b.iter(|| {
+                scheme.update_batch_sorted(black_box(&flushes[next % flushes.len()]));
+                next += 1;
+                black_box(scheme.maintain_shard(0))
+            })
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_lookup_resident,
+    bench_lookup_paged,
+    bench_compact_after_flush
+);
 criterion_main!(benches);

@@ -12,10 +12,15 @@
 //!   *actually indexes* the LPA wins (stride test for accurate segments,
 //!   CRB ownership for approximate ones);
 //! * `compact` — one global sweep in freshness order: every segment is
-//!   trimmed against the cumulative claims of everything fresher (fully
+//!   trimmed against the cumulative claims of everything fresher through
+//!   the same bitmap kernel `insert_piece` merges victims with (fully
 //!   shadowed segments disappear, CRB runs with them), then survivors
 //!   are re-layered newest-first into the fewest levels the freshness
-//!   invariant allows.
+//!   invariant allows. The sweep is a fixpoint on its own output, so a
+//!   group nothing was inserted into since its last sweep
+//!   (`!is_dirty()`) need not be swept again, and it allocates nothing:
+//!   claims are four words, survivors sit on the stack and levels are
+//!   refilled in place.
 //!
 //! # Freshness invariant
 //!
@@ -44,7 +49,7 @@ pub struct GroupLookup {
     pub levels_visited: u32,
 }
 
-/// A set of group offsets, used for the bitmap merge of Algorithm 2.
+/// A set of group offsets — the member bitmap of Algorithm 2.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct OffsetSet([u64; 4]);
 
@@ -57,12 +62,25 @@ impl OffsetSet {
         set
     }
 
-    fn insert(&mut self, offset: u8) {
-        self.0[(offset >> 6) as usize] |= 1u64 << (offset & 63);
+    /// The stride grid `first, first + stride, … ≤ last`.
+    fn strided(first: u8, last: u8, stride: u32) -> Self {
+        let mut set = OffsetSet::default();
+        if stride == 1 {
+            for word in (first >> 6)..=(last >> 6) {
+                let from = if word == first >> 6 { first & 63 } else { 0 };
+                let to = if word == last >> 6 { last & 63 } else { 63 };
+                set.0[word as usize] |= (u64::MAX >> (63 - (to - from))) << from;
+            }
+        } else {
+            for x in (first as u32..=last as u32).step_by(stride as usize) {
+                set.insert(x as u8);
+            }
+        }
+        set
     }
 
-    fn contains(&self, offset: u8) -> bool {
-        self.0[(offset >> 6) as usize] & (1u64 << (offset & 63)) != 0
+    fn insert(&mut self, offset: u8) {
+        self.0[(offset >> 6) as usize] |= 1u64 << (offset & 63);
     }
 
     fn union_with(&mut self, other: &OffsetSet) {
@@ -70,19 +88,34 @@ impl OffsetSet {
             *a |= b;
         }
     }
-}
 
-/// Outcome of merging one victim against newer members (Algorithm 2).
-enum MergeOutcome {
-    /// The victim has no members left and was unlinked from the CRB.
-    Removed,
-    /// The victim keeps members; its interval must shrink to
-    /// `[new_start, new_start + new_len]`.
-    Kept { new_start: u8, new_len: u8 },
+    /// The offsets of `self` that are not in `other`.
+    fn without(&self, other: &OffsetSet) -> OffsetSet {
+        let mut rest = *self;
+        for (a, b) in rest.0.iter_mut().zip(other.0.iter()) {
+            *a &= !b;
+        }
+        rest
+    }
+
+    /// Smallest and largest offset, `None` when the set is empty.
+    fn span(&self) -> Option<(u8, u8)> {
+        let low = self.0.iter().position(|&w| w != 0)?;
+        let high = self.0.iter().rposition(|&w| w != 0)?;
+        Some((
+            (low * 64) as u8 + self.0[low].trailing_zeros() as u8,
+            (high * 64) as u8 + 63 - self.0[high].leading_zeros() as u8,
+        ))
+    }
+
+    /// The offsets in ascending order.
+    fn iter(&self) -> impl Iterator<Item = u8> + '_ {
+        (0..=255u8).filter(|&x| self.0[(x >> 6) as usize] >> (x & 63) & 1 == 1)
+    }
 }
 
 /// The per-group learned mapping structure.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Group {
     levels: Vec<Level>,
     crb: Crb,
@@ -91,6 +124,8 @@ pub struct Group {
     /// aggregate counters on every mutation — never walks the levels
     /// ([`Group::recount_segments`] is the test oracle).
     segment_total: usize,
+    /// Whether a piece was inserted since the last [`Group::compact`].
+    dirty: bool,
 }
 
 impl Group {
@@ -102,6 +137,15 @@ impl Group {
     /// Number of levels currently in the log structure.
     pub fn level_count(&self) -> usize {
         self.levels.len()
+    }
+
+    /// Whether a piece was inserted since the last [`Group::compact`].
+    /// A clean group is exactly what its last sweep left, and the sweep
+    /// is a fixpoint on its own output (pinned by the
+    /// `compaction_is_a_fixpoint` proptest), so sweeping it again would
+    /// change nothing.
+    pub fn is_dirty(&self) -> bool {
+        self.dirty
     }
 
     /// Total number of segments across all levels. O(1) — served from
@@ -157,14 +201,19 @@ impl Group {
         }
     }
 
-    fn claimed_members(&self, segment: &Segment) -> Vec<u8> {
+    /// The offsets a segment claims (Algorithm 2 `get_bitmap`): the
+    /// stride grid of an accurate segment, the CRB run of an
+    /// approximate one.
+    fn claim_of(&self, segment: &Segment) -> OffsetSet {
         if segment.is_accurate() {
-            segment.accurate_members()
+            match segment.stride() {
+                None => OffsetSet::from_members(&[segment.start()]),
+                Some(stride) => OffsetSet::strided(segment.start(), segment.end(), stride),
+            }
         } else {
             self.crb
                 .members_of(segment.start())
-                .map(|m| m.to_vec())
-                .unwrap_or_default()
+                .map_or_else(OffsetSet::default, OffsetSet::from_members)
         }
     }
 
@@ -172,6 +221,7 @@ impl Group {
     /// level 0). For approximate pieces the member run is registered in
     /// the CRB first, deduplicating members from older runs.
     pub fn insert_piece(&mut self, piece: &LearnedPiece) {
+        self.dirty = true;
         if piece.segment.is_approximate() {
             let patches = self.crb.insert_run(&piece.members);
             self.apply_patches(&patches);
@@ -234,14 +284,14 @@ impl Group {
         let mut popped = Vec::new();
         for idx in victim_range.rev() {
             let victim = *self.levels[level_idx].segment(idx);
-            match self.merge_victim(&victim, members) {
-                MergeOutcome::Removed => {
+            match self.merge_victim(&victim, members).span() {
+                None => {
                     self.levels[level_idx].remove(idx);
                     self.segment_total -= 1;
                 }
-                MergeOutcome::Kept { new_start, new_len } => {
+                Some((first, last)) => {
                     let stored = self.levels[level_idx].segment_mut(idx);
-                    stored.set_interval(new_start, new_len);
+                    stored.set_interval(first, last - first);
                     if segment.overlaps(stored) {
                         // Popped victims re-enter via `place_below`:
                         // net zero for the segment counter.
@@ -260,30 +310,20 @@ impl Group {
     }
 
     /// Algorithm 2 `seg_merge`: subtract the newer member bitmap from
-    /// the victim's claimed members; shrink or remove the victim. The
-    /// victim's `K` and `I` are never touched — translation is
+    /// the victim's claim and return what it keeps, whose span is the
+    /// victim's new interval; an empty set means the victim is gone.
+    /// An approximate victim's CRB run follows the claim — spliced only
+    /// when it actually lost members, removed when it lost them all.
+    /// The victim's `K` and `I` are never touched — translation is
     /// independent of the interval.
-    fn merge_victim(&mut self, victim: &Segment, newer: &OffsetSet) -> MergeOutcome {
-        let members = self.claimed_members(victim);
-        let remaining: Vec<u8> = members
-            .into_iter()
-            .filter(|&m| !newer.contains(m))
-            .collect();
-        if remaining.is_empty() {
-            if victim.is_approximate() {
-                self.crb.remove_run(victim.start());
-            }
-            return MergeOutcome::Removed;
+    fn merge_victim(&mut self, victim: &Segment, newer: &OffsetSet) -> OffsetSet {
+        let claim = self.claim_of(victim);
+        let remaining = claim.without(newer);
+        if victim.is_approximate() && remaining != claim {
+            self.crb
+                .replace_run(victim.start(), remaining.iter().collect());
         }
-        let new_start = remaining[0];
-        let new_end = *remaining.last().expect("non-empty");
-        if victim.is_approximate() {
-            self.crb.replace_run(victim.start(), remaining);
-        }
-        MergeOutcome::Kept {
-            new_start,
-            new_len: new_end - new_start,
-        }
+        remaining
     }
 
     /// Places a popped victim below `level_idx - 1`: into the level at
@@ -344,40 +384,47 @@ impl Group {
     /// least one live LPA, so the segment count is bounded by the live
     /// mapping count (the §3.1 worst-case memory argument).
     pub fn compact(&mut self) {
-        let old_levels = std::mem::take(&mut self.levels);
+        self.dirty = false;
+        let mut levels = std::mem::take(&mut self.levels);
+        // Survivors keep disjoint, non-empty member sets, so a group
+        // has at most 256 of them.
+        let mut kept = [Segment::decode(0); 256];
+        let mut kept_len = 0;
         let mut cumulative = OffsetSet::default();
-        let mut kept = Vec::new();
-        for level in &old_levels {
-            for segment in level.iter() {
-                match self.merge_victim(segment, &cumulative) {
-                    MergeOutcome::Removed => {}
-                    MergeOutcome::Kept { new_start, new_len } => {
-                        let mut trimmed = *segment;
-                        trimmed.set_interval(new_start, new_len);
-                        cumulative
-                            .union_with(&OffsetSet::from_members(&self.claimed_members(&trimmed)));
-                        kept.push(trimmed);
-                    }
-                }
+        for segment in levels.iter().flat_map(Level::iter) {
+            let remaining = self.merge_victim(segment, &cumulative);
+            if let Some((first, last)) = remaining.span() {
+                // What the trimmed segment claims beyond `remaining`
+                // (stride-grid holes) is in `cumulative` already.
+                cumulative.union_with(&remaining);
+                kept[kept_len] = *segment;
+                kept[kept_len].set_interval(first, last - first);
+                kept_len += 1;
             }
         }
-        self.segment_total = kept.len();
-        for segment in kept {
-            // Must sit strictly below every (fresher) segment already
-            // placed that it overlaps, i.e. just past the last
-            // overlapping level.
-            let mut floor = 0;
-            for (idx, level) in self.levels.iter().enumerate() {
-                if level.has_overlap(&segment) {
-                    floor = idx + 1;
-                }
+        self.segment_total = kept_len;
+        levels.iter_mut().for_each(Level::clear);
+        // `depth[x]` = 1 + the deepest level holding a segment that
+        // covers offset `x`. A segment must sit strictly below every
+        // (fresher) segment already placed that it overlaps, i.e. just
+        // past the deepest level covering any offset of its interval.
+        // A second level needs a segment with two members, which
+        // leaves at most 255 survivors: the depth fits a byte.
+        let mut depth = [0u8; 256];
+        let mut used = 0;
+        for segment in &kept[..kept_len] {
+            let covered = &mut depth[segment.start() as usize..=segment.end() as usize];
+            let floor = covered.iter().copied().max().unwrap_or(0);
+            covered.fill(floor + 1);
+            let floor = floor as usize;
+            if floor == levels.len() {
+                levels.push(Level::new());
             }
-            if floor < self.levels.len() {
-                self.levels[floor].insert(segment);
-            } else {
-                self.levels.push(Level::with_segment(segment));
-            }
+            levels[floor].insert(*segment);
+            used = used.max(floor + 1);
         }
+        levels.truncate(used);
+        self.levels = levels;
     }
 }
 
@@ -400,6 +447,41 @@ mod tests {
         for piece in &pieces {
             group.insert_piece(piece);
         }
+    }
+
+    /// The word-mask fast path, `span` and `iter` against the obvious
+    /// per-offset definitions.
+    #[test]
+    fn offset_set_matches_naive_enumeration() {
+        for (first, last) in [
+            (0u8, 0u8),
+            (0, 255),
+            (5, 63),
+            (63, 64),
+            (64, 127),
+            (70, 200),
+        ] {
+            for stride in [1u32, 2, 3, 64, 300] {
+                let naive: Vec<u8> = (first as u32..=last as u32)
+                    .step_by(stride as usize)
+                    .map(|x| x as u8)
+                    .collect();
+                let set = OffsetSet::strided(first, last, stride);
+                assert_eq!(
+                    set,
+                    OffsetSet::from_members(&naive),
+                    "{first}..={last}/{stride}"
+                );
+                assert_eq!(set.iter().collect::<Vec<_>>(), naive);
+                assert_eq!(set.span(), Some((naive[0], *naive.last().unwrap())));
+            }
+        }
+        assert_eq!(OffsetSet::default().span(), None);
+        let rest = OffsetSet::strided(10, 20, 1).without(&OffsetSet::strided(12, 30, 2));
+        assert_eq!(
+            rest.iter().collect::<Vec<_>>(),
+            vec![10, 11, 13, 15, 17, 19]
+        );
     }
 
     #[test]

@@ -35,6 +35,11 @@ impl Level {
         self.segments.is_empty()
     }
 
+    /// Removes every segment, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.segments.clear();
+    }
+
     /// Iterates the segments in start order.
     pub fn iter(&self) -> impl Iterator<Item = &Segment> {
         self.segments.iter()

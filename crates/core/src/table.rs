@@ -55,6 +55,10 @@ pub struct LeaFtlTable {
     /// every learn/compact so the §3.1 footprint and pressure queries
     /// never walk the groups.
     accounting: Accounting,
+    /// Ids of the groups learned into since their last sweep: exactly
+    /// the groups whose [`Group::is_dirty`] flag is set, each once, in
+    /// the order they turned dirty. [`LeaFtlTable::compact`] drains it.
+    dirty: Vec<u64>,
 }
 
 /// The table's incremental aggregate counters. A separate struct so
@@ -139,6 +143,7 @@ impl LeaFtlTable {
             total_writes_learned: 0,
             compactions: 0,
             accounting: Accounting::default(),
+            dirty: Vec::new(),
         }
     }
 
@@ -217,6 +222,9 @@ impl LeaFtlTable {
                 .map(|&(lpa, ppa)| (lpa.group_offset(), ppa.raw()))
                 .collect();
             let group = self.groups.entry(group_id).or_default();
+            if !group.is_dirty() {
+                self.dirty.push(group_id);
+            }
             let before = Accounting::snapshot(group);
             for piece in plr::fit(&points, gamma) {
                 group.insert_piece(&piece);
@@ -281,34 +289,42 @@ impl LeaFtlTable {
             .collect()
     }
 
-    /// Compacts every group (Algorithm 1 `seg_compact`), reclaiming
-    /// memory from shadowed segments.
-    pub fn compact(&mut self) {
-        for group in self.groups.values_mut() {
+    /// Compacts the table (Algorithm 1 `seg_compact`), reclaiming memory
+    /// from shadowed segments, and returns the ids of the groups it
+    /// swept.
+    ///
+    /// Only groups learned into since their last sweep are swept. That
+    /// leaves the table exactly as a sweep of every group would:
+    /// [`Group::compact`] is a fixpoint on its own output, and only
+    /// [`LeaFtlTable::learn_sorted`] changes a group in between
+    /// ([`LeaFtlTable::validate`] re-checks both on every call). Host
+    /// cost is therefore proportional to what changed; the first sweep
+    /// after a prefill, when every group is dirty, is the full walk.
+    pub fn compact(&mut self) -> Vec<u64> {
+        let swept = std::mem::take(&mut self.dirty);
+        for id in &swept {
+            // Groups are never removed, so a listed id always resolves
+            // (`validate` checks the list against the flags).
+            let Some(group) = self.groups.get_mut(id) else {
+                continue;
+            };
             let before = Accounting::snapshot(group);
             group.compact();
             let after = Accounting::snapshot(group);
             // Disjoint field borrow: `accounting` is independent of the
-            // iterated `groups` map.
+            // `groups` map.
             self.accounting.apply(before, after);
         }
-        // Emptied groups already folded a delta down to (0, 0, 0);
-        // dropping them changes no counter.
-        self.groups.retain(|_, group| group.segment_count() > 0);
         self.writes_since_compaction = 0;
         self.compactions += 1;
+        swept
     }
 
     /// Compacts when the configured write interval elapsed (the paper
-    /// compacts every one million writes). Returns whether compaction
-    /// ran.
-    pub fn maybe_compact(&mut self) -> bool {
-        if self.writes_since_compaction >= self.config.compaction_interval {
-            self.compact();
-            true
-        } else {
-            false
-        }
+    /// compacts every one million writes). Returns the swept group ids
+    /// when compaction ran.
+    pub fn maybe_compact(&mut self) -> Option<Vec<u64>> {
+        (self.writes_since_compaction >= self.config.compaction_interval).then(|| self.compact())
     }
 
     /// Number of compactions performed so far.
@@ -439,6 +455,11 @@ impl LeaFtlTable {
         self.groups.iter().map(|(&id, group)| (id, group))
     }
 
+    /// The dirty-group list, for the invariant validator.
+    pub(crate) fn dirty_for_validation(&self) -> &[u64] {
+        &self.dirty
+    }
+
     /// Iterates every segment with its group id and level, for
     /// serialization (crash-recovery snapshots) and debugging.
     pub fn iter_segments(&self) -> impl Iterator<Item = (u64, usize, &Segment)> {
@@ -536,11 +557,11 @@ mod tests {
     fn maybe_compact_obeys_interval() {
         let mut table = LeaFtlTable::new(LeaFtlConfig::default().with_compaction_interval(100));
         table.learn(&batch(0, 1000, 64));
-        assert!(!table.maybe_compact());
+        assert!(table.maybe_compact().is_none());
         table.learn(&batch(0, 2000, 64));
-        assert!(table.maybe_compact());
+        assert!(table.maybe_compact().is_some());
         assert_eq!(table.compactions(), 1);
-        assert!(!table.maybe_compact());
+        assert!(table.maybe_compact().is_none());
     }
 
     #[test]
@@ -652,14 +673,53 @@ mod tests {
     }
 
     #[test]
+    fn compact_sweeps_only_groups_learned_into_since() {
+        let mut table = LeaFtlTable::new(LeaFtlConfig::default());
+        table.learn(&batch(0, 1000, 1024));
+        let mut swept = table.compact();
+        swept.sort_unstable();
+        assert_eq!(swept, vec![0, 1, 2, 3], "first sweep is the full walk");
+        assert!(table.compact().is_empty(), "nothing learned since");
+        // One overwrite straddling groups 1 and 2, learned twice: each
+        // group is listed once.
+        table.learn(&batch(500, 5000, 20));
+        table.learn(&batch(505, 6000, 20));
+        table.assert_valid();
+        let mut swept = table.compact();
+        swept.sort_unstable();
+        assert_eq!(swept, vec![1, 2]);
+        assert_eq!(table.compactions(), 3);
+        table.assert_valid();
+    }
+
+    #[test]
+    fn validate_catches_a_learn_the_dirty_list_missed() {
+        let mut table = LeaFtlTable::new(LeaFtlConfig::default());
+        table.learn(&batch(0, 1000, 256));
+        table.compact();
+        table.learn(&batch(16, 5000, 16));
+        assert!(table.validate().is_empty());
+        // A learn path that forgot the list: the next sweep would skip
+        // a group that has changed.
+        table.dirty.clear();
+        let violations = table.validate();
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.group == 0 && v.detail.contains("disagree")),
+            "{violations:?}"
+        );
+    }
+
+    #[test]
     fn external_writes_advance_the_compaction_interval() {
         let mut table = LeaFtlTable::new(LeaFtlConfig::default().with_compaction_interval(100));
         table.learn(&batch(0, 1000, 60));
-        assert!(!table.maybe_compact());
+        assert!(table.maybe_compact().is_none());
         // Sibling shards learned 40 more device writes: the interval is
         // device-wide, so this table compacts now.
         table.note_external_writes(40);
-        assert!(table.maybe_compact());
+        assert!(table.maybe_compact().is_some());
         assert_eq!(table.writes_learned(), 60, "external writes not learned");
     }
 

@@ -130,13 +130,58 @@ pub(crate) fn validate_group(group_id: u64, group: &Group) -> Vec<InvariantViola
 }
 
 impl LeaFtlTable {
-    /// Checks every structural invariant of the table, returning all
-    /// violations (empty = healthy). Intended for tests and debugging;
-    /// cost is linear in the table size.
+    /// Checks every structural invariant of the table, and the dirty
+    /// tracking compaction relies on, returning all violations (empty =
+    /// healthy). Intended for tests and debugging; cost is linear in the
+    /// table size.
     pub fn validate(&self) -> Vec<InvariantViolation> {
         let mut violations = Vec::new();
         for (group_id, group) in self.groups_for_validation() {
             violations.extend(validate_group(group_id, group));
+        }
+        violations.extend(self.validate_dirty_tracking());
+        violations
+    }
+
+    /// What lets [`LeaFtlTable::compact`] skip groups: every group not
+    /// flagged dirty is already what a sweep would leave (and holds
+    /// something — sweeps never empty a group, so none is ever dropped),
+    /// and the dirty list names exactly the flagged groups, once each.
+    fn validate_dirty_tracking(&self) -> Vec<InvariantViolation> {
+        let mut violations = Vec::new();
+        let mut report = |group: u64, detail: &str| {
+            violations.push(InvariantViolation {
+                group,
+                detail: detail.to_string(),
+            })
+        };
+        let mut listed = self.dirty_for_validation().to_vec();
+        listed.sort_unstable();
+        for pair in listed.windows(2) {
+            if pair[0] == pair[1] {
+                report(pair[0], "listed dirty more than once");
+            }
+        }
+        for (group_id, group) in self.groups_for_validation() {
+            if group.segment_count() == 0 {
+                report(group_id, "group holds no segment");
+            }
+            if group.is_dirty() != listed.binary_search(&group_id).is_ok() {
+                report(group_id, "dirty flag and dirty list disagree");
+            }
+            if !group.is_dirty() {
+                let mut swept = group.clone();
+                swept.compact();
+                if swept != *group {
+                    report(group_id, "clean group is not a compaction fixpoint");
+                }
+            }
+        }
+        let held: Vec<u64> = self.group_ids().collect();
+        for &id in &listed {
+            if held.binary_search(&id).is_err() {
+                report(id, "listed dirty but not in the table");
+            }
         }
         violations
     }

@@ -877,8 +877,9 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     /// progress) — is queued for one [`Command::Compact`] sweep. The
     /// scan is stamped by the flash program count — pressure only
     /// changes through learning, which only happens on programs, so
-    /// the O(shards × groups) pressure walk runs once per flush rather
-    /// than once per dispatch.
+    /// the scan over the shards (one O(1) pressure read each, from the
+    /// table's incremental counters) runs once per flush rather than
+    /// once per dispatch.
     fn replenish_compaction(&mut self) {
         if self.ssd.compaction_mode() != CompactionMode::Background {
             return;

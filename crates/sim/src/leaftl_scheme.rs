@@ -12,10 +12,10 @@
 //! charged its *exact* byte size (`LeaFtlTable::group_bytes`), not a
 //! whole-table average — after a learn mutates a batch's groups the
 //! resident records are re-synced ([`LeaFtlScheme`] internals), and
-//! after a compaction sweep every resident record is refreshed, so LRU
-//! eviction and translation-write costs always reflect the group
-//! actually paged (invariant pinned by the `accounting_equivalence`
-//! proptests).
+//! after a compaction sweep the records of the groups it swept are
+//! refreshed, so LRU eviction and translation-write costs always reflect
+//! the group actually paged (invariant pinned by the
+//! `accounting_equivalence` proptests).
 
 use crate::lru::LruCache;
 use leaftl_core::{
@@ -28,10 +28,13 @@ use leaftl_flash::{Lpa, Ppa};
 /// [`MappingScheme::compact_cost_ns`].
 const COMPACT_BASE_NS: u64 = 10_000;
 
-/// Per-segment CPU cost of the compaction sweep: each resident segment
-/// is trimmed against the cumulative fresher claims (bitmap work +
-/// possible CRB splice), ~Table 3's scale for segment-granular CPU
-/// operations.
+/// Per-segment CPU cost of the compaction sweep the *modelled* device
+/// runs: its controller trims every resident segment against the
+/// cumulative fresher claims (bitmap work + possible CRB splice),
+/// ~Table 3's scale for segment-granular CPU operations. Deliberately
+/// independent of how the host walks the table — `LeaFtlTable::compact`
+/// visiting only the groups that changed moves the host clock, never
+/// this one.
 const COMPACT_PER_SEGMENT_NS: u64 = 500;
 
 /// LeaFTL as a pluggable mapping scheme.
@@ -141,13 +144,12 @@ impl LeaFtlScheme {
         cost
     }
 
-    /// Re-syncs every resident group's byte record after a compaction
-    /// sweep shrank arbitrary groups (O(resident) — compaction already
-    /// walked the whole table).
-    fn resync_resident_after_compaction(&mut self) {
-        let groups: Vec<u64> = self.resident.keys_mru().copied().collect();
-        for group in groups {
-            self.resident.resize(&group, self.table.group_bytes(group));
+    /// Re-syncs the byte records of the groups a compaction sweep
+    /// visited (the only ones whose footprint can have changed; a
+    /// swept group that is not resident has no record to refresh).
+    fn resync_resident_after_compaction(&mut self, swept: &[u64]) {
+        for group in swept {
+            self.resident.resize(group, self.table.group_bytes(*group));
         }
     }
 
@@ -251,11 +253,11 @@ impl MappingScheme for LeaFtlScheme {
     }
 
     fn maintain(&mut self) -> (MapCost, bool) {
-        let compacted = self.table.maybe_compact();
-        if compacted {
-            self.resync_resident_after_compaction();
+        let swept = self.table.maybe_compact();
+        if let Some(swept) = &swept {
+            self.resync_resident_after_compaction(swept);
         }
-        (MapCost::FREE, compacted)
+        (MapCost::FREE, swept.is_some())
     }
 
     fn note_sibling_writes(&mut self, writes: u64) {
@@ -299,14 +301,15 @@ impl MappingScheme for LeaFtlScheme {
         if self.table.segment_count() == 0 {
             return (MapCost::FREE, false);
         }
-        self.table.compact();
-        self.resync_resident_after_compaction();
+        let swept = self.table.compact();
+        self.resync_resident_after_compaction(&swept);
         (MapCost::FREE, true)
     }
 
     fn compact_cost_ns(&self, _shard: usize) -> u64 {
-        // The sweep trims every resident segment against the cumulative
-        // fresher claims; cost scales with the segment population.
+        // The modelled sweep trims every resident segment against the
+        // cumulative fresher claims; cost scales with the segment
+        // population, whatever share of it the host had to revisit.
         COMPACT_BASE_NS + COMPACT_PER_SEGMENT_NS * self.table.segment_count() as u64
     }
 }

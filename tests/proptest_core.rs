@@ -2,7 +2,7 @@
 //! correctness contracts hold for *arbitrary* monotonic batches and
 //! overwrite histories.
 
-use leaftl_repro::core::{plr, LeaFtlConfig, LeaFtlTable, Segment};
+use leaftl_repro::core::{plr, Group, LeaFtlConfig, LeaFtlTable, Segment};
 use leaftl_repro::flash::{Lpa, Ppa};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -117,6 +117,10 @@ proptest! {
             if round % compact_every == compact_every - 1 {
                 table.compact();
             }
+            // Mid-history too: a mix of swept, re-dirtied and never
+            // swept groups is where the dirty tracking can go wrong.
+            let violations = table.validate();
+            prop_assert!(violations.is_empty(), "round {round}: {:?}", violations);
         }
         table.compact();
         let violations = table.validate();
@@ -141,6 +145,40 @@ proptest! {
             if !oracle.contains_key(&probe) {
                 prop_assert!(table.lookup(Lpa::new(probe)).is_none(), "phantom {probe}");
             }
+        }
+    }
+
+    /// `Group::compact` is a fixpoint on its own output: a second sweep
+    /// with no insert in between changes nothing. `LeaFtlTable::compact`
+    /// rests on this when it skips the groups no learn has touched since
+    /// their last sweep.
+    #[test]
+    fn compaction_is_a_fixpoint(
+        batches in vec((monotonic_batch(), 0usize..4), 1..30),
+        gamma in 0u32..10,
+        compact_every in 1usize..10,
+    ) {
+        let mut groups: [Group; 4] = Default::default();
+        let mut ppa_base = 0u64;
+        for (round, (batch, group)) in batches.iter().enumerate() {
+            let points: Vec<(u8, u64)> = batch
+                .iter()
+                .enumerate()
+                .map(|(i, &(x, _))| (x, ppa_base + i as u64))
+                .collect();
+            ppa_base += batch.len() as u64 + 7;
+            for piece in plr::fit(&points, gamma) {
+                groups[*group].insert_piece(&piece);
+            }
+            if round % compact_every == compact_every - 1 {
+                groups.iter_mut().for_each(Group::compact);
+            }
+        }
+        for group in &mut groups {
+            group.compact();
+            let once = group.clone();
+            group.compact();
+            prop_assert_eq!(&*group, &once);
         }
     }
 
