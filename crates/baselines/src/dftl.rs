@@ -2,7 +2,8 @@
 //! ASPLOS 2009) — the page-level baseline of the LeaFTL evaluation.
 //!
 //! The full page-level table lives in flash translation pages (512
-//! 8-byte entries per 4 KB page). A Cached Mapping Table (CMT) holds
+//! 8-byte entries per 4 KB page; copy-on-write chunks, so a snapshot of
+//! the scheme does not copy it). A Cached Mapping Table (CMT) holds
 //! recently used entries in DRAM under an LRU policy:
 //!
 //! * lookup miss → fetch the entry's translation page (1 flash read);
@@ -14,13 +15,11 @@
 //! Memory accounting: 8 B per cached entry plus the Global Translation
 //! Directory (one 8-byte pointer per translation page).
 
+use crate::page_table::PageTable;
 use leaftl_flash::{Lpa, Ppa};
 use leaftl_sim::lru::LruCache;
 use leaftl_sim::{MapCost, MappingLookup, MappingScheme};
-use std::collections::HashMap;
 
-/// Entries per translation page: 4 KB / 8 B.
-pub const ENTRIES_PER_TRANSLATION_PAGE: u64 = 512;
 /// Bytes per CMT entry (4 B LPA + 4 B PPA).
 pub const ENTRY_BYTES: usize = 8;
 
@@ -28,13 +27,11 @@ pub const ENTRY_BYTES: usize = 8;
 #[derive(Debug, Clone, Default)]
 pub struct Dftl {
     /// Authoritative table (models the translation pages in flash).
-    flash_table: HashMap<Lpa, Ppa>,
+    flash_table: PageTable,
     /// Cached mapping table: LRU over individual entries.
     cmt: LruCache<Lpa, Ppa>,
     /// DRAM budget for the CMT in bytes.
     budget: usize,
-    /// Highest translation page ever touched (sizes the GTD).
-    translation_pages: u64,
 }
 
 impl Dftl {
@@ -50,23 +47,18 @@ impl Dftl {
 
     /// Total mapped pages (authoritative table size).
     pub fn mapped_pages(&self) -> usize {
-        self.flash_table.len()
+        self.flash_table.mapped_pages()
     }
 
     /// The full page-level table footprint if it were held in DRAM —
     /// the paper's memory-reduction baseline (Fig. 15).
     pub fn full_table_bytes(&self) -> usize {
-        self.flash_table.len() * ENTRY_BYTES
+        self.flash_table.mapped_pages() * ENTRY_BYTES
     }
 
-    fn translation_page_of(lpa: Lpa) -> u64 {
-        lpa.raw() / ENTRIES_PER_TRANSLATION_PAGE
-    }
-
-    fn note_translation_page(&mut self, lpa: Lpa) {
-        self.translation_pages = self
-            .translation_pages
-            .max(Self::translation_page_of(lpa) + 1);
+    /// GTD footprint: one 8-byte pointer per translation page.
+    fn gtd_bytes(&self) -> usize {
+        self.flash_table.translation_pages() as usize * 8
     }
 
     /// Evicts LRU entries until the CMT fits its budget; dirty victims
@@ -94,7 +86,6 @@ impl MappingScheme for Dftl {
     fn update_batch(&mut self, pairs: &[(Lpa, Ppa)]) -> MapCost {
         let mut cost = MapCost::FREE;
         for &(lpa, ppa) in pairs {
-            self.note_translation_page(lpa);
             self.flash_table.insert(lpa, ppa);
             self.cmt.insert(lpa, ppa, ENTRY_BYTES, true);
         }
@@ -107,7 +98,7 @@ impl MappingScheme for Dftl {
         if let Some(&ppa) = self.cmt.get(&lpa) {
             return (Some(MappingLookup::exact(ppa)), cost);
         }
-        let Some(&ppa) = self.flash_table.get(&lpa) else {
+        let Some(ppa) = self.flash_table.get(lpa) else {
             return (None, cost);
         };
         // CMT miss: fetch the translation page, cache the entry clean.
@@ -118,8 +109,7 @@ impl MappingScheme for Dftl {
     }
 
     fn memory_bytes(&self) -> usize {
-        // CMT + GTD (8 B per translation page).
-        self.cmt.bytes() + self.translation_pages as usize * 8
+        self.cmt.bytes() + self.gtd_bytes()
     }
 
     fn set_memory_budget(&mut self, bytes: usize) {
@@ -133,7 +123,7 @@ impl MappingScheme for Dftl {
     fn snapshot_bytes(&self) -> usize {
         // Only the GTD + dirty bookkeeping needs snapshotting; the table
         // itself already lives in flash translation pages.
-        self.translation_pages as usize * 8
+        self.gtd_bytes()
     }
 }
 

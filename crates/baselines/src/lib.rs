@@ -29,6 +29,7 @@
 #![deny(missing_docs)]
 
 mod dftl;
+mod page_table;
 mod sftl;
 
 pub use dftl::{Dftl, ENTRY_BYTES};

@@ -10,27 +10,29 @@
 //! against (LeaFTL additionally captures strided and irregular
 //! patterns).
 
+use crate::page_table::PageTable;
 use leaftl_flash::{Lpa, Ppa};
 use leaftl_sim::lru::LruCache;
 use leaftl_sim::{MapCost, MappingLookup, MappingScheme};
-use std::collections::HashMap;
 
-/// Entries per translation page: 4 KB / 8 B.
-pub const ENTRIES_PER_TRANSLATION_PAGE: u64 = 512;
 /// Bytes per run descriptor.
 pub const RUN_BYTES: usize = 8;
 
 /// The SFTL mapping scheme.
 #[derive(Debug, Clone, Default)]
 pub struct Sftl {
-    /// Authoritative table (models the translation pages in flash).
-    flash_table: HashMap<Lpa, Ppa>,
+    /// Authoritative table (models the translation pages in flash;
+    /// copy-on-write chunks, so a snapshot of the scheme does not copy
+    /// it).
+    flash_table: PageTable,
     /// Cached translation pages: page id → condensed byte size. The
     /// mappings themselves are read through `flash_table`; the cache
     /// models *which* pages are resident and how many bytes they cost.
+    /// A resident page's record always equals
+    /// [`Sftl::condensed_bytes`] of the page: only `update_batch`
+    /// changes a page, and it re-syncs the record.
     resident: LruCache<u64, ()>,
     budget: usize,
-    translation_pages: u64,
 }
 
 impl Sftl {
@@ -41,49 +43,44 @@ impl Sftl {
 
     /// Total mapped pages.
     pub fn mapped_pages(&self) -> usize {
-        self.flash_table.len()
-    }
-
-    fn page_of(lpa: Lpa) -> u64 {
-        lpa.raw() / ENTRIES_PER_TRANSLATION_PAGE
+        self.flash_table.mapped_pages()
     }
 
     /// Condensed size of one translation page: number of strictly
     /// sequential runs × 8 B. An empty page costs one descriptor
     /// (the page header).
     pub fn condensed_bytes(&self, page: u64) -> usize {
-        let base = page * ENTRIES_PER_TRANSLATION_PAGE;
         let mut runs = 0usize;
-        let mut prev: Option<(u64, u64)> = None;
-        for offset in 0..ENTRIES_PER_TRANSLATION_PAGE {
-            let lpa = Lpa::new(base + offset);
-            let Some(&ppa) = self.flash_table.get(&lpa) else {
-                prev = None;
-                continue;
-            };
-            let extends = matches!(prev, Some((last_lpa, last_ppa))
-                if lpa.raw() == last_lpa + 1 && ppa.raw() == last_ppa + 1);
-            if !extends {
-                runs += 1;
+        // The previous LPA's mapping; a run never spans pages.
+        let mut prev: Option<Ppa> = None;
+        for &entry in self.flash_table.page(page).into_iter().flatten() {
+            if let Some(ppa) = entry {
+                if prev.map(|last| last.raw() + 1) != Some(ppa.raw()) {
+                    runs += 1;
+                }
             }
-            prev = Some((lpa.raw(), ppa.raw()));
+            prev = entry;
         }
         runs.max(1) * RUN_BYTES
     }
 
-    /// Ensures a translation page is resident; returns the cost.
+    /// Ensures a translation page is resident; returns the cost. A page
+    /// already resident keeps its recorded size (see `resident`); a
+    /// `dirty` touch is the first update of a page run, and
+    /// `update_batch` re-syncs the record when the run ends.
     fn touch_page(&mut self, page: u64, dirty: bool) -> MapCost {
         let mut cost = MapCost::FREE;
-        let bytes = self.condensed_bytes(page);
         if self.resident.contains(&page) {
             self.resident.get(&page); // promote
-            self.resident.resize(&page, bytes);
             if dirty {
+                let bytes = self.condensed_bytes(page);
+                self.resident.resize(&page, bytes);
                 self.resident.mark_dirty(&page);
             }
         } else {
             cost.translation_reads += 1;
-            self.resident.insert(page, (), bytes, dirty);
+            self.resident
+                .insert(page, (), self.condensed_bytes(page), dirty);
         }
         while self.resident.bytes() > self.budget {
             match self.resident.pop_lru() {
@@ -106,15 +103,20 @@ impl MappingScheme for Sftl {
 
     fn update_batch(&mut self, pairs: &[(Lpa, Ppa)]) -> MapCost {
         let mut cost = MapCost::FREE;
-        let mut touched: Option<u64> = None;
-        for &(lpa, ppa) in pairs {
-            self.translation_pages = self.translation_pages.max(Self::page_of(lpa) + 1);
+        // One run of consecutive pairs on the same translation page at
+        // a time: its first pair faults the page in (and may evict), the
+        // rest only change the page's size, which nothing reads before
+        // the run ends — so the record is re-synced once, there.
+        for run in pairs.chunk_by(|a, b| PageTable::page_of(a.0) == PageTable::page_of(b.0)) {
+            let (lpa, ppa) = run[0];
+            let page = PageTable::page_of(lpa);
             self.flash_table.insert(lpa, ppa);
-            let page = Self::page_of(lpa);
-            if touched != Some(page) {
-                cost.add(self.touch_page(page, true));
-                touched = Some(page);
-            } else {
+            cost.add(self.touch_page(page, true));
+            if run.len() > 1 {
+                for &(lpa, ppa) in &run[1..] {
+                    self.flash_table.insert(lpa, ppa);
+                }
+                // No-ops when the page's own first touch evicted it.
                 self.resident.resize(&page, self.condensed_bytes(page));
                 self.resident.mark_dirty(&page);
             }
@@ -123,15 +125,15 @@ impl MappingScheme for Sftl {
     }
 
     fn lookup(&mut self, lpa: Lpa) -> (Option<MappingLookup>, MapCost) {
-        let Some(&ppa) = self.flash_table.get(&lpa) else {
+        let Some(ppa) = self.flash_table.get(lpa) else {
             return (None, MapCost::FREE);
         };
-        let cost = self.touch_page(Self::page_of(lpa), false);
+        let cost = self.touch_page(PageTable::page_of(lpa), false);
         (Some(MappingLookup::exact(ppa)), cost)
     }
 
     fn memory_bytes(&self) -> usize {
-        self.resident.bytes() + self.translation_pages as usize * 8
+        self.resident.bytes() + self.flash_table.translation_pages() as usize * 8
     }
 
     fn set_memory_budget(&mut self, bytes: usize) {
@@ -143,7 +145,7 @@ impl MappingScheme for Sftl {
     }
 
     fn snapshot_bytes(&self) -> usize {
-        self.translation_pages as usize * 8
+        self.flash_table.translation_pages() as usize * 8
     }
 }
 
@@ -151,7 +153,7 @@ impl MappingScheme for Sftl {
 /// used by the memory-footprint comparison (Fig. 15), independent of
 /// the cache budget.
 pub fn sftl_full_table_bytes(sftl: &Sftl) -> usize {
-    (0..sftl.translation_pages)
+    (0..sftl.flash_table.translation_pages())
         .map(|page| sftl.condensed_bytes(page))
         .sum()
 }
@@ -219,6 +221,41 @@ mod tests {
         // Rewrite one LPA in the middle to a far PPA: run splits in 3.
         sftl.update_batch(&[(Lpa::new(100), Ppa::new(9000))]);
         assert_eq!(sftl.condensed_bytes(0), 3 * RUN_BYTES);
+    }
+
+    /// Lookups keep a resident page's recorded size and a page run is
+    /// re-synced once at its end; both rest on the record of every
+    /// resident page being its condensed size between calls.
+    #[test]
+    fn resident_records_track_condensed_sizes() {
+        let mut sftl = Sftl::new();
+        sftl.set_memory_budget(40 * RUN_BYTES); // evictions throughout
+        let mut state = 9u64;
+        let mut next_ppa = 0u64;
+        for _ in 0..400 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let lpa0 = (state >> 33) % 4096;
+            let len = 1 + (state >> 20) % 24;
+            let stride = 1 + (state >> 12) % 3;
+            if state & 1 == 0 {
+                // Sorted like a flush; runs may straddle pages.
+                let pairs: Vec<(Lpa, Ppa)> = (0..len)
+                    .map(|i| (Lpa::new(lpa0 + i * stride), Ppa::new(next_ppa + i)))
+                    .collect();
+                next_ppa += len + 1;
+                sftl.update_batch(&pairs);
+            } else {
+                sftl.lookup(Lpa::new(lpa0));
+            }
+            let recomputed: usize = sftl
+                .resident
+                .keys_mru()
+                .map(|&page| sftl.condensed_bytes(page))
+                .sum();
+            assert_eq!(sftl.resident.bytes(), recomputed);
+        }
     }
 
     #[test]

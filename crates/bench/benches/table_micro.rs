@@ -1,6 +1,6 @@
-//! Lookup + residency-touch cost, and compaction cost after one flush,
-//! vs table size: the regression guard for "host work is proportional
-//! to what an operation touches, not to the table".
+//! Lookup + residency-touch cost, and compaction and snapshot cost
+//! after one flush, vs table size: the regression guard for "host work
+//! is proportional to what an operation touches, not to the table".
 //!
 //! Every `LeaFtlScheme::lookup` runs a residency check
 //! (`touch_group`) that consults the table's total footprint and — when
@@ -10,7 +10,7 @@
 //! per-lookup cost grew linearly with table size (the `shard_micro`
 //! burst-32 "sharding win" was mostly that artifact).
 //!
-//! Three axes, each at 64 vs 4096 resident groups (64× the state):
+//! Four axes, each at 64 vs 4096 resident groups (64× the state):
 //!
 //! * **resident** — the paper's headline case: the whole table fits in
 //!   DRAM, `touch_group` is one footprint comparison. Per-lookup cost
@@ -23,6 +23,13 @@
 //!   learned into (the same sixteen clusters' worth at either size), so
 //!   flush + sweep must be flat in group count; when every sweep walked
 //!   every group it grew 64× with the table.
+//! * **snapshot after flush** — one 256-page flush, then what a
+//!   persistence point does: clone the scheme and drop the previous
+//!   clone. The clone copies a pointer per group and the flush copies
+//!   the groups it learns into, so the deep-copy work is flat in group
+//!   count and what grows with the table is 8 bytes and a reference
+//!   count per group; when the clone copied every group's levels and
+//!   CRB, the whole iteration grew 64× with the table.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use leaftl_core::LeaFtlConfig;
@@ -162,10 +169,33 @@ fn bench_compact_after_flush(c: &mut Criterion) {
     group.finish();
 }
 
+/// One flush, then a persistence point: `clone()` the scheme and drop
+/// the clone the previous iteration kept (`Ssd::take_snapshot`'s host
+/// work on the mapping table).
+fn bench_snapshot_after_flush(c: &mut Criterion) {
+    let mut group = c.benchmark_group("table_snapshot_after_flush");
+    for &groups in &GROUP_COUNTS {
+        let mut scheme = warmed(groups);
+        scheme.maintain_shard(0);
+        let flushes = clustered_flushes(groups * 256, 32);
+        let mut next = 0usize;
+        let mut snapshot = scheme.clone();
+        group.bench_function(BenchmarkId::from_parameter(groups), |b| {
+            b.iter(|| {
+                scheme.update_batch_sorted(black_box(&flushes[next % flushes.len()]));
+                next += 1;
+                snapshot = black_box(scheme.clone());
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_lookup_resident,
     bench_lookup_paged,
-    bench_compact_after_flush
+    bench_compact_after_flush,
+    bench_snapshot_after_flush
 );
 criterion_main!(benches);

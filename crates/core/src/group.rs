@@ -22,6 +22,15 @@
 //!   claims are four words, survivors sit on the stack and levels are
 //!   refilled in place.
 //!
+//! # Sharing
+//!
+//! A group is the table's unit of copy-on-write: `LeaFtlTable` holds
+//! each one behind an `Arc` and clones it (`Group: Clone`, a deep copy
+//! of the levels and the CRB) only when `insert_piece` or `compact` is
+//! about to run on a group some table clone still holds. Every method
+//! that mutates takes `&mut self`, so nothing here can change a shared
+//! group in place.
+//!
 //! # Freshness invariant
 //!
 //! Segments are only inserted *above* everything they overlap, and a

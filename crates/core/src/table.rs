@@ -1,5 +1,13 @@
 //! The full learned address-mapping table: groups of log-structured
 //! learned segments (§3 of the paper).
+//!
+//! Groups are structurally shared: the table holds each [`Group`]
+//! behind an [`Arc`], so `clone()` — what a persistence point (§3.8)
+//! does to the table — copies pointers, and the first learn or sweep
+//! into a group that a clone still holds copies that one group
+//! ([`Arc::make_mut`]). A clone therefore costs the groups touched
+//! since, not the table, and stays exactly what the table was when it
+//! was taken.
 
 use crate::config::LeaFtlConfig;
 use crate::group::Group;
@@ -8,6 +16,7 @@ use crate::segment::Segment;
 use crate::stats::{MemoryBreakdown, TableStats};
 use leaftl_flash::{Lpa, Ppa};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Result of a table lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,6 +38,9 @@ pub struct LookupResult {
 /// holds a log-structured stack of learned segments plus a conflict
 /// resolution buffer for approximate segments.
 ///
+/// `Clone` is copy-on-write per group: the clone shares every group
+/// with the original until one of the two learns into or sweeps it.
+///
 /// # Example
 ///
 /// ```
@@ -47,7 +59,10 @@ pub struct LookupResult {
 #[derive(Debug, Clone)]
 pub struct LeaFtlTable {
     config: LeaFtlConfig,
-    groups: BTreeMap<u64, Group>,
+    /// Shared with every clone that has not diverged in that group;
+    /// mutated only through [`Arc::make_mut`] (`learn_sorted`,
+    /// `compact`).
+    groups: BTreeMap<u64, Arc<Group>>,
     writes_since_compaction: u64,
     total_writes_learned: u64,
     compactions: u64,
@@ -221,7 +236,7 @@ impl LeaFtlTable {
                 .iter()
                 .map(|&(lpa, ppa)| (lpa.group_offset(), ppa.raw()))
                 .collect();
-            let group = self.groups.entry(group_id).or_default();
+            let group = Arc::make_mut(self.groups.entry(group_id).or_default());
             if !group.is_dirty() {
                 self.dirty.push(group_id);
             }
@@ -266,7 +281,7 @@ impl LeaFtlTable {
                 let group = match cached {
                     Some((id, group)) if id == group_id => Some(group),
                     _ => {
-                        let found = self.groups.get(&group_id);
+                        let found = self.groups.get(&group_id).map(Arc::as_ref);
                         if let Some(group) = found {
                             cached = Some((group_id, group));
                         }
@@ -305,7 +320,7 @@ impl LeaFtlTable {
         for id in &swept {
             // Groups are never removed, so a listed id always resolves
             // (`validate` checks the list against the flags).
-            let Some(group) = self.groups.get_mut(id) else {
+            let Some(group) = self.groups.get_mut(id).map(Arc::make_mut) else {
                 continue;
             };
             let before = Accounting::snapshot(group);
@@ -372,7 +387,7 @@ impl LeaFtlTable {
     /// nothing) — the per-group unit demand paging charges when the
     /// group is fetched or written back. O(1) per call.
     pub fn group_bytes(&self, group: u64) -> usize {
-        self.groups.get(&group).map_or(0, Group::byte_size)
+        self.groups.get(&group).map_or(0, |g| g.byte_size())
     }
 
     /// Iterates the ids of all non-empty groups (ascending).
@@ -452,7 +467,7 @@ impl LeaFtlTable {
 
     /// Group access for the invariant validator.
     pub(crate) fn groups_for_validation(&self) -> impl Iterator<Item = (u64, &Group)> {
-        self.groups.iter().map(|(&id, group)| (id, group))
+        self.groups.iter().map(|(&id, group)| (id, &**group))
     }
 
     /// The dirty-group list, for the invariant validator.
@@ -690,6 +705,58 @@ mod tests {
         assert_eq!(swept, vec![1, 2]);
         assert_eq!(table.compactions(), 3);
         table.assert_valid();
+    }
+
+    /// How many groups `a` and `b` hold as separate copies.
+    fn unshared_groups(a: &LeaFtlTable, b: &LeaFtlTable) -> usize {
+        assert_eq!(a.group_count(), b.group_count());
+        a.groups
+            .values()
+            .zip(b.groups.values())
+            .filter(|(x, y)| !Arc::ptr_eq(x, y))
+            .count()
+    }
+
+    #[test]
+    fn a_clone_shares_every_group_until_it_is_learned_into_or_swept() {
+        let mut table = LeaFtlTable::new(LeaFtlConfig::default().with_gamma(4));
+        table.learn(&batch(0, 1000, 8 * 256));
+        table.compact();
+        let snapshot = table.clone();
+        assert_eq!(
+            unshared_groups(&table, &snapshot),
+            0,
+            "clone copies nothing"
+        );
+        // One learn into k = 3 groups (2, 3 and 6) copies exactly those.
+        let mut pairs = batch(2 * 256 + 200, 9000, 100);
+        pairs.extend(batch(6 * 256 + 5, 9100, 10));
+        table.learn(&pairs);
+        assert_eq!(unshared_groups(&table, &snapshot), 3);
+        // Sweeping them again copies nothing further, and the snapshot
+        // still answers as the table did when it was taken.
+        table.compact();
+        assert_eq!(unshared_groups(&table, &snapshot), 3);
+        for i in 0..8 * 256u64 {
+            assert_eq!(snapshot.lookup(Lpa::new(i)).unwrap().ppa.raw(), 1000 + i);
+        }
+        assert_eq!(table.lookup(Lpa::new(6 * 256 + 5)).unwrap().ppa.raw(), 9100);
+        snapshot.assert_valid();
+        table.assert_valid();
+        // A sweep alone copies the (dirty) groups it visits.
+        table.learn(&batch(256, 9500, 4));
+        let dirty_snapshot = table.clone();
+        table.compact();
+        assert_eq!(unshared_groups(&table, &dirty_snapshot), 1);
+        drop(dirty_snapshot);
+        // With no clone left, learning copies nothing: every group
+        // stays at the address it had.
+        drop(snapshot);
+        let before: Vec<*const Group> = table.groups.values().map(Arc::as_ptr).collect();
+        table.learn(&batch(0, 20_000, 8 * 256));
+        table.compact();
+        let after: Vec<*const Group> = table.groups.values().map(Arc::as_ptr).collect();
+        assert_eq!(before, after);
     }
 
     #[test]

@@ -23,7 +23,11 @@ const DRAM_HIT_NS: u64 = 1_000;
 /// (mapping table + BVC, §3.8) — the baseline recovery restores before
 /// scanning what changed since. [`CheckpointMode::DramSnapshot`] keeps
 /// one in [`Ssd::snapshot`]; a durable flash-log checkpoint unpacks
-/// into the same shape.
+/// into the same shape. `scheme` is a clone of the live scheme, which
+/// for the table-backed schemes shares structure copy-on-write
+/// (`LeaFtlTable`'s groups, the baselines' translation pages): holding
+/// a snapshot costs the host what the live scheme changed since, and
+/// nothing the live scheme does afterwards can alter it.
 #[derive(Debug, Clone)]
 struct Snapshot<S> {
     scheme: S,
@@ -1447,7 +1451,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
 
     /// Persists the mapping table and BVC to flash (charged as
     /// translation programs) and records the snapshot for recovery —
-    /// the [`CheckpointMode::DramSnapshot`] policy.
+    /// the [`CheckpointMode::DramSnapshot`] policy. The simulated cost
+    /// is the whole table's pages; the host cost is a pointer per
+    /// group (see `Snapshot`) plus the validity bitmap.
     pub fn take_snapshot(&mut self) {
         debug_assert!(
             self.config.checkpoint_mode == CheckpointMode::DramSnapshot,
@@ -1464,6 +1470,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             self.note_flash_op(TrafficClass::MapLog, FlashOpKind::Program, die, end);
         }
         let (write_ptrs, erase_counts) = self.capture_block_vectors();
+        // The new snapshot exists before the assignment drops the
+        // previous one, so what both share with the live scheme is
+        // never uniquely owned in between.
         self.snapshot = Some(Snapshot {
             scheme: self.scheme.clone(),
             validity: self.validity.clone(),
@@ -1490,7 +1499,8 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     }
 
     /// Requests a flash-log checkpoint generation: the mapping table +
-    /// validity are captured now, sized by
+    /// validity are captured now (a copy-on-write clone, like
+    /// [`Snapshot`]'s), sized by
     /// [`MappingScheme::checkpoint_footprint`] plus the BVC, and their
     /// page programs queued as `MapLog` traffic. At most one
     /// generation is in flight at a time — GC passes during a long
@@ -1732,9 +1742,6 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         // durable entry's captured block vectors become the baseline
         // for the data scan: everything it journalled is already
         // replayed, so only younger pages need the OOB scan.
-        let mut final_write_ptrs = baseline.write_ptrs;
-        let mut final_erase_counts = baseline.erase_counts;
-        let mut replayed_log_entries = 0usize;
         let tail: Vec<(u64, Vec<(Lpa, Ppa)>)> = self
             .translog
             .entries()
@@ -1745,13 +1752,17 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 LogPayload::Checkpoint(_) => None,
             })
             .collect();
-        for (seq, batch) in tail {
-            self.replay_mapping_batch(&batch);
-            replayed_log_entries += 1;
-            let entry = &self.translog.entries()[&seq];
-            final_write_ptrs = entry.write_ptrs.clone();
-            final_erase_counts = entry.erase_counts.clone();
+        for (_, batch) in &tail {
+            self.replay_mapping_batch(batch);
         }
+        let replayed_log_entries = tail.len();
+        let (final_write_ptrs, final_erase_counts) = match tail.last() {
+            Some((seq, _)) => {
+                let entry = &self.translog.entries()[seq];
+                (entry.write_ptrs.clone(), entry.erase_counts.clone())
+            }
+            None => (baseline.write_ptrs, baseline.erase_counts),
+        };
 
         // Pass 2: OOB-scan only data blocks that changed after the last
         // durable entry: recycled blocks entirely, still-open blocks
@@ -1897,6 +1908,7 @@ pub(crate) struct MapLogDispatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LeaFtlScheme;
     use leaftl_core::ExactPageMap;
 
     fn ssd() -> Ssd<ExactPageMap> {
@@ -2118,6 +2130,121 @@ mod tests {
         assert_eq!(ssd.maplog_bytes_written(), 0);
         let report = ssd.crash_and_recover().unwrap();
         assert_eq!(report.maplog_bytes_written, 0);
+    }
+
+    /// The scheme recovery would restore right now: the newest durable
+    /// log checkpoint, else the DRAM snapshot.
+    fn persisted_scheme(ssd: &Ssd<LeaFtlScheme>) -> &LeaFtlScheme {
+        match ssd.translog.durable_checkpoint_seq() {
+            Some(seq) => match &ssd.translog.entries()[&seq].payload {
+                LogPayload::Checkpoint(boxed) => &boxed.0,
+                LogPayload::Delta(_) => unreachable!("names a checkpoint"),
+            },
+            None => &ssd.snapshot.as_ref().expect("a snapshot was taken").scheme,
+        }
+    }
+
+    /// A persistence point outside GC, durable on return.
+    fn persist_now(ssd: &mut Ssd<LeaFtlScheme>) {
+        match ssd.config.checkpoint_mode {
+            CheckpointMode::FlashLog => {
+                ssd.translog_checkpoint();
+                ssd.drain_maplog().unwrap();
+            }
+            _ => ssd.take_snapshot(),
+        }
+    }
+
+    /// §3.8 on structurally shared tables: the persisted table shares
+    /// its groups with the live one, must stay what it was while every
+    /// group of the live one changes, must survive being replaced by
+    /// later persistence points, and is what a power cut restores.
+    fn persisted_table_is_the_recovery_baseline(mode: CheckpointMode) {
+        let mut config = SsdConfig::small_test();
+        config.gamma = 4;
+        config.checkpoint_mode = mode;
+        let scheme = LeaFtlScheme::new(leaftl_core::LeaFtlConfig::default().with_gamma(4));
+        let mut ssd = Ssd::new(config, scheme);
+        let logical = ssd.config.logical_pages();
+        let answers = |scheme: &LeaFtlScheme| -> Vec<_> {
+            (0..logical)
+                .map(|lpa| scheme.table().lookup(Lpa::new(lpa)))
+                .collect()
+        };
+        let mut written = vec![0u64; logical as usize];
+        let mut stamp = 0u64;
+        let mut write = |ssd: &mut Ssd<LeaFtlScheme>, lpa: u64| {
+            stamp += 1;
+            written[lpa as usize] = stamp;
+            ssd.write(Lpa::new(lpa), stamp).unwrap();
+        };
+
+        // Age the device until GC (and with it persistence) runs.
+        for _ in 0..3 {
+            (0..logical).for_each(|lpa| write(&mut ssd, lpa));
+        }
+        ssd.flush().unwrap();
+        assert!(ssd.stats.gc_runs > 0);
+
+        // Persist, then change every group of the live table with one
+        // strided buffer; retry if a GC pass persisted again meanwhile.
+        let at_persist = loop {
+            persist_now(&mut ssd);
+            let at_persist = answers(&ssd.scheme);
+            assert_eq!(answers(persisted_scheme(&ssd)), at_persist);
+            let gc_runs = ssd.stats.gc_runs;
+            (0..logical)
+                .step_by(logical as usize / 32)
+                .for_each(|lpa| write(&mut ssd, lpa));
+            ssd.flush().unwrap();
+            if ssd.stats.gc_runs == gc_runs {
+                break at_persist;
+            }
+        };
+        let live = answers(&ssd.scheme);
+        for group in at_persist.chunks(256).zip(live.chunks(256)) {
+            assert_ne!(group.0, group.1, "every group changed");
+        }
+        assert_eq!(answers(persisted_scheme(&ssd)), at_persist);
+
+        // Overwrite + GC: later persistence points replace (and drop)
+        // the one above while the live table shares groups with both.
+        let gc_runs = ssd.stats.gc_runs;
+        while ssd.stats.gc_runs < gc_runs + 2 {
+            (0..logical).for_each(|lpa| write(&mut ssd, lpa));
+        }
+        ssd.flush().unwrap();
+        let report = ssd.crash_and_recover().unwrap();
+        assert!(report.scanned_blocks() < 64, "{}", report.scanned_blocks());
+        for lpa in 0..logical {
+            assert_eq!(
+                ssd.read(Lpa::new(lpa)).unwrap(),
+                Some(written[lpa as usize])
+            );
+        }
+
+        // A cut that loses only buffered writes restores exactly the
+        // persisted mappings.
+        persist_now(&mut ssd);
+        let at_persist = answers(&ssd.scheme);
+        for lpa in 0..16 {
+            ssd.write(Lpa::new(lpa * 100), u64::MAX).unwrap();
+        }
+        let report = ssd.crash_and_recover().unwrap();
+        assert_eq!(report.lost_buffered_writes, 16);
+        assert_eq!(report.recovered_pages, 0);
+        assert_eq!(answers(&ssd.scheme), at_persist);
+        ssd.scheme.table().assert_valid();
+    }
+
+    #[test]
+    fn dram_snapshot_is_the_recovery_baseline() {
+        persisted_table_is_the_recovery_baseline(CheckpointMode::DramSnapshot);
+    }
+
+    #[test]
+    fn flash_log_checkpoint_is_the_recovery_baseline() {
+        persisted_table_is_the_recovery_baseline(CheckpointMode::FlashLog);
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //! mapping-table persistence becomes *device traffic*. Two entry kinds
 //! flow through the log:
 //!
-//! * **Checkpoints** — a full clone of the learned mapping table plus
-//!   the page-validity bitmap, sized by
+//! * **Checkpoints** — the learned mapping table as it was when the
+//!   generation was requested (a clone, which shares every group with
+//!   the live table until that group next changes — the payload stands
+//!   in for the bytes in the log pages, so it must never follow the
+//!   live table) plus the page-validity bitmap, sized by
 //!   [`crate::MappingScheme::checkpoint_footprint`] and
 //!   written as a run of metadata pages. A checkpoint is durable only
 //!   once *every* page has physically programmed — a power cut in the
@@ -71,7 +74,8 @@ impl LogOp {
 /// What a log entry carries.
 #[derive(Debug, Clone)]
 pub(crate) enum LogPayload<S> {
-    /// Full mapping-table + validity checkpoint captured at creation.
+    /// Mapping-table + validity checkpoint captured at creation (the
+    /// scheme clone is copy-on-write against the live one).
     Checkpoint(Box<(S, Validity)>),
     /// One batch of installed `(LPA, new PPA)` mappings.
     Delta(Vec<(Lpa, Ppa)>),

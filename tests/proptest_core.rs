@@ -182,6 +182,79 @@ proptest! {
         }
     }
 
+    /// A clone shares its groups with the table it was taken from, yet
+    /// is a value of its own: whatever is learned into or swept in one
+    /// of them, every other one — clones of clones included — keeps
+    /// answering exactly as it did when it last changed, and stays
+    /// valid. Dropping tables while others still share their groups is
+    /// part of the history.
+    #[test]
+    fn clone_is_isolated(
+        rounds in vec((monotonic_batch(), 0u64..4, 0usize..8, 0u8..4), 1..30),
+        gamma in 0u32..10,
+    ) {
+        let answers = |table: &LeaFtlTable, group: u64| -> Vec<_> {
+            (group * 256..(group + 1) * 256)
+                .map(|lpa| table.lookup(Lpa::new(lpa)))
+                .collect()
+        };
+        let all_answers = |table: &LeaFtlTable| -> Vec<_> {
+            (0..4).flat_map(|group| answers(table, group)).collect()
+        };
+        // Each table with what it answered when it last changed.
+        let empty = LeaFtlTable::new(LeaFtlConfig::default().with_gamma(gamma));
+        let mut tables = vec![(all_answers(&empty), empty)];
+        let mut ppa_base = 0u64;
+        for (round, (batch, group, target, action)) in rounds.iter().enumerate() {
+            let target = target % tables.len();
+            let pairs: Vec<(Lpa, Ppa)> = batch
+                .iter()
+                .enumerate()
+                .map(|(i, &(x, _))| {
+                    (
+                        Lpa::new(group * 256 + x as u64),
+                        Ppa::new(ppa_base + i as u64),
+                    )
+                })
+                .collect();
+            ppa_base += batch.len() as u64 + 7;
+            let (recorded, table) = &mut tables[target];
+            table.learn(&pairs);
+            if action & 1 == 1 {
+                table.compact();
+            }
+            *recorded = all_answers(table);
+            // Only `group` changed, so that is where a write through a
+            // shared group would show in the others.
+            for (index, (recorded, table)) in tables.iter().enumerate() {
+                let range = (*group * 256) as usize..((*group + 1) * 256) as usize;
+                prop_assert_eq!(
+                    &answers(table, *group)[..],
+                    &recorded[range],
+                    "round {}: table {} moved with table {}",
+                    round,
+                    index,
+                    target
+                );
+            }
+            if action & 2 == 2 {
+                let copy = tables[target].clone();
+                tables.push(copy);
+                if tables.len() > 5 {
+                    tables.remove(1);
+                }
+            }
+        }
+        for (index, (recorded, table)) in tables.iter().enumerate() {
+            prop_assert_eq!(&all_answers(table), recorded, "table {}", index);
+            let violations = table.validate();
+            prop_assert!(violations.is_empty(), "table {}: {:?}", index, violations);
+            let walk = table.recompute_walk();
+            prop_assert_eq!(table.memory_bytes(), walk.memory);
+            prop_assert_eq!(table.segment_count(), walk.segments);
+        }
+    }
+
     /// Memory never exceeds the page-level equivalent: segments cost at
     /// most 8 bytes per *live* mapping plus CRB bookkeeping bounded by
     /// one byte per mapping (§3.1 worst case, after compaction).
