@@ -34,6 +34,13 @@ pub enum Stream {
     MapLog,
 }
 
+impl Stream {
+    /// Position in the allocator's per-stream arrays.
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
 /// A run of consecutive pages within one block.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageRun {
@@ -58,6 +65,22 @@ struct OpenBlock {
     next_page: u32,
 }
 
+/// Where a block stands with the allocator. Kept per block at the only
+/// places a block changes pool or a slot changes block, so that
+/// [`BlockAllocator::is_open`] is one load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+enum BlockState {
+    /// Erased and in its way's free pool.
+    Free,
+    /// In a stream's open slot. A slot keeps its block, full or not,
+    /// until the stream next needs room there.
+    Open,
+    /// Handed out and in no slot: replaced by a newer block, taken
+    /// whole by [`BlockAllocator::take_block`], or abandoned by a
+    /// crash.
+    Closed,
+}
+
 /// Free-block pools (per way) plus per-stream, per-way open blocks.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct BlockAllocator {
@@ -71,13 +94,16 @@ pub struct BlockAllocator {
     /// lower flush latency on small buffers.
     stripe_pages: u32,
     free: Vec<VecDeque<BlockId>>,
-    open_host: Vec<Option<OpenBlock>>,
-    open_gc: Vec<Option<OpenBlock>>,
-    open_maplog: Vec<Option<OpenBlock>>,
-    /// Next way to stripe onto, per stream (round-robin).
-    cursor_host: usize,
-    cursor_gc: usize,
-    cursor_maplog: usize,
+    /// Blocks across all pools (`Σ free[way].len()`).
+    free_count: usize,
+    /// Every block's standing, by block id.
+    state: Vec<BlockState>,
+    /// Open slots per stream ([`Stream::index`]), one per way. The
+    /// translation log only ever uses slot 0.
+    open: [Vec<Option<OpenBlock>>; 3],
+    /// Per stream: the next way to stripe onto (host, GC) or to refill
+    /// the log's slot from (round-robin).
+    cursor: [usize; 3],
     /// Blocks in allocation order with a monotonically increasing
     /// sequence number (for crash recovery).
     allocation_log: Vec<BlockId>,
@@ -111,12 +137,10 @@ impl BlockAllocator {
             ways,
             stripe_pages: stripe_pages.clamp(1, geometry.pages_per_block),
             free: vec![VecDeque::new(); ways],
-            open_host: vec![None; ways],
-            open_gc: vec![None; ways],
-            open_maplog: vec![None; ways],
-            cursor_host: 0,
-            cursor_gc: 0,
-            cursor_maplog: 0,
+            free_count: geometry.blocks as usize,
+            state: vec![BlockState::Free; geometry.blocks as usize],
+            open: std::array::from_fn(|_| vec![None; ways]),
+            cursor: [0; 3],
             allocation_log: Vec::new(),
         };
         for raw in 0..geometry.blocks {
@@ -129,7 +153,7 @@ impl BlockAllocator {
 
     /// Number of fully free blocks (open blocks excluded).
     pub fn free_blocks(&self) -> usize {
-        self.free.iter().map(VecDeque::len).sum()
+        self.free_count
     }
 
     /// Free fraction of the whole device.
@@ -140,7 +164,10 @@ impl BlockAllocator {
     /// Returns a previously erased block to its way's pool.
     pub fn release(&mut self, block: BlockId) {
         let way = self.way_of_block(block);
-        debug_assert!(!self.free[way].contains(&block));
+        let state = &mut self.state[block.raw() as usize];
+        debug_assert_eq!(*state, BlockState::Closed, "release of {block:?}");
+        *state = BlockState::Free;
+        self.free_count += 1;
         self.free[way].push_back(block);
     }
 
@@ -154,32 +181,52 @@ impl BlockAllocator {
     /// Current open blocks of a stream (GC must skip them when picking
     /// victims).
     pub fn open_blocks(&self, stream: Stream) -> impl Iterator<Item = BlockId> + '_ {
-        match stream {
-            Stream::Host => self.open_host.iter(),
-            Stream::Gc => self.open_gc.iter(),
-            Stream::MapLog => self.open_maplog.iter(),
-        }
-        .filter_map(|open| open.map(|o| o.block))
+        self.open[stream.index()]
+            .iter()
+            .filter_map(|open| open.map(|o| o.block))
     }
 
     /// Whether `block` is currently open on any stream.
     pub fn is_open(&self, block: BlockId) -> bool {
-        self.open_blocks(Stream::Host)
-            .chain(self.open_blocks(Stream::Gc))
-            .chain(self.open_blocks(Stream::MapLog))
-            .any(|open| open == block)
+        self.state[block.raw() as usize] == BlockState::Open
+    }
+
+    /// Checks the per-block state and the free counter against what
+    /// they summarise — a walk of every open slot and every pool —
+    /// returning one line per disagreement (empty = consistent). Linear
+    /// in the device; for tests and invariant checks.
+    pub fn check_state(&self) -> Vec<String> {
+        let mut expected = vec![BlockState::Closed; self.state.len()];
+        for block in self.free.iter().flatten() {
+            expected[block.raw() as usize] = BlockState::Free;
+        }
+        for open in self.open.iter().flatten().flatten() {
+            expected[open.block.raw() as usize] = BlockState::Open;
+        }
+        let mut violations: Vec<String> = expected
+            .iter()
+            .zip(&self.state)
+            .enumerate()
+            .filter(|(_, (expected, kept))| expected != kept)
+            .map(|(block, (expected, kept))| {
+                format!("block {block}: state {kept:?}, pools and slots say {expected:?}")
+            })
+            .collect();
+        let pooled: usize = self.free.iter().map(VecDeque::len).sum();
+        if pooled != self.free_count {
+            violations.push(format!(
+                "free_blocks {} but the pools hold {pooled}",
+                self.free_count
+            ));
+        }
+        violations
     }
 
     /// Total pages obtainable right now: room in open blocks plus free
     /// blocks. The translation log keeps a single open block (slot 0),
     /// so only that slot's room counts for it.
     fn available_pages(&self, stream: Stream) -> u64 {
-        let opens = match stream {
-            Stream::Host => &self.open_host,
-            Stream::Gc => &self.open_gc,
-            Stream::MapLog => &self.open_maplog,
-        };
-        let open_room: u64 = opens
+        let open_room: u64 = self.open[stream.index()]
             .iter()
             .flatten()
             .map(|o| (self.geometry.pages_per_block - o.next_page) as u64)
@@ -199,6 +246,8 @@ impl BlockAllocator {
         let way = self.way_of_block(block);
         if let Some(pos) = self.free[way].iter().position(|&b| b == block) {
             self.free[way].remove(pos);
+            self.free_count -= 1;
+            self.state[block.raw() as usize] = BlockState::Closed;
             self.allocation_log.push(block);
             true
         } else {
@@ -213,16 +262,15 @@ impl BlockAllocator {
     /// numbers real FTLs persist in page OOB.
     pub fn rebuild_after_crash(&mut self, free: Vec<BlockId>) {
         self.free = vec![VecDeque::new(); self.ways];
+        self.free_count = free.len();
+        self.state.fill(BlockState::Closed);
         for block in free {
             let way = self.way_of_block(block);
             self.free[way].push_back(block);
+            self.state[block.raw() as usize] = BlockState::Free;
         }
-        self.open_host = vec![None; self.ways];
-        self.open_gc = vec![None; self.ways];
-        self.open_maplog = vec![None; self.ways];
-        self.cursor_host = 0;
-        self.cursor_gc = 0;
-        self.cursor_maplog = 0;
+        self.open = std::array::from_fn(|_| vec![None; self.ways]);
+        self.cursor = [0; 3];
     }
 
     /// Allocates `pages` as consecutive-page runs striped across the
@@ -242,34 +290,22 @@ impl BlockAllocator {
         let mut remaining = pages;
         let mut stalled_ways = 0usize;
         while remaining > 0 {
+            // Host and GC requests stripe round-robin over the ways.
             // The translation log is a sequential journal, not a
             // striped flush: it fills exactly one open block at a time
-            // so superseded log blocks close (and become reclaimable
-            // by retention) as fast as possible, and the log pins a
-            // single block instead of one per way.
-            if stream == Stream::MapLog {
-                let Some(run) = self.take_maplog_chunk(stripe.min(remaining)) else {
-                    debug_assert!(false, "maplog allocation despite capacity check");
-                    return None;
-                };
-                remaining -= run.len;
-                runs.push(run);
-                continue;
-            }
-            let way = match stream {
-                Stream::Host => {
-                    let w = self.cursor_host;
-                    self.cursor_host = (self.cursor_host + 1) % ways;
-                    w
+            // (slot 0) so superseded log blocks close (and become
+            // reclaimable by retention) as fast as possible, and the
+            // log pins a single block instead of one per way.
+            let slot = match stream {
+                Stream::Host | Stream::Gc => {
+                    let cursor = &mut self.cursor[stream.index()];
+                    let way = *cursor;
+                    *cursor = (way + 1) % ways;
+                    way
                 }
-                Stream::Gc => {
-                    let w = self.cursor_gc;
-                    self.cursor_gc = (self.cursor_gc + 1) % ways;
-                    w
-                }
-                Stream::MapLog => unreachable!("handled above"),
+                Stream::MapLog => 0,
             };
-            let Some(run) = self.take_chunk(stream, way, stripe.min(remaining)) else {
+            let Some(run) = self.take_chunk(stream, slot, stripe.min(remaining)) else {
                 stalled_ways += 1;
                 // All ways dry would contradict `can_allocate`;
                 // guard against infinite spin regardless.
@@ -286,81 +322,57 @@ impl BlockAllocator {
         Some(runs)
     }
 
-    /// Takes up to `want` pages from one way's open block, opening
-    /// a new block from that way's pool when needed.
-    fn take_chunk(&mut self, stream: Stream, way: usize, want: u32) -> Option<PageRun> {
-        let open = match stream {
-            Stream::Host => &mut self.open_host[way],
-            Stream::Gc => &mut self.open_gc[way],
-            Stream::MapLog => &mut self.open_maplog[way],
-        };
-        let needs_new = match open {
-            Some(slot) => slot.next_page >= self.geometry.pages_per_block,
-            None => true,
-        };
-        if needs_new {
-            let block = self.free[way].pop_front()?;
-            self.allocation_log.push(block);
-            *open = Some(OpenBlock {
-                block,
-                next_page: 0,
-            });
-        }
-        let slot = match stream {
-            Stream::Host => self.open_host[way].as_mut(),
-            Stream::Gc => self.open_gc[way].as_mut(),
-            Stream::MapLog => self.open_maplog[way].as_mut(),
-        }
-        .expect("open block just ensured");
-        let room = self.geometry.pages_per_block - slot.next_page;
-        let take = room.min(want);
-        let run = PageRun {
-            block: slot.block,
-            first: self.geometry.ppa(slot.block, slot.next_page),
-            len: take,
-        };
-        slot.next_page += take;
-        Some(run)
-    }
-
-    /// Sequential-journal allocation for the translation log: one open
-    /// block at a time (always slot 0), refilled round-robin from any
-    /// way's free pool so log traffic still spreads wear across dies.
-    fn take_maplog_chunk(&mut self, want: u32) -> Option<PageRun> {
-        let needs_new = match &self.open_maplog[0] {
-            Some(slot) => slot.next_page >= self.geometry.pages_per_block,
-            None => true,
-        };
-        if needs_new {
-            let ways = self.ways;
-            let mut picked = None;
-            for i in 0..ways {
-                let way = (self.cursor_maplog + i) % ways;
-                if let Some(block) = self.free[way].pop_front() {
-                    self.cursor_maplog = (way + 1) % ways;
-                    picked = Some(block);
-                    break;
+    /// Takes up to `want` pages from the block in `stream`'s open slot
+    /// `slot`, first putting a fresh block there when the slot is empty
+    /// or its block full. This is the only place a slot changes block:
+    /// the block it held closes here, and the per-block state follows.
+    /// Host and GC slots refill from their own way's pool; the log's
+    /// slot refills round-robin from any way's, so log traffic still
+    /// spreads wear across dies.
+    fn take_chunk(&mut self, stream: Stream, slot: usize, want: u32) -> Option<PageRun> {
+        let pages_per_block = self.geometry.pages_per_block;
+        let open = match self.open[stream.index()][slot] {
+            Some(open) if open.next_page < pages_per_block => open,
+            replaced => {
+                let block = match stream {
+                    Stream::Host | Stream::Gc => self.free[slot].pop_front()?,
+                    Stream::MapLog => self.pop_round_robin()?,
+                };
+                if let Some(closed) = replaced {
+                    self.state[closed.block.raw() as usize] = BlockState::Closed;
+                }
+                self.state[block.raw() as usize] = BlockState::Open;
+                self.free_count -= 1;
+                self.allocation_log.push(block);
+                OpenBlock {
+                    block,
+                    next_page: 0,
                 }
             }
-            let block = picked?;
-            self.allocation_log.push(block);
-            self.open_maplog[0] = Some(OpenBlock {
-                block,
-                next_page: 0,
-            });
-        }
-        let slot = self.open_maplog[0]
-            .as_mut()
-            .expect("open block just ensured");
-        let room = self.geometry.pages_per_block - slot.next_page;
-        let take = room.min(want);
-        let run = PageRun {
-            block: slot.block,
-            first: self.geometry.ppa(slot.block, slot.next_page),
-            len: take,
         };
-        slot.next_page += take;
-        Some(run)
+        let take = (pages_per_block - open.next_page).min(want);
+        self.open[stream.index()][slot] = Some(OpenBlock {
+            block: open.block,
+            next_page: open.next_page + take,
+        });
+        Some(PageRun {
+            block: open.block,
+            first: self.geometry.ppa(open.block, open.next_page),
+            len: take,
+        })
+    }
+
+    /// Pops a free block from the first non-empty pool at or after the
+    /// log's way cursor, and moves the cursor past it.
+    fn pop_round_robin(&mut self) -> Option<BlockId> {
+        let cursor = self.cursor[Stream::MapLog.index()];
+        (0..self.ways)
+            .map(|i| (cursor + i) % self.ways)
+            .find_map(|way| {
+                let block = self.free[way].pop_front()?;
+                self.cursor[Stream::MapLog.index()] = (way + 1) % self.ways;
+                Some(block)
+            })
     }
 }
 
@@ -445,6 +457,8 @@ mod tests {
     fn release_recycles_blocks() {
         let mut a = allocator();
         let runs = a.allocate(Stream::Host, 32 * 8).unwrap();
+        // The next chunk replaces the first way's full block.
+        a.allocate(Stream::Host, 1).unwrap();
         let before = a.free_blocks();
         a.release(runs[0].block);
         assert_eq!(a.free_blocks(), before + 1);
@@ -476,6 +490,43 @@ mod tests {
         assert_eq!(a.open_blocks(Stream::Host).count(), 0);
         // Allocation works again from the rebuilt pool.
         assert!(a.allocate(Stream::Host, 8).is_some());
+    }
+
+    #[test]
+    fn block_state_follows_slots_and_pools() {
+        let geometry = FlashGeometry::small_test();
+        let mut a = BlockAllocator::new(geometry);
+        // One block-sized chunk per way: eight full blocks, all open.
+        let first = a.allocate(Stream::Host, 32).unwrap()[0].block;
+        a.allocate(Stream::Host, 7 * 32).unwrap();
+        assert!(a.is_open(first), "a full block keeps its slot");
+        let log = a.allocate(Stream::MapLog, 1).unwrap()[0].block;
+        let taken = BlockId::new(63);
+        assert!(a.take_block(taken));
+        assert!(!a.is_open(taken));
+        assert_eq!(a.check_state(), Vec::<String>::new());
+        let next = a.allocate(Stream::Host, 8).unwrap()[0].block;
+        assert_ne!(next, first);
+        assert!(!a.is_open(first), "replaced in its slot: closed");
+        assert!(a.is_open(next) && a.is_open(log));
+        a.release(first);
+        a.release(taken);
+        assert_eq!(a.check_state(), Vec::<String>::new());
+        assert_eq!(a.free_blocks(), 64 - 8 - 1);
+        a.rebuild_after_crash(vec![first, taken]);
+        assert!(!a.is_open(next) && !a.is_open(log));
+        assert_eq!(a.free_blocks(), 2);
+        assert_eq!(a.check_state(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn check_state_reports_a_stale_flag() {
+        let mut a = allocator();
+        let run = a.allocate(Stream::Gc, 4).unwrap()[0];
+        a.state[run.block.raw() as usize] = BlockState::Closed;
+        a.free_count += 1;
+        let violations = a.check_state();
+        assert_eq!(violations.len(), 2, "{violations:?}");
     }
 
     #[test]

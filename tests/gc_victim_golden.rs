@@ -1,0 +1,456 @@
+//! Golden test for GC victim selection and wear levelling.
+//!
+//! `Ssd::select_gc_victim` answers from an incrementally kept victim
+//! index and `wear_level_once` leaves through an erase-count histogram
+//! instead of walking every block per pass. The constants below were
+//! recorded on the commit *before* either existed — when every
+//! selection scanned all blocks and asked the allocator to walk its
+//! open slots for each — so they pin the index to the scan: the same
+//! victim at every pass (same tie-breaks), the same pages migrated,
+//! the same wear swaps, the same erase count on every block at the end.
+//!
+//! What a history hashes is what the public API shows of a GC pass.
+//! Blocking path: after every write that erased something, the running
+//! pass count, each erased block with its erase-count step (block
+//! order) and the pages the call migrated — with the watermarks one
+//! block apart most calls hold a single pass, so that is (pass #,
+//! victim, valid count). Background GC: every `GcMigrate` completion in
+//! dispatch order with its dispatch time, and the pages migrated per
+//! submission. Both end with every block's erase count.
+//!
+//! The histories come from a generator local to this file, so the
+//! constants depend on `leaftl_sim` alone.
+
+use leaftl_repro::core::LeaFtlConfig;
+use leaftl_repro::flash::{BlockId, Lpa};
+use leaftl_repro::sim::{
+    Arbiter, ArbiterView, CheckpointMode, Command, Device, DeviceConfig, GcPolicy, IoRequest,
+    LeaFtlScheme, RoundRobin, Source, Ssd, SsdConfig,
+};
+use std::cell::Cell;
+use std::rc::Rc;
+
+/// splitmix64 — the histories' only randomness.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
+fn fnv1a(hash: &mut u64, value: u64) {
+    for byte in value.to_le_bytes() {
+        *hash ^= byte as u64;
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const BLOCKS: u64 = 256;
+const GAMMA: u32 = 4;
+/// Writes after the fill; the power cut falls in the middle.
+const CHURN: usize = 20_000;
+
+/// 256 blocks of 32 pages, eight allocation ways, a one-block write
+/// buffer, and watermarks one block apart (GC starts below 26 free
+/// blocks and stops at 27).
+fn config(policy: GcPolicy, checkpoint: CheckpointMode, wear_gap: u32) -> SsdConfig {
+    let mut config = SsdConfig::small_test();
+    config.geometry.blocks = BLOCKS;
+    config.gamma = GAMMA;
+    config.gc_policy = policy;
+    config.checkpoint_mode = checkpoint;
+    config.wear_gap_threshold = wear_gap;
+    config.gc_low_watermark = 0.10;
+    config.gc_high_watermark = 0.102;
+    config
+}
+
+fn new_ssd(config: SsdConfig) -> Ssd<LeaFtlScheme> {
+    Ssd::new(
+        config,
+        LeaFtlScheme::new(LeaFtlConfig::default().with_gamma(GAMMA)),
+    )
+}
+
+/// The write stream: the logical space filled once, eight blocks' worth
+/// overwritten in order (eight fully stale blocks at once — the ties),
+/// then skewed churn — four writes in five into the hot fifth, single
+/// pages and short extents. `cold_below` keeps the churn out of the
+/// bottom of the space (the wear history's static data).
+fn history(logical: u64, seed: u64, cold_below: u64) -> Vec<u64> {
+    let mut rng = Rng(seed);
+    let mut lpas: Vec<u64> = (0..logical).collect();
+    lpas.extend(cold_below..cold_below + 8 * 32);
+    let span = logical - cold_below;
+    let hot = span / 5;
+    while lpas.len() < logical as usize + 8 * 32 + CHURN {
+        let base = if rng.next() % 5 < 4 {
+            rng.next() % hot
+        } else {
+            hot + rng.next() % (span - hot)
+        };
+        let len = match rng.next() % 8 {
+            0 => 2 + rng.next() % 40,
+            _ => 1,
+        };
+        lpas.extend((0..len).map(|i| cold_below + (base + i) % span));
+    }
+    lpas
+}
+
+/// What the hash needs of the counters between two observations.
+#[derive(Clone, Copy, Default)]
+struct Seen {
+    erases: u64,
+    gc_runs: u64,
+    gc_reads: u64,
+    gc_programs: u64,
+    wear_swaps: u64,
+}
+
+fn seen(ssd: &Ssd<LeaFtlScheme>) -> Seen {
+    let stats = ssd.stats();
+    Seen {
+        erases: stats.flash.erases,
+        gc_runs: stats.gc_runs,
+        gc_reads: stats.flash.gc_reads,
+        gc_programs: stats.flash.gc_programs,
+        wear_swaps: stats.wear_swaps,
+    }
+}
+
+fn erase_counts(ssd: &Ssd<LeaFtlScheme>) -> Vec<u32> {
+    ssd.device().erase_counts().map(|(_, c)| c).collect()
+}
+
+/// Programmed blocks holding translation-log pages (log pages carry no
+/// reverse mapping, and a log block holds nothing else).
+fn log_blocks(ssd: &Ssd<LeaFtlScheme>) -> Vec<u64> {
+    (0..BLOCKS)
+        .filter(|&raw| {
+            let first = ssd.device().scan_block(BlockId::new(raw)).next();
+            matches!(first, Some((_, None, _)))
+        })
+        .collect()
+}
+
+fn erased(ssd: &Ssd<LeaFtlScheme>, raw: u64) -> bool {
+    ssd.device().block(BlockId::new(raw)).is_erased()
+}
+
+/// What a history must have exercised for its constant to pin it.
+#[derive(Debug, Default)]
+struct Coverage {
+    gc_runs: u64,
+    wear_swaps: u64,
+    /// Calls that ran two or more passes and migrated nothing: every
+    /// victim was fully stale and closed when the first was picked, so
+    /// the first pick was a tie on valid count resolved by block id.
+    zero_valid_ties: u64,
+    /// Calls that migrated live pages and began with two or more log
+    /// blocks programmed: all but the log's one open block are closed
+    /// with zero valid data pages, fewer than the victim's, and were
+    /// passed over only because the log owns them. (A flush collects
+    /// before it drains the log, which is where log blocks are erased;
+    /// a pass inside the drain needs an empty free pool, and the calls
+    /// counted end with eight or more erased blocks.)
+    log_owned_skips: u64,
+    /// Most migrations queued at once (background GC): from two up, the
+    /// second was selected past the first, which was still queued.
+    max_gc_pending: usize,
+}
+
+/// Finishes a history's hash: every block's erase count and the
+/// lifetime GC counters.
+fn finish(hash: &mut u64, ssd: &Ssd<LeaFtlScheme>, coverage: &mut Coverage) {
+    for count in erase_counts(ssd) {
+        fnv1a(hash, count as u64);
+    }
+    let stats = ssd.stats();
+    for value in [
+        stats.gc_runs,
+        stats.flash.erases,
+        stats.flash.gc_reads,
+        stats.flash.gc_programs,
+        stats.wear_swaps,
+        stats.flash.wear_programs,
+    ] {
+        fnv1a(hash, value);
+    }
+    coverage.gc_runs = stats.gc_runs;
+    coverage.wear_swaps = stats.wear_swaps;
+}
+
+fn verify(ssd: &mut Ssd<LeaFtlScheme>, newest: &[u64]) {
+    for (lpa, &stamp) in newest.iter().enumerate() {
+        let expected = (stamp != 0).then_some(stamp);
+        assert_eq!(
+            ssd.read(Lpa::new(lpa as u64)).unwrap(),
+            expected,
+            "lpa {lpa}"
+        );
+    }
+}
+
+/// The blocking path: `Ssd::write`, GC inside the flush.
+fn run_sync(config: SsdConfig, seed: u64, cold_below: u64) -> (u64, Coverage) {
+    let flash_log = config.checkpoint_mode == CheckpointMode::FlashLog;
+    let mut ssd = new_ssd(config);
+    let logical = ssd.config().logical_pages();
+    let lpas = history(logical, seed, cold_below);
+    let cut = logical as usize + 8 * 32 + CHURN / 2;
+    let mut newest = vec![0u64; logical as usize];
+    let mut hash = FNV_OFFSET;
+    let mut coverage = Coverage::default();
+    let mut before = seen(&ssd);
+    let mut counts = erase_counts(&ssd);
+    for (index, &lpa) in lpas.iter().enumerate() {
+        if index == cut {
+            ssd.flush().unwrap();
+            let report = ssd.crash_and_recover().unwrap();
+            fnv1a(&mut hash, report.scanned_blocks() as u64);
+            fnv1a(&mut hash, report.recovered_pages);
+            before = seen(&ssd);
+            counts = erase_counts(&ssd);
+        }
+        let logs_before = if flash_log {
+            log_blocks(&ssd)
+        } else {
+            Vec::new()
+        };
+        let stamp = index as u64 + 1;
+        newest[lpa as usize] = stamp;
+        ssd.write(Lpa::new(lpa), stamp).unwrap();
+        let after = seen(&ssd);
+        if after.erases == before.erases {
+            continue;
+        }
+        fnv1a(&mut hash, after.gc_runs);
+        let now = erase_counts(&ssd);
+        for (block, (&old, &new)) in counts.iter().zip(&now).enumerate() {
+            if old != new {
+                fnv1a(&mut hash, block as u64);
+                fnv1a(&mut hash, (new - old) as u64);
+            }
+        }
+        fnv1a(&mut hash, after.gc_programs - before.gc_programs);
+        fnv1a(&mut hash, after.wear_swaps);
+        let passes = after.gc_runs - before.gc_runs;
+        let swapped = after.wear_swaps != before.wear_swaps;
+        if passes >= 2 && after.gc_reads == before.gc_reads && !swapped {
+            coverage.zero_valid_ties += 1;
+        }
+        if passes >= 1
+            && after.gc_reads > before.gc_reads
+            && !swapped
+            && logs_before.len() >= 2
+            && (0..BLOCKS).filter(|&raw| erased(&ssd, raw)).count() >= 8
+        {
+            coverage.log_owned_skips += 1;
+        }
+        before = after;
+        counts = now;
+    }
+    ssd.flush().unwrap();
+    finish(&mut hash, &ssd, &mut coverage);
+    verify(&mut ssd, &newest);
+    (hash, coverage)
+}
+
+/// Round-robin arbitration that also notes how many migrations the
+/// device had queued whenever it asked.
+#[derive(Debug)]
+struct Watching {
+    inner: RoundRobin,
+    max_gc_pending: Rc<Cell<usize>>,
+}
+
+impl Arbiter for Watching {
+    fn pick(&mut self, view: &ArbiterView<'_>) -> Source {
+        self.max_gc_pending
+            .set(self.max_gc_pending.get().max(view.gc_pending));
+        self.inner.pick(view)
+    }
+
+    fn name(&self) -> &'static str {
+        "watching-round-robin"
+    }
+}
+
+/// Background GC behind a queue-depth-8 device: every fourth command a
+/// read, migrations arbitrated against the host queue.
+fn run_background(config: SsdConfig, seed: u64) -> (u64, Coverage) {
+    let mut ssd = new_ssd(config);
+    let logical = ssd.config().logical_pages();
+    let lpas = history(logical, seed, 0);
+    let cut = logical as usize + 8 * 32 + CHURN / 2;
+    let mut newest = vec![0u64; logical as usize];
+    let mut hash = FNV_OFFSET;
+    let mut coverage = Coverage::default();
+    let max_gc_pending = Rc::new(Cell::new(0usize));
+    let mut pass = 0u64;
+    let mut migrated = 0u64;
+    for (from, to) in [(0, cut), (cut, lpas.len())] {
+        {
+            let arbiter = Watching {
+                inner: RoundRobin::new(),
+                max_gc_pending: Rc::clone(&max_gc_pending),
+            };
+            let mut device = Device::new(
+                &mut ssd,
+                DeviceConfig::single(8)
+                    .background_gc()
+                    .with_arbiter(Box::new(arbiter)),
+            );
+            let mut observe = |device: &mut Device<'_, LeaFtlScheme>, hash: &mut u64| {
+                let mut any = false;
+                for completion in device.take_completions() {
+                    if let Command::GcMigrate { victim } = completion.command {
+                        pass += 1;
+                        any = true;
+                        fnv1a(hash, pass);
+                        fnv1a(hash, victim.raw());
+                        fnv1a(hash, completion.dispatch_ns);
+                    }
+                }
+                if any {
+                    let programs = device.ssd().stats().flash.gc_programs;
+                    fnv1a(hash, programs - migrated);
+                    migrated = programs;
+                }
+            };
+            for (index, &lpa) in lpas.iter().enumerate().take(to).skip(from) {
+                let stamp = index as u64 + 1;
+                newest[lpa as usize] = stamp;
+                device
+                    .submit(IoRequest::write(Lpa::new(lpa), stamp))
+                    .unwrap();
+                if index % 3 == 0 {
+                    device
+                        .submit(IoRequest::read(Lpa::new(lpas[index / 2])))
+                        .unwrap();
+                }
+                observe(&mut device, &mut hash);
+            }
+            device.drain().unwrap();
+            observe(&mut device, &mut hash);
+        }
+        ssd.flush().unwrap();
+        if to == cut {
+            let report = ssd.crash_and_recover().unwrap();
+            fnv1a(&mut hash, report.scanned_blocks() as u64);
+            fnv1a(&mut hash, report.recovered_pages);
+        }
+    }
+    finish(&mut hash, &ssd, &mut coverage);
+    coverage.max_gc_pending = max_gc_pending.get();
+    verify(&mut ssd, &newest);
+    (hash, coverage)
+}
+
+const SYNC_GREEDY_SNAPSHOT: u64 = 0x98b6_cc70_b3a2_1a3f;
+const SYNC_GREEDY_FLASHLOG: u64 = 0x4404_6329_a13e_e7dd;
+const SYNC_COSTBENEFIT_SNAPSHOT: u64 = 0x61cd_f5fe_7f1f_4c3a;
+const SYNC_COSTBENEFIT_FLASHLOG: u64 = 0x7ed7_92e5_0746_e723;
+const BACKGROUND_GREEDY_SNAPSHOT: u64 = 0x30b9_66a9_f6e7_4335;
+const BACKGROUND_GREEDY_FLASHLOG: u64 = 0x830b_dc95_e9c2_b10e;
+const BACKGROUND_COSTBENEFIT_SNAPSHOT: u64 = 0x18fc_b720_0ee2_7336;
+const BACKGROUND_COSTBENEFIT_FLASHLOG: u64 = 0xa8de_8302_4bf7_3b38;
+const SYNC_GREEDY_WEAR_SWAPS: u64 = 0xa24f_dd83_03ac_847b;
+
+#[test]
+fn sync_gc_picks_the_recorded_victims() {
+    use CheckpointMode::{DramSnapshot, FlashLog};
+    use GcPolicy::{CostBenefit, Greedy};
+    for (name, policy, mode, expected) in [
+        (
+            "SYNC_GREEDY_SNAPSHOT",
+            Greedy,
+            DramSnapshot,
+            SYNC_GREEDY_SNAPSHOT,
+        ),
+        (
+            "SYNC_GREEDY_FLASHLOG",
+            Greedy,
+            FlashLog,
+            SYNC_GREEDY_FLASHLOG,
+        ),
+        (
+            "SYNC_COSTBENEFIT_SNAPSHOT",
+            CostBenefit,
+            DramSnapshot,
+            SYNC_COSTBENEFIT_SNAPSHOT,
+        ),
+        (
+            "SYNC_COSTBENEFIT_FLASHLOG",
+            CostBenefit,
+            FlashLog,
+            SYNC_COSTBENEFIT_FLASHLOG,
+        ),
+    ] {
+        let (hash, coverage) = run_sync(config(policy, mode, 16), 0x6c65_6166, 0);
+        assert!(coverage.gc_runs > 500, "{name}: {coverage:?}");
+        if policy == Greedy {
+            assert!(coverage.zero_valid_ties >= 1, "{name}: {coverage:?}");
+        }
+        if policy == Greedy && mode == FlashLog {
+            assert!(coverage.log_owned_skips >= 1, "{name}: {coverage:?}");
+        }
+        assert_eq!(hash, expected, "{name}: {hash:#018x}");
+    }
+}
+
+#[test]
+fn background_gc_picks_the_recorded_victims() {
+    use CheckpointMode::{DramSnapshot, FlashLog};
+    use GcPolicy::{CostBenefit, Greedy};
+    for (name, policy, mode, expected) in [
+        (
+            "BACKGROUND_GREEDY_SNAPSHOT",
+            Greedy,
+            DramSnapshot,
+            BACKGROUND_GREEDY_SNAPSHOT,
+        ),
+        (
+            "BACKGROUND_GREEDY_FLASHLOG",
+            Greedy,
+            FlashLog,
+            BACKGROUND_GREEDY_FLASHLOG,
+        ),
+        (
+            "BACKGROUND_COSTBENEFIT_SNAPSHOT",
+            CostBenefit,
+            DramSnapshot,
+            BACKGROUND_COSTBENEFIT_SNAPSHOT,
+        ),
+        (
+            "BACKGROUND_COSTBENEFIT_FLASHLOG",
+            CostBenefit,
+            FlashLog,
+            BACKGROUND_COSTBENEFIT_FLASHLOG,
+        ),
+    ] {
+        let (hash, coverage) = run_background(config(policy, mode, 16), 0x6c65_6166);
+        assert!(coverage.gc_runs > 500, "{name}: {coverage:?}");
+        assert!(coverage.max_gc_pending >= 2, "{name}: {coverage:?}");
+        assert_eq!(hash, expected, "{name}: {hash:#018x}");
+    }
+}
+
+/// A static bottom third under a hammered remainder, with a wear gap of
+/// three erases: the history that performs real wear swaps.
+#[test]
+fn wear_swaps_move_the_recorded_blocks() {
+    let config = config(GcPolicy::Greedy, CheckpointMode::DramSnapshot, 3);
+    let cold_below = config.logical_pages() / 3;
+    let (hash, coverage) = run_sync(config, 0x7765_6172, cold_below);
+    assert!(coverage.wear_swaps >= 1, "{coverage:?}");
+    assert!(coverage.gc_runs > 500, "{coverage:?}");
+    assert_eq!(hash, SYNC_GREEDY_WEAR_SWAPS, "{hash:#018x}");
+}
