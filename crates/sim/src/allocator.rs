@@ -16,6 +16,17 @@
 //! than a quarter of the device across both streams. Allocation
 //! order is recorded for crash recovery (§3.8): the scanner replays
 //! blocks in allocation order to rebuild mappings newest-last.
+//!
+//! "Invisible" is a per-block state (free / open / closed) kept at the
+//! only places it changes — a slot taking a fresh block
+//! (`take_chunk`), [`BlockAllocator::take_block`],
+//! [`BlockAllocator::release`], [`BlockAllocator::rebuild_after_crash`]
+//! — so [`BlockAllocator::is_open`] is one load and
+//! [`BlockAllocator::free_blocks`] a counter, whatever the device
+//! size. A block stays open until its slot is *replaced*, not until it
+//! is full; the blocks a request pushes out of their slots are handed
+//! over by [`BlockAllocator::take_closed`], which is how the SSD's
+//! victim index learns that they have become GC candidates.
 
 use leaftl_flash::{BlockId, FlashGeometry, Ppa};
 use serde::{Deserialize, Serialize};
@@ -107,6 +118,9 @@ pub struct BlockAllocator {
     /// Blocks in allocation order with a monotonically increasing
     /// sequence number (for crash recovery).
     allocation_log: Vec<BlockId>,
+    /// Blocks pushed out of an open slot since the last
+    /// [`BlockAllocator::take_closed`].
+    closed: Vec<BlockId>,
 }
 
 impl BlockAllocator {
@@ -142,6 +156,7 @@ impl BlockAllocator {
             open: std::array::from_fn(|_| vec![None; ways]),
             cursor: [0; 3],
             allocation_log: Vec::new(),
+            closed: Vec::new(),
         };
         for raw in 0..geometry.blocks {
             let block = BlockId::new(raw);
@@ -184,6 +199,14 @@ impl BlockAllocator {
         self.open[stream.index()]
             .iter()
             .filter_map(|open| open.map(|o| o.block))
+    }
+
+    /// Drains the blocks that left an open slot — replaced by a fresh
+    /// block — since the last call. Leaving its slot is what exposes a
+    /// block to GC victim selection, so whoever indexes victims asks
+    /// after every [`BlockAllocator::allocate`].
+    pub fn take_closed(&mut self) -> impl Iterator<Item = BlockId> + '_ {
+        self.closed.drain(..)
     }
 
     /// Whether `block` is currently open on any stream.
@@ -271,6 +294,7 @@ impl BlockAllocator {
         }
         self.open = std::array::from_fn(|_| vec![None; self.ways]);
         self.cursor = [0; 3];
+        self.closed.clear();
     }
 
     /// Allocates `pages` as consecutive-page runs striped across the
@@ -340,6 +364,7 @@ impl BlockAllocator {
                 };
                 if let Some(closed) = replaced {
                     self.state[closed.block.raw() as usize] = BlockState::Closed;
+                    self.closed.push(closed.block);
                 }
                 self.state[block.raw() as usize] = BlockState::Open;
                 self.free_count -= 1;

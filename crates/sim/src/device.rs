@@ -411,24 +411,13 @@ pub struct Device<'a, S: MappingScheme + Clone> {
     /// Pending background migrations (victims selected, not yet
     /// dispatched), stamped with the victim's erase count at selection
     /// (so a block reclaimed in the meantime no-ops at dispatch) and
-    /// its projected net reclaim in block fractions.
+    /// its projected net reclaim in block fractions. The SSD's victim
+    /// index withholds exactly these blocks from further selection
+    /// ([`Ssd::queue_gc_victim`] / [`Ssd::release_gc_victim`]).
     gc_pending: VecDeque<PendingMigration>,
-    /// Victims currently queued, for selection exclusion.
-    gc_queued: HashSet<BlockId>,
     /// Sum of the pending migrations' net reclaim, in blocks — the
     /// replenishment projection.
     gc_pending_net_blocks: f64,
-    /// Flash-op stamp (data-block programs, `erases`) of the last
-    /// victim scan that came up empty: the victim set can only change
-    /// when a data page is invalidated or a data block closes, and both
-    /// come with a host, GC or wear program or an erase, so an
-    /// identical stamp skips the O(blocks) rescan on every dispatch
-    /// while the device is pinned below the watermark with nothing
-    /// collectible. Translation programs stay out of the stamp: a log
-    /// page or a mapping write-back invalidates nothing, and the block
-    /// a log page closes belongs to the log, which victim selection
-    /// skips — and under `FlashLog` they are most of the programs.
-    gc_scan_exhausted: Option<(u64, u64)>,
     /// Host commands pending across all queues.
     host_pending: usize,
     /// Queue heads that had not arrived by the last observing
@@ -544,9 +533,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             arbiter,
             next_id: 0,
             gc_pending: VecDeque::new(),
-            gc_queued: HashSet::new(),
             gc_pending_net_blocks: 0.0,
-            gc_scan_exhausted: None,
             host_pending: 0,
             future_heads: BinaryHeap::new(),
             classes: HeadClass::ALL.map(|_| ClassIndex::new(config.queues)),
@@ -822,7 +809,11 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     /// Tops the background-GC queue up: below the low watermark,
     /// victims are selected (exactly as the synchronous collector
     /// would, minus already-queued ones) until the queued reclaims
-    /// project the free fraction back to the high watermark.
+    /// project the free fraction back to the high watermark. Runs on
+    /// every dispatch, also while the device sits below the watermark
+    /// with nothing collectible: selection answers from the SSD's
+    /// victim index, where queued victims are withheld and "no
+    /// candidate" is one comparison, so there is no scan to ration.
     fn replenish_gc(&mut self) {
         if self.ssd.gc_mode() != GcMode::Background {
             return;
@@ -832,23 +823,12 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         let free = self.ssd.free_fraction();
         let projected = |pending_net: f64| free + pending_net / blocks;
         if projected(self.gc_pending_net_blocks) >= self.ssd.config().gc_low_watermark {
-            self.gc_scan_exhausted = None;
-            return;
-        }
-        let flash = &self.ssd.stats().flash;
-        let stamp = (
-            flash.total_programs() - flash.translation_programs,
-            flash.erases,
-        );
-        if self.gc_scan_exhausted == Some(stamp) {
             return;
         }
         while projected(self.gc_pending_net_blocks) < self.ssd.config().gc_high_watermark {
-            let Some(victim) = self.ssd.select_gc_victim(&self.gc_queued) else {
-                self.gc_scan_exhausted = Some(stamp);
+            let Some(victim) = self.ssd.queue_gc_victim() else {
                 return;
             };
-            self.gc_queued.insert(victim);
             // Project the *net* reclaim: the freed block minus the
             // GC-stream pages its live data will consume. (Greedy
             // victims always have at least one stale page, so the net
@@ -875,7 +855,6 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
                 net_blocks,
             });
         }
-        self.gc_scan_exhausted = None;
     }
 
     /// Tops the background-compaction queue up: every translation
@@ -978,7 +957,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             let Some(pending) = self.gc_pending.pop_front() else {
                 return Ok(None);
             };
-            self.gc_queued.remove(&pending.victim);
+            self.ssd.release_gc_victim(pending.victim);
             self.gc_pending_net_blocks = (self.gc_pending_net_blocks - pending.net_blocks).max(0.0);
             // A changed erase count means the victim was reclaimed (by
             // the emergency synchronous fallback) since selection —
@@ -1595,6 +1574,8 @@ impl<S: MappingScheme + Clone> Drop for Device<'_, S> {
         // intact.
         self.ssd.set_gc_mode(GcMode::Synchronous);
         self.ssd.set_compaction_mode(CompactionMode::Inline);
+        // Selected-but-undispatched victims die with the queue.
+        self.ssd.release_gc_victims();
         // Dropping undrained host commands silently discards work the
         // caller submitted — a bug in the caller. Internal GC/compact
         // backlog is regenerable and exempt; so are devices whose last
@@ -1930,74 +1911,6 @@ mod tests {
             device.gc_stall_ns() > 0,
             "a write-saturated device must eventually hit the floor"
         );
-    }
-
-    #[test]
-    fn translation_log_programs_do_not_reopen_an_exhausted_victim_scan() {
-        use crate::config::CheckpointMode;
-
-        // The logical space written once, then one page of every block
-        // overwritten: each victim reclaims a thirty-second of a block,
-        // all of them together less than the watermarks ask for, so the
-        // victim scan runs dry with every closed block queued.
-        let mut config = SsdConfig::small_test();
-        config.checkpoint_mode = CheckpointMode::FlashLog;
-        config.op_ratio = 0.5;
-        config.gc_low_watermark = 0.495;
-        config.gc_high_watermark = 0.499;
-        let mut device_ssd = Ssd::new(config, ExactPageMap::new());
-        let logical = device_ssd.config().logical_pages();
-        let buffer = device_ssd.config().write_buffer_pages as u64;
-        let one_page_per_block = |offset: u64| (0..buffer).map(move |i| i * buffer + offset);
-        {
-            // Host priority and a queue that never fills: until the
-            // budget freezes the device after the last write, neither
-            // a migration nor a log page dispatches.
-            let mut device = Device::new(
-                &mut device_ssd,
-                DeviceConfig::single(4096)
-                    .background_gc()
-                    .with_arbiter(Box::new(HostPriority::new())),
-            );
-            device.halt_after_dispatches(logical + buffer);
-            for i in (0..logical).chain(one_page_per_block(0)) {
-                device
-                    .enqueue_to(0, IoRequest::write(Lpa::new(i), i))
-                    .unwrap();
-            }
-            device.drain().unwrap();
-            device.dispatch_budget = None;
-            assert_eq!(device.gc_dispatched() + device.maplog_dispatched(), 0);
-            assert!(device.ssd.maplog_pending() > 0);
-
-            device.replenish_gc();
-            let exhausted = device.gc_scan_exhausted;
-            let queued = device.gc_pending.len();
-            assert!(exhausted.is_some() && queued > 0);
-
-            // Log pages program; the scan stays exhausted on the same
-            // stamp (so the next call returns before scanning), and a
-            // scan would indeed still find nothing.
-            let programs = device.ssd.stats().flash.total_programs();
-            while device.dispatch_maplog().unwrap().is_some() {}
-            assert!(device.ssd.stats().flash.total_programs() > programs);
-            device.replenish_gc();
-            assert_eq!(device.gc_scan_exhausted, exhausted);
-            assert_eq!(device.gc_pending.len(), queued);
-            assert!(device.ssd.select_gc_victim(&device.gc_queued).is_none());
-
-            // A host flush closes a block and invalidates pages: that
-            // does reopen the scan, and more victims are found.
-            for i in one_page_per_block(1) {
-                device.submit_write(Lpa::new(i), logical + i).unwrap();
-            }
-            device.drain().unwrap();
-            assert!(device.gc_dispatched() as usize > queued);
-        }
-        for i in 0..logical {
-            let expected = if i % buffer == 1 { logical + i } else { i };
-            assert_eq!(device_ssd.read(Lpa::new(i)).unwrap(), Some(expected));
-        }
     }
 
     #[test]

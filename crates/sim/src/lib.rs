@@ -60,6 +60,7 @@ pub mod clock;
 mod config;
 mod device;
 mod error;
+mod gc_index;
 mod leaftl_scheme;
 pub mod lru;
 mod qos;

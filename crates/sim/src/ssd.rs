@@ -1,11 +1,12 @@
 //! The simulated SSD: ties the flash device, mapping scheme, caches,
 //! GC, wear levelling, and crash recovery together.
 
-use crate::allocator::{BlockAllocator, Stream};
+use crate::allocator::{BlockAllocator, PageRun, Stream};
 use crate::buffer::WriteBuffer;
 use crate::clock::SimClock;
 use crate::config::{CheckpointMode, CompactionMode, GcMode, GcPolicy, SsdConfig};
 use crate::error::SimError;
+use crate::gc_index::{EraseHistogram, VictimIndex, NOT_A_CANDIDATE};
 use crate::lru::LruCache;
 use crate::stats::SimStats;
 use crate::trace::{FlashOpKind, TraceSink, Tracer, TrafficClass, UtilizationReport};
@@ -130,6 +131,14 @@ pub struct Ssd<S: MappingScheme + Clone> {
     /// Virtual time of each block's most recent program, for the
     /// cost-benefit GC policy's age term.
     block_last_write_ns: Vec<u64>,
+    /// Which block GC would pick, kept current by marking blocks at
+    /// the places their candidacy or valid count changes (see
+    /// [`Ssd::select_gc_victim`]). Derived from the device, allocator,
+    /// translation log and [`Validity`]: rebuilt after a crash, never
+    /// part of a [`Snapshot`].
+    gc_index: VictimIndex,
+    /// Blocks per erase count — wear levelling's O(1) "no swap is due".
+    erase_histogram: EraseHistogram,
     /// Whether GC runs synchronously inside the flush path or is left
     /// to the [`crate::Device`] as background traffic.
     gc_mode: GcMode,
@@ -214,6 +223,12 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             scheme,
             flush_deadline_ns: 0,
             block_last_write_ns: vec![0; config.geometry.blocks as usize],
+            // A fresh device: every block erased, none a candidate.
+            gc_index: VictimIndex::new(config.geometry.blocks as usize),
+            erase_histogram: EraseHistogram::new(std::iter::repeat_n(
+                0,
+                config.geometry.blocks as usize,
+            )),
             gc_mode: GcMode::Synchronous,
             compaction_mode: CompactionMode::Inline,
             tracer: Tracer::new(config.geometry.total_dies()),
@@ -852,7 +867,6 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         }
         self.ensure_allocatable(pages.len() as u32, Stream::Host)?;
         let runs = self
-            .allocator
             .allocate(Stream::Host, pages.len() as u32)
             .expect("allocation ensured above");
 
@@ -944,7 +958,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             self.charge_map_cost(lpa, cost, now, TrafficClass::Host);
             if let Some(hit) = hit {
                 let old = self.resolve_for_invalidation(lpa, &hit)?;
-                self.validity.invalidate(old);
+                self.invalidate(old);
             }
         }
         Ok(())
@@ -970,26 +984,28 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         let learn_ns = self.scheme.learn_cost_ns(batch.len());
         self.stats.learn_cpu_ns += learn_ns;
         for &(_, ppa) in batch {
-            self.validity.mark_valid(ppa);
+            self.mark_valid(ppa);
         }
     }
 
     fn ensure_allocatable(&mut self, pages: u32, stream: Stream) -> Result<(), SimError> {
-        self.ensure_allocatable_excluding(pages, stream, &HashSet::new())
+        self.ensure_allocatable_except(pages, stream, None)
     }
 
-    fn ensure_allocatable_excluding(
+    /// Collects until `stream` can take `pages` pages, never picking
+    /// `except` (see [`Ssd::collect_once_except`]).
+    fn ensure_allocatable_except(
         &mut self,
         pages: u32,
         stream: Stream,
-        exclude: &HashSet<BlockId>,
+        except: Option<BlockId>,
     ) -> Result<(), SimError> {
         let mut guard = 0u64;
         loop {
             if self.allocator.can_allocate(stream, pages) {
                 return Ok(());
             }
-            if !self.collect_once_excluding(exclude)? {
+            if !self.collect_once_except(except)? {
                 return Err(SimError::DeviceFull);
             }
             guard += 1;
@@ -997,6 +1013,44 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 return Err(SimError::DeviceFull);
             }
         }
+    }
+
+    /// [`BlockAllocator::allocate`], marking the blocks the request
+    /// closed (pushed out of their open slots): closing is what makes a
+    /// block a GC candidate.
+    fn allocate(&mut self, stream: Stream, pages: u32) -> Option<Vec<PageRun>> {
+        let runs = self.allocator.allocate(stream, pages);
+        for block in self.allocator.take_closed() {
+            self.gc_index.touch(block);
+        }
+        runs
+    }
+
+    // The three ways a valid count changes. Each marks the block for
+    // the victim index, which re-reads the count at the next selection.
+
+    fn invalidate(&mut self, ppa: Ppa) {
+        self.validity.invalidate(ppa);
+        self.gc_index.touch(self.config.geometry.block_of(ppa));
+    }
+
+    fn mark_valid(&mut self, ppa: Ppa) {
+        self.validity.mark_valid(ppa);
+        self.gc_index.touch(self.config.geometry.block_of(ppa));
+    }
+
+    fn clear_block(&mut self, block: BlockId) {
+        self.validity.clear_block(block);
+        self.gc_index.touch(block);
+    }
+
+    /// Erases `block` on the device, keeping the erase-count histogram
+    /// and the victim index (an erased block is no candidate) current.
+    fn erase_block(&mut self, block: BlockId) -> Result<(), SimError> {
+        let erases = self.device.erase(block)?;
+        self.erase_histogram.note_erase(erases - 1);
+        self.gc_index.touch(block);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1020,16 +1074,19 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         Ok(())
     }
 
-    /// One GC pass: greedy min-valid victim, migrate, erase.
+    /// One GC pass: pick a victim, migrate, erase.
     /// Returns whether a block was reclaimed.
     fn collect_once(&mut self) -> Result<bool, SimError> {
-        self.collect_once_excluding(&HashSet::new())
+        self.collect_once_except(None)
     }
 
-    /// [`Ssd::collect_once`] with victims to skip — the in-flight
+    /// [`Ssd::collect_once`] with a victim to skip — the in-flight
     /// background migration must never be re-collected mid-service.
-    fn collect_once_excluding(&mut self, exclude: &HashSet<BlockId>) -> Result<bool, SimError> {
-        let Some(victim) = self.select_gc_victim(exclude) else {
+    /// Victims the device front-end has queued are fair game: a
+    /// collection the flush path is forced into takes the best block
+    /// there is, and the queued migration finds its block recycled.
+    fn collect_once_except(&mut self, except: Option<BlockId>) -> Result<bool, SimError> {
+        let Some(victim) = self.select_gc_victim(true, except) else {
             return Ok(false);
         };
         self.stats.gc_runs += 1;
@@ -1045,43 +1102,167 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         self.allocator.free_fraction()
     }
 
-    /// Greedy victim selection: the closed block with the fewest valid
-    /// pages (Algorithm: min-BVC, §3.6). Fully valid blocks reclaim
-    /// nothing and are skipped, as are `exclude`d blocks (migrations
-    /// already queued by the background-GC device front-end).
-    pub(crate) fn select_gc_victim(&self, exclude: &HashSet<BlockId>) -> Option<BlockId> {
+    /// Picks the next background-GC victim and withholds it from later
+    /// picks until [`Ssd::release_gc_victim`] — the device front-end's
+    /// queue of selected-but-undispatched migrations lives here as
+    /// held blocks, so selecting past them costs nothing and "nothing
+    /// left to collect" is one comparison at the index's root.
+    pub(crate) fn queue_gc_victim(&mut self) -> Option<BlockId> {
+        let victim = self.select_gc_victim(false, None)?;
+        self.gc_index.hold(victim);
+        Some(victim)
+    }
+
+    /// Returns a queued victim to selection (its migration is being
+    /// dispatched, or was dropped as stale).
+    pub(crate) fn release_gc_victim(&mut self, block: BlockId) {
+        self.gc_index.release(block);
+    }
+
+    /// Forgets every queued victim (the device front-end is going
+    /// away, and its queue with it).
+    pub(crate) fn release_gc_victims(&mut self) {
+        self.gc_index.release_all();
+    }
+
+    /// A block's key in the victim index: its valid-page count if GC
+    /// may pick it — closed, programmed, and not the translation log's
+    /// (log pages carry no reverse mapping, so a log block counts zero
+    /// valid *data* pages and greedy selection would erase a live
+    /// checkpoint out from under recovery; the log reclaims its own
+    /// blocks via retention).
+    fn victim_key(&self, block: BlockId) -> u32 {
+        if self.allocator.is_open(block)
+            || self.device.block(block).is_erased()
+            || self.translog.owns(block)
+        {
+            NOT_A_CANDIDATE
+        } else {
+            self.validity.valid_count(block)
+        }
+    }
+
+    /// Brings the victim index up to date: re-reads the key of every
+    /// block marked since the last selection.
+    fn refresh_gc_index(&mut self) {
+        while let Some(block) = self.gc_index.pop_dirty() {
+            let key = self.victim_key(block);
+            self.gc_index.refresh(block, key);
+        }
+    }
+
+    /// Victim selection (§3.6). Greedy: the closed block with the
+    /// fewest valid pages (min-BVC), lowest block id among equals.
+    /// Cost-benefit: the best age × (1 − u) / (1 + u) score, lowest
+    /// block id among equals. Fully valid blocks reclaim nothing and
+    /// are never picked; nor is `except`; nor, unless `include_held`,
+    /// the victims the device front-end has queued.
+    ///
+    /// Answered from the victim index, not a scan: blocks are marked
+    /// where their key changes — valid count ([`Ssd::invalidate`],
+    /// [`Ssd::mark_valid`], [`Ssd::clear_block`]), leaving an open
+    /// slot ([`Ssd::allocate`]), erase ([`Ssd::erase_block`]), the
+    /// translation log taking or forgetting a block, queueing and
+    /// release — and only the marked keys are re-read here. Greedy then
+    /// reads the index's root; cost-benefit scores the index's
+    /// candidates. Debug and test builds re-run the block scan beside
+    /// every selection and assert it agrees.
+    fn select_gc_victim(&mut self, include_held: bool, except: Option<BlockId>) -> Option<BlockId> {
+        self.refresh_gc_index();
+        let limit = self.config.geometry.pages_per_block;
+        let held: &[BlockId] = if include_held {
+            self.gc_index.held()
+        } else {
+            &[]
+        };
+        // The index reads held blocks as non-candidates; where they
+        // count, their keys are read directly (the queue is short).
+        let held = held
+            .iter()
+            .filter(|&&block| Some(block) != except)
+            .map(|&block| (self.victim_key(block), block))
+            .filter(|&(valid, _)| valid < limit);
+        let picked = match self.config.gc_policy {
+            GcPolicy::Greedy => {
+                let held = held.min();
+                let indexed = self.gc_index.first_below(limit, except);
+                let best = [held, indexed].into_iter().flatten().min();
+                best.map(|(_, block)| block)
+            }
+            GcPolicy::CostBenefit => {
+                let mut best: Option<(f64, BlockId)> = None;
+                let mut consider = |block: BlockId, valid: u32| {
+                    if Some(block) == except {
+                        return;
+                    }
+                    let score = self.cost_benefit_score(block, valid);
+                    if best
+                        .is_none_or(|(top, leader)| score > top || (score == top && block < leader))
+                    {
+                        best = Some((score, block));
+                    }
+                };
+                held.for_each(|(valid, block)| consider(block, valid));
+                self.gc_index.for_each_below(limit, &mut consider);
+                best.map(|(_, block)| block)
+            }
+        };
+        #[cfg(any(test, debug_assertions))]
+        assert_eq!(
+            picked,
+            self.scan_gc_victim(include_held, except),
+            "victim index disagrees with the block scan"
+        );
+        picked
+    }
+
+    /// The cost-benefit policy's score of a block holding `valid` live
+    /// pages: age × (1 − u) / (1 + u).
+    fn cost_benefit_score(&self, block: BlockId, valid: u32) -> f64 {
+        let u = valid as f64 / self.config.geometry.pages_per_block as f64;
+        let last_write = self.block_last_write_ns[block.raw() as usize];
+        let age = self.clock.now_ns().saturating_sub(last_write) as f64 + 1.0;
+        age * (1.0 - u) / (1.0 + u)
+    }
+
+    /// Every block GC may pick, with its valid count, found the way
+    /// selection found victims before the index: a scan of all blocks
+    /// in id order. Kept as the reference the index is checked against
+    /// (beside every selection in debug and test builds, and by
+    /// [`Ssd::check_gc_index`]).
+    fn scan_gc_candidates(
+        &self,
+        include_held: bool,
+        except: Option<BlockId>,
+    ) -> impl Iterator<Item = (BlockId, u32)> + '_ {
+        let limit = self.config.geometry.pages_per_block;
+        (0..self.config.geometry.blocks)
+            .map(BlockId::new)
+            .filter(move |&block| {
+                !(self.allocator.is_open(block)
+                    || Some(block) == except
+                    || !include_held && self.gc_index.held().contains(&block)
+                    || self.translog.owns(block)
+                    || self.device.block(block).is_erased())
+            })
+            .map(|block| (block, self.validity.valid_count(block)))
+            .filter(move |&(_, valid)| valid < limit)
+    }
+
+    /// The scan's pick: the first candidate in block order that no
+    /// other beats.
+    #[cfg(any(test, debug_assertions))]
+    fn scan_gc_victim(&self, include_held: bool, except: Option<BlockId>) -> Option<BlockId> {
         let mut best_greedy: Option<(u32, BlockId)> = None;
         let mut best_cb: Option<(f64, BlockId)> = None;
-        let now = self.clock.now_ns();
-        for raw in 0..self.config.geometry.blocks {
-            let block = BlockId::new(raw);
-            if self.allocator.is_open(block) || exclude.contains(&block) {
-                continue;
-            }
-            // Translation-log blocks hold zero valid *data* pages (log
-            // pages carry no reverse mapping), so greedy selection
-            // would erase a live checkpoint out from under recovery.
-            // The log reclaims its own blocks via retention.
-            if self.translog.owns(block) {
-                continue;
-            }
-            if self.device.block(block).is_erased() {
-                continue;
-            }
-            let valid = self.validity.valid_count(block);
-            if valid >= self.config.geometry.pages_per_block {
-                continue;
-            }
+        for (block, valid) in self.scan_gc_candidates(include_held, except) {
             match self.config.gc_policy {
                 GcPolicy::Greedy => match best_greedy {
                     Some((min_valid, _)) if min_valid <= valid => {}
                     _ => best_greedy = Some((valid, block)),
                 },
                 GcPolicy::CostBenefit => {
-                    let u = valid as f64 / self.config.geometry.pages_per_block as f64;
-                    let age =
-                        now.saturating_sub(self.block_last_write_ns[raw as usize]) as f64 + 1.0;
-                    let score = age * (1.0 - u) / (1.0 + u);
+                    let score = self.cost_benefit_score(block, valid);
                     match best_cb {
                         Some((best, _)) if best >= score => {}
                         _ => best_cb = Some((score, block)),
@@ -1093,6 +1274,40 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             GcPolicy::Greedy => best_greedy.map(|(_, block)| block),
             GcPolicy::CostBenefit => best_cb.map(|(_, block)| block),
         }
+    }
+
+    /// Checks the state GC selection and wear levelling answer from
+    /// against what it summarises, returning one line per disagreement
+    /// (empty = consistent): the victim index against a scan of the
+    /// blocks (every clean key, the tree above the keys, and the
+    /// candidates it enumerates once the marked keys are re-read), the
+    /// allocator's per-block state and free counter against its slots
+    /// and pools, the erase histogram against the device's erase
+    /// counts. Linear in the device; for tests and invariant checks.
+    pub fn check_gc_index(&self) -> Vec<String> {
+        let mut violations = self.allocator.check_state();
+        let erases = EraseHistogram::new(self.device.erase_counts().map(|(_, count)| count));
+        if erases != self.erase_histogram {
+            violations.push(format!(
+                "erase histogram {:?}, the device says {erases:?}",
+                self.erase_histogram
+            ));
+        }
+        violations.extend(self.gc_index.check(|block| self.victim_key(block)));
+        let mut index = self.gc_index.clone();
+        while let Some(block) = index.pop_dirty() {
+            index.refresh(block, self.victim_key(block));
+        }
+        let mut indexed = Vec::new();
+        let limit = self.config.geometry.pages_per_block;
+        index.for_each_below(limit, &mut |block, valid| indexed.push((block, valid)));
+        let scanned: Vec<(BlockId, u32)> = self.scan_gc_candidates(false, None).collect();
+        if indexed != scanned {
+            violations.push(format!(
+                "index candidates {indexed:?}, the scan finds {scanned:?}"
+            ));
+        }
+        violations
     }
 
     fn note_block_write(&mut self, ppa: Ppa) {
@@ -1164,11 +1379,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 // caller is already inside a collection loop, where
                 // recursing would be unsound; it fails over to
                 // `DeviceFull` instead.)
-                let exclude: HashSet<BlockId> = [victim].into_iter().collect();
-                self.ensure_allocatable_excluding(items.len() as u32, Stream::Gc, &exclude)?;
+                self.ensure_allocatable_except(items.len() as u32, Stream::Gc, Some(victim))?;
             }
             let runs = self
-                .allocator
                 .allocate(Stream::Gc, items.len() as u32)
                 .ok_or(SimError::DeviceFull)?;
             let mut idx = 0usize;
@@ -1197,7 +1410,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
 
             // Old locations are known exactly — no lookup needed.
             for &ppa in &valid {
-                self.validity.invalidate(ppa);
+                self.invalidate(ppa);
             }
             for batch in &batches {
                 self.learn_and_mark(batch, true, TrafficClass::Gc);
@@ -1214,10 +1427,10 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         if blocking {
             self.clock.wait_until(done);
         }
-        self.device.erase(victim)?;
+        self.erase_block(victim)?;
         self.stats.flash.erases += 1;
         self.note_flash_op(TrafficClass::Gc, FlashOpKind::Erase, victim_die, done);
-        self.validity.clear_block(victim);
+        self.clear_block(victim);
         self.allocator.release(victim);
         // Journal the migration's re-installed mappings — captured
         // *after* the erase so the delta's baseline vectors reflect
@@ -1322,7 +1535,17 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     }
 
     /// One cold/hot swap; returns whether a swap happened.
+    ///
+    /// A swap needs a cold block more than `wear_gap_threshold` erases
+    /// behind the most worn one, and no block is further behind than
+    /// the least worn: while the erase histogram's spread is within the
+    /// threshold — every flush of a workload that wears evenly — the
+    /// answer is "no" without looking at a block. Past that, the walk
+    /// below finds the cold data block and the worn free block.
     fn wear_level_once(&mut self) -> Result<bool, SimError> {
+        if self.erase_histogram.spread() <= self.config.wear_gap_threshold {
+            return Ok(false);
+        }
         let mut min: Option<(u32, BlockId)> = None;
         let mut max_erase = 0u32;
         let mut hot_free: Option<(u32, BlockId)> = None;
@@ -1396,17 +1619,17 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         }
         self.clock.wait_until(deadline);
         for &ppa in &valid {
-            self.validity.invalidate(ppa);
+            self.invalidate(ppa);
         }
         self.learn_and_mark(&batch, true, TrafficClass::Gc);
 
         let cold_die = self.config.geometry.die_of_block(cold);
         let end = self.clock.schedule(cold_die, self.config.timing.erase_ns);
         self.clock.wait_until(end);
-        self.device.erase(cold)?;
+        self.erase_block(cold)?;
         self.stats.flash.erases += 1;
         self.note_flash_op(TrafficClass::Gc, FlashOpKind::Erase, cold_die, end);
-        self.validity.clear_block(cold);
+        self.clear_block(cold);
         self.allocator.release(cold);
         self.stats.wear_swaps += 1;
         // Wear swaps re-install mappings like a migration; journal
@@ -1557,7 +1780,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 }
                 let die = self.config.geometry.die_of_block(block);
                 let end = self.clock.schedule(die, self.config.timing.erase_ns);
-                self.device.erase(block)?;
+                self.erase_block(block)?;
                 self.stats.flash.erases += 1;
                 self.note_flash_op(TrafficClass::MapLog, FlashOpKind::Erase, die, end);
                 self.translog.forget_block(block);
@@ -1587,7 +1810,6 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 LogOp::Program { seq } => {
                     self.ensure_maplog_allocatable()?;
                     let runs = self
-                        .allocator
                         .allocate(Stream::MapLog, 1)
                         .ok_or(SimError::DeviceFull)?;
                     let ppa = runs[0].ppas().next().expect("one-page run");
@@ -1598,6 +1820,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                     self.note_flash_op(TrafficClass::MapLog, FlashOpKind::Program, die, done);
                     self.maplog_bytes_written += self.config.geometry.page_size as u64;
                     let block = self.config.geometry.block_of(ppa);
+                    self.gc_index.touch(block);
                     if self.translog.note_programmed(seq, block) {
                         self.translog_retention();
                     }
@@ -1621,7 +1844,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                     }
                     let die = self.config.geometry.die_of_block(block);
                     let done = self.clock.schedule(die, self.config.timing.erase_ns);
-                    self.device.erase(block)?;
+                    self.erase_block(block)?;
                     self.stats.flash.erases += 1;
                     self.note_flash_op(TrafficClass::MapLog, FlashOpKind::Erase, die, done);
                     self.translog.forget_block(block);
@@ -1734,7 +1957,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         for raw in 0..blocks {
             let block = BlockId::new(raw);
             if self.device.block(block).erase_count() != baseline.erase_counts[raw as usize] {
-                self.validity.clear_block(block);
+                self.clear_block(block);
             }
         }
 
@@ -1775,17 +1998,22 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 continue;
             }
             let state = self.device.block(block);
+            let (erased, write_ptr) = (state.is_erased(), state.write_ptr());
             if state.erase_count() != final_erase_counts[raw as usize] {
-                self.validity.clear_block(block);
-                if !state.is_erased() {
+                self.clear_block(block);
+                if !erased {
                     scan_from.push((block, 0));
                 }
-            } else if state.write_ptr() > final_write_ptrs[raw as usize] {
+            } else if write_ptr > final_write_ptrs[raw as usize] {
                 scan_from.push((block, final_write_ptrs[raw as usize]));
             }
         }
         let recovered_pages = self.scan_and_replay(&scan_from);
         self.rebuild_allocator_after_crash();
+        // Every block's standing may have changed (open blocks are
+        // abandoned, validity is the baseline's plus the replay), and
+        // whatever the device front-end had queued died with its DRAM.
+        self.rebuild_gc_index();
 
         Ok(RecoveryReport {
             scanned_data_blocks: scan_from.len(),
@@ -1864,19 +2092,25 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 // an unresolvable approximate target means the old
                 // copy is gone).
                 if !hit.approximate {
-                    self.validity.invalidate(hit.ppa);
+                    self.invalidate(hit.ppa);
                 } else if let Ok(plan) = self.plan_read_probes(lpa, &hit, false) {
                     let floor = self.clock.now_ns();
                     let ready = self.schedule_probes(&plan, floor, TrafficClass::MapLog);
                     self.clock.wait_until(ready);
-                    self.validity.invalidate(plan.exact);
+                    self.invalidate(plan.exact);
                 }
             }
         }
         let _cost = self.scheme.update_batch(batch);
         for &(_, ppa) in batch {
-            self.validity.mark_valid(ppa);
+            self.mark_valid(ppa);
         }
+    }
+
+    /// Recomputes every block's key in the victim index.
+    fn rebuild_gc_index(&mut self) {
+        let blocks = self.config.geometry.blocks as usize;
+        self.gc_index = VictimIndex::from_keys(blocks, |block| self.victim_key(block));
     }
 
     /// Rebuilds the allocator's free pool from the physical state.
@@ -2245,6 +2479,47 @@ mod tests {
     #[test]
     fn flash_log_checkpoint_is_the_recovery_baseline() {
         persisted_table_is_the_recovery_baseline(CheckpointMode::FlashLog);
+    }
+
+    #[test]
+    fn check_gc_index_catches_a_lost_mark() {
+        let mut ssd = ssd();
+        // Fill, then overwrite scattered pages until GC has run: closed
+        // blocks end up partly valid.
+        for i in 0..1280u64 {
+            ssd.write(Lpa::new(i), i).unwrap();
+        }
+        for i in 0..900u64 {
+            ssd.write(Lpa::new(i * 37 % 1280), i).unwrap();
+        }
+        assert!(ssd.stats().gc_runs > 0);
+        assert_eq!(ssd.check_gc_index(), Vec::<String>::new());
+
+        // A page of a closed block goes stale: the block is marked, the
+        // index still holds its old count, and the check accepts that.
+        ssd.refresh_gc_index();
+        let (block, valid) = ssd
+            .scan_gc_candidates(true, None)
+            .find(|&(_, valid)| valid > 0)
+            .expect("an aged device has a partly valid closed block");
+        let ppa = ssd.validity.valid_pages(block)[0];
+        ssd.invalidate(ppa);
+        assert_eq!(ssd.check_gc_index(), Vec::<String>::new());
+
+        // The mark is lost before selection reads the new count.
+        assert_eq!(ssd.gc_index.pop_dirty(), Some(block));
+        ssd.gc_index.refresh(block, valid);
+        let violations = ssd.check_gc_index();
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.contains(&format!("block {}: clean leaf holds {valid}", block.raw()))),
+            "{violations:?}"
+        );
+        assert!(
+            violations.iter().any(|v| v.contains("index candidates")),
+            "{violations:?}"
+        );
     }
 
     #[test]

@@ -131,13 +131,13 @@ fn erase_counts(ssd: &Ssd<LeaFtlScheme>) -> Vec<u32> {
 
 /// Programmed blocks holding translation-log pages (log pages carry no
 /// reverse mapping, and a log block holds nothing else).
-fn log_blocks(ssd: &Ssd<LeaFtlScheme>) -> Vec<u64> {
+fn log_blocks(ssd: &Ssd<LeaFtlScheme>) -> usize {
     (0..BLOCKS)
         .filter(|&raw| {
             let first = ssd.device().scan_block(BlockId::new(raw)).next();
             matches!(first, Some((_, None, _)))
         })
-        .collect()
+        .count()
 }
 
 fn erased(ssd: &Ssd<LeaFtlScheme>, raw: u64) -> bool {
@@ -219,11 +219,7 @@ fn run_sync(config: SsdConfig, seed: u64, cold_below: u64) -> (u64, Coverage) {
             before = seen(&ssd);
             counts = erase_counts(&ssd);
         }
-        let logs_before = if flash_log {
-            log_blocks(&ssd)
-        } else {
-            Vec::new()
-        };
+        let logs_before = if flash_log { log_blocks(&ssd) } else { 0 };
         let stamp = index as u64 + 1;
         newest[lpa as usize] = stamp;
         ssd.write(Lpa::new(lpa), stamp).unwrap();
@@ -249,7 +245,7 @@ fn run_sync(config: SsdConfig, seed: u64, cold_below: u64) -> (u64, Coverage) {
         if passes >= 1
             && after.gc_reads > before.gc_reads
             && !swapped
-            && logs_before.len() >= 2
+            && logs_before >= 2
             && (0..BLOCKS).filter(|&raw| erased(&ssd, raw)).count() >= 8
         {
             coverage.log_owned_skips += 1;

@@ -5,7 +5,10 @@
 use leaftl_repro::baselines::{Dftl, Sftl};
 use leaftl_repro::core::LeaFtlConfig;
 use leaftl_repro::flash::Lpa;
-use leaftl_repro::sim::{LeaFtlScheme, MappingScheme, Ssd, SsdConfig};
+use leaftl_repro::sim::{
+    CheckpointMode, Device, DeviceConfig, ExactPageMap, GcPolicy, LeaFtlScheme, MappingScheme, Ssd,
+    SsdConfig,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -29,6 +32,17 @@ fn action() -> impl Strategy<Value = Action> {
     ]
 }
 
+/// The addresses an action writes, in order (none for reads/flushes).
+fn written(action: Action, logical: u64) -> Vec<u64> {
+    match action {
+        Action::Write { lpa, len } => (0..len).map(|j| (lpa + j) % logical).collect(),
+        Action::StridedWrite { lpa, stride, count } => {
+            (0..count).map(|j| (lpa + j * stride) % logical).collect()
+        }
+        Action::Read { .. } | Action::Flush => Vec::new(),
+    }
+}
+
 fn apply<S: MappingScheme + Clone>(
     ssd: &mut Ssd<S>,
     shadow: &mut HashMap<u64, u64>,
@@ -37,29 +51,19 @@ fn apply<S: MappingScheme + Clone>(
 ) -> Result<(), TestCaseError> {
     let logical = ssd.config().logical_pages();
     for &action in actions {
+        for addr in written(action, logical) {
+            *content += 1;
+            ssd.write(Lpa::new(addr), *content).expect("write");
+            shadow.insert(addr, *content);
+        }
         match action {
-            Action::Write { lpa, len } => {
-                for j in 0..len {
-                    let addr = (lpa + j) % logical;
-                    *content += 1;
-                    ssd.write(Lpa::new(addr), *content).expect("write");
-                    shadow.insert(addr, *content);
-                }
-            }
-            Action::StridedWrite { lpa, stride, count } => {
-                for j in 0..count {
-                    let addr = (lpa + j * stride) % logical;
-                    *content += 1;
-                    ssd.write(Lpa::new(addr), *content).expect("write");
-                    shadow.insert(addr, *content);
-                }
-            }
             Action::Read { lpa } => {
                 let addr = lpa % logical;
                 let got = ssd.read(Lpa::new(addr)).expect("read");
                 prop_assert_eq!(got, shadow.get(&addr).copied(), "lpa {}", addr);
             }
             Action::Flush => ssd.flush().expect("flush"),
+            Action::Write { .. } | Action::StridedWrite { .. } => {}
         }
     }
     Ok(())
@@ -76,8 +80,103 @@ fn full_sweep<S: MappingScheme + Clone>(
     Ok(())
 }
 
+/// Asserts [`Ssd::check_gc_index`] whenever a flush has happened since
+/// the last look (`programs` is the data-program count seen then).
+fn check_after_flush(ssd: &Ssd<ExactPageMap>, programs: &mut u64) -> Result<(), TestCaseError> {
+    let now = ssd.stats().flash.data_programs;
+    if now != *programs {
+        *programs = now;
+        let violations = ssd.check_gc_index();
+        prop_assert!(violations.is_empty(), "{:#?}", violations);
+    }
+    Ok(())
+}
+
+/// Applies `actions` through the blocking path, checking after every
+/// flush.
+fn apply_checked(
+    ssd: &mut Ssd<ExactPageMap>,
+    actions: &[Action],
+    programs: &mut u64,
+) -> Result<(), TestCaseError> {
+    let logical = ssd.config().logical_pages();
+    for &action in actions {
+        match action {
+            Action::Read { lpa } => {
+                ssd.read(Lpa::new(lpa % logical)).expect("read");
+            }
+            Action::Flush => ssd.flush().expect("flush"),
+            _ => {}
+        }
+        for addr in written(action, logical) {
+            ssd.write(Lpa::new(addr), addr).expect("write");
+            check_after_flush(ssd, programs)?;
+        }
+        check_after_flush(ssd, programs)?;
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// What GC selection and wear levelling answer from — the victim
+    /// index, the allocator's per-block state, the erase histogram —
+    /// agrees with a scan of the device after every flush: on an aged
+    /// device, under either policy, with GC in the flush path or as
+    /// background traffic at queue depth 8, under either persistence
+    /// mode, across a power cut at an arbitrary dispatch and the
+    /// recovery after it. (Debug builds also re-run the scan beside
+    /// every selection these histories make.)
+    #[test]
+    fn gc_index_matches_the_scan_after_every_flush(
+        before in vec(action(), 1..80),
+        after in vec(action(), 1..40),
+        cost_benefit in proptest::bool::ANY,
+        background in proptest::bool::ANY,
+        flash_log in proptest::bool::ANY,
+        wear_gap in 1u32..20,
+        cut in 1u64..600,
+    ) {
+        let mut config = SsdConfig::small_test();
+        config.gc_policy = if cost_benefit { GcPolicy::CostBenefit } else { GcPolicy::Greedy };
+        config.checkpoint_mode =
+            if flash_log { CheckpointMode::FlashLog } else { CheckpointMode::DramSnapshot };
+        config.wear_gap_threshold = wear_gap;
+        let mut ssd = Ssd::new(config, ExactPageMap::new());
+        let logical = ssd.config().logical_pages();
+        let mut programs = 0u64;
+        // Age: the space written once, then strided overwrites until
+        // the collector has run.
+        let aging = [
+            Action::Write { lpa: 0, len: logical },
+            Action::StridedWrite { lpa: 7, stride: 3, count: logical / 2 },
+        ];
+        apply_checked(&mut ssd, &aging, &mut programs)?;
+        prop_assert!(ssd.stats().gc_runs > 0);
+
+        if background {
+            let mut device = Device::new(&mut ssd, DeviceConfig::single(8).background_gc());
+            device.halt_after_dispatches(cut);
+            for &action in &before {
+                if let Action::Read { lpa } = action {
+                    device.submit_read(Lpa::new(lpa % logical)).expect("read");
+                }
+                for addr in written(action, logical) {
+                    device.submit_write(Lpa::new(addr), addr).expect("write");
+                    check_after_flush(device.ssd(), &mut programs)?;
+                }
+            }
+            device.power_cut();
+        } else {
+            let cut = (cut as usize).min(before.len());
+            apply_checked(&mut ssd, &before[..cut], &mut programs)?;
+        }
+        ssd.crash_and_recover().expect("recover");
+        let violations = ssd.check_gc_index();
+        prop_assert!(violations.is_empty(), "after recovery: {:#?}", violations);
+        apply_checked(&mut ssd, &after, &mut programs)?;
+    }
 
     #[test]
     fn leaftl_ssd_matches_shadow(actions in vec(action(), 1..120), gamma in 0u32..9) {
