@@ -14,8 +14,8 @@
 //! Two axes, each at 2 048 vs 32 768 blocks (16× the state, 64 pages a
 //! block to keep the flash model's memory modest), both through the
 //! blocking path (`Ssd::write`, one 256-page buffer per iteration) with
-//! persistence points off — `take_snapshot` copies the validity bitmap
-//! and two per-block vectors, which is a cost of its own — and with the
+//! persistence points off — `take_snapshot` copies the validity bitmap,
+//! which is a cost of its own — and with the
 //! wear gap out of reach, so that the wear check always takes its
 //! no-swap exit (a real swap still walks the blocks for its pair):
 //!

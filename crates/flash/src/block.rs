@@ -99,7 +99,9 @@ impl Block {
         self.write_ptr += 1;
     }
 
-    pub(crate) fn seq(&self, page_idx: u32) -> u64 {
+    /// The device-wide program sequence number stamped on the page at
+    /// `page_idx` (meaningful below the write pointer).
+    pub fn seq(&self, page_idx: u32) -> u64 {
         self.seqs[page_idx as usize]
     }
 

@@ -209,6 +209,13 @@ impl FlashDevice {
         Some(OobWindow::new(entries, gamma))
     }
 
+    /// The sequence number of the most recent program: every page
+    /// programmed so far carries one no greater, every later page a
+    /// greater one.
+    pub fn program_seq(&self) -> u64 {
+        self.program_seq
+    }
+
     /// Erases a block, returning its new erase count.
     ///
     /// # Errors

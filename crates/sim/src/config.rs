@@ -157,9 +157,6 @@ pub struct SsdConfig {
     pub lookup_base_ns: u64,
     /// Additional lookup cost per extra level visited.
     pub lookup_per_level_ns: u64,
-    /// CPU cost charged for learning one batch of up to 256 mappings
-    /// (Table 3 measures 9.8–10.8 µs).
-    pub learn_batch_ns: u64,
     /// How translation state is checkpointed for crash recovery.
     pub checkpoint_mode: CheckpointMode,
 }
@@ -186,7 +183,6 @@ impl SsdConfig {
             sort_buffer_on_flush: true,
             lookup_base_ns: 40,
             lookup_per_level_ns: 10,
-            learn_batch_ns: 10_000,
             checkpoint_mode: CheckpointMode::DramSnapshot,
         }
     }

@@ -915,35 +915,20 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             return Ok(None);
         };
         self.compact_queued.remove(&shard);
-        self.consume_budget(1);
         let dispatch_ns = self.ssd.now_ns();
         let deadline = self.ssd.service_compact(shard)?;
         // Snapshot the *post-sweep* pressure: until learning changes it
         // again, this shard cannot be re-queued.
         self.compact_stamp[shard] = Some(self.ssd.shard_pressure(shard));
         self.compact_dispatched += 1;
-        if self.ssd.trace_enabled() {
-            self.ssd.tracer_mut().queue_span(
-                COMPACT_QUEUE,
-                "compact",
-                dispatch_ns,
-                deadline,
-                vec![("shard", ArgValue::U64(shard as u64))],
-            );
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.completed.push(IoCompletion {
-            id,
-            queue: COMPACT_QUEUE,
-            stream: COMPACT_QUEUE,
-            command: Command::Compact { shard },
-            data: None,
-            arrival_ns: dispatch_ns,
+        self.retire_background(
+            COMPACT_QUEUE,
+            Command::Compact { shard },
+            "compact",
+            ("shard", shard as u64),
             dispatch_ns,
-            complete_ns: deadline,
-            gc_overlap: false,
-        });
+            deadline,
+        );
         Ok(Some(deadline))
     }
 
@@ -953,7 +938,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     /// [`IoCompletion`] on the [`GC_QUEUE`], so replay reports and
     /// tests can observe background traffic alongside host commands.
     fn dispatch_gc(&mut self) -> Result<Option<u64>, SimError> {
-        let (victim, selected_erase_count) = loop {
+        let victim = loop {
             let Some(pending) = self.gc_pending.pop_front() else {
                 return Ok(None);
             };
@@ -961,41 +946,27 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             self.gc_pending_net_blocks = (self.gc_pending_net_blocks - pending.net_blocks).max(0.0);
             // A changed erase count means the victim was reclaimed (by
             // the emergency synchronous fallback) since selection —
-            // skip it silently rather than recording a no-op migration
-            // in gc_dispatched and the completion log.
+            // even if since reallocated, refilled with fresh live data
+            // and closed again, that data does not need to move. Skip
+            // it silently rather than recording a no-op migration in
+            // gc_dispatched and the completion log.
             if self.ssd.erase_count(pending.victim) == pending.selected_erase_count {
-                break (pending.victim, pending.selected_erase_count);
+                break pending.victim;
             }
         };
-        let command = Command::GcMigrate { victim };
-        self.consume_budget(1);
         let dispatch_ns = self.ssd.now_ns();
-        let deadline = self.ssd.service_gc_migrate(victim, selected_erase_count)?;
+        let deadline = self.ssd.service_gc_migrate(victim, false)?;
         self.gc_inflight.push(Reverse(deadline));
         self.gc_busy_until = self.gc_busy_until.max(deadline);
         self.gc_dispatched += 1;
-        if self.ssd.trace_enabled() {
-            self.ssd.tracer_mut().queue_span(
-                GC_QUEUE,
-                "gc_migrate",
-                dispatch_ns,
-                deadline,
-                vec![("victim", ArgValue::U64(victim.raw() as u64))],
-            );
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.completed.push(IoCompletion {
-            id,
-            queue: GC_QUEUE,
-            stream: GC_QUEUE,
-            command,
-            data: None,
-            arrival_ns: dispatch_ns,
+        self.retire_background(
+            GC_QUEUE,
+            Command::GcMigrate { victim },
+            "gc_migrate",
+            ("victim", victim.raw()),
             dispatch_ns,
-            complete_ns: deadline,
-            gc_overlap: false,
-        });
+            deadline,
+        );
         Ok(Some(deadline))
     }
 
@@ -1009,37 +980,64 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         let Some(dispatch) = self.ssd.service_maplog()? else {
             return Ok(None);
         };
-        self.consume_budget(1);
         let dispatch_ns = self.ssd.now_ns();
         let deadline = dispatch.complete_ns;
-        if dispatch.reclaimed_block {
+        let label = if dispatch.reclaimed_block {
             self.gc_inflight.push(Reverse(deadline));
             self.gc_busy_until = self.gc_busy_until.max(deadline);
-        }
+            "maplog_reclaim"
+        } else {
+            "maplog_program"
+        };
         self.maplog_dispatched += 1;
+        self.retire_background(
+            MAPLOG_QUEUE,
+            Command::MapLog { seq: dispatch.seq },
+            label,
+            ("seq", dispatch.seq),
+            dispatch_ns,
+            deadline,
+        );
+        Ok(Some(deadline))
+    }
+
+    /// What every background dispatch ends with: the command counts
+    /// against the crash-injection budget, gets its span (named
+    /// `label`, carrying `arg`) on its queue's trace track, and retires
+    /// as an [`IoCompletion`] on that queue — arrived when dispatched,
+    /// carrying no data.
+    fn retire_background(
+        &mut self,
+        queue: u32,
+        command: Command,
+        label: &'static str,
+        arg: (&'static str, u64),
+        dispatch_ns: u64,
+        deadline: u64,
+    ) {
+        self.consume_budget(1);
         if self.ssd.trace_enabled() {
             self.ssd.tracer_mut().queue_span(
-                MAPLOG_QUEUE,
-                dispatch.label,
+                queue,
+                label,
                 dispatch_ns,
                 deadline,
-                vec![("seq", ArgValue::U64(dispatch.seq))],
+                vec![(arg.0, ArgValue::U64(arg.1))],
             );
         }
         let id = self.next_id;
         self.next_id += 1;
         self.completed.push(IoCompletion {
             id,
-            queue: MAPLOG_QUEUE,
-            stream: MAPLOG_QUEUE,
-            command: Command::MapLog { seq: dispatch.seq },
+            queue,
+            stream: queue,
+            command,
             data: None,
             arrival_ns: dispatch_ns,
             dispatch_ns,
             complete_ns: deadline,
             gc_overlap: false,
         });
-        Ok(Some(deadline))
     }
 
     /// Free-block fraction counting only *settled* reclaims: a

@@ -10,7 +10,7 @@ use crate::gc_index::{EraseHistogram, VictimIndex, NOT_A_CANDIDATE};
 use crate::lru::LruCache;
 use crate::stats::SimStats;
 use crate::trace::{FlashOpKind, TraceSink, Tracer, TrafficClass, UtilizationReport};
-use crate::translog::{LogOp, LogPayload, TransLog};
+use crate::translog::{Baseline, LogOp, TransLog};
 use crate::validity::Validity;
 use leaftl_core::{MapCost, MappingLookup, MappingScheme, ShardPressure};
 use leaftl_flash::{BlockId, Die, FlashDevice, Lpa, Ppa};
@@ -20,26 +20,19 @@ use std::collections::{HashMap, HashSet};
 /// over the controller's internal bus).
 const DRAM_HIT_NS: u64 = 1_000;
 
-/// Snapshot of the DRAM-resident FTL state persisted to flash
-/// (mapping table + BVC, §3.8) — the baseline recovery restores before
-/// scanning what changed since. [`CheckpointMode::DramSnapshot`] keeps
-/// one in [`Ssd::snapshot`]; a durable flash-log checkpoint unpacks
-/// into the same shape. `scheme` is a clone of the live scheme, which
-/// for the table-backed schemes shares structure copy-on-write
-/// (`LeaFtlTable`'s groups, the baselines' translation pages): holding
-/// a snapshot costs the host what the live scheme changed since, and
-/// nothing the live scheme does afterwards can alter it.
-#[derive(Debug, Clone)]
-struct Snapshot<S> {
-    scheme: S,
-    validity: Validity,
-    /// Programmed-page count of every block at snapshot time; recovery
-    /// scans only pages written afterwards (the paper compares the
-    /// stored BVC with the rebuilt one, §3.8).
-    write_ptrs: Vec<u32>,
-    /// Erase counts at snapshot time; a changed count means the block
-    /// was recycled and must be rescanned from page 0.
-    erase_counts: Vec<u32>,
+/// `(LPA, PPA)` pairs installed together: one learning batch.
+type Batch = Vec<(Lpa, Ppa)>;
+
+/// Whose pages a run of programs writes: picks the [`SimStats`] counter
+/// and the traffic class the die time is attributed to.
+#[derive(Debug, Clone, Copy)]
+enum Programs {
+    /// A host flush.
+    Host,
+    /// A GC migration.
+    Gc,
+    /// A wear swap.
+    Wear,
 }
 
 /// Report of a simulated power-cut recovery (§3.8 / §5 of the paper).
@@ -115,9 +108,10 @@ pub struct Ssd<S: MappingScheme + Clone> {
     buffer: WriteBuffer,
     read_cache: LruCache<Lpa, u64>,
     stats: SimStats,
-    snapshot: Option<Snapshot<S>>,
-    /// The flash-resident translation log
-    /// ([`CheckpointMode::FlashLog`]'s durability mechanism).
+    /// Where the recovery baseline is persisted: the flash-resident
+    /// translation log ([`CheckpointMode::FlashLog`]'s durability
+    /// mechanism), which also holds [`CheckpointMode::DramSnapshot`]'s
+    /// snapshot as a generation of no log pages.
     translog: TransLog<S>,
     /// Lifetime bytes of translation-log page programs — the map-log
     /// background-traffic tax (always 0 outside
@@ -135,7 +129,7 @@ pub struct Ssd<S: MappingScheme + Clone> {
     /// the places their candidacy or valid count changes (see
     /// [`Ssd::select_gc_victim`]). Derived from the device, allocator,
     /// translation log and [`Validity`]: rebuilt after a crash, never
-    /// part of a [`Snapshot`].
+    /// part of a [`Baseline`].
     gc_index: VictimIndex,
     /// Blocks per erase count — wear levelling's O(1) "no swap is due".
     erase_histogram: EraseHistogram,
@@ -216,7 +210,6 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             buffer: WriteBuffer::new(),
             read_cache: LruCache::new(),
             stats: SimStats::new(),
-            snapshot: None,
             translog: TransLog::new(),
             maplog_bytes_written: 0,
             pristine_scheme,
@@ -865,7 +858,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         if pages.is_empty() {
             return Ok(());
         }
-        self.ensure_allocatable(pages.len() as u32, Stream::Host)?;
+        self.ensure_allocatable(pages.len() as u32, Stream::Host, None)?;
         let runs = self
             .allocate(Stream::Host, pages.len() as u32)
             .expect("allocation ensured above");
@@ -873,25 +866,8 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         // Program all pages asynchronously: the dies stay busy
         // (delaying subsequent reads) but the host continues.
         let sorted = self.config.sort_buffer_on_flush;
-        let mut deadline = self.clock.now_ns();
-        let mut idx = 0usize;
-        let mut batches: Vec<Vec<(Lpa, Ppa)>> = Vec::with_capacity(runs.len());
-        for run in &runs {
-            let mut batch = Vec::with_capacity(run.len as usize);
-            for ppa in run.ppas() {
-                let (lpa, content) = pages[idx];
-                idx += 1;
-                self.device.program(ppa, content, Some(lpa))?;
-                let die = self.config.geometry.die_of(ppa);
-                let end = self.clock.schedule(die, self.config.timing.program_ns);
-                deadline = deadline.max(end);
-                self.stats.flash.data_programs += 1;
-                self.note_flash_op(TrafficClass::Host, FlashOpKind::Program, die, end);
-                self.note_block_write(ppa);
-                batch.push((lpa, ppa));
-            }
-            batches.push(batch);
-        }
+        let now = self.clock.now_ns();
+        let (batches, deadline) = self.program_runs(&runs, &pages, now, Programs::Host)?;
         self.flush_deadline_ns = deadline;
 
         // Invalidate prior locations, then install the new mappings.
@@ -902,13 +878,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             self.learn_and_mark(batch, sorted, TrafficClass::Host);
         }
 
-        // Journal the flush's installed mappings: one delta entry per
-        // flush, replayed from the log tail at recovery instead of
-        // rescanning the blocks it touched.
-        if self.config.checkpoint_mode == CheckpointMode::FlashLog {
-            let flat: Vec<(Lpa, Ppa)> = batches.iter().flatten().copied().collect();
-            self.translog_append_delta(flat);
-        }
+        self.translog_append_delta(batches.into_iter().flatten());
 
         // Write-through: flushed pages stay readable from DRAM.
         let page_bytes = self.config.geometry.page_size as usize;
@@ -988,30 +958,61 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         }
     }
 
-    fn ensure_allocatable(&mut self, pages: u32, stream: Stream) -> Result<(), SimError> {
-        self.ensure_allocatable_except(pages, stream, None)
+    /// Programs `pages` onto `runs` in order, each program starting no
+    /// earlier than `floor_ns` on its die; the host clock does not
+    /// move. Returns the installed `(LPA, PPA)` pairs run by run — a
+    /// run is one learning batch — and when the last program completes.
+    /// Every data page the device programs goes through here, for a
+    /// flush, a migration or a wear swap alike.
+    fn program_runs(
+        &mut self,
+        runs: &[PageRun],
+        pages: &[(Lpa, u64)],
+        floor_ns: u64,
+        origin: Programs,
+    ) -> Result<(Vec<Batch>, u64), SimError> {
+        let class = match origin {
+            Programs::Host => TrafficClass::Host,
+            Programs::Gc | Programs::Wear => TrafficClass::Gc,
+        };
+        let mut done = floor_ns;
+        let mut pages = pages.iter();
+        let mut batches: Vec<Batch> = Vec::with_capacity(runs.len());
+        for run in runs {
+            let mut batch = Vec::with_capacity(run.len as usize);
+            for (ppa, &(lpa, content)) in run.ppas().zip(&mut pages) {
+                self.device.program(ppa, content, Some(lpa))?;
+                let die = self.config.geometry.die_of(ppa);
+                let end = self
+                    .clock
+                    .schedule_after(die, floor_ns, self.config.timing.program_ns);
+                done = done.max(end);
+                match origin {
+                    Programs::Host => self.stats.flash.data_programs += 1,
+                    Programs::Gc => self.stats.flash.gc_programs += 1,
+                    Programs::Wear => self.stats.flash.wear_programs += 1,
+                }
+                self.note_flash_op(class, FlashOpKind::Program, die, end);
+                self.note_block_write(ppa);
+                batch.push((lpa, ppa));
+            }
+            batches.push(batch);
+        }
+        Ok((batches, done))
     }
 
     /// Collects until `stream` can take `pages` pages, never picking
-    /// `except` (see [`Ssd::collect_once_except`]).
-    fn ensure_allocatable_except(
+    /// `except` (see [`Ssd::collect_while`]).
+    fn ensure_allocatable(
         &mut self,
         pages: u32,
         stream: Stream,
         except: Option<BlockId>,
     ) -> Result<(), SimError> {
-        let mut guard = 0u64;
-        loop {
-            if self.allocator.can_allocate(stream, pages) {
-                return Ok(());
-            }
-            if !self.collect_once_except(except)? {
-                return Err(SimError::DeviceFull);
-            }
-            guard += 1;
-            if guard > self.config.geometry.blocks {
-                return Err(SimError::DeviceFull);
-            }
+        if self.collect_while(except, |ssd| !ssd.allocator.can_allocate(stream, pages))? {
+            Ok(())
+        } else {
+            Err(SimError::DeviceFull)
         }
     }
 
@@ -1053,48 +1054,65 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         Ok(())
     }
 
+    /// Recycles `block`: erases it (no earlier than `floor_ns` on its
+    /// die, charged to `class`), drops whatever validity it held and
+    /// returns it to the free pool. The only way a block gets back
+    /// there — for GC victims, wear swaps and the translation log's
+    /// superseded blocks alike. Returns the erase's completion time;
+    /// the host clock does not move.
+    fn reclaim(
+        &mut self,
+        block: BlockId,
+        class: TrafficClass,
+        floor_ns: u64,
+    ) -> Result<u64, SimError> {
+        let die = self.config.geometry.die_of_block(block);
+        let done = self
+            .clock
+            .schedule_after(die, floor_ns, self.config.timing.erase_ns);
+        self.erase_block(block)?;
+        self.stats.flash.erases += 1;
+        self.note_flash_op(class, FlashOpKind::Erase, die, done);
+        self.clear_block(block);
+        self.allocator.release(block);
+        Ok(done)
+    }
+
     // ------------------------------------------------------------------
     // Garbage collection (§3.6)
     // ------------------------------------------------------------------
 
     fn maybe_gc(&mut self) -> Result<(), SimError> {
-        if self.allocator.free_fraction() >= self.config.gc_low_watermark {
-            return Ok(());
-        }
-        let mut guard = 0u64;
-        while self.allocator.free_fraction() < self.config.gc_high_watermark {
-            if !self.collect_once()? {
-                break;
-            }
-            guard += 1;
-            if guard > self.config.geometry.blocks {
-                break;
-            }
+        if self.allocator.free_fraction() < self.config.gc_low_watermark {
+            let high = self.config.gc_high_watermark;
+            self.collect_while(None, |ssd| ssd.allocator.free_fraction() < high)?;
         }
         Ok(())
     }
 
-    /// One GC pass: pick a victim, migrate, erase.
-    /// Returns whether a block was reclaimed.
-    fn collect_once(&mut self) -> Result<bool, SimError> {
-        self.collect_once_except(None)
-    }
-
-    /// [`Ssd::collect_once`] with a victim to skip — the in-flight
-    /// background migration must never be re-collected mid-service.
-    /// Victims the device front-end has queued are fair game: a
-    /// collection the flush path is forced into takes the best block
-    /// there is, and the queued migration finds its block recycled.
-    fn collect_once_except(&mut self, except: Option<BlockId>) -> Result<bool, SimError> {
-        let Some(victim) = self.select_gc_victim(true, except) else {
-            return Ok(false);
-        };
-        self.stats.gc_runs += 1;
-        self.migrate_and_erase(victim)?;
-        // Persist mapping table + BVC at GC time (§3.8), through
-        // whichever checkpoint policy the config selected.
-        self.checkpoint_tick();
-        Ok(true)
+    /// Runs synchronous GC passes while `wanted` holds, giving up when
+    /// nothing is left to collect or after one pass per block. Returns
+    /// whether `wanted` was satisfied. `except` is a victim to skip —
+    /// the in-flight background migration must never be re-collected
+    /// mid-service. Victims the device front-end has queued are fair
+    /// game: a collection the flush path is forced into takes the best
+    /// block there is, and the queued migration finds its block
+    /// recycled.
+    fn collect_while(
+        &mut self,
+        except: Option<BlockId>,
+        wanted: impl Fn(&Self) -> bool,
+    ) -> Result<bool, SimError> {
+        for _ in 0..=self.config.geometry.blocks {
+            if !wanted(self) {
+                return Ok(true);
+            }
+            let Some(victim) = self.select_gc_victim(true, except) else {
+                break;
+            };
+            self.service_gc_migrate(victim, true)?;
+        }
+        Ok(!wanted(self))
     }
 
     /// Current free-block fraction (the device's GC pressure signal).
@@ -1333,25 +1351,31 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         out
     }
 
-    /// The shared GC migration core: reads a victim's live pages
-    /// (parallel across dies — a block maps to one die, so its reads
-    /// serialise there), sorts/dedups them, programs them to the GC
-    /// stream, re-learns the mappings (§3.6), invalidates the old
-    /// locations and erases the victim. Returns the erase's completion
+    /// The relocation kernel GC and wear levelling share (§3.6): reads
+    /// `victim`'s live pages (a block maps to one die, so its reads
+    /// serialise there), sorts/dedups them, programs them — to the GC
+    /// stream, or onto `onto`, a block a wear swap took from the pool —
+    /// re-learns the mappings, invalidates the old locations, recycles
+    /// the victim and journals the move. Returns the erase's completion
     /// time on the die timelines.
     ///
     /// State mutations are identical in both modes; only time differs.
     /// `blocking` additionally advances the host clock to each phase
-    /// boundary (reads → programs → erase), the synchronous
-    /// collector's stall semantics; otherwise the phases are chained
-    /// with dependency floors and the global clock never moves —
-    /// concurrent host commands compete with the migration purely
-    /// through die occupancy.
-    fn migrate_block(&mut self, victim: BlockId, blocking: bool) -> Result<u64, SimError> {
+    /// boundary (reads → programs → erase), the stall semantics of the
+    /// synchronous collector and of every wear swap; otherwise the
+    /// phases are chained with dependency floors and the global clock
+    /// never moves — concurrent host commands compete with the
+    /// migration purely through die occupancy.
+    fn migrate_block(
+        &mut self,
+        victim: BlockId,
+        onto: Option<BlockId>,
+        blocking: bool,
+    ) -> Result<u64, SimError> {
         let valid = self.validity.valid_pages(victim);
         let mut reads_done = self.clock.now_ns();
-        let mut programs_done = self.clock.now_ns();
-        let mut migrated: Vec<(Lpa, Ppa)> = Vec::new();
+        let mut programs_done = reads_done;
+        let mut batches: Vec<Batch> = Vec::new();
         if !valid.is_empty() {
             let mut items: Vec<(Lpa, u64, u64)> = Vec::with_capacity(valid.len());
             for &ppa in &valid {
@@ -1369,7 +1393,8 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             }
             let items = Self::dedup_migration_items(items);
 
-            if !blocking {
+            let len = items.len() as u32;
+            if onto.is_none() && !blocking {
                 // Emergency fallback for the background path: if the GC
                 // stream itself cannot allocate, collect synchronously
                 // rather than failing — excluding this victim, whose
@@ -1379,31 +1404,19 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 // caller is already inside a collection loop, where
                 // recursing would be unsound; it fails over to
                 // `DeviceFull` instead.)
-                self.ensure_allocatable_except(items.len() as u32, Stream::Gc, Some(victim))?;
+                self.ensure_allocatable(len, Stream::Gc, Some(victim))?;
             }
-            let runs = self
-                .allocate(Stream::Gc, items.len() as u32)
-                .ok_or(SimError::DeviceFull)?;
-            let mut idx = 0usize;
-            let mut batches: Vec<Vec<(Lpa, Ppa)>> = Vec::new();
-            for run in &runs {
-                let mut batch = Vec::with_capacity(run.len as usize);
-                for ppa in run.ppas() {
-                    let (lpa, content) = items[idx];
-                    idx += 1;
-                    self.device.program(ppa, content, Some(lpa))?;
-                    let die = self.config.geometry.die_of(ppa);
-                    let end =
-                        self.clock
-                            .schedule_after(die, reads_done, self.config.timing.program_ns);
-                    programs_done = programs_done.max(end);
-                    self.stats.flash.gc_programs += 1;
-                    self.note_flash_op(TrafficClass::Gc, FlashOpKind::Program, die, end);
-                    self.note_block_write(ppa);
-                    batch.push((lpa, ppa));
+            let (runs, origin) = match onto {
+                Some(block) => {
+                    let first = self.config.geometry.first_ppa(block);
+                    (vec![PageRun { block, first, len }], Programs::Wear)
                 }
-                batches.push(batch);
-            }
+                None => {
+                    let runs = self.allocate(Stream::Gc, len);
+                    (runs.ok_or(SimError::DeviceFull)?, Programs::Gc)
+                }
+            };
+            (batches, programs_done) = self.program_runs(&runs, &items, reads_done, origin)?;
             if blocking {
                 self.clock.wait_until(programs_done);
             }
@@ -1415,68 +1428,38 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             for batch in &batches {
                 self.learn_and_mark(batch, true, TrafficClass::Gc);
             }
-            migrated = batches.into_iter().flatten().collect();
         }
 
-        let victim_die = self.config.geometry.die_of_block(victim);
-        let done = self.clock.schedule_after(
-            victim_die,
-            reads_done.max(programs_done),
-            self.config.timing.erase_ns,
-        );
+        let done = self.reclaim(victim, TrafficClass::Gc, programs_done)?;
         if blocking {
             self.clock.wait_until(done);
         }
-        self.erase_block(victim)?;
-        self.stats.flash.erases += 1;
-        self.note_flash_op(TrafficClass::Gc, FlashOpKind::Erase, victim_die, done);
-        self.clear_block(victim);
-        self.allocator.release(victim);
-        // Journal the migration's re-installed mappings — captured
-        // *after* the erase so the delta's baseline vectors reflect
-        // the post-GC physical state. (A fully stale victim installs
-        // nothing; the erase is covered by the checkpoint that follows
-        // every GC pass, or by the erase-count diff scan if that
+        // Journal the re-installed mappings — stamped *after* the
+        // programs, so the delta covers them. (A fully stale victim
+        // installs nothing; its erase is covered by the checkpoint that
+        // follows every GC pass, or found by the recovery scan if that
         // checkpoint is torn.)
-        if self.config.checkpoint_mode == CheckpointMode::FlashLog && !migrated.is_empty() {
-            self.translog_append_delta(migrated);
+        if !batches.is_empty() {
+            self.translog_append_delta(batches.into_iter().flatten());
         }
         Ok(done)
     }
 
-    /// Migrates a block's valid pages and erases it, blocking the host
-    /// for the duration (the synchronous collector).
-    fn migrate_and_erase(&mut self, victim: BlockId) -> Result<(), SimError> {
-        self.migrate_block(victim, true).map(|_| ())
-    }
-
-    /// Services one background GC migration ([`crate::Command::GcMigrate`])
-    /// without blocking the host: state is applied immediately, flash
-    /// work is chained on per-die timelines, and the erase's completion
-    /// time is returned — the whole point of [`GcMode::Background`].
-    ///
-    /// `selected_erase_count` is the victim's erase count when it was
-    /// queued: a victim that was reclaimed in the meantime (emergency
-    /// synchronous GC under allocation failure) — even if since
-    /// reallocated, refilled with fresh live data and closed again —
-    /// completes immediately as a no-op instead of migrating data that
-    /// no longer needs to move.
+    /// One GC pass over `victim` (§3.6): migrate its live pages, erase
+    /// it, and persist mapping table + BVC (§3.8). `blocking` is the
+    /// synchronous collector, which stalls the host for the duration;
+    /// without it this services a [`crate::Command::GcMigrate`] —
+    /// state is applied immediately, flash work is chained on per-die
+    /// timelines, and the erase's completion time is returned — the
+    /// whole point of [`GcMode::Background`].
     pub(crate) fn service_gc_migrate(
         &mut self,
         victim: BlockId,
-        selected_erase_count: u32,
+        blocking: bool,
     ) -> Result<u64, SimError> {
-        if self.device.block(victim).is_erased()
-            || self.device.block(victim).erase_count() != selected_erase_count
-            || self.allocator.is_open(victim)
-        {
-            return Ok(self.clock.now_ns());
-        }
         self.stats.gc_runs += 1;
-        let done = self.migrate_block(victim, false)?;
-        // Persist mapping table + BVC at GC time (§3.8), as the
-        // synchronous pass does — via the configured checkpoint policy.
-        self.checkpoint_tick();
+        let done = self.migrate_block(victim, None, blocking)?;
+        self.take_snapshot();
         Ok(done)
     }
 
@@ -1541,7 +1524,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// the least worn: while the erase histogram's spread is within the
     /// threshold — every flush of a workload that wears evenly — the
     /// answer is "no" without looking at a block. Past that, the walk
-    /// below finds the cold data block and the worn free block.
+    /// below finds the cold data block and the worn free block, and
+    /// [`Ssd::migrate_block`] moves the one onto the other, blocking
+    /// the host like a synchronous GC pass.
     fn wear_level_once(&mut self) -> Result<bool, SimError> {
         if self.erase_histogram.spread() <= self.config.wear_gap_threshold {
             return Ok(false);
@@ -1583,60 +1568,8 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         if !self.allocator.take_block(hot) {
             return Ok(false);
         }
-        let valid = self.validity.valid_pages(cold);
-        if valid.is_empty() {
-            // Raced to fully stale since selection: abort the swap and
-            // hand the worn block back rather than leaking it.
-            self.allocator.release(hot);
-            return Ok(false);
-        }
-        let mut items: Vec<(Lpa, u64, u64)> = Vec::with_capacity(valid.len());
-        let mut deadline = self.clock.now_ns();
-        for &ppa in &valid {
-            let view = self.device.read(ppa)?;
-            let die = self.config.geometry.die_of(ppa);
-            let end = self.clock.schedule(die, self.config.timing.read_ns);
-            deadline = deadline.max(end);
-            self.stats.flash.gc_reads += 1;
-            self.note_flash_op(TrafficClass::Gc, FlashOpKind::Read, die, end);
-            items.push((view.lpa.expect("data page"), view.content, view.seq));
-        }
-        self.clock.wait_until(deadline);
-        let items = Self::dedup_migration_items(items);
-
-        let mut batch: Vec<(Lpa, Ppa)> = Vec::with_capacity(items.len());
-        let mut deadline = self.clock.now_ns();
-        for (offset, &(lpa, content)) in items.iter().enumerate() {
-            let ppa = self.config.geometry.ppa(hot, offset as u32);
-            self.device.program(ppa, content, Some(lpa))?;
-            let die = self.config.geometry.die_of(ppa);
-            let end = self.clock.schedule(die, self.config.timing.program_ns);
-            deadline = deadline.max(end);
-            self.stats.flash.wear_programs += 1;
-            self.note_flash_op(TrafficClass::Gc, FlashOpKind::Program, die, end);
-            self.note_block_write(ppa);
-            batch.push((lpa, ppa));
-        }
-        self.clock.wait_until(deadline);
-        for &ppa in &valid {
-            self.invalidate(ppa);
-        }
-        self.learn_and_mark(&batch, true, TrafficClass::Gc);
-
-        let cold_die = self.config.geometry.die_of_block(cold);
-        let end = self.clock.schedule(cold_die, self.config.timing.erase_ns);
-        self.clock.wait_until(end);
-        self.erase_block(cold)?;
-        self.stats.flash.erases += 1;
-        self.note_flash_op(TrafficClass::Gc, FlashOpKind::Erase, cold_die, end);
-        self.clear_block(cold);
-        self.allocator.release(cold);
+        self.migrate_block(cold, Some(hot), true)?;
         self.stats.wear_swaps += 1;
-        // Wear swaps re-install mappings like a migration; journal
-        // them so recovery replays the move instead of rescanning.
-        if self.config.checkpoint_mode == CheckpointMode::FlashLog {
-            self.translog_append_delta(batch);
-        }
         Ok(true)
     }
 
@@ -1644,64 +1577,48 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     // Crash consistency and recovery (§3.8)
     // ------------------------------------------------------------------
 
-    /// Every block's programmed-page count and erase count, in block
-    /// order — the recovery baseline stamped into snapshots and
-    /// translation-log entries.
-    fn capture_block_vectors(&self) -> (Vec<u32>, Vec<u32>) {
-        let blocks = self.config.geometry.blocks;
-        let mut write_ptrs = Vec::with_capacity(blocks as usize);
-        let mut erase_counts = Vec::with_capacity(blocks as usize);
-        for raw in 0..blocks {
-            let block = self.device.block(BlockId::new(raw));
-            write_ptrs.push(block.write_ptr());
-            erase_counts.push(block.erase_count());
-        }
-        (write_ptrs, erase_counts)
-    }
-
-    /// Runs the configured checkpoint policy at a persistence point
-    /// (after every GC pass, §3.8): a DRAM snapshot, a flash-log
-    /// checkpoint request, or nothing. The two persistence mechanisms
-    /// are never mixed — each mode recovers only through its own
-    /// artefacts.
-    fn checkpoint_tick(&mut self) {
-        match self.config.checkpoint_mode {
-            CheckpointMode::DramSnapshot => self.take_snapshot(),
-            CheckpointMode::FlashLog => self.translog_checkpoint(),
-            CheckpointMode::Disabled => {}
-        }
-    }
-
-    /// Persists the mapping table and BVC to flash (charged as
-    /// translation programs) and records the snapshot for recovery —
-    /// the [`CheckpointMode::DramSnapshot`] policy. The simulated cost
-    /// is the whole table's pages; the host cost is a pointer per
-    /// group (see `Snapshot`) plus the validity bitmap.
+    /// Runs the configured persistence point now — what every GC pass
+    /// ends with (§3.8): the mapping table and BVC as they stand become
+    /// the next recovery [`Baseline`], stamped with the flash program
+    /// sequence. [`CheckpointMode::DramSnapshot`] charges the whole
+    /// table's pages as translation programs and is durable on return.
+    /// [`CheckpointMode::FlashLog`] queues a checkpoint generation,
+    /// sized by [`MappingScheme::checkpoint_footprint`] plus the BVC,
+    /// as `MapLog` traffic; it is durable once its pages have landed
+    /// (on the blocking path, by the end of the next flush), and at
+    /// most one is in flight — GC passes during a long write-out do not
+    /// pile up generations. [`CheckpointMode::Disabled`] does nothing.
     pub fn take_snapshot(&mut self) {
-        debug_assert!(
-            self.config.checkpoint_mode == CheckpointMode::DramSnapshot,
-            "take_snapshot is the DramSnapshot-mode persistence path; \
-             FlashLog checkpoints go through the translation log"
-        );
-        let bvc_bytes = self.config.geometry.blocks as usize * 4;
-        let bytes = self.scheme.snapshot_bytes() + bvc_bytes;
-        let pages = bytes.div_ceil(self.config.geometry.page_size as usize);
-        for i in 0..pages {
-            let die = Die::new((i % self.config.geometry.total_dies() as usize) as u32);
-            let end = self.clock.schedule(die, self.config.timing.program_ns);
-            self.stats.flash.translation_programs += 1;
-            self.note_flash_op(TrafficClass::MapLog, FlashOpKind::Program, die, end);
-        }
-        let (write_ptrs, erase_counts) = self.capture_block_vectors();
-        // The new snapshot exists before the assignment drops the
-        // previous one, so what both share with the live scheme is
-        // never uniquely owned in between.
-        self.snapshot = Some(Snapshot {
+        let geometry = self.config.geometry;
+        let bvc_bytes = geometry.blocks as usize * 4;
+        let log_pages = match self.config.checkpoint_mode {
+            CheckpointMode::Disabled => return,
+            CheckpointMode::DramSnapshot => {
+                let bytes = self.scheme.snapshot_bytes() + bvc_bytes;
+                for i in 0..bytes.div_ceil(geometry.page_size as usize) {
+                    let die = Die::new((i % geometry.total_dies() as usize) as u32);
+                    let end = self.clock.schedule(die, self.config.timing.program_ns);
+                    self.stats.flash.translation_programs += 1;
+                    self.note_flash_op(TrafficClass::MapLog, FlashOpKind::Program, die, end);
+                }
+                0
+            }
+            CheckpointMode::FlashLog => {
+                if self.translog.checkpoint_in_flight() {
+                    return;
+                }
+                let (segment_bytes, crb_bytes) = self.scheme.checkpoint_footprint();
+                (segment_bytes + crb_bytes + bvc_bytes)
+                    .div_ceil(geometry.page_size as usize)
+                    .max(1) as u32
+            }
+        };
+        let baseline = Baseline {
             scheme: self.scheme.clone(),
             validity: self.validity.clone(),
-            write_ptrs,
-            erase_counts,
-        });
+            stamp: self.device.program_seq(),
+        };
+        self.translog.push_checkpoint(baseline, log_pages);
     }
 
     // ------------------------------------------------------------------
@@ -1714,83 +1631,42 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         self.translog.pending_ops()
     }
 
-    /// Appends a delta entry journalling `batch`'s installed mappings,
-    /// stamped with the current physical block vectors.
-    fn translog_append_delta(&mut self, batch: Vec<(Lpa, Ppa)>) {
-        let (write_ptrs, erase_counts) = self.capture_block_vectors();
-        self.translog.push_delta(batch, write_ptrs, erase_counts);
+    /// Journals `batch`'s installed mappings as a translation-log delta
+    /// (one per flush, migration or wear swap), which recovery replays
+    /// instead of rescanning the blocks they landed in. Only
+    /// [`CheckpointMode::FlashLog`] keeps a journal.
+    fn translog_append_delta(&mut self, batch: impl IntoIterator<Item = (Lpa, Ppa)>) {
+        if self.config.checkpoint_mode == CheckpointMode::FlashLog {
+            let batch = batch.into_iter().collect();
+            self.translog.push_delta(batch, self.device.program_seq());
+        }
     }
 
-    /// Requests a flash-log checkpoint generation: the mapping table +
-    /// validity are captured now (a copy-on-write clone, like
-    /// [`Snapshot`]'s), sized by
-    /// [`MappingScheme::checkpoint_footprint`] plus the BVC, and their
-    /// page programs queued as `MapLog` traffic. At most one
-    /// generation is in flight at a time — GC passes during a long
-    /// checkpoint write-out do not pile up further generations.
-    fn translog_checkpoint(&mut self) {
-        if self.translog.checkpoint_in_flight() {
-            return;
+    /// Recycles log block `block` if the durable checkpoint `upto`
+    /// superseded everything in it and the log has moved on to another
+    /// block; returns the erase's completion time if so.
+    fn reclaim_log_block(&mut self, block: BlockId, upto: u64) -> Result<Option<u64>, SimError> {
+        if self.allocator.is_open(block) || !self.translog.block_superseded(block, upto) {
+            return Ok(None);
         }
-        let (segment_bytes, crb_bytes) = self.scheme.checkpoint_footprint();
-        let bvc_bytes = self.config.geometry.blocks as usize * 4;
-        let pages = (segment_bytes + crb_bytes + bvc_bytes)
-            .div_ceil(self.config.geometry.page_size as usize)
-            .max(1) as u32;
-        let (write_ptrs, erase_counts) = self.capture_block_vectors();
-        self.translog.push_checkpoint(
-            self.scheme.clone(),
-            self.validity.clone(),
-            pages,
-            write_ptrs,
-            erase_counts,
-        );
-    }
-
-    /// Retention after a checkpoint generation became durable: entry
-    /// metadata it supersedes is pruned, and every log block whose
-    /// pages all predate it is queued for reclaim (erase + fold back
-    /// into the allocator).
-    fn translog_retention(&mut self) {
-        let Some(upto) = self.translog.durable_checkpoint_seq() else {
-            return;
-        };
-        self.translog.prune_superseded(upto);
-        for block in self.translog.owned_blocks() {
-            if self.allocator.is_open(block) {
-                continue;
-            }
-            if self.translog.block_superseded(block, upto) {
-                self.translog.queue_reclaim(block, upto);
-            }
-        }
+        let done = self.reclaim(block, TrafficClass::MapLog, self.clock.now_ns())?;
+        self.translog.forget_block(block);
+        Ok(Some(done))
     }
 
     /// Makes room for one log page, preferring to eat the log's own
     /// tail (superseded blocks reclaimed synchronously) before leaning
     /// on data GC.
     fn ensure_maplog_allocatable(&mut self) -> Result<(), SimError> {
-        if self.allocator.can_allocate(Stream::MapLog, 1) {
-            return Ok(());
-        }
         if let Some(upto) = self.translog.durable_checkpoint_seq() {
             for block in self.translog.owned_blocks() {
-                if self.allocator.is_open(block) || !self.translog.block_superseded(block, upto) {
-                    continue;
-                }
-                let die = self.config.geometry.die_of_block(block);
-                let end = self.clock.schedule(die, self.config.timing.erase_ns);
-                self.erase_block(block)?;
-                self.stats.flash.erases += 1;
-                self.note_flash_op(TrafficClass::MapLog, FlashOpKind::Erase, die, end);
-                self.translog.forget_block(block);
-                self.allocator.release(block);
                 if self.allocator.can_allocate(Stream::MapLog, 1) {
-                    return Ok(());
+                    break;
                 }
+                self.reclaim_log_block(block, upto)?;
             }
         }
-        self.ensure_allocatable(1, Stream::MapLog)
+        self.ensure_allocatable(1, Stream::MapLog, None)
     }
 
     /// Dispatches the next queued translation-log op: programs one log
@@ -1805,7 +1681,6 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             let Some(op) = self.translog.pop_op() else {
                 return Ok(None);
             };
-            let label = op.label();
             match op {
                 LogOp::Program { seq } => {
                     self.ensure_maplog_allocatable()?;
@@ -1821,39 +1696,25 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                     self.maplog_bytes_written += self.config.geometry.page_size as u64;
                     let block = self.config.geometry.block_of(ppa);
                     self.gc_index.touch(block);
-                    if self.translog.note_programmed(seq, block) {
-                        self.translog_retention();
-                    }
+                    let allocator = &self.allocator;
+                    self.translog
+                        .note_programmed(seq, block, |block| allocator.is_open(block));
                     return Ok(Some(MapLogDispatch {
                         seq,
                         complete_ns: done,
                         reclaimed_block: false,
-                        label,
                     }));
                 }
                 LogOp::Reclaim { block, upto } => {
-                    if !self.translog.owns(block)
-                        || self.allocator.is_open(block)
-                        || !self.translog.block_superseded(block, upto)
-                    {
-                        // Stale (already reclaimed eagerly, or the
-                        // block picked up newer pages): drop the mark
-                        // so retention can re-evaluate, and move on.
-                        self.translog.clear_reclaim_mark(block);
+                    let Some(done) = self.reclaim_log_block(block, upto)? else {
+                        // Stale: already reclaimed eagerly, which also
+                        // dropped the block's reclaim mark. Move on.
                         continue;
-                    }
-                    let die = self.config.geometry.die_of_block(block);
-                    let done = self.clock.schedule(die, self.config.timing.erase_ns);
-                    self.erase_block(block)?;
-                    self.stats.flash.erases += 1;
-                    self.note_flash_op(TrafficClass::MapLog, FlashOpKind::Erase, die, done);
-                    self.translog.forget_block(block);
-                    self.allocator.release(block);
+                    };
                     return Ok(Some(MapLogDispatch {
                         seq: upto,
                         complete_ns: done,
                         reclaimed_block: true,
-                        label,
                     }));
                 }
             }
@@ -1866,14 +1727,11 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// full device; anything left pending simply stays non-durable.
     fn drain_maplog(&mut self) -> Result<(), SimError> {
         let geometry = self.config.geometry;
-        let cap = 2 * geometry.blocks * geometry.pages_per_block as u64;
-        let mut guard = 0u64;
-        while let Some(dispatch) = self.service_maplog()? {
-            self.clock.wait_until(dispatch.complete_ns);
-            guard += 1;
-            if guard > cap {
+        for _ in 0..=2 * geometry.blocks * geometry.pages_per_block as u64 {
+            let Some(dispatch) = self.service_maplog()? else {
                 break;
-            }
+            };
+            self.clock.wait_until(dispatch.complete_ns);
         }
         Ok(())
     }
@@ -1883,131 +1741,79 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// every [`CheckpointMode`]: read the translation log's blocks
     /// back and keep only entries whose pages all survived the cut
     /// (durability is physical, so a torn entry is always a queue
-    /// suffix); restore the newest durable baseline — a log checkpoint
-    /// generation, else the DRAM snapshot, else pristine state; replay
-    /// the durable delta tail; and OOB-scan only the data blocks
-    /// written after the last durable entry, re-learning mappings from
-    /// their reverse mappings (§3.8) — O(dirty), not O(device). Only
-    /// [`CheckpointMode::FlashLog`] ever writes the log, so in the
-    /// other modes the log scan and the tail replay are empty and the
-    /// snapshot is the whole baseline.
+    /// suffix); restore the newest durable [`Baseline`] — a log
+    /// checkpoint generation or the DRAM snapshot, whichever the mode
+    /// keeps, else pristine state; replay the durable delta tail; and
+    /// OOB-scan only the data pages programmed after the last durable
+    /// entry's stamp, re-learning mappings from their reverse mappings
+    /// (§3.8) — O(dirty), not O(device). A block that is erased, or
+    /// whose first page is newer than a stamp, was recycled since and
+    /// loses the validity the baseline recorded for it. Only
+    /// [`CheckpointMode::FlashLog`] ever writes log pages, so in the
+    /// other modes the log scan and the tail replay are empty.
     pub fn crash_and_recover(&mut self) -> Result<RecoveryReport, SimError> {
         let lost_buffered_writes = self.buffer.len();
         self.buffer = WriteBuffer::new();
         self.read_cache = LruCache::new();
-        let blocks = self.config.geometry.blocks;
         let scan_start_ns = self.clock.now_ns();
-        self.translog.discard_volatile();
 
         // Pass 1: scan the log's own blocks. Each surviving page names
         // the entry seq it belongs to; counting pages per seq tells us
         // which entries are fully durable.
-        let owned = self.translog.owned_blocks();
+        let owned: Vec<(BlockId, u32)> = self
+            .translog
+            .owned_blocks()
+            .into_iter()
+            .map(|block| (block, 0))
+            .collect();
         let mut found: HashMap<u64, u32> = HashMap::new();
-        let mut deadline = self.clock.now_ns();
-        for &block in &owned {
-            let die = self.config.geometry.die_of_block(block);
-            let pages: Vec<Ppa> = self
-                .device
-                .scan_block(block)
-                .map(|(ppa, _, _)| ppa)
-                .collect();
-            for ppa in pages {
-                let end = self.clock.schedule(die, self.config.timing.read_ns);
-                deadline = deadline.max(end);
-                self.stats.flash.translation_reads += 1;
-                self.note_flash_op(TrafficClass::MapLog, FlashOpKind::Read, die, end);
-                if let Some(view) = self.device.peek(ppa) {
-                    if view.lpa.is_none() {
-                        *found.entry(view.content).or_insert(0) += 1;
-                    }
-                }
+        for (ppa, lpa, _) in self.scan_pages(&owned) {
+            if let (None, Some(view)) = (lpa, self.device.peek(ppa)) {
+                *found.entry(view.content).or_insert(0) += 1;
             }
         }
-        self.clock.wait_until(deadline);
-        self.translog.retain_durable(&found);
+        self.translog.power_cut(&found);
 
         // Restore the newest durable baseline.
-        let checkpoint_seq = self.translog.durable_checkpoint_seq();
-        if let Some(upto) = checkpoint_seq {
-            self.translog.prune_superseded(upto);
-        }
-        let baseline = match checkpoint_seq.and_then(|seq| self.translog.entries().get(&seq)) {
-            Some(entry) => match &entry.payload {
-                LogPayload::Checkpoint(boxed) => Snapshot {
-                    scheme: boxed.0.clone(),
-                    validity: boxed.1.clone(),
-                    write_ptrs: entry.write_ptrs.clone(),
-                    erase_counts: entry.erase_counts.clone(),
-                },
-                LogPayload::Delta(_) => unreachable!("durable_checkpoint_seq names a checkpoint"),
-            },
-            None => self.snapshot.clone().unwrap_or_else(|| Snapshot {
+        let baseline = self
+            .translog
+            .durable_baseline()
+            .cloned()
+            .unwrap_or_else(|| Baseline {
                 scheme: self.pristine_scheme.clone(),
                 validity: Validity::new(self.config.geometry),
-                write_ptrs: vec![0; blocks as usize],
-                erase_counts: vec![0; blocks as usize],
-            }),
-        };
+                stamp: 0,
+            });
         self.scheme = baseline.scheme;
         self.validity = baseline.validity;
-        // Blocks recycled since the baseline hold none of the pages
-        // its validity bitmap believes in; erase counts are monotonic,
-        // so a mismatch is exactly "recycled since".
-        for raw in 0..blocks {
-            let block = BlockId::new(raw);
-            if self.device.block(block).erase_count() != baseline.erase_counts[raw as usize] {
-                self.clear_block(block);
-            }
-        }
+        self.forget_recycled_since(baseline.stamp);
 
         // Replay the durable delta tail in append order. The final
-        // durable entry's captured block vectors become the baseline
-        // for the data scan: everything it journalled is already
-        // replayed, so only younger pages need the OOB scan.
-        let tail: Vec<(u64, Vec<(Lpa, Ppa)>)> = self
+        // durable entry's stamp becomes the baseline for the data
+        // scan: everything it journalled is already replayed, so only
+        // younger pages need the OOB scan.
+        let tail: Vec<(Batch, u64)> = self
             .translog
-            .entries()
-            .iter()
-            .filter(|&(&seq, _)| checkpoint_seq.is_none_or(|c| seq > c))
-            .filter_map(|(&seq, entry)| match &entry.payload {
-                LogPayload::Delta(batch) => Some((seq, batch.clone())),
-                LogPayload::Checkpoint(_) => None,
-            })
+            .deltas()
+            .map(|(batch, stamp)| (batch.to_vec(), stamp))
             .collect();
-        for (_, batch) in &tail {
+        for (batch, _) in &tail {
             self.replay_mapping_batch(batch);
         }
         let replayed_log_entries = tail.len();
-        let (final_write_ptrs, final_erase_counts) = match tail.last() {
-            Some((seq, _)) => {
-                let entry = &self.translog.entries()[seq];
-                (entry.write_ptrs.clone(), entry.erase_counts.clone())
-            }
-            None => (baseline.write_ptrs, baseline.erase_counts),
-        };
+        let stamp = tail.last().map_or(baseline.stamp, |&(_, stamp)| stamp);
 
         // Pass 2: OOB-scan only data blocks that changed after the last
         // durable entry: recycled blocks entirely, still-open blocks
-        // only from the page the entry had seen. Log-owned blocks hold
-        // no reverse mappings and were already read in pass 1.
-        let mut scan_from: Vec<(BlockId, u32)> = Vec::new();
-        for raw in 0..blocks {
-            let block = BlockId::new(raw);
-            if self.translog.owns(block) {
-                continue;
-            }
-            let state = self.device.block(block);
-            let (erased, write_ptr) = (state.is_erased(), state.write_ptr());
-            if state.erase_count() != final_erase_counts[raw as usize] {
-                self.clear_block(block);
-                if !erased {
-                    scan_from.push((block, 0));
-                }
-            } else if write_ptr > final_write_ptrs[raw as usize] {
-                scan_from.push((block, final_write_ptrs[raw as usize]));
-            }
-        }
+        // only from the first page the entry had not seen. Log-owned
+        // blocks hold no reverse mappings and were already read in
+        // pass 1.
+        self.forget_recycled_since(stamp);
+        let scan_from: Vec<(BlockId, u32)> = (0..self.config.geometry.blocks)
+            .map(BlockId::new)
+            .filter(|&block| !self.translog.owns(block))
+            .filter_map(|block| Some((block, self.first_page_since(block, stamp)?)))
+            .collect();
         let recovered_pages = self.scan_and_replay(&scan_from);
         self.rebuild_allocator_after_crash();
         // Every block's standing may have changed (open blocks are
@@ -2026,32 +1832,63 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         })
     }
 
-    /// OOB-scans `scan_from` (die-parallel, charged as translation
-    /// reads) and replays the surviving reverse mappings in write
-    /// order. Returns the number of pages re-learned.
-    fn scan_and_replay(&mut self, scan_from: &[(BlockId, u32)]) -> u64 {
-        // Collect the changed pages with their OOB reverse mappings and
-        // program sequence numbers (die-parallel scan).
+    /// The first page of `block` programmed after the program stamped
+    /// `stamp`, if any. Pages program in order and sequence numbers
+    /// only grow, so every page from there on is newer than the stamp
+    /// too; page 0 means the block was recycled (or first filled)
+    /// since. Walks back from the write pointer: O(pages since).
+    fn first_page_since(&self, block: BlockId, stamp: u64) -> Option<u32> {
+        let state = self.device.block(block);
+        (0..state.write_ptr())
+            .rev()
+            .take_while(|&page| state.seq(page) > stamp)
+            .last()
+    }
+
+    /// Drops the validity recorded for every block recycled since the
+    /// program stamped `stamp` — one that is erased now, or whose first
+    /// page is newer: it holds none of the pages a bitmap of that age
+    /// believes in.
+    fn forget_recycled_since(&mut self, stamp: u64) {
+        for block in (0..self.config.geometry.blocks).map(BlockId::new) {
+            if self.device.block(block).is_erased()
+                || self.first_page_since(block, stamp) == Some(0)
+            {
+                self.clear_block(block);
+            }
+        }
+    }
+
+    /// Reads every programmed page of the listed blocks from the given
+    /// page on (die-parallel, charged as translation reads, and waited
+    /// for): each page's address, OOB reverse mapping and program
+    /// sequence number.
+    fn scan_pages(&mut self, scan_from: &[(BlockId, u32)]) -> Vec<(Ppa, Option<Lpa>, u64)> {
         let mut deadline = self.clock.now_ns();
-        let mut entries: Vec<(u64, Lpa, Ppa)> = Vec::new();
+        let mut pages = Vec::new();
         for &(block, first_page) in scan_from {
             let die = self.config.geometry.die_of_block(block);
-            let scanned: Vec<(Ppa, Option<Lpa>, u64)> = self
-                .device
-                .scan_block(block)
-                .skip(first_page as usize)
-                .collect();
-            for (ppa, lpa, seq) in scanned {
+            let before = pages.len();
+            pages.extend(self.device.scan_block(block).skip(first_page as usize));
+            for _ in before..pages.len() {
                 let end = self.clock.schedule(die, self.config.timing.read_ns);
                 deadline = deadline.max(end);
                 self.stats.flash.translation_reads += 1;
                 self.note_flash_op(TrafficClass::MapLog, FlashOpKind::Read, die, end);
-                if let Some(lpa) = lpa {
-                    entries.push((seq, lpa, ppa));
-                }
             }
         }
         self.clock.wait_until(deadline);
+        pages
+    }
+
+    /// OOB-scans `scan_from` and replays the surviving reverse mappings
+    /// in write order. Returns the number of pages re-learned.
+    fn scan_and_replay(&mut self, scan_from: &[(BlockId, u32)]) -> u64 {
+        let mut entries: Vec<(u64, Lpa, Ppa)> = self
+            .scan_pages(scan_from)
+            .into_iter()
+            .filter_map(|(ppa, lpa, seq)| Some((seq, lpa?, ppa)))
+            .collect();
 
         // Replay in write order so the newest version of each LPA wins,
         // re-learning in the natural chunk batches (consecutive
@@ -2135,8 +1972,6 @@ pub(crate) struct MapLogDispatch {
     pub complete_ns: u64,
     /// True for reclaim erases — the op returned a block to the pool.
     pub reclaimed_block: bool,
-    /// Trace-span name of the dispatched op.
-    pub label: &'static str,
 }
 
 #[cfg(test)]
@@ -2366,27 +2201,17 @@ mod tests {
         assert_eq!(report.maplog_bytes_written, 0);
     }
 
-    /// The scheme recovery would restore right now: the newest durable
-    /// log checkpoint, else the DRAM snapshot.
+    /// The scheme recovery would restore right now.
     fn persisted_scheme(ssd: &Ssd<LeaFtlScheme>) -> &LeaFtlScheme {
-        match ssd.translog.durable_checkpoint_seq() {
-            Some(seq) => match &ssd.translog.entries()[&seq].payload {
-                LogPayload::Checkpoint(boxed) => &boxed.0,
-                LogPayload::Delta(_) => unreachable!("names a checkpoint"),
-            },
-            None => &ssd.snapshot.as_ref().expect("a snapshot was taken").scheme,
-        }
+        let baseline = ssd.translog.durable_baseline();
+        &baseline.expect("a persistence point has run").scheme
     }
 
-    /// A persistence point outside GC, durable on return.
+    /// A persistence point outside GC, durable on return (a log
+    /// checkpoint once its pages are programmed).
     fn persist_now(ssd: &mut Ssd<LeaFtlScheme>) {
-        match ssd.config.checkpoint_mode {
-            CheckpointMode::FlashLog => {
-                ssd.translog_checkpoint();
-                ssd.drain_maplog().unwrap();
-            }
-            _ => ssd.take_snapshot(),
-        }
+        ssd.take_snapshot();
+        ssd.drain_maplog().unwrap();
     }
 
     /// §3.8 on structurally shared tables: the persisted table shares
@@ -2468,6 +2293,108 @@ mod tests {
         assert_eq!(report.lost_buffered_writes, 16);
         assert_eq!(report.recovered_pages, 0);
         assert_eq!(answers(&ssd.scheme), at_persist);
+
+        ssd.scheme.table().assert_valid();
+        recovery_scans_what_the_stamp_does_not_cover(mode);
+    }
+
+    /// The four ways a block can stand against the last durable stamp
+    /// at a power cut: erased since and left empty; recycled and partly
+    /// refilled; an open block appended to; a data block the log took
+    /// over.
+    fn recovery_scans_what_the_stamp_does_not_cover(mode: CheckpointMode) {
+        let mut config = SsdConfig::small_test();
+        config.gamma = 4;
+        config.checkpoint_mode = mode;
+        let scheme = LeaFtlScheme::new(leaftl_core::LeaFtlConfig::default().with_gamma(4));
+        let mut ssd = Ssd::new(config, scheme);
+        let geometry = ssd.config.geometry;
+        let mut written = vec![0u64; ssd.config.logical_pages() as usize];
+        let mut content = 0u64;
+        let mut write = |ssd: &mut Ssd<LeaFtlScheme>, lpa: u64| {
+            content += 1;
+            written[lpa as usize] = content;
+            ssd.write(Lpa::new(lpa), content).unwrap();
+        };
+
+        // Thirty closed blocks of live data with every eighth page
+        // overwritten, and a partly filled open block on every way —
+        // far from the GC watermark, so the only persistence point is
+        // the one below. After it nothing more persists: background
+        // mode keeps the flush path from draining the log.
+        (0..960).for_each(|lpa| write(&mut ssd, lpa));
+        (0..960).step_by(8).for_each(|lpa| write(&mut ssd, lpa));
+        for lpa in 0..8 {
+            write(&mut ssd, 8 * lpa + 1);
+            ssd.flush().unwrap();
+        }
+        assert_eq!(ssd.stats.gc_runs, 0);
+        persist_now(&mut ssd);
+        ssd.set_gc_mode(GcMode::Background);
+        let blocks = || (0..geometry.blocks).map(BlockId::new);
+        let state = |ssd: &Ssd<LeaFtlScheme>, block| {
+            let block = ssd.device.block(block);
+            (block.erase_count(), block.write_ptr())
+        };
+        let at_persist: Vec<(u32, u32)> = blocks().map(|block| state(&ssd, block)).collect();
+        let mut covered = ssd.device.program_seq();
+        let mut victims = ssd.scan_gc_candidates(true, None).map(|(block, _)| block);
+        let [emptied, taken_over, refilled, cold] = [(); 4].map(|()| victims.next().unwrap());
+        drop(victims);
+
+        ssd.migrate_block(emptied, None, true).unwrap();
+        // That journalled a delta, whose page lands on the next block
+        // recycled. It makes the delta durable, so the delta's stamp is
+        // where the scan starts.
+        if mode == CheckpointMode::FlashLog {
+            covered = ssd.device.program_seq();
+            ssd.migrate_block(taken_over, None, true).unwrap();
+            assert!(ssd.allocator.take_block(taken_over));
+            let Some(LogOp::Program { seq }) = ssd.translog.pop_op() else {
+                panic!("the migration queued its delta's page");
+            };
+            let ppa = geometry.first_ppa(taken_over);
+            ssd.device.program(ppa, seq, None).unwrap();
+            ssd.translog.note_programmed(seq, taken_over, |_| true);
+        }
+        // A wear swap by hand refills a recycled block.
+        ssd.migrate_block(refilled, None, true).unwrap();
+        assert!(ssd.allocator.take_block(refilled));
+        ssd.migrate_block(cold, Some(refilled), true).unwrap();
+        // The migrations appended to the GC stream's open blocks; a
+        // flush appends to the host stream's.
+        write(&mut ssd, 11);
+        ssd.flush().unwrap();
+
+        assert_eq!(state(&ssd, emptied), (1, 0));
+        assert_eq!(state(&ssd, refilled), (1, 28));
+        let appended_to = blocks()
+            .zip(&at_persist)
+            .filter(|&(block, &(erases, pages))| {
+                pages > 0 && state(&ssd, block).0 == erases && state(&ssd, block).1 > pages
+            });
+        assert!(appended_to.count() >= 1);
+        let newer: Vec<usize> = blocks()
+            .filter(|&block| !ssd.translog.owns(block))
+            .map(|block| ssd.device.scan_block(block))
+            .map(|pages| pages.filter(|&(_, _, seq)| seq > covered).count())
+            .filter(|&pages| pages > 0)
+            .collect();
+        let report = ssd.crash_and_recover().unwrap();
+        ssd.set_gc_mode(GcMode::Synchronous);
+        assert_eq!(report.lost_buffered_writes, 0);
+        assert_eq!(report.scanned_data_blocks, newer.len());
+        assert_eq!(report.recovered_pages, newer.iter().sum::<usize>() as u64);
+        assert!((3..12).contains(&newer.len()), "{newer:?}");
+        if mode == CheckpointMode::FlashLog {
+            assert!(ssd.translog.owns(taken_over));
+            assert_eq!(state(&ssd, taken_over), (1, 1));
+            assert_eq!(report.replayed_log_entries, 1);
+        }
+        for (lpa, &content) in written.iter().enumerate() {
+            let expected = (content != 0).then_some(content);
+            assert_eq!(ssd.read(Lpa::new(lpa as u64)).unwrap(), expected, "{lpa}");
+        }
         ssd.scheme.table().assert_valid();
     }
 

@@ -5,22 +5,30 @@
 //! mapping-table persistence becomes *device traffic*. Two entry kinds
 //! flow through the log:
 //!
-//! * **Checkpoints** — the learned mapping table as it was when the
-//!   generation was requested (a clone, which shares every group with
-//!   the live table until that group next changes — the payload stands
-//!   in for the bytes in the log pages, so it must never follow the
-//!   live table) plus the page-validity bitmap, sized by
-//!   [`crate::MappingScheme::checkpoint_footprint`] and
-//!   written as a run of metadata pages. A checkpoint is durable only
-//!   once *every* page has physically programmed — a power cut in the
-//!   middle leaves a torn, ignored generation.
+//! * **Checkpoints** — a [`Baseline`]: the learned mapping table as it
+//!   was when the generation was requested (a clone, which shares
+//!   every group with the live table until that group next changes —
+//!   the payload stands in for the bytes in the log pages, so it must
+//!   never follow the live table) plus the page-validity bitmap, sized
+//!   by [`crate::MappingScheme::checkpoint_footprint`] and written as a
+//!   run of metadata pages. A checkpoint is durable only once *every*
+//!   page has physically programmed — a power cut in the middle leaves
+//!   a torn, ignored generation.
 //! * **Deltas** — one page per host flush batch, GC migration or wear
-//!   swap, recording the installed `(LPA, PPA)` mappings plus the
-//!   per-block write pointers and erase counts at creation. Deltas
-//!   newer than the latest durable checkpoint are replayed at
-//!   recovery; everything after the last durable entry is covered by
-//!   the OOB scan of the data blocks that changed since — O(dirty),
-//!   not O(device).
+//!   swap, recording the installed `(LPA, PPA)` mappings. Deltas newer
+//!   than the latest durable checkpoint are replayed at recovery.
+//!
+//! Both kinds are stamped with the flash program sequence at creation
+//! (every page carries its own in the OOB): whatever the last durable
+//! entry does not cover is exactly the pages with a greater sequence,
+//! found by an OOB scan of the data blocks that changed since —
+//! O(dirty), not O(device), and a stamp costs one word per entry.
+//!
+//! [`crate::CheckpointMode::DramSnapshot`] keeps its baseline here too,
+//! as a checkpoint of zero log pages: nothing to program, so it is
+//! durable on arrival (§3.8's model). Recovery therefore restores "the
+//! newest durable checkpoint" in every mode and has no second place to
+//! look.
 //!
 //! Each pending page program / block reclaim is queued here as a
 //! [`LogOp`] and drained either synchronously at flush boundaries
@@ -61,52 +69,55 @@ pub(crate) enum LogOp {
     },
 }
 
-impl LogOp {
-    /// Stable trace-span name for this operation.
-    pub(crate) fn label(&self) -> &'static str {
-        match self {
-            LogOp::Program { .. } => "maplog_program",
-            LogOp::Reclaim { .. } => "maplog_reclaim",
-        }
-    }
+/// The DRAM-resident FTL state persisted to flash (mapping table +
+/// BVC, §3.8) — what recovery restores before replaying and scanning
+/// what changed since. `scheme` is a clone of the live scheme, which
+/// for the table-backed schemes shares structure copy-on-write
+/// (`LeaFtlTable`'s groups, the baselines' translation pages): holding
+/// a baseline costs the host what the live scheme changed since, and
+/// nothing the live scheme does afterwards can alter it.
+#[derive(Debug, Clone)]
+pub(crate) struct Baseline<S> {
+    pub scheme: S,
+    pub validity: Validity,
+    /// [`leaftl_flash::FlashDevice::program_seq`] at capture: the
+    /// baseline knows every page stamped no later, and none stamped
+    /// after (the paper compares the stored BVC with the rebuilt one).
+    pub stamp: u64,
 }
 
 /// What a log entry carries.
 #[derive(Debug, Clone)]
-pub(crate) enum LogPayload<S> {
-    /// Mapping-table + validity checkpoint captured at creation (the
-    /// scheme clone is copy-on-write against the live one).
-    Checkpoint(Box<(S, Validity)>),
-    /// One batch of installed `(LPA, new PPA)` mappings.
-    Delta(Vec<(Lpa, Ppa)>),
+enum LogPayload<S> {
+    /// A checkpoint generation.
+    Checkpoint(Box<Baseline<S>>),
+    /// One batch of installed `(LPA, new PPA)` mappings, and the
+    /// program sequence once they were all on flash.
+    Delta { batch: Vec<(Lpa, Ppa)>, stamp: u64 },
 }
 
 /// One translation-log entry (a checkpoint generation or a delta).
 #[derive(Debug, Clone)]
-pub(crate) struct LogEntry<S> {
-    /// Log pages the entry spans (1 for deltas).
-    pub pages: u32,
+struct LogEntry<S> {
+    /// Log pages the entry spans (1 for deltas, 0 for a DRAM snapshot).
+    pages: u32,
     /// Pages physically programmed so far; durable iff equal to
     /// `pages`.
-    pub programmed: u32,
-    /// The entry's payload.
-    pub payload: LogPayload<S>,
-    /// Per-block programmed-page counts captured at creation — the
-    /// recovery scan baseline once this is the newest durable entry.
-    pub write_ptrs: Vec<u32>,
-    /// Per-block erase counts captured at creation.
-    pub erase_counts: Vec<u32>,
+    programmed: u32,
+    payload: LogPayload<S>,
 }
 
 impl<S> LogEntry<S> {
     /// Whether every page of the entry has physically programmed.
-    pub fn durable(&self) -> bool {
+    fn durable(&self) -> bool {
         self.programmed >= self.pages
     }
 
-    /// Whether the entry is a checkpoint generation.
-    pub fn is_checkpoint(&self) -> bool {
-        matches!(self.payload, LogPayload::Checkpoint(_))
+    fn checkpoint(&self) -> Option<&Baseline<S>> {
+        match &self.payload {
+            LogPayload::Checkpoint(baseline) => Some(baseline),
+            LogPayload::Delta { .. } => None,
+        }
     }
 }
 
@@ -116,7 +127,7 @@ impl<S> LogEntry<S> {
 /// The entry map and block ownership model *flash* state (what a real
 /// controller would read back from the log blocks); the pending op
 /// queue and reclaim marks are DRAM-volatile and discarded by
-/// [`TransLog::discard_volatile`] on a power cut.
+/// [`TransLog::power_cut`].
 #[derive(Debug, Clone)]
 pub(crate) struct TransLog<S> {
     /// Next entry sequence number (monotonic across crashes — seqs are
@@ -170,40 +181,9 @@ impl<S> TransLog<S> {
         self.pending.pop_front()
     }
 
-    /// Appends a one-page delta entry and queues its program.
-    pub fn push_delta(
-        &mut self,
-        batch: Vec<(Lpa, Ppa)>,
-        write_ptrs: Vec<u32>,
-        erase_counts: Vec<u32>,
-    ) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.entries.insert(
-            seq,
-            LogEntry {
-                pages: 1,
-                programmed: 0,
-                payload: LogPayload::Delta(batch),
-                write_ptrs,
-                erase_counts,
-            },
-        );
-        self.pending.push_back(LogOp::Program { seq });
-        seq
-    }
-
-    /// Appends a `pages`-page checkpoint generation and queues one
-    /// program per page.
-    pub fn push_checkpoint(
-        &mut self,
-        scheme: S,
-        validity: Validity,
-        pages: u32,
-        write_ptrs: Vec<u32>,
-        erase_counts: Vec<u32>,
-    ) -> u64 {
-        let pages = pages.max(1);
+    /// Appends an entry of `pages` log pages and queues one program
+    /// per page.
+    fn push(&mut self, pages: u32, payload: LogPayload<S>) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.entries.insert(
@@ -211,13 +191,30 @@ impl<S> TransLog<S> {
             LogEntry {
                 pages,
                 programmed: 0,
-                payload: LogPayload::Checkpoint(Box::new((scheme, validity))),
-                write_ptrs,
-                erase_counts,
+                payload,
             },
         );
         for _ in 0..pages {
             self.pending.push_back(LogOp::Program { seq });
+        }
+        seq
+    }
+
+    /// Appends a one-page delta entry and queues its program.
+    pub fn push_delta(&mut self, batch: Vec<(Lpa, Ppa)>, stamp: u64) -> u64 {
+        self.push(1, LogPayload::Delta { batch, stamp })
+    }
+
+    /// Appends a `pages`-page checkpoint generation and queues one
+    /// program per page. With no page to wait for — the DRAM snapshot
+    /// — the generation is durable at once and supersedes its
+    /// predecessor (which is dropped only now, so what both share with
+    /// the live scheme is never uniquely owned in between).
+    pub fn push_checkpoint(&mut self, baseline: Baseline<S>, pages: u32) -> u64 {
+        let seq = self.push(pages, LogPayload::Checkpoint(Box::new(baseline)));
+        if pages == 0 {
+            self.durable_checkpoint = Some(seq);
+            self.prune_superseded(seq);
         }
         seq
     }
@@ -227,23 +224,31 @@ impl<S> TransLog<S> {
     pub fn checkpoint_in_flight(&self) -> bool {
         self.entries
             .values()
-            .any(|e| e.is_checkpoint() && !e.durable())
+            .any(|e| e.checkpoint().is_some() && !e.durable())
     }
 
     /// Records one physically programmed page of entry `seq` landing
-    /// in `block`. Returns `true` when the program completed a
-    /// checkpoint generation (the caller runs retention then).
-    pub fn note_programmed(&mut self, seq: u64, block: BlockId) -> bool {
+    /// in `block`. When that completes a checkpoint generation,
+    /// retention runs: entry metadata it supersedes is pruned, and
+    /// every log block the log has moved on from (`is_open` says
+    /// which it has not) whose pages all predate it is queued for
+    /// reclaim (erase + fold back into the allocator).
+    pub fn note_programmed(&mut self, seq: u64, block: BlockId, is_open: impl Fn(BlockId) -> bool) {
         self.block_seqs.entry(block).or_default().push(seq);
         let Some(entry) = self.entries.get_mut(&seq) else {
-            return false;
+            return;
         };
         entry.programmed += 1;
-        if entry.durable() && entry.is_checkpoint() {
-            self.durable_checkpoint = Some(self.durable_checkpoint.unwrap_or(0).max(seq));
-            return true;
+        if entry.durable() && entry.checkpoint().is_some() {
+            let upto = self.durable_checkpoint.unwrap_or(0).max(seq);
+            self.durable_checkpoint = Some(upto);
+            self.prune_superseded(upto);
+            for block in self.owned_blocks() {
+                if !is_open(block) && self.block_superseded(block, upto) {
+                    self.queue_reclaim(block, upto);
+                }
+            }
         }
-        false
     }
 
     /// Newest fully durable checkpoint seq.
@@ -253,7 +258,7 @@ impl<S> TransLog<S> {
 
     /// Drops entry metadata a durable checkpoint `upto` supersedes
     /// (recovery never reads below the newest durable checkpoint).
-    pub fn prune_superseded(&mut self, upto: u64) {
+    fn prune_superseded(&mut self, upto: u64) {
         self.entries.retain(|&seq, _| seq >= upto);
     }
 
@@ -279,18 +284,12 @@ impl<S> TransLog<S> {
 
     /// Queues a reclaim for `block` (deduplicated); returns whether an
     /// op was queued.
-    pub fn queue_reclaim(&mut self, block: BlockId, upto: u64) -> bool {
+    fn queue_reclaim(&mut self, block: BlockId, upto: u64) -> bool {
         if !self.reclaim_queued.insert(block) {
             return false;
         }
         self.pending.push_back(LogOp::Reclaim { block, upto });
         true
-    }
-
-    /// Drops a stale reclaim mark so retention can re-queue the block
-    /// later.
-    pub fn clear_reclaim_mark(&mut self, block: BlockId) {
-        self.reclaim_queued.remove(&block);
     }
 
     /// Forgets an erased log block (ownership and reclaim bookkeeping).
@@ -301,21 +300,19 @@ impl<S> TransLog<S> {
         self.reclaim_queued.remove(&block);
     }
 
-    /// Discards the DRAM-volatile half of the log on a power cut:
+    /// What a power cut leaves of the log. The DRAM-volatile half goes:
     /// queued ops (never dispatched ⇒ never programmed) and reclaim
-    /// marks. Physical page ownership and entry metadata survive —
-    /// they model flash contents; [`TransLog::retain_durable`] then
-    /// drops the entries the cut left torn.
-    pub fn discard_volatile(&mut self) {
-        self.pending.clear();
-        self.reclaim_queued.clear();
-    }
-
-    /// Reconciles entry metadata with the physically scanned log:
+    /// marks. Physical page ownership and entry metadata model flash
+    /// contents and are reconciled with the physically scanned log:
     /// `found` maps entry seq → pages actually on flash. Torn entries
     /// (fewer pages than they span) are dropped; survivors are marked
-    /// fully programmed and the newest durable checkpoint re-derived.
-    pub fn retain_durable(&mut self, found: &HashMap<u64, u32>) {
+    /// fully programmed, the newest durable checkpoint re-derived and
+    /// everything older than it dropped — what is left is what
+    /// recovery restores ([`TransLog::durable_baseline`]) and replays
+    /// ([`TransLog::deltas`]).
+    pub fn power_cut(&mut self, found: &HashMap<u64, u32>) {
+        self.pending.clear();
+        self.reclaim_queued.clear();
         self.entries
             .retain(|seq, e| found.get(seq).copied().unwrap_or(0) >= e.pages);
         for e in self.entries.values_mut() {
@@ -325,13 +322,26 @@ impl<S> TransLog<S> {
             .entries
             .iter()
             .rev()
-            .find(|(_, e)| e.is_checkpoint())
+            .find(|(_, e)| e.checkpoint().is_some())
             .map(|(&seq, _)| seq);
+        if let Some(upto) = self.durable_checkpoint {
+            self.prune_superseded(upto);
+        }
     }
 
-    /// Read access to the entry map (recovery).
-    pub fn entries(&self) -> &BTreeMap<u64, LogEntry<S>> {
-        &self.entries
+    /// The newest durable checkpoint generation, if any.
+    pub fn durable_baseline(&self) -> Option<&Baseline<S>> {
+        self.entries.get(&self.durable_checkpoint?)?.checkpoint()
+    }
+
+    /// The delta entries in append order, each with its stamp. After
+    /// [`TransLog::power_cut`] these are the durable deltas newer than
+    /// the baseline.
+    pub fn deltas(&self) -> impl Iterator<Item = (&[(Lpa, Ppa)], u64)> {
+        self.entries.values().filter_map(|e| match &e.payload {
+            LogPayload::Delta { batch, stamp } => Some((batch.as_slice(), *stamp)),
+            LogPayload::Checkpoint(_) => None,
+        })
     }
 }
 
@@ -340,66 +350,87 @@ mod tests {
     use super::*;
     use leaftl_flash::FlashGeometry;
 
-    fn vecs() -> (Vec<u32>, Vec<u32>) {
-        (vec![0; 4], vec![0; 4])
-    }
-
-    fn validity() -> Validity {
-        Validity::new(FlashGeometry::small_test())
+    fn baseline(scheme: u8) -> Baseline<u8> {
+        Baseline {
+            scheme,
+            validity: Validity::new(FlashGeometry::small_test()),
+            stamp: 0,
+        }
     }
 
     #[test]
     fn checkpoint_durability_is_all_pages_or_nothing() {
         let mut log: TransLog<u8> = TransLog::new();
-        let (wp, ec) = vecs();
-        let seq = log.push_checkpoint(7, validity(), 3, wp, ec);
+        let seq = log.push_checkpoint(baseline(7), 3);
         assert!(log.checkpoint_in_flight());
         assert_eq!(log.pending_ops(), 3);
         let block = BlockId::new(1);
-        assert!(!log.note_programmed(seq, block));
-        assert!(!log.note_programmed(seq, block));
+        log.note_programmed(seq, block, |_| true);
+        log.note_programmed(seq, block, |_| true);
         assert!(log.durable_checkpoint_seq().is_none());
-        assert!(log.note_programmed(seq, block), "last page completes it");
-        assert_eq!(log.durable_checkpoint_seq(), Some(seq));
+        log.note_programmed(seq, block, |_| true);
+        assert_eq!(
+            log.durable_checkpoint_seq(),
+            Some(seq),
+            "last page completes it"
+        );
         assert!(!log.checkpoint_in_flight());
     }
 
     #[test]
     fn retention_supersedes_older_generations() {
         let mut log: TransLog<u8> = TransLog::new();
-        let (wp, ec) = vecs();
-        let old_delta = log.push_delta(Vec::new(), wp.clone(), ec.clone());
-        let old_ckpt = log.push_checkpoint(1, validity(), 1, wp.clone(), ec.clone());
-        let block = BlockId::new(2);
-        log.note_programmed(old_delta, block);
-        log.note_programmed(old_ckpt, block);
-        let new_ckpt = log.push_checkpoint(2, validity(), 1, wp, ec);
-        log.note_programmed(new_ckpt, BlockId::new(3));
-        log.prune_superseded(new_ckpt);
-        assert!(log.entries().get(&old_delta).is_none());
-        assert!(log.entries().get(&old_ckpt).is_none());
+        let old_delta = log.push_delta(Vec::new(), 0);
+        let old_ckpt = log.push_checkpoint(baseline(1), 1);
+        let (block, newest) = (BlockId::new(2), BlockId::new(3));
+        log.note_programmed(old_delta, block, |_| true);
+        log.note_programmed(old_ckpt, block, |_| true);
+        let new_ckpt = log.push_checkpoint(baseline(2), 1);
+        log.note_programmed(new_ckpt, newest, |block| block == newest);
+        assert!(!log.entries.contains_key(&old_delta));
+        assert!(!log.entries.contains_key(&old_ckpt));
         assert!(log.block_superseded(block, new_ckpt));
-        assert!(!log.block_superseded(BlockId::new(3), new_ckpt));
-        assert!(log.queue_reclaim(block, new_ckpt));
+        assert!(!log.block_superseded(newest, new_ckpt));
+        // Behind the three page programs, one reclaim: of the block
+        // the log has moved on from, not of the one it is filling.
+        let ops: Vec<LogOp> = std::iter::from_fn(|| log.pop_op()).collect();
+        let upto = new_ckpt;
+        assert_eq!(ops[3..], [LogOp::Reclaim { block, upto }]);
         assert!(!log.queue_reclaim(block, new_ckpt), "dedup");
         log.forget_block(block);
         assert!(!log.owns(block));
     }
 
     #[test]
-    fn retain_durable_drops_torn_entries() {
+    fn power_cut_drops_torn_entries() {
         let mut log: TransLog<u8> = TransLog::new();
-        let (wp, ec) = vecs();
-        let ckpt = log.push_checkpoint(1, validity(), 2, wp.clone(), ec.clone());
-        let delta = log.push_delta(Vec::new(), wp.clone(), ec.clone());
-        let torn = log.push_checkpoint(2, validity(), 4, wp, ec);
+        let ckpt = log.push_checkpoint(baseline(1), 2);
+        let delta = log.push_delta(Vec::new(), 5);
+        let torn = log.push_checkpoint(baseline(2), 4);
         // Physically present: both ckpt pages, the delta, one torn page.
         let found: HashMap<u64, u32> = [(ckpt, 2), (delta, 1), (torn, 1)].into_iter().collect();
-        log.discard_volatile();
+        log.power_cut(&found);
         assert_eq!(log.pending_ops(), 0);
-        log.retain_durable(&found);
         assert_eq!(log.durable_checkpoint_seq(), Some(ckpt));
-        assert!(log.entries().contains_key(&delta));
-        assert!(!log.entries().contains_key(&torn));
+        assert_eq!(log.durable_baseline().map(|b| b.scheme), Some(1));
+        assert_eq!(
+            log.deltas().map(|(_, stamp)| stamp).collect::<Vec<_>>(),
+            [5]
+        );
+        assert!(!log.entries.contains_key(&torn));
+    }
+
+    #[test]
+    fn a_checkpoint_of_no_pages_is_durable_on_arrival() {
+        let mut log: TransLog<u8> = TransLog::new();
+        let first = log.push_checkpoint(baseline(1), 0);
+        assert_eq!(log.durable_checkpoint_seq(), Some(first));
+        log.push_checkpoint(baseline(2), 0);
+        assert_eq!(log.pending_ops(), 0);
+        assert!(!log.checkpoint_in_flight());
+        assert_eq!(log.entries.len(), 1, "the older snapshot is dropped");
+        // No log page names it, and a power cut keeps it all the same.
+        log.power_cut(&HashMap::new());
+        assert_eq!(log.durable_baseline().map(|b| b.scheme), Some(2));
     }
 }

@@ -359,6 +359,9 @@ const BACKGROUND_GREEDY_FLASHLOG: u64 = 0x830b_dc95_e9c2_b10e;
 const BACKGROUND_COSTBENEFIT_SNAPSHOT: u64 = 0x18fc_b720_0ee2_7336;
 const BACKGROUND_COSTBENEFIT_FLASHLOG: u64 = 0xa8de_8302_4bf7_3b38;
 const SYNC_GREEDY_WEAR_SWAPS: u64 = 0xa24f_dd83_03ac_847b;
+/// Recorded one PR later than the rest, on the commit before wear swaps
+/// and GC migrations became one relocation kernel.
+const SYNC_GREEDY_WEAR_SWAPS_FLASHLOG: u64 = 0x3499_1fd3_f5b7_e06c;
 
 #[test]
 fn sync_gc_picks_the_recorded_victims() {
@@ -440,13 +443,20 @@ fn background_gc_picks_the_recorded_victims() {
 }
 
 /// A static bottom third under a hammered remainder, with a wear gap of
-/// three erases: the history that performs real wear swaps.
+/// three erases: the history that performs real wear swaps — under the
+/// translation log too, where every swap is journalled as a delta and
+/// the mid-run power cut replays them.
 #[test]
 fn wear_swaps_move_the_recorded_blocks() {
-    let config = config(GcPolicy::Greedy, CheckpointMode::DramSnapshot, 3);
-    let cold_below = config.logical_pages() / 3;
-    let (hash, coverage) = run_sync(config, 0x7765_6172, cold_below);
-    assert!(coverage.wear_swaps >= 1, "{coverage:?}");
-    assert!(coverage.gc_runs > 500, "{coverage:?}");
-    assert_eq!(hash, SYNC_GREEDY_WEAR_SWAPS, "{hash:#018x}");
+    for (mode, expected) in [
+        (CheckpointMode::DramSnapshot, SYNC_GREEDY_WEAR_SWAPS),
+        (CheckpointMode::FlashLog, SYNC_GREEDY_WEAR_SWAPS_FLASHLOG),
+    ] {
+        let config = config(GcPolicy::Greedy, mode, 3);
+        let cold_below = config.logical_pages() / 3;
+        let (hash, coverage) = run_sync(config, 0x7765_6172, cold_below);
+        assert!(coverage.wear_swaps >= 1, "{mode:?}: {coverage:?}");
+        assert!(coverage.gc_runs > 500, "{mode:?}: {coverage:?}");
+        assert_eq!(hash, expected, "{mode:?}: {hash:#018x}");
+    }
 }

@@ -222,6 +222,33 @@ fn crash_point_sweep_recovers_at_every_cut() {
     assert!(swept > 10, "sweep covered only {swept} cut points");
 }
 
+/// Wear swaps under the log: every swap is journalled as a delta like
+/// a migration, so a cut after one or more swaps — with the swap's
+/// delta durable, torn or still queued — must recover the moved data.
+/// A static third under a hammered rest, with a wear gap of one erase.
+#[test]
+fn crash_after_wear_swaps_recovers_at_every_cut() {
+    let mut config = sweep_config();
+    config.geometry.blocks = 24;
+    config.wear_gap_threshold = 1;
+    let mut ops: Vec<(u64, u64)> = (0..48).map(|lpa| (lpa, 1 + lpa)).collect();
+    ops.extend((0..480u64).map(|i| (48 + (i * 5) % 24, 100 + i)));
+    let (reference, total) = run_to_cut(&config, &ops, None);
+    assert!(reference.stats().wear_swaps >= 2, "the workload must swap");
+    let mut cuts_after_a_swap = 0u64;
+    for k in 0..=total {
+        let (mut ssd, _) = run_to_cut(&config, &ops, Some(k));
+        if ssd.stats().wear_swaps == 0 {
+            continue;
+        }
+        cuts_after_a_swap += 1;
+        let truth = flash_ground_truth(&ssd);
+        recover(&mut ssd);
+        assert_recovered_matches(&mut ssd, &truth, &format!("wear cut {k}"));
+    }
+    assert!(cuts_after_a_swap > 10, "only {cuts_after_a_swap} cuts");
+}
+
 /// After recovery at a cut point the device must keep working: new
 /// writes land, read back, and survive a *second* crash.
 #[test]
