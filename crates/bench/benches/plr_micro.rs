@@ -7,23 +7,27 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
-fn sequential(n: usize) -> Vec<(u8, u64)> {
-    (0..n).map(|i| (i as u8, 5_000 + i as u64)).collect()
+/// One run as the parallel (offsets, PPAs) slices `plr::fit` takes.
+type Run = (Vec<u8>, Vec<u64>);
+
+fn sequential(n: usize) -> Run {
+    (0..n).map(|i| (i as u8, 5_000 + i as u64)).unzip()
 }
 
-fn strided(stride: usize) -> Vec<(u8, u64)> {
+fn strided(stride: usize) -> Run {
     (0..256 / stride)
         .map(|i| ((i * stride) as u8, 9_000 + i as u64))
-        .collect()
+        .unzip()
 }
 
-fn irregular(seed: u64) -> Vec<(u8, u64)> {
+fn irregular(seed: u64) -> Run {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut out = Vec::new();
+    let mut out = Run::default();
     let mut x = 0u64;
     let mut y = 40_000u64;
     while x <= 255 {
-        out.push((x as u8, y));
+        out.0.push(x as u8);
+        out.1.push(y);
         x += 1 + rng.gen_range(0..3u64);
         y += 1;
     }
@@ -32,19 +36,23 @@ fn irregular(seed: u64) -> Vec<(u8, u64)> {
 
 fn bench_fit(c: &mut Criterion) {
     let mut group = c.benchmark_group("plr_fit");
-    let cases: Vec<(&str, Vec<(u8, u64)>)> = vec![
+    let cases: Vec<(&str, Run)> = vec![
         ("sequential_256", sequential(256)),
         ("strided_4", strided(4)),
         ("irregular", irregular(3)),
     ];
-    for (name, points) in &cases {
-        group.throughput(Throughput::Elements(points.len() as u64));
+    for (name, (offsets, ppas)) in &cases {
+        group.throughput(Throughput::Elements(offsets.len() as u64));
         for gamma in [0u32, 4] {
             group.bench_with_input(
                 BenchmarkId::new(*name, gamma),
-                &(points, gamma),
-                |b, (points, gamma)| {
-                    b.iter(|| black_box(plr::fit(black_box(points), *gamma)));
+                &(offsets, ppas, gamma),
+                |b, (offsets, ppas, gamma)| {
+                    // `fit` is lazy: fold over the pieces it yields.
+                    b.iter(|| {
+                        plr::fit(black_box(offsets), black_box(ppas), *gamma)
+                            .fold(0u64, |acc, piece| acc ^ black_box(piece).segment.encode())
+                    });
                 },
             );
         }

@@ -18,18 +18,35 @@
 //!   are re-layered newest-first into the fewest levels the freshness
 //!   invariant allows. The sweep is a fixpoint on its own output, so a
 //!   group nothing was inserted into since its last sweep
-//!   (`!is_dirty()`) need not be swept again, and it allocates nothing:
-//!   claims are four words, survivors sit on the stack and levels are
-//!   refilled in place.
+//!   (`!is_dirty()`) need not be swept again.
+//!
+//! # Layout
+//!
+//! A group is one array: every segment of every level in one
+//! `Vec<Segment>` ordered by (level, start), with one end index per
+//! level beside it, plus the [`Crb`]'s byte list and its run starts —
+//! at most four heap blocks, two when the group has no approximate
+//! segment. Every kernel is a pass over that contiguous memory and
+//! allocates nothing beyond the vectors' own growth: a lookup walks
+//! one level slice after the next; an insert trims its victims where
+//! they sit and *rotates* the popped ones past the end of level 0 into
+//! the level below; the sweep closes survivors up toward the front as
+//! it trims them — which, where little changed, is (level, start) order
+//! already — and otherwise scatters them level by level. Claims are
+//! four words whatever their shape — a stride grid is built a word at
+//! a time, not a member at a time — and a victim the newer members miss
+//! keeps its claim, its interval and its CRB run untouched.
 //!
 //! # Sharing
 //!
 //! A group is the table's unit of copy-on-write: `LeaFtlTable` holds
-//! each one behind an `Arc` and clones it (`Group: Clone`, a deep copy
-//! of the levels and the CRB) only when `insert_piece` or `compact` is
-//! about to run on a group some table clone still holds. Every method
-//! that mutates takes `&mut self`, so nothing here can change a shared
-//! group in place.
+//! each one behind an `Arc` and clones it only when `insert_piece` or
+//! `compact` is about to run on a group some table clone still holds.
+//! `Group: Clone` copies those two to four blocks — 8 bytes per segment,
+//! 4 per level, the CRB bytes — which is all a learn or a sweep after a
+//! persistence point pays before it starts. Every method that mutates
+//! takes `&mut self`, so nothing here can change a shared group in
+//! place.
 //!
 //! # Freshness invariant
 //!
@@ -40,11 +57,11 @@
 //! down.
 
 use crate::crb::{Crb, CrbPatch};
-use crate::level::Level;
 use crate::plr::LearnedPiece;
 use crate::segment::Segment;
 use leaftl_flash::Ppa;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Result of a group lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,10 +77,10 @@ pub struct GroupLookup {
 
 /// A set of group offsets — the member bitmap of Algorithm 2.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct OffsetSet([u64; 4]);
+pub(crate) struct OffsetSet([u64; 4]);
 
 impl OffsetSet {
-    fn from_members(members: &[u8]) -> Self {
+    pub(crate) fn from_members(members: &[u8]) -> Self {
         let mut set = OffsetSet::default();
         for &m in members {
             set.insert(m);
@@ -71,25 +88,43 @@ impl OffsetSet {
         set
     }
 
-    /// The stride grid `first, first + stride, … ≤ last`.
+    /// The stride grid `first, first + stride, … ≤ last`, a word at a
+    /// time: one 64-bit period of the grid, shifted to where the grid
+    /// enters each word.
     fn strided(first: u8, last: u8, stride: u32) -> Self {
+        assert!(stride > 0, "a stride grid needs a positive stride");
+        let period = GRID_PERIODS.get(stride as usize).copied().unwrap_or(1);
+        let (first_word, last_word) = ((first >> 6) as usize, (last >> 6) as usize);
         let mut set = OffsetSet::default();
-        if stride == 1 {
-            for word in (first >> 6)..=(last >> 6) {
-                let from = if word == first >> 6 { first & 63 } else { 0 };
-                let to = if word == last >> 6 { last & 63 } else { 63 };
-                set.0[word as usize] |= (u64::MAX >> (63 - (to - from))) << from;
+        // Where the grid's next offset lies, counted from the word's base.
+        let mut enters = (first & 63) as u32;
+        for word in first_word..=last_word {
+            if enters >= 64 {
+                enters -= 64;
+                continue;
             }
-        } else {
-            for x in (first as u32..=last as u32).step_by(stride as usize) {
-                set.insert(x as u8);
+            let grid = period << enters;
+            set.0[word] = grid;
+            if word < last_word {
+                enters = enters + grid.count_ones() * stride - 64;
             }
         }
+        set.0[last_word] &= u64::MAX >> (63 - (last & 63));
         set
     }
 
     fn insert(&mut self, offset: u8) {
         self.0[(offset >> 6) as usize] |= 1u64 << (offset & 63);
+    }
+
+    pub(crate) fn contains(&self, offset: u8) -> bool {
+        self.0[(offset >> 6) as usize] >> (offset & 63) & 1 == 1
+    }
+
+    fn intersects(&self, other: &OffsetSet) -> bool {
+        let [a, b, c, d] = self.0;
+        let [e, f, g, h] = other.0;
+        (a & e) | (b & f) | (c & g) | (d & h) != 0
     }
 
     fn union_with(&mut self, other: &OffsetSet) {
@@ -118,21 +153,71 @@ impl OffsetSet {
     }
 
     /// The offsets in ascending order.
-    fn iter(&self) -> impl Iterator<Item = u8> + '_ {
-        (0..=255u8).filter(|&x| self.0[(x >> 6) as usize] >> (x & 63) & 1 == 1)
+    fn iter(&self) -> impl Iterator<Item = u8> {
+        let mut words = self.0;
+        let mut word = 0;
+        std::iter::from_fn(move || {
+            while word < 4 && words[word] == 0 {
+                word += 1;
+            }
+            let bits = words.get_mut(word)?;
+            let bit = bits.trailing_zeros();
+            *bits &= *bits - 1;
+            Some((word * 64) as u8 + bit as u8)
+        })
     }
+}
+
+/// `GRID_PERIODS[s]` has bit `i` set for every multiple `i` of `s` below
+/// 64 (`s ≥ 1`): one word of a stride-`s` grid that enters at bit 0.
+const GRID_PERIODS: [u64; 64] = {
+    let mut periods = [0u64; 64];
+    let mut stride = 1;
+    while stride < 64 {
+        let mut offset = 0;
+        while offset < 64 {
+            periods[stride] |= 1 << offset;
+            offset += stride;
+        }
+        stride += 1;
+    }
+    periods
+};
+
+/// The segment of a level (sorted by start, disjoint intervals) whose
+/// interval covers `offset`, if any.
+fn find_covering(level: &[Segment], offset: u8) -> Option<&Segment> {
+    // A deep stack is many short levels: walking one front to back
+    // costs a predictable branch per segment where a binary search
+    // mispredicts at every probe.
+    if level.len() <= 16 {
+        return level.iter().find(|s| s.covers(offset));
+    }
+    let idx = level.partition_point(|s| s.start() <= offset);
+    let candidate = level[..idx].last()?;
+    candidate.covers(offset).then_some(candidate)
+}
+
+/// Indices of a level's segments whose intervals overlap `segment`'s.
+/// They are contiguous because the level is sorted and disjoint.
+fn overlapping(level: &[Segment], segment: &Segment) -> Range<usize> {
+    let lo = level.partition_point(|s| s.end() < segment.start());
+    let hi = level.partition_point(|s| s.start() <= segment.end());
+    lo..hi
 }
 
 /// The per-group learned mapping structure.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Group {
-    levels: Vec<Level>,
+    /// Every segment, ordered by (level, start); intervals within a
+    /// level are disjoint (§3.4).
+    segments: Vec<Segment>,
+    /// `level_ends[l]` is one past level `l`'s last segment, so level
+    /// `l` is `segments[level_ends[l - 1]..level_ends[l]]`. Strictly
+    /// increasing between calls (no level is empty); `insert_piece`
+    /// lets a level run empty while it works and prunes on return.
+    level_ends: Vec<u32>,
     crb: Crb,
-    /// Live segment count across all levels, maintained on every
-    /// insert/remove so [`Group::segment_count`] — polled by the table's
-    /// aggregate counters on every mutation — never walks the levels
-    /// ([`Group::recount_segments`] is the test oracle).
-    segment_total: usize,
     /// Whether a piece was inserted since the last [`Group::compact`].
     dirty: bool,
 }
@@ -145,7 +230,7 @@ impl Group {
 
     /// Number of levels currently in the log structure.
     pub fn level_count(&self) -> usize {
-        self.levels.len()
+        self.level_ends.len()
     }
 
     /// Whether a piece was inserted since the last [`Group::compact`].
@@ -157,17 +242,16 @@ impl Group {
         self.dirty
     }
 
-    /// Total number of segments across all levels. O(1) — served from
-    /// the live counter.
+    /// Total number of segments across all levels. O(1).
     pub fn segment_count(&self) -> usize {
-        self.segment_total
+        self.segments.len()
     }
 
-    /// Recounts the segments with a full walk over the levels — the
-    /// test oracle the incremental [`Group::segment_count`] counter is
-    /// proved against.
+    /// Recounts the segments level by level — the test oracle for
+    /// [`Group::segment_count`]: the two agree exactly when the level
+    /// boundaries tile the segment array.
     pub fn recount_segments(&self) -> usize {
-        self.levels.iter().map(Level::len).sum()
+        self.levels().map(<[Segment]>::len).sum()
     }
 
     /// CRB footprint in bytes (members + separators, Fig. 10). O(1).
@@ -179,7 +263,7 @@ impl Group {
     /// bytes — the per-group unit the table's incremental accounting
     /// and the demand-paging cache charge. O(1).
     pub fn byte_size(&self) -> usize {
-        self.segment_total * Segment::ENCODED_BYTES + self.crb.byte_size()
+        self.segments.len() * Segment::ENCODED_BYTES + self.crb.byte_size()
     }
 
     /// Read access to the group's CRB.
@@ -187,10 +271,18 @@ impl Group {
         &self.crb
     }
 
+    /// The levels, top-down, each a slice of the one segment array.
+    pub(crate) fn levels(&self) -> impl Iterator<Item = &[Segment]> {
+        self.level_ends.iter().scan(0, |from, &end| {
+            let level = self.segments.get(*from..end as usize);
+            *from = end as usize;
+            level
+        })
+    }
+
     /// Iterates all segments with their level index, top-down.
     pub fn iter_segments(&self) -> impl Iterator<Item = (usize, &Segment)> {
-        self.levels
-            .iter()
+        self.levels()
             .enumerate()
             .flat_map(|(idx, level)| level.iter().map(move |seg| (idx, seg)))
     }
@@ -210,166 +302,162 @@ impl Group {
         }
     }
 
-    /// The offsets a segment claims (Algorithm 2 `get_bitmap`): the
-    /// stride grid of an accurate segment, the CRB run of an
-    /// approximate one.
-    fn claim_of(&self, segment: &Segment) -> OffsetSet {
-        if segment.is_accurate() {
-            match segment.stride() {
-                None => OffsetSet::from_members(&[segment.start()]),
-                Some(stride) => OffsetSet::strided(segment.start(), segment.end(), stride),
-            }
-        } else {
-            self.crb
-                .members_of(segment.start())
-                .map_or_else(OffsetSet::default, OffsetSet::from_members)
+    /// The offsets a segment claims (Algorithm 2 `get_bitmap`) and the
+    /// last of them — the first is its start: the stride grid of an
+    /// accurate segment (whose interval ends on the grid: fitted that
+    /// way, and only ever trimmed to a span of grid members), the CRB
+    /// run of an approximate one (`None` if it has none).
+    fn claim_of(&self, segment: &Segment) -> Option<(OffsetSet, u8)> {
+        if segment.is_approximate() {
+            let members = self.crb.members_of(segment.start())?;
+            return Some((OffsetSet::from_members(members), *members.last()?));
         }
+        let Some(stride) = segment.stride() else {
+            return Some((OffsetSet::from_members(&[segment.start()]), segment.start()));
+        };
+        let claim = OffsetSet::strided(segment.start(), segment.end(), stride);
+        debug_assert!(claim.contains(segment.end()), "{segment} ends off its grid");
+        Some((claim, segment.end()))
     }
 
     /// Inserts a freshly learned piece (Algorithm 1, `seg_update` at
     /// level 0). For approximate pieces the member run is registered in
     /// the CRB first, deduplicating members from older runs.
-    pub fn insert_piece(&mut self, piece: &LearnedPiece) {
+    pub fn insert_piece(&mut self, piece: &LearnedPiece<'_>) {
         self.dirty = true;
         if piece.segment.is_approximate() {
-            let patches = self.crb.insert_run(&piece.members);
-            self.apply_patches(&patches);
+            let Group {
+                segments,
+                level_ends,
+                crb,
+                ..
+            } = self;
+            crb.insert_run(piece.members, |patch| {
+                apply_patch(segments, level_ends, patch)
+            });
         }
-        let members = OffsetSet::from_members(&piece.members);
-        self.seg_update_at(piece.segment, 0, &members);
-        self.prune_empty_levels();
+        self.seg_update(piece.segment, &OffsetSet::from_members(piece.members));
+        // Levels a removal emptied (level 0 holds the new segment).
+        self.level_ends.dedup();
     }
 
-    /// Mirrors CRB side effects (reheads/removals of older approximate
-    /// runs) onto the segments stored in the levels.
-    fn apply_patches(&mut self, patches: &[CrbPatch]) {
-        for patch in patches {
-            match *patch {
-                CrbPatch::Rehead {
-                    old_start,
-                    new_start,
-                    new_end,
-                } => {
-                    let mut found = false;
-                    'levels: for level in &mut self.levels {
-                        for idx in 0..level.len() {
-                            let seg = level.segment(idx);
-                            if seg.is_approximate() && seg.start() == old_start {
-                                level
-                                    .segment_mut(idx)
-                                    .set_interval(new_start, new_end - new_start);
-                                found = true;
-                                break 'levels;
-                            }
-                        }
-                    }
-                    debug_assert!(found, "crb rehead of {old_start} found no segment");
-                }
-                CrbPatch::Remove { start } => {
-                    let mut found = false;
-                    for level in &mut self.levels {
-                        if level.remove_by_start(start, true).is_some() {
-                            found = true;
-                            break;
-                        }
-                    }
-                    debug_assert!(found, "crb removal of {start} found no segment");
-                    if found {
-                        self.segment_total -= 1;
-                    }
-                }
+    /// Algorithm 1 `seg_update` at level 0: merge the new segment's
+    /// members against its victims there, insert it in sorted position
+    /// and pop the victims that still overlap it one level down — into
+    /// level 1 while they fit, and from the first that conflicts there
+    /// into a fresh level of their own between the two ("create level
+    /// for victim to avoid recursion", Algorithm 1 line 16). All of it
+    /// happens inside the one segment array.
+    fn seg_update(&mut self, segment: Segment, members: &OffsetSet) {
+        if self.level_ends.is_empty() {
+            self.level_ends.push(0);
+        }
+        let level0_end = self.level_ends[0] as usize;
+        let victims = overlapping(&self.segments[..level0_end], &segment);
+        // Trim the victims where they sit; the ones that keep a member
+        // close ranks, still in start order.
+        let mut kept_end = victims.start;
+        for idx in victims.clone() {
+            let mut victim = self.segments[idx];
+            if let Some((_, first, last)) = self.merge_victim(&victim, members) {
+                victim.set_interval(first, last - first);
+                self.segments[kept_end] = victim;
+                kept_end += 1;
             }
         }
-    }
-
-    /// Algorithm 1 `seg_update`: merge the new segment's members against
-    /// level `level_idx`'s victims, pop still-overlapping victims one
-    /// level down, and insert the new segment in sorted position.
-    fn seg_update_at(&mut self, segment: Segment, level_idx: usize, members: &OffsetSet) {
-        while self.levels.len() <= level_idx {
-            self.levels.push(Level::new());
+        // Among them, those still overlapping the new segment are one
+        // block again; it leaves level 0 and the segment takes its place.
+        let popped = overlapping(&self.segments[victims.start..kept_end], &segment);
+        let popped = victims.start + popped.start..victims.start + popped.end;
+        if kept_end < victims.end {
+            self.segments[popped.start..=kept_end].rotate_right(1);
+            self.segments[popped.start] = segment;
+            self.segments.drain(kept_end + 1..victims.end);
+        } else {
+            self.segments.insert(popped.start, segment);
         }
-        let victim_range = self.levels[level_idx].overlapping_indices(&segment);
-        let mut popped = Vec::new();
-        for idx in victim_range.rev() {
-            let victim = *self.levels[level_idx].segment(idx);
-            match self.merge_victim(&victim, members).span() {
-                None => {
-                    self.levels[level_idx].remove(idx);
-                    self.segment_total -= 1;
-                }
-                Some((first, last)) => {
-                    let stored = self.levels[level_idx].segment_mut(idx);
-                    stored.set_interval(first, last - first);
-                    if segment.overlaps(stored) {
-                        // Popped victims re-enter via `place_below`:
-                        // net zero for the segment counter.
-                        popped.push(self.levels[level_idx].remove(idx));
-                    }
-                }
-            }
+        let level0_len = level0_end + 1 - (victims.end - kept_end);
+        for end in &mut self.level_ends[1..] {
+            *end = *end + 1 - (victims.end - kept_end) as u32;
         }
-        self.levels[level_idx].insert(segment);
-        self.segment_total += 1;
-        // Victims were collected right-to-left; restore start order so
-        // they land in a shared level deterministically.
-        for victim in popped.into_iter().rev() {
-            self.place_below(victim, level_idx + 1);
+        // The popped block rotates to the end of level 0 …
+        self.segments[popped.start + 1..level0_len].rotate_left(popped.len());
+        let below = level0_len - popped.len();
+        self.level_ends[0] = below as u32;
+        if popped.is_empty() {
+            return;
+        }
+        // … where it sits between level 0 and level 1, in start order.
+        let Some(&level1_end) = self.level_ends.get(1) else {
+            self.level_ends.push(level0_len as u32);
+            return;
+        };
+        let level1 = &self.segments[level0_len..level1_end as usize];
+        let fits = self.segments[below..level0_len]
+            .iter()
+            .take_while(|victim| overlapping(level1, victim).is_empty())
+            .count();
+        // Victims from the first conflict on become the fresh level,
+        // directly below level 0 …
+        let mut joins = below..level0_len;
+        if fits < popped.len() {
+            self.segments[joins.clone()].rotate_left(fits);
+            joins.start = level0_len - fits;
+            self.level_ends.insert(1, joins.start as u32);
+        }
+        // … and those before it merge into the level that was level 1,
+        // the last one first so each rotates past what it precedes.
+        let level_end = level1_end as usize;
+        for at in joins.rev() {
+            let victim = self.segments[at];
+            let ahead =
+                self.segments[at + 1..level_end].partition_point(|s| s.start() < victim.start());
+            self.segments[at..=at + ahead].rotate_left(1);
         }
     }
 
     /// Algorithm 2 `seg_merge`: subtract the newer member bitmap from
-    /// the victim's claim and return what it keeps, whose span is the
-    /// victim's new interval; an empty set means the victim is gone.
-    /// An approximate victim's CRB run follows the claim — spliced only
-    /// when it actually lost members, removed when it lost them all.
-    /// The victim's `K` and `I` are never touched — translation is
-    /// independent of the interval.
-    fn merge_victim(&mut self, victim: &Segment, newer: &OffsetSet) -> OffsetSet {
-        let claim = self.claim_of(victim);
+    /// the victim's claim and return what it keeps with its first and
+    /// last offset — the victim's new interval; `None` means the victim
+    /// is gone. A victim the newer members miss altogether keeps its
+    /// claim as it is. An approximate victim's CRB run follows the claim
+    /// — rewritten only when it actually lost members, removed when it
+    /// lost them all. The victim's `K` and `I` are never touched —
+    /// translation is independent of the interval.
+    fn merge_victim(&mut self, victim: &Segment, newer: &OffsetSet) -> Option<(OffsetSet, u8, u8)> {
+        let (claim, last) = self.claim_of(victim)?;
+        if !claim.intersects(newer) {
+            return Some((claim, victim.start(), last));
+        }
         let remaining = claim.without(newer);
-        if victim.is_approximate() && remaining != claim {
-            self.crb
-                .replace_run(victim.start(), remaining.iter().collect());
+        if victim.is_approximate() {
+            self.crb.replace_run(victim.start(), remaining.iter());
         }
-        remaining
-    }
-
-    /// Places a popped victim below `level_idx - 1`: into the level at
-    /// `idx` when disjoint, otherwise into a fresh level created at
-    /// `idx` ("create level for victim to avoid recursion",
-    /// Algorithm 1 line 16).
-    fn place_below(&mut self, victim: Segment, idx: usize) {
-        if idx >= self.levels.len() {
-            self.levels.push(Level::with_segment(victim));
-        } else if self.levels[idx].has_overlap(&victim) {
-            self.levels.insert(idx, Level::with_segment(victim));
-        } else {
-            self.levels[idx].insert(victim);
-        }
-    }
-
-    fn prune_empty_levels(&mut self) {
-        self.levels.retain(|level| !level.is_empty());
+        let (first, last) = remaining.span()?;
+        Some((remaining, first, last))
     }
 
     /// Algorithm 1 `lookup`: top-down search for the first level whose
     /// covering segment genuinely indexes `offset`.
     pub fn lookup(&self, offset: u8) -> Option<GroupLookup> {
-        for (idx, level) in self.levels.iter().enumerate() {
-            if let Some(segment) = level.find_covering(offset) {
-                let is_member = if segment.is_accurate() {
-                    segment.accurate_has_offset(offset)
-                } else {
-                    self.crb.owner_of(offset) == Some(segment.start())
-                };
-                if is_member {
-                    return Some(GroupLookup {
-                        ppa: segment.translate(offset),
-                        approximate: segment.is_approximate(),
-                        levels_visited: (idx + 1) as u32,
-                    });
-                }
+        // Which approximate segment owns the offset is a property of
+        // the group, looked up when the first one covers it.
+        let mut owner = None;
+        for (idx, level) in self.levels().enumerate() {
+            let Some(segment) = find_covering(level, offset) else {
+                continue;
+            };
+            let is_member = if segment.is_accurate() {
+                segment.accurate_has_offset(offset)
+            } else {
+                *owner.get_or_insert_with(|| self.crb.owner_of(offset)) == Some(segment.start())
+            };
+            if is_member {
+                return Some(GroupLookup {
+                    ppa: segment.translate(offset),
+                    approximate: segment.is_approximate(),
+                    levels_visited: (idx + 1) as u32,
+                });
             }
         }
         None
@@ -394,25 +482,15 @@ impl Group {
     /// mapping count (the §3.1 worst-case memory argument).
     pub fn compact(&mut self) {
         self.dirty = false;
-        let mut levels = std::mem::take(&mut self.levels);
         // Survivors keep disjoint, non-empty member sets, so a group
-        // has at most 256 of them.
-        let mut kept = [Segment::decode(0); 256];
+        // has at most 256 of them. They close ranks at the front of the
+        // array, in freshness order, each with the level it belongs on.
+        let mut level_of = [0u8; 256];
         let mut kept_len = 0;
-        let mut cumulative = OffsetSet::default();
-        for segment in levels.iter().flat_map(Level::iter) {
-            let remaining = self.merge_victim(segment, &cumulative);
-            if let Some((first, last)) = remaining.span() {
-                // What the trimmed segment claims beyond `remaining`
-                // (stride-grid holes) is in `cumulative` already.
-                cumulative.union_with(&remaining);
-                kept[kept_len] = *segment;
-                kept[kept_len].set_interval(first, last - first);
-                kept_len += 1;
-            }
-        }
-        self.segment_total = kept_len;
-        levels.iter_mut().for_each(Level::clear);
+        // Whether that order is (level, start) order already — it is
+        // wherever the sweep finds the levels as it would leave them.
+        let mut in_order = true;
+        let mut previous = (0, 0);
         // `depth[x]` = 1 + the deepest level holding a segment that
         // covers offset `x`. A segment must sit strictly below every
         // (fresher) segment already placed that it overlaps, i.e. just
@@ -420,20 +498,103 @@ impl Group {
         // A second level needs a segment with two members, which
         // leaves at most 255 survivors: the depth fits a byte.
         let mut depth = [0u8; 256];
-        let mut used = 0;
-        for segment in &kept[..kept_len] {
-            let covered = &mut depth[segment.start() as usize..=segment.end() as usize];
-            let floor = covered.iter().copied().max().unwrap_or(0);
-            covered.fill(floor + 1);
-            let floor = floor as usize;
-            if floor == levels.len() {
-                levels.push(Level::new());
-            }
-            levels[floor].insert(*segment);
-            used = used.max(floor + 1);
+        // How many survivors each level receives; then, where its next
+        // one goes.
+        let mut slots = [0u32; 256];
+        let mut cumulative = OffsetSet::default();
+        for idx in 0..self.segments.len() {
+            let mut segment = self.segments[idx];
+            let level = if segment.is_accurate() && segment.len() == 0 {
+                // Every other segment of an aged table indexes one
+                // offset: a bit to test and set, a depth to bump.
+                let offset = segment.start();
+                if cumulative.contains(offset) {
+                    continue;
+                }
+                cumulative.insert(offset);
+                let below = &mut depth[offset as usize];
+                *below += 1;
+                *below - 1
+            } else {
+                let Some((remaining, first, last)) = self.merge_victim(&segment, &cumulative)
+                else {
+                    continue;
+                };
+                // What the trimmed segment claims beyond `remaining`
+                // (stride-grid holes) is in `cumulative` already.
+                cumulative.union_with(&remaining);
+                segment.set_interval(first, last - first);
+                let covered = &mut depth[first as usize..=last as usize];
+                let level = covered.iter().copied().max().unwrap_or(0);
+                covered.fill(level + 1);
+                level
+            };
+            let place = (level, segment.start());
+            in_order &= kept_len == 0 || previous < place;
+            previous = place;
+            self.segments[kept_len] = segment;
+            level_of[kept_len] = level;
+            slots[level as usize] += 1;
+            kept_len += 1;
         }
-        levels.truncate(used);
-        self.levels = levels;
+        // Levels fill from the top without gaps (a segment lands on
+        // level `l` only below one on `l - 1`): turn the counts into
+        // each level's end.
+        self.segments.truncate(kept_len);
+        self.level_ends.clear();
+        let mut end = 0;
+        for slot in slots.iter_mut().take_while(|len| **len > 0) {
+            let len = std::mem::replace(slot, end);
+            end += len;
+            self.level_ends.push(end);
+        }
+        if in_order {
+            return;
+        }
+        // Otherwise scatter every survivor to its level's next free
+        // slot, then put each level in start order.
+        let mut kept = [Segment::decode(0); 256];
+        kept[..kept_len].copy_from_slice(&self.segments);
+        for (segment, &level) in kept[..kept_len].iter().zip(&level_of) {
+            let slot = &mut slots[level as usize];
+            self.segments[*slot as usize] = *segment;
+            *slot += 1;
+        }
+        let mut from = 0;
+        for &end in &self.level_ends {
+            let level = &mut self.segments[from..end as usize];
+            if !level.is_sorted_by_key(Segment::start) {
+                level.sort_unstable_by_key(Segment::start);
+            }
+            from = end as usize;
+        }
+    }
+}
+
+/// Mirrors one CRB side effect (the rehead or removal of an older
+/// approximate run) onto the segment that owns the run: the one
+/// approximate segment starting at the run's old head, wherever in the
+/// array it sits. A removal may leave its level empty; `insert_piece`
+/// prunes once it is done.
+fn apply_patch(segments: &mut Vec<Segment>, level_ends: &mut [u32], patch: CrbPatch) {
+    let (CrbPatch::Rehead { old_start, .. } | CrbPatch::Remove { start: old_start }) = patch;
+    let found = segments
+        .iter()
+        .position(|s| s.is_approximate() && s.start() == old_start);
+    debug_assert!(found.is_some(), "{patch:?} found no segment");
+    let Some(at) = found else {
+        return;
+    };
+    match patch {
+        CrbPatch::Rehead {
+            new_start, new_end, ..
+        } => segments[at].set_interval(new_start, new_end - new_start),
+        CrbPatch::Remove { .. } => {
+            segments.remove(at);
+            for end in level_ends.iter_mut().filter(|end| **end as usize > at) {
+                *end -= 1;
+            }
+        }
     }
 }
 
@@ -442,20 +603,16 @@ mod tests {
     use super::*;
     use crate::plr;
 
-    /// Learns pieces for consecutive PPAs over the given offsets.
-    fn learn(offsets: &[u8], first_ppa: u64, gamma: u32) -> Vec<LearnedPiece> {
-        let points: Vec<(u8, u64)> = offsets
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| (x, first_ppa + i as u64))
-            .collect();
-        plr::fit(&points, gamma)
-    }
-
-    fn insert_all(group: &mut Group, pieces: Vec<LearnedPiece>) {
-        for piece in &pieces {
-            group.insert_piece(piece);
-        }
+    /// Learns consecutive PPAs over the given offsets into the group;
+    /// returns the segments learned.
+    fn learn(group: &mut Group, offsets: &[u8], first_ppa: u64, gamma: u32) -> Vec<Segment> {
+        let ppas: Vec<u64> = (first_ppa..).take(offsets.len()).collect();
+        plr::fit(offsets, &ppas, gamma)
+            .map(|piece| {
+                group.insert_piece(&piece);
+                piece.segment
+            })
+            .collect()
     }
 
     /// The word-mask fast path, `span` and `iter` against the obvious
@@ -470,7 +627,7 @@ mod tests {
             (64, 127),
             (70, 200),
         ] {
-            for stride in [1u32, 2, 3, 64, 300] {
+            for stride in (1u32..=255).chain([300]) {
                 let naive: Vec<u8> = (first as u32..=last as u32)
                     .step_by(stride as usize)
                     .map(|x| x as u8)
@@ -493,6 +650,39 @@ mod tests {
         );
     }
 
+    fn seg(start: u8, len: u8) -> Segment {
+        Segment::from_parts(start, len, 0x3c00, 0)
+    }
+
+    /// Both sides of `find_covering`'s length switch agree with the
+    /// definition, on every offset.
+    #[test]
+    fn find_covering_hits_and_misses() {
+        let short = [seg(10, 5), seg(30, 0)];
+        let long: Vec<Segment> = (0..40u8).map(|i| seg(6 * i, i % 5)).collect();
+        for level in [&short[..], &long[..]] {
+            for offset in 0..=255u8 {
+                let expected = level
+                    .iter()
+                    .find(|s| s.start() <= offset && offset <= s.end());
+                assert_eq!(find_covering(level, offset), expected, "offset {offset}");
+            }
+        }
+        assert_eq!(find_covering(&short, 15).map(Segment::start), Some(10));
+        assert!(find_covering(&short, 16).is_none());
+        assert!(find_covering(&[], 0).is_none());
+    }
+
+    #[test]
+    fn overlapping_ranges() {
+        let level = [seg(10, 5), seg(20, 5), seg(40, 5)];
+        assert_eq!(overlapping(&level, &seg(0, 5)), 0..0);
+        assert_eq!(overlapping(&level, &seg(12, 10)), 0..2); // hits both
+        assert_eq!(overlapping(&level, &seg(26, 5)), 2..2); // between
+        assert_eq!(overlapping(&level, &seg(15, 30)), 0..3); // hits all
+        assert_eq!(overlapping(&level, &seg(46, 9)), 3..3);
+    }
+
     #[test]
     fn lookup_on_empty_group() {
         let group = Group::new();
@@ -504,7 +694,7 @@ mod tests {
     fn sequential_insert_and_lookup() {
         let mut group = Group::new();
         let offsets: Vec<u8> = (0..=63).collect();
-        insert_all(&mut group, learn(&offsets, 1000, 0));
+        learn(&mut group, &offsets, 1000, 0);
         for x in 0..=63u8 {
             let hit = group.lookup(x).expect("mapped");
             assert_eq!(hit.ppa.raw(), 1000 + x as u64);
@@ -521,31 +711,29 @@ mod tests {
         let mut group = Group::new();
 
         // T0: initial accurate segment [0, 63].
-        insert_all(&mut group, learn(&(0..=63).collect::<Vec<_>>(), 1000, 1));
+        learn(&mut group, &(0..=63).collect::<Vec<_>>(), 1000, 1);
         assert_eq!(group.level_count(), 1);
 
         // T1: update LPAs 200-255 — disjoint, stays in level 0.
-        insert_all(&mut group, learn(&(200..=255).collect::<Vec<_>>(), 2000, 1));
+        learn(&mut group, &(200..=255).collect::<Vec<_>>(), 2000, 1);
         assert_eq!(group.level_count(), 1);
         assert_eq!(group.segment_count(), 2);
 
         // T2: update LPAs 16-31 — overlaps [0,63]; old segment keeps
         // members and moves to level 1.
-        insert_all(&mut group, learn(&(16..=31).collect::<Vec<_>>(), 3000, 1));
+        learn(&mut group, &(16..=31).collect::<Vec<_>>(), 3000, 1);
         assert_eq!(group.level_count(), 2);
 
         // T3: update irregular [75, 82] (approximate).
-        let t3 = learn(&[75, 78, 82], 4000, 1);
+        let t3 = learn(&mut group, &[75, 78, 82], 4000, 1);
         assert_eq!(t3.len(), 1);
-        assert!(t3[0].segment.is_approximate());
-        insert_all(&mut group, t3);
+        assert!(t3[0].is_approximate());
 
         // T4: update irregular [72, 80] (approximate) — [75,82] pops to
         // level 1 (range overlap, no member overlap).
-        let t4 = learn(&[72, 73, 80], 5000, 1);
+        let t4 = learn(&mut group, &[72, 73, 80], 5000, 1);
         assert_eq!(t4.len(), 1);
-        assert!(t4[0].segment.is_approximate());
-        insert_all(&mut group, t4);
+        assert!(t4[0].is_approximate());
         assert_eq!(group.level_count(), 2);
 
         // T5: lookup LPA 50 — found in level 1's [0,63].
@@ -562,7 +750,7 @@ mod tests {
 
         // T7: update LPAs 32-90 — fully covers [72,80]; that segment and
         // its CRB run disappear.
-        insert_all(&mut group, learn(&(32..=90).collect::<Vec<_>>(), 6000, 1));
+        learn(&mut group, &(32..=90).collect::<Vec<_>>(), 6000, 1);
         let t7 = group.lookup(78).expect("LPA 78 remapped");
         assert!(!t7.approximate);
         assert_eq!(t7.ppa.raw(), 6000 + (78 - 32));
@@ -595,8 +783,8 @@ mod tests {
     #[test]
     fn full_overwrite_removes_old_segment() {
         let mut group = Group::new();
-        insert_all(&mut group, learn(&(10..=20).collect::<Vec<_>>(), 100, 0));
-        insert_all(&mut group, learn(&(10..=20).collect::<Vec<_>>(), 500, 0));
+        learn(&mut group, &(10..=20).collect::<Vec<_>>(), 100, 0);
+        learn(&mut group, &(10..=20).collect::<Vec<_>>(), 500, 0);
         assert_eq!(group.segment_count(), 1);
         assert_eq!(group.level_count(), 1);
         for x in 10..=20u8 {
@@ -607,8 +795,8 @@ mod tests {
     #[test]
     fn partial_overwrite_keeps_unshadowed_members() {
         let mut group = Group::new();
-        insert_all(&mut group, learn(&(0..=40).collect::<Vec<_>>(), 100, 0));
-        insert_all(&mut group, learn(&(10..=20).collect::<Vec<_>>(), 900, 0));
+        learn(&mut group, &(0..=40).collect::<Vec<_>>(), 100, 0);
+        learn(&mut group, &(10..=20).collect::<Vec<_>>(), 900, 0);
         for x in 0..=9u8 {
             assert_eq!(group.lookup(x).unwrap().ppa.raw(), 100 + x as u64);
         }
@@ -623,9 +811,9 @@ mod tests {
     #[test]
     fn single_point_overwrites() {
         let mut group = Group::new();
-        insert_all(&mut group, learn(&[7], 42, 0));
-        insert_all(&mut group, learn(&[7], 43, 0));
-        insert_all(&mut group, learn(&[7], 44, 0));
+        learn(&mut group, &[7], 42, 0);
+        learn(&mut group, &[7], 43, 0);
+        learn(&mut group, &[7], 44, 0);
         assert_eq!(group.lookup(7).unwrap().ppa.raw(), 44);
         group.compact();
         assert_eq!(group.segment_count(), 1);
@@ -651,7 +839,7 @@ mod tests {
             for (i, &x) in offsets.iter().enumerate() {
                 truth[x as usize] = Some(next_ppa + i as u64);
             }
-            insert_all(&mut group, learn(&offsets, next_ppa, 0));
+            learn(&mut group, &offsets, next_ppa, 0);
             next_ppa += 1000;
         }
         group.compact();
@@ -669,10 +857,7 @@ mod tests {
     fn compaction_reduces_structure() {
         let mut group = Group::new();
         for round in 0..20u64 {
-            insert_all(
-                &mut group,
-                learn(&(0..=63).collect::<Vec<_>>(), 1000 * round, 0),
-            );
+            learn(&mut group, &(0..=63).collect::<Vec<_>>(), 1000 * round, 0);
         }
         let before = group.segment_count();
         group.compact();
@@ -684,8 +869,8 @@ mod tests {
     #[test]
     fn interleaved_approximate_segments_cannot_merge() {
         let mut group = Group::new();
-        insert_all(&mut group, learn(&[100, 103, 106], 500, 2));
-        insert_all(&mut group, learn(&[101, 104], 800, 2));
+        learn(&mut group, &[100, 103, 106], 500, 2);
+        learn(&mut group, &[101, 104], 800, 2);
         group.compact();
         // Ranges interleave with disjoint members: both must survive.
         assert_eq!(group.segment_count(), 2);
@@ -711,8 +896,8 @@ mod tests {
     #[test]
     fn same_start_approximate_segments_rehead() {
         let mut group = Group::new();
-        insert_all(&mut group, learn(&[100, 101, 103, 104, 106], 4000, 2));
-        insert_all(&mut group, learn(&[100, 102, 105], 5000, 2));
+        learn(&mut group, &[100, 101, 103, 104, 106], 4000, 2);
+        learn(&mut group, &[100, 102, 105], 5000, 2);
         // New segment owns 100; the old segment reheaded to 101.
         let hit = group.lookup(100).unwrap();
         assert!((hit.ppa.raw() as i64 - 5000).unsigned_abs() <= 2);
@@ -735,8 +920,8 @@ mod tests {
     #[test]
     fn swallowed_approximate_segment_disappears() {
         let mut group = Group::new();
-        insert_all(&mut group, learn(&[50, 53, 57], 1000, 2));
-        insert_all(&mut group, learn(&[50, 53, 57, 60], 2000, 2));
+        learn(&mut group, &[50, 53, 57], 1000, 2);
+        learn(&mut group, &[50, 53, 57, 60], 2000, 2);
         let approx: Vec<_> = group
             .iter_segments()
             .filter(|(_, s)| s.is_approximate())
@@ -752,9 +937,9 @@ mod tests {
     fn pop_creates_intermediate_level_on_double_conflict() {
         let mut group = Group::new();
         // Three interleaved approximate segments, inserted oldest first.
-        insert_all(&mut group, learn(&[10, 14, 18], 100, 2)); // oldest
-        insert_all(&mut group, learn(&[11, 15, 19], 200, 2)); // pops oldest down
-        insert_all(&mut group, learn(&[12, 16, 20], 300, 2)); // pops middle; conflicts below
+        learn(&mut group, &[10, 14, 18], 100, 2); // oldest
+        learn(&mut group, &[11, 15, 19], 200, 2); // pops oldest down
+        learn(&mut group, &[12, 16, 20], 300, 2); // pops middle; conflicts below
         assert!(group.level_count() >= 3, "levels: {}", group.level_count());
         // Every member still resolves to its own segment within bound.
         for (x, base, idx) in [
@@ -773,11 +958,41 @@ mod tests {
         }
     }
 
+    /// One insert pops two victims: the first fits the level below and
+    /// joins it in start order, the second conflicts there and gets the
+    /// fresh level in between.
+    #[test]
+    fn popped_victims_split_between_the_level_below_and_a_fresh_one() {
+        let every_other = |from: u8, to: u8| (from..=to).step_by(2).collect::<Vec<u8>>();
+        let mut group = Group::new();
+        learn(&mut group, &every_other(21, 35), 100, 0);
+        learn(&mut group, &every_other(20, 30), 200, 0); // pops [21, 35] to level 1
+        learn(&mut group, &every_other(0, 10), 300, 0);
+        let layout = |group: &Group| -> Vec<(usize, u8, u8)> {
+            group
+                .iter_segments()
+                .map(|(level, s)| (level, s.start(), s.end()))
+                .collect()
+        };
+        assert_eq!(layout(&group), vec![(0, 0, 10), (0, 20, 30), (1, 21, 35)]);
+        // Shares no member with either level-0 segment, overlaps both.
+        learn(&mut group, &every_other(5, 27), 400, 0);
+        assert_eq!(
+            layout(&group),
+            vec![(0, 5, 27), (1, 20, 30), (2, 0, 10), (2, 21, 35)]
+        );
+        assert_eq!(group.recount_segments(), group.segment_count());
+        assert_eq!(group.lookup(8).unwrap().levels_visited, 3);
+        assert_eq!(group.lookup(22).unwrap().levels_visited, 2);
+        assert_eq!(group.lookup(23).unwrap().ppa.raw(), 400 + 9);
+        assert_eq!(group.lookup(29).unwrap().ppa.raw(), 100 + 4);
+    }
+
     #[test]
     fn member_counts_track_crb_and_stride() {
         let mut group = Group::new();
-        insert_all(&mut group, learn(&[0, 2, 4, 6], 100, 0)); // stride 2 accurate
-        insert_all(&mut group, learn(&[10, 11, 15], 200, 2)); // approximate
+        learn(&mut group, &[0, 2, 4, 6], 100, 0); // stride 2 accurate
+        learn(&mut group, &[10, 11, 15], 200, 2); // approximate
         let counts: Vec<usize> = group
             .iter_segments()
             .map(|(_, seg)| group.member_count(seg))

@@ -26,6 +26,20 @@
 //! paper), and periodic [compaction](LeaFtlTable::compact) reclaims
 //! shadowed space.
 //!
+//! ## Modules
+//!
+//! * [`segment`] — the 8-byte `(S, L, K, I)` segment; [`mod@f16`] — its
+//!   half-float slope codec, both directions exact bit arithmetic;
+//! * [`plr`] — the greedy error-bounded fitter: a run in, pieces out,
+//!   nothing allocated;
+//! * [`group`] — one 256-LPA group: every level's segments in one flat
+//!   array with the level boundaries beside it (Algorithms 1 and 2 as
+//!   passes over it), and [`crb`] — its conflict resolution buffer, the
+//!   paper's nearly-sorted byte list;
+//! * [`LeaFtlTable`] — the groups, copy-on-write behind `Arc`, with
+//!   incremental accounting and dirty-group compaction;
+//! * [`scheme`], [`shards`] — the translation-service layer (below).
+//!
 //! ## Example
 //!
 //! ```
@@ -64,7 +78,6 @@ mod config;
 pub mod crb;
 pub mod f16;
 pub mod group;
-pub mod level;
 pub mod plr;
 pub mod scheme;
 pub mod segment;
@@ -76,7 +89,6 @@ mod validate;
 pub use config::LeaFtlConfig;
 pub use crb::{Crb, CrbPatch};
 pub use group::{Group, GroupLookup};
-pub use level::Level;
 pub use plr::LearnedPiece;
 pub use scheme::{ExactPageMap, MapCost, MappingLookup, MappingScheme, ShardPressure};
 pub use segment::Segment;

@@ -14,69 +14,85 @@
 //! point. γ = 0 therefore yields exclusively exact (accurate) segments,
 //! and γ > 0 segments never exceed the bound — the paper's "guaranteed
 //! error bound" enforced by construction.
+//!
+//! The fit allocates nothing: a run arrives as two parallel slices
+//! (offsets, PPAs), [`fit`] yields its pieces one at a time, and each
+//! piece's member list is a sub-slice of the run's offsets — what the
+//! table's flush path hands straight to `Group::insert_piece`.
 
 use crate::f16;
-use crate::segment::Segment;
+use crate::segment::{round_product, Segment};
 use leaftl_flash::Ppa;
 
 /// A fitted segment together with the exact set of group offsets it
-/// indexes. For accurate segments the member set is implied by the
-/// stride; for approximate segments the caller must register the members
-/// in the group's CRB (§3.4).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LearnedPiece {
+/// indexes, borrowed from the run it was fitted over. For accurate
+/// segments the member set is implied by the stride; for approximate
+/// segments the caller must register the members in the group's CRB
+/// (§3.4).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LearnedPiece<'a> {
     /// The 8-byte encoded segment.
     pub segment: Segment,
     /// Group offsets of the LPAs this segment actually indexes, sorted.
-    pub members: Vec<u8>,
+    pub members: &'a [u8],
 }
 
-impl LearnedPiece {
+impl LearnedPiece<'_> {
     /// Number of LPA→PPA mappings this piece indexes.
     pub fn member_count(&self) -> usize {
         self.members.len()
     }
 }
 
-/// Fits learned segments over `points` with error bound `gamma`.
+/// Fits learned segments over one run with error bound `gamma`,
+/// yielding them in offset order.
 ///
-/// `points` are `(group_offset, raw_ppa)` pairs that must be strictly
-/// increasing in offset and strictly increasing in PPA — the natural
-/// shape of a buffer flush after LPA sorting (§3.3): ascending LPAs get
-/// ascending PPAs.
+/// The run is `offsets[i] → ppas[i]`: group offsets that must be
+/// strictly increasing, mapped to raw PPAs that must be strictly
+/// increasing too — the natural shape of a buffer flush after LPA
+/// sorting (§3.3): ascending LPAs get ascending PPAs.
 ///
 /// # Panics
 ///
-/// Panics (debug builds) if the input violates monotonicity.
-pub fn fit(points: &[(u8, u64)], gamma: u32) -> Vec<LearnedPiece> {
+/// Panics if the slices differ in length and (debug builds) if the
+/// input violates monotonicity.
+pub fn fit<'a>(
+    offsets: &'a [u8],
+    ppas: &'a [u64],
+    gamma: u32,
+) -> impl Iterator<Item = LearnedPiece<'a>> + 'a {
+    assert_eq!(offsets.len(), ppas.len(), "one ppa per offset");
     debug_assert!(
-        points
-            .windows(2)
-            .all(|w| w[0].0 < w[1].0 && w[0].1 < w[1].1),
+        offsets.windows(2).all(|w| w[0] < w[1]) && ppas.windows(2).all(|w| w[0] < w[1]),
         "plr input must be strictly increasing in offset and ppa"
     );
-    let mut pieces = Vec::new();
-    let mut rest = points;
-    while !rest.is_empty() {
-        let (piece, used) = fit_one(rest, gamma);
-        pieces.push(piece);
-        rest = &rest[used..];
-    }
-    pieces
+    let mut rest = (offsets, ppas);
+    std::iter::from_fn(move || {
+        let (xs, ys) = rest;
+        if xs.is_empty() {
+            return None;
+        }
+        let (segment, used) = fit_one(xs, ys, gamma);
+        rest = (&xs[used..], &ys[used..]);
+        Some(LearnedPiece {
+            segment,
+            members: &xs[..used],
+        })
+    })
 }
 
-/// Fits one maximal segment from the head of `points`.
-fn fit_one(points: &[(u8, u64)], gamma: u32) -> (LearnedPiece, usize) {
-    let (x0, y0) = points[0];
+/// Fits one maximal segment from the head of the run; returns it with
+/// the number of points it indexes.
+fn fit_one(xs: &[u8], ys: &[u64], gamma: u32) -> (Segment, usize) {
+    let (x0, y0) = (xs[0], ys[0]);
 
     // Grow the feasible-slope cone anchored at (x0, y0).
     let mut lo = 0.0_f64;
     let mut hi = f64::INFINITY;
     let mut m = 1;
-    while m < points.len() {
-        let (x, y) = points[m];
-        let dx = (x - x0) as f64;
-        let dy = y as f64 - y0 as f64;
+    while m < xs.len() {
+        let dx = (xs[m] - x0) as f64;
+        let dy = ys[m] as f64 - y0 as f64;
         let new_lo = lo.max((dy - gamma as f64) / dx);
         let new_hi = hi.min((dy + gamma as f64) / dx);
         if new_lo > new_hi {
@@ -95,27 +111,21 @@ fn fit_one(points: &[(u8, u64)], gamma: u32) -> (LearnedPiece, usize) {
     // Quantize and verify; shorten on violation. Terminates because a
     // single point always verifies.
     let mut len = m;
-    loop {
-        if len == 1 {
-            let piece = LearnedPiece {
-                segment: Segment::single_point(x0, Ppa::new(y0)),
-                members: vec![x0],
-            };
-            return (piece, 1);
-        }
-        if let Some(piece) = quantize(&points[..len], k_star, gamma) {
-            return (piece, len);
+    while len > 1 {
+        if let Some(segment) = quantize(&xs[..len], &ys[..len], k_star, gamma) {
+            return (segment, len);
         }
         len -= 1;
     }
+    (Segment::single_point(x0, Ppa::new(y0)), 1)
 }
 
-/// Builds a verified [`Segment`] over `points`, or `None` if no
+/// Builds a verified [`Segment`] over the points, or `None` if no
 /// half-precision slope honours the bound over all of them.
-fn quantize(points: &[(u8, u64)], k_star: f64, gamma: u32) -> Option<LearnedPiece> {
-    try_accurate(points).or_else(|| {
+fn quantize(xs: &[u8], ys: &[u64], k_star: f64, gamma: u32) -> Option<Segment> {
+    try_accurate(xs, ys).or_else(|| {
         if gamma > 0 {
-            try_approximate(points, k_star, gamma)
+            try_approximate(xs, ys, k_star, gamma)
         } else {
             None
         }
@@ -126,11 +136,10 @@ fn quantize(points: &[(u8, u64)], k_star: f64, gamma: u32) -> Option<LearnedPiec
 /// stride `s` and PPAs are consecutive, i.e. the batch wrote a regular
 /// stride pattern (slope `1/s`). Verifies exact translation *and* that
 /// the stride test `⌈1/K⌉ == s` identifies exactly the members.
-fn try_accurate(points: &[(u8, u64)]) -> Option<LearnedPiece> {
-    let stride = points[1].0 - points[0].0;
-    let arithmetic = points
-        .windows(2)
-        .all(|w| w[1].0 - w[0].0 == stride && w[1].1 - w[0].1 == 1);
+fn try_accurate(xs: &[u8], ys: &[u64]) -> Option<Segment> {
+    let stride = xs[1] - xs[0];
+    let arithmetic =
+        xs.windows(2).all(|w| w[1] - w[0] == stride) && ys.windows(2).all(|w| w[1] - w[0] == 1);
     if !arithmetic || stride == 0 {
         return None;
     }
@@ -140,8 +149,8 @@ fn try_accurate(points: &[(u8, u64)]) -> Option<LearnedPiece> {
         if k <= 0.0 || (1.0 / k).ceil() as u32 != stride as u32 {
             continue;
         }
-        if let Some(piece) = verified_piece(points, k_bits, 0) {
-            return Some(piece);
+        if let Some(segment) = verified_segment(xs, ys, k_bits, 0) {
+            return Some(segment);
         }
     }
     None
@@ -149,15 +158,15 @@ fn try_accurate(points: &[(u8, u64)]) -> Option<LearnedPiece> {
 
 /// Approximate classification: any half-precision slope close to the
 /// cone midpoint whose integer predictions stay within `±γ`.
-fn try_approximate(points: &[(u8, u64)], k_star: f64, gamma: u32) -> Option<LearnedPiece> {
+fn try_approximate(xs: &[u8], ys: &[u64], k_star: f64, gamma: u32) -> Option<Segment> {
     let k_star = k_star.clamp(0.0, f16::MAX_F16);
     for k_bits in f16::candidates_with_flag(k_star, true) {
         let k = f16::decode(k_bits);
         if k < 0.0 {
             continue;
         }
-        if let Some(piece) = verified_piece(points, k_bits, gamma) {
-            return Some(piece);
+        if let Some(segment) = verified_segment(xs, ys, k_bits, gamma) {
+            return Some(segment);
         }
     }
     None
@@ -165,11 +174,14 @@ fn try_approximate(points: &[(u8, u64)], k_star: f64, gamma: u32) -> Option<Lear
 
 /// Chooses the intercept for slope `k_bits` and verifies every point
 /// against the exact [`Segment::translate`] decoder with bound `gamma`.
-fn verified_piece(points: &[(u8, u64)], k_bits: u16, gamma: u32) -> Option<LearnedPiece> {
+fn verified_segment(xs: &[u8], ys: &[u64], k_bits: u16, gamma: u32) -> Option<Segment> {
     let k = f16::decode(k_bits);
-    let residual = |&(x, y): &(u8, u64)| y as i64 - (k * x as f64).round() as i64;
-    let e_min = points.iter().map(residual).min()?;
-    let e_max = points.iter().map(residual).max()?;
+    let (mut e_min, mut e_max) = (i64::MAX, i64::MIN);
+    for (&x, &y) in xs.iter().zip(ys) {
+        let residual = y as i64 - round_product(k, x);
+        e_min = e_min.min(residual);
+        e_max = e_max.max(residual);
+    }
     if e_max - e_min > 2 * gamma as i64 {
         return None;
     }
@@ -181,25 +193,38 @@ fn verified_piece(points: &[(u8, u64)], k_bits: u16, gamma: u32) -> Option<Learn
     if e_max - intercept > gamma as i64 || intercept - e_min > gamma as i64 {
         return None;
     }
-    let start = points[0].0;
-    let end = points[points.len() - 1].0;
+    let start = xs[0];
+    let end = xs[xs.len() - 1];
     let segment = Segment::from_parts(start, end - start, k_bits, intercept as i32);
     // Final authoritative check against the decoder the lookup path uses.
-    for &(x, y) in points {
+    for (&x, &y) in xs.iter().zip(ys) {
         let predicted = segment.translate(x).raw() as i64;
         if (predicted - y as i64).unsigned_abs() > gamma as u64 {
             return None;
         }
     }
-    Some(LearnedPiece {
-        segment,
-        members: points.iter().map(|&(x, _)| x).collect(),
-    })
+    Some(segment)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fits `points` and collects the pieces as (segment, members).
+    fn fit(points: &[(u8, u64)], gamma: u32) -> Vec<OwnedPiece> {
+        let (xs, ys): (Vec<u8>, Vec<u64>) = points.iter().copied().unzip();
+        super::fit(&xs, &ys, gamma)
+            .map(|piece| OwnedPiece {
+                segment: piece.segment,
+                members: piece.members.to_vec(),
+            })
+            .collect()
+    }
+
+    struct OwnedPiece {
+        segment: Segment,
+        members: Vec<u8>,
+    }
 
     fn consecutive(start_x: u8, start_y: u64, n: usize) -> Vec<(u8, u64)> {
         (0..n as u64)
@@ -214,7 +239,7 @@ mod tests {
         assert_eq!(pieces.len(), 1);
         let piece = &pieces[0];
         assert!(piece.segment.is_accurate());
-        assert_eq!(piece.member_count(), 100);
+        assert_eq!(piece.members.len(), 100);
         for &(x, y) in &points {
             assert_eq!(piece.segment.translate(x).raw(), y);
         }
@@ -288,7 +313,7 @@ mod tests {
             p
         };
         let pieces = fit(&points, 0);
-        let total: usize = pieces.iter().map(|p| p.member_count()).sum();
+        let total: usize = pieces.iter().map(|p| p.members.len()).sum();
         assert_eq!(total, points.len());
     }
 
@@ -344,6 +369,8 @@ mod tests {
 
     #[test]
     fn single_point_input() {
+        let piece = super::fit(&[17], &[4242], 4).next().expect("one piece");
+        assert_eq!(piece.member_count(), 1);
         let pieces = fit(&[(17, 4242)], 4);
         assert_eq!(pieces.len(), 1);
         assert_eq!(pieces[0].segment.translate(17).raw(), 4242);

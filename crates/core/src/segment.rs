@@ -133,7 +133,9 @@ impl Segment {
     /// Whether `offset` falls inside the covered interval `[S, S+L]`.
     #[inline]
     pub fn covers(&self, offset: u8) -> bool {
-        offset >= self.start && offset <= self.end()
+        // One comparison: an offset below `S` wraps to more than
+        // `255 − S ≥ L`.
+        offset.wrapping_sub(self.start) <= self.len
     }
 
     /// Whether this segment's interval overlaps `other`'s.
@@ -150,7 +152,7 @@ impl Segment {
     /// caller must check membership first (stride test or CRB).
     #[inline]
     pub fn translate(&self, offset: u8) -> Ppa {
-        let raw = (self.slope() * offset as f64).round() as i64 + self.intercept as i64;
+        let raw = round_product(self.slope(), offset) + self.intercept as i64;
         Ppa::new(raw.max(0) as u64)
     }
 
@@ -160,6 +162,14 @@ impl Segment {
     pub fn stride(&self) -> Option<u32> {
         if self.k_bits == 0 || self.len == 0 {
             return None;
+        }
+        // A positive normal half below 2¹¹ is `significand × 2^(exponent
+        // − 25)`, so `⌈1/K⌉` is one integer division — every slope 1/s
+        // the learner stores is one of these.
+        let exponent = u32::from(self.k_bits >> 10);
+        if (1..=25).contains(&exponent) {
+            let significand = 1024 + u32::from(self.k_bits & 0x3ff);
+            return Some((1u32 << (25 - exponent)).div_ceil(significand));
         }
         let k = self.slope();
         if k <= 0.0 {
@@ -229,6 +239,16 @@ impl Segment {
     pub const ENCODED_BYTES: usize = 8;
 }
 
+/// `round(slope · offset)` as the translation's integer part, without
+/// the call `f64::round` costs: a half-float times a byte has at most 19
+/// significant bits no finer than 2⁻²⁴, so adding ½ toward its sign is
+/// exact and the cast's truncation is round-half-away-from-zero.
+#[inline]
+pub(crate) fn round_product(slope: f64, offset: u8) -> i64 {
+    let product = slope * f64::from(offset);
+    (product + 0.5f64.copysign(product)) as i64
+}
+
 impl fmt::Display for Segment {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -246,6 +266,31 @@ impl fmt::Display for Segment {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `translate` and `stride` against the expressions they replace
+    /// (`round()`, `⌈1/K⌉` in floating point), on every slope pattern —
+    /// and every offset for the rounding.
+    #[test]
+    fn integer_kernels_equal_the_float_expressions_on_every_pattern() {
+        for k_bits in 0..=u16::MAX {
+            let slope = f16::decode(k_bits);
+            for offset in 0..=255u8 {
+                let by_round = (slope * offset as f64).round() as i64;
+                assert_eq!(
+                    round_product(slope, offset),
+                    by_round,
+                    "k_bits {k_bits:#06x} offset {offset}"
+                );
+            }
+            let by_division = if k_bits == 0 || slope <= 0.0 {
+                None
+            } else {
+                Some((1.0 / slope).ceil() as u32)
+            };
+            let segment = Segment::from_parts(0, 255, k_bits, 0);
+            assert_eq!(segment.stride(), by_division, "k_bits {k_bits:#06x}");
+        }
+    }
 
     #[test]
     fn struct_is_8_bytes() {

@@ -10,7 +10,7 @@
 //! was taken.
 
 use crate::config::LeaFtlConfig;
-use crate::group::Group;
+use crate::group::{Group, GroupLookup};
 use crate::plr;
 use crate::segment::Segment;
 use crate::stats::{MemoryBreakdown, TableStats};
@@ -74,6 +74,18 @@ pub struct LeaFtlTable {
     /// the groups whose [`Group::is_dirty`] flag is set, each once, in
     /// the order they turned dirty. [`LeaFtlTable::compact`] drains it.
     dirty: Vec<u64>,
+    /// The run [`LeaFtlTable::learn_sorted`] is fitting, as the parallel
+    /// slices [`plr::fit`] takes. Reused from run to run and left empty
+    /// in between, so a learn allocates nothing per run and a clone
+    /// copies nothing.
+    run: RunScratch,
+}
+
+/// One per-group monotonic run of a flush: group offsets and raw PPAs.
+#[derive(Debug, Clone, Default)]
+struct RunScratch {
+    offsets: Vec<u8>,
+    ppas: Vec<u64>,
 }
 
 /// The table's incremental aggregate counters. A separate struct so
@@ -159,6 +171,7 @@ impl LeaFtlTable {
             compactions: 0,
             accounting: Accounting::default(),
             dirty: Vec::new(),
+            run: RunScratch::default(),
         }
     }
 
@@ -232,29 +245,30 @@ impl LeaFtlTable {
             {
                 end += 1;
             }
-            let points: Vec<(u8, u64)> = pairs[start..end]
-                .iter()
-                .map(|&(lpa, ppa)| (lpa.group_offset(), ppa.raw()))
-                .collect();
+            for &(lpa, ppa) in &pairs[start..end] {
+                self.run.offsets.push(lpa.group_offset());
+                self.run.ppas.push(ppa.raw());
+            }
             let group = Arc::make_mut(self.groups.entry(group_id).or_default());
             if !group.is_dirty() {
                 self.dirty.push(group_id);
             }
             let before = Accounting::snapshot(group);
-            for piece in plr::fit(&points, gamma) {
+            for piece in plr::fit(&self.run.offsets, &self.run.ppas, gamma) {
                 group.insert_piece(&piece);
             }
             let after = Accounting::snapshot(group);
             self.accounting.apply(before, after);
+            self.run.offsets.clear();
+            self.run.ppas.clear();
             start = end;
         }
     }
 
-    /// Translates an LPA. Returns `None` when the LPA has never been
-    /// mapped (or was shadowed away entirely).
-    pub fn lookup(&self, lpa: Lpa) -> Option<LookupResult> {
-        let group = self.groups.get(&lpa.group())?;
-        group.lookup(lpa.group_offset()).map(|hit| LookupResult {
+    /// A group hit as the table reports it: with the error bound the
+    /// table was configured with.
+    fn result(&self, hit: GroupLookup) -> LookupResult {
+        LookupResult {
             ppa: hit.ppa,
             approximate: hit.approximate,
             error_bound: if hit.approximate {
@@ -263,7 +277,14 @@ impl LeaFtlTable {
                 0
             },
             levels_visited: hit.levels_visited,
-        })
+        }
+    }
+
+    /// Translates an LPA. Returns `None` when the LPA has never been
+    /// mapped (or was shadowed away entirely).
+    pub fn lookup(&self, lpa: Lpa) -> Option<LookupResult> {
+        let group = self.groups.get(&lpa.group())?;
+        group.lookup(lpa.group_offset()).map(|hit| self.result(hit))
     }
 
     /// Translates a batch of LPAs, amortising the group traversal:
@@ -290,16 +311,7 @@ impl LeaFtlTable {
                 };
                 group
                     .and_then(|g| g.lookup(lpa.group_offset()))
-                    .map(|hit| LookupResult {
-                        ppa: hit.ppa,
-                        approximate: hit.approximate,
-                        error_bound: if hit.approximate {
-                            self.config.gamma
-                        } else {
-                            0
-                        },
-                        levels_visited: hit.levels_visited,
-                    })
+                    .map(|hit| self.result(hit))
             })
             .collect()
     }

@@ -34,18 +34,18 @@ pub(crate) fn validate_group(group_id: u64, group: &Group) -> Vec<InvariantViola
         })
     };
 
-    // 1. Levels are sorted and non-overlapping; intervals stay in-group.
-    let mut per_level: Vec<Vec<_>> = Vec::new();
-    for (level, segment) in group.iter_segments() {
-        if per_level.len() <= level {
-            per_level.resize(level + 1, Vec::new());
-        }
-        per_level[level].push(*segment);
-        if segment.start() as u16 + segment.len() as u16 > 255 {
-            report(format!("segment {segment} leaves its group"));
-        }
+    // 1. The level boundaries tile the segment array, no level is
+    //    empty, and each level is sorted and non-overlapping; intervals
+    //    stay in-group.
+    if group.recount_segments() != group.segment_count() {
+        report("level boundaries do not tile the segment array".to_string());
     }
-    for (idx, level) in per_level.iter().enumerate() {
+    for (idx, level) in group.levels().enumerate() {
+        for segment in level {
+            if segment.start() as u16 + segment.len() as u16 > 255 {
+                report(format!("segment {segment} leaves its group"));
+            }
+        }
         for pair in level.windows(2) {
             if pair[0].start() > pair[1].start() {
                 report(format!(
@@ -57,8 +57,8 @@ pub(crate) fn validate_group(group_id: u64, group: &Group) -> Vec<InvariantViola
                 report(format!("level {idx} overlap: {} and {}", pair[0], pair[1]));
             }
         }
-        if level.is_empty() && idx < per_level.len() {
-            // Empty interior levels are pruned by the mutation paths.
+        if level.is_empty() {
+            // Empty levels are pruned by the mutation paths.
             report(format!("level {idx} is empty"));
         }
     }
@@ -110,19 +110,26 @@ pub(crate) fn validate_group(group_id: u64, group: &Group) -> Vec<InvariantViola
             report("duplicate approximate segment starts".to_string());
         }
     }
-    let mut run_members_total = 0usize;
-    for start in 0..=255u8 {
-        if let Some(members) = group.crb().members_of(start) {
-            run_members_total += members.len();
-            if !approx_starts.contains(&start) {
-                report(format!("orphan CRB run at {start}"));
-            }
-            if !members.windows(2).all(|w| w[0] < w[1]) {
-                report(format!("CRB run at {start} not strictly increasing"));
-            }
+    // The byte list: runs in head order, each strictly increasing, the
+    // run boundaries tiling it.
+    let mut previous_head = None;
+    for members in group.crb().runs() {
+        let Some(&start) = members.first() else {
+            report("empty CRB run".to_string());
+            continue;
+        };
+        if !approx_starts.contains(&start) {
+            report(format!("orphan CRB run at {start}"));
         }
+        if !members.windows(2).all(|w| w[0] < w[1]) {
+            report(format!("CRB run at {start} not strictly increasing"));
+        }
+        if previous_head.is_some_and(|head| head >= start) {
+            report(format!("CRB run at {start} out of head order"));
+        }
+        previous_head = Some(start);
     }
-    if run_members_total != group.crb().total_members() {
+    if group.crb().recount_members() != group.crb().total_members() {
         report("CRB member count mismatch across runs".to_string());
     }
 

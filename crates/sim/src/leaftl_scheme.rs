@@ -19,7 +19,8 @@
 
 use crate::lru::LruCache;
 use leaftl_core::{
-    LeaFtlConfig, LeaFtlTable, MapCost, MappingLookup, MappingScheme, ShardPressure, TableStats,
+    LeaFtlConfig, LeaFtlTable, LookupResult, MapCost, MappingLookup, MappingScheme, ShardPressure,
+    TableStats,
 };
 use leaftl_flash::{Lpa, Ppa};
 
@@ -36,6 +37,16 @@ const COMPACT_BASE_NS: u64 = 10_000;
 /// visiting only the groups that changed moves the host clock, never
 /// this one.
 const COMPACT_PER_SEGMENT_NS: u64 = 500;
+
+/// A table hit as the scheme interface reports it.
+fn mapping_lookup(hit: LookupResult) -> MappingLookup {
+    MappingLookup {
+        ppa: hit.ppa,
+        approximate: hit.approximate,
+        error_bound: hit.error_bound,
+        levels_visited: hit.levels_visited,
+    }
+}
 
 /// LeaFTL as a pluggable mapping scheme.
 #[derive(Debug, Clone)]
@@ -148,6 +159,10 @@ impl LeaFtlScheme {
     /// visited (the only ones whose footprint can have changed; a
     /// swept group that is not resident has no record to refresh).
     fn resync_resident_after_compaction(&mut self, swept: &[u64]) {
+        if self.resident.is_empty() {
+            // Whole table resident: no record to refresh.
+            return;
+        }
         for group in swept {
             self.resident.resize(group, self.table.group_bytes(*group));
         }
@@ -213,13 +228,7 @@ impl MappingScheme for LeaFtlScheme {
 
     fn lookup(&mut self, lpa: Lpa) -> (Option<MappingLookup>, MapCost) {
         let cost = self.touch_group(lpa.group(), false);
-        let hit = self.table.lookup(lpa).map(|r| MappingLookup {
-            ppa: r.ppa,
-            approximate: r.approximate,
-            error_bound: r.error_bound,
-            levels_visited: r.levels_visited,
-        });
-        (hit, cost)
+        (self.table.lookup(lpa).map(mapping_lookup), cost)
     }
 
     fn lookup_batch(&mut self, lpas: &[Lpa]) -> Vec<(Option<MappingLookup>, MapCost)> {
@@ -231,15 +240,7 @@ impl MappingScheme for LeaFtlScheme {
             .zip(hits)
             .map(|(&lpa, hit)| {
                 let cost = self.touch_group(lpa.group(), false);
-                (
-                    hit.map(|r| MappingLookup {
-                        ppa: r.ppa,
-                        approximate: r.approximate,
-                        error_bound: r.error_bound,
-                        levels_visited: r.levels_visited,
-                    }),
-                    cost,
-                )
+                (hit.map(mapping_lookup), cost)
             })
             .collect()
     }

@@ -27,6 +27,11 @@ fn monotonic_batch() -> impl Strategy<Value = Vec<(u8, u64)>> {
         .prop_filter("non-empty", |b| !b.is_empty())
 }
 
+/// The parallel (offsets, PPAs) slices `plr::fit` takes.
+fn unzip(batch: &[(u8, u64)]) -> (Vec<u8>, Vec<u64>) {
+    batch.iter().copied().unzip()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -34,11 +39,11 @@ proptest! {
     /// for every γ.
     #[test]
     fn plr_error_bound_holds(batch in monotonic_batch(), gamma in 0u32..16) {
-        let pieces = plr::fit(&batch, gamma);
+        let (offsets, ppas) = unzip(&batch);
         let truth: HashMap<u8, u64> = batch.iter().copied().collect();
         let mut covered = 0usize;
-        for piece in &pieces {
-            for &x in &piece.members {
+        for piece in plr::fit(&offsets, &ppas, gamma) {
+            for &x in piece.members {
                 let y = truth[&x];
                 let err = (piece.segment.translate(x).raw() as i64 - y as i64).unsigned_abs();
                 prop_assert!(err <= gamma as u64, "x={x} err={err} gamma={gamma}");
@@ -52,11 +57,11 @@ proptest! {
     /// γ=0 always yields accurate segments with exact translations.
     #[test]
     fn plr_gamma_zero_is_exact(batch in monotonic_batch()) {
-        let pieces = plr::fit(&batch, 0);
+        let (offsets, ppas) = unzip(&batch);
         let truth: HashMap<u8, u64> = batch.iter().copied().collect();
-        for piece in &pieces {
+        for piece in plr::fit(&offsets, &ppas, 0) {
             prop_assert!(piece.segment.is_accurate());
-            for &x in &piece.members {
+            for &x in piece.members {
                 prop_assert_eq!(piece.segment.translate(x).raw(), truth[&x]);
                 prop_assert!(piece.segment.accurate_has_offset(x));
             }
@@ -68,17 +73,18 @@ proptest! {
     /// member set).
     #[test]
     fn plr_accurate_claims_exactly_members(batch in monotonic_batch()) {
-        let pieces = plr::fit(&batch, 0);
-        for piece in &pieces {
+        let (offsets, ppas) = unzip(&batch);
+        for piece in plr::fit(&offsets, &ppas, 0) {
             let claimed = piece.segment.accurate_members();
-            prop_assert_eq!(&claimed, &piece.members);
+            prop_assert_eq!(&claimed[..], piece.members);
         }
     }
 
     /// The 8-byte wire codec round-trips every segment.
     #[test]
     fn segment_codec_roundtrip(batch in monotonic_batch(), gamma in 0u32..16) {
-        for piece in plr::fit(&batch, gamma) {
+        let (offsets, ppas) = unzip(&batch);
+        for piece in plr::fit(&offsets, &ppas, gamma) {
             let decoded = Segment::decode(piece.segment.encode());
             prop_assert_eq!(decoded, piece.segment);
         }
@@ -161,13 +167,10 @@ proptest! {
         let mut groups: [Group; 4] = Default::default();
         let mut ppa_base = 0u64;
         for (round, (batch, group)) in batches.iter().enumerate() {
-            let points: Vec<(u8, u64)> = batch
-                .iter()
-                .enumerate()
-                .map(|(i, &(x, _))| (x, ppa_base + i as u64))
-                .collect();
+            let (offsets, _) = unzip(batch);
+            let ppas: Vec<u64> = (ppa_base..).take(batch.len()).collect();
             ppa_base += batch.len() as u64 + 7;
-            for piece in plr::fit(&points, gamma) {
+            for piece in plr::fit(&offsets, &ppas, gamma) {
                 groups[*group].insert_piece(&piece);
             }
             if round % compact_every == compact_every - 1 {
