@@ -26,7 +26,7 @@
 //! Byte accounting matches the paper: one byte per stored offset plus a
 //! null separator per run (Fig. 10 reports ~14 B per group on average).
 
-use crate::group::OffsetSet;
+use crate::offsets::OffsetSet;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
 

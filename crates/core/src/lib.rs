@@ -35,7 +35,8 @@
 //! * [`group`] — one 256-LPA group: every level's segments in one flat
 //!   array with the level boundaries beside it (Algorithms 1 and 2 as
 //!   passes over it), and [`crb`] — its conflict resolution buffer, the
-//!   paper's nearly-sorted byte list;
+//!   paper's nearly-sorted byte list; both work on `offsets`' four-word
+//!   member bitmap;
 //! * [`LeaFtlTable`] — the groups, copy-on-write behind `Arc`, with
 //!   incremental accounting and dirty-group compaction;
 //! * [`scheme`], [`shards`] — the translation-service layer (below).
@@ -78,6 +79,7 @@ mod config;
 pub mod crb;
 pub mod f16;
 pub mod group;
+mod offsets;
 pub mod plr;
 pub mod scheme;
 pub mod segment;

@@ -21,7 +21,7 @@
 //! table's flush path hands straight to `Group::insert_piece`.
 
 use crate::f16;
-use crate::segment::{round_product, Segment};
+use crate::segment::{round_product, slope_stride, Segment};
 use leaftl_flash::Ppa;
 
 /// A fitted segment together with the exact set of group offsets it
@@ -144,16 +144,10 @@ fn try_accurate(xs: &[u8], ys: &[u64]) -> Option<Segment> {
         return None;
     }
     let k_star = 1.0 / stride as f64;
-    for k_bits in f16::candidates_with_flag(k_star, false) {
-        let k = f16::decode(k_bits);
-        if k <= 0.0 || (1.0 / k).ceil() as u32 != stride as u32 {
-            continue;
-        }
-        if let Some(segment) = verified_segment(xs, ys, k_bits, 0) {
-            return Some(segment);
-        }
-    }
-    None
+    f16::candidates_with_flag(k_star, false)
+        .into_iter()
+        .filter(|&k_bits| slope_stride(k_bits) == Some(u32::from(stride)))
+        .find_map(|k_bits| verified_segment(xs, ys, k_bits, 0))
 }
 
 /// Approximate classification: any half-precision slope close to the

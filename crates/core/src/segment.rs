@@ -133,9 +133,7 @@ impl Segment {
     /// Whether `offset` falls inside the covered interval `[S, S+L]`.
     #[inline]
     pub fn covers(&self, offset: u8) -> bool {
-        // One comparison: an offset below `S` wraps to more than
-        // `255 − S ≥ L`.
-        offset.wrapping_sub(self.start) <= self.len
+        offset >= self.start && offset <= self.end()
     }
 
     /// Whether this segment's interval overlaps `other`'s.
@@ -160,22 +158,10 @@ impl Segment {
     ///
     /// Single-point segments (`K = 0`) have no stride; returns `None`.
     pub fn stride(&self) -> Option<u32> {
-        if self.k_bits == 0 || self.len == 0 {
+        if self.len == 0 {
             return None;
         }
-        // A positive normal half below 2¹¹ is `significand × 2^(exponent
-        // − 25)`, so `⌈1/K⌉` is one integer division — every slope 1/s
-        // the learner stores is one of these.
-        let exponent = u32::from(self.k_bits >> 10);
-        if (1..=25).contains(&exponent) {
-            let significand = 1024 + u32::from(self.k_bits & 0x3ff);
-            return Some((1u32 << (25 - exponent)).div_ceil(significand));
-        }
-        let k = self.slope();
-        if k <= 0.0 {
-            return None;
-        }
-        Some((1.0 / k).ceil() as u32)
+        slope_stride(self.k_bits)
     }
 
     /// Membership test for accurate segments: the offset must lie in the
@@ -239,6 +225,25 @@ impl Segment {
     pub const ENCODED_BYTES: usize = 8;
 }
 
+/// `⌈1/K⌉` of the half-float slope `k_bits`, `None` for a zero or
+/// negative one: the stride the learner accepts a slope for and the one
+/// the stride test walks.
+pub(crate) fn slope_stride(k_bits: u16) -> Option<u32> {
+    if k_bits == 0 || k_bits >= 0x8000 {
+        return None;
+    }
+    // A positive half is `significand × 2^-scale` — or, from 1024 up, a
+    // multiple of the significand — so `⌈1/K⌉` is one integer division,
+    // and 1 for every slope of at least 1.
+    let exponent = u32::from(k_bits >> 10);
+    let mantissa = u32::from(k_bits & 0x3ff);
+    let (significand, scale) = match exponent {
+        0 => (mantissa, 24),
+        _ => (1024 + mantissa, 25u32.saturating_sub(exponent)),
+    };
+    Some((1u32 << scale).div_ceil(significand))
+}
+
 /// `round(slope · offset)` as the translation's integer part, without
 /// the call `f64::round` costs: a half-float times a byte has at most 19
 /// significant bits no finer than 2⁻²⁴, so adding ½ toward its sign is
@@ -268,12 +273,15 @@ mod tests {
     use super::*;
 
     /// `translate` and `stride` against the expressions they replace
-    /// (`round()`, `⌈1/K⌉` in floating point), on every slope pattern —
-    /// and every offset for the rounding.
+    /// (`round()`, `⌈1/K⌉` in floating point), on every finite slope
+    /// pattern — and every offset for the rounding.
     #[test]
     fn integer_kernels_equal_the_float_expressions_on_every_pattern() {
         for k_bits in 0..=u16::MAX {
             let slope = f16::decode(k_bits);
+            if !slope.is_finite() {
+                continue;
+            }
             for offset in 0..=255u8 {
                 let by_round = (slope * offset as f64).round() as i64;
                 assert_eq!(

@@ -159,10 +159,6 @@ impl LeaFtlScheme {
     /// visited (the only ones whose footprint can have changed; a
     /// swept group that is not resident has no record to refresh).
     fn resync_resident_after_compaction(&mut self, swept: &[u64]) {
-        if self.resident.is_empty() {
-            // Whole table resident: no record to refresh.
-            return;
-        }
         for group in swept {
             self.resident.resize(group, self.table.group_bytes(*group));
         }
