@@ -8,8 +8,7 @@
 //! dependency cycle. The simulator re-exports everything under its old
 //! paths.
 
-use leaftl_flash::{Lpa, Ppa};
-use std::collections::HashMap;
+use leaftl_flash::{IntMap, Lpa, Ppa};
 
 /// Flash traffic caused by mapping-structure management (translation
 /// page fetches and write-backs for demand-cached tables).
@@ -230,7 +229,7 @@ pub trait MappingScheme {
 /// traffic but maximal memory use (8 B per mapped page).
 #[derive(Debug, Clone, Default)]
 pub struct ExactPageMap {
-    map: HashMap<Lpa, Ppa>,
+    map: IntMap<Lpa, Ppa>,
 }
 
 impl ExactPageMap {

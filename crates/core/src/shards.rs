@@ -63,6 +63,18 @@ pub struct ShardedMapping<S> {
     /// shards permanently unroutable at small capacities; the DRAM
     /// budget is divided across the routable shards only.
     routable: usize,
+    /// One burst's per-shard sub-batches ([`MappingScheme::lookup_batch`]).
+    /// Reused from burst to burst and left empty in between, so
+    /// partitioning allocates nothing and a clone copies nothing.
+    partitions: Vec<Partition>,
+}
+
+/// The addresses of a burst that route to one shard, and where each
+/// sits in the burst.
+#[derive(Debug, Clone, Default)]
+struct Partition {
+    lpas: Vec<Lpa>,
+    positions: Vec<usize>,
 }
 
 impl<S> ShardedMapping<S> {
@@ -83,6 +95,7 @@ impl<S> ShardedMapping<S> {
             shards: (0..count).map(&mut build).collect(),
             span,
             routable,
+            partitions: vec![Partition::default(); count],
         }
     }
 
@@ -198,26 +211,27 @@ impl<S: MappingScheme> MappingScheme for ShardedMapping<S> {
             return self.shards[0].lookup_batch(lpas);
         }
         // Partition the burst into per-shard sub-batches, recording
-        // where each address went so results merge back in caller
-        // order; each shard then translates its sub-batch in one call
-        // (amortising its group traversal).
-        let mut per_shard: Vec<Vec<Lpa>> = vec![Vec::new(); self.shards.len()];
-        let mut slots: Vec<(usize, usize)> = Vec::with_capacity(lpas.len());
-        for &lpa in lpas {
+        // where each address sits so results land in caller order; each
+        // shard the burst reaches then translates its sub-batch in one
+        // call (amortising its group traversal), in shard order.
+        for (position, &lpa) in lpas.iter().enumerate() {
             let shard = self.route(lpa);
-            slots.push((shard, per_shard[shard].len()));
-            per_shard[shard].push(lpa);
+            let partition = &mut self.partitions[shard];
+            partition.lpas.push(lpa);
+            partition.positions.push(position);
         }
-        let results: Vec<Vec<(Option<MappingLookup>, MapCost)>> = self
-            .shards
-            .iter_mut()
-            .zip(&per_shard)
-            .map(|(shard, batch)| shard.lookup_batch(batch))
-            .collect();
-        slots
-            .into_iter()
-            .map(|(shard, index)| results[shard][index])
-            .collect()
+        let mut merged = vec![(None, MapCost::FREE); lpas.len()];
+        for (shard, partition) in self.shards.iter_mut().zip(&mut self.partitions) {
+            if partition.lpas.is_empty() {
+                continue;
+            }
+            let hits = shard.lookup_batch(&partition.lpas);
+            for (position, hit) in partition.positions.drain(..).zip(hits) {
+                merged[position] = hit;
+            }
+            partition.lpas.clear();
+        }
+        merged
     }
 
     fn lookup_is_pure(&self) -> bool {

@@ -293,27 +293,30 @@ impl LeaFtlTable {
     /// read bursts are typically clustered (sequential scans, Zipf hot
     /// sets), which is exactly where the memoisation pays.
     ///
-    /// Semantically identical to per-LPA [`LeaFtlTable::lookup`].
-    pub fn lookup_batch(&self, lpas: &[Lpa]) -> Vec<Option<LookupResult>> {
+    /// Semantically identical to per-LPA [`LeaFtlTable::lookup`]; the
+    /// translations come out lazily, in `lpas` order, so the caller
+    /// decides where they land.
+    pub fn lookup_batch<'a>(
+        &'a self,
+        lpas: &'a [Lpa],
+    ) -> impl Iterator<Item = Option<LookupResult>> + 'a {
         let mut cached: Option<(u64, &Group)> = None;
-        lpas.iter()
-            .map(|&lpa| {
-                let group_id = lpa.group();
-                let group = match cached {
-                    Some((id, group)) if id == group_id => Some(group),
-                    _ => {
-                        let found = self.groups.get(&group_id).map(Arc::as_ref);
-                        if let Some(group) = found {
-                            cached = Some((group_id, group));
-                        }
-                        found
+        lpas.iter().map(move |&lpa| {
+            let group_id = lpa.group();
+            let group = match cached {
+                Some((id, group)) if id == group_id => Some(group),
+                _ => {
+                    let found = self.groups.get(&group_id).map(Arc::as_ref);
+                    if let Some(group) = found {
+                        cached = Some((group_id, group));
                     }
-                };
-                group
-                    .and_then(|g| g.lookup(lpa.group_offset()))
-                    .map(|hit| self.result(hit))
-            })
-            .collect()
+                    found
+                }
+            };
+            group
+                .and_then(|g| g.lookup(lpa.group_offset()))
+                .map(|hit| self.result(hit))
+        })
     }
 
     /// Compacts the table (Algorithm 1 `seg_compact`), reclaiming memory
@@ -847,7 +850,8 @@ mod tests {
             .into_iter()
             .map(Lpa::new)
             .collect();
-        let batched = table.lookup_batch(&lpas);
+        let batched: Vec<_> = table.lookup_batch(&lpas).collect();
+        assert_eq!(batched.len(), lpas.len());
         for (lpa, got) in lpas.iter().zip(&batched) {
             assert_eq!(*got, table.lookup(*lpa), "lpa {lpa}");
         }

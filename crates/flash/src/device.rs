@@ -1,7 +1,7 @@
 //! The flash device: geometry + blocks + operations.
 
 use crate::addr::{BlockId, Channel, Lpa, Ppa};
-use crate::block::{Block, PageState};
+use crate::block::{Block, Page};
 use crate::error::FlashError;
 use crate::geometry::FlashGeometry;
 use crate::oob::OobWindow;
@@ -21,6 +21,16 @@ pub struct PageView {
     /// Device-wide program sequence number (OOB timestamp; orders
     /// versions of the same LPA during crash recovery).
     pub seq: u64,
+}
+
+impl PageView {
+    fn of(page: &Page) -> Self {
+        PageView {
+            content: page.content,
+            lpa: page.lpa(),
+            seq: page.seq,
+        }
+    }
 }
 
 /// An in-memory NAND flash device.
@@ -47,6 +57,9 @@ pub struct PageView {
 pub struct FlashDevice {
     geometry: FlashGeometry,
     timing: NandTiming,
+    /// Every page of the device, indexed by raw PPA: a read touches
+    /// its block's header and one entry here.
+    pages: Vec<Page>,
     blocks: Vec<Block>,
     stats: FlashStats,
     program_seq: u64,
@@ -61,13 +74,11 @@ impl FlashDevice {
 
     /// Creates an erased device with explicit timing.
     pub fn with_timing(geometry: FlashGeometry, timing: NandTiming) -> Self {
-        let blocks = (0..geometry.blocks)
-            .map(|_| Block::new(geometry.pages_per_block))
-            .collect();
         FlashDevice {
             geometry,
             timing,
-            blocks,
+            pages: vec![Page::ERASED; geometry.total_pages() as usize],
+            blocks: vec![Block::default(); geometry.blocks as usize],
             stats: FlashStats::new(),
             program_seq: 0,
         }
@@ -104,6 +115,22 @@ impl FlashDevice {
         ))
     }
 
+    /// The page at `ppa` if it is in range and programmed.
+    fn programmed(&self, ppa: Ppa) -> Result<&Page, FlashError> {
+        let (block_id, page_idx) = self.check_ppa(ppa)?;
+        if page_idx >= self.blocks[block_id.raw() as usize].write_ptr() {
+            return Err(FlashError::ReadErased(ppa));
+        }
+        Ok(&self.pages[ppa.raw() as usize])
+    }
+
+    /// The programmed pages of a block, in page order.
+    fn programmed_pages(&self, block_id: BlockId) -> &[Page] {
+        let first = self.geometry.first_ppa(block_id).raw() as usize;
+        let programmed = self.blocks[block_id.raw() as usize].write_ptr() as usize;
+        &self.pages[first..first + programmed]
+    }
+
     fn check_block(&self, block: BlockId) -> Result<(), FlashError> {
         if block.raw() >= self.geometry.blocks {
             return Err(FlashError::BlockOutOfRange(block));
@@ -123,22 +150,22 @@ impl FlashDevice {
     /// * [`FlashError::WornOut`] — block exceeded its endurance.
     pub fn program(&mut self, ppa: Ppa, content: u64, lpa: Option<Lpa>) -> Result<(), FlashError> {
         let (block_id, page_idx) = self.check_ppa(ppa)?;
-        let pages_per_block = self.geometry.pages_per_block as u64;
         let block = &mut self.blocks[block_id.raw() as usize];
         if block.erase_count() >= self.geometry.endurance {
             return Err(FlashError::WornOut(block_id));
         }
-        if block.page_state(page_idx) != PageState::Free {
+        if page_idx < block.write_ptr() {
             return Err(FlashError::ProgramNonFree(ppa));
         }
-        if block.write_ptr() != page_idx {
+        if page_idx > block.write_ptr() {
             return Err(FlashError::NonSequentialProgram {
                 requested: ppa,
-                expected: Ppa::new(block_id.raw() * pages_per_block + block.write_ptr() as u64),
+                expected: self.geometry.ppa(block_id, block.write_ptr()),
             });
         }
         self.program_seq += 1;
-        block.program(page_idx, content, lpa, self.program_seq);
+        self.pages[ppa.raw() as usize] = Page::new(content, lpa, self.program_seq);
+        block.advance();
         self.stats.programs += 1;
         Ok(())
     }
@@ -151,32 +178,18 @@ impl FlashDevice {
     /// * [`FlashError::ReadErased`] — the page has not been programmed
     ///   since its block was last erased.
     pub fn read(&mut self, ppa: Ppa) -> Result<PageView, FlashError> {
-        let (block_id, page_idx) = self.check_ppa(ppa)?;
-        self.stats.reads += 1;
-        let block = &self.blocks[block_id.raw() as usize];
-        if block.page_state(page_idx) != PageState::Programmed {
-            return Err(FlashError::ReadErased(ppa));
+        // An erased page still costs the array a read; an address the
+        // device does not have never reaches it.
+        if self.geometry.contains(ppa) {
+            self.stats.reads += 1;
         }
-        Ok(PageView {
-            content: block.content(page_idx),
-            lpa: block.lpa(page_idx),
-            seq: block.seq(page_idx),
-        })
+        self.programmed(ppa).map(PageView::of)
     }
 
     /// Reads a page without counting it in the stats (used by tests and
     /// recovery-time estimation to inspect state out of band).
     pub fn peek(&self, ppa: Ppa) -> Option<PageView> {
-        let (block_id, page_idx) = self.check_ppa(ppa).ok()?;
-        let block = &self.blocks[block_id.raw() as usize];
-        if block.page_state(page_idx) != PageState::Programmed {
-            return None;
-        }
-        Some(PageView {
-            content: block.content(page_idx),
-            lpa: block.lpa(page_idx),
-            seq: block.seq(page_idx),
-        })
+        self.programmed(ppa).ok().map(PageView::of)
     }
 
     /// The OOB reverse-mapping window of a *programmed* page, as the
@@ -187,26 +200,12 @@ impl FlashDevice {
     /// This accompanies a [`FlashDevice::read`] of the same page and
     /// costs no additional flash access (§3.5: "it will incur only one
     /// extra flash access for address mispredictions").
-    pub fn oob_window(&self, ppa: Ppa, gamma: u32) -> Option<OobWindow> {
+    pub fn oob_window(&self, ppa: Ppa, gamma: u32) -> Option<OobWindow<'_>> {
         let (block_id, page_idx) = self.check_ppa(ppa).ok()?;
-        let block = &self.blocks[block_id.raw() as usize];
-        if block.page_state(page_idx) != PageState::Programmed {
-            return None;
-        }
-        let entries = (-(gamma as i64)..=gamma as i64)
-            .map(|delta| {
-                let neighbor = page_idx as i64 + delta;
-                if neighbor < 0 || neighbor >= self.geometry.pages_per_block as i64 {
-                    return None; // block boundary: null bytes
-                }
-                let neighbor = neighbor as u32;
-                if block.page_state(neighbor) != PageState::Programmed {
-                    return None;
-                }
-                block.lpa(neighbor)
-            })
-            .collect();
-        Some(OobWindow::new(entries, gamma))
+        let programmed = self.programmed_pages(block_id);
+        // Beyond the write pointer: the centre itself is unprogrammed.
+        ((page_idx as usize) < programmed.len())
+            .then(|| OobWindow::around(programmed, page_idx as usize, gamma))
     }
 
     /// The sequence number of the most recent program: every page
@@ -257,11 +256,12 @@ impl FlashDevice {
     pub fn scan_block(
         &self,
         block_id: BlockId,
-    ) -> impl Iterator<Item = (Ppa, Option<Lpa>, u64)> + '_ {
-        let base = self.geometry.first_ppa(block_id).raw();
-        self.blocks[block_id.raw() as usize]
-            .programmed_pages()
-            .map(move |(page_idx, lpa, seq)| (Ppa::new(base + page_idx as u64), lpa, seq))
+    ) -> impl DoubleEndedIterator<Item = (Ppa, Option<Lpa>, u64)> + '_ {
+        let first = self.geometry.first_ppa(block_id);
+        self.programmed_pages(block_id)
+            .iter()
+            .enumerate()
+            .map(move |(idx, page)| (first.offset(idx as u64), page.lpa(), page.seq))
     }
 }
 
@@ -366,7 +366,7 @@ mod tests {
         assert_eq!(w.entry(-2), None); // before block start
         assert_eq!(w.entry(1), Some(Lpa::new(102)));
         assert_eq!(w.entry(2), Some(Lpa::new(103)));
-        assert_eq!(w.find(Lpa::new(103)), vec![2]);
+        assert_eq!(w.find(Lpa::new(103)).collect::<Vec<_>>(), vec![2]);
     }
 
     #[test]

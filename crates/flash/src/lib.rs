@@ -11,11 +11,17 @@
 //! * out-of-band (OOB) reverse-mapping windows per page ([`OobWindow`]), which
 //!   LeaFTL uses to store reverse mappings of neighbouring pages for
 //!   misprediction recovery (§3.5 of the paper),
-//! * a NAND timing model ([`NandTiming`]) and per-operation statistics.
+//! * a NAND timing model ([`NandTiming`]) and per-operation statistics,
+//! * the deterministic integer hasher ([`IntMap`], [`IntSet`]) every map
+//!   keyed by these addresses uses instead of `RandomState`.
 //!
 //! The device stores a 64-bit *content tag* per page instead of a full
 //! 4 KB payload; integration tests use the tag to verify end-to-end data
-//! integrity without the memory cost of real payloads.
+//! integrity without the memory cost of real payloads. Content tag,
+//! reverse mapping and program sequence number sit together in one
+//! device-wide array indexed by raw PPA, so a page read costs a cache
+//! line, not one per attribute; a [`Block`] is the write-pointer /
+//! erase-count header over its slice of that array.
 //!
 //! # Example
 //!
@@ -48,6 +54,7 @@ mod block;
 mod device;
 mod error;
 mod geometry;
+mod inthash;
 mod oob;
 mod stats;
 mod timing;
@@ -57,6 +64,7 @@ pub use block::{Block, PageState};
 pub use device::{FlashDevice, PageView};
 pub use error::FlashError;
 pub use geometry::FlashGeometry;
+pub use inthash::{IntHasher, IntMap, IntSet};
 pub use oob::OobWindow;
 pub use stats::FlashStats;
 pub use timing::NandTiming;

@@ -11,7 +11,7 @@
 //! | Rule | Contract | Motivating gotcha |
 //! |------|----------|-------------------|
 //! | `D1` | no order-dependent `HashMap`/`HashSet` iteration in sim/core | PR 9's byte-identical trace exports hold only because no state path iterates a hash collection |
-//! | `D2` | no wall clock / ambient randomness in sim/core | virtual time is `SimClock`'s; one `Instant::now` breaks replay determinism |
+//! | `D2` | no wall clock / ambient randomness in sim/core; no `RandomState` hash collection in flash/core/sim/baselines | virtual time is `SimClock`'s; one `Instant::now` breaks replay determinism, and an entropy-seeded hasher leaves determinism to an audit of every use |
 //! | `M1` | no `_ =>` arms in matches on `Command`/`IoKind`/`Source`/`CheckpointMode` | PR 6/8 added MapLog/QoS variants — a wildcard would have silently swallowed them in arbiters/trace/stats |
 //! | `T1` | arg-vec-building trace-sink calls gated on `trace_enabled()` | PR 9's allocation-free-when-disabled contract |
 //! | `P1` | no `unwrap`/`expect` in sim/core hot paths | a panic mid-dispatch poisons the whole device timeline |

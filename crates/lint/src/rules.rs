@@ -46,6 +46,21 @@ const AMBIENT_TOKENS: [&str; 5] = [
     "from_entropy",
 ];
 
+/// Spellings that build a `RandomState`-hashed collection, which rule
+/// D2 rejects in the FTL crates: the default hasher is seeded from OS
+/// entropy per process (iteration order differs from run to run, so
+/// determinism would rest on an audit of every use) and costs a
+/// SipHash per probe. `leaftl_flash::{IntMap, IntSet}` hash the same
+/// keys deterministically; they have no `new`/`with_capacity`, so the
+/// spellings below cannot be reached through them.
+const RANDOM_STATE_TOKENS: [&str; 5] = [
+    "HashMap::new",
+    "HashSet::new",
+    "HashMap::with_capacity",
+    "HashSet::with_capacity",
+    "RandomState",
+];
+
 /// Trace-sink methods that take an argument `Vec` — the PR 9 contract
 /// says every call site building one must be gated on `trace_enabled()`
 /// so the disabled path stays allocation-free.
@@ -53,6 +68,13 @@ const VEC_SINK_METHODS: [&str; 2] = [".control_instant(", ".queue_span("];
 
 fn in_sim_core(path: &str) -> bool {
     path.starts_with("crates/sim/src/") || path.starts_with("crates/core/src/")
+}
+
+/// The crates that model the device: everything under the IO path.
+fn in_ftl_crates(path: &str) -> bool {
+    ["flash", "core", "sim", "baselines"]
+        .iter()
+        .any(|name| path.starts_with(&format!("crates/{name}/src/")))
 }
 
 fn in_workspace_src(path: &str) -> bool {
@@ -75,6 +97,9 @@ pub fn lint_file(path: &str, source: &str) -> Vec<Finding> {
         rule_d1_hash_iteration(path, &scanned, &mut findings);
         rule_d2_ambient(path, &scanned, &mut findings);
         rule_p1_unwrap(path, &scanned, &mut findings);
+    }
+    if in_ftl_crates(path) {
+        rule_d2_random_state(path, &scanned, &mut findings);
     }
     if in_workspace_src(path) {
         rule_m1_wildcard(path, &scanned, &mut findings);
@@ -103,7 +128,9 @@ fn finding(rule: &'static str, path: &str, line: &ScannedLine, message: String) 
 // D1 — no order-dependent iteration over hash collections
 // ---------------------------------------------------------------------
 
-/// Collects identifiers bound to `HashMap`/`HashSet` in this file:
+/// Collects identifiers bound to `HashMap`/`HashSet` (or their
+/// fixed-hasher aliases `IntMap`/`IntSet`, whose order is repeatable
+/// but still an accident of the table's history) in this file:
 /// `let` bindings, struct fields and function parameters. Tracking is
 /// file-wide and name-based (no type inference), which can over-match a
 /// same-named non-hash binding elsewhere in the file — the allowlist
@@ -112,7 +139,7 @@ fn hash_bound_names(scanned: &ScannedFile) -> Vec<String> {
     let mut names: Vec<String> = Vec::new();
     for line in &scanned.lines {
         let code = &line.code;
-        for kw in ["HashMap", "HashSet"] {
+        for kw in ["HashMap", "HashSet", "IntMap", "IntSet"] {
             for at in word_positions(code, kw) {
                 if let Some(name) = binding_name_before(&code[..at]) {
                     if !names.contains(&name) {
@@ -295,7 +322,8 @@ fn for_loop_over(stmt: &str, name: &str) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// D2 — no wall clock / ambient randomness in sim/core
+// D2 — no wall clock / ambient randomness in sim/core, no randomly
+// seeded hasher in flash/core/sim/baselines
 // ---------------------------------------------------------------------
 
 fn rule_d2_ambient(path: &str, scanned: &ScannedFile, findings: &mut Vec<Finding>) {
@@ -317,6 +345,31 @@ fn rule_d2_ambient(path: &str, scanned: &ScannedFile, findings: &mut Vec<Finding
                 ));
                 break;
             }
+        }
+    }
+}
+
+/// D2's second half, over the four FTL crates: no randomly seeded
+/// hasher in non-test code.
+fn rule_d2_random_state(path: &str, scanned: &ScannedFile, findings: &mut Vec<Finding>) {
+    for line in &scanned.lines {
+        if line.in_test {
+            continue;
+        }
+        if let Some(tok) = RANDOM_STATE_TOKENS
+            .iter()
+            .find(|tok| word_match(&line.code, tok))
+        {
+            findings.push(finding(
+                "D2",
+                path,
+                line,
+                format!(
+                    "`{tok}` in an FTL crate: the default hasher is seeded from OS entropy \
+                     and pays SipHash per probe; key by `leaftl_flash::IntMap`/`IntSet` \
+                     (`::default()`), a `BTreeMap`, or a dense index instead"
+                ),
+            ));
         }
     }
 }

@@ -49,6 +49,20 @@ fn visit(seen: &HashSet<u64>) {
 }
 
 #[test]
+fn d1_fires_on_iteration_over_the_integer_hasher_aliases() {
+    let src = "\
+use leaftl_flash::IntSet;
+fn visit(seen: &IntSet<u64>) -> u64 {
+    seen.iter().sum()
+}
+";
+    assert_eq!(
+        fired(&lint_file("crates/sim/src/fake.rs", src)),
+        [("D1", 3)]
+    );
+}
+
+#[test]
 fn d1_quiet_on_btree_and_on_same_statement_rematerialisation() {
     let src = "\
 use std::collections::{BTreeMap, HashMap};
@@ -119,6 +133,47 @@ mod tests {
     #[test]
     fn wall_clock_ok_in_tests() {
         let _ = std::time::Instant::now();
+    }
+}
+";
+    assert_eq!(fired(&lint_file("crates/sim/src/fake.rs", src)), []);
+}
+
+#[test]
+fn d2_fires_on_randomly_seeded_hash_collections_in_ftl_crates() {
+    let src = "\
+use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::RandomState;
+fn build() {
+    let seen: HashSet<u64> = HashSet::new();
+    let sized: HashMap<u64, u64> = HashMap::with_capacity(8);
+    drop((seen, sized));
+}
+";
+    for krate in ["flash", "core", "sim", "baselines"] {
+        assert_eq!(
+            fired(&lint_file(&format!("crates/{krate}/src/fake.rs"), src)),
+            [("D2", 2), ("D2", 4), ("D2", 5)],
+            "{krate}"
+        );
+    }
+    assert_eq!(fired(&lint_file("crates/workloads/src/fake.rs", src)), []);
+}
+
+#[test]
+fn d2_quiet_on_the_integer_hasher_and_in_tests() {
+    let src = "\
+use leaftl_flash::{IntMap, IntSet};
+use std::collections::hash_map::Entry;
+fn build() -> (IntMap<u64, u64>, IntSet<u64>) {
+    (IntMap::default(), IntSet::default())
+}
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn any_hasher_is_fine_in_tests() {
+        let seen = std::collections::HashSet::<u64>::new();
+        drop(seen);
     }
 }
 ";

@@ -144,10 +144,16 @@ impl ReadySet {
 impl FromIterator<bool> for ReadySet {
     /// One flag per host queue, in queue order.
     fn from_iter<I: IntoIterator<Item = bool>>(flags: I) -> Self {
-        let flags: Vec<bool> = flags.into_iter().collect();
-        let mut set = ReadySet::new(flags.len());
-        for (queue, _) in flags.iter().enumerate().filter(|(_, &ready)| ready) {
-            set.insert(queue);
+        let mut set = ReadySet::new(0);
+        for ready in flags {
+            if set.queues.is_multiple_of(64) {
+                set.words.push(0);
+            }
+            if ready {
+                set.words[set.queues / 64] |= 1 << (set.queues % 64);
+                set.len += 1;
+            }
+            set.queues += 1;
         }
         set
     }
@@ -401,6 +407,19 @@ mod tests {
     /// One flag per queue: whether its head is ready.
     fn ready<const N: usize>(flags: [bool; N]) -> ReadySet {
         flags.into_iter().collect()
+    }
+
+    #[test]
+    fn collected_flags_equal_the_inserted_set() {
+        for queues in [0usize, 1, 63, 64, 65, 130] {
+            let member = |queue: usize| queue.is_multiple_of(3) || queue + 1 == queues;
+            let collected: ReadySet = (0..queues).map(member).collect();
+            let mut inserted = ReadySet::new(queues);
+            for queue in (0..queues).filter(|&queue| member(queue)) {
+                inserted.insert(queue);
+            }
+            assert_eq!(collected, inserted, "{queues} queues");
+        }
     }
 
     #[test]

@@ -7,14 +7,19 @@
 //! pages and write coalescing (a rewrite of a buffered page costs no
 //! flash traffic at all).
 
-use leaftl_flash::Lpa;
-use std::collections::BTreeMap;
+use leaftl_flash::{IntMap, Lpa};
+use std::collections::hash_map::Entry;
 
 /// Write buffer: pending `(LPA → content)` pages awaiting flush.
+///
+/// Pages sit in arrival order (a rewrite keeps its first slot) behind a
+/// hashed index — every host read probes the buffer first, and only a
+/// flush needs an order, so the LPA sort happens once, at drain.
 #[derive(Debug, Clone, Default)]
 pub struct WriteBuffer {
-    pages: BTreeMap<Lpa, u64>,
-    arrival: Vec<Lpa>,
+    /// Position of each buffered LPA in `pages`.
+    index: IntMap<Lpa, usize>,
+    pages: Vec<(Lpa, u64)>,
 }
 
 impl WriteBuffer {
@@ -26,16 +31,22 @@ impl WriteBuffer {
     /// Buffers a page write, coalescing rewrites. Returns `true` when
     /// the LPA was already buffered (coalesced).
     pub fn insert(&mut self, lpa: Lpa, content: u64) -> bool {
-        let coalesced = self.pages.insert(lpa, content).is_some();
-        if !coalesced {
-            self.arrival.push(lpa);
+        match self.index.entry(lpa) {
+            Entry::Occupied(buffered) => {
+                self.pages[*buffered.get()].1 = content;
+                true
+            }
+            Entry::Vacant(vacant) => {
+                vacant.insert(self.pages.len());
+                self.pages.push((lpa, content));
+                false
+            }
         }
-        coalesced
     }
 
     /// Reads a buffered page (newest data wins over flash).
     pub fn get(&self, lpa: Lpa) -> Option<u64> {
-        self.pages.get(&lpa).copied()
+        self.index.get(&lpa).map(|&at| self.pages[at].1)
     }
 
     /// Number of buffered pages.
@@ -50,19 +61,17 @@ impl WriteBuffer {
 
     /// Drains every page sorted by LPA (the §3.3 optimisation).
     pub fn drain_sorted(&mut self) -> Vec<(Lpa, u64)> {
-        self.arrival.clear();
-        std::mem::take(&mut self.pages).into_iter().collect()
+        let mut pages = self.drain_unsorted();
+        // One entry per LPA, so no two keys compare equal.
+        pages.sort_unstable_by_key(|&(lpa, _)| lpa);
+        pages
     }
 
     /// Drains every page in arrival order (the Fig. 7 "unoptimized"
     /// ablation: no LPA sorting before allocation).
     pub fn drain_unsorted(&mut self) -> Vec<(Lpa, u64)> {
-        let pages = std::mem::take(&mut self.pages);
-        let order = std::mem::take(&mut self.arrival);
-        order
-            .into_iter()
-            .filter_map(|lpa| pages.get(&lpa).map(|&c| (lpa, c)))
-            .collect()
+        self.index.clear();
+        std::mem::take(&mut self.pages)
     }
 }
 

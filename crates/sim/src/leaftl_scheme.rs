@@ -229,16 +229,19 @@ impl MappingScheme for LeaFtlScheme {
 
     fn lookup_batch(&mut self, lpas: &[Lpa]) -> Vec<(Option<MappingLookup>, MapCost)> {
         // One group traversal per run of same-group addresses instead
-        // of one per address; residency accounting stays per-address so
-        // demand-paging charges match the pointwise path.
-        let hits = self.table.lookup_batch(lpas);
-        lpas.iter()
-            .zip(hits)
-            .map(|(&lpa, hit)| {
-                let cost = self.touch_group(lpa.group(), false);
-                (hit.map(mapping_lookup), cost)
-            })
-            .collect()
+        // of one per address, written straight into the result;
+        // residency accounting stays per-address so demand-paging
+        // charges match the pointwise path (it never changes the table,
+        // so translating the whole burst first reads the same table).
+        let mut hits: Vec<(Option<MappingLookup>, MapCost)> = self
+            .table
+            .lookup_batch(lpas)
+            .map(|hit| (hit.map(mapping_lookup), MapCost::FREE))
+            .collect();
+        for ((_, cost), &lpa) in hits.iter_mut().zip(lpas) {
+            *cost = self.touch_group(lpa.group(), false);
+        }
+        hits
     }
 
     fn memory_bytes(&self) -> usize {

@@ -1,8 +1,13 @@
 //! A byte-budgeted LRU used for the data cache and for demand-cached
 //! mapping structures (DFTL's CMT, SFTL's condensed pages, LeaFTL's
 //! group cache).
+//!
+//! Every key is an address or an id the simulator made up itself, so
+//! the index hashes with [`leaftl_flash::IntHasher`]: a data-cache probe
+//! sits on every host read, and a multiply is what it should cost.
 
-use std::collections::HashMap;
+use leaftl_flash::IntMap;
+use std::collections::hash_map::Entry;
 use std::hash::Hash;
 
 /// One resident entry.
@@ -24,7 +29,7 @@ struct Slot<K, V> {
 pub struct LruCache<K, V> {
     slots: Vec<Slot<K, V>>,
     free: Vec<usize>,
-    index: HashMap<K, usize>,
+    index: IntMap<K, usize>,
     head: usize, // most recent
     tail: usize, // least recent
     bytes: usize,
@@ -38,7 +43,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         LruCache {
             slots: Vec::new(),
             free: Vec::new(),
-            index: HashMap::new(),
+            index: IntMap::default(),
             head: NIL,
             tail: NIL,
             bytes: 0,
@@ -80,37 +85,38 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Inserts or replaces an entry with the given byte size, promoting
     /// it. Returns the previous value if the key was resident.
     pub fn insert(&mut self, key: K, value: V, bytes: usize, dirty: bool) -> Option<V> {
-        if let Some(&idx) = self.index.get(&key) {
-            self.bytes = self.bytes - self.slots[idx].bytes + bytes;
-            let slot = &mut self.slots[idx];
-            slot.bytes = bytes;
-            slot.dirty = slot.dirty || dirty;
-            let old = std::mem::replace(&mut slot.value, value);
-            self.promote(idx);
-            return Some(old);
-        }
-        let idx = if let Some(idx) = self.free.pop() {
-            self.slots[idx] = Slot {
-                key: key.clone(),
-                value,
-                bytes,
-                dirty,
-                prev: NIL,
-                next: NIL,
-            };
-            idx
-        } else {
-            self.slots.push(Slot {
-                key: key.clone(),
-                value,
-                bytes,
-                dirty,
-                prev: NIL,
-                next: NIL,
-            });
-            self.slots.len() - 1
+        let vacant = match self.index.entry(key) {
+            Entry::Occupied(resident) => {
+                let idx = *resident.get();
+                let slot = &mut self.slots[idx];
+                self.bytes = self.bytes - slot.bytes + bytes;
+                slot.bytes = bytes;
+                slot.dirty = slot.dirty || dirty;
+                let old = std::mem::replace(&mut slot.value, value);
+                self.promote(idx);
+                return Some(old);
+            }
+            Entry::Vacant(vacant) => vacant,
         };
-        self.index.insert(key, idx);
+        let slot = Slot {
+            key: vacant.key().clone(),
+            value,
+            bytes,
+            dirty,
+            prev: NIL,
+            next: NIL,
+        };
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                self.slots[idx] = slot;
+                idx
+            }
+            None => {
+                self.slots.push(slot);
+                self.slots.len() - 1
+            }
+        };
+        vacant.insert(idx);
         self.bytes += bytes;
         self.attach_front(idx);
         None

@@ -13,8 +13,9 @@ use crate::trace::{FlashOpKind, TraceSink, Tracer, TrafficClass, UtilizationRepo
 use crate::translog::{Baseline, LogOp, TransLog};
 use crate::validity::Validity;
 use leaftl_core::{MapCost, MappingLookup, MappingScheme, ShardPressure};
-use leaftl_flash::{BlockId, Die, FlashDevice, Lpa, Ppa};
-use std::collections::{HashMap, HashSet};
+use leaftl_flash::{BlockId, Die, FlashDevice, IntSet, Lpa, Ppa};
+use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// DRAM access latency charged for buffer/cache hits (page transfer
 /// over the controller's internal bus).
@@ -142,6 +143,11 @@ pub struct Ssd<S: MappingScheme + Clone> {
     /// Per-die utilization attribution (always on) plus the optional
     /// timeline event sink (see [`crate::trace`]).
     tracer: Tracer,
+    /// Working memory of the read path, kept from burst to burst.
+    read_scratch: ReadScratch,
+    /// The live pages of the block being relocated
+    /// ([`Ssd::migrate_block`]), kept from pass to pass.
+    live_scratch: Vec<Ppa>,
 }
 
 /// The state half of a resolved read: which pages must be read (in
@@ -149,20 +155,48 @@ pub struct Ssd<S: MappingScheme + Clone> {
 /// missed. Produced by [`Ssd::plan_read_probes`]; the caller turns the
 /// probe list into die time ([`Ssd::schedule_probes`]) whenever its
 /// scheduling policy dictates.
+#[derive(Debug, Clone)]
 struct ReadPlan {
     exact: Ppa,
     content: u64,
     mispredicted: bool,
-    probes: Vec<Ppa>,
-    /// Whether `probes[0]` is a host read's predicted page — the one
-    /// probe that counts as a data read. Every other probe is a
+    /// Where the plan's probes sit in the probe list it was planned
+    /// into: one list holds a whole burst's probes back to back, so a
+    /// read owns no allocation however far its fallback scan went.
+    probes: Range<usize>,
+    /// Whether the first probe is a host read's predicted page — the
+    /// one probe that counts as a data read. Every other probe is a
     /// misprediction read.
     leads_with_data_read: bool,
+}
+
+/// A translation hoisted ahead of its read's turn in the burst.
+type Prefetched = Option<(Option<MappingLookup>, MapCost)>;
+
+/// The read path's working memory: everything a burst builds on its
+/// way from addresses to completion times. Owned by the [`Ssd`] and
+/// reused, so a read that reaches flash allocates nothing.
+#[derive(Debug, Clone, Default)]
+struct ReadScratch {
+    /// Hoisted translations by burst position (empty when nothing was
+    /// hoisted).
+    prefetched: Vec<Prefetched>,
+    /// The burst positions and addresses whose translations are
+    /// hoisted, and the addresses already claimed by an earlier one.
+    slots: Vec<usize>,
+    needs_lookup: Vec<Lpa>,
+    seen: IntSet<Lpa>,
+    /// The reads that missed DRAM, between the state pass and the
+    /// timing pass.
+    pending: Vec<PendingRead>,
+    /// Every planned probe of the burst, plan after plan.
+    probes: Vec<Ppa>,
 }
 
 /// A read that missed DRAM, after the state pass over its burst (see
 /// [`Ssd::service_read_batch`]): what the timing pass still owes it,
 /// with all state mutations already committed in batch order.
+#[derive(Debug, Clone)]
 struct PendingRead {
     /// The request's position in the burst.
     index: usize,
@@ -177,6 +211,7 @@ struct PendingRead {
 
 /// A flash-backed read's claim on its shard's translation CPU, and the
 /// data probes that follow the grant.
+#[derive(Debug, Clone)]
 struct CpuGrant {
     cpu_ns: u64,
     shard: usize,
@@ -225,6 +260,8 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             gc_mode: GcMode::Synchronous,
             compaction_mode: CompactionMode::Inline,
             tracer: Tracer::new(config.geometry.total_dies()),
+            read_scratch: ReadScratch::default(),
+            live_scratch: Vec::new(),
             config,
         }
     }
@@ -485,7 +522,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// * [`SimError::LpaOutOfRange`] — address beyond logical capacity.
     /// * [`SimError::MappingCorruption`] — internal consistency bug.
     pub fn read(&mut self, lpa: Lpa) -> Result<Option<u64>, SimError> {
-        let (value, complete_ns) = self.service_read_batch(&[lpa])?[0];
+        let mut outcome = [(None, 0)];
+        self.service_read_batch(&[lpa], &mut outcome)?;
+        let [(value, complete_ns)] = outcome;
         self.clock.wait_until(complete_ns);
         Ok(value)
     }
@@ -515,13 +554,19 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// i.e. the table is resident); under demand paging each request
     /// translates at its turn instead, so cache/CMT mutations keep
     /// submission order.
+    ///
+    /// Each request's `(value, completion time)` lands in `outcomes`,
+    /// which must be as long as `lpas`.
     pub(crate) fn service_read_batch(
         &mut self,
         lpas: &[Lpa],
-    ) -> Result<Vec<(Option<u64>, u64)>, SimError> {
+        outcomes: &mut [(Option<u64>, u64)],
+    ) -> Result<(), SimError> {
+        debug_assert_eq!(lpas.len(), outcomes.len());
         for &lpa in lpas {
             self.check_lpa(lpa)?;
         }
+        let mut scratch = std::mem::take(&mut self.read_scratch);
         // Prefetch translations only for the *first* occurrence of each
         // address that misses DRAM right now. Later occurrences re-check
         // at their turn — they either hit the cache the first read
@@ -529,29 +574,29 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         // their turn. (With a pure lookup this is an optimisation, not
         // a correctness condition.) Left empty when nothing is hoisted:
         // a burst of one has no traversal to share.
-        let mut prefetched: Vec<Option<(Option<MappingLookup>, MapCost)>> = Vec::new();
+        scratch.prefetched.clear();
         if lpas.len() > 1 && self.scheme.lookup_is_pure() {
-            prefetched.resize(lpas.len(), None);
-            let mut seen = HashSet::new();
-            let mut slots: Vec<usize> = Vec::new();
-            let mut needs_lookup: Vec<Lpa> = Vec::new();
+            scratch.prefetched.resize(lpas.len(), None);
+            scratch.seen.clear();
+            scratch.slots.clear();
+            scratch.needs_lookup.clear();
             for (index, &lpa) in lpas.iter().enumerate() {
                 if self.buffer.get(lpa).is_none()
                     && !self.read_cache.contains(&lpa)
-                    && seen.insert(lpa)
+                    && scratch.seen.insert(lpa)
                 {
-                    slots.push(index);
-                    needs_lookup.push(lpa);
+                    scratch.slots.push(index);
+                    scratch.needs_lookup.push(lpa);
                 }
             }
-            for (slot, hit) in slots
-                .into_iter()
-                .zip(self.scheme.lookup_batch(&needs_lookup))
-            {
-                prefetched[slot] = Some(hit);
+            let hits = self.scheme.lookup_batch(&scratch.needs_lookup);
+            for (&slot, hit) in scratch.slots.iter().zip(hits) {
+                scratch.prefetched[slot] = Some(hit);
             }
         }
-        self.service_read_pipelined(lpas, prefetched)
+        let serviced = self.service_read_pipelined(lpas, &mut scratch, outcomes);
+        self.read_scratch = scratch;
+        serviced
     }
 
     /// The two-pass pipelined burst: pass 1 commits every state change
@@ -566,16 +611,23 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     fn service_read_pipelined(
         &mut self,
         lpas: &[Lpa],
-        mut prefetched: Vec<Option<(Option<MappingLookup>, MapCost)>>,
-    ) -> Result<Vec<(Option<u64>, u64)>, SimError> {
+        scratch: &mut ReadScratch,
+        results: &mut [(Option<u64>, u64)],
+    ) -> Result<(), SimError> {
         let started = self.clock.now_ns();
         let page_bytes = self.config.geometry.page_size as usize;
+        let ReadScratch {
+            prefetched,
+            pending,
+            probes,
+            ..
+        } = scratch;
+        pending.clear();
+        probes.clear();
 
         // Pass 1 — state, strict batch order. A DRAM hit's result is
         // final; a miss gets its value now and is queued for pass 2,
         // which fills in its completion time.
-        let mut results: Vec<(Option<u64>, u64)> = Vec::with_capacity(lpas.len());
-        let mut pending: Vec<PendingRead> = Vec::new();
         for (index, &lpa) in lpas.iter().enumerate() {
             self.stats.host_reads += 1;
             let dram_hit = if let Some(content) = self.buffer.get(lpa) {
@@ -589,7 +641,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             };
             if dram_hit.is_some() {
                 self.stats.read_latency.record(DRAM_HIT_NS);
-                results.push((dram_hit, started + DRAM_HIT_NS));
+                results[index] = (dram_hit, started + DRAM_HIT_NS);
                 continue;
             }
             let (hit, cost) = match prefetched.get_mut(index).and_then(Option::take) {
@@ -598,7 +650,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             };
             let Some(hit) = hit else {
                 self.stats.unmapped_reads += 1;
-                results.push((None, started));
+                results[index] = (None, started);
                 pending.push(PendingRead {
                     index,
                     lpa,
@@ -618,13 +670,13 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             self.stats.lookup_cpu_ns += cpu_ns;
             self.stats.lookups += 1;
             self.stats.record_lookup_levels(hit.levels_visited);
-            let plan = self.plan_read_probes(lpa, &hit, true)?;
+            let plan = self.plan_read_probes(lpa, &hit, true, probes)?;
             if plan.mispredicted {
                 self.stats.mispredictions += 1;
             }
             self.read_cache.insert(lpa, plan.content, page_bytes, false);
             self.enforce_cache_capacity();
-            results.push((Some(plan.content), started));
+            results[index] = (Some(plan.content), started);
             pending.push(PendingRead {
                 index,
                 lpa,
@@ -640,7 +692,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         // Pass 2 — time. Translation charges chain per request from the
         // shared dispatch point, in batch order; each leaves the
         // request map-ready.
-        for read in &pending {
+        for read in pending.iter() {
             results[read.index].1 =
                 self.charge_map_cost(read.lpa, read.cost, started, TrafficClass::Host);
         }
@@ -650,7 +702,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         // data read overlap an earlier request's in-flight
         // translation-page read instead of queueing behind it.
         pending.sort_unstable_by_key(|read| (results[read.index].1, read.index));
-        for read in &pending {
+        for read in pending.iter() {
             let map_ready = results[read.index].1;
             if let Some(grant) = &read.grant {
                 let (cpu_start, cpu_done) =
@@ -664,24 +716,30 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                     TrafficClass::Host,
                 );
                 results[read.index].1 =
-                    self.schedule_probes(&grant.plan, cpu_done, TrafficClass::Host);
+                    self.schedule_probes(&grant.plan, probes, cpu_done, TrafficClass::Host);
             }
             let complete_ns = results[read.index].1;
             self.stats
                 .read_latency
                 .record(complete_ns.saturating_sub(started));
         }
-        Ok(results)
+        Ok(())
     }
 
-    /// Chains a plan's probes as flash reads on a request's dependency
-    /// chain starting at `ready_ns`; returns the chain's completion
-    /// time. The only place a probe is put on a die, so it is also
-    /// where the probe is counted: what [`SimStats`] counts is what the
-    /// dies were charged, whatever became of the plans that were never
-    /// scheduled.
-    fn schedule_probes(&mut self, plan: &ReadPlan, mut ready_ns: u64, class: TrafficClass) -> u64 {
-        for (index, &ppa) in plan.probes.iter().enumerate() {
+    /// Chains a plan's probes (its range of `probes`, the list it was
+    /// planned into) as flash reads on a request's dependency chain
+    /// starting at `ready_ns`; returns the chain's completion time. The
+    /// only place a probe is put on a die, so it is also where the
+    /// probe is counted: what [`SimStats`] counts is what the dies were
+    /// charged, whatever became of the plans that were never scheduled.
+    fn schedule_probes(
+        &mut self,
+        plan: &ReadPlan,
+        probes: &[Ppa],
+        mut ready_ns: u64,
+        class: TrafficClass,
+    ) -> u64 {
+        for (index, &ppa) in probes[plan.probes.clone()].iter().enumerate() {
             let die = self.config.geometry.die_of(ppa);
             ready_ns = self
                 .clock
@@ -698,11 +756,11 @@ impl<S: MappingScheme + Clone> Ssd<S> {
 
     /// Resolves a (possibly approximate) prediction to the live page
     /// without touching any timeline or counter: walks the probe
-    /// sequence against the device and returns the pages that must be
-    /// read, in order, for the caller to schedule. Planning first and
-    /// scheduling after is what lets a burst plan every request's
-    /// probes in batch order (state) while scheduling them in CPU-grant
-    /// order (time).
+    /// sequence against the device and appends the pages that must be
+    /// read, in order, to `probes` for the caller to schedule. Planning
+    /// first and scheduling after is what lets a burst plan every
+    /// request's probes in batch order (state) while scheduling them in
+    /// CPU-grant order (time).
     ///
     /// Correct-page criterion: the OOB reverse mapping matches *and* the
     /// PVT says the page is live — stale copies of the same LPA within
@@ -712,21 +770,23 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         lpa: Lpa,
         hit: &MappingLookup,
         host_read: bool,
+        probes: &mut Vec<Ppa>,
     ) -> Result<ReadPlan, SimError> {
         let gamma = hit.error_bound as u64;
         let predicted = hit.ppa;
-        let mut probes: Vec<Ppa> = Vec::with_capacity(1);
-        let plan = |exact: Ppa, content: u64, probes: Vec<Ppa>| ReadPlan {
+        let first = probes.len();
+        // The predicted page, when in range, is always probed first.
+        let in_range = self.config.geometry.contains(predicted);
+        let plan = |exact: Ppa, content: u64, probes: &[Ppa]| ReadPlan {
             exact,
             content,
             mispredicted: exact != predicted,
-            // The predicted page, when in range, is always probed first.
-            leads_with_data_read: host_read && probes.first() == Some(&predicted),
-            probes,
+            leads_with_data_read: host_read && in_range,
+            probes: first..probes.len(),
         };
 
         // First attempt: the predicted page.
-        if self.config.geometry.contains(predicted) {
+        if in_range {
             probes.push(predicted);
             if let Ok(view) = self.device.read(predicted) {
                 if view.lpa == Some(lpa) && self.validity.is_valid(predicted) {
@@ -735,16 +795,20 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 // Misprediction: consult the OOB reverse-mapping window
                 // of the page we already read (§3.5) — one extra flash
                 // access suffices when the window names the LPA.
-                if let Some(window) = self.device.oob_window(predicted, hit.error_bound) {
-                    for delta in window.find(lpa) {
-                        let candidate = Ppa::new((predicted.raw() as i64 + delta) as u64);
-                        if self.validity.is_valid(candidate) {
-                            probes.push(candidate);
-                            let view = self.device.read(candidate)?;
-                            debug_assert_eq!(view.lpa, Some(lpa));
-                            return Ok(plan(candidate, view.content, probes));
-                        }
-                    }
+                let named = self
+                    .device
+                    .oob_window(predicted, hit.error_bound)
+                    .and_then(|window| {
+                        window
+                            .find(lpa)
+                            .map(|delta| Ppa::new((predicted.raw() as i64 + delta) as u64))
+                            .find(|&candidate| self.validity.is_valid(candidate))
+                    });
+                if let Some(candidate) = named {
+                    probes.push(candidate);
+                    let view = self.device.read(candidate)?;
+                    debug_assert_eq!(view.lpa, Some(lpa));
+                    return Ok(plan(candidate, view.content, probes));
                 }
             }
         }
@@ -774,6 +838,28 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         Err(SimError::MappingCorruption { lpa, predicted })
     }
 
+    /// Resolves a mapped LPA's prediction to its live page with the
+    /// clock blocked on the probes (flush-path and recovery
+    /// semantics): plans them, puts them on the dies from now, charged
+    /// to `class`, and waits for the last.
+    fn resolve_blocking(
+        &mut self,
+        lpa: Lpa,
+        hit: &MappingLookup,
+        class: TrafficClass,
+    ) -> Result<ReadPlan, SimError> {
+        let mut probes = std::mem::take(&mut self.read_scratch.probes);
+        probes.clear();
+        let plan = self.plan_read_probes(lpa, hit, false, &mut probes);
+        if let Ok(plan) = &plan {
+            let floor = self.clock.now_ns();
+            let ready = self.schedule_probes(plan, &probes, floor, class);
+            self.clock.wait_until(ready);
+        }
+        self.read_scratch.probes = probes;
+        plan
+    }
+
     /// Resolves the exact current PPA of a mapped LPA for invalidation,
     /// blocking the clock (flush-path semantics). Exact predictions are
     /// free; approximate ones cost one flash read (plus extras on
@@ -784,10 +870,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             return Ok(hit.ppa);
         }
         self.stats.lookups += 1;
-        let plan = self.plan_read_probes(lpa, hit, false)?;
-        let floor = self.clock.now_ns();
-        let ready = self.schedule_probes(&plan, floor, TrafficClass::Host);
-        self.clock.wait_until(ready);
+        let plan = self.resolve_blocking(lpa, hit, TrafficClass::Host)?;
         if plan.mispredicted {
             self.stats.mispredictions += 1;
         }
@@ -1372,7 +1455,8 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         onto: Option<BlockId>,
         blocking: bool,
     ) -> Result<u64, SimError> {
-        let valid = self.validity.valid_pages(victim);
+        let mut valid = std::mem::take(&mut self.live_scratch);
+        self.validity.valid_pages(victim, &mut valid);
         let mut reads_done = self.clock.now_ns();
         let mut programs_done = reads_done;
         let mut batches: Vec<Batch> = Vec::new();
@@ -1429,6 +1513,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 self.learn_and_mark(batch, true, TrafficClass::Gc);
             }
         }
+        self.live_scratch = valid;
 
         let done = self.reclaim(victim, TrafficClass::Gc, programs_done)?;
         if blocking {
@@ -1766,7 +1851,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             .into_iter()
             .map(|block| (block, 0))
             .collect();
-        let mut found: HashMap<u64, u32> = HashMap::new();
+        let mut found: BTreeMap<u64, u32> = BTreeMap::new();
         for (ppa, lpa, _) in self.scan_pages(&owned) {
             if let (None, Some(view)) = (lpa, self.device.peek(ppa)) {
                 *found.entry(view.content).or_insert(0) += 1;
@@ -1838,11 +1923,12 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// too; page 0 means the block was recycled (or first filled)
     /// since. Walks back from the write pointer: O(pages since).
     fn first_page_since(&self, block: BlockId, stamp: u64) -> Option<u32> {
-        let state = self.device.block(block);
-        (0..state.write_ptr())
+        self.device
+            .scan_block(block)
             .rev()
-            .take_while(|&page| state.seq(page) > stamp)
+            .take_while(|&(_, _, seq)| seq > stamp)
             .last()
+            .map(|(ppa, _, _)| self.config.geometry.page_in_block(ppa))
     }
 
     /// Drops the validity recorded for every block recycled since the
@@ -1930,10 +2016,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 // copy is gone).
                 if !hit.approximate {
                     self.invalidate(hit.ppa);
-                } else if let Ok(plan) = self.plan_read_probes(lpa, &hit, false) {
-                    let floor = self.clock.now_ns();
-                    let ready = self.schedule_probes(&plan, floor, TrafficClass::MapLog);
-                    self.clock.wait_until(ready);
+                } else if let Ok(plan) = self.resolve_blocking(lpa, &hit, TrafficClass::MapLog) {
                     self.invalidate(plan.exact);
                 }
             }
@@ -2429,7 +2512,9 @@ mod tests {
             .scan_gc_candidates(true, None)
             .find(|&(_, valid)| valid > 0)
             .expect("an aged device has a partly valid closed block");
-        let ppa = ssd.validity.valid_pages(block)[0];
+        let mut live = Vec::new();
+        ssd.validity.valid_pages(block, &mut live);
+        let ppa = live[0];
         ssd.invalidate(ppa);
         assert_eq!(ssd.check_gc_index(), Vec::<String>::new());
 
@@ -2533,7 +2618,8 @@ mod tests {
         let fast = Lpa::new(9); // resident: sub-µs lookup only
 
         let mut ssd = demand_ssd(slow.raw());
-        let results = ssd.service_read_batch(&[slow, fast]).unwrap();
+        let mut results = [(None, 0); 2];
+        ssd.service_read_batch(&[slow, fast], &mut results).unwrap();
         assert_eq!(results[0].0, Some(500 + slow.raw()));
         assert_eq!(results[1].0, Some(500 + fast.raw()));
         // The pipeline: the resident read, though *second* in the
@@ -2571,7 +2657,8 @@ mod tests {
         // ones' CPU time (but not behind any flash work).
         let mut ssd = demand_ssd(u64::MAX); // nothing actually paged
         let lpas: Vec<Lpa> = (0..8).map(Lpa::new).collect();
-        let results = ssd.service_read_batch(&lpas).unwrap();
+        let mut results = vec![(None, 0); lpas.len()];
+        ssd.service_read_batch(&lpas, &mut results).unwrap();
         for (i, (value, _)) in results.iter().enumerate() {
             assert_eq!(*value, Some(500 + i as u64));
         }

@@ -47,7 +47,7 @@
 
 use crate::validity::Validity;
 use leaftl_flash::{BlockId, Lpa, Ppa};
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// One queued translation-log device operation, dispatched as a
 /// [`crate::Command::MapLog`].
@@ -310,7 +310,7 @@ impl<S> TransLog<S> {
     /// everything older than it dropped — what is left is what
     /// recovery restores ([`TransLog::durable_baseline`]) and replays
     /// ([`TransLog::deltas`]).
-    pub fn power_cut(&mut self, found: &HashMap<u64, u32>) {
+    pub fn power_cut(&mut self, found: &BTreeMap<u64, u32>) {
         self.pending.clear();
         self.reclaim_queued.clear();
         self.entries
@@ -408,7 +408,7 @@ mod tests {
         let delta = log.push_delta(Vec::new(), 5);
         let torn = log.push_checkpoint(baseline(2), 4);
         // Physically present: both ckpt pages, the delta, one torn page.
-        let found: HashMap<u64, u32> = [(ckpt, 2), (delta, 1), (torn, 1)].into_iter().collect();
+        let found: BTreeMap<u64, u32> = [(ckpt, 2), (delta, 1), (torn, 1)].into_iter().collect();
         log.power_cut(&found);
         assert_eq!(log.pending_ops(), 0);
         assert_eq!(log.durable_checkpoint_seq(), Some(ckpt));
@@ -430,7 +430,7 @@ mod tests {
         assert!(!log.checkpoint_in_flight());
         assert_eq!(log.entries.len(), 1, "the older snapshot is dropped");
         // No log page names it, and a power cut keeps it all the same.
-        log.power_cut(&HashMap::new());
+        log.power_cut(&BTreeMap::new());
         assert_eq!(log.durable_baseline().map(|b| b.scheme), Some(2));
     }
 }

@@ -62,20 +62,38 @@ impl Validity {
         self.counts[block.raw() as usize]
     }
 
-    /// Clears every bit of a block after erase.
-    pub fn clear_block(&mut self, block: BlockId) {
-        for page in 0..self.geometry.pages_per_block {
-            let ppa = self.geometry.ppa(block, page);
-            self.invalidate(ppa);
-        }
+    /// The bitmap words holding `block`'s pages, each with the mask of
+    /// the block's bits in it (a block need not start or end on a word
+    /// boundary, and small blocks share a word).
+    fn block_words(&self, block: BlockId) -> impl Iterator<Item = (usize, u64)> {
+        let first = self.geometry.first_ppa(block).raw();
+        let end = first + self.geometry.pages_per_block as u64;
+        (first / 64..end.div_ceil(64)).map(move |word| {
+            let low = first.max(word * 64) - word * 64;
+            let high = end.min((word + 1) * 64) - word * 64;
+            (word as usize, (u64::MAX >> (64 - (high - low))) << low)
+        })
     }
 
-    /// PPAs of the live pages in a block, in page order.
-    pub fn valid_pages(&self, block: BlockId) -> Vec<Ppa> {
-        (0..self.geometry.pages_per_block)
-            .map(|page| self.geometry.ppa(block, page))
-            .filter(|&ppa| self.is_valid(ppa))
-            .collect()
+    /// Clears every bit of a block after erase, and its BVC entry.
+    pub fn clear_block(&mut self, block: BlockId) {
+        for (word, mask) in self.block_words(block) {
+            self.bitmaps[word] &= !mask;
+        }
+        self.counts[block.raw() as usize] = 0;
+    }
+
+    /// Replaces `out` with the PPAs of the live pages in a block, in
+    /// page order.
+    pub fn valid_pages(&self, block: BlockId, out: &mut Vec<Ppa>) {
+        out.clear();
+        for (word, mask) in self.block_words(block) {
+            let mut live = self.bitmaps[word] & mask;
+            while live != 0 {
+                out.push(Ppa::new(word as u64 * 64 + live.trailing_zeros() as u64));
+                live &= live - 1;
+            }
+        }
     }
 
     /// Total live pages on the device.
@@ -123,17 +141,25 @@ mod tests {
         assert_eq!(v.valid_count(BlockId::new(1)), 0);
     }
 
+    fn valid_pages(v: &Validity, block: u64) -> Vec<Ppa> {
+        let mut out = vec![Ppa::new(u64::MAX)]; // stale content must go
+        v.valid_pages(BlockId::new(block), &mut out);
+        out
+    }
+
     #[test]
     fn valid_pages_in_order() {
         let mut v = validity();
         v.mark_valid(Ppa::new(3));
         v.mark_valid(Ppa::new(1));
         v.mark_valid(Ppa::new(31));
+        v.mark_valid(Ppa::new(32)); // block 1, same bitmap word
         assert_eq!(
-            v.valid_pages(BlockId::new(0)),
+            valid_pages(&v, 0),
             vec![Ppa::new(1), Ppa::new(3), Ppa::new(31)]
         );
-        assert!(v.valid_pages(BlockId::new(1)).is_empty());
+        assert_eq!(valid_pages(&v, 1), vec![Ppa::new(32)]);
+        assert!(valid_pages(&v, 2).is_empty());
     }
 
     #[test]
@@ -146,6 +172,40 @@ mod tests {
         v.clear_block(BlockId::new(0));
         assert_eq!(v.valid_count(BlockId::new(0)), 0);
         assert_eq!(v.total_valid(), 0);
+    }
+
+    /// Blocks that share a bitmap word, fill whole words or straddle
+    /// word boundaries: clearing one and listing one must agree with
+    /// the page-at-a-time definitions and leave the neighbours alone.
+    #[test]
+    fn word_walks_match_the_per_page_definitions() {
+        for pages_per_block in [1u32, 8, 24, 32, 64, 100, 256] {
+            let mut geometry = FlashGeometry::small_test();
+            geometry.pages_per_block = pages_per_block;
+            geometry.blocks = 5;
+            let mut v = Validity::new(geometry);
+            // Every page but each third one live, in every block.
+            for raw in (0..geometry.total_pages()).filter(|raw| raw % 3 != 0) {
+                v.mark_valid(Ppa::new(raw));
+            }
+            for block in (0..geometry.blocks).map(BlockId::new) {
+                let want: Vec<Ppa> = (0..pages_per_block)
+                    .map(|page| geometry.ppa(block, page))
+                    .filter(|&ppa| v.is_valid(ppa))
+                    .collect();
+                assert_eq!(v.valid_count(block) as usize, want.len());
+                assert_eq!(valid_pages(&v, block.raw()), want, "{pages_per_block}");
+            }
+            let before = v.total_valid();
+            let cleared = v.valid_count(BlockId::new(2)) as u64;
+            v.clear_block(BlockId::new(2));
+            assert_eq!(v.total_valid(), before - cleared);
+            for raw in 0..geometry.total_pages() {
+                let ppa = Ppa::new(raw);
+                let live = raw % 3 != 0 && geometry.block_of(ppa) != BlockId::new(2);
+                assert_eq!(v.is_valid(ppa), live, "{pages_per_block} pages, {ppa}");
+            }
+        }
     }
 
     #[test]

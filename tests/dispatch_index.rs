@@ -236,6 +236,77 @@ fn host_priority_fleet_matches_the_full_scan() {
     );
 }
 
+/// `drain` returns completions ordered by completion time, ties by
+/// submission id. Ids are unique, so that order does not depend on the
+/// order completions were retired in: a stable sort by
+/// `(complete_ns, id)` of *any* permutation is the same sequence. A
+/// 1012-queue open-loop fleet on a coarse arrival grid (many commands
+/// due at one instant, DRAM hits completing at the same nanosecond)
+/// gives the tie-break work to do; the digest was recorded when
+/// `take_completions` was that stable sort.
+#[test]
+fn drain_order_is_the_stable_sort_on_a_1012_queue_fleet() {
+    const FLEET: usize = 1012;
+    const OPS_PER_QUEUE: u64 = 7;
+    let mut ssd = aged_ssd();
+    let logical = ssd.config().logical_pages();
+    let weights = (0..FLEET as u32).map(|queue| 1 + queue % 5).collect();
+    let config = DeviceConfig::new(FLEET, QUEUE_DEPTH)
+        .background_gc()
+        .with_arbiter(Box::new(Weighted::new(weights, 2)));
+    let mut device = Device::new(&mut ssd, config);
+    let mut rng = Rng(0x0c0f_fee5);
+    let mut submitted = 0usize;
+    for queue in 0..FLEET {
+        for op in 0..OPS_PER_QUEUE {
+            // A hot set of 24 pages keeps the data cache and the write
+            // buffer answering: equal completion times across queues.
+            let lpa = if rng.next().is_multiple_of(3) {
+                Lpa::new(rng.next() % logical)
+            } else {
+                Lpa::new((rng.next() % 24) * 61 % logical)
+            };
+            let request = if rng.next().is_multiple_of(5) {
+                IoRequest::write(lpa, ((queue as u64) << 32) | op)
+            } else {
+                IoRequest::read(lpa)
+            };
+            let at_ns = (op * 4 + rng.next() % 4) * 250_000;
+            device
+                .enqueue_to(queue, request.at(at_ns).on_stream(queue as u32))
+                .expect("enqueue");
+            submitted += 1;
+        }
+    }
+    let drained = device.drain().expect("drain");
+    let background = device.gc_dispatched() + device.maplog_dispatched();
+    assert_eq!(drained.len(), submitted + background as usize);
+
+    let mut ids: Vec<u64> = drained.iter().map(|c| c.id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), drained.len(), "completion ids must be unique");
+    let tied = drained
+        .windows(2)
+        .filter(|pair| pair[0].complete_ns == pair[1].complete_ns)
+        .count();
+    assert!(tied > 100, "only {tied} tied completion times");
+
+    let mut want = drained.clone();
+    want.sort_by_key(|c| c.id); // submission order: some other permutation
+    want.sort_by_key(|c| (c.complete_ns, c.id));
+    assert!(drained == want, "drain order is not the stable sort");
+
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for c in &drained {
+        fnv1a(&mut hash, c.id);
+        fnv1a(&mut hash, c.queue as u64);
+        fnv1a(&mut hash, c.dispatch_ns);
+        fnv1a(&mut hash, c.complete_ns);
+    }
+    assert_eq!((drained.len(), hash), (7124, 5092495672417695348));
+}
+
 /// The three policies as they were before the ready bitset: each walks
 /// one `head_ready` flag per host queue, slot layout
 /// `[Host(0) … Host(n-1), Gc]`.

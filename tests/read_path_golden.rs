@@ -313,6 +313,96 @@ fn device_qd8_four_shard_resident_leaftl() {
     );
 }
 
+/// (d) Queue-depth-32 bursts over an aged device, each a full burst of
+/// 32 reads dispatched together. Ten rounds of overwrites (part
+/// strided, part scattered) leave approximate segments whose pages GC
+/// has moved, so predictions miss; every burst repeats its first
+/// address three reads later (a hit in the cache the first occurrence
+/// filled) and again at its end (by then the ten-page cache has turned
+/// over: a second lookup at its turn). The measured phase only reads,
+/// so every misprediction read belongs to a host read: more of them
+/// than mispredictions means some read probed past its one
+/// OOB-verified retry — the outward scan.
+#[test]
+fn device_qd32_bursts_on_an_aged_four_shard_leaftl() {
+    const BURST: usize = 32;
+    let mut ssd = sharded_resident();
+    let logical = ssd.config().logical_pages();
+    let mut rng = Rng(0x5eed_0006);
+    let mut content = 1u64 << 40;
+    for round in 0..10u64 {
+        for i in 0..logical / 3 {
+            content += 1;
+            let lpa = if rng.next() % 8 < 3 {
+                rng.next() % (logical / 2)
+            } else {
+                (i * 5 + round * 11) % (logical / 3)
+            };
+            ssd.write(Lpa::new(lpa), content).expect("write");
+        }
+    }
+    ssd.flush().expect("flush");
+    assert!(ssd.stats().gc_runs > 0, "device must be aged");
+    assert!(ssd.scheme().lookup_is_pure(), "table must be resident");
+    ssd.reset_stats();
+
+    let mut hash = FNV_OFFSET;
+    let mut device = Device::new(&mut ssd, DeviceConfig::single(BURST));
+    for _ in 0..60 {
+        let mut lpas: Vec<u64> = (0..BURST).map(|_| rng.next() % (logical * 3 / 5)).collect();
+        lpas[3] = lpas[0];
+        lpas[BURST - 1] = lpas[0];
+        for &lpa in &lpas {
+            device
+                .enqueue_to(0, IoRequest::read(Lpa::new(lpa)))
+                .expect("enqueue");
+        }
+        let mut completions = device.drain().expect("drain");
+        assert_eq!(completions.len(), BURST);
+        let dispatched = completions[0].dispatch_ns;
+        assert!(
+            completions.iter().all(|c| c.dispatch_ns == dispatched),
+            "the reads must go out as one burst"
+        );
+        completions.sort_by_key(|c| c.id);
+        for c in &completions {
+            fnv1a(&mut hash, c.id);
+            fnv1a(&mut hash, c.data.map_or(u64::MAX, |v| v));
+            fnv1a(&mut hash, c.dispatch_ns);
+            fnv1a(&mut hash, c.complete_ns);
+        }
+    }
+    drop(device);
+
+    let got = golden(&ssd, hash);
+    let flash = ssd.stats().flash;
+    assert!(got.mispredictions > 0, "{got:?}");
+    assert!(
+        flash.misprediction_reads > got.mispredictions,
+        "no read fell back to the outward scan: {flash:?}"
+    );
+    assert!(got.cache_hits >= 60, "near repeats must hit: {got:?}");
+    assert!(
+        got.lookups + got.unmapped_reads > 60 * (BURST as u64 - 2),
+        "far repeats must translate again: {got:?}"
+    );
+    assert_eq!(
+        got,
+        Golden {
+            io_fnv: 10282444533561003197,
+            stats_fnv: 7278414107853420884,
+            utilization_fnv: 1127094032922441252,
+            now_ns: 1471552740,
+            lookups: 1461,
+            mispredictions: 782,
+            unmapped_reads: 378,
+            cache_hits: 81,
+            translation_reads: 0,
+            translation_stall_ns: 1786020,
+        }
+    );
+}
+
 /// What one power cut is pinned by.
 #[derive(Debug, PartialEq, Eq)]
 struct RecoveryGolden {
