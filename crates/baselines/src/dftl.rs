@@ -40,11 +40,6 @@ impl Dftl {
         Dftl::default()
     }
 
-    /// Number of entries currently cached in the CMT.
-    pub fn cached_entries(&self) -> usize {
-        self.cmt.len()
-    }
-
     /// Total mapped pages (authoritative table size).
     pub fn mapped_pages(&self) -> usize {
         self.flash_table.mapped_pages()
@@ -61,20 +56,12 @@ impl Dftl {
         self.flash_table.translation_pages() as usize * 8
     }
 
-    /// Evicts LRU entries until the CMT fits its budget; dirty victims
-    /// cost a translation-page read-modify-write.
+    /// Evicts LRU entries until the CMT fits its budget; each dirty
+    /// victim costs a translation-page read-modify-write.
     fn evict_to_fit(&mut self, cost: &mut MapCost) {
-        while self.cmt.bytes() > self.budget {
-            match self.cmt.pop_lru() {
-                Some((_, _, dirty)) => {
-                    if dirty {
-                        cost.translation_reads += 1;
-                        cost.translation_writes += 1;
-                    }
-                }
-                None => break,
-            }
-        }
+        let dirty = self.cmt.evict_to(self.budget);
+        cost.translation_reads += dirty;
+        cost.translation_writes += dirty;
     }
 }
 

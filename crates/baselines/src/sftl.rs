@@ -82,16 +82,7 @@ impl Sftl {
             self.resident
                 .insert(page, (), self.condensed_bytes(page), dirty);
         }
-        while self.resident.bytes() > self.budget {
-            match self.resident.pop_lru() {
-                Some((_, _, was_dirty)) => {
-                    if was_dirty {
-                        cost.translation_writes += 1;
-                    }
-                }
-                None => break,
-            }
-        }
+        cost.translation_writes += self.resident.evict_to(self.budget);
         cost
     }
 }

@@ -12,8 +12,12 @@
 //!   gone, and 1-shard vs 8-shard small-burst costs sit close
 //!   together.
 //! * **Large bursts (4096)** — the same partition → per-shard → merge
-//!   loop where the per-shard sub-batches are long enough for the
-//!   group-memoised traversal to amortise.
+//!   loop with per-shard sub-batches hundreds of addresses long. No
+//!   simulated path issues one: the device's bursts average 2.3
+//!   addresses on the ledger's `read_qd32`, where the batched path
+//!   measured 700.6 ns per LPA against 664.8 ns pointwise
+//!   (`BENCH_19.json`), so read this axis as the layer's asymptote, not
+//!   as what a device read pays.
 //! * **Sorted flush splitting** — `update_batch_sorted` boundary
 //!   splitting vs the monolithic learn path.
 

@@ -16,8 +16,12 @@
 //! The parallelism is the *simulated device's*: the simulator gives
 //! every shard its own translation-CPU timeline, so lookups on
 //! different shards overlap in virtual time. On the host a burst is
-//! translated shard by shard on the caller's thread — no simulated
-//! path issues bursts large enough for host threads to pay.
+//! translated shard by shard on the caller's thread, and the fan-out
+//! saves it nothing: the ledger's `read_qd32` (`BENCH_19.json`) hands
+//! each shard 1.36 LPAs per call at a mean burst of 2.3, and every
+//! burst allocates a merged `Vec` plus one per shard reached — 700.6 ns
+//! per LPA against 664.8 ns for a pointwise lookup (see ROADMAP "Open
+//! items").
 //!
 //! # Equivalence
 //!
@@ -213,7 +217,7 @@ impl<S: MappingScheme> MappingScheme for ShardedMapping<S> {
         // Partition the burst into per-shard sub-batches, recording
         // where each address sits so results land in caller order; each
         // shard the burst reaches then translates its sub-batch in one
-        // call (amortising its group traversal), in shard order.
+        // call, in shard order.
         for (position, &lpa) in lpas.iter().enumerate() {
             let shard = self.route(lpa);
             let partition = &mut self.partitions[shard];

@@ -287,11 +287,15 @@ impl LeaFtlTable {
         group.lookup(lpa.group_offset()).map(|hit| self.result(hit))
     }
 
-    /// Translates a batch of LPAs, amortising the group traversal:
-    /// consecutive LPAs from the same 256-LPA group reuse one group
-    /// fetch instead of re-walking the group index per address. Queued
-    /// read bursts are typically clustered (sequential scans, Zipf hot
-    /// sets), which is exactly where the memoisation pays.
+    /// Translates a batch of LPAs: consecutive LPAs from the same
+    /// 256-LPA group reuse one group fetch instead of re-walking the
+    /// group index per address. No device burst is long enough for that
+    /// to pay: on the ledger's `read_qd32` (`BENCH_19.json`) the
+    /// batched path ran at a mean burst of 2.3 LPAs and cost 700.6 ns
+    /// per LPA against 664.8 ns per pointwise [`LeaFtlTable::lookup`].
+    /// What a burst is for is the simulated timeline (lookups and data
+    /// reads of one dispatch overlap), not host time; removing the
+    /// batched translation is recorded in ROADMAP "Open items".
     ///
     /// Semantically identical to per-LPA [`LeaFtlTable::lookup`]; the
     /// translations come out lazily, in `lpas` order, so the caller

@@ -123,13 +123,6 @@ impl FlashGeometry {
         self.channel_of_block(self.block_of(ppa))
     }
 
-    /// The channel servicing a block (alias used where only the block
-    /// is at hand, e.g. erase scheduling).
-    #[inline]
-    pub fn channel_of_block_start(&self, block: BlockId) -> Channel {
-        self.channel_of_block(block)
-    }
-
     /// Total number of dies (LUNs) in the device — the timing model's
     /// independent service resources.
     #[inline]

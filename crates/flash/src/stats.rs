@@ -22,41 +22,4 @@ impl FlashStats {
     pub fn new() -> Self {
         FlashStats::default()
     }
-
-    /// Difference between two snapshots (`self - earlier`).
-    pub fn since(&self, earlier: &FlashStats) -> FlashStats {
-        FlashStats {
-            reads: self.reads - earlier.reads,
-            programs: self.programs - earlier.programs,
-            erases: self.erases - earlier.erases,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn since_subtracts() {
-        let a = FlashStats {
-            reads: 10,
-            programs: 5,
-            erases: 1,
-        };
-        let b = FlashStats {
-            reads: 4,
-            programs: 2,
-            erases: 0,
-        };
-        let d = a.since(&b);
-        assert_eq!(
-            d,
-            FlashStats {
-                reads: 6,
-                programs: 3,
-                erases: 1
-            }
-        );
-    }
 }

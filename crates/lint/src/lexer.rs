@@ -8,8 +8,7 @@
 //! * comments (line, nested block) and string/char literals are blanked
 //!   out, so rules never match inside documentation or message text;
 //! * brace nesting is tracked, with each block classified by the
-//!   statement that opened it (`#[cfg(test)] mod …`, `if …
-//!   trace_enabled() …`, `match …`);
+//!   statement that opened it (`#[cfg(test)] mod …`, `match …`);
 //! * `match` bodies additionally track their direct-level arms, so a
 //!   rule can ask "does this match mix a `Pattern::Variant` arm with a
 //!   `_` wildcard arm?" without a full parser.
@@ -30,8 +29,6 @@
 //! * `#[cfg(test)]` / `#[test]` mark the *next brace-opening item* as
 //!   test code; the marker is dropped again when the attribute's
 //!   statement ends braceless (e.g. `#[cfg(test)] use …;`).
-//! * A block is "trace-guarded" when the statement opening it contains
-//!   `trace_enabled(`; guardedness is inherited by nested blocks.
 //! * Match arms are tracked at the match body's direct brace level;
 //!   struct-pattern braces and block bodies leave `{`/`}` markers in
 //!   the arm buffer, which the wildcard test strips before comparing
@@ -50,9 +47,6 @@ pub struct ScannedLine {
     pub raw: String,
     /// Inside a `#[cfg(test)]`/`#[test]` item body.
     pub in_test: bool,
-    /// Inside a block opened by a statement containing
-    /// `trace_enabled(` (directly or via an enclosing block).
-    pub trace_guarded: bool,
     /// Id of the statement this line starts in (statements are
     /// delimited by `;`, `{` and `}` at any depth).
     pub statement: usize,
@@ -96,7 +90,6 @@ pub const GUARDED_ENUMS: [&str; 4] = ["Command::", "IoKind::", "Source::", "Chec
 #[derive(Debug)]
 struct Frame {
     in_test: bool,
-    trace_guarded: bool,
     /// `Some` when this block is a `match` body; holds the arm-tracking
     /// state for its direct level.
     match_ctx: Option<MatchCtx>,
@@ -328,7 +321,6 @@ fn structure_pass(raw_source: &str, cleaned: &str) -> ScannedFile {
             code: line.to_string(),
             raw: raw_lines.get(idx).copied().unwrap_or("").to_string(),
             in_test: in_test_now,
-            trace_guarded: stack.last().is_some_and(|f| f.trace_guarded),
             statement: stmt_id,
         });
         let line_in_test = in_test_now;
@@ -341,11 +333,8 @@ fn structure_pass(raw_source: &str, cleaned: &str) -> ScannedFile {
                         || stmt_text.contains("#[cfg(test)]")
                         || stmt_text.contains("#[test]")
                         || stack.iter().any(|f| f.in_test);
-                    let guarded = stmt_text.contains("trace_enabled(")
-                        || stack.last().is_some_and(|f| f.trace_guarded);
                     stack.push(Frame {
                         in_test: is_test_block,
-                        trace_guarded: guarded,
                         match_ctx: statement_tail_is_match(&stmt_text).then(MatchCtx::new),
                     });
                     pending_test_attr = false;

@@ -13,7 +13,6 @@
 //! | `D1` | no order-dependent `HashMap`/`HashSet` iteration in sim/core | PR 9's byte-identical trace exports hold only because no state path iterates a hash collection |
 //! | `D2` | no wall clock / ambient randomness in sim/core; no `RandomState` hash collection in flash/core/sim/baselines | virtual time is `SimClock`'s; one `Instant::now` breaks replay determinism, and an entropy-seeded hasher leaves determinism to an audit of every use |
 //! | `M1` | no `_ =>` arms in matches on `Command`/`IoKind`/`Source`/`CheckpointMode` | PR 6/8 added MapLog/QoS variants — a wildcard would have silently swallowed them in arbiters/trace/stats |
-//! | `T1` | arg-vec-building trace-sink calls gated on `trace_enabled()` | PR 9's allocation-free-when-disabled contract |
 //! | `P1` | no `unwrap`/`expect` in sim/core hot paths | a panic mid-dispatch poisons the whole device timeline |
 //! | `T2` | nanosecond subtraction is saturating/checked in clock/ssd/qos | u64 ns underflow wraps to ~584 years and corrupts histograms silently |
 //! | `A1` | `#![forbid(unsafe_code)]` + `#![deny(missing_docs)]` in every crate root | crate-attribute drift |

@@ -9,7 +9,7 @@ use crate::lexer::{scan, word_match, ScannedFile, ScannedLine};
 /// A single rule violation at a source location.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id (`D1`, `D2`, `M1`, `T1`, `P1`, `T2`, `A1`).
+    /// Rule id (`D1`, `D2`, `M1`, `P1`, `T2`, `A1`).
     pub rule: &'static str,
     /// Workspace-relative path with forward slashes.
     pub file: String,
@@ -61,11 +61,6 @@ const RANDOM_STATE_TOKENS: [&str; 5] = [
     "RandomState",
 ];
 
-/// Trace-sink methods that take an argument `Vec` — the PR 9 contract
-/// says every call site building one must be gated on `trace_enabled()`
-/// so the disabled path stays allocation-free.
-const VEC_SINK_METHODS: [&str; 2] = [".control_instant(", ".queue_span("];
-
 fn in_sim_core(path: &str) -> bool {
     path.starts_with("crates/sim/src/") || path.starts_with("crates/core/src/")
 }
@@ -103,9 +98,6 @@ pub fn lint_file(path: &str, source: &str) -> Vec<Finding> {
     }
     if in_workspace_src(path) {
         rule_m1_wildcard(path, &scanned, &mut findings);
-    }
-    if path.starts_with("crates/sim/src/") && path != "crates/sim/src/trace.rs" {
-        rule_t1_trace_gating(path, &scanned, &mut findings);
     }
     if is_ns_arith_file(path) {
         rule_t2_ns_arith(path, &scanned, &mut findings);
@@ -401,34 +393,6 @@ fn rule_m1_wildcard(path: &str, scanned: &ScannedFile, findings: &mut Vec<Findin
 }
 
 // ---------------------------------------------------------------------
-// T1 — arg-vec-building trace-sink calls gated on trace_enabled()
-// ---------------------------------------------------------------------
-
-fn rule_t1_trace_gating(path: &str, scanned: &ScannedFile, findings: &mut Vec<Finding>) {
-    for line in &scanned.lines {
-        if line.in_test || line.code.contains("fn ") {
-            continue;
-        }
-        for m in VEC_SINK_METHODS {
-            if line.code.contains(m) && !line.trace_guarded && !line.code.contains("trace_enabled(")
-            {
-                findings.push(finding(
-                    "T1",
-                    path,
-                    line,
-                    format!(
-                        "`{}` builds an argument Vec on every call: gate the call site \
-                         on `trace_enabled()` so the sink-disabled hot path stays \
-                         allocation-free (PR 9 contract)",
-                        m.trim_start_matches('.').trim_end_matches('(')
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
 // P1 — no unwrap/expect in sim/core hot paths
 // ---------------------------------------------------------------------
 
@@ -542,7 +506,6 @@ pub fn check_crate_root(path: &str, source: &str, is_lib: bool) -> Vec<Finding> 
         code: String::new(),
         raw: String::new(),
         in_test: false,
-        trace_guarded: false,
         statement: 0,
     });
     if !joined.contains("#![forbid(unsafe_code)]") {

@@ -237,41 +237,6 @@ fn digit(v: u32) -> &'static str {
     assert_eq!(fired(&lint_file("crates/sim/src/fake.rs", src)), []);
 }
 
-// --- T1: trace-sink calls gated on trace_enabled() --------------------
-
-#[test]
-fn t1_fires_on_ungated_queue_span() {
-    let src = "\
-fn emit(&mut self, a: u64, b: u64) {
-    self.tracer.queue_span(0, \"wait\", a, b, Vec::new());
-}
-";
-    assert_eq!(
-        fired(&lint_file("crates/sim/src/fake.rs", src)),
-        [("T1", 2)]
-    );
-}
-
-#[test]
-fn t1_quiet_when_gated_or_in_trace_module() {
-    let gated = "\
-fn emit(&mut self, a: u64, b: u64) {
-    if self.trace_enabled() {
-        self.tracer.queue_span(0, \"wait\", a, b, Vec::new());
-        self.tracer.control_instant(a, \"tick\", Vec::new());
-    }
-}
-";
-    assert_eq!(fired(&lint_file("crates/sim/src/fake.rs", gated)), []);
-    // The sink's own implementation lives in trace.rs and is exempt.
-    let sink = "\
-fn forward(&mut self, a: u64, b: u64) {
-    self.inner.queue_span(0, \"wait\", a, b, Vec::new());
-}
-";
-    assert_eq!(fired(&lint_file("crates/sim/src/trace.rs", sink)), []);
-}
-
 // --- P1: unwrap/expect in hot paths -----------------------------------
 
 #[test]

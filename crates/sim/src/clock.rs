@@ -12,19 +12,17 @@ use serde::{Deserialize, Serialize};
 /// in-flight requests overlap whenever they land on different dies
 /// (Table 1: 16 channels × 4 dies).
 ///
-/// Two scheduling flavours exist:
-///
-/// * [`SimClock::schedule`] — starts no earlier than `now_ns` (used for
-///   background work issued "now": flush programs, GC, write-backs).
-/// * [`SimClock::schedule_after`] — starts no earlier than an explicit
-///   floor, which lets a request chain its *dependent* operations
-///   (translation read → data read → misprediction retry) without
-///   advancing the global clock. The queued I/O engine relies on this:
-///   each request carries its own ready time while `now_ns` only moves
-///   at dispatch/completion boundaries.
+/// There is one way onto a die, [`SimClock::schedule_after`]: the
+/// operation starts no earlier than an explicit floor — "now" for
+/// background work issued at the dispatch point (flush programs, GC,
+/// write-backs), or the completion of the operation it depends on
+/// (translation read → data read → misprediction retry), which chains a
+/// request's operations without advancing the global clock. The queued
+/// I/O engine relies on this: each request carries its own ready time
+/// while `now_ns` only moves at dispatch/completion boundaries.
 ///
 /// Beside the dies, the clock also tracks *translation CPUs* — one per
-/// mapping shard ([`SimClock::cpu_after`]). They are scheduled exactly
+/// mapping shard ([`SimClock::cpu_reserve`]). They are scheduled exactly
 /// like dies (busy-until timelines that never move `now_ns`) and are
 /// what makes translation a pipeline *stage*: a lookup occupies its
 /// shard's CPU for the lookup cost, a background compaction occupies it
@@ -63,27 +61,17 @@ impl SimClock {
 
     /// Occupies translation CPU `cpu` for `cost_ns`, starting no
     /// earlier than `earliest_ns` (the request's map-ready time) nor
-    /// before the CPU frees up, and returns the completion time. Like
-    /// [`SimClock::schedule_after`] the global clock does not move —
-    /// grant order is the caller's scheduling policy, which is exactly
-    /// where the pipelined read path reorders lookups.
-    pub fn cpu_after(&mut self, cpu: usize, earliest_ns: u64, cost_ns: u64) -> u64 {
-        self.cpu_reserve(cpu, earliest_ns, cost_ns).1
-    }
-
-    /// Like [`SimClock::cpu_after`], but returns the `(start, end)`
-    /// pair of the reservation so tracing can render it as a span.
+    /// before the CPU frees up, and returns the `(start, end)` pair of
+    /// the reservation. Like [`SimClock::schedule_after`] the global
+    /// clock does not move — grant order is the caller's scheduling
+    /// policy, which is exactly where the pipelined read path reorders
+    /// lookups.
     pub fn cpu_reserve(&mut self, cpu: usize, earliest_ns: u64, cost_ns: u64) -> (u64, u64) {
         let busy = &mut self.cpu_busy_until[cpu];
         let start = (*busy).max(earliest_ns);
         let end = start + cost_ns;
         *busy = end;
         (start, end)
-    }
-
-    /// When translation CPU `cpu` next falls idle.
-    pub fn cpu_busy_until(&self, cpu: usize) -> u64 {
-        self.cpu_busy_until[cpu]
     }
 
     /// Current virtual time in nanoseconds.
@@ -97,50 +85,20 @@ impl SimClock {
     }
 
     /// Schedules an operation of `latency_ns` on `die`, starting no
-    /// earlier than now, and returns its completion time. Does **not**
-    /// advance the clock — use [`SimClock::wait_until`] when the host
-    /// blocks on the result.
-    pub fn schedule(&mut self, die: Die, latency_ns: u64) -> u64 {
-        let floor = self.now_ns;
-        self.schedule_after(die, floor, latency_ns)
-    }
-
-    /// Schedules an operation of `latency_ns` on `die`, starting no
-    /// earlier than `earliest_ns` (a per-request dependency floor), and
-    /// returns its completion time. The die's timeline advances; the
-    /// global clock does not.
+    /// earlier than `earliest_ns` (a per-request dependency floor) nor
+    /// before the die frees up, and returns its completion time. The
+    /// die's timeline advances; the global clock does not — use
+    /// [`SimClock::wait_until`] when the host blocks on the result.
     pub fn schedule_after(&mut self, die: Die, earliest_ns: u64, latency_ns: u64) -> u64 {
-        self.reserve(die, earliest_ns, latency_ns).1
-    }
-
-    /// Like [`SimClock::schedule_after`], but returns the `(start,
-    /// end)` pair of the die-timeline reservation so tracing can render
-    /// it as a span on the die's track.
-    pub fn reserve(&mut self, die: Die, earliest_ns: u64, latency_ns: u64) -> (u64, u64) {
         let busy = &mut self.die_busy_until[die.raw() as usize];
-        let start = (*busy).max(earliest_ns);
-        let end = start + latency_ns;
+        let end = (*busy).max(earliest_ns) + latency_ns;
         *busy = end;
-        (start, end)
+        end
     }
 
     /// Blocks the host until `deadline_ns` (no-op if already past).
     pub fn wait_until(&mut self, deadline_ns: u64) {
         self.now_ns = self.now_ns.max(deadline_ns);
-    }
-
-    /// Schedules a host-blocking operation: the clock advances to its
-    /// completion. Returns the operation latency observed by the host.
-    pub fn run_blocking(&mut self, die: Die, latency_ns: u64) -> u64 {
-        let started = self.now_ns;
-        let end = self.schedule(die, latency_ns);
-        self.wait_until(end);
-        self.now_ns.saturating_sub(started)
-    }
-
-    /// When `die` next falls idle (tests and instrumentation).
-    pub fn busy_until(&self, die: Die) -> u64 {
-        self.die_busy_until[die.raw() as usize]
     }
 }
 
@@ -148,19 +106,27 @@ impl SimClock {
 mod tests {
     use super::*;
 
+    /// Schedules from "now" and blocks the host on the result.
+    fn blocking_op(clock: &mut SimClock, die: Die, latency_ns: u64) -> u64 {
+        let started = clock.now_ns();
+        let end = clock.schedule_after(die, started, latency_ns);
+        clock.wait_until(end);
+        clock.now_ns() - started
+    }
+
     #[test]
     fn blocking_ops_serialize_on_one_die() {
         let mut clock = SimClock::new(2);
-        clock.run_blocking(Die::new(0), 100);
-        clock.run_blocking(Die::new(0), 100);
+        blocking_op(&mut clock, Die::new(0), 100);
+        blocking_op(&mut clock, Die::new(0), 100);
         assert_eq!(clock.now_ns(), 200);
     }
 
     #[test]
     fn dies_run_in_parallel() {
         let mut clock = SimClock::new(2);
-        let end0 = clock.schedule(Die::new(0), 100);
-        let end1 = clock.schedule(Die::new(1), 100);
+        let end0 = clock.schedule_after(Die::new(0), 0, 100);
+        let end1 = clock.schedule_after(Die::new(1), 0, 100);
         assert_eq!(end0, 100);
         assert_eq!(end1, 100);
         clock.wait_until(end0.max(end1));
@@ -170,8 +136,8 @@ mod tests {
     #[test]
     fn same_die_queues() {
         let mut clock = SimClock::new(1);
-        let first = clock.schedule(Die::new(0), 100);
-        let second = clock.schedule(Die::new(0), 50);
+        let first = clock.schedule_after(Die::new(0), 0, 100);
+        let second = clock.schedule_after(Die::new(0), 0, 50);
         assert_eq!(first, 100);
         assert_eq!(second, 150);
     }
@@ -180,15 +146,15 @@ mod tests {
     fn cpu_advance_moves_past_idle_dies() {
         let mut clock = SimClock::new(1);
         clock.advance(500);
-        let end = clock.schedule(Die::new(0), 100);
+        let end = clock.schedule_after(Die::new(0), clock.now_ns(), 100);
         assert_eq!(end, 600);
     }
 
     #[test]
     fn blocking_latency_includes_queueing() {
         let mut clock = SimClock::new(1);
-        clock.schedule(Die::new(0), 300); // fills the die
-        let latency = clock.run_blocking(Die::new(0), 100);
+        clock.schedule_after(Die::new(0), 0, 300); // fills the die
+        let latency = blocking_op(&mut clock, Die::new(0), 100);
         assert_eq!(latency, 400);
     }
 
@@ -197,16 +163,12 @@ mod tests {
         let mut clock = SimClock::with_cpus(1, 2);
         assert_eq!(clock.cpus(), 2);
         // Two grants on CPU 0 queue behind each other...
-        let first = clock.cpu_after(0, 0, 100);
-        let second = clock.cpu_after(0, 0, 50);
-        assert_eq!(first, 100);
-        assert_eq!(second, 150);
+        assert_eq!(clock.cpu_reserve(0, 0, 100), (0, 100));
+        assert_eq!(clock.cpu_reserve(0, 0, 50), (100, 150));
         // ...while CPU 1 is independent, and a later map-ready floor
         // delays the start (the request waits on its translation read,
         // not on the CPU).
-        assert_eq!(clock.cpu_after(1, 400, 50), 450);
-        assert_eq!(clock.cpu_busy_until(0), 150);
-        assert_eq!(clock.cpu_busy_until(1), 450);
+        assert_eq!(clock.cpu_reserve(1, 400, 50), (400, 450));
         // The global clock never moved.
         assert_eq!(clock.now_ns(), 0);
     }
@@ -221,9 +183,8 @@ mod tests {
         assert_eq!(second, 150);
         // The global clock never moved — other requests may overlap.
         assert_eq!(clock.now_ns(), 0);
-        // An independent request dispatched now still starts at 0 on a
+        // An independent request dispatched now would start at 0 on a
         // free die... but die 1 is busy until 150.
-        assert_eq!(clock.busy_until(Die::new(1)), 150);
         let third = clock.schedule_after(Die::new(1), 0, 25);
         assert_eq!(third, 175);
     }

@@ -152,11 +152,6 @@ pub struct SsdConfig {
     /// Whether the write buffer is sorted by LPA before flushing
     /// (§3.3). Disabling it is the Fig. 7 ablation.
     pub sort_buffer_on_flush: bool,
-    /// CPU cost charged per mapping-table lookup, in nanoseconds
-    /// (Table 3 measures 40.2–67.5 ns on a Cortex-A72).
-    pub lookup_base_ns: u64,
-    /// Additional lookup cost per extra level visited.
-    pub lookup_per_level_ns: u64,
     /// How translation state is checkpointed for crash recovery.
     pub checkpoint_mode: CheckpointMode,
 }
@@ -181,8 +176,6 @@ impl SsdConfig {
             gamma: 0,
             compaction_interval_writes: 1_000_000,
             sort_buffer_on_flush: true,
-            lookup_base_ns: 40,
-            lookup_per_level_ns: 10,
             checkpoint_mode: CheckpointMode::DramSnapshot,
         }
     }
@@ -219,16 +212,6 @@ impl SsdConfig {
     /// Host-visible capacity in pages (`(1 − op_ratio)` of raw).
     pub fn logical_pages(&self) -> u64 {
         (self.geometry.total_pages() as f64 * (1.0 - self.op_ratio)) as u64
-    }
-
-    /// Host-visible capacity in bytes.
-    pub fn logical_bytes(&self) -> u64 {
-        self.logical_pages() * self.geometry.page_size as u64
-    }
-
-    /// Write buffer footprint in bytes (counted against DRAM).
-    pub fn write_buffer_bytes(&self) -> usize {
-        self.write_buffer_pages * self.geometry.page_size as usize
     }
 
     /// DRAM available to mapping structures under the configured policy.

@@ -231,22 +231,10 @@ impl DeviceConfig {
         self
     }
 
-    /// Sets the GC scheduling mode.
-    pub fn with_gc_mode(mut self, mode: GcMode) -> Self {
-        self.gc_mode = mode;
-        self
-    }
-
     /// Switches learned-table compaction to scheduled background
     /// traffic ([`Command::Compact`]) with the default thresholds.
     pub fn background_compaction(mut self) -> Self {
         self.compaction_mode = CompactionMode::Background;
-        self
-    }
-
-    /// Sets the compaction scheduling mode.
-    pub fn with_compaction_mode(mut self, mode: CompactionMode) -> Self {
-        self.compaction_mode = mode;
         self
     }
 
@@ -567,11 +555,6 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         }
     }
 
-    /// Number of host submission queues.
-    pub fn queue_count(&self) -> usize {
-        self.queues.len()
-    }
-
     /// The outstanding host-command budget.
     pub fn queue_depth(&self) -> usize {
         self.queue_depth
@@ -678,8 +661,10 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     /// Enqueues a host command on submission queue `queue`, returning
     /// its device-assigned id. Dispatch happens once a full
     /// queue-depth batch is pending across all queues (or on
-    /// [`Device::drain`]); deferring dispatch lets a burst of reads
-    /// share one mapping-table traversal.
+    /// [`Device::drain`]); deferring dispatch lets reads that are
+    /// pending together be dispatched as one burst, which is what the
+    /// pipelined read timeline reorders ([`Ssd`]'s read path grants
+    /// shard CPUs in map-ready order within a burst).
     ///
     /// # Errors
     ///
@@ -844,17 +829,13 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
                 / geometry.pages_per_block as f64)
                 .max(1.0 / geometry.pages_per_block as f64);
             self.gc_pending_net_blocks += net_blocks;
-            if self.ssd.trace_enabled() {
-                let now = self.ssd.now_ns();
-                self.ssd.tracer_mut().control_instant(
-                    "gc_select",
-                    now,
-                    vec![
-                        ("victim", ArgValue::U64(victim.raw() as u64)),
-                        ("net_blocks", ArgValue::F64(net_blocks)),
-                    ],
-                );
-            }
+            let now = self.ssd.now_ns();
+            self.ssd.tracer_mut().control_instant("gc_select", now, || {
+                vec![
+                    ("victim", ArgValue::U64(victim.raw() as u64)),
+                    ("net_blocks", ArgValue::F64(net_blocks)),
+                ]
+            });
             self.gc_pending.push_back(PendingMigration {
                 victim,
                 selected_erase_count: self.ssd.erase_count(victim),
@@ -893,18 +874,16 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             if self.compaction.due(pressure.levels, pressure.segments) {
                 self.compact_queued[shard] = true;
                 self.compact_pending.push_back(shard);
-                if self.ssd.trace_enabled() {
-                    let now = self.ssd.now_ns();
-                    self.ssd.tracer_mut().control_instant(
-                        "compact_select",
-                        now,
+                let now = self.ssd.now_ns();
+                self.ssd
+                    .tracer_mut()
+                    .control_instant("compact_select", now, || {
                         vec![
                             ("shard", ArgValue::U64(shard as u64)),
                             ("levels", ArgValue::U64(pressure.levels as u64)),
                             ("segments", ArgValue::U64(pressure.segments as u64)),
-                        ],
-                    );
-                }
+                        ]
+                    });
             }
         }
     }
@@ -1022,15 +1001,11 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         deadline: u64,
     ) {
         self.consume_budget(1);
-        if self.ssd.trace_enabled() {
-            self.ssd.tracer_mut().queue_span(
-                queue,
-                label,
-                dispatch_ns,
-                deadline,
-                vec![(arg.0, ArgValue::U64(arg.1))],
-            );
-        }
+        self.ssd
+            .tracer_mut()
+            .queue_span(queue, label, dispatch_ns, deadline, || {
+                vec![(arg.0, ArgValue::U64(arg.1))]
+            });
         let id = self.next_id;
         self.next_id += 1;
         self.completed.push(IoCompletion {
@@ -1079,12 +1054,12 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
                 self.ssd.advance_to(erase_done);
                 let stalled = self.ssd.now_ns().saturating_sub(stall_from);
                 self.gc_stall_ns += stalled;
-                if stalled > 0 && self.ssd.trace_enabled() {
-                    self.ssd.tracer_mut().control_instant(
-                        "gc_stall",
-                        erase_done,
-                        vec![("stall_ns", ArgValue::U64(stalled))],
-                    );
+                if stalled > 0 {
+                    self.ssd
+                        .tracer_mut()
+                        .control_instant("gc_stall", erase_done, || {
+                            vec![("stall_ns", ArgValue::U64(stalled))]
+                        });
                 }
                 continue;
             }
@@ -1135,25 +1110,21 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         for queue in 0..self.queues.len() {
             self.arbiter.set_weight(queue, qos.weight(queue));
         }
-        if self.ssd.trace_enabled() {
-            let args = self
-                .qos
-                .as_ref()
-                .and_then(|qos| qos.last_tick())
-                .map(|tick| {
-                    vec![
-                        ("worst_error", ArgValue::F64(tick.worst_error)),
-                        (
-                            "settled_free_fraction",
-                            ArgValue::F64(tick.settled_free_fraction),
-                        ),
-                        ("gc_stall_delta_ns", ArgValue::U64(tick.gc_stall_delta_ns)),
-                        ("be_weight", ArgValue::U64(tick.best_effort_weight as u64)),
-                    ]
-                })
-                .unwrap_or_default();
-            self.ssd.tracer_mut().control_instant("qos_tick", now, args);
-        }
+        let tick = qos.last_tick();
+        self.ssd.tracer_mut().control_instant("qos_tick", now, || {
+            tick.map(|tick| {
+                vec![
+                    ("worst_error", ArgValue::F64(tick.worst_error)),
+                    (
+                        "settled_free_fraction",
+                        ArgValue::F64(tick.settled_free_fraction),
+                    ),
+                    ("gc_stall_delta_ns", ArgValue::U64(tick.gc_stall_delta_ns)),
+                    ("be_weight", ArgValue::U64(tick.best_effort_weight as u64)),
+                ]
+            })
+            .unwrap_or_default()
+        });
     }
 
     /// The readiness class of `queue`'s current head.
@@ -1195,19 +1166,18 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         for kind in HeadClass::ALL {
             let class = &mut self.classes[kind as usize];
             let closed = gate_closed[kind as usize];
-            if class.sample_gate(closed, now) && self.ssd.trace_enabled() {
-                self.ssd.tracer_mut().control_instant(
-                    if closed {
-                        "admission_gate_close"
-                    } else {
-                        "admission_gate_open"
-                    },
-                    now,
+            if class.sample_gate(closed, now) {
+                let name = if closed {
+                    "admission_gate_close"
+                } else {
+                    "admission_gate_open"
+                };
+                self.ssd.tracer_mut().control_instant(name, now, || {
                     vec![
                         ("gate", ArgValue::Str(kind.gate_name())),
                         ("members", ArgValue::U64(class.arrived.len() as u64)),
-                    ],
-                );
+                    ]
+                });
             }
             if closed {
                 deferred_any |= !class.arrived.is_empty();
@@ -1393,9 +1363,9 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
                 source = first_ready;
             }
             // Read bursts are capped at the picked queue's fair share
-            // of the free depth, so batching (which amortises the
-            // mapping traversal) cannot turn per-command arbitration
-            // into whole-queue-depth bursts while other sources wait.
+            // of the free depth, so batching cannot turn per-command
+            // arbitration into whole-queue-depth bursts while other
+            // sources wait.
             let ready_sources = self.ready.len() + usize::from(view.background_ready());
             match source {
                 Source::Gc => {
@@ -1449,7 +1419,11 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         match req.command {
             Command::Read { .. } => {
                 // Batch the queue's leading run of already-arrived
-                // reads so the scheme amortises the group traversal.
+                // reads: a burst shares one dispatch point, so its
+                // lookups and data reads overlap on the timelines. (The
+                // batched translation it also gets is no cheaper on the
+                // host than pointwise lookups at these burst sizes —
+                // see `LeaFtlTable::lookup_batch`.)
                 let mut batch = std::mem::take(&mut self.batch_scratch);
                 let mut lpas = std::mem::take(&mut self.lpa_scratch);
                 batch.clear();
@@ -1528,39 +1502,25 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
                 self.be_inflight.push(Reverse(complete_ns));
             }
         }
-        if self.ssd.trace_enabled() {
-            let name = match req.command {
-                Command::Read { .. } => "read",
-                Command::Write { .. } => "write",
-                Command::Flush => "flush",
-                // Background commands never reach a host queue (rejected
-                // at submit), but a track name keeps the span valid if
-                // that ever changes.
-                Command::GcMigrate { .. } | Command::Compact { .. } | Command::MapLog { .. } => {
-                    "host"
-                }
-            };
-            let tracer = self.ssd.tracer_mut();
-            if dispatch_ns > req.arrival_ns {
-                tracer.queue_span(
-                    queue as u32,
-                    "wait",
-                    req.arrival_ns,
-                    dispatch_ns,
-                    Vec::new(),
-                );
-            }
-            tracer.queue_span(
-                queue as u32,
-                name,
-                dispatch_ns,
-                complete_ns,
-                vec![
-                    ("stream", ArgValue::U64(req.stream as u64)),
-                    ("gc_overlap", ArgValue::U64(gc_overlap as u64)),
-                ],
-            );
+        let name = match req.command {
+            Command::Read { .. } => "read",
+            Command::Write { .. } => "write",
+            Command::Flush => "flush",
+            // Background commands never reach a host queue (rejected
+            // at submit), but a track name keeps the span valid if
+            // that ever changes.
+            Command::GcMigrate { .. } | Command::Compact { .. } | Command::MapLog { .. } => "host",
+        };
+        let tracer = self.ssd.tracer_mut();
+        if dispatch_ns > req.arrival_ns {
+            tracer.queue_span(queue as u32, "wait", req.arrival_ns, dispatch_ns, Vec::new);
         }
+        tracer.queue_span(queue as u32, name, dispatch_ns, complete_ns, || {
+            vec![
+                ("stream", ArgValue::U64(req.stream as u64)),
+                ("gc_overlap", ArgValue::U64(gc_overlap as u64)),
+            ]
+        });
         self.completed.push(IoCompletion {
             id,
             queue: queue as u32,

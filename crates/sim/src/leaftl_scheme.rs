@@ -38,6 +38,10 @@ const COMPACT_BASE_NS: u64 = 10_000;
 /// this one.
 const COMPACT_PER_SEGMENT_NS: u64 = 500;
 
+/// CPU cost of learning one batch of up to 256 mappings (Table 3:
+/// ~10 µs).
+const LEARN_NS_PER_BATCH: u64 = 10_000;
+
 /// A table hit as the scheme interface reports it.
 fn mapping_lookup(hit: LookupResult) -> MappingLookup {
     MappingLookup {
@@ -56,8 +60,6 @@ pub struct LeaFtlScheme {
     /// Resident-group LRU; value is unused, byte accounting carries the
     /// group's segment + CRB footprint.
     resident: LruCache<u64, ()>,
-    /// Per-256-mapping learning cost in nanoseconds (Table 3).
-    learn_ns_per_batch: u64,
 }
 
 impl LeaFtlScheme {
@@ -67,7 +69,6 @@ impl LeaFtlScheme {
             table: LeaFtlTable::new(config),
             budget: usize::MAX,
             resident: LruCache::new(),
-            learn_ns_per_batch: 10_000,
         }
     }
 
@@ -126,7 +127,8 @@ impl LeaFtlScheme {
 
     /// Re-syncs residency byte accounting after a learn mutated the
     /// batch's groups (their exact footprints grew or shrank), then
-    /// enforces the budget, charging write-backs for dirty evictions.
+    /// enforces the budget, charging one translation write per dirty
+    /// victim.
     fn recharge_batch_groups(&mut self, pairs: &[(Lpa, Ppa)]) -> MapCost {
         if self.whole_table_fits() {
             // Whole table fits: residency is not in play.
@@ -135,24 +137,10 @@ impl LeaFtlScheme {
         Self::for_each_batch_group(pairs, |group| {
             self.resident.resize(&group, self.table.group_bytes(group));
         });
-        self.evict_to_budget()
-    }
-
-    /// Evicts LRU groups until residency fits the budget, charging one
-    /// translation write per dirty victim.
-    fn evict_to_budget(&mut self) -> MapCost {
-        let mut cost = MapCost::FREE;
-        while self.resident.bytes() > self.budget {
-            match self.resident.pop_lru() {
-                Some((_, _, was_dirty)) => {
-                    if was_dirty {
-                        cost.translation_writes += 1;
-                    }
-                }
-                None => break,
-            }
+        MapCost {
+            translation_reads: 0,
+            translation_writes: self.resident.evict_to(self.budget),
         }
-        cost
     }
 
     /// Re-syncs the byte records of the groups a compaction sweep
@@ -198,7 +186,7 @@ impl LeaFtlScheme {
         let bytes = self.group_bytes(group);
         cost.translation_reads += 1;
         self.resident.insert(group, (), bytes, dirty);
-        cost.add(self.evict_to_budget());
+        cost.translation_writes += self.resident.evict_to(self.budget);
         cost
     }
 }
@@ -273,9 +261,8 @@ impl MappingScheme for LeaFtlScheme {
     }
 
     fn learn_cost_ns(&self, batch_len: usize) -> u64 {
-        // Table 3: ~10 µs per batch of 256 mappings.
         let batches = batch_len.div_ceil(256).max(1) as u64;
-        batches * self.learn_ns_per_batch
+        batches * LEARN_NS_PER_BATCH
     }
 
     fn snapshot_bytes(&self) -> usize {

@@ -23,8 +23,9 @@ struct Slot<K, V> {
 
 /// Least-recently-used cache with per-entry byte sizes and dirty flags.
 ///
-/// Eviction is the caller's decision (`pop_lru`) so that writers can
-/// account for write-back costs of dirty victims.
+/// Eviction is the caller's decision ([`LruCache::evict_to`]), which
+/// reports the dirty victims so that writers can account for their
+/// write-back costs.
 #[derive(Debug, Clone)]
 pub struct LruCache<K, V> {
     slots: Vec<Slot<K, V>>,
@@ -177,6 +178,23 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         Some((key, value, dirty))
     }
 
+    /// Evicts least-recently-used entries until the resident bytes fit
+    /// `budget`; returns how many of the victims were dirty, each of
+    /// which owes its owner a write-back.
+    pub fn evict_to(&mut self, budget: usize) -> u32
+    where
+        V: Default,
+    {
+        let mut dirty_victims = 0;
+        while self.bytes > budget {
+            match self.pop_lru() {
+                Some((_, _, dirty)) => dirty_victims += u32::from(dirty),
+                None => break,
+            }
+        }
+        dirty_victims
+    }
+
     /// Iterates resident keys from most to least recently used.
     pub fn keys_mru(&self) -> impl Iterator<Item = &K> {
         MruIter {
@@ -309,6 +327,26 @@ mod tests {
         lru.get(&2);
         let order: Vec<u32> = std::iter::from_fn(|| lru.pop_lru().map(|(k, _, _)| k)).collect();
         assert_eq!(order, vec![1, 3, 4, 0, 2]);
+    }
+
+    #[test]
+    fn evict_to_stops_at_the_budget_and_counts_dirty_victims() {
+        let mut lru: LruCache<u32, u32> = LruCache::new();
+        assert_eq!(lru.evict_to(0), 0, "an empty cache has nothing to evict");
+        // 10 B each; 1 and 3 dirty. LRU order: 0, 1, 2, 3, 4.
+        for i in 0..5 {
+            lru.insert(i, i, 10, i % 2 == 1);
+        }
+        assert_eq!(lru.evict_to(50), 0, "already within the budget");
+        assert_eq!(lru.len(), 5);
+        // 25 B leaves two entries: 0, 1 and 2 go, of which 1 was dirty.
+        assert_eq!(lru.evict_to(25), 1);
+        assert_eq!(lru.bytes(), 20);
+        assert_eq!(lru.keys_mru().copied().collect::<Vec<_>>(), vec![4, 3]);
+        // Below the smallest entry empties the cache and stops there.
+        assert_eq!(lru.evict_to(5), 1);
+        assert!(lru.is_empty());
+        assert_eq!(lru.bytes(), 0);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use crate::trace::UtilizationReport;
 use leaftl_core::MappingScheme;
 use leaftl_flash::Lpa;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One host request, page-granular.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -528,21 +528,12 @@ where
     I: IntoIterator<Item = TimedOp>,
 {
     let ops: Vec<TimedOp> = ops.into_iter().collect();
-    // Dense stream→queue remap: tenant ids are arbitrary u32s, so one
-    // queue per *distinct* stream (not per id value) keeps sparse or
-    // large ids from allocating queues the trace never uses.
-    let queue_map: BTreeMap<u32, usize> = ops
-        .iter()
-        .map(|t| t.stream)
-        .collect::<std::collections::BTreeSet<u32>>()
-        .into_iter()
-        .enumerate()
-        .map(|(queue, stream)| (stream, queue))
-        .collect();
-    let config = DeviceConfig::new(queue_map.len().max(1), queue_depth);
-    open_loop_inner(ssd, ops, config, move |stream| {
-        queue_map.get(&stream).copied().unwrap_or(0)
-    })
+    // One queue per *distinct* stream (not per id value): tenant ids
+    // are arbitrary u32s, and sparse or large ones must not allocate
+    // queues the trace never uses.
+    let streams: BTreeSet<u32> = ops.iter().map(|t| t.stream).collect();
+    let config = DeviceConfig::new(streams.len().max(1), queue_depth);
+    replay_open_loop_with(ssd, ops, config)
 }
 
 /// [`replay_open_loop`] with a full [`DeviceConfig`] — this is how the
@@ -571,10 +562,11 @@ where
     I: IntoIterator<Item = TimedOp>,
 {
     let ops: Vec<TimedOp> = ops.into_iter().collect();
+    // Dense stream→queue remap, in ascending stream-id order.
     let queue_map: BTreeMap<u32, usize> = ops
         .iter()
         .map(|t| t.stream)
-        .collect::<std::collections::BTreeSet<u32>>()
+        .collect::<BTreeSet<u32>>()
         .into_iter()
         .enumerate()
         .map(|(queue, stream)| (stream, queue))
@@ -585,21 +577,6 @@ where
             queues: config.queues,
         });
     }
-    open_loop_inner(ssd, ops, config, move |stream| {
-        queue_map.get(&stream).copied().unwrap_or(0)
-    })
-}
-
-fn open_loop_inner<S, I>(
-    ssd: &mut Ssd<S>,
-    ops: I,
-    config: DeviceConfig,
-    queue_of: impl Fn(u32) -> usize,
-) -> Result<QueuedReplayReport, SimError>
-where
-    S: MappingScheme + Clone,
-    I: IntoIterator<Item = TimedOp>,
-{
     let logical = ssd.config().logical_pages();
     let base_ns = ssd.now_ns();
     let mut write_seq = 0x5eed_0000_0000_0000u64;
@@ -616,7 +593,9 @@ where
             &mut requests,
         );
     }
-    run_device(ssd, requests, op_count, config, true, queue_of)
+    run_device(ssd, requests, op_count, config, true, move |stream| {
+        queue_map.get(&stream).copied().unwrap_or(0)
+    })
 }
 
 #[cfg(test)]

@@ -21,19 +21,56 @@ use std::ops::Range;
 /// over the controller's internal bus).
 const DRAM_HIT_NS: u64 = 1_000;
 
+/// CPU cost charged per mapping-table lookup (Table 3 measures
+/// 40.2–67.5 ns on a Cortex-A72).
+const LOOKUP_BASE_NS: u64 = 40;
+
+/// Additional lookup cost per extra level visited.
+const LOOKUP_PER_LEVEL_NS: u64 = 10;
+
 /// `(LPA, PPA)` pairs installed together: one learning batch.
 type Batch = Vec<(Lpa, Ppa)>;
 
-/// Whose pages a run of programs writes: picks the [`SimStats`] counter
-/// and the traffic class the die time is attributed to.
-#[derive(Debug, Clone, Copy)]
-enum Programs {
-    /// A host flush.
-    Host,
-    /// A GC migration.
-    Gc,
-    /// A wear swap.
-    Wear,
+/// A flash operation by cause: one variant per counter of
+/// [`crate::FlashOpBreakdown`], the ledger [`Ssd::flash_op`] keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FlashOp {
+    /// A host read's predicted page.
+    DataRead,
+    /// Any further probe of a read, and every invalidation or recovery
+    /// probe.
+    MispredictionRead,
+    /// A demand-paged translation page, or a page of a recovery scan.
+    TranslationRead,
+    /// A live page of a block being relocated.
+    GcRead,
+    /// A page of a host flush.
+    DataProgram,
+    /// A page a GC migration moved.
+    GcProgram,
+    /// A page a wear swap moved.
+    WearProgram,
+    /// A translation write-back, a snapshot page or a log page.
+    TranslationProgram,
+    /// A block erase.
+    Erase,
+}
+
+impl FlashOp {
+    /// What the operation does to the die.
+    fn kind(self) -> FlashOpKind {
+        match self {
+            FlashOp::DataRead
+            | FlashOp::MispredictionRead
+            | FlashOp::TranslationRead
+            | FlashOp::GcRead => FlashOpKind::Read,
+            FlashOp::DataProgram
+            | FlashOp::GcProgram
+            | FlashOp::WearProgram
+            | FlashOp::TranslationProgram => FlashOpKind::Program,
+            FlashOp::Erase => FlashOpKind::Erase,
+        }
+    }
 }
 
 /// Report of a simulated power-cut recovery (§3.8 / §5 of the paper).
@@ -368,26 +405,38 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             .check_conservation(&self.stats.flash, &self.config.timing)
     }
 
-    /// Whether an event sink is currently attached.
-    pub fn trace_enabled(&self) -> bool {
-        self.tracer.enabled()
-    }
-
     /// The tracer, for the [`crate::Device`]'s queue/control events.
     pub(crate) fn tracer_mut(&mut self) -> &mut Tracer {
         &mut self.tracer
     }
 
-    /// Accounts one flash operation that was just scheduled to finish
-    /// at `end_ns` on `die`: utilization counters always, a die-track
-    /// span when a sink is attached. Every `stats.flash` increment
-    /// pairs with exactly one such call — that 1:1 pairing is the
-    /// conservation invariant.
+    /// Puts one flash operation on `die`, starting no earlier than
+    /// `floor_ns`, and returns when it completes; the host clock does
+    /// not move. The only way onto a die: the operation's NAND latency
+    /// is reserved on the die's timeline, its [`SimStats`] counter and
+    /// its (`class`, kind) utilization cell each move by one, and a
+    /// die-track span is recorded when a sink is attached — so what is
+    /// counted is what was scheduled is what was attributed
+    /// ([`Ssd::check_utilization_conservation`] cross-checks it).
     #[inline]
-    fn note_flash_op(&mut self, class: TrafficClass, kind: FlashOpKind, die: Die, end_ns: u64) {
-        let latency = kind.latency_ns(&self.config.timing);
+    fn flash_op(&mut self, op: FlashOp, class: TrafficClass, die: Die, floor_ns: u64) -> u64 {
+        let kind = op.kind();
+        let latency_ns = kind.latency_ns(&self.config.timing);
+        let end_ns = self.clock.schedule_after(die, floor_ns, latency_ns);
+        match op {
+            FlashOp::DataRead => self.stats.flash.data_reads += 1,
+            FlashOp::MispredictionRead => self.stats.flash.misprediction_reads += 1,
+            FlashOp::TranslationRead => self.stats.flash.translation_reads += 1,
+            FlashOp::GcRead => self.stats.flash.gc_reads += 1,
+            FlashOp::DataProgram => self.stats.flash.data_programs += 1,
+            FlashOp::GcProgram => self.stats.flash.gc_programs += 1,
+            FlashOp::WearProgram => self.stats.flash.wear_programs += 1,
+            FlashOp::TranslationProgram => self.stats.flash.translation_programs += 1,
+            FlashOp::Erase => self.stats.flash.erases += 1,
+        }
         self.tracer
-            .flash_op(class, kind, die.raw(), end_ns, latency);
+            .flash_op(class, kind, die.raw(), end_ns, latency_ns);
+        end_ns
     }
 
     /// Current virtual time in nanoseconds.
@@ -485,30 +534,18 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         }
         let die = self.translation_die(lpa);
         for _ in 0..cost.translation_reads {
-            ready_ns = self
-                .clock
-                .schedule_after(die, ready_ns, self.config.timing.read_ns);
-            self.stats.flash.translation_reads += 1;
-            self.note_flash_op(class, FlashOpKind::Read, die, ready_ns);
+            ready_ns = self.flash_op(FlashOp::TranslationRead, class, die, ready_ns);
         }
         for _ in 0..cost.translation_writes {
             // Write-backs occupy the die but extend nothing.
-            let end = self
-                .clock
-                .schedule_after(die, ready_ns, self.config.timing.program_ns);
-            self.stats.flash.translation_programs += 1;
-            self.note_flash_op(class, FlashOpKind::Program, die, end);
+            self.flash_op(FlashOp::TranslationProgram, class, die, ready_ns);
         }
         ready_ns
     }
 
     fn enforce_cache_capacity(&mut self) {
-        let capacity = self.data_cache_capacity();
-        while self.read_cache.bytes() > capacity {
-            if self.read_cache.pop_lru().is_none() {
-                break;
-            }
-        }
+        // The data cache is write-through: no victim is ever dirty.
+        self.read_cache.evict_to(self.data_cache_capacity());
     }
 
     /// Reads one logical page. Returns `None` for never-written pages.
@@ -547,8 +584,10 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// translation read on the die timelines
     /// ([`Ssd::service_read_pipelined`]).
     ///
-    /// Resident tables additionally amortise the mapping-table
-    /// traversal across the batch via [`MappingScheme::lookup_batch`].
+    /// Resident tables are additionally translated ahead of servicing
+    /// in one [`MappingScheme::lookup_batch`] call — measured no
+    /// cheaper on the host than pointwise lookups at the bursts a
+    /// device issues (ROADMAP "Open items" records the removal).
     /// Hoisting the translations ahead of servicing is only legal while
     /// the scheme's lookups are pure ([`MappingScheme::lookup_is_pure`],
     /// i.e. the table is resident); under demand paging each request
@@ -664,8 +703,8 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             // queue behind each other (and behind an in-flight
             // background compaction of that shard), while lookups on
             // other shards proceed unimpeded.
-            let cpu_ns = self.config.lookup_base_ns
-                + self.config.lookup_per_level_ns * hit.levels_visited.saturating_sub(1) as u64;
+            let cpu_ns =
+                LOOKUP_BASE_NS + LOOKUP_PER_LEVEL_NS * hit.levels_visited.saturating_sub(1) as u64;
             let shard = self.scheme.shard_of(lpa).min(self.clock.cpus() - 1);
             self.stats.lookup_cpu_ns += cpu_ns;
             self.stats.lookups += 1;
@@ -729,9 +768,8 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// Chains a plan's probes (its range of `probes`, the list it was
     /// planned into) as flash reads on a request's dependency chain
     /// starting at `ready_ns`; returns the chain's completion time. The
-    /// only place a probe is put on a die, so it is also where the
-    /// probe is counted: what [`SimStats`] counts is what the dies were
-    /// charged, whatever became of the plans that were never scheduled.
+    /// only place a probe is put on a die, so a plan that was never
+    /// scheduled is never counted.
     fn schedule_probes(
         &mut self,
         plan: &ReadPlan,
@@ -741,15 +779,12 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     ) -> u64 {
         for (index, &ppa) in probes[plan.probes.clone()].iter().enumerate() {
             let die = self.config.geometry.die_of(ppa);
-            ready_ns = self
-                .clock
-                .schedule_after(die, ready_ns, self.config.timing.read_ns);
-            if index == 0 && plan.leads_with_data_read {
-                self.stats.flash.data_reads += 1;
+            let op = if index == 0 && plan.leads_with_data_read {
+                FlashOp::DataRead
             } else {
-                self.stats.flash.misprediction_reads += 1;
-            }
-            self.note_flash_op(class, FlashOpKind::Read, die, ready_ns);
+                FlashOp::MispredictionRead
+            };
+            ready_ns = self.flash_op(op, class, die, ready_ns);
         }
         ready_ns
     }
@@ -950,7 +985,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         // (delaying subsequent reads) but the host continues.
         let sorted = self.config.sort_buffer_on_flush;
         let now = self.clock.now_ns();
-        let (batches, deadline) = self.program_runs(&runs, &pages, now, Programs::Host)?;
+        let (batches, deadline) = self.program_runs(&runs, &pages, now, FlashOp::DataProgram)?;
         self.flush_deadline_ns = deadline;
 
         // Invalidate prior locations, then install the new mappings.
@@ -1046,17 +1081,19 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// move. Returns the installed `(LPA, PPA)` pairs run by run — a
     /// run is one learning batch — and when the last program completes.
     /// Every data page the device programs goes through here, for a
-    /// flush, a migration or a wear swap alike.
+    /// flush ([`FlashOp::DataProgram`], the host's die time), a
+    /// migration or a wear swap (GC's) alike.
     fn program_runs(
         &mut self,
         runs: &[PageRun],
         pages: &[(Lpa, u64)],
         floor_ns: u64,
-        origin: Programs,
+        op: FlashOp,
     ) -> Result<(Vec<Batch>, u64), SimError> {
-        let class = match origin {
-            Programs::Host => TrafficClass::Host,
-            Programs::Gc | Programs::Wear => TrafficClass::Gc,
+        let class = if op == FlashOp::DataProgram {
+            TrafficClass::Host
+        } else {
+            TrafficClass::Gc
         };
         let mut done = floor_ns;
         let mut pages = pages.iter();
@@ -1066,16 +1103,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             for (ppa, &(lpa, content)) in run.ppas().zip(&mut pages) {
                 self.device.program(ppa, content, Some(lpa))?;
                 let die = self.config.geometry.die_of(ppa);
-                let end = self
-                    .clock
-                    .schedule_after(die, floor_ns, self.config.timing.program_ns);
-                done = done.max(end);
-                match origin {
-                    Programs::Host => self.stats.flash.data_programs += 1,
-                    Programs::Gc => self.stats.flash.gc_programs += 1,
-                    Programs::Wear => self.stats.flash.wear_programs += 1,
-                }
-                self.note_flash_op(class, FlashOpKind::Program, die, end);
+                done = done.max(self.flash_op(op, class, die, floor_ns));
                 self.note_block_write(ppa);
                 batch.push((lpa, ppa));
             }
@@ -1149,13 +1177,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         class: TrafficClass,
         floor_ns: u64,
     ) -> Result<u64, SimError> {
-        let die = self.config.geometry.die_of_block(block);
-        let done = self
-            .clock
-            .schedule_after(die, floor_ns, self.config.timing.erase_ns);
         self.erase_block(block)?;
-        self.stats.flash.erases += 1;
-        self.note_flash_op(class, FlashOpKind::Erase, die, done);
+        let die = self.config.geometry.die_of_block(block);
+        let done = self.flash_op(FlashOp::Erase, class, die, floor_ns);
         self.clear_block(block);
         self.allocator.release(block);
         Ok(done)
@@ -1457,18 +1481,17 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     ) -> Result<u64, SimError> {
         let mut valid = std::mem::take(&mut self.live_scratch);
         self.validity.valid_pages(victim, &mut valid);
-        let mut reads_done = self.clock.now_ns();
-        let mut programs_done = reads_done;
+        let now = self.clock.now_ns();
+        let mut reads_done = now;
+        let mut programs_done = now;
         let mut batches: Vec<Batch> = Vec::new();
         if !valid.is_empty() {
             let mut items: Vec<(Lpa, u64, u64)> = Vec::with_capacity(valid.len());
             for &ppa in &valid {
                 let view = self.device.read(ppa)?;
                 let die = self.config.geometry.die_of(ppa);
-                let end = self.clock.schedule(die, self.config.timing.read_ns);
+                let end = self.flash_op(FlashOp::GcRead, TrafficClass::Gc, die, now);
                 reads_done = reads_done.max(end);
-                self.stats.flash.gc_reads += 1;
-                self.note_flash_op(TrafficClass::Gc, FlashOpKind::Read, die, end);
                 let lpa = view.lpa.expect("data pages always carry a reverse mapping");
                 items.push((lpa, view.content, view.seq));
             }
@@ -1490,17 +1513,17 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 // `DeviceFull` instead.)
                 self.ensure_allocatable(len, Stream::Gc, Some(victim))?;
             }
-            let (runs, origin) = match onto {
+            let (runs, op) = match onto {
                 Some(block) => {
                     let first = self.config.geometry.first_ppa(block);
-                    (vec![PageRun { block, first, len }], Programs::Wear)
+                    (vec![PageRun { block, first, len }], FlashOp::WearProgram)
                 }
                 None => {
                     let runs = self.allocate(Stream::Gc, len);
-                    (runs.ok_or(SimError::DeviceFull)?, Programs::Gc)
+                    (runs.ok_or(SimError::DeviceFull)?, FlashOp::GcProgram)
                 }
             };
-            (batches, programs_done) = self.program_runs(&runs, &items, reads_done, origin)?;
+            (batches, programs_done) = self.program_runs(&runs, &items, reads_done, op)?;
             if blocking {
                 self.clock.wait_until(programs_done);
             }
@@ -1680,11 +1703,10 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             CheckpointMode::Disabled => return,
             CheckpointMode::DramSnapshot => {
                 let bytes = self.scheme.snapshot_bytes() + bvc_bytes;
+                let now = self.clock.now_ns();
                 for i in 0..bytes.div_ceil(geometry.page_size as usize) {
                     let die = Die::new((i % geometry.total_dies() as usize) as u32);
-                    let end = self.clock.schedule(die, self.config.timing.program_ns);
-                    self.stats.flash.translation_programs += 1;
-                    self.note_flash_op(TrafficClass::MapLog, FlashOpKind::Program, die, end);
+                    self.flash_op(FlashOp::TranslationProgram, TrafficClass::MapLog, die, now);
                 }
                 0
             }
@@ -1775,9 +1797,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                     let ppa = runs[0].ppas().next().expect("one-page run");
                     self.device.program(ppa, seq, None)?;
                     let die = self.config.geometry.die_of(ppa);
-                    let done = self.clock.schedule(die, self.config.timing.program_ns);
-                    self.stats.flash.translation_programs += 1;
-                    self.note_flash_op(TrafficClass::MapLog, FlashOpKind::Program, die, done);
+                    let now = self.clock.now_ns();
+                    let done =
+                        self.flash_op(FlashOp::TranslationProgram, TrafficClass::MapLog, die, now);
                     self.maplog_bytes_written += self.config.geometry.page_size as u64;
                     let block = self.config.geometry.block_of(ppa);
                     self.gc_index.touch(block);
@@ -1950,17 +1972,16 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// for): each page's address, OOB reverse mapping and program
     /// sequence number.
     fn scan_pages(&mut self, scan_from: &[(BlockId, u32)]) -> Vec<(Ppa, Option<Lpa>, u64)> {
-        let mut deadline = self.clock.now_ns();
+        let now = self.clock.now_ns();
+        let mut deadline = now;
         let mut pages = Vec::new();
         for &(block, first_page) in scan_from {
             let die = self.config.geometry.die_of_block(block);
             let before = pages.len();
             pages.extend(self.device.scan_block(block).skip(first_page as usize));
             for _ in before..pages.len() {
-                let end = self.clock.schedule(die, self.config.timing.read_ns);
+                let end = self.flash_op(FlashOp::TranslationRead, TrafficClass::MapLog, die, now);
                 deadline = deadline.max(end);
-                self.stats.flash.translation_reads += 1;
-                self.note_flash_op(TrafficClass::MapLog, FlashOpKind::Read, die, end);
             }
         }
         self.clock.wait_until(deadline);
@@ -2065,6 +2086,67 @@ mod tests {
 
     fn ssd() -> Ssd<ExactPageMap> {
         Ssd::new(SsdConfig::small_test(), ExactPageMap::new())
+    }
+
+    #[test]
+    fn flash_op_counts_schedules_and_attributes_one_operation() {
+        use crate::stats::FlashOpBreakdown;
+        use crate::trace::DieUtilization;
+        use FlashOpKind::{Erase, Program, Read};
+        let one = |set: fn(&mut FlashOpBreakdown)| {
+            let mut flash = FlashOpBreakdown::default();
+            set(&mut flash);
+            flash
+        };
+        let cases: [(FlashOp, FlashOpKind, FlashOpBreakdown); 9] = [
+            (FlashOp::DataRead, Read, one(|f| f.data_reads = 1)),
+            (
+                FlashOp::MispredictionRead,
+                Read,
+                one(|f| f.misprediction_reads = 1),
+            ),
+            (
+                FlashOp::TranslationRead,
+                Read,
+                one(|f| f.translation_reads = 1),
+            ),
+            (FlashOp::GcRead, Read, one(|f| f.gc_reads = 1)),
+            (FlashOp::DataProgram, Program, one(|f| f.data_programs = 1)),
+            (FlashOp::GcProgram, Program, one(|f| f.gc_programs = 1)),
+            (FlashOp::WearProgram, Program, one(|f| f.wear_programs = 1)),
+            (
+                FlashOp::TranslationProgram,
+                Program,
+                one(|f| f.translation_programs = 1),
+            ),
+            (FlashOp::Erase, Erase, one(|f| f.erases = 1)),
+        ];
+        for (index, (op, kind, counted)) in cases.into_iter().enumerate() {
+            let mut ssd = ssd();
+            let class = TrafficClass::ALL[index % TrafficClass::ALL.len()];
+            let die = Die::new(index as u32 % ssd.config().geometry.total_dies());
+            let latency_ns = kind.latency_ns(&ssd.config().timing);
+            // A first operation fills the die, so the one under test
+            // must queue behind it whatever its floor.
+            let busy_until = ssd.flash_op(op, class, die, 500);
+            ssd.reset_stats();
+
+            let end_ns = ssd.flash_op(op, class, die, 0);
+            assert_eq!(end_ns, busy_until + latency_ns, "{op:?} is scheduled");
+            assert_eq!(ssd.now_ns(), 0, "{op:?} leaves the host clock alone");
+            assert_eq!(ssd.stats().flash, counted, "{op:?} is counted once");
+            for (other, cell) in ssd.utilization().dies.iter().enumerate() {
+                if other == die.raw() as usize {
+                    let ops: u64 = cell.ops.iter().flatten().sum();
+                    assert_eq!((ops, cell.ops_of(class, kind)), (1, 1), "{op:?}");
+                    let busy = (cell.total_busy_ns(), cell.class_busy_ns(class));
+                    assert_eq!(busy, (latency_ns, latency_ns), "{op:?}");
+                } else {
+                    assert_eq!(*cell, DieUtilization::default(), "{op:?} on die {other}");
+                }
+            }
+            assert_eq!(ssd.check_utilization_conservation(), Ok(()));
+        }
     }
 
     #[test]
@@ -2662,7 +2744,7 @@ mod tests {
         for (i, (value, _)) in results.iter().enumerate() {
             assert_eq!(*value, Some(500 + i as u64));
         }
-        let cpu_ns = ssd.config().lookup_base_ns;
+        let cpu_ns = LOOKUP_BASE_NS;
         // Request i waits behind i earlier grants: 0 + 1 + ... + 7.
         assert_eq!(ssd.stats().translation_stall_ns, 28 * cpu_ns);
     }

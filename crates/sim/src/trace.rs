@@ -585,7 +585,9 @@ impl Tracer {
         }
     }
 
-    /// Records a command-lifecycle span on a queue track.
+    /// Records a command-lifecycle span on a queue track. `args` builds
+    /// the span's arguments and runs only with a sink attached, so the
+    /// disabled path allocates nothing whatever the call site does.
     #[inline]
     pub(crate) fn queue_span(
         &mut self,
@@ -593,7 +595,7 @@ impl Tracer {
         name: &'static str,
         start_ns: u64,
         end_ns: u64,
-        args: Vec<(&'static str, ArgValue)>,
+        args: impl FnOnce() -> Vec<(&'static str, ArgValue)>,
     ) {
         if let Some(sink) = &mut self.sink {
             sink.span(
@@ -601,29 +603,23 @@ impl Tracer {
                 name,
                 start_ns,
                 end_ns.saturating_sub(start_ns),
-                args,
+                args(),
             );
         }
     }
 
-    /// Records a control-plane instant.
+    /// Records a control-plane instant; `args` as for
+    /// [`Tracer::queue_span`].
     #[inline]
     pub(crate) fn control_instant(
         &mut self,
         name: &'static str,
         at_ns: u64,
-        args: Vec<(&'static str, ArgValue)>,
+        args: impl FnOnce() -> Vec<(&'static str, ArgValue)>,
     ) {
         if let Some(sink) = &mut self.sink {
-            sink.instant(Track::Control, name, at_ns, args);
+            sink.instant(Track::Control, name, at_ns, args());
         }
-    }
-
-    /// Whether an event sink is attached (callers gate arg-building
-    /// work on this so the disabled path stays allocation-free).
-    #[inline]
-    pub(crate) fn enabled(&self) -> bool {
-        self.sink.is_some()
     }
 }
 

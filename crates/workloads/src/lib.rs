@@ -27,7 +27,6 @@
 mod openloop;
 mod profile;
 mod suites;
-pub mod synthetic;
 pub mod trace_file;
 pub mod zipf;
 

@@ -80,14 +80,16 @@ fn full_sweep<S: MappingScheme + Clone>(
     Ok(())
 }
 
-/// Asserts [`Ssd::check_gc_index`] whenever a flush has happened since
-/// the last look (`programs` is the data-program count seen then).
+/// Asserts [`Ssd::check_gc_index`] and the flash-op ledger's
+/// conservation whenever a flush has happened since the last look
+/// (`programs` is the data-program count seen then).
 fn check_after_flush(ssd: &Ssd<ExactPageMap>, programs: &mut u64) -> Result<(), TestCaseError> {
     let now = ssd.stats().flash.data_programs;
     if now != *programs {
         *programs = now;
         let violations = ssd.check_gc_index();
         prop_assert!(violations.is_empty(), "{:#?}", violations);
+        prop_assert_eq!(ssd.check_utilization_conservation(), Ok(()));
     }
     Ok(())
 }
