@@ -2,8 +2,9 @@
 //! ASPLOS 2009) — the page-level baseline of the LeaFTL evaluation.
 //!
 //! The full page-level table lives in flash translation pages (512
-//! 8-byte entries per 4 KB page; copy-on-write chunks, so a snapshot of
-//! the scheme does not copy it). A Cached Mapping Table (CMT) holds
+//! 8-byte entries per 4 KB page; copy-on-write chunks, so a persistence
+//! point re-points the pages written since the previous one and copies
+//! the CMT into the storage its baseline already has). A Cached Mapping Table (CMT) holds
 //! recently used entries in DRAM under an LRU policy:
 //!
 //! * lookup miss → fetch the entry's translation page (1 flash read);
@@ -111,6 +112,17 @@ impl MappingScheme for Dftl {
         // Only the GTD + dirty bookkeeping needs snapshotting; the table
         // itself already lives in flash translation pages.
         self.gtd_bytes()
+    }
+
+    fn sync_checkpoint(&mut self, checkpoint: &mut Self) {
+        self.flash_table
+            .sync_checkpoint(&mut checkpoint.flash_table);
+        checkpoint.budget = self.budget;
+        checkpoint.cmt.clone_from(&self.cmt);
+        debug_assert!(
+            checkpoint.cmt == self.cmt,
+            "a synced checkpoint is a clone of the scheme"
+        );
     }
 }
 

@@ -2,14 +2,16 @@
 //! one dense 512-entry chunk per translation page, indexed by page id
 //! (the vector is the Global Translation Directory).
 //!
-//! Chunks are shared behind [`Arc`] and copied on write
-//! ([`Arc::make_mut`]), so cloning the table — what every persistence
-//! point does to the scheme (§3.8) — copies one pointer per translation
-//! page, and the first update to a page that a clone still holds copies
-//! that page's 512 entries.
+//! Chunks sit in [`CowSlots`]: shared behind `Arc` and copied on
+//! write, so a clone copies one pointer per translation page, and the
+//! first update to a page that a clone still holds copies that page's
+//! 512 entries. The slots list the pages written, and
+//! [`PageTable::sync_checkpoint`] re-points exactly those in a copy
+//! kept from earlier — what a persistence point (§3.8) does to its
+//! recovery baseline.
 
 use leaftl_flash::{Lpa, Ppa};
-use std::sync::Arc;
+use leaftl_sim::CowSlots;
 
 /// Entries per translation page: 4 KB / 8 B.
 pub(crate) const ENTRIES_PER_TRANSLATION_PAGE: u64 = 512;
@@ -20,9 +22,8 @@ pub(crate) type TranslationPage = [Option<Ppa>; ENTRIES_PER_TRANSLATION_PAGE as 
 /// The full LPA→PPA table, chunked by translation page.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PageTable {
-    /// Indexed by translation page id, grown to the highest page ever
-    /// written; `None` for a page nothing was written to.
-    pages: Vec<Option<Arc<TranslationPage>>>,
+    /// Indexed by translation page id.
+    pages: CowSlots<TranslationPage>,
     /// Number of mapped LPAs.
     mapped: usize,
 }
@@ -45,19 +46,28 @@ impl PageTable {
 
     /// Installs or replaces the mapping of `lpa`.
     pub fn insert(&mut self, lpa: Lpa, ppa: Ppa) {
-        let page = Self::page_of(lpa) as usize;
-        if self.pages.len() <= page {
-            self.pages.resize(page + 1, None);
-        }
-        let entries = Arc::make_mut(
-            self.pages[page]
-                .get_or_insert_with(|| Arc::new([None; ENTRIES_PER_TRANSLATION_PAGE as usize])),
-        );
+        let entries = self.pages.make_mut(Self::page_of(lpa), || {
+            [None; ENTRIES_PER_TRANSLATION_PAGE as usize]
+        });
         let entry = &mut entries[Self::slot_of(lpa)];
         if entry.is_none() {
             self.mapped += 1;
         }
         *entry = Some(ppa);
+    }
+
+    /// Brings `checkpoint` — what this table was when this last ran on
+    /// it, or any clone of it taken since — up to date, as
+    /// `*checkpoint = self.clone()` would, by re-pointing the
+    /// translation pages written since. Debug builds check the result
+    /// against that clone.
+    pub fn sync_checkpoint(&mut self, checkpoint: &mut PageTable) {
+        self.pages.sync(&mut checkpoint.pages);
+        checkpoint.mapped = self.mapped;
+        debug_assert!(
+            self.pages.same_state(&checkpoint.pages),
+            "a synced checkpoint is a clone of the table"
+        );
     }
 
     /// Number of mapped LPAs.
@@ -73,7 +83,7 @@ impl PageTable {
     /// The entries of one translation page, `None` when nothing was
     /// written to it.
     pub fn page(&self, page: u64) -> Option<&TranslationPage> {
-        self.pages.get(page as usize)?.as_deref()
+        self.pages.get(page)
     }
 }
 
@@ -103,24 +113,30 @@ mod tests {
         for page in 0..4u64 {
             table.insert(Lpa::new(page * 512), Ppa::new(page));
         }
-        let snapshot = table.clone();
+        let mut snapshot = table.clone();
         table.insert(Lpa::new(512 + 7), Ppa::new(99));
-        let shared = |page: usize| match (&table.pages[page], &snapshot.pages[page]) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
+        let shared = |a: &PageTable, b: &PageTable| -> Vec<bool> {
+            (0..4)
+                .map(|page| matches!((a.page(page), b.page(page)), (Some(a), Some(b)) if std::ptr::eq(a, b)))
+                .collect()
         };
         assert_eq!(
-            (0..4).map(shared).collect::<Vec<_>>(),
+            shared(&table, &snapshot),
             vec![true, false, true, true],
             "only the written page was copied"
         );
         assert_eq!(snapshot.get(Lpa::new(512 + 7)), None);
         assert_eq!(snapshot.mapped_pages(), 4);
         assert_eq!(table.mapped_pages(), 5);
+        // Brought up to date, it shares every page again.
+        table.sync_checkpoint(&mut snapshot);
+        assert_eq!(shared(&table, &snapshot), vec![true; 4]);
+        assert_eq!(snapshot.get(Lpa::new(512 + 7)), Some(Ppa::new(99)));
+        assert_eq!(snapshot.mapped_pages(), 5);
         // With the clone gone the next write copies nothing.
         drop(snapshot);
-        let before = Arc::as_ptr(table.pages[2].as_ref().unwrap());
+        let before = table.page(2).unwrap() as *const TranslationPage;
         table.insert(Lpa::new(2 * 512 + 1), Ppa::new(100));
-        assert_eq!(before, Arc::as_ptr(table.pages[2].as_ref().unwrap()));
+        assert_eq!(before, table.page(2).unwrap() as *const TranslationPage);
     }
 }

@@ -22,8 +22,8 @@ pub const RUN_BYTES: usize = 8;
 #[derive(Debug, Clone, Default)]
 pub struct Sftl {
     /// Authoritative table (models the translation pages in flash;
-    /// copy-on-write chunks, so a snapshot of the scheme does not copy
-    /// it).
+    /// copy-on-write chunks, so neither a clone nor a persistence point
+    /// copies it).
     flash_table: PageTable,
     /// Cached translation pages: page id → condensed byte size. The
     /// mappings themselves are read through `flash_table`; the cache
@@ -137,6 +137,17 @@ impl MappingScheme for Sftl {
 
     fn snapshot_bytes(&self) -> usize {
         self.flash_table.translation_pages() as usize * 8
+    }
+
+    fn sync_checkpoint(&mut self, checkpoint: &mut Self) {
+        self.flash_table
+            .sync_checkpoint(&mut checkpoint.flash_table);
+        checkpoint.budget = self.budget;
+        checkpoint.resident.clone_from(&self.resident);
+        debug_assert!(
+            checkpoint.resident == self.resident,
+            "a synced checkpoint is a clone of the scheme"
+        );
     }
 }
 

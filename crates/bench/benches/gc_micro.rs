@@ -14,10 +14,10 @@
 //! Two axes, each at 2 048 vs 32 768 blocks (16× the state, 64 pages a
 //! block to keep the flash model's memory modest), both through the
 //! blocking path (`Ssd::write`, one 256-page buffer per iteration) with
-//! persistence points off — `take_snapshot` copies the validity bitmap,
-//! which is a cost of its own — and with the
-//! wear gap out of reach, so that the wear check always takes its
-//! no-swap exit (a real swap still walks the blocks for its pair):
+//! persistence points off — a GC pass ends in one, whose host cost is
+//! `table_micro`'s to watch — and with the wear gap out of reach, so
+//! that the wear check always takes its no-swap exit (a real swap still
+//! walks the blocks for its pair):
 //!
 //! * **after flush** — an aged device (filled, a tenth of its pages
 //!   overwritten at random, then run to steady state under a hot set):

@@ -10,7 +10,8 @@
 //! per-lookup cost grew linearly with table size (the `shard_micro`
 //! burst-32 "sharding win" was mostly that artifact).
 //!
-//! Four axes, each at 64 vs 4096 resident groups (64× the state):
+//! Four axes, each at 64, 4096 and 65 536 resident groups — the last is
+//! the table of a 64 GiB device, 1024× the state of the first:
 //!
 //! * **resident** — the paper's headline case: the whole table fits in
 //!   DRAM, `touch_group` is one footprint comparison. Per-lookup cost
@@ -24,12 +25,16 @@
 //!   flush + sweep must be flat in group count; when every sweep walked
 //!   every group it grew 64× with the table.
 //! * **snapshot after flush** — one 256-page flush, then what a
-//!   persistence point does: clone the scheme and drop the previous
-//!   clone. The clone copies a pointer per group and the flush copies
-//!   the groups it learns into, so the deep-copy work is flat in group
-//!   count and what grows with the table is 8 bytes and a reference
-//!   count per group; when the clone copied every group's levels and
-//!   CRB, the whole iteration grew 64× with the table.
+//!   persistence point does to the mapping table
+//!   (`MappingScheme::sync_checkpoint`): bring the recovery baseline it
+//!   keeps up to date by re-pointing the groups the flush learned into.
+//!   The flush copies those groups (the baseline still holds them) and
+//!   the sync writes one slot each, so the whole iteration must be flat
+//!   in group count: 65 536 within 2× of 64. The `whole_clone` variant
+//!   beside it is the reference it replaced — clone the scheme and drop
+//!   the previous clone, a pointer and a reference count per group —
+//!   which grows with the table (and, when a clone copied every group's
+//!   levels and CRB, grew 64× from 64 groups to 4096).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use leaftl_core::LeaFtlConfig;
@@ -39,8 +44,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
-/// Group counts under test: per-lookup cost must not grow with this.
-const GROUP_COUNTS: [u64; 2] = [64, 4096];
+/// Group counts under test: per-operation cost must not grow with this.
+const GROUP_COUNTS: [u64; 3] = [64, 4096, 65_536];
 
 /// Builds a warmed monolithic scheme covering `groups` 256-LPA groups:
 /// a sequential base layer plus scattered overwrites, the state shape a
@@ -49,8 +54,15 @@ fn warmed(groups: u64) -> LeaFtlScheme {
     let space = groups * 256;
     let mut scheme = LeaFtlScheme::new(LeaFtlConfig::default().with_gamma(4));
     scheme.set_memory_budget(usize::MAX);
-    let base: Vec<(Lpa, Ppa)> = (0..space).map(|i| (Lpa::new(i), Ppa::new(i))).collect();
-    scheme.update_batch_sorted(&base);
+    // A million pages at a time, so the largest table is not built
+    // through a quarter-gigabyte batch.
+    const CHUNK: u64 = 1 << 20;
+    for start in (0..space).step_by(CHUNK as usize) {
+        let base: Vec<(Lpa, Ppa)> = (start..space.min(start + CHUNK))
+            .map(|i| (Lpa::new(i), Ppa::new(i)))
+            .collect();
+        scheme.update_batch_sorted(&base);
+    }
     let mut rng = StdRng::seed_from_u64(11);
     for round in 0..4u64 {
         let mut batch: Vec<(Lpa, Ppa)> = (0..(space / 8).max(64))
@@ -169,9 +181,10 @@ fn bench_compact_after_flush(c: &mut Criterion) {
     group.finish();
 }
 
-/// One flush, then a persistence point: `clone()` the scheme and drop
-/// the clone the previous iteration kept (`Ssd::take_snapshot`'s host
-/// work on the mapping table).
+/// One flush, then a persistence point's host work on the mapping
+/// table (`Ssd::take_snapshot`): the kept baseline brought up to date.
+/// `whole_clone` is what that replaced — `clone()` the scheme and drop
+/// the clone the previous iteration kept.
 fn bench_snapshot_after_flush(c: &mut Criterion) {
     let mut group = c.benchmark_group("table_snapshot_after_flush");
     for &groups in &GROUP_COUNTS {
@@ -181,6 +194,13 @@ fn bench_snapshot_after_flush(c: &mut Criterion) {
         let mut next = 0usize;
         let mut snapshot = scheme.clone();
         group.bench_function(BenchmarkId::from_parameter(groups), |b| {
+            b.iter(|| {
+                scheme.update_batch_sorted(black_box(&flushes[next % flushes.len()]));
+                next += 1;
+                scheme.sync_checkpoint(black_box(&mut snapshot));
+            })
+        });
+        group.bench_function(BenchmarkId::new("whole_clone", groups), |b| {
             b.iter(|| {
                 scheme.update_batch_sorted(black_box(&flushes[next % flushes.len()]));
                 next += 1;

@@ -79,8 +79,9 @@ const QUEUE_DEPTH: usize = 8;
 /// Runs the three schemes through the queued engine at
 /// [`QUEUE_DEPTH`]: same schemes, workloads and warm-up as
 /// [`compare_schemes`], but service times overlap across dies and
-/// lookups pipeline against flash reads. Reports IOPS, service
-/// latency and the head-of-line wait the submission queue added.
+/// lookups pipeline against flash reads. Reports IOPS and service
+/// latency; the replay is closed-loop (every arrival is time 0), so a
+/// wait measured from arrival would only restate how long the run is.
 fn compare_schemes_queued(
     title: &str,
     profiles: &[ProfileParams],
@@ -97,11 +98,10 @@ fn compare_schemes_queued(
         let mut row = vec![profile.name.clone()];
         for r in &reports {
             row.push(format!(
-                "{:.0} ({:.0}/{:.0}µs w{:.0})",
+                "{:.0} ({:.0}/{:.0}µs)",
                 r.iops(),
                 r.mean_latency_us(),
-                r.p99_latency_us(),
-                r.mean_wait_us()
+                r.p99_latency_us()
             ));
         }
         rows.push(row);
@@ -112,7 +112,6 @@ fn compare_schemes_queued(
             "iops": reports.iter().map(|r| r.iops()).collect::<Vec<_>>(),
             "mean_latency_us": reports.iter().map(|r| r.mean_latency_us()).collect::<Vec<_>>(),
             "p99_latency_us": reports.iter().map(|r| r.p99_latency_us()).collect::<Vec<_>>(),
-            "mean_wait_us": reports.iter().map(|r| r.mean_wait_us()).collect::<Vec<_>>(),
             "translation_stall_ns": reports
                 .iter()
                 .map(|r| r.stats.translation_stall_ns)
@@ -138,7 +137,7 @@ pub fn fig16a(quick: bool) -> Value {
         DramPolicy::MappingFirst,
     );
     let queued_out = compare_schemes_queued(
-        "Fig. 16a (queued QD=8): IOPS (mean/p99 service µs, w=mean wait µs) — the concurrency-aware baseline",
+        "Fig. 16a (queued QD=8): IOPS (mean/p99 service µs) — the concurrency-aware baseline",
         &block_trace_suite(),
         &scale,
         DramPolicy::MappingFirst,
@@ -158,7 +157,7 @@ pub fn fig16b(quick: bool) -> Value {
         DramPolicy::DataFloor(0.2),
     );
     let queued_out = compare_schemes_queued(
-        "Fig. 16b (queued QD=8): IOPS (mean/p99 service µs, w=mean wait µs), ≥20% DRAM for data cache",
+        "Fig. 16b (queued QD=8): IOPS (mean/p99 service µs), ≥20% DRAM for data cache",
         &block_trace_suite(),
         &scale,
         DramPolicy::DataFloor(0.2),
@@ -178,7 +177,7 @@ pub fn fig17(quick: bool) -> Value {
         DramPolicy::DataFloor(0.2),
     );
     let queued_out = compare_schemes_queued(
-        "Fig. 17 (queued QD=8): IOPS (mean/p99 service µs, w=mean wait µs), application workloads",
+        "Fig. 17 (queued QD=8): IOPS (mean/p99 service µs), application workloads",
         &app_suite(),
         &scale,
         DramPolicy::DataFloor(0.2),

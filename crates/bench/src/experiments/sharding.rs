@@ -113,7 +113,6 @@ pub fn sharding(quick: bool) -> Value {
         let mut p50 = Vec::new();
         let mut p99 = Vec::new();
         let mut compacts = Vec::new();
-        let mut waits = Vec::new();
         let mut stalls = Vec::new();
         let mut row = vec![format!("{shards}")];
         for &depth in &DEPTHS {
@@ -122,18 +121,16 @@ pub fn sharding(quick: bool) -> Value {
                 replay_queued_with(&mut ssd, ops.clone(), background_device(depth, threshold))
                     .expect("replay");
             row.push(format!(
-                "{:.0} ({:.0}/{:.0}µs, w{:.0}, {}c)",
+                "{:.0} ({:.0}/{:.0}µs, {}c)",
                 report.iops(),
                 report.p50_latency_us(),
                 report.p99_latency_us(),
-                report.mean_wait_us(),
                 report.compact_dispatched
             ));
             iops.push(report.iops());
             p50.push(report.p50_latency_us());
             p99.push(report.p99_latency_us());
             compacts.push(report.compact_dispatched);
-            waits.push(report.mean_wait_us());
             stalls.push(report.stats.translation_stall_ns);
             if shards == COMPARE_SHARDS && depth == COMPARE_DEPTH {
                 background_report = Some(report);
@@ -147,7 +144,6 @@ pub fn sharding(quick: bool) -> Value {
             "p50_latency_us": p50,
             "p99_latency_us": p99,
             "compact_dispatched": compacts,
-            "mean_wait_us": waits,
             "translation_stall_ns": stalls,
         }));
 
@@ -161,7 +157,7 @@ pub fn sharding(quick: bool) -> Value {
         }
     }
     print_table(
-        "Sharding: IOPS (p50/p99, w=mean wait µs, background compactions) vs shard count × QD, OLTP γ=4 — compaction stalls shrink as shards grow",
+        "Sharding: IOPS (p50/p99, background compactions) vs shard count × QD, OLTP γ=4 — compaction stalls shrink as shards grow",
         &["shards", "QD=1", "QD=8", "QD=32"],
         &rows,
     );

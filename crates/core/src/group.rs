@@ -41,12 +41,14 @@
 //!
 //! A group is the table's unit of copy-on-write: `LeaFtlTable` holds
 //! each one behind an `Arc` and clones it only when `insert_piece` or
-//! `compact` is about to run on a group some table clone still holds.
-//! `Group: Clone` copies those two to four blocks — 8 bytes per segment,
-//! 4 per level, the CRB bytes — which is all a learn or a sweep after a
-//! persistence point pays before it starts. Every method that mutates
-//! takes `&mut self`, so nothing here can change a shared group in
-//! place.
+//! `compact` is about to run on a group some other table still holds —
+//! a clone, or the recovery baseline a persistence point keeps, which
+//! holds every group as it was at that point until the next one
+//! re-points the changed ones. `Group: Clone` copies those two to four
+//! blocks — 8 bytes per segment, 4 per level, the CRB bytes — which is
+//! all the first learn or sweep into a group after a persistence point
+//! pays before it starts. Every method that mutates takes `&mut self`,
+//! so nothing here can change a shared group in place.
 //!
 //! # Freshness invariant
 //!

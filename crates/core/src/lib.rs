@@ -37,7 +37,9 @@
 //!   passes over it), and [`crb`] — its conflict resolution buffer, the
 //!   paper's nearly-sorted byte list; both work on `offsets`' four-word
 //!   member bitmap;
-//! * [`LeaFtlTable`] — the groups, copy-on-write behind `Arc`, with
+//! * [`LeaFtlTable`] — the groups in [`slots`] (one per id,
+//!   copy-on-write behind `Arc`, the changed ones listed so that a kept
+//!   copy is brought up to date at the cost of what changed), with
 //!   incremental accounting and dirty-group compaction;
 //! * [`scheme`], [`shards`] — the translation-service layer (below).
 //!
@@ -84,6 +86,7 @@ pub mod plr;
 pub mod scheme;
 pub mod segment;
 pub mod shards;
+pub mod slots;
 mod stats;
 mod table;
 mod validate;
@@ -95,6 +98,7 @@ pub use plr::LearnedPiece;
 pub use scheme::{ExactPageMap, MapCost, MappingLookup, MappingScheme, ShardPressure};
 pub use segment::Segment;
 pub use shards::ShardedMapping;
+pub use slots::CowSlots;
 pub use stats::{percentile, MemoryBreakdown, TableStats};
 pub use table::{LeaFtlTable, LookupResult, TableWalk};
 pub use validate::InvariantViolation;

@@ -179,6 +179,22 @@ pub trait MappingScheme {
         (self.snapshot_bytes(), 0)
     }
 
+    /// Brings `checkpoint` — the recovery baseline a persistence point
+    /// keeps (§3.8) — up to date with `self`, leaving it what
+    /// `self.clone()` would be. The contract that lets a scheme do so
+    /// at the cost of what changed: `checkpoint` is what `self` was
+    /// when this last ran on it, or any clone of `self` taken since
+    /// (and a scheme restored from a clone of its checkpoint is in
+    /// step with it). Schemes list what they change and re-point
+    /// exactly that; the default is the whole clone, for wrappers that
+    /// keep no list.
+    fn sync_checkpoint(&mut self, checkpoint: &mut Self)
+    where
+        Self: Sized + Clone,
+    {
+        *checkpoint = self.clone();
+    }
+
     /// Number of independent translation shards (1 for monolithic
     /// schemes). The simulator sizes one translation-CPU timeline per
     /// shard, so lookups and compactions of different shards proceed in
@@ -285,6 +301,12 @@ impl MappingScheme for ExactPageMap {
 
     fn lookup_is_pure(&self) -> bool {
         true
+    }
+
+    fn sync_checkpoint(&mut self, checkpoint: &mut Self) {
+        // The oracle keeps no change list; it reuses the kept map's
+        // storage instead of building a new one.
+        checkpoint.map.clone_from(&self.map);
     }
 }
 

@@ -129,7 +129,7 @@ impl<S> ShardedMapping<S> {
     }
 }
 
-impl<S: MappingScheme> ShardedMapping<S> {
+impl<S: MappingScheme + Clone> ShardedMapping<S> {
     /// Compacts every shard unconditionally (tests and offline
     /// footprint measurements; the device compacts shards individually
     /// through [`MappingScheme::maintain_shard`]).
@@ -142,7 +142,7 @@ impl<S: MappingScheme> ShardedMapping<S> {
     }
 }
 
-impl<S: MappingScheme> MappingScheme for ShardedMapping<S> {
+impl<S: MappingScheme + Clone> MappingScheme for ShardedMapping<S> {
     fn name(&self) -> &'static str {
         self.shards[0].name()
     }
@@ -296,6 +296,14 @@ impl<S: MappingScheme> MappingScheme for ShardedMapping<S> {
             let (s_seg, s_crb) = shard.checkpoint_footprint();
             (seg.saturating_add(s_seg), crb.saturating_add(s_crb))
         })
+    }
+
+    fn sync_checkpoint(&mut self, checkpoint: &mut Self) {
+        // Routing never changes and `partitions` is empty between
+        // bursts: the shards are all there is to bring up to date.
+        for (shard, kept) in self.shards.iter_mut().zip(&mut checkpoint.shards) {
+            shard.sync_checkpoint(kept);
+        }
     }
 
     fn shard_count(&self) -> usize {

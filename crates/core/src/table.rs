@@ -1,22 +1,29 @@
 //! The full learned address-mapping table: groups of log-structured
 //! learned segments (§3 of the paper).
 //!
+//! # Sharing
+//!
 //! Groups are structurally shared: the table holds each [`Group`]
-//! behind an [`Arc`], so `clone()` — what a persistence point (§3.8)
-//! does to the table — copies pointers, and the first learn or sweep
-//! into a group that a clone still holds copies that one group
-//! ([`Arc::make_mut`]). A clone therefore costs the groups touched
-//! since, not the table, and stays exactly what the table was when it
-//! was taken.
+//! behind an [`Arc`] in a slot indexed by group id, so `clone()` copies
+//! one pointer per slot, and the first learn or sweep into a group that
+//! a clone still holds copies that one group ([`Arc::make_mut`]). A
+//! clone stays exactly what the table was when it was taken.
+//!
+//! A persistence point (§3.8) does not clone: it *keeps* its recovery
+//! baseline and brings it up to date. The slots ([`CowSlots`]) list,
+//! once each, the groups created or taken through `make_mut` since the
+//! last point, and [`LeaFtlTable::sync_checkpoint`] re-points exactly
+//! those slots of the kept copy, copies the O(1) counters and drains
+//! the list — so the host pays for the groups that changed since the
+//! previous point, not for the table, whatever the device size.
 
 use crate::config::LeaFtlConfig;
 use crate::group::{Group, GroupLookup};
 use crate::plr;
 use crate::segment::Segment;
+use crate::slots::CowSlots;
 use crate::stats::{MemoryBreakdown, TableStats};
 use leaftl_flash::{Lpa, Ppa};
-use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Result of a table lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,6 +47,8 @@ pub struct LookupResult {
 ///
 /// `Clone` is copy-on-write per group: the clone shares every group
 /// with the original until one of the two learns into or sweeps it.
+/// A copy kept from an earlier moment is brought up to date by
+/// [`LeaFtlTable::sync_checkpoint`] at the cost of what changed since.
 ///
 /// # Example
 ///
@@ -59,10 +68,10 @@ pub struct LookupResult {
 #[derive(Debug, Clone)]
 pub struct LeaFtlTable {
     config: LeaFtlConfig,
-    /// Shared with every clone that has not diverged in that group;
-    /// mutated only through [`Arc::make_mut`] (`learn_sorted`,
-    /// `compact`).
-    groups: BTreeMap<u64, Arc<Group>>,
+    /// One slot per group id. Written only through
+    /// [`CowSlots::make_mut`] (`learn_sorted`, `compact`), which is what
+    /// lists a group for [`LeaFtlTable::sync_checkpoint`].
+    groups: CowSlots<Group>,
     writes_since_compaction: u64,
     total_writes_learned: u64,
     compactions: u64,
@@ -91,7 +100,7 @@ struct RunScratch {
 /// The table's incremental aggregate counters. A separate struct so
 /// deltas can be applied while `groups` is mutably borrowed (disjoint
 /// field borrows).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Accounting {
     /// Total learned segments across all groups.
     segments: usize,
@@ -165,7 +174,7 @@ impl LeaFtlTable {
     pub fn new(config: LeaFtlConfig) -> Self {
         LeaFtlTable {
             config,
-            groups: BTreeMap::new(),
+            groups: CowSlots::default(),
             writes_since_compaction: 0,
             total_writes_learned: 0,
             compactions: 0,
@@ -249,7 +258,7 @@ impl LeaFtlTable {
                 self.run.offsets.push(lpa.group_offset());
                 self.run.ppas.push(ppa.raw());
             }
-            let group = Arc::make_mut(self.groups.entry(group_id).or_default());
+            let group = self.groups.make_mut(group_id, Group::default);
             if !group.is_dirty() {
                 self.dirty.push(group_id);
             }
@@ -283,7 +292,7 @@ impl LeaFtlTable {
     /// Translates an LPA. Returns `None` when the LPA has never been
     /// mapped (or was shadowed away entirely).
     pub fn lookup(&self, lpa: Lpa) -> Option<LookupResult> {
-        let group = self.groups.get(&lpa.group())?;
+        let group = self.groups.get(lpa.group())?;
         group.lookup(lpa.group_offset()).map(|hit| self.result(hit))
     }
 
@@ -310,7 +319,7 @@ impl LeaFtlTable {
             let group = match cached {
                 Some((id, group)) if id == group_id => Some(group),
                 _ => {
-                    let found = self.groups.get(&group_id).map(Arc::as_ref);
+                    let found = self.groups.get(group_id);
                     if let Some(group) = found {
                         cached = Some((group_id, group));
                     }
@@ -336,17 +345,15 @@ impl LeaFtlTable {
     /// after a prefill, when every group is dirty, is the full walk.
     pub fn compact(&mut self) -> Vec<u64> {
         let swept = std::mem::take(&mut self.dirty);
-        for id in &swept {
+        for &id in &swept {
             // Groups are never removed, so a listed id always resolves
             // (`validate` checks the list against the flags).
-            let Some(group) = self.groups.get_mut(id).map(Arc::make_mut) else {
-                continue;
-            };
+            let group = self.groups.make_mut(id, Group::default);
             let before = Accounting::snapshot(group);
             group.compact();
             let after = Accounting::snapshot(group);
-            // Disjoint field borrow: `accounting` is independent of the
-            // `groups` map.
+            // Disjoint field borrow: `accounting` is independent of
+            // `groups`.
             self.accounting.apply(before, after);
         }
         self.writes_since_compaction = 0;
@@ -359,6 +366,45 @@ impl LeaFtlTable {
     /// when compaction ran.
     pub fn maybe_compact(&mut self) -> Option<Vec<u64>> {
         (self.writes_since_compaction >= self.config.compaction_interval).then(|| self.compact())
+    }
+
+    /// Brings `checkpoint` — what this table was when this last ran on
+    /// it, or any clone of it taken since — up to date, as
+    /// `*checkpoint = self.clone()` would, and returns the
+    /// number of group slots it wrote: the groups learned into or swept
+    /// since, however many the table holds. Debug builds check the
+    /// result against that clone.
+    pub fn sync_checkpoint(&mut self, checkpoint: &mut LeaFtlTable) -> usize {
+        let written = self.groups.sync(&mut checkpoint.groups);
+        checkpoint.config = self.config;
+        checkpoint.writes_since_compaction = self.writes_since_compaction;
+        checkpoint.total_writes_learned = self.total_writes_learned;
+        checkpoint.compactions = self.compactions;
+        let (live, kept) = (&self.accounting, &mut checkpoint.accounting);
+        kept.segments = live.segments;
+        kept.crb_bytes = live.crb_bytes;
+        kept.depth_histogram.clone_from(&live.depth_histogram);
+        kept.max_depth = live.max_depth;
+        checkpoint.dirty.clone_from(&self.dirty);
+        debug_assert!(
+            self.same_state(checkpoint),
+            "a synced checkpoint is a clone of the table"
+        );
+        written
+    }
+
+    /// Whether `other` is what `self.clone()` would be right after
+    /// [`LeaFtlTable::sync_checkpoint`].
+    fn same_state(&self, other: &LeaFtlTable) -> bool {
+        self.config == other.config
+            && self.groups.same_state(&other.groups)
+            && self.writes_since_compaction == other.writes_since_compaction
+            && self.total_writes_learned == other.total_writes_learned
+            && self.compactions == other.compactions
+            && self.accounting == other.accounting
+            && self.dirty == other.dirty
+            && other.run.offsets.is_empty()
+            && other.run.ppas.is_empty()
     }
 
     /// Number of compactions performed so far.
@@ -379,7 +425,7 @@ impl LeaFtlTable {
 
     /// Number of non-empty groups.
     pub fn group_count(&self) -> usize {
-        self.groups.len()
+        self.groups.held()
     }
 
     /// Deepest log-structured level stack across all groups — the
@@ -406,12 +452,12 @@ impl LeaFtlTable {
     /// nothing) — the per-group unit demand paging charges when the
     /// group is fetched or written back. O(1) per call.
     pub fn group_bytes(&self, group: u64) -> usize {
-        self.groups.get(&group).map_or(0, |g| g.byte_size())
+        self.groups.get(group).map_or(0, Group::byte_size)
     }
 
     /// Iterates the ids of all non-empty groups (ascending).
     pub fn group_ids(&self) -> impl Iterator<Item = u64> + '_ {
-        self.groups.keys().copied()
+        self.groups.iter().map(|(id, _)| id)
     }
 
     /// Recomputes every incremental counter with a full from-scratch
@@ -422,7 +468,7 @@ impl LeaFtlTable {
         let mut segments = 0usize;
         let mut crb_bytes = 0usize;
         let mut max_level_depth = 0usize;
-        for group in self.groups.values() {
+        for (_, group) in self.groups.iter() {
             segments += group.recount_segments();
             crb_bytes += group.crb().recount_members() + group.crb().run_count();
             max_level_depth = max_level_depth.max(group.level_count());
@@ -440,7 +486,7 @@ impl LeaFtlTable {
     /// From-scratch recomputation of [`LeaFtlTable::group_bytes`] (the
     /// per-group oracle).
     pub fn recompute_group_bytes(&self, group: u64) -> usize {
-        self.groups.get(&group).map_or(0, |g| {
+        self.groups.get(group).map_or(0, |g| {
             g.recount_segments() * Segment::ENCODED_BYTES
                 + g.crb().recount_members()
                 + g.crb().run_count()
@@ -459,11 +505,11 @@ impl LeaFtlTable {
     /// Computes a full structural snapshot for the experiment harness.
     pub fn stats(&self) -> TableStats {
         let mut stats = TableStats {
-            groups: self.groups.len(),
+            groups: self.groups.held(),
             memory: self.memory_bytes(),
             ..TableStats::default()
         };
-        for group in self.groups.values() {
+        for (_, group) in self.groups.iter() {
             stats.levels_per_group.push(group.level_count() as u32);
             stats.crb_bytes_per_group.push(group.crb_bytes());
             for (_, segment) in group.iter_segments() {
@@ -486,7 +532,7 @@ impl LeaFtlTable {
 
     /// Group access for the invariant validator.
     pub(crate) fn groups_for_validation(&self) -> impl Iterator<Item = (u64, &Group)> {
-        self.groups.iter().map(|(&id, group)| (id, &**group))
+        self.groups.iter()
     }
 
     /// The dirty-group list, for the invariant validator.
@@ -497,7 +543,7 @@ impl LeaFtlTable {
     /// Iterates every segment with its group id and level, for
     /// serialization (crash-recovery snapshots) and debugging.
     pub fn iter_segments(&self) -> impl Iterator<Item = (u64, usize, &Segment)> {
-        self.groups.iter().flat_map(|(&group_id, group)| {
+        self.groups.iter().flat_map(|(group_id, group)| {
             group
                 .iter_segments()
                 .map(move |(level, seg)| (group_id, level, seg))
@@ -730,9 +776,9 @@ mod tests {
     fn unshared_groups(a: &LeaFtlTable, b: &LeaFtlTable) -> usize {
         assert_eq!(a.group_count(), b.group_count());
         a.groups
-            .values()
-            .zip(b.groups.values())
-            .filter(|(x, y)| !Arc::ptr_eq(x, y))
+            .iter()
+            .zip(b.groups.iter())
+            .filter(|((_, x), (_, y))| !std::ptr::eq(*x, *y))
             .count()
     }
 
@@ -771,11 +817,66 @@ mod tests {
         // With no clone left, learning copies nothing: every group
         // stays at the address it had.
         drop(snapshot);
-        let before: Vec<*const Group> = table.groups.values().map(Arc::as_ptr).collect();
+        let addresses = |table: &LeaFtlTable| -> Vec<*const Group> {
+            table
+                .groups
+                .iter()
+                .map(|(_, g)| g as *const Group)
+                .collect()
+        };
+        let before = addresses(&table);
         table.learn(&batch(0, 20_000, 8 * 256));
         table.compact();
-        let after: Vec<*const Group> = table.groups.values().map(Arc::as_ptr).collect();
-        assert_eq!(before, after);
+        assert_eq!(before, addresses(&table));
+    }
+
+    /// A persistence point costs the groups changed since the previous
+    /// one: the sync reports how many slots it wrote, and that is the
+    /// same at 64 groups and at 65 536 (a 64 GiB device).
+    #[test]
+    fn sync_writes_the_groups_changed_whatever_the_table_holds() {
+        for groups in [64u64, 65_536] {
+            let mut table = LeaFtlTable::new(LeaFtlConfig::default().with_gamma(4));
+            let mut kept = table.clone();
+            let one_each: Vec<(Lpa, Ppa)> = (0..groups)
+                .map(|g| (Lpa::new(g * 256 + 9), Ppa::new(g)))
+                .collect();
+            table.learn_sorted(&one_each);
+            table.compact();
+            assert_eq!(table.sync_checkpoint(&mut kept), groups as usize);
+            assert_eq!(table.sync_checkpoint(&mut kept), 0, "nothing changed since");
+            // Three groups learned into — one of them twice, one of
+            // them swept as well — are three slots.
+            table.learn(&batch(256 + 100, 1_000_000, 20));
+            table.learn(&batch(7 * 256, 1_000_100, 256));
+            table.learn(&batch(40 * 256 + 3, 1_000_400, 5));
+            table.learn(&batch(7 * 256 + 50, 1_000_500, 9));
+            table.compact();
+            let held = kept.clone();
+            assert_eq!(unshared_groups(&table, &kept), 3);
+            assert_eq!(table.sync_checkpoint(&mut kept), 3, "{groups} groups");
+            assert_eq!(unshared_groups(&table, &kept), 0);
+            assert_eq!(kept.group_count(), groups as usize);
+            assert_eq!(kept.memory_bytes(), table.memory_bytes());
+            for lpa in [
+                9,
+                256 + 105,
+                7 * 256 + 55,
+                40 * 256 + 4,
+                (groups - 1) * 256 + 9,
+            ] {
+                assert_eq!(kept.lookup(Lpa::new(lpa)), table.lookup(Lpa::new(lpa)));
+            }
+            // A copy taken of the kept table before the sync did not
+            // follow it.
+            assert_eq!(held.lookup(Lpa::new(7 * 256 + 55)), None);
+            assert_eq!(unshared_groups(&table, &held), 3);
+            // A table restored from the kept one is in step with it.
+            let mut restored = kept.clone();
+            restored.learn(&batch(5 * 256, 2_000_000, 4));
+            assert_eq!(restored.sync_checkpoint(&mut kept), 1);
+            kept.assert_valid();
+        }
     }
 
     #[test]

@@ -74,10 +74,11 @@ pub enum CompactionMode {
 /// How (and whether) the translation state is checkpointed for crash
 /// recovery.
 ///
-/// Historically the simulator kept a free-magic in-DRAM clone of the
-/// mapping state ([`crate::Ssd::take_snapshot`]) refreshed inside the
-/// flush/GC paths — never scheduled as device traffic, and recovery
-/// still scanned every block programmed since the snapshot. Following
+/// Historically the simulator kept a free-magic in-DRAM copy of the
+/// mapping state, brought up to date at every persistence point
+/// ([`crate::Ssd::take_snapshot`]) inside the flush/GC paths — never
+/// scheduled as device traffic, and recovery still scanned every block
+/// programmed since the snapshot. Following
 /// the flash-resident page-map direction (Dayan & Bonnet), the mapping
 /// can instead be a log-structured flash citizen: checkpoints and
 /// per-flush deltas are programmed into dedicated translation-log

@@ -1470,7 +1470,9 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
                 self.finish(id, queue, req, None, now, complete_ns);
             }
             Command::GcMigrate { .. } | Command::Compact { .. } | Command::MapLog { .. } => {
-                unreachable!("rejected at submit")
+                // Submission rejects these, so one here means the
+                // device put it there itself.
+                return Err(SimError::BackgroundCommandInHostQueue { queue });
             }
         }
         Ok(())
@@ -1717,6 +1719,23 @@ mod tests {
             Err(SimError::UnknownQueue(2))
         );
         assert!(device.drain().unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_background_command_in_a_host_queue_is_an_error_not_a_panic() {
+        let mut device_ssd = ssd();
+        let mut device = Device::new(&mut device_ssd, DeviceConfig::new(2, 4));
+        device.submit_write(Lpa::new(1), 1).unwrap();
+        // What submission refuses, planted behind it.
+        let mut stray = IoRequest::flush();
+        stray.command = Command::Compact { shard: 0 };
+        device.queues[1].pending.push_back((99, stray));
+        device.host_pending += 1;
+        device.future_heads.push(Reverse((0, 1)));
+        assert_eq!(
+            device.drain(),
+            Err(SimError::BackgroundCommandInHostQueue { queue: 1 })
+        );
     }
 
     #[test]

@@ -45,6 +45,13 @@ pub enum SimError {
         /// Host commands still pending.
         pending: usize,
     },
+    /// A GC migration, compaction or translation-log write — internal
+    /// traffic that submission rejects — reached the head of a host
+    /// submission queue (device logic bug).
+    BackgroundCommandInHostQueue {
+        /// The host queue it was found in.
+        queue: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -71,6 +78,10 @@ impl fmt::Display for SimError {
                 f,
                 "dispatch stalled at {now_ns} ns with {pending} host commands pending \
                  and nothing to wait for"
+            ),
+            SimError::BackgroundCommandInHostQueue { queue } => write!(
+                f,
+                "background command at the head of host submission queue {queue}"
             ),
         }
     }

@@ -274,6 +274,16 @@ impl MappingScheme for LeaFtlScheme {
         (memory.segment_bytes, memory.crb_bytes)
     }
 
+    fn sync_checkpoint(&mut self, checkpoint: &mut Self) {
+        self.table.sync_checkpoint(&mut checkpoint.table);
+        checkpoint.budget = self.budget;
+        checkpoint.resident.clone_from(&self.resident);
+        debug_assert!(
+            checkpoint.resident == self.resident,
+            "a synced checkpoint is a clone of the scheme"
+        );
+    }
+
     fn shard_pressure(&self, _shard: usize) -> ShardPressure {
         ShardPressure {
             levels: self.table.max_level_depth() as u32,

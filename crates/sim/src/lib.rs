@@ -79,7 +79,7 @@ pub use device::{
 };
 pub use error::SimError;
 pub use leaftl_core::{
-    ExactPageMap, MapCost, MappingLookup, MappingScheme, ShardPressure, ShardedMapping,
+    CowSlots, ExactPageMap, MapCost, MappingLookup, MappingScheme, ShardPressure, ShardedMapping,
 };
 pub use leaftl_scheme::LeaFtlScheme;
 pub use qos::{QosController, QosControllerConfig, QosSpec, QosTick, QueueTick, Slo, SloClass};

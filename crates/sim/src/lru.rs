@@ -26,7 +26,13 @@ struct Slot<K, V> {
 /// Eviction is the caller's decision ([`LruCache::evict_to`]), which
 /// reports the dirty victims so that writers can account for their
 /// write-back costs.
-#[derive(Debug, Clone)]
+///
+/// `clone_from` overwrites a cache in place, reusing its arena, free
+/// list and index storage: a scheme that keeps a copy of its residency
+/// state up to date (a persistence point, §3.8) copies the entries
+/// without allocating. Two caches are equal when they hold the same
+/// entries — value, size and dirty flag — in the same recency order.
+#[derive(Debug)]
 pub struct LruCache<K, V> {
     slots: Vec<Slot<K, V>>,
     free: Vec<usize>,
@@ -37,6 +43,50 @@ pub struct LruCache<K, V> {
 }
 
 const NIL: usize = usize::MAX;
+
+impl<K: Clone, V: Clone> Clone for LruCache<K, V> {
+    fn clone(&self) -> Self {
+        LruCache {
+            slots: self.slots.clone(),
+            free: self.free.clone(),
+            index: self.index.clone(),
+            head: self.head,
+            tail: self.tail,
+            bytes: self.bytes,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.slots.clone_from(&source.slots);
+        self.free.clone_from(&source.free);
+        self.index.clone_from(&source.index);
+        self.head = source.head;
+        self.tail = source.tail;
+        self.bytes = source.bytes;
+    }
+}
+
+impl<K, V> LruCache<K, V> {
+    /// The resident entries from most to least recently used.
+    fn slots_mru(&self) -> impl Iterator<Item = &Slot<K, V>> {
+        let mut cursor = self.head;
+        std::iter::from_fn(move || {
+            let slot = self.slots.get(cursor)?;
+            cursor = slot.next;
+            Some(slot)
+        })
+    }
+}
+
+impl<K: PartialEq, V: PartialEq> PartialEq for LruCache<K, V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+            && self.index.len() == other.index.len()
+            && self.slots_mru().zip(other.slots_mru()).all(|(a, b)| {
+                (&a.key, &a.value, a.bytes, a.dirty) == (&b.key, &b.value, b.bytes, b.dirty)
+            })
+    }
+}
 
 impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// An empty cache.
@@ -197,10 +247,7 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
 
     /// Iterates resident keys from most to least recently used.
     pub fn keys_mru(&self) -> impl Iterator<Item = &K> {
-        MruIter {
-            cache: self,
-            cursor: self.head,
-        }
+        self.slots_mru().map(|slot| &slot.key)
     }
 
     fn promote(&mut self, idx: usize) {
@@ -237,24 +284,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         }
         self.slots[idx].prev = NIL;
         self.slots[idx].next = NIL;
-    }
-}
-
-struct MruIter<'a, K, V> {
-    cache: &'a LruCache<K, V>,
-    cursor: usize,
-}
-
-impl<'a, K: Eq + Hash + Clone, V> Iterator for MruIter<'a, K, V> {
-    type Item = &'a K;
-
-    fn next(&mut self) -> Option<&'a K> {
-        if self.cursor == NIL {
-            return None;
-        }
-        let slot = &self.cache.slots[self.cursor];
-        self.cursor = slot.next;
-        Some(&slot.key)
     }
 }
 
@@ -347,6 +376,41 @@ mod tests {
         assert_eq!(lru.evict_to(5), 1);
         assert!(lru.is_empty());
         assert_eq!(lru.bytes(), 0);
+    }
+
+    #[test]
+    fn clone_from_reuses_storage_and_equality_is_by_entries() {
+        let mut live: LruCache<u32, u32> = LruCache::new();
+        for i in 0..100 {
+            live.insert(i, i, 1 + i as usize % 3, i % 2 == 0);
+        }
+        let mut kept = live.clone();
+        assert!(kept == live);
+        // Evictions, a promotion, a resize and a new entry later the
+        // kept copy differs, and catches up without a new arena.
+        live.evict_to(60);
+        live.get(&70);
+        live.resize(&80, 9);
+        live.insert(200, 7, 2, true);
+        assert!(kept != live);
+        let arena = kept.slots.as_ptr();
+        kept.clone_from(&live);
+        assert!(kept == live);
+        assert_eq!(kept.slots.as_ptr(), arena, "the arena was reused");
+        assert_eq!(
+            kept.keys_mru().collect::<Vec<_>>(),
+            live.keys_mru().collect::<Vec<_>>()
+        );
+        assert_eq!(kept.pop_lru(), live.pop_lru());
+        // Same keys in another order, or another dirty flag: not equal.
+        kept.get(&70);
+        live.get(&70);
+        assert!(kept == live);
+        kept.get(&200);
+        assert!(kept != live);
+        live.get(&200);
+        live.mark_dirty(&99);
+        assert!(kept != live);
     }
 
     #[test]

@@ -460,6 +460,21 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         &self.device
     }
 
+    /// Read access to the page-validity map (tests and experiments).
+    pub fn validity(&self) -> &Validity {
+        &self.validity
+    }
+
+    /// The mapping scheme and validity map of the newest persistence
+    /// point the translation log holds — durable, or under
+    /// [`CheckpointMode::FlashLog`] possibly still being written out;
+    /// `None` before the first. For tests that hold it against the
+    /// live state it was made from.
+    pub fn newest_checkpoint(&self) -> Option<(&S, &Validity)> {
+        let baseline = self.translog.newest_checkpoint()?;
+        Some((&baseline.scheme, &baseline.validity))
+    }
+
     /// Translation-log blocks reclaimed by the log's retention policy
     /// so far (always 0 outside [`CheckpointMode::FlashLog`]).
     pub fn maplog_reclaimed_blocks(&self) -> u64 {
@@ -1696,6 +1711,12 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// (on the blocking path, by the end of the next flush), and at
     /// most one is in flight — GC passes during a long write-out do not
     /// pile up generations. [`CheckpointMode::Disabled`] does nothing.
+    ///
+    /// Those are the *simulated* costs. On the host a point costs what
+    /// changed since the previous one: the baseline the log holds is
+    /// brought up to date ([`MappingScheme::sync_checkpoint`],
+    /// [`Validity::sync_checkpoint`]), never rebuilt from the live
+    /// state.
     pub fn take_snapshot(&mut self) {
         let geometry = self.config.geometry;
         let bvc_bytes = geometry.blocks as usize * 4;
@@ -1720,12 +1741,32 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                     .max(1) as u32
             }
         };
-        let baseline = Baseline {
-            scheme: self.scheme.clone(),
-            validity: self.validity.clone(),
-            stamp: self.device.program_seq(),
+        // The next generation is the previous one brought up to date,
+        // not a new copy: moved out of the log when this one supersedes
+        // it on arrival, cloned when it has to stay recoverable while
+        // this one is written out. Either way it is what the live state
+        // was when its change lists were last drained — as is the state
+        // recovery restores from it.
+        let kept = if log_pages == 0 {
+            self.translog.take_durable_baseline()
+        } else {
+            self.translog.durable_baseline().cloned()
         };
+        let mut baseline = kept.unwrap_or_else(|| self.pristine_baseline());
+        self.scheme.sync_checkpoint(&mut baseline.scheme);
+        self.validity.sync_checkpoint(&mut baseline.validity);
+        baseline.stamp = self.device.program_seq();
         self.translog.push_checkpoint(baseline, log_pages);
+    }
+
+    /// What the device recovers from when nothing was ever persisted:
+    /// the scheme as handed to [`Ssd::new`] and no valid page.
+    fn pristine_baseline(&self) -> Baseline<S> {
+        Baseline {
+            scheme: self.pristine_scheme.clone(),
+            validity: Validity::new(self.config.geometry),
+            stamp: 0,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1886,11 +1927,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             .translog
             .durable_baseline()
             .cloned()
-            .unwrap_or_else(|| Baseline {
-                scheme: self.pristine_scheme.clone(),
-                validity: Validity::new(self.config.geometry),
-                stamp: 0,
-            });
+            .unwrap_or_else(|| self.pristine_baseline());
         self.scheme = baseline.scheme;
         self.validity = baseline.validity;
         self.forget_recycled_since(baseline.stamp);
@@ -2431,8 +2468,9 @@ mod tests {
         }
         assert_eq!(answers(persisted_scheme(&ssd)), at_persist);
 
-        // Overwrite + GC: later persistence points replace (and drop)
-        // the one above while the live table shares groups with both.
+        // Overwrite + GC: later persistence points bring the one above
+        // up to date (under the log, supersede it with an updated
+        // clone) while the live table shares groups with it.
         let gc_runs = ssd.stats.gc_runs;
         while ssd.stats.gc_runs < gc_runs + 2 {
             (0..logical).for_each(|lpa| write(&mut ssd, lpa));

@@ -5,15 +5,21 @@
 //! mapping-table persistence becomes *device traffic*. Two entry kinds
 //! flow through the log:
 //!
-//! * **Checkpoints** — a [`Baseline`]: the learned mapping table as it
-//!   was when the generation was requested (a clone, which shares
-//!   every group with the live table until that group next changes —
-//!   the payload stands in for the bytes in the log pages, so it must
-//!   never follow the live table) plus the page-validity bitmap, sized
-//!   by [`crate::MappingScheme::checkpoint_footprint`] and written as a
-//!   run of metadata pages. A checkpoint is durable only once *every*
-//!   page has physically programmed — a power cut in the middle leaves
-//!   a torn, ignored generation.
+//! * **Checkpoints** — a [`Baseline`]: the learned mapping table and
+//!   the page-validity bitmap as they were when the generation was
+//!   requested, sized by [`crate::MappingScheme::checkpoint_footprint`]
+//!   and written as a run of metadata pages. The payload stands in for
+//!   the bytes in the log pages, so it must never follow the live
+//!   state; it is not copied from it either. Each generation is its
+//!   predecessor *brought up to date*: the live scheme and bitmap list
+//!   what they change, and a persistence point re-points exactly that
+//!   in a baseline it already has ([`crate::MappingScheme::sync_checkpoint`]) —
+//!   the predecessor itself when the new generation supersedes it on
+//!   arrival, a clone of it when the predecessor has to stay
+//!   recoverable while the new pages are written. A checkpoint is
+//!   durable only once *every* page has physically programmed — a
+//!   power cut in the middle leaves a torn, ignored generation, and
+//!   the state recovery restores from the older one is in step with it.
 //! * **Deltas** — one page per host flush batch, GC migration or wear
 //!   swap, recording the installed `(LPA, PPA)` mappings. Deltas newer
 //!   than the latest durable checkpoint are replayed at recovery.
@@ -26,9 +32,11 @@
 //!
 //! [`crate::CheckpointMode::DramSnapshot`] keeps its baseline here too,
 //! as a checkpoint of zero log pages: nothing to program, so it is
-//! durable on arrival (§3.8's model). Recovery therefore restores "the
-//! newest durable checkpoint" in every mode and has no second place to
-//! look.
+//! durable on arrival (§3.8's model) — the one baseline is moved out,
+//! brought up to date and pushed back, and a persistence point costs
+//! the host what changed since the last one. Recovery therefore
+//! restores "the newest durable checkpoint" in every mode and has no
+//! second place to look.
 //!
 //! Each pending page program / block reclaim is queued here as a
 //! [`LogOp`] and drained either synchronously at flush boundaries
@@ -71,8 +79,10 @@ pub(crate) enum LogOp {
 
 /// The DRAM-resident FTL state persisted to flash (mapping table +
 /// BVC, §3.8) — what recovery restores before replaying and scanning
-/// what changed since. `scheme` is a clone of the live scheme, which
-/// for the table-backed schemes shares structure copy-on-write
+/// what changed since. `scheme` and `validity` are what the live ones
+/// were at `stamp`, kept up to date from one persistence point to the
+/// next rather than copied at each (see the module docs). The
+/// table-backed schemes share structure with it copy-on-write
 /// (`LeaFtlTable`'s groups, the baselines' translation pages): holding
 /// a baseline costs the host what the live scheme changed since, and
 /// nothing the live scheme does afterwards can alter it.
@@ -207,9 +217,8 @@ impl<S> TransLog<S> {
 
     /// Appends a `pages`-page checkpoint generation and queues one
     /// program per page. With no page to wait for — the DRAM snapshot
-    /// — the generation is durable at once and supersedes its
-    /// predecessor (which is dropped only now, so what both share with
-    /// the live scheme is never uniquely owned in between).
+    /// — the generation is durable at once and supersedes whatever the
+    /// log still holds (its predecessor was moved out to make it).
     pub fn push_checkpoint(&mut self, baseline: Baseline<S>, pages: u32) -> u64 {
         let seq = self.push(pages, LogPayload::Checkpoint(Box::new(baseline)));
         if pages == 0 {
@@ -332,6 +341,23 @@ impl<S> TransLog<S> {
     /// The newest durable checkpoint generation, if any.
     pub fn durable_baseline(&self) -> Option<&Baseline<S>> {
         self.entries.get(&self.durable_checkpoint?)?.checkpoint()
+    }
+
+    /// The newest checkpoint generation the log holds, durable or not.
+    pub fn newest_checkpoint(&self) -> Option<&Baseline<S>> {
+        self.entries.values().rev().find_map(LogEntry::checkpoint)
+    }
+
+    /// Moves the newest durable checkpoint generation out of the log,
+    /// for the caller to bring up to date and push back as the
+    /// generation that supersedes it on arrival (a zero-page one: the
+    /// log is without a baseline only in between).
+    pub fn take_durable_baseline(&mut self) -> Option<Baseline<S>> {
+        let seq = self.durable_checkpoint.take()?;
+        match self.entries.remove(&seq)?.payload {
+            LogPayload::Checkpoint(baseline) => Some(*baseline),
+            LogPayload::Delta { .. } => None,
+        }
     }
 
     /// The delta entries in append order, each with its stamp. After

@@ -8,6 +8,12 @@ use serde::{Deserialize, Serialize};
 ///
 /// GC consults the counters to pick min-valid victims and the bitmaps to
 /// find the pages to migrate.
+///
+/// The three mutators list the block they touch, once, so that a copy
+/// kept from an earlier moment — the recovery baseline of a persistence
+/// point (§3.8) — is brought up to date by
+/// [`Validity::sync_checkpoint`] at the cost of the blocks touched
+/// since, not of the device.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Validity {
     geometry: FlashGeometry,
@@ -15,6 +21,10 @@ pub struct Validity {
     bitmaps: Vec<u64>,
     /// BVC: valid pages per block.
     counts: Vec<u32>,
+    /// Blocks whose bits or count changed since the last sync — exactly
+    /// the blocks `touched_mark` flags, each once.
+    touched: Vec<u32>,
+    touched_mark: Vec<bool>,
 }
 
 impl Validity {
@@ -25,7 +35,20 @@ impl Validity {
             geometry,
             bitmaps: vec![0; words],
             counts: vec![0; geometry.blocks as usize],
+            touched: Vec::new(),
+            touched_mark: vec![false; geometry.blocks as usize],
         }
+    }
+
+    /// Lists `block` as changed since the last sync and returns its
+    /// index.
+    fn touch(&mut self, block: BlockId) -> usize {
+        let index = block.raw() as usize;
+        if !self.touched_mark[index] {
+            self.touched_mark[index] = true;
+            self.touched.push(index as u32);
+        }
+        index
     }
 
     fn locate(&self, ppa: Ppa) -> (usize, u64) {
@@ -44,7 +67,8 @@ impl Validity {
         let (word, bit) = self.locate(ppa);
         if self.bitmaps[word] & bit == 0 {
             self.bitmaps[word] |= bit;
-            self.counts[self.geometry.block_of(ppa).raw() as usize] += 1;
+            let block = self.touch(self.geometry.block_of(ppa));
+            self.counts[block] += 1;
         }
     }
 
@@ -53,7 +77,8 @@ impl Validity {
         let (word, bit) = self.locate(ppa);
         if self.bitmaps[word] & bit != 0 {
             self.bitmaps[word] &= !bit;
-            self.counts[self.geometry.block_of(ppa).raw() as usize] -= 1;
+            let block = self.touch(self.geometry.block_of(ppa));
+            self.counts[block] -= 1;
         }
     }
 
@@ -80,7 +105,37 @@ impl Validity {
         for (word, mask) in self.block_words(block) {
             self.bitmaps[word] &= !mask;
         }
-        self.counts[block.raw() as usize] = 0;
+        let block = self.touch(block);
+        self.counts[block] = 0;
+    }
+
+    /// Brings `checkpoint` — what this map was when this last ran on
+    /// it, or any clone of it taken since — up to date, as
+    /// `*checkpoint = self.clone()` would: the bitmap words and the
+    /// counter of every block touched since are copied, and the list
+    /// (with whatever a clone had listed itself) is forgotten. Returns
+    /// the number of blocks written. Debug builds check the result
+    /// against the whole map.
+    pub fn sync_checkpoint(&mut self, checkpoint: &mut Validity) -> usize {
+        for index in checkpoint.touched.drain(..) {
+            checkpoint.touched_mark[index as usize] = false;
+        }
+        let written = self.touched.len();
+        for at in 0..written {
+            let index = self.touched[at] as usize;
+            for (word, mask) in self.block_words(BlockId::new(index as u64)) {
+                checkpoint.bitmaps[word] =
+                    (checkpoint.bitmaps[word] & !mask) | (self.bitmaps[word] & mask);
+            }
+            checkpoint.counts[index] = self.counts[index];
+            self.touched_mark[index] = false;
+        }
+        self.touched.clear();
+        debug_assert!(
+            self.bitmaps == checkpoint.bitmaps && self.counts == checkpoint.counts,
+            "a synced checkpoint is a clone of the validity map"
+        );
+        written
     }
 
     /// Replaces `out` with the PPAs of the live pages in a block, in

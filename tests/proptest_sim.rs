@@ -3,11 +3,12 @@
 //! including a crash at an arbitrary point.
 
 use leaftl_repro::baselines::{Dftl, Sftl};
-use leaftl_repro::core::LeaFtlConfig;
-use leaftl_repro::flash::Lpa;
+use leaftl_repro::core::{LeaFtlConfig, ShardedMapping};
+use leaftl_repro::flash::{BlockId, Lpa, Ppa};
+use leaftl_repro::sim::validity::Validity;
 use leaftl_repro::sim::{
-    CheckpointMode, Device, DeviceConfig, ExactPageMap, GcPolicy, LeaFtlScheme, MappingScheme, Ssd,
-    SsdConfig,
+    CheckpointMode, Device, DeviceConfig, ExactPageMap, GcPolicy, LeaFtlScheme, MapCost,
+    MappingLookup, MappingScheme, Ssd, SsdConfig,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -119,8 +120,244 @@ fn apply_checked(
     Ok(())
 }
 
+/// One step of a persistence history: host traffic (whose overwrites
+/// bring GC passes — each ending in a persistence point — and, for the
+/// learned schemes, compaction sweeps), an explicit persistence point
+/// that is then checked, or a power cut.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Host(Action),
+    Persist,
+    Crash,
+}
+
+fn step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        8 => action().prop_map(Step::Host),
+        2 => Just(Step::Persist),
+        1 => Just(Step::Crash),
+    ]
+}
+
+/// What a scheme shows of its demand-paging state beyond what lookups
+/// cost: resident bytes and the resident ids in recency order.
+trait Residency {
+    fn residency(&self) -> (usize, Vec<u64>);
+}
+
+impl Residency for LeaFtlScheme {
+    fn residency(&self) -> (usize, Vec<u64>) {
+        (self.resident_bytes(), self.resident_groups().collect())
+    }
+}
+
+impl Residency for ShardedMapping<LeaFtlScheme> {
+    fn residency(&self) -> (usize, Vec<u64>) {
+        let mut all = (0, Vec::new());
+        for shard in self.shards() {
+            let (bytes, groups) = shard.residency();
+            all.0 += bytes;
+            all.1.extend(groups);
+        }
+        all
+    }
+}
+
+// The baselines expose no residency list; their CMT / page cache shows
+// in `memory_bytes` and in what every lookup costs.
+impl Residency for Dftl {
+    fn residency(&self) -> (usize, Vec<u64>) {
+        (self.memory_bytes(), Vec::new())
+    }
+}
+
+impl Residency for Sftl {
+    fn residency(&self) -> (usize, Vec<u64>) {
+        (self.memory_bytes(), Vec::new())
+    }
+}
+
+/// Everything a scheme answers, in one comparable value: its sizes, its
+/// residency, and every LPA's translation with what the lookup cost
+/// (on a copy — lookups move the residency state, so equal answers in
+/// sequence mean equal state).
+#[derive(Debug, PartialEq)]
+struct SchemeAnswers {
+    sizes: (usize, usize, (usize, usize)),
+    residency: (usize, Vec<u64>),
+    lookups: Vec<(Option<MappingLookup>, MapCost)>,
+}
+
+fn scheme_answers<S: MappingScheme + Clone + Residency>(scheme: &S, logical: u64) -> SchemeAnswers {
+    let mut probe = scheme.clone();
+    SchemeAnswers {
+        sizes: (
+            scheme.memory_bytes(),
+            scheme.snapshot_bytes(),
+            scheme.checkpoint_footprint(),
+        ),
+        residency: scheme.residency(),
+        lookups: (0..logical)
+            .map(|lpa| probe.lookup(Lpa::new(lpa)))
+            .collect(),
+    }
+}
+
+/// Every block's valid count and every page's valid bit.
+fn validity_answers(validity: &Validity, config: &SsdConfig) -> (Vec<u32>, Vec<bool>) {
+    let geometry = config.geometry;
+    (
+        (0..geometry.blocks)
+            .map(|block| validity.valid_count(BlockId::new(block)))
+            .collect(),
+        (0..geometry.total_pages())
+            .map(|ppa| validity.is_valid(Ppa::new(ppa)))
+            .collect(),
+    )
+}
+
+/// A copy of a persisted generation with what it answered when it was
+/// taken.
+struct Held<S> {
+    scheme: S,
+    validity: Validity,
+    answers: (SchemeAnswers, (Vec<u32>, Vec<bool>)),
+}
+
+/// Runs `steps` over an aged device. After every explicit persistence
+/// point the generation the log holds must answer exactly as the live
+/// state does at that instant; copies of earlier generations must keep
+/// answering what they did.
+fn kept_baseline_history<S: MappingScheme + Clone + Residency>(
+    scheme: S,
+    flash_log: bool,
+    dram_bytes: usize,
+    steps: &[Step],
+) -> Result<(), TestCaseError> {
+    let mut config = SsdConfig::small_test();
+    config.dram_bytes = dram_bytes;
+    config.checkpoint_mode = if flash_log {
+        CheckpointMode::FlashLog
+    } else {
+        CheckpointMode::DramSnapshot
+    };
+    let mut ssd = Ssd::new(config, scheme);
+    let logical = ssd.config().logical_pages();
+    let mut shadow = HashMap::new();
+    let mut content = 0u64;
+    let aging = [
+        Action::Write {
+            lpa: 0,
+            len: logical,
+        },
+        Action::StridedWrite {
+            lpa: 7,
+            stride: 3,
+            count: logical / 2,
+        },
+    ];
+    apply(&mut ssd, &mut shadow, &mut content, &aging)?;
+    prop_assert!(ssd.stats().gc_runs > 0, "aging must reach GC");
+
+    let mut held: Vec<Held<S>> = Vec::new();
+    for (index, &step) in steps.iter().enumerate() {
+        match step {
+            Step::Host(action) => apply(&mut ssd, &mut shadow, &mut content, &[action])?,
+            Step::Persist => {
+                // A flush of at least one page first: under the log
+                // that drains the generation in flight, so this point
+                // is not skipped.
+                let page = Action::Write {
+                    lpa: index as u64,
+                    len: 1,
+                };
+                apply(&mut ssd, &mut shadow, &mut content, &[page, Action::Flush])?;
+                ssd.take_snapshot();
+                let live = (
+                    scheme_answers(ssd.scheme(), logical),
+                    validity_answers(ssd.validity(), ssd.config()),
+                );
+                let (scheme, validity) = ssd.newest_checkpoint().expect("a generation");
+                let kept = (
+                    scheme_answers(scheme, logical),
+                    validity_answers(validity, ssd.config()),
+                );
+                prop_assert!(
+                    kept == live,
+                    "step {}: baseline is not the live state",
+                    index
+                );
+                held.push(Held {
+                    scheme: scheme.clone(),
+                    validity: validity.clone(),
+                    answers: kept,
+                });
+                if held.len() > 3 {
+                    held.remove(0);
+                }
+            }
+            Step::Crash => {
+                ssd.crash_and_recover().expect("recover");
+                // Buffered writes died with DRAM: the shadow follows
+                // what survived.
+                shadow.clear();
+                for lpa in 0..logical {
+                    if let Some(value) = ssd.read(Lpa::new(lpa)).expect("read") {
+                        shadow.insert(lpa, value);
+                    }
+                }
+            }
+        }
+        for (age, copy) in held.iter().enumerate() {
+            let now = (
+                scheme_answers(&copy.scheme, logical),
+                validity_answers(&copy.validity, ssd.config()),
+            );
+            prop_assert!(
+                now == copy.answers,
+                "step {}: held copy {} moved",
+                index,
+                age
+            );
+        }
+    }
+    full_sweep(&mut ssd, &shadow)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The recovery baseline is kept and brought up to date, never
+    /// rebuilt: for every scheme that lists its changes, under both
+    /// persistence modes, across flushes, GC passes, compaction sweeps,
+    /// explicit persistence points and power cuts in any order, it is
+    /// what a clone taken at the persistence point would be, and copies
+    /// taken of it stay what they were. (Debug builds also hold every
+    /// sync — the GC passes' included — against a fresh clone.)
+    #[test]
+    fn kept_baseline_is_the_clone_it_replaces(
+        steps in vec(step(), 1..60),
+        scheme in 0usize..4,
+        flash_log in proptest::bool::ANY,
+        gamma in 0u32..5,
+    ) {
+        // Small budgets keep demand paging in play for every scheme.
+        let leaftl = || LeaFtlScheme::new(
+            LeaFtlConfig::default().with_gamma(gamma).with_compaction_interval(300),
+        );
+        let logical = SsdConfig::small_test().logical_pages();
+        match scheme {
+            0 => kept_baseline_history(leaftl(), flash_log, 1024, &steps)?,
+            1 => kept_baseline_history(
+                ShardedMapping::new(4, logical, |_| leaftl()),
+                flash_log,
+                1024,
+                &steps,
+            )?,
+            2 => kept_baseline_history(Dftl::new(), flash_log, 4 * 1024, &steps)?,
+            _ => kept_baseline_history(Sftl::new(), flash_log, 4 * 1024, &steps)?,
+        }
+    }
 
     /// What GC selection and wear levelling answer from — the victim
     /// index, the allocator's per-block state, the erase histogram —
