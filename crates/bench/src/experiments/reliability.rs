@@ -43,7 +43,9 @@ pub fn fig24(quick: bool) -> Value {
     json!({ "experiment": "fig24", "series": out })
 }
 
-/// Fig. 25: write amplification factor for the three schemes.
+/// Fig. 25: write amplification factor for the three schemes. The
+/// figure's shape is asserted on every row: LeaFTL's WAF within
+/// [0.90, 1.08] of SFTL's ("comparable") and DFTL's no lower.
 pub fn fig25(quick: bool) -> Value {
     let mut scale = Scale::perf(quick);
     // WAF is a GC phenomenon: fill the device so collection runs
@@ -60,6 +62,13 @@ pub fn fig25(quick: bool) -> Value {
         .iter()
         .map(|&kind| run_workload(kind, &profile, &scale, DramPolicy::DataFloor(0.2)))
         .collect();
+        let (dftl, sftl, leaftl) = (results[0].waf, results[1].waf, results[2].waf);
+        assert!(
+            (0.90..=1.08).contains(&(leaftl / sftl)) && dftl >= sftl,
+            "Fig. 25 on {}: LeaFTL's WAF must be within [0.90, 1.08] of SFTL's and DFTL's \
+             no lower (DFTL {dftl:.3}, SFTL {sftl:.3}, LeaFTL {leaftl:.3})",
+            profile.name
+        );
         rows.push(
             std::iter::once(profile.name.clone())
                 .chain(results.iter().map(|r| format!("{:.3}", r.waf)))
@@ -69,14 +78,32 @@ pub fn fig25(quick: bool) -> Value {
             "workload": profile.name,
             "schemes": results.iter().map(|r| &r.scheme).collect::<Vec<_>>(),
             "waf": results.iter().map(|r| r.waf).collect::<Vec<_>>(),
+            "translation_programs": results
+                .iter()
+                .map(|r| r.stats.flash.translation_programs)
+                .collect::<Vec<_>>(),
         }));
     }
     print_table(
-        "Fig. 25: write amplification factor (paper: comparable across schemes, DFTL slightly higher)",
+        if quick {
+            "Fig. 25: write amplification factor at the smoke scale (its WAF of 5–35 is this \
+             scale's GC-saturated regime, not the paper's 1–2; the shape — comparable across \
+             schemes, DFTL higher — is what is checked)"
+        } else {
+            "Fig. 25: write amplification factor (paper: comparable across schemes, DFTL \
+             slightly higher)"
+        },
         &["workload", "DFTL", "SFTL", "LeaFTL"],
         &rows,
     );
     json!({ "experiment": "fig25", "series": out })
+}
+
+/// What keeping the mapping recoverable cost up to the power cut: the
+/// run's WAF and the translation programs inside it.
+fn persistence_cost(ssd: &Ssd<LeaFtlScheme>) -> (f64, u64) {
+    let stats = ssd.stats();
+    (stats.waf(), stats.flash.translation_programs)
 }
 
 /// §5 recovery study: crash the device after a TPCC run and measure the
@@ -99,6 +126,7 @@ pub fn recovery(quick: bool) -> Value {
             ssd.take_snapshot();
         }
         replay(&mut ssd, ops[half..].iter().copied()).expect("second half");
+        let (waf, translation_programs) = persistence_cost(&ssd);
         let report = ssd.crash_and_recover().expect("recovery");
         // Verify integrity: every flushed mapping resolves.
         let check = replay(&mut ssd, profile.generate(logical, 2_000, SEED ^ 7)).expect("post");
@@ -117,6 +145,8 @@ pub fn recovery(quick: bool) -> Value {
             "lost_buffered_writes": report.lost_buffered_writes,
             "maplog_bytes_written": report.maplog_bytes_written,
             "maplog_reclaimed_blocks": ssd.maplog_reclaimed_blocks(),
+            "waf": waf,
+            "translation_programs": translation_programs,
             "post_recovery_ops": check.ops,
         }));
     }
@@ -138,12 +168,13 @@ pub fn recovery(quick: bool) -> Value {
         replay(&mut ssd, warmup_ops(logical, scale.prefill)).expect("warmup");
         let ops = profile.generate(logical, scale.ops, SEED);
         replay(&mut ssd, ops.iter().copied()).expect("age");
+        let cost = persistence_cost(&ssd);
         let report = ssd.crash_and_recover().expect("recovery");
         let check = replay(&mut ssd, profile.generate(logical, 2_000, SEED ^ 7)).expect("post");
-        (report, check.ops, ssd.maplog_reclaimed_blocks())
+        (report, check.ops, ssd.maplog_reclaimed_blocks(), cost)
     };
-    let (bare, bare_post, bare_reclaimed) = aged(CheckpointMode::Disabled);
-    let (logged, logged_post, logged_reclaimed) = aged(CheckpointMode::FlashLog);
+    let (bare, bare_post, bare_reclaimed, bare_cost) = aged(CheckpointMode::Disabled);
+    let (logged, logged_post, logged_reclaimed, logged_cost) = aged(CheckpointMode::FlashLog);
     assert!(
         logged.scanned_data_blocks < bare.scanned_blocks(),
         "log replay must scan strictly fewer data blocks ({}) than the \
@@ -153,9 +184,21 @@ pub fn recovery(quick: bool) -> Value {
     );
     let mut log_rows = Vec::new();
     let mut log_out = Vec::new();
-    for (label, report, post_ops, reclaimed) in [
-        ("crash scan (aged)", bare, bare_post, bare_reclaimed),
-        ("log replay (aged)", logged, logged_post, logged_reclaimed),
+    for (label, report, post_ops, reclaimed, (waf, translation_programs)) in [
+        (
+            "crash scan (aged)",
+            bare,
+            bare_post,
+            bare_reclaimed,
+            bare_cost,
+        ),
+        (
+            "log replay (aged)",
+            logged,
+            logged_post,
+            logged_reclaimed,
+            logged_cost,
+        ),
     ] {
         log_rows.push(vec![
             label.to_string(),
@@ -175,6 +218,8 @@ pub fn recovery(quick: bool) -> Value {
             "lost_buffered_writes": report.lost_buffered_writes,
             "maplog_bytes_written": report.maplog_bytes_written,
             "maplog_reclaimed_blocks": reclaimed,
+            "waf": waf,
+            "translation_programs": translation_programs,
             "post_recovery_ops": post_ops,
         }));
     }

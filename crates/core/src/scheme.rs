@@ -164,7 +164,12 @@ pub trait MappingScheme {
         0
     }
 
-    /// Bytes needed to persist the scheme's state (crash snapshots).
+    /// Bytes needed to persist the scheme's whole state. A
+    /// `DramSnapshot` persistence point prices its write-back from
+    /// this: the share of these bytes that the 256-LPA groups remapped
+    /// since the previous point make up of the groups ever mapped —
+    /// the table's mean per group, whatever the scheme's own unit of
+    /// persistence is (LeaFTL's learned groups, the GTD of DFTL / SFTL).
     fn snapshot_bytes(&self) -> usize {
         self.memory_bytes()
     }

@@ -74,11 +74,14 @@ pub enum CompactionMode {
 /// How (and whether) the translation state is checkpointed for crash
 /// recovery.
 ///
-/// Historically the simulator kept a free-magic in-DRAM copy of the
-/// mapping state, brought up to date at every persistence point
-/// ([`crate::Ssd::take_snapshot`]) inside the flush/GC paths — never
-/// scheduled as device traffic, and recovery still scanned every block
-/// programmed since the snapshot. Following
+/// The default keeps the recovery baseline in DRAM and charges a
+/// persistence point ([`crate::Ssd::take_snapshot`], at the end of
+/// every GC pass) the flash write-back of what changed since the
+/// previous one: the mapping groups remapped and the BVC entries
+/// touched, as `MapLog`-class translation programs placed on the die
+/// timelines at the point itself — inside the flush/GC paths, not
+/// scheduled as device commands — and recovery still scans every block
+/// programmed since the point. Following
 /// the flash-resident page-map direction (Dayan & Bonnet), the mapping
 /// can instead be a log-structured flash citizen: checkpoints and
 /// per-flush deltas are programmed into dedicated translation-log
@@ -87,8 +90,9 @@ pub enum CompactionMode {
 /// only the post-checkpoint data blocks — O(dirty), not O(device).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CheckpointMode {
-    /// Free in-DRAM snapshot refreshed after GC passes (the legacy
-    /// behaviour; the default).
+    /// In-DRAM baseline brought up to date after every GC pass, whose
+    /// write-back of the groups and BVC entries changed since the last
+    /// pass is charged as translation programs (the default).
     DramSnapshot,
     /// Flash-resident translation log: checkpoints and flush deltas
     /// are appended to dedicated log blocks as background device

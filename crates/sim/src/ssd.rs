@@ -9,7 +9,7 @@ use crate::error::SimError;
 use crate::gc_index::{EraseHistogram, VictimIndex, NOT_A_CANDIDATE};
 use crate::lru::LruCache;
 use crate::stats::SimStats;
-use crate::trace::{FlashOpKind, TraceSink, Tracer, TrafficClass, UtilizationReport};
+use crate::trace::{ArgValue, FlashOpKind, TraceSink, Tracer, TrafficClass, UtilizationReport};
 use crate::translog::{Baseline, LogOp, TransLog};
 use crate::validity::Validity;
 use leaftl_core::{MapCost, MappingLookup, MappingScheme, ShardPressure};
@@ -69,6 +69,65 @@ impl FlashOp {
             | FlashOp::WearProgram
             | FlashOp::TranslationProgram => FlashOpKind::Program,
             FlashOp::Erase => FlashOpKind::Erase,
+        }
+    }
+}
+
+/// The mapping table's 256-LPA groups ([`Lpa::group`]) by persistence
+/// standing: how many were ever mapped, and which were remapped since
+/// the last [`CheckpointMode::DramSnapshot`] persistence point — each
+/// listed once, however often it was rewritten. It is kept beside the
+/// scheme rather than asked of it, so a scheme behind a forwarding
+/// wrapper is priced exactly as the bare one.
+#[derive(Debug, Clone)]
+struct UnpersistedGroups {
+    /// Groups a mapping was ever installed in.
+    mapped: usize,
+    mapped_mark: Vec<bool>,
+    /// Groups remapped since the last point — exactly the groups
+    /// `listed_mark` flags.
+    listed: Vec<u32>,
+    listed_mark: Vec<bool>,
+}
+
+impl UnpersistedGroups {
+    fn new(logical_pages: u64) -> Self {
+        let groups = logical_pages.div_ceil(Lpa::GROUP_SIZE) as usize;
+        UnpersistedGroups {
+            mapped: 0,
+            mapped_mark: vec![false; groups],
+            listed: Vec::new(),
+            listed_mark: vec![false; groups],
+        }
+    }
+
+    /// Lists the groups `batch` installs mappings in.
+    fn note(&mut self, batch: &[(Lpa, Ppa)]) {
+        // Batches are runs of neighbouring LPAs: look a group up once.
+        let mut last = u64::MAX;
+        for &(lpa, _) in batch {
+            let group = lpa.group();
+            if group == last {
+                continue;
+            }
+            last = group;
+            let index = group as usize;
+            if !self.listed_mark[index] {
+                self.listed_mark[index] = true;
+                self.listed.push(index as u32);
+                if !self.mapped_mark[index] {
+                    self.mapped_mark[index] = true;
+                    self.mapped += 1;
+                }
+            }
+        }
+    }
+
+    /// Forgets the list: what it named is persisted (or, after a power
+    /// cut, lost with the table that held it).
+    fn forget(&mut self) {
+        for group in self.listed.drain(..) {
+            self.listed_mark[group as usize] = false;
         }
     }
 }
@@ -185,6 +244,10 @@ pub struct Ssd<S: MappingScheme + Clone> {
     /// The live pages of the block being relocated
     /// ([`Ssd::migrate_block`]), kept from pass to pass.
     live_scratch: Vec<Ppa>,
+    /// What the next [`CheckpointMode::DramSnapshot`] persistence point
+    /// has to write of the mapping table, marked wherever pairs enter
+    /// the scheme ([`Ssd::learn_and_mark`], recovery's replay).
+    unpersisted: UnpersistedGroups,
 }
 
 /// The state half of a resolved read: which pages must be read (in
@@ -299,6 +362,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             tracer: Tracer::new(config.geometry.total_dies()),
             read_scratch: ReadScratch::default(),
             live_scratch: Vec::new(),
+            unpersisted: UnpersistedGroups::new(config.logical_pages()),
             config,
         }
     }
@@ -1077,6 +1141,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         if batch.is_empty() {
             return;
         }
+        self.unpersisted.note(batch);
         let cost = if sorted {
             self.scheme.update_batch_sorted(batch)
         } else {
@@ -1703,42 +1768,66 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// Runs the configured persistence point now — what every GC pass
     /// ends with (§3.8): the mapping table and BVC as they stand become
     /// the next recovery [`Baseline`], stamped with the flash program
-    /// sequence. [`CheckpointMode::DramSnapshot`] charges the whole
-    /// table's pages as translation programs and is durable on return.
-    /// [`CheckpointMode::FlashLog`] queues a checkpoint generation,
-    /// sized by [`MappingScheme::checkpoint_footprint`] plus the BVC,
-    /// as `MapLog` traffic; it is durable once its pages have landed
-    /// (on the blocking path, by the end of the next flush), and at
-    /// most one is in flight — GC passes during a long write-out do not
-    /// pile up generations. [`CheckpointMode::Disabled`] does nothing.
+    /// sequence. [`CheckpointMode::DramSnapshot`] writes back what
+    /// changed since the previous point and is durable on return: the
+    /// groups remapped since (by a flush, a migration, a wear swap or
+    /// recovery's replay — a compaction sweep changes no answer and
+    /// dirties none) and the BVC entries of the blocks [`Validity`]
+    /// lists as touched, charged as `MapLog`-class translation
+    /// programs striped over the dies. Nothing changed, nothing is
+    /// programmed; the first point after a fill writes the whole table.
+    /// A group is priced at the table's mean,
+    /// [`MappingScheme::snapshot_bytes`] over the groups ever mapped —
+    /// not at its own bytes, which would take a scheme method a
+    /// forwarding wrapper does not carry, and simulate another device
+    /// behind one (hot groups are the deep ones, so the mean
+    /// undercharges: `tests/persistence_pricing.rs` records by how
+    /// much). [`CheckpointMode::FlashLog`] queues a checkpoint
+    /// generation, sized by [`MappingScheme::checkpoint_footprint`]
+    /// plus the whole BVC, as `MapLog` traffic; it is durable once its
+    /// pages have landed (on the blocking path, by the end of the next
+    /// flush), and at most one is in flight — GC passes during a long
+    /// write-out do not pile up generations.
+    /// [`CheckpointMode::Disabled`] does nothing.
     ///
-    /// Those are the *simulated* costs. On the host a point costs what
-    /// changed since the previous one: the baseline the log holds is
-    /// brought up to date ([`MappingScheme::sync_checkpoint`],
+    /// Those are the *simulated* costs. On the host a point likewise
+    /// costs what changed since the previous one: the baseline the log
+    /// holds is brought up to date ([`MappingScheme::sync_checkpoint`],
     /// [`Validity::sync_checkpoint`]), never rebuilt from the live
     /// state.
     pub fn take_snapshot(&mut self) {
+        /// Bytes of one block's BVC entry.
+        const BVC_ENTRY_BYTES: usize = 4;
         let geometry = self.config.geometry;
-        let bvc_bytes = geometry.blocks as usize * 4;
+        let page_size = geometry.page_size as usize;
         let log_pages = match self.config.checkpoint_mode {
             CheckpointMode::Disabled => return,
             CheckpointMode::DramSnapshot => {
-                let bytes = self.scheme.snapshot_bytes() + bvc_bytes;
                 let now = self.clock.now_ns();
-                for i in 0..bytes.div_ceil(geometry.page_size as usize) {
+                let groups = self.unpersisted.listed.len();
+                let blocks = self.validity.touched_blocks();
+                let table_bytes = (self.scheme.snapshot_bytes() * groups)
+                    .div_ceil(self.unpersisted.mapped.max(1));
+                let pages = (table_bytes + BVC_ENTRY_BYTES * blocks).div_ceil(page_size);
+                self.unpersisted.forget();
+                for i in 0..pages {
                     let die = Die::new((i % geometry.total_dies() as usize) as u32);
                     self.flash_op(FlashOp::TranslationProgram, TrafficClass::MapLog, die, now);
                 }
+                self.trace_persist("dram_snapshot", groups, blocks, pages);
                 0
             }
             CheckpointMode::FlashLog => {
                 if self.translog.checkpoint_in_flight() {
                     return;
                 }
+                let blocks = geometry.blocks as usize;
                 let (segment_bytes, crb_bytes) = self.scheme.checkpoint_footprint();
-                (segment_bytes + crb_bytes + bvc_bytes)
-                    .div_ceil(geometry.page_size as usize)
-                    .max(1) as u32
+                let pages = (segment_bytes + crb_bytes + BVC_ENTRY_BYTES * blocks)
+                    .div_ceil(page_size)
+                    .max(1);
+                self.trace_persist("flash_log", self.unpersisted.mapped, blocks, pages);
+                pages as u32
             }
         };
         // The next generation is the previous one brought up to date,
@@ -1757,6 +1846,20 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         self.validity.sync_checkpoint(&mut baseline.validity);
         baseline.stamp = self.device.program_seq();
         self.translog.push_checkpoint(baseline, log_pages);
+    }
+
+    /// Records what a persistence point writes — mapping groups, BVC
+    /// entries, and the pages they come to — on the control track.
+    fn trace_persist(&mut self, mode: &'static str, groups: usize, blocks: usize, pages: usize) {
+        let now = self.clock.now_ns();
+        self.tracer.control_instant("persist", now, || {
+            vec![
+                ("mode", ArgValue::Str(mode)),
+                ("groups", ArgValue::U64(groups as u64)),
+                ("blocks", ArgValue::U64(blocks as u64)),
+                ("pages", ArgValue::U64(pages as u64)),
+            ]
+        });
     }
 
     /// What the device recovers from when nothing was ever persisted:
@@ -1930,6 +2033,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             .unwrap_or_else(|| self.pristine_baseline());
         self.scheme = baseline.scheme;
         self.validity = baseline.validity;
+        self.unpersisted.forget();
         self.forget_recycled_since(baseline.stamp);
 
         // Replay the durable delta tail in append order. The final
@@ -2079,6 +2183,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 }
             }
         }
+        self.unpersisted.note(batch);
         let _cost = self.scheme.update_batch(batch);
         for &(_, ppa) in batch {
             self.mark_valid(ppa);
@@ -2120,6 +2225,7 @@ mod tests {
     use super::*;
     use crate::LeaFtlScheme;
     use leaftl_core::ExactPageMap;
+    use std::collections::BTreeSet;
 
     fn ssd() -> Ssd<ExactPageMap> {
         Ssd::new(SsdConfig::small_test(), ExactPageMap::new())
@@ -2401,6 +2507,150 @@ mod tests {
         assert_eq!(ssd.maplog_bytes_written(), 0);
         let report = ssd.crash_and_recover().unwrap();
         assert_eq!(report.maplog_bytes_written, 0);
+    }
+
+    /// The groups of the mappings `block`'s live pages carry: what
+    /// relocating it remaps.
+    fn live_groups(ssd: &Ssd<ExactPageMap>, block: BlockId) -> BTreeSet<u64> {
+        let mut live = Vec::new();
+        ssd.validity.valid_pages(block, &mut live);
+        live.iter()
+            .map(|&ppa| ssd.device.peek(ppa).expect("a live page is programmed"))
+            .map(|view| view.lpa.expect("data page").group())
+            .collect()
+    }
+
+    /// A `DramSnapshot` persistence point writes back what changed
+    /// since the previous one: nothing when nothing did, the whole
+    /// table after a fill, the groups a flush, a migration, a wear swap
+    /// or recovery's replay remapped — each once — and the BVC entries
+    /// of the touched blocks. The page map costs every group the same
+    /// 2 016 B, so the table's mean is each group's exact price and a
+    /// page holds two groups.
+    #[test]
+    fn a_dram_snapshot_point_programs_what_changed() {
+        let mut config = SsdConfig::small_test();
+        config.geometry.blocks = 256;
+        let page_size = config.geometry.page_size as usize;
+        let logical = config.logical_pages();
+        let all_groups = logical.div_ceil(Lpa::GROUP_SIZE) as usize;
+        let mut ssd = Ssd::new(config, ExactPageMap::new());
+        // Runs a point and returns the pages it programmed; `groups`
+        // and the blocks the validity map lists are what it must write.
+        let point = |ssd: &mut Ssd<ExactPageMap>, groups: usize| {
+            let bytes = (ssd.scheme.snapshot_bytes() * groups).div_ceil(all_groups)
+                + 4 * ssd.validity.touched_blocks();
+            let before = ssd.stats.flash.translation_programs;
+            ssd.take_snapshot();
+            let programmed = ssd.stats.flash.translation_programs - before;
+            assert_eq!(programmed, bytes.div_ceil(page_size) as u64, "{groups}");
+            programmed
+        };
+        let listed = |ssd: &Ssd<ExactPageMap>| -> BTreeSet<u64> {
+            ssd.unpersisted.listed.iter().map(|&g| g as u64).collect()
+        };
+
+        // An empty device has nothing to persist.
+        assert_eq!(point(&mut ssd, 0), 0);
+
+        // The first point after a fill writes the whole table and the
+        // BVC entry of every block the fill reached; a second one right
+        // behind it writes nothing.
+        for lpa in 0..logical {
+            ssd.write(Lpa::new(lpa), lpa).unwrap();
+        }
+        ssd.flush().unwrap();
+        assert_eq!(ssd.stats.gc_runs, 0, "no point ran inside the fill");
+        assert_eq!(ssd.unpersisted.mapped, all_groups);
+        let filled = ssd.validity.touched_blocks();
+        assert_eq!(filled as u64, logical.div_ceil(32));
+        let whole = (ssd.scheme.snapshot_bytes() + 4 * filled).div_ceil(page_size);
+        assert_eq!(point(&mut ssd, all_groups), whole as u64);
+        assert_eq!(whole, 13);
+        assert_eq!(point(&mut ssd, 0), 0);
+
+        // Three groups rewritten three times over by six flushes, four
+        // blocks relocated (the last by a wear swap onto the first's
+        // erased block): each group is listed once.
+        let rewritten: Vec<u64> = (0..24).chain(256..280).chain(520..536).collect();
+        let mut remapped = BTreeSet::new();
+        for round in 1..=3u64 {
+            for &lpa in &rewritten {
+                ssd.write(Lpa::new(lpa), round << 32 | lpa).unwrap();
+                remapped.insert(Lpa::new(lpa).group());
+            }
+        }
+        ssd.flush().unwrap();
+        assert_eq!(listed(&ssd), remapped);
+        assert_eq!(remapped.len(), 3);
+        // Blocks of the fill, each all live and inside one other group.
+        let [first, second, third, cold] = [80, 90, 100, 110].map(BlockId::new);
+        for victim in [first, second, third] {
+            remapped.extend(live_groups(&ssd, victim));
+            ssd.migrate_block(victim, None, true).unwrap();
+        }
+        remapped.extend(live_groups(&ssd, cold));
+        let cold_pages = ssd.validity.valid_count(cold) as u64;
+        assert!(ssd.allocator.take_block(first));
+        ssd.migrate_block(cold, Some(first), true).unwrap();
+        assert_eq!(ssd.stats.flash.wear_programs, cold_pages);
+        assert_eq!(cold_pages, 32);
+        assert_eq!(ssd.stats.gc_runs, 0, "no point ran since the fill's");
+        assert_eq!(listed(&ssd), remapped);
+        assert_eq!(remapped.len(), 7);
+        let pages = point(&mut ssd, remapped.len());
+        assert!((2..whole as u64).contains(&pages), "{pages}");
+        assert_eq!(point(&mut ssd, 0), 0);
+
+        // A power cut loses the table; recovery replays what was
+        // flushed since the last point, and the next point writes those
+        // groups (and the blocks recovery re-derived) — not the buffered
+        // write the cut lost.
+        for lpa in (1024..1040).chain(2048..2064) {
+            ssd.write(Lpa::new(lpa), u64::MAX).unwrap();
+        }
+        ssd.write(Lpa::new(3000), u64::MAX).unwrap();
+        let report = ssd.crash_and_recover().unwrap();
+        assert_eq!(report.lost_buffered_writes, 1);
+        assert_eq!(report.recovered_pages, 32);
+        assert_eq!(ssd.unpersisted.mapped, all_groups);
+        assert_eq!(listed(&ssd), BTreeSet::from([4, 8]));
+        assert_eq!(point(&mut ssd, 2), 2);
+        assert_eq!(point(&mut ssd, 0), 0);
+        for lpa in 0..logical {
+            let replayed = (1024..1040).contains(&lpa) || (2048..2064).contains(&lpa);
+            let expected = match (rewritten.contains(&lpa), replayed) {
+                (true, _) => 3 << 32 | lpa,
+                (_, true) => u64::MAX,
+                _ => lpa,
+            };
+            assert_eq!(ssd.read(Lpa::new(lpa)).unwrap(), Some(expected), "{lpa}");
+        }
+    }
+
+    /// The other two modes are priced as before: the log's generation
+    /// by the whole footprint and the whole BVC whatever changed, and
+    /// no checkpointing by nothing.
+    #[test]
+    fn flash_log_and_disabled_points_do_not_price_by_what_changed() {
+        // 1 024 entries of 8 B and 64 BVC entries of 4 B: three pages.
+        for (mode, whole) in [(CheckpointMode::FlashLog, 3), (CheckpointMode::Disabled, 0)] {
+            let mut config = SsdConfig::small_test();
+            config.checkpoint_mode = mode;
+            let mut ssd = Ssd::new(config, ExactPageMap::new());
+            for lpa in 0..1024u64 {
+                ssd.write(Lpa::new(lpa), lpa).unwrap();
+            }
+            ssd.flush().unwrap();
+            let mut generations = Vec::new();
+            for _ in 0..2 {
+                let before = ssd.stats.flash.translation_programs;
+                ssd.take_snapshot();
+                ssd.drain_maplog().unwrap();
+                generations.push(ssd.stats.flash.translation_programs - before);
+            }
+            assert_eq!(generations, [whole, whole], "{mode:?}");
+        }
     }
 
     /// The scheme recovery would restore right now.

@@ -109,6 +109,12 @@ impl Validity {
         self.counts[block] = 0;
     }
 
+    /// Blocks whose bits or count changed since the last sync: the BVC
+    /// entries the next persistence point has to write.
+    pub fn touched_blocks(&self) -> usize {
+        self.touched.len()
+    }
+
     /// Brings `checkpoint` — what this map was when this last ran on
     /// it, or any clone of it taken since — up to date, as
     /// `*checkpoint = self.clone()` would: the bitmap words and the
@@ -261,6 +267,23 @@ mod tests {
                 assert_eq!(v.is_valid(ppa), live, "{pages_per_block} pages, {ppa}");
             }
         }
+    }
+
+    #[test]
+    fn touched_blocks_lists_each_changed_block_once_until_the_sync() {
+        let mut v = validity();
+        let mut checkpoint = v.clone();
+        assert_eq!(v.touched_blocks(), 0);
+        v.mark_valid(Ppa::new(1));
+        v.mark_valid(Ppa::new(2));
+        v.invalidate(Ppa::new(1)); // block 0, three times
+        v.mark_valid(Ppa::new(40)); // block 1
+        v.invalidate(Ppa::new(70)); // block 2, never valid: no change
+        v.clear_block(BlockId::new(3));
+        assert_eq!(v.touched_blocks(), 3);
+        assert_eq!(v.sync_checkpoint(&mut checkpoint), 3);
+        assert_eq!(v.touched_blocks(), 0);
+        assert!(checkpoint.is_valid(Ppa::new(2)) && !checkpoint.is_valid(Ppa::new(1)));
     }
 
     #[test]

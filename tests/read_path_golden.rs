@@ -11,6 +11,18 @@
 //!
 //! The traces come from a generator local to this file, so the
 //! constants depend on the simulator crates alone.
+//!
+//! The two `device_qd{1,8}_four_shard_resident_leaftl` records were
+//! taken again when a `DramSnapshot` persistence point began to program
+//! what changed instead of the whole table: their 60 GC passes program
+//! 60 translation pages where they programmed 64 (four points had
+//! spilled onto a second page), which moves the `Debug` renderings of
+//! the stats and of the utilization, and at queue depth 8 the times of
+//! the reads queued behind those four pages (mean read latency 114.80 →
+//! 114.42 µs, the end of the run 38.8 µs earlier). Every value read,
+//! every other flash counter and, at queue depth 1, every dispatch and
+//! completion time are the first recording's; so are the other seven
+//! records.
 
 use leaftl_repro::baselines::Dftl;
 use leaftl_repro::core::{LeaFtlConfig, ShardedMapping};
@@ -274,8 +286,8 @@ fn device_qd1_four_shard_resident_leaftl() {
         golden(&ssd, io_fnv),
         Golden {
             io_fnv: 15992051511792097215,
-            stats_fnv: 12028930393322483346,
-            utilization_fnv: 15056353838126652915,
+            stats_fnv: 1883593446737393814,
+            utilization_fnv: 352272408948468559,
             now_ns: 777478350,
             lookups: 1550,
             mispredictions: 985,
@@ -299,10 +311,10 @@ fn device_qd8_four_shard_resident_leaftl() {
     assert_eq!(
         got,
         Golden {
-            io_fnv: 3604013824667168467,
-            stats_fnv: 2227349543740799391,
-            utilization_fnv: 15056353838126652915,
-            now_ns: 766902840,
+            io_fnv: 2412342430787645186,
+            stats_fnv: 902594986231392498,
+            utilization_fnv: 352272408948468559,
+            now_ns: 766864030,
             lookups: 1550,
             mispredictions: 985,
             unmapped_reads: 338,
