@@ -5,8 +5,8 @@ use leaftl_baselines::{sftl_full_table_bytes, Dftl, Sftl};
 use leaftl_core::{LeaFtlConfig, TableStats};
 use leaftl_sim::{
     replay, replay_open_loop, replay_open_loop_with, replay_queued, DeviceConfig, DramPolicy,
-    HostOp, LeaFtlScheme, QueuedReplayReport, ReplayReport, SimStats, Ssd, SsdConfig, TimedOp,
-    TrafficClass, UtilizationReport,
+    HostOp, LeaFtlScheme, MapLogTraffic, QueuedReplayReport, ReplayReport, SimStats, SpaceReport,
+    Ssd, SsdConfig, TimedOp, TrafficClass, UtilizationReport,
 };
 use leaftl_workloads::{warmup_ops, ProfileParams};
 use serde::Serialize;
@@ -270,6 +270,25 @@ impl AnySsd {
         }
     }
 
+    /// The same traffic in log pages, split into checkpoint generations
+    /// and the delta journal they truncate (lifetime, like the bytes).
+    pub fn maplog_traffic(&self) -> MapLogTraffic {
+        match self {
+            AnySsd::Dftl(ssd) => ssd.maplog_traffic(),
+            AnySsd::Sftl(ssd) => ssd.maplog_traffic(),
+            AnySsd::Lea(ssd) => ssd.maplog_traffic(),
+        }
+    }
+
+    /// Every physical page by its standing (free, open, stale, …).
+    pub fn space_report(&self) -> SpaceReport {
+        match self {
+            AnySsd::Dftl(ssd) => ssd.space_report(),
+            AnySsd::Sftl(ssd) => ssd.space_report(),
+            AnySsd::Lea(ssd) => ssd.space_report(),
+        }
+    }
+
     /// Translation-log blocks reclaimed by the log's retention policy.
     pub fn maplog_reclaimed_blocks(&self) -> u64 {
         match self {
@@ -414,6 +433,9 @@ pub struct RunOutcome {
     pub waf: f64,
     #[serde(skip)]
     pub stats: SimStats,
+    /// Where the physical pages stood when the replay ended.
+    #[serde(skip)]
+    pub space: SpaceReport,
 }
 
 /// Runs one workload on one scheme at the given scale: prefill →
@@ -475,6 +497,7 @@ pub fn run_workload_with_config(
         misprediction_ratio: stats.misprediction_ratio(),
         waf: stats.waf(),
         stats,
+        space: ssd.space_report(),
     }
 }
 
@@ -509,6 +532,30 @@ pub fn build_mapping_state(kind: SchemeKind, profile: &ProfileParams, scale: &Sc
     ssd.replay(writes);
     ssd.flush();
     ssd
+}
+
+/// A [`SpaceReport`] as a JSON record: where the over-provisioning
+/// sits (free reserve, open-block tails, stale pages GC can and cannot
+/// reach, the translation log) beside the valid pages.
+pub fn space_json(space: &SpaceReport) -> serde_json::Value {
+    serde_json::json!({
+        "free": space.free,
+        "open_tail": space.open_tail,
+        "open_stale": space.open_stale,
+        "closed_stale": space.closed_stale,
+        "log_owned": space.log_owned,
+        "valid": space.valid,
+    })
+}
+
+/// [`MapLogTraffic`] as a JSON record: log pages split into checkpoint
+/// generations and the delta journal between them.
+pub fn maplog_json(traffic: MapLogTraffic) -> serde_json::Value {
+    serde_json::json!({
+        "generations": traffic.generations,
+        "generation_pages": traffic.generation_pages,
+        "delta_pages": traffic.delta_pages,
+    })
 }
 
 /// Per-class busy-time attribution of a replay as a JSON record — the

@@ -31,7 +31,7 @@
 //! enabled so the map-log background-traffic tax rides the same
 //! dies — reported per tenant class alongside the latency numbers.
 
-use crate::common::{print_table, utilization_json, AnySsd, Scale, SchemeKind, SEED};
+use crate::common::{maplog_json, print_table, utilization_json, AnySsd, Scale, SchemeKind, SEED};
 use leaftl_sim::{
     CheckpointMode, DeviceConfig, DramPolicy, HostPriority, LatencyHistogram, QosControllerConfig,
     QosSpec, RoundRobin, Slo, SloClass, Weighted,
@@ -88,6 +88,7 @@ pub fn qos(quick: bool) -> Value {
     base.reset_stats();
     let maplog_base_bytes = base.maplog_bytes_written();
     let maplog_base_blocks = base.maplog_reclaimed_blocks();
+    let maplog_base_traffic = base.maplog_traffic();
 
     // The p99 arrival→complete budget every guaranteed reader carries.
     // Sits above the device's intrinsic die-conflict tail (a read
@@ -218,6 +219,7 @@ pub fn qos(quick: bool) -> Value {
 
         let maplog_bytes = ssd.maplog_bytes_written() - maplog_base_bytes;
         let maplog_blocks = ssd.maplog_reclaimed_blocks() - maplog_base_blocks;
+        let maplog_pages = ssd.maplog_traffic().since(maplog_base_traffic);
         let total_requests = (guar.requests + best.requests).max(1);
         // Map-log tax attributed to each class by its request share —
         // the log programs steal die time from everyone's dispatches.
@@ -249,6 +251,10 @@ pub fn qos(quick: bool) -> Value {
             format!("{:.1}", report.admission_wait_ns as f64 / 1e6),
             format!("{:.1}", report.gc_stall_ns as f64 / 1e6),
             format!("{:.1}", maplog_bytes as f64 / 1e6),
+            format!(
+                "{} + {} / {}",
+                maplog_pages.generation_pages, maplog_pages.delta_pages, maplog_pages.generations
+            ),
         ]);
         let tick_samples: Vec<Value> = report
             .qos_ticks
@@ -301,6 +307,7 @@ pub fn qos(quick: bool) -> Value {
             "maplog": {
                 "bytes_written": maplog_bytes,
                 "reclaimed_blocks": maplog_blocks,
+                "pages": maplog_json(maplog_pages),
             },
             "controller": {
                 "ticks": report.qos_ticks.len(),
@@ -325,6 +332,7 @@ pub fn qos(quick: bool) -> Value {
             "adm wait ms",
             "stall ms",
             "maplog MB",
+            "gen + delta pages / gens",
         ],
         &rows,
     );

@@ -1,7 +1,7 @@
 //! Misprediction, write-amplification and crash-recovery studies:
 //! Figs. 24, 25 and the §5 recovery discussion.
 
-use crate::common::{print_table, run_workload, Scale, SchemeKind, SEED};
+use crate::common::{maplog_json, print_table, run_workload, space_json, Scale, SchemeKind, SEED};
 use leaftl_core::LeaFtlConfig;
 use leaftl_sim::{replay, CheckpointMode, DramPolicy, LeaFtlScheme, Ssd};
 use leaftl_workloads::{full_suite, tpcc, warmup_ops};
@@ -82,6 +82,7 @@ pub fn fig25(quick: bool) -> Value {
                 .iter()
                 .map(|r| r.stats.flash.translation_programs)
                 .collect::<Vec<_>>(),
+            "space_pages": results.iter().map(|r| space_json(&r.space)).collect::<Vec<_>>(),
         }));
     }
     print_table(
@@ -169,12 +170,20 @@ pub fn recovery(quick: bool) -> Value {
         let ops = profile.generate(logical, scale.ops, SEED);
         replay(&mut ssd, ops.iter().copied()).expect("age");
         let cost = persistence_cost(&ssd);
+        let traffic = ssd.maplog_traffic();
         let report = ssd.crash_and_recover().expect("recovery");
         let check = replay(&mut ssd, profile.generate(logical, 2_000, SEED ^ 7)).expect("post");
-        (report, check.ops, ssd.maplog_reclaimed_blocks(), cost)
+        (
+            report,
+            check.ops,
+            ssd.maplog_reclaimed_blocks(),
+            cost,
+            traffic,
+        )
     };
-    let (bare, bare_post, bare_reclaimed, bare_cost) = aged(CheckpointMode::Disabled);
-    let (logged, logged_post, logged_reclaimed, logged_cost) = aged(CheckpointMode::FlashLog);
+    let (bare, bare_post, bare_reclaimed, bare_cost, bare_log) = aged(CheckpointMode::Disabled);
+    let (logged, logged_post, logged_reclaimed, logged_cost, logged_log) =
+        aged(CheckpointMode::FlashLog);
     assert!(
         logged.scanned_data_blocks < bare.scanned_blocks(),
         "log replay must scan strictly fewer data blocks ({}) than the \
@@ -184,13 +193,14 @@ pub fn recovery(quick: bool) -> Value {
     );
     let mut log_rows = Vec::new();
     let mut log_out = Vec::new();
-    for (label, report, post_ops, reclaimed, (waf, translation_programs)) in [
+    for (label, report, post_ops, reclaimed, (waf, translation_programs), log) in [
         (
             "crash scan (aged)",
             bare,
             bare_post,
             bare_reclaimed,
             bare_cost,
+            bare_log,
         ),
         (
             "log replay (aged)",
@@ -198,6 +208,7 @@ pub fn recovery(quick: bool) -> Value {
             logged_post,
             logged_reclaimed,
             logged_cost,
+            logged_log,
         ),
     ] {
         log_rows.push(vec![
@@ -206,6 +217,9 @@ pub fn recovery(quick: bool) -> Value {
             format!("{}", report.scanned_log_blocks),
             format!("{}", report.replayed_log_entries),
             format!("{:.2} ms", report.scan_time_ns as f64 / 1e6),
+            format!("{}", log.generations),
+            format!("{}", log.generation_pages),
+            format!("{}", log.delta_pages),
         ]);
         log_out.push(json!({
             "config": label,
@@ -218,6 +232,7 @@ pub fn recovery(quick: bool) -> Value {
             "lost_buffered_writes": report.lost_buffered_writes,
             "maplog_bytes_written": report.maplog_bytes_written,
             "maplog_reclaimed_blocks": reclaimed,
+            "maplog_pages": maplog_json(log),
             "waf": waf,
             "translation_programs": translation_programs,
             "post_recovery_ops": post_ops,
@@ -231,6 +246,9 @@ pub fn recovery(quick: bool) -> Value {
             "log blocks",
             "replayed entries",
             "recovery time",
+            "generations",
+            "generation pages",
+            "delta pages",
         ],
         &log_rows,
     );

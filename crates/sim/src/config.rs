@@ -96,7 +96,17 @@ pub enum CheckpointMode {
     DramSnapshot,
     /// Flash-resident translation log: checkpoints and flush deltas
     /// are appended to dedicated log blocks as background device
-    /// traffic with their own retention/GC policy.
+    /// traffic with their own retention/GC policy. Every flush, GC
+    /// migration and wear swap is journalled as a one-page delta, so a
+    /// checkpoint generation (the whole table and BVC) only truncates
+    /// the journal, and a GC pass requests one when the journal has
+    /// earned it: once the delta pages appended since the newest
+    /// generation was requested are at least the pages a generation
+    /// takes, and none is still being written out. Checkpoint traffic
+    /// is thereby bounded by the journal's own (at most half the log's
+    /// pages) and the tail recovery replays by one generation's length
+    /// plus what accrues during a write-out; there is no threshold to
+    /// configure.
     FlashLog,
     /// No checkpointing: recovery falls back to the full
     /// O(device) out-of-band scan.

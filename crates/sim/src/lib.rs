@@ -88,9 +88,10 @@ pub use replay::{
     QueuedReplayReport, ReplayReport, StreamLatency, TimedOp,
 };
 pub use request::{Command, IoCompletion, IoKind, IoRequest};
-pub use ssd::{RecoveryReport, Ssd};
+pub use ssd::{RecoveryReport, SpaceReport, Ssd};
 pub use stats::{FlashOpBreakdown, LatencyHistogram, SimStats};
 pub use trace::{
     validate_chrome_trace, DieUtilization, FlashOpKind, TraceCheck, TraceSink, TrafficClass,
     UtilizationReport,
 };
+pub use translog::MapLogTraffic;

@@ -10,7 +10,7 @@ use crate::gc_index::{EraseHistogram, VictimIndex, NOT_A_CANDIDATE};
 use crate::lru::LruCache;
 use crate::stats::SimStats;
 use crate::trace::{ArgValue, FlashOpKind, TraceSink, Tracer, TrafficClass, UtilizationReport};
-use crate::translog::{Baseline, LogOp, TransLog};
+use crate::translog::{Baseline, LogOp, MapLogTraffic, TransLog};
 use crate::validity::Validity;
 use leaftl_core::{MapCost, MappingLookup, MappingScheme, ShardPressure};
 use leaftl_flash::{BlockId, Die, FlashDevice, IntSet, Lpa, Ppa};
@@ -27,6 +27,9 @@ const LOOKUP_BASE_NS: u64 = 40;
 
 /// Additional lookup cost per extra level visited.
 const LOOKUP_PER_LEVEL_NS: u64 = 10;
+
+/// Bytes of one block's BVC entry as a persistence point writes it.
+const BVC_ENTRY_BYTES: usize = 4;
 
 /// `(LPA, PPA)` pairs installed together: one learning batch.
 type Batch = Vec<(Lpa, Ppa)>;
@@ -132,6 +135,30 @@ impl UnpersistedGroups {
     }
 }
 
+/// Where every physical page of the device stands
+/// ([`Ssd::space_report`]): the six counts sum to the page count of the
+/// geometry. What is not `valid` is the over-provisioning as it is
+/// actually spent — only `closed_stale` is space a GC pass can win
+/// back.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SpaceReport {
+    /// Pages of erased blocks in the free pool (the GC watermarks'
+    /// reserve).
+    pub free: u64,
+    /// Unwritten pages at the end of the blocks open for writing.
+    pub open_tail: u64,
+    /// Programmed pages of open blocks that no longer hold a live copy
+    /// (an open block is never a GC victim).
+    pub open_stale: u64,
+    /// Pages of closed data blocks that hold no live copy: what GC
+    /// reclaims.
+    pub closed_stale: u64,
+    /// Pages of the blocks the translation log owns.
+    pub log_owned: u64,
+    /// Pages holding the live copy of a logical page.
+    pub valid: u64,
+}
+
 /// Report of a simulated power-cut recovery (§3.8 / §5 of the paper).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryReport {
@@ -210,10 +237,6 @@ pub struct Ssd<S: MappingScheme + Clone> {
     /// mechanism), which also holds [`CheckpointMode::DramSnapshot`]'s
     /// snapshot as a generation of no log pages.
     translog: TransLog<S>,
-    /// Lifetime bytes of translation-log page programs — the map-log
-    /// background-traffic tax (always 0 outside
-    /// [`CheckpointMode::FlashLog`]).
-    maplog_bytes_written: u64,
     pristine_scheme: S,
     /// Completion time of the in-flight asynchronous buffer flush.
     /// A new flush blocks until the previous one drains (double
@@ -346,7 +369,6 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             read_cache: LruCache::new(),
             stats: SimStats::new(),
             translog: TransLog::new(),
-            maplog_bytes_written: 0,
             pristine_scheme,
             scheme,
             flush_deadline_ns: 0,
@@ -550,7 +572,17 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// traffic that competes with host I/O for dies (always 0 outside
     /// [`CheckpointMode::FlashLog`]).
     pub fn maplog_bytes_written(&self) -> u64 {
-        self.maplog_bytes_written
+        let traffic = self.translog.traffic();
+        (traffic.generation_pages + traffic.delta_pages) * self.config.geometry.page_size as u64
+    }
+
+    /// The same traffic in log pages, split into checkpoint generations
+    /// and the delta journal between them — under
+    /// [`CheckpointMode::FlashLog`] a generation is requested once the
+    /// journal is as long as the generation, so generation pages stay
+    /// within the delta pages plus the one generation being earned.
+    pub fn maplog_traffic(&self) -> MapLogTraffic {
+        self.translog.traffic()
     }
 
     /// Bytes of DRAM the mapping structures currently occupy.
@@ -1515,6 +1547,31 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         violations
     }
 
+    /// Counts every physical page by its standing — free, open and
+    /// unwritten, open and stale, closed and stale, log-owned, valid.
+    /// Linear in the device; for experiments and tests.
+    pub fn space_report(&self) -> SpaceReport {
+        let pages = u64::from(self.config.geometry.pages_per_block);
+        let mut report = SpaceReport::default();
+        for block in (0..self.config.geometry.blocks).map(BlockId::new) {
+            let written = u64::from(self.device.block(block).write_ptr());
+            let valid = u64::from(self.validity.valid_count(block));
+            if self.translog.owns(block) {
+                report.log_owned += pages;
+            } else if self.allocator.is_open(block) {
+                report.valid += valid;
+                report.open_stale += written - valid;
+                report.open_tail += pages - written;
+            } else if written == 0 {
+                report.free += pages;
+            } else {
+                report.valid += valid;
+                report.closed_stale += pages - valid;
+            }
+        }
+        report
+    }
+
     fn note_block_write(&mut self, ppa: Ppa) {
         let block = self.config.geometry.block_of(ppa).raw() as usize;
         self.block_last_write_ns[block] = self.clock.now_ns();
@@ -1624,9 +1681,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         }
         // Journal the re-installed mappings — stamped *after* the
         // programs, so the delta covers them. (A fully stale victim
-        // installs nothing; its erase is covered by the checkpoint that
-        // follows every GC pass, or found by the recovery scan if that
-        // checkpoint is torn.)
+        // installs nothing and journals nothing; recovery finds its
+        // erase on the block itself — erased, or refilled with pages
+        // newer than the stamp — whichever entry it restores from.)
         if !batches.is_empty() {
             self.translog_append_delta(batches.into_iter().flatten());
         }
@@ -1634,7 +1691,8 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     }
 
     /// One GC pass over `victim` (§3.6): migrate its live pages, erase
-    /// it, and persist mapping table + BVC (§3.8). `blocking` is the
+    /// it, and persist mapping table + BVC (§3.8) if a persistence
+    /// point is due (`persistence_point_due`). `blocking` is the
     /// synchronous collector, which stalls the host for the duration;
     /// without it this services a [`crate::Command::GcMigrate`] —
     /// state is applied immediately, flash work is chained on per-die
@@ -1647,7 +1705,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     ) -> Result<u64, SimError> {
         self.stats.gc_runs += 1;
         let done = self.migrate_block(victim, None, blocking)?;
-        self.take_snapshot();
+        if self.persistence_point_due() {
+            self.take_snapshot();
+        }
         Ok(done)
     }
 
@@ -1765,10 +1825,12 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     // Crash consistency and recovery (§3.8)
     // ------------------------------------------------------------------
 
-    /// Runs the configured persistence point now — what every GC pass
-    /// ends with (§3.8): the mapping table and BVC as they stand become
-    /// the next recovery [`Baseline`], stamped with the flash program
-    /// sequence. [`CheckpointMode::DramSnapshot`] writes back what
+    /// Runs the configured persistence point now, unconditionally — the
+    /// "persist now" of tests, experiments and recovery; a GC pass, the
+    /// one automatic caller, asks `persistence_point_due` first.
+    /// The mapping table and BVC as they stand become the next recovery
+    /// [`Baseline`], stamped with the flash program sequence.
+    /// [`CheckpointMode::DramSnapshot`] writes back what
     /// changed since the previous point and is durable on return: the
     /// groups remapped since (by a flush, a migration, a wear swap or
     /// recovery's replay — a compaction sweep changes no answer and
@@ -1786,8 +1848,8 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// generation, sized by [`MappingScheme::checkpoint_footprint`]
     /// plus the whole BVC, as `MapLog` traffic; it is durable once its
     /// pages have landed (on the blocking path, by the end of the next
-    /// flush), and at most one is in flight — GC passes during a long
-    /// write-out do not pile up generations.
+    /// flush). At most one is in flight: the next generation is built
+    /// on the newest one, so a call during a write-out does nothing.
     /// [`CheckpointMode::Disabled`] does nothing.
     ///
     /// Those are the *simulated* costs. On the host a point likewise
@@ -1796,8 +1858,6 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// [`Validity::sync_checkpoint`]), never rebuilt from the live
     /// state.
     pub fn take_snapshot(&mut self) {
-        /// Bytes of one block's BVC entry.
-        const BVC_ENTRY_BYTES: usize = 4;
         let geometry = self.config.geometry;
         let page_size = geometry.page_size as usize;
         let log_pages = match self.config.checkpoint_mode {
@@ -1822,10 +1882,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                     return;
                 }
                 let blocks = geometry.blocks as usize;
-                let (segment_bytes, crb_bytes) = self.scheme.checkpoint_footprint();
-                let pages = (segment_bytes + crb_bytes + BVC_ENTRY_BYTES * blocks)
-                    .div_ceil(page_size)
-                    .max(1);
+                let pages = self.flashlog_generation_pages();
                 self.trace_persist("flash_log", self.unpersisted.mapped, blocks, pages);
                 pages as u32
             }
@@ -1848,16 +1905,49 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         self.translog.push_checkpoint(baseline, log_pages);
     }
 
+    /// Whether the GC pass that just ended should run a persistence
+    /// point. §3.8's answer is "always", and the modes whose point
+    /// costs what changed keep it. Under [`CheckpointMode::FlashLog`]
+    /// the pass is journalled as a delta already, so a checkpoint
+    /// generation only truncates the journal — and is due once the
+    /// journal has earned it: when the delta pages appended since the
+    /// newest generation was requested are at least the pages a
+    /// generation takes. That is the break-even where replaying the
+    /// tail costs recovery what writing the generation costs the
+    /// device, so generations are at most half the log's pages and the
+    /// tail recovery replays stays within one generation's length plus
+    /// what accrues while one is written out ([`Ssd::take_snapshot`]
+    /// holds the other half of the rule: one in flight at a time).
+    fn persistence_point_due(&self) -> bool {
+        self.config.checkpoint_mode != CheckpointMode::FlashLog
+            || self.translog.tail_pages() as usize >= self.flashlog_generation_pages()
+    }
+
+    /// Log pages one [`CheckpointMode::FlashLog`] checkpoint generation
+    /// spans: the scheme's [`MappingScheme::checkpoint_footprint`] plus
+    /// the whole BVC.
+    fn flashlog_generation_pages(&self) -> usize {
+        let geometry = self.config.geometry;
+        let (segment_bytes, crb_bytes) = self.scheme.checkpoint_footprint();
+        (segment_bytes + crb_bytes + BVC_ENTRY_BYTES * geometry.blocks as usize)
+            .div_ceil(geometry.page_size as usize)
+            .max(1)
+    }
+
     /// Records what a persistence point writes — mapping groups, BVC
-    /// entries, and the pages they come to — on the control track.
+    /// entries, and the pages they come to — on the control track, with
+    /// the journal tail it truncates (the delta pages that earned a
+    /// `FlashLog` generation; no other mode journals).
     fn trace_persist(&mut self, mode: &'static str, groups: usize, blocks: usize, pages: usize) {
         let now = self.clock.now_ns();
+        let tail = self.translog.tail_pages();
         self.tracer.control_instant("persist", now, || {
             vec![
                 ("mode", ArgValue::Str(mode)),
                 ("groups", ArgValue::U64(groups as u64)),
                 ("blocks", ArgValue::U64(blocks as u64)),
                 ("pages", ArgValue::U64(pages as u64)),
+                ("tail", ArgValue::U64(u64::from(tail))),
             ]
         });
     }
@@ -1877,8 +1967,10 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     // ------------------------------------------------------------------
 
     /// Queued translation-log device ops awaiting dispatch (the
-    /// device's `MapLog` replenishment signal).
-    pub(crate) fn maplog_pending(&self) -> usize {
+    /// device's `MapLog` replenishment signal): page programs of
+    /// entries that are not durable yet, and log-block reclaims. A
+    /// power cut loses them.
+    pub fn maplog_pending(&self) -> usize {
         self.translog.pending_ops()
     }
 
@@ -1909,12 +2001,14 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// tail (superseded blocks reclaimed synchronously) before leaning
     /// on data GC.
     fn ensure_maplog_allocatable(&mut self) -> Result<(), SimError> {
-        if let Some(upto) = self.translog.durable_checkpoint_seq() {
-            for block in self.translog.owned_blocks() {
-                if self.allocator.can_allocate(Stream::MapLog, 1) {
-                    break;
+        if !self.allocator.can_allocate(Stream::MapLog, 1) {
+            if let Some(upto) = self.translog.durable_checkpoint_seq() {
+                for block in self.translog.owned_blocks() {
+                    self.reclaim_log_block(block, upto)?;
+                    if self.allocator.can_allocate(Stream::MapLog, 1) {
+                        break;
+                    }
                 }
-                self.reclaim_log_block(block, upto)?;
             }
         }
         self.ensure_allocatable(1, Stream::MapLog, None)
@@ -1944,7 +2038,6 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                     let now = self.clock.now_ns();
                     let done =
                         self.flash_op(FlashOp::TranslationProgram, TrafficClass::MapLog, die, now);
-                    self.maplog_bytes_written += self.config.geometry.page_size as u64;
                     let block = self.config.geometry.block_of(ppa);
                     self.gc_index.touch(block);
                     let allocator = &self.allocator;
@@ -2075,7 +2168,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             replayed_log_entries,
             recovered_pages,
             lost_buffered_writes,
-            maplog_bytes_written: self.maplog_bytes_written,
+            maplog_bytes_written: self.maplog_bytes_written(),
             scan_time_ns: self.clock.now_ns().saturating_sub(scan_start_ns),
         })
     }
@@ -2651,6 +2744,130 @@ mod tests {
             }
             assert_eq!(generations, [whole, whole], "{mode:?}");
         }
+    }
+
+    /// Under the log a GC pass requests a generation when the journal
+    /// has earned one — the delta tail is as long as the generation —
+    /// and not before, never beside one still being written out; a
+    /// direct `take_snapshot` asks nobody.
+    #[test]
+    fn a_flash_log_generation_waits_for_the_tail_to_earn_it() {
+        let mut config = SsdConfig::small_test();
+        config.checkpoint_mode = CheckpointMode::FlashLog;
+        let mut ssd = Ssd::new(config, ExactPageMap::new());
+        for lpa in 0..1024u64 {
+            ssd.write(Lpa::new(lpa), lpa).unwrap();
+        }
+        ssd.flush().unwrap();
+        assert_eq!(ssd.stats.gc_runs, 0, "the fill asked for no generation");
+        let fill = ssd.maplog_traffic();
+        assert_eq!((fill.generations, fill.generation_pages), (0, 0));
+        assert_eq!(ssd.translog.tail_pages() as u64, fill.delta_pages);
+        // 1 024 entries of 8 B and 64 BVC entries of 4 B: three pages.
+        assert_eq!(ssd.flashlog_generation_pages(), 3);
+
+        // "Persist now" is unconditional: with a long tail, and again
+        // with none at all.
+        for generations in 1..=2 {
+            ssd.take_snapshot();
+            assert_eq!(ssd.translog.tail_pages(), 0);
+            assert_eq!(ssd.maplog_pending(), 3);
+            ssd.drain_maplog().unwrap();
+            assert_eq!(ssd.maplog_traffic().generations, generations);
+        }
+
+        // Each pass over a block of the fill journals one delta. Two
+        // are below break-even; the third reaches it and queues exactly
+        // one generation; the fourth finds that one in flight.
+        let pass = |ssd: &mut Ssd<ExactPageMap>| {
+            let victim = (0..64)
+                .map(BlockId::new)
+                .find(|&block| !ssd.allocator.is_open(block) && ssd.validity.valid_count(block) > 0)
+                .expect("a closed block of the fill");
+            ssd.service_gc_migrate(victim, true).unwrap();
+            (ssd.translog.tail_pages(), ssd.maplog_pending())
+        };
+        assert_eq!(pass(&mut ssd), (1, 1));
+        assert_eq!(pass(&mut ssd), (2, 2));
+        assert!(!ssd.translog.checkpoint_in_flight());
+        assert_eq!(pass(&mut ssd), (0, 3 + 3));
+        assert!(ssd.translog.checkpoint_in_flight());
+        assert_eq!(pass(&mut ssd), (1, 3 + 3 + 1));
+        for _ in 0..2 {
+            pass(&mut ssd);
+        }
+        assert_eq!(ssd.translog.tail_pages(), 3, "earned, but one is in flight");
+        assert_eq!(ssd.maplog_pending(), 3 + 3 + 3);
+        ssd.drain_maplog().unwrap();
+        assert_eq!(ssd.maplog_traffic().generations, 3);
+        assert_eq!(pass(&mut ssd), (0, 1 + 3), "the next pass collects it");
+        ssd.drain_maplog().unwrap();
+        let traffic = ssd.maplog_traffic().since(fill);
+        assert_eq!(
+            (
+                traffic.generations,
+                traffic.generation_pages,
+                traffic.delta_pages
+            ),
+            (4, 12, 7)
+        );
+        for lpa in 0..1024u64 {
+            assert_eq!(ssd.read(Lpa::new(lpa)).unwrap(), Some(lpa));
+        }
+    }
+
+    /// Paced by the journal, checkpoint traffic is bounded by the
+    /// journal's own: over a GC-heavy run the generations' pages stay
+    /// within the delta pages (plus the one generation a direct call
+    /// could add), where a generation per pass wrote several times the
+    /// journal — and every physical page is accounted for at the end.
+    #[test]
+    fn flash_log_generations_cost_no_more_than_the_journal() {
+        let mut config = SsdConfig::small_test();
+        config.checkpoint_mode = CheckpointMode::FlashLog;
+        let geometry = config.geometry;
+        let mut ssd = Ssd::new(config, ExactPageMap::new());
+        let logical = ssd.config().logical_pages();
+        for round in 0..12u64 {
+            for lpa in 0..logical / 2 {
+                let lpa = (lpa * 7 + round * 13) % logical;
+                ssd.write(Lpa::new(lpa), round << 32 | lpa).unwrap();
+            }
+        }
+        ssd.flush().unwrap();
+        let traffic = ssd.maplog_traffic();
+        let generation = ssd.flashlog_generation_pages() as u64;
+        assert!(ssd.stats.gc_runs > 100, "{} passes", ssd.stats.gc_runs);
+        assert!(traffic.generations >= 10, "{traffic:?}");
+        assert!(traffic.generations < ssd.stats.gc_runs / 2, "{traffic:?}");
+        assert!(
+            traffic.generation_pages <= traffic.delta_pages + generation,
+            "{traffic:?}"
+        );
+        assert_eq!(
+            ssd.maplog_bytes_written(),
+            (traffic.generation_pages + traffic.delta_pages) * geometry.page_size as u64
+        );
+
+        let space = ssd.space_report();
+        let SpaceReport {
+            free,
+            open_tail,
+            open_stale,
+            closed_stale,
+            log_owned,
+            valid,
+        } = space;
+        assert_eq!(
+            free + open_tail + open_stale + closed_stale + log_owned + valid,
+            geometry.blocks * geometry.pages_per_block as u64
+        );
+        assert_eq!(space.valid, ssd.validity.total_valid());
+        assert_eq!(
+            space.free,
+            ssd.allocator.free_blocks() as u64 * geometry.pages_per_block as u64
+        );
+        assert!(space.log_owned > 0 && space.open_tail > 0, "{space:?}");
     }
 
     /// The scheme recovery would restore right now.

@@ -24,6 +24,19 @@
 //!   swap, recording the installed `(LPA, PPA)` mappings. Deltas newer
 //!   than the latest durable checkpoint are replayed at recovery.
 //!
+//! The deltas are the incremental record of every mapping change, so a
+//! checkpoint is needed only to truncate them — and the log paces its
+//! own generations by that: it counts the delta pages appended since
+//! the newest generation was *requested* ([`TransLog::tail_pages`]),
+//! and a GC pass requests the next one when that tail is at least as
+//! long as the generation would be, and none is in flight
+//! ([`TransLog::checkpoint_in_flight`]). At that length replaying the
+//! tail costs recovery what writing the generation costs the device:
+//! generations are at most half the log's pages, and recovery replays
+//! at most one generation's length of deltas plus what accrued while
+//! the generation before it was written out. Before the first GC pass
+//! nothing asks, and the tail is the fill's.
+//!
 //! Both kinds are stamped with the flash program sequence at creation
 //! (every page carries its own in the OOB): whatever the last durable
 //! entry does not cover is exactly the pages with a greater sequence,
@@ -75,6 +88,32 @@ pub(crate) enum LogOp {
         /// dispatch; also stamped on the completion).
         upto: u64,
     },
+}
+
+/// Log pages physically programmed over the log's lifetime, by entry
+/// kind: how much of the map-log traffic was checkpoint generations
+/// and how much the delta journal they truncate.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MapLogTraffic {
+    /// Checkpoint generations written out in full.
+    pub generations: u64,
+    /// Pages programmed for checkpoint generations (torn ones too).
+    pub generation_pages: u64,
+    /// Pages programmed for deltas, one per flush batch, GC migration
+    /// or wear swap.
+    pub delta_pages: u64,
+}
+
+impl MapLogTraffic {
+    /// The traffic since an earlier reading `base` (the counters are
+    /// lifetime ones and survive a stats reset).
+    pub fn since(self, base: MapLogTraffic) -> MapLogTraffic {
+        MapLogTraffic {
+            generations: self.generations - base.generations,
+            generation_pages: self.generation_pages - base.generation_pages,
+            delta_pages: self.delta_pages - base.delta_pages,
+        }
+    }
 }
 
 /// The DRAM-resident FTL state persisted to flash (mapping table +
@@ -159,6 +198,15 @@ pub(crate) struct TransLog<S> {
     /// Log blocks reclaimed over the log's lifetime (retention-policy
     /// observability for tests and reports).
     reclaimed_blocks: u64,
+    /// Delta pages appended since the newest checkpoint generation was
+    /// requested — the journal tail that generation does not cover,
+    /// and what paces the next one (see the module docs).
+    tail_pages: u32,
+    /// Checkpoint generations requested whose pages have not all
+    /// programmed yet.
+    checkpoints_in_flight: u32,
+    /// Pages programmed so far, by entry kind.
+    traffic: MapLogTraffic,
 }
 
 impl<S> TransLog<S> {
@@ -172,7 +220,15 @@ impl<S> TransLog<S> {
             reclaim_queued: BTreeSet::new(),
             durable_checkpoint: None,
             reclaimed_blocks: 0,
+            tail_pages: 0,
+            checkpoints_in_flight: 0,
+            traffic: MapLogTraffic::default(),
         }
+    }
+
+    /// Log pages programmed over the log's lifetime, by entry kind.
+    pub fn traffic(&self) -> MapLogTraffic {
+        self.traffic
     }
 
     /// Log blocks reclaimed (erased and returned to the allocator)
@@ -212,6 +268,7 @@ impl<S> TransLog<S> {
 
     /// Appends a one-page delta entry and queues its program.
     pub fn push_delta(&mut self, batch: Vec<(Lpa, Ppa)>, stamp: u64) -> u64 {
+        self.tail_pages += 1;
         self.push(1, LogPayload::Delta { batch, stamp })
     }
 
@@ -221,9 +278,12 @@ impl<S> TransLog<S> {
     /// log still holds (its predecessor was moved out to make it).
     pub fn push_checkpoint(&mut self, baseline: Baseline<S>, pages: u32) -> u64 {
         let seq = self.push(pages, LogPayload::Checkpoint(Box::new(baseline)));
+        self.tail_pages = 0;
         if pages == 0 {
             self.durable_checkpoint = Some(seq);
             self.prune_superseded(seq);
+        } else {
+            self.checkpoints_in_flight += 1;
         }
         seq
     }
@@ -231,9 +291,15 @@ impl<S> TransLog<S> {
     /// Whether a checkpoint generation is still being written out (the
     /// checkpoint cadence guard: one in flight at a time).
     pub fn checkpoint_in_flight(&self) -> bool {
-        self.entries
-            .values()
-            .any(|e| e.checkpoint().is_some() && !e.durable())
+        self.checkpoints_in_flight > 0
+    }
+
+    /// Delta pages appended since the newest checkpoint generation was
+    /// requested (since the log began, before the first): what recovery
+    /// would replay on top of that generation, and what a new one would
+    /// truncate.
+    pub fn tail_pages(&self) -> u32 {
+        self.tail_pages
     }
 
     /// Records one physically programmed page of entry `seq` landing
@@ -248,7 +314,14 @@ impl<S> TransLog<S> {
             return;
         };
         entry.programmed += 1;
-        if entry.durable() && entry.checkpoint().is_some() {
+        if entry.checkpoint().is_none() {
+            self.traffic.delta_pages += 1;
+            return;
+        }
+        self.traffic.generation_pages += 1;
+        if entry.durable() {
+            self.traffic.generations += 1;
+            self.checkpoints_in_flight -= 1;
             let upto = self.durable_checkpoint.unwrap_or(0).max(seq);
             self.durable_checkpoint = Some(upto);
             self.prune_superseded(upto);
@@ -336,6 +409,10 @@ impl<S> TransLog<S> {
         if let Some(upto) = self.durable_checkpoint {
             self.prune_superseded(upto);
         }
+        // Every survivor is durable, and the newest generation among
+        // them heads the map now: the tail is the deltas behind it.
+        self.checkpoints_in_flight = 0;
+        self.tail_pages = self.deltas().count() as u32;
     }
 
     /// The newest durable checkpoint generation, if any.
@@ -444,6 +521,63 @@ mod tests {
             [5]
         );
         assert!(!log.entries.contains_key(&torn));
+    }
+
+    /// The tail is the deltas behind the newest generation *requested*:
+    /// it restarts at every request, outlives retention's pruning, and
+    /// a power cut that tears the newest generation recounts it from
+    /// the older one — with the "in flight" mark kept beside it.
+    #[test]
+    fn tail_counts_the_deltas_behind_the_newest_generation() {
+        let mut log: TransLog<u8> = TransLog::new();
+        let block = BlockId::new(1);
+        let program = |log: &mut TransLog<u8>, seq| log.note_programmed(seq, block, |_| true);
+        let before: Vec<u64> = (0..3).map(|_| log.push_delta(Vec::new(), 0)).collect();
+        assert_eq!(log.tail_pages(), 3, "no generation yet: every delta");
+        let first = log.push_checkpoint(baseline(1), 2);
+        assert_eq!(log.tail_pages(), 0, "a request restarts the tail");
+        assert!(log.checkpoint_in_flight());
+        let between: Vec<u64> = (0..2).map(|_| log.push_delta(Vec::new(), 0)).collect();
+        assert_eq!(
+            log.tail_pages(),
+            2,
+            "counted while the generation is written out"
+        );
+        for &seq in before.iter().chain([&first, &first]) {
+            program(&mut log, seq);
+        }
+        assert!(!log.checkpoint_in_flight());
+        assert_eq!(log.entries.len(), 3, "retention pruned the older deltas");
+        assert_eq!(log.tail_pages(), 2, "pruning leaves the tail alone");
+        for &seq in &between {
+            program(&mut log, seq);
+        }
+        let torn = log.push_checkpoint(baseline(2), 3);
+        let after = log.push_delta(Vec::new(), 0);
+        assert_eq!(log.tail_pages(), 1);
+        program(&mut log, torn);
+        assert_eq!(
+            log.traffic(),
+            MapLogTraffic {
+                generations: 1,
+                generation_pages: 3,
+                delta_pages: 5,
+            }
+        );
+        // The cut: one of the torn generation's three pages landed, the
+        // delta queued behind it did not.
+        let found = [(first, 2), (between[0], 1), (between[1], 1), (torn, 1)];
+        log.power_cut(&found.into_iter().collect());
+        assert!(!log.entries.contains_key(&after));
+        assert!(!log.checkpoint_in_flight(), "the torn generation is gone");
+        assert_eq!(log.durable_checkpoint_seq(), Some(first));
+        assert_eq!(log.tail_pages(), 2, "counted from the older generation");
+        log.push_delta(Vec::new(), 0);
+        assert_eq!(log.tail_pages(), 3);
+        // A DRAM snapshot restarts it too, and is never in flight.
+        log.push_checkpoint(baseline(3), 0);
+        assert_eq!(log.tail_pages(), 0);
+        assert!(!log.checkpoint_in_flight());
     }
 
     #[test]

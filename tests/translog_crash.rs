@@ -343,6 +343,77 @@ fn persistence_point_after_a_torn_generation_recovers_exactly() {
     assert!(torn_cuts > 10, "only {torn_cuts} cuts tore a generation");
 }
 
+/// Generations paced by the journal: a run long enough for several
+/// generations with delta tails between them, cut after every
+/// dispatched command — in the middle of a tail, in the middle of a
+/// generation's write-out, right behind a log-block reclaim. Recovery
+/// reads back the flash ground truth every time, and replays a bounded
+/// tail: a generation is requested once the tail is as long as the
+/// generation, so what recovery replays is at most that, what accrued
+/// while the generation before was written out, and whatever was still
+/// queued when the power went.
+#[test]
+fn journal_paced_generations_recover_at_every_cut_with_a_bounded_tail() {
+    let config = sweep_config();
+    let mut ops = Vec::new();
+    for round in 0..8u64 {
+        ops.extend((0..64u64).map(|i| ((i * 7 + round * 3) % 64, 1 + round * 64 + i)));
+    }
+    let generation_pages = |ssd: &Ssd<ExactPageMap>| {
+        let geometry = ssd.config().geometry;
+        (ssd.scheme().snapshot_bytes() + 4 * geometry.blocks as usize)
+            .div_ceil(geometry.page_size as usize)
+    };
+    let (reference, total) = run_to_cut(&config, &ops, None);
+    let traffic = reference.maplog_traffic();
+    assert!(traffic.generations >= 3, "{traffic:?}");
+    assert!(
+        traffic.delta_pages >= traffic.generation_pages,
+        "{traffic:?}"
+    );
+    assert!(reference.maplog_reclaimed_blocks() > 0);
+
+    let newest = |ssd: &Ssd<ExactPageMap>| {
+        ssd.newest_checkpoint()
+            .map(|(scheme, _)| scheme as *const ExactPageMap)
+    };
+    let (mut mid_tail, mut mid_generation, mut after_reclaim) = (0u64, 0u64, 0u64);
+    let mut longest_replay = 0;
+    let mut reclaimed_before = 0;
+    for k in 0..=total {
+        let (mut ssd, _) = run_to_cut(&config, &ops, Some(k));
+        let pending = ssd.maplog_pending();
+        let bound = 2 * generation_pages(&ssd) + pending;
+        let in_flight = newest(&ssd);
+        let reclaimed = ssd.maplog_reclaimed_blocks();
+        let truth = flash_ground_truth(&ssd);
+        let report = recover(&mut ssd);
+        assert_recovered_matches(&mut ssd, &truth, &format!("paced cut {k}"));
+        // (Until the first GC pass nothing asks for a generation: the
+        // fill's tail is as long as the fill.)
+        assert!(
+            report.replayed_log_entries <= bound || newest(&ssd).is_none(),
+            "cut {k}: replayed {} deltas, bound {bound} ({pending} ops pending)",
+            report.replayed_log_entries
+        );
+        longest_replay = longest_replay.max(report.replayed_log_entries);
+        if in_flight != newest(&ssd) {
+            mid_generation += 1;
+        } else if report.replayed_log_entries > 0 {
+            mid_tail += 1;
+        }
+        after_reclaim += u64::from(reclaimed > reclaimed_before);
+        reclaimed_before = reclaimed;
+    }
+    assert!(mid_tail > 10, "only {mid_tail} cuts inside a tail");
+    assert!(
+        mid_generation >= 3,
+        "only {mid_generation} torn generations"
+    );
+    assert!(after_reclaim >= 1, "no cut right behind a reclaim");
+    assert!(longest_replay >= 2, "tails of {longest_replay} at most");
+}
+
 /// The blocking path drains the log synchronously at flush boundaries,
 /// so a LeaFTL device in FlashLog mode recovers through the log too —
 /// and the §3.1 memory bound (segment bytes ≤ 8 B per live page)
