@@ -25,9 +25,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 mod dftl;
 mod page_table;
 mod sftl;

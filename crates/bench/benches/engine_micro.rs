@@ -4,6 +4,8 @@
 //! virtual clock is free; this measures the device + mapping-path CPU
 //! cost per request).
 
+#![expect(missing_docs, reason = "criterion_group! emits a bare `pub fn`")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use leaftl_core::LeaFtlConfig;
 use leaftl_flash::Lpa;

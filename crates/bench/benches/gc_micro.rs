@@ -32,6 +32,8 @@
 //!
 //! Per-iteration time must be flat in block count on both.
 
+#![expect(missing_docs, reason = "criterion_group! emits a bare `pub fn`")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use leaftl_flash::Lpa;
 use leaftl_sim::{CheckpointMode, ExactPageMap, Ssd, SsdConfig};

@@ -12,6 +12,8 @@
 //! `insert_piece` and `compact` mutate, so each iteration works on a
 //! fresh clone; `group_clone` is that clone alone, to subtract.
 
+#![expect(missing_docs, reason = "criterion_group! emits a bare `pub fn`")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use leaftl_core::{f16, plr, Group};
 use rand::rngs::StdRng;

@@ -2,6 +2,8 @@
 //! software paths (no flash latency): update and lookup throughput,
 //! plus the learn vs learn_sorted fast-path delta.
 
+#![expect(missing_docs, reason = "criterion_group! emits a bare `pub fn`")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use leaftl_baselines::{Dftl, Sftl};
 use leaftl_core::{LeaFtlConfig, LeaFtlTable};

@@ -1,6 +1,8 @@
 //! Micro-benchmarks of the greedy PLR fitter on the pattern classes of
 //! Fig. 1: sequential, strided, and irregular batches.
 
+#![expect(missing_docs, reason = "criterion_group! emits a bare `pub fn`")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use leaftl_core::plr;
 use rand::rngs::StdRng;

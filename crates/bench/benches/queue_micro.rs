@@ -8,6 +8,8 @@
 //! watermark), and a 1012-queue open-loop fleet with sparse arrivals —
 //! the case where a pump iteration must not cost O(queues).
 
+#![expect(missing_docs, reason = "criterion_group! emits a bare `pub fn`")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use leaftl_core::LeaFtlConfig;
 use leaftl_flash::Lpa;

@@ -18,6 +18,8 @@
 //!   completions of a queue-depth-32 closed loop that never took any;
 //!   producing them is kept out of the timing.
 
+#![expect(missing_docs, reason = "criterion_group! emits a bare `pub fn`")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use leaftl_core::{LeaFtlConfig, ShardedMapping};
 use leaftl_flash::{FlashDevice, FlashGeometry, Lpa, Ppa};

@@ -21,6 +21,8 @@
 //! * **Sorted flush splitting** — `update_batch_sorted` boundary
 //!   splitting vs the monolithic learn path.
 
+#![expect(missing_docs, reason = "criterion_group! emits a bare `pub fn`")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use leaftl_core::{LeaFtlConfig, MappingScheme, ShardedMapping};
 use leaftl_flash::{Lpa, Ppa};

@@ -6,6 +6,8 @@
 //! must keep the same shape (µs-scale learning, tens-of-ns lookups,
 //! slight growth with γ).
 
+#![expect(missing_docs, reason = "criterion_group! emits a bare `pub fn`")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use leaftl_core::{LeaFtlConfig, LeaFtlTable};
 use leaftl_flash::{Lpa, Ppa};

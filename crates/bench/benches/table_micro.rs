@@ -36,6 +36,8 @@
 //!   which grows with the table (and, when a clone copied every group's
 //!   levels and CRB, grew 64× from 64 groups to 4096).
 
+#![expect(missing_docs, reason = "criterion_group! emits a bare `pub fn`")]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use leaftl_core::LeaFtlConfig;
 use leaftl_flash::{Lpa, Ppa};

@@ -51,7 +51,7 @@ impl SchemeKind {
     pub fn gamma(&self) -> u32 {
         match self {
             SchemeKind::LeaFtl { gamma } => *gamma,
-            _ => 0,
+            SchemeKind::Dftl | SchemeKind::Sftl => 0,
         }
     }
 }
@@ -62,6 +62,18 @@ pub enum AnySsd {
     Dftl(Ssd<Dftl>),
     Sftl(Ssd<Sftl>),
     Lea(Ssd<LeaFtlScheme>),
+}
+
+/// `each_ssd!(self, ssd => expr)`: `expr` on the SSD of whichever scheme
+/// `self` holds.
+macro_rules! each_ssd {
+    ($any:expr, $ssd:ident => $body:expr) => {
+        match $any {
+            AnySsd::Dftl($ssd) => $body,
+            AnySsd::Sftl($ssd) => $body,
+            AnySsd::Lea($ssd) => $body,
+        }
+    };
 }
 
 impl AnySsd {
@@ -87,11 +99,7 @@ impl AnySsd {
     }
 
     pub fn replay<I: IntoIterator<Item = HostOp>>(&mut self, ops: I) -> ReplayReport {
-        match self {
-            AnySsd::Dftl(ssd) => replay(ssd, ops).expect("replay"),
-            AnySsd::Sftl(ssd) => replay(ssd, ops).expect("replay"),
-            AnySsd::Lea(ssd) => replay(ssd, ops).expect("replay"),
-        }
+        each_ssd!(self, ssd => replay(ssd, ops).expect("replay"))
     }
 
     /// Closed-loop replay through the queued engine at `queue_depth`.
@@ -101,11 +109,8 @@ impl AnySsd {
         queue_depth: usize,
     ) -> QueuedReplayReport {
         self.attach_trace_if_requested();
-        let report = match self {
-            AnySsd::Dftl(ssd) => replay_queued(ssd, ops, queue_depth).expect("replay_queued"),
-            AnySsd::Sftl(ssd) => replay_queued(ssd, ops, queue_depth).expect("replay_queued"),
-            AnySsd::Lea(ssd) => replay_queued(ssd, ops, queue_depth).expect("replay_queued"),
-        };
+        let report =
+            each_ssd!(self, ssd => replay_queued(ssd, ops, queue_depth).expect("replay_queued"));
         self.export_trace_if_requested();
         report
     }
@@ -118,11 +123,9 @@ impl AnySsd {
         queue_depth: usize,
     ) -> QueuedReplayReport {
         self.attach_trace_if_requested();
-        let report = match self {
-            AnySsd::Dftl(ssd) => replay_open_loop(ssd, ops, queue_depth).expect("replay_open_loop"),
-            AnySsd::Sftl(ssd) => replay_open_loop(ssd, ops, queue_depth).expect("replay_open_loop"),
-            AnySsd::Lea(ssd) => replay_open_loop(ssd, ops, queue_depth).expect("replay_open_loop"),
-        };
+        let report = each_ssd!(self, ssd => {
+            replay_open_loop(ssd, ops, queue_depth).expect("replay_open_loop")
+        });
         self.export_trace_if_requested();
         report
     }
@@ -135,17 +138,9 @@ impl AnySsd {
         config: DeviceConfig,
     ) -> QueuedReplayReport {
         self.attach_trace_if_requested();
-        let report = match self {
-            AnySsd::Dftl(ssd) => {
-                replay_open_loop_with(ssd, ops, config).expect("replay_open_loop_with")
-            }
-            AnySsd::Sftl(ssd) => {
-                replay_open_loop_with(ssd, ops, config).expect("replay_open_loop_with")
-            }
-            AnySsd::Lea(ssd) => {
-                replay_open_loop_with(ssd, ops, config).expect("replay_open_loop_with")
-            }
-        };
+        let report = each_ssd!(self, ssd => {
+            replay_open_loop_with(ssd, ops, config).expect("replay_open_loop_with")
+        });
         self.export_trace_if_requested();
         report
     }
@@ -156,22 +151,14 @@ impl AnySsd {
         if trace_path().is_none() {
             return;
         }
-        match self {
-            AnySsd::Dftl(ssd) => ssd.attach_trace(),
-            AnySsd::Sftl(ssd) => ssd.attach_trace(),
-            AnySsd::Lea(ssd) => ssd.attach_trace(),
-        }
+        each_ssd!(self, ssd => ssd.attach_trace())
     }
 
     /// Exports and detaches the tracer after a replay, overwriting the
     /// `--trace` destination (the last traced replay wins).
     fn export_trace_if_requested(&mut self) {
         let Some(path) = trace_path() else { return };
-        let sink = match self {
-            AnySsd::Dftl(ssd) => ssd.take_trace(),
-            AnySsd::Sftl(ssd) => ssd.take_trace(),
-            AnySsd::Lea(ssd) => ssd.take_trace(),
-        };
+        let sink = each_ssd!(self, ssd => ssd.take_trace());
         if let Some(sink) = sink {
             match std::fs::write(path, sink.export_chrome_json()) {
                 Ok(()) => eprintln!(
@@ -185,27 +172,15 @@ impl AnySsd {
     }
 
     pub fn flush(&mut self) {
-        match self {
-            AnySsd::Dftl(ssd) => ssd.flush().expect("flush"),
-            AnySsd::Sftl(ssd) => ssd.flush().expect("flush"),
-            AnySsd::Lea(ssd) => ssd.flush().expect("flush"),
-        }
+        each_ssd!(self, ssd => ssd.flush().expect("flush"))
     }
 
     pub fn reset_stats(&mut self) {
-        match self {
-            AnySsd::Dftl(ssd) => ssd.reset_stats(),
-            AnySsd::Sftl(ssd) => ssd.reset_stats(),
-            AnySsd::Lea(ssd) => ssd.reset_stats(),
-        }
+        each_ssd!(self, ssd => ssd.reset_stats())
     }
 
     pub fn stats(&self) -> &SimStats {
-        match self {
-            AnySsd::Dftl(ssd) => ssd.stats(),
-            AnySsd::Sftl(ssd) => ssd.stats(),
-            AnySsd::Lea(ssd) => ssd.stats(),
-        }
+        each_ssd!(self, ssd => ssd.stats())
     }
 
     /// Asserts the device-timeline conservation invariant: per-die
@@ -213,11 +188,7 @@ impl AnySsd {
     /// breakdown exactly. Experiments call this after every
     /// engine-driven replay so a broken attribution fails loudly.
     pub fn assert_utilization_conserved(&self, context: &str) {
-        let check = match self {
-            AnySsd::Dftl(ssd) => ssd.check_utilization_conservation(),
-            AnySsd::Sftl(ssd) => ssd.check_utilization_conservation(),
-            AnySsd::Lea(ssd) => ssd.check_utilization_conservation(),
-        };
+        let check = each_ssd!(self, ssd => ssd.check_utilization_conservation());
         if let Err(e) = check {
             panic!("utilization conservation violated ({context}): {e}");
         }
@@ -225,20 +196,12 @@ impl AnySsd {
 
     /// Host-visible logical capacity in pages.
     pub fn config_logical_pages(&self) -> u64 {
-        match self {
-            AnySsd::Dftl(ssd) => ssd.config().logical_pages(),
-            AnySsd::Sftl(ssd) => ssd.config().logical_pages(),
-            AnySsd::Lea(ssd) => ssd.config().logical_pages(),
-        }
+        each_ssd!(self, ssd => ssd.config().logical_pages())
     }
 
     /// Current DRAM consumption of the mapping structures.
     pub fn mapping_bytes(&self) -> usize {
-        match self {
-            AnySsd::Dftl(ssd) => ssd.mapping_bytes(),
-            AnySsd::Sftl(ssd) => ssd.mapping_bytes(),
-            AnySsd::Lea(ssd) => ssd.mapping_bytes(),
-        }
+        each_ssd!(self, ssd => ssd.mapping_bytes())
     }
 
     /// Bytes the scheme would need to hold its *entire* mapping state in
@@ -263,39 +226,23 @@ impl AnySsd {
     /// background-traffic tax. Not reset by [`AnySsd::reset_stats`];
     /// diff two readings to bound a measurement window.
     pub fn maplog_bytes_written(&self) -> u64 {
-        match self {
-            AnySsd::Dftl(ssd) => ssd.maplog_bytes_written(),
-            AnySsd::Sftl(ssd) => ssd.maplog_bytes_written(),
-            AnySsd::Lea(ssd) => ssd.maplog_bytes_written(),
-        }
+        each_ssd!(self, ssd => ssd.maplog_bytes_written())
     }
 
     /// The same traffic in log pages, split into checkpoint generations
     /// and the delta journal they truncate (lifetime, like the bytes).
     pub fn maplog_traffic(&self) -> MapLogTraffic {
-        match self {
-            AnySsd::Dftl(ssd) => ssd.maplog_traffic(),
-            AnySsd::Sftl(ssd) => ssd.maplog_traffic(),
-            AnySsd::Lea(ssd) => ssd.maplog_traffic(),
-        }
+        each_ssd!(self, ssd => ssd.maplog_traffic())
     }
 
     /// Every physical page by its standing (free, open, stale, …).
     pub fn space_report(&self) -> SpaceReport {
-        match self {
-            AnySsd::Dftl(ssd) => ssd.space_report(),
-            AnySsd::Sftl(ssd) => ssd.space_report(),
-            AnySsd::Lea(ssd) => ssd.space_report(),
-        }
+        each_ssd!(self, ssd => ssd.space_report())
     }
 
     /// Translation-log blocks reclaimed by the log's retention policy.
     pub fn maplog_reclaimed_blocks(&self) -> u64 {
-        match self {
-            AnySsd::Dftl(ssd) => ssd.maplog_reclaimed_blocks(),
-            AnySsd::Sftl(ssd) => ssd.maplog_reclaimed_blocks(),
-            AnySsd::Lea(ssd) => ssd.maplog_reclaimed_blocks(),
-        }
+        each_ssd!(self, ssd => ssd.maplog_reclaimed_blocks())
     }
 
     /// Compacted learned-table stats (None for the baselines).
@@ -306,7 +253,7 @@ impl AnySsd {
                 table.compact();
                 Some(table.stats())
             }
-            _ => None,
+            AnySsd::Dftl(_) | AnySsd::Sftl(_) => None,
         }
     }
 
@@ -314,7 +261,7 @@ impl AnySsd {
     pub fn table_stats(&self) -> Option<TableStats> {
         match self {
             AnySsd::Lea(ssd) => Some(ssd.scheme().table_stats()),
-            _ => None,
+            AnySsd::Dftl(_) | AnySsd::Sftl(_) => None,
         }
     }
 }
@@ -418,7 +365,10 @@ pub const SEED: u64 = 0x1ea_f71;
 
 /// Outcome of one (workload, scheme) run. Carries the full measurement
 /// set even where individual experiments consume only a subset.
-#[allow(dead_code)]
+#[expect(
+    dead_code,
+    reason = "the full measurement set is serialised; an experiment reads a subset of the fields"
+)]
 #[derive(Debug, Clone, Serialize)]
 pub struct RunOutcome {
     pub workload: String,

@@ -18,7 +18,11 @@
 //! trace-event JSON to `<path>` — open it at <https://ui.perfetto.dev>.
 //! `trace-check <path>` validates such a file (CI smoke).
 
-#![forbid(unsafe_code)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a CLI: an experiment that cannot run should panic with its message"
+)]
 
 mod common;
 mod experiments;

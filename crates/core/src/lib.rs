@@ -74,9 +74,6 @@
 //! The companion crates `leaftl-sim` (SSD simulator), `leaftl-baselines`
 //! (DFTL/SFTL) and `leaftl-bench` (paper experiments) build on this one.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 mod config;
 pub mod crb;
 pub mod f16;

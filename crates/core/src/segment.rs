@@ -63,6 +63,10 @@ impl Segment {
             start: offset,
             len: 0,
             k_bits: 0,
+            #[expect(
+                clippy::expect_used,
+                reason = "geometry caps physical page addresses far below i32::MAX; try_from documents the assumption"
+            )]
             intercept: i32::try_from(ppa.raw()).expect("ppa fits i32 by geometry construction"),
         }
     }

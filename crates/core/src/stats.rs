@@ -82,7 +82,7 @@ pub fn percentile<T: Copy + Into<f64> + PartialOrd>(values: &[T], p: f64) -> f64
         return 0.0;
     }
     let mut sorted: Vec<f64> = values.iter().map(|&v| v.into()).collect();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in samples"));
+    sorted.sort_by(f64::total_cmp);
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
 }

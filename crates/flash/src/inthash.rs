@@ -8,9 +8,21 @@
 //! [`IntSet`]: one multiply per key, the same table layout in every
 //! run. Keep `RandomState` for keys that arrive from outside the
 //! program.
+//!
+//! Neither type can be iterated: the order a hash table visits its
+//! entries in is an accident of its history, and byte-identical trace
+//! exports and seed-reproducible replays hold only while no state
+//! derives from it. What needs an order keeps one beside the index (the
+//! LRU's slot list, the write buffer's arrival list) or is a `BTreeMap`.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the one module that wraps the std tables; everything else goes through its types"
+)]
+
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// 2⁶⁴ / φ, odd: multiplying by it is a bijection on `u64` that carries
 /// every input bit into the high half.
@@ -64,17 +76,108 @@ impl Hasher for IntHasher {
     }
 }
 
-/// A `HashMap` over [`IntHasher`]: build with `IntMap::default()`.
-pub type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+/// A `HashMap` over [`IntHasher`] with keyed access only: build with
+/// `IntMap::default()`.
+///
+/// ```compile_fail
+/// leaftl_flash::IntMap::<u64, u64>::default().iter();
+/// ```
+#[derive(Debug)]
+pub struct IntMap<K, V>(HashMap<K, V, BuildHasherDefault<IntHasher>>);
 
-/// A `HashSet` over [`IntHasher`]: build with `IntSet::default()`.
-pub type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
+/// A `HashSet` over [`IntHasher`] with keyed access only: build with
+/// `IntSet::default()`.
+///
+/// ```compile_fail
+/// for _ in &leaftl_flash::IntSet::<u64>::default() {}
+/// ```
+#[derive(Debug, Clone)]
+pub struct IntSet<K>(HashSet<K, BuildHasherDefault<IntHasher>>);
+
+impl<K, V> Default for IntMap<K, V> {
+    fn default() -> Self {
+        IntMap(HashMap::default())
+    }
+}
+
+impl<K, V> IntMap<K, V> {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the map holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Removes every entry, keeping the storage.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
+impl<K: Clone, V: Clone> Clone for IntMap<K, V> {
+    fn clone(&self) -> Self {
+        IntMap(self.0.clone())
+    }
+
+    /// Overwrites in place, reusing the table's storage.
+    fn clone_from(&mut self, source: &Self) {
+        self.0.clone_from(&source.0);
+    }
+}
+
+impl<K: Eq + Hash, V> IntMap<K, V> {
+    /// The value stored under `key`.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.0.get(key)
+    }
+
+    /// Whether `key` has an entry.
+    pub fn contains_key(&self, key: &K) -> bool {
+        self.0.contains_key(key)
+    }
+
+    /// Stores `value` under `key`, returning the value it replaces.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        self.0.insert(key, value)
+    }
+
+    /// Removes and returns the value stored under `key`.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        self.0.remove(key)
+    }
+
+    /// The entry of `key`, for one-probe insert-or-update.
+    pub fn entry(&mut self, key: K) -> Entry<'_, K, V> {
+        self.0.entry(key)
+    }
+}
+
+impl<K> Default for IntSet<K> {
+    fn default() -> Self {
+        IntSet(HashSet::default())
+    }
+}
+
+impl<K: Eq + Hash> IntSet<K> {
+    /// Adds `key`; `false` when it was a member already.
+    pub fn insert(&mut self, key: K) -> bool {
+        self.0.insert(key)
+    }
+
+    /// Removes every member, keeping the storage.
+    pub fn clear(&mut self) {
+        self.0.clear();
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Lpa;
-    use std::hash::{BuildHasher, Hash};
+    use std::hash::BuildHasher;
 
     fn hash_of<T: Hash>(value: T) -> u64 {
         BuildHasherDefault::<IntHasher>::default().hash_one(value)
@@ -101,11 +204,11 @@ mod tests {
                 high.insert(hash >> 57);
             }
             assert!(
-                low.len() > 2400,
+                low.0.len() > 2400,
                 "shift {shift}: {} low patterns",
-                low.len()
+                low.0.len()
             );
-            assert_eq!(high.len(), 128, "shift {shift}");
+            assert_eq!(high.0.len(), 128, "shift {shift}");
         }
     }
 
@@ -129,5 +232,26 @@ mod tests {
         assert_eq!(map.get(&Lpa::new(256 * 999)), Some(&999));
         assert_eq!(map.remove(&Lpa::new(0)), Some(0));
         assert!(!map.contains_key(&Lpa::new(0)));
+    }
+
+    /// What a kept recovery baseline pays for: bringing a copy of equal
+    /// size up to date reuses its table instead of allocating one.
+    #[test]
+    fn clone_from_reuses_the_storage() {
+        let mut live: IntMap<u64, u64> = IntMap::default();
+        for key in 0..1000 {
+            live.insert(key, key);
+        }
+        let mut kept = live.clone();
+        let storage = (kept.0.capacity(), std::ptr::from_ref(&kept.0[&999]));
+        for key in 0..1000 {
+            live.insert(key, key + 1);
+        }
+        kept.clone_from(&live);
+        assert_eq!((kept.len(), kept.get(&999)), (1000, Some(&1000)));
+        assert_eq!(
+            (kept.0.capacity(), std::ptr::from_ref(&kept.0[&999])),
+            storage
+        );
     }
 }

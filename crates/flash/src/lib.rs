@@ -46,9 +46,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 mod addr;
 mod block;
 mod device;

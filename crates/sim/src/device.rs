@@ -1099,13 +1099,14 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     /// arbiter's per-queue weights.
     fn qos_tick_if_due(&mut self) {
         let now = self.ssd.now_ns();
-        if !self.qos.as_ref().is_some_and(|qos| qos.due(now)) {
-            return;
-        }
+        // The tick's inputs are a few field reads, taken before the
+        // controller borrows the device.
         let settled = self.settled_free_fraction();
         let gc_stall = self.gc_stall_ns;
         let translation_stall = self.ssd.stats().translation_stall_ns;
-        let qos = self.qos.as_mut().expect("due implies a controller");
+        let Some(qos) = self.qos.as_mut().filter(|qos| qos.due(now)) else {
+            return;
+        };
         qos.tick(now, gc_stall, translation_stall, settled);
         for queue in 0..self.queues.len() {
             self.arbiter.set_weight(queue, qos.weight(queue));

@@ -22,6 +22,13 @@ pub enum SimError {
         /// The predicted PPA that failed to resolve.
         predicted: Ppa,
     },
+    /// A block being relocated (a GC victim, a wear swap's cold block)
+    /// holds a valid page whose OOB names no LPA — only translation-log
+    /// pages are programmed that way (FTL logic bug).
+    MissingReverseMapping {
+        /// The valid page without a reverse mapping.
+        ppa: Ppa,
+    },
     /// A command was submitted to a submission queue the device does
     /// not have.
     UnknownQueue(usize),
@@ -66,6 +73,10 @@ impl fmt::Display for SimError {
                 f,
                 "mapping corruption: {lpa} predicted at {predicted} but not found within bound"
             ),
+            SimError::MissingReverseMapping { ppa } => write!(
+                f,
+                "valid page {ppa} of a relocated block carries no reverse mapping"
+            ),
             SimError::UnknownQueue(queue) => {
                 write!(f, "submission queue {queue} does not exist")
             }
@@ -91,7 +102,14 @@ impl Error for SimError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             SimError::Flash(e) => Some(e),
-            _ => None,
+            SimError::LpaOutOfRange(_)
+            | SimError::DeviceFull
+            | SimError::MappingCorruption { .. }
+            | SimError::MissingReverseMapping { .. }
+            | SimError::UnknownQueue(_)
+            | SimError::StreamsExceedQueues { .. }
+            | SimError::DispatchStalled { .. }
+            | SimError::BackgroundCommandInHostQueue { .. } => None,
         }
     }
 }

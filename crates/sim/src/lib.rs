@@ -50,9 +50,6 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod allocator;
 pub mod arbiter;
 pub mod buffer;

@@ -1090,7 +1090,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         self.ensure_allocatable(pages.len() as u32, Stream::Host, None)?;
         let runs = self
             .allocate(Stream::Host, pages.len() as u32)
-            .expect("allocation ensured above");
+            .ok_or(SimError::DeviceFull)?;
 
         // Program all pages asynchronously: the dies stay busy
         // (delaying subsequent reads) but the host continues.
@@ -1629,7 +1629,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 let die = self.config.geometry.die_of(ppa);
                 let end = self.flash_op(FlashOp::GcRead, TrafficClass::Gc, die, now);
                 reads_done = reads_done.max(end);
-                let lpa = view.lpa.expect("data pages always carry a reverse mapping");
+                let lpa = view.lpa.ok_or(SimError::MissingReverseMapping { ppa })?;
                 items.push((lpa, view.content, view.seq));
             }
             if blocking {
@@ -2032,7 +2032,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                     let runs = self
                         .allocate(Stream::MapLog, 1)
                         .ok_or(SimError::DeviceFull)?;
-                    let ppa = runs[0].ppas().next().expect("one-page run");
+                    let ppa = runs[0].ppas().next().ok_or(SimError::DeviceFull)?;
                     self.device.program(ppa, seq, None)?;
                     let die = self.config.geometry.die_of(ppa);
                     let now = self.clock.now_ns();
@@ -2477,6 +2477,24 @@ mod tests {
         // WAF is sane: > 1 due to GC copies, bounded by a small factor.
         let waf = ssd.stats().waf();
         assert!(waf >= 1.0 && waf < 5.0, "waf = {waf}");
+    }
+
+    #[test]
+    fn relocating_a_valid_page_without_a_reverse_mapping_is_an_error() {
+        let mut ssd = ssd();
+        let runs = ssd.allocate(Stream::Host, 1).unwrap();
+        let ppa = runs[0].ppas().next().unwrap();
+        // Only translation-log pages are programmed without an LPA, and
+        // those are never marked valid.
+        ssd.device.program(ppa, 7, None).unwrap();
+        ssd.mark_valid(ppa);
+        let victim = ssd.config.geometry.block_of(ppa);
+        for blocking in [true, false] {
+            assert_eq!(
+                ssd.service_gc_migrate(victim, blocking),
+                Err(SimError::MissingReverseMapping { ppa })
+            );
+        }
     }
 
     #[test]

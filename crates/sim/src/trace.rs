@@ -450,7 +450,7 @@ impl TraceSink {
             .iter()
             .filter_map(|e| match e.track {
                 Track::Queue(queue) => Some(Self::queue_tid(queue)),
-                _ => None,
+                Track::Die(_) | Track::Cpu(_) | Track::Control => None,
             })
             .collect();
         for &tid in &queue_tids {
@@ -742,7 +742,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
 /// A parsed JSON value (just enough for trace validation).
 enum Json {
     Null,
-    Bool(#[allow(dead_code)] bool),
+    Bool(#[expect(dead_code, reason = "parsed; no check reads a boolean")] bool),
     Num(f64),
     Str(String),
     Arr(Vec<Json>),

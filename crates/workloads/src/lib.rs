@@ -21,9 +21,6 @@
 //! assert!(!warmup.is_empty());
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 mod openloop;
 mod profile;
 mod suites;

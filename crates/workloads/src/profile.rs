@@ -122,15 +122,17 @@ impl TraceGenerator {
             let count = (self.sample_run_len().clamp(2, 64)) as u64;
             let max_start = self.span.saturating_sub(stride * count + 1);
             let start = self.sample_start().min(max_start);
-            for i in 0..count {
-                let lpa = Lpa::new((start + i * stride).min(self.span - 1));
-                self.pending.push_back(if is_read {
+            let span = self.span;
+            let op = |i: u64| {
+                let lpa = Lpa::new((start + i * stride).min(span - 1));
+                if is_read {
                     HostOp::Read { lpa, pages: 1 }
                 } else {
                     HostOp::Write { lpa, pages: 1 }
-                });
-            }
-            return self.pending.pop_front().expect("count >= 2");
+                }
+            };
+            self.pending.extend((1..count).map(op));
+            return op(0);
         } else {
             // Single-page skewed access.
             (self.sample_start(), 1)

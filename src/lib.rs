@@ -27,9 +27,6 @@
 //! assert_eq!(guess.ppa, Ppa::new(1042));
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub use leaftl_baselines as baselines;
 pub use leaftl_core as core;
 pub use leaftl_flash as flash;
