@@ -1,25 +1,7 @@
 //! Sharded-translation-service micro-costs: what the `ShardedMapping`
-//! layer itself adds or saves, isolated from the simulator.
-//!
-//! Three axes:
-//!
-//! * **Small bursts (32)** — the per-dispatch burst of a QD=32 device:
-//!   pure routing + merge overhead. Historically sharding "won" at this
-//!   burst size only because the demand-paging residency check walked
-//!   every group (`memory_bytes` was O(groups)) and each shard walked
-//!   just its slice; with the incremental accounting that check is
-//!   O(1) for any table size (see `table_micro`), the artifact is
-//!   gone, and 1-shard vs 8-shard small-burst costs sit close
-//!   together.
-//! * **Large bursts (4096)** — the same partition → per-shard → merge
-//!   loop with per-shard sub-batches hundreds of addresses long. No
-//!   simulated path issues one: the device's bursts average 2.3
-//!   addresses on the ledger's `read_qd32`, where the batched path
-//!   measured 700.6 ns per LPA against 664.8 ns pointwise
-//!   (`BENCH_19.json`), so read this axis as the layer's asymptote, not
-//!   as what a device read pays.
-//! * **Sorted flush splitting** — `update_batch_sorted` boundary
-//!   splitting vs the monolithic learn path.
+//! layer itself adds to a sorted flush, isolated from the simulator —
+//! `update_batch_sorted` boundary splitting vs the monolithic learn
+//! path.
 
 #![expect(missing_docs, reason = "criterion_group! emits a bare `pub fn`")]
 
@@ -61,28 +43,6 @@ fn warmed(shards: usize) -> ShardedMapping<LeaFtlScheme> {
     scheme
 }
 
-fn burst(len: usize, seed: u64) -> Vec<Lpa> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..len)
-        .map(|_| Lpa::new(rng.gen_range(0u64..SPACE)))
-        .collect()
-}
-
-fn bench_lookup_fanout(c: &mut Criterion) {
-    for &len in &[32usize, 4096] {
-        let mut group = c.benchmark_group(format!("shard_lookup_burst{len}"));
-        group.throughput(Throughput::Elements(len as u64));
-        for &shards in &[1usize, 2, 4, 8] {
-            let mut scheme = warmed(shards);
-            let lpas = burst(len, 99);
-            group.bench_function(BenchmarkId::from_parameter(shards), |b| {
-                b.iter(|| black_box(scheme.lookup_batch(black_box(&lpas))))
-            });
-        }
-        group.finish();
-    }
-}
-
 fn bench_sorted_split(c: &mut Criterion) {
     let mut group = c.benchmark_group("shard_update_sorted");
     const FLUSH: usize = 2048;
@@ -109,5 +69,5 @@ fn bench_sorted_split(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_lookup_fanout, bench_sorted_split);
+criterion_group!(benches, bench_sorted_split);
 criterion_main!(benches);

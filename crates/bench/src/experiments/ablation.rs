@@ -1,6 +1,5 @@
-//! Ablation studies for the design choices called out in DESIGN.md §8:
-//! buffer sorting before flush (Fig. 7 / §3.3) and the compaction
-//! interval (§3.7).
+//! Ablation studies of two design choices: buffer sorting before flush
+//! (Fig. 7 / §3.3) and the compaction interval (§3.7).
 
 use crate::common::{fmt_bytes, print_table, Scale, SEED};
 use leaftl_core::LeaFtlConfig;

@@ -166,8 +166,9 @@ pub fn fig16b(quick: bool) -> Value {
 }
 
 /// Fig. 17: the application suite (the paper's real-SSD validation,
-/// here on the simulator substrate — see DESIGN.md §6), closed-loop
-/// plus the engine-driven QD=8 series.
+/// here on the simulator substrate with the synthetic profiles of
+/// `leaftl_workloads::app_suite`), closed-loop plus the engine-driven
+/// QD=8 series.
 pub fn fig17(quick: bool) -> Value {
     let scale = Scale::perf(quick);
     let series = compare_schemes(

@@ -247,13 +247,6 @@ impl Crb {
         }
     }
 
-    /// Removes the run starting at `start`, if present.
-    pub fn remove_run(&mut self, start: u8) {
-        if let Ok(run) = self.find(start) {
-            self.close_gap(run, self.range(run));
-        }
-    }
-
     /// Drops `gap`, the tail of run `run`'s bytes (all of them removes
     /// the run), and moves every later run down.
     fn close_gap(&mut self, run: usize, gap: Range<usize>) {
@@ -389,15 +382,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_run_is_idempotent() {
-        let mut crb = Crb::new();
-        insert(&mut crb, &[1, 2]);
-        crb.remove_run(1);
-        crb.remove_run(1);
-        assert!(crb.is_empty());
-    }
-
-    #[test]
     fn offsets_unique_across_runs() {
         let mut crb = Crb::new();
         insert(&mut crb, &[0, 50, 100]);
@@ -493,8 +477,7 @@ mod tests {
         assert_eq!(crb.total_members(), crb.recount_members());
         crb.replace_run(100, vec![]);
         assert_eq!(crb.total_members(), crb.recount_members());
-        crb.remove_run(0);
-        crb.remove_run(0); // idempotent: must not double-subtract
+        crb.replace_run(0, vec![]);
         assert_eq!(crb.total_members(), crb.recount_members());
         assert_eq!(crb.byte_size(), crb.recount_members() + crb.run_count());
     }

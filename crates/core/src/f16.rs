@@ -93,21 +93,6 @@ pub fn encode_ceil(value: f64) -> u16 {
     floor + u16::from(inexact)
 }
 
-/// Nearest binary16 to `value` (ties toward the floor).
-///
-/// # Panics
-///
-/// Panics if `value` is negative, NaN, or infinite.
-pub fn encode_nearest(value: f64) -> u16 {
-    let floor = encode_floor(value);
-    let ceil = encode_ceil(value);
-    if (value - decode(floor)).abs() <= (decode(ceil) - value).abs() {
-        floor
-    } else {
-        ceil
-    }
-}
-
 /// Maximum finite binary16 value (65504.0).
 pub const MAX_F16: f64 = 65504.0;
 /// Bit pattern of [`MAX_F16`].
@@ -345,16 +330,6 @@ mod tests {
             // They are adjacent representable values (or equal).
             assert!(encode_ceil(v) - encode_floor(v) <= 1);
         }
-    }
-
-    #[test]
-    fn nearest_picks_closer_side() {
-        let third = 1.0 / 3.0;
-        let n = decode(encode_nearest(third));
-        let f = decode(encode_floor(third));
-        let c = decode(encode_ceil(third));
-        assert!((n - third).abs() <= (f - third).abs());
-        assert!((n - third).abs() <= (c - third).abs());
     }
 
     #[test]

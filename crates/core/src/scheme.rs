@@ -112,11 +112,8 @@ pub trait MappingScheme {
     /// Translates an LPA, or `None` when unmapped.
     fn lookup(&mut self, lpa: Lpa) -> (Option<MappingLookup>, MapCost);
 
-    /// Translates a batch of LPAs (one queued-engine dispatch round).
-    /// Semantically equivalent to calling [`MappingScheme::lookup`] per
-    /// address in order; schemes with hierarchical indexes override it
-    /// to amortise the traversal across the batch, and sharded schemes
-    /// fan the burst out per shard.
+    /// Translates a batch of LPAs (one queued-engine dispatch round) by
+    /// calling [`MappingScheme::lookup`] per address in order.
     fn lookup_batch(&mut self, lpas: &[Lpa]) -> Vec<(Option<MappingLookup>, MapCost)> {
         lpas.iter().map(|&lpa| self.lookup(lpa)).collect()
     }

@@ -17,9 +17,9 @@ use std::fmt;
 /// Translation is `PPA = round(K · x) + I` where `x` is the group offset
 /// of the LPA. The paper writes `⌈K · LPA + I⌉`; we use round-to-nearest
 /// on the group offset so that half-precision quantization of `K` cannot
-/// perturb translations of accurate segments (see DESIGN.md §5). The
-/// learning path verifies every covered point against this exact decode
-/// function, so the error contract is enforced by construction.
+/// perturb translations of accurate segments. The learning path
+/// verifies every covered point against this exact decode function, so
+/// the error contract is enforced by construction.
 ///
 /// The whole struct packs into exactly 8 bytes, matching the paper's
 /// memory accounting.

@@ -7,8 +7,8 @@
 //! that bottleneck structurally: each shard owns a contiguous LPA range
 //! (aligned to group boundaries, so a group never straddles shards) and
 //! carries its own group map, CRB and — for demand-paged schemes — LRU
-//! residency state. Bursts fan out per shard ([`MappingScheme::lookup_batch`]),
-//! sorted flush batches split at shard boundaries
+//! residency state. A lookup routes to the one shard that owns its
+//! address, sorted flush batches split at shard boundaries
 //! ([`MappingScheme::update_batch_sorted`]), and compaction runs
 //! per shard, which is what lets the device front-end schedule it as
 //! background traffic instead of a stop-the-world flush side effect.
@@ -16,12 +16,7 @@
 //! The parallelism is the *simulated device's*: the simulator gives
 //! every shard its own translation-CPU timeline, so lookups on
 //! different shards overlap in virtual time. On the host a burst is
-//! translated shard by shard on the caller's thread, and the fan-out
-//! saves it nothing: the ledger's `read_qd32` (`BENCH_19.json`) hands
-//! each shard 1.36 LPAs per call at a mean burst of 2.3, and every
-//! burst allocates a merged `Vec` plus one per shard reached — 700.6 ns
-//! per LPA against 664.8 ns for a pointwise lookup (see ROADMAP "Open
-//! items").
+//! translated one address at a time on the caller's thread.
 //!
 //! # Equivalence
 //!
@@ -67,18 +62,6 @@ pub struct ShardedMapping<S> {
     /// shards permanently unroutable at small capacities; the DRAM
     /// budget is divided across the routable shards only.
     routable: usize,
-    /// One burst's per-shard sub-batches ([`MappingScheme::lookup_batch`]).
-    /// Reused from burst to burst and left empty in between, so
-    /// partitioning allocates nothing and a clone copies nothing.
-    partitions: Vec<Partition>,
-}
-
-/// The addresses of a burst that route to one shard, and where each
-/// sits in the burst.
-#[derive(Debug, Clone, Default)]
-struct Partition {
-    lpas: Vec<Lpa>,
-    positions: Vec<usize>,
 }
 
 impl<S> ShardedMapping<S> {
@@ -99,19 +82,7 @@ impl<S> ShardedMapping<S> {
             shards: (0..count).map(&mut build).collect(),
             span,
             routable,
-            partitions: vec![Partition::default(); count],
         }
-    }
-
-    /// LPAs per shard (group-aligned).
-    pub fn shard_span(&self) -> u64 {
-        self.span
-    }
-
-    /// Number of leading shards in-range LPAs can route to (trailing
-    /// shards beyond this hold no state and receive no budget).
-    pub fn routable_shards(&self) -> usize {
-        self.routable
     }
 
     /// Read access to one shard's inner scheme.
@@ -210,34 +181,6 @@ impl<S: MappingScheme + Clone> MappingScheme for ShardedMapping<S> {
         self.shards[shard].lookup(lpa)
     }
 
-    fn lookup_batch(&mut self, lpas: &[Lpa]) -> Vec<(Option<MappingLookup>, MapCost)> {
-        if self.shards.len() == 1 {
-            return self.shards[0].lookup_batch(lpas);
-        }
-        // Partition the burst into per-shard sub-batches, recording
-        // where each address sits so results land in caller order; each
-        // shard the burst reaches then translates its sub-batch in one
-        // call, in shard order.
-        for (position, &lpa) in lpas.iter().enumerate() {
-            let shard = self.route(lpa);
-            let partition = &mut self.partitions[shard];
-            partition.lpas.push(lpa);
-            partition.positions.push(position);
-        }
-        let mut merged = vec![(None, MapCost::FREE); lpas.len()];
-        for (shard, partition) in self.shards.iter_mut().zip(&mut self.partitions) {
-            if partition.lpas.is_empty() {
-                continue;
-            }
-            let hits = shard.lookup_batch(&partition.lpas);
-            for (position, hit) in partition.positions.drain(..).zip(hits) {
-                merged[position] = hit;
-            }
-            partition.lpas.clear();
-        }
-        merged
-    }
-
     fn lookup_is_pure(&self) -> bool {
         self.shards.iter().all(S::lookup_is_pure)
     }
@@ -299,8 +242,8 @@ impl<S: MappingScheme + Clone> MappingScheme for ShardedMapping<S> {
     }
 
     fn sync_checkpoint(&mut self, checkpoint: &mut Self) {
-        // Routing never changes and `partitions` is empty between
-        // bursts: the shards are all there is to bring up to date.
+        // Routing never changes: the shards are all there is to bring
+        // up to date.
         for (shard, kept) in self.shards.iter_mut().zip(&mut checkpoint.shards) {
             shard.sync_checkpoint(kept);
         }
@@ -341,11 +284,17 @@ mod tests {
     }
 
     #[test]
-    fn span_is_group_aligned_and_covers_capacity() {
+    fn shard_boundaries_are_group_aligned() {
         let sharded = ShardedMapping::new(3, 1000, |_| ExactPageMap::new());
-        assert_eq!(sharded.shard_span() % Lpa::GROUP_SIZE, 0);
-        assert!(sharded.shard_span() * 3 >= 1000);
         assert_eq!(sharded.shard_count(), 3);
+        for lpa in (0..1000).map(Lpa::new) {
+            let base = Lpa::group_base(lpa.group());
+            assert_eq!(sharded.shard_of(lpa), sharded.shard_of(base), "lpa {lpa}");
+        }
+        // 1000 / 3 rounds up to a two-group span.
+        assert_eq!(sharded.shard_of(Lpa::new(511)), 0);
+        assert_eq!(sharded.shard_of(Lpa::new(512)), 1);
+        assert_eq!(sharded.shard_of(Lpa::new(999)), 1);
     }
 
     #[test]
@@ -359,7 +308,7 @@ mod tests {
     fn zero_shards_clamps_to_one() {
         let sharded = ShardedMapping::new(0, 0, |_| ExactPageMap::new());
         assert_eq!(sharded.shard_count(), 1);
-        assert_eq!(sharded.shard_span(), Lpa::GROUP_SIZE);
+        assert_eq!(sharded.shard_of(Lpa::new(u64::MAX / 2)), 0);
     }
 
     #[test]
@@ -386,18 +335,6 @@ mod tests {
         ]);
         assert_eq!(sharded.lookup(Lpa::new(5)).0.unwrap().ppa, Ppa::new(3));
         assert_eq!(sharded.lookup(Lpa::new(300)).0.unwrap().ppa, Ppa::new(2));
-    }
-
-    #[test]
-    fn batch_fanout_merges_in_caller_order() {
-        let mut sharded = ShardedMapping::new(4, 4096, |_| ExactPageMap::new());
-        sharded.update_batch(&pairs(0..4096, 50_000));
-        // Interleave shards, include unmapped addresses.
-        let burst: Vec<Lpa> = (0..64u64).map(|i| Lpa::new((i * 997) % 5000)).collect();
-        let merged = sharded.lookup_batch(&burst);
-        for (&lpa, got) in burst.iter().zip(&merged) {
-            assert_eq!(*got, sharded.lookup(lpa), "lpa {lpa}");
-        }
     }
 
     #[test]
@@ -448,8 +385,9 @@ mod tests {
         // shards 0..=3 are routable; 4..=7 can never receive an
         // in-range LPA.
         let mut sharded = ShardedMapping::new(8, 1000, |_| BudgetProbe::default());
-        assert_eq!(sharded.shard_span(), 256);
-        assert_eq!(sharded.routable_shards(), 4);
+        assert_eq!(sharded.shard_of(Lpa::new(255)), 0);
+        assert_eq!(sharded.shard_of(Lpa::new(256)), 1);
+        assert_eq!(sharded.shard_of(Lpa::new(999)), 3);
         sharded.set_memory_budget(1003);
         let budgets: Vec<usize> = sharded.shards().map(|s| s.budget).collect();
         // 1003 = 4×250 + 3: the remainder lands on the leading shards,
@@ -462,7 +400,7 @@ mod tests {
     #[test]
     fn exact_capacity_keeps_every_shard_routable() {
         let mut sharded = ShardedMapping::new(4, 4096, |_| BudgetProbe::default());
-        assert_eq!(sharded.routable_shards(), 4);
+        assert_eq!(sharded.shard_of(Lpa::new(4095)), 3);
         sharded.set_memory_budget(4 * 4096 + 2);
         let budgets: Vec<usize> = sharded.shards().map(|s| s.budget).collect();
         assert_eq!(budgets, vec![4097, 4097, 4096, 4096]);

@@ -18,7 +18,7 @@
 //! previous point, not for the table, whatever the device size.
 
 use crate::config::LeaFtlConfig;
-use crate::group::{Group, GroupLookup};
+use crate::group::Group;
 use crate::plr;
 use crate::segment::Segment;
 use crate::slots::CowSlots;
@@ -274,10 +274,12 @@ impl LeaFtlTable {
         }
     }
 
-    /// A group hit as the table reports it: with the error bound the
-    /// table was configured with.
-    fn result(&self, hit: GroupLookup) -> LookupResult {
-        LookupResult {
+    /// Translates an LPA. Returns `None` when the LPA has never been
+    /// mapped (or was shadowed away entirely). An approximate hit
+    /// carries the error bound the table was configured with.
+    pub fn lookup(&self, lpa: Lpa) -> Option<LookupResult> {
+        let hit = self.groups.get(lpa.group())?.lookup(lpa.group_offset())?;
+        Some(LookupResult {
             ppa: hit.ppa,
             approximate: hit.approximate,
             error_bound: if hit.approximate {
@@ -286,49 +288,6 @@ impl LeaFtlTable {
                 0
             },
             levels_visited: hit.levels_visited,
-        }
-    }
-
-    /// Translates an LPA. Returns `None` when the LPA has never been
-    /// mapped (or was shadowed away entirely).
-    pub fn lookup(&self, lpa: Lpa) -> Option<LookupResult> {
-        let group = self.groups.get(lpa.group())?;
-        group.lookup(lpa.group_offset()).map(|hit| self.result(hit))
-    }
-
-    /// Translates a batch of LPAs: consecutive LPAs from the same
-    /// 256-LPA group reuse one group fetch instead of re-walking the
-    /// group index per address. No device burst is long enough for that
-    /// to pay: on the ledger's `read_qd32` (`BENCH_19.json`) the
-    /// batched path ran at a mean burst of 2.3 LPAs and cost 700.6 ns
-    /// per LPA against 664.8 ns per pointwise [`LeaFtlTable::lookup`].
-    /// What a burst is for is the simulated timeline (lookups and data
-    /// reads of one dispatch overlap), not host time; removing the
-    /// batched translation is recorded in ROADMAP "Open items".
-    ///
-    /// Semantically identical to per-LPA [`LeaFtlTable::lookup`]; the
-    /// translations come out lazily, in `lpas` order, so the caller
-    /// decides where they land.
-    pub fn lookup_batch<'a>(
-        &'a self,
-        lpas: &'a [Lpa],
-    ) -> impl Iterator<Item = Option<LookupResult>> + 'a {
-        let mut cached: Option<(u64, &Group)> = None;
-        lpas.iter().map(move |&lpa| {
-            let group_id = lpa.group();
-            let group = match cached {
-                Some((id, group)) if id == group_id => Some(group),
-                _ => {
-                    let found = self.groups.get(group_id);
-                    if let Some(group) = found {
-                        cached = Some((group_id, group));
-                    }
-                    found
-                }
-            };
-            group
-                .and_then(|g| g.lookup(lpa.group_offset()))
-                .map(|hit| self.result(hit))
         })
     }
 
@@ -938,27 +897,6 @@ mod tests {
         );
         for &(lpa, _) in &pairs {
             assert_eq!(via_sorted.lookup(lpa), via_learn.lookup(lpa));
-        }
-    }
-
-    #[test]
-    fn lookup_batch_matches_pointwise_lookup() {
-        let mut table = LeaFtlTable::new(LeaFtlConfig::default().with_gamma(4));
-        table.learn(&batch(0, 1000, 512));
-        table.learn(&[
-            (Lpa::new(100), Ppa::new(9000)),
-            (Lpa::new(103), Ppa::new(9001)),
-            (Lpa::new(700), Ppa::new(9002)),
-        ]);
-        // Mixed order: group reuse, group switches, unmapped addresses.
-        let lpas: Vec<Lpa> = [0u64, 1, 100, 101, 103, 300, 700, 999, 5000, 2]
-            .into_iter()
-            .map(Lpa::new)
-            .collect();
-        let batched: Vec<_> = table.lookup_batch(&lpas).collect();
-        assert_eq!(batched.len(), lpas.len());
-        for (lpa, got) in lpas.iter().zip(&batched) {
-            assert_eq!(*got, table.lookup(*lpa), "lpa {lpa}");
         }
     }
 }

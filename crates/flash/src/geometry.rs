@@ -144,12 +144,6 @@ impl FlashGeometry {
         self.die_of_block(self.block_of(ppa))
     }
 
-    /// The channel a die hangs off.
-    #[inline]
-    pub fn channel_of_die(&self, die: Die) -> Channel {
-        Channel::new(die.raw() % self.channels)
-    }
-
     /// First PPA of a block.
     #[inline]
     pub fn first_ppa(&self, block: BlockId) -> Ppa {
@@ -241,8 +235,8 @@ mod tests {
         for raw in 0..g.blocks {
             let block = BlockId::new(raw);
             assert_eq!(
-                g.channel_of_die(g.die_of_block(block)),
-                g.channel_of_block(block)
+                g.die_of_block(block).raw() % g.channels,
+                g.channel_of_block(block).raw()
             );
         }
         // All pages of one block share a die.

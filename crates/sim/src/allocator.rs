@@ -115,9 +115,6 @@ pub struct BlockAllocator {
     /// Per stream: the next way to stripe onto (host, GC) or to refill
     /// the log's slot from (round-robin).
     cursor: [usize; 3],
-    /// Blocks in allocation order with a monotonically increasing
-    /// sequence number (for crash recovery).
-    allocation_log: Vec<BlockId>,
     /// Blocks pushed out of an open slot since the last
     /// [`BlockAllocator::take_closed`].
     closed: Vec<BlockId>,
@@ -155,7 +152,6 @@ impl BlockAllocator {
             state: vec![BlockState::Free; geometry.blocks as usize],
             open: std::array::from_fn(|_| vec![None; ways]),
             cursor: [0; 3],
-            allocation_log: Vec::new(),
             closed: Vec::new(),
         };
         for raw in 0..geometry.blocks {
@@ -184,21 +180,6 @@ impl BlockAllocator {
         *state = BlockState::Free;
         self.free_count += 1;
         self.free[way].push_back(block);
-    }
-
-    /// Blocks allocated so far, oldest first (crash-recovery scan
-    /// order). The index into this log is the allocation sequence
-    /// number.
-    pub fn allocation_log(&self) -> &[BlockId] {
-        &self.allocation_log
-    }
-
-    /// Current open blocks of a stream (GC must skip them when picking
-    /// victims).
-    pub fn open_blocks(&self, stream: Stream) -> impl Iterator<Item = BlockId> + '_ {
-        self.open[stream.index()]
-            .iter()
-            .filter_map(|open| open.map(|o| o.block))
     }
 
     /// Drains the blocks that left an open slot — replaced by a fresh
@@ -271,7 +252,6 @@ impl BlockAllocator {
             self.free[way].remove(pos);
             self.free_count -= 1;
             self.state[block.raw() as usize] = BlockState::Closed;
-            self.allocation_log.push(block);
             true
         } else {
             false
@@ -280,9 +260,7 @@ impl BlockAllocator {
 
     /// Resets the free pools and open blocks after a crash: the free
     /// set is re-derived from the physical erase state; open blocks are
-    /// abandoned (their unwritten tail pages are reclaimed by GC). The
-    /// allocation log is preserved — it models the allocation sequence
-    /// numbers real FTLs persist in page OOB.
+    /// abandoned (their unwritten tail pages are reclaimed by GC).
     pub fn rebuild_after_crash(&mut self, free: Vec<BlockId>) {
         self.free = vec![VecDeque::new(); self.ways];
         self.free_count = free.len();
@@ -368,7 +346,6 @@ impl BlockAllocator {
                 }
                 self.state[block.raw() as usize] = BlockState::Open;
                 self.free_count -= 1;
-                self.allocation_log.push(block);
                 OpenBlock {
                     block,
                     next_page: 0,
@@ -470,11 +447,14 @@ mod tests {
     fn exhaustion_returns_none_without_side_effects() {
         let mut a = allocator();
         let total_pages = 64 * 32;
-        assert!(a.allocate(Stream::Host, total_pages).is_some());
+        a.allocate(Stream::Host, total_pages / 2).unwrap();
+        let free_before = a.free_blocks();
+        assert!(a.allocate(Stream::Host, total_pages).is_none());
+        assert_eq!(a.free_blocks(), free_before, "no block opened");
+        assert_eq!(a.check_state(), Vec::<String>::new());
+        assert!(a.allocate(Stream::Host, total_pages / 2).is_some());
         assert_eq!(a.free_blocks(), 0);
-        let log_before = a.allocation_log().len();
         assert!(a.allocate(Stream::Host, 1).is_none());
-        assert_eq!(a.allocation_log().len(), log_before);
         assert!(!a.can_allocate(Stream::Host, 1));
     }
 
@@ -490,29 +470,25 @@ mod tests {
     }
 
     #[test]
-    fn take_block_removes_from_pool_and_logs() {
+    fn take_block_removes_from_pool() {
         let mut a = allocator();
         let victim = BlockId::new(7);
         assert!(a.take_block(victim));
+        assert_eq!(a.free_blocks(), 63);
         assert!(!a.take_block(victim));
-        assert!(a.allocation_log().contains(&victim));
-    }
-
-    #[test]
-    fn allocation_log_grows() {
-        let mut a = allocator();
-        a.allocate(Stream::Host, 64).unwrap();
-        assert!(a.allocation_log().len() >= 2);
+        assert_eq!(a.free_blocks(), 63);
+        assert!(!a.is_open(victim));
     }
 
     #[test]
     fn rebuild_after_crash_resets_open_blocks() {
         let mut a = allocator();
-        a.allocate(Stream::Host, 8).unwrap();
+        let opened = a.allocate(Stream::Host, 8).unwrap()[0].block;
         let free: Vec<BlockId> = (10..20).map(BlockId::new).collect();
         a.rebuild_after_crash(free);
         assert_eq!(a.free_blocks(), 10);
-        assert_eq!(a.open_blocks(Stream::Host).count(), 0);
+        assert!(!a.is_open(opened));
+        assert_eq!(a.check_state(), Vec::<String>::new());
         // Allocation works again from the rebuilt pool.
         assert!(a.allocate(Stream::Host, 8).is_some());
     }
@@ -573,14 +549,11 @@ mod tests {
         let mut a = BlockAllocator::with_stripe(geometry, 1);
         // A full device-width request in 1-page stripes opens one
         // block on every die.
-        a.allocate(Stream::Host, geometry.total_dies()).unwrap();
-        assert_eq!(
-            a.open_blocks(Stream::Host).count(),
-            geometry.total_dies() as usize
-        );
-        let dies: std::collections::HashSet<u32> = a
-            .open_blocks(Stream::Host)
-            .map(|b| geometry.die_of_block(b).raw())
+        let runs = a.allocate(Stream::Host, geometry.total_dies()).unwrap();
+        assert!(runs.iter().all(|run| a.is_open(run.block)));
+        let dies: std::collections::HashSet<u32> = runs
+            .iter()
+            .map(|run| geometry.die_of_block(run.block).raw())
             .collect();
         assert_eq!(dies.len(), geometry.total_dies() as usize);
     }

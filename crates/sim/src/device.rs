@@ -1421,10 +1421,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             Command::Read { .. } => {
                 // Batch the queue's leading run of already-arrived
                 // reads: a burst shares one dispatch point, so its
-                // lookups and data reads overlap on the timelines. (The
-                // batched translation it also gets is no cheaper on the
-                // host than pointwise lookups at these burst sizes —
-                // see `LeaFtlTable::lookup_batch`.)
+                // lookups and data reads overlap on the timelines.
                 let mut batch = std::mem::take(&mut self.batch_scratch);
                 let mut lpas = std::mem::take(&mut self.lpa_scratch);
                 batch.clear();

@@ -215,23 +215,6 @@ impl MappingScheme for LeaFtlScheme {
         (self.table.lookup(lpa).map(mapping_lookup), cost)
     }
 
-    fn lookup_batch(&mut self, lpas: &[Lpa]) -> Vec<(Option<MappingLookup>, MapCost)> {
-        // One group traversal per run of same-group addresses instead
-        // of one per address, written straight into the result;
-        // residency accounting stays per-address so demand-paging
-        // charges match the pointwise path (it never changes the table,
-        // so translating the whole burst first reads the same table).
-        let mut hits: Vec<(Option<MappingLookup>, MapCost)> = self
-            .table
-            .lookup_batch(lpas)
-            .map(|hit| (hit.map(mapping_lookup), MapCost::FREE))
-            .collect();
-        for ((_, cost), &lpa) in hits.iter_mut().zip(lpas) {
-            *cost = self.touch_group(lpa.group(), false);
-        }
-        hits
-    }
-
     fn memory_bytes(&self) -> usize {
         self.table.memory_bytes().total().min(self.budget)
     }
@@ -364,17 +347,15 @@ mod tests {
     }
 
     #[test]
-    fn sorted_and_batch_paths_match_pointwise() {
+    fn sorted_and_unsorted_updates_match() {
         let mut a = LeaFtlScheme::new(LeaFtlConfig::default().with_gamma(4));
         let mut b = LeaFtlScheme::new(LeaFtlConfig::default().with_gamma(4));
         a.set_memory_budget(1 << 20);
         b.set_memory_budget(1 << 20);
         let pairs = batch(100, 7000, 400);
         assert_eq!(a.update_batch(&pairs), b.update_batch_sorted(&pairs));
-        let lpas: Vec<Lpa> = (0..600u64).map(|i| Lpa::new(i * 2)).collect();
-        let batched = b.lookup_batch(&lpas);
-        for (&lpa, got) in lpas.iter().zip(&batched) {
-            assert_eq!(*got, a.lookup(lpa), "lpa {lpa}");
+        for lpa in (0..600u64).map(|i| Lpa::new(i * 2)) {
+            assert_eq!(a.lookup(lpa), b.lookup(lpa), "lpa {lpa}");
         }
         assert_eq!(a.memory_bytes(), b.memory_bytes());
     }

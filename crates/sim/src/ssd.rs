@@ -390,7 +390,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     }
 
     /// The current GC scheduling mode.
-    pub fn gc_mode(&self) -> GcMode {
+    pub(crate) fn gc_mode(&self) -> GcMode {
         self.gc_mode
     }
 
@@ -399,12 +399,12 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// flush path no longer collects at the watermark — something (the
     /// [`crate::Device`]) must dispatch the migrations, or the device
     /// degrades to emergency allocation-failure collection only.
-    pub fn set_gc_mode(&mut self, mode: GcMode) {
+    pub(crate) fn set_gc_mode(&mut self, mode: GcMode) {
         self.gc_mode = mode;
     }
 
     /// The current compaction scheduling mode.
-    pub fn compaction_mode(&self) -> CompactionMode {
+    pub(crate) fn compaction_mode(&self) -> CompactionMode {
         self.compaction_mode
     }
 
@@ -414,7 +414,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// [`MappingScheme::maintain`] — something (the [`crate::Device`]'s
     /// compaction scheduler) must dispatch [`crate::Command::Compact`]
     /// commands, or shadowed segments accumulate unreclaimed.
-    pub fn set_compaction_mode(&mut self, mode: CompactionMode) {
+    pub(crate) fn set_compaction_mode(&mut self, mode: CompactionMode) {
         self.compaction_mode = mode;
     }
 
@@ -695,15 +695,12 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// translation read on the die timelines
     /// ([`Ssd::service_read_pipelined`]).
     ///
-    /// Resident tables are additionally translated ahead of servicing
-    /// in one [`MappingScheme::lookup_batch`] call — measured no
-    /// cheaper on the host than pointwise lookups at the bursts a
-    /// device issues (ROADMAP "Open items" records the removal).
-    /// Hoisting the translations ahead of servicing is only legal while
-    /// the scheme's lookups are pure ([`MappingScheme::lookup_is_pure`],
-    /// i.e. the table is resident); under demand paging each request
-    /// translates at its turn instead, so cache/CMT mutations keep
-    /// submission order.
+    /// While the scheme's lookups are pure
+    /// ([`MappingScheme::lookup_is_pure`], i.e. the table is resident)
+    /// the burst's translations are taken ahead of servicing in one
+    /// [`MappingScheme::lookup_batch`] call; under demand paging each
+    /// request translates at its turn instead, so cache/CMT mutations
+    /// keep submission order.
     ///
     /// Each request's `(value, completion time)` lands in `outcomes`,
     /// which must be as long as `lpas`.
@@ -722,8 +719,8 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         // at their turn — they either hit the cache the first read
         // populated (no lookup) or fall back to a pointwise lookup at
         // their turn. (With a pure lookup this is an optimisation, not
-        // a correctness condition.) Left empty when nothing is hoisted:
-        // a burst of one has no traversal to share.
+        // a correctness condition.) Left empty when nothing is hoisted,
+        // as for a burst of one.
         scratch.prefetched.clear();
         if lpas.len() > 1 && self.scheme.lookup_is_pure() {
             scratch.prefetched.resize(lpas.len(), None);

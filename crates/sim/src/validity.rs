@@ -161,12 +161,6 @@ impl Validity {
     pub fn total_valid(&self) -> u64 {
         self.counts.iter().map(|&c| c as u64).sum()
     }
-
-    /// The programmed-but-stale page count of a block, given how many
-    /// pages were programmed.
-    pub fn stale_count(&self, block: BlockId, programmed: u32) -> u32 {
-        programmed - self.valid_count(block)
-    }
 }
 
 #[cfg(test)]
@@ -284,14 +278,5 @@ mod tests {
         assert_eq!(v.sync_checkpoint(&mut checkpoint), 3);
         assert_eq!(v.touched_blocks(), 0);
         assert!(checkpoint.is_valid(Ppa::new(2)) && !checkpoint.is_valid(Ppa::new(1)));
-    }
-
-    #[test]
-    fn stale_count() {
-        let mut v = validity();
-        v.mark_valid(Ppa::new(0));
-        v.mark_valid(Ppa::new(1));
-        v.invalidate(Ppa::new(0));
-        assert_eq!(v.stale_count(BlockId::new(0), 2), 1);
     }
 }

@@ -6,7 +6,7 @@
 //! The real traces are not redistributable; these generators control
 //! the access-pattern *structure* the learned FTL responds to —
 //! sequential runs, strided records, Zipf-skewed point accesses,
-//! read/write mix and working-set size (see DESIGN.md §6).
+//! read/write mix and working-set size.
 //!
 //! ```
 //! use leaftl_workloads::{msr_src2, warmup_ops};

@@ -8,8 +8,7 @@
 //!
 //! The real MSR-Cambridge/FIU block traces are not redistributable;
 //! these synthetic equivalents control exactly the properties the
-//! learned index responds to (runs, strides, skew, overwrites). See
-//! DESIGN.md §6 for the substitution rationale.
+//! learned index responds to (runs, strides, skew, overwrites).
 
 use crate::zipf::Zipf;
 use leaftl_flash::Lpa;

@@ -9,7 +9,7 @@
 //!
 //! The parameters are synthetic approximations of the published trace
 //! characteristics (read/write mix, sequentiality, skew, working-set
-//! size); see DESIGN.md §6. Each profile is deterministic given a seed.
+//! size). Each profile is deterministic given a seed.
 
 use crate::profile::ProfileParams;
 
