@@ -58,6 +58,10 @@ impl SchemeKind {
 
 /// A simulated SSD with its scheme type erased for experiment loops.
 #[derive(Clone)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "one AnySsd per experiment, matched on every call: a Box would add a pointer hop to each"
+)]
 pub enum AnySsd {
     Dftl(Ssd<Dftl>),
     Sftl(Ssd<Sftl>),
@@ -160,10 +164,13 @@ impl AnySsd {
         let Some(path) = trace_path() else { return };
         let sink = each_ssd!(self, ssd => ssd.take_trace());
         if let Some(sink) = sink {
+            let check = sink.check();
             match std::fs::write(path, sink.export_chrome_json()) {
                 Ok(()) => eprintln!(
-                    "[trace] {} events -> {} (open at https://ui.perfetto.dev)",
-                    sink.len(),
+                    "[trace] {} events, {}/{} die tracks active -> {} (open at https://ui.perfetto.dev)",
+                    check.events,
+                    check.active_die_tracks(),
+                    check.die_tracks,
                     path.display()
                 ),
                 Err(e) => eprintln!("[trace] cannot write {}: {e}", path.display()),

@@ -26,7 +26,9 @@ use serde_json::{json, Value};
 const QUEUE_DEPTH: usize = 32;
 
 /// One policy row: label + device-config builder (fresh per run).
-fn policies() -> Vec<(&'static str, fn() -> DeviceConfig)> {
+type Policy = (&'static str, fn() -> DeviceConfig);
+
+fn policies() -> Vec<Policy> {
     vec![
         ("sync", || DeviceConfig::new(2, QUEUE_DEPTH)),
         ("bg-round-robin", || {

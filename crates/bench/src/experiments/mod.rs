@@ -146,7 +146,7 @@ pub fn registry() -> Vec<Experiment> {
         },
         Experiment {
             name: "sharding",
-            description: "Sharded translation service: shard count × QD sweep, batch-translation throughput, inline vs background compaction",
+            description: "Sharded translation service: shard count × QD sweep, inline vs background compaction",
             run: sharding::sharding,
         },
         Experiment {

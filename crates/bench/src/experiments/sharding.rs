@@ -10,7 +10,7 @@
 //!    background compaction enabled. Per-shard translation-CPU
 //!    timelines mean a compaction sweep stalls only its own shard's
 //!    lookups — the 1-shard device serialises every translation behind
-//!    each sweep, so p99 falls and IOPS rises as shards grow. QD=1 is
+//!    each sweep; the table shows what splitting it is worth. QD=1 is
 //!    the no-concurrency cross-check (sharding buys little when one
 //!    command is in flight). Background compactions must be non-zero —
 //!    the sweep's cost is on the timeline, not hidden.
@@ -157,7 +157,7 @@ pub fn sharding(quick: bool) -> Value {
         }
     }
     print_table(
-        "Sharding: IOPS (p50/p99, background compactions) vs shard count × QD, OLTP γ=4 — compaction stalls shrink as shards grow",
+        "Sharding: IOPS (p50/p99, background compactions) vs shard count × QD, OLTP γ=4, background compaction",
         &["shards", "QD=1", "QD=8", "QD=32"],
         &rows,
     );

@@ -60,12 +60,11 @@ pub fn table1(_quick: bool) -> Value {
 /// given γ regime (larger γ tolerates more jitter).
 fn batch_for(rng: &mut StdRng, jitter: u64) -> Vec<(Lpa, Ppa)> {
     let mut lpa = rng.gen_range(0u64..1 << 20) & !255;
-    let mut ppa = rng.gen_range(0u64..1 << 24);
+    let first_ppa = rng.gen_range(0u64..1 << 24);
     let mut out = Vec::with_capacity(256);
-    for _ in 0..256 {
+    for ppa in first_ppa..first_ppa + 256 {
         out.push((Lpa::new(lpa), Ppa::new(ppa)));
         lpa += 1 + rng.gen_range(0..=jitter);
-        ppa += 1;
     }
     out
 }

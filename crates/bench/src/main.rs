@@ -16,7 +16,6 @@
 //! `--trace <path>` attaches the device-timeline tracer to every
 //! engine-driven replay and writes the last replay's Chrome
 //! trace-event JSON to `<path>` — open it at <https://ui.perfetto.dev>.
-//! `trace-check <path>` validates such a file (CI smoke).
 
 #![allow(
     clippy::unwrap_used,
@@ -49,10 +48,6 @@ fn main() -> ExitCode {
     let quick = args.iter().any(|a| a == "--quick" || a == "-q");
     let selected: Vec<String> = args.into_iter().filter(|a| !a.starts_with('-')).collect();
 
-    if selected.first().is_some_and(|s| s == "trace-check") {
-        return trace_check(&selected[1..]);
-    }
-
     let all = registry();
     if selected.is_empty() || selected.iter().any(|s| s == "list") {
         println!("available experiments (run with names, or `all`):\n");
@@ -61,7 +56,6 @@ fn main() -> ExitCode {
         }
         println!("\nflags: --quick  (smoke-test scales)");
         println!("       --trace <path>  (write a Perfetto trace of the last engine replay)");
-        println!("\nsubcommands: trace-check <path>  (validate a trace file)");
         return ExitCode::SUCCESS;
     }
 
@@ -103,45 +97,6 @@ fn main() -> ExitCode {
             }
             Err(e) => eprintln!("cannot serialise {}: {e}", experiment.name),
         }
-    }
-    ExitCode::SUCCESS
-}
-
-/// `trace-check <path>`: validates a Chrome trace-event file emitted by
-/// `--trace` — well-formed JSON, the expected envelope, and at least
-/// one span on every die track (the CI smoke criterion).
-fn trace_check(paths: &[String]) -> ExitCode {
-    if paths.is_empty() {
-        eprintln!("usage: trace-check <trace.json>...");
-        return ExitCode::FAILURE;
-    }
-    for path in paths {
-        let text = match fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("{path}: cannot read: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let check = match leaftl_sim::validate_chrome_trace(&text) {
-            Ok(check) => check,
-            Err(e) => {
-                eprintln!("{path}: invalid trace: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if !check.all_die_tracks_active() {
-            eprintln!(
-                "{path}: {} of {} die tracks carry no events",
-                check.die_events.iter().filter(|&&n| n == 0).count(),
-                check.die_tracks,
-            );
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "{path}: ok — {} events, {} die tracks (all active), {} queue events, {} control events",
-            check.events, check.die_tracks, check.queue_events, check.control_events,
-        );
     }
     ExitCode::SUCCESS
 }

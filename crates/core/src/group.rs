@@ -392,6 +392,10 @@ impl Group {
         let mut cumulative = OffsetSet::default();
         for idx in 0..self.segments.len() {
             let mut segment = self.segments[idx];
+            #[expect(
+                clippy::len_zero,
+                reason = "`Segment::is_empty` is always false; this asks for a zero-length interval"
+            )]
             let level = if segment.is_accurate() && segment.len() == 0 {
                 // Every other segment of an aged table indexes one
                 // offset: a bit to test and set, a depth to bump.

@@ -463,7 +463,7 @@ pub struct Device<'a, S: MappingScheme + Clone> {
     /// Remaining dispatch budget once crash injection is armed; at
     /// zero the device freezes (pump returns with work still queued).
     dispatch_budget: Option<u64>,
-    /// Set when a dispatch error surfaced through `submit`/`drain`;
+    /// Set when a dispatch error surfaced through `submit_to`/`drain`;
     /// the drop-time "undrained device" assert stands down, since the
     /// caller is already unwinding a failed run.
     poisoned: bool,
@@ -731,13 +731,6 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         Ok(id)
     }
 
-    /// Enqueues a host command on the queue named by its stream id
-    /// (`stream % queue_count` — the replay helpers' tenant→queue map).
-    pub fn submit(&mut self, request: IoRequest) -> Result<u64, SimError> {
-        let queue = request.stream as usize % self.queues.len();
-        self.submit_to(queue, request)
-    }
-
     /// Convenience: submit an ASAP read on queue 0 / stream 0.
     pub fn submit_read(&mut self, lpa: Lpa) -> Result<u64, SimError> {
         self.submit_to(0, IoRequest::read(lpa))
@@ -832,7 +825,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             let now = self.ssd.now_ns();
             self.ssd.tracer_mut().control_instant("gc_select", now, || {
                 vec![
-                    ("victim", ArgValue::U64(victim.raw() as u64)),
+                    ("victim", ArgValue::U64(victim.raw())),
                     ("net_blocks", ArgValue::F64(net_blocks)),
                 ]
             });

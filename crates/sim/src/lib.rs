@@ -88,7 +88,6 @@ pub use request::{Command, IoCompletion, IoKind, IoRequest};
 pub use ssd::{RecoveryReport, SpaceReport, Ssd};
 pub use stats::{FlashOpBreakdown, LatencyHistogram, SimStats};
 pub use trace::{
-    validate_chrome_trace, DieUtilization, FlashOpKind, TraceCheck, TraceSink, TrafficClass,
-    UtilizationReport,
+    DieUtilization, FlashOpKind, TraceCheck, TraceSink, TrafficClass, UtilizationReport,
 };
 pub use translog::MapLogTraffic;

@@ -1784,12 +1784,12 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             let is_erased = self.device.block(block).is_erased();
             if is_erased {
                 // Candidate hot free block.
-                if hot_free.map_or(true, |(worst, _)| erases > worst) {
+                if hot_free.is_none_or(|(worst, _)| erases > worst) {
                     hot_free = Some((erases, block));
                 }
             } else if !self.allocator.is_open(block)
                 && self.validity.valid_count(block) > 0
-                && min.map_or(true, |(best, _)| erases < best)
+                && min.is_none_or(|(best, _)| erases < best)
             {
                 // Fully stale blocks are GC's job, not a wear swap's:
                 // "moving" them would program nothing and strand the

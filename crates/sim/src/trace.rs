@@ -22,7 +22,9 @@
 //!   deferrals, GC victim selection, hard-floor stalls) become instant
 //!   events. [`TraceSink::export_chrome_json`] renders the whole
 //!   timeline as Chrome trace-event JSON that loads directly in
-//!   Perfetto or `chrome://tracing`.
+//!   Perfetto or `chrome://tracing`; [`TraceSink::check`] counts the
+//!   same events per track from the sink itself (the file is read back
+//!   only by CI, with Python's `json`).
 //!
 //! Tracing is observational: attaching a sink changes no scheduling
 //! decision, so replay digests and virtual-time results are
@@ -298,7 +300,8 @@ pub(crate) enum Track {
 pub(crate) enum ArgValue {
     /// Unsigned integer.
     U64(u64),
-    /// Float (emitted with fixed 6-decimal precision for determinism).
+    /// Float (emitted with fixed 6-decimal precision for determinism;
+    /// NaN and infinities as `null`).
     F64(f64),
     /// Static label.
     Str(&'static str),
@@ -328,8 +331,9 @@ const TID_COMPACT: u32 = 1_000_001;
 const TID_MAPLOG: u32 = 1_000_002;
 
 /// An attached event recorder. Obtain one filled in via
-/// [`crate::Ssd::take_trace`] after a traced run and render it with
-/// [`TraceSink::export_chrome_json`].
+/// [`crate::Ssd::take_trace`] after a traced run, render it with
+/// [`TraceSink::export_chrome_json`] and count it with
+/// [`TraceSink::check`].
 #[derive(Debug, Clone)]
 pub struct TraceSink {
     dies: u32,
@@ -389,6 +393,30 @@ impl TraceSink {
         self.events.is_empty()
     }
 
+    /// Counts the recorded events by track: what
+    /// [`TraceSink::export_chrome_json`] renders, read from the sink
+    /// instead of parsed back out of its text.
+    pub fn check(&self) -> TraceCheck {
+        let mut check = TraceCheck {
+            events: self.events.len(),
+            die_tracks: self.dies as usize,
+            die_events: vec![0; self.dies as usize],
+            queue_events: 0,
+            control_events: 0,
+        };
+        for event in &self.events {
+            match (event.track, event.dur_ns) {
+                (Track::Die(die), Some(_)) => check.die_events[die as usize] += 1,
+                (Track::Queue(_), Some(_)) => check.queue_events += 1,
+                (Track::Control, None) => check.control_events += 1,
+                (Track::Die(_) | Track::Queue(_), None)
+                | (Track::Cpu(_), _)
+                | (Track::Control, Some(_)) => {}
+            }
+        }
+        check
+    }
+
     fn queue_tid(queue: u32) -> u32 {
         match queue {
             crate::device::GC_QUEUE => TID_GC,
@@ -429,7 +457,7 @@ impl TraceSink {
         };
 
         // Metadata: name every process and thread up front so empty
-        // tracks still appear (and the validator can enumerate dies).
+        // tracks still appear (and a reader can enumerate dies).
         let process = |pid: u32, name: &str| {
             format!("{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":\"{name}\"}}}}")
         };
@@ -493,6 +521,9 @@ impl TraceSink {
                         ArgValue::U64(v) => {
                             let _ = write!(line, "{v}");
                         }
+                        // JSON has no NaN or infinity; `null` is what
+                        // serde_json writes for them.
+                        ArgValue::F64(v) if !v.is_finite() => line.push_str("null"),
                         ArgValue::F64(v) => {
                             let _ = write!(line, "{v:.6}");
                         }
@@ -508,6 +539,35 @@ impl TraceSink {
         }
         out.push_str("\n]}\n");
         out
+    }
+}
+
+/// Per-track event counts of a [`TraceSink`] ([`TraceSink::check`]),
+/// in the terms of its Chrome export.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceCheck {
+    /// Timeline events ("X" spans + "i" instants, metadata excluded).
+    pub events: usize,
+    /// Die tracks the export names (pid 1 threads).
+    pub die_tracks: usize,
+    /// Spans per die track, indexed by die.
+    pub die_events: Vec<u64>,
+    /// Spans on queue tracks (pid 3).
+    pub queue_events: u64,
+    /// Instants on the control track (pid 4).
+    pub control_events: u64,
+}
+
+impl TraceCheck {
+    /// Whether every die track carries at least one span — the CI
+    /// smoke criterion.
+    pub fn all_die_tracks_active(&self) -> bool {
+        self.die_tracks > 0 && self.active_die_tracks() == self.die_tracks
+    }
+
+    /// Die tracks that carry at least one span.
+    pub fn active_die_tracks(&self) -> usize {
+        self.die_events.iter().filter(|&&n| n > 0).count()
     }
 }
 
@@ -623,327 +683,6 @@ impl Tracer {
     }
 }
 
-// ---------------------------------------------------------------------
-// Trace validation (the vendored serde_json is serialize-only, so the
-// checker carries its own minimal JSON reader)
-// ---------------------------------------------------------------------
-
-/// Summary of a validated Chrome trace file.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceCheck {
-    /// Timeline events ("X" spans + "i" instants, metadata excluded).
-    pub events: usize,
-    /// Die tracks declared in metadata (pid 1 thread names).
-    pub die_tracks: usize,
-    /// Span events per die track, indexed by die tid.
-    pub die_events: Vec<u64>,
-    /// Span events on queue tracks (pid 3).
-    pub queue_events: u64,
-    /// Instants on the control track (pid 4).
-    pub control_events: u64,
-}
-
-impl TraceCheck {
-    /// Whether every declared die track carries at least one event —
-    /// the CI smoke criterion.
-    pub fn all_die_tracks_active(&self) -> bool {
-        self.die_tracks > 0 && self.die_events.iter().all(|&n| n > 0)
-    }
-}
-
-/// Parses `text` as JSON and checks the Chrome trace-event shape: a
-/// top-level object with a `traceEvents` array whose entries carry
-/// `ph`/`pid`/`tid`, spans carry `ts` and `dur`. Returns per-track
-/// event counts.
-///
-/// # Errors
-///
-/// A description of the first malformed construct (JSON syntax or
-/// trace-shape violation).
-pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
-    let value = JsonParser::parse(text)?;
-    let Json::Obj(top) = &value else {
-        return Err("top level is not an object".to_string());
-    };
-    let Some(Json::Arr(events)) = top.iter().find(|(k, _)| k == "traceEvents").map(|(_, v)| v)
-    else {
-        return Err("missing traceEvents array".to_string());
-    };
-    let mut check = TraceCheck {
-        events: 0,
-        die_tracks: 0,
-        die_events: Vec::new(),
-        queue_events: 0,
-        control_events: 0,
-    };
-    for (idx, event) in events.iter().enumerate() {
-        let Json::Obj(fields) = event else {
-            return Err(format!("traceEvents[{idx}] is not an object"));
-        };
-        let field = |name: &str| fields.iter().find(|(k, _)| k == name).map(|(_, v)| v);
-        let Some(Json::Str(ph)) = field("ph") else {
-            return Err(format!("traceEvents[{idx}] missing ph"));
-        };
-        let Some(Json::Num(pid)) = field("pid") else {
-            return Err(format!("traceEvents[{idx}] missing pid"));
-        };
-        let pid = *pid as u32;
-        let tid = match field("tid") {
-            Some(Json::Num(tid)) => *tid as u64,
-            _ => return Err(format!("traceEvents[{idx}] missing tid")),
-        };
-        match ph.as_str() {
-            "M" => {
-                if field("args").is_none() {
-                    return Err(format!("metadata traceEvents[{idx}] missing args"));
-                }
-                if pid == PID_DIES
-                    && matches!(field("name"), Some(Json::Str(n)) if n == "thread_name")
-                {
-                    check.die_tracks = check.die_tracks.max(tid as usize + 1);
-                }
-            }
-            "X" => {
-                if !matches!(field("ts"), Some(Json::Num(_))) {
-                    return Err(format!("span traceEvents[{idx}] missing ts"));
-                }
-                if !matches!(field("dur"), Some(Json::Num(_))) {
-                    return Err(format!("span traceEvents[{idx}] missing dur"));
-                }
-                check.events += 1;
-                if pid == PID_DIES {
-                    let die = tid as usize;
-                    if check.die_events.len() <= die {
-                        check.die_events.resize(die + 1, 0);
-                    }
-                    check.die_events[die] += 1;
-                } else if pid == PID_QUEUES {
-                    check.queue_events += 1;
-                }
-            }
-            "i" => {
-                if !matches!(field("ts"), Some(Json::Num(_))) {
-                    return Err(format!("instant traceEvents[{idx}] missing ts"));
-                }
-                check.events += 1;
-                if pid == PID_CONTROL {
-                    check.control_events += 1;
-                }
-            }
-            other => return Err(format!("traceEvents[{idx}] has unknown ph {other:?}")),
-        }
-    }
-    if check.die_events.len() < check.die_tracks {
-        check.die_events.resize(check.die_tracks, 0);
-    }
-    Ok(check)
-}
-
-/// A parsed JSON value (just enough for trace validation).
-enum Json {
-    Null,
-    Bool(#[expect(dead_code, reason = "parsed; no check reads a boolean")] bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-/// Minimal recursive-descent JSON reader.
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn parse(text: &'a str) -> Result<Json, String> {
-        let mut parser = JsonParser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let value = parser.value()?;
-        parser.skip_ws();
-        if parser.pos != parser.bytes.len() {
-            return Err(format!("trailing content at byte {}", parser.pos));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Result<u8, String> {
-        self.skip_ws();
-        self.bytes
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| "unexpected end of input".to_string())
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek()? != byte {
-            return Err(format!("expected {:?} at byte {}", byte as char, self.pos));
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
-            b'"' => Ok(Json::Str(self.string()?)),
-            b't' => self.literal("true", Json::Bool(true)),
-            b'f' => self.literal("false", Json::Bool(false)),
-            b'n' => self.literal("null", Json::Null),
-            b'-' | b'0'..=b'9' => self.number(),
-            other => Err(format!(
-                "unexpected character {:?} at byte {}",
-                other as char, self.pos
-            )),
-        }
-    }
-
-    fn literal(&mut self, lit: &str, value: Json) -> Result<Json, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(value)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("invalid number at byte {start}"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("invalid number {text:?} at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(&byte) => {
-                    // Multi-byte UTF-8 sequences pass through verbatim.
-                    let len = match byte {
-                        0x00..=0x7f => 1,
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let chunk = self
-                        .bytes
-                        .get(self.pos..self.pos + len)
-                        .ok_or("truncated UTF-8 sequence")?;
-                    out.push_str(std::str::from_utf8(chunk).map_err(|_| "invalid UTF-8")?);
-                    self.pos += len;
-                }
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or ']' but found {:?} at byte {}",
-                        other as char, self.pos
-                    ))
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek()? {
-                b',' => self.pos += 1,
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                other => {
-                    return Err(format!(
-                        "expected ',' or '}}' but found {:?} at byte {}",
-                        other as char, self.pos
-                    ))
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -992,7 +731,7 @@ mod tests {
     }
 
     #[test]
-    fn exported_trace_validates_and_counts_tracks() {
+    fn check_counts_tracks_and_the_export_agrees() {
         let mut sink = TraceSink::new(2, 1);
         sink.span(
             Track::Die(0),
@@ -1015,30 +754,45 @@ mod tests {
             42,
             vec![("worst_error", ArgValue::F64(-0.25))],
         );
-        let json = sink.export_chrome_json();
-        let check = validate_chrome_trace(&json).unwrap();
+        let check = sink.check();
         assert_eq!(check.die_tracks, 2);
         assert_eq!(check.die_events, vec![1, 1]);
         assert_eq!(check.queue_events, 1);
         assert_eq!(check.control_events, 1);
+        assert_eq!(check.events, 4);
         assert!(check.all_die_tracks_active());
+        let json = sink.export_chrome_json();
+        assert_eq!(json.matches("\"ph\":\"X\"").count(), 3);
+        assert_eq!(json.matches("\"ph\":\"i\"").count(), 1);
         // The exporter is deterministic.
         assert_eq!(json, sink.export_chrome_json());
     }
 
     #[test]
-    fn validator_rejects_malformed_json() {
-        assert!(validate_chrome_trace("{\"traceEvents\":[").is_err());
-        assert!(validate_chrome_trace("[]").is_err());
-        assert!(validate_chrome_trace("{\"traceEvents\":[{\"ph\":\"X\"}]}").is_err());
-        assert!(validate_chrome_trace("{}").is_err());
+    fn non_finite_float_arguments_render_as_null() {
+        let mut sink = TraceSink::new(1, 1);
+        sink.instant(
+            Track::Control,
+            "qos_tick",
+            0,
+            vec![
+                ("nan", ArgValue::F64(f64::NAN)),
+                ("inf", ArgValue::F64(f64::NEG_INFINITY)),
+                ("one", ArgValue::F64(1.0)),
+            ],
+        );
+        let json = sink.export_chrome_json();
+        assert!(
+            json.contains("\"args\":{\"nan\":null,\"inf\":null,\"one\":1.000000}"),
+            "{json}"
+        );
     }
 
     #[test]
     fn empty_die_track_fails_the_smoke_criterion() {
         let mut sink = TraceSink::new(2, 1);
         sink.span(Track::Die(0), "read", 0, 10, Vec::new());
-        let check = validate_chrome_trace(&sink.export_chrome_json()).unwrap();
+        let check = sink.check();
         assert_eq!(check.die_events, vec![1, 0]);
         assert!(!check.all_die_tracks_active());
     }

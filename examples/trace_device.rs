@@ -23,8 +23,8 @@
 
 use leaftl_repro::core::LeaFtlConfig;
 use leaftl_repro::sim::{
-    replay_open_loop_with, validate_chrome_trace, DeviceConfig, LeaFtlScheme, QosControllerConfig,
-    QosSpec, Slo, Ssd, SsdConfig, TrafficClass, Weighted,
+    replay_open_loop_with, DeviceConfig, LeaFtlScheme, QosControllerConfig, QosSpec, Slo, Ssd,
+    SsdConfig, TrafficClass, Weighted,
 };
 use leaftl_repro::workloads::{gc_bully, multi_tenant_trace, slo_reader, warmup_ops, TenantSpec};
 
@@ -87,13 +87,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let report = replay_open_loop_with(&mut ssd, trace, device)?;
     let sink = ssd.take_trace().expect("tracing was enabled");
-    let json = sink.export_chrome_json();
-    let check = validate_chrome_trace(&json).expect("exporter emits valid traces");
-    std::fs::write(&out, &json)?;
+    let check = sink.check();
+    std::fs::write(&out, sink.export_chrome_json())?;
 
     println!(
-        "wrote {out}: {} events across {} die tracks ({} queue spans, {} control instants)",
-        check.events, check.die_tracks, check.queue_events, check.control_events
+        "wrote {out}: {} events, {}/{} die tracks active ({} queue spans, {} control instants)",
+        check.events,
+        check.active_die_tracks(),
+        check.die_tracks,
+        check.queue_events,
+        check.control_events
     );
     println!(
         "replay: {} paced GC migrations dispatched, reader p99 {:.0} µs, elapsed {:.1} ms",

@@ -351,11 +351,11 @@ fn run_background(config: SsdConfig, seed: u64) -> (u64, Coverage) {
                 let stamp = index as u64 + 1;
                 newest[lpa as usize] = stamp;
                 device
-                    .submit(IoRequest::write(Lpa::new(lpa), stamp))
+                    .submit_to(0, IoRequest::write(Lpa::new(lpa), stamp))
                     .unwrap();
                 if index % 3 == 0 {
                     device
-                        .submit(IoRequest::read(Lpa::new(lpas[index / 2])))
+                        .submit_to(0, IoRequest::read(Lpa::new(lpas[index / 2])))
                         .unwrap();
                 }
                 observe(&mut device, &mut hash);
