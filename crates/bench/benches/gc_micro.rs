@@ -33,6 +33,10 @@
 //! Per-iteration time must be flat in block count on both.
 
 #![expect(missing_docs, reason = "criterion_group! emits a bare `pub fn`")]
+#![expect(
+    clippy::expect_used,
+    reason = "a benchmark: a setup step that fails should stop it with its message"
+)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use leaftl_flash::Lpa;

@@ -9,6 +9,10 @@
 //! the case where a pump iteration must not cost O(queues).
 
 #![expect(missing_docs, reason = "criterion_group! emits a bare `pub fn`")]
+#![expect(
+    clippy::expect_used,
+    reason = "a benchmark: a setup step that fails should stop it with its message"
+)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use leaftl_core::LeaFtlConfig;

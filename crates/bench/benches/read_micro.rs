@@ -19,6 +19,10 @@
 //!   producing them is kept out of the timing.
 
 #![expect(missing_docs, reason = "criterion_group! emits a bare `pub fn`")]
+#![expect(
+    clippy::expect_used,
+    reason = "a benchmark: a setup step that fails should stop it with its message"
+)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use leaftl_core::{LeaFtlConfig, ShardedMapping};

@@ -2,7 +2,7 @@
 //! scales, warm-up, and table printing.
 
 use leaftl_baselines::{sftl_full_table_bytes, Dftl, Sftl};
-use leaftl_core::{LeaFtlConfig, TableStats};
+use leaftl_core::{LeaFtlConfig, LeaFtlTable, TableStats};
 use leaftl_sim::{
     replay, replay_open_loop, replay_open_loop_with, replay_queued, DeviceConfig, DramPolicy,
     HostOp, LeaFtlScheme, MapLogTraffic, QueuedReplayReport, ReplayReport, SimStats, SpaceReport,
@@ -26,6 +26,13 @@ pub fn set_trace_path(path: PathBuf) {
 fn trace_path() -> Option<&'static PathBuf> {
     TRACE_PATH.get()
 }
+
+/// The paper's three schemes, in its column order.
+pub const SCHEMES: [SchemeKind; 3] = [
+    SchemeKind::Dftl,
+    SchemeKind::Sftl,
+    SchemeKind::LeaFtl { gamma: 0 },
+];
 
 /// Which FTL scheme an experiment runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,11 +227,7 @@ impl AnySsd {
         match self {
             AnySsd::Dftl(ssd) => ssd.scheme().full_table_bytes(),
             AnySsd::Sftl(ssd) => sftl_full_table_bytes(ssd.scheme()),
-            AnySsd::Lea(ssd) => {
-                let mut table = ssd.scheme().table().clone();
-                table.compact();
-                table.memory_bytes().total()
-            }
+            AnySsd::Lea(ssd) => compacted(ssd).memory_bytes().total(),
         }
     }
 
@@ -252,14 +255,12 @@ impl AnySsd {
         each_ssd!(self, ssd => ssd.maplog_reclaimed_blocks())
     }
 
-    /// Compacted learned-table stats (None for the baselines).
-    pub fn compacted_table_stats(&self) -> Option<TableStats> {
+    /// A compacted copy of the learned table (None for the baselines):
+    /// the shadow-free table whose bytes [`AnySsd::full_mapping_bytes`]
+    /// counts.
+    pub fn compacted_table(&self) -> Option<LeaFtlTable> {
         match self {
-            AnySsd::Lea(ssd) => {
-                let mut table = ssd.scheme().table().clone();
-                table.compact();
-                Some(table.stats())
-            }
+            AnySsd::Lea(ssd) => Some(compacted(ssd)),
             AnySsd::Dftl(_) | AnySsd::Sftl(_) => None,
         }
     }
@@ -271,6 +272,13 @@ impl AnySsd {
             AnySsd::Dftl(_) | AnySsd::Sftl(_) => None,
         }
     }
+}
+
+/// A compacted copy of `ssd`'s learned table.
+fn compacted(ssd: &Ssd<LeaFtlScheme>) -> LeaFtlTable {
+    let mut table = ssd.scheme().table().clone();
+    table.compact();
+    table
 }
 
 /// Standard experiment scales. `quick` shrinks everything for smoke
@@ -395,28 +403,15 @@ pub struct RunOutcome {
     pub space: SpaceReport,
 }
 
-/// Runs one workload on one scheme at the given scale: prefill →
-/// profile warm-up → stats reset → measured replay.
-pub fn run_workload(
-    kind: SchemeKind,
-    profile: &ProfileParams,
-    scale: &Scale,
-    policy: DramPolicy,
-) -> RunOutcome {
-    let config = scale.config(policy);
-    run_workload_with_config(kind, profile, scale, config)
-}
-
-/// The shared measurement protocol: build → sequential prefill →
-/// profile warm-up → flush → stats reset. Every measured replay
-/// (closed-loop or queued) starts from a device warmed exactly this
-/// way, so the two harnesses stay comparable.
-fn warmed_ssd(
+/// Runs one workload on one scheme on the device `config` describes,
+/// at `scale`'s prefill and op counts: build → sequential prefill →
+/// profile warm-up → flush → stats reset → measured closed-loop replay.
+fn run_workload(
     kind: SchemeKind,
     profile: &ProfileParams,
     scale: &Scale,
     config: SsdConfig,
-) -> AnySsd {
+) -> RunOutcome {
     let logical = config.logical_pages();
     let mut ssd = AnySsd::build(kind, config);
     if scale.prefill > 0.0 {
@@ -427,19 +422,6 @@ fn warmed_ssd(
     }
     ssd.flush();
     ssd.reset_stats();
-    ssd
-}
-
-/// Like [`run_workload`] but with a fully custom device config
-/// (sensitivity studies that vary page size, DRAM, etc.).
-pub fn run_workload_with_config(
-    kind: SchemeKind,
-    profile: &ProfileParams,
-    scale: &Scale,
-    config: SsdConfig,
-) -> RunOutcome {
-    let logical = config.logical_pages();
-    let mut ssd = warmed_ssd(kind, profile, scale, config);
     let report = ssd.replay(profile.generate(logical, scale.ops, SEED));
     let stats = ssd.stats().clone();
     RunOutcome {
@@ -458,21 +440,26 @@ pub fn run_workload_with_config(
     }
 }
 
-/// Like [`run_workload`] but measured through the queued engine at
-/// `queue_depth` instead of the closed-loop blocking path — the
-/// concurrency-aware variant the engine-driven experiment migration
-/// baselines against (same prefill/warm-up/reset protocol).
-pub fn run_workload_queued(
-    kind: SchemeKind,
-    profile: &ProfileParams,
+/// One closed-loop run per (workload, scheme) on one device config: a
+/// row per workload in suite order, a column per scheme.
+pub type Runs = Vec<Vec<RunOutcome>>;
+
+/// Runs every scheme of `kinds` on every workload of `profiles` once.
+pub fn run_grid(
+    profiles: &[ProfileParams],
+    kinds: &[SchemeKind],
     scale: &Scale,
-    policy: DramPolicy,
-    queue_depth: usize,
-) -> QueuedReplayReport {
-    let config = scale.config(policy);
-    let logical = config.logical_pages();
-    let mut ssd = warmed_ssd(kind, profile, scale, config);
-    ssd.replay_queued(profile.generate(logical, scale.ops, SEED), queue_depth)
+    config: &SsdConfig,
+) -> Runs {
+    profiles
+        .iter()
+        .map(|profile| {
+            kinds
+                .iter()
+                .map(|&kind| run_workload(kind, profile, scale, config.clone()))
+                .collect()
+        })
+        .collect()
 }
 
 /// Builds a mapping table by replaying only the workload's writes (the

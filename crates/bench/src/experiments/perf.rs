@@ -1,34 +1,36 @@
-//! End-to-end performance comparisons: Figs. 16, 17 and 21.
+//! DFTL vs SFTL vs LeaFTL on the perf-scale device: Fig. 16a, and two
+//! sweeps at `DataFloor(0.2)` whose every run is simulated once and
+//! read by several figures —
+//!
+//! * page size {4, 8, 16} KiB over the block suite: Figs. 16b, 22b, 23a;
+//! * DRAM {1, 2, 4}× over the application suite: Figs. 17, 18, 22a, 23b.
+//!
+//! The 4 KiB page and the 1× DRAM columns are the perf scale's own
+//! device, so they are the runs Figs. 16b and 17 tabulate.
 
-use crate::common::{print_table, run_workload, run_workload_queued, Scale, SchemeKind};
+use crate::common::{print_table, run_grid, Runs, Scale, SCHEMES};
 use leaftl_sim::DramPolicy;
-use leaftl_workloads::{app_suite, block_trace_suite, full_suite, ProfileParams};
+use leaftl_workloads::{app_suite, block_trace_suite, oltp};
 use serde_json::{json, Value};
 
-const SCHEMES: [SchemeKind; 3] = [
-    SchemeKind::Dftl,
-    SchemeKind::Sftl,
-    SchemeKind::LeaFtl { gamma: 0 },
-];
+/// LeaFTL's column in [`SCHEMES`].
+const LEAFTL: usize = 2;
 
-/// Runs the three schemes on a workload set and prints latencies
-/// normalised to DFTL (the paper's presentation; lower is better).
-fn compare_schemes(
-    title: &str,
-    profiles: &[ProfileParams],
-    scale: &Scale,
-    policy: DramPolicy,
-) -> Vec<Value> {
+/// Flash page sizes of Fig. 22b; the first is Table 1's.
+const PAGE_SIZES: [u32; 3] = [4096, 8192, 16384];
+
+/// DRAM of Fig. 22a as multiples of the perf scale's; the first is 1×.
+const DRAM_MULTIPLIERS: [usize; 3] = [1, 2, 4];
+
+/// The paper's closed-loop view of one column: per workload, latency
+/// normalised to DFTL (lower is better) and each scheme's cache hits.
+fn compare_schemes(title: &str, runs: &Runs) -> Vec<Value> {
     let mut rows = Vec::new();
     let mut out = Vec::new();
-    for profile in profiles {
-        let results: Vec<_> = SCHEMES
-            .iter()
-            .map(|&kind| run_workload(kind, profile, scale, policy))
-            .collect();
+    for results in runs {
         let base = results[0].mean_latency_us.max(1e-9);
-        let mut row = vec![profile.name.clone()];
-        for r in &results {
+        let mut row = vec![results[0].workload.clone()];
+        for r in results {
             row.push(format!(
                 "{:.2} ({:.1}µs)",
                 r.mean_latency_us / base,
@@ -43,7 +45,7 @@ fn compare_schemes(
         ));
         rows.push(row);
         out.push(json!({
-            "workload": profile.name,
+            "workload": results[0].workload,
             "schemes": results.iter().map(|r| &r.scheme).collect::<Vec<_>>(),
             "mean_latency_us": results.iter().map(|r| r.mean_latency_us).collect::<Vec<_>>(),
             "normalized_to_dftl": results
@@ -71,164 +73,257 @@ fn compare_schemes(
     out
 }
 
-/// The queue depth every engine-driven Fig. 16/17 series runs at — a
-/// realistic host depth where requests overlap across dies and the
-/// pipelined translation stage has concurrency to exploit.
-const QUEUE_DEPTH: usize = 8;
-
-/// Runs the three schemes through the queued engine at
-/// [`QUEUE_DEPTH`]: same schemes, workloads and warm-up as
-/// [`compare_schemes`], but service times overlap across dies and
-/// lookups pipeline against flash reads. Reports IOPS and service
-/// latency; the replay is closed-loop (every arrival is time 0), so a
-/// wait measured from arrival would only restate how long the run is.
-fn compare_schemes_queued(
-    title: &str,
-    profiles: &[ProfileParams],
-    scale: &Scale,
-    policy: DramPolicy,
-) -> Vec<Value> {
-    let mut rows = Vec::new();
-    let mut out = Vec::new();
-    for profile in profiles {
-        let reports: Vec<_> = SCHEMES
-            .iter()
-            .map(|&kind| run_workload_queued(kind, profile, scale, policy, QUEUE_DEPTH))
-            .collect();
-        let mut row = vec![profile.name.clone()];
-        for r in &reports {
-            row.push(format!(
-                "{:.0} ({:.0}/{:.0}µs)",
-                r.iops(),
-                r.mean_latency_us(),
-                r.p99_latency_us()
-            ));
+/// Fig. 22's view of one column: each scheme's geometric-mean latency
+/// over the suite, and the table row printing it against DFTL's.
+fn geomean_row(label: String, runs: &Runs) -> (Vec<String>, Vec<f64>) {
+    let mut logs = vec![0.0f64; SCHEMES.len()];
+    for results in runs {
+        for (log, r) in logs.iter_mut().zip(results) {
+            *log += r.mean_latency_us.max(1e-9).ln();
         }
-        rows.push(row);
-        out.push(json!({
-            "workload": profile.name,
-            "queue_depth": QUEUE_DEPTH,
-            "schemes": SCHEMES.iter().map(|k| k.label()).collect::<Vec<_>>(),
-            "iops": reports.iter().map(|r| r.iops()).collect::<Vec<_>>(),
-            "mean_latency_us": reports.iter().map(|r| r.mean_latency_us()).collect::<Vec<_>>(),
-            "p99_latency_us": reports.iter().map(|r| r.p99_latency_us()).collect::<Vec<_>>(),
-            "translation_stall_ns": reports
-                .iter()
-                .map(|r| r.stats.translation_stall_ns)
-                .collect::<Vec<_>>(),
-        }));
     }
-    print_table(title, &["workload", "DFTL", "SFTL", "LeaFTL"], &rows);
-    out
+    let n = runs.len() as f64;
+    let latencies: Vec<f64> = logs.iter().map(|l| (l / n).exp()).collect();
+    let base = latencies[0];
+    let row = vec![
+        label,
+        format!("{:.2} ({:.1}µs)", 1.0, base),
+        format!("{:.2} ({:.1}µs)", latencies[1] / base, latencies[1]),
+        format!("{:.2} ({:.1}µs)", latencies[2] / base, latencies[2]),
+    ];
+    (row, latencies)
 }
 
-/// Fig. 16a: DRAM devoted primarily to the mapping table. Alongside
-/// the paper's closed-loop comparison, a `replay_queued` QD=8 variant
-/// baselines the same matchup with requests overlapping across dies —
-/// the engine-driven harness the Fig. 16/17 comparisons run on (the
-/// closed-loop numbers understate LeaFTL's cache advantage under
-/// concurrency).
+/// Fig. 16a: DRAM devoted primarily to the mapping table.
 pub fn fig16a(quick: bool) -> Value {
     let scale = Scale::perf(quick);
+    let config = scale.config(DramPolicy::MappingFirst);
     let series = compare_schemes(
         "Fig. 16a: normalised latency, DRAM mainly for mapping (paper: LeaFTL 1.6x faster than SFTL avg)",
-        &block_trace_suite(),
-        &scale,
-        DramPolicy::MappingFirst,
+        &run_grid(&block_trace_suite(), &SCHEMES, &scale, &config),
     );
-    let queued_out = compare_schemes_queued(
-        "Fig. 16a (queued QD=8): IOPS (mean/p99 service µs) — the concurrency-aware baseline",
-        &block_trace_suite(),
-        &scale,
-        DramPolicy::MappingFirst,
-    );
-    json!({ "experiment": "fig16a", "series": series, "queued_qd8": queued_out })
+    json!({ "experiment": "fig16a", "series": series })
 }
 
-/// Fig. 16b: at least 20 % of DRAM reserved for the data cache —
-/// closed-loop for the paper's presentation plus the engine-driven
-/// QD=8 series.
-pub fn fig16b(quick: bool) -> Value {
+/// The page-size sweep at fixed total capacity, and every figure it
+/// feeds: Figs. 16b, 22b and 23a.
+pub fn page_size_sweep(quick: bool) -> Vec<Value> {
     let scale = Scale::perf(quick);
+    let columns: Vec<(u32, Runs)> = PAGE_SIZES
+        .iter()
+        .map(|&page_size| {
+            let mut config = scale.config(DramPolicy::DataFloor(0.2));
+            // Fixed total capacity: halve the block count as pages grow.
+            config.geometry.page_size = page_size;
+            config.geometry.blocks = scale.capacity / (256 * page_size as u64);
+            // Keep the write buffer at one block worth of pages.
+            config.write_buffer_pages = 256
+                .min(scale.buffer_pages * 4096 / page_size as usize)
+                .max(32);
+            let runs = run_grid(&block_trace_suite(), &SCHEMES, &scale, &config);
+            (page_size, runs)
+        })
+        .collect();
+    let table1_pages = &columns[0].1;
+    vec![fig16b(table1_pages), fig22b(&columns), fig23a(table1_pages)]
+}
+
+/// Fig. 16b: at least 20 % of DRAM reserved for the data cache.
+fn fig16b(runs: &Runs) -> Value {
     let series = compare_schemes(
         "Fig. 16b: normalised latency, ≥20% DRAM for data cache (paper: LeaFTL 1.4x/1.6x vs SFTL/DFTL)",
-        &block_trace_suite(),
-        &scale,
-        DramPolicy::DataFloor(0.2),
+        runs,
     );
-    let queued_out = compare_schemes_queued(
-        "Fig. 16b (queued QD=8): IOPS (mean/p99 service µs), ≥20% DRAM for data cache",
-        &block_trace_suite(),
-        &scale,
-        DramPolicy::DataFloor(0.2),
-    );
-    json!({ "experiment": "fig16b", "series": series, "queued_qd8": queued_out })
+    json!({ "experiment": "fig16b", "series": series })
 }
 
-/// Fig. 17: the application suite (the paper's real-SSD validation,
-/// here on the simulator substrate with the synthetic profiles of
-/// `leaftl_workloads::app_suite`), closed-loop plus the engine-driven
-/// QD=8 series.
-pub fn fig17(quick: bool) -> Value {
-    let scale = Scale::perf(quick);
-    let series = compare_schemes(
-        "Fig. 17: application workloads (paper: LeaFTL 1.4x average speedup)",
-        &app_suite(),
-        &scale,
-        DramPolicy::DataFloor(0.2),
-    );
-    let queued_out = compare_schemes_queued(
-        "Fig. 17 (queued QD=8): IOPS (mean/p99 service µs), application workloads",
-        &app_suite(),
-        &scale,
-        DramPolicy::DataFloor(0.2),
-    );
-    json!({ "experiment": "fig17", "series": series, "queued_qd8": queued_out })
-}
-
-/// Fig. 21: LeaFTL performance as γ grows (normalised to γ=0).
-pub fn fig21(quick: bool) -> Value {
-    let scale = Scale::perf(quick);
-    let gammas = [0u32, 1, 4, 16];
+/// Fig. 22b: performance while varying the flash page size at fixed
+/// total capacity (4 KB / 8 KB / 16 KB pages).
+fn fig22b(columns: &[(u32, Runs)]) -> Value {
     let mut rows = Vec::new();
     let mut out = Vec::new();
-    for profile in full_suite() {
-        let results: Vec<_> = gammas
-            .iter()
-            .map(|&gamma| {
-                run_workload(
-                    SchemeKind::LeaFtl { gamma },
-                    &profile,
-                    &scale,
-                    DramPolicy::DataFloor(0.2),
-                )
-            })
-            .collect();
-        let base = results[0].mean_latency_us.max(1e-9);
-        rows.push(
-            std::iter::once(profile.name.clone())
-                .chain(
-                    results
-                        .iter()
-                        .map(|r| format!("{:.2}", r.mean_latency_us / base)),
-                )
-                .collect::<Vec<String>>(),
-        );
+    for (page_size, runs) in columns {
+        let (row, latencies) = geomean_row(format!("{} KiB pages", page_size / 1024), runs);
+        rows.push(row);
         out.push(json!({
-            "workload": profile.name,
-            "gammas": gammas,
-            "mean_latency_us": results.iter().map(|r| r.mean_latency_us).collect::<Vec<_>>(),
-            "normalized": results
-                .iter()
-                .map(|r| r.mean_latency_us / base)
-                .collect::<Vec<_>>(),
-            "mapping_bytes": results.iter().map(|r| r.mapping_bytes).collect::<Vec<_>>(),
+            "page_size": page_size,
+            "schemes": ["DFTL", "SFTL", "LeaFTL"],
+            "geomean_latency_us": latencies,
         }));
     }
     print_table(
-        "Fig. 21: latency vs γ, normalised to γ=0 (paper: up to 1.3x improvement at γ=16)",
-        &["workload", "γ=0", "γ=1", "γ=4", "γ=16"],
+        "Fig. 22b: latency vs flash page size, block-trace geomean (paper: LeaFTL 1.1–1.2x over SFTL)",
+        &["page size", "DFTL", "SFTL", "LeaFTL"],
         &rows,
     );
-    json!({ "experiment": "fig21", "series": out })
+    json!({ "experiment": "fig22b", "series": out })
+}
+
+/// Fig. 23a: CDF of levels visited per lookup for the block traces.
+fn fig23a(runs: &Runs) -> Value {
+    let mut rows = Vec::new();
+    let mut out = Vec::new();
+    for results in runs {
+        let r = &results[LEAFTL];
+        let hist = &r.stats.lookup_level_histogram;
+        let total: u64 = hist.iter().sum();
+        let share_at = |target: f64| -> usize {
+            let mut seen = 0u64;
+            for (idx, &n) in hist.iter().enumerate() {
+                seen += n;
+                if seen as f64 >= target * total as f64 {
+                    return idx + 1;
+                }
+            }
+            hist.len()
+        };
+        rows.push(vec![
+            r.workload.clone(),
+            format!("{:.2}", r.stats.avg_lookup_levels()),
+            format!("{}", share_at(0.90)),
+            format!("{}", share_at(0.99)),
+            format!("{}", share_at(0.9999)),
+        ]);
+        out.push(json!({
+            "workload": r.workload,
+            "avg_levels": r.stats.avg_lookup_levels(),
+            "levels_p90": share_at(0.90),
+            "levels_p99": share_at(0.99),
+            "levels_p9999": share_at(0.9999),
+            "histogram": hist,
+        }));
+    }
+    print_table(
+        "Fig. 23a: levels visited per lookup (paper: 90% at top level, 99% within 10)",
+        &["workload", "avg", "p90", "p99", "p99.99"],
+        &rows,
+    );
+    json!({ "experiment": "fig23a", "series": out })
+}
+
+/// The DRAM sweep over the application suite (the paper's real-SSD
+/// validation, here on the simulator substrate with the synthetic
+/// profiles of `leaftl_workloads::app_suite`), and every figure it
+/// feeds: Figs. 17, 18, 22a and 23b.
+pub fn dram_sweep(quick: bool) -> Vec<Value> {
+    let scale = Scale::perf(quick);
+    // The paper uses 256 MB / 512 MB / 1024 MB on a 1 TB device; the
+    // same DRAM:capacity ratios on the scaled device.
+    let columns: Vec<(usize, Runs)> = DRAM_MULTIPLIERS
+        .iter()
+        .map(|&mult| {
+            let mut config = scale.config(DramPolicy::DataFloor(0.2));
+            config.dram_bytes = scale.dram * mult;
+            let runs = run_grid(&app_suite(), &SCHEMES, &scale, &config);
+            (config.dram_bytes, runs)
+        })
+        .collect();
+    let perf_dram = &columns[0].1;
+    vec![
+        fig17(perf_dram),
+        fig18(perf_dram),
+        fig22a(&columns),
+        fig23b(perf_dram),
+    ]
+}
+
+/// Fig. 17: the application suite.
+fn fig17(runs: &Runs) -> Value {
+    let series = compare_schemes(
+        "Fig. 17: application workloads (paper: LeaFTL 1.4x average speedup)",
+        runs,
+    );
+    json!({ "experiment": "fig17", "series": series })
+}
+
+/// Fig. 18: read-latency distribution of the OLTP workload under the
+/// three schemes (percentile table standing in for the CDF plot).
+fn fig18(runs: &Runs) -> Value {
+    let oltp = oltp().name;
+    let results = runs
+        .iter()
+        .find(|results| results[0].workload == oltp)
+        .expect("OLTP is in the application suite");
+    let percentiles = [0.0, 30.0, 60.0, 90.0, 99.0, 99.9];
+    let mut rows = Vec::new();
+    let mut out = Vec::new();
+    for r in results {
+        let values: Vec<f64> = percentiles
+            .iter()
+            .map(|&p| r.stats.read_latency.percentile_ns(p) as f64 / 1000.0)
+            .collect();
+        rows.push(
+            std::iter::once(r.scheme.clone())
+                .chain(values.iter().map(|v| format!("{v:.1}")))
+                .collect::<Vec<String>>(),
+        );
+        out.push(json!({
+            "scheme": r.scheme,
+            "percentiles": percentiles,
+            "latency_us": values,
+            "cdf": r.stats.read_latency.cdf_points(),
+        }));
+    }
+    print_table(
+        "Fig. 18: OLTP read-latency percentiles in µs (paper: LeaFTL no worse tail, lower body)",
+        &["scheme", "p0", "p30", "p60", "p90", "p99", "p99.9"],
+        &rows,
+    );
+    json!({ "experiment": "fig18", "series": out })
+}
+
+/// Fig. 22a: performance while varying the DRAM capacity.
+fn fig22a(columns: &[(usize, Runs)]) -> Value {
+    let mut rows = Vec::new();
+    let mut out = Vec::new();
+    for ((dram_bytes, runs), mult) in columns.iter().zip(DRAM_MULTIPLIERS) {
+        let label = format!("{}x DRAM ({} KiB)", mult, dram_bytes / 1024);
+        let (row, latencies) = geomean_row(label, runs);
+        rows.push(row);
+        out.push(json!({
+            "dram_bytes": dram_bytes,
+            "schemes": ["DFTL", "SFTL", "LeaFTL"],
+            "geomean_latency_us": latencies,
+        }));
+    }
+    print_table(
+        "Fig. 22a: latency vs DRAM capacity, app suite geomean (paper: LeaFTL best at every size)",
+        &["DRAM", "DFTL", "SFTL", "LeaFTL"],
+        &rows,
+    );
+    json!({ "experiment": "fig22a", "series": out })
+}
+
+/// Fig. 23b: LPA-lookup CPU overhead as a fraction of the flash access
+/// it precedes, for the application workloads.
+fn fig23b(runs: &Runs) -> Value {
+    let mut rows = Vec::new();
+    let mut out = Vec::new();
+    for results in runs {
+        let r = &results[LEAFTL];
+        let lookups = r.stats.lookups.max(1);
+        let avg_lookup_ns = r.stats.lookup_cpu_ns as f64 / lookups as f64;
+        let read_ns = 20_000.0; // Table 1 flash read
+        let avg_pct = avg_lookup_ns / read_ns * 100.0;
+        let worst_levels = r.stats.lookup_level_histogram.len().max(1) as f64;
+        let worst_pct = (40.0 + 10.0 * (worst_levels - 1.0)) / read_ns * 100.0;
+        rows.push(vec![
+            r.workload.clone(),
+            format!("{avg_lookup_ns:.0} ns"),
+            format!("{avg_pct:.3}%"),
+            format!("{worst_pct:.3}%"),
+        ]);
+        out.push(json!({
+            "workload": r.workload,
+            "avg_lookup_ns": avg_lookup_ns,
+            "avg_overhead_pct": avg_pct,
+            "worst_overhead_pct": worst_pct,
+        }));
+    }
+    print_table(
+        "Fig. 23b: lookup overhead vs flash read (paper: 0.21% average, <1% at p99.99)",
+        &["workload", "avg lookup", "avg overhead", "worst overhead"],
+        &rows,
+    );
+    json!({ "experiment": "fig23b", "series": out })
 }

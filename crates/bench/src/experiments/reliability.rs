@@ -1,47 +1,11 @@
-//! Misprediction, write-amplification and crash-recovery studies:
-//! Figs. 24, 25 and the §5 recovery discussion.
+//! Write-amplification and crash-recovery studies: Fig. 25 and the §5
+//! recovery discussion.
 
-use crate::common::{maplog_json, print_table, run_workload, space_json, Scale, SchemeKind, SEED};
+use crate::common::{maplog_json, print_table, run_grid, space_json, Scale, SCHEMES, SEED};
 use leaftl_core::LeaFtlConfig;
 use leaftl_sim::{replay, CheckpointMode, DramPolicy, LeaFtlScheme, Ssd};
 use leaftl_workloads::{full_suite, tpcc, warmup_ops};
 use serde_json::{json, Value};
-
-/// Fig. 24: misprediction ratio of flash-page accesses per workload as
-/// γ grows.
-pub fn fig24(quick: bool) -> Value {
-    let scale = Scale::perf(quick);
-    let gammas = [0u32, 1, 4, 16];
-    let mut rows = Vec::new();
-    let mut out = Vec::new();
-    for profile in full_suite() {
-        let ratios: Vec<f64> = gammas
-            .iter()
-            .map(|&gamma| {
-                run_workload(
-                    SchemeKind::LeaFtl { gamma },
-                    &profile,
-                    &scale,
-                    DramPolicy::DataFloor(0.2),
-                )
-                .misprediction_ratio
-                    * 100.0
-            })
-            .collect();
-        rows.push(
-            std::iter::once(profile.name.clone())
-                .chain(ratios.iter().map(|r| format!("{r:.1}%")))
-                .collect::<Vec<String>>(),
-        );
-        out.push(json!({ "workload": profile.name, "gammas": gammas, "ratio_pct": ratios }));
-    }
-    print_table(
-        "Fig. 24: misprediction ratio (paper: 0% at γ=0, mostly <10% at γ=16; 1 extra read each)",
-        &["workload", "γ=0", "γ=1", "γ=4", "γ=16"],
-        &rows,
-    );
-    json!({ "experiment": "fig24", "series": out })
-}
 
 /// Fig. 25: write amplification factor for the three schemes. The
 /// figure's shape is asserted on every row: LeaFTL's WAF within
@@ -51,31 +15,24 @@ pub fn fig25(quick: bool) -> Value {
     // WAF is a GC phenomenon: fill the device so collection runs
     // throughout the measurement window.
     scale.prefill = 0.99;
+    let config = scale.config(DramPolicy::DataFloor(0.2));
     let mut rows = Vec::new();
     let mut out = Vec::new();
-    for profile in full_suite() {
-        let results: Vec<_> = [
-            SchemeKind::Dftl,
-            SchemeKind::Sftl,
-            SchemeKind::LeaFtl { gamma: 0 },
-        ]
-        .iter()
-        .map(|&kind| run_workload(kind, &profile, &scale, DramPolicy::DataFloor(0.2)))
-        .collect();
+    for results in run_grid(&full_suite(), &SCHEMES, &scale, &config) {
+        let workload = &results[0].workload;
         let (dftl, sftl, leaftl) = (results[0].waf, results[1].waf, results[2].waf);
         assert!(
             (0.90..=1.08).contains(&(leaftl / sftl)) && dftl >= sftl,
-            "Fig. 25 on {}: LeaFTL's WAF must be within [0.90, 1.08] of SFTL's and DFTL's \
-             no lower (DFTL {dftl:.3}, SFTL {sftl:.3}, LeaFTL {leaftl:.3})",
-            profile.name
+            "Fig. 25 on {workload}: LeaFTL's WAF must be within [0.90, 1.08] of SFTL's and \
+             DFTL's no lower (DFTL {dftl:.3}, SFTL {sftl:.3}, LeaFTL {leaftl:.3})"
         );
         rows.push(
-            std::iter::once(profile.name.clone())
+            std::iter::once(workload.clone())
                 .chain(results.iter().map(|r| format!("{:.3}", r.waf)))
                 .collect::<Vec<String>>(),
         );
         out.push(json!({
-            "workload": profile.name,
+            "workload": workload,
             "schemes": results.iter().map(|r| &r.scheme).collect::<Vec<_>>(),
             "waf": results.iter().map(|r| r.waf).collect::<Vec<_>>(),
             "translation_programs": results

@@ -5,8 +5,9 @@
 //! 1. **QD sweep**: IOPS and p99 service latency at queue depth
 //!    1/4/8/32 for LeaFTL vs DFTL vs SFTL on a skewed OLTP workload,
 //!    plus the legacy blocking path as the QD=1 cross-check. Deeper
-//!    queues overlap flash reads across the 16 × 4 die array, so IOPS
-//!    must rise with depth while QD=1 matches blocking within noise.
+//!    queues overlap flash reads across the 16 × 4 die array; the
+//!    experiment asserts that IOPS never fall as depth grows and that
+//!    QD=1 IOPS equal the blocking path's exactly.
 //! 2. **Multi-tenant mix**: a Zipf point-lookup tenant colocated with
 //!    a sequential scanner, replayed open-loop with Poisson arrivals at
 //!    QD=32; reports per-tenant mean/p99 so mapping-scheme overheads
@@ -89,6 +90,12 @@ pub fn scalability(quick: bool) -> Value {
                 report.p999_latency_us()
             ));
         }
+        assert!(
+            depth_iops[0] == blocking && depth_iops.windows(2).all(|w| w[0] <= w[1]),
+            "scalability on {}: QD=1 IOPS must equal the blocking path's and IOPS must not \
+             fall as QD grows (blocking {blocking:.0}, QD {DEPTHS:?}: {depth_iops:.0?})",
+            kind.label()
+        );
         rows.push(row);
         sweep_out.push(json!({
             "scheme": kind.label(),
@@ -102,7 +109,7 @@ pub fn scalability(quick: bool) -> Value {
         }));
     }
     print_table(
-        "Scalability: IOPS (p50/p99/p999) vs queue depth, OLTP workload — IOPS must rise with QD; QD=1 ≈ blocking",
+        "Scalability: IOPS (p50/p99/p999) vs queue depth, OLTP workload — IOPS must not fall with QD; QD=1 = blocking",
         &["scheme", "blocking", "QD=1", "QD=4", "QD=8", "QD=32"],
         &rows,
     );

@@ -12,8 +12,8 @@
 //!    lookups — the 1-shard device serialises every translation behind
 //!    each sweep; the table shows what splitting it is worth. QD=1 is
 //!    the no-concurrency cross-check (sharding buys little when one
-//!    command is in flight). Background compactions must be non-zero —
-//!    the sweep's cost is on the timeline, not hidden.
+//!    command is in flight). The experiment asserts that IOPS never
+//!    fall as shards grow, at every depth.
 //! 2. **Inline vs background compaction** at 4 shards / QD=32: the
 //!    same workload with compaction as flush side effect vs as
 //!    arbitrated `Command::Compact` traffic, showing where the sweep's
@@ -100,6 +100,7 @@ pub fn sharding(quick: bool) -> Value {
     // One warmed device per shard count, cloned per measurement cell.
     let mut rows = Vec::new();
     let mut sweep_out = Vec::new();
+    let mut iops_by_shards: Vec<Vec<f64>> = Vec::new();
     let mut inline_report: Option<QueuedReplayReport> = None;
     let mut background_report: Option<QueuedReplayReport> = None;
     for &shards in &SHARD_COUNTS {
@@ -137,6 +138,7 @@ pub fn sharding(quick: bool) -> Value {
             }
         }
         rows.push(row);
+        iops_by_shards.push(iops.clone());
         sweep_out.push(json!({
             "shards": shards,
             "queue_depths": DEPTHS,
@@ -161,6 +163,14 @@ pub fn sharding(quick: bool) -> Value {
         &["shards", "QD=1", "QD=8", "QD=32"],
         &rows,
     );
+    for (d, depth) in DEPTHS.iter().enumerate() {
+        let iops: Vec<f64> = iops_by_shards.iter().map(|row| row[d]).collect();
+        assert!(
+            iops.windows(2).all(|w| w[0] <= w[1]),
+            "sharding at QD={depth}: IOPS must not fall as shards grow \
+             (shards {SHARD_COUNTS:?}: {iops:.0?})"
+        );
+    }
     let inline_report = inline_report.expect("4-shard leg ran");
     let background_report = background_report.expect("4-shard QD=32 cell ran");
     let (shards, depth) = (COMPARE_SHARDS, COMPARE_DEPTH);

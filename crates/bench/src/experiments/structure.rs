@@ -1,24 +1,89 @@
-//! Table-structure studies: Figs. 5, 10, 12 and 20.
+//! Table-structure and footprint studies: Figs. 5, 10, 12, 15 and 20,
+//! views of one sweep. Each block-suite workload's writes build LeaFTL
+//! at every γ of [`GAMMAS`], DFTL and SFTL once, at the memory scale.
 
-use crate::common::{build_mapping_state, print_table, Scale, SchemeKind, SEED};
-use leaftl_core::percentile;
+use crate::common::{build_mapping_state, fmt_bytes, print_table, Scale, SchemeKind, SEED};
+use leaftl_core::{percentile, TableStats};
 use leaftl_workloads::block_trace_suite;
 use serde_json::{json, Value};
 
+/// Every γ a structure figure reads: Fig. 5 plots {0, 4, 8}, Fig. 10
+/// reads 4, Figs. 12 and 15 read 0, Fig. 20 plots {0, 1, 4, 16}.
+const GAMMAS: [u32; 5] = [0, 1, 4, 8, 16];
+
+/// What one LeaFTL build leaves behind.
+struct LeaBuild {
+    gamma: u32,
+    /// The table as the writes left it, between compactions (Fig. 12).
+    standing: TableStats,
+    /// The table compacted: shadow-free (Figs. 5, 10, 20).
+    compacted: TableStats,
+    /// The compacted table's bytes (Fig. 15).
+    full_bytes: usize,
+}
+
+/// One workload's builds.
+struct Built {
+    workload: String,
+    /// One per [`GAMMAS`] entry, in order.
+    lea: Vec<LeaBuild>,
+    dftl_bytes: usize,
+    sftl_bytes: usize,
+}
+
+impl Built {
+    fn at(&self, gamma: u32) -> &LeaBuild {
+        self.lea
+            .iter()
+            .find(|build| build.gamma == gamma)
+            .expect("γ is one of GAMMAS")
+    }
+}
+
+/// The sweep, and every figure it feeds: Figs. 5, 10, 12, 15 and 20.
+pub fn structure(quick: bool) -> Vec<Value> {
+    let scale = Scale::memory(quick);
+    let built: Vec<Built> = block_trace_suite()
+        .iter()
+        .map(|profile| Built {
+            workload: profile.name.clone(),
+            lea: GAMMAS
+                .iter()
+                .map(|&gamma| {
+                    let ssd = build_mapping_state(SchemeKind::LeaFtl { gamma }, profile, &scale);
+                    let compacted = ssd.compacted_table().expect("leaftl build");
+                    LeaBuild {
+                        gamma,
+                        standing: ssd.table_stats().expect("leaftl build"),
+                        compacted: compacted.stats(),
+                        full_bytes: compacted.memory_bytes().total(),
+                    }
+                })
+                .collect(),
+            dftl_bytes: build_mapping_state(SchemeKind::Dftl, profile, &scale).full_mapping_bytes(),
+            sftl_bytes: build_mapping_state(SchemeKind::Sftl, profile, &scale).full_mapping_bytes(),
+        })
+        .collect();
+    vec![
+        fig5(&built),
+        fig10(&built),
+        fig12(&built),
+        fig15(&built),
+        fig20(&built),
+    ]
+}
+
 /// Fig. 5: aggregated distribution of learned-segment lengths for
 /// γ ∈ {0, 4, 8} across the block-trace suite, plus segment counts.
-pub fn fig5(quick: bool) -> Value {
-    let scale = Scale::memory(quick);
+fn fig5(built: &[Built]) -> Value {
     let buckets: Vec<u32> = vec![1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048];
     let mut rows = Vec::new();
     let mut out = Vec::new();
     for gamma in [0u32, 4, 8] {
-        let mut lengths: Vec<u32> = Vec::new();
-        for profile in block_trace_suite() {
-            let ssd = build_mapping_state(SchemeKind::LeaFtl { gamma }, &profile, &scale);
-            let stats = ssd.compacted_table_stats().expect("leaftl run");
-            lengths.extend(stats.members_per_segment);
-        }
+        let lengths: Vec<u32> = built
+            .iter()
+            .flat_map(|b| b.at(gamma).compacted.members_per_segment.iter().copied())
+            .collect();
         let total = lengths.len().max(1);
         let cdf: Vec<f64> = buckets
             .iter()
@@ -50,26 +115,24 @@ pub fn fig5(quick: bool) -> Value {
 }
 
 /// Fig. 10: CRB size per group (average and p99 bytes), γ = 4.
-pub fn fig10(quick: bool) -> Value {
-    let scale = Scale::memory(quick);
+fn fig10(built: &[Built]) -> Value {
     let mut rows = Vec::new();
     let mut out = Vec::new();
-    for profile in block_trace_suite() {
-        let ssd = build_mapping_state(SchemeKind::LeaFtl { gamma: 4 }, &profile, &scale);
-        let stats = ssd.compacted_table_stats().expect("leaftl run");
+    for b in built {
+        let stats = &b.at(4).compacted;
         let sizes: Vec<u32> = stats
             .crb_bytes_per_group
             .iter()
-            .map(|&b| b as u32)
+            .map(|&bytes| bytes as u32)
             .collect();
         let avg = stats.avg_crb_bytes();
         let p99 = percentile(&sizes, 99.0);
         rows.push(vec![
-            profile.name.clone(),
+            b.workload.clone(),
             format!("{avg:.1}"),
             format!("{p99:.0}"),
         ]);
-        out.push(json!({ "workload": profile.name, "avg_bytes": avg, "p99_bytes": p99 }));
+        out.push(json!({ "workload": b.workload, "avg_bytes": avg, "p99_bytes": p99 }));
     }
     print_table(
         "Fig. 10: CRB size in bytes per group, γ=4 — paper: 13.9 B average",
@@ -80,27 +143,25 @@ pub fn fig10(quick: bool) -> Value {
 }
 
 /// Fig. 12: number of levels in the log-structured table per group
-/// (average and p99).
-pub fn fig12(quick: bool) -> Value {
-    let scale = Scale::memory(quick);
+/// (average and p99), γ = 0.
+fn fig12(built: &[Built]) -> Value {
     let mut rows = Vec::new();
     let mut out = Vec::new();
-    for profile in block_trace_suite() {
-        let ssd = build_mapping_state(SchemeKind::LeaFtl { gamma: 0 }, &profile, &scale);
+    for b in built {
         // Runtime (not compacted) state: Fig. 12 measures the standing
         // log-structure depth between compactions.
-        let stats = ssd.table_stats().expect("leaftl run");
+        let stats = &b.at(0).standing;
         let avg = stats.avg_levels();
         let p99 = percentile(&stats.levels_per_group, 99.0);
         let max = stats.levels_per_group.iter().max().copied().unwrap_or(0);
         rows.push(vec![
-            profile.name.clone(),
+            b.workload.clone(),
             format!("{avg:.2}"),
             format!("{p99:.0}"),
             format!("{max}"),
         ]);
         out.push(json!({
-            "workload": profile.name,
+            "workload": b.workload,
             "avg_levels": avg,
             "p99_levels": p99,
             "max_levels": max,
@@ -114,21 +175,71 @@ pub fn fig12(quick: bool) -> Value {
     json!({ "experiment": "fig12", "series": out })
 }
 
+/// Fig. 15: mapping-table size reduction of LeaFTL (γ=0) vs DFTL and
+/// SFTL per block workload.
+fn fig15(built: &[Built]) -> Value {
+    let mut rows = Vec::new();
+    let mut out = Vec::new();
+    for b in built {
+        let lea_bytes = b.at(0).full_bytes.max(1);
+        let (dftl_bytes, sftl_bytes) = (b.dftl_bytes, b.sftl_bytes);
+        let vs_dftl = dftl_bytes as f64 / lea_bytes as f64;
+        let vs_sftl = sftl_bytes as f64 / lea_bytes as f64;
+        rows.push(vec![
+            b.workload.clone(),
+            fmt_bytes(dftl_bytes),
+            fmt_bytes(sftl_bytes),
+            fmt_bytes(lea_bytes),
+            format!("{vs_dftl:.1}x"),
+            format!("{vs_sftl:.1}x"),
+        ]);
+        out.push(json!({
+            "workload": b.workload,
+            "dftl_bytes": dftl_bytes,
+            "sftl_bytes": sftl_bytes,
+            "leaftl_bytes": lea_bytes,
+            "reduction_vs_dftl": vs_dftl,
+            "reduction_vs_sftl": vs_sftl,
+        }));
+    }
+    let avg_dftl: f64 = out
+        .iter()
+        .map(|v| v["reduction_vs_dftl"].as_f64().unwrap())
+        .sum::<f64>()
+        / out.len() as f64;
+    let avg_sftl: f64 = out
+        .iter()
+        .map(|v| v["reduction_vs_sftl"].as_f64().unwrap())
+        .sum::<f64>()
+        / out.len() as f64;
+    print_table(
+        "Fig. 15: mapping-table footprint — paper: 7.5–37.7x vs DFTL, 2.9x avg vs SFTL",
+        &["workload", "DFTL", "SFTL", "LeaFTL", "vs DFTL", "vs SFTL"],
+        &rows,
+    );
+    println!("average reduction: {avg_dftl:.1}x vs DFTL, {avg_sftl:.1}x vs SFTL");
+    json!({
+        "experiment": "fig15",
+        "series": out,
+        "avg_reduction_vs_dftl": avg_dftl,
+        "avg_reduction_vs_sftl": avg_sftl,
+    })
+}
+
 /// Fig. 20: distribution of accurate vs approximate segments as γ
 /// grows (aggregated over the block-trace suite).
-pub fn fig20(quick: bool) -> Value {
-    let scale = Scale::memory(quick);
+fn fig20(built: &[Built]) -> Value {
     let mut rows = Vec::new();
     let mut out = Vec::new();
     for gamma in [0u32, 1, 4, 16] {
-        let mut accurate = 0usize;
-        let mut approximate = 0usize;
-        for profile in block_trace_suite() {
-            let ssd = build_mapping_state(SchemeKind::LeaFtl { gamma }, &profile, &scale);
-            let stats = ssd.compacted_table_stats().expect("leaftl run");
-            accurate += stats.accurate_segments;
-            approximate += stats.approximate_segments;
-        }
+        let accurate: usize = built
+            .iter()
+            .map(|b| b.at(gamma).compacted.accurate_segments)
+            .sum();
+        let approximate: usize = built
+            .iter()
+            .map(|b| b.at(gamma).compacted.approximate_segments)
+            .sum();
         let total = (accurate + approximate).max(1);
         let approx_pct = approximate as f64 / total as f64 * 100.0;
         rows.push(vec![

@@ -9,9 +9,11 @@
 //! cargo run -p leaftl-bench --release -- --quick all   # smoke scales
 //! ```
 //!
-//! Each experiment prints a human-readable table (with the paper's
-//! reference numbers in the title) and writes a JSON record to
-//! `results/<name>.json` for re-plotting (overwriting a previous run).
+//! An experiment is one measured sweep; each figure it feeds prints a
+//! human-readable table (with the paper's reference numbers in the
+//! title) and writes a JSON record to `results/<name>.json` for
+//! re-plotting (overwriting a previous run). Naming any figure of a
+//! sweep runs the sweep once and writes all of its figures.
 //!
 //! `--trace <path>` attaches the device-timeline tracer to every
 //! engine-driven replay and writes the last replay's Chrome
@@ -52,29 +54,37 @@ fn main() -> ExitCode {
     if selected.is_empty() || selected.iter().any(|s| s == "list") {
         println!("available experiments (run with names, or `all`):\n");
         for e in &all {
-            println!("  {:<22} {}", e.name, e.description);
+            for &(name, description) in e.figures {
+                println!("  {name:<22} {description}");
+            }
+            if e.figures.len() > 1 {
+                println!(
+                    "  {:<22} ↳ one sweep: any of {} runs it and writes all",
+                    "",
+                    e.names().join(", ")
+                );
+            }
         }
         println!("\nflags: --quick  (smoke-test scales)");
         println!("       --trace <path>  (write a Perfetto trace of the last engine replay)");
         return ExitCode::SUCCESS;
     }
 
-    let run_all = selected.iter().any(|s| s == "all");
-    let chosen: Vec<&experiments::Experiment> = if run_all {
-        all.iter().collect()
+    // Each sweep runs once, however many of its figures are named.
+    let mut chosen: Vec<&experiments::Experiment> = Vec::new();
+    if selected.iter().any(|s| s == "all") {
+        chosen.extend(&all);
     } else {
-        let mut chosen = Vec::new();
         for name in &selected {
-            match all.iter().find(|e| e.name == *name) {
-                Some(e) => chosen.push(e),
-                None => {
-                    eprintln!("unknown experiment `{name}` — try `list`");
-                    return ExitCode::FAILURE;
-                }
+            let Some(e) = all.iter().find(|e| e.feeds(name)) else {
+                eprintln!("unknown experiment `{name}` — try `list`");
+                return ExitCode::FAILURE;
+            };
+            if !chosen.iter().any(|c| std::ptr::eq(*c, e)) {
+                chosen.push(e);
             }
         }
-        chosen
-    };
+    }
 
     let results_dir = std::path::Path::new("results");
     if let Err(e) = fs::create_dir_all(results_dir) {
@@ -84,18 +94,32 @@ fn main() -> ExitCode {
 
     for experiment in chosen {
         let started = Instant::now();
-        println!("\n##### {} — {}", experiment.name, experiment.description);
-        let value = (experiment.run)(quick);
-        let elapsed = started.elapsed();
-        println!("[{} finished in {:.1?}]", experiment.name, elapsed);
-        let path = results_dir.join(format!("{}.json", experiment.name));
-        match serde_json::to_string_pretty(&value) {
-            Ok(serialized) => {
-                if let Err(e) = fs::write(&path, serialized) {
-                    eprintln!("cannot write {}: {e}", path.display());
+        for &(name, description) in experiment.figures {
+            println!("\n##### {name} — {description}");
+        }
+        let values = (experiment.run)(quick);
+        let names = experiment.names();
+        println!(
+            "[{} finished in {:.1?}]",
+            names.join(", "),
+            started.elapsed()
+        );
+        assert_eq!(values.len(), names.len(), "one record per figure");
+        for (name, value) in names.into_iter().zip(values) {
+            assert_eq!(
+                value["experiment"].as_str(),
+                Some(name),
+                "records in figure order"
+            );
+            let path = results_dir.join(format!("{name}.json"));
+            match serde_json::to_string_pretty(&value) {
+                Ok(serialized) => {
+                    if let Err(e) = fs::write(&path, serialized) {
+                        eprintln!("cannot write {}: {e}", path.display());
+                    }
                 }
+                Err(e) => eprintln!("cannot serialise {name}: {e}"),
             }
-            Err(e) => eprintln!("cannot serialise {}: {e}", experiment.name),
         }
     }
     ExitCode::SUCCESS

@@ -261,7 +261,7 @@ mod tests {
         // splitmix64 over [0, 70 000): three quarters of the draws are
         // squared toward zero, where the slopes (and the subnormals)
         // live.
-        let mut state = 0x5eed_f16u64;
+        let mut state = 0x05ee_df16_u64;
         for round in 0..2_000_000u32 {
             state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
             let mut z = state;

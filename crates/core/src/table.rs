@@ -607,10 +607,8 @@ mod tests {
     fn random_single_writes_cost_no_more_than_page_mapping() {
         let mut table = LeaFtlTable::new(LeaFtlConfig::default());
         // 64 isolated single-page writes, far apart.
-        let mut ppa = 77_000u64;
         for i in 0..64u64 {
-            table.learn(&[(Lpa::new(i * 1000), Ppa::new(ppa))]);
-            ppa += 1;
+            table.learn(&[(Lpa::new(i * 1000), Ppa::new(77_000 + i))]);
         }
         // Each entry costs one 8-byte single-point segment — exactly the
         // page-level mapping cost (§3.1 worst case).
@@ -631,14 +629,12 @@ mod tests {
         let mut points_exact = Vec::new();
         let mut state = 42u64;
         let mut lpa = 0u64;
-        let mut ppa = 30_000u64;
-        for _ in 0..200 {
+        for ppa in 30_000u64..30_200 {
             points_exact.push((Lpa::new(lpa), Ppa::new(ppa)));
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
             lpa += 1 + (state >> 60) % 3;
-            ppa += 1;
         }
         let mut exact = LeaFtlTable::new(LeaFtlConfig::default());
         exact.learn(&points_exact);

@@ -407,7 +407,7 @@ mod tests {
         let geometry = FlashGeometry::small_test();
         let mut a = BlockAllocator::with_stripe(geometry, 8);
         let runs = a.allocate(Stream::Host, 64).unwrap();
-        let dies: std::collections::HashSet<u32> = runs
+        let dies: std::collections::BTreeSet<u32> = runs
             .iter()
             .map(|r| geometry.die_of_block(r.block).raw())
             .collect();
@@ -551,7 +551,7 @@ mod tests {
         // block on every die.
         let runs = a.allocate(Stream::Host, geometry.total_dies()).unwrap();
         assert!(runs.iter().all(|run| a.is_open(run.block)));
-        let dies: std::collections::HashSet<u32> = runs
+        let dies: std::collections::BTreeSet<u32> = runs
             .iter()
             .map(|run| geometry.die_of_block(run.block).raw())
             .collect();

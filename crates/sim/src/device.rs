@@ -196,12 +196,6 @@ pub struct DeviceConfig {
     /// admission ([`crate::QosSpec`]). `None` (the default) leaves the
     /// device byte-identical to pre-QoS behaviour.
     pub qos: Option<QosSpec>,
-    /// Attach a [`crate::TraceSink`] to the SSD for the device's
-    /// lifetime: every die reservation, command lifecycle and
-    /// control-plane decision is recorded for
-    /// [`crate::TraceSink::export_chrome_json`]. Purely observational —
-    /// scheduling and results are bit-identical either way.
-    pub trace: bool,
 }
 
 impl DeviceConfig {
@@ -216,7 +210,6 @@ impl DeviceConfig {
             compaction: CompactionScheduler::default(),
             arbiter: Box::new(RoundRobin::new()),
             qos: None,
-            trace: false,
         }
     }
 
@@ -262,14 +255,6 @@ impl DeviceConfig {
     /// still applies).
     pub fn with_qos(mut self, qos: QosSpec) -> Self {
         self.qos = Some(qos);
-        self
-    }
-
-    /// Enables timeline tracing for the device's lifetime (see
-    /// [`DeviceConfig::trace`]). Collect the recording afterwards with
-    /// [`crate::Ssd::take_trace`].
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
         self
     }
 }
@@ -493,9 +478,6 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     pub fn new(ssd: &'a mut Ssd<S>, config: DeviceConfig) -> Self {
         ssd.set_gc_mode(config.gc_mode);
         ssd.set_compaction_mode(config.compaction_mode);
-        if config.trace {
-            ssd.attach_trace();
-        }
         let shard_count = ssd.shard_count();
         let mut queues = Vec::with_capacity(config.queues);
         queues.resize_with(config.queues, HostQueue::default);

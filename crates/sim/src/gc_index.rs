@@ -311,7 +311,7 @@ mod tests {
 
     #[test]
     fn marks_are_folded_in_by_refresh() {
-        let mut keys = vec![4u32; 6];
+        let mut keys = [4u32; 6];
         let mut index = VictimIndex::from_keys(keys.len(), |b| keys[b.raw() as usize]);
         keys[5] = 2;
         index.touch(block(5));
@@ -353,7 +353,7 @@ mod tests {
 
     #[test]
     fn histogram_tracks_the_extremes() {
-        let mut counts = vec![0u32; 5];
+        let mut counts = [0u32; 5];
         let mut histogram = EraseHistogram::new(counts.iter().copied());
         assert_eq!(histogram.spread(), 0);
         for (raw, times) in [(0usize, 3u32), (1, 1), (2, 1), (3, 1)] {

@@ -2473,7 +2473,7 @@ mod tests {
         }
         // WAF is sane: > 1 due to GC copies, bounded by a small factor.
         let waf = ssd.stats().waf();
-        assert!(waf >= 1.0 && waf < 5.0, "waf = {waf}");
+        assert!((1.0..5.0).contains(&waf), "waf = {waf}");
     }
 
     #[test]
@@ -3161,7 +3161,7 @@ mod tests {
     #[derive(Debug, Clone, Default)]
     struct DemandCost {
         inner: ExactPageMap,
-        paged: std::collections::HashSet<u64>,
+        paged: std::collections::BTreeSet<u64>,
     }
 
     impl MappingScheme for DemandCost {

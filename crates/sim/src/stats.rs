@@ -311,7 +311,7 @@ mod tests {
         let p99 = h.percentile_ns(99.0);
         let p999 = h.percentile_ns(99.9);
         assert!(p50 <= p99 && p99 <= p999);
-        assert!(p50 >= 400_000 && p50 <= 650_000, "p50 = {p50}");
+        assert!((400_000..=650_000).contains(&p50), "p50 = {p50}");
     }
 
     #[test]

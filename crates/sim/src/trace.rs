@@ -13,8 +13,8 @@
 //!   [`crate::FlashOpBreakdown`] counters exactly
 //!   ([`UtilizationReport::check_conservation`]).
 //! * **Event tracing** — off by default, zero allocation until a
-//!   [`TraceSink`] is attached ([`crate::Ssd::attach_trace`] or
-//!   [`crate::DeviceConfig::with_trace`]). With a sink attached, every
+//!   [`TraceSink`] is attached ([`crate::Ssd::attach_trace`], before
+//!   the SSD is wrapped in a [`crate::Device`]). With a sink attached, every
 //!   die reservation becomes a span on that die's track, translation
 //!   lookups and compaction sweeps become spans on per-shard-CPU
 //!   tracks, host commands become wait/service spans on per-queue
@@ -712,10 +712,12 @@ mod tests {
             timing.erase_ns,
             timing.erase_ns,
         );
-        let mut flash = FlashOpBreakdown::default();
-        flash.data_reads = 1;
-        flash.gc_programs = 1;
-        flash.erases = 1;
+        let mut flash = FlashOpBreakdown {
+            data_reads: 1,
+            gc_programs: 1,
+            erases: 1,
+            ..FlashOpBreakdown::default()
+        };
         tracer.util.check_conservation(&flash, &timing).unwrap();
         assert_eq!(
             tracer.util.class_busy_ns(TrafficClass::Gc),

@@ -304,6 +304,10 @@ pub fn qos_fleet(spec: &QosFleetSpec) -> Vec<TenantSpec> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::unwrap_used,
+    reason = "a test: a step that fails should fail it with its message"
+)]
 mod tests {
     use super::*;
 

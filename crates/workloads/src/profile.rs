@@ -223,7 +223,7 @@ mod tests {
                 HostOp::Read { lpa, pages } | HostOp::Write { lpa, pages } => (lpa, pages),
             };
             assert!(lpa.raw() < span, "{lpa} outside working set");
-            assert!(pages >= 1 && pages <= 512);
+            assert!((1..=512).contains(&pages));
         }
     }
 

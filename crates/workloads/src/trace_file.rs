@@ -114,6 +114,10 @@ pub fn to_msr_trace(ops: &[HostOp], page_size: u32, hostname: &str) -> String {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::unwrap_used,
+    reason = "a test: a step that fails should fail it with its message"
+)]
 mod tests {
     use super::*;
 

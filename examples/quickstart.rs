@@ -5,6 +5,11 @@
 //! cargo run --example quickstart
 //! ```
 
+#![expect(
+    clippy::expect_used,
+    reason = "an example: a step that fails should stop it with its message"
+)]
+
 use leaftl_repro::core::{LeaFtlConfig, LeaFtlTable};
 use leaftl_repro::flash::{Lpa, Ppa};
 use leaftl_repro::sim::{LeaFtlScheme, Ssd, SsdConfig};

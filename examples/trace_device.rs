@@ -21,6 +21,11 @@
 //!   `floor` for the slot cap or the GC-floor margin), with the number
 //!   of queue heads behind it (`members`).
 
+#![expect(
+    clippy::expect_used,
+    reason = "an example: a step that fails should stop it with its message"
+)]
+
 use leaftl_repro::core::LeaFtlConfig;
 use leaftl_repro::sim::{
     replay_open_loop_with, DeviceConfig, LeaFtlScheme, QosControllerConfig, QosSpec, Slo, Ssd,
@@ -82,9 +87,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let device = DeviceConfig::new(tenants.len(), 16)
         .background_gc()
         .with_arbiter(Box::new(Weighted::new(vec![1; tenants.len()], 1)))
-        .with_qos(QosSpec::new(slos).with_controller(ctrl))
-        .with_trace();
+        .with_qos(QosSpec::new(slos).with_controller(ctrl));
 
+    ssd.attach_trace();
     let report = replay_open_loop_with(&mut ssd, trace, device)?;
     let sink = ssd.take_trace().expect("tracing was enabled");
     let check = sink.check();

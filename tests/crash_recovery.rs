@@ -3,6 +3,12 @@
 //! battery-backed DRAM in the prototype, §5); recovery scan time is
 //! bounded by the snapshot age.
 
+#![expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a test: a step that fails should fail it with its message"
+)]
+
 use leaftl_repro::baselines::Dftl;
 use leaftl_repro::core::LeaFtlConfig;
 use leaftl_repro::flash::Lpa;

@@ -2,6 +2,11 @@
 //! an in-memory shadow map predicts, under arbitrary mixed workloads
 //! with GC pressure and compaction — for every error bound γ.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "a test: a step that fails should fail it with its message"
+)]
+
 use leaftl_repro::baselines::{Dftl, Sftl};
 use leaftl_repro::core::LeaFtlConfig;
 use leaftl_repro::flash::Lpa;

@@ -31,6 +31,11 @@
 //! The proptest at the end holds the three bitset arbitration policies
 //! to a slice-walk transcription of the algorithms they replaced.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a test: a step that fails should fail it with its message"
+)]
+
 use leaftl_repro::flash::Lpa;
 use leaftl_repro::sim::{
     Arbiter, ArbiterView, Device, DeviceConfig, ExactPageMap, HostPriority, IoRequest,

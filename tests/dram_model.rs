@@ -8,6 +8,11 @@
 //! behaviour — values, byte accounting, dirty flags, recency order,
 //! coalescing, both drain orders — is the model's.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a test: a step that fails should fail it with its message"
+)]
+
 use leaftl_repro::flash::Lpa;
 use leaftl_repro::sim::buffer::WriteBuffer;
 use leaftl_repro::sim::lru::LruCache;

@@ -29,6 +29,12 @@
 //! same value under background GC (any arbiter) as under the blocking
 //! synchronous path.
 
+#![expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a test: a step that fails should fail it with its message"
+)]
+
 use leaftl_repro::baselines::{Dftl, Sftl};
 use leaftl_repro::core::LeaFtlConfig;
 use leaftl_repro::flash::{BlockId, Lpa, Ppa};

@@ -8,6 +8,11 @@
 //! the device as from the reference, whatever the device keeps its
 //! pages in.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a test: a step that fails should fail it with its message"
+)]
+
 use leaftl_repro::flash::{BlockId, FlashDevice, FlashError, FlashGeometry, Lpa, PageState, Ppa};
 use proptest::collection::vec;
 use proptest::prelude::*;

@@ -47,6 +47,11 @@
 //! behind the greedy pair's `assert_eq!` in the same test, so a run
 //! that stops at the first mismatch names three of the five.)
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "a test: a step that fails should fail it with its message"
+)]
+
 use leaftl_repro::core::LeaFtlConfig;
 use leaftl_repro::flash::{BlockId, Lpa};
 use leaftl_repro::sim::{

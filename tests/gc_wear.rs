@@ -1,5 +1,10 @@
 //! Garbage-collection and wear-levelling integration tests (§3.6).
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "a test: a step that fails should fail it with its message"
+)]
+
 use leaftl_repro::core::LeaFtlConfig;
 use leaftl_repro::flash::Lpa;
 use leaftl_repro::sim::{ExactPageMap, GcPolicy, LeaFtlScheme, Ssd, SsdConfig};

@@ -2,6 +2,11 @@
 //! flushes drain asynchronously, reads queue behind programs on busy
 //! channels, and misprediction penalties are exactly one extra read.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "a test: a step that fails should fail it with its message"
+)]
+
 use leaftl_repro::core::LeaFtlConfig;
 use leaftl_repro::flash::Lpa;
 use leaftl_repro::sim::{ExactPageMap, LeaFtlScheme, Ssd, SsdConfig};
@@ -170,9 +175,6 @@ fn lookup_cpu_cost_is_accounted() {
     if stats.lookups > 0 {
         let per_lookup = stats.lookup_cpu_ns as f64 / stats.lookups as f64;
         // Table 3 territory: tens of nanoseconds, far below flash reads.
-        assert!(
-            per_lookup >= 40.0 && per_lookup < 1_000.0,
-            "{per_lookup} ns"
-        );
+        assert!((40.0..1_000.0).contains(&per_lookup), "{per_lookup} ns");
     }
 }

@@ -1,6 +1,11 @@
 //! End-to-end checks of the paper's headline memory claims, as
 //! invariants rather than exact figures.
 
+#![expect(
+    clippy::unwrap_used,
+    reason = "a test: a step that fails should fail it with its message"
+)]
+
 use leaftl_repro::baselines::{sftl_full_table_bytes, Dftl, Sftl};
 use leaftl_repro::core::LeaFtlConfig;
 use leaftl_repro::flash::Lpa;

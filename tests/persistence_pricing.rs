@@ -19,6 +19,11 @@
 //!   exact bytes waits on `Timed<S>` forwarding
 //!   `MappingScheme::sync_checkpoint` (ROADMAP direction 1).
 
+#![expect(
+    clippy::expect_used,
+    reason = "a test: a step that fails should fail it with its message"
+)]
+
 use leaftl_repro::core::{LeaFtlConfig, MapCost, MappingLookup, ShardPressure};
 use leaftl_repro::flash::{Lpa, Ppa};
 use leaftl_repro::sim::{CheckpointMode, HostOp, LeaFtlScheme, MappingScheme, Ssd, SsdConfig};

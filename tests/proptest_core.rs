@@ -2,6 +2,11 @@
 //! correctness contracts hold for *arbitrary* monotonic batches and
 //! overwrite histories.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a test: a step that fails should fail it with its message"
+)]
+
 use leaftl_repro::core::{plr, Group, LeaFtlConfig, LeaFtlTable, Segment};
 use leaftl_repro::flash::{Lpa, Ppa};
 use proptest::collection::vec;

@@ -2,6 +2,11 @@
 //! sequences against a shadow map, for every scheme and error bound,
 //! including a crash at an arbitrary point.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a test: a step that fails should fail it with its message"
+)]
+
 use leaftl_repro::baselines::{Dftl, Sftl};
 use leaftl_repro::core::{LeaFtlConfig, ShardedMapping};
 use leaftl_repro::flash::{BlockId, Lpa, Ppa};
@@ -109,7 +114,7 @@ fn apply_checked(
                 ssd.read(Lpa::new(lpa % logical)).expect("read");
             }
             Action::Flush => ssd.flush().expect("flush"),
-            _ => {}
+            Action::Write { .. } | Action::StridedWrite { .. } => {}
         }
         for addr in written(action, logical) {
             ssd.write(Lpa::new(addr), addr).expect("write");

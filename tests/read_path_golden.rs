@@ -24,6 +24,11 @@
 //! completion time are the first recording's; so are the other seven
 //! records.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a test: a step that fails should fail it with its message"
+)]
+
 use leaftl_repro::baselines::Dftl;
 use leaftl_repro::core::{LeaFtlConfig, ShardedMapping};
 use leaftl_repro::flash::Lpa;

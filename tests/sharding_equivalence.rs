@@ -21,6 +21,12 @@
 //! background-compaction device run end with identical flash digests
 //! and identical reads.
 
+#![expect(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    reason = "a test: a step that fails should fail it with its message"
+)]
+
 use leaftl_repro::core::{LeaFtlConfig, MappingScheme, ShardedMapping};
 use leaftl_repro::flash::{BlockId, Lpa, Ppa};
 use leaftl_repro::sim::{Device, DeviceConfig, LeaFtlScheme, QosSpec, Slo, Ssd, SsdConfig};

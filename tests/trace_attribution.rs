@@ -15,6 +15,11 @@
 //! ops × NAND latency — across arbitrary queue depths, arbiters, GC
 //! modes and checkpoint modes (proptest).
 
+#![expect(
+    clippy::expect_used,
+    reason = "a test: a step that fails should fail it with its message"
+)]
+
 use leaftl_repro::core::LeaFtlConfig;
 use leaftl_repro::flash::{BlockId, Lpa, Ppa};
 use leaftl_repro::sim::{
@@ -98,12 +103,10 @@ fn disabled_and_enabled_tracing_are_bit_identical() {
     .expect("replay");
 
     let mut traced = leaftl(config);
-    let traced_report = replay_queued_with(
-        &mut traced,
-        ops,
-        DeviceConfig::single(8).background_gc().with_trace(),
-    )
-    .expect("replay");
+    traced.attach_trace();
+    let traced_report =
+        replay_queued_with(&mut traced, ops, DeviceConfig::single(8).background_gc())
+            .expect("replay");
     let sink = traced.take_trace().expect("sink was attached");
     assert!(!sink.is_empty(), "a GC-heavy replay must record events");
 
@@ -125,10 +128,11 @@ fn trace_export_is_deterministic_and_valid() {
         let config = gc_pressured_config();
         let logical = config.logical_pages();
         let mut ssd = leaftl(config);
+        ssd.attach_trace();
         replay_queued_with(
             &mut ssd,
             workload(logical),
-            DeviceConfig::single(8).background_gc().with_trace(),
+            DeviceConfig::single(8).background_gc(),
         )
         .expect("replay");
         let sink = ssd.take_trace().expect("sink was attached");
@@ -156,7 +160,7 @@ fn trace_export_is_deterministic_and_valid() {
 /// and its stats counters.
 fn check_conservation(ssd: &Ssd<LeaFtlScheme>) -> Result<(), TestCaseError> {
     ssd.check_utilization_conservation()
-        .map_err(|e| TestCaseError::fail(e))?;
+        .map_err(TestCaseError::fail)?;
 
     // The same equations, restated from the public accessors so the
     // test does not merely trust the checker.
@@ -253,7 +257,7 @@ proptest! {
             device = device.background_gc();
         }
         if traced {
-            device = device.with_trace();
+            ssd.attach_trace();
         }
         replay_queued_with(&mut ssd, host_ops(&actions, logical), device).expect("replay");
         check_conservation(&ssd)?;

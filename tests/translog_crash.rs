@@ -14,10 +14,15 @@
 //! Set `TRANSLOG_SWEEP_STEP=n` to stride the sweep (CI smoke runs use
 //! a reduced point count); the default sweeps every cut point.
 
+#![expect(
+    clippy::expect_used,
+    reason = "a test: a step that fails should fail it with its message"
+)]
+
 use leaftl_repro::core::LeaFtlConfig;
 use leaftl_repro::flash::{BlockId, FlashGeometry, Lpa};
 use leaftl_repro::sim::{
-    CheckpointMode, Device, DeviceConfig, ExactPageMap, LeaFtlScheme, MappingScheme,
+    CheckpointMode, Command, Device, DeviceConfig, ExactPageMap, LeaFtlScheme, MappingScheme,
     RecoveryReport, Ssd, SsdConfig, MAPLOG_QUEUE,
 };
 use proptest::prelude::*;
@@ -181,8 +186,12 @@ fn sweep_workload_exercises_checkpoints_and_log_gc() {
                 .iter()
                 .filter(|c| c.queue == MAPLOG_QUEUE)
                 .filter_map(|c| match c.command {
-                    leaftl_repro::sim::Command::MapLog { seq } => Some(seq),
-                    _ => None,
+                    Command::MapLog { seq } => Some(seq),
+                    Command::Read { .. }
+                    | Command::Write { .. }
+                    | Command::Flush
+                    | Command::GcMigrate { .. }
+                    | Command::Compact { .. } => None,
                 }),
         );
     }
@@ -523,12 +532,10 @@ proptest! {
     ) {
         let config = sweep_config();
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut ops = Vec::with_capacity(ops_len);
-        let mut content = seed * 1_000_000 + 1;
-        for _ in 0..ops_len {
-            ops.push((rng.gen_range(0..64u64), content));
-            content += 1;
-        }
+        let ops: Vec<(u64, u64)> = (seed * 1_000_000 + 1..)
+            .take(ops_len)
+            .map(|content| (rng.gen_range(0..64u64), content))
+            .collect();
         let (_, total) = run_to_cut(&config, &ops, None);
         let cut = total * cut_permille / 1_000;
         let (mut ssd, _) = run_to_cut(&config, &ops, Some(cut));
