@@ -242,6 +242,10 @@ pub struct QueuedReplayReport {
     /// device picked the request up. The pipelined translation stage
     /// shortens per-request *service* time, which in turn drains this
     /// wait under load; experiments report the two side by side.
+    ///
+    /// Open-loop replays only: a closed-loop replay leaves it empty,
+    /// because its requests all carry arrival 0 and their "wait" would
+    /// be the absolute dispatch clock.
     pub wait_latency: LatencyHistogram,
     /// Latency broken down per stream (one entry per distinct stream).
     pub per_stream: Vec<StreamLatency>,
@@ -395,9 +399,11 @@ where
             IoKind::Flush | IoKind::GcMigrate | IoKind::Compact | IoKind::MapLog => continue,
         }
         // Open-loop requests have real arrival times, so their latency
-        // includes queueing delay; closed-loop requests are "issued"
-        // at dispatch, so only the service time is meaningful.
+        // includes queueing delay and their wait is measured; closed-loop
+        // requests are "issued" at dispatch, so only the service time is
+        // meaningful.
         let latency = if open_loop {
+            wait_latency.record(completion.wait_ns());
             completion.latency_ns()
         } else {
             completion.service_ns()
@@ -407,7 +413,6 @@ where
             .or_insert(completion.queue as usize);
         let (all, overlapped) = per_stream.entry(completion.stream).or_default();
         request_latency.record(latency);
-        wait_latency.record(completion.wait_ns());
         all.record(latency);
         if completion.gc_overlap {
             overlapped.record(latency);
@@ -709,6 +714,26 @@ mod tests {
         assert_eq!(report.per_stream[1].latency.count(), 32);
         // The trace spans at least to the last arrival.
         assert!(report.elapsed_ns >= 200_000 + 31 * 100);
+    }
+
+    /// A closed-loop request "arrives" at 0, so its wait would be the
+    /// dispatch clock: only an open-loop replay records waits.
+    #[test]
+    fn only_open_loop_records_wait_latency() {
+        let ops: Vec<HostOp> = (0..48u64).map(HostOp::write).collect();
+        let mut closed = Ssd::new(SsdConfig::small_test(), ExactPageMap::new());
+        let report = replay_queued(&mut closed, ops.clone(), 8).unwrap();
+        assert_eq!(report.pages_written, 48);
+        assert_eq!(report.wait_latency.count(), 0);
+
+        let timed = ops.into_iter().enumerate().map(|(i, op)| TimedOp {
+            at_ns: i as u64 * 100,
+            stream: 0,
+            op,
+        });
+        let mut open = Ssd::new(SsdConfig::small_test(), ExactPageMap::new());
+        let report = replay_open_loop(&mut open, timed, 8).unwrap();
+        assert_eq!(report.wait_latency.count(), 48);
     }
 
     #[test]
