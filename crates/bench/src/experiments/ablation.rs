@@ -1,10 +1,10 @@
 //! Ablation studies of two design choices: buffer sorting before flush
-//! (Fig. 7 / §3.3) and the compaction interval (§3.7).
+//! (Fig. 7 / §3.3) and the GC victim policy (§3.6).
 
 use crate::common::{fmt_bytes, print_table, Scale, SEED};
 use leaftl_core::LeaFtlConfig;
 use leaftl_sim::{replay, DramPolicy, GcPolicy, LeaFtlScheme, Ssd};
-use leaftl_workloads::{block_trace_suite, msr_hm, msr_prn, warmup_ops};
+use leaftl_workloads::{block_trace_suite, msr_hm, warmup_ops};
 use serde_json::{json, Value};
 
 /// §3.3 ablation: disable the LPA sort before buffer flushes. The
@@ -55,50 +55,6 @@ pub fn ablation_sort(quick: bool) -> Value {
         &rows,
     );
     json!({ "experiment": "ablation_sort", "series": out })
-}
-
-/// §3.7 ablation: compaction interval sweep — memory footprint vs
-/// compaction work on an overwrite-heavy workload.
-pub fn ablation_compaction(quick: bool) -> Value {
-    let scale = Scale::perf(quick);
-    let profile = msr_prn();
-    let mut rows = Vec::new();
-    let mut out = Vec::new();
-    for interval in [10_000u64, 50_000, 200_000, 1_000_000] {
-        let config = scale.config(DramPolicy::DataFloor(0.2));
-        let logical = config.logical_pages();
-        let scheme = LeaFtlScheme::new(LeaFtlConfig::default().with_compaction_interval(interval));
-        let mut ssd = Ssd::new(config, scheme);
-        replay(&mut ssd, warmup_ops(logical, scale.prefill)).expect("warmup");
-        let report = replay(&mut ssd, profile.generate(logical, scale.ops, SEED)).expect("replay");
-        let table = ssd.scheme().table();
-        rows.push(vec![
-            format!("{interval}"),
-            format!("{}", ssd.stats().compactions),
-            fmt_bytes(table.memory_bytes().total()),
-            format!("{}", table.segment_count()),
-            format!("{:.1}µs", report.mean_latency_us()),
-        ]);
-        out.push(json!({
-            "interval": interval,
-            "compactions": ssd.stats().compactions,
-            "table_bytes": table.memory_bytes().total(),
-            "segments": table.segment_count(),
-            "mean_latency_us": report.mean_latency_us(),
-        }));
-    }
-    print_table(
-        "Ablation (§3.7): compaction interval — more frequent compaction, smaller standing table",
-        &[
-            "interval (writes)",
-            "compactions",
-            "table size",
-            "segments",
-            "latency",
-        ],
-        &rows,
-    );
-    json!({ "experiment": "ablation_compaction", "series": out })
 }
 
 /// GC-policy ablation: greedy (the paper's §3.6 choice) vs the classic

@@ -136,13 +136,6 @@ pub fn registry() -> Vec<Experiment> {
         },
         Experiment {
             figures: &[(
-                "ablation_compaction",
-                "Ablation: compaction interval sweep",
-            )],
-            run: |quick| vec![ablation::ablation_compaction(quick)],
-        },
-        Experiment {
-            figures: &[(
                 "ablation_gc",
                 "Ablation: GC victim policy (greedy vs cost-benefit)",
             )],
@@ -155,8 +148,8 @@ pub fn registry() -> Vec<Experiment> {
 mod tests {
     use super::registry;
 
-    /// The 27 names the harness accepts.
-    const NAMES: [&str; 27] = [
+    /// The 26 names the harness accepts.
+    const NAMES: [&str; 26] = [
         "table1",
         "fig5",
         "fig10",
@@ -182,7 +175,6 @@ mod tests {
         "qos",
         "sharding",
         "ablation_sort",
-        "ablation_compaction",
         "ablation_gc",
     ];
 

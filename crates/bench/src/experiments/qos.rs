@@ -33,8 +33,8 @@
 
 use crate::common::{maplog_json, print_table, utilization_json, AnySsd, Scale, SchemeKind, SEED};
 use leaftl_sim::{
-    CheckpointMode, DeviceConfig, DramPolicy, HostPriority, LatencyHistogram, QosControllerConfig,
-    QosSpec, RoundRobin, Slo, SloClass, Weighted,
+    CheckpointMode, DeviceConfig, DramPolicy, HostPriority, LatencyHistogram, QosController,
+    QosControllerConfig, QosSpec, RoundRobin, Slo, SloClass, Weighted,
 };
 use leaftl_workloads::{multi_tenant_trace, qos_fleet, warmup_ops, QosFleetSpec};
 use serde_json::{json, Value};
@@ -160,7 +160,7 @@ pub fn qos(quick: bool) -> Value {
                     .iter()
                     .map(|s| {
                         if s.class == SloClass::Guaranteed {
-                            ctrl.base_weight
+                            QosController::BASE_WEIGHT
                         } else {
                             1
                         }

@@ -73,8 +73,6 @@ pub struct LeaFtlTable {
     /// lists a group for [`LeaFtlTable::sync_checkpoint`].
     groups: CowSlots<Group>,
     writes_since_compaction: u64,
-    total_writes_learned: u64,
-    compactions: u64,
     /// Live aggregate counters, folded forward from per-group deltas on
     /// every learn/compact so the §3.1 footprint and pressure queries
     /// never walk the groups.
@@ -176,8 +174,6 @@ impl LeaFtlTable {
             config,
             groups: CowSlots::default(),
             writes_since_compaction: 0,
-            total_writes_learned: 0,
-            compactions: 0,
             accounting: Accounting::default(),
             dirty: Vec::new(),
             run: RunScratch::default(),
@@ -239,7 +235,6 @@ impl LeaFtlTable {
         if pairs.is_empty() {
             return;
         }
-        self.total_writes_learned += pairs.len() as u64;
         self.writes_since_compaction += pairs.len() as u64;
 
         // Split into per-group monotonic runs and fit each.
@@ -316,7 +311,6 @@ impl LeaFtlTable {
             self.accounting.apply(before, after);
         }
         self.writes_since_compaction = 0;
-        self.compactions += 1;
         swept
     }
 
@@ -337,8 +331,6 @@ impl LeaFtlTable {
         let written = self.groups.sync(&mut checkpoint.groups);
         checkpoint.config = self.config;
         checkpoint.writes_since_compaction = self.writes_since_compaction;
-        checkpoint.total_writes_learned = self.total_writes_learned;
-        checkpoint.compactions = self.compactions;
         let (live, kept) = (&self.accounting, &mut checkpoint.accounting);
         kept.segments = live.segments;
         kept.crb_bytes = live.crb_bytes;
@@ -358,22 +350,10 @@ impl LeaFtlTable {
         self.config == other.config
             && self.groups.same_state(&other.groups)
             && self.writes_since_compaction == other.writes_since_compaction
-            && self.total_writes_learned == other.total_writes_learned
-            && self.compactions == other.compactions
             && self.accounting == other.accounting
             && self.dirty == other.dirty
             && other.run.offsets.is_empty()
             && other.run.ppas.is_empty()
-    }
-
-    /// Number of compactions performed so far.
-    pub fn compactions(&self) -> u64 {
-        self.compactions
-    }
-
-    /// Total mappings learned (post-dedup host/GC writes).
-    pub fn writes_learned(&self) -> u64 {
-        self.total_writes_learned
     }
 
     /// Total learned segments across all groups. O(1) — served from the
@@ -455,8 +435,8 @@ impl LeaFtlTable {
     /// Credits writes learned by *sibling* shards of the same sharded
     /// service toward this table's compaction interval, so
     /// interval-gated [`LeaFtlTable::maybe_compact`] fires at the
-    /// device-wide write rate instead of the shard-local one. Does not
-    /// count toward [`LeaFtlTable::writes_learned`].
+    /// device-wide write rate instead of the shard-local one. Learns
+    /// nothing.
     pub fn note_external_writes(&mut self, writes: u64) {
         self.writes_since_compaction += writes;
     }
@@ -598,8 +578,7 @@ mod tests {
         table.learn(&batch(0, 1000, 64));
         assert!(table.maybe_compact().is_none());
         table.learn(&batch(0, 2000, 64));
-        assert!(table.maybe_compact().is_some());
-        assert_eq!(table.compactions(), 1);
+        assert_eq!(table.maybe_compact(), Some(vec![0]));
         assert!(table.maybe_compact().is_none());
     }
 
@@ -723,7 +702,6 @@ mod tests {
         let mut swept = table.compact();
         swept.sort_unstable();
         assert_eq!(swept, vec![1, 2]);
-        assert_eq!(table.compactions(), 3);
         table.assert_valid();
     }
 
@@ -862,7 +840,11 @@ mod tests {
         // device-wide, so this table compacts now.
         table.note_external_writes(40);
         assert!(table.maybe_compact().is_some());
-        assert_eq!(table.writes_learned(), 60, "external writes not learned");
+        assert!(table.lookup(Lpa::new(59)).is_some());
+        assert!(
+            table.lookup(Lpa::new(60)).is_none(),
+            "external writes not learned"
+        );
     }
 
     #[test]
@@ -886,7 +868,6 @@ mod tests {
         let mut via_sorted = LeaFtlTable::new(LeaFtlConfig::default().with_gamma(4));
         via_sorted.learn_sorted(&pairs);
         assert_eq!(via_sorted.segment_count(), via_learn.segment_count());
-        assert_eq!(via_sorted.writes_learned(), via_learn.writes_learned());
         assert_eq!(
             via_sorted.memory_bytes().total(),
             via_learn.memory_bytes().total()

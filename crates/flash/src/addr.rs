@@ -180,33 +180,6 @@ impl fmt::Display for Die {
     }
 }
 
-/// Identifier of a flash channel, used by the timing model to account
-/// for channel-level parallelism.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-pub struct Channel(u32);
-
-impl Channel {
-    /// Creates a channel id from a raw index.
-    #[inline]
-    pub const fn new(raw: u32) -> Self {
-        Channel(raw)
-    }
-
-    /// Returns the raw channel index.
-    #[inline]
-    pub const fn raw(self) -> u32 {
-        self.0
-    }
-}
-
-impl fmt::Display for Channel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "C{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,7 +215,6 @@ mod tests {
         assert_eq!(Lpa::new(7).to_string(), "L7");
         assert_eq!(Ppa::new(8).to_string(), "P8");
         assert_eq!(BlockId::new(9).to_string(), "B9");
-        assert_eq!(Channel::new(1).to_string(), "C1");
         assert_eq!(Die::new(3).to_string(), "D3");
     }
 

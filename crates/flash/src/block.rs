@@ -3,16 +3,6 @@
 use crate::addr::Lpa;
 use serde::{Deserialize, Serialize};
 
-/// Physical state of a NAND page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PageState {
-    /// Erased and programmable.
-    Free,
-    /// Programmed since the last erase (the device does not distinguish
-    /// valid from stale data — that is FTL metadata).
-    Programmed,
-}
-
 /// Sentinel for "no reverse mapping stored" (metadata pages).
 const NO_LPA: u64 = u64::MAX;
 
@@ -59,7 +49,7 @@ impl Page {
 ///
 /// Together with the device it enforces the two fundamental NAND
 /// constraints:
-/// 1. a page can only be programmed when `Free` (erase-before-write);
+/// 1. a page can only be programmed while erased (erase-before-write);
 /// 2. pages within a block are programmed strictly in order
 ///    (`write_ptr`), matching how real SSD controllers avoid the
 ///    open-block problem.
@@ -70,19 +60,9 @@ pub struct Block {
 }
 
 impl Block {
-    /// State of the page at `page_idx` within this block. Sequential
-    /// programming means exactly the pages below the write pointer are
-    /// programmed.
-    pub fn page_state(&self, page_idx: u32) -> PageState {
-        if page_idx < self.write_ptr {
-            PageState::Programmed
-        } else {
-            PageState::Free
-        }
-    }
-
-    /// Next page index the block expects to program: its pages below
-    /// this are programmed, the rest free.
+    /// Next page index the block expects to program: sequential
+    /// programming means exactly the pages below this are programmed,
+    /// the rest erased.
     pub fn write_ptr(&self) -> u32 {
         self.write_ptr
     }
@@ -116,7 +96,7 @@ mod tests {
         let b = Block::default();
         assert!(b.is_erased());
         assert_eq!(b.erase_count(), 0);
-        assert_eq!(b.page_state(0), PageState::Free);
+        assert_eq!(b.write_ptr(), 0);
     }
 
     #[test]
@@ -125,19 +105,17 @@ mod tests {
         b.advance();
         b.advance();
         assert_eq!(b.write_ptr(), 2);
-        assert_eq!(b.page_state(1), PageState::Programmed);
-        assert_eq!(b.page_state(2), PageState::Free);
+        assert!(!b.is_erased());
     }
 
     #[test]
     fn erase_resets_everything_but_wear() {
         let mut b = Block::default();
         b.advance();
-        assert_eq!(b.page_state(0), PageState::Programmed);
         b.erase();
         assert!(b.is_erased());
+        assert_eq!(b.write_ptr(), 0);
         assert_eq!(b.erase_count(), 1);
-        assert_eq!(b.page_state(0), PageState::Free);
     }
 
     #[test]

@@ -1,12 +1,10 @@
 //! The flash device: geometry + blocks + operations.
 
-use crate::addr::{BlockId, Channel, Lpa, Ppa};
+use crate::addr::{BlockId, Lpa, Ppa};
 use crate::block::{Block, Page};
 use crate::error::FlashError;
 use crate::geometry::FlashGeometry;
 use crate::oob::OobWindow;
-use crate::stats::FlashStats;
-use crate::timing::NandTiming;
 
 /// Read-only view of a programmed page: the content tag plus the OOB
 /// reverse mapping.
@@ -37,7 +35,8 @@ impl PageView {
 ///
 /// Enforces NAND programming constraints and tracks per-block wear. The
 /// device is deliberately *passive*: it has no notion of valid/invalid
-/// data, mapping, or GC — those belong to the FTL layers above.
+/// data, mapping, GC, time or operation counts — those belong to the
+/// FTL layers above.
 ///
 /// # Example
 ///
@@ -56,30 +55,20 @@ impl PageView {
 #[derive(Debug, Clone)]
 pub struct FlashDevice {
     geometry: FlashGeometry,
-    timing: NandTiming,
     /// Every page of the device, indexed by raw PPA: a read touches
     /// its block's header and one entry here.
     pages: Vec<Page>,
     blocks: Vec<Block>,
-    stats: FlashStats,
     program_seq: u64,
 }
 
 impl FlashDevice {
-    /// Creates an erased device with the given geometry and the paper's
-    /// default timing.
+    /// Creates an erased device with the given geometry.
     pub fn new(geometry: FlashGeometry) -> Self {
-        FlashDevice::with_timing(geometry, NandTiming::paper_default())
-    }
-
-    /// Creates an erased device with explicit timing.
-    pub fn with_timing(geometry: FlashGeometry, timing: NandTiming) -> Self {
         FlashDevice {
             geometry,
-            timing,
             pages: vec![Page::ERASED; geometry.total_pages() as usize],
             blocks: vec![Block::default(); geometry.blocks as usize],
-            stats: FlashStats::new(),
             program_seq: 0,
         }
     }
@@ -87,22 +76,6 @@ impl FlashDevice {
     /// The device geometry.
     pub fn geometry(&self) -> &FlashGeometry {
         &self.geometry
-    }
-
-    /// The NAND timing model.
-    pub fn timing(&self) -> &NandTiming {
-        &self.timing
-    }
-
-    /// Cumulative operation counters.
-    pub fn stats(&self) -> &FlashStats {
-        &self.stats
-    }
-
-    /// The channel that services `ppa` (for the simulator's parallelism
-    /// model).
-    pub fn channel_of(&self, ppa: Ppa) -> Channel {
-        self.geometry.channel_of(ppa)
     }
 
     fn check_ppa(&self, ppa: Ppa) -> Result<(BlockId, u32), FlashError> {
@@ -166,7 +139,6 @@ impl FlashDevice {
         self.program_seq += 1;
         self.pages[ppa.raw() as usize] = Page::new(content, lpa, self.program_seq);
         block.advance();
-        self.stats.programs += 1;
         Ok(())
     }
 
@@ -177,19 +149,8 @@ impl FlashDevice {
     /// * [`FlashError::OutOfRange`] — `ppa` beyond the geometry.
     /// * [`FlashError::ReadErased`] — the page has not been programmed
     ///   since its block was last erased.
-    pub fn read(&mut self, ppa: Ppa) -> Result<PageView, FlashError> {
-        // An erased page still costs the array a read; an address the
-        // device does not have never reaches it.
-        if self.geometry.contains(ppa) {
-            self.stats.reads += 1;
-        }
+    pub fn read(&self, ppa: Ppa) -> Result<PageView, FlashError> {
         self.programmed(ppa).map(PageView::of)
-    }
-
-    /// Reads a page without counting it in the stats (used by tests and
-    /// recovery-time estimation to inspect state out of band).
-    pub fn peek(&self, ppa: Ppa) -> Option<PageView> {
-        self.programmed(ppa).ok().map(PageView::of)
     }
 
     /// The OOB reverse-mapping window of a *programmed* page, as the
@@ -229,7 +190,6 @@ impl FlashDevice {
             return Err(FlashError::WornOut(block_id));
         }
         block.erase();
-        self.stats.erases += 1;
         Ok(block.erase_count())
     }
 
@@ -280,8 +240,7 @@ mod tests {
         let view = d.read(Ppa::new(0)).unwrap();
         assert_eq!(view.content, 111);
         assert_eq!(view.lpa, Some(Lpa::new(7)));
-        assert_eq!(d.stats().programs, 1);
-        assert_eq!(d.stats().reads, 1);
+        assert_eq!(d.program_seq(), 1);
     }
 
     #[test]
@@ -309,7 +268,7 @@ mod tests {
 
     #[test]
     fn read_erased_rejected() {
-        let mut d = device();
+        let d = device();
         assert_eq!(
             d.read(Ppa::new(5)),
             Err(FlashError::ReadErased(Ppa::new(5)))
@@ -403,15 +362,5 @@ mod tests {
             scanned,
             vec![(Ppa::new(0), Some(Lpa::new(40)), 1), (Ppa::new(1), None, 2)]
         );
-    }
-
-    #[test]
-    fn peek_does_not_count_reads() {
-        let mut d = device();
-        d.program(Ppa::new(0), 9, Some(Lpa::new(9))).unwrap();
-        let before = *d.stats();
-        assert!(d.peek(Ppa::new(0)).is_some());
-        assert!(d.peek(Ppa::new(1)).is_none());
-        assert_eq!(d.stats().reads, before.reads);
     }
 }

@@ -1,6 +1,6 @@
 //! SSD geometry: how pages, blocks, chips and channels are laid out.
 
-use crate::addr::{BlockId, Channel, Die, Ppa};
+use crate::addr::{BlockId, Die, Ppa};
 use serde::{Deserialize, Serialize};
 
 /// Physical organisation of the NAND array.
@@ -111,18 +111,6 @@ impl FlashGeometry {
         (ppa.raw() % self.pages_per_block as u64) as u32
     }
 
-    /// The channel servicing a block (block-interleaved layout).
-    #[inline]
-    pub fn channel_of_block(&self, block: BlockId) -> Channel {
-        Channel::new((block.raw() % self.channels as u64) as u32)
-    }
-
-    /// The channel servicing a PPA.
-    #[inline]
-    pub fn channel_of(&self, ppa: Ppa) -> Channel {
-        self.channel_of_block(self.block_of(ppa))
-    }
-
     /// Total number of dies (LUNs) in the device — the timing model's
     /// independent service resources.
     #[inline]
@@ -130,9 +118,7 @@ impl FlashGeometry {
         self.channels * self.dies_per_channel.max(1)
     }
 
-    /// The die servicing a block (die-interleaved layout). Because
-    /// `total_dies` is a multiple of `channels`, this is consistent with
-    /// [`FlashGeometry::channel_of_block`]: `die % channels == channel`.
+    /// The die servicing a block (die-interleaved layout).
     #[inline]
     pub fn die_of_block(&self, block: BlockId) -> Die {
         Die::new((block.raw() % self.total_dies() as u64) as u32)
@@ -210,35 +196,12 @@ mod tests {
     }
 
     #[test]
-    fn channels_are_block_interleaved() {
-        let g = FlashGeometry::small_test();
-        assert_eq!(g.channel_of_block(BlockId::new(0)), Channel::new(0));
-        assert_eq!(g.channel_of_block(BlockId::new(1)), Channel::new(1));
-        assert_eq!(g.channel_of_block(BlockId::new(4)), Channel::new(0));
-        // All pages of one block share a channel.
-        let b = BlockId::new(5);
-        let c = g.channel_of_block(b);
-        for page in 0..g.pages_per_block {
-            assert_eq!(g.channel_of(g.ppa(b, page)), c);
-        }
-    }
-
-    #[test]
-    fn dies_are_block_interleaved_and_channel_consistent() {
+    fn dies_are_block_interleaved() {
         let g = FlashGeometry::small_test();
         assert_eq!(g.total_dies(), 8);
         assert_eq!(g.die_of_block(BlockId::new(0)), Die::new(0));
         assert_eq!(g.die_of_block(BlockId::new(5)), Die::new(5));
         assert_eq!(g.die_of_block(BlockId::new(9)), Die::new(1));
-        // Die assignment refines the channel assignment: every block's
-        // die lives on the block's channel.
-        for raw in 0..g.blocks {
-            let block = BlockId::new(raw);
-            assert_eq!(
-                g.die_of_block(block).raw() % g.channels,
-                g.channel_of_block(block).raw()
-            );
-        }
         // All pages of one block share a die.
         let b = BlockId::new(11);
         let d = g.die_of_block(b);

@@ -11,7 +11,8 @@
 //! * out-of-band (OOB) reverse-mapping windows per page ([`OobWindow`]), which
 //!   LeaFTL uses to store reverse mappings of neighbouring pages for
 //!   misprediction recovery (§3.5 of the paper),
-//! * a NAND timing model ([`NandTiming`]) and per-operation statistics,
+//! * the NAND latencies ([`NandTiming`]) the simulator charges per
+//!   operation (the device itself keeps no clock and counts nothing),
 //! * the deterministic integer hasher ([`IntMap`], [`IntSet`]) every map
 //!   keyed by these addresses uses instead of `RandomState`.
 //!
@@ -53,15 +54,13 @@ mod error;
 mod geometry;
 mod inthash;
 mod oob;
-mod stats;
 mod timing;
 
-pub use addr::{BlockId, Channel, Die, Lpa, Ppa};
-pub use block::{Block, PageState};
+pub use addr::{BlockId, Die, Lpa, Ppa};
+pub use block::Block;
 pub use device::{FlashDevice, PageView};
 pub use error::FlashError;
 pub use geometry::FlashGeometry;
 pub use inthash::{IntHasher, IntMap, IntSet};
 pub use oob::OobWindow;
-pub use stats::FlashStats;
 pub use timing::NandTiming;

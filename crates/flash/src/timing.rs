@@ -5,8 +5,8 @@ use serde::{Deserialize, Serialize};
 /// Latency model for NAND operations, in nanoseconds.
 ///
 /// Defaults follow Table 1 of the LeaFTL paper: 20 µs read, 200 µs
-/// program, 1.5 ms erase. The simulator combines these with per-channel
-/// queueing to model channel-level parallelism.
+/// program, 1.5 ms erase. The simulator combines these with per-die
+/// queueing to model die-level parallelism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct NandTiming {
     /// Page read latency in nanoseconds.

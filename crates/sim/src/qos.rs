@@ -24,7 +24,7 @@
 //!   while any guaranteed queue is over budget (or the device is
 //!   stalling at the GC hard floor with no guaranteed completions to
 //!   measure), recovered additively once every budget is met — and
-//!   never below the configured **floor weight**, so best-effort
+//!   never below the **floor weight**, so best-effort
 //!   tenants are squeezed, not starved.
 //!
 //! The controller also drives *admission throttling*: when the settled
@@ -96,26 +96,14 @@ impl Default for Slo {
     }
 }
 
-/// Tuning of the closed control loop.
+/// Tuning of the closed control loop. The loop's weights and gains
+/// are fixed ([`QosController::BASE_WEIGHT`] and the constants beside
+/// it); what is set here is how often it runs, what it trusts, and how
+/// hard it holds back best-effort work and GC.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct QosControllerConfig {
     /// Virtual time between control ticks.
     pub control_interval_ns: u64,
-    /// Initial weight of every queue (also the ceiling best-effort
-    /// queues recover back to).
-    pub base_weight: u32,
-    /// Best-effort weight floor — best-effort tenants are squeezed to
-    /// this, never starved below it.
-    pub floor_weight: u32,
-    /// Upper bound on any guaranteed queue's weight.
-    pub max_weight: u32,
-    /// Proportional gain on the relative p99 error.
-    pub gain: f64,
-    /// Integral gain on the accumulated relative error.
-    pub integral_gain: f64,
-    /// Anti-windup clamp on the integral term (conditional
-    /// integration additionally freezes it at the weight bounds).
-    pub integral_cap: f64,
     /// Minimum completions in a queue's window before its p99 is
     /// trusted for a weight step.
     pub min_window_samples: u64,
@@ -150,12 +138,6 @@ impl Default for QosControllerConfig {
     fn default() -> Self {
         QosControllerConfig {
             control_interval_ns: 10_000_000, // 10 ms
-            base_weight: 8,
-            floor_weight: 1,
-            max_weight: 1024,
-            gain: 1.0,
-            integral_gain: 0.25,
-            integral_cap: 4.0,
             min_window_samples: 8,
             admission_margin: 0.04,
             guaranteed_slot_reserve: 8,
@@ -271,6 +253,22 @@ pub struct QosController {
 }
 
 impl QosController {
+    /// Initial weight of every queue (also the ceiling best-effort
+    /// queues recover back to).
+    pub const BASE_WEIGHT: u32 = 8;
+    /// Best-effort weight floor — best-effort tenants are squeezed to
+    /// this, never starved below it.
+    const FLOOR_WEIGHT: f64 = 1.0;
+    /// Upper bound on any guaranteed queue's weight.
+    const MAX_WEIGHT: f64 = 1024.0;
+    /// Proportional gain on the relative p99 error.
+    const GAIN: f64 = 1.0;
+    /// Integral gain on the accumulated relative error.
+    const INTEGRAL_GAIN: f64 = 0.25;
+    /// Anti-windup clamp on the integral term (conditional
+    /// integration additionally freezes it at the weight bounds).
+    const INTEGRAL_CAP: f64 = 4.0;
+
     /// Builds a controller for a device with `queues` host queues.
     pub fn new(spec: QosSpec, queues: usize) -> Self {
         let mut slos = spec.slos;
@@ -289,9 +287,9 @@ impl QosController {
             window_gc_overlap: vec![0; guaranteed.len()],
             be_window: LatencyHistogram::new(),
             be_window_gc_overlap: 0,
-            weights: vec![cfg.base_weight.max(1) as f64; guaranteed.len()],
+            weights: vec![Self::BASE_WEIGHT as f64; guaranteed.len()],
             integral: vec![0.0; guaranteed.len()],
-            be_weight: cfg.base_weight.max(1) as f64,
+            be_weight: Self::BASE_WEIGHT as f64,
             next_tick_ns: 0,
             last_gc_stall_ns: 0,
             last_translation_stall_ns: 0,
@@ -411,19 +409,18 @@ impl QosController {
                 worst_error = worst_error.max(error);
 
                 let w = self.weights[idx];
-                let max = self.cfg.max_weight.max(1) as f64;
                 // Conditional integration: stop accumulating while the
                 // weight is already pinned at the bound the error
                 // pushes towards (classic anti-windup).
-                let saturated = (w >= max && error > 0.0) || (w <= 1.0 && error < 0.0);
+                let saturated = (w >= Self::MAX_WEIGHT && error > 0.0) || (w <= 1.0 && error < 0.0);
                 if !saturated {
-                    self.integral[idx] = (self.integral[idx] + error)
-                        .clamp(-self.cfg.integral_cap, self.cfg.integral_cap);
+                    self.integral[idx] =
+                        (self.integral[idx] + error).clamp(-Self::INTEGRAL_CAP, Self::INTEGRAL_CAP);
                 }
-                let control = self.cfg.gain * error + self.cfg.integral_gain * self.integral[idx];
+                let control = Self::GAIN * error + Self::INTEGRAL_GAIN * self.integral[idx];
                 // Bounded step: at most double or halve per tick.
                 let factor = control.clamp(-1.0, 1.0).exp2();
-                self.weights[idx] = (w * factor).clamp(1.0, max);
+                self.weights[idx] = (w * factor).clamp(1.0, Self::MAX_WEIGHT);
             }
             detail.push(QueueTick {
                 queue,
@@ -441,11 +438,10 @@ impl QosController {
         // additively once the budgets are met.
         let pressure = (measured_any && worst_error > 0.0)
             || (guaranteed_samples == 0 && gc_stall_delta > 0 && !self.guaranteed.is_empty());
-        let floor = self.cfg.floor_weight.max(1) as f64;
         if pressure {
-            self.be_weight = (self.be_weight / 2.0).max(floor);
+            self.be_weight = (self.be_weight / 2.0).max(Self::FLOOR_WEIGHT);
         } else if measured_any || guaranteed_samples == 0 {
-            self.be_weight = (self.be_weight + 1.0).min(self.cfg.base_weight.max(1) as f64);
+            self.be_weight = (self.be_weight + 1.0).min(Self::BASE_WEIGHT as f64);
         }
 
         self.ticks.push(QosTick {
@@ -489,12 +485,6 @@ mod tests {
     fn spec(slos: Vec<Slo>) -> QosSpec {
         QosSpec::new(slos).with_controller(QosControllerConfig {
             control_interval_ns: 1_000_000,
-            base_weight: 8,
-            floor_weight: 2,
-            max_weight: 64,
-            gain: 1.0,
-            integral_gain: 0.25,
-            integral_cap: 4.0,
             min_window_samples: 4,
             admission_margin: 0.04,
             guaranteed_slot_reserve: 8,
@@ -533,7 +523,7 @@ mod tests {
             }
             c.tick(t * 1_000_000, 0, 0, 0.5);
         }
-        assert_eq!(c.weight(0), 64);
+        assert_eq!(c.weight(0), 1024);
         // One healthy window must start pulling the weight down
         // immediately — a wound-up integral would hold it at max.
         let before = c.weight(0);
@@ -568,7 +558,7 @@ mod tests {
             c.observe(1, 1_000, true);
             c.tick(t * 1_000_000, 0, 0, 0.5);
         }
-        assert_eq!(c.weight(1), 2, "best-effort must stop at the floor");
+        assert_eq!(c.weight(1), 1, "best-effort must stop at the floor");
         // Guaranteed healthy again: additive recovery back to base.
         for t in 7..=14u64 {
             for _ in 0..8 {

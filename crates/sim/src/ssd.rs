@@ -179,12 +179,6 @@ pub struct RecoveryReport {
     pub lost_buffered_writes: usize,
     /// Simulated wall time of the recovery scan.
     pub scan_time_ns: u64,
-    /// Lifetime bytes of translation-log traffic (checkpoint and delta
-    /// page programs) the device had written to flash before the crash
-    /// — the map-log background-traffic tax, the control-plane cost
-    /// that competed with host I/O for dies (always 0 outside
-    /// [`CheckpointMode::FlashLog`]).
-    pub maplog_bytes_written: u64,
 }
 
 impl RecoveryReport {
@@ -355,7 +349,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         let pristine_scheme = scheme.clone();
         let shard_count = scheme.shard_count().max(1);
         Ssd {
-            device: FlashDevice::with_timing(config.geometry, config.timing),
+            device: FlashDevice::new(config.geometry),
             // One translation CPU per mapping shard: a lookup occupies
             // its shard's CPU for the lookup cost, a background
             // compaction for the whole sweep — so one shard stalls
@@ -898,9 +892,10 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     }
 
     /// Resolves a (possibly approximate) prediction to the live page
-    /// without touching any timeline or counter: walks the probe
-    /// sequence against the device and appends the pages that must be
-    /// read, in order, to `probes` for the caller to schedule. Planning
+    /// without touching any timeline or counter (it takes `&self`, and
+    /// a device read is a query): walks the probe sequence against the
+    /// device and appends the pages that must be read, in order, to
+    /// `probes` for the caller to schedule. Planning
     /// first and scheduling after is what lets a burst plan every
     /// request's probes in batch order (state) while scheduling them in
     /// CPU-grant order (time).
@@ -909,7 +904,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// PVT says the page is live — stale copies of the same LPA within
     /// the error window are rejected by the validity check.
     fn plan_read_probes(
-        &mut self,
+        &self,
         lpa: Lpa,
         hit: &MappingLookup,
         host_read: bool,
@@ -2109,7 +2104,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             .collect();
         let mut found: BTreeMap<u64, u32> = BTreeMap::new();
         for (ppa, lpa, _) in self.scan_pages(&owned) {
-            if let (None, Some(view)) = (lpa, self.device.peek(ppa)) {
+            if let (None, Ok(view)) = (lpa, self.device.read(ppa)) {
                 *found.entry(view.content).or_insert(0) += 1;
             }
         }
@@ -2165,7 +2160,6 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             replayed_log_entries,
             recovered_pages,
             lost_buffered_writes,
-            maplog_bytes_written: self.maplog_bytes_written(),
             scan_time_ns: self.clock.now_ns().saturating_sub(scan_start_ns),
         })
     }
@@ -2407,7 +2401,7 @@ mod tests {
             let base = block * 32;
             let mut last: Option<u64> = None;
             for page in 0..32u64 {
-                let Some(view) = ssd.device().peek(Ppa::new(base + page)) else {
+                let Ok(view) = ssd.device().read(Ppa::new(base + page)) else {
                     break;
                 };
                 let lpa = view.lpa.expect("data page").raw();
@@ -2595,14 +2589,14 @@ mod tests {
         let bytes = ssd.maplog_bytes_written();
         assert!(bytes > 0, "flash-log flushes must program log pages");
         assert_eq!(bytes % page_size, 0, "whole page programs only");
-        // Overwrite and crash: the recovery report carries the lifetime
-        // log-traffic tax alongside the reclaim counter.
+        // Overwrite and crash: the lifetime log-traffic tax survives
+        // the power cut.
         for i in 0..64u64 {
             ssd.write(Lpa::new(i), 1000 + i).unwrap();
         }
-        let report = ssd.crash_and_recover().unwrap();
-        assert!(report.maplog_bytes_written >= bytes);
-        assert_eq!(report.maplog_bytes_written % page_size, 0);
+        ssd.crash_and_recover().unwrap();
+        assert!(ssd.maplog_bytes_written() >= bytes);
+        assert_eq!(ssd.maplog_bytes_written() % page_size, 0);
     }
 
     #[test]
@@ -2612,9 +2606,8 @@ mod tests {
             ssd.write(Lpa::new(i), i).unwrap();
         }
         ssd.take_snapshot();
+        ssd.crash_and_recover().unwrap();
         assert_eq!(ssd.maplog_bytes_written(), 0);
-        let report = ssd.crash_and_recover().unwrap();
-        assert_eq!(report.maplog_bytes_written, 0);
     }
 
     /// The groups of the mappings `block`'s live pages carry: what
@@ -2623,7 +2616,7 @@ mod tests {
         let mut live = Vec::new();
         ssd.validity.valid_pages(block, &mut live);
         live.iter()
-            .map(|&ppa| ssd.device.peek(ppa).expect("a live page is programmed"))
+            .map(|&ppa| ssd.device.read(ppa).expect("a live page is programmed"))
             .map(|view| view.lpa.expect("data page").group())
             .collect()
     }

@@ -169,7 +169,6 @@ fn run(arbiter: Box<dyn Arbiter>, qos: bool) -> Golden {
             guaranteed_slot_reserve: 10,
             gc_pacing_limit: 1,
             min_window_samples: 2,
-            ..QosControllerConfig::default()
         }));
     }
     let mut device = Device::new(&mut ssd, config);

@@ -127,9 +127,10 @@ fn stats_breakdown_accounts_all_programs() {
         }
     }
     let stats = ssd.stats();
-    let device_programs = ssd.device().stats().programs;
+    // Every page program bumps the device's OOB sequence number.
     // Translation programs are modelled (latency + counters) without
-    // physical pages, so the device count equals data + gc + wear.
+    // physical pages, so that count equals data + gc + wear.
+    let device_programs = ssd.device().program_seq();
     assert_eq!(
         device_programs,
         stats.flash.data_programs + stats.flash.gc_programs + stats.flash.wear_programs,

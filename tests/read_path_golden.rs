@@ -424,7 +424,9 @@ fn device_qd32_bursts_on_an_aged_four_shard_leaftl() {
 #[derive(Debug, PartialEq, Eq)]
 struct RecoveryGolden {
     pre_crash: Golden,
-    /// `format!("{:?}", report)` of the full [`RecoveryReport`].
+    /// `format!("{:?}", report)` of the full [`RecoveryReport`], with
+    /// the device's lifetime map-log bytes right after recovery
+    /// ([`Ssd::maplog_bytes_written`]) as its last field.
     ///
     /// [`RecoveryReport`]: leaftl_repro::sim::RecoveryReport
     report: String,
@@ -476,6 +478,14 @@ fn crash_run(mode: CheckpointMode, cut: Option<u64>) -> RecoveryGolden {
     let pre_crash = golden(&ssd, io_fnv);
 
     let report = ssd.crash_and_recover().expect("recover");
+    let report = format!("{report:?}");
+    let report = format!(
+        "{}, maplog_bytes_written: {} }}",
+        report
+            .strip_suffix(" }")
+            .expect("a struct's Debug ends in ` }`"),
+        ssd.maplog_bytes_written()
+    );
     let recovered_now_ns = ssd.now_ns();
     let mut masked: SimStats = ssd.stats().clone();
     masked.flash.misprediction_reads = 0;
@@ -489,7 +499,7 @@ fn crash_run(mode: CheckpointMode, cut: Option<u64>) -> RecoveryGolden {
     }
     RecoveryGolden {
         pre_crash,
-        report: format!("{report:?}"),
+        report,
         recovered_now_ns,
         recovered_stats_fnv,
         recovered_utilization_fnv,

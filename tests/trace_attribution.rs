@@ -75,7 +75,8 @@ fn device_digest<S: MappingScheme + Clone>(
     let pages = (0..geometry.total_pages())
         .map(|raw| {
             ssd.device()
-                .peek(Ppa::new(raw))
+                .read(Ppa::new(raw))
+                .ok()
                 .map(|view| (view.content, view.lpa, view.seq))
         })
         .collect();

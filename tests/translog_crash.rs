@@ -129,7 +129,7 @@ fn flash_ground_truth<S: MappingScheme + Clone>(ssd: &Ssd<S>) -> HashMap<u64, u6
         let pages: Vec<_> = ssd.device().scan_block(BlockId::new(raw)).collect();
         for (ppa, lpa, seq) in pages {
             let Some(lpa) = lpa else { continue };
-            let content = ssd.device().peek(ppa).expect("scanned page").content;
+            let content = ssd.device().read(ppa).expect("scanned page").content;
             let slot = newest.entry(lpa.raw()).or_insert((seq, content));
             if seq >= slot.0 {
                 *slot = (seq, content);
