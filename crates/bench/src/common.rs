@@ -1,15 +1,14 @@
 //! Shared experiment infrastructure: scheme dispatch, standard device
-//! scales, warm-up, and table printing.
+//! scales, ageing, the closed-loop grid, and table printing.
 
 use leaftl_baselines::{sftl_full_table_bytes, Dftl, Sftl};
-use leaftl_core::{LeaFtlConfig, LeaFtlTable, TableStats};
+use leaftl_core::{LeaFtlConfig, LeaFtlTable, MappingScheme, TableStats};
 use leaftl_sim::{
     replay, replay_open_loop, replay_open_loop_with, replay_queued, DeviceConfig, DramPolicy,
     HostOp, LeaFtlScheme, MapLogTraffic, QueuedReplayReport, ReplayReport, SimStats, SpaceReport,
     Ssd, SsdConfig, TimedOp, TrafficClass, UtilizationReport,
 };
 use leaftl_workloads::{warmup_ops, ProfileParams};
-use serde::Serialize;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
@@ -183,6 +182,16 @@ impl AnySsd {
                 Err(e) => eprintln!("[trace] cannot write {}: {e}", path.display()),
             }
         }
+    }
+
+    /// [`prefill`] on whichever scheme this holds.
+    pub fn prefill(&mut self, scale: &Scale) {
+        each_ssd!(self, ssd => prefill(ssd, scale))
+    }
+
+    /// [`warm_up`] on whichever scheme this holds.
+    pub fn warm_up(&mut self, profile: &ProfileParams, scale: &Scale) {
+        each_ssd!(self, ssd => warm_up(ssd, profile, scale))
     }
 
     pub fn flush(&mut self) {
@@ -378,64 +387,60 @@ impl Scale {
 /// Deterministic experiment seed.
 pub const SEED: u64 = 0x1ea_f71;
 
-/// Outcome of one (workload, scheme) run. Carries the full measurement
-/// set even where individual experiments consume only a subset.
-#[expect(
-    dead_code,
-    reason = "the full measurement set is serialised; an experiment reads a subset of the fields"
-)]
-#[derive(Debug, Clone, Serialize)]
+/// Ageing, first part: sequentially writes `scale.prefill` of the
+/// logical space. It depends on the scheme and the device only, so a
+/// sweep does it once per device and clones the image per workload.
+pub fn prefill<S: MappingScheme + Clone>(ssd: &mut Ssd<S>, scale: &Scale) {
+    if scale.prefill > 0.0 {
+        let logical = ssd.config().logical_pages();
+        replay(ssd, warmup_ops(logical, scale.prefill)).expect("prefill");
+    }
+}
+
+/// Ageing, second part: replays `scale.warm_ops` of `profile`, flushes
+/// and resets the stats, so the measured window starts here.
+pub fn warm_up<S: MappingScheme + Clone>(ssd: &mut Ssd<S>, profile: &ProfileParams, scale: &Scale) {
+    if scale.warm_ops > 0 {
+        let logical = ssd.config().logical_pages();
+        replay(
+            ssd,
+            profile.generate(logical, scale.warm_ops, SEED ^ 0xbeef),
+        )
+        .expect("warm-up");
+    }
+    ssd.flush().expect("flush");
+    ssd.reset_stats();
+}
+
+/// Outcome of one (workload, scheme) run: what the figures read.
 pub struct RunOutcome {
     pub workload: String,
     pub scheme: String,
     pub mean_latency_us: f64,
-    pub read_latency_us: f64,
-    pub write_latency_us: f64,
     pub mapping_bytes: usize,
-    pub full_mapping_bytes: usize,
-    pub cache_hit_ratio: f64,
-    pub misprediction_ratio: f64,
-    pub waf: f64,
-    #[serde(skip)]
+    /// The measured window's counters.
     pub stats: SimStats,
     /// Where the physical pages stood when the replay ended.
-    #[serde(skip)]
     pub space: SpaceReport,
 }
 
-/// Runs one workload on one scheme on the device `config` describes,
-/// at `scale`'s prefill and op counts: build → sequential prefill →
-/// profile warm-up → flush → stats reset → measured closed-loop replay.
-fn run_workload(
+/// Runs `profile` on the prefilled `ssd`: warm-up, then the measured
+/// closed-loop replay.
+fn measure(
+    mut ssd: AnySsd,
     kind: SchemeKind,
     profile: &ProfileParams,
     scale: &Scale,
-    config: SsdConfig,
 ) -> RunOutcome {
-    let logical = config.logical_pages();
-    let mut ssd = AnySsd::build(kind, config);
-    if scale.prefill > 0.0 {
-        ssd.replay(warmup_ops(logical, scale.prefill));
-    }
-    if scale.warm_ops > 0 {
-        ssd.replay(profile.generate(logical, scale.warm_ops, SEED ^ 0xbeef));
-    }
-    ssd.flush();
-    ssd.reset_stats();
+    ssd.warm_up(profile, scale);
+    let logical = ssd.config_logical_pages();
     let report = ssd.replay(profile.generate(logical, scale.ops, SEED));
-    let stats = ssd.stats().clone();
     RunOutcome {
         workload: profile.name.clone(),
         scheme: kind.label(),
         mean_latency_us: report.mean_latency_us(),
-        read_latency_us: report.mean_read_latency_us(),
-        write_latency_us: report.mean_write_latency_us(),
         mapping_bytes: ssd.mapping_bytes(),
-        full_mapping_bytes: ssd.full_mapping_bytes(),
-        cache_hit_ratio: stats.cache_hit_ratio(),
-        misprediction_ratio: stats.misprediction_ratio(),
-        waf: stats.waf(),
-        stats,
+        stats: ssd.stats().clone(),
         space: ssd.space_report(),
     }
 }
@@ -445,21 +450,23 @@ fn run_workload(
 pub type Runs = Vec<Vec<RunOutcome>>;
 
 /// Runs every scheme of `kinds` on every workload of `profiles` once.
+/// Each scheme's column prefills one device, and each workload row
+/// starts from a clone of it.
 pub fn run_grid(
     profiles: &[ProfileParams],
     kinds: &[SchemeKind],
     scale: &Scale,
     config: &SsdConfig,
 ) -> Runs {
-    profiles
-        .iter()
-        .map(|profile| {
-            kinds
-                .iter()
-                .map(|&kind| run_workload(kind, profile, scale, config.clone()))
-                .collect()
-        })
-        .collect()
+    let mut runs: Runs = profiles.iter().map(|_| Vec::new()).collect();
+    for &kind in kinds {
+        let mut prefilled = AnySsd::build(kind, config.clone());
+        prefilled.prefill(scale);
+        for (row, profile) in runs.iter_mut().zip(profiles) {
+            row.push(measure(prefilled.clone(), kind, profile, scale));
+        }
+    }
+    runs
 }
 
 /// Builds a mapping table by replaying only the workload's writes (the
@@ -556,5 +563,49 @@ pub fn fmt_bytes(bytes: usize) -> String {
         format!("{:.1} KiB", bytes as f64 / 1024.0)
     } else {
         format!("{bytes} B")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{measure, run_grid, AnySsd, Scale, SCHEMES};
+    use leaftl_sim::DramPolicy;
+    use leaftl_workloads::{msr_hm, oltp};
+
+    /// `run_grid` starts every row from a clone of its column's
+    /// prefilled device; each row must equal the same row built and
+    /// prefilled from scratch. Two rows, so the second clone is taken
+    /// after the first has run.
+    #[test]
+    fn a_row_cloned_from_the_prefilled_column_equals_one_built_from_scratch() {
+        let scale = Scale {
+            capacity: 64 << 20,
+            dram: 32 << 10,
+            buffer_pages: 64,
+            stripe_pages: 32,
+            prefill: 0.99,
+            warm_ops: 1_000,
+            ops: 4_000,
+            compaction_interval: 1_000,
+        };
+        let config = scale.config(DramPolicy::DataFloor(0.2));
+        let profiles = [msr_hm(), oltp()];
+        let runs = run_grid(&profiles, &SCHEMES, &scale, &config);
+        for (row, profile) in runs.iter().zip(&profiles) {
+            for (cloned, &kind) in row.iter().zip(&SCHEMES) {
+                let mut scratch = AnySsd::build(kind, config.clone());
+                scratch.prefill(&scale);
+                let scratch = measure(scratch, kind, profile, &scale);
+                let run = format!("{} on {}", cloned.scheme, cloned.workload);
+                assert!(cloned.stats.gc_runs > 0, "{run}: GC never ran");
+                assert_eq!(
+                    format!("{:?}", cloned.stats),
+                    format!("{:?}", scratch.stats),
+                    "{run}"
+                );
+                assert_eq!(cloned.mapping_bytes, scratch.mapping_bytes, "{run}");
+                assert_eq!(cloned.space, scratch.space, "{run}");
+            }
+        }
     }
 }

@@ -23,6 +23,7 @@ pub fn fig19(quick: bool) -> Value {
     }
     let mut rows = Vec::new();
     let mut out = Vec::new();
+    let mut sum16 = 0.0;
     for profile in full_suite() {
         let sizes: Vec<usize> = GAMMAS
             .iter()
@@ -33,6 +34,7 @@ pub fn fig19(quick: bool) -> Value {
             .collect();
         let base = sizes[0].max(1) as f64;
         let normalized: Vec<f64> = sizes.iter().map(|&s| s as f64 / base).collect();
+        sum16 += normalized[3];
         rows.push(
             std::iter::once(profile.name.clone())
                 .chain(normalized.iter().map(|n| format!("{n:.2}")))
@@ -45,11 +47,7 @@ pub fn fig19(quick: bool) -> Value {
             "normalized": normalized,
         }));
     }
-    let avg16: f64 = out
-        .iter()
-        .map(|v| v["normalized"][3].as_f64().unwrap())
-        .sum::<f64>()
-        / out.len() as f64;
+    let avg16 = sum16 / out.len() as f64;
     print_table(
         "Fig. 19: mapping size vs γ (normalised to γ=0) — paper: ~1.3x further reduction at γ=16",
         &["workload", "γ=0", "γ=1", "γ=4", "γ=16"],
@@ -114,7 +112,7 @@ fn fig24(runs: &Runs) -> Value {
     for results in runs {
         let ratios: Vec<f64> = results
             .iter()
-            .map(|r| r.misprediction_ratio * 100.0)
+            .map(|r| r.stats.misprediction_ratio() * 100.0)
             .collect();
         rows.push(
             std::iter::once(results[0].workload.clone())

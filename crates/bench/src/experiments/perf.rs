@@ -9,7 +9,8 @@
 //! device, so they are the runs Figs. 16b and 17 tabulate.
 
 use crate::common::{print_table, run_grid, Runs, Scale, SCHEMES};
-use leaftl_sim::DramPolicy;
+use leaftl_flash::NandTiming;
+use leaftl_sim::{DramPolicy, LOOKUP_BASE_NS, LOOKUP_PER_LEVEL_NS};
 use leaftl_workloads::{app_suite, block_trace_suite, oltp};
 use serde_json::{json, Value};
 
@@ -39,9 +40,9 @@ fn compare_schemes(title: &str, runs: &Runs) -> Vec<Value> {
         }
         row.push(format!(
             "{:.0}%/{:.0}%/{:.0}%",
-            results[0].cache_hit_ratio * 100.0,
-            results[1].cache_hit_ratio * 100.0,
-            results[2].cache_hit_ratio * 100.0
+            results[0].stats.cache_hit_ratio() * 100.0,
+            results[1].stats.cache_hit_ratio() * 100.0,
+            results[2].stats.cache_hit_ratio() * 100.0
         ));
         rows.push(row);
         out.push(json!({
@@ -52,7 +53,7 @@ fn compare_schemes(title: &str, runs: &Runs) -> Vec<Value> {
                 .iter()
                 .map(|r| r.mean_latency_us / base)
                 .collect::<Vec<_>>(),
-            "cache_hit_ratio": results.iter().map(|r| r.cache_hit_ratio).collect::<Vec<_>>(),
+            "cache_hit_ratio": results.iter().map(|r| r.stats.cache_hit_ratio()).collect::<Vec<_>>(),
             "mapping_bytes": results.iter().map(|r| r.mapping_bytes).collect::<Vec<_>>(),
         }));
     }
@@ -61,14 +62,11 @@ fn compare_schemes(title: &str, runs: &Runs) -> Vec<Value> {
         &["workload", "DFTL", "SFTL", "LeaFTL", "cache hits D/S/L"],
         &rows,
     );
-    let speedup_vs_sftl: f64 = out
+    let speedup_vs_sftl: f64 = runs
         .iter()
-        .map(|v| {
-            v["mean_latency_us"][1].as_f64().unwrap()
-                / v["mean_latency_us"][2].as_f64().unwrap().max(1e-9)
-        })
+        .map(|results| results[1].mean_latency_us / results[2].mean_latency_us.max(1e-9))
         .sum::<f64>()
-        / out.len() as f64;
+        / runs.len() as f64;
     println!("average LeaFTL speedup vs SFTL: {speedup_vs_sftl:.2}x");
     out
 }
@@ -295,18 +293,21 @@ fn fig22a(columns: &[(usize, Runs)]) -> Value {
 }
 
 /// Fig. 23b: LPA-lookup CPU overhead as a fraction of the flash access
-/// it precedes, for the application workloads.
+/// it precedes, for the application workloads. The worst case is the
+/// simulator's lookup charge at the deepest level any lookup visited.
 fn fig23b(runs: &Runs) -> Value {
+    let read_ns = NandTiming::paper_default().read_ns as f64;
     let mut rows = Vec::new();
     let mut out = Vec::new();
     for results in runs {
         let r = &results[LEAFTL];
         let lookups = r.stats.lookups.max(1);
         let avg_lookup_ns = r.stats.lookup_cpu_ns as f64 / lookups as f64;
-        let read_ns = 20_000.0; // Table 1 flash read
         let avg_pct = avg_lookup_ns / read_ns * 100.0;
         let worst_levels = r.stats.lookup_level_histogram.len().max(1) as f64;
-        let worst_pct = (40.0 + 10.0 * (worst_levels - 1.0)) / read_ns * 100.0;
+        let worst_lookup_ns =
+            LOOKUP_BASE_NS as f64 + LOOKUP_PER_LEVEL_NS as f64 * (worst_levels - 1.0);
+        let worst_pct = worst_lookup_ns / read_ns * 100.0;
         rows.push(vec![
             r.workload.clone(),
             format!("{avg_lookup_ns:.0} ns"),

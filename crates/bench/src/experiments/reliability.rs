@@ -1,10 +1,12 @@
 //! Write-amplification and crash-recovery studies: Fig. 25 and the §5
 //! recovery discussion.
 
-use crate::common::{maplog_json, print_table, run_grid, space_json, Scale, SCHEMES, SEED};
+use crate::common::{
+    maplog_json, prefill, print_table, run_grid, space_json, Scale, SCHEMES, SEED,
+};
 use leaftl_core::LeaFtlConfig;
 use leaftl_sim::{replay, CheckpointMode, DramPolicy, LeaFtlScheme, Ssd};
-use leaftl_workloads::{full_suite, tpcc, warmup_ops};
+use leaftl_workloads::{full_suite, tpcc};
 use serde_json::{json, Value};
 
 /// Fig. 25: write amplification factor for the three schemes. The
@@ -27,7 +29,8 @@ pub fn fig25(quick: bool) -> Value {
     let mut out = Vec::new();
     for results in run_grid(&full_suite(), &SCHEMES, &scale, &config) {
         let workload = &results[0].workload;
-        let (dftl, sftl, leaftl) = (results[0].waf, results[1].waf, results[2].waf);
+        let waf: Vec<f64> = results.iter().map(|r| r.stats.waf()).collect();
+        let (dftl, sftl, leaftl) = (waf[0], waf[1], waf[2]);
         assert!(
             (0.90..=1.08).contains(&(leaftl / sftl)) && dftl >= sftl,
             "Fig. 25 on {workload}: LeaFTL's WAF must be within [0.90, 1.08] of SFTL's and \
@@ -44,14 +47,14 @@ pub fn fig25(quick: bool) -> Value {
         );
         rows.push(
             std::iter::once(workload.clone())
-                .chain(results.iter().map(|r| format!("{:.3}", r.waf)))
+                .chain(waf.iter().map(|w| format!("{w:.3}")))
                 .chain(std::iter::once(format!("{:.3}", absorbed[0])))
                 .collect::<Vec<String>>(),
         );
         out.push(json!({
             "workload": workload,
             "schemes": results.iter().map(|r| &r.scheme).collect::<Vec<_>>(),
-            "waf": results.iter().map(|r| r.waf).collect::<Vec<_>>(),
+            "waf": waf,
             "buffer_absorbed": absorbed,
             "translation_programs": results
                 .iter()
@@ -89,15 +92,17 @@ pub fn recovery(quick: bool) -> Value {
     let config = scale.config(DramPolicy::DataFloor(0.2));
     let logical = config.logical_pages();
     let profile = tpcc();
+    let ops = profile.generate(logical, scale.ops, SEED);
+    let half = ops.len() / 2;
+    // The two rows differ only after the first half: one device runs
+    // the prefill and the first half, and each row continues a clone.
+    let mut first_half = Ssd::new(config.clone(), LeaFtlScheme::new(LeaFtlConfig::default()));
+    prefill(&mut first_half, &scale);
+    replay(&mut first_half, ops[..half].iter().copied()).expect("first half");
     let mut rows = Vec::new();
     let mut out = Vec::new();
     for (label, snapshot_midway) in [("no snapshot", false), ("snapshot midway", true)] {
-        let scheme = LeaFtlScheme::new(LeaFtlConfig::default());
-        let mut ssd = Ssd::new(config.clone(), scheme);
-        replay(&mut ssd, warmup_ops(logical, scale.prefill)).expect("warmup");
-        let ops = profile.generate(logical, scale.ops, SEED);
-        let half = ops.len() / 2;
-        replay(&mut ssd, ops[..half].iter().copied()).expect("first half");
+        let mut ssd = first_half.clone();
         if snapshot_midway {
             ssd.take_snapshot();
         }
@@ -142,8 +147,7 @@ pub fn recovery(quick: bool) -> Value {
         config.checkpoint_mode = mode;
         let scheme = LeaFtlScheme::new(LeaFtlConfig::default());
         let mut ssd = Ssd::new(config, scheme);
-        replay(&mut ssd, warmup_ops(logical, scale.prefill)).expect("warmup");
-        let ops = profile.generate(logical, scale.ops, SEED);
+        prefill(&mut ssd, &scale);
         replay(&mut ssd, ops.iter().copied()).expect("age");
         let cost = persistence_cost(&ssd);
         let traffic = ssd.maplog_traffic();

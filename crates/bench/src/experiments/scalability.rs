@@ -15,9 +15,7 @@
 
 use crate::common::{print_table, utilization_json, AnySsd, Scale, SchemeKind, SEED};
 use leaftl_sim::DramPolicy;
-use leaftl_workloads::{
-    multi_tenant_trace, oltp, sequential_scanner, warmup_ops, zipf_tenant, TenantSpec,
-};
+use leaftl_workloads::{multi_tenant_trace, oltp, sequential_scanner, zipf_tenant, TenantSpec};
 use serde_json::{json, Value};
 
 const SCHEMES: [SchemeKind; 3] = [
@@ -28,35 +26,36 @@ const SCHEMES: [SchemeKind; 3] = [
 
 const DEPTHS: [usize; 4] = [1, 4, 8, 32];
 
-/// Builds a warmed device for `kind`: sequential prefill plus a
-/// workload warm-up pass, stats reset.
-fn warmed(kind: SchemeKind, scale: &Scale) -> AnySsd {
-    let config = scale.config(DramPolicy::DataFloor(0.2));
-    let logical = config.logical_pages();
-    let mut ssd = AnySsd::build(kind, config);
-    if scale.prefill > 0.0 {
-        ssd.replay(warmup_ops(logical, scale.prefill));
-    }
-    if scale.warm_ops > 0 {
-        ssd.replay(oltp().generate(logical, scale.warm_ops, SEED ^ 0xbeef));
-    }
-    ssd.flush();
-    ssd.reset_stats();
-    ssd
-}
-
-/// The queue-depth sweep plus the multi-tenant colocation mix.
+/// The queue-depth sweep plus the multi-tenant colocation mix, both
+/// from one aged image per scheme: a sequential prefill plus an OLTP
+/// warm-up pass, stats reset.
 pub fn scalability(quick: bool) -> Value {
     let scale = Scale::perf(quick);
+    let config = scale.config(DramPolicy::DataFloor(0.2));
+    let logical = config.logical_pages();
+    let ops = oltp().generate(logical, scale.ops, SEED);
 
-    // ---- Part 1: QD sweep -------------------------------------------
-    let mut rows = Vec::new();
+    // Multi-tenant arrival rates sized to run near (not past) the
+    // device's service capacity, so per-tenant tails reflect queueing +
+    // interference rather than divergent backlog. Both tenants span the
+    // same trace window: ops × mean gap is equal.
+    let (zipf_ops, scan_ops) = if quick { (2_000, 32) } else { (12_000, 192) };
+    let tenants = vec![
+        TenantSpec::new(zipf_tenant(), 0, 40_000, zipf_ops),
+        TenantSpec::new(sequential_scanner(), 1, 2_500_000, scan_ops),
+    ];
+    let trace = multi_tenant_trace(&tenants, logical, SEED);
+
+    let mut sweep_rows = Vec::new();
     let mut sweep_out = Vec::new();
+    let mut mix_rows = Vec::new();
+    let mut mix_out = Vec::new();
     for &kind in &SCHEMES {
-        let base = warmed(kind, &scale);
-        let logical = base.config_logical_pages();
-        let ops = oltp().generate(logical, scale.ops, SEED);
+        let mut base = AnySsd::build(kind, config.clone());
+        base.prefill(&scale);
+        base.warm_up(&oltp(), &scale);
 
+        // ---- Part 1: QD sweep ---------------------------------------
         // Legacy blocking path: the QD=1 cross-check.
         let blocking = {
             let mut ssd = base.clone();
@@ -96,7 +95,7 @@ pub fn scalability(quick: bool) -> Value {
              fall as QD grows (blocking {blocking:.0}, QD {DEPTHS:?}: {depth_iops:.0?})",
             kind.label()
         );
-        rows.push(row);
+        sweep_rows.push(row);
         sweep_out.push(json!({
             "scheme": kind.label(),
             "queue_depths": DEPTHS,
@@ -107,30 +106,10 @@ pub fn scalability(quick: bool) -> Value {
             "blocking_iops": blocking,
             "utilization_qd32": deepest_utilization,
         }));
-    }
-    print_table(
-        "Scalability: IOPS (p50/p99/p999) vs queue depth, OLTP workload — IOPS must not fall with QD; QD=1 = blocking",
-        &["scheme", "blocking", "QD=1", "QD=4", "QD=8", "QD=32"],
-        &rows,
-    );
 
-    // ---- Part 2: multi-tenant colocation ----------------------------
-    // Arrival rates sized to run near (not past) the device's service
-    // capacity, so per-tenant tails reflect queueing + interference
-    // rather than divergent backlog. Both tenants span the same trace
-    // window: ops × mean gap is equal.
-    let (zipf_ops, scan_ops) = if quick { (2_000, 32) } else { (12_000, 192) };
-    let tenants = vec![
-        TenantSpec::new(zipf_tenant(), 0, 40_000, zipf_ops),
-        TenantSpec::new(sequential_scanner(), 1, 2_500_000, scan_ops),
-    ];
-    let mut rows = Vec::new();
-    let mut mix_out = Vec::new();
-    for &kind in &SCHEMES {
-        let mut ssd = warmed(kind, &scale);
-        let logical = ssd.config_logical_pages();
-        let trace = multi_tenant_trace(&tenants, logical, SEED);
-        let report = ssd.replay_open_loop(trace, 32);
+        // ---- Part 2: multi-tenant colocation on the same image ------
+        let mut ssd = base;
+        let report = ssd.replay_open_loop(trace.clone(), 32);
         ssd.assert_utilization_conserved(&format!("{} multi-tenant", kind.label()));
         let mut row = vec![kind.label(), format!("{:.0}", report.iops())];
         let mut streams = Vec::new();
@@ -149,7 +128,7 @@ pub fn scalability(quick: bool) -> Value {
                 "p999_latency_us": p999,
             }));
         }
-        rows.push(row);
+        mix_rows.push(row);
         mix_out.push(json!({
             "scheme": kind.label(),
             "iops": report.iops(),
@@ -158,9 +137,14 @@ pub fn scalability(quick: bool) -> Value {
         }));
     }
     print_table(
+        "Scalability: IOPS (p50/p99/p999) vs queue depth, OLTP workload — IOPS must not fall with QD; QD=1 = blocking",
+        &["scheme", "blocking", "QD=1", "QD=4", "QD=8", "QD=32"],
+        &sweep_rows,
+    );
+    print_table(
         "Multi-tenant mix (open-loop, QD=32): Zipf tenant + sequential scanner, mean/p99 per tenant",
         &["scheme", "IOPS", "zipf mean/p99", "scan mean/p99"],
-        &rows,
+        &mix_rows,
     );
 
     json!({

@@ -19,13 +19,12 @@
 //!    arbitrated `Command::Compact` traffic, showing where the sweep's
 //!    latency lands in each regime.
 
-use crate::common::{print_table, Scale, SEED};
+use crate::common::{prefill, print_table, warm_up, Scale, SEED};
 use leaftl_core::{LeaFtlConfig, ShardedMapping};
 use leaftl_sim::{
-    replay, replay_queued_with, DeviceConfig, DramPolicy, LeaFtlScheme, QueuedReplayReport, Ssd,
-    SsdConfig,
+    replay_queued_with, DeviceConfig, DramPolicy, LeaFtlScheme, QueuedReplayReport, Ssd, SsdConfig,
 };
-use leaftl_workloads::{oltp, warmup_ops};
+use leaftl_workloads::oltp;
 use serde_json::{json, Value};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -58,18 +57,8 @@ fn warmed(shards: usize, scale: &Scale) -> Ssd<ShardedMapping<LeaFtlScheme>> {
         )
     });
     let mut ssd = Ssd::new(config, scheme);
-    if scale.prefill > 0.0 {
-        replay(&mut ssd, warmup_ops(logical, scale.prefill)).expect("prefill");
-    }
-    if scale.warm_ops > 0 {
-        replay(
-            &mut ssd,
-            oltp().generate(logical, scale.warm_ops, SEED ^ 0xbeef),
-        )
-        .expect("warm");
-    }
-    ssd.flush().expect("flush");
-    ssd.reset_stats();
+    prefill(&mut ssd, scale);
+    warm_up(&mut ssd, &oltp(), scale);
     ssd
 }
 

@@ -180,11 +180,14 @@ fn fig12(built: &[Built]) -> Value {
 fn fig15(built: &[Built]) -> Value {
     let mut rows = Vec::new();
     let mut out = Vec::new();
+    let (mut sum_dftl, mut sum_sftl) = (0.0, 0.0);
     for b in built {
         let lea_bytes = b.at(0).full_bytes.max(1);
         let (dftl_bytes, sftl_bytes) = (b.dftl_bytes, b.sftl_bytes);
         let vs_dftl = dftl_bytes as f64 / lea_bytes as f64;
         let vs_sftl = sftl_bytes as f64 / lea_bytes as f64;
+        sum_dftl += vs_dftl;
+        sum_sftl += vs_sftl;
         rows.push(vec![
             b.workload.clone(),
             fmt_bytes(dftl_bytes),
@@ -202,16 +205,8 @@ fn fig15(built: &[Built]) -> Value {
             "reduction_vs_sftl": vs_sftl,
         }));
     }
-    let avg_dftl: f64 = out
-        .iter()
-        .map(|v| v["reduction_vs_dftl"].as_f64().unwrap())
-        .sum::<f64>()
-        / out.len() as f64;
-    let avg_sftl: f64 = out
-        .iter()
-        .map(|v| v["reduction_vs_sftl"].as_f64().unwrap())
-        .sum::<f64>()
-        / out.len() as f64;
+    let avg_dftl = sum_dftl / built.len() as f64;
+    let avg_sftl = sum_sftl / built.len() as f64;
     print_table(
         "Fig. 15: mapping-table footprint — paper: 7.5–37.7x vs DFTL, 2.9x avg vs SFTL",
         &["workload", "DFTL", "SFTL", "LeaFTL", "vs DFTL", "vs SFTL"],

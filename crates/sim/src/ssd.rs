@@ -23,10 +23,10 @@ const DRAM_HIT_NS: u64 = 1_000;
 
 /// CPU cost charged per mapping-table lookup (Table 3 measures
 /// 40.2–67.5 ns on a Cortex-A72).
-const LOOKUP_BASE_NS: u64 = 40;
+pub const LOOKUP_BASE_NS: u64 = 40;
 
 /// Additional lookup cost per extra level visited.
-const LOOKUP_PER_LEVEL_NS: u64 = 10;
+pub const LOOKUP_PER_LEVEL_NS: u64 = 10;
 
 /// Bytes of one block's BVC entry as a persistence point writes it.
 const BVC_ENTRY_BYTES: usize = 4;
