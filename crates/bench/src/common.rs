@@ -2,11 +2,11 @@
 //! scales, ageing, the closed-loop grid, and table printing.
 
 use leaftl_baselines::{sftl_full_table_bytes, Dftl, Sftl};
-use leaftl_core::{LeaFtlConfig, LeaFtlTable, MappingScheme, TableStats};
+use leaftl_core::{LeaFtlConfig, LeaFtlTable, MappingScheme};
 use leaftl_sim::{
-    replay, replay_open_loop, replay_open_loop_with, replay_queued, DeviceConfig, DramPolicy,
-    HostOp, LeaFtlScheme, MapLogTraffic, QueuedReplayReport, ReplayReport, SimStats, SpaceReport,
-    Ssd, SsdConfig, TimedOp, TrafficClass, UtilizationReport,
+    replay, replay_open_loop_with, replay_queued, DeviceConfig, DramPolicy, HostOp, LeaFtlScheme,
+    MapLogTraffic, QueuedReplayReport, ReplayReport, SimError, SimStats, SpaceReport, Ssd,
+    SsdConfig, TimedOp, TrafficClass, UtilizationReport,
 };
 use leaftl_workloads::{warmup_ops, ProfileParams};
 use std::path::PathBuf;
@@ -74,8 +74,8 @@ pub enum AnySsd {
     Lea(Ssd<LeaFtlScheme>),
 }
 
-/// `each_ssd!(self, ssd => expr)`: `expr` on the SSD of whichever scheme
-/// `self` holds.
+/// `each_ssd!(any, ssd => expr)`: `expr` on the SSD of whichever scheme
+/// `any` holds.
 macro_rules! each_ssd {
     ($any:expr, $ssd:ident => $body:expr) => {
         match $any {
@@ -85,6 +85,7 @@ macro_rules! each_ssd {
         }
     };
 }
+pub(crate) use each_ssd;
 
 impl AnySsd {
     pub fn build(kind: SchemeKind, mut config: SsdConfig) -> AnySsd {
@@ -118,58 +119,32 @@ impl AnySsd {
         ops: I,
         queue_depth: usize,
     ) -> QueuedReplayReport {
-        self.attach_trace_if_requested();
-        let report =
-            each_ssd!(self, ssd => replay_queued(ssd, ops, queue_depth).expect("replay_queued"));
-        self.export_trace_if_requested();
-        report
+        self.traced(|any| each_ssd!(any, ssd => replay_queued(ssd, ops, queue_depth)))
     }
 
-    /// Open-loop replay of a timestamped multi-stream trace
-    /// (one queue per stream, round-robin, synchronous GC).
-    pub fn replay_open_loop<I: IntoIterator<Item = TimedOp>>(
-        &mut self,
-        ops: I,
-        queue_depth: usize,
-    ) -> QueuedReplayReport {
-        self.attach_trace_if_requested();
-        let report = each_ssd!(self, ssd => {
-            replay_open_loop(ssd, ops, queue_depth).expect("replay_open_loop")
-        });
-        self.export_trace_if_requested();
-        report
-    }
-
-    /// Open-loop replay under a full device shape — queue count,
-    /// arbitration policy and GC mode (the arbitration experiment).
+    /// Open-loop replay of a timestamped multi-stream trace under a full
+    /// device shape: queue count, arbitration policy and GC mode.
     pub fn replay_open_loop_with<I: IntoIterator<Item = TimedOp>>(
         &mut self,
         ops: I,
         config: DeviceConfig,
     ) -> QueuedReplayReport {
-        self.attach_trace_if_requested();
-        let report = each_ssd!(self, ssd => {
-            replay_open_loop_with(ssd, ops, config).expect("replay_open_loop_with")
-        });
-        self.export_trace_if_requested();
-        report
+        self.traced(|any| each_ssd!(any, ssd => replay_open_loop_with(ssd, ops, config)))
     }
 
-    /// Attaches the event tracer ahead of an engine-driven replay when
-    /// `--trace` was given (no-op — and zero-cost — otherwise).
-    fn attach_trace_if_requested(&mut self) {
-        if trace_path().is_none() {
-            return;
-        }
-        each_ssd!(self, ssd => ssd.attach_trace())
-    }
-
-    /// Exports and detaches the tracer after a replay, overwriting the
-    /// `--trace` destination (the last traced replay wins).
-    fn export_trace_if_requested(&mut self) {
-        let Some(path) = trace_path() else { return };
-        let sink = each_ssd!(self, ssd => ssd.take_trace());
-        if let Some(sink) = sink {
+    /// Runs an engine-driven replay, with the event tracer attached when
+    /// `--trace` was given (no-op — and zero-cost — otherwise), and
+    /// exports the trace over the destination: the last replay wins.
+    fn traced(
+        &mut self,
+        replay: impl FnOnce(&mut AnySsd) -> Result<QueuedReplayReport, SimError>,
+    ) -> QueuedReplayReport {
+        let Some(path) = trace_path() else {
+            return replay(self).expect("replay");
+        };
+        each_ssd!(self, ssd => ssd.attach_trace());
+        let report = replay(self).expect("replay");
+        if let Some(sink) = each_ssd!(self, ssd => ssd.take_trace()) {
             let check = sink.check();
             match std::fs::write(path, sink.export_chrome_json()) {
                 Ok(()) => eprintln!(
@@ -182,28 +157,7 @@ impl AnySsd {
                 Err(e) => eprintln!("[trace] cannot write {}: {e}", path.display()),
             }
         }
-    }
-
-    /// [`prefill`] on whichever scheme this holds.
-    pub fn prefill(&mut self, scale: &Scale) {
-        each_ssd!(self, ssd => prefill(ssd, scale))
-    }
-
-    /// [`warm_up`] on whichever scheme this holds.
-    pub fn warm_up(&mut self, profile: &ProfileParams, scale: &Scale) {
-        each_ssd!(self, ssd => warm_up(ssd, profile, scale))
-    }
-
-    pub fn flush(&mut self) {
-        each_ssd!(self, ssd => ssd.flush().expect("flush"))
-    }
-
-    pub fn reset_stats(&mut self) {
-        each_ssd!(self, ssd => ssd.reset_stats())
-    }
-
-    pub fn stats(&self) -> &SimStats {
-        each_ssd!(self, ssd => ssd.stats())
+        report
     }
 
     /// Asserts the device-timeline conservation invariant: per-die
@@ -215,16 +169,6 @@ impl AnySsd {
         if let Err(e) = check {
             panic!("utilization conservation violated ({context}): {e}");
         }
-    }
-
-    /// Host-visible logical capacity in pages.
-    pub fn config_logical_pages(&self) -> u64 {
-        each_ssd!(self, ssd => ssd.config().logical_pages())
-    }
-
-    /// Current DRAM consumption of the mapping structures.
-    pub fn mapping_bytes(&self) -> usize {
-        each_ssd!(self, ssd => ssd.mapping_bytes())
     }
 
     /// Bytes the scheme would need to hold its *entire* mapping state in
@@ -239,52 +183,11 @@ impl AnySsd {
             AnySsd::Lea(ssd) => compacted(ssd).memory_bytes().total(),
         }
     }
-
-    /// Lifetime translation-log bytes programmed to flash (0 outside
-    /// [`leaftl_sim::CheckpointMode::FlashLog`]) — the map-log
-    /// background-traffic tax. Not reset by [`AnySsd::reset_stats`];
-    /// diff two readings to bound a measurement window.
-    pub fn maplog_bytes_written(&self) -> u64 {
-        each_ssd!(self, ssd => ssd.maplog_bytes_written())
-    }
-
-    /// The same traffic in log pages, split into checkpoint generations
-    /// and the delta journal they truncate (lifetime, like the bytes).
-    pub fn maplog_traffic(&self) -> MapLogTraffic {
-        each_ssd!(self, ssd => ssd.maplog_traffic())
-    }
-
-    /// Every physical page by its standing (free, open, stale, …).
-    pub fn space_report(&self) -> SpaceReport {
-        each_ssd!(self, ssd => ssd.space_report())
-    }
-
-    /// Translation-log blocks reclaimed by the log's retention policy.
-    pub fn maplog_reclaimed_blocks(&self) -> u64 {
-        each_ssd!(self, ssd => ssd.maplog_reclaimed_blocks())
-    }
-
-    /// A compacted copy of the learned table (None for the baselines):
-    /// the shadow-free table whose bytes [`AnySsd::full_mapping_bytes`]
-    /// counts.
-    pub fn compacted_table(&self) -> Option<LeaFtlTable> {
-        match self {
-            AnySsd::Lea(ssd) => Some(compacted(ssd)),
-            AnySsd::Dftl(_) | AnySsd::Sftl(_) => None,
-        }
-    }
-
-    /// Learned-table structure snapshot (LeaFTL only).
-    pub fn table_stats(&self) -> Option<TableStats> {
-        match self {
-            AnySsd::Lea(ssd) => Some(ssd.scheme().table_stats()),
-            AnySsd::Dftl(_) | AnySsd::Sftl(_) => None,
-        }
-    }
 }
 
-/// A compacted copy of `ssd`'s learned table.
-fn compacted(ssd: &Ssd<LeaFtlScheme>) -> LeaFtlTable {
+/// A compacted copy of `ssd`'s learned table: the shadow-free table
+/// whose bytes [`AnySsd::full_mapping_bytes`] counts.
+pub fn compacted(ssd: &Ssd<LeaFtlScheme>) -> LeaFtlTable {
     let mut table = ssd.scheme().table().clone();
     table.compact();
     table
@@ -412,6 +315,21 @@ pub fn warm_up<S: MappingScheme + Clone>(ssd: &mut Ssd<S>, profile: &ProfilePara
     ssd.reset_stats();
 }
 
+/// A device driven past its GC watermark: one full sequential fill,
+/// then a full overwrite pass so steady-state sits at the watermark
+/// with stale blocks everywhere; stats reset.
+pub fn gc_pressured(kind: SchemeKind, config: SsdConfig) -> AnySsd {
+    let logical = config.logical_pages();
+    let mut any = AnySsd::build(kind, config);
+    any.replay(warmup_ops(logical, 1.0));
+    any.replay(warmup_ops(logical, 1.0));
+    each_ssd!(&mut any, ssd => {
+        ssd.flush().expect("flush");
+        ssd.reset_stats();
+    });
+    any
+}
+
 /// Outcome of one (workload, scheme) run: what the figures read.
 pub struct RunOutcome {
     pub workload: String,
@@ -427,22 +345,24 @@ pub struct RunOutcome {
 /// Runs `profile` on the prefilled `ssd`: warm-up, then the measured
 /// closed-loop replay.
 fn measure(
-    mut ssd: AnySsd,
+    mut any: AnySsd,
     kind: SchemeKind,
     profile: &ProfileParams,
     scale: &Scale,
 ) -> RunOutcome {
-    ssd.warm_up(profile, scale);
-    let logical = ssd.config_logical_pages();
-    let report = ssd.replay(profile.generate(logical, scale.ops, SEED));
-    RunOutcome {
-        workload: profile.name.clone(),
-        scheme: kind.label(),
-        mean_latency_us: report.mean_latency_us(),
-        mapping_bytes: ssd.mapping_bytes(),
-        stats: ssd.stats().clone(),
-        space: ssd.space_report(),
-    }
+    each_ssd!(&mut any, ssd => {
+        warm_up(ssd, profile, scale);
+        let logical = ssd.config().logical_pages();
+        let report = replay(ssd, profile.generate(logical, scale.ops, SEED)).expect("replay");
+        RunOutcome {
+            workload: profile.name.clone(),
+            scheme: kind.label(),
+            mean_latency_us: report.mean_latency_us(),
+            mapping_bytes: ssd.mapping_bytes(),
+            stats: ssd.stats().clone(),
+            space: ssd.space_report(),
+        }
+    })
 }
 
 /// One closed-loop run per (workload, scheme) on one device config: a
@@ -461,7 +381,7 @@ pub fn run_grid(
     let mut runs: Runs = profiles.iter().map(|_| Vec::new()).collect();
     for &kind in kinds {
         let mut prefilled = AnySsd::build(kind, config.clone());
-        prefilled.prefill(scale);
+        each_ssd!(&mut prefilled, ssd => prefill(ssd, scale));
         for (row, profile) in runs.iter_mut().zip(profiles) {
             row.push(measure(prefilled.clone(), kind, profile, scale));
         }
@@ -481,7 +401,7 @@ pub fn build_mapping_state(kind: SchemeKind, profile: &ProfileParams, scale: &Sc
         .into_iter()
         .filter(|op| !op.is_read());
     ssd.replay(writes);
-    ssd.flush();
+    each_ssd!(&mut ssd, ssd => ssd.flush().expect("flush"));
     ssd
 }
 
@@ -568,7 +488,7 @@ pub fn fmt_bytes(bytes: usize) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::{measure, run_grid, AnySsd, Scale, SCHEMES};
+    use super::{measure, prefill, run_grid, AnySsd, Scale, SCHEMES};
     use leaftl_sim::DramPolicy;
     use leaftl_workloads::{msr_hm, oltp};
 
@@ -594,7 +514,7 @@ mod tests {
         for (row, profile) in runs.iter().zip(&profiles) {
             for (cloned, &kind) in row.iter().zip(&SCHEMES) {
                 let mut scratch = AnySsd::build(kind, config.clone());
-                scratch.prefill(&scale);
+                each_ssd!(&mut scratch, ssd => prefill(ssd, &scale));
                 let scratch = measure(scratch, kind, profile, &scale);
                 let run = format!("{} on {}", cloned.scheme, cloned.workload);
                 assert!(cloned.stats.gc_runs > 0, "{run}: GC never ran");

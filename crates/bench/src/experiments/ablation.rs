@@ -1,19 +1,23 @@
 //! Ablation studies of two design choices: buffer sorting before flush
 //! (Fig. 7 / §3.3) and the GC victim policy (§3.6).
 
+use super::{Figure, Shape};
 use crate::common::{fmt_bytes, print_table, Scale, SEED};
 use leaftl_core::LeaFtlConfig;
 use leaftl_sim::{replay, DramPolicy, GcPolicy, LeaFtlScheme, Ssd};
 use leaftl_workloads::{block_trace_suite, msr_hm, warmup_ops};
-use serde_json::{json, Value};
+use serde_json::json;
 
 /// §3.3 ablation: disable the LPA sort before buffer flushes. The
 /// paper's Fig. 7 motivates sorting: unsorted flushes fragment the
 /// learned segments.
-pub fn ablation_sort(quick: bool) -> Value {
+pub fn ablation_sort(quick: bool) -> Figure {
     let scale = Scale::memory(quick);
     let mut rows = Vec::new();
     let mut out = Vec::new();
+    let claim = "sorting before a flush shrinks the table (paper: Fig. 7)";
+    let gap = Some("direction 11: scrambled-Zipf writes leave the sort few neighbours to join");
+    let mut shape = Shape::new(claim, gap);
     for profile in block_trace_suite() {
         let mut sizes = Vec::new();
         let mut segments = Vec::new();
@@ -33,6 +37,7 @@ pub fn ablation_sort(quick: bool) -> Value {
             segments.push(ssd.scheme().table().segment_count());
         }
         let blowup = sizes[1] as f64 / sizes[0].max(1) as f64;
+        shape.check(blowup >= 1.0, || format!("{}: {blowup:.2}×", profile.name));
         rows.push(vec![
             profile.name.clone(),
             fmt_bytes(sizes[0]),
@@ -50,16 +55,17 @@ pub fn ablation_sort(quick: bool) -> Value {
         }));
     }
     print_table(
-        "Ablation (§3.3/Fig. 7): LPA-sorted flush vs unsorted — sorting shrinks the table",
+        "Ablation (§3.3/Fig. 7): LPA-sorted flush vs unsorted",
         &["workload", "sorted", "unsorted", "blowup", "segments"],
         &rows,
     );
-    json!({ "experiment": "ablation_sort", "series": out })
+    let record = json!({ "experiment": "ablation_sort", "series": out });
+    (record, shape)
 }
 
 /// GC-policy ablation: greedy (the paper's §3.6 choice) vs the classic
 /// cost-benefit heuristic, on a skewed overwrite workload.
-pub fn ablation_gc(quick: bool) -> Value {
+pub fn ablation_gc(quick: bool) -> Figure {
     let mut scale = Scale::perf(quick);
     // Fill the device far enough that GC must run during measurement.
     scale.prefill = 0.99;
@@ -67,6 +73,7 @@ pub fn ablation_gc(quick: bool) -> Value {
     let profile = msr_hm();
     let mut rows = Vec::new();
     let mut out = Vec::new();
+    let mut wafs = Vec::new();
     for (label, policy) in [
         ("greedy", GcPolicy::Greedy),
         ("cost-benefit", GcPolicy::CostBenefit),
@@ -81,6 +88,7 @@ pub fn ablation_gc(quick: bool) -> Value {
         replay(&mut ssd, warmup_ops(logical, scale.prefill)).expect("warmup");
         ssd.reset_stats();
         let report = replay(&mut ssd, profile.generate(logical, scale.ops, SEED)).expect("replay");
+        wafs.push(ssd.stats().waf());
         rows.push(vec![
             label.to_string(),
             format!("{}", ssd.stats().gc_runs),
@@ -99,5 +107,8 @@ pub fn ablation_gc(quick: bool) -> Value {
         &["policy", "gc runs", "WAF", "latency"],
         &rows,
     );
-    json!({ "experiment": "ablation_gc", "series": out })
+    let mut shape = Shape::new("greedy GC (the paper's) ≤ 1.1× cost-benefit's WAF", None);
+    let ratio = wafs[0] / wafs[1];
+    shape.check(ratio <= 1.1, || format!("{}: {ratio:.2}×", profile.name));
+    (json!({ "experiment": "ablation_gc", "series": out }), shape)
 }

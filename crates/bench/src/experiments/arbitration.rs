@@ -13,63 +13,41 @@
 //! * **bg-host-priority** — strict host-over-GC: migrations only run
 //!   in idle gaps (plus hard-floor back-pressure).
 //!
-//! The reproduction target, asserted: host p99 under GC pressure is
+//! The reproduction target, its shape: host p99 under GC pressure is
 //! lower under every background policy than under synchronous GC,
 //! because multi-ms migrate+erase rounds leave the submitting write's
 //! latency and instead compete for dies in arrival gaps.
 
-use crate::common::{print_table, AnySsd, Scale, SchemeKind, SEED};
-use leaftl_sim::{DeviceConfig, HostPriority, RoundRobin, Weighted};
-use leaftl_workloads::{gc_heavy_writer, multi_tenant_trace, warmup_ops, zipf_tenant, TenantSpec};
-use serde_json::{json, Value};
+use super::{Figure, Shape};
+use crate::common::{gc_pressured, print_table, Scale, SchemeKind, SEED};
+use leaftl_sim::{DeviceConfig, DramPolicy, HostPriority, RoundRobin, Weighted};
+use leaftl_workloads::{gc_heavy_writer, multi_tenant_trace, zipf_tenant, TenantSpec};
+use serde_json::json;
 
 const QUEUE_DEPTH: usize = 32;
 
-/// One policy row: label + device-config builder (fresh per run).
-type Policy = (&'static str, fn() -> DeviceConfig);
+/// The policy rows, synchronous GC first.
+const POLICIES: [&str; 4] = ["sync", "bg-round-robin", "bg-weighted", "bg-host-priority"];
 
-fn policies() -> Vec<Policy> {
-    vec![
-        ("sync", || DeviceConfig::new(2, QUEUE_DEPTH)),
-        ("bg-round-robin", || {
-            DeviceConfig::new(2, QUEUE_DEPTH)
-                .background_gc()
-                .with_arbiter(Box::new(RoundRobin::new()))
-        }),
-        ("bg-weighted", || {
-            DeviceConfig::new(2, QUEUE_DEPTH)
-                .background_gc()
-                .with_arbiter(Box::new(Weighted::new(vec![3, 1], 1)))
-        }),
-        ("bg-host-priority", || {
-            DeviceConfig::new(2, QUEUE_DEPTH)
-                .background_gc()
-                .with_arbiter(Box::new(HostPriority::new()))
-        }),
-    ]
-}
-
-/// A device driven past its GC watermark: one full sequential fill,
-/// then a full overwrite pass so steady-state sits at the watermark
-/// with stale blocks everywhere.
-fn gc_pressured(kind: SchemeKind, scale: &Scale) -> AnySsd {
-    let config = scale.config(leaftl_sim::DramPolicy::DataFloor(0.2));
-    let logical = config.logical_pages();
-    let mut ssd = AnySsd::build(kind, config);
-    ssd.replay(warmup_ops(logical, 1.0));
-    ssd.replay(warmup_ops(logical, 1.0));
-    ssd.flush();
-    ssd.reset_stats();
-    ssd
+/// A fresh device config for one policy row.
+fn device(policy: &str) -> DeviceConfig {
+    let background = DeviceConfig::new(2, QUEUE_DEPTH).background_gc();
+    match policy {
+        "bg-round-robin" => background.with_arbiter(Box::new(RoundRobin::new())),
+        "bg-weighted" => background.with_arbiter(Box::new(Weighted::new(vec![3, 1], 1))),
+        "bg-host-priority" => background.with_arbiter(Box::new(HostPriority::new())),
+        _ => DeviceConfig::new(2, QUEUE_DEPTH), // sync: GC runs inside the flush path
+    }
 }
 
 /// RR vs weighted vs host-priority at QD 32 on a GC-pressured device,
 /// against the synchronous-GC baseline.
-pub fn arbitration(quick: bool) -> Value {
+pub fn arbitration(quick: bool) -> Figure {
     let scale = Scale::perf(quick);
     let kind = SchemeKind::LeaFtl { gamma: 4 };
-    let base = gc_pressured(kind, &scale);
-    let logical = base.config_logical_pages();
+    let config = scale.config(DramPolicy::DataFloor(0.2));
+    let logical = config.logical_pages();
+    let base = gc_pressured(kind, config);
 
     // Writer floods queue 0 (the GC generator); the reader tenant on
     // queue 1 is the latency victim. Both span the same trace window,
@@ -88,10 +66,12 @@ pub fn arbitration(quick: bool) -> Value {
 
     let mut rows = Vec::new();
     let mut out = Vec::new();
-    let mut p99_by_policy: Vec<(String, f64)> = Vec::new();
-    for (name, build) in policies() {
+    let claim = "every background-GC policy's host p99 below synchronous GC's";
+    let mut shape = Shape::new(claim, None);
+    let mut sync_p99 = None;
+    for name in POLICIES {
         let mut ssd = base.clone();
-        let report = ssd.replay_open_loop_with(trace.clone(), build());
+        let report = ssd.replay_open_loop_with(trace.clone(), device(name));
         let mut streams = Vec::new();
         let mut stream_cells = Vec::new();
         for stream in &report.per_stream {
@@ -122,7 +102,12 @@ pub fn arbitration(quick: bool) -> Value {
             format!("{:.1}", report.gc_stall_ns as f64 / 1e6),
             stream_cells.join("  "),
         ]);
-        p99_by_policy.push((name.to_string(), report.p99_latency_us()));
+        // Sync runs first: its p99 is the bar.
+        let p99 = report.p99_latency_us();
+        let sync_p99 = *sync_p99.get_or_insert(p99);
+        shape.check(name == "sync" || p99 < sync_p99, || {
+            format!("{name}: host p99 {p99:.0} µs vs sync {sync_p99:.0} µs")
+        });
         out.push(json!({
             "policy": name,
             "iops": report.iops(),
@@ -136,7 +121,7 @@ pub fn arbitration(quick: bool) -> Value {
         }));
     }
     print_table(
-        "Arbitration at QD=32, GC-heavy fill (LeaFTL γ=4): background GC must beat synchronous on host p99",
+        "Arbitration at QD=32, GC-heavy fill (LeaFTL γ=4)",
         &[
             "policy",
             "IOPS",
@@ -149,39 +134,11 @@ pub fn arbitration(quick: bool) -> Value {
         ],
         &rows,
     );
-
-    let p99_of = |policy: &str| {
-        p99_by_policy
-            .iter()
-            .find(|(name, _)| name == policy)
-            .map(|&(_, p)| p)
-            .expect("every policy ran")
-    };
-    let sync_p99 = p99_of("sync");
-    for (name, p99) in &p99_by_policy {
-        assert!(
-            name == "sync" || *p99 < sync_p99,
-            "arbitration: background GC under {name} must beat synchronous GC on host p99 \
-             ({p99:.0}µs vs sync {sync_p99:.0}µs)"
-        );
-    }
-    let host_priority_p99 = p99_of("bg-host-priority");
-    println!(
-        "host p99: sync {:.0}µs vs bg-host-priority {:.0}µs ({:.1}x)",
-        sync_p99,
-        host_priority_p99,
-        sync_p99 / host_priority_p99
-    );
-
-    json!({
+    let record = json!({
         "experiment": "arbitration",
         "queue_depth": QUEUE_DEPTH,
         "scheme": kind.label(),
         "policies": out,
-        "improvement": {
-            "sync_p99_us": sync_p99,
-            "host_priority_p99_us": host_priority_p99,
-            "speedup": sync_p99 / host_priority_p99,
-        },
-    })
+    });
+    (record, shape)
 }

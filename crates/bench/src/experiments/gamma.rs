@@ -2,17 +2,22 @@
 //! scale), and one perf-scale sweep of the full suite whose runs Fig. 21
 //! (latency) and Fig. 24 (mispredictions) both read.
 
+use super::{Figure, Shape};
 use crate::common::{build_mapping_state, print_table, run_grid, Runs, Scale, SchemeKind};
 use leaftl_sim::DramPolicy;
 use leaftl_workloads::full_suite;
-use serde_json::{json, Value};
+use serde_json::json;
 
 /// The γ columns of Figs. 19, 21 and 24.
 const GAMMAS: [u32; 4] = [0, 1, 4, 16];
 
+/// Why a larger γ does not pay off here (Figs. 19, 21 and 24).
+const GAMMA_STORY: &str = "direction 4: the PLR keeps segments costlier than the pieces they \
+                           replace, and mispredictions re-read flash (LearnedFTL cross-checks)";
+
 /// Fig. 19: LeaFTL mapping-table size as γ grows (normalised to γ=0,
 /// lower is better), across all 12 workloads.
-pub fn fig19(quick: bool) -> Value {
+pub fn fig19(quick: bool) -> Figure {
     let mut scale = Scale::memory(quick);
     // Use a denser scale than Fig. 15: γ's merging opportunities depend
     // on how many batch points land per 256-LPA group; an 8 GiB span
@@ -24,6 +29,8 @@ pub fn fig19(quick: bool) -> Value {
     let mut rows = Vec::new();
     let mut out = Vec::new();
     let mut sum16 = 0.0;
+    let claim = "γ=16 ≤ γ=0 per row, ≤ 1 / 1.3 on average (paper: ~1.3× less)";
+    let mut shape = Shape::new(claim, Some(GAMMA_STORY));
     for profile in full_suite() {
         let sizes: Vec<usize> = GAMMAS
             .iter()
@@ -34,7 +41,9 @@ pub fn fig19(quick: bool) -> Value {
             .collect();
         let base = sizes[0].max(1) as f64;
         let normalized: Vec<f64> = sizes.iter().map(|&s| s as f64 / base).collect();
-        sum16 += normalized[3];
+        let at16 = normalized[3];
+        sum16 += at16;
+        shape.check(at16 <= 1.0, || format!("{}: {at16:.2}", profile.name));
         rows.push(
             std::iter::once(profile.name.clone())
                 .chain(normalized.iter().map(|n| format!("{n:.2}")))
@@ -49,20 +58,18 @@ pub fn fig19(quick: bool) -> Value {
     }
     let avg16 = sum16 / out.len() as f64;
     print_table(
-        "Fig. 19: mapping size vs γ (normalised to γ=0) — paper: ~1.3x further reduction at γ=16",
+        "Fig. 19: mapping size vs γ (normalised to γ=0)",
         &["workload", "γ=0", "γ=1", "γ=4", "γ=16"],
         &rows,
     );
-    println!(
-        "average γ=16 size = {avg16:.2} of γ=0 ({:.2}x reduction)",
-        1.0 / avg16
-    );
-    json!({ "experiment": "fig19", "series": out, "avg_gamma16_normalized": avg16 })
+    shape.check(avg16 <= 1.0 / 1.3, || format!("suite average {avg16:.2}"));
+    let record = json!({ "experiment": "fig19", "series": out, "avg_gamma16_normalized": avg16 });
+    (record, shape)
 }
 
 /// The γ sweep — full suite × [`GAMMAS`] at `DataFloor(0.2)` — and
 /// every figure it feeds: Figs. 21 and 24.
-pub fn gamma_sweep(quick: bool) -> Vec<Value> {
+pub fn gamma_sweep(quick: bool) -> Vec<Figure> {
     let scale = Scale::perf(quick);
     let kinds = GAMMAS.map(|gamma| SchemeKind::LeaFtl { gamma });
     let config = scale.config(DramPolicy::DataFloor(0.2));
@@ -71,11 +78,17 @@ pub fn gamma_sweep(quick: bool) -> Vec<Value> {
 }
 
 /// Fig. 21: LeaFTL performance as γ grows (normalised to γ=0).
-fn fig21(runs: &Runs) -> Value {
+fn fig21(runs: &Runs) -> Figure {
     let mut rows = Vec::new();
     let mut out = Vec::new();
+    let claim = "latency at γ=16 ≤ γ=0's on every row (paper: up to 1.3× lower)";
+    let mut shape = Shape::new(claim, Some(GAMMA_STORY));
     for results in runs {
         let base = results[0].mean_latency_us.max(1e-9);
+        let at16 = results[3].mean_latency_us / base;
+        shape.check(at16 <= 1.0, || {
+            format!("{}: {at16:.2}", results[0].workload)
+        });
         rows.push(
             std::iter::once(results[0].workload.clone())
                 .chain(
@@ -97,23 +110,30 @@ fn fig21(runs: &Runs) -> Value {
         }));
     }
     print_table(
-        "Fig. 21: latency vs γ, normalised to γ=0 (paper: up to 1.3x improvement at γ=16)",
+        "Fig. 21: latency vs γ, normalised to γ=0",
         &["workload", "γ=0", "γ=1", "γ=4", "γ=16"],
         &rows,
     );
-    json!({ "experiment": "fig21", "series": out })
+    (json!({ "experiment": "fig21", "series": out }), shape)
 }
 
 /// Fig. 24: misprediction ratio of flash-page accesses per workload as
 /// γ grows.
-fn fig24(runs: &Runs) -> Value {
+fn fig24(runs: &Runs) -> Figure {
     let mut rows = Vec::new();
     let mut out = Vec::new();
+    let claim = "0 % at γ=0, ≤ 10 % at γ=16 (paper: 0 %, mostly < 10 %)";
+    let mut shape = Shape::new(claim, Some(GAMMA_STORY));
     for results in runs {
         let ratios: Vec<f64> = results
             .iter()
             .map(|r| r.stats.misprediction_ratio() * 100.0)
             .collect();
+        let (at0, at16) = (ratios[0], ratios[3]);
+        let ok = at0 == 0.0 && at16 <= 10.0;
+        shape.check(ok, || {
+            format!("{}: {at0:.1}, {at16:.1} %", results[0].workload)
+        });
         rows.push(
             std::iter::once(results[0].workload.clone())
                 .chain(ratios.iter().map(|r| format!("{r:.1}%")))
@@ -122,9 +142,9 @@ fn fig24(runs: &Runs) -> Value {
         out.push(json!({ "workload": results[0].workload, "gammas": GAMMAS, "ratio_pct": ratios }));
     }
     print_table(
-        "Fig. 24: misprediction ratio (paper: 0% at γ=0, mostly <10% at γ=16; 1 extra read each)",
+        "Fig. 24: misprediction ratio",
         &["workload", "γ=0", "γ=1", "γ=4", "γ=16"],
         &rows,
     );
-    json!({ "experiment": "fig24", "series": out })
+    (json!({ "experiment": "fig24", "series": out }), shape)
 }

@@ -1,7 +1,7 @@
 //! Experiment registry. An experiment is one measured sweep, simulated
 //! once per invocation; every table and figure of the paper, and every
 //! ablation, is a view of exactly one experiment's outcomes and is
-//! written to `results/<name>.json`.
+//! written to `results/<name>.json` with the [`Shape`] it was judged by.
 
 mod ablation;
 mod arbitration;
@@ -14,7 +14,77 @@ mod sharding;
 mod structure;
 mod tables;
 
-use serde_json::Value;
+use serde_json::{json, Value};
+use std::fmt;
+
+/// The shape a figure should have: the paper's claim, and what missed
+/// it. A view records each check where it computes the number; `main`
+/// judges every shape once.
+pub struct Shape {
+    claim: String,
+    /// One line per check that missed, naming its workload row.
+    misses: Vec<String>,
+    /// A known gap: the ROADMAP direction that holds its hypothesis.
+    gap: Option<&'static str>,
+}
+
+impl Shape {
+    /// A shape to check; `known_gap` declares that the figure does not
+    /// reproduce yet, naming the ROADMAP direction that holds the
+    /// hypothesis.
+    pub fn new(claim: impl Into<String>, known_gap: Option<&'static str>) -> Shape {
+        let (claim, misses, gap) = (claim.into(), Vec::new(), known_gap);
+        Shape { claim, misses, gap }
+    }
+
+    /// Records one check; `miss` says what missed when `ok` is false.
+    pub fn check(&mut self, ok: bool, miss: impl FnOnce() -> String) {
+        if !ok {
+            self.misses.push(miss());
+        }
+    }
+
+    /// `pass` when every check holds, `gap` when one misses and a gap is
+    /// declared, `fail` otherwise.
+    pub fn verdict(&self) -> &'static str {
+        match (self.misses.is_empty(), self.gap) {
+            (true, _) => "pass",
+            (false, Some(_)) => "gap",
+            (false, None) => "fail",
+        }
+    }
+
+    /// The declared gap's reason; on a pass, a note that it is stale.
+    fn reason(&self) -> Option<String> {
+        let gap = self.gap?;
+        Some(match self.verdict() {
+            "pass" => format!("stale, every check holds: {gap}"),
+            _ => gap.to_string(),
+        })
+    }
+
+    pub fn json(&self) -> Value {
+        json!({
+            "claim": self.claim,
+            "verdict": self.verdict(),
+            "reason": self.reason(),
+            "misses": self.misses,
+        })
+    }
+}
+
+impl fmt::Display for Shape {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.verdict(), self.claim)?;
+        for line in self.reason().iter().chain(&self.misses) {
+            write!(f, "\n    {line}")?;
+        }
+        Ok(())
+    }
+}
+
+/// One figure's JSON record and the shape its view checked.
+pub type Figure = (Value, Shape);
 
 /// A runnable experiment: one sweep and the figures it feeds.
 pub struct Experiment {
@@ -22,8 +92,8 @@ pub struct Experiment {
     /// sweep feeds, e.g. `("fig15", "Fig. 15: …")`.
     pub figures: &'static [(&'static str, &'static str)],
     /// Runs the sweep once (`quick` shrinks scales for smoke tests) and
-    /// returns one JSON record per entry of `figures`, in that order.
-    pub run: fn(bool) -> Vec<Value>,
+    /// returns one [`Figure`] per entry of `figures`, in that order.
+    pub run: fn(bool) -> Vec<Figure>,
 }
 
 impl Experiment {
@@ -146,7 +216,49 @@ pub fn registry() -> Vec<Experiment> {
 
 #[cfg(test)]
 mod tests {
-    use super::registry;
+    use super::{registry, Shape};
+
+    fn judged(gap: bool, ok: bool) -> Shape {
+        let mut shape = Shape::new("a claim", gap.then_some("direction 4: a hypothesis"));
+        shape.check(true, || unreachable!("a check that holds names no miss"));
+        shape.check(ok, || "row: missed".to_string());
+        shape
+    }
+
+    #[test]
+    fn every_check_holding_is_a_pass() {
+        let shape = judged(false, true);
+        assert_eq!(shape.verdict(), "pass");
+        assert_eq!(shape.reason(), None);
+        assert_eq!(shape.json()["misses"].as_array().map(Vec::len), Some(0));
+    }
+
+    #[test]
+    fn a_miss_under_a_declared_gap_is_a_gap_with_its_reason() {
+        let shape = judged(true, false);
+        assert_eq!(shape.verdict(), "gap");
+        assert_eq!(
+            shape.json()["reason"].as_str(),
+            Some("direction 4: a hypothesis")
+        );
+        assert_eq!(shape.json()["misses"][0].as_str(), Some("row: missed"));
+    }
+
+    #[test]
+    fn a_miss_without_a_gap_is_a_fail() {
+        let shape = judged(false, false);
+        assert_eq!(shape.verdict(), "fail");
+        assert_eq!(shape.reason(), None);
+        assert_eq!(shape.to_string(), "fail: a claim\n    row: missed");
+    }
+
+    #[test]
+    fn a_declared_gap_whose_checks_hold_passes_with_a_stale_note() {
+        let shape = judged(true, true);
+        assert_eq!(shape.verdict(), "pass");
+        let note = "stale, every check holds: direction 4: a hypothesis";
+        assert_eq!(shape.reason().as_deref(), Some(note));
+    }
 
     /// The 26 names the harness accepts.
     const NAMES: [&str; 26] = [

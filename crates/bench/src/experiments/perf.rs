@@ -8,11 +8,12 @@
 //! The 4 KiB page and the 1× DRAM columns are the perf scale's own
 //! device, so they are the runs Figs. 16b and 17 tabulate.
 
+use super::{Figure, Shape};
 use crate::common::{print_table, run_grid, Runs, Scale, SCHEMES};
 use leaftl_flash::NandTiming;
 use leaftl_sim::{DramPolicy, LOOKUP_BASE_NS, LOOKUP_PER_LEVEL_NS};
 use leaftl_workloads::{app_suite, block_trace_suite, oltp};
-use serde_json::{json, Value};
+use serde_json::json;
 
 /// LeaFTL's column in [`SCHEMES`].
 const LEAFTL: usize = 2;
@@ -23,9 +24,14 @@ const PAGE_SIZES: [u32; 3] = [4096, 8192, 16384];
 /// DRAM of Fig. 22a as multiples of the perf scale's; the first is 1×.
 const DRAM_MULTIPLIERS: [usize; 3] = [1, 2, 4];
 
+/// Why LeaFTL ties SFTL in every latency figure.
+const DRAM_REGIME: &str = "direction 6: freed mapping DRAM buys ≤ mapped / 512 cache pages, and \
+                           the suites touch 5–60 % of the device, not the paper's ≪ 1 %";
+
 /// The paper's closed-loop view of one column: per workload, latency
-/// normalised to DFTL (lower is better) and each scheme's cache hits.
-fn compare_schemes(title: &str, runs: &Runs) -> Vec<Value> {
+/// normalised to DFTL (lower is better) and each scheme's cache hits;
+/// its shape is LeaFTL's average speedup over SFTL (Figs. 16a, 16b, 17).
+fn compare_schemes(name: &str, title: &str, paper: &str, runs: &Runs) -> Figure {
     let mut rows = Vec::new();
     let mut out = Vec::new();
     for results in runs {
@@ -62,13 +68,15 @@ fn compare_schemes(title: &str, runs: &Runs) -> Vec<Value> {
         &["workload", "DFTL", "SFTL", "LeaFTL", "cache hits D/S/L"],
         &rows,
     );
-    let speedup_vs_sftl: f64 = runs
+    let speedup: f64 = runs
         .iter()
         .map(|results| results[1].mean_latency_us / results[2].mean_latency_us.max(1e-9))
         .sum::<f64>()
         / runs.len() as f64;
-    println!("average LeaFTL speedup vs SFTL: {speedup_vs_sftl:.2}x");
-    out
+    let claim = format!("LeaFTL ≥ 1.4× faster than SFTL on average (paper: {paper})");
+    let mut shape = Shape::new(claim, Some(DRAM_REGIME));
+    shape.check(speedup >= 1.4, || format!("suite average {speedup:.2}×"));
+    (json!({ "experiment": name, "series": out }), shape)
 }
 
 /// Fig. 22's view of one column: each scheme's geometric-mean latency
@@ -93,19 +101,21 @@ fn geomean_row(label: String, runs: &Runs) -> (Vec<String>, Vec<f64>) {
 }
 
 /// Fig. 16a: DRAM devoted primarily to the mapping table.
-pub fn fig16a(quick: bool) -> Value {
+pub fn fig16a(quick: bool) -> Figure {
     let scale = Scale::perf(quick);
     let config = scale.config(DramPolicy::MappingFirst);
-    let series = compare_schemes(
-        "Fig. 16a: normalised latency, DRAM mainly for mapping (paper: LeaFTL 1.6x faster than SFTL avg)",
+    compare_schemes(
+        "fig16a",
+        "Fig. 16a: normalised latency, DRAM mainly for mapping",
+        "1.6× on average",
         &run_grid(&block_trace_suite(), &SCHEMES, &scale, &config),
-    );
-    json!({ "experiment": "fig16a", "series": series })
+    )
 }
 
 /// The page-size sweep at fixed total capacity, and every figure it
-/// feeds: Figs. 16b, 22b and 23a.
-pub fn page_size_sweep(quick: bool) -> Vec<Value> {
+/// feeds: Figs. 16b (≥ 20 % of DRAM reserved for the data cache), 22b
+/// and 23a.
+pub fn page_size_sweep(quick: bool) -> Vec<Figure> {
     let scale = Scale::perf(quick);
     let columns: Vec<(u32, Runs)> = PAGE_SIZES
         .iter()
@@ -123,25 +133,29 @@ pub fn page_size_sweep(quick: bool) -> Vec<Value> {
         })
         .collect();
     let table1_pages = &columns[0].1;
-    vec![fig16b(table1_pages), fig22b(&columns), fig23a(table1_pages)]
-}
-
-/// Fig. 16b: at least 20 % of DRAM reserved for the data cache.
-fn fig16b(runs: &Runs) -> Value {
-    let series = compare_schemes(
-        "Fig. 16b: normalised latency, ≥20% DRAM for data cache (paper: LeaFTL 1.4x/1.6x vs SFTL/DFTL)",
-        runs,
-    );
-    json!({ "experiment": "fig16b", "series": series })
+    vec![
+        compare_schemes(
+            "fig16b",
+            "Fig. 16b: normalised latency, ≥20% DRAM for data cache",
+            "1.4× vs SFTL, 1.6× vs DFTL",
+            table1_pages,
+        ),
+        fig22b(&columns),
+        fig23a(table1_pages),
+    ]
 }
 
 /// Fig. 22b: performance while varying the flash page size at fixed
 /// total capacity (4 KB / 8 KB / 16 KB pages).
-fn fig22b(columns: &[(u32, Runs)]) -> Value {
+fn fig22b(columns: &[(u32, Runs)]) -> Figure {
     let mut rows = Vec::new();
     let mut out = Vec::new();
+    let claim = "LeaFTL ≥ 1.1× faster than SFTL (paper: 1.1–1.2×)";
+    let mut shape = Shape::new(claim, Some(DRAM_REGIME));
     for (page_size, runs) in columns {
         let (row, latencies) = geomean_row(format!("{} KiB pages", page_size / 1024), runs);
+        let speedup = latencies[1] / latencies[2];
+        shape.check(speedup >= 1.1, || format!("{page_size} B: {speedup:.2}×"));
         rows.push(row);
         out.push(json!({
             "page_size": page_size,
@@ -150,17 +164,20 @@ fn fig22b(columns: &[(u32, Runs)]) -> Value {
         }));
     }
     print_table(
-        "Fig. 22b: latency vs flash page size, block-trace geomean (paper: LeaFTL 1.1–1.2x over SFTL)",
+        "Fig. 22b: latency vs flash page size, block-trace geomean",
         &["page size", "DFTL", "SFTL", "LeaFTL"],
         &rows,
     );
-    json!({ "experiment": "fig22b", "series": out })
+    (json!({ "experiment": "fig22b", "series": out }), shape)
 }
 
 /// Fig. 23a: CDF of levels visited per lookup for the block traces.
-fn fig23a(runs: &Runs) -> Value {
+fn fig23a(runs: &Runs) -> Figure {
     let mut rows = Vec::new();
     let mut out = Vec::new();
+    let claim = "90 % of lookups end at the top level, 99 % within 10 (paper)";
+    let gap = Some("direction 6(c): compaction leaves groups deeper than it triggers at");
+    let mut shape = Shape::new(claim, gap);
     for results in runs {
         let r = &results[LEAFTL];
         let hist = &r.stats.lookup_level_histogram;
@@ -175,35 +192,39 @@ fn fig23a(runs: &Runs) -> Value {
             }
             hist.len()
         };
+        let (p90, p99) = (share_at(0.90), share_at(0.99));
+        shape.check(p90 == 1 && p99 <= 10, || {
+            format!("{}: {p90}, {p99}", r.workload)
+        });
         rows.push(vec![
             r.workload.clone(),
             format!("{:.2}", r.stats.avg_lookup_levels()),
-            format!("{}", share_at(0.90)),
-            format!("{}", share_at(0.99)),
+            format!("{p90}"),
+            format!("{p99}"),
             format!("{}", share_at(0.9999)),
         ]);
         out.push(json!({
             "workload": r.workload,
             "avg_levels": r.stats.avg_lookup_levels(),
-            "levels_p90": share_at(0.90),
-            "levels_p99": share_at(0.99),
+            "levels_p90": p90,
+            "levels_p99": p99,
             "levels_p9999": share_at(0.9999),
             "histogram": hist,
         }));
     }
     print_table(
-        "Fig. 23a: levels visited per lookup (paper: 90% at top level, 99% within 10)",
+        "Fig. 23a: levels visited per lookup",
         &["workload", "avg", "p90", "p99", "p99.99"],
         &rows,
     );
-    json!({ "experiment": "fig23a", "series": out })
+    (json!({ "experiment": "fig23a", "series": out }), shape)
 }
 
 /// The DRAM sweep over the application suite (the paper's real-SSD
 /// validation, here on the simulator substrate with the synthetic
 /// profiles of `leaftl_workloads::app_suite`), and every figure it
 /// feeds: Figs. 17, 18, 22a and 23b.
-pub fn dram_sweep(quick: bool) -> Vec<Value> {
+pub fn dram_sweep(quick: bool) -> Vec<Figure> {
     let scale = Scale::perf(quick);
     // The paper uses 256 MB / 512 MB / 1024 MB on a 1 TB device; the
     // same DRAM:capacity ratios on the scaled device.
@@ -218,25 +239,21 @@ pub fn dram_sweep(quick: bool) -> Vec<Value> {
         .collect();
     let perf_dram = &columns[0].1;
     vec![
-        fig17(perf_dram),
+        compare_schemes(
+            "fig17",
+            "Fig. 17: application workloads",
+            "1.4× on average",
+            perf_dram,
+        ),
         fig18(perf_dram),
         fig22a(&columns),
         fig23b(perf_dram),
     ]
 }
 
-/// Fig. 17: the application suite.
-fn fig17(runs: &Runs) -> Value {
-    let series = compare_schemes(
-        "Fig. 17: application workloads (paper: LeaFTL 1.4x average speedup)",
-        runs,
-    );
-    json!({ "experiment": "fig17", "series": series })
-}
-
 /// Fig. 18: read-latency distribution of the OLTP workload under the
 /// three schemes (percentile table standing in for the CDF plot).
-fn fig18(runs: &Runs) -> Value {
+fn fig18(runs: &Runs) -> Figure {
     let oltp = oltp().name;
     let results = runs
         .iter()
@@ -245,6 +262,7 @@ fn fig18(runs: &Runs) -> Value {
     let percentiles = [0.0, 30.0, 60.0, 90.0, 99.0, 99.9];
     let mut rows = Vec::new();
     let mut out = Vec::new();
+    let mut by_scheme = Vec::new();
     for r in results {
         let values: Vec<f64> = percentiles
             .iter()
@@ -261,22 +279,33 @@ fn fig18(runs: &Runs) -> Value {
             "latency_us": values,
             "cdf": r.stats.read_latency.cdf_points(),
         }));
+        by_scheme.push(values);
     }
     print_table(
-        "Fig. 18: OLTP read-latency percentiles in µs (paper: LeaFTL no worse tail, lower body)",
+        "Fig. 18: OLTP read-latency percentiles in µs",
         &["scheme", "p0", "p30", "p60", "p90", "p99", "p99.9"],
         &rows,
     );
-    json!({ "experiment": "fig18", "series": out })
+    let claim = "LeaFTL vs SFTL: lower p60, no higher p99.9 (paper, on OLTP)";
+    let gap = Some("direction 3: 8 sub-buckets per decade tie every percentile");
+    let mut shape = Shape::new(claim, gap);
+    let (sftl, leaftl) = (&by_scheme[1], &by_scheme[2]);
+    let ok = leaftl[2] < sftl[2] && leaftl[5] <= sftl[5];
+    shape.check(ok, || format!("OLTP: {leaftl:?} vs {sftl:?} µs"));
+    (json!({ "experiment": "fig18", "series": out }), shape)
 }
 
 /// Fig. 22a: performance while varying the DRAM capacity.
-fn fig22a(columns: &[(usize, Runs)]) -> Value {
+fn fig22a(columns: &[(usize, Runs)]) -> Figure {
     let mut rows = Vec::new();
     let mut out = Vec::new();
+    let claim = "LeaFTL ≥ 1.1× faster than SFTL (paper: best at every size)";
+    let mut shape = Shape::new(claim, Some(DRAM_REGIME));
     for ((dram_bytes, runs), mult) in columns.iter().zip(DRAM_MULTIPLIERS) {
         let label = format!("{}x DRAM ({} KiB)", mult, dram_bytes / 1024);
         let (row, latencies) = geomean_row(label, runs);
+        let speedup = latencies[1] / latencies[2];
+        shape.check(speedup >= 1.1, || format!("{mult}× DRAM: {speedup:.2}×"));
         rows.push(row);
         out.push(json!({
             "dram_bytes": dram_bytes,
@@ -285,20 +314,22 @@ fn fig22a(columns: &[(usize, Runs)]) -> Value {
         }));
     }
     print_table(
-        "Fig. 22a: latency vs DRAM capacity, app suite geomean (paper: LeaFTL best at every size)",
+        "Fig. 22a: latency vs DRAM capacity, app suite geomean",
         &["DRAM", "DFTL", "SFTL", "LeaFTL"],
         &rows,
     );
-    json!({ "experiment": "fig22a", "series": out })
+    (json!({ "experiment": "fig22a", "series": out }), shape)
 }
 
 /// Fig. 23b: LPA-lookup CPU overhead as a fraction of the flash access
 /// it precedes, for the application workloads. The worst case is the
 /// simulator's lookup charge at the deepest level any lookup visited.
-fn fig23b(runs: &Runs) -> Value {
+fn fig23b(runs: &Runs) -> Figure {
     let read_ns = NandTiming::paper_default().read_ns as f64;
     let mut rows = Vec::new();
     let mut out = Vec::new();
+    let claim = "mean lookup 0.21 % ÷× 1.5 of a flash read (paper: 0.21 %)";
+    let mut shape = Shape::new(claim, None);
     for results in runs {
         let r = &results[LEAFTL];
         let lookups = r.stats.lookups.max(1);
@@ -308,6 +339,8 @@ fn fig23b(runs: &Runs) -> Value {
         let worst_lookup_ns =
             LOOKUP_BASE_NS as f64 + LOOKUP_PER_LEVEL_NS as f64 * (worst_levels - 1.0);
         let worst_pct = worst_lookup_ns / read_ns * 100.0;
+        let ok = (0.21 / 1.5..=0.21 * 1.5).contains(&avg_pct);
+        shape.check(ok, || format!("{}: {avg_pct:.3} %", r.workload));
         rows.push(vec![
             r.workload.clone(),
             format!("{avg_lookup_ns:.0} ns"),
@@ -322,9 +355,9 @@ fn fig23b(runs: &Runs) -> Value {
         }));
     }
     print_table(
-        "Fig. 23b: lookup overhead vs flash read (paper: 0.21% average, <1% at p99.99)",
+        "Fig. 23b: lookup overhead vs flash read",
         &["workload", "avg lookup", "avg overhead", "worst overhead"],
         &rows,
     );
-    json!({ "experiment": "fig23b", "series": out })
+    (json!({ "experiment": "fig23b", "series": out }), shape)
 }

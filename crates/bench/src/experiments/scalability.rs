@@ -6,17 +6,19 @@
 //!    1/4/8/32 for LeaFTL vs DFTL vs SFTL on a skewed OLTP workload,
 //!    plus the legacy blocking path as the QD=1 cross-check. Deeper
 //!    queues overlap flash reads across the 16 × 4 die array; the
-//!    experiment asserts that IOPS never fall as depth grows and that
+//!    experiment's shape is that IOPS never fall as depth grows and that
 //!    QD=1 IOPS equal the blocking path's exactly.
 //! 2. **Multi-tenant mix**: a Zipf point-lookup tenant colocated with
 //!    a sequential scanner, replayed open-loop with Poisson arrivals at
 //!    QD=32; reports per-tenant mean/p99 so mapping-scheme overheads
 //!    show up where they hurt — in the colocated tail.
 
-use crate::common::{print_table, utilization_json, AnySsd, Scale, SchemeKind, SEED};
-use leaftl_sim::DramPolicy;
+use super::{Figure, Shape};
+use crate::common::{each_ssd, prefill, print_table, utilization_json, warm_up, AnySsd, Scale};
+use crate::common::{SchemeKind, SEED};
+use leaftl_sim::{DeviceConfig, DramPolicy};
 use leaftl_workloads::{multi_tenant_trace, oltp, sequential_scanner, zipf_tenant, TenantSpec};
-use serde_json::{json, Value};
+use serde_json::json;
 
 const SCHEMES: [SchemeKind; 3] = [
     SchemeKind::Dftl,
@@ -29,7 +31,7 @@ const DEPTHS: [usize; 4] = [1, 4, 8, 32];
 /// The queue-depth sweep plus the multi-tenant colocation mix, both
 /// from one aged image per scheme: a sequential prefill plus an OLTP
 /// warm-up pass, stats reset.
-pub fn scalability(quick: bool) -> Value {
+pub fn scalability(quick: bool) -> Figure {
     let scale = Scale::perf(quick);
     let config = scale.config(DramPolicy::DataFloor(0.2));
     let logical = config.logical_pages();
@@ -50,10 +52,16 @@ pub fn scalability(quick: bool) -> Value {
     let mut sweep_out = Vec::new();
     let mut mix_rows = Vec::new();
     let mut mix_out = Vec::new();
+    let claim =
+        "IOPS never fall as QD grows, and QD=1 IOPS equal the blocking path's, for every scheme";
+    let mut shape = Shape::new(claim, None);
     for &kind in &SCHEMES {
+        let label = kind.label();
         let mut base = AnySsd::build(kind, config.clone());
-        base.prefill(&scale);
-        base.warm_up(&oltp(), &scale);
+        each_ssd!(&mut base, ssd => {
+            prefill(ssd, &scale);
+            warm_up(ssd, &oltp(), &scale);
+        });
 
         // ---- Part 1: QD sweep ---------------------------------------
         // Legacy blocking path: the QD=1 cross-check.
@@ -68,14 +76,13 @@ pub fn scalability(quick: bool) -> Value {
         let mut depth_p50 = Vec::new();
         let mut depth_p99 = Vec::new();
         let mut depth_p999 = Vec::new();
-        let mut row = vec![kind.label()];
-        row.push(format!("{:.0}", blocking));
+        let mut row = vec![label.clone(), format!("{blocking:.0}")];
         let mut deepest_utilization = None;
         for &depth in &DEPTHS {
             let mut ssd = base.clone();
             let report = ssd.replay_queued(ops.clone(), depth);
             // Every device nanosecond must belong to a traffic class.
-            ssd.assert_utilization_conserved(&format!("{} QD={depth}", kind.label()));
+            ssd.assert_utilization_conserved(&format!("{label} QD={depth}"));
             deepest_utilization = Some(utilization_json(&report.utilization));
             depth_iops.push(report.iops());
             depth_p50.push(report.p50_latency_us());
@@ -89,15 +96,13 @@ pub fn scalability(quick: bool) -> Value {
                 report.p999_latency_us()
             ));
         }
-        assert!(
-            depth_iops[0] == blocking && depth_iops.windows(2).all(|w| w[0] <= w[1]),
-            "scalability on {}: QD=1 IOPS must equal the blocking path's and IOPS must not \
-             fall as QD grows (blocking {blocking:.0}, QD {DEPTHS:?}: {depth_iops:.0?})",
-            kind.label()
-        );
+        let ok = depth_iops[0] == blocking && depth_iops.windows(2).all(|w| w[0] <= w[1]);
+        shape.check(ok, || {
+            format!("{label}: blocking {blocking:.0}, QD {DEPTHS:?} {depth_iops:.0?}")
+        });
         sweep_rows.push(row);
         sweep_out.push(json!({
-            "scheme": kind.label(),
+            "scheme": label,
             "queue_depths": DEPTHS,
             "iops": depth_iops,
             "p50_latency_us": depth_p50,
@@ -109,9 +114,9 @@ pub fn scalability(quick: bool) -> Value {
 
         // ---- Part 2: multi-tenant colocation on the same image ------
         let mut ssd = base;
-        let report = ssd.replay_open_loop(trace.clone(), 32);
-        ssd.assert_utilization_conserved(&format!("{} multi-tenant", kind.label()));
-        let mut row = vec![kind.label(), format!("{:.0}", report.iops())];
+        let report = ssd.replay_open_loop_with(trace.clone(), DeviceConfig::new(tenants.len(), 32));
+        ssd.assert_utilization_conserved(&format!("{label} multi-tenant"));
+        let mut row = vec![label.clone(), format!("{:.0}", report.iops())];
         let mut streams = Vec::new();
         for stream in &report.per_stream {
             let mean = stream.latency.mean_ns() / 1000.0;
@@ -130,14 +135,14 @@ pub fn scalability(quick: bool) -> Value {
         }
         mix_rows.push(row);
         mix_out.push(json!({
-            "scheme": kind.label(),
+            "scheme": label,
             "iops": report.iops(),
             "streams": streams,
             "utilization": utilization_json(&report.utilization),
         }));
     }
     print_table(
-        "Scalability: IOPS (p50/p99/p999) vs queue depth, OLTP workload — IOPS must not fall with QD; QD=1 = blocking",
+        "Scalability: IOPS (p50/p99/p999) vs queue depth, OLTP workload",
         &["scheme", "blocking", "QD=1", "QD=4", "QD=8", "QD=32"],
         &sweep_rows,
     );
@@ -147,9 +152,10 @@ pub fn scalability(quick: bool) -> Value {
         &mix_rows,
     );
 
-    json!({
+    let record = json!({
         "experiment": "scalability",
         "qd_sweep": sweep_out,
         "multi_tenant": mix_out,
-    })
+    });
+    (record, shape)
 }

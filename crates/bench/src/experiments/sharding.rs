@@ -12,20 +12,21 @@
 //!    lookups — the 1-shard device serialises every translation behind
 //!    each sweep; the table shows what splitting it is worth. QD=1 is
 //!    the no-concurrency cross-check (sharding buys little when one
-//!    command is in flight). The experiment asserts that IOPS never
+//!    command is in flight). The experiment's shape is that IOPS never
 //!    fall as shards grow, at every depth.
 //! 2. **Inline vs background compaction** at 4 shards / QD=32: the
 //!    same workload with compaction as flush side effect vs as
 //!    arbitrated `Command::Compact` traffic, showing where the sweep's
 //!    latency lands in each regime.
 
+use super::{Figure, Shape};
 use crate::common::{prefill, print_table, warm_up, Scale, SEED};
 use leaftl_core::{LeaFtlConfig, ShardedMapping};
 use leaftl_sim::{
-    replay_queued_with, DeviceConfig, DramPolicy, LeaFtlScheme, QueuedReplayReport, Ssd, SsdConfig,
+    replay_queued_with, DeviceConfig, DramPolicy, LeaFtlScheme, QueuedReplayReport, Ssd,
 };
 use leaftl_workloads::oltp;
-use serde_json::{json, Value};
+use serde_json::json;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const DEPTHS: [usize; 3] = [1, 8, 32];
@@ -35,16 +36,11 @@ const GAMMA: u32 = 4;
 /// once lookups would walk this many levels.
 const LEVEL_THRESHOLD: u32 = 3;
 
-fn sharded_config(scale: &Scale) -> SsdConfig {
-    let mut config = scale.config(DramPolicy::DataFloor(0.2));
-    config.gamma = GAMMA;
-    config
-}
-
 /// Builds a warmed sharded device: sequential prefill + OLTP warm-up,
 /// stats reset.
 fn warmed(shards: usize, scale: &Scale) -> Ssd<ShardedMapping<LeaFtlScheme>> {
-    let config = sharded_config(scale);
+    let mut config = scale.config(DramPolicy::DataFloor(0.2));
+    config.gamma = GAMMA;
     let logical = config.logical_pages();
     // `ShardedMapping` credits every shard with its siblings' writes
     // (`note_sibling_writes`), so the inline interval is device-wide at
@@ -81,7 +77,7 @@ fn background_device(queue_depth: usize, segments: usize) -> DeviceConfig {
 
 /// The shard-count × queue-depth sweep plus the compaction-cost
 /// comparison.
-pub fn sharding(quick: bool) -> Value {
+pub fn sharding(quick: bool) -> Figure {
     let scale = Scale::perf(quick);
     const COMPARE_SHARDS: usize = 4;
     const COMPARE_DEPTH: usize = 32;
@@ -89,7 +85,8 @@ pub fn sharding(quick: bool) -> Value {
     // One warmed device per shard count, cloned per measurement cell.
     let mut rows = Vec::new();
     let mut sweep_out = Vec::new();
-    let mut iops_by_shards: Vec<Vec<f64>> = Vec::new();
+    let mut shape = Shape::new("IOPS never fall as shards are added, at every QD", None);
+    let mut fewer_shards_iops = [0.0; DEPTHS.len()];
     let mut inline_report: Option<QueuedReplayReport> = None;
     let mut background_report: Option<QueuedReplayReport> = None;
     for &shards in &SHARD_COUNTS {
@@ -105,7 +102,7 @@ pub fn sharding(quick: bool) -> Value {
         let mut compacts = Vec::new();
         let mut stalls = Vec::new();
         let mut row = vec![format!("{shards}")];
-        for &depth in &DEPTHS {
+        for (&depth, fewer) in DEPTHS.iter().zip(&mut fewer_shards_iops) {
             let mut ssd = base.clone();
             let report =
                 replay_queued_with(&mut ssd, ops.clone(), background_device(depth, threshold))
@@ -117,7 +114,12 @@ pub fn sharding(quick: bool) -> Value {
                 report.p99_latency_us(),
                 report.compact_dispatched
             ));
-            iops.push(report.iops());
+            let more = report.iops();
+            shape.check(*fewer <= more, || {
+                format!("QD={depth}: {shards} shards {more:.0} IOPS, fewer shards {fewer:.0}")
+            });
+            *fewer = more;
+            iops.push(more);
             p50.push(report.p50_latency_us());
             p99.push(report.p99_latency_us());
             compacts.push(report.compact_dispatched);
@@ -127,7 +129,6 @@ pub fn sharding(quick: bool) -> Value {
             }
         }
         rows.push(row);
-        iops_by_shards.push(iops.clone());
         sweep_out.push(json!({
             "shards": shards,
             "queue_depths": DEPTHS,
@@ -152,14 +153,6 @@ pub fn sharding(quick: bool) -> Value {
         &["shards", "QD=1", "QD=8", "QD=32"],
         &rows,
     );
-    for (d, depth) in DEPTHS.iter().enumerate() {
-        let iops: Vec<f64> = iops_by_shards.iter().map(|row| row[d]).collect();
-        assert!(
-            iops.windows(2).all(|w| w[0] <= w[1]),
-            "sharding at QD={depth}: IOPS must not fall as shards grow \
-             (shards {SHARD_COUNTS:?}: {iops:.0?})"
-        );
-    }
     let inline_report = inline_report.expect("4-shard leg ran");
     let background_report = background_report.expect("4-shard QD=32 cell ran");
     let (shards, depth) = (COMPARE_SHARDS, COMPARE_DEPTH);
@@ -184,7 +177,7 @@ pub fn sharding(quick: bool) -> Value {
         ],
     );
 
-    json!({
+    let record = json!({
         "experiment": "sharding",
         "qd_sweep": sweep_out,
         "compaction": {
@@ -203,5 +196,6 @@ pub fn sharding(quick: bool) -> Value {
                 "compact_dispatched": background_report.compact_dispatched,
             },
         },
-    })
+    });
+    (record, shape)
 }

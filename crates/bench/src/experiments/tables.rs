@@ -1,16 +1,17 @@
 //! Tables 1 and 3 of the paper.
 
+use super::{Figure, Shape};
 use crate::common::{print_table, SEED};
 use leaftl_core::{LeaFtlConfig, LeaFtlTable};
 use leaftl_flash::{Lpa, Ppa};
 use leaftl_sim::SsdConfig;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde_json::{json, Value};
+use serde_json::json;
 use std::time::Instant;
 
 /// Table 1: the simulated SSD configuration.
-pub fn table1(_quick: bool) -> Value {
+pub fn table1(_quick: bool) -> Figure {
     let config = SsdConfig::paper_default();
     let rows = vec![
         vec!["Capacity".into(), "2 TB".into()],
@@ -40,7 +41,7 @@ pub fn table1(_quick: bool) -> Value {
         ],
     ];
     print_table("Table 1: SSD configuration", &["Parameter", "Value"], &rows);
-    json!({
+    let record = json!({
         "experiment": "table1",
         "config": {
             "channels": config.geometry.channels,
@@ -53,7 +54,14 @@ pub fn table1(_quick: bool) -> Value {
             "program_us": config.timing.program_us(),
             "erase_ms": config.timing.erase_ms(),
         }
-    })
+    });
+    let table1 = json!({ "channels": 16, "page_size": 4096, "pages_per_block": 256,
+        "oob_size": 128, "dram_bytes": 1 << 30, "op_ratio": 0.2, "read_us": 20.0,
+        "program_us": 200.0, "erase_ms": 1.5 });
+    let mut shape = Shape::new("every parameter is Table 1's", None);
+    let config = &record["config"];
+    shape.check(*config == table1, || format!("configured {config}"));
+    (record, shape)
 }
 
 /// Generates a monotonic 256-mapping batch with irregular gaps for the
@@ -71,13 +79,16 @@ fn batch_for(rng: &mut StdRng, jitter: u64) -> Vec<(Lpa, Ppa)> {
 
 /// Table 3: learning time per 256-mapping batch and lookup latency on
 /// the host CPU (the paper measures an ARM Cortex-A72; absolute numbers
-/// differ, the shape — µs-scale learning, tens-of-ns lookups, growth
-/// with γ — is the reproduction target).
-pub fn table3(quick: bool) -> Value {
+/// differ, so the shape checked is their scale: µs to learn, under a µs
+/// to look up).
+pub fn table3(quick: bool) -> Figure {
     let batches = if quick { 200 } else { 2_000 };
     let lookups = if quick { 100_000 } else { 1_000_000 };
     let mut rows = Vec::new();
     let mut out = Vec::new();
+    let claim = "µs to learn 256 LPAs, < 1 µs per lookup, at every γ (paper on Cortex-A72: \
+                 9.8–10.8 µs learning, 40.2–67.5 ns lookup)";
+    let mut shape = Shape::new(claim, None);
     for gamma in [0u32, 1, 4] {
         let mut rng = StdRng::seed_from_u64(SEED ^ gamma as u64);
         // Learning benchmark.
@@ -104,6 +115,9 @@ pub fn table3(quick: bool) -> Value {
         }
         let lookup_ns = start.elapsed().as_secs_f64() * 1e9 / lookups as f64;
         assert!(found > 0);
+        shape.check((1.0..100.0).contains(&learn_us) && lookup_ns < 1e3, || {
+            format!("γ={gamma}: {learn_us:.1} µs learning, {lookup_ns:.1} ns lookup")
+        });
 
         rows.push(vec![
             format!("γ={gamma}"),
@@ -117,9 +131,9 @@ pub fn table3(quick: bool) -> Value {
         }));
     }
     print_table(
-        "Table 3: CPU overhead (paper on Cortex-A72: 9.8–10.8 µs learning, 40.2–67.5 ns lookup)",
+        "Table 3: CPU overhead on the host",
         &["γ", "learning (256 LPAs)", "lookup (per LPA)"],
         &rows,
     );
-    json!({ "experiment": "table3", "series": out })
+    (json!({ "experiment": "table3", "series": out }), shape)
 }

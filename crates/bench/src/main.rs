@@ -10,10 +10,14 @@
 //! ```
 //!
 //! An experiment is one measured sweep; each figure it feeds prints a
-//! human-readable table (with the paper's reference numbers in the
-//! title) and writes a JSON record to `results/<name>.json` for
-//! re-plotting (overwriting a previous run). Naming any figure of a
-//! sweep runs the sweep once and writes all of its figures.
+//! human-readable table and writes a JSON record to
+//! `results/<name>.json` for re-plotting (overwriting a previous run).
+//! Naming any figure of a sweep runs the sweep once and writes all of
+//! its figures.
+//!
+//! Each record carries its figure's shape, judged here: `pass`, `gap`
+//! (a miss a declared gap explains) or `fail`. `results/fidelity.json`
+//! lists every figure run, and any `fail` exits 1 once all is written.
 //!
 //! `--trace <path>` attaches the device-timeline tracer to every
 //! engine-driven replay and writes the last replay's Chrome
@@ -29,7 +33,9 @@ mod common;
 mod experiments;
 
 use experiments::registry;
+use serde_json::{json, Value};
 use std::fs;
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -70,57 +76,76 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    // Each sweep runs once, however many of its figures are named.
-    let mut chosen: Vec<&experiments::Experiment> = Vec::new();
-    if selected.iter().any(|s| s == "all") {
-        chosen.extend(&all);
-    } else {
-        for name in &selected {
-            let Some(e) = all.iter().find(|e| e.feeds(name)) else {
-                eprintln!("unknown experiment `{name}` — try `list`");
-                return ExitCode::FAILURE;
-            };
-            if !chosen.iter().any(|c| std::ptr::eq(*c, e)) {
-                chosen.push(e);
-            }
-        }
+    if let Some(name) = selected
+        .iter()
+        .find(|s| *s != "all" && !all.iter().any(|e| e.feeds(s)))
+    {
+        eprintln!("unknown experiment `{name}` — try `list`");
+        return ExitCode::FAILURE;
     }
 
-    let results_dir = std::path::Path::new("results");
+    let results_dir = Path::new("results");
     if let Err(e) = fs::create_dir_all(results_dir) {
         eprintln!("cannot create results dir: {e}");
         return ExitCode::FAILURE;
     }
 
-    for experiment in chosen {
+    // Each sweep runs once, in registry order, however many of its
+    // figures are named; every record is written before a failed shape
+    // or an unwritable file sets the exit code.
+    let mut fidelity = Vec::new();
+    let mut failed = Vec::new();
+    let mut written = true;
+    for experiment in all
+        .iter()
+        .filter(|e| selected.iter().any(|s| s == "all" || e.feeds(s)))
+    {
         let started = Instant::now();
         for &(name, description) in experiment.figures {
             println!("\n##### {name} — {description}");
         }
-        let values = (experiment.run)(quick);
+        let figures = (experiment.run)(quick);
         let names = experiment.names();
         println!(
             "[{} finished in {:.1?}]",
             names.join(", "),
             started.elapsed()
         );
-        assert_eq!(values.len(), names.len(), "one record per figure");
-        for (name, value) in names.into_iter().zip(values) {
-            assert_eq!(
-                value["experiment"].as_str(),
-                Some(name),
-                "records in figure order"
-            );
-            let path = results_dir.join(format!("{name}.json"));
-            match serde_json::to_string_pretty(&value) {
-                Ok(serialized) => {
-                    if let Err(e) = fs::write(&path, serialized) {
-                        eprintln!("cannot write {}: {e}", path.display());
-                    }
-                }
-                Err(e) => eprintln!("cannot serialise {name}: {e}"),
+        assert_eq!(figures.len(), names.len(), "one record per figure");
+        for (name, (mut record, shape)) in names.into_iter().zip(figures) {
+            assert_eq!(record["experiment"].as_str(), Some(name), "figure order");
+            println!("[{name}] {shape}");
+            let Value::Object(members) = &mut record else {
+                panic!("{name}'s record is not an object");
+            };
+            members.insert(0, ("schema".into(), json!(SCHEMA)));
+            members.push(("shape".into(), shape.json()));
+            written &= write_json(&results_dir.join(format!("{name}.json")), &record);
+            if shape.verdict() == "fail" {
+                failed.push(name);
             }
+            fidelity.push((name.to_string(), shape.json()));
         }
     }
-    ExitCode::SUCCESS
+    let fidelity = json!({ "schema": SCHEMA, "figures": Value::Object(fidelity) });
+    written &= write_json(&results_dir.join("fidelity.json"), &fidelity);
+    if !failed.is_empty() {
+        eprintln!("failed, with no known gap: {}", failed.join(", "));
+    }
+    ExitCode::from(u8::from(!written || !failed.is_empty()))
+}
+
+/// Version of the `results/*.json` layout, stamped on every record.
+const SCHEMA: u32 = 1;
+
+/// Writes `value` to `path` as pretty JSON; false, once the reason is
+/// printed, when it cannot.
+fn write_json(path: &Path, value: &Value) -> bool {
+    let written = serde_json::to_string_pretty(value)
+        .map_err(|e| e.to_string())
+        .and_then(|text| fs::write(path, text).map_err(|e| e.to_string()));
+    if let Err(e) = &written {
+        eprintln!("cannot write {}: {e}", path.display());
+    }
+    written.is_ok()
 }

@@ -27,7 +27,7 @@
 //! population and a few GC-bully overwriters) the `qos` experiment
 //! runs against the closed-loop controller.
 
-use crate::profile::ProfileParams;
+use crate::profile::{ProfileParams, TraceGenerator};
 use leaftl_sim::{Slo, TimedOp};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -183,24 +183,34 @@ pub fn gc_bully() -> ProfileParams {
 /// all ops of a burst sharing the arrival instant — and merges all
 /// tenants by arrival time. The result is sorted by `at_ns` (ties keep
 /// tenant order, and a burst's ops stay in issue order), as
-/// `replay_open_loop` requires. Scales to thousands of tenants: work
-/// is linear in total ops, and per-tenant RNGs are derived from the
-/// stream id, so a fleet's trace is stable under adding or removing
-/// other tenants.
+/// `replay_open_loop` requires. Scales to thousands of tenants: each
+/// distinct profile's generator is built once per trace (its Zipf
+/// normaliser sums up to 10⁵ terms) and reseeded per tenant, so the
+/// work is linear in total ops plus distinct profiles × 10⁵. Per-tenant
+/// RNGs are derived from the stream id, so a fleet's trace is stable
+/// under adding or removing other tenants.
 pub fn multi_tenant_trace(tenants: &[TenantSpec], logical_pages: u64, seed: u64) -> Vec<TimedOp> {
     let mut trace: Vec<TimedOp> = Vec::new();
+    let mut generators: Vec<(&ProfileParams, TraceGenerator)> = Vec::new();
     for tenant in tenants {
-        let ops = tenant.profile.generate(
-            logical_pages,
-            tenant.ops,
-            seed ^ (tenant.stream as u64) << 32,
-        );
+        let built = generators.iter().position(|(p, _)| **p == tenant.profile);
+        let index = built.unwrap_or_else(|| {
+            generators.push((
+                &tenant.profile,
+                tenant.profile.generator(logical_pages, seed),
+            ));
+            generators.len() - 1
+        });
+        let ops = generators[index]
+            .1
+            .reseeded(seed ^ (tenant.stream as u64) << 32)
+            .take(tenant.ops);
         let mut arrivals =
             StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ tenant.stream as u64);
         let burst = tenant.burst_len.max(1) as usize;
         let mean = tenant.mean_interarrival_ns as f64 * burst as f64;
         let mut at_ns = 0u64;
-        for (i, op) in ops.into_iter().enumerate() {
+        for (i, op) in ops.enumerate() {
             if i % burst == 0 {
                 // Exponential gap: -mean * ln(U), U uniform in (0, 1).
                 let u: f64 = arrivals.gen_range(f64::EPSILON..1.0);

@@ -85,6 +85,17 @@ impl TraceGenerator {
         self.span
     }
 
+    /// The stream `ProfileParams::generator` would start under `seed`
+    /// for the same profile and device, without rebuilding the Zipf
+    /// sampler (whose normaliser sums up to 10⁵ `powf` terms).
+    pub(crate) fn reseeded(&self, seed: u64) -> TraceGenerator {
+        TraceGenerator {
+            rng: StdRng::seed_from_u64(seed ^ fxhash(self.params.name.as_bytes())),
+            pending: VecDeque::new(),
+            ..self.clone()
+        }
+    }
+
     fn sample_run_len(&mut self) -> u32 {
         // Geometric with the configured mean, capped at 512 pages
         // (2 MB requests).
@@ -212,6 +223,15 @@ mod tests {
         assert_eq!(a, b);
         let c = p.generate(100_000, 1000, 43);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn a_reseeded_generator_draws_what_a_fresh_one_does() {
+        let p = profile();
+        let mut used = p.generator(100_000, 1);
+        used.by_ref().take(777).for_each(drop);
+        let ops: Vec<HostOp> = used.reseeded(42).take(1000).collect();
+        assert_eq!(ops, p.generate(100_000, 1000, 42));
     }
 
     #[test]
