@@ -2,7 +2,9 @@
 //! depth 1/8/32: how many page requests the multi-queue device can
 //! push through the software stack (no wall-clock flash latency — the
 //! virtual clock is free; this measures the device + mapping-path CPU
-//! cost per request).
+//! cost per request). The `blocking` row issues the same reads one at
+//! a time through `Ssd::read`, with no device in front: `qd1` over
+//! `blocking` is what the front-end adds to a read at queue depth 1.
 
 #![expect(missing_docs, reason = "criterion_group! emits a bare `pub fn`")]
 #![expect(
@@ -38,12 +40,13 @@ fn prefilled() -> Ssd<LeaFtlScheme> {
 fn bench_engine(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_submit_complete");
     group.throughput(Throughput::Elements(BURST as u64));
+    // The random reads every row issues, in order.
+    let mut rng = StdRng::seed_from_u64(11);
+    let lpas: Vec<Lpa> = (0..4096)
+        .map(|_| Lpa::new(rng.gen_range(0u64..1024)))
+        .collect();
     for &depth in &[1usize, 8, 32] {
         let mut ssd = prefilled();
-        let mut rng = StdRng::seed_from_u64(11);
-        let lpas: Vec<Lpa> = (0..4096)
-            .map(|_| Lpa::new(rng.gen_range(0u64..1024)))
-            .collect();
         let mut cursor = 0usize;
         group.bench_function(
             BenchmarkId::new("read_burst256", format!("qd{depth}")),
@@ -60,6 +63,17 @@ fn bench_engine(c: &mut Criterion) {
             },
         );
     }
+    let mut ssd = prefilled();
+    let mut cursor = 0usize;
+    group.bench_function(BenchmarkId::new("read_burst256", "blocking"), |b| {
+        b.iter(|| {
+            for _ in 0..BURST {
+                let lpa = lpas[cursor % lpas.len()];
+                cursor += 1;
+                black_box(ssd.read(black_box(lpa)).expect("read"));
+            }
+        })
+    });
     group.finish();
 }
 

@@ -3,7 +3,9 @@
 //! spend their time in:
 //!
 //! * the half-float codec (`f16::decode`, `f16::encode_floor`);
-//! * `plr::fit` over 4- and 256-point runs at γ ∈ {0, 4};
+//! * `plr::fit` at γ ∈ {0, 4} over the pattern classes of Fig. 1: the
+//!   paper's Fig. 6 run, a group written sequentially, every fourth
+//!   offset, and gaps of one to three drawn at random;
 //! * `Group::insert_piece`, `Group::compact` (dirty by one piece),
 //!   `Group::clone` and `Group::lookup` (resolving on the top level and
 //!   on the deepest one) on a group shaped like the ones an aged,
@@ -94,19 +96,38 @@ fn bench_codec(c: &mut Criterion) {
     group.finish();
 }
 
+/// Offsets from 0 with gaps of one to three drawn at random, on
+/// consecutive PPAs: about 128 points no single line covers.
+fn irregular_run(seed: u64) -> Run {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut offsets = Vec::new();
+    let mut offset = 0u64;
+    while offset <= 255 {
+        offsets.push(offset as u8);
+        offset += 1 + rng.gen_range(0..3u64);
+    }
+    let ppas = (40_000..).take(offsets.len()).collect();
+    (offsets, ppas)
+}
+
 fn bench_fit(c: &mut Criterion) {
     let mut group = c.benchmark_group("plr_fit_run");
-    // The paper's Fig. 6 irregular run, and a whole group written
-    // sequentially (256 distinct offsets leave no other shape).
-    let runs: [Run; 2] = [
-        (vec![0, 1, 4, 5], vec![64, 65, 66, 67]),
-        ((0..=255).collect(), (5_000..5_256).collect()),
+    let runs: [(&str, Run); 4] = [
+        ("4_points", (vec![0, 1, 4, 5], vec![64, 65, 66, 67])),
+        (
+            "256_points",
+            ((0..=255).collect(), (5_000..5_256).collect()),
+        ),
+        (
+            "strided_4",
+            ((0..=255).step_by(4).collect(), (9_000..9_064).collect()),
+        ),
+        ("irregular", irregular_run(3)),
     ];
-    for (offsets, ppas) in &runs {
+    for (name, (offsets, ppas)) in &runs {
         group.throughput(Throughput::Elements(offsets.len() as u64));
         for gamma in [0u32, 4] {
-            let id = BenchmarkId::new(format!("{}_points", offsets.len()), gamma);
-            group.bench_function(id, |b| {
+            group.bench_function(BenchmarkId::new(*name, gamma), |b| {
                 b.iter(|| {
                     plr::fit(black_box(offsets), black_box(ppas), gamma)
                         .fold(0u64, |acc, piece| acc ^ piece.segment.encode())

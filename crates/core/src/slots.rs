@@ -15,6 +15,13 @@
 
 use std::sync::Arc;
 
+#[cfg(test)]
+thread_local! {
+    /// Walks over every slot ([`CowSlots::iter`]) on this thread. Unit
+    /// tests bound what a translation costs with it.
+    pub(crate) static WALKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Values indexed by a dense id, shared copy-on-write between clones,
 /// with a list of the slots written since the last [`CowSlots::sync`].
 #[derive(Debug, Clone)]
@@ -71,6 +78,8 @@ impl<T: Clone> CowSlots<T> {
 
     /// The held values with their ids, ascending.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+        #[cfg(test)]
+        WALKS.with(|walks| walks.set(walks.get() + 1));
         self.slots
             .iter()
             .enumerate()

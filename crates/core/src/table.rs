@@ -686,23 +686,56 @@ mod tests {
         assert_eq!(table.group_bytes(u64::MAX), 0, "absent group is empty");
     }
 
+    /// A sweep visits the groups learned into since the previous one:
+    /// the same two at 64 groups and at 65 536.
     #[test]
     fn compact_sweeps_only_groups_learned_into_since() {
-        let mut table = LeaFtlTable::new(LeaFtlConfig::default());
-        table.learn(&batch(0, 1000, 1024));
-        let mut swept = table.compact();
-        swept.sort_unstable();
-        assert_eq!(swept, vec![0, 1, 2, 3], "first sweep is the full walk");
-        assert!(table.compact().is_empty(), "nothing learned since");
-        // One overwrite straddling groups 1 and 2, learned twice: each
-        // group is listed once.
-        table.learn(&batch(500, 5000, 20));
-        table.learn(&batch(505, 6000, 20));
-        table.assert_valid();
-        let mut swept = table.compact();
-        swept.sort_unstable();
-        assert_eq!(swept, vec![1, 2]);
-        table.assert_valid();
+        for groups in [64u64, 65_536] {
+            let mut table = LeaFtlTable::new(LeaFtlConfig::default());
+            table.learn(&batch(0, 1000, 1024));
+            let one_each: Vec<(Lpa, Ppa)> = (4..groups)
+                .map(|g| (Lpa::new(g * 256 + 9), Ppa::new(100_000 + g)))
+                .collect();
+            table.learn_sorted(&one_each);
+            assert_eq!(
+                table.compact().len(),
+                groups as usize,
+                "first sweep is the full walk"
+            );
+            assert!(table.compact().is_empty(), "nothing learned since");
+            // One overwrite straddling groups 1 and 2, learned twice:
+            // each group is listed once.
+            table.learn(&batch(500, 5000, 20));
+            table.learn(&batch(505, 6000, 20));
+            table.assert_valid();
+            let mut swept = table.compact();
+            swept.sort_unstable();
+            assert_eq!(swept, vec![1, 2], "{groups} groups");
+            table.assert_valid();
+        }
+    }
+
+    /// What a translation asks of the table — the lookup, then the
+    /// footprint and the group's bytes for the demand-paging residency
+    /// check — walks no group, at 64 groups as at 65 536.
+    #[test]
+    fn a_lookup_and_its_residency_check_walk_no_group() {
+        for groups in [64u64, 65_536] {
+            let mut table = LeaFtlTable::new(LeaFtlConfig::default());
+            let one_each: Vec<(Lpa, Ppa)> = (0..groups)
+                .map(|g| (Lpa::new(g * 256 + 9), Ppa::new(g)))
+                .collect();
+            table.learn_sorted(&one_each);
+            let walks = crate::slots::WALKS.with(std::cell::Cell::get);
+            for lpa in (0..1024).map(|i| i * groups / 1024 * 256 + 9) {
+                let lpa = Lpa::new(lpa);
+                assert!(table.lookup(lpa).is_some());
+                assert!(table.memory_bytes().total() > 0);
+                assert!(table.group_bytes(lpa.group()) > 0);
+            }
+            let walked = crate::slots::WALKS.with(std::cell::Cell::get) - walks;
+            assert_eq!(walked, 0, "{groups} groups");
+        }
     }
 
     /// How many groups `a` and `b` hold as separate copies.

@@ -166,24 +166,16 @@ pub struct ArbiterView<'a> {
     /// a depth slot free, not deferred by admission control). Ranges
     /// over all of the device's host queues.
     pub ready: &'a ReadySet,
-    /// Pending background GC migrations.
-    pub gc_pending: usize,
-    /// Pending background translation-shard compactions (served from
-    /// the same internal source as GC, after migrations).
-    pub compact_pending: usize,
-    /// Pending translation-log ops (checkpoint/delta page programs and
-    /// log-block reclaims; served between GC and compaction).
-    pub maplog_pending: usize,
-    /// Current free-block fraction (GC urgency signal).
-    pub free_fraction: f64,
-    /// Current virtual time.
-    pub now_ns: u64,
+    /// Background commands dispatchable now, all served from
+    /// [`Source::Gc`]: GC migrations (none while the QoS controller
+    /// paces them), translation-log ops and compaction sweeps.
+    pub background_pending: usize,
 }
 
 impl ArbiterView<'_> {
     /// Whether the internal background source has dispatchable work.
     pub fn background_ready(&self) -> bool {
-        self.gc_pending + self.compact_pending + self.maplog_pending > 0
+        self.background_pending > 0
     }
 
     /// Whether `source` has dispatchable work right now.
@@ -393,14 +385,10 @@ impl Arbiter for HostPriority {
 mod tests {
     use super::*;
 
-    fn view(ready: &ReadySet, gc_pending: usize) -> ArbiterView<'_> {
+    fn view(ready: &ReadySet, background_pending: usize) -> ArbiterView<'_> {
         ArbiterView {
             ready,
-            gc_pending,
-            compact_pending: 0,
-            maplog_pending: 0,
-            free_fraction: 0.5,
-            now_ns: 0,
+            background_pending,
         }
     }
 
@@ -544,27 +532,14 @@ mod tests {
     }
 
     #[test]
-    fn compactions_make_the_background_source_ready() {
+    fn background_work_makes_the_gc_source_ready() {
         let host = ready([false]);
-        let v = ArbiterView {
-            compact_pending: 3,
-            ..view(&host, 0)
-        };
+        let v = view(&host, 3);
         assert!(v.is_ready(Source::Gc));
         assert_eq!(v.ready_sources().next(), Some(Source::Gc));
         let mut arbiter = RoundRobin::new();
         assert_eq!(arbiter.pick(&v), Source::Gc);
-    }
-
-    #[test]
-    fn maplog_ops_make_the_background_source_ready() {
-        let host = ready([false]);
-        let v = ArbiterView {
-            maplog_pending: 2,
-            ..view(&host, 0)
-        };
-        assert!(v.is_ready(Source::Gc));
-        assert_eq!(v.ready_sources().next(), Some(Source::Gc));
+        assert!(!view(&host, 0).is_ready(Source::Gc));
     }
 
     #[test]

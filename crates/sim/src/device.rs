@@ -391,6 +391,8 @@ pub struct Device<'a, S: MappingScheme + Clone> {
     /// Sum of the pending migrations' net reclaim, in blocks — the
     /// replenishment projection.
     gc_pending_net_blocks: f64,
+    /// Most migrations `gc_pending` has held at once.
+    gc_pending_peak: usize,
     /// Host commands pending across all queues.
     host_pending: usize,
     /// Queue heads that had not arrived by the last observing
@@ -506,6 +508,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             next_id: 0,
             gc_pending: VecDeque::new(),
             gc_pending_net_blocks: 0.0,
+            gc_pending_peak: 0,
             host_pending: 0,
             future_heads: BinaryHeap::new(),
             classes: HeadClass::ALL.map(|_| ClassIndex::new(config.queues)),
@@ -555,6 +558,12 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     /// Background migrations dispatched so far.
     pub fn gc_dispatched(&self) -> u64 {
         self.gc_dispatched
+    }
+
+    /// Most background migrations queued at once so far: from two up, a
+    /// victim was selected while an earlier one still waited.
+    pub fn gc_pending_peak(&self) -> usize {
+        self.gc_pending_peak
     }
 
     /// Virtual nanoseconds host writes spent blocked at the hard floor
@@ -816,6 +825,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
                 selected_erase_count: self.ssd.erase_count(victim),
                 net_blocks,
             });
+            self.gc_pending_peak = self.gc_pending_peak.max(self.gc_pending.len());
         }
     }
 
@@ -1074,12 +1084,15 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     /// arbiter's per-queue weights.
     fn qos_tick_if_due(&mut self) {
         let now = self.ssd.now_ns();
+        if !self.qos.as_ref().is_some_and(|qos| qos.due(now)) {
+            return;
+        }
         // The tick's inputs are a few field reads, taken before the
         // controller borrows the device.
         let settled = self.settled_free_fraction();
         let gc_stall = self.gc_stall_ns;
         let translation_stall = self.ssd.stats().translation_stall_ns;
-        let Some(qos) = self.qos.as_mut().filter(|qos| qos.due(now)) else {
+        let Some(qos) = self.qos.as_mut() else {
             return;
         };
         qos.tick(now, gc_stall, translation_stall, settled);
@@ -1288,11 +1301,9 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
 
             let view = ArbiterView {
                 ready: &self.ready,
-                gc_pending: gc_dispatchable,
-                compact_pending: self.compact_pending.len(),
-                maplog_pending: self.ssd.maplog_pending(),
-                free_fraction: self.ssd.free_fraction(),
-                now_ns: now,
+                background_pending: gc_dispatchable
+                    + self.compact_pending.len()
+                    + self.ssd.maplog_pending(),
             };
             if self.ready.is_empty() && !view.background_ready() {
                 let wake = if host_blocked {

@@ -24,6 +24,20 @@ use leaftl_flash::BlockId;
 /// Tree key of a block GC must not pick.
 pub(crate) const NOT_A_CANDIDATE: u32 = u32::MAX;
 
+#[cfg(test)]
+thread_local! {
+    /// Wear checks on this thread that got past [`EraseHistogram`] and
+    /// walked the blocks. Unit tests bound the wear check's work with it.
+    pub(crate) static WEAR_WALKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Notes that a wear check walked the blocks (counted in unit tests).
+#[inline]
+pub(crate) fn note_wear_walk() {
+    #[cfg(test)]
+    WEAR_WALKS.with(|walks| walks.set(walks.get() + 1));
+}
+
 /// Min-tournament tree over per-block victim keys, with lazy refresh.
 #[derive(Debug, Clone)]
 pub(crate) struct VictimIndex {
@@ -42,6 +56,13 @@ pub(crate) struct VictimIndex {
     /// victim is not picked again. Each is listed once in `held_list`.
     held: Vec<bool>,
     held_list: Vec<BlockId>,
+    /// Keys each refresh round re-read, oldest first: a round is the
+    /// [`VictimIndex::pop_dirty`] calls up to the one that finds the
+    /// list empty. Unit tests bound selection's work with it.
+    #[cfg(test)]
+    pub rereads: Vec<usize>,
+    #[cfg(test)]
+    popped: usize,
 }
 
 impl VictimIndex {
@@ -55,6 +76,10 @@ impl VictimIndex {
             dirty_list: Vec::new(),
             held: vec![false; blocks],
             held_list: Vec::new(),
+            #[cfg(test)]
+            rereads: Vec::new(),
+            #[cfg(test)]
+            popped: 0,
         }
     }
 
@@ -84,7 +109,13 @@ impl VictimIndex {
     /// Takes the next block whose key must be recomputed; the caller
     /// answers with [`VictimIndex::refresh`].
     pub fn pop_dirty(&mut self) -> Option<BlockId> {
-        self.dirty_list.pop()
+        let block = self.dirty_list.pop();
+        #[cfg(test)]
+        match block {
+            Some(_) => self.popped += 1,
+            None => self.rereads.push(std::mem::take(&mut self.popped)),
+        }
+        block
     }
 
     /// Stores `block`'s recomputed key and clears its dirty mark. A

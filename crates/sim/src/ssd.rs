@@ -1771,6 +1771,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         if self.erase_histogram.spread() <= self.config.wear_gap_threshold {
             return Ok(false);
         }
+        crate::gc_index::note_wear_walk();
         let mut min: Option<(u32, BlockId)> = None;
         let mut max_erase = 0u32;
         let mut hot_free: Option<(u32, BlockId)> = None;
@@ -3127,6 +3128,129 @@ mod tests {
             violations.iter().any(|v| v.contains("index candidates")),
             "{violations:?}"
         );
+    }
+
+    const GC_BUFFER_PAGES: usize = 32;
+
+    /// `blocks` blocks of 16 pages behind a 32-page buffer, persistence
+    /// points off and the wear gap out of reach, written once front to
+    /// back.
+    fn filled_for_gc(blocks: u64, low: f64, high: f64) -> Ssd<ExactPageMap> {
+        let mut config = SsdConfig::small_test();
+        config.geometry.blocks = blocks;
+        config.geometry.pages_per_block = 16;
+        config.write_buffer_pages = GC_BUFFER_PAGES;
+        config.gc_low_watermark = low;
+        config.gc_high_watermark = high;
+        config.checkpoint_mode = CheckpointMode::Disabled;
+        config.wear_gap_threshold = u32::MAX;
+        let mut ssd = Ssd::new(config, ExactPageMap::new());
+        for lpa in 0..ssd.config.logical_pages() {
+            ssd.write(Lpa::new(lpa), lpa).unwrap();
+        }
+        ssd.flush().unwrap();
+        ssd
+    }
+
+    /// Runs `flush` 64 times: every refresh round during one re-reads at
+    /// most a buffer's worth of keys plus the blocks it touched (valid
+    /// count, erase count or open state moved), and no wear check walks
+    /// the blocks. Returns the refresh rounds, one per selection.
+    fn assert_gc_work_is_what_changed(
+        ssd: &mut Ssd<ExactPageMap>,
+        mut flush: impl FnMut(&mut Ssd<ExactPageMap>),
+    ) -> usize {
+        let blocks = ssd.config.geometry.blocks;
+        let block_states = |ssd: &Ssd<ExactPageMap>| -> Vec<(u32, u32, bool)> {
+            (0..blocks)
+                .map(BlockId::new)
+                .map(|block| {
+                    (
+                        ssd.validity.valid_count(block),
+                        ssd.device.block(block).erase_count(),
+                        ssd.allocator.is_open(block),
+                    )
+                })
+                .collect()
+        };
+        let first = ssd.gc_index.rereads.len();
+        let wear_walks = || crate::gc_index::WEAR_WALKS.with(std::cell::Cell::get);
+        let walks = wear_walks();
+        for _ in 0..64 {
+            let before = block_states(ssd);
+            let rounds = ssd.gc_index.rereads.len();
+            flush(ssd);
+            let touched = before
+                .iter()
+                .zip(block_states(ssd))
+                .filter(|&(was, now)| *was != now)
+                .count();
+            for &reread in &ssd.gc_index.rereads[rounds..] {
+                assert!(
+                    reread <= GC_BUFFER_PAGES + touched,
+                    "{blocks} blocks: a selection re-read {reread} keys \
+                     after a flush that touched {touched} blocks"
+                );
+            }
+        }
+        assert_eq!(wear_walks(), walks, "{blocks} blocks: a wear check walked");
+        ssd.gc_index.rereads.len() - first
+    }
+
+    /// GC selection re-reads the keys of the blocks marked since the
+    /// previous selection, and the wear check answers from the erase
+    /// histogram, not the device: on 256 and 4 096 blocks, flushes that
+    /// collect (an aged device under a hot set) and flushes whose GC
+    /// ends on a selection that finds nothing (a freshly filled device
+    /// below its watermarks) each cost what they changed.
+    #[test]
+    fn gc_selection_rereads_what_the_flush_touched_whatever_the_device_holds() {
+        for blocks in [256u64, 4_096] {
+            // Aged: a tenth overwritten at random, then a hot set of
+            // sixteen buffers' worth until GC has run 64 passes.
+            let mut ssd = filled_for_gc(blocks, 0.08, 0.0801);
+            let logical = ssd.config.logical_pages();
+            let mut seed = 0x1eaf_u64;
+            let mut random = |below: u64| {
+                seed = seed
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (seed >> 33) % below
+            };
+            for _ in 0..logical / 10 {
+                ssd.write(Lpa::new(random(logical)), 1).unwrap();
+            }
+            let hot: Vec<u64> = (0..16 * GC_BUFFER_PAGES as u64)
+                .map(|_| random(logical))
+                .collect();
+            let mut flush = |ssd: &mut Ssd<ExactPageMap>| loop {
+                let lpa = hot[random(hot.len() as u64) as usize];
+                ssd.write(Lpa::new(lpa), 2).unwrap();
+                if ssd.buffer.is_empty() {
+                    break;
+                }
+            };
+            while ssd.stats.gc_runs < 64 {
+                flush(&mut ssd);
+            }
+            assert_gc_work_is_what_changed(&mut ssd, &mut flush);
+            assert!(ssd.stats.gc_runs >= 128, "{blocks} blocks");
+
+            // Nothing collectible: written once, the device keeps at
+            // most 0.19995 of its blocks free, below both watermarks, so
+            // every flush's GC loop runs and ends on a selection that
+            // finds nothing.
+            let (low, high) = (0.19996, 0.19998);
+            let mut ssd = filled_for_gc(blocks, low, high);
+            let selections = assert_gc_work_is_what_changed(&mut ssd, |ssd| {
+                for lpa in 0..GC_BUFFER_PAGES as u64 {
+                    ssd.write(Lpa::new(lpa), 3).unwrap();
+                }
+                assert!(ssd.buffer.is_empty());
+                assert!(ssd.free_fraction() < low, "{blocks} blocks");
+            });
+            assert!(selections >= 64, "{blocks} blocks: {selections}");
+        }
     }
 
     #[test]

@@ -475,11 +475,7 @@ proptest! {
             }
             let view = ArbiterView {
                 ready: &ready,
-                gc_pending: usize::from(background),
-                compact_pending: 0,
-                maplog_pending: 0,
-                free_fraction: 0.5,
-                now_ns: step as u64,
+                background_pending: usize::from(background),
             };
             prop_assert_eq!(
                 round_robin.0.pick(&view),

@@ -55,11 +55,9 @@
 use leaftl_repro::core::LeaFtlConfig;
 use leaftl_repro::flash::{BlockId, Lpa};
 use leaftl_repro::sim::{
-    Arbiter, ArbiterView, CheckpointMode, Command, Device, DeviceConfig, GcPolicy, IoRequest,
-    LeaFtlScheme, RoundRobin, Source, Ssd, SsdConfig,
+    CheckpointMode, Command, Device, DeviceConfig, GcPolicy, IoRequest, LeaFtlScheme, Ssd,
+    SsdConfig,
 };
-use std::cell::Cell;
-use std::rc::Rc;
 
 /// splitmix64 — the histories' only randomness.
 struct Rng(u64);
@@ -290,28 +288,8 @@ fn run_sync(config: SsdConfig, seed: u64, cold_below: u64) -> (u64, Coverage) {
     (hash, coverage)
 }
 
-/// Round-robin arbitration that also notes how many migrations the
-/// device had queued whenever it asked.
-#[derive(Debug)]
-struct Watching {
-    inner: RoundRobin,
-    max_gc_pending: Rc<Cell<usize>>,
-}
-
-impl Arbiter for Watching {
-    fn pick(&mut self, view: &ArbiterView<'_>) -> Source {
-        self.max_gc_pending
-            .set(self.max_gc_pending.get().max(view.gc_pending));
-        self.inner.pick(view)
-    }
-
-    fn name(&self) -> &'static str {
-        "watching-round-robin"
-    }
-}
-
 /// Background GC behind a queue-depth-8 device: every fourth command a
-/// read, migrations arbitrated against the host queue.
+/// read, migrations arbitrated round-robin against the host queue.
 fn run_background(config: SsdConfig, seed: u64) -> (u64, Coverage) {
     let mut ssd = new_ssd(config);
     let logical = ssd.config().logical_pages();
@@ -320,21 +298,11 @@ fn run_background(config: SsdConfig, seed: u64) -> (u64, Coverage) {
     let mut newest = vec![0u64; logical as usize];
     let mut hash = FNV_OFFSET;
     let mut coverage = Coverage::default();
-    let max_gc_pending = Rc::new(Cell::new(0usize));
     let mut pass = 0u64;
     let mut migrated = 0u64;
     for (from, to) in [(0, cut), (cut, lpas.len())] {
         {
-            let arbiter = Watching {
-                inner: RoundRobin::new(),
-                max_gc_pending: Rc::clone(&max_gc_pending),
-            };
-            let mut device = Device::new(
-                &mut ssd,
-                DeviceConfig::single(8)
-                    .background_gc()
-                    .with_arbiter(Box::new(arbiter)),
-            );
+            let mut device = Device::new(&mut ssd, DeviceConfig::single(8).background_gc());
             let mut observe = |device: &mut Device<'_, LeaFtlScheme>, hash: &mut u64| {
                 let mut any = false;
                 for completion in device.take_completions() {
@@ -367,6 +335,7 @@ fn run_background(config: SsdConfig, seed: u64) -> (u64, Coverage) {
             }
             device.drain().unwrap();
             observe(&mut device, &mut hash);
+            coverage.max_gc_pending = coverage.max_gc_pending.max(device.gc_pending_peak());
         }
         ssd.flush().unwrap();
         if to == cut {
@@ -376,7 +345,6 @@ fn run_background(config: SsdConfig, seed: u64) -> (u64, Coverage) {
         }
     }
     finish(&mut hash, &ssd, &mut coverage);
-    coverage.max_gc_pending = max_gc_pending.get();
     verify(&mut ssd, &newest);
     (hash, coverage)
 }

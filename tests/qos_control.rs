@@ -28,11 +28,7 @@ fn dispatch_shares(arbiter: &mut Weighted, queues: usize, rounds: usize) -> Vec<
     for _ in 0..rounds {
         let view = ArbiterView {
             ready: &ready,
-            gc_pending: 0,
-            compact_pending: 0,
-            maplog_pending: 0,
-            free_fraction: 1.0,
-            now_ns: 0,
+            background_pending: 0,
         };
         match arbiter.pick(&view) {
             Source::Host(queue) => picks[queue] += 1,
