@@ -5,20 +5,28 @@
 //! and it is the main lever a device has over inter-tenant fairness and
 //! host-vs-background-GC tail latency. The [`Arbiter`] trait makes the
 //! policy pluggable: the device hands it a snapshot of every source
-//! with dispatchable work — the ready host submission queues as a
-//! bitset ([`ReadySet`]) plus the internal GC migration queue — and the
-//! arbiter names the source to serve. Three policies ship, each walking
-//! only the ready queues in ascending order:
+//! with dispatchable work — the host submission queues whose head has
+//! arrived, as one bitset ([`ReadySet`]) per admission class with the
+//! class's gate flag ([`AdmissionClass`]), plus the internal GC
+//! migration queue — and the arbiter names the source to serve. Three
+//! policies ship:
 //!
 //! * [`RoundRobin`] — NVMe's default: every source (GC included) gets
-//!   an equal turn.
+//!   an equal turn; one bit search per class from the cursor.
 //! * [`Weighted`] — smooth weighted round-robin over the host queues
 //!   plus a GC weight; the classic WRR credit scheme, so a 3:1 weight
 //!   really serves 3 commands to 1 over time rather than in bursts.
+//!   Credit accrues lazily per admission class, so a pick costs the
+//!   queues that joined or left a class since the previous pick, not
+//!   one step per ready queue.
 //! * [`HostPriority`] — strict host-over-GC: migrations run only when
-//!   no host command is dispatchable, soaking up idle device time.
+//!   no host command is dispatchable, soaking up idle device time; one
+//!   bit search per class from the cursor.
 //!   (The device's hard-floor back-pressure overrides every policy:
 //!   when free blocks fall to the floor, GC dispatches regardless.)
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A dispatch source the arbiter can pick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,9 +41,9 @@ pub enum Source {
 }
 
 /// A set of host-queue indices, one bit per queue — how the device
-/// tells an arbiter which heads are dispatchable. Iteration is in
-/// ascending queue order and skips empty words, so a policy walks
-/// `O(ready + queues / 64)` instead of every queue.
+/// tells an arbiter which heads have arrived in an admission class.
+/// Iteration is in ascending queue order and skips empty words, so a
+/// walk costs `O(members + queues / 64)` instead of every queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadySet {
     words: Vec<u64>,
@@ -103,19 +111,6 @@ impl ReadySet {
         self.len = 0;
     }
 
-    /// Adds every member of `other`, word by word.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two sets range over different queue counts.
-    pub fn union_with(&mut self, other: &ReadySet) {
-        assert_eq!(self.queues, other.queues, "ready sets of different devices");
-        for (word, &theirs) in self.words.iter_mut().zip(&other.words) {
-            self.len += (theirs & !*word).count_ones() as usize;
-            *word |= theirs;
-        }
-    }
-
     /// The smallest member `>= from`, if any.
     pub fn first_at_or_after(&self, from: usize) -> Option<usize> {
         let mut index = from / 64;
@@ -159,13 +154,26 @@ impl FromIterator<bool> for ReadySet {
     }
 }
 
+/// One admission class as an arbiter sees it: the host queues whose
+/// head has arrived and waits behind the class's gate, and whether the
+/// gate lets them dispatch now.
+#[derive(Debug, Clone, Copy)]
+pub struct AdmissionClass<'a> {
+    /// Queues whose head has arrived, over all of the device's host
+    /// queues.
+    pub arrived: &'a ReadySet,
+    /// Whether those heads are dispatchable now: the class's admission
+    /// gate is open and a depth slot is free.
+    pub open: bool,
+}
+
 /// Everything an arbiter may consult when picking the next source.
 #[derive(Debug)]
 pub struct ArbiterView<'a> {
-    /// The host queues whose head command is dispatchable now (arrived,
-    /// a depth slot free, not deferred by admission control). Ranges
-    /// over all of the device's host queues.
-    pub ready: &'a ReadySet,
+    /// The host queues with an arrived head, split into disjoint
+    /// admission classes. A queue is ready when it sits in an open
+    /// class.
+    pub classes: &'a [AdmissionClass<'a>],
     /// Background commands dispatchable now, all served from
     /// [`Source::Gc`]: GC migrations (none while the QoS controller
     /// paces them), translation-log ops and compaction sweeps.
@@ -173,6 +181,33 @@ pub struct ArbiterView<'a> {
 }
 
 impl ArbiterView<'_> {
+    /// The number of host queues the device has.
+    pub fn queues(&self) -> usize {
+        self.classes
+            .first()
+            .map_or(0, |class| class.arrived.queues())
+    }
+
+    /// The arrived sets of the open classes that hold a queue.
+    fn open(&self) -> impl Iterator<Item = &ReadySet> + '_ {
+        self.classes
+            .iter()
+            .filter(|class| class.open && !class.arrived.is_empty())
+            .map(|class| class.arrived)
+    }
+
+    /// The number of ready host queues.
+    pub fn ready_queues(&self) -> usize {
+        self.open().map(ReadySet::len).sum()
+    }
+
+    /// The smallest ready host queue `>= from`, if any.
+    pub fn first_ready_at_or_after(&self, from: usize) -> Option<usize> {
+        self.open()
+            .filter_map(|arrived| arrived.first_at_or_after(from))
+            .min()
+    }
+
     /// Whether the internal background source has dispatchable work.
     pub fn background_ready(&self) -> bool {
         self.background_pending > 0
@@ -181,17 +216,19 @@ impl ArbiterView<'_> {
     /// Whether `source` has dispatchable work right now.
     pub fn is_ready(&self, source: Source) -> bool {
         match source {
-            Source::Host(i) => self.ready.contains(i),
+            Source::Host(i) => self.open().any(|arrived| arrived.contains(i)),
             Source::Gc => self.background_ready(),
         }
     }
 
-    /// All sources with dispatchable work, host queues first.
+    /// All sources with dispatchable work, host queues first, in
+    /// ascending order.
     pub fn ready_sources(&self) -> impl Iterator<Item = Source> + '_ {
-        self.ready
-            .iter()
-            .map(Source::Host)
-            .chain(self.background_ready().then_some(Source::Gc))
+        std::iter::successors(self.first_ready_at_or_after(0), |&queue| {
+            self.first_ready_at_or_after(queue + 1)
+        })
+        .map(Source::Host)
+        .chain(self.background_ready().then_some(Source::Gc))
     }
 }
 
@@ -231,16 +268,16 @@ impl RoundRobin {
 
 impl Arbiter for RoundRobin {
     fn pick(&mut self, view: &ArbiterView<'_>) -> Source {
-        let hosts = view.ready.queues();
+        let hosts = view.queues();
         let slots = hosts + 1; // + the GC queue
         let start = self.cursor % slots;
         // The rotation from `start`: host queues `start..`, the GC
         // slot, then host queues `..start`.
-        let (source, slot) = if let Some(queue) = view.ready.first_at_or_after(start) {
+        let (source, slot) = if let Some(queue) = view.first_ready_at_or_after(start) {
             (Source::Host(queue), queue)
         } else if view.background_ready() {
             (Source::Gc, hosts)
-        } else if let Some(queue) = view.ready.first_at_or_after(0) {
+        } else if let Some(queue) = view.first_ready_at_or_after(0) {
             (Source::Host(queue), queue)
         } else {
             // Caller guarantees a ready source; fall back defensively.
@@ -256,15 +293,172 @@ impl Arbiter for RoundRobin {
 }
 
 /// Smooth weighted round-robin: each ready source accrues its weight
-/// as credit every pick; the richest source wins and pays back the
-/// total ready weight, which interleaves service proportionally
-/// instead of serving each weight as one burst.
+/// as credit every pick; the richest source wins (the lowest queue on a
+/// tie, GC after every host queue) and pays back the total ready
+/// weight, which interleaves service proportionally instead of serving
+/// each weight as one burst.
+///
+/// Accrual is lazy, per admission class. A class counts the picks at
+/// which its gate was open; a queue the class holds has credit
+/// `credit + weight × (count − count when it joined)`. Members of one
+/// weight keep their order as the count advances, so they sit in one
+/// max-heap keyed by `credit − weight × count when it joined`. A pick
+/// XORs each class's arrived set against the members it holds (joins
+/// and leaves), advances the counts of the open classes, and compares
+/// the few heap tops with the GC credit; the winner pays the ready
+/// total, kept as a running sum per class. Debug builds run the
+/// per-pick scan beside it and assert every pick equals the scan's.
 #[derive(Debug)]
 pub struct Weighted {
     host_weights: Vec<u32>,
     gc_weight: u32,
-    /// Running credit per source (`[host …, gc]`).
-    credit: Vec<i64>,
+    gc_credit: i64,
+    /// Per host queue, over every queue the device or a weight names.
+    queues: Vec<QueueCredit>,
+    /// What each class of the view held at the previous pick.
+    classes: Vec<HeldClass>,
+    #[cfg(debug_assertions)]
+    scan: CreditScan,
+}
+
+/// A host queue's credit. While a class holds the queue, `credit` is
+/// its value at `mark` picks of that class; otherwise it is the whole
+/// credit.
+#[derive(Debug, Clone, Copy, Default)]
+struct QueueCredit {
+    credit: i64,
+    mark: i64,
+    /// Bumped when the queue leaves a class, which turns its heap entry
+    /// stale.
+    stamp: u32,
+}
+
+/// A held queue in its weight's heap, packed into one integer so that a
+/// heap step is one comparison. From the top bit down: the key with its
+/// sign bit flipped (unsigned order is then signed order), the queue's
+/// complement (the lower queue wins a credit tie) and the stamp.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Entry(u128);
+
+impl Entry {
+    /// `key` is `credit − weight × mark`: the same for every count, so
+    /// the order of one weight's members never changes while they
+    /// accrue. It stays exact while weight × picks stays below 2^63.
+    fn new(key: i64, queue: usize, stamp: u32) -> Self {
+        let key = u128::from(key.cast_unsigned() ^ 1 << 63);
+        let queue = u128::from(u32::MAX - queue as u32);
+        Entry(key << 64 | queue << 32 | u128::from(stamp))
+    }
+
+    fn key(self) -> i64 {
+        ((self.0 >> 64) as u64 ^ 1 << 63).cast_signed()
+    }
+
+    fn queue(self) -> usize {
+        (u32::MAX - (self.0 >> 32) as u32) as usize
+    }
+
+    fn stamp(self) -> u32 {
+        self.0 as u32
+    }
+}
+
+/// The members of one class that have one weight.
+#[derive(Debug)]
+struct WeightHeap {
+    weight: u32,
+    /// Entries that are not stale.
+    live: usize,
+    entries: BinaryHeap<Entry>,
+}
+
+impl WeightHeap {
+    /// The richest live member, dropping stale entries above it.
+    fn top(&mut self, queues: &[QueueCredit]) -> Option<Entry> {
+        while let Some(&entry) = self.entries.peek() {
+            if queues[entry.queue()].stamp == entry.stamp() {
+                return Some(entry);
+            }
+            self.entries.pop();
+        }
+        None
+    }
+}
+
+/// The members of one admission class the arbiter holds.
+#[derive(Debug)]
+struct HeldClass {
+    /// One bit per host queue, like [`ReadySet`]'s words.
+    members: Vec<u64>,
+    /// Picks at which the class's gate was open.
+    open_picks: i64,
+    /// The members' weights summed: what they add to a pick's total.
+    weight_sum: i64,
+    heaps: Vec<WeightHeap>,
+}
+
+impl HeldClass {
+    fn new(words: usize) -> Self {
+        HeldClass {
+            members: vec![0; words],
+            open_picks: 0,
+            weight_sum: 0,
+            heaps: Vec::new(),
+        }
+    }
+
+    fn holds(&self, queue: usize) -> bool {
+        self.members[queue / 64] & (1 << (queue % 64)) != 0
+    }
+
+    fn join(&mut self, queue: usize, weight: u32, queues: &mut [QueueCredit]) {
+        self.members[queue / 64] |= 1 << (queue % 64);
+        self.weight_sum += i64::from(weight);
+        let state = &mut queues[queue];
+        state.mark = self.open_picks;
+        let entry = Entry::new(
+            state.credit - i64::from(weight) * state.mark,
+            queue,
+            state.stamp,
+        );
+        let index = match self.heaps.iter().position(|heap| heap.weight == weight) {
+            Some(index) => index,
+            None => {
+                self.heaps.push(WeightHeap {
+                    weight,
+                    live: 0,
+                    entries: BinaryHeap::new(),
+                });
+                self.heaps.len() - 1
+            }
+        };
+        let heap = &mut self.heaps[index];
+        heap.live += 1;
+        heap.entries.push(entry);
+    }
+
+    /// Settles `queue`'s credit and turns its entry stale.
+    fn leave(&mut self, queue: usize, weight: u32, queues: &mut [QueueCredit]) {
+        self.members[queue / 64] &= !(1 << (queue % 64));
+        self.weight_sum -= i64::from(weight);
+        let state = &mut queues[queue];
+        state.credit += i64::from(weight) * (self.open_picks - state.mark);
+        state.stamp = state.stamp.wrapping_add(1);
+        // A member sits in its weight's heap.
+        let Some(index) = self.heaps.iter().position(|heap| heap.weight == weight) else {
+            return;
+        };
+        let heap = &mut self.heaps[index];
+        heap.live -= 1;
+        if heap.live == 0 {
+            self.heaps.swap_remove(index);
+        } else if heap.entries.len() > 2 * heap.live + 16 {
+            // Stale entries sink with low credit: clear them out once
+            // they outnumber the members, amortised O(1) per leave.
+            heap.entries
+                .retain(|entry| queues[entry.queue()].stamp == entry.stamp());
+        }
+    }
 }
 
 impl Weighted {
@@ -278,54 +472,142 @@ impl Weighted {
         Weighted {
             host_weights,
             gc_weight: gc_weight.max(1),
-            credit: Vec::new(),
+            gc_credit: 0,
+            queues: Vec::new(),
+            classes: Vec::new(),
+            #[cfg(debug_assertions)]
+            scan: CreditScan::default(),
         }
     }
 
     fn host_weight(&self, queue: usize) -> u32 {
         self.host_weights.get(queue).copied().unwrap_or(1)
     }
+
+    /// Sizes the per-queue and per-class state in place: what grows
+    /// keeps its credit.
+    fn grow(&mut self, hosts: usize, classes: usize) {
+        let words = hosts.div_ceil(64);
+        if self.queues.len() < hosts {
+            self.queues.resize(hosts, QueueCredit::default());
+            for held in &mut self.classes {
+                held.members.resize(words, 0);
+            }
+        }
+        while self.classes.len() < classes {
+            self.classes
+                .push(HeldClass::new(self.queues.len().div_ceil(64)));
+        }
+    }
+
+    /// Brings the held members up to the view's arrived sets: a queue
+    /// that moved between classes leaves its old class before it joins
+    /// the new one.
+    fn sync(&mut self, view: &ArbiterView<'_>) {
+        let words = self.queues.len().div_ceil(64);
+        for index in 0..self.classes.len() {
+            let arrived = view
+                .classes
+                .get(index)
+                .map_or(&[][..], |class| &class.arrived.words[..]);
+            if self.classes[index].members == arrived {
+                // Most picks: nothing joined or left the class.
+                continue;
+            }
+            for word in 0..words {
+                let now = arrived.get(word).copied().unwrap_or(0);
+                let held = self.classes[index].members[word];
+                let mut left = held & !now;
+                while left != 0 {
+                    let queue = word * 64 + left.trailing_zeros() as usize;
+                    left &= left - 1;
+                    let weight = self.host_weight(queue);
+                    self.classes[index].leave(queue, weight, &mut self.queues);
+                }
+                let mut joined = now & !held;
+                while joined != 0 {
+                    let queue = word * 64 + joined.trailing_zeros() as usize;
+                    joined &= joined - 1;
+                    let weight = self.host_weight(queue);
+                    if let Some(other) = self.classes.iter().position(|c| c.holds(queue)) {
+                        self.classes[other].leave(queue, weight, &mut self.queues);
+                    }
+                    self.classes[index].join(queue, weight, &mut self.queues);
+                }
+            }
+        }
+    }
 }
 
 impl Arbiter for Weighted {
     fn pick(&mut self, view: &ArbiterView<'_>) -> Source {
-        // Rotate over the *device's* queues, not just the configured
-        // weight vector — extra queues get default weight rather than
-        // starving. Slot layout: `[Host(0) … Host(n-1), Gc]`.
-        let hosts = view.ready.queues().max(self.host_weights.len());
-        let slots = hosts + 1;
-        if self.credit.len() != slots {
-            self.credit = vec![0; slots];
-        }
+        // Cover the *device's* queues, not just the configured weight
+        // vector — extra queues get default weight rather than
+        // starving. GC ranks after every host queue on a tie.
+        let hosts = view.queues().max(self.host_weights.len());
+        self.grow(hosts, view.classes.len());
+        self.sync(view);
+        // A source's credit, the lower queue first on a tie.
+        type Rank = (i64, Reverse<usize>);
+        // Where a host queue's entry sits: `(class, heap)`; `None` is GC.
+        type Seat = Option<(usize, usize)>;
+        let mut best: Option<(Rank, Seat)> = None;
         let mut total: i64 = 0;
-        let mut best: Option<(i64, usize)> = None;
-        // Only ready sources accrue credit; ascending slot order makes
-        // the lowest slot win a credit tie.
-        let ready_slots = view
-            .ready
-            .iter()
-            .chain(view.background_ready().then_some(hosts));
-        for slot in ready_slots {
-            let weight = if slot < hosts {
-                self.host_weight(slot) as i64
-            } else {
-                self.gc_weight as i64
-            };
-            self.credit[slot] += weight;
-            total += weight;
-            if best.is_none_or(|(c, _)| self.credit[slot] > c) {
-                best = Some((self.credit[slot], slot));
+        for (index, class) in view.classes.iter().enumerate() {
+            if !class.open {
+                continue;
+            }
+            let held = &mut self.classes[index];
+            held.open_picks += 1;
+            total += held.weight_sum;
+            for (heap_index, heap) in held.heaps.iter_mut().enumerate() {
+                let Some(top) = heap.top(&self.queues) else {
+                    continue;
+                };
+                let credit = top.key() + i64::from(heap.weight) * held.open_picks;
+                let rank = (credit, Reverse(top.queue()));
+                if best.is_none_or(|(richest, _)| rank > richest) {
+                    best = Some((rank, Some((index, heap_index))));
+                }
             }
         }
-        let Some((_, winner)) = best else {
-            return Source::Gc;
-        };
-        self.credit[winner] -= total;
-        if winner < hosts {
-            Source::Host(winner)
-        } else {
-            Source::Gc
+        if view.background_ready() {
+            self.gc_credit += i64::from(self.gc_weight);
+            total += i64::from(self.gc_weight);
+            let rank = (self.gc_credit, Reverse(hosts));
+            if best.is_none_or(|(richest, _)| rank > richest) {
+                best = Some((rank, None));
+            }
         }
+        let source = match best {
+            // Caller guarantees a ready source; fall back defensively.
+            None => Source::Gc,
+            Some(((_, Reverse(queue)), Some((index, heap_index)))) => {
+                // `top` left the winner's entry on top of its heap.
+                if let Some(mut top) = self.classes[index].heaps[heap_index].entries.peek_mut() {
+                    *top = Entry::new(top.key() - total, top.queue(), top.stamp());
+                }
+                self.queues[queue].credit -= total;
+                Source::Host(queue)
+            }
+            Some((_, None)) => {
+                self.gc_credit -= total;
+                Source::Gc
+            }
+        };
+        #[cfg(debug_assertions)]
+        {
+            let scanned = self
+                .scan
+                .pick(view, hosts, &self.host_weights, self.gc_weight);
+            let paid = best.map(|((credit, _), _)| credit - total);
+            assert_eq!(
+                (source, paid),
+                scanned,
+                "lazy weighted credit disagrees with the scan"
+            );
+        }
+        source
     }
 
     fn name(&self) -> &'static str {
@@ -338,12 +620,73 @@ impl Arbiter for Weighted {
     /// is deliberately kept — smooth WRR forgets history at the rate
     /// of one total-ready-weight per pick, so dispatch proportions
     /// converge to the new weights within a few rounds (pinned by a
-    /// proptest in `tests/qos_control.rs`).
+    /// proptest in `tests/qos_control.rs`). An unchanged weight costs
+    /// O(1); a held queue's changed weight moves it between heaps.
     fn set_weight(&mut self, queue: usize, weight: u32) {
+        let weight = weight.max(1);
+        let old = self.host_weight(queue);
         if self.host_weights.len() <= queue {
             self.host_weights.resize(queue + 1, 1);
         }
-        self.host_weights[queue] = weight.max(1);
+        self.host_weights[queue] = weight;
+        if old == weight || queue >= self.queues.len() {
+            return;
+        }
+        if let Some(held) = self.classes.iter_mut().find(|held| held.holds(queue)) {
+            held.leave(queue, old, &mut self.queues);
+            held.join(queue, weight, &mut self.queues);
+        }
+    }
+}
+
+/// The per-pick scan [`Weighted`] replaced: every ready source accrues,
+/// in ascending order. Debug builds hold the lazy credit to it.
+#[cfg(debug_assertions)]
+#[derive(Debug, Default)]
+struct CreditScan {
+    /// `[host …, gc]`.
+    credit: Vec<i64>,
+}
+
+#[cfg(debug_assertions)]
+impl CreditScan {
+    /// The pick and the winner's credit after it paid.
+    fn pick(
+        &mut self,
+        view: &ArbiterView<'_>,
+        hosts: usize,
+        weights: &[u32],
+        gc_weight: u32,
+    ) -> (Source, Option<i64>) {
+        if self.credit.len() < hosts + 1 {
+            let gc = self.credit.pop().unwrap_or(0);
+            self.credit.resize(hosts, 0);
+            self.credit.push(gc);
+        }
+        let gc_slot = self.credit.len() - 1;
+        let mut total = 0;
+        let mut best: Option<(i64, usize)> = None;
+        for source in view.ready_sources() {
+            let (slot, weight) = match source {
+                Source::Host(queue) => (queue, weights.get(queue).copied().unwrap_or(1)),
+                Source::Gc => (gc_slot, gc_weight),
+            };
+            self.credit[slot] += i64::from(weight);
+            total += i64::from(weight);
+            if best.is_none_or(|(credit, _)| self.credit[slot] > credit) {
+                best = Some((self.credit[slot], slot));
+            }
+        }
+        let Some((_, winner)) = best else {
+            return (Source::Gc, None);
+        };
+        self.credit[winner] -= total;
+        let source = if winner == gc_slot {
+            Source::Gc
+        } else {
+            Source::Host(winner)
+        };
+        (source, Some(self.credit[winner]))
     }
 }
 
@@ -363,12 +706,11 @@ impl HostPriority {
 
 impl Arbiter for HostPriority {
     fn pick(&mut self, view: &ArbiterView<'_>) -> Source {
-        let queues = view.ready.queues().max(1);
+        let queues = view.queues().max(1);
         let start = self.cursor % queues;
         let Some(queue) = view
-            .ready
-            .first_at_or_after(start)
-            .or_else(|| view.ready.first_at_or_after(0))
+            .first_ready_at_or_after(start)
+            .or_else(|| view.first_ready_at_or_after(0))
         else {
             return Source::Gc;
         };
@@ -385,11 +727,19 @@ impl Arbiter for HostPriority {
 mod tests {
     use super::*;
 
-    fn view(ready: &ReadySet, background_pending: usize) -> ArbiterView<'_> {
+    fn view<'a>(classes: &'a [AdmissionClass<'a>], background_pending: usize) -> ArbiterView<'a> {
         ArbiterView {
-            ready,
+            classes,
             background_pending,
         }
+    }
+
+    /// `ready` as the view's one class, its gate open.
+    fn open(ready: &ReadySet) -> [AdmissionClass<'_>; 1] {
+        [AdmissionClass {
+            arrived: ready,
+            open: true,
+        }]
     }
 
     /// One flag per queue: whether its head is ready.
@@ -432,12 +782,6 @@ mod tests {
         assert!(set.remove(64) && !set.remove(64));
         assert!(!set.contains(64) && set.contains(65) && !set.contains(130));
         assert_eq!(set.len(), 5);
-
-        let mut other = ReadySet::new(130);
-        other.insert(64);
-        other.insert(65);
-        set.union_with(&other);
-        assert_eq!(set.len(), 6, "a shared member counts once");
         set.clear();
         assert!(set.is_empty() && set.iter().next().is_none());
         assert_eq!(ReadySet::new(0).first_at_or_after(0), None);
@@ -447,7 +791,9 @@ mod tests {
     fn round_robin_rotates_over_all_sources() {
         let mut arbiter = RoundRobin::new();
         let host = ready([true, true]);
-        let picks: Vec<Source> = (0..6).map(|_| arbiter.pick(&view(&host, 3))).collect();
+        let picks: Vec<Source> = (0..6)
+            .map(|_| arbiter.pick(&view(&open(&host), 3)))
+            .collect();
         assert_eq!(
             picks,
             vec![
@@ -465,15 +811,17 @@ mod tests {
     fn round_robin_skips_empty_queues() {
         let mut arbiter = RoundRobin::new();
         let host = ready([false, true]);
-        assert_eq!(arbiter.pick(&view(&host, 0)), Source::Host(1));
-        assert_eq!(arbiter.pick(&view(&host, 0)), Source::Host(1));
+        assert_eq!(arbiter.pick(&view(&open(&host), 0)), Source::Host(1));
+        assert_eq!(arbiter.pick(&view(&open(&host), 0)), Source::Host(1));
     }
 
     #[test]
     fn weighted_serves_proportionally_and_interleaved() {
         let mut arbiter = Weighted::new(vec![3, 1], 1);
         let host = ready([true, true]);
-        let picks: Vec<Source> = (0..10).map(|_| arbiter.pick(&view(&host, 100))).collect();
+        let picks: Vec<Source> = (0..10)
+            .map(|_| arbiter.pick(&view(&open(&host), 100)))
+            .collect();
         let count = |s: Source| picks.iter().filter(|&&p| p == s).count();
         assert_eq!(count(Source::Host(0)), 6);
         assert_eq!(count(Source::Host(1)), 2);
@@ -489,7 +837,9 @@ mod tests {
         // must still get default-weight service, not starve.
         let mut arbiter = Weighted::new(vec![3, 1], 1);
         let host = ready([true, true, true]);
-        let picks: Vec<Source> = (0..12).map(|_| arbiter.pick(&view(&host, 0))).collect();
+        let picks: Vec<Source> = (0..12)
+            .map(|_| arbiter.pick(&view(&open(&host), 0)))
+            .collect();
         let served_q2 = picks.iter().filter(|&&p| p == Source::Host(2)).count();
         assert!(served_q2 >= 2, "unweighted queue got {served_q2}/12 turns");
     }
@@ -500,7 +850,9 @@ mod tests {
         let host = ready([true, true]);
         // Flip queue 0 from 1:1 to 3:1 at runtime: service follows.
         arbiter.set_weight(0, 3);
-        let picks: Vec<Source> = (0..8).map(|_| arbiter.pick(&view(&host, 0))).collect();
+        let picks: Vec<Source> = (0..8)
+            .map(|_| arbiter.pick(&view(&open(&host), 0)))
+            .collect();
         let count = |s: Source| picks.iter().filter(|&&p| p == s).count();
         assert_eq!(count(Source::Host(0)), 6);
         assert_eq!(count(Source::Host(1)), 2);
@@ -512,14 +864,70 @@ mod tests {
     }
 
     #[test]
+    fn growing_the_weights_past_the_device_keeps_every_credit() {
+        // Queue 5 does not exist on this two-queue device, and its
+        // weight is the default one: growing the vector to reach it must
+        // change no credit, GC's included, so no pick either.
+        let mut grown = Weighted::new(vec![1, 1], 1);
+        let mut kept = Weighted::new(vec![1, 1], 1);
+        let host = ready([true, true]);
+        for step in 0..9 {
+            if step == 2 {
+                grown.set_weight(5, 1);
+            }
+            assert_eq!(
+                grown.pick(&view(&open(&host), 1)),
+                kept.pick(&view(&open(&host), 1)),
+                "step {step}"
+            );
+        }
+    }
+
+    #[test]
+    fn weighted_credit_follows_queues_across_gated_classes() {
+        // Queue 0 accrues only while its class is open, and carries its
+        // credit when it moves to the other class.
+        let mut arbiter = Weighted::new(vec![1, 1], 1);
+        let both = ready([true, true]);
+        let first = ready([true, false]);
+        let second = ready([false, true]);
+        let none = ready([false, false]);
+        fn class(arrived: &ReadySet, open: bool) -> AdmissionClass<'_> {
+            AdmissionClass { arrived, open }
+        }
+        let mut pick = |classes: &[AdmissionClass<'_>]| arbiter.pick(&view(classes, 0));
+        // Both ready: queue 0 wins the tie and pays 2 (credits −1, 1).
+        assert_eq!(
+            pick(&[class(&both, true), class(&none, true)]),
+            Source::Host(0)
+        );
+        // Queue 1's class closes: queue 0 alone, pays its own 1 (−1, 1).
+        assert_eq!(
+            pick(&[class(&first, true), class(&second, false)]),
+            Source::Host(0)
+        );
+        // Queue 0 moves into queue 1's class, which reopens: 0 against
+        // 2, so queue 1 wins (0, 0).
+        assert_eq!(
+            pick(&[class(&none, false), class(&both, true)]),
+            Source::Host(1)
+        );
+        // The tie goes to the lower queue again.
+        assert_eq!(
+            pick(&[class(&none, true), class(&both, true)]),
+            Source::Host(0)
+        );
+    }
+
+    #[test]
     fn set_weight_defaults_to_noop_for_unweighted_policies() {
         let mut arbiter = RoundRobin::new();
         arbiter.set_weight(0, 100);
         let host = ready([true, true]);
         // Still an equal-turn rotation.
-        assert_eq!(arbiter.pick(&view(&host, 0)), Source::Host(0));
-        assert_eq!(arbiter.pick(&view(&host, 0)), Source::Host(1));
-        assert_eq!(arbiter.pick(&view(&host, 0)), Source::Host(0));
+        assert_eq!(arbiter.pick(&view(&open(&host), 0)), Source::Host(0));
+        assert_eq!(arbiter.pick(&view(&open(&host), 0)), Source::Host(1));
+        assert_eq!(arbiter.pick(&view(&open(&host), 0)), Source::Host(0));
     }
 
     #[test]
@@ -527,19 +935,20 @@ mod tests {
         let mut arbiter = Weighted::new(vec![1, 5], 2);
         let host = ready([true, false]);
         for _ in 0..4 {
-            assert_eq!(arbiter.pick(&view(&host, 0)), Source::Host(0));
+            assert_eq!(arbiter.pick(&view(&open(&host), 0)), Source::Host(0));
         }
     }
 
     #[test]
     fn background_work_makes_the_gc_source_ready() {
         let host = ready([false]);
-        let v = view(&host, 3);
+        let classes = open(&host);
+        let v = view(&classes, 3);
         assert!(v.is_ready(Source::Gc));
         assert_eq!(v.ready_sources().next(), Some(Source::Gc));
         let mut arbiter = RoundRobin::new();
         assert_eq!(arbiter.pick(&v), Source::Gc);
-        assert!(!view(&host, 0).is_ready(Source::Gc));
+        assert!(!view(&open(&host), 0).is_ready(Source::Gc));
     }
 
     #[test]
@@ -547,9 +956,9 @@ mod tests {
         let mut arbiter = HostPriority::new();
         let host = ready([true, true]);
         for _ in 0..8 {
-            assert_ne!(arbiter.pick(&view(&host, 5)), Source::Gc);
+            assert_ne!(arbiter.pick(&view(&open(&host), 5)), Source::Gc);
         }
         let idle = ready([false, false]);
-        assert_eq!(arbiter.pick(&view(&idle, 5)), Source::Gc);
+        assert_eq!(arbiter.pick(&view(&open(&idle), 5)), Source::Gc);
     }
 }

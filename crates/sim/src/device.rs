@@ -61,8 +61,9 @@
 //! dispatchable, whether any is held back by admission control, when
 //! the next head arrives and whether anything is pending at all. None
 //! of that is recomputed by walking the queues; it is kept
-//! incrementally, so an iteration costs `O(ready + queues / 64)` however
-//! many tenants the device has. Three invariants carry it:
+//! incrementally, so an iteration costs the heads that arrived or left
+//! since the previous one, however many tenants the device has. Three
+//! invariants carry it:
 //!
 //! 1. **Every non-empty queue's head is in exactly one place**: the
 //!    min-heap of future arrivals, or the arrived set of its readiness
@@ -70,9 +71,9 @@
 //!    head enters the heap when it becomes the head (submission to an
 //!    empty queue, or the command before it was dispatched), moves to
 //!    its class set at the first observing iteration at or after its
-//!    arrival, and leaves the set when it is popped. The ready set the
-//!    arbiter sees is the word-wise union of the class sets whose gate
-//!    is open.
+//!    arrival, and leaves the set when it is popped. The arbiter sees
+//!    the three class sets themselves, each with its gate flag: a head
+//!    is ready when its class's gate is open.
 //! 2. **Gates are sampled only at observing iterations** — those with a
 //!    free depth slot, the only ones that look at host queues at all. A
 //!    class's admission gate (the best-effort slot cap; the slot cap or
@@ -109,7 +110,7 @@
 //! # }
 //! ```
 
-use crate::arbiter::{Arbiter, ArbiterView, ReadySet, RoundRobin, Source};
+use crate::arbiter::{AdmissionClass, Arbiter, ArbiterView, ReadySet, RoundRobin, Source};
 use crate::config::{CompactionMode, GcMode};
 use crate::error::SimError;
 use crate::qos::{QosController, QosSpec, QosTick, SloClass};
@@ -329,6 +330,11 @@ impl ClassIndex {
         }
     }
 
+    /// Whether the gate was open at the last observing iteration.
+    fn is_open(&self) -> bool {
+        self.closed_since.is_none()
+    }
+
     /// Virtual time the gate has been closed up to `now`. A member's
     /// deferral is the difference between its leaving and joining
     /// values.
@@ -398,11 +404,9 @@ pub struct Device<'a, S: MappingScheme + Clone> {
     /// Queue heads that had not arrived by the last observing
     /// iteration, as a min-heap of `(arrival_ns, queue)`.
     future_heads: BinaryHeap<Reverse<(u64, usize)>>,
-    /// Arrived heads and gate accounts, indexed by `HeadClass as usize`.
+    /// Arrived heads and gate accounts, indexed by `HeadClass as usize`:
+    /// with the gate flags, what the arbiter sees of the host queues.
     classes: [ClassIndex; 3],
-    /// The ready set handed to the arbiter: the union of the arrived
-    /// sets whose gate is open, recomposed every iteration.
-    ready: ReadySet,
     /// Reusable buffers for one read burst's commands, addresses and
     /// `(value, completion time)` outcomes.
     batch_scratch: Vec<(u64, IoRequest)>,
@@ -512,7 +516,6 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             host_pending: 0,
             future_heads: BinaryHeap::new(),
             classes: HeadClass::ALL.map(|_| ClassIndex::new(config.queues)),
-            ready: ReadySet::new(config.queues),
             batch_scratch: Vec::new(),
             lpa_scratch: Vec::new(),
             outcome_scratch: Vec::new(),
@@ -1135,8 +1138,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
 
     /// The host half of an *observing* iteration (one with a free depth
     /// slot): moves heads that have arrived by `now` from the heap into
-    /// their class sets, samples the admission gates, and recomposes
-    /// `self.ready` from the classes whose gate is open. Returns
+    /// their class sets and samples the admission gates. Returns
     /// whether any arrived head is deferred behind a closed gate.
     fn observe_hosts(&mut self, now: u64) -> bool {
         while let Some(&Reverse((arrival_ns, queue))) = self.future_heads.peek() {
@@ -1151,7 +1153,6 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         let slots_full = self.be_inflight.len() >= self.be_slot_cap;
         let gate_closed = [false, slots_full, slots_full || self.admission_pressured()];
         let mut deferred_any = false;
-        self.ready.clear();
         for kind in HeadClass::ALL {
             let class = &mut self.classes[kind as usize];
             let closed = gate_closed[kind as usize];
@@ -1168,11 +1169,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
                     ]
                 });
             }
-            if closed {
-                deferred_any |= !class.arrived.is_empty();
-            } else {
-                self.ready.union_with(&class.arrived);
-            }
+            deferred_any |= closed && !class.arrived.is_empty();
         }
         deferred_any
     }
@@ -1197,7 +1194,13 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     /// The per-queue scan the dispatch index replaced, kept as the
     /// reference debug builds hold the index to at every iteration.
     #[cfg(debug_assertions)]
-    fn check_index_against_scan(&self, now: u64, host_blocked: bool, deferred_any: bool) {
+    fn check_index_against_scan(
+        &self,
+        now: u64,
+        view: &ArbiterView<'_>,
+        host_blocked: bool,
+        deferred_any: bool,
+    ) {
         let pending: usize = self.queues.iter().map(|q| q.pending.len()).sum();
         assert_eq!(self.host_pending, pending, "pending counter");
         let mut indexed = vec![0u32; self.queues.len()];
@@ -1220,7 +1223,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             );
         }
         if host_blocked {
-            assert!(self.ready.is_empty() && !deferred_any);
+            assert!(view.ready_queues() == 0 && !deferred_any);
             return;
         }
         let slots_full = self.be_inflight.len() >= self.be_slot_cap;
@@ -1247,7 +1250,11 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
                 ready.insert(queue);
             }
         }
-        assert_eq!(self.ready, ready, "ready set and count");
+        let indexed: ReadySet = (0..self.queues.len())
+            .map(|queue| view.is_ready(Source::Host(queue)))
+            .collect();
+        assert_eq!(indexed, ready, "ready set");
+        assert_eq!(view.ready_queues(), ready.len(), "ready count");
         assert_eq!(deferred_any, deferred, "deferred_any");
         let heap_top = self.future_heads.peek().map(|&Reverse((t, _))| t);
         assert_eq!(heap_top, earliest_arrival, "earliest future arrival");
@@ -1290,22 +1297,21 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             } else {
                 self.gc_pending.len()
             };
-            let deferred_any = if host_blocked {
-                self.ready.clear();
-                false
-            } else {
-                self.observe_hosts(now)
-            };
-            #[cfg(debug_assertions)]
-            self.check_index_against_scan(now, host_blocked, deferred_any);
-
+            let deferred_any = !host_blocked && self.observe_hosts(now);
+            let classes = self.classes.each_ref().map(|class| AdmissionClass {
+                arrived: &class.arrived,
+                open: !host_blocked && class.is_open(),
+            });
             let view = ArbiterView {
-                ready: &self.ready,
+                classes: &classes,
                 background_pending: gc_dispatchable
                     + self.compact_pending.len()
                     + self.ssd.maplog_pending(),
             };
-            if self.ready.is_empty() && !view.background_ready() {
+            #[cfg(debug_assertions)]
+            self.check_index_against_scan(now, &view, host_blocked, deferred_any);
+            let ready_sources = view.ready_queues() + usize::from(view.background_ready());
+            if ready_sources == 0 {
                 let wake = if host_blocked {
                     // Queue full: the host blocks until the earliest
                     // in-flight command completes.
@@ -1353,7 +1359,6 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             // of the free depth, so batching cannot turn per-command
             // arbitration into whole-queue-depth bursts while other
             // sources wait.
-            let ready_sources = self.ready.len() + usize::from(view.background_ready());
             match source {
                 Source::Gc => {
                     // The internal background source: space reclamation
@@ -2081,7 +2086,7 @@ mod tests {
 
     impl Arbiter for Stubborn {
         fn pick(&mut self, view: &ArbiterView<'_>) -> Source {
-            Source::Host(view.ready.queues())
+            Source::Host(view.queues())
         }
 
         fn name(&self) -> &'static str {

@@ -69,7 +69,9 @@ mod trace;
 mod translog;
 pub mod validity;
 
-pub use arbiter::{Arbiter, ArbiterView, HostPriority, ReadySet, RoundRobin, Source, Weighted};
+pub use arbiter::{
+    AdmissionClass, Arbiter, ArbiterView, HostPriority, ReadySet, RoundRobin, Source, Weighted,
+};
 pub use config::{CheckpointMode, CompactionMode, DramPolicy, GcMode, GcPolicy, SsdConfig};
 pub use device::{
     CompactionScheduler, Device, DeviceConfig, COMPACT_QUEUE, GC_QUEUE, MAPLOG_QUEUE,

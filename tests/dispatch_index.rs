@@ -29,7 +29,9 @@
 //! hashes times and nothing else moved in it.
 //!
 //! The proptest at the end holds the three bitset arbitration policies
-//! to a slice-walk transcription of the algorithms they replaced.
+//! to a slice-walk transcription of the algorithms they replaced, on
+//! views drawn as gated admission classes the way the device forms
+//! them.
 
 #![expect(
     clippy::expect_used,
@@ -38,8 +40,9 @@
 
 use leaftl_repro::flash::Lpa;
 use leaftl_repro::sim::{
-    Arbiter, ArbiterView, Device, DeviceConfig, ExactPageMap, HostPriority, IoRequest,
-    QosControllerConfig, QosSpec, ReadySet, RoundRobin, Slo, Source, Ssd, SsdConfig, Weighted,
+    AdmissionClass, Arbiter, ArbiterView, Device, DeviceConfig, ExactPageMap, HostPriority,
+    IoRequest, QosControllerConfig, QosSpec, ReadySet, RoundRobin, Slo, Source, Ssd, SsdConfig,
+    Weighted,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -326,7 +329,8 @@ fn drain_order_is_the_stable_sort_on_a_1012_queue_fleet() {
 
 /// The three policies as they were before the ready bitset: each walks
 /// one `head_ready` flag per host queue, slot layout
-/// `[Host(0) … Host(n-1), Gc]`.
+/// `[Host(0) … Host(n-1), Gc]`. `Weighted` grows its credit vector in
+/// place when a weight names a queue beyond the device.
 mod slice_walk {
     use super::Source;
 
@@ -386,8 +390,11 @@ mod slice_walk {
         pub fn pick(&mut self, host: &[bool], background: bool) -> Source {
             let hosts = host.len().max(self.host_weights.len());
             let slots = hosts + 1;
-            if self.credit.len() != slots {
-                self.credit = vec![0; slots];
+            if self.credit.len() < slots {
+                // Host credits stay; GC's moves to the new last slot.
+                let gc = self.credit.pop().unwrap_or(0);
+                self.credit.resize(hosts, 0);
+                self.credit.push(gc);
             }
             let slot_source = |slot: usize| {
                 if slot < hosts {
@@ -441,20 +448,85 @@ mod slice_walk {
     }
 }
 
+/// Host queues as the device presents them to an arbiter: each queue's
+/// arrived head sits in one of three admission classes, each behind a
+/// gate.
+struct Classes {
+    arrived: Vec<bool>,
+    class_of: Vec<usize>,
+    open: [bool; 3],
+}
+
+impl Classes {
+    /// One step's change, drawn from `kind`: new arrivals, gates that
+    /// close and reopen, heads that move class (a best-effort head
+    /// switching from read to write), or every gate shut so only
+    /// background work can be ready. A few heads arrive or leave on
+    /// every step, as dispatches and arrivals do.
+    fn step(&mut self, kind: u64, rng: &mut Rng) {
+        let queues = self.arrived.len();
+        match kind {
+            0 => {
+                let density = rng.next() % 6;
+                for arrived in &mut self.arrived {
+                    *arrived = rng.next() % 5 < density;
+                }
+            }
+            1 => self.open = [0, 1, 2].map(|_| !rng.next().is_multiple_of(3)),
+            2 => {
+                for _ in 0..=queues / 8 {
+                    let queue = rng.next() as usize % queues;
+                    self.class_of[queue] = rng.next() as usize % 3;
+                }
+            }
+            3 => self.open = [false; 3],
+            _ => {}
+        }
+        for _ in 0..rng.next() % 4 {
+            let queue = rng.next() as usize % queues;
+            self.arrived[queue] = !self.arrived[queue];
+        }
+    }
+
+    /// The arrived set of each class.
+    fn sets(&self) -> [ReadySet; 3] {
+        [0, 1, 2].map(|class| {
+            self.arrived
+                .iter()
+                .zip(&self.class_of)
+                .map(|(&arrived, &of)| arrived && of == class)
+                .collect()
+        })
+    }
+
+    /// The ready flag per queue: arrived, behind an open gate.
+    fn ready(&self) -> Vec<bool> {
+        self.arrived
+            .iter()
+            .zip(&self.class_of)
+            .map(|(&arrived, &of)| arrived && self.open[of])
+            .collect()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Over random ready sets, weights, retunes and queue counts that
-    /// straddle the bitset's word boundaries, every pick of the three
-    /// bitset policies equals the slice walk's — cursors and credits
-    /// included, since each sequence starts from wherever the previous
-    /// picks left them.
+    /// Over gated admission classes — whole classes closing and
+    /// reopening, heads moving between classes, views with only
+    /// background work — and over weights, single retunes (some beyond
+    /// the device's queues), bulk retunes of every queue in a class and
+    /// queue counts that straddle the bitset's word boundaries, every
+    /// pick of the three bitset policies equals the slice walk's over
+    /// the union of the open classes — cursors and credits included,
+    /// since each sequence starts from wherever the previous picks left
+    /// them.
     #[test]
     fn bitset_policies_pick_what_the_slice_walk_picks(
         queues in 1usize..131,
         weights in vec(0u32..40, 0..140),
         gc_weight in 0u32..5,
-        steps in vec((0u64..u64::MAX, 0u64..6, proptest::bool::ANY, 0u32..64), 1..80),
+        steps in vec((0u64..u64::MAX, 0u64..8, proptest::bool::ANY, 0u32..64), 1..80),
     ) {
         let mut round_robin = (RoundRobin::new(), slice_walk::RoundRobin::default());
         let mut weighted = (
@@ -462,21 +534,42 @@ proptest! {
             slice_walk::Weighted::new(&weights, gc_weight),
         );
         let mut host_priority = (HostPriority::new(), slice_walk::HostPriority::default());
-        for (step, &(seed, density, background, retune)) in steps.iter().enumerate() {
-            // density 0 readies nothing, 5 and up everything.
+        let mut classes = Classes {
+            arrived: vec![false; queues],
+            class_of: (0..queues).map(|queue| queue % 3).collect(),
+            open: [true; 3],
+        };
+        for (step, &(seed, kind, background, retune)) in steps.iter().enumerate() {
             let mut rng = Rng(seed);
-            let host: Vec<bool> = (0..queues).map(|_| rng.next() % 5 < density).collect();
-            let ready: ReadySet = host.iter().copied().collect();
-            if retune % 4 == 0 {
+            classes.step(kind, &mut rng);
+            match kind {
+                // Every queue of one class at once: the QoS tick.
+                4 => {
+                    let class = rng.next() as usize % 3;
+                    for queue in (0..queues).filter(|&queue| classes.class_of[queue] == class) {
+                        weighted.0.set_weight(queue, retune);
+                        weighted.1.set_weight(queue, retune);
+                    }
+                }
                 // Sometimes beyond the device's queues: the vector grows.
-                let queue = rng.next() as usize % (queues + 8);
-                weighted.0.set_weight(queue, retune);
-                weighted.1.set_weight(queue, retune);
+                5 => {
+                    let queue = rng.next() as usize % (queues + 8);
+                    weighted.0.set_weight(queue, retune);
+                    weighted.1.set_weight(queue, retune);
+                }
+                _ => {}
             }
+            let sets = classes.sets();
+            let gated: Vec<AdmissionClass<'_>> = sets
+                .iter()
+                .zip(classes.open)
+                .map(|(arrived, open)| AdmissionClass { arrived, open })
+                .collect();
             let view = ArbiterView {
-                ready: &ready,
+                classes: &gated,
                 background_pending: usize::from(background),
             };
+            let host = classes.ready();
             prop_assert_eq!(
                 round_robin.0.pick(&view),
                 round_robin.1.pick(&host, background),

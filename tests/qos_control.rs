@@ -15,7 +15,7 @@
 //! inter-arrival gap (the offered load the SLO math assumes is the
 //! load actually generated).
 
-use leaftl_repro::sim::{Arbiter, ArbiterView, ReadySet, Source, Weighted};
+use leaftl_repro::sim::{AdmissionClass, Arbiter, ArbiterView, ReadySet, Source, Weighted};
 use leaftl_repro::workloads::{multi_tenant_trace, qos_fleet, QosFleetSpec};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -24,10 +24,14 @@ use proptest::prelude::*;
 /// host queue always ready, no background work, `rounds` picks.
 fn dispatch_shares(arbiter: &mut Weighted, queues: usize, rounds: usize) -> Vec<f64> {
     let ready: ReadySet = (0..queues).map(|_| true).collect();
+    let classes = [AdmissionClass {
+        arrived: &ready,
+        open: true,
+    }];
     let mut picks = vec![0u64; queues];
     for _ in 0..rounds {
         let view = ArbiterView {
-            ready: &ready,
+            classes: &classes,
             background_pending: 0,
         };
         match arbiter.pick(&view) {
