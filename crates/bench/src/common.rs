@@ -4,7 +4,7 @@
 use leaftl_baselines::{sftl_full_table_bytes, Dftl, Sftl};
 use leaftl_core::{LeaFtlConfig, LeaFtlTable, MappingScheme};
 use leaftl_sim::{
-    replay, replay_open_loop_with, replay_queued, DeviceConfig, DramPolicy, HostOp, LeaFtlScheme,
+    replay, replay_open_loop, replay_queued, DeviceConfig, DramPolicy, HostOp, LeaFtlScheme,
     MapLogTraffic, QueuedReplayReport, ReplayReport, SimError, SimStats, SpaceReport, Ssd,
     SsdConfig, TimedOp, TrafficClass, UtilizationReport,
 };
@@ -113,23 +113,23 @@ impl AnySsd {
         each_ssd!(self, ssd => replay(ssd, ops).expect("replay"))
     }
 
-    /// Closed-loop replay through the queued engine at `queue_depth`.
+    /// Closed-loop replay through a device built from `config`.
     pub fn replay_queued<I: IntoIterator<Item = HostOp>>(
-        &mut self,
-        ops: I,
-        queue_depth: usize,
-    ) -> QueuedReplayReport {
-        self.traced(|any| each_ssd!(any, ssd => replay_queued(ssd, ops, queue_depth)))
-    }
-
-    /// Open-loop replay of a timestamped multi-stream trace under a full
-    /// device shape: queue count, arbitration policy and GC mode.
-    pub fn replay_open_loop_with<I: IntoIterator<Item = TimedOp>>(
         &mut self,
         ops: I,
         config: DeviceConfig,
     ) -> QueuedReplayReport {
-        self.traced(|any| each_ssd!(any, ssd => replay_open_loop_with(ssd, ops, config)))
+        self.traced(|any| each_ssd!(any, ssd => replay_queued(ssd, ops, config)))
+    }
+
+    /// Open-loop replay of a timestamped multi-stream trace under a full
+    /// device shape: queue count, arbitration policy and GC mode.
+    pub fn replay_open_loop<I: IntoIterator<Item = TimedOp>>(
+        &mut self,
+        ops: I,
+        config: DeviceConfig,
+    ) -> QueuedReplayReport {
+        self.traced(|any| each_ssd!(any, ssd => replay_open_loop(ssd, ops, config)))
     }
 
     /// Runs an engine-driven replay, with the event tracer attached when

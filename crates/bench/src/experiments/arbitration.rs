@@ -71,7 +71,7 @@ pub fn arbitration(quick: bool) -> Figure {
     let mut sync_p99 = None;
     for name in POLICIES {
         let mut ssd = base.clone();
-        let report = ssd.replay_open_loop_with(trace.clone(), device(name));
+        let report = ssd.replay_open_loop(trace.clone(), device(name));
         let mut streams = Vec::new();
         let mut stream_cells = Vec::new();
         for stream in &report.per_stream {

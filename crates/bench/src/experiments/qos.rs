@@ -169,7 +169,7 @@ pub fn qos(_quick: bool) -> Figure {
                 .with_qos(QosSpec::new(slos.clone()).with_controller(ctrl)),
         };
         let mut ssd = base.clone();
-        let report = ssd.replay_open_loop_with(trace.clone(), device);
+        let report = ssd.replay_open_loop(trace.clone(), device);
         // Every device nanosecond must belong to a traffic class.
         ssd.assert_utilization_conserved(name);
 

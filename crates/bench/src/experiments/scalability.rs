@@ -80,7 +80,7 @@ pub fn scalability(quick: bool) -> Figure {
         let mut deepest_utilization = None;
         for &depth in &DEPTHS {
             let mut ssd = base.clone();
-            let report = ssd.replay_queued(ops.clone(), depth);
+            let report = ssd.replay_queued(ops.clone(), DeviceConfig::single(depth));
             // Every device nanosecond must belong to a traffic class.
             ssd.assert_utilization_conserved(&format!("{label} QD={depth}"));
             deepest_utilization = Some(utilization_json(&report.utilization));
@@ -114,7 +114,7 @@ pub fn scalability(quick: bool) -> Figure {
 
         // ---- Part 2: multi-tenant colocation on the same image ------
         let mut ssd = base;
-        let report = ssd.replay_open_loop_with(trace.clone(), DeviceConfig::new(tenants.len(), 32));
+        let report = ssd.replay_open_loop(trace.clone(), DeviceConfig::new(tenants.len(), 32));
         ssd.assert_utilization_conserved(&format!("{label} multi-tenant"));
         let mut row = vec![label.clone(), format!("{:.0}", report.iops())];
         let mut streams = Vec::new();

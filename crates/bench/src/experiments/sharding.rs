@@ -22,9 +22,7 @@
 use super::{Figure, Shape};
 use crate::common::{prefill, print_table, warm_up, Scale, SEED};
 use leaftl_core::{LeaFtlConfig, ShardedMapping};
-use leaftl_sim::{
-    replay_queued_with, DeviceConfig, DramPolicy, LeaFtlScheme, QueuedReplayReport, Ssd,
-};
+use leaftl_sim::{replay_queued, DeviceConfig, DramPolicy, LeaFtlScheme, QueuedReplayReport, Ssd};
 use leaftl_workloads::oltp;
 use serde_json::json;
 
@@ -104,9 +102,8 @@ pub fn sharding(quick: bool) -> Figure {
         let mut row = vec![format!("{shards}")];
         for (&depth, fewer) in DEPTHS.iter().zip(&mut fewer_shards_iops) {
             let mut ssd = base.clone();
-            let report =
-                replay_queued_with(&mut ssd, ops.clone(), background_device(depth, threshold))
-                    .expect("replay");
+            let report = replay_queued(&mut ssd, ops.clone(), background_device(depth, threshold))
+                .expect("replay");
             row.push(format!(
                 "{:.0} ({:.0}/{:.0}µs, {}c)",
                 report.iops(),
@@ -143,7 +140,7 @@ pub fn sharding(quick: bool) -> Figure {
         if shards == COMPARE_SHARDS {
             let mut ssd = base.clone();
             inline_report = Some(
-                replay_queued_with(&mut ssd, ops.clone(), DeviceConfig::single(COMPARE_DEPTH))
+                replay_queued(&mut ssd, ops.clone(), DeviceConfig::single(COMPARE_DEPTH))
                     .expect("replay"),
             );
         }

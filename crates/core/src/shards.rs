@@ -24,8 +24,8 @@
 //! structure is per-group, a sharded table holds *exactly* the same
 //! groups as the unsharded one — lookups, post-compaction segment
 //! counts and memory bytes are identical for any shard count, and a
-//! 1-shard service forwards every call verbatim (state-identical,
-//! pinned by the `sharding_equivalence` proptests). Interval-gated
+//! 1-shard service forwards every call verbatim (pinned by the
+//! `sharding_equivalence` and `engine_equivalence` proptests). Interval-gated
 //! maintenance keeps the device-wide cadence at every shard count:
 //! after each multi-shard batch, every shard is credited the writes
 //! its siblings absorbed ([`MappingScheme::note_sibling_writes`]), so

@@ -17,8 +17,8 @@
 //! [`GcMode::Synchronous`], dispatch order is submission order and the
 //! device's final state is *identical at every queue depth* to the
 //! blocking [`Ssd::read`]/[`Ssd::write`] interface (the
-//! `engine_equivalence` proptests pin this; depth 1 is additionally
-//! cycle-exact). What queue depth, queue count, arbitration policy and
+//! `engine_equivalence` proptests pin this for every scheme; depth 1
+//! is additionally cycle-exact). What queue depth, queue count, arbitration policy and
 //! GC mode change is *which command dispatches next* and *time*: flash
 //! work is chained on per-die timelines from each command's dispatch
 //! point, the global clock only advances when the host must wait, and
@@ -173,7 +173,9 @@ impl Default for CompactionScheduler {
 }
 
 /// Construction-time shape of a [`Device`]: queue count, outstanding
-/// host-command budget, GC scheduling mode and arbitration policy.
+/// host-command budget, GC scheduling mode, learned-table compaction
+/// mode with its scheduler's thresholds, arbitration policy, and the
+/// optional QoS spec (per-queue SLOs plus controller).
 #[derive(Debug)]
 pub struct DeviceConfig {
     /// Host submission queues (≥ 1).
@@ -1558,33 +1560,6 @@ mod tests {
 
     fn ssd() -> Ssd<ExactPageMap> {
         Ssd::new(SsdConfig::small_test(), ExactPageMap::new())
-    }
-
-    #[test]
-    fn qd1_matches_blocking_path_exactly() {
-        let mut blocking = ssd();
-        for i in 0..96u64 {
-            blocking.write(Lpa::new(i), i).unwrap();
-        }
-        for i in 0..96u64 {
-            assert_eq!(blocking.read(Lpa::new(i)).unwrap(), Some(i));
-        }
-        let blocking_ns = blocking.now_ns();
-
-        let mut queued = ssd();
-        {
-            let mut device = Device::new(&mut queued, DeviceConfig::single(1));
-            for i in 0..96u64 {
-                device.submit_write(Lpa::new(i), i).unwrap();
-            }
-            for i in 0..96u64 {
-                device.submit_read(Lpa::new(i)).unwrap();
-            }
-            let completions = device.drain().unwrap();
-            assert_eq!(completions.len(), 192);
-        }
-        assert_eq!(queued.now_ns(), blocking_ns);
-        assert_eq!(queued.stats().flash, blocking.stats().flash);
     }
 
     /// A config whose data cache is tiny, so reads actually hit flash.

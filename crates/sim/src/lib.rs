@@ -83,8 +83,8 @@ pub use leaftl_core::{
 pub use leaftl_scheme::LeaFtlScheme;
 pub use qos::{QosController, QosControllerConfig, QosSpec, QosTick, QueueTick, Slo, SloClass};
 pub use replay::{
-    replay, replay_open_loop, replay_open_loop_with, replay_queued, replay_queued_with, HostOp,
-    QueuedReplayReport, ReplayReport, StreamLatency, TimedOp,
+    replay, replay_open_loop, replay_queued, HostOp, QueuedReplayReport, ReplayReport,
+    StreamLatency, TimedOp,
 };
 pub use request::{Command, IoCompletion, IoKind, IoRequest};
 pub use ssd::{RecoveryReport, SpaceReport, Ssd, LOOKUP_BASE_NS, LOOKUP_PER_LEVEL_NS};

@@ -5,10 +5,9 @@
 //!
 //! * [`replay`] — the legacy closed-loop mode: one request in flight,
 //!   each completes before the next is issued (queue depth 1).
-//! * [`replay_queued`] — closed-loop at a configurable queue depth:
-//!   the host keeps `queue_depth` requests outstanding through a
-//!   single-queue [`crate::Device`], so requests overlap across flash
-//!   dies.
+//! * [`replay_queued`] — closed-loop through queue 0 of a
+//!   [`crate::Device`]: the host keeps the config's queue depth of
+//!   requests outstanding, so requests overlap across flash dies.
 //! * [`replay_open_loop`] — open-loop: [`TimedOp`]s carry arrival
 //!   timestamps and stream ids (multi-tenant traces); each stream
 //!   targets its own named submission queue, requests are admitted at
@@ -16,9 +15,9 @@
 //!   arbiter decides whose turn it is — how real multi-queue devices
 //!   experience bursty, overlapping tenants.
 //!
-//! The `_with` variants ([`replay_queued_with`],
-//! [`replay_open_loop_with`]) take a full [`DeviceConfig`], which is
-//! how experiments select arbitration policies and background GC.
+//! Both take a full [`DeviceConfig`], which is how experiments select
+//! queue depth, arbitration policy, GC and compaction modes and a QoS
+//! controller; `DeviceConfig::single(n)` is the plain depth-`n` device.
 
 use crate::device::{Device, DeviceConfig};
 use crate::error::SimError;
@@ -100,11 +99,6 @@ impl ReplayReport {
     /// Mean host read latency in microseconds.
     pub fn mean_read_latency_us(&self) -> f64 {
         self.stats.read_latency.mean_ns() / 1000.0
-    }
-
-    /// Mean host write latency in microseconds.
-    pub fn mean_write_latency_us(&self) -> f64 {
-        self.stats.write_latency.mean_ns() / 1000.0
     }
 
     /// Mean latency over all host page operations, the paper's
@@ -454,38 +448,20 @@ where
     })
 }
 
-/// Replays `ops` closed-loop at `queue_depth`: the host keeps up to
-/// that many page requests outstanding, refilling as completions
-/// retire. Depth 1 reproduces [`replay`]'s blocking behaviour (and its
-/// device state is identical at *any* depth — only timing changes).
+/// Replays `ops` closed-loop through a device built from `config`:
+/// the host keeps up to `config.queue_depth` page requests outstanding,
+/// refilling as completions retire. Closed-loop ops carry no stream
+/// ids, so they all target queue 0; the config matters for its depth,
+/// GC and compaction modes and (with background work) arbitration
+/// against the internal queues. `DeviceConfig::single(1)` reproduces
+/// [`replay`]'s blocking behaviour, and with synchronous GC its device
+/// state is identical at *any* depth — only timing changes.
 ///
 /// # Errors
 ///
 /// Propagates any [`SimError`] other than address range issues (which
 /// are avoided by clamping).
 pub fn replay_queued<S, I>(
-    ssd: &mut Ssd<S>,
-    ops: I,
-    queue_depth: usize,
-) -> Result<QueuedReplayReport, SimError>
-where
-    S: MappingScheme + Clone,
-    I: IntoIterator<Item = HostOp>,
-{
-    replay_queued_with(ssd, ops, DeviceConfig::single(queue_depth))
-}
-
-/// [`replay_queued`] with a full [`DeviceConfig`] — queue count,
-/// arbitration policy and GC mode. Closed-loop ops carry no stream
-/// ids, so they all target queue 0; the config matters for its depth,
-/// GC mode and (with background GC) arbitration against the internal
-/// GC queue.
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] other than address range issues (which
-/// are avoided by clamping).
-pub fn replay_queued_with<S, I>(
     ssd: &mut Ssd<S>,
     ops: I,
     config: DeviceConfig,
@@ -508,46 +484,21 @@ where
     })
 }
 
-/// Replays a timestamped multi-stream trace open-loop: every distinct
-/// stream targets its own named submission queue (round-robin
-/// arbitration between them), each request is admitted at its trace
-/// arrival time (relative to the device clock at call time) regardless
-/// of how many are already outstanding, and at most `queue_depth`
-/// commands are dispatched concurrently — a saturated device pushes
-/// queueing delay into the per-request latency rather than stalling
-/// the trace. Ops should be sorted by `at_ns` within each stream (each
-/// queue is FIFO; the device clamps an out-of-order timestamp up to
-/// that queue's newest arrival).
-///
-/// # Errors
-///
-/// Propagates any [`SimError`] other than address range issues (which
-/// are avoided by clamping).
-pub fn replay_open_loop<S, I>(
-    ssd: &mut Ssd<S>,
-    ops: I,
-    queue_depth: usize,
-) -> Result<QueuedReplayReport, SimError>
-where
-    S: MappingScheme + Clone,
-    I: IntoIterator<Item = TimedOp>,
-{
-    let ops: Vec<TimedOp> = ops.into_iter().collect();
-    // One queue per *distinct* stream (not per id value): tenant ids
-    // are arbitrary u32s, and sparse or large ones must not allocate
-    // queues the trace never uses.
-    let streams: BTreeSet<u32> = ops.iter().map(|t| t.stream).collect();
-    let config = DeviceConfig::new(streams.len().max(1), queue_depth);
-    replay_open_loop_with(ssd, ops, config)
-}
-
-/// [`replay_open_loop`] with a full [`DeviceConfig`] — this is how the
-/// arbitration and QoS experiments select weighted or host-priority
-/// policies, background GC and a QoS controller. Every distinct stream
-/// gets its own submission queue (dense remap in ascending stream-id
-/// order, like [`replay_open_loop`]): queue assignment is explicit per
-/// tenant, so per-queue attribution (SLOs, `admission_wait_ns`,
-/// arbiter weights) is never silently shared.
+/// Replays a timestamped multi-stream trace open-loop through a device
+/// built from `config`: every distinct stream gets its own submission
+/// queue (dense remap in ascending stream-id order), each request is
+/// admitted at its trace arrival time (relative to the device clock at
+/// call time) regardless of how many are already outstanding, and at
+/// most `config.queue_depth` commands are dispatched concurrently — a
+/// saturated device pushes queueing delay into the per-request latency
+/// rather than stalling the trace. The config's arbiter decides whose
+/// turn it is; this is how the arbitration and QoS experiments select
+/// weighted or host-priority policies, background GC and a QoS
+/// controller. Queue assignment is explicit per tenant, so per-queue
+/// attribution (SLOs, `admission_wait_ns`, arbiter weights) is never
+/// silently shared. Ops should be sorted by `at_ns` within each stream
+/// (each queue is FIFO; the device clamps an out-of-order timestamp up
+/// to that queue's newest arrival).
 ///
 /// # Errors
 ///
@@ -557,7 +508,7 @@ where
 ///   attribution, so the replay now refuses instead.
 /// * Otherwise propagates any [`SimError`] except address range issues
 ///   (avoided by clamping).
-pub fn replay_open_loop_with<S, I>(
+pub fn replay_open_loop<S, I>(
     ssd: &mut Ssd<S>,
     ops: I,
     config: DeviceConfig,
@@ -655,7 +606,7 @@ mod tests {
         let mut blocking = Ssd::new(SsdConfig::small_test(), ExactPageMap::new());
         let legacy = replay(&mut blocking, ops.clone()).unwrap();
         let mut queued = Ssd::new(SsdConfig::small_test(), ExactPageMap::new());
-        let report = replay_queued(&mut queued, ops, 1).unwrap();
+        let report = replay_queued(&mut queued, ops, DeviceConfig::single(1)).unwrap();
         assert_eq!(report.ops, 2);
         assert_eq!(report.pages_read, 96);
         assert_eq!(report.pages_written, 96);
@@ -675,9 +626,9 @@ mod tests {
         .chain((0..256u64).map(|i| HostOp::read(i * 2)))
         .collect();
         let mut qd1 = Ssd::new(config.clone(), ExactPageMap::new());
-        let r1 = replay_queued(&mut qd1, ops.clone(), 1).unwrap();
+        let r1 = replay_queued(&mut qd1, ops.clone(), DeviceConfig::single(1)).unwrap();
         let mut qd16 = Ssd::new(config, ExactPageMap::new());
-        let r16 = replay_queued(&mut qd16, ops, 16).unwrap();
+        let r16 = replay_queued(&mut qd16, ops, DeviceConfig::single(16)).unwrap();
         assert!(
             r16.elapsed_ns < r1.elapsed_ns,
             "QD=16 ({}) must beat QD=1 ({})",
@@ -705,7 +656,7 @@ mod tests {
             op: HostOp::read(i),
         }));
         trace.sort_by_key(|t| t.at_ns);
-        let report = replay_open_loop(&mut ssd, trace, 8).unwrap();
+        let report = replay_open_loop(&mut ssd, trace, DeviceConfig::new(2, 8)).unwrap();
         assert_eq!(report.pages_written, 64);
         assert_eq!(report.pages_read, 32);
         assert_eq!(report.per_stream.len(), 2);
@@ -722,7 +673,7 @@ mod tests {
     fn only_open_loop_records_wait_latency() {
         let ops: Vec<HostOp> = (0..48u64).map(HostOp::write).collect();
         let mut closed = Ssd::new(SsdConfig::small_test(), ExactPageMap::new());
-        let report = replay_queued(&mut closed, ops.clone(), 8).unwrap();
+        let report = replay_queued(&mut closed, ops.clone(), DeviceConfig::single(8)).unwrap();
         assert_eq!(report.pages_written, 48);
         assert_eq!(report.wait_latency.count(), 0);
 
@@ -732,12 +683,12 @@ mod tests {
             op,
         });
         let mut open = Ssd::new(SsdConfig::small_test(), ExactPageMap::new());
-        let report = replay_open_loop(&mut open, timed, 8).unwrap();
+        let report = replay_open_loop(&mut open, timed, DeviceConfig::single(8)).unwrap();
         assert_eq!(report.wait_latency.count(), 48);
     }
 
     #[test]
-    fn open_loop_with_refuses_stream_queue_collisions() {
+    fn open_loop_refuses_stream_queue_collisions() {
         let mut ssd = Ssd::new(SsdConfig::small_test(), ExactPageMap::new());
         // Three distinct streams, two queues: the old `stream % queues`
         // map would silently fold stream 2 onto stream 0's queue.
@@ -749,21 +700,21 @@ mod tests {
             })
             .collect();
         assert_eq!(
-            replay_open_loop_with(&mut ssd, trace.clone(), DeviceConfig::new(2, 4)).unwrap_err(),
+            replay_open_loop(&mut ssd, trace.clone(), DeviceConfig::new(2, 4)).unwrap_err(),
             SimError::StreamsExceedQueues {
                 streams: 3,
                 queues: 2
             }
         );
         // Enough queues: the dense remap gives each stream its own.
-        let report = replay_open_loop_with(&mut ssd, trace, DeviceConfig::new(3, 4)).unwrap();
+        let report = replay_open_loop(&mut ssd, trace, DeviceConfig::new(3, 4)).unwrap();
         assert_eq!(report.per_stream.len(), 3);
         assert_eq!(report.admission_wait_ns, 0, "no QoS controller attached");
         assert!(report.qos_ticks.is_empty());
     }
 
     #[test]
-    fn open_loop_with_remaps_sparse_streams_densely() {
+    fn open_loop_remaps_sparse_streams_densely() {
         let mut ssd = Ssd::new(SsdConfig::small_test(), ExactPageMap::new());
         // Sparse ids 7 and 300 fit two queues — id values don't matter,
         // distinct-stream count does.
@@ -779,7 +730,7 @@ mod tests {
                 op: HostOp::write(1),
             },
         ];
-        let report = replay_open_loop_with(&mut ssd, trace, DeviceConfig::new(2, 4)).unwrap();
+        let report = replay_open_loop(&mut ssd, trace, DeviceConfig::new(2, 4)).unwrap();
         assert_eq!(report.per_stream.len(), 2);
         assert_eq!(report.per_stream[0].stream, 7);
         assert_eq!(report.per_stream[1].stream, 300);

@@ -19,7 +19,7 @@
 //! densely and refuse traces with more streams than queues), so a
 //! trace built here exercises per-tenant queues under whatever
 //! arbitration policy — and QoS control plane — the experiment
-//! configures (`leaftl_sim::replay_open_loop_with`).
+//! configures (its `DeviceConfig`, passed to `leaftl_sim::replay_open_loop`).
 //!
 //! For SLO studies each tenant carries a `leaftl_sim::Slo`:
 //! [`qos_fleet`] builds the adversarial 1000+-tenant mix (a handful of

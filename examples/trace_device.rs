@@ -28,7 +28,7 @@
 
 use leaftl_repro::core::LeaFtlConfig;
 use leaftl_repro::sim::{
-    replay_open_loop_with, DeviceConfig, LeaFtlScheme, QosControllerConfig, QosSpec, Slo, Ssd,
+    replay_open_loop, DeviceConfig, LeaFtlScheme, QosControllerConfig, QosSpec, Slo, Ssd,
     SsdConfig, TrafficClass, Weighted,
 };
 use leaftl_repro::workloads::{gc_bully, multi_tenant_trace, slo_reader, warmup_ops, TenantSpec};
@@ -90,7 +90,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_qos(QosSpec::new(slos).with_controller(ctrl));
 
     ssd.attach_trace();
-    let report = replay_open_loop_with(&mut ssd, trace, device)?;
+    let report = replay_open_loop(&mut ssd, trace, device)?;
     let sink = ssd.take_trace().expect("tracing was enabled");
     let check = sink.check();
     std::fs::write(&out, sink.export_chrome_json())?;

@@ -21,29 +21,13 @@
 //! The history comes from a generator local to this file, so the
 //! constants depend on `leaftl_core` alone.
 
+mod support;
+
+use support::{fnv1a, Rng, FNV_OFFSET};
+
 use leaftl_repro::core::{LeaFtlConfig, LeaFtlTable};
 use leaftl_repro::flash::{Lpa, Ppa};
 use std::collections::BTreeMap;
-
-/// splitmix64 — the history's only randomness.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
-fn fnv1a(hash: &mut u64, value: u64) {
-    for byte in value.to_le_bytes() {
-        *hash ^= byte as u64;
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
 
 const GROUPS: u64 = 96;
 const HOT_GROUPS: u64 = 12;
@@ -103,7 +87,7 @@ fn crb_shape(table: &LeaFtlTable) -> BTreeMap<u64, (usize, usize)> {
 
 /// Everything a sweep may legitimately change, in one digest.
 fn table_digest(table: &LeaFtlTable) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = FNV_OFFSET;
     for (group, level, segment) in table.iter_segments() {
         fnv1a(&mut hash, group);
         fnv1a(&mut hash, level as u64);
@@ -125,7 +109,7 @@ fn table_digest(table: &LeaFtlTable) -> u64 {
 /// The level stacks alone: every segment with its group and level, in
 /// the table's (group, level, start) order.
 fn stack_digest(table: &LeaFtlTable) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = FNV_OFFSET;
     for (group, level, segment) in table.iter_segments() {
         fnv1a(&mut hash, group);
         fnv1a(&mut hash, level as u64);
@@ -136,7 +120,7 @@ fn stack_digest(table: &LeaFtlTable) -> u64 {
 
 /// What a lookup of every LPA of the space answers.
 fn lookup_digest(table: &LeaFtlTable) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = FNV_OFFSET;
     for lpa in 0..SPACE {
         match table.lookup(Lpa::new(lpa)) {
             Some(hit) => {

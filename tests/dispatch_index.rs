@@ -38,6 +38,10 @@
     reason = "a test: a step that fails should fail it with its message"
 )]
 
+mod support;
+
+use support::{fnv1a, Rng, FNV_OFFSET};
+
 use leaftl_repro::flash::Lpa;
 use leaftl_repro::sim::{
     AdmissionClass, Arbiter, ArbiterView, Device, DeviceConfig, ExactPageMap, HostPriority,
@@ -52,19 +56,6 @@ const GUARANTEED_READERS: usize = 4;
 const GUARANTEED_WRITERS: usize = 2;
 const BEST_EFFORT_WRITERS: usize = 34;
 const QUEUE_DEPTH: usize = 16;
-
-/// splitmix64 — the fleet's only randomness.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
 
 /// A small device, twice overwritten, with the hard floor at the low
 /// watermark so background GC, the floor gate and hard-floor stalls
@@ -152,13 +143,6 @@ struct Golden {
     gc_dispatched: u64,
 }
 
-fn fnv1a(hash: &mut u64, value: u64) {
-    for byte in value.to_le_bytes() {
-        *hash ^= byte as u64;
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 fn run(arbiter: Box<dyn Arbiter>, qos: bool) -> Golden {
     let mut ssd = aged_ssd();
     let logical = ssd.config().logical_pages();
@@ -179,7 +163,7 @@ fn run(arbiter: Box<dyn Arbiter>, qos: bool) -> Golden {
         device.enqueue_to(queue, request).expect("enqueue");
     }
     let completions = device.drain().expect("drain");
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = FNV_OFFSET;
     for c in &completions {
         fnv1a(&mut hash, c.id);
         fnv1a(&mut hash, c.queue as u64);
@@ -317,7 +301,7 @@ fn drain_order_is_the_stable_sort_on_a_1012_queue_fleet() {
     want.sort_by_key(|c| (c.complete_ns, c.id));
     assert!(drained == want, "drain order is not the stable sort");
 
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut hash = FNV_OFFSET;
     for c in &drained {
         fnv1a(&mut hash, c.id);
         fnv1a(&mut hash, c.queue as u64);

@@ -1,33 +1,36 @@
-//! Device-front-end determinism/equivalence invariants.
+//! The queued [`Device`] held equal to the blocking `Ssd::{read, write,
+//! flush}` path, for every mapping scheme.
 //!
-//! **Single queue + synchronous GC ≡ blocking path.** At *any* queue
-//! depth, a single-queue [`Device`] in `GcMode::Synchronous`
-//! dispatches commands in submission order, so the device ends in
-//! exactly the state the blocking replay produces — identical
-//! flash contents (per-page content, reverse mapping and program
-//! sequence), identical mapping state, identical flash-op counts, and
-//! identical read results. Queue depth may only change *when* things
-//! happen, never *what* happens.
+//! Every case drives one page-op sequence twice: [`run_blocking`]
+//! through the blocking calls, [`run_device`] through a single-queue
+//! device, where a flush is "drain, then a host flush". After both
+//! runs each SSD passes its own cross-checks ([`invariants`]).
 //!
-//! Blocking reads and device reads run one implementation — a burst of
-//! one is its degenerate case, pinned by `tests/read_path_golden.rs` —
-//! so for reads this compares burst shapes (one request at a time
-//! against whatever bursts the queue depth forms), and for writes,
-//! flushes and GC the blocking wrappers against device dispatch.
+//! **Synchronous GC and inline compaction: the same state at any queue
+//! depth.** A single queue dispatches host commands in submission
+//! order, so the device ends with the blocking run's reads, flash
+//! contents (per-page content, reverse mapping, program sequence),
+//! wear, mapping bytes and event counts ([`check_equivalence`]). Queue
+//! depth may only change *when* things happen, never *what* happens.
+//! At depth 1 the device is also cycle-exact — the same clock,
+//! translation stall and cache hits — with and without a QoS
+//! controller on a guaranteed queue: one queue leaves the arbiter no
+//! choice, a guaranteed head is never deferred, and synchronous GC
+//! keeps the pacing gate inert. Reads run one implementation on both
+//! sides (a burst of one; `tests/read_path_golden.rs` pins what it
+//! does), so this holds equal the bursts a queue forms, write and
+//! flush servicing, dispatch, retirement and the drain barriers. The
+//! schemes: `ExactPageMap`, LeaFTL resident (where read bursts hoist
+//! translations through `lookup_batch`) and demand-paged, DFTL, SFTL,
+//! and LeaFTL behind 1/2/4/8 range shards; a 1-shard service is also
+//! the unsharded scheme, cycle for cycle.
 //!
-//! The invariant is checked in both memory regimes: resident mapping
-//! tables (where read bursts hoist translations through
-//! `lookup_batch`) and constrained DRAM (demand-paged CMT/groups plus
-//! a tiny data cache, where the device must translate each request at
-//! its turn to preserve the blocking path's mutation order).
-//!
-//! **Background GC converges to the same live data.** With
-//! `GcMode::Background` the *timing and placement* of GC migrations
-//! changes (they become arbitrated device traffic), so physical state
-//! diverges from the blocking run — but GC only moves live pages, so
-//! the logical contents must not: after draining, every LPA reads the
-//! same value under background GC (any arbiter) as under the blocking
-//! synchronous path.
+//! **Background work converges** ([`check_convergence`]). Background
+//! GC migrates pages at other times and places than the synchronous
+//! collector, and background compaction sweeps at other times, but
+//! neither changes what a read returns: after draining, every LPA
+//! holds the blocking run's value. Compaction moves no data, so with
+//! synchronous GC the flash is identical too.
 
 #![expect(
     clippy::unwrap_used,
@@ -36,14 +39,16 @@
 )]
 
 use leaftl_repro::baselines::{Dftl, Sftl};
-use leaftl_repro::core::LeaFtlConfig;
+use leaftl_repro::core::{LeaFtlConfig, ShardedMapping};
 use leaftl_repro::flash::{BlockId, Lpa, Ppa};
 use leaftl_repro::sim::{
-    Device, DeviceConfig, HostPriority, IoKind, LeaFtlScheme, MappingScheme, RoundRobin, Ssd,
-    SsdConfig, Weighted,
+    Arbiter, Command, Device, DeviceConfig, ExactPageMap, GcMode, HostPriority, IoCompletion,
+    IoKind, IoRequest, LeaFtlScheme, MappingScheme, QosSpec, RoundRobin, SimStats, Slo, Ssd,
+    SsdConfig, Weighted, COMPACT_QUEUE,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// An abstract host action over a small logical space.
 #[derive(Debug, Clone, Copy)]
@@ -64,38 +69,88 @@ fn action() -> impl Strategy<Value = Action> {
     ]
 }
 
-/// Expands actions into page-granular (kind, lpa, content) tuples with
-/// `Flush` barriers kept in place (`None`).
-fn page_ops(actions: &[Action], logical: u64) -> Vec<Option<(IoKind, u64, u64)>> {
+/// One page-granular host operation.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    /// `(lpa, content)`.
+    Write(u64, u64),
+    Read(u64),
+    Flush,
+}
+
+/// Expands actions into page ops; each write carries fresh content.
+fn page_ops(actions: &[Action], logical: u64) -> Vec<Op> {
     let mut content = 0u64;
     let mut ops = Vec::new();
+    let mut write = |lpa: u64, ops: &mut Vec<Op>| {
+        content += 1;
+        ops.push(Op::Write(lpa % logical, content));
+    };
     for &action in actions {
         match action {
-            Action::Write { lpa, len } => {
-                for j in 0..len {
-                    content += 1;
-                    ops.push(Some((IoKind::Write, (lpa + j) % logical, content)));
-                }
-            }
+            Action::Write { lpa, len } => (0..len).for_each(|j| write(lpa + j, &mut ops)),
             Action::StridedWrite { lpa, stride, count } => {
-                for j in 0..count {
-                    content += 1;
-                    ops.push(Some((IoKind::Write, (lpa + j * stride) % logical, content)));
-                }
+                (0..count).for_each(|j| write(lpa + j * stride, &mut ops));
             }
-            Action::Read { lpa } => ops.push(Some((IoKind::Read, lpa % logical, 0))),
-            Action::Flush => ops.push(None),
+            Action::Read { lpa } => ops.push(Op::Read(lpa % logical)),
+            Action::Flush => ops.push(Op::Flush),
         }
     }
     ops
 }
 
-/// Full-device digest: per-page (content, reverse-mapped LPA, program
-/// sequence) plus per-block erase counts.
-#[allow(clippy::type_complexity)]
-fn device_digest<S: MappingScheme + Clone>(
-    ssd: &Ssd<S>,
-) -> (Vec<Option<(u64, Option<Lpa>, u64)>>, Vec<u32>) {
+/// Runs `ops` through the blocking calls; returns the reads in order.
+fn run_blocking<S: MappingScheme + Clone>(ssd: &mut Ssd<S>, ops: &[Op]) -> Vec<Option<u64>> {
+    let mut reads = Vec::new();
+    for &op in ops {
+        match op {
+            Op::Write(lpa, content) => ssd.write(Lpa::new(lpa), content).expect("write"),
+            Op::Read(lpa) => reads.push(ssd.read(Lpa::new(lpa)).expect("read")),
+            Op::Flush => ssd.flush().expect("flush"),
+        }
+    }
+    reads
+}
+
+/// Submits `ops` to queue 0 of `device`, a flush as "drain, then a host
+/// flush", and returns every completion in submission order.
+fn drive<S: MappingScheme + Clone>(device: &mut Device<'_, S>, ops: &[Op]) -> Vec<IoCompletion> {
+    let mut completions = Vec::new();
+    for &op in ops {
+        let submitted = match op {
+            Op::Write(lpa, content) => device.submit_write(Lpa::new(lpa), content),
+            Op::Read(lpa) => device.submit_read(Lpa::new(lpa)),
+            Op::Flush => {
+                completions.extend(device.drain().expect("drain"));
+                device.submit_to(0, IoRequest::flush())
+            }
+        };
+        submitted.expect("submit");
+    }
+    completions.extend(device.drain().expect("drain"));
+    completions.sort_by_key(|c| c.id);
+    completions
+}
+
+/// Runs `ops` through a device built from `config`; returns the reads
+/// in submission order.
+fn run_device<S: MappingScheme + Clone>(
+    ssd: &mut Ssd<S>,
+    ops: &[Op],
+    config: DeviceConfig,
+) -> Vec<Option<u64>> {
+    drive(&mut Device::new(ssd, config), ops)
+        .iter()
+        .filter(|c| c.kind() == IoKind::Read)
+        .map(|c| c.data)
+        .collect()
+}
+
+/// Per-page (content, reverse-mapped LPA, program sequence), and
+/// per-block erase counts.
+type Digest = (Vec<Option<(u64, Option<Lpa>, u64)>>, Vec<u32>);
+
+fn device_digest<S: MappingScheme + Clone>(ssd: &Ssd<S>) -> Digest {
     let geometry = *ssd.device().geometry();
     let pages = (0..geometry.total_pages())
         .map(|raw| {
@@ -111,9 +166,62 @@ fn device_digest<S: MappingScheme + Clone>(
     (pages, erases)
 }
 
-/// Runs the same action sequence through the blocking path and through
-/// a single-queue synchronous-GC device at `queue_depth`, asserting
-/// end-state equality.
+/// The FTL event counts two equal runs agree on, by name.
+fn counts(s: &SimStats) -> [(&'static str, u64); 10] {
+    [
+        ("host_reads", s.host_reads),
+        ("host_writes", s.host_writes),
+        ("buffer_hits", s.buffer_hits),
+        ("cache_hits", s.cache_hits),
+        ("unmapped_reads", s.unmapped_reads),
+        ("lookups", s.lookups),
+        ("mispredictions", s.mispredictions),
+        ("gc_runs", s.gc_runs),
+        ("wear_swaps", s.wear_swaps),
+        ("compactions", s.compactions),
+    ]
+}
+
+/// Same flash contents and wear, mapping bytes, flash-op and FTL
+/// event counts.
+fn same_state<S, T>(a: &Ssd<S>, b: &Ssd<T>) -> Result<(), TestCaseError>
+where
+    S: MappingScheme + Clone,
+    T: MappingScheme + Clone,
+{
+    prop_assert_eq!(device_digest(a), device_digest(b));
+    prop_assert_eq!(a.mapping_bytes(), b.mapping_bytes());
+    prop_assert_eq!(a.stats().flash, b.stats().flash);
+    prop_assert_eq!(counts(a.stats()), counts(b.stats()));
+    Ok(())
+}
+
+/// Cycle-exact: the same clock, translation stall and cache hits.
+fn same_clock<S, T>(a: &Ssd<S>, b: &Ssd<T>) -> Result<(), TestCaseError>
+where
+    S: MappingScheme + Clone,
+    T: MappingScheme + Clone,
+{
+    let (x, y) = (a.stats(), b.stats());
+    prop_assert_eq!(
+        (a.now_ns(), x.translation_stall_ns, x.cache_hits),
+        (b.now_ns(), y.translation_stall_ns, y.cache_hits),
+        "(now_ns, translation_stall_ns, cache_hits) must be cycle-exact"
+    );
+    Ok(())
+}
+
+/// The SSD's own cross-checks: the GC victim index against the device,
+/// and every flash op's die time attributed to exactly one class.
+fn invariants<S: MappingScheme + Clone>(ssd: &Ssd<S>) -> Result<(), TestCaseError> {
+    prop_assert_eq!(ssd.check_gc_index(), Vec::<String>::new());
+    prop_assert_eq!(ssd.check_utilization_conservation(), Ok(()));
+    Ok(())
+}
+
+/// A single-queue synchronous-GC device ends in the blocking run's
+/// state at `queue_depth`; at depth 1 it is cycle-exact, with and
+/// without a QoS controller on a guaranteed queue.
 fn check_equivalence<S, F>(
     build: F,
     actions: &[Action],
@@ -123,185 +231,102 @@ where
     S: MappingScheme + Clone,
     F: Fn() -> Ssd<S>,
 {
-    // Blocking run.
     let mut blocking = build();
-    let logical = blocking.config().logical_pages();
-    let ops = page_ops(actions, logical);
-    let mut blocking_reads: Vec<Option<u64>> = Vec::new();
-    for op in &ops {
-        match *op {
-            Some((IoKind::Write, lpa, content)) => {
-                blocking.write(Lpa::new(lpa), content).expect("write");
-            }
-            Some((IoKind::Read, lpa, _)) => {
-                blocking_reads.push(blocking.read(Lpa::new(lpa)).expect("read"));
-            }
-            Some((IoKind::Flush | IoKind::GcMigrate | IoKind::Compact | IoKind::MapLog, ..)) => {
-                unreachable!("host ops only")
-            }
-            None => blocking.flush().expect("flush"),
+    let ops = page_ops(actions, blocking.config().logical_pages());
+    let reads = run_blocking(&mut blocking, &ops);
+    invariants(&blocking)?;
+    let guaranteed = QosSpec::new(vec![Slo::guaranteed(1_000.0)]);
+    let legs = [
+        (DeviceConfig::single(queue_depth), queue_depth == 1),
+        (DeviceConfig::single(1), true),
+        (DeviceConfig::single(1).with_qos(guaranteed), true),
+    ];
+    for (config, cycle_exact) in legs {
+        let mut queued = build();
+        prop_assert_eq!(run_device(&mut queued, &ops, config), reads);
+        same_state(&queued, &blocking)?;
+        if cycle_exact {
+            same_clock(&queued, &blocking)?;
         }
+        invariants(&queued)?;
     }
-
-    // Queued run: same ops through the device; Flush is a barrier
-    // (drain, then a host flush), matching the blocking sequence.
-    let mut queued = build();
-    let mut queued_reads: Vec<Option<u64>> = Vec::new();
-    let mut segment: Vec<(IoKind, u64, u64)> = Vec::new();
-    let mut segments: Vec<Vec<(IoKind, u64, u64)>> = Vec::new();
-    for op in &ops {
-        match *op {
-            Some(op) => segment.push(op),
-            None => segments.push(std::mem::take(&mut segment)),
-        }
-    }
-    let trailing = std::mem::take(&mut segment);
-    let segment_count = segments.len();
-    segments.push(trailing);
-    for (idx, segment) in segments.iter().enumerate() {
-        {
-            let mut device = Device::new(&mut queued, DeviceConfig::single(queue_depth));
-            for &(kind, lpa, content) in segment {
-                match kind {
-                    IoKind::Write => device.submit_write(Lpa::new(lpa), content).expect("write"),
-                    IoKind::Read => device.submit_read(Lpa::new(lpa)).expect("read"),
-                    IoKind::Flush | IoKind::GcMigrate | IoKind::Compact | IoKind::MapLog => {
-                        unreachable!("host ops only")
-                    }
-                };
-            }
-            let mut completions = device.drain().expect("drain");
-            completions.sort_by_key(|c| c.id); // submission order
-            queued_reads.extend(
-                completions
-                    .iter()
-                    .filter(|c| c.kind() == IoKind::Read)
-                    .map(|c| c.data),
-            );
-        }
-        if idx < segment_count {
-            queued.flush().expect("flush");
-        }
-    }
-
-    // Identical read results, in submission order.
-    prop_assert_eq!(&queued_reads, &blocking_reads);
-
-    // Identical flash contents and wear.
-    prop_assert_eq!(device_digest(&queued), device_digest(&blocking));
-
-    // Identical flash-op counts and FTL event counts.
-    let (qs, bs) = (queued.stats(), blocking.stats());
-    prop_assert_eq!(qs.flash, bs.flash);
-    prop_assert_eq!(qs.host_reads, bs.host_reads);
-    prop_assert_eq!(qs.host_writes, bs.host_writes);
-    prop_assert_eq!(qs.buffer_hits, bs.buffer_hits);
-    prop_assert_eq!(qs.cache_hits, bs.cache_hits);
-    prop_assert_eq!(qs.unmapped_reads, bs.unmapped_reads);
-    prop_assert_eq!(qs.lookups, bs.lookups);
-    prop_assert_eq!(qs.mispredictions, bs.mispredictions);
-    prop_assert_eq!(qs.gc_runs, bs.gc_runs);
-    prop_assert_eq!(qs.wear_swaps, bs.wear_swaps);
-    prop_assert_eq!(qs.compactions, bs.compactions);
-
-    // Identical mapping state.
-    prop_assert_eq!(queued.mapping_bytes(), blocking.mapping_bytes());
     Ok(())
 }
 
-/// Runs the same action sequence blocking (synchronous GC) and through
-/// a single-queue *background-GC* device, asserting that both end with
-/// the same live data for every logical page. Physical placement, GC
-/// counts and timing legitimately diverge; user data must not.
-fn check_background_gc_convergence<S, F>(
+/// A device running `config`'s background work reads what the blocking
+/// run (synchronous GC, inline compaction) reads, and after draining
+/// holds the same data at every LPA; with synchronous GC, the same
+/// flash.
+fn check_convergence<S, F>(
     build: F,
     actions: &[Action],
-    queue_depth: usize,
-    arbiter: usize,
+    config: DeviceConfig,
 ) -> Result<(), TestCaseError>
 where
     S: MappingScheme + Clone,
     F: Fn() -> Ssd<S>,
 {
+    let same_flash = config.gc_mode == GcMode::Synchronous;
     let mut blocking = build();
     let logical = blocking.config().logical_pages();
     let ops = page_ops(actions, logical);
-    for op in ops.iter().flatten() {
-        match *op {
-            (IoKind::Write, lpa, content) => {
-                blocking.write(Lpa::new(lpa), content).expect("write");
-            }
-            (IoKind::Read, lpa, _) => {
-                blocking.read(Lpa::new(lpa)).expect("read");
-            }
-            (IoKind::Flush | IoKind::GcMigrate | IoKind::Compact | IoKind::MapLog, ..) => {
-                unreachable!("host ops only")
-            }
-        }
-    }
-
+    let reads = run_blocking(&mut blocking, &ops);
     let mut background = build();
-    {
-        let config = DeviceConfig::single(queue_depth)
-            .background_gc()
-            .with_arbiter(match arbiter {
-                0 => Box::new(RoundRobin::new()),
-                1 => Box::new(HostPriority::new()),
-                _ => Box::new(Weighted::new(vec![2], 1)),
-            });
-        let mut device = Device::new(&mut background, config);
-        for op in ops.iter().flatten() {
-            match *op {
-                (IoKind::Write, lpa, content) => {
-                    device.submit_write(Lpa::new(lpa), content).expect("write");
-                }
-                (IoKind::Read, lpa, _) => {
-                    device.submit_read(Lpa::new(lpa)).expect("read");
-                }
-                (IoKind::Flush | IoKind::GcMigrate | IoKind::Compact | IoKind::MapLog, ..) => {
-                    unreachable!("host ops only")
-                }
-            }
-        }
-        device.drain().expect("drain");
+    prop_assert_eq!(run_device(&mut background, &ops, config), reads);
+    if same_flash {
+        prop_assert_eq!(device_digest(&background), device_digest(&blocking));
     }
-
-    // Same live-data set: every logical page reads identically.
+    invariants(&blocking)?;
+    invariants(&background)?;
     for lpa in 0..logical {
-        let expected = blocking.read(Lpa::new(lpa)).expect("read");
-        let got = background.read(Lpa::new(lpa)).expect("read");
-        prop_assert_eq!(got, expected, "lpa {} diverged", lpa);
+        prop_assert_eq!(
+            background.read(Lpa::new(lpa)).expect("read"),
+            blocking.read(Lpa::new(lpa)).expect("read"),
+            "lpa {} diverged",
+            lpa
+        );
     }
     Ok(())
 }
 
-fn leaftl_resident(gamma: u32) -> Ssd<LeaFtlScheme> {
-    let mut config = SsdConfig::small_test();
-    config.gamma = gamma;
-    let scheme = LeaFtlScheme::new(
+const SHARDS: [usize; 4] = [1, 2, 4, 8];
+
+/// LeaFTL at `gamma`, compacting inline every 300 learned pages.
+fn leaftl(gamma: u32) -> LeaFtlScheme {
+    LeaFtlScheme::new(
         LeaFtlConfig::default()
             .with_gamma(gamma)
             .with_compaction_interval(300),
-    );
-    Ssd::new(config, scheme)
+    )
 }
 
-/// Constrained DRAM: demand-paged mapping structures plus a data cache
-/// of only a handful of pages, so in-burst evictions and translation
-/// traffic actually happen.
-fn constrained_config() -> SsdConfig {
+/// LeaFTL at `gamma` behind `shards` range shards.
+fn sharded(config: SsdConfig, shards: usize, gamma: u32) -> Ssd<ShardedMapping<LeaFtlScheme>> {
+    let logical = config.logical_pages();
+    Ssd::new(
+        config,
+        ShardedMapping::new(shards, logical, |_| leaftl(gamma)),
+    )
+}
+
+/// Every mapping table stays resident.
+fn resident() -> SsdConfig {
+    SsdConfig::small_test()
+}
+
+/// 2 KB of DRAM: a few hundred CMT entries or a sub-table group budget
+/// and essentially no data cache, so every read reaches the mapping
+/// scheme and the flash, and in-burst evictions and translation traffic
+/// happen.
+fn constrained() -> SsdConfig {
     let mut config = SsdConfig::small_test();
-    // 2 KB of DRAM: a few hundred CMT entries / a sub-table group
-    // budget, and essentially no data cache — every read reaches the
-    // mapping scheme and the flash.
     config.dram_bytes = 2 * 1024;
     config
 }
 
-/// A GC-pressured shape: little over-provisioning headroom relative to
-/// the watermarks, so the proptest workloads actually trigger
-/// collection in both modes.
-fn gc_pressured_config() -> SsdConfig {
+/// Little over-provisioning headroom relative to the watermarks, so
+/// short workloads trigger collection in both GC modes.
+fn gc_pressured() -> SsdConfig {
     let mut config = SsdConfig::small_test();
     config.op_ratio = 0.5;
     config.gc_low_watermark = 0.30;
@@ -310,59 +335,60 @@ fn gc_pressured_config() -> SsdConfig {
     config
 }
 
+/// One queue at `queue_depth`, background GC, and arbiter `index`:
+/// round-robin, host-priority or weighted.
+fn background_gc(queue_depth: usize, index: usize) -> DeviceConfig {
+    let arbiter: Box<dyn Arbiter> = match index {
+        0 => Box::new(RoundRobin::new()),
+        1 => Box::new(HostPriority::new()),
+        _ => Box::new(Weighted::new(vec![2], 1)),
+    };
+    DeviceConfig::single(queue_depth)
+        .background_gc()
+        .with_arbiter(arbiter)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Resident learned table (the batch-lookup fast path), any
-    /// interleaving, any queue depth.
+    /// The in-DRAM page map.
+    #[test]
+    fn exact_page_map_matches_blocking(
+        actions in vec(action(), 1..80),
+        queue_depth in 1usize..33,
+    ) {
+        check_equivalence(|| Ssd::new(resident(), ExactPageMap::new()), &actions, queue_depth)?;
+    }
+
+    /// Resident learned table: read bursts take the hoisted-batch path.
     #[test]
     fn leaftl_resident_matches_blocking(
         actions in vec(action(), 1..80),
         queue_depth in 1usize..33,
         gamma in 0u32..5,
     ) {
-        check_equivalence(|| leaftl_resident(gamma), &actions, queue_depth)?;
-        // The resident table must actually take the hoisted-batch path
-        // for this regime to mean anything.
-        let ssd = leaftl_resident(gamma);
-        prop_assert!(ssd.scheme().lookup_is_pure());
+        let build = || Ssd::new(resident(), leaftl(gamma));
+        prop_assert!(build().scheme().lookup_is_pure());
+        check_equivalence(build, &actions, queue_depth)?;
     }
 
-    /// Demand-paged LeaFTL (budget below the table footprint): the
-    /// device must fall back to turn-order translation.
+    /// Demand-paged LeaFTL: the device translates each read at its turn.
     #[test]
     fn leaftl_demand_paged_matches_blocking(
         actions in vec(action(), 1..60),
         queue_depth in 1usize..33,
         gamma in 0u32..3,
     ) {
-        check_equivalence(
-            || {
-                let mut config = constrained_config();
-                config.gamma = gamma;
-                let scheme = LeaFtlScheme::new(
-                    LeaFtlConfig::default()
-                        .with_gamma(gamma)
-                        .with_compaction_interval(300),
-                );
-                Ssd::new(config, scheme)
-            },
-            &actions,
-            queue_depth,
-        )?;
+        check_equivalence(|| Ssd::new(constrained(), leaftl(gamma)), &actions, queue_depth)?;
     }
 
-    /// Demand-paged DFTL (tiny CMT + tiny data cache).
+    /// Demand-paged DFTL (tiny CMT, tiny data cache).
     #[test]
     fn dftl_demand_paged_matches_blocking(
         actions in vec(action(), 1..60),
         queue_depth in 1usize..33,
     ) {
-        check_equivalence(
-            || Ssd::new(constrained_config(), Dftl::new()),
-            &actions,
-            queue_depth,
-        )?;
+        check_equivalence(|| Ssd::new(constrained(), Dftl::new()), &actions, queue_depth)?;
     }
 
     /// Demand-paged SFTL.
@@ -371,119 +397,161 @@ proptest! {
         actions in vec(action(), 1..60),
         queue_depth in 1usize..33,
     ) {
-        check_equivalence(
-            || Ssd::new(constrained_config(), Sftl::new()),
-            &actions,
-            queue_depth,
-        )?;
+        check_equivalence(|| Ssd::new(constrained(), Sftl::new()), &actions, queue_depth)?;
     }
 
-    /// Background-GC convergence, LeaFTL: arbitrated migrations move
-    /// pages at different times and places than the synchronous
-    /// collector, but the live-data set must match the blocking run.
+    /// Demand-paged LeaFTL behind 1, 2, 4 and 8 shards, every case at
+    /// every shard count.
+    #[test]
+    fn sharded_demand_paged_matches_blocking(
+        actions in vec(action(), 1..50),
+        queue_depth in 1usize..33,
+        gamma in 0u32..3,
+    ) {
+        for shards in SHARDS {
+            check_equivalence(|| sharded(constrained(), shards, gamma), &actions, queue_depth)?;
+        }
+    }
+
+    /// A 1-shard `ShardedMapping` forwards every call verbatim: on the
+    /// blocking path it is the unsharded scheme, cycle for cycle.
+    #[test]
+    fn one_shard_service_is_state_identical(
+        actions in vec(action(), 1..60),
+        gamma in 0u32..5,
+    ) {
+        let mut plain = Ssd::new(resident(), leaftl(gamma));
+        let ops = page_ops(&actions, plain.config().logical_pages());
+        let reads = run_blocking(&mut plain, &ops);
+        let mut one_shard = sharded(resident(), 1, gamma);
+        prop_assert_eq!(run_blocking(&mut one_shard, &ops), reads);
+        same_state(&one_shard, &plain)?;
+        same_clock(&one_shard, &plain)?;
+        invariants(&plain)?;
+        invariants(&one_shard)?;
+    }
+
+    /// Arbitrated `Command::Compact` traffic costs time, never state: at
+    /// every shard count and any depth it ends with the inline run's
+    /// reads and flash.
+    #[test]
+    fn background_compaction_matches_inline_state(
+        actions in vec(action(), 10..60),
+        queue_depth in 1usize..17,
+        gamma in 0u32..3,
+        level_threshold in 2u32..5,
+        segment_threshold in 32usize..200,
+    ) {
+        for shards in SHARDS {
+            let config = DeviceConfig::single(queue_depth)
+                .background_compaction()
+                .with_compaction_thresholds(level_threshold, segment_threshold);
+            check_convergence(|| sharded(resident(), shards, gamma), &actions, config)?;
+        }
+    }
+
+    /// Background GC, LeaFTL, under each arbiter.
     #[test]
     fn leaftl_background_gc_converges(
         actions in vec(action(), 20..80),
         queue_depth in 1usize..17,
         gamma in 0u32..3,
-        arbiter in 0usize..3,
+        index in 0usize..3,
     ) {
-        check_background_gc_convergence(
-            || {
-                let mut config = gc_pressured_config();
-                config.gamma = gamma;
-                let scheme = LeaFtlScheme::new(
-                    LeaFtlConfig::default()
-                        .with_gamma(gamma)
-                        .with_compaction_interval(300),
-                );
-                Ssd::new(config, scheme)
-            },
-            &actions,
-            queue_depth,
-            arbiter,
-        )?;
+        let config = background_gc(queue_depth, index);
+        check_convergence(|| Ssd::new(gc_pressured(), leaftl(gamma)), &actions, config)?;
     }
 
-    /// Background-GC convergence, DFTL.
+    /// Background GC, DFTL.
     #[test]
     fn dftl_background_gc_converges(
         actions in vec(action(), 20..60),
         queue_depth in 1usize..17,
-        arbiter in 0usize..3,
+        index in 0usize..3,
     ) {
-        check_background_gc_convergence(
-            || Ssd::new(gc_pressured_config(), Dftl::new()),
-            &actions,
-            queue_depth,
-            arbiter,
-        )?;
+        let config = background_gc(queue_depth, index);
+        check_convergence(|| Ssd::new(gc_pressured(), Dftl::new()), &actions, config)?;
     }
 
-    /// Background-GC convergence, SFTL.
+    /// Background GC, SFTL.
     #[test]
     fn sftl_background_gc_converges(
         actions in vec(action(), 20..60),
         queue_depth in 1usize..17,
-        arbiter in 0usize..3,
+        index in 0usize..3,
     ) {
-        check_background_gc_convergence(
-            || Ssd::new(gc_pressured_config(), Sftl::new()),
-            &actions,
-            queue_depth,
-            arbiter,
-        )?;
+        let config = background_gc(queue_depth, index);
+        check_convergence(|| Ssd::new(gc_pressured(), Sftl::new()), &actions, config)?;
     }
 }
 
-/// Deterministic heavy-overwrite cross-check: background GC must
-/// actually collect (not just converge trivially) and keep data
-/// intact under sustained pressure with every arbiter.
+/// Six full overwrites: background GC must actually collect, not just
+/// converge trivially, and keep the data under every arbiter.
 #[test]
-fn background_gc_collects_under_heavy_overwrite() {
-    for arbiter in 0..3usize {
-        let mut blocking = Ssd::new(
-            gc_pressured_config(),
-            LeaFtlScheme::new(LeaFtlConfig::default()),
-        );
-        let logical = blocking.config().logical_pages();
-        for round in 0..6u64 {
-            for i in 0..logical {
-                blocking.write(Lpa::new(i), round * 100_000 + i).unwrap();
-            }
-        }
-        assert!(blocking.stats().gc_runs > 0, "sync GC must trigger");
-
-        let mut background = Ssd::new(
-            gc_pressured_config(),
-            LeaFtlScheme::new(LeaFtlConfig::default()),
-        );
-        {
-            let config = DeviceConfig::single(16)
-                .background_gc()
-                .with_arbiter(match arbiter {
-                    0 => Box::new(RoundRobin::new()),
-                    1 => Box::new(HostPriority::new()),
-                    _ => Box::new(Weighted::new(vec![2], 1)),
-                });
-            let mut device = Device::new(&mut background, config);
-            for round in 0..6u64 {
-                for i in 0..logical {
-                    device
-                        .submit_write(Lpa::new(i), round * 100_000 + i)
-                        .unwrap();
-                }
-            }
-            device.drain().unwrap();
-            assert!(device.gc_dispatched() > 0, "background GC must run");
-        }
+fn background_gc_collects_under_heavy_overwrite() -> Result<(), TestCaseError> {
+    let build = || Ssd::new(gc_pressured(), LeaFtlScheme::new(LeaFtlConfig::default()));
+    let logical = build().config().logical_pages();
+    let ops: Vec<Op> = (0..6u64)
+        .flat_map(|round| (0..logical).map(move |i| Op::Write(i, round * 100_000 + i)))
+        .collect();
+    let mut blocking = build();
+    run_blocking(&mut blocking, &ops);
+    assert!(blocking.stats().gc_runs > 0, "sync GC must trigger");
+    invariants(&blocking)?;
+    for index in 0..3 {
+        let mut background = build();
+        let mut device = Device::new(&mut background, background_gc(16, index));
+        drive(&mut device, &ops);
+        assert!(device.gc_dispatched() > 0, "background GC must run");
+        drop(device);
         assert!(background.stats().gc_runs > 0);
+        invariants(&background)?;
         for i in 0..logical {
             assert_eq!(
                 background.read(Lpa::new(i)).unwrap(),
                 Some(5 * 100_000 + i),
-                "arbiter {arbiter}, lpa {i}"
+                "arbiter {index}, lpa {i}"
             );
         }
     }
+    Ok(())
+}
+
+/// A sliding window of writes over four shards: the device dispatches
+/// background compactions on the compaction queue, for more than one
+/// shard, each for a shard that exists.
+#[test]
+fn background_compaction_fires_per_shard() -> Result<(), TestCaseError> {
+    let config = resident();
+    let logical = config.logical_pages();
+    let mut ssd = Ssd::new(
+        config,
+        ShardedMapping::new(4, logical, |_| {
+            LeaFtlScheme::new(LeaFtlConfig::default().with_compaction_interval(u64::MAX))
+        }),
+    );
+    let ops: Vec<Op> = (0..12u64)
+        .flat_map(|round| {
+            (0..256u64).map(move |i| Op::Write((round * 131 + i * 5) % logical, round * 10_000 + i))
+        })
+        .collect();
+    let config = DeviceConfig::single(8)
+        .background_compaction()
+        .with_compaction_thresholds(u32::MAX, 16);
+    let mut device = Device::new(&mut ssd, config);
+    let mut compacted_shards = HashSet::new();
+    for c in drive(&mut device, &ops) {
+        if let Command::Compact { shard } = c.command {
+            assert!(shard < 4, "shard id in range");
+            assert_eq!(c.queue, COMPACT_QUEUE);
+            compacted_shards.insert(shard);
+        }
+    }
+    assert!(device.compact_dispatched() > 0, "compaction must fire");
+    drop(device);
+    assert!(
+        compacted_shards.len() > 1,
+        "writes span the LPA space: more than one shard must compact (got {compacted_shards:?})"
+    );
+    invariants(&ssd)
 }

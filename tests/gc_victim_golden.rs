@@ -52,6 +52,10 @@
     reason = "a test: a step that fails should fail it with its message"
 )]
 
+mod support;
+
+use support::{fnv1a, Rng, FNV_OFFSET};
+
 use leaftl_repro::core::LeaFtlConfig;
 use leaftl_repro::flash::{BlockId, Lpa};
 use leaftl_repro::sim::{
@@ -59,27 +63,6 @@ use leaftl_repro::sim::{
     SsdConfig,
 };
 
-/// splitmix64 — the histories' only randomness.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
-fn fnv1a(hash: &mut u64, value: u64) {
-    for byte in value.to_le_bytes() {
-        *hash ^= byte as u64;
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const BLOCKS: u64 = 256;
 const GAMMA: u32 = 4;
 /// Writes after the fill; the power cut falls in the middle.

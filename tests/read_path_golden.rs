@@ -29,6 +29,10 @@
     reason = "a test: a step that fails should fail it with its message"
 )]
 
+mod support;
+
+use support::{fnv1a, Rng, FNV_OFFSET};
+
 use leaftl_repro::baselines::Dftl;
 use leaftl_repro::core::{LeaFtlConfig, ShardedMapping};
 use leaftl_repro::flash::Lpa;
@@ -36,19 +40,6 @@ use leaftl_repro::sim::{
     CheckpointMode, Device, DeviceConfig, DramPolicy, IoRequest, LeaFtlScheme, MappingScheme,
     SimStats, Ssd, SsdConfig,
 };
-
-/// splitmix64 — the traces' only randomness.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -88,13 +79,6 @@ fn mixed_trace(logical: u64, seed: u64, actions: usize) -> Vec<Op> {
     ops
 }
 
-fn fnv1a(hash: &mut u64, value: u64) {
-    for byte in value.to_le_bytes() {
-        *hash ^= byte as u64;
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-}
-
 fn fnv_str(text: &str) -> u64 {
     let mut hash = FNV_OFFSET;
     for byte in text.bytes() {
@@ -102,8 +86,6 @@ fn fnv_str(text: &str) -> u64 {
     }
     hash
 }
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// What one run is pinned by.
 #[derive(Debug, PartialEq, Eq)]

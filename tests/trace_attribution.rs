@@ -23,8 +23,8 @@
 use leaftl_repro::core::LeaFtlConfig;
 use leaftl_repro::flash::{BlockId, Lpa, Ppa};
 use leaftl_repro::sim::{
-    replay_queued_with, CheckpointMode, DeviceConfig, FlashOpKind, HostOp, HostPriority,
-    LeaFtlScheme, MappingScheme, RoundRobin, Ssd, SsdConfig, TrafficClass, Weighted,
+    replay_queued, CheckpointMode, DeviceConfig, FlashOpKind, HostOp, HostPriority, LeaFtlScheme,
+    MappingScheme, RoundRobin, Ssd, SsdConfig, TrafficClass, Weighted,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -96,7 +96,7 @@ fn disabled_and_enabled_tracing_are_bit_identical() {
     let ops = workload(logical);
 
     let mut plain = leaftl(config.clone());
-    let plain_report = replay_queued_with(
+    let plain_report = replay_queued(
         &mut plain,
         ops.clone(),
         DeviceConfig::single(8).background_gc(),
@@ -106,8 +106,7 @@ fn disabled_and_enabled_tracing_are_bit_identical() {
     let mut traced = leaftl(config);
     traced.attach_trace();
     let traced_report =
-        replay_queued_with(&mut traced, ops, DeviceConfig::single(8).background_gc())
-            .expect("replay");
+        replay_queued(&mut traced, ops, DeviceConfig::single(8).background_gc()).expect("replay");
     let sink = traced.take_trace().expect("sink was attached");
     assert!(!sink.is_empty(), "a GC-heavy replay must record events");
 
@@ -130,7 +129,7 @@ fn trace_export_is_deterministic_and_valid() {
         let logical = config.logical_pages();
         let mut ssd = leaftl(config);
         ssd.attach_trace();
-        replay_queued_with(
+        replay_queued(
             &mut ssd,
             workload(logical),
             DeviceConfig::single(8).background_gc(),
@@ -260,7 +259,7 @@ proptest! {
         if traced {
             ssd.attach_trace();
         }
-        replay_queued_with(&mut ssd, host_ops(&actions, logical), device).expect("replay");
+        replay_queued(&mut ssd, host_ops(&actions, logical), device).expect("replay");
         check_conservation(&ssd)?;
 
         // The attribution survives a window reset: counters restart
