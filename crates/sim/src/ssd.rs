@@ -1458,7 +1458,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// selection found victims before the index: a scan of all blocks
     /// in id order. Kept as the reference the index is checked against
     /// (beside every selection in debug and test builds, and by
-    /// [`Ssd::check_gc_index`]).
+    /// [`Ssd::check_invariants`]).
     fn scan_gc_candidates(
         &self,
         include_held: bool,
@@ -1505,16 +1505,45 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         }
     }
 
-    /// Checks the state GC selection and wear levelling answer from
-    /// against what it summarises, returning one line per disagreement
-    /// (empty = consistent): the victim index against a scan of the
-    /// blocks (every clean key, the tree above the keys, and the
-    /// candidates it enumerates once the marked keys are re-read), the
-    /// allocator's per-block state and free counter against its slots
-    /// and pools, the erase histogram against the device's erase
-    /// counts. Linear in the device; for tests and invariant checks.
-    pub fn check_gc_index(&self) -> Vec<String> {
+    /// Checks the simulator's own bookkeeping against what it
+    /// summarises, returning one line per disagreement (empty =
+    /// consistent): the victim index against a scan of the blocks
+    /// (every clean key, the tree above the keys, and the candidates it
+    /// enumerates once the marked keys are re-read), the allocator's
+    /// per-block state and free counter against its slots and pools,
+    /// the erase histogram against the device's erase counts, every
+    /// flash op counted against its die time
+    /// ([`Ssd::check_utilization_conservation`]), and every LPA against
+    /// the valid pages naming it in their OOB — at most one, else GC
+    /// would migrate a stale copy over the live one. Linear in the
+    /// device; for tests and invariant checks.
+    pub fn check_invariants(&self) -> Vec<String> {
         let mut violations = self.allocator.check_state();
+        violations.extend(self.check_utilization_conservation().err());
+        let mut named: Vec<Option<Ppa>> = vec![None; self.config.logical_pages() as usize];
+        let mut valid = 0u64;
+        for block in (0..self.config.geometry.blocks).map(BlockId::new) {
+            for (ppa, lpa, _) in self.device.scan_block(block) {
+                if !self.validity.is_valid(ppa) {
+                    continue;
+                }
+                valid += 1;
+                let named = lpa.and_then(|lpa| Some((lpa, named.get_mut(lpa.raw() as usize)?)));
+                let Some((lpa, slot)) = named else {
+                    violations.push(format!("{ppa:?} valid, naming {lpa:?}"));
+                    continue;
+                };
+                if let Some(first) = slot.replace(ppa) {
+                    violations.push(format!("{lpa:?} valid at {first:?} and {ppa:?}"));
+                }
+            }
+        }
+        if valid != self.validity.total_valid() {
+            violations.push(format!(
+                "{} valid pages, {valid} of them programmed",
+                self.validity.total_valid()
+            ));
+        }
         let erases = EraseHistogram::new(self.device.erase_counts().map(|(_, count)| count));
         if erases != self.erase_histogram {
             violations.push(format!(
@@ -1570,11 +1599,13 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     }
 
     /// Sorts migrated pages by LPA, keeping only the freshest copy
-    /// (highest program sequence) of each. Duplicate valid copies of
-    /// one LPA can survive crash recovery's lenient invalidation
-    /// (§3.8), and the sorted learning path requires strictly
-    /// increasing LPAs; the stale duplicate is dropped — its old
-    /// location is invalidated with the rest of the victim.
+    /// (highest program sequence) of each. A victim never holds two
+    /// valid copies of one LPA — that would be a bookkeeping bug, and
+    /// [`Ssd::check_invariants`] reports it — but the sorted learning
+    /// path requires strictly increasing LPAs, so the dedup stays as a
+    /// defence: should a stale duplicate ever be valid, it is dropped
+    /// rather than migrated, and its old location is invalidated with
+    /// the rest of the victim.
     fn dedup_migration_items(mut items: Vec<(Lpa, u64, u64)>) -> Vec<(Lpa, u64)> {
         items.sort_by_key(|&(lpa, _, seq)| (lpa, seq));
         let mut out: Vec<(Lpa, u64)> = Vec::with_capacity(items.len());
@@ -2131,8 +2162,8 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             .deltas()
             .map(|(batch, stamp)| (batch.to_vec(), stamp))
             .collect();
-        for (batch, _) in &tail {
-            self.replay_mapping_batch(batch);
+        for (batch, stamp) in &tail {
+            self.replay_mapping_batch(batch, *stamp);
         }
         let replayed_log_entries = tail.len();
         let stamp = tail.last().map_or(baseline.stamp, |&(_, stamp)| stamp);
@@ -2243,16 +2274,29 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 .iter()
                 .map(|&(_, lpa, ppa)| (lpa, ppa))
                 .collect();
-            self.replay_mapping_batch(&batch);
+            // A scanned page is the copy on flash now.
+            self.replay_mapping_batch(&batch, u64::MAX);
             idx = end;
         }
         recovered_pages
     }
 
-    /// Re-installs one recovered mapping batch: leniently invalidate
-    /// whatever the table currently resolves for each LPA, then
-    /// re-learn the batch and mark its pages valid.
-    fn replay_mapping_batch(&mut self, batch: &[(Lpa, Ppa)]) {
+    /// Re-installs one recovered mapping batch, recorded when the
+    /// program sequence stood at `stamp`: leniently invalidate whatever
+    /// the table currently resolves for each LPA, then re-learn the
+    /// batch and mark its pages valid — the last copy of each LPA only,
+    /// and only where the page still holds that copy. A batch is a run
+    /// of consecutive programs, so it can name one LPA twice (two
+    /// flushes back to back in one open block, the second rewriting a
+    /// page of the first); the lookups all see the mapping from before
+    /// the batch, and `update_batch` keeps the last write, so an
+    /// earlier copy marked valid would stay valid beside the live one
+    /// until GC migrated it over it. A journalled batch can name a page
+    /// whose block was recycled after `stamp` (the page is erased, or
+    /// holds a newer program): that copy is gone, and a later entry's
+    /// approximate lookup, resolved against the flash as it is now,
+    /// could not find it to invalidate it.
+    fn replay_mapping_batch(&mut self, batch: &[(Lpa, Ppa)], stamp: u64) {
         for &(lpa, _) in batch {
             let (hit, _) = self.scheme.lookup(lpa);
             if let Some(hit) = hit {
@@ -2270,8 +2314,16 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         }
         self.unpersisted.note(batch);
         let _cost = self.scheme.update_batch(batch);
-        for &(_, ppa) in batch {
-            self.mark_valid(ppa);
+        let mut later: IntSet<Lpa> = IntSet::default();
+        let last: Vec<bool> = batch
+            .iter()
+            .rev()
+            .map(|&(lpa, _)| later.insert(lpa))
+            .collect();
+        for (&(_, ppa), &last) in batch.iter().zip(last.iter().rev()) {
+            if last && self.device.read(ppa).is_ok_and(|page| page.seq <= stamp) {
+                self.mark_valid(ppa);
+            }
         }
     }
 
@@ -3088,7 +3140,44 @@ mod tests {
     }
 
     #[test]
-    fn check_gc_index_catches_a_lost_mark() {
+    fn recovery_marks_one_copy_of_each_lpa_valid() {
+        let mut config = SsdConfig::small_test();
+        config.checkpoint_mode = CheckpointMode::Disabled;
+        // One die: every flush appends to the same open block.
+        config.geometry.channels = 1;
+        config.geometry.dies_per_channel = 1;
+        let mut ssd = Ssd::new(config, ExactPageMap::new());
+        // Two flushes back to back into that block, the second
+        // rewriting a page of the first: the scan replays both as one
+        // batch of consecutive programs.
+        for i in 0..8u64 {
+            ssd.write(Lpa::new(i), i).unwrap();
+        }
+        ssd.flush().unwrap();
+        ssd.write(Lpa::new(3), 100).unwrap();
+        ssd.flush().unwrap();
+        ssd.crash_and_recover().unwrap();
+        assert_eq!(ssd.check_invariants(), Vec::<String>::new());
+        assert_eq!(ssd.validity.total_valid(), 8);
+        assert_eq!(ssd.read(Lpa::new(3)).unwrap(), Some(100));
+
+        // A stale copy marked valid again is what the check names.
+        let stale = (0..ssd.config.geometry.total_pages())
+            .map(Ppa::new)
+            .find(|&ppa| ssd.device.read(ppa).is_ok() && !ssd.validity.is_valid(ppa))
+            .unwrap();
+        ssd.mark_valid(stale);
+        let violations = ssd.check_invariants();
+        assert!(
+            violations
+                .iter()
+                .any(|v| v.starts_with("Lpa(3) valid at") && v.contains(&format!("{stale:?}"))),
+            "{violations:?}"
+        );
+    }
+
+    #[test]
+    fn check_invariants_catches_a_lost_mark() {
         let mut ssd = ssd();
         // Fill, then overwrite scattered pages until GC has run: closed
         // blocks end up partly valid.
@@ -3099,7 +3188,7 @@ mod tests {
             ssd.write(Lpa::new(i * 37 % 1280), i).unwrap();
         }
         assert!(ssd.stats().gc_runs > 0);
-        assert_eq!(ssd.check_gc_index(), Vec::<String>::new());
+        assert_eq!(ssd.check_invariants(), Vec::<String>::new());
 
         // A page of a closed block goes stale: the block is marked, the
         // index still holds its old count, and the check accepts that.
@@ -3112,12 +3201,12 @@ mod tests {
         ssd.validity.valid_pages(block, &mut live);
         let ppa = live[0];
         ssd.invalidate(ppa);
-        assert_eq!(ssd.check_gc_index(), Vec::<String>::new());
+        assert_eq!(ssd.check_invariants(), Vec::<String>::new());
 
         // The mark is lost before selection reads the new count.
         assert_eq!(ssd.gc_index.pop_dirty(), Some(block));
         ssd.gc_index.refresh(block, valid);
-        let violations = ssd.check_gc_index();
+        let violations = ssd.check_invariants();
         assert!(
             violations
                 .iter()

@@ -1,177 +1,135 @@
-//! Crash-consistency integration tests (§3.8 of the paper): flushed
-//! data survives arbitrary power cuts; buffered data is lost (no
-//! battery-backed DRAM in the prototype, §5); recovery scan time is
-//! bounded by the snapshot age.
+//! Crash-consistency tests (§3.8 of the paper), held to the host model
+//! (`support/model.rs`): after a power cut every LPA reads exactly its
+//! newest flash copy, and the LPAs that differ from the newest host
+//! write are exactly the buffered writes DRAM lost (no battery-backed
+//! DRAM in the prototype, §5).
 
-#![expect(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    reason = "a test: a step that fails should fail it with its message"
-)]
+#[path = "support/families.rs"]
+mod families;
+#[path = "support/fixed.rs"]
+mod fixed;
+#[path = "support/flash_truth.rs"]
+mod flash_truth;
+#[path = "support/model.rs"]
+mod model;
+#[path = "support/ops.rs"]
+mod ops;
 
-use leaftl_repro::baselines::Dftl;
-use leaftl_repro::core::LeaFtlConfig;
-use leaftl_repro::flash::Lpa;
-use leaftl_repro::sim::{LeaFtlScheme, MappingScheme, RecoveryReport, Ssd, SsdConfig};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use families::{aging, config, dftl, exact, leaftl, sftl, RESIDENT};
+use fixed::{fixed, history};
+use flash_truth::recover;
+use leaftl_repro::sim::{CheckpointMode, MappingScheme, Ssd};
+use model::{check_model, Model, Step};
+use ops::Action;
+use proptest::prelude::*;
 
-/// Recovers `ssd` from a power cut, then checks the accounting identity
-/// recovery used to break: every flash op [`SimStats`] counts was
-/// attributed to a die, and vice versa.
-///
-/// [`SimStats`]: leaftl_repro::sim::SimStats
-fn recover<S: MappingScheme + Clone>(ssd: &mut Ssd<S>) -> RecoveryReport {
-    let report = ssd.crash_and_recover().expect("recover");
-    ssd.check_utilization_conservation()
-        .expect("utilization conserved after recovery");
-    report
-}
-
-/// Writes a deterministic mixed pattern, tracking what was flushed.
-/// Returns (flushed shadow, buffered-at-crash count).
-fn churn<S: MappingScheme + Clone>(ssd: &mut Ssd<S>, seed: u64, ops: usize) -> HashMap<u64, u64> {
-    let logical = ssd.config().logical_pages();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut shadow = HashMap::new();
-    // Content values are globally monotonic so "newer value" comparisons
-    // hold across repeated churn rounds on the same device.
-    let mut content = seed * 1_000_000_000;
-    for _ in 0..ops {
-        let start = rng.gen_range(0..logical / 2);
-        let len = rng.gen_range(1..12u64).min(logical - start);
-        for j in 0..len {
-            content += 1;
-            ssd.write(Lpa::new(start + j), content).unwrap();
-            shadow.insert(start + j, content);
-        }
-    }
-    shadow
-}
-
-/// Replays the shadow against the recovered device, allowing only the
-/// lost-buffer divergence: a mismatching LPA must correspond to a write
-/// newer than the crash-surviving version.
-fn verify_recovered<S: MappingScheme + Clone>(
-    ssd: &mut Ssd<S>,
-    shadow: &HashMap<u64, u64>,
-    lost: usize,
-) {
-    let mut divergent = 0usize;
-    for (&lpa, &expected) in shadow {
-        let got = ssd.read(Lpa::new(lpa)).unwrap();
-        match got {
-            Some(v) if v == expected => {}
-            Some(v) => {
-                // An older version: only possible for data still in the
-                // buffer at crash time.
-                assert!(v < expected, "lpa {lpa}: future value {v} > {expected}");
-                divergent += 1;
-            }
-            None => divergent += 1,
-        }
-    }
-    assert!(
-        divergent <= lost,
-        "divergent {divergent} exceeds lost buffered writes {lost}"
-    );
+/// `len` steps of host traffic — writes, reads and host flushes — from
+/// the fixed history named `name`.
+fn churn(name: &str, len: usize) -> impl Iterator<Item = Step> {
+    history(name, len)
+        .into_iter()
+        .filter(|step| matches!(step, Step::Host(_)))
 }
 
 #[test]
-fn leaftl_crash_after_churn_gamma0() {
-    let scheme = LeaFtlScheme::new(LeaFtlConfig::default());
-    let mut ssd = Ssd::new(SsdConfig::small_test(), scheme);
-    let shadow = churn(&mut ssd, 11, 400);
-    let report = recover(&mut ssd);
-    verify_recovered(&mut ssd, &shadow, report.lost_buffered_writes);
+fn leaftl_crash_after_churn_gamma0() -> Result<(), TestCaseError> {
+    let ssd = leaftl(config(CheckpointMode::DramSnapshot, RESIDENT), 0, 300, true);
+    let steps: Vec<Step> = churn("leaftl γ=0", 400).chain([Step::Crash]).collect();
+    check_model(ssd, &steps).map(drop)
+}
+
+/// The device stays fully operational after recovery.
+#[test]
+fn leaftl_crash_after_churn_gamma4() -> Result<(), TestCaseError> {
+    let ssd = leaftl(config(CheckpointMode::FlashLog, RESIDENT), 4, 300, true);
+    let steps: Vec<Step> = churn("leaftl γ=4", 400)
+        .chain([Step::Crash])
+        .chain(churn("leaftl γ=4 after the power cut", 100))
+        .collect();
+    check_model(ssd, &steps).map(drop)
 }
 
 #[test]
-fn leaftl_crash_after_churn_gamma4() {
-    let mut config = SsdConfig::small_test();
-    config.gamma = 4;
-    let scheme = LeaFtlScheme::new(LeaFtlConfig::default().with_gamma(4));
-    let mut ssd = Ssd::new(config, scheme);
-    let shadow = churn(&mut ssd, 22, 400);
-    let report = recover(&mut ssd);
-    verify_recovered(&mut ssd, &shadow, report.lost_buffered_writes);
-    // Device stays fully operational after recovery.
-    let shadow2 = churn(&mut ssd, 23, 100);
-    for (&lpa, &v) in shadow2.iter().take(50) {
-        let got = ssd.read(Lpa::new(lpa)).unwrap();
-        assert!(got == Some(v) || got < Some(v));
-    }
+fn dftl_crash_recovery_matches() -> Result<(), TestCaseError> {
+    let steps: Vec<Step> = churn("dftl", 400).chain([Step::Crash]).collect();
+    check_model(dftl(CheckpointMode::DramSnapshot), &steps).map(drop)
 }
 
+/// A persistence point just before the power cut shrinks the scan.
 #[test]
-fn dftl_crash_recovery_matches() {
-    let mut ssd = Ssd::new(SsdConfig::small_test(), Dftl::new());
-    let shadow = churn(&mut ssd, 33, 400);
-    let report = recover(&mut ssd);
-    verify_recovered(&mut ssd, &shadow, report.lost_buffered_writes);
-}
-
-#[test]
-fn snapshot_shrinks_scan() {
-    let scheme = LeaFtlScheme::new(LeaFtlConfig::default());
-    let mut ssd = Ssd::new(SsdConfig::small_test(), scheme);
-    let shadow = churn(&mut ssd, 44, 300);
-    // Crash without snapshot: scans everything programmed.
-    let mut cold = ssd.clone();
-    let cold_report = recover(&mut cold);
-
-    // Same state with a snapshot right before the crash: tiny scan.
-    ssd.take_snapshot();
-    let warm_report = recover(&mut ssd);
-    assert!(
-        warm_report.scanned_blocks() < cold_report.scanned_blocks(),
+fn snapshot_shrinks_scan() -> Result<(), TestCaseError> {
+    let ssd = leaftl(config(CheckpointMode::DramSnapshot, RESIDENT), 0, 300, true);
+    let steps: Vec<Step> = churn("snapshot", 300).collect();
+    let mut model = check_model(ssd, &steps)?;
+    // Cut without a persistence point: scans everything programmed.
+    let cold = recover(&mut model.ssd().clone())?;
+    model.step(Step::Persist)?;
+    let warm = recover(&mut model.ssd().clone())?;
+    prop_assert!(
+        warm.scanned_blocks() < cold.scanned_blocks(),
         "warm {} !< cold {}",
-        warm_report.scanned_blocks(),
-        cold_report.scanned_blocks()
+        warm.scanned_blocks(),
+        cold.scanned_blocks()
     );
-    assert!(warm_report.scan_time_ns <= cold_report.scan_time_ns);
-    verify_recovered(&mut ssd, &shadow, warm_report.lost_buffered_writes);
+    prop_assert!(warm.scan_time_ns <= cold.scan_time_ns);
+    model.step(Step::Crash)?;
+    model.sweep()
+}
+
+/// At least five power cuts on one device, each checked exactly.
+#[test]
+fn repeated_crashes_are_survivable() -> Result<(), TestCaseError> {
+    let ssd = leaftl(config(CheckpointMode::Disabled, RESIDENT), 0, 300, true);
+    fixed("repeated_crashes", ssd).map(drop)
+}
+
+/// Ages `ssd` until GC has run, cuts the power, then churns and flushes
+/// on the recovered device: recovery must deal with migrated pages.
+fn crash_after_gc<S: MappingScheme + Clone>(ssd: Ssd<S>) -> Result<(), TestCaseError> {
+    let mut model = Model::new(ssd)?;
+    for action in aging(model.ssd().config().logical_pages()) {
+        model.step(Step::Host(action))?;
+    }
+    prop_assert!(model.ssd().stats().gc_runs > 0, "test needs GC churn");
+    model.step(Step::Crash)?;
+    for step in churn("after GC and a power cut", 200).chain([Step::Host(Action::Flush)]) {
+        model.step(step)?;
+    }
+    model.sweep()
 }
 
 #[test]
-fn repeated_crashes_are_survivable() {
-    let scheme = LeaFtlScheme::new(LeaFtlConfig::default());
-    let mut ssd = Ssd::new(SsdConfig::small_test(), scheme);
-    let mut shadow = HashMap::new();
-    for round in 0..5u64 {
-        let newer = churn(&mut ssd, 100 + round, 120);
-        let report = recover(&mut ssd);
-        // Keep only versions that can have survived.
-        for (lpa, v) in newer {
-            shadow.insert(lpa, v);
-        }
-        let _ = report;
-        // Spot-check integrity: recovered values never exceed the
-        // newest written version and are never phantom.
-        for (&lpa, &v) in shadow.iter().take(40) {
-            let got = ssd.read(Lpa::new(lpa)).unwrap();
-            assert!(got.is_none() || got.unwrap() <= v, "lpa {lpa}");
-        }
-    }
+fn crash_with_gc_history_recovers() -> Result<(), TestCaseError> {
+    crash_after_gc(exact(CheckpointMode::Disabled))?;
+    crash_after_gc(leaftl(
+        config(CheckpointMode::DramSnapshot, RESIDENT),
+        0,
+        300,
+        true,
+    ))?;
+    crash_after_gc(dftl(CheckpointMode::FlashLog))?;
+    crash_after_gc(sftl(CheckpointMode::DramSnapshot))
 }
 
+/// Recovery must mark one copy of each LPA valid. A full scan replays
+/// pages with consecutive program sequences on consecutive PPAs as one
+/// batch, and such a run can cross from one flush into the next and
+/// name an LPA twice; when both copies stayed valid, a later GC pass
+/// migrated the stale one over the live page, and the next flush left
+/// LPAs whose newest flash copy was stale. Churn, flush, cut the
+/// power, churn, flush.
 #[test]
-fn crash_with_gc_history_recovers() {
-    // Force GC before the crash so recovery deals with migrated pages.
-    let scheme = LeaFtlScheme::new(LeaFtlConfig::default());
-    let mut ssd = Ssd::new(SsdConfig::small_test(), scheme);
-    let logical = ssd.config().logical_pages();
-    let mut content = 0u64;
-    let mut shadow = HashMap::new();
-    for _round in 0..12 {
-        for lpa in 0..logical / 3 {
-            content += 1;
-            ssd.write(Lpa::new(lpa), content).unwrap();
-            shadow.insert(lpa, content);
-        }
-    }
-    assert!(ssd.stats().gc_runs > 0, "test needs GC churn");
-    let report = recover(&mut ssd);
-    verify_recovered(&mut ssd, &shadow, report.lost_buffered_writes);
+fn recovery_leaves_no_stale_copy_valid() -> Result<(), TestCaseError> {
+    let flush = Step::Host(Action::Flush);
+    let steps: Vec<Step> = churn("before the power cut", 400)
+        .chain([flush, Step::Crash])
+        .chain(churn("after the power cut", 400))
+        .chain([flush])
+        .collect();
+    let model = check_model(exact(CheckpointMode::Disabled), &steps)?;
+    prop_assert!(
+        model.ssd().stats().gc_runs > 0,
+        "GC must run after recovery"
+    );
+    Ok(())
 }

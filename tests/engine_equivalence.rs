@@ -38,6 +38,9 @@
     reason = "a test: a step that fails should fail it with its message"
 )]
 
+#[path = "support/ops.rs"]
+mod ops;
+
 use leaftl_repro::baselines::{Dftl, Sftl};
 use leaftl_repro::core::{LeaFtlConfig, ShardedMapping};
 use leaftl_repro::flash::{BlockId, Lpa, Ppa};
@@ -46,58 +49,10 @@ use leaftl_repro::sim::{
     IoKind, IoRequest, LeaFtlScheme, MappingScheme, QosSpec, RoundRobin, SimStats, Slo, Ssd,
     SsdConfig, Weighted, COMPACT_QUEUE,
 };
+use ops::{action, page_ops, Action, Op};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::HashSet;
-
-/// An abstract host action over a small logical space.
-#[derive(Debug, Clone, Copy)]
-enum Action {
-    Write { lpa: u64, len: u64 },
-    StridedWrite { lpa: u64, stride: u64, count: u64 },
-    Read { lpa: u64 },
-    Flush,
-}
-
-fn action() -> impl Strategy<Value = Action> {
-    prop_oneof![
-        4 => (0u64..1200, 1u64..12).prop_map(|(lpa, len)| Action::Write { lpa, len }),
-        2 => (0u64..1000, 2u64..6, 2u64..16)
-            .prop_map(|(lpa, stride, count)| Action::StridedWrite { lpa, stride, count }),
-        4 => (0u64..1400).prop_map(|lpa| Action::Read { lpa }),
-        1 => Just(Action::Flush),
-    ]
-}
-
-/// One page-granular host operation.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    /// `(lpa, content)`.
-    Write(u64, u64),
-    Read(u64),
-    Flush,
-}
-
-/// Expands actions into page ops; each write carries fresh content.
-fn page_ops(actions: &[Action], logical: u64) -> Vec<Op> {
-    let mut content = 0u64;
-    let mut ops = Vec::new();
-    let mut write = |lpa: u64, ops: &mut Vec<Op>| {
-        content += 1;
-        ops.push(Op::Write(lpa % logical, content));
-    };
-    for &action in actions {
-        match action {
-            Action::Write { lpa, len } => (0..len).for_each(|j| write(lpa + j, &mut ops)),
-            Action::StridedWrite { lpa, stride, count } => {
-                (0..count).for_each(|j| write(lpa + j * stride, &mut ops));
-            }
-            Action::Read { lpa } => ops.push(Op::Read(lpa % logical)),
-            Action::Flush => ops.push(Op::Flush),
-        }
-    }
-    ops
-}
 
 /// Runs `ops` through the blocking calls; returns the reads in order.
 fn run_blocking<S: MappingScheme + Clone>(ssd: &mut Ssd<S>, ops: &[Op]) -> Vec<Option<u64>> {
@@ -211,11 +166,11 @@ where
     Ok(())
 }
 
-/// The SSD's own cross-checks: the GC victim index against the device,
-/// and every flash op's die time attributed to exactly one class.
+/// The SSD's own cross-checks ([`Ssd::check_invariants`]): among
+/// others, the GC victim index against the device, and every flash
+/// op's die time attributed to exactly one class.
 fn invariants<S: MappingScheme + Clone>(ssd: &Ssd<S>) -> Result<(), TestCaseError> {
-    prop_assert_eq!(ssd.check_gc_index(), Vec::<String>::new());
-    prop_assert_eq!(ssd.check_utilization_conservation(), Ok(()));
+    prop_assert_eq!(ssd.check_invariants(), Vec::<String>::new());
     Ok(())
 }
 
@@ -232,7 +187,7 @@ where
     F: Fn() -> Ssd<S>,
 {
     let mut blocking = build();
-    let ops = page_ops(actions, blocking.config().logical_pages());
+    let ops = page_ops(actions, blocking.config().logical_pages(), &mut 0);
     let reads = run_blocking(&mut blocking, &ops);
     invariants(&blocking)?;
     let guaranteed = QosSpec::new(vec![Slo::guaranteed(1_000.0)]);
@@ -269,7 +224,7 @@ where
     let same_flash = config.gc_mode == GcMode::Synchronous;
     let mut blocking = build();
     let logical = blocking.config().logical_pages();
-    let ops = page_ops(actions, logical);
+    let ops = page_ops(actions, logical, &mut 0);
     let reads = run_blocking(&mut blocking, &ops);
     let mut background = build();
     prop_assert_eq!(run_device(&mut background, &ops, config), reads);
@@ -421,7 +376,7 @@ proptest! {
         gamma in 0u32..5,
     ) {
         let mut plain = Ssd::new(resident(), leaftl(gamma));
-        let ops = page_ops(&actions, plain.config().logical_pages());
+        let ops = page_ops(&actions, plain.config().logical_pages(), &mut 0);
         let reads = run_blocking(&mut plain, &ops);
         let mut one_shard = sharded(resident(), 1, gamma);
         prop_assert_eq!(run_blocking(&mut one_shard, &ops), reads);

@@ -1,12 +1,25 @@
-//! Property-based tests at the whole-SSD level: arbitrary operation
-//! sequences against a shadow map, for every scheme and error bound,
-//! including a crash at an arbitrary point.
+//! Property-based tests at the whole-SSD level: every mapping scheme
+//! held to one host model (`support/model.rs`) over arbitrary
+//! histories of host traffic, persistence points and power cuts under
+//! every checkpoint mode; the recovery baseline held to the live state
+//! it was taken from; and the GC index held to a scan of the device.
 
 #![expect(
     clippy::expect_used,
     reason = "a test: a step that fails should fail it with its message"
 )]
 
+#[path = "support/families.rs"]
+mod families;
+#[path = "support/flash_truth.rs"]
+mod flash_truth;
+#[path = "support/model.rs"]
+mod model;
+#[path = "support/ops.rs"]
+mod ops;
+
+use families::{aging, config, dftl, exact, leaftl, sftl, RESIDENT, TINY};
+use flash_truth::recover;
 use leaftl_repro::baselines::{Dftl, Sftl};
 use leaftl_repro::core::{LeaFtlConfig, ShardedMapping};
 use leaftl_repro::flash::{BlockId, Lpa, Ppa};
@@ -15,139 +28,19 @@ use leaftl_repro::sim::{
     CheckpointMode, Device, DeviceConfig, ExactPageMap, GcPolicy, LeaFtlScheme, MapCost,
     MappingLookup, MappingScheme, Ssd, SsdConfig,
 };
+use model::{check_model, step, Model, Step};
+use ops::{action, page_ops, Action, Op};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::collections::HashMap;
-
-/// An abstract host action over a small logical space.
-#[derive(Debug, Clone, Copy)]
-enum Action {
-    Write { lpa: u64, len: u64 },
-    StridedWrite { lpa: u64, stride: u64, count: u64 },
-    Read { lpa: u64 },
-    Flush,
-}
-
-fn action() -> impl Strategy<Value = Action> {
-    prop_oneof![
-        4 => (0u64..1200, 1u64..12).prop_map(|(lpa, len)| Action::Write { lpa, len }),
-        2 => (0u64..1000, 2u64..6, 2u64..16)
-            .prop_map(|(lpa, stride, count)| Action::StridedWrite { lpa, stride, count }),
-        3 => (0u64..1400).prop_map(|lpa| Action::Read { lpa }),
-        1 => Just(Action::Flush),
-    ]
-}
-
-/// The addresses an action writes, in order (none for reads/flushes).
-fn written(action: Action, logical: u64) -> Vec<u64> {
-    match action {
-        Action::Write { lpa, len } => (0..len).map(|j| (lpa + j) % logical).collect(),
-        Action::StridedWrite { lpa, stride, count } => {
-            (0..count).map(|j| (lpa + j * stride) % logical).collect()
-        }
-        Action::Read { .. } | Action::Flush => Vec::new(),
-    }
-}
-
-fn apply<S: MappingScheme + Clone>(
-    ssd: &mut Ssd<S>,
-    shadow: &mut HashMap<u64, u64>,
-    content: &mut u64,
-    actions: &[Action],
-) -> Result<(), TestCaseError> {
-    let logical = ssd.config().logical_pages();
-    for &action in actions {
-        for addr in written(action, logical) {
-            *content += 1;
-            ssd.write(Lpa::new(addr), *content).expect("write");
-            shadow.insert(addr, *content);
-        }
-        match action {
-            Action::Read { lpa } => {
-                let addr = lpa % logical;
-                let got = ssd.read(Lpa::new(addr)).expect("read");
-                prop_assert_eq!(got, shadow.get(&addr).copied(), "lpa {}", addr);
-            }
-            Action::Flush => ssd.flush().expect("flush"),
-            Action::Write { .. } | Action::StridedWrite { .. } => {}
-        }
-    }
-    Ok(())
-}
-
-fn full_sweep<S: MappingScheme + Clone>(
-    ssd: &mut Ssd<S>,
-    shadow: &HashMap<u64, u64>,
-) -> Result<(), TestCaseError> {
-    for (&lpa, &expected) in shadow {
-        let got = ssd.read(Lpa::new(lpa)).expect("read");
-        prop_assert_eq!(got, Some(expected), "sweep lpa {}", lpa);
-    }
-    Ok(())
-}
-
-/// Asserts [`Ssd::check_gc_index`] and the flash-op ledger's
-/// conservation whenever a flush has happened since the last look
-/// (`programs` is the data-program count seen then).
-fn check_after_flush(ssd: &Ssd<ExactPageMap>, programs: &mut u64) -> Result<(), TestCaseError> {
-    let now = ssd.stats().flash.data_programs;
-    if now != *programs {
-        *programs = now;
-        let violations = ssd.check_gc_index();
-        prop_assert!(violations.is_empty(), "{:#?}", violations);
-        prop_assert_eq!(ssd.check_utilization_conservation(), Ok(()));
-    }
-    Ok(())
-}
-
-/// Applies `actions` through the blocking path, checking after every
-/// flush.
-fn apply_checked(
-    ssd: &mut Ssd<ExactPageMap>,
-    actions: &[Action],
-    programs: &mut u64,
-) -> Result<(), TestCaseError> {
-    let logical = ssd.config().logical_pages();
-    for &action in actions {
-        match action {
-            Action::Read { lpa } => {
-                ssd.read(Lpa::new(lpa % logical)).expect("read");
-            }
-            Action::Flush => ssd.flush().expect("flush"),
-            Action::Write { .. } | Action::StridedWrite { .. } => {}
-        }
-        for addr in written(action, logical) {
-            ssd.write(Lpa::new(addr), addr).expect("write");
-            check_after_flush(ssd, programs)?;
-        }
-        check_after_flush(ssd, programs)?;
-    }
-    Ok(())
-}
-
-/// One step of a persistence history: host traffic (whose overwrites
-/// bring GC passes — each ending in a persistence point — and, for the
-/// learned schemes, compaction sweeps), an explicit persistence point
-/// that is then checked, or a power cut.
-#[derive(Debug, Clone, Copy)]
-enum Step {
-    Host(Action),
-    Persist,
-    Crash,
-}
-
-fn step() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        8 => action().prop_map(Step::Host),
-        2 => Just(Step::Persist),
-        1 => Just(Step::Crash),
-    ]
-}
 
 /// What a scheme shows of its demand-paging state beyond what lookups
-/// cost: resident bytes and the resident ids in recency order.
-trait Residency {
-    fn residency(&self) -> (usize, Vec<u64>);
+/// cost: resident bytes and the resident ids in recency order. The
+/// baselines expose no residency list; their CMT / page cache shows in
+/// `memory_bytes` and in what every lookup costs.
+trait Residency: MappingScheme {
+    fn residency(&self) -> (usize, Vec<u64>) {
+        (self.memory_bytes(), Vec::new())
+    }
 }
 
 impl Residency for LeaFtlScheme {
@@ -168,57 +61,47 @@ impl Residency for ShardedMapping<LeaFtlScheme> {
     }
 }
 
-// The baselines expose no residency list; their CMT / page cache shows
-// in `memory_bytes` and in what every lookup costs.
-impl Residency for Dftl {
-    fn residency(&self) -> (usize, Vec<u64>) {
-        (self.memory_bytes(), Vec::new())
-    }
-}
+impl Residency for Dftl {}
+impl Residency for Sftl {}
 
-impl Residency for Sftl {
-    fn residency(&self) -> (usize, Vec<u64>) {
-        (self.memory_bytes(), Vec::new())
-    }
-}
-
-/// Everything a scheme answers, in one comparable value: its sizes, its
-/// residency, and every LPA's translation with what the lookup cost
-/// (on a copy — lookups move the residency state, so equal answers in
-/// sequence mean equal state).
+/// Everything a persisted generation answers, in one comparable value:
+/// the scheme's sizes, its residency, and every LPA's translation with
+/// what the lookup cost (on a copy — lookups move the residency state,
+/// so equal answers in sequence mean equal state); every block's valid
+/// count and every page's valid bit.
 #[derive(Debug, PartialEq)]
-struct SchemeAnswers {
+struct Answers {
     sizes: (usize, usize, (usize, usize)),
     residency: (usize, Vec<u64>),
     lookups: Vec<(Option<MappingLookup>, MapCost)>,
+    valid_counts: Vec<u32>,
+    valid_pages: Vec<bool>,
 }
 
-fn scheme_answers<S: MappingScheme + Clone + Residency>(scheme: &S, logical: u64) -> SchemeAnswers {
+fn answers<S: MappingScheme + Clone + Residency>(
+    scheme: &S,
+    validity: &Validity,
+    config: &SsdConfig,
+) -> Answers {
     let mut probe = scheme.clone();
-    SchemeAnswers {
+    let geometry = config.geometry;
+    Answers {
         sizes: (
             scheme.memory_bytes(),
             scheme.snapshot_bytes(),
             scheme.checkpoint_footprint(),
         ),
         residency: scheme.residency(),
-        lookups: (0..logical)
+        lookups: (0..config.logical_pages())
             .map(|lpa| probe.lookup(Lpa::new(lpa)))
             .collect(),
-    }
-}
-
-/// Every block's valid count and every page's valid bit.
-fn validity_answers(validity: &Validity, config: &SsdConfig) -> (Vec<u32>, Vec<bool>) {
-    let geometry = config.geometry;
-    (
-        (0..geometry.blocks)
+        valid_counts: (0..geometry.blocks)
             .map(|block| validity.valid_count(BlockId::new(block)))
             .collect(),
-        (0..geometry.total_pages())
+        valid_pages: (0..geometry.total_pages())
             .map(|ppa| validity.is_valid(Ppa::new(ppa)))
             .collect(),
-    )
+    }
 }
 
 /// A copy of a persisted generation with what it answered when it was
@@ -226,107 +109,66 @@ fn validity_answers(validity: &Validity, config: &SsdConfig) -> (Vec<u32>, Vec<b
 struct Held<S> {
     scheme: S,
     validity: Validity,
-    answers: (SchemeAnswers, (Vec<u32>, Vec<bool>)),
+    answers: Answers,
 }
 
-/// Runs `steps` over an aged device. After every explicit persistence
-/// point the generation the log holds must answer exactly as the live
-/// state does at that instant; copies of earlier generations must keep
-/// answering what they did.
+/// Runs `steps` over an aged device under the host model. After every
+/// persistence point the generation the log holds must answer exactly
+/// as the live state does at that instant; copies of earlier
+/// generations must keep answering what they did.
 fn kept_baseline_history<S: MappingScheme + Clone + Residency>(
     scheme: S,
     flash_log: bool,
     dram_bytes: usize,
     steps: &[Step],
 ) -> Result<(), TestCaseError> {
-    let mut config = SsdConfig::small_test();
-    config.dram_bytes = dram_bytes;
-    config.checkpoint_mode = if flash_log {
-        CheckpointMode::FlashLog
-    } else {
-        CheckpointMode::DramSnapshot
-    };
-    let mut ssd = Ssd::new(config, scheme);
+    let mode = [CheckpointMode::DramSnapshot, CheckpointMode::FlashLog][usize::from(flash_log)];
+    let mut ssd = Ssd::new(config(mode, dram_bytes), scheme);
+    // Aged unchecked: the fixed histories in `differential.rs`
+    // check the same aging.
     let logical = ssd.config().logical_pages();
-    let mut shadow = HashMap::new();
-    let mut content = 0u64;
-    let aging = [
-        Action::Write {
-            lpa: 0,
-            len: logical,
-        },
-        Action::StridedWrite {
-            lpa: 7,
-            stride: 3,
-            count: logical / 2,
-        },
-    ];
-    apply(&mut ssd, &mut shadow, &mut content, &aging)?;
+    for op in page_ops(&aging(logical), logical, &mut 0) {
+        if let Op::Write(lpa, content) = op {
+            ssd.write(Lpa::new(lpa), content).expect("write");
+        }
+    }
+    ssd.flush().expect("flush");
     prop_assert!(ssd.stats().gc_runs > 0, "aging must reach GC");
+    let mut model = Model::new(ssd)?;
 
     let mut held: Vec<Held<S>> = Vec::new();
     for (index, &step) in steps.iter().enumerate() {
-        match step {
-            Step::Host(action) => apply(&mut ssd, &mut shadow, &mut content, &[action])?,
-            Step::Persist => {
-                // A flush of at least one page first: under the log
-                // that drains the generation in flight, so this point
-                // is not skipped.
-                let page = Action::Write {
-                    lpa: index as u64,
-                    len: 1,
-                };
-                apply(&mut ssd, &mut shadow, &mut content, &[page, Action::Flush])?;
-                ssd.take_snapshot();
-                let live = (
-                    scheme_answers(ssd.scheme(), logical),
-                    validity_answers(ssd.validity(), ssd.config()),
-                );
-                let (scheme, validity) = ssd.newest_checkpoint().expect("a generation");
-                let kept = (
-                    scheme_answers(scheme, logical),
-                    validity_answers(validity, ssd.config()),
-                );
-                prop_assert!(
-                    kept == live,
-                    "step {}: baseline is not the live state",
-                    index
-                );
-                held.push(Held {
-                    scheme: scheme.clone(),
-                    validity: validity.clone(),
-                    answers: kept,
-                });
-                if held.len() > 3 {
-                    held.remove(0);
-                }
-            }
-            Step::Crash => {
-                ssd.crash_and_recover().expect("recover");
-                // Buffered writes died with DRAM: the shadow follows
-                // what survived.
-                shadow.clear();
-                for lpa in 0..logical {
-                    if let Some(value) = ssd.read(Lpa::new(lpa)).expect("read") {
-                        shadow.insert(lpa, value);
-                    }
-                }
+        model.step(step)?;
+        let ssd = model.ssd();
+        if let Step::Persist = step {
+            let live = answers(ssd.scheme(), ssd.validity(), ssd.config());
+            let (scheme, validity) = ssd.newest_checkpoint().expect("a generation");
+            let kept = answers(scheme, validity, ssd.config());
+            prop_assert!(kept == live, "step {index}: baseline is not the live state");
+            held.push(Held {
+                scheme: scheme.clone(),
+                validity: validity.clone(),
+                answers: kept,
+            });
+            if held.len() > 3 {
+                held.remove(0);
             }
         }
         for (age, copy) in held.iter().enumerate() {
-            let now = (
-                scheme_answers(&copy.scheme, logical),
-                validity_answers(&copy.validity, ssd.config()),
-            );
-            prop_assert!(
-                now == copy.answers,
-                "step {}: held copy {} moved",
-                index,
-                age
-            );
+            let now = answers(&copy.scheme, &copy.validity, ssd.config());
+            prop_assert!(now == copy.answers, "step {index}: held copy {age} moved");
         }
     }
-    full_sweep(&mut ssd, &shadow)
+    model.sweep()
+}
+
+/// Every checkpoint mode.
+fn checkpoint_mode() -> impl Strategy<Value = CheckpointMode> {
+    prop_oneof![
+        Just(CheckpointMode::Disabled),
+        Just(CheckpointMode::DramSnapshot),
+        Just(CheckpointMode::FlashLog),
+    ]
 }
 
 proptest! {
@@ -366,7 +208,8 @@ proptest! {
 
     /// What GC selection and wear levelling answer from — the victim
     /// index, the allocator's per-block state, the erase histogram —
-    /// agrees with a scan of the device after every flush: on an aged
+    /// agrees with a scan of the device after every flush, as do the
+    /// other invariants [`Ssd::check_invariants`] checks: on an aged
     /// device, under either policy, with GC in the flush path or as
     /// background traffic at queue depth 8, under either persistence
     /// mode, across a power cut at an arbitrary dispatch and the
@@ -387,127 +230,111 @@ proptest! {
         config.checkpoint_mode =
             if flash_log { CheckpointMode::FlashLog } else { CheckpointMode::DramSnapshot };
         config.wear_gap_threshold = wear_gap;
-        let mut ssd = Ssd::new(config, ExactPageMap::new());
-        let logical = ssd.config().logical_pages();
-        let mut programs = 0u64;
-        // Age: the space written once, then strided overwrites until
-        // the collector has run.
-        let aging = [
-            Action::Write { lpa: 0, len: logical },
-            Action::StridedWrite { lpa: 7, stride: 3, count: logical / 2 },
-        ];
-        apply_checked(&mut ssd, &aging, &mut programs)?;
-        prop_assert!(ssd.stats().gc_runs > 0);
+        let mut model = Model::new(Ssd::new(config, ExactPageMap::new()))?;
+        let logical = model.ssd().config().logical_pages();
+        for action in aging(logical) {
+            model.step(Step::Host(action))?;
+        }
+        prop_assert!(model.ssd().stats().gc_runs > 0);
 
         if background {
+            let mut ssd = model.into_ssd();
             let mut device = Device::new(&mut ssd, DeviceConfig::single(8).background_gc());
             device.halt_after_dispatches(cut);
-            for &action in &before {
-                if let Action::Read { lpa } = action {
-                    device.submit_read(Lpa::new(lpa % logical)).expect("read");
+            let mut programs = device.ssd().stats().flash.data_programs;
+            for op in page_ops(&before, logical, &mut 0) {
+                match op {
+                    Op::Write(lpa, content) => device.submit_write(Lpa::new(lpa), content),
+                    Op::Read(lpa) => device.submit_read(Lpa::new(lpa)),
+                    Op::Flush => continue,
                 }
-                for addr in written(action, logical) {
-                    device.submit_write(Lpa::new(addr), addr).expect("write");
-                    check_after_flush(device.ssd(), &mut programs)?;
+                .expect("submit");
+                if device.ssd().stats().flash.data_programs != programs {
+                    programs = device.ssd().stats().flash.data_programs;
+                    prop_assert_eq!(device.ssd().check_invariants(), Vec::<String>::new());
                 }
             }
             device.power_cut();
+            // Commands still queued died with the device: the model
+            // starts again from what recovery finds on flash.
+            recover(&mut ssd)?;
+            model = Model::new(ssd)?;
         } else {
             let cut = (cut as usize).min(before.len());
-            apply_checked(&mut ssd, &before[..cut], &mut programs)?;
+            for &action in &before[..cut] {
+                model.step(Step::Host(action))?;
+            }
+            model.step(Step::Crash)?;
         }
-        ssd.crash_and_recover().expect("recover");
-        let violations = ssd.check_gc_index();
-        prop_assert!(violations.is_empty(), "after recovery: {:#?}", violations);
-        apply_checked(&mut ssd, &after, &mut programs)?;
+        for &action in &after {
+            model.step(Step::Host(action))?;
+        }
     }
 
+    /// The in-DRAM page map.
     #[test]
-    fn leaftl_ssd_matches_shadow(actions in vec(action(), 1..120), gamma in 0u32..9) {
-        let mut config = SsdConfig::small_test();
-        config.gamma = gamma;
-        let scheme = LeaFtlScheme::new(
-            LeaFtlConfig::default().with_gamma(gamma).with_compaction_interval(300),
-        );
-        let mut ssd = Ssd::new(config, scheme);
-        let mut shadow = HashMap::new();
-        let mut content = 0u64;
-        apply(&mut ssd, &mut shadow, &mut content, &actions)?;
-        full_sweep(&mut ssd, &shadow)?;
+    fn exact_page_map_holds_the_model(steps in vec(step(), 1..120), mode in checkpoint_mode()) {
+        check_model(exact(mode), &steps)?;
     }
 
+    /// Resident LeaFTL at every error bound up to 8; its shadow is the
+    /// host model.
     #[test]
-    fn dftl_ssd_matches_shadow(actions in vec(action(), 1..100)) {
-        let mut config = SsdConfig::small_test();
-        config.dram_bytes = 4 * 1024; // tiny CMT: force demand paging
-        let mut ssd = Ssd::new(config, Dftl::new());
-        let mut shadow = HashMap::new();
-        let mut content = 0u64;
-        apply(&mut ssd, &mut shadow, &mut content, &actions)?;
-        full_sweep(&mut ssd, &shadow)?;
+    fn leaftl_ssd_matches_shadow(
+        steps in vec(step(), 1..120),
+        mode in checkpoint_mode(),
+        gamma in 0u32..9,
+    ) {
+        check_model(leaftl(config(mode, RESIDENT), gamma, 300, true), &steps)?;
     }
 
+    /// Demand-paged LeaFTL, compacting every 200 learned pages.
     #[test]
-    fn sftl_ssd_matches_shadow(actions in vec(action(), 1..100)) {
-        let mut config = SsdConfig::small_test();
-        config.dram_bytes = 4 * 1024;
-        let mut ssd = Ssd::new(config, Sftl::new());
-        let mut shadow = HashMap::new();
-        let mut content = 0u64;
-        apply(&mut ssd, &mut shadow, &mut content, &actions)?;
-        full_sweep(&mut ssd, &shadow)?;
+    fn leaftl_demand_paged_holds_the_model(
+        steps in vec(step(), 1..120),
+        mode in checkpoint_mode(),
+        gamma in 0u32..9,
+    ) {
+        check_model(leaftl(config(mode, TINY), gamma, 200, true), &steps)?;
     }
 
-    /// Crash anywhere: flushed data survives; divergence is bounded by
-    /// the buffered writes lost with DRAM.
+    /// DFTL with a CMT far below the working set.
+    #[test]
+    fn dftl_ssd_matches_shadow(steps in vec(step(), 1..120), mode in checkpoint_mode()) {
+        check_model(dftl(mode), &steps)?;
+    }
+
+    /// Demand-paged SFTL.
+    #[test]
+    fn sftl_ssd_matches_shadow(steps in vec(step(), 1..120), mode in checkpoint_mode()) {
+        check_model(sftl(mode), &steps)?;
+    }
+
+    /// LeaFTL without the LPA sort before a flush.
+    #[test]
+    fn unsorted_flush_holds_the_model(steps in vec(step(), 1..120), mode in checkpoint_mode()) {
+        check_model(leaftl(config(mode, RESIDENT), 0, 300, false), &steps)?;
+    }
+
+    /// One power cut anywhere in a LeaFTL host history, after a
+    /// persistence point or not: recovery finds exactly the newest
+    /// flash copies, loses exactly the buffered writes, and the device
+    /// serves the rest of the history.
     #[test]
     fn leaftl_crash_anywhere_is_consistent(
         before in vec(action(), 1..80),
         after in vec(action(), 1..40),
+        mode in checkpoint_mode(),
         gamma in 0u32..5,
-        snapshot in proptest::bool::ANY,
+        persist in proptest::bool::ANY,
     ) {
-        let mut config = SsdConfig::small_test();
-        config.gamma = gamma;
-        let scheme = LeaFtlScheme::new(
-            LeaFtlConfig::default().with_gamma(gamma).with_compaction_interval(500),
-        );
-        let mut ssd = Ssd::new(config, scheme);
-        let mut shadow = HashMap::new();
-        let mut content = 0u64;
-        apply(&mut ssd, &mut shadow, &mut content, &before)?;
-        if snapshot {
-            ssd.take_snapshot();
+        let host = |actions: &[Action]| actions.iter().copied().map(Step::Host).collect::<Vec<_>>();
+        let mut steps = host(&before);
+        if persist {
+            steps.push(Step::Persist);
         }
-        let report = ssd.crash_and_recover().expect("recover");
-        // Verify: every shadow entry either matches or was a lost
-        // buffered write (strictly newer than what survived).
-        let mut divergent = 0usize;
-        for (&lpa, &expected) in &shadow {
-            match ssd.read(Lpa::new(lpa)).expect("read") {
-                Some(v) if v == expected => {}
-                Some(v) => {
-                    prop_assert!(v < expected, "future value {} > {}", v, expected);
-                    divergent += 1;
-                }
-                None => divergent += 1,
-            }
-        }
-        prop_assert!(
-            divergent <= report.lost_buffered_writes,
-            "divergent {} > lost {}",
-            divergent,
-            report.lost_buffered_writes
-        );
-        // The device is fully usable afterwards. Seed the shadow with
-        // the surviving state so reads of pre-crash data verify too.
-        let mut shadow2 = HashMap::new();
-        for &lpa in shadow.keys() {
-            if let Some(v) = ssd.read(Lpa::new(lpa)).expect("read") {
-                shadow2.insert(lpa, v);
-            }
-        }
-        apply(&mut ssd, &mut shadow2, &mut content, &after)?;
-        full_sweep(&mut ssd, &shadow2)?;
+        steps.push(Step::Crash);
+        steps.extend(host(&after));
+        check_model(leaftl(config(mode, RESIDENT), gamma, 500, true), &steps)?;
     }
 }

@@ -9,26 +9,27 @@
 //! pages. Because every log page program is its own dispatch, the
 //! sweep necessarily lands cuts mid-checkpoint (some but not all of a
 //! generation's pages programmed) and mid-log-GC (a reclaim erase the
-//! power cut races with).
-//!
-//! Set `TRANSLOG_SWEEP_STEP=n` to stride the sweep (CI smoke runs use
-//! a reduced point count); the default sweeps every cut point.
+//! power cut races with). The oracle is `support/flash_truth.rs`.
 
 #![expect(
     clippy::expect_used,
     reason = "a test: a step that fails should fail it with its message"
 )]
 
+#[path = "support/flash_truth.rs"]
+mod flash_truth;
+
+use flash_truth::{assert_recovered_matches, recover};
 use leaftl_repro::core::LeaFtlConfig;
-use leaftl_repro::flash::{BlockId, FlashGeometry, Lpa};
+use leaftl_repro::flash::{FlashGeometry, Lpa};
 use leaftl_repro::sim::{
-    CheckpointMode, Command, Device, DeviceConfig, ExactPageMap, LeaFtlScheme, MappingScheme,
-    RecoveryReport, Ssd, SsdConfig, MAPLOG_QUEUE,
+    CheckpointMode, Command, Device, DeviceConfig, ExactPageMap, LeaFtlScheme, MappingScheme, Ssd,
+    SsdConfig, MAPLOG_QUEUE,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// A tiny device so the O(cuts × workload) sweep stays fast: 16 blocks
 /// of 8 small pages. The 512 B page keeps checkpoints multi-page (the
@@ -106,65 +107,6 @@ fn run_to_cut_with<S: MappingScheme + Clone>(
     (ssd, total)
 }
 
-/// Recovers `ssd` from a power cut, then checks the accounting identity
-/// recovery used to break: every flash op [`SimStats`] counts was
-/// attributed to a die, and vice versa.
-///
-/// [`SimStats`]: leaftl_repro::sim::SimStats
-fn recover<S: MappingScheme + Clone>(ssd: &mut Ssd<S>) -> RecoveryReport {
-    let report = ssd.crash_and_recover().expect("recover");
-    ssd.check_utilization_conservation()
-        .expect("utilization conserved after recovery");
-    report
-}
-
-/// Independent recovery oracle, computed straight from the surviving
-/// flash pages: for each LPA, the content of its highest-program-seq
-/// OOB copy. Every mapping-installing event (flush, GC migration, wear
-/// swap) programs a fresh copy with a fresh seq, so the newest
-/// physical copy *is* the durable value — no FTL state consulted.
-fn flash_ground_truth<S: MappingScheme + Clone>(ssd: &Ssd<S>) -> HashMap<u64, u64> {
-    let mut newest: HashMap<u64, (u64, u64)> = HashMap::new();
-    for raw in 0..ssd.config().geometry.blocks {
-        let pages: Vec<_> = ssd.device().scan_block(BlockId::new(raw)).collect();
-        for (ppa, lpa, seq) in pages {
-            let Some(lpa) = lpa else { continue };
-            let content = ssd.device().read(ppa).expect("scanned page").content;
-            let slot = newest.entry(lpa.raw()).or_insert((seq, content));
-            if seq >= slot.0 {
-                *slot = (seq, content);
-            }
-        }
-    }
-    newest.into_iter().map(|(lpa, (_, c))| (lpa, c)).collect()
-}
-
-/// Recovered state must be digest-equal to the flash ground truth:
-/// every durable LPA reads back its newest flushed value, every other
-/// LPA reads back nothing.
-fn assert_recovered_matches<S: MappingScheme + Clone>(
-    ssd: &mut Ssd<S>,
-    truth: &HashMap<u64, u64>,
-    label: &str,
-) {
-    for (&lpa, &content) in truth {
-        assert_eq!(
-            ssd.read(Lpa::new(lpa)).expect("read"),
-            Some(content),
-            "{label}: lpa {lpa} lost or stale after recovery"
-        );
-    }
-    for lpa in 0..ssd.config().logical_pages() {
-        if !truth.contains_key(&lpa) {
-            assert_eq!(
-                ssd.read(Lpa::new(lpa)).expect("read"),
-                None,
-                "{label}: phantom data at never-flushed lpa {lpa}"
-            );
-        }
-    }
-}
-
 /// The uncut reference run must actually exercise the machinery the
 /// sweep claims to cut through: background log traffic, multi-page
 /// checkpoint generations, and log-block reclaims.
@@ -221,24 +163,16 @@ fn sweep_workload_exercises_checkpoints_and_log_gc() {
 /// The tentpole acceptance test: cut after every k-th device command,
 /// recover, and require digest-equality with the flash ground truth.
 #[test]
-fn crash_point_sweep_recovers_at_every_cut() {
+fn crash_point_sweep_recovers_at_every_cut() -> Result<(), TestCaseError> {
     let config = sweep_config();
     let ops = sweep_ops();
     let (_, total) = run_to_cut(&config, &ops, None);
-    let step: u64 = std::env::var("TRANSLOG_SWEEP_STEP")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .filter(|&s| s > 0)
-        .unwrap_or(1);
-    let mut swept = 0u64;
-    for k in (0..=total).step_by(step as usize) {
+    assert!(total > 10, "sweep covers only {total} cut points");
+    for k in 0..=total {
         let (mut ssd, _) = run_to_cut(&config, &ops, Some(k));
-        let truth = flash_ground_truth(&ssd);
-        recover(&mut ssd);
-        assert_recovered_matches(&mut ssd, &truth, &format!("cut {k}"));
-        swept += 1;
+        assert_recovered_matches(&mut ssd, &format!("cut {k}"))?;
     }
-    assert!(swept > 10, "sweep covered only {swept} cut points");
+    Ok(())
 }
 
 /// Wear swaps under the log: every swap is journalled as a delta like
@@ -246,7 +180,7 @@ fn crash_point_sweep_recovers_at_every_cut() {
 /// delta durable, torn or still queued — must recover the moved data.
 /// A static third under a hammered rest, with a wear gap of one erase.
 #[test]
-fn crash_after_wear_swaps_recovers_at_every_cut() {
+fn crash_after_wear_swaps_recovers_at_every_cut() -> Result<(), TestCaseError> {
     let mut config = sweep_config();
     config.geometry.blocks = 24;
     config.wear_gap_threshold = 1;
@@ -261,28 +195,27 @@ fn crash_after_wear_swaps_recovers_at_every_cut() {
             continue;
         }
         cuts_after_a_swap += 1;
-        let truth = flash_ground_truth(&ssd);
-        recover(&mut ssd);
-        assert_recovered_matches(&mut ssd, &truth, &format!("wear cut {k}"));
+        assert_recovered_matches(&mut ssd, &format!("wear cut {k}"))?;
     }
     assert!(cuts_after_a_swap > 10, "only {cuts_after_a_swap} cuts");
+    Ok(())
 }
 
 /// After recovery at a cut point the device must keep working: new
 /// writes land, read back, and survive a *second* crash.
 #[test]
-fn recovery_at_cut_is_reusable() {
+fn recovery_at_cut_is_reusable() -> Result<(), TestCaseError> {
     let config = sweep_config();
     let ops = sweep_ops();
     let (_, total) = run_to_cut(&config, &ops, None);
     for k in [total / 4, total / 2, 3 * total / 4] {
         let (mut ssd, _) = run_to_cut(&config, &ops, Some(k));
-        recover(&mut ssd);
+        recover(&mut ssd)?;
         for i in 0..40u64 {
             ssd.write(Lpa::new(i), 900_000 + i).expect("write");
         }
         ssd.flush().expect("flush");
-        recover(&mut ssd);
+        recover(&mut ssd)?;
         for i in 0..40u64 {
             assert_eq!(
                 ssd.read(Lpa::new(i)).expect("read"),
@@ -291,6 +224,7 @@ fn recovery_at_cut_is_reusable() {
             );
         }
     }
+    Ok(())
 }
 
 /// The kept baseline across a torn generation: cut power while a
@@ -301,7 +235,7 @@ fn recovery_at_cut_is_reusable() {
 /// read back exactly. LeaFTL, whose baseline is brought up to date
 /// from the groups changed since rather than copied.
 #[test]
-fn persistence_point_after_a_torn_generation_recovers_exactly() {
+fn persistence_point_after_a_torn_generation_recovers_exactly() -> Result<(), TestCaseError> {
     // γ = 1 is what the sweep geometry's 16-byte OOB can verify.
     let mut config = sweep_config();
     config.gamma = 1;
@@ -316,14 +250,12 @@ fn persistence_point_after_a_torn_generation_recovers_exactly() {
     for k in 0..=total {
         let (mut ssd, _) = run_to_cut_with(&config, scheme(), &ops, Some(k));
         let in_flight = newest(&ssd);
-        let truth = flash_ground_truth(&ssd);
-        recover(&mut ssd);
+        assert_recovered_matches(&mut ssd, &format!("cut {k}"))?;
         if in_flight == newest(&ssd) {
             // The newest generation survived (or there was none).
             continue;
         }
         torn_cuts += 1;
-        assert_recovered_matches(&mut ssd, &truth, &format!("torn cut {k}"));
         // New writes, then the persistence point that must start from
         // the generation recovery fell back to.
         for i in 0..24u64 {
@@ -333,23 +265,16 @@ fn persistence_point_after_a_torn_generation_recovers_exactly() {
         ssd.flush().expect("flush");
         ssd.take_snapshot();
         let mut cut_at_once = ssd.clone();
-        let truth = flash_ground_truth(&cut_at_once);
-        recover(&mut cut_at_once);
-        assert_recovered_matches(
-            &mut cut_at_once,
-            &truth,
-            &format!("torn cut {k}, torn again"),
-        );
+        assert_recovered_matches(&mut cut_at_once, &format!("torn cut {k}, torn again"))?;
         for i in 0..16u64 {
             ssd.write(Lpa::new((i * 3 + k) % 64), 900_000 + i)
                 .expect("write");
         }
         ssd.flush().expect("flush");
-        let truth = flash_ground_truth(&ssd);
-        recover(&mut ssd);
-        assert_recovered_matches(&mut ssd, &truth, &format!("torn cut {k}, durable"));
+        assert_recovered_matches(&mut ssd, &format!("torn cut {k}, durable"))?;
     }
     assert!(torn_cuts > 10, "only {torn_cuts} cuts tore a generation");
+    Ok(())
 }
 
 /// Generations paced by the journal: a run long enough for several
@@ -362,7 +287,8 @@ fn persistence_point_after_a_torn_generation_recovers_exactly() {
 /// while the generation before was written out, and whatever was still
 /// queued when the power went.
 #[test]
-fn journal_paced_generations_recover_at_every_cut_with_a_bounded_tail() {
+fn journal_paced_generations_recover_at_every_cut_with_a_bounded_tail() -> Result<(), TestCaseError>
+{
     let config = sweep_config();
     let mut ops = Vec::new();
     for round in 0..8u64 {
@@ -395,9 +321,7 @@ fn journal_paced_generations_recover_at_every_cut_with_a_bounded_tail() {
         let bound = 2 * generation_pages(&ssd) + pending;
         let in_flight = newest(&ssd);
         let reclaimed = ssd.maplog_reclaimed_blocks();
-        let truth = flash_ground_truth(&ssd);
-        let report = recover(&mut ssd);
-        assert_recovered_matches(&mut ssd, &truth, &format!("paced cut {k}"));
+        let (report, _) = assert_recovered_matches(&mut ssd, &format!("paced cut {k}"))?;
         // (Until the first GC pass nothing asks for a generation: the
         // fill's tail is as long as the fill.)
         assert!(
@@ -421,6 +345,7 @@ fn journal_paced_generations_recover_at_every_cut_with_a_bounded_tail() {
     );
     assert!(after_reclaim >= 1, "no cut right behind a reclaim");
     assert!(longest_replay >= 2, "tails of {longest_replay} at most");
+    Ok(())
 }
 
 /// The blocking path drains the log synchronously at flush boundaries,
@@ -428,7 +353,7 @@ fn journal_paced_generations_recover_at_every_cut_with_a_bounded_tail() {
 /// and the §3.1 memory bound (segment bytes ≤ 8 B per live page)
 /// holds for the *recovered* table.
 #[test]
-fn leaftl_flashlog_crash_recovers_with_memory_bound() {
+fn leaftl_flashlog_crash_recovers_with_memory_bound() -> Result<(), TestCaseError> {
     let mut config = SsdConfig::small_test();
     config.checkpoint_mode = CheckpointMode::FlashLog;
     config.gamma = 4;
@@ -443,25 +368,24 @@ fn leaftl_flashlog_crash_recovers_with_memory_bound() {
         }
     }
     assert!(ssd.stats().gc_runs > 0, "workload must trigger GC");
-    let truth = flash_ground_truth(&ssd);
-    let report = recover(&mut ssd);
+    let (report, truth) = assert_recovered_matches(&mut ssd, "leaftl flashlog")?;
     assert!(report.scanned_log_blocks > 0, "recovery must read the log");
-    assert_recovered_matches(&mut ssd, &truth, "leaftl flashlog");
     // §3.1 post-recovery: learned segments cost at most one 8-byte
     // entry per live page (the page-table ceiling).
-    let live = truth.len() as u64;
+    let live = truth.iter().flatten().count() as u64;
     let segment_bytes = ssd.scheme().table().memory_bytes().segment_bytes as u64;
     assert!(
         segment_bytes <= live * 8,
         "§3.1 violated after recovery: {segment_bytes} B of segments for {live} live pages"
     );
+    Ok(())
 }
 
 /// Acceptance criterion: on an aged device the flash-log replay scans
 /// strictly fewer data blocks than the checkpoint-less full crash
 /// scan of the same pre-crash state.
 #[test]
-fn log_replay_scans_strictly_fewer_blocks_than_full_scan() {
+fn log_replay_scans_strictly_fewer_blocks_than_full_scan() -> Result<(), TestCaseError> {
     let build = |mode: CheckpointMode| {
         let mut config = SsdConfig::small_test();
         config.checkpoint_mode = mode;
@@ -479,8 +403,8 @@ fn log_replay_scans_strictly_fewer_blocks_than_full_scan() {
     };
     let mut logged = build(CheckpointMode::FlashLog);
     let mut bare = build(CheckpointMode::Disabled);
-    let logged_report = recover(&mut logged);
-    let bare_report = recover(&mut bare);
+    let logged_report = recover(&mut logged)?;
+    let bare_report = recover(&mut bare)?;
     assert!(
         logged_report.scanned_data_blocks < bare_report.scanned_data_blocks,
         "log replay scanned {} data blocks, full scan {}",
@@ -489,13 +413,14 @@ fn log_replay_scans_strictly_fewer_blocks_than_full_scan() {
     );
     assert!(logged_report.replayed_log_entries > 0);
     assert_eq!(bare_report.scanned_log_blocks, 0);
+    Ok(())
 }
 
 /// Log blocks erased by retention must flow back to the allocator —
 /// the log never strands capacity: run far more checkpoint churn than
 /// the device could hold if superseded generations were kept.
 #[test]
-fn reclaimed_log_blocks_return_to_the_allocator() {
+fn reclaimed_log_blocks_return_to_the_allocator() -> Result<(), TestCaseError> {
     let config = sweep_config();
     let mut ssd = Ssd::new(config, ExactPageMap::new());
     let mut content = 0u64;
@@ -513,9 +438,8 @@ fn reclaimed_log_blocks_return_to_the_allocator() {
         ssd.maplog_reclaimed_blocks()
     );
     // Still a working device with correct contents.
-    let truth = flash_ground_truth(&ssd);
-    recover(&mut ssd);
-    assert_recovered_matches(&mut ssd, &truth, "post-churn");
+    assert_recovered_matches(&mut ssd, "post-churn")?;
+    Ok(())
 }
 
 proptest! {
@@ -539,22 +463,6 @@ proptest! {
         let (_, total) = run_to_cut(&config, &ops, None);
         let cut = total * cut_permille / 1_000;
         let (mut ssd, _) = run_to_cut(&config, &ops, Some(cut));
-        let truth = flash_ground_truth(&ssd);
-        recover(&mut ssd);
-        let written: HashSet<u64> = ops.iter().map(|&(lpa, _)| lpa).collect();
-        for (&lpa, &v) in &truth {
-            prop_assert_eq!(
-                ssd.read(Lpa::new(lpa)).expect("read"),
-                Some(v),
-                "cut {}: lpa {}",
-                cut,
-                lpa
-            );
-        }
-        for &lpa in &written {
-            if !truth.contains_key(&lpa) {
-                prop_assert_eq!(ssd.read(Lpa::new(lpa)).expect("read"), None);
-            }
-        }
+        assert_recovered_matches(&mut ssd, &format!("cut {cut}"))?;
     }
 }
