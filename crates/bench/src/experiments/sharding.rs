@@ -30,8 +30,9 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const DEPTHS: [usize; 3] = [1, 8, 32];
 const GAMMA: u32 = 4;
 
-/// Compaction trigger used by every background run: compact a shard
-/// once lookups would walk this many levels.
+/// Compaction trigger used by every background run: first compact a
+/// shard once lookups would walk this many levels, then again each
+/// time its deepest group grows past the depth the last sweep left.
 const LEVEL_THRESHOLD: u32 = 3;
 
 /// Builds a warmed sharded device: sequential prefill + OLTP warm-up,

@@ -141,29 +141,50 @@ pub const MAPLOG_QUEUE: u32 = u32::MAX - 2;
 
 /// The background compaction scheduler's trigger thresholds: a
 /// translation shard whose structural pressure
-/// ([`crate::MappingScheme::shard_pressure`]) crosses *either* axis is
-/// queued for a [`Command::Compact`] sweep. Level depth is the
-/// lookup-latency trigger (every extra log-structured level is a
+/// ([`crate::MappingScheme::shard_pressure`]) is at or past *either*
+/// axis's threshold is queued for a [`Command::Compact`] sweep — the
+/// first time outright, and after that only once the axis that made it
+/// due has grown past what the shard's last sweep left. Level depth is
+/// the lookup-latency trigger (every extra log-structured level is a
 /// longer top-down search), segment count the memory trigger (the
-/// §3.1 bound is restored by dropping shadowed segments).
+/// §3.1 bound is restored by dropping shadowed segments). A sweep
+/// cannot flatten levels whose segments still overlap, so a shard can
+/// stay past a threshold after it is swept; the growth guard keeps such
+/// a shard from being re-swept on every flush that merely touches it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionScheduler {
-    /// Queue a shard once its deepest group reaches this many levels.
+    /// Queue a shard once its deepest group reaches this many levels
+    /// (and, after its first sweep, is deeper than the sweep left it).
     pub level_threshold: u32,
-    /// Queue a shard once it holds this many learned segments.
+    /// Queue a shard once it holds this many learned segments (and,
+    /// after its first sweep, more than the sweep left it).
     pub segment_threshold: usize,
 }
 
 impl CompactionScheduler {
-    /// Whether a shard at `levels`/`segments` pressure is due.
-    fn due(&self, levels: u32, segments: usize) -> bool {
-        levels >= self.level_threshold || segments >= self.segment_threshold
+    /// Whether a shard at `pressure` is due, given the pressure its
+    /// last sweep left (`None` before its first sweep). An axis counts
+    /// when it is at or past its threshold *and* has grown since that
+    /// sweep: another sweep of structures no deeper and no larger than
+    /// the last one left cannot reclaim much more.
+    fn due(&self, pressure: ShardPressure, last: Option<ShardPressure>) -> bool {
+        let deep = pressure.levels >= self.level_threshold;
+        let large = pressure.segments >= self.segment_threshold;
+        match last {
+            None => deep || large,
+            Some(last) => {
+                (deep && pressure.levels > last.levels)
+                    || (large && pressure.segments > last.segments)
+            }
+        }
     }
 }
 
 impl Default for CompactionScheduler {
-    /// Level-driven by default: compact a shard once lookups would
-    /// walk 4 levels; the segment axis is effectively disabled.
+    /// Level-driven by default: first compact a shard once lookups
+    /// would walk 4 levels, then again each time its deepest group
+    /// grows past what the last sweep left; the segment axis is
+    /// effectively disabled.
     fn default() -> Self {
         CompactionScheduler {
             level_threshold: 4,
@@ -435,12 +456,12 @@ pub struct Device<'a, S: MappingScheme + Clone> {
     /// Whether each shard is currently queued, for scan dedup.
     compact_queued: Vec<bool>,
     /// Each shard's pressure snapshot right after its last dispatched
-    /// compaction: pressure only changes through learning in *that
-    /// shard*, so while the snapshot still matches, another sweep
-    /// cannot make progress — the guard that keeps aggressive
-    /// threshold configs (a threshold at or below a shard's live
-    /// segment population) from re-compacting a shard on every flush
-    /// that only touched its neighbours.
+    /// compaction (`None` before its first): once swept, a shard is
+    /// queued again only when an axis past its threshold has grown
+    /// beyond this snapshot ([`CompactionScheduler::due`]) — the guard
+    /// that keeps a threshold below the depth or population a sweep
+    /// leaves behind from re-compacting the shard on every flush that
+    /// touches it.
     compact_stamp: Vec<Option<ShardPressure>>,
     /// Program stamp of the last pressure scan (scan skipped while it
     /// is unchanged).
@@ -835,10 +856,10 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     }
 
     /// Tops the background-compaction queue up: every translation
-    /// shard whose structural pressure crossed the scheduler's level or
-    /// segment threshold — *and* whose pressure changed since its last
-    /// sweep (another sweep of unchanged structures cannot make
-    /// progress) — is queued for one [`Command::Compact`] sweep. The
+    /// shard the scheduler finds due ([`CompactionScheduler::due`]: an
+    /// axis at or past its threshold that, once the shard has been
+    /// swept, has also grown past what the last sweep left) is queued
+    /// for one [`Command::Compact`] sweep. The
     /// scan is stamped by the flash program count — pressure only
     /// changes through learning, which only happens on programs, so
     /// the scan over the shards (one O(1) pressure read each, from the
@@ -858,10 +879,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
                 continue;
             }
             let pressure = self.ssd.shard_pressure(shard);
-            if self.compact_stamp[shard] == Some(pressure) {
-                continue;
-            }
-            if self.compaction.due(pressure.levels, pressure.segments) {
+            if self.compaction.due(pressure, self.compact_stamp[shard]) {
                 self.compact_queued[shard] = true;
                 self.compact_pending.push_back(shard);
                 let now = self.ssd.now_ns();
@@ -892,8 +910,8 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         self.compact_queued[shard] = false;
         let dispatch_ns = self.ssd.now_ns();
         let deadline = self.ssd.service_compact(shard)?;
-        // Snapshot the *post-sweep* pressure: until learning changes it
-        // again, this shard cannot be re-queued.
+        // Snapshot the *post-sweep* pressure: until learning grows a due
+        // axis past it, this shard cannot be re-queued.
         self.compact_stamp[shard] = Some(self.ssd.shard_pressure(shard));
         self.compact_dispatched += 1;
         self.retire_background(
@@ -1933,6 +1951,91 @@ mod tests {
                 "lpa {lpa}"
             );
         }
+    }
+
+    #[test]
+    fn compaction_is_due_on_an_axis_past_its_threshold_that_grew_since_the_last_sweep() {
+        let at = |levels, segments| ShardPressure { levels, segments };
+        let scheduler = CompactionScheduler {
+            level_threshold: 4,
+            segment_threshold: 100,
+        };
+        // Before the first sweep the thresholds alone decide.
+        assert!(!scheduler.due(at(3, 99), None));
+        assert!(scheduler.due(at(4, 0), None));
+        assert!(scheduler.due(at(0, 100), None));
+        // The last sweep left both axes past their thresholds.
+        let last = Some(at(6, 150));
+        assert!(!scheduler.due(at(6, 150), last));
+        assert!(!scheduler.due(at(5, 140), last));
+        assert!(scheduler.due(at(7, 140), last));
+        assert!(scheduler.due(at(5, 151), last));
+        // Growth below a threshold does not count.
+        let shallow = Some(at(2, 150));
+        assert!(!scheduler.due(at(3, 150), shallow));
+        assert!(scheduler.due(at(4, 150), shallow));
+    }
+
+    #[test]
+    fn background_compaction_resweeps_a_shard_only_once_its_due_axis_grew() {
+        use crate::leaftl_scheme::LeaFtlScheme;
+        use leaftl_core::LeaFtlConfig;
+
+        // One flush: a write buffer's worth of `lpas`, then drain (which
+        // dispatches any sweep the flush made due).
+        fn flush(device: &mut Device<'_, LeaFtlScheme>, lpas: impl Iterator<Item = u64>) {
+            for lpa in lpas {
+                device.submit_write(Lpa::new(lpa), lpa).unwrap();
+            }
+            device.drain().unwrap();
+        }
+        // Every 8th LPA of group 0 from `offset`: one stride-8 segment
+        // spanning the whole group, so each offset overlaps the others
+        // and stacks one more level that no sweep can merge away.
+        let strided = |offset: u64| (0..32u64).map(move |j| 8 * j + offset);
+
+        let mut device_ssd = Ssd::new(
+            SsdConfig::small_test(),
+            LeaFtlScheme::new(LeaFtlConfig::default().with_compaction_interval(u64::MAX)),
+        );
+        assert_eq!(device_ssd.config().write_buffer_pages, 32);
+        let mut device = Device::new(
+            &mut device_ssd,
+            DeviceConfig::single(1)
+                .background_compaction()
+                // Level-driven, below the depth a sweep leaves; the
+                // segment axis is not in play.
+                .with_compaction_thresholds(2, usize::MAX),
+        );
+        for offset in 0..4 {
+            flush(&mut device, strided(offset));
+        }
+        let swept = device.compact_dispatched();
+        assert!(swept > 0, "ageing must reach the level threshold");
+        let stamp = device.compact_stamp[0].expect("the shard was swept");
+        assert!(
+            stamp.levels > 2,
+            "a sweep must leave the shard past its level threshold ({stamp:?})"
+        );
+
+        // Sequential flushes into fresh groups: new segments, but no
+        // group deeper than the one the last sweep left.
+        for group in 1..5u64 {
+            flush(&mut device, (0..32).map(|i| 256 * group + i));
+        }
+        let pressure = device.ssd().shard_pressure(0);
+        assert_eq!(pressure.levels, stamp.levels, "no group deepened");
+        assert!(pressure.segments > stamp.segments, "segments grew");
+        assert_eq!(
+            device.compact_dispatched(),
+            swept,
+            "flushes that deepen no group must not re-sweep a shard past its threshold"
+        );
+
+        // The first flush that deepens the deepest group queues it again.
+        flush(&mut device, strided(4));
+        assert_eq!(device.compact_dispatched(), swept + 1);
+        assert!(device.compact_stamp[0].unwrap().levels > stamp.levels);
     }
 
     #[cfg(debug_assertions)]
