@@ -5,8 +5,8 @@ use leaftl_baselines::{sftl_full_table_bytes, Dftl, Sftl};
 use leaftl_core::{LeaFtlConfig, LeaFtlTable, MappingScheme};
 use leaftl_sim::{
     replay, replay_open_loop, replay_queued, DeviceConfig, DramPolicy, HostOp, LeaFtlScheme,
-    MapLogTraffic, QueuedReplayReport, ReplayReport, SimError, SimStats, SpaceReport, Ssd,
-    SsdConfig, TimedOp, TrafficClass, UtilizationReport,
+    LookupPaths, MapLogTraffic, QueuedReplayReport, ReplayReport, SimError, SimStats, SpaceReport,
+    Ssd, SsdConfig, TimedOp, TrafficClass, UtilizationReport,
 };
 use leaftl_workloads::{warmup_ops, ProfileParams};
 use std::path::PathBuf;
@@ -338,6 +338,8 @@ pub struct RunOutcome {
     pub mapping_bytes: usize,
     /// The measured window's counters.
     pub stats: SimStats,
+    /// Its lookups by path, and what the flush's resolutions cost.
+    pub paths: LookupPaths,
     /// Where the physical pages stood when the replay ended.
     pub space: SpaceReport,
 }
@@ -360,6 +362,7 @@ fn measure(
             mean_latency_us: report.mean_latency_us(),
             mapping_bytes: ssd.mapping_bytes(),
             stats: ssd.stats().clone(),
+            paths: *ssd.lookup_paths(),
             space: ssd.space_report(),
         }
     })
@@ -523,6 +526,7 @@ mod tests {
                     format!("{:?}", scratch.stats),
                     "{run}"
                 );
+                assert_eq!(cloned.paths, scratch.paths, "{run}");
                 assert_eq!(cloned.mapping_bytes, scratch.mapping_bytes, "{run}");
                 assert_eq!(cloned.space, scratch.space, "{run}");
             }

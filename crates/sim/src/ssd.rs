@@ -8,7 +8,7 @@ use crate::config::{CheckpointMode, CompactionMode, GcMode, GcPolicy, SsdConfig}
 use crate::error::SimError;
 use crate::gc_index::{EraseHistogram, VictimIndex, NOT_A_CANDIDATE};
 use crate::lru::LruCache;
-use crate::stats::SimStats;
+use crate::stats::{LookupPaths, SimStats};
 use crate::trace::{ArgValue, FlashOpKind, TraceSink, Tracer, TrafficClass, UtilizationReport};
 use crate::translog::{Baseline, LogOp, MapLogTraffic, TransLog};
 use crate::validity::Validity;
@@ -226,6 +226,8 @@ pub struct Ssd<S: MappingScheme + Clone> {
     buffer: WriteBuffer,
     read_cache: LruCache<Lpa, u64>,
     stats: SimStats,
+    /// The lookups of `stats` by path, and what resolutions cost.
+    paths: LookupPaths,
     /// Where the recovery baseline is persisted: the flash-resident
     /// translation log ([`CheckpointMode::FlashLog`]'s durability
     /// mechanism), which also holds [`CheckpointMode::DramSnapshot`]'s
@@ -285,6 +287,18 @@ struct ReadPlan {
     /// one probe that counts as a data read. Every other probe is a
     /// misprediction read.
     leads_with_data_read: bool,
+}
+
+/// Who runs a resolution pass ([`Ssd::invalidate_overwritten`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Overwriter {
+    /// A host flush: its lookups' translation I/O is charged to the
+    /// host, its resolutions are counted, and a prediction nothing
+    /// resolves is mapping corruption.
+    Flush,
+    /// Recovery replaying a batch: charged to the map log, uncounted,
+    /// and lenient — a prediction nothing resolves is skipped.
+    Replay,
 }
 
 /// A translation hoisted ahead of its read's turn in the burst.
@@ -362,6 +376,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             buffer: WriteBuffer::new(),
             read_cache: LruCache::new(),
             stats: SimStats::new(),
+            paths: LookupPaths::default(),
             translog: TransLog::new(),
             pristine_scheme,
             scheme,
@@ -437,12 +452,20 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         &self.stats
     }
 
+    /// [`SimStats::lookups`] and [`SimStats::mispredictions`] by path —
+    /// host reads, flush resolutions — and what the resolutions cost,
+    /// over the same window as [`Ssd::stats`].
+    pub fn lookup_paths(&self) -> &LookupPaths {
+        &self.paths
+    }
+
     /// Resets the statistics (e.g. after a warm-up phase) without
     /// touching device state. The per-die utilization counters reset
     /// together with [`SimStats`] so the two always describe the same
     /// measurement window; an attached [`TraceSink`] keeps recording.
     pub fn reset_stats(&mut self) {
         self.stats = SimStats::new();
+        self.paths = LookupPaths::default();
         self.tracer.util.reset();
     }
 
@@ -810,10 +833,12 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             let shard = self.scheme.shard_of(lpa).min(self.clock.cpus() - 1);
             self.stats.lookup_cpu_ns += cpu_ns;
             self.stats.lookups += 1;
+            self.paths.read_lookups += 1;
             self.stats.record_lookup_levels(hit.levels_visited);
             let plan = self.plan_read_probes(lpa, &hit, true, probes)?;
             if plan.mispredicted {
                 self.stats.mispredictions += 1;
+                self.paths.read_mispredictions += 1;
             }
             self.read_cache.insert(lpa, plan.content, page_bytes, false);
             self.enforce_cache_capacity();
@@ -902,7 +927,10 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     ///
     /// Correct-page criterion: the OOB reverse mapping matches *and* the
     /// PVT says the page is live — stale copies of the same LPA within
-    /// the error window are rejected by the validity check.
+    /// the error window are rejected by the validity check. A host read
+    /// (`host_read`) needs the live page's content, so a page the
+    /// predicted page's window names is read too; a resolution for
+    /// invalidation needs only its address, which the window gives.
     fn plan_read_probes(
         &self,
         lpa: Lpa,
@@ -932,18 +960,12 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 }
                 // Misprediction: consult the OOB reverse-mapping window
                 // of the page we already read (§3.5) — one extra flash
-                // access suffices when the window names the LPA.
-                let named = self
-                    .device
-                    .oob_window(predicted, hit.error_bound)
-                    .and_then(|window| {
-                        window
-                            .find(lpa)
-                            .map(|delta| Ppa::new((predicted.raw() as i64 + delta) as u64))
-                            .find(|&candidate| self.validity.is_valid(candidate))
-                    });
-                if let Some(candidate) = named {
-                    probes.push(candidate);
+                // access suffices when the window names the LPA, and
+                // none when only its address is wanted.
+                if let Some(candidate) = self.named_live(predicted, hit.error_bound, lpa) {
+                    if host_read {
+                        probes.push(candidate);
+                    }
                     let view = self.device.read(candidate)?;
                     debug_assert_eq!(view.lpa, Some(lpa));
                     return Ok(plan(candidate, view.content, probes));
@@ -976,43 +998,99 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         Err(SimError::MappingCorruption { lpa, predicted })
     }
 
-    /// Resolves a mapped LPA's prediction to its live page with the
-    /// clock blocked on the probes (flush-path and recovery
-    /// semantics): plans them, puts them on the dies from now, charged
-    /// to `class`, and waits for the last.
-    fn resolve_blocking(
-        &mut self,
-        lpa: Lpa,
-        hit: &MappingLookup,
-        class: TrafficClass,
-    ) -> Result<ReadPlan, SimError> {
-        let mut probes = std::mem::take(&mut self.read_scratch.probes);
-        probes.clear();
-        let plan = self.plan_read_probes(lpa, hit, false, &mut probes);
-        if let Ok(plan) = &plan {
-            let floor = self.clock.now_ns();
-            let ready = self.schedule_probes(plan, &probes, floor, class);
-            self.clock.wait_until(ready);
-        }
-        self.read_scratch.probes = probes;
-        plan
+    /// The live page of `lpa` among those the OOB window of `page`
+    /// names (§3.5). The window comes with a read of `page`, so asking
+    /// it costs no flash access; a page the PVT marks live whose reverse
+    /// mapping is `lpa` is that LPA's one live copy.
+    fn named_live(&self, page: Ppa, gamma: u32, lpa: Lpa) -> Option<Ppa> {
+        self.device
+            .oob_window(page, gamma)?
+            .find(lpa)
+            .map(|delta| Ppa::new((page.raw() as i64 + delta) as u64))
+            .find(|&candidate| self.validity.is_valid(candidate))
     }
 
-    /// Resolves the exact current PPA of a mapped LPA for invalidation,
-    /// blocking the clock (flush-path semantics). Exact predictions are
-    /// free; approximate ones cost one flash read (plus extras on
-    /// misprediction).
-    fn resolve_for_invalidation(&mut self, lpa: Lpa, hit: &MappingLookup) -> Result<Ppa, SimError> {
-        if !hit.approximate {
-            debug_assert!(self.validity.is_valid(hit.ppa));
-            return Ok(hit.ppa);
+    /// Invalidates the pages `lpas` overwrite, in one resolution pass.
+    /// Each LPA's old mapping is looked up in order and an exact hit is
+    /// invalidated directly. An approximate hit needs the old page's
+    /// exact address (a *resolution*): when the OOB window of the page
+    /// the pass read last names a live copy, that is it, with no read;
+    /// otherwise the predicted page is read once and its window names
+    /// the address — the named page is not read again, invalidation
+    /// needs no content — and only a prediction the window cannot name
+    /// scans outward. Every probe starts from the pass's one dispatch
+    /// point, chained per LPA behind whatever the dies already hold
+    /// (the flush's programs), and the host clock waits once, for the
+    /// last.
+    fn invalidate_overwritten(
+        &mut self,
+        lpas: impl IntoIterator<Item = Lpa>,
+        by: Overwriter,
+    ) -> Result<(), SimError> {
+        let class = match by {
+            Overwriter::Flush => TrafficClass::Host,
+            Overwriter::Replay => TrafficClass::MapLog,
+        };
+        let dispatch_ns = self.clock.now_ns();
+        let mut done_ns = dispatch_ns;
+        let mut probes = std::mem::take(&mut self.read_scratch.probes);
+        // The page the pass read last, with the bound of the lookup
+        // that read it: the window that came with it.
+        let mut last_read: Option<(Ppa, u32)> = None;
+        let mut outcome = Ok(());
+        for lpa in lpas {
+            let (hit, cost) = self.scheme.lookup(lpa);
+            if by == Overwriter::Flush {
+                // The translation I/O occupies its die (delaying future
+                // reads) without blocking the host.
+                self.charge_map_cost(lpa, cost, dispatch_ns, class);
+            }
+            let Some(hit) = hit else { continue };
+            if !hit.approximate {
+                // A replayed mapping may name a page erased since:
+                // clearing an already-cleared bit is a no-op.
+                debug_assert!(by == Overwriter::Replay || self.validity.is_valid(hit.ppa));
+                self.invalidate(hit.ppa);
+                continue;
+            }
+            let windowed = last_read.and_then(|(page, gamma)| self.named_live(page, gamma, lpa));
+            let (exact, reads) = match windowed {
+                Some(exact) => (exact, 0),
+                None => {
+                    probes.clear();
+                    match self.plan_read_probes(lpa, &hit, false, &mut probes) {
+                        Ok(plan) => {
+                            let ready_ns = self.schedule_probes(&plan, &probes, dispatch_ns, class);
+                            done_ns = done_ns.max(ready_ns);
+                            last_read = probes.last().map(|&page| (page, hit.error_bound));
+                            (plan.exact, probes.len() as u64)
+                        }
+                        // The old copy is gone (see `replay_mapping_batch`).
+                        Err(_) if by == Overwriter::Replay => continue,
+                        Err(error) => {
+                            outcome = Err(error);
+                            break;
+                        }
+                    }
+                }
+            };
+            if by == Overwriter::Flush {
+                self.stats.lookups += 1;
+                self.paths.resolutions += 1;
+                self.paths.resolution_reads += reads;
+                if windowed.is_some() {
+                    self.paths.window_resolutions += 1;
+                }
+                if exact != hit.ppa {
+                    self.stats.mispredictions += 1;
+                    self.paths.resolution_mispredictions += 1;
+                }
+            }
+            self.invalidate(exact);
         }
-        self.stats.lookups += 1;
-        let plan = self.resolve_blocking(lpa, hit, TrafficClass::Host)?;
-        if plan.mispredicted {
-            self.stats.mispredictions += 1;
-        }
-        Ok(plan.exact)
+        self.read_scratch.probes = probes;
+        self.clock.wait_until(done_ns);
+        outcome
     }
 
     /// Writes one logical page. The page lands in the write buffer; a
@@ -1092,9 +1170,8 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         self.flush_deadline_ns = deadline;
 
         // Invalidate prior locations, then install the new mappings.
-        for batch in &batches {
-            self.invalidate_via_lookup(batch)?;
-        }
+        let overwritten = batches.iter().flatten().map(|&(lpa, _)| lpa);
+        self.invalidate_overwritten(overwritten, Overwriter::Flush)?;
         for batch in &batches {
             self.learn_and_mark(batch, sorted, TrafficClass::Host);
         }
@@ -1135,22 +1212,6 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             && self.gc_mode == GcMode::Synchronous
         {
             self.drain_maplog()?;
-        }
-        Ok(())
-    }
-
-    /// Looks up each LPA's old mapping and invalidates its page.
-    fn invalidate_via_lookup(&mut self, batch: &[(Lpa, Ppa)]) -> Result<(), SimError> {
-        for &(lpa, _) in batch {
-            let (hit, cost) = self.scheme.lookup(lpa);
-            // Asynchronous flush: the translation I/O occupies its die
-            // (delaying future reads) without blocking the host.
-            let now = self.clock.now_ns();
-            self.charge_map_cost(lpa, cost, now, TrafficClass::Host);
-            if let Some(hit) = hit {
-                let old = self.resolve_for_invalidation(lpa, &hit)?;
-                self.invalidate(old);
-            }
         }
         Ok(())
     }
@@ -1607,7 +1668,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// rather than migrated, and its old location is invalidated with
     /// the rest of the victim.
     fn dedup_migration_items(mut items: Vec<(Lpa, u64, u64)>) -> Vec<(Lpa, u64)> {
-        items.sort_by_key(|&(lpa, _, seq)| (lpa, seq));
+        // (LPA, sequence) keys are unique: an unstable sort gives the
+        // stable order without a scratch buffer.
+        items.sort_unstable_by_key(|&(lpa, _, seq)| (lpa, seq));
         let mut out: Vec<(Lpa, u64)> = Vec::with_capacity(items.len());
         for (lpa, content, _) in items {
             match out.last_mut() {
@@ -2297,21 +2360,12 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// approximate lookup, resolved against the flash as it is now,
     /// could not find it to invalidate it.
     fn replay_mapping_batch(&mut self, batch: &[(Lpa, Ppa)], stamp: u64) {
-        for &(lpa, _) in batch {
-            let (hit, _) = self.scheme.lookup(lpa);
-            if let Some(hit) = hit {
-                // Pre-crash mappings may point into blocks erased
-                // after the checkpoint; invalidation is lenient here
-                // (clearing an already-cleared bit is a no-op, and
-                // an unresolvable approximate target means the old
-                // copy is gone).
-                if !hit.approximate {
-                    self.invalidate(hit.ppa);
-                } else if let Ok(plan) = self.resolve_blocking(lpa, &hit, TrafficClass::MapLog) {
-                    self.invalidate(plan.exact);
-                }
-            }
-        }
+        // Pre-crash mappings may point into blocks erased after the
+        // checkpoint, so invalidation is lenient here: an unresolvable
+        // approximate target means the old copy is gone.
+        let replayed =
+            self.invalidate_overwritten(batch.iter().map(|&(lpa, _)| lpa), Overwriter::Replay);
+        debug_assert!(replayed.is_ok(), "a replay skips what it cannot resolve");
         self.unpersisted.note(batch);
         let _cost = self.scheme.update_batch(batch);
         let mut later: IntSet<Lpa> = IntSet::default();
@@ -3473,5 +3527,130 @@ mod tests {
         let cpu_ns = LOOKUP_BASE_NS;
         // Request i waits behind i earlier grants: 0 + 1 + ... + 7.
         assert_eq!(ssd.stats().translation_stall_ns, 28 * cpu_ns);
+    }
+
+    /// [`ExactPageMap`] posing as a learned table: every lookup is
+    /// approximate within ±`gamma` pages, and predicts `shift` pages
+    /// past the live page for the LPAs listed there.
+    #[derive(Debug, Clone, Default)]
+    struct Approximate {
+        inner: ExactPageMap,
+        gamma: u32,
+        shift: BTreeMap<u64, u64>,
+    }
+
+    impl MappingScheme for Approximate {
+        fn name(&self) -> &'static str {
+            "Approximate"
+        }
+
+        fn update_batch(&mut self, pairs: &[(Lpa, Ppa)]) -> MapCost {
+            self.inner.update_batch(pairs)
+        }
+
+        fn lookup(&mut self, lpa: Lpa) -> (Option<MappingLookup>, MapCost) {
+            let (hit, cost) = self.inner.lookup(lpa);
+            let shift = self.shift.get(&lpa.raw()).copied().unwrap_or(0);
+            let hit = hit.map(|hit| MappingLookup {
+                ppa: hit.ppa.offset(shift),
+                approximate: true,
+                error_bound: self.gamma,
+                levels_visited: 1,
+            });
+            (hit, cost)
+        }
+
+        fn memory_bytes(&self) -> usize {
+            self.inner.memory_bytes()
+        }
+
+        fn set_memory_budget(&mut self, _bytes: usize) {}
+
+        fn maintain(&mut self) -> (MapCost, bool) {
+            (MapCost::FREE, false)
+        }
+    }
+
+    /// A γ = 4 device whose LPAs `0..pages` were flushed in buffers of
+    /// 32, every flush drained, and the stats reset.
+    fn approximate_ssd(pages: u64) -> Ssd<Approximate> {
+        let mut config = SsdConfig::small_test();
+        config.gamma = 4;
+        let scheme = Approximate {
+            gamma: config.gamma,
+            ..Approximate::default()
+        };
+        let mut ssd = Ssd::new(config, scheme);
+        for lpa in 0..pages {
+            ssd.write(Lpa::new(lpa), lpa).unwrap();
+        }
+        ssd.flush().unwrap();
+        ssd.reset_stats();
+        ssd
+    }
+
+    fn page_of(ssd: &Ssd<Approximate>, lpa: u64) -> Ppa {
+        ssd.scheme().inner.get(Lpa::new(lpa)).unwrap()
+    }
+
+    /// Overwrites `lpas` in one flush; returns how far the flush held
+    /// the host clock (its programs drain asynchronously).
+    fn overwrite(ssd: &mut Ssd<Approximate>, lpas: &[u64]) -> u64 {
+        for &lpa in lpas {
+            ssd.write(Lpa::new(lpa), 1_000 + lpa).unwrap();
+        }
+        let dispatched = ssd.now_ns();
+        ssd.service_flush().unwrap();
+        let held = ssd.now_ns().saturating_sub(dispatched);
+        for &lpa in lpas {
+            assert_eq!(ssd.read(Lpa::new(lpa)).unwrap(), Some(1_000 + lpa));
+        }
+        assert_eq!(ssd.check_invariants(), Vec::<String>::new());
+        held
+    }
+
+    /// A flush resolves its approximate overwrites in one pass: one
+    /// read per OOB window, no second read for an address the window
+    /// names, and one wait for the host.
+    #[test]
+    fn a_flush_resolves_its_overwrites_with_one_read_per_window() {
+        let read_ns = SsdConfig::small_test().timing.read_ns;
+
+        // k overwrites whose live pages one window names: the first
+        // reads its predicted page, whose window names the other two.
+        let mut ssd = approximate_ssd(32);
+        let first = page_of(&ssd, 0);
+        for lpa in 1..3 {
+            assert_eq!(page_of(&ssd, lpa), first.offset(lpa), "one run of pages");
+        }
+        overwrite(&mut ssd, &[0, 1, 2]);
+        assert_eq!(ssd.stats().flash.misprediction_reads, 1);
+        let paths = *ssd.lookup_paths();
+        assert_eq!((paths.resolutions, paths.window_resolutions), (3, 2));
+        assert_eq!((paths.resolution_reads, ssd.stats().lookups), (1, 3));
+        assert_eq!(ssd.stats().mispredictions, 0);
+
+        // A mispredicted overwrite the window names: the predicted page
+        // is read, and the window gives the address without a second.
+        let mut ssd = approximate_ssd(32);
+        ssd.scheme.shift.insert(5, 1);
+        overwrite(&mut ssd, &[5]);
+        assert_eq!(ssd.stats().flash.misprediction_reads, 1);
+        assert_eq!(ssd.stats().mispredictions, 1);
+        assert_eq!(ssd.lookup_paths().resolution_mispredictions, 1);
+
+        // Resolutions on two idle dies hold the host for the slower
+        // chain, not for both.
+        let mut ssd = approximate_ssd(64);
+        let (a, b) = (page_of(&ssd, 0), page_of(&ssd, 32));
+        let geometry = ssd.config().geometry;
+        assert_ne!(geometry.die_of(a), geometry.die_of(b));
+        let held = overwrite(&mut ssd, &[0, 32]);
+        for new in [page_of(&ssd, 0), page_of(&ssd, 32)] {
+            let die = geometry.die_of(new);
+            assert!(die != geometry.die_of(a) && die != geometry.die_of(b));
+        }
+        assert_eq!(ssd.stats().flash.misprediction_reads, 2);
+        assert_eq!(held, read_ns);
     }
 }

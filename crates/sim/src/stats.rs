@@ -229,6 +229,39 @@ pub struct SimStats {
     pub write_latency: LatencyHistogram,
 }
 
+/// [`SimStats::lookups`] and [`SimStats::mispredictions`] split by the
+/// path that made them (Fig. 24), plus what the write path's
+/// resolutions cost. Kept beside [`SimStats`], not in it, so the
+/// `Debug` rendering the read-path golden and the ledger digest hash
+/// does not move. Reset with it ([`crate::Ssd::reset_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LookupPaths {
+    /// Host reads' lookups that returned an address.
+    pub read_lookups: u64,
+    /// Of those, the ones whose first flash read was the wrong page.
+    pub read_mispredictions: u64,
+    /// Flush resolutions: approximate lookups of an overwritten LPA,
+    /// resolved to the old page's exact address to invalidate it.
+    pub resolutions: u64,
+    /// Resolutions whose prediction was not the old page.
+    pub resolution_mispredictions: u64,
+    /// Flash reads the resolutions issued.
+    pub resolution_reads: u64,
+    /// Resolutions the OOB window of a page the same flush had already
+    /// read answered, with no read of their own.
+    pub window_resolutions: u64,
+}
+
+impl LookupPaths {
+    /// Misprediction ratio of host-read lookups alone.
+    pub fn read_misprediction_ratio(&self) -> f64 {
+        if self.read_lookups == 0 {
+            return 0.0;
+        }
+        self.read_mispredictions as f64 / self.read_lookups as f64
+    }
+}
+
 impl SimStats {
     /// A zeroed statistics block.
     pub fn new() -> Self {

@@ -23,6 +23,18 @@
 //! every other flash counter and, at queue depth 1, every dispatch and
 //! completion time are the first recording's; so are the other seven
 //! records.
+//!
+//! Every record but `blocking_dftl_at_2kb` was taken again when a flush
+//! (and recovery's replay) began to resolve its approximate overwrites
+//! in one pass: one read per OOB window, no second read for an address
+//! the window names, and one wait for the host. Fewer misprediction
+//! reads move the `Debug` renderings of the stats and the utilization,
+//! and the host clock moves less per flush, so every time hashed
+//! (completion times, `now_ns`, the recovery scan) moves with them.
+//! With the times masked out, all nine records are the previous
+//! recording's: every value read, every lookup, misprediction, cache
+//! hit and translation read, and every recovery count. DFTL maps
+//! exactly, resolves nothing, and kept its record.
 
 #![expect(
     clippy::expect_used,
@@ -208,10 +220,10 @@ fn blocking_demand_paged_leaftl_gamma4() {
     assert_eq!(
         got,
         Golden {
-            io_fnv: 5180673312208199893,
-            stats_fnv: 3107938122972593603,
-            utilization_fnv: 620484655841209740,
-            now_ns: 750988310,
+            io_fnv: 3384419547824843974,
+            stats_fnv: 13292177557073245827,
+            utilization_fnv: 16055993908305943993,
+            now_ns: 737368310,
             lookups: 1432,
             mispredictions: 925,
             unmapped_reads: 341,
@@ -272,10 +284,10 @@ fn device_qd1_four_shard_resident_leaftl() {
     assert_eq!(
         golden(&ssd, io_fnv),
         Golden {
-            io_fnv: 15992051511792097215,
-            stats_fnv: 1883593446737393814,
-            utilization_fnv: 352272408948468559,
-            now_ns: 777478350,
+            io_fnv: 10992445713978012371,
+            stats_fnv: 16825819239540180751,
+            utilization_fnv: 4877906112823220194,
+            now_ns: 762978350,
             lookups: 1550,
             mispredictions: 985,
             unmapped_reads: 338,
@@ -298,10 +310,10 @@ fn device_qd8_four_shard_resident_leaftl() {
     assert_eq!(
         got,
         Golden {
-            io_fnv: 2412342430787645186,
-            stats_fnv: 902594986231392498,
-            utilization_fnv: 352272408948468559,
-            now_ns: 766864030,
+            io_fnv: 15207864440843216245,
+            stats_fnv: 6291066532858532478,
+            utilization_fnv: 4877906112823220194,
+            now_ns: 752332030,
             lookups: 1550,
             mispredictions: 985,
             unmapped_reads: 338,
@@ -388,10 +400,10 @@ fn device_qd32_bursts_on_an_aged_four_shard_leaftl() {
     assert_eq!(
         got,
         Golden {
-            io_fnv: 10282444533561003197,
+            io_fnv: 13876236041752902596,
             stats_fnv: 7278414107853420884,
             utilization_fnv: 1127094032922441252,
-            now_ns: 1471552740,
+            now_ns: 1385072740,
             lookups: 1461,
             mispredictions: 782,
             unmapped_reads: 378,
@@ -496,10 +508,10 @@ fn dram_snapshot_recovery() {
         crash_run(CheckpointMode::DramSnapshot, None),
         RecoveryGolden {
             pre_crash: Golden {
-                io_fnv: 3470803923610264822,
-                stats_fnv: 10473371503686509500,
-                utilization_fnv: 10073633229323354667,
-                now_ns: 1786017290,
+                io_fnv: 8158118616743720432,
+                stats_fnv: 16879621858619001883,
+                utilization_fnv: 13427889554805912152,
+                now_ns: 1695777290,
                 lookups: 4868,
                 mispredictions: 3261,
                 unmapped_reads: 58,
@@ -507,12 +519,12 @@ fn dram_snapshot_recovery() {
                 translation_reads: 0,
                 translation_stall_ns: 0,
             },
-            report: "RecoveryReport { scanned_data_blocks: 2, scanned_log_blocks: 0, replayed_log_entries: 0, recovered_pages: 40, lost_buffered_writes: 26, scan_time_ns: 1640000, maplog_bytes_written: 0 }"
+            report: "RecoveryReport { scanned_data_blocks: 2, scanned_log_blocks: 0, replayed_log_entries: 0, recovered_pages: 40, lost_buffered_writes: 26, scan_time_ns: 780000, maplog_bytes_written: 0 }"
                 .into(),
-            recovered_now_ns: 1787657290,
-            recovered_stats_fnv: 3467639696768338744,
-            recovered_utilization_fnv: 17359405694748706096,
-            readback_fnv: 6302500432727862992,
+            recovered_now_ns: 1696557290,
+            recovered_stats_fnv: 4028143803572922525,
+            recovered_utilization_fnv: 15337808864513215031,
+            readback_fnv: 7292204927634021614,
         }
     );
 }
@@ -525,10 +537,10 @@ fn flash_log_recovery() {
         crash_run(CheckpointMode::FlashLog, None),
         RecoveryGolden {
             pre_crash: Golden {
-                io_fnv: 13473768594721914275,
-                stats_fnv: 3142476937563843451,
-                utilization_fnv: 10568403973099014164,
-                now_ns: 1947782360,
+                io_fnv: 785807791451079780,
+                stats_fnv: 4001909661058143389,
+                utilization_fnv: 16335686779684972692,
+                now_ns: 1856902360,
                 lookups: 4856,
                 mispredictions: 3225,
                 unmapped_reads: 58,
@@ -538,10 +550,10 @@ fn flash_log_recovery() {
             },
             report: "RecoveryReport { scanned_data_blocks: 0, scanned_log_blocks: 1, replayed_log_entries: 3, recovered_pages: 0, lost_buffered_writes: 26, scan_time_ns: 480000, maplog_bytes_written: 1802240 }"
                 .into(),
-            recovered_now_ns: 1948262360,
-            recovered_stats_fnv: 6794469830314404860,
-            recovered_utilization_fnv: 9728413470877440205,
-            readback_fnv: 9876078521789360871,
+            recovered_now_ns: 1857382360,
+            recovered_stats_fnv: 9161919824251981658,
+            recovered_utilization_fnv: 11146953690603325933,
+            readback_fnv: 15062989480313336443,
         }
     );
 }
@@ -554,10 +566,10 @@ fn flash_log_recovery_after_a_mid_run_power_cut() {
         crash_run(CheckpointMode::FlashLog, Some(3_750)),
         RecoveryGolden {
             pre_crash: Golden {
-                io_fnv: 4753519197936110659,
-                stats_fnv: 8389839329168573080,
-                utilization_fnv: 3407867097756461760,
-                now_ns: 780470000,
+                io_fnv: 10565519288487078404,
+                stats_fnv: 2488580552286719908,
+                utilization_fnv: 2814348949426907909,
+                now_ns: 732030000,
                 lookups: 2515,
                 mispredictions: 1672,
                 unmapped_reads: 0,
@@ -565,12 +577,12 @@ fn flash_log_recovery_after_a_mid_run_power_cut() {
                 translation_reads: 0,
                 translation_stall_ns: 0,
             },
-            report: "RecoveryReport { scanned_data_blocks: 6, scanned_log_blocks: 1, replayed_log_entries: 9, recovered_pages: 44, lost_buffered_writes: 3, scan_time_ns: 9697000, maplog_bytes_written: 729088 }"
+            report: "RecoveryReport { scanned_data_blocks: 6, scanned_log_blocks: 1, replayed_log_entries: 9, recovered_pages: 44, lost_buffered_writes: 3, scan_time_ns: 5397000, maplog_bytes_written: 729088 }"
                 .into(),
-            recovered_now_ns: 790167000,
-            recovered_stats_fnv: 13162733136810749919,
-            recovered_utilization_fnv: 9745733859352699446,
-            readback_fnv: 4151876126809927903,
+            recovered_now_ns: 737427000,
+            recovered_stats_fnv: 15548000687530479234,
+            recovered_utilization_fnv: 1920656345627821274,
+            readback_fnv: 16751516781685516836,
         }
     );
 }
@@ -583,10 +595,10 @@ fn checkpointless_recovery() {
         crash_run(CheckpointMode::Disabled, None),
         RecoveryGolden {
             pre_crash: Golden {
-                io_fnv: 18354919835988192738,
-                stats_fnv: 18169877545372728627,
-                utilization_fnv: 16185512941395526808,
-                now_ns: 1781141290,
+                io_fnv: 17976342555800428300,
+                stats_fnv: 10500650398333013299,
+                utilization_fnv: 3364427490300348171,
+                now_ns: 1690901290,
                 lookups: 4868,
                 mispredictions: 3261,
                 unmapped_reads: 58,
@@ -594,12 +606,12 @@ fn checkpointless_recovery() {
                 translation_reads: 0,
                 translation_stall_ns: 0,
             },
-            report: "RecoveryReport { scanned_data_blocks: 56, scanned_log_blocks: 0, replayed_log_entries: 0, recovered_pages: 1683, lost_buffered_writes: 26, scan_time_ns: 18920000, maplog_bytes_written: 0 }"
+            report: "RecoveryReport { scanned_data_blocks: 56, scanned_log_blocks: 0, replayed_log_entries: 0, recovered_pages: 1683, lost_buffered_writes: 26, scan_time_ns: 7420000, maplog_bytes_written: 0 }"
                 .into(),
-            recovered_now_ns: 1800061290,
-            recovered_stats_fnv: 11568339611985744991,
-            recovered_utilization_fnv: 8590782726011679187,
-            readback_fnv: 11111464954761827259,
+            recovered_now_ns: 1698321290,
+            recovered_stats_fnv: 4589559683204908509,
+            recovered_utilization_fnv: 7048355269802808108,
+            readback_fnv: 11015525794223277200,
         }
     );
 }
