@@ -186,7 +186,7 @@ pub fn registry() -> Vec<Experiment> {
         Experiment {
             figures: &[(
                 "qos",
-                "Closed-loop QoS control plane: SLO-driven arbitration + admission control, 1000+ tenants",
+                "QoS control plane: base weight + admission control + GC pacing, 1000+ tenants",
             )],
             run: |quick| vec![qos::qos(quick)],
         },

@@ -1,5 +1,5 @@
-//! Closed-loop QoS control plane — the experiment behind the
-//! SLO-driven arbitration subsystem. A 1000+-tenant adversarial
+//! QoS control plane — the experiment behind SLO classes, admission
+//! control and GC pacing. A 1000+-tenant adversarial
 //! colocation mix shares one GC-pressured device at QD 32, one
 //! submission queue per tenant:
 //!
@@ -15,13 +15,14 @@
 //!
 //! * **static-rr** — round-robin over all queues, no SLO awareness.
 //! * **static-weighted** — what a sysadmin would provision: guaranteed
-//!   queues pinned at the controller's base weight, best-effort at 1,
-//!   never retuned.
+//!   queues pinned at the controller's base weight, best-effort at 1.
 //! * **static-host-priority** — strict host-over-GC arbitration.
-//! * **qos-controller** — the closed loop: smooth-WRR weights retuned
-//!   every control interval from per-queue p99-vs-budget error, plus
-//!   admission throttling of best-effort writes near the GC hard
-//!   floor.
+//! * **qos-controller** — every host queue at the base weight over
+//!   background GC's 1, plus admission control (a best-effort slot
+//!   cap, and best-effort writes deferred near the GC hard floor) and
+//!   GC pacing (one background migration in flight at a time). Its
+//!   control ticks log each guaranteed queue's window p99; nothing is
+//!   retuned from them.
 //!
 //! The reproduction target, its shape: with the controller on, every
 //! guaranteed tenant's p99 meets its budget while at least one static
@@ -34,6 +35,8 @@
 //! The fleet is sized to the smoke-scale device, so that is the one
 //! scale: on the 2 GiB device it leaves GC idle and every policy alike,
 //! and 5× its ops on the smoke device overrun the controller's budget.
+//! Only the `qos-controller` row carries a `controller` block (its
+//! tick count): the static policies run no controller.
 
 use super::{Figure, Shape};
 use crate::common::{each_ssd, gc_pressured, maplog_json, print_table, utilization_json};
@@ -64,7 +67,7 @@ impl ClassAgg {
 }
 
 /// SLO colocation at 1000+ tenants: static arbitration baselines vs
-/// the closed-loop controller on a GC-pressured, map-logging device.
+/// the QoS controller on a GC-pressured, map-logging device.
 pub fn qos(_quick: bool) -> Figure {
     let scale = Scale::perf(true);
     let kind = SchemeKind::LeaFtl { gamma: 4 };
@@ -117,11 +120,11 @@ pub fn qos(_quick: bool) -> Figure {
     let trace = multi_tenant_trace(&fleet, logical, SEED);
 
     // ~10 reader completions per window at the 2 ms arrival gap, so
-    // every tick has a trustworthy guaranteed p99 to steer on. The
-    // widened admission margin arms the best-effort write gate while
-    // GC still has headroom: once the in-flight slots fill with writes
-    // stacked behind a long migrate+erase round, no pick order can
-    // rescue a read, so the gate must fire *before* the clog forms.
+    // every tick logs a guaranteed p99. The widened admission margin
+    // arms the best-effort write gate while GC still has headroom:
+    // once the in-flight slots fill with writes stacked behind a long
+    // migrate+erase round, no pick order can rescue a read, so the
+    // gate must fire *before* the clog forms.
     let ctrl = QosControllerConfig {
         control_interval_ns: 20_000_000,
         admission_margin: 0.12,
@@ -215,14 +218,6 @@ pub fn qos(_quick: bool) -> Figure {
         // the log programs steal die time from everyone's dispatches.
         let tax = |a: &ClassAgg| maplog_bytes as f64 * a.requests as f64 / total_requests as f64;
 
-        let max_guar_weight = report
-            .qos_ticks
-            .iter()
-            .flat_map(|t| t.guaranteed.iter().map(|q| q.weight))
-            .max()
-            .unwrap_or(0);
-        let min_be_weight = report.qos_ticks.iter().map(|t| t.best_effort_weight).min();
-
         rows.push(vec![
             name.to_string(),
             format!("{:.0}", report.iops()),
@@ -247,17 +242,15 @@ pub fn qos(_quick: bool) -> Figure {
                 json!({
                     "at_ms": t.at_ns as f64 / 1e6,
                     "worst_error": t.worst_error,
-                    "be_weight": t.best_effort_weight,
                     "guaranteed": t.guaranteed.iter().map(|q| json!({
                         "queue": q.queue,
                         "samples": q.samples,
                         "p99_us": q.p99_us,
-                        "weight": q.weight,
                     })).collect::<Vec<_>>(),
                 })
             })
             .collect();
-        out.push(json!({
+        let mut policy = json!({
             "policy": name,
             "iops": report.iops(),
             "elapsed_ms": report.elapsed_ns as f64 / 1e6,
@@ -292,13 +285,15 @@ pub fn qos(_quick: bool) -> Figure {
                 "reclaimed_blocks": maplog_blocks,
                 "pages": maplog_json(maplog_pages),
             },
-            "controller": {
-                "ticks": report.qos_ticks.len(),
-                "max_guaranteed_weight": max_guar_weight,
-                "min_best_effort_weight": min_be_weight,
-            },
             "utilization": utilization_json(&report.utilization),
-        }));
+        });
+        if let (Value::Object(members), "qos-controller") = (&mut policy, name) {
+            members.push((
+                "controller".to_string(),
+                json!({ "ticks": report.qos_ticks.len() }),
+            ));
+        }
+        out.push(policy);
     }
     print_table(
         &format!(

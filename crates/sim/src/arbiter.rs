@@ -246,9 +246,9 @@ pub trait Arbiter: std::fmt::Debug {
     fn name(&self) -> &'static str;
 
     /// Retunes the weight of host queue `queue` at runtime. Policies
-    /// without per-queue weights ignore the call (the default); the
-    /// [`crate::QosController`] drives this on [`Weighted`] every
-    /// control tick.
+    /// without per-queue weights ignore the call (the default). A
+    /// device with a QoS spec calls it once per host queue at
+    /// construction, to set [`crate::QosController::BASE_WEIGHT`].
     fn set_weight(&mut self, _queue: usize, _weight: u32) {}
 }
 

@@ -215,9 +215,9 @@ pub struct DeviceConfig {
     pub compaction: CompactionScheduler,
     /// The arbitration policy.
     pub arbiter: Box<dyn Arbiter>,
-    /// Optional QoS control plane: per-queue SLOs plus the closed-loop
-    /// controller that retunes the arbiter and throttles best-effort
-    /// admission ([`crate::QosSpec`]). `None` (the default) leaves the
+    /// Optional QoS control plane: per-queue SLOs plus the controller
+    /// that sets the base weight, throttles best-effort admission and
+    /// paces GC ([`crate::QosSpec`]). `None` (the default) leaves the
     /// device byte-identical to pre-QoS behaviour.
     pub qos: Option<QosSpec>,
 }
@@ -270,13 +270,14 @@ impl DeviceConfig {
         self
     }
 
-    /// Attaches the closed-loop QoS control plane: per-queue SLOs plus
-    /// controller tuning. The controller retunes the arbiter's
-    /// per-queue weights ([`Arbiter::set_weight`]) at every control
-    /// tick and defers best-effort block-consuming commands near the
-    /// GC hard floor. Pair it with a [`crate::Weighted`] arbiter —
-    /// weightless policies ignore the retunes (admission throttling
-    /// still applies).
+    /// Attaches the QoS control plane: per-queue SLOs plus controller
+    /// tuning. The device sets every host queue's arbiter weight once
+    /// to [`QosController::BASE_WEIGHT`] ([`Arbiter::set_weight`]),
+    /// caps best-effort in-flight slots, defers best-effort
+    /// block-consuming commands near the GC hard floor and paces
+    /// background migrations. Pair it with a [`crate::Weighted`]
+    /// arbiter — weightless policies ignore the base weight (admission
+    /// throttling and pacing still apply).
     pub fn with_qos(mut self, qos: QosSpec) -> Self {
         self.qos = Some(qos);
         self
@@ -481,7 +482,7 @@ pub struct Device<'a, S: MappingScheme + Clone> {
     /// the drop-time "undrained device" assert stands down, since the
     /// caller is already unwinding a failed run.
     poisoned: bool,
-    /// The closed-loop QoS controller (absent on non-QoS devices —
+    /// The QoS controller (absent on non-QoS devices —
     /// which then behave byte-identically to pre-QoS builds).
     qos: Option<QosController>,
     /// Per-queue virtual time dispatched heads spent deferred by QoS
@@ -513,10 +514,10 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         let mut arbiter = config.arbiter;
         let qos = config.qos.map(|spec| {
             let controller = QosController::new(spec, config.queues);
-            // Program the controller's initial weights so the very
-            // first dispatches already run under the base policy.
+            // The base weight, once: the very first dispatches already
+            // run under it, and nothing retunes it later.
             for queue in 0..config.queues {
-                arbiter.set_weight(queue, controller.weight(queue));
+                arbiter.set_weight(queue, QosController::BASE_WEIGHT);
             }
             controller
         });
@@ -1103,8 +1104,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     }
 
     /// Runs a QoS control tick if one is due: feeds the controller the
-    /// device's interference attribution, then re-programs the
-    /// arbiter's per-queue weights.
+    /// device's interference attribution for its tick log.
     fn qos_tick_if_due(&mut self) {
         let now = self.ssd.now_ns();
         if !self.qos.as_ref().is_some_and(|qos| qos.due(now)) {
@@ -1119,9 +1119,6 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             return;
         };
         qos.tick(now, gc_stall, translation_stall, settled);
-        for queue in 0..self.queues.len() {
-            self.arbiter.set_weight(queue, qos.weight(queue));
-        }
         let tick = qos.last_tick();
         self.ssd.tracer_mut().control_instant("qos_tick", now, || {
             tick.map(|tick| {
@@ -1132,7 +1129,6 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
                         ArgValue::F64(tick.settled_free_fraction),
                     ),
                     ("gc_stall_delta_ns", ArgValue::U64(tick.gc_stall_delta_ns)),
-                    ("be_weight", ArgValue::U64(tick.best_effort_weight as u64)),
                 ]
             })
             .unwrap_or_default()
@@ -2156,6 +2152,80 @@ mod tests {
         device.drain().unwrap();
         assert_eq!(device.admission_wait_ns(), 0);
         assert!(device.qos_ticks().is_empty());
+    }
+
+    /// A [`Weighted`] arbiter that logs every `set_weight` call with
+    /// the number of picks made before it.
+    #[derive(Debug)]
+    struct Counting {
+        inner: Weighted,
+        picks: u64,
+        set_weights: std::rc::Rc<std::cell::RefCell<Vec<(usize, u32, u64)>>>,
+    }
+
+    impl Arbiter for Counting {
+        fn pick(&mut self, view: &ArbiterView<'_>) -> Source {
+            self.picks += 1;
+            self.inner.pick(view)
+        }
+
+        fn name(&self) -> &'static str {
+            "counting"
+        }
+
+        fn set_weight(&mut self, queue: usize, weight: u32) {
+            self.set_weights
+                .borrow_mut()
+                .push((queue, weight, self.picks));
+            self.inner.set_weight(queue, weight);
+        }
+    }
+
+    #[test]
+    fn qos_sets_the_base_weight_once_per_queue_before_the_first_pick() {
+        use crate::qos::{QosControllerConfig, QosSpec, Slo};
+        let queues = 3;
+        let set_weights = std::rc::Rc::default();
+        let arbiter = Counting {
+            inner: Weighted::new(vec![1; queues], 1),
+            picks: 0,
+            set_weights: std::rc::Rc::clone(&set_weights),
+        };
+        let mut device_ssd = gc_pressured();
+        let logical = device_ssd.config().logical_pages();
+        let mut device = Device::new(
+            &mut device_ssd,
+            DeviceConfig::new(queues, 16)
+                .background_gc()
+                .with_arbiter(Box::new(arbiter))
+                .with_qos(
+                    QosSpec::new(vec![Slo::guaranteed(100.0), Slo::best_effort()]).with_controller(
+                        QosControllerConfig {
+                            control_interval_ns: 200_000,
+                            ..QosControllerConfig::default()
+                        },
+                    ),
+                ),
+        );
+        for i in 0..logical {
+            let queue = (i % queues as u64) as usize;
+            let request = if queue == 0 {
+                IoRequest::read(Lpa::new(i))
+            } else {
+                IoRequest::write(Lpa::new(i), i)
+            };
+            device
+                .enqueue_to(queue, request.at(i * 20_000).on_stream(queue as u32))
+                .unwrap();
+        }
+        device.drain().unwrap();
+        assert!(device.qos_ticks().len() > 1, "control ticks must run");
+        // One call per host queue, all before the first pick, and none
+        // from a control tick.
+        let expected: Vec<(usize, u32, u64)> = (0..queues)
+            .map(|queue| (queue, QosController::BASE_WEIGHT, 0))
+            .collect();
+        assert_eq!(*set_weights.borrow(), expected);
     }
 
     /// An arbiter that always names a source without dispatchable work.

@@ -1,39 +1,32 @@
-//! Closed-loop QoS control plane: SLO-driven arbitration for
-//! 1000+-tenant devices.
+//! QoS control plane: SLO classes, admission control and GC pacing
+//! for 1000+-tenant devices.
 //!
-//! Static arbiter weights (the [`crate::Weighted`] policy) answer *who
-//! goes next* but not *how much is enough*: a tenant's p99 depends on
-//! every other tenant's load, on background GC, and on translation
-//! traffic, none of which a construction-time weight vector can see.
-//! This module closes the loop. Each host submission queue carries an
-//! [`Slo`] — a p99 latency budget plus a service class — and a
-//! [`QosController`] runs *on the device timeline* at a configurable
-//! control interval:
+//! Each host submission queue carries an [`Slo`] — a p99 latency
+//! budget plus a service class — and a [`QosController`] owned by the
+//! [`crate::Device`] turns the classes into three mechanisms:
 //!
-//! * it ingests per-queue completion histograms (arrival→complete,
-//!   the open-loop tenant view) plus the device's `gc_overlap`,
-//!   `gc_stall_ns` and `translation_stall_ns` interference attribution,
-//! * for every [`SloClass::Guaranteed`] queue it turns the relative
-//!   p99-vs-budget error into a **bounded multiplicative step** on that
-//!   queue's smooth-WRR weight (at most doubling or halving per tick)
-//!   with **conditional-integration anti-windup** (the integral term
-//!   freezes while the weight is pinned at a bound, so a long SLO
-//!   violation cannot wind up a correction that overshoots for many
-//!   ticks after the pressure clears),
-//! * [`SloClass::BestEffort`] queues share one AIMD weight: halved
-//!   while any guaranteed queue is over budget (or the device is
-//!   stalling at the GC hard floor with no guaranteed completions to
-//!   measure), recovered additively once every budget is met — and
-//!   never below the **floor weight**, so best-effort
-//!   tenants are squeezed, not starved.
+//! * **base weight**: when the device is built, every host queue's
+//!   arbiter weight is set once to [`QosController::BASE_WEIGHT`], so
+//!   a [`crate::Weighted`] arbiter built with unit weights gives
+//!   background GC (weight 1) a small share of the picks;
+//! * **admission control**: [`SloClass::BestEffort`] commands may hold
+//!   at most `queue_depth - guaranteed_slot_reserve` in-flight slots
+//!   ([`QosControllerConfig::guaranteed_slot_reserve`]), and while the
+//!   settled free fraction is within
+//!   [`QosControllerConfig::admission_margin`] of the GC hard floor
+//!   ([`crate::SsdConfig::gc_hard_floor`]) their block-consuming
+//!   commands are deferred instead of letting the floor's forced
+//!   stalls block guaranteed tenants; the deferred time is surfaced
+//!   per queue as `admission_wait_ns` (see
+//!   [`crate::Device::admission_wait_ns`]);
+//! * **GC pacing**: at most [`QosControllerConfig::gc_pacing_limit`]
+//!   background migrations are in flight at once.
 //!
-//! The controller also drives *admission throttling*: when the settled
-//! free fraction approaches the GC hard floor
-//! ([`crate::SsdConfig::gc_hard_floor`]), the device defers
-//! block-consuming best-effort commands ([`QosControllerConfig::admission_margin`])
-//! instead of letting the floor's forced stalls block guaranteed
-//! tenants; the deferred time is surfaced per queue as
-//! `admission_wait_ns` (see [`crate::Device::admission_wait_ns`]).
+//! At every control interval (on the device timeline) the controller
+//! logs a [`QosTick`]: each guaranteed queue's window p99 against its
+//! budget, the best-effort window, and the device's `gc_overlap`,
+//! `gc_stall_ns` and `translation_stall_ns` interference attribution.
+//! The log is observation only; nothing is retuned from it.
 //!
 //! Everything here is opt-in: a device without a [`QosSpec`] behaves
 //! exactly as before (the QD=1 cycle-exactness proptests pin this).
@@ -44,13 +37,13 @@ use serde::{Deserialize, Serialize};
 /// Service class of a tenant/queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SloClass {
-    /// The controller actively steers arbiter weight to hold this
-    /// queue's measured p99 within its budget.
+    /// Never admission-deferred, and the only class that may use the
+    /// reserved in-flight slots; its window p99 is logged against its
+    /// budget at every control tick.
     Guaranteed,
-    /// Served from the residual bandwidth: weight is reduced (never
-    /// below the floor) while guaranteed queues miss their budgets,
-    /// and block-consuming commands are deferred near the GC hard
-    /// floor.
+    /// Served from the residual bandwidth: held to the best-effort
+    /// slot cap, and block-consuming commands are deferred near the GC
+    /// hard floor.
     BestEffort,
 }
 
@@ -96,17 +89,13 @@ impl Default for Slo {
     }
 }
 
-/// Tuning of the closed control loop. The loop's weights and gains
-/// are fixed ([`QosController::BASE_WEIGHT`] and the constants beside
-/// it); what is set here is how often it runs, what it trusts, and how
-/// hard it holds back best-effort work and GC.
+/// Tuning of the control plane. The base weight is fixed
+/// ([`QosController::BASE_WEIGHT`]); what is set here is how often a
+/// tick is logged, and how hard best-effort work and GC are held back.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct QosControllerConfig {
     /// Virtual time between control ticks.
     pub control_interval_ns: u64,
-    /// Minimum completions in a queue's window before its p99 is
-    /// trusted for a weight step.
-    pub min_window_samples: u64,
     /// Admission-throttling margin above the GC hard floor: while the
     /// settled free fraction is below `gc_hard_floor +
     /// admission_margin` (and migrations are in flight), best-effort
@@ -138,7 +127,6 @@ impl Default for QosControllerConfig {
     fn default() -> Self {
         QosControllerConfig {
             control_interval_ns: 10_000_000, // 10 ms
-            min_window_samples: 8,
             admission_margin: 0.04,
             guaranteed_slot_reserve: 8,
             gc_pacing_limit: 2,
@@ -182,13 +170,11 @@ pub struct QueueTick {
     pub queue: usize,
     /// Window completions.
     pub samples: u64,
-    /// Window p99 in microseconds (0 when below `min_window_samples`).
+    /// Window p99 in microseconds (0 for an empty window).
     pub p99_us: f64,
-    /// Relative p99-vs-budget error used for the step (positive =
-    /// over budget).
+    /// Relative p99-vs-budget error (positive = over budget; 0 for an
+    /// empty window).
     pub error: f64,
-    /// Weight after the step.
-    pub weight: u32,
 }
 
 /// Snapshot of one control tick.
@@ -198,7 +184,7 @@ pub struct QosTick {
     pub at_ns: u64,
     /// Worst relative error across measurable guaranteed queues this
     /// window (negative when everyone is under budget; 0.0 when no
-    /// queue had enough samples).
+    /// guaranteed queue completed anything).
     pub worst_error: f64,
     /// `gc_stall_ns` accumulated since the previous tick.
     pub gc_stall_delta_ns: u64,
@@ -213,15 +199,13 @@ pub struct QosTick {
     pub best_effort_gc_overlap: u64,
     /// Best-effort completions this window.
     pub best_effort_samples: u64,
-    /// The shared best-effort weight after the step.
-    pub best_effort_weight: u32,
     /// Per-guaranteed-queue detail.
     pub guaranteed: Vec<QueueTick>,
 }
 
-/// The closed-loop controller. Owned by a [`crate::Device`] when its
-/// config carries a [`QosSpec`]; drives
-/// [`crate::Arbiter::set_weight`] at every control tick.
+/// The control plane's state. Owned by a [`crate::Device`] when its
+/// config carries a [`QosSpec`]: it answers the device's class, slot
+/// and pacing questions and keeps the control-tick log.
 #[derive(Debug)]
 pub struct QosController {
     cfg: QosControllerConfig,
@@ -240,12 +224,6 @@ pub struct QosController {
     be_window: LatencyHistogram,
     /// Best-effort completions in the window that overlapped GC.
     be_window_gc_overlap: u64,
-    /// Per-guaranteed-queue weight (continuous; exposed rounded).
-    weights: Vec<f64>,
-    /// Per-guaranteed-queue integral error term.
-    integral: Vec<f64>,
-    /// Shared best-effort weight (continuous).
-    be_weight: f64,
     next_tick_ns: u64,
     last_gc_stall_ns: u64,
     last_translation_stall_ns: u64,
@@ -253,21 +231,9 @@ pub struct QosController {
 }
 
 impl QosController {
-    /// Initial weight of every queue (also the ceiling best-effort
-    /// queues recover back to).
+    /// The arbiter weight the device gives every host queue once, at
+    /// construction (background GC keeps the arbiter's own weight).
     pub const BASE_WEIGHT: u32 = 8;
-    /// Best-effort weight floor — best-effort tenants are squeezed to
-    /// this, never starved below it.
-    const FLOOR_WEIGHT: f64 = 1.0;
-    /// Upper bound on any guaranteed queue's weight.
-    const MAX_WEIGHT: f64 = 1024.0;
-    /// Proportional gain on the relative p99 error.
-    const GAIN: f64 = 1.0;
-    /// Integral gain on the accumulated relative error.
-    const INTEGRAL_GAIN: f64 = 0.25;
-    /// Anti-windup clamp on the integral term (conditional
-    /// integration additionally freezes it at the weight bounds).
-    const INTEGRAL_CAP: f64 = 4.0;
 
     /// Builds a controller for a device with `queues` host queues.
     pub fn new(spec: QosSpec, queues: usize) -> Self {
@@ -287,9 +253,6 @@ impl QosController {
             window_gc_overlap: vec![0; guaranteed.len()],
             be_window: LatencyHistogram::new(),
             be_window_gc_overlap: 0,
-            weights: vec![Self::BASE_WEIGHT as f64; guaranteed.len()],
-            integral: vec![0.0; guaranteed.len()],
-            be_weight: Self::BASE_WEIGHT as f64,
             next_tick_ns: 0,
             last_gc_stall_ns: 0,
             last_translation_stall_ns: 0,
@@ -330,22 +293,6 @@ impl QosController {
         self.cfg.control_interval_ns
     }
 
-    /// Current weight of queue `queue` (what the device programs into
-    /// the arbiter).
-    pub fn weight(&self, queue: usize) -> u32 {
-        let idx = self
-            .guaranteed_idx
-            .get(queue)
-            .copied()
-            .unwrap_or(usize::MAX);
-        let w = if idx == usize::MAX {
-            self.be_weight
-        } else {
-            self.weights[idx]
-        };
-        (w.round() as u32).max(1)
-    }
-
     /// Whether a control tick is due at device time `now`.
     pub fn due(&self, now_ns: u64) -> bool {
         now_ns >= self.next_tick_ns
@@ -369,12 +316,10 @@ impl QosController {
         }
     }
 
-    /// Runs one control tick at device time `now_ns`: steps every
-    /// measurable guaranteed queue's weight from its window p99 error
-    /// (bounded step, anti-windup), AIMDs the shared best-effort
-    /// weight, logs the tick, and resets the windows. The caller
-    /// re-programs the arbiter from [`QosController::weight`]
-    /// afterwards.
+    /// Runs one control tick at device time `now_ns`: logs every
+    /// guaranteed queue's window p99 against its budget, the
+    /// best-effort window and the stall deltas since the previous
+    /// tick, then resets the windows.
     pub fn tick(
         &mut self,
         now_ns: u64,
@@ -388,72 +333,38 @@ impl QosController {
         self.last_gc_stall_ns = gc_stall_ns;
         self.last_translation_stall_ns = translation_stall_ns;
 
-        let mut worst_error = f64::NEG_INFINITY;
-        let mut measured_any = false;
-        let mut guaranteed_samples = 0u64;
+        let mut worst_error: Option<f64> = None;
         let mut guaranteed_overlap = 0u64;
         let mut detail = Vec::with_capacity(self.guaranteed.len());
-        for idx in 0..self.guaranteed.len() {
-            let queue = self.guaranteed[idx];
+        for (idx, &queue) in self.guaranteed.iter().enumerate() {
             let samples = self.windows[idx].count();
-            guaranteed_samples += samples;
             guaranteed_overlap += self.window_gc_overlap[idx];
             let budget_ns = self.slos[queue].budget_ns();
             let mut error = 0.0;
             let mut p99_us = 0.0;
-            if samples >= self.cfg.min_window_samples && budget_ns.is_finite() && budget_ns > 0.0 {
+            if samples > 0 && budget_ns.is_finite() && budget_ns > 0.0 {
                 let p99 = self.windows[idx].percentile_ns(99.0) as f64;
                 p99_us = p99 / 1000.0;
                 error = (p99 - budget_ns) / budget_ns;
-                measured_any = true;
-                worst_error = worst_error.max(error);
-
-                let w = self.weights[idx];
-                // Conditional integration: stop accumulating while the
-                // weight is already pinned at the bound the error
-                // pushes towards (classic anti-windup).
-                let saturated = (w >= Self::MAX_WEIGHT && error > 0.0) || (w <= 1.0 && error < 0.0);
-                if !saturated {
-                    self.integral[idx] =
-                        (self.integral[idx] + error).clamp(-Self::INTEGRAL_CAP, Self::INTEGRAL_CAP);
-                }
-                let control = Self::GAIN * error + Self::INTEGRAL_GAIN * self.integral[idx];
-                // Bounded step: at most double or halve per tick.
-                let factor = control.clamp(-1.0, 1.0).exp2();
-                self.weights[idx] = (w * factor).clamp(1.0, Self::MAX_WEIGHT);
+                worst_error = Some(worst_error.map_or(error, |worst| worst.max(error)));
             }
             detail.push(QueueTick {
                 queue,
                 samples,
                 p99_us,
                 error,
-                weight: (self.weights[idx].round() as u32).max(1),
             });
-        }
-
-        // Best-effort AIMD: squeeze while any guaranteed queue is over
-        // budget — or while the device is stalling at the GC hard
-        // floor with no guaranteed completions to measure (the stall
-        // attribution stands in for the missing histogram) — recover
-        // additively once the budgets are met.
-        let pressure = (measured_any && worst_error > 0.0)
-            || (guaranteed_samples == 0 && gc_stall_delta > 0 && !self.guaranteed.is_empty());
-        if pressure {
-            self.be_weight = (self.be_weight / 2.0).max(Self::FLOOR_WEIGHT);
-        } else if measured_any || guaranteed_samples == 0 {
-            self.be_weight = (self.be_weight + 1.0).min(Self::BASE_WEIGHT as f64);
         }
 
         self.ticks.push(QosTick {
             at_ns: now_ns,
-            worst_error: if measured_any { worst_error } else { 0.0 },
+            worst_error: worst_error.unwrap_or(0.0),
             gc_stall_delta_ns: gc_stall_delta,
             translation_stall_delta_ns: translation_stall_delta,
             settled_free_fraction,
             guaranteed_gc_overlap: guaranteed_overlap,
             best_effort_gc_overlap: self.be_window_gc_overlap,
             best_effort_samples: self.be_window.count(),
-            best_effort_weight: (self.be_weight.round() as u32).max(1),
             guaranteed: detail,
         });
 
@@ -485,100 +396,10 @@ mod tests {
     fn spec(slos: Vec<Slo>) -> QosSpec {
         QosSpec::new(slos).with_controller(QosControllerConfig {
             control_interval_ns: 1_000_000,
-            min_window_samples: 4,
             admission_margin: 0.04,
             guaranteed_slot_reserve: 8,
             gc_pacing_limit: 2,
         })
-    }
-
-    #[test]
-    fn over_budget_queue_gains_weight_under_budget_decays() {
-        let mut c = QosController::new(spec(vec![Slo::guaranteed(100.0), Slo::best_effort()]), 2);
-        assert_eq!(c.weight(0), 8);
-        // p99 ~400µs against a 100µs budget: weight must rise.
-        for _ in 0..16 {
-            c.observe(0, 400_000, false);
-        }
-        c.tick(1_000_000, 0, 0, 0.5);
-        let raised = c.weight(0);
-        assert!(raised > 8, "over-budget weight stayed at {raised}");
-        // Bounded step: at most doubled in one tick.
-        assert!(raised <= 16, "step unbounded: {raised}");
-        // Now comfortably under budget: weight must come back down.
-        for _ in 0..16 {
-            c.observe(0, 10_000, false);
-        }
-        c.tick(2_000_000, 0, 0, 0.5);
-        assert!(c.weight(0) < raised);
-    }
-
-    #[test]
-    fn weight_saturates_at_max_and_integral_does_not_wind_up() {
-        let mut c = QosController::new(spec(vec![Slo::guaranteed(10.0)]), 1);
-        // Persistently, hopelessly over budget: weight rails at max.
-        for t in 1..=20u64 {
-            for _ in 0..8 {
-                c.observe(0, 50_000_000, false);
-            }
-            c.tick(t * 1_000_000, 0, 0, 0.5);
-        }
-        assert_eq!(c.weight(0), 1024);
-        // One healthy window must start pulling the weight down
-        // immediately — a wound-up integral would hold it at max.
-        let before = c.weight(0);
-        for _ in 0..8 {
-            c.observe(0, 100, false);
-        }
-        c.tick(21_000_000, 0, 0, 0.5);
-        let after_first_healthy = c.weight(0);
-        for _ in 0..8 {
-            c.observe(0, 100, false);
-        }
-        c.tick(22_000_000, 0, 0, 0.5);
-        assert!(
-            c.weight(0) < before && c.weight(0) <= after_first_healthy,
-            "anti-windup failed: {} -> {} -> {}",
-            before,
-            after_first_healthy,
-            c.weight(0)
-        );
-    }
-
-    #[test]
-    fn best_effort_squeezed_to_floor_and_recovers() {
-        let mut c = QosController::new(spec(vec![Slo::guaranteed(100.0), Slo::best_effort()]), 2);
-        assert_eq!(c.class(1), SloClass::BestEffort);
-        // Guaranteed misses its budget for several ticks: best-effort
-        // halves down to the floor, never below.
-        for t in 1..=6u64 {
-            for _ in 0..8 {
-                c.observe(0, 1_000_000, false);
-            }
-            c.observe(1, 1_000, true);
-            c.tick(t * 1_000_000, 0, 0, 0.5);
-        }
-        assert_eq!(c.weight(1), 1, "best-effort must stop at the floor");
-        // Guaranteed healthy again: additive recovery back to base.
-        for t in 7..=14u64 {
-            for _ in 0..8 {
-                c.observe(0, 1_000, false);
-            }
-            c.tick(t * 1_000_000, 0, 0, 0.5);
-        }
-        assert_eq!(c.weight(1), 8);
-    }
-
-    #[test]
-    fn stall_attribution_stands_in_when_no_guaranteed_samples() {
-        let mut c = QosController::new(spec(vec![Slo::guaranteed(100.0), Slo::best_effort()]), 2);
-        // No guaranteed completions this window, but the device spent
-        // time stalled at the hard floor: squeeze best-effort anyway.
-        c.tick(1_000_000, 500_000, 0, 0.05);
-        assert!(c.weight(1) < 8);
-        let tick = c.ticks().last().unwrap();
-        assert_eq!(tick.gc_stall_delta_ns, 500_000);
-        assert_eq!(tick.worst_error, 0.0);
     }
 
     #[test]
@@ -597,9 +418,25 @@ mod tests {
         assert_eq!(tick.guaranteed_gc_overlap, 8);
         assert_eq!(tick.best_effort_samples, 8);
         assert_eq!(tick.best_effort_gc_overlap, 8);
-        // Window cleared: an immediate second tick sees zero samples.
-        c.tick(2_000_000, 0, 0, 0.5);
-        assert_eq!(c.ticks()[1].guaranteed[0].samples, 0);
+        // Window cleared: an immediate second tick sees zero samples,
+        // reports no error, and carries the stall accrued since the
+        // first.
+        c.tick(2_000_000, 500_000, 0, 0.05);
+        let tick = &c.ticks()[1];
+        assert_eq!(tick.guaranteed[0].samples, 0);
+        assert_eq!(tick.gc_stall_delta_ns, 500_000);
+        assert_eq!(tick.worst_error, 0.0);
+        // Two completions are a window: a 400 µs p99 against the
+        // 100 µs budget is three budgets over.
+        c.observe(0, 400_000, false);
+        c.observe(0, 400_000, false);
+        c.tick(3_000_000, 500_000, 0, 0.5);
+        let tick = &c.ticks()[2];
+        assert_eq!(tick.guaranteed[0].samples, 2);
+        assert_eq!(tick.guaranteed[0].p99_us, 400.0);
+        assert_eq!(tick.guaranteed[0].error, 3.0);
+        assert_eq!(tick.worst_error, 3.0);
+        assert_eq!(tick.gc_stall_delta_ns, 0);
     }
 
     #[test]
@@ -610,6 +447,5 @@ mod tests {
         assert_eq!(c.class(2), SloClass::BestEffort);
         // Out-of-range queues read as best-effort rather than panicking.
         assert_eq!(c.class(99), SloClass::BestEffort);
-        assert_eq!(c.weight(99), 8);
     }
 }

@@ -679,7 +679,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// Reads one logical page. Returns `None` for never-written pages.
     ///
     /// The blocking queue-depth-1 interface: services a burst of one
-    /// ([`Ssd::service_read_batch`]) and advances the virtual clock to
+    /// (`service_read_batch`) and advances the virtual clock to
     /// its completion before returning.
     ///
     /// # Errors
@@ -1097,7 +1097,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// full buffer triggers a flush (allocation, programming, learning,
     /// and possibly GC / wear levelling).
     ///
-    /// Queue-depth-1 wrapper over [`Ssd::service_write`] — writes are
+    /// Queue-depth-1 wrapper over `service_write` — writes are
     /// absorbed by serial controller DRAM, so the service path itself
     /// advances the clock and the wrapper adds nothing.
     ///
@@ -1916,7 +1916,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// "persist now" of tests, experiments and recovery; a GC pass, the
     /// one automatic caller, asks `persistence_point_due` first.
     /// The mapping table and BVC as they stand become the next recovery
-    /// [`Baseline`], stamped with the flash program sequence.
+    /// `Baseline`, stamped with the flash program sequence.
     /// [`CheckpointMode::DramSnapshot`] writes back what
     /// changed since the previous point and is durable on return: the
     /// groups remapped since (by a flush, a migration, a wear swap or
@@ -2172,7 +2172,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// every [`CheckpointMode`]: read the translation log's blocks
     /// back and keep only entries whose pages all survived the cut
     /// (durability is physical, so a torn entry is always a queue
-    /// suffix); restore the newest durable [`Baseline`] — a log
+    /// suffix); restore the newest durable `Baseline` — a log
     /// checkpoint generation or the DRAM snapshot, whichever the mode
     /// keeps, else pristine state; replay the durable delta tail; and
     /// OOB-scan only the data pages programmed after the last durable

@@ -5,10 +5,10 @@ use serde::{Deserialize, Serialize};
 
 /// Log-linear latency histogram with exact aggregate moments.
 ///
-/// Each decade between 100 ns and 10⁷ s splits into [`SUB_BUCKETS`]
-/// linear sub-buckets, so a reported percentile is tight to within
-/// 1/8 of a decade instead of rounding to the decade edge ("p99 =
-/// 10000 µs" meaning "somewhere below 10 ms"). Bucket boundaries use
+/// Each decade between 100 ns and 10⁷ s splits into eight linear
+/// sub-buckets, so a reported percentile is tight to within 1/8 of a
+/// decade instead of rounding to the decade edge ("p99 = 10000 µs"
+/// meaning "somewhere below 10 ms"). Bucket boundaries use
 /// pure integer arithmetic, so placement is exact and deterministic.
 /// Percentile queries use the bucket upper bound (conservative).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -28,6 +28,13 @@
 //! counts are the first recording's. The 1012-queue drain-order digest
 //! hashes times and nothing else moved in it.
 //!
+//! The weighted + QoS record was taken again when the controller stopped
+//! retuning arbiter weights at every control tick (the device now sets
+//! `QosController::BASE_WEIGHT` on every queue once): completions
+//! 7 069 → 7 065, background GC dispatches 169 → 165, control ticks
+//! 262 → 248, the admission waits and the completion digest moved. The
+//! other three records run no controller and did not move.
+//!
 //! The proptest at the end holds the three bitset arbitration policies
 //! to a slice-walk transcription of the algorithms they replaced, on
 //! views drawn as gated admission classes the way the device forms
@@ -155,7 +162,6 @@ fn run(arbiter: Box<dyn Arbiter>, qos: bool) -> Golden {
             admission_margin: 0.10,
             guaranteed_slot_reserve: 10,
             gc_pacing_limit: 1,
-            min_window_samples: 2,
         }));
     }
     let mut device = Device::new(&mut ssd, config);
@@ -187,23 +193,23 @@ fn weighted_qos_fleet_matches_the_full_scan() {
     assert_eq!(
         golden,
         Golden {
-            completions_fnv: 4623851209526574757,
-            completions: 7069,
+            completions_fnv: 7206393353850739529,
+            completions: 7065,
             admission_wait_per_queue: vec![
-                0, 0, 0, 0, 0, 0, 308505160, 305245160, 305245160, 305245160, 305245160, 305245160,
-                308505160, 305245160, 305245160, 305245160, 298645160, 298645160, 305245160,
-                305245160, 308505160, 305245160, 305245160, 305245160, 305245160, 305245160,
-                298645160, 298645160, 295765160, 298645160, 295765160, 305245160, 305245160,
-                305245160, 305245160, 305245160, 305245160, 298645160, 295765160, 305245160,
-                187025440, 164576440, 180147520, 155779320, 149402080, 101992240, 163096440,
-                161879000, 153738320, 201788080, 187663800, 166059960, 183885600, 156976040,
-                167658880, 148895920, 156838080, 172968880, 166185520, 154588760, 212929160,
-                206546000, 155859440, 152397440, 179572880, 145853880, 148353160, 156965920,
-                158326480, 188924040, 111982520, 159443000
+                0, 0, 0, 0, 0, 0, 240302960, 240302960, 240302960, 240302960, 240302960, 240302960,
+                240302960, 240302960, 240302960, 240302960, 240302960, 240302960, 240302960,
+                240302960, 240302960, 240302960, 240302960, 240302960, 240302960, 240302960,
+                240302960, 240302960, 240302960, 240302960, 240302960, 240302960, 240302960,
+                240302960, 240302960, 240302960, 240302960, 240302960, 240302960, 240302960,
+                197576200, 197941400, 203024200, 160436040, 188193920, 153706000, 161839080,
+                192495040, 185755280, 209519000, 202566320, 194300320, 199321840, 202166880,
+                187568280, 191095760, 188430360, 210406040, 192447360, 178236160, 208799720,
+                200071680, 188800920, 180996120, 197474160, 202356400, 192152320, 192426000,
+                198335200, 203590120, 158151760, 187761960
             ],
-            qos_ticks: 262,
-            dispatches: 7069,
-            gc_dispatched: 169,
+            qos_ticks: 248,
+            dispatches: 7065,
+            gc_dispatched: 165,
         }
     );
 }

@@ -1,11 +1,12 @@
 //! QoS control-plane invariants.
 //!
-//! **Retuned weights take effect.** The [`Weighted`] smooth-WRR
-//! arbiter is the [`QosController`]'s actuator: every control tick
-//! re-programs per-queue weights through `set_weight`. That only
-//! closes the loop if dispatch *proportions* actually converge to the
-//! new weight vector — the proptest below drives saturated queues
-//! through an arbitrary retune and checks the long-run shares.
+//! **Retuned weights take effect.** [`Weighted`] smooth WRR accepts a
+//! new weight at runtime through `Arbiter::set_weight` (a QoS device
+//! uses it once per queue, at construction, for the base weight).
+//! Dispatch *proportions* must converge to the new weight vector from
+//! whatever credit state the arbiter holds — the proptest below drives
+//! saturated queues through an arbitrary retune and checks the
+//! long-run shares.
 //!
 //! **Fleet traces are deterministic and honestly Poisson.** The 1000+
 //! tenant open-loop fleets the `qos` experiment replays must be
