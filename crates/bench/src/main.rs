@@ -15,9 +15,12 @@
 //! Naming any figure of a sweep runs the sweep once and writes all of
 //! its figures.
 //!
-//! Each record carries its figure's shape, judged here: `pass`, `gap`
-//! (a miss a declared gap explains) or `fail`. `results/fidelity.json`
-//! lists every figure run, and any `fail` exits 1 once all is written.
+//! Each record carries its scale (`quick` or `full`) and its figure's
+//! shape, judged here: `pass`, `gap` (a miss a declared gap explains)
+//! or `fail`. `results/fidelity.json` keeps one verdict per figure and
+//! scale: a run replaces the entries of what it ran and keeps the
+//! rest, so a `--quick all` followed by a full-scale run leaves both.
+//! Any `fail` exits 1 once all is written.
 //!
 //! `--trace <path>` attaches the device-timeline tracer to every
 //! engine-driven replay and writes the last replay's Chrome
@@ -54,6 +57,7 @@ fn main() -> ExitCode {
         common::set_trace_path(path.into());
     }
     let quick = args.iter().any(|a| a == "--quick" || a == "-q");
+    let scale = if quick { "quick" } else { "full" };
     let selected: Vec<String> = args.into_iter().filter(|a| !a.starts_with('-')).collect();
 
     let all = registry();
@@ -119,24 +123,59 @@ fn main() -> ExitCode {
                 panic!("{name}'s record is not an object");
             };
             members.insert(0, ("schema".into(), json!(SCHEMA)));
+            members.insert(1, ("scale".into(), json!(scale)));
             members.push(("shape".into(), shape.json()));
             written &= write_json(&results_dir.join(format!("{name}.json")), &record);
             if shape.verdict() == "fail" {
                 failed.push(name);
             }
-            fidelity.push((name.to_string(), shape.json()));
+            let mut entry = shape.json();
+            if let Value::Object(members) = &mut entry {
+                members.insert(0, ("figure".into(), json!(name)));
+                members.insert(1, ("scale".into(), json!(scale)));
+            }
+            fidelity.push(entry);
         }
     }
-    let fidelity = json!({ "schema": SCHEMA, "figures": Value::Object(fidelity) });
-    written &= write_json(&results_dir.join("fidelity.json"), &fidelity);
+    let fidelity_path = results_dir.join("fidelity.json");
+    let previous = fs::read_to_string(&fidelity_path)
+        .ok()
+        .and_then(|text| serde_json::from_str(&text).ok());
+    written &= write_json(&fidelity_path, &merge_fidelity(previous, fidelity));
     if !failed.is_empty() {
         eprintln!("failed, with no known gap: {}", failed.join(", "));
     }
     ExitCode::from(u8::from(!written || !failed.is_empty()))
 }
 
-/// Version of the `results/*.json` layout, stamped on every record.
+/// Version of the `results/<name>.json` layout, stamped on every
+/// record.
 const SCHEMA: u32 = 1;
+
+/// Version of `results/fidelity.json`'s layout: since 2, a list of
+/// entries, each naming its figure and scale.
+const FIDELITY_SCHEMA: u32 = 2;
+
+/// The verdict file after a run: `previous`'s entries (when it is a
+/// file of this layout) with each one this run's `entries` name by
+/// figure and scale replaced in place, then this run's others in run
+/// order.
+fn merge_fidelity(previous: Option<Value>, entries: Vec<Value>) -> Value {
+    let key = |entry: &Value| (entry["figure"].clone(), entry["scale"].clone());
+    let mut merged = match previous {
+        Some(file) if file["schema"].as_u64() == Some(u64::from(FIDELITY_SCHEMA)) => {
+            file["figures"].as_array().cloned().unwrap_or_default()
+        }
+        _ => Vec::new(),
+    };
+    for entry in entries {
+        match merged.iter_mut().find(|kept| key(kept) == key(&entry)) {
+            Some(kept) => *kept = entry,
+            None => merged.push(entry),
+        }
+    }
+    json!({ "schema": FIDELITY_SCHEMA, "figures": Value::Array(merged) })
+}
 
 /// Writes `value` to `path` as pretty JSON; false, once the reason is
 /// printed, when it cannot.
@@ -148,4 +187,55 @@ fn write_json(path: &Path, value: &Value) -> bool {
         eprintln!("cannot write {}: {e}", path.display());
     }
     written.is_ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::{merge_fidelity, FIDELITY_SCHEMA};
+    use serde_json::{json, Value};
+
+    fn entry(figure: &str, scale: &str, verdict: &str) -> Value {
+        json!({ "figure": figure, "scale": scale, "verdict": verdict })
+    }
+
+    #[test]
+    fn a_run_replaces_its_own_verdicts_and_keeps_the_others() {
+        let quick = merge_fidelity(
+            None,
+            vec![
+                entry("fig5", "quick", "pass"),
+                entry("fig15", "quick", "gap"),
+            ],
+        );
+        let full = merge_fidelity(
+            Some(quick),
+            vec![
+                entry("fig15", "full", "pass"),
+                entry("fig5", "full", "fail"),
+            ],
+        );
+        let again = merge_fidelity(Some(full), vec![entry("fig15", "quick", "pass")]);
+        assert_eq!(
+            again,
+            json!({
+                "schema": FIDELITY_SCHEMA,
+                "figures": [
+                    entry("fig5", "quick", "pass"),
+                    entry("fig15", "quick", "pass"),
+                    entry("fig15", "full", "pass"),
+                    entry("fig5", "full", "fail"),
+                ],
+            })
+        );
+    }
+
+    #[test]
+    fn a_file_of_another_layout_is_replaced() {
+        let old = json!({ "schema": 1, "figures": { "fig5": { "verdict": "pass" } } });
+        let merged = merge_fidelity(Some(old), vec![entry("fig5", "quick", "fail")]);
+        assert_eq!(
+            merged,
+            json!({ "schema": FIDELITY_SCHEMA, "figures": [entry("fig5", "quick", "fail")] })
+        );
+    }
 }

@@ -245,10 +245,11 @@ pub trait Arbiter: std::fmt::Debug {
     /// Policy name (experiment labels).
     fn name(&self) -> &'static str;
 
-    /// Retunes the weight of host queue `queue` at runtime. Policies
-    /// without per-queue weights ignore the call (the default). A
-    /// device with a QoS spec calls it once per host queue at
+    /// Sets the weight of host queue `queue`. Called before the first
+    /// pick: a device with a QoS spec calls it once per host queue at
     /// construction, to set [`crate::QosController::BASE_WEIGHT`].
+    /// Policies without per-queue weights ignore the call (the
+    /// default).
     fn set_weight(&mut self, _queue: usize, _weight: u32) {}
 }
 
@@ -614,28 +615,20 @@ impl Arbiter for Weighted {
         "weighted"
     }
 
-    /// Runtime retune: replaces queue `queue`'s weight (clamped to 1,
-    /// like construction). A queue beyond the current vector grows it,
-    /// filling the gap with the default weight 1. Accumulated credit
-    /// is deliberately kept — smooth WRR forgets history at the rate
-    /// of one total-ready-weight per pick, so dispatch proportions
-    /// converge to the new weights within a few rounds (pinned by a
-    /// proptest in `tests/qos_control.rs`). An unchanged weight costs
-    /// O(1); a held queue's changed weight moves it between heaps.
+    /// Replaces queue `queue`'s weight (clamped to 1, like
+    /// construction) before the first pick: no queue is held yet, so
+    /// nothing sits in a heap under the old weight. A queue beyond the
+    /// current vector grows it, filling the gap with the default
+    /// weight 1.
     fn set_weight(&mut self, queue: usize, weight: u32) {
-        let weight = weight.max(1);
-        let old = self.host_weight(queue);
+        debug_assert!(
+            self.queues.is_empty(),
+            "Weighted::set_weight is called before the first pick"
+        );
         if self.host_weights.len() <= queue {
             self.host_weights.resize(queue + 1, 1);
         }
-        self.host_weights[queue] = weight;
-        if old == weight || queue >= self.queues.len() {
-            return;
-        }
-        if let Some(held) = self.classes.iter_mut().find(|held| held.holds(queue)) {
-            held.leave(queue, old, &mut self.queues);
-            held.join(queue, weight, &mut self.queues);
-        }
+        self.host_weights[queue] = weight.max(1);
     }
 }
 
@@ -845,42 +838,22 @@ mod tests {
     }
 
     #[test]
-    fn set_weight_retunes_and_grows_the_vector() {
+    fn set_weight_before_the_first_pick_sets_shares_and_grows_the_vector() {
         let mut arbiter = Weighted::new(vec![1, 1], 1);
         let host = ready([true, true]);
-        // Flip queue 0 from 1:1 to 3:1 at runtime: service follows.
+        // Queue 0 from 1:1 to 3:1 before any pick: service follows.
         arbiter.set_weight(0, 3);
+        // A queue beyond the vector grows it (gap defaults to weight 1)
+        // and zero clamps to 1.
+        arbiter.set_weight(5, 0);
+        assert_eq!(arbiter.host_weight(5), 1);
+        assert_eq!(arbiter.host_weight(3), 1);
         let picks: Vec<Source> = (0..8)
             .map(|_| arbiter.pick(&view(&open(&host), 0)))
             .collect();
         let count = |s: Source| picks.iter().filter(|&&p| p == s).count();
         assert_eq!(count(Source::Host(0)), 6);
         assert_eq!(count(Source::Host(1)), 2);
-        // Retuning a queue beyond the vector grows it (gap defaults to
-        // weight 1) and clamps zero to 1.
-        arbiter.set_weight(5, 0);
-        assert_eq!(arbiter.host_weight(5), 1);
-        assert_eq!(arbiter.host_weight(3), 1);
-    }
-
-    #[test]
-    fn growing_the_weights_past_the_device_keeps_every_credit() {
-        // Queue 5 does not exist on this two-queue device, and its
-        // weight is the default one: growing the vector to reach it must
-        // change no credit, GC's included, so no pick either.
-        let mut grown = Weighted::new(vec![1, 1], 1);
-        let mut kept = Weighted::new(vec![1, 1], 1);
-        let host = ready([true, true]);
-        for step in 0..9 {
-            if step == 2 {
-                grown.set_weight(5, 1);
-            }
-            assert_eq!(
-                grown.pick(&view(&open(&host), 1)),
-                kept.pick(&view(&open(&host), 1)),
-                "step {step}"
-            );
-        }
     }
 
     #[test]

@@ -31,17 +31,18 @@ pub enum GcPolicy {
 
 /// When garbage collection runs relative to the host write path.
 ///
-/// Historically GC ran synchronously inside the buffer flush, stalling
-/// the submitting write for entire migrate+erase passes. The
-/// multi-queue [`crate::Device`] can instead defer the work: victims
-/// are still selected at the low watermark, but their migration is
-/// emitted as background commands that compete for dies through the
-/// device's arbiter, and host writes block only when free blocks fall
-/// to [`SsdConfig::gc_hard_floor`].
+/// GC starts when fewer than 8 % of all blocks are free (the low
+/// watermark) and collects until 12 % are (the high watermark). In
+/// the flush path it stalls the submitting write for whole
+/// migrate+erase passes. A multi-queue [`crate::Device`] can instead
+/// defer the work: victims are selected at the same watermarks, but
+/// their migration is emitted as background commands that compete for
+/// dies through the device's arbiter, and host writes block only when
+/// free blocks fall to the hard floor, 2 % of all blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GcMode {
     /// Collect inside the flush path until the high watermark is
-    /// restored (the legacy blocking behaviour; the default).
+    /// restored (the blocking path's behaviour; the default).
     Synchronous,
     /// Only select victims at the watermark; migration runs as
     /// background device traffic ([`crate::Command::GcMigrate`]).
@@ -50,20 +51,19 @@ pub enum GcMode {
 
 /// When learned-table compaction runs relative to the host write path.
 ///
-/// Historically compaction was an inline side effect of the buffer
-/// flush ([`crate::MappingScheme::maintain`] every
+/// Inline, it is a side effect of the buffer flush
+/// ([`crate::MappingScheme::maintain`] every
 /// [`SsdConfig::compaction_interval_writes`] host writes), so its CPU
-/// cost was invisible on the timeline. The multi-queue
-/// [`crate::Device`] can instead promote it to first-class background
-/// traffic: a compaction scheduler polls per-shard structural pressure
+/// cost is invisible on the timeline. A multi-queue [`crate::Device`]
+/// can instead promote it to first-class background traffic: a compaction scheduler polls per-shard structural pressure
 /// ([`crate::MappingScheme::shard_pressure`]) and emits
 /// [`crate::Command::Compact`] commands that the arbiter schedules
 /// against host queues, charging the compaction sweep on the shard's
 /// translation-CPU timeline where concurrent lookups must wait for it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CompactionMode {
-    /// Compact inside the flush path on the write interval (the legacy
-    /// behaviour; the default).
+    /// Compact inside the flush path on the write interval (the
+    /// blocking path's behaviour; the default).
     Inline,
     /// Skip inline maintenance; the device emits per-shard
     /// [`crate::Command::Compact`] background commands when a shard's
@@ -142,19 +142,6 @@ pub struct SsdConfig {
     pub stripe_pages: u32,
     /// GC victim-selection policy.
     pub gc_policy: GcPolicy,
-    /// GC starts when the free-block fraction drops below this.
-    pub gc_low_watermark: f64,
-    /// GC keeps collecting until the free-block fraction reaches this.
-    pub gc_high_watermark: f64,
-    /// Hard free-block floor for background GC ([`GcMode::Background`]):
-    /// host writes are back-pressured (stalled behind in-flight
-    /// migration erases) only when the settled free fraction falls to
-    /// this floor. `0.0` disables write back-pressure entirely — the
-    /// synchronous allocation-failure fallback still guards
-    /// correctness. The device clamps the floor to
-    /// [`SsdConfig::gc_low_watermark`], so configs that only lower the
-    /// watermarks keep working. Unused in [`GcMode::Synchronous`].
-    pub gc_hard_floor: f64,
     /// Wear levelling triggers when `max − min` block erase counts
     /// exceed this gap.
     pub wear_gap_threshold: u32,
@@ -184,9 +171,6 @@ impl SsdConfig {
             write_buffer_pages: 2048, // 8 MB of 4 KB pages
             stripe_pages: 256,        // one block per chunk, as in §3.3
             gc_policy: GcPolicy::Greedy,
-            gc_low_watermark: 0.08,
-            gc_high_watermark: 0.12,
-            gc_hard_floor: 0.02,
             wear_gap_threshold: 16,
             gamma: 0,
             compaction_interval_writes: 1_000_000,
@@ -218,9 +202,6 @@ impl SsdConfig {
         config.geometry = FlashGeometry::small_test();
         config.dram_bytes = 4 * 1024 * 1024;
         config.write_buffer_pages = 32; // one block
-        config.gc_low_watermark = 0.10;
-        config.gc_high_watermark = 0.15;
-        config.gc_hard_floor = 0.02;
         config
     }
 
@@ -248,15 +229,7 @@ impl SsdConfig {
             "op_ratio out of range"
         );
         assert!(
-            self.gc_low_watermark < self.gc_high_watermark,
-            "gc watermarks inverted"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.gc_hard_floor),
-            "gc hard floor out of range"
-        );
-        assert!(
-            self.gc_high_watermark < self.op_ratio,
+            gc_watermarks().high < self.op_ratio,
             "gc high watermark must stay below the over-provisioned fraction"
         );
         assert!(self.write_buffer_pages >= 1, "write buffer too small");
@@ -276,6 +249,28 @@ impl SsdConfig {
 impl Default for SsdConfig {
     fn default() -> Self {
         SsdConfig::paper_default()
+    }
+}
+
+/// Where GC works, as fractions of all blocks free: below `low` it
+/// starts, at `high` it stops, and below `floor` a background-GC
+/// [`crate::Device`] stalls block-consuming host commands until
+/// in-flight erases land.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct GcWatermarks {
+    pub(crate) floor: f64,
+    pub(crate) low: f64,
+    pub(crate) high: f64,
+}
+
+/// The one GC start/stop rule. The paper fixes over-provisioning at
+/// 20 % (Table 1) but sets no watermarks; these hold 8–12 % of all
+/// blocks free, with the floor well below the low line.
+pub(crate) fn gc_watermarks() -> GcWatermarks {
+    GcWatermarks {
+        floor: 0.02,
+        low: 0.08,
+        high: 0.12,
     }
 }
 

@@ -43,17 +43,21 @@
 //!
 //! # Background GC
 //!
-//! In [`GcMode::Background`] the flush path stops collecting at the
-//! watermark. Instead the device selects victims exactly where the
-//! synchronous collector would (free fraction below the low watermark,
-//! refilled to the high watermark) but queues them as
-//! [`Command::GcMigrate`] traffic that the arbiter schedules like any
-//! other queue. Host writes are back-pressured only at the hard floor
-//! ([`crate::SsdConfig::gc_hard_floor`]): a write or flush about to
+//! The device, not the SSD, owns its GC and compaction modes: it
+//! passes them to every write and flush it dispatches, and the SSD's
+//! own [`Ssd::write`] and [`Ssd::flush`] always collect and compact
+//! inline. In [`GcMode::Background`] the flushes it dispatches stop
+//! collecting at the watermark. Instead the device selects victims by
+//! the synchronous collector's rule (free fraction below the low
+//! watermark, 8 % of all blocks, refilled to the high one, 12 %) but
+//! queues them as [`Command::GcMigrate`] traffic that the arbiter
+//! schedules like any other queue. Host writes are back-pressured only
+//! at the hard floor, 2 % of all blocks: a write or flush about to
 //! dispatch while the *settled* free fraction — reclaimed blocks whose
 //! erase has actually landed — sits below the floor stalls until
 //! enough in-flight erases complete, which is the only point where
-//! background GC blocks the host.
+//! background GC blocks the host. The three lines are one rule in the
+//! crate, shared with the synchronous collector.
 //!
 //! # Dispatch index
 //!
@@ -111,11 +115,11 @@
 //! ```
 
 use crate::arbiter::{AdmissionClass, Arbiter, ArbiterView, ReadySet, RoundRobin, Source};
-use crate::config::{CompactionMode, GcMode};
+use crate::config::{gc_watermarks, CompactionMode, GcMode};
 use crate::error::SimError;
 use crate::qos::{QosController, QosSpec, QosTick, SloClass};
 use crate::request::{Command, IoCompletion, IoRequest};
-use crate::ssd::Ssd;
+use crate::ssd::{FlushModes, Ssd};
 use crate::trace::ArgValue;
 use leaftl_core::{MappingScheme, ShardPressure};
 use leaftl_flash::{BlockId, Lpa};
@@ -402,11 +406,15 @@ struct PendingMigration {
 /// Run the backlog down with [`Device::drain`] before letting the
 /// device go: dropping it with host commands still pending silently
 /// discards them, which debug builds treat as a caller bug
-/// (`debug_assert`). Drop always restores the SSD's blocking-path
-/// contract (synchronous GC, inline compaction).
+/// (`debug_assert`). The device never changes how the SSD's own
+/// [`Ssd::write`] and [`Ssd::flush`] behave: it passes its GC and
+/// compaction modes to each write and flush it dispatches.
 #[derive(Debug)]
 pub struct Device<'a, S: MappingScheme + Clone> {
     ssd: &'a mut Ssd<S>,
+    /// What the flushes this device dispatches run inline: the
+    /// config's GC and compaction modes.
+    modes: FlushModes,
     queues: Vec<HostQueue>,
     queue_depth: usize,
     arbiter: Box<dyn Arbiter>,
@@ -502,12 +510,8 @@ pub struct Device<'a, S: MappingScheme + Clone> {
 }
 
 impl<'a, S: MappingScheme + Clone> Device<'a, S> {
-    /// Wraps an SSD in a multi-queue front-end. The SSD's GC mode is
-    /// set from the config for the device's lifetime and restored to
-    /// synchronous on drop.
+    /// Wraps an SSD in a multi-queue front-end.
     pub fn new(ssd: &'a mut Ssd<S>, config: DeviceConfig) -> Self {
-        ssd.set_gc_mode(config.gc_mode);
-        ssd.set_compaction_mode(config.compaction_mode);
         let shard_count = ssd.shard_count();
         let mut queues = Vec::with_capacity(config.queues);
         queues.resize_with(config.queues, HostQueue::default);
@@ -530,6 +534,10 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         };
         Device {
             ssd,
+            modes: FlushModes {
+                gc: config.gc_mode,
+                compaction: config.compaction_mode,
+            },
             queues,
             queue_depth: config.queue_depth,
             arbiter,
@@ -817,17 +825,18 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     /// victim index, where queued victims are withheld and "no
     /// candidate" is one comparison, so there is no scan to ration.
     fn replenish_gc(&mut self) {
-        if self.ssd.gc_mode() != GcMode::Background {
+        if self.modes.gc != GcMode::Background {
             return;
         }
+        let lines = gc_watermarks();
         let geometry = self.ssd.config().geometry;
         let blocks = geometry.blocks as f64;
         let free = self.ssd.free_fraction();
         let projected = |pending_net: f64| free + pending_net / blocks;
-        if projected(self.gc_pending_net_blocks) >= self.ssd.config().gc_low_watermark {
+        if projected(self.gc_pending_net_blocks) >= lines.low {
             return;
         }
-        while projected(self.gc_pending_net_blocks) < self.ssd.config().gc_high_watermark {
+        while projected(self.gc_pending_net_blocks) < lines.high {
             let Some(victim) = self.ssd.queue_gc_victim() else {
                 return;
             };
@@ -867,7 +876,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     /// table's incremental counters) runs once per flush rather than
     /// once per dispatch.
     fn replenish_compaction(&mut self) {
-        if self.ssd.compaction_mode() != CompactionMode::Background {
+        if self.modes.compaction != CompactionMode::Background {
             return;
         }
         let programs = self.ssd.stats().flash.total_programs();
@@ -1045,18 +1054,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     /// migrations if none are in flight) — the only point where
     /// background GC blocks the host.
     fn enforce_hard_floor(&mut self) -> Result<(), SimError> {
-        // A floor above the low watermark makes no sense (the trigger
-        // line sits below the refill line); clamp rather than reject,
-        // so configs that only lower the watermarks keep working.
-        let floor = self
-            .ssd
-            .config()
-            .gc_hard_floor
-            .min(self.ssd.config().gc_low_watermark);
-        if floor <= 0.0 {
-            return Ok(());
-        }
-        while self.settled_free_fraction() < floor {
+        while self.settled_free_fraction() < gc_watermarks().floor {
             if let Some(Reverse(erase_done)) = self.gc_inflight.pop() {
                 // Wait for the earliest in-flight erase to land.
                 let stall_from = self.ssd.now_ns();
@@ -1092,15 +1090,10 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     /// the right tool anyway.
     fn admission_pressured(&self) -> bool {
         let Some(qos) = &self.qos else { return false };
-        if self.ssd.gc_mode() != GcMode::Background || self.gc_inflight.is_empty() {
+        if self.modes.gc != GcMode::Background || self.gc_inflight.is_empty() {
             return false;
         }
-        let floor = self
-            .ssd
-            .config()
-            .gc_hard_floor
-            .min(self.ssd.config().gc_low_watermark);
-        floor > 0.0 && self.settled_free_fraction() < floor + qos.admission_margin()
+        self.settled_free_fraction() < gc_watermarks().floor + qos.admission_margin()
     }
 
     /// Runs a QoS control tick if one is due: feeds the controller the
@@ -1410,7 +1403,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             return Err(self.stalled(self.ssd.now_ns()));
         };
         let class = self.head_class(queue);
-        if self.ssd.gc_mode() == GcMode::Background && req.command.consumes_blocks() {
+        if self.modes.gc == GcMode::Background && req.command.consumes_blocks() {
             self.enforce_hard_floor()?;
         }
         let now = self.ssd.now_ns();
@@ -1464,14 +1457,14 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
                 self.queues[queue].pending.pop_front();
                 self.head_popped(queue, class, 1, now);
                 self.consume_budget(1);
-                let complete_ns = self.ssd.service_write(lpa, content)?;
+                let complete_ns = self.ssd.service_write(lpa, content, self.modes)?;
                 self.finish(id, queue, req, None, now, complete_ns);
             }
             Command::Flush => {
                 self.queues[queue].pending.pop_front();
                 self.head_popped(queue, class, 1, now);
                 self.consume_budget(1);
-                let complete_ns = self.ssd.service_flush()?;
+                let complete_ns = self.ssd.service_flush(self.modes)?;
                 self.finish(id, queue, req, None, now, complete_ns);
             }
             Command::GcMigrate { .. } | Command::Compact { .. } | Command::MapLog { .. } => {
@@ -1544,11 +1537,6 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
 
 impl<S: MappingScheme + Clone> Drop for Device<'_, S> {
     fn drop(&mut self) {
-        // The borrowed SSD outlives the device; hand it back with the
-        // blocking-path contract (synchronous GC, inline compaction)
-        // intact.
-        self.ssd.set_gc_mode(GcMode::Synchronous);
-        self.ssd.set_compaction_mode(CompactionMode::Inline);
         // Selected-but-undispatched victims die with the queue.
         self.ssd.release_gc_victims();
         // Dropping undrained host commands silently discards work the
@@ -1765,9 +1753,6 @@ mod tests {
     fn gc_pressured() -> Ssd<ExactPageMap> {
         let mut config = SsdConfig::small_test();
         config.op_ratio = 0.5;
-        config.gc_low_watermark = 0.30;
-        config.gc_high_watermark = 0.40;
-        config.gc_hard_floor = 0.10;
         Ssd::new(config, ExactPageMap::new())
     }
 
@@ -1800,7 +1785,6 @@ mod tests {
             assert_eq!(migrations.len() as u64, device.gc_dispatched());
             assert!(migrations.iter().all(|c| c.queue == GC_QUEUE));
         }
-        assert_eq!(device_ssd.gc_mode(), GcMode::Synchronous, "mode restored");
         assert!(device_ssd.stats().gc_runs > 0);
         for i in (0..logical).step_by(13) {
             assert_eq!(
@@ -1849,20 +1833,19 @@ mod tests {
 
     #[test]
     fn hard_floor_back_pressure_stalls_writes() {
-        // Floor at the low watermark and a deep queue: host-priority
-        // starves GC through each long write backlog, so the settled
-        // free fraction (erases actually landed) dips to the floor and
-        // writes must stall on in-flight erases.
+        // A queue deep enough that one write backlog fills sixteen of
+        // the 64 blocks: host-priority starves GC through it, so the
+        // settled free fraction (erases actually landed) falls from the
+        // low watermark (8 % of all blocks) to the floor (2 %) and
+        // writes must stall on in-flight erases. At depth 128 a backlog
+        // fills four blocks and GC keeps up.
         let mut config = SsdConfig::small_test();
         config.op_ratio = 0.5;
-        config.gc_low_watermark = 0.08;
-        config.gc_high_watermark = 0.12;
-        config.gc_hard_floor = 0.08;
         let mut device_ssd = Ssd::new(config, ExactPageMap::new());
         let logical = device_ssd.config().logical_pages();
         let mut device = Device::new(
             &mut device_ssd,
-            DeviceConfig::single(128)
+            DeviceConfig::single(512)
                 .background_gc()
                 .with_arbiter(Box::new(HostPriority::new())),
         );
@@ -1932,11 +1915,6 @@ mod tests {
             // The sweep costs CPU time on the timeline, never free.
             assert!(compacts.iter().all(|c| c.complete_ns > c.dispatch_ns));
         }
-        assert_eq!(
-            device_ssd.compaction_mode(),
-            CompactionMode::Inline,
-            "mode restored on drop"
-        );
         assert!(device_ssd.stats().compactions > 0);
         // Last round's window must read back exactly.
         for i in (0..256u64).step_by(7) {
@@ -2047,15 +2025,13 @@ mod tests {
     #[test]
     fn qos_admission_defers_best_effort_near_the_floor() {
         use crate::qos::{QosSpec, Slo};
-        // Floor at the low watermark and a deep queue, as in the
-        // hard-floor stall test — but with a QoS controller: the
-        // best-effort flood gets deferred at the admission gate while
-        // the guaranteed tenant's queue never is.
+        // A device filled to the least over-provisioning the GC
+        // watermarks allow and a deep queue, with a QoS controller: the
+        // settled free fraction comes within the admission margin of
+        // the floor, and the best-effort flood gets deferred at the
+        // admission gate while the guaranteed tenant's queue never is.
         let mut config = SsdConfig::small_test();
-        config.op_ratio = 0.5;
-        config.gc_low_watermark = 0.08;
-        config.gc_high_watermark = 0.12;
-        config.gc_hard_floor = 0.08;
+        config.op_ratio = 0.13;
         let mut device_ssd = Ssd::new(config, ExactPageMap::new());
         let logical = device_ssd.config().logical_pages();
         let mut device = Device::new(

@@ -14,10 +14,10 @@
 //!   ([`QosControllerConfig::guaranteed_slot_reserve`]), and while the
 //!   settled free fraction is within
 //!   [`QosControllerConfig::admission_margin`] of the GC hard floor
-//!   ([`crate::SsdConfig::gc_hard_floor`]) their block-consuming
-//!   commands are deferred instead of letting the floor's forced
-//!   stalls block guaranteed tenants; the deferred time is surfaced
-//!   per queue as `admission_wait_ns` (see
+//!   (2 % of all blocks free, see [`crate::GcMode`]) their
+//!   block-consuming commands are deferred instead of letting the
+//!   floor's forced stalls block guaranteed tenants; the deferred time
+//!   is surfaced per queue as `admission_wait_ns` (see
 //!   [`crate::Device::admission_wait_ns`]);
 //! * **GC pacing**: at most [`QosControllerConfig::gc_pacing_limit`]
 //!   background migrations are in flight at once.
@@ -97,9 +97,9 @@ pub struct QosControllerConfig {
     /// Virtual time between control ticks.
     pub control_interval_ns: u64,
     /// Admission-throttling margin above the GC hard floor: while the
-    /// settled free fraction is below `gc_hard_floor +
-    /// admission_margin` (and migrations are in flight), best-effort
-    /// block-consuming commands are deferred.
+    /// settled free fraction is below the hard floor (2 % of all
+    /// blocks) plus `admission_margin` (and migrations are in flight),
+    /// best-effort block-consuming commands are deferred.
     pub admission_margin: f64,
     /// In-flight slots reserved for guaranteed-class commands:
     /// best-effort commands may hold at most `queue_depth -

@@ -4,7 +4,7 @@
 use crate::allocator::{BlockAllocator, PageRun, Stream};
 use crate::buffer::WriteBuffer;
 use crate::clock::SimClock;
-use crate::config::{CheckpointMode, CompactionMode, GcMode, GcPolicy, SsdConfig};
+use crate::config::{gc_watermarks, CheckpointMode, CompactionMode, GcMode, GcPolicy, SsdConfig};
 use crate::error::SimError;
 use crate::gc_index::{EraseHistogram, VictimIndex, NOT_A_CANDIDATE};
 use crate::lru::LruCache;
@@ -249,12 +249,6 @@ pub struct Ssd<S: MappingScheme + Clone> {
     gc_index: VictimIndex,
     /// Blocks per erase count — wear levelling's O(1) "no swap is due".
     erase_histogram: EraseHistogram,
-    /// Whether GC runs synchronously inside the flush path or is left
-    /// to the [`crate::Device`] as background traffic.
-    gc_mode: GcMode,
-    /// Whether learned-table compaction runs inline in the flush path
-    /// or as scheduled [`crate::Command::Compact`] device traffic.
-    compaction_mode: CompactionMode,
     /// Per-die utilization attribution (always on) plus the optional
     /// timeline event sink (see [`crate::trace`]).
     tracer: Tracer,
@@ -287,6 +281,24 @@ struct ReadPlan {
     /// one probe that counts as a data read. Every other probe is a
     /// misprediction read.
     leads_with_data_read: bool,
+}
+
+/// Which background work a flush runs inline: watermark GC and
+/// learned-table compaction. The blocking [`Ssd::write`] and
+/// [`Ssd::flush`] run both; a [`crate::Device`] passes the modes of
+/// its [`crate::DeviceConfig`] and dispatches the rest as commands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FlushModes {
+    pub(crate) gc: GcMode,
+    pub(crate) compaction: CompactionMode,
+}
+
+impl FlushModes {
+    /// Synchronous GC and inline compaction: the blocking path.
+    pub(crate) const BLOCKING: FlushModes = FlushModes {
+        gc: GcMode::Synchronous,
+        compaction: CompactionMode::Inline,
+    };
 }
 
 /// Who runs a resolution pass ([`Ssd::invalidate_overwritten`]).
@@ -388,43 +400,12 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 0,
                 config.geometry.blocks as usize,
             )),
-            gc_mode: GcMode::Synchronous,
-            compaction_mode: CompactionMode::Inline,
             tracer: Tracer::new(config.geometry.total_dies()),
             read_scratch: ReadScratch::default(),
             live_scratch: Vec::new(),
             unpersisted: UnpersistedGroups::new(config.logical_pages()),
             config,
         }
-    }
-
-    /// The current GC scheduling mode.
-    pub(crate) fn gc_mode(&self) -> GcMode {
-        self.gc_mode
-    }
-
-    /// Switches GC scheduling between the synchronous flush-path pass
-    /// and background device traffic. In [`GcMode::Background`] the
-    /// flush path no longer collects at the watermark — something (the
-    /// [`crate::Device`]) must dispatch the migrations, or the device
-    /// degrades to emergency allocation-failure collection only.
-    pub(crate) fn set_gc_mode(&mut self, mode: GcMode) {
-        self.gc_mode = mode;
-    }
-
-    /// The current compaction scheduling mode.
-    pub(crate) fn compaction_mode(&self) -> CompactionMode {
-        self.compaction_mode
-    }
-
-    /// Switches learned-table compaction between the inline flush-path
-    /// pass and scheduled background device traffic. In
-    /// [`CompactionMode::Background`] the flush path no longer calls
-    /// [`MappingScheme::maintain`] — something (the [`crate::Device`]'s
-    /// compaction scheduler) must dispatch [`crate::Command::Compact`]
-    /// commands, or shadowed segments accumulate unreclaimed.
-    pub(crate) fn set_compaction_mode(&mut self, mode: CompactionMode) {
-        self.compaction_mode = mode;
     }
 
     /// Number of independent translation shards the mapping scheme
@@ -1106,15 +1087,22 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// * [`SimError::LpaOutOfRange`] — address beyond logical capacity.
     /// * [`SimError::DeviceFull`] — no reclaimable space left.
     pub fn write(&mut self, lpa: Lpa, content: u64) -> Result<(), SimError> {
-        self.service_write(lpa, content).map(|_| ())
+        self.service_write(lpa, content, FlushModes::BLOCKING)
+            .map(|_| ())
     }
 
     /// Services one write, returning its completion time. The buffer
     /// insert is a serial DRAM access (the clock advances); when it
     /// fills the buffer the flush — and any stall on the previous
     /// in-flight flush — is part of this request's latency, exactly as
-    /// in the blocking path.
-    pub(crate) fn service_write(&mut self, lpa: Lpa, content: u64) -> Result<u64, SimError> {
+    /// in the blocking path. `modes` says which background work that
+    /// flush runs inline.
+    pub(crate) fn service_write(
+        &mut self,
+        lpa: Lpa,
+        content: u64,
+        modes: FlushModes,
+    ) -> Result<u64, SimError> {
         self.check_lpa(lpa)?;
         let started = self.clock.now_ns();
         self.stats.host_writes += 1;
@@ -1122,7 +1110,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         self.buffer.insert(lpa, content);
         self.clock.advance(DRAM_HIT_NS);
         if self.buffer.len() >= self.config.write_buffer_pages {
-            self.flush_buffer()?;
+            self.flush_buffer(modes)?;
         }
         let done = self.clock.now_ns();
         self.stats.write_latency.record(done - started);
@@ -1132,7 +1120,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// Forces the write buffer to flash and waits for it to drain
     /// (host flush / fsync semantics).
     pub fn flush(&mut self) -> Result<(), SimError> {
-        let deadline = self.service_flush()?;
+        let deadline = self.service_flush(FlushModes::BLOCKING)?;
         self.clock.wait_until(deadline);
         Ok(())
     }
@@ -1140,13 +1128,14 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// Services a host flush command without blocking on the programs:
     /// the buffer is flushed (state applied, dies scheduled) and the
     /// drain deadline returned — the [`crate::Device`] completes the
-    /// command when that deadline passes.
-    pub(crate) fn service_flush(&mut self) -> Result<u64, SimError> {
-        self.flush_buffer()?;
+    /// command when that deadline passes. `modes` says which
+    /// background work the flush runs inline.
+    pub(crate) fn service_flush(&mut self, modes: FlushModes) -> Result<u64, SimError> {
+        self.flush_buffer(modes)?;
         Ok(self.flush_deadline_ns.max(self.clock.now_ns()))
     }
 
-    fn flush_buffer(&mut self) -> Result<(), SimError> {
+    fn flush_buffer(&mut self, modes: FlushModes) -> Result<(), SimError> {
         // Double buffering: block until the previous flush drained.
         self.clock.wait_until(self.flush_deadline_ns);
         let pages = if self.config.sort_buffer_on_flush {
@@ -1188,7 +1177,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         // Background mode promotes compaction to scheduled device
         // traffic ([`crate::Command::Compact`]); the flush path then
         // leaves the learned table alone.
-        if self.compaction_mode == CompactionMode::Inline {
+        if modes.compaction == CompactionMode::Inline {
             let (cost, compacted) = self.scheme.maintain();
             let now = self.clock.now_ns();
             let ready = self.charge_map_cost(Lpa::new(0), cost, now, TrafficClass::Compact);
@@ -1200,7 +1189,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         // Background mode leaves watermark GC to the device front-end;
         // wear levelling stays synchronous in both modes (rare, and its
         // trigger is erase-count skew, not the write path).
-        if self.gc_mode == GcMode::Synchronous {
+        if modes.gc == GcMode::Synchronous {
             self.maybe_gc()?;
         }
         self.maybe_wear_level()?;
@@ -1209,7 +1198,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         // durable at every flush boundary). Under background GC the
         // multi-queue device serves them as `Command::MapLog` traffic.
         if self.config.checkpoint_mode == CheckpointMode::FlashLog
-            && self.gc_mode == GcMode::Synchronous
+            && modes.gc == GcMode::Synchronous
         {
             self.drain_maplog()?;
         }
@@ -1355,9 +1344,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     // ------------------------------------------------------------------
 
     fn maybe_gc(&mut self) -> Result<(), SimError> {
-        if self.allocator.free_fraction() < self.config.gc_low_watermark {
-            let high = self.config.gc_high_watermark;
-            self.collect_while(None, |ssd| ssd.allocator.free_fraction() < high)?;
+        let lines = gc_watermarks();
+        if self.allocator.free_fraction() < lines.low {
+            self.collect_while(None, |ssd| ssd.allocator.free_fraction() < lines.high)?;
         }
         Ok(())
     }
@@ -2657,10 +2646,9 @@ mod tests {
     #[test]
     fn extreme_pressure_terminates_with_correct_data() {
         let mut config = SsdConfig::small_test();
-        // Nearly no over-provisioning: GC must constantly reclaim.
-        config.op_ratio = 0.05;
-        config.gc_low_watermark = 0.01;
-        config.gc_high_watermark = 0.02;
+        // The least over-provisioning the GC watermarks allow: GC must
+        // constantly reclaim.
+        config.op_ratio = 0.13;
         let mut ssd = Ssd::new(config, ExactPageMap::new());
         let logical = ssd.config().logical_pages();
         let mut failed = false;
@@ -3115,7 +3103,10 @@ mod tests {
         }
         assert_eq!(ssd.stats.gc_runs, 0);
         persist_now(&mut ssd);
-        ssd.set_gc_mode(GcMode::Background);
+        let background = FlushModes {
+            gc: GcMode::Background,
+            ..FlushModes::BLOCKING
+        };
         let blocks = || (0..geometry.blocks).map(BlockId::new);
         let state = |ssd: &Ssd<LeaFtlScheme>, block| {
             let block = ssd.device.block(block);
@@ -3149,7 +3140,8 @@ mod tests {
         // The migrations appended to the GC stream's open blocks; a
         // flush appends to the host stream's.
         write(&mut ssd, 11);
-        ssd.flush().unwrap();
+        let drained = ssd.service_flush(background).unwrap();
+        ssd.clock.wait_until(drained);
 
         assert_eq!(state(&ssd, emptied), (1, 0));
         assert_eq!(state(&ssd, refilled), (1, 28));
@@ -3166,7 +3158,6 @@ mod tests {
             .filter(|&pages| pages > 0)
             .collect();
         let report = ssd.crash_and_recover().unwrap();
-        ssd.set_gc_mode(GcMode::Synchronous);
         assert_eq!(report.lost_buffered_writes, 0);
         assert_eq!(report.scanned_data_blocks, newer.len());
         assert_eq!(report.recovered_pages, newer.iter().sum::<usize>() as u64);
@@ -3275,16 +3266,15 @@ mod tests {
 
     const GC_BUFFER_PAGES: usize = 32;
 
-    /// `blocks` blocks of 16 pages behind a 32-page buffer, persistence
-    /// points off and the wear gap out of reach, written once front to
-    /// back.
-    fn filled_for_gc(blocks: u64, low: f64, high: f64) -> Ssd<ExactPageMap> {
+    /// `blocks` blocks of 16 pages, `op_ratio` of them over-provisioned,
+    /// behind a 32-page buffer, persistence points off and the wear gap
+    /// out of reach, written once front to back.
+    fn filled_for_gc(blocks: u64, op_ratio: f64) -> Ssd<ExactPageMap> {
         let mut config = SsdConfig::small_test();
         config.geometry.blocks = blocks;
         config.geometry.pages_per_block = 16;
         config.write_buffer_pages = GC_BUFFER_PAGES;
-        config.gc_low_watermark = low;
-        config.gc_high_watermark = high;
+        config.op_ratio = op_ratio;
         config.checkpoint_mode = CheckpointMode::Disabled;
         config.wear_gap_threshold = u32::MAX;
         let mut ssd = Ssd::new(config, ExactPageMap::new());
@@ -3343,15 +3333,16 @@ mod tests {
     /// GC selection re-reads the keys of the blocks marked since the
     /// previous selection, and the wear check answers from the erase
     /// histogram, not the device: on 256 and 4 096 blocks, flushes that
-    /// collect (an aged device under a hot set) and flushes whose GC
-    /// ends on a selection that finds nothing (a freshly filled device
-    /// below its watermarks) each cost what they changed.
+    /// collect (an aged device under a hot set) and GC calls that end
+    /// on a selection that finds nothing (a device too little
+    /// over-provisioned to reach the high watermark) each cost what
+    /// they changed.
     #[test]
     fn gc_selection_rereads_what_the_flush_touched_whatever_the_device_holds() {
         for blocks in [256u64, 4_096] {
             // Aged: a tenth overwritten at random, then a hot set of
             // sixteen buffers' worth until GC has run 64 passes.
-            let mut ssd = filled_for_gc(blocks, 0.08, 0.0801);
+            let mut ssd = filled_for_gc(blocks, 0.2);
             let logical = ssd.config.logical_pages();
             let mut seed = 0x1eaf_u64;
             let mut random = |below: u64| {
@@ -3379,20 +3370,30 @@ mod tests {
             assert_gc_work_is_what_changed(&mut ssd, &mut flush);
             assert!(ssd.stats.gc_runs >= 128, "{blocks} blocks");
 
-            // Nothing collectible: written once, the device keeps at
-            // most 0.19995 of its blocks free, below both watermarks, so
-            // every flush's GC loop runs and ends on a selection that
-            // finds nothing.
-            let (low, high) = (0.19996, 0.19998);
-            let mut ssd = filled_for_gc(blocks, low, high);
-            let selections = assert_gc_work_is_what_changed(&mut ssd, |ssd| {
-                for lpa in 0..GC_BUFFER_PAGES as u64 {
-                    ssd.write(Lpa::new(lpa), 3).unwrap();
+            // Nothing collectible: over-provisioned just past the high
+            // watermark, the device can never free that many blocks, so
+            // every GC call collects what the flushes since the previous
+            // one left stale and ends on a selection that finds nothing
+            // — one selection per pass plus that last one. Each step
+            // flushes the same buffer of pages until one call has run;
+            // the first step's call reads every key the fill marked.
+            let high = gc_watermarks().high;
+            let mut ssd = filled_for_gc(blocks, high + 0.0001);
+            let step = |ssd: &mut Ssd<ExactPageMap>| {
+                let runs = ssd.stats.gc_runs;
+                while ssd.stats.gc_runs == runs {
+                    for lpa in 0..GC_BUFFER_PAGES as u64 {
+                        ssd.write(Lpa::new(lpa), 3).unwrap();
+                    }
+                    assert!(ssd.buffer.is_empty());
                 }
-                assert!(ssd.buffer.is_empty());
-                assert!(ssd.free_fraction() < low, "{blocks} blocks");
-            });
-            assert!(selections >= 64, "{blocks} blocks: {selections}");
+                assert!(ssd.free_fraction() < high, "{blocks} blocks");
+            };
+            step(&mut ssd);
+            let passes = ssd.stats.gc_runs;
+            let selections = assert_gc_work_is_what_changed(&mut ssd, step);
+            let passes = ssd.stats.gc_runs - passes;
+            assert_eq!(selections as u64, passes + 64, "{blocks} blocks");
         }
     }
 
@@ -3600,7 +3601,7 @@ mod tests {
             ssd.write(Lpa::new(lpa), 1_000 + lpa).unwrap();
         }
         let dispatched = ssd.now_ns();
-        ssd.service_flush().unwrap();
+        ssd.service_flush(FlushModes::BLOCKING).unwrap();
         let held = ssd.now_ns().saturating_sub(dispatched);
         for &lpa in lpas {
             assert_eq!(ssd.read(Lpa::new(lpa)).unwrap(), Some(1_000 + lpa));

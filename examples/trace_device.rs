@@ -38,13 +38,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .nth(1)
         .unwrap_or_else(|| "trace_device.json".to_string());
 
-    // A small device with little over-provisioning headroom: the
-    // bullies keep it collecting at the watermark for the whole run.
+    // A small, heavily pre-aged device: the bullies keep it
+    // collecting at the GC watermark for the whole run.
     let mut config = SsdConfig::small_test();
     config.op_ratio = 0.5;
-    config.gc_low_watermark = 0.30;
-    config.gc_high_watermark = 0.40;
-    config.gc_hard_floor = 0.10;
     let logical = config.logical_pages();
     let mut ssd = Ssd::new(
         config,

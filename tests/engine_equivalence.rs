@@ -25,12 +25,16 @@
 //! and LeaFTL behind 1/2/4/8 range shards; a 1-shard service is also
 //! the unsharded scheme, cycle for cycle.
 //!
-//! **Background work converges** ([`check_convergence`]). Background
-//! GC migrates pages at other times and places than the synchronous
+//! **Background work converges** ([`check_convergence`]). A device
+//! passes its config's GC and compaction modes to every write and
+//! flush it dispatches; the blocking calls always collect and compact
+//! inline, so the two runs differ by those modes alone. Background GC
+//! migrates pages at other times and places than the synchronous
 //! collector, and background compaction sweeps at other times, but
 //! neither changes what a read returns: after draining, every LPA
 //! holds the blocking run's value. Compaction moves no data, so with
-//! synchronous GC the flash is identical too.
+//! synchronous GC the flash is identical too. Both GC modes start and
+//! stop at the same watermarks (8 % and 12 % of all blocks free).
 
 #![expect(
     clippy::unwrap_used,
@@ -279,14 +283,12 @@ fn constrained() -> SsdConfig {
     config
 }
 
-/// Little over-provisioning headroom relative to the watermarks, so
-/// short workloads trigger collection in both GC modes.
+/// Half the raw capacity over-provisioned and a one-block buffer, so
+/// short overwrite-heavy workloads reach the GC watermarks in both GC
+/// modes.
 fn gc_pressured() -> SsdConfig {
     let mut config = SsdConfig::small_test();
     config.op_ratio = 0.5;
-    config.gc_low_watermark = 0.30;
-    config.gc_high_watermark = 0.40;
-    config.gc_hard_floor = 0.10;
     config
 }
 

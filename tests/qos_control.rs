@@ -1,13 +1,5 @@
 //! QoS control-plane invariants.
 //!
-//! **Retuned weights take effect.** [`Weighted`] smooth WRR accepts a
-//! new weight at runtime through `Arbiter::set_weight` (a QoS device
-//! uses it once per queue, at construction, for the base weight).
-//! Dispatch *proportions* must converge to the new weight vector from
-//! whatever credit state the arbiter holds — the proptest below drives
-//! saturated queues through an arbitrary retune and checks the
-//! long-run shares.
-//!
 //! **Fleet traces are deterministic and honestly Poisson.** The 1000+
 //! tenant open-loop fleets the `qos` experiment replays must be
 //! byte-reproducible from their seed (two sessions comparing
@@ -16,35 +8,8 @@
 //! inter-arrival gap (the offered load the SLO math assumes is the
 //! load actually generated).
 
-use leaftl_repro::sim::{AdmissionClass, Arbiter, ArbiterView, ReadySet, Source, Weighted};
 use leaftl_repro::workloads::{multi_tenant_trace, qos_fleet, QosFleetSpec};
-use proptest::collection::vec;
 use proptest::prelude::*;
-
-/// Long-run dispatch shares of a saturated [`Weighted`] arbiter: every
-/// host queue always ready, no background work, `rounds` picks.
-fn dispatch_shares(arbiter: &mut Weighted, queues: usize, rounds: usize) -> Vec<f64> {
-    let ready: ReadySet = (0..queues).map(|_| true).collect();
-    let classes = [AdmissionClass {
-        arrived: &ready,
-        open: true,
-    }];
-    let mut picks = vec![0u64; queues];
-    for _ in 0..rounds {
-        let view = ArbiterView {
-            classes: &classes,
-            background_pending: 0,
-        };
-        match arbiter.pick(&view) {
-            Source::Host(queue) => picks[queue] += 1,
-            Source::Gc => panic!("no background work was offered"),
-        }
-    }
-    picks
-        .into_iter()
-        .map(|n| n as f64 / rounds as f64)
-        .collect()
-}
 
 fn fleet_spec() -> QosFleetSpec {
     QosFleetSpec {
@@ -63,42 +28,6 @@ fn fleet_spec() -> QosFleetSpec {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// After a runtime `set_weight` retune, smooth-WRR dispatch
-    /// proportions converge to the *new* weight vector regardless of
-    /// the credit state the old weights left behind.
-    #[test]
-    fn weighted_dispatch_proportions_converge_after_retune(
-        initial in vec(1u32..64, 2..5),
-        retuned in vec(1u32..64, 2..5),
-    ) {
-        let queues = initial.len().min(retuned.len());
-        let initial = &initial[..queues];
-        let retuned = &retuned[..queues];
-        let mut arbiter = Weighted::new(initial.to_vec(), 1);
-
-        // Saturate under the construction-time weights so the credit
-        // vector is mid-cycle, then retune.
-        dispatch_shares(&mut arbiter, queues, 997);
-        for (queue, &weight) in retuned.iter().enumerate() {
-            arbiter.set_weight(queue, weight);
-        }
-
-        let rounds = 20_000;
-        let shares = dispatch_shares(&mut arbiter, queues, rounds);
-        let total: f64 = retuned.iter().map(|&w| w as f64).sum();
-        for (queue, share) in shares.iter().enumerate() {
-            let target = retuned[queue] as f64 / total;
-            // Smooth WRR is exact up to one cycle's rounding; a
-            // half-percent absolute band over 20k picks is generous.
-            prop_assert!(
-                (share - target).abs() < 0.005,
-                "queue {}: dispatch share {:.4} vs retuned weight share {:.4} \
-                 (weights {:?})",
-                queue, share, target, retuned
-            );
-        }
-    }
 
     /// A 1000+-stream fleet trace is a pure function of its seed, and
     /// every heavy stream's realized mean inter-arrival gap matches

@@ -34,9 +34,6 @@ use proptest::prelude::*;
 fn gc_pressured_config() -> SsdConfig {
     let mut config = SsdConfig::small_test();
     config.op_ratio = 0.5;
-    config.gc_low_watermark = 0.30;
-    config.gc_high_watermark = 0.40;
-    config.gc_hard_floor = 0.10;
     config
 }
 
