@@ -134,6 +134,39 @@ impl BlockAllocator {
         (geometry.total_dies() as usize).min(((geometry.blocks / 8).max(1)) as usize)
     }
 
+    /// Blocks the host and GC streams' open slots can hold at once: one
+    /// per way each. A slot keeps its block, full or not, until the
+    /// stream next needs room there, and no slot's block is a GC
+    /// candidate.
+    pub(crate) fn slot_blocks(geometry: &FlashGeometry) -> usize {
+        2 * Self::ways_for(geometry)
+    }
+
+    /// Pages per chunk when a request of `pages` stripes over `ways`
+    /// ways: an even share of the request, no smaller than the
+    /// preferred chunk and no larger than a block.
+    fn chunk_for(geometry: &FlashGeometry, ways: usize, stripe_pages: u32, pages: u32) -> u32 {
+        pages
+            .div_ceil(ways as u32)
+            .max(stripe_pages)
+            .min(geometry.pages_per_block)
+    }
+
+    /// Blocks one request of `pages` pages stripes over: one per chunk,
+    /// at most one per way — what it opens when the slots it lands on
+    /// are full. For a buffer flush, the free blocks it can take before
+    /// the GC behind it runs.
+    pub(crate) fn blocks_opened_by(
+        geometry: &FlashGeometry,
+        stripe_pages: u32,
+        pages: u32,
+    ) -> usize {
+        let ways = Self::ways_for(geometry);
+        let stripe = stripe_pages.clamp(1, geometry.pages_per_block);
+        let chunk = Self::chunk_for(geometry, ways, stripe, pages);
+        (pages.div_ceil(chunk) as usize).min(ways)
+    }
+
     /// The pool a block belongs to. Dies map onto ways by modulo, so
     /// on full-size devices this is exactly the block's die.
     fn way_of_block(&self, block: BlockId) -> usize {
@@ -284,10 +317,7 @@ impl BlockAllocator {
             return None;
         }
         let ways = self.ways;
-        let stripe = pages
-            .div_ceil(ways as u32)
-            .max(self.stripe_pages)
-            .min(self.geometry.pages_per_block);
+        let stripe = Self::chunk_for(&self.geometry, ways, self.stripe_pages, pages);
         let mut runs: Vec<PageRun> = Vec::new();
         let mut remaining = pages;
         let mut stalled_ways = 0usize;
@@ -541,6 +571,36 @@ mod tests {
         assert!(!a.can_allocate(Stream::Host, 9));
         let runs = a.allocate(Stream::Host, 8).unwrap();
         assert_eq!(runs.iter().map(|r| r.len).sum::<u32>(), 8);
+    }
+
+    #[test]
+    fn blocks_opened_by_counts_what_a_request_opens() {
+        let small = FlashGeometry::small_test();
+        let wide = FlashGeometry {
+            channels: 16,
+            dies_per_channel: 4,
+            blocks: 1024,
+            pages_per_block: 256,
+            ..small
+        };
+        for (geometry, stripe, pages) in [
+            (small, 32, 32),
+            (small, 8, 32),
+            (small, 1, 64),
+            (wide, 32, 256),
+            (wide, 32, 128),
+            (wide, 256, 2048),
+            (wide, 1, 4096),
+        ] {
+            let mut a = BlockAllocator::with_stripe(geometry, stripe);
+            let runs = a.allocate(Stream::Host, pages).unwrap();
+            assert_eq!(
+                BlockAllocator::blocks_opened_by(&geometry, stripe, pages),
+                geometry.blocks as usize - a.free_blocks(),
+                "stripe {stripe}, {pages} pages: {} runs",
+                runs.len()
+            );
+        }
     }
 
     #[test]

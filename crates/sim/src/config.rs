@@ -1,5 +1,6 @@
 //! Simulator configuration.
 
+use crate::allocator::BlockAllocator;
 use leaftl_flash::{FlashGeometry, NandTiming};
 use serde::{Deserialize, Serialize};
 
@@ -31,14 +32,18 @@ pub enum GcPolicy {
 
 /// When garbage collection runs relative to the host write path.
 ///
-/// GC starts when fewer than 8 % of all blocks are free (the low
-/// watermark) and collects until 12 % are (the high watermark). In
-/// the flush path it stalls the submitting write for whole
-/// migrate+erase passes. A multi-queue [`crate::Device`] can instead
-/// defer the work: victims are selected at the same watermarks, but
-/// their migration is emitted as background commands that compete for
-/// dies through the device's arbiter, and host writes block only when
-/// free blocks fall to the hard floor, 2 % of all blocks.
+/// GC starts when the free blocks fall below the low watermark and
+/// collects until they reach the high one. Both lie a lead above the
+/// free reserve one buffer flush needs: 3 % and 5 % of all blocks on
+/// the full-size devices of at least 1 GiB, capped at 8 % and 12 % on
+/// devices too small for that lead or with eight or fewer blocks per
+/// die. In the flush path GC stalls the submitting write for
+/// whole migrate+erase passes. A multi-queue [`crate::Device`] can
+/// instead defer the work: victims are selected at the same
+/// watermarks, but their migration is emitted as background commands
+/// that compete for dies through the device's arbiter, and host writes
+/// block only when free blocks fall to the hard floor, 2 % of all
+/// blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GcMode {
     /// Collect inside the flush path until the high watermark is
@@ -229,7 +234,7 @@ impl SsdConfig {
             "op_ratio out of range"
         );
         assert!(
-            gc_watermarks().high < self.op_ratio,
+            gc_watermarks(self).high < self.op_ratio,
             "gc high watermark must stay below the over-provisioned fraction"
         );
         assert!(self.write_buffer_pages >= 1, "write buffer too small");
@@ -263,15 +268,46 @@ pub(crate) struct GcWatermarks {
     pub(crate) high: f64,
 }
 
-/// The one GC start/stop rule. The paper fixes over-provisioning at
-/// 20 % (Table 1) but sets no watermarks; these hold 8–12 % of all
-/// blocks free, with the floor well below the low line.
-pub(crate) fn gc_watermarks() -> GcWatermarks {
-    GcWatermarks {
-        floor: 0.02,
-        low: 0.08,
-        high: 0.12,
-    }
+/// The one GC start/stop rule, a function of the configuration alone
+/// ([`crate::Ssd::new`] evaluates it once). The paper fixes
+/// over-provisioning at 20 % (Table 1) but sets no watermarks; these
+/// keep free the reserve a buffer flush needs (Dayan & Bonnet's
+/// free-space reserve) and little more, so GC waits for victims that
+/// the over-provisioned space has let go stale.
+///
+/// With `F` the blocks one flush stripes over
+/// ([`BlockAllocator::blocks_opened_by`]), the reserve is one flush
+/// plus the block its GC migration opens, and at least 2 % of all
+/// blocks; GC starts one lead of `max(1 %, F)` above it and stops
+/// `max(2 %, F)` higher. The floor stays at 2 %. The low and high lines
+/// are capped at 8 % and 12 %, which is where a device too small for a
+/// flush of lead (a few blocks per way) keeps them.
+///
+/// A device of eight or fewer blocks per die keeps the capped lines too:
+/// its open slots ([`BlockAllocator::slot_blocks`]) can hold a quarter
+/// of its blocks, more than Table 1's 20 % spare. There the stale pages
+/// GC could reclaim sit in blocks no selection sees until their slot is
+/// next replaced, so lines near the floor make when collection starts,
+/// and how full its victims are, follow the order of the writes rather
+/// than the device. On the full-size devices of at least 1 GiB the
+/// lines read 2 / 3 / 5 %.
+pub(crate) fn gc_watermarks(config: &SsdConfig) -> GcWatermarks {
+    let blocks = config.geometry.blocks as f64;
+    let flush_pages = u32::try_from(config.write_buffer_pages).unwrap_or(u32::MAX);
+    let flush = BlockAllocator::blocks_opened_by(&config.geometry, config.stripe_pages, flush_pages)
+        as f64
+        / blocks;
+    let floor: f64 = 0.02;
+    let reserve = floor.max(flush + 1.0 / blocks);
+    let low = reserve + flush.max(0.01);
+    let high = low + flush.max(0.02);
+    let slots = BlockAllocator::slot_blocks(&config.geometry) as f64 / blocks;
+    let (low, high) = if slots >= 0.25 {
+        (0.08, 0.12)
+    } else {
+        (low.min(0.08), high.min(0.12))
+    };
+    GcWatermarks { floor, low, high }
 }
 
 #[cfg(test)]
@@ -312,6 +348,100 @@ mod tests {
         assert_eq!(c.mapping_budget(), 1_000_000);
         c.dram_policy = DramPolicy::DataFloor(0.2);
         assert_eq!(c.mapping_budget(), 800_000);
+    }
+
+    /// The GC lines on every device the repository runs: the unit-test
+    /// image, the 256-block golden device, the 128-block smoke images,
+    /// the four full-size ledger devices and Table 1's drive. The
+    /// unit-test image, the smoke images and `fleet_1012`'s 512 blocks
+    /// have eight or fewer blocks per die, so their open slots can hold
+    /// a quarter of the device.
+    #[test]
+    fn gc_lines_keep_a_flush_of_reserve_and_lead() {
+        let sized = |mib: u64, buffer: usize| {
+            let mut config = SsdConfig::scaled(mib << 20);
+            config.stripe_pages = 32;
+            config.write_buffer_pages = buffer;
+            config
+        };
+        let golden = {
+            let mut config = SsdConfig::small_test();
+            config.geometry.blocks = 256;
+            config
+        };
+        // `tests/latency_model.rs`'s striped image and
+        // `tests/translog_crash.rs`'s 16-block one.
+        let striped = SsdConfig {
+            stripe_pages: 8,
+            ..SsdConfig::small_test()
+        };
+        let tiny = SsdConfig {
+            geometry: FlashGeometry {
+                channels: 2,
+                dies_per_channel: 1,
+                blocks: 16,
+                pages_per_block: 8,
+                ..FlashGeometry::small_test()
+            },
+            write_buffer_pages: 8,
+            stripe_pages: 8,
+            ..SsdConfig::small_test()
+        };
+        // (name, config, blocks one flush stripes over, (low, high)).
+        let cases = [
+            ("small_test", SsdConfig::small_test(), 1, (0.08, 0.12)),
+            ("golden 256 x 32", golden, 1, (0.03, 0.05)),
+            ("small_test, 8-page chunks", striped, 4, (0.08, 0.12)),
+            ("16 blocks x 8 pages", tiny, 1, (0.08, 0.12)),
+            ("smoke, 256-page buffer", sized(128, 256), 8, (0.08, 0.12)),
+            ("smoke, 128-page buffer", sized(128, 128), 4, (0.08, 0.12)),
+            (
+                "blocking_mix / read_qd32",
+                sized(2048, 256),
+                8,
+                (0.03, 0.05),
+            ),
+            ("write_gc", sized(1024, 256), 8, (0.03, 0.05)),
+            ("fleet_1012", sized(512, 128), 4, (0.08, 0.12)),
+            ("paper_default", SsdConfig::paper_default(), 8, (0.03, 0.05)),
+        ];
+        for (name, config, flush, (low, high)) in cases {
+            let geometry = config.geometry;
+            let opened = BlockAllocator::blocks_opened_by(
+                &geometry,
+                config.stripe_pages,
+                config.write_buffer_pages as u32,
+            );
+            assert_eq!(opened, flush, "{name}");
+            let lines = gc_watermarks(&config);
+            let close = |a: f64, b: f64| (a - b).abs() < 1e-12;
+            assert!(
+                close(lines.low, low) && close(lines.high, high),
+                "{name}: {lines:?}"
+            );
+            assert_eq!(lines.floor, 0.02, "{name}");
+            assert!(lines.floor < lines.low, "{name}");
+            assert!(lines.low < lines.high, "{name}");
+            assert!(lines.high < config.op_ratio, "{name}");
+            let blocks = geometry.blocks as f64;
+            let slots = BlockAllocator::slot_blocks(&geometry) as f64;
+            if slots >= blocks / 4.0 {
+                // Open slots can hold a quarter of the device: capped.
+                assert!(close(lines.low, 0.08) && close(lines.high, 0.12), "{name}");
+            }
+            let flush = flush as f64;
+            let (low, high) = (lines.low * blocks, lines.high * blocks);
+            if lines.low < 0.08 {
+                // A flush of lead above a reserve of one flush plus the
+                // block its migration opens, and above the floor.
+                let reserve = low - flush;
+                assert!(reserve >= flush + 1.0 - 1e-9, "{name}: {lines:?}");
+                assert!(reserve >= lines.floor * blocks - 1e-9, "{name}: {lines:?}");
+            }
+            if lines.high < 0.12 {
+                assert!(high - low >= flush - 1e-9, "{name}: {lines:?}");
+            }
+        }
     }
 
     #[test]

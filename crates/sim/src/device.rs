@@ -49,15 +49,17 @@
 //! inline. In [`GcMode::Background`] the flushes it dispatches stop
 //! collecting at the watermark. Instead the device selects victims by
 //! the synchronous collector's rule (free fraction below the low
-//! watermark, 8 % of all blocks, refilled to the high one, 12 %) but
-//! queues them as [`Command::GcMigrate`] traffic that the arbiter
-//! schedules like any other queue. Host writes are back-pressured only
-//! at the hard floor, 2 % of all blocks: a write or flush about to
-//! dispatch while the *settled* free fraction — reclaimed blocks whose
-//! erase has actually landed — sits below the floor stalls until
-//! enough in-flight erases complete, which is the only point where
-//! background GC blocks the host. The three lines are one rule in the
-//! crate, shared with the synchronous collector.
+//! watermark, refilled to the high one: 3 % and 5 % of all blocks on a
+//! full-size device of at least 1 GiB, a free reserve one flush needs
+//! plus a flush of lead) but queues them as [`Command::GcMigrate`]
+//! traffic that the arbiter schedules like any other queue. Host writes
+//! are back-pressured only at the hard floor, 2 % of all blocks: a
+//! write or flush about to dispatch while the *settled* free fraction —
+//! reclaimed blocks whose erase has actually landed — sits below the
+//! floor stalls until enough in-flight erases complete, which is the
+//! only point where background GC blocks the host. The three lines are
+//! one rule in the crate, evaluated once per SSD and shared with the
+//! synchronous collector.
 //!
 //! # Dispatch index
 //!
@@ -115,7 +117,7 @@
 //! ```
 
 use crate::arbiter::{AdmissionClass, Arbiter, ArbiterView, ReadySet, RoundRobin, Source};
-use crate::config::{gc_watermarks, CompactionMode, GcMode};
+use crate::config::{CompactionMode, GcMode};
 use crate::error::SimError;
 use crate::qos::{QosController, QosSpec, QosTick, SloClass};
 use crate::request::{Command, IoCompletion, IoRequest};
@@ -828,7 +830,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         if self.modes.gc != GcMode::Background {
             return;
         }
-        let lines = gc_watermarks();
+        let lines = self.ssd.gc_watermarks();
         let geometry = self.ssd.config().geometry;
         let blocks = geometry.blocks as f64;
         let free = self.ssd.free_fraction();
@@ -1054,7 +1056,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     /// migrations if none are in flight) — the only point where
     /// background GC blocks the host.
     fn enforce_hard_floor(&mut self) -> Result<(), SimError> {
-        while self.settled_free_fraction() < gc_watermarks().floor {
+        while self.settled_free_fraction() < self.ssd.gc_watermarks().floor {
             if let Some(Reverse(erase_done)) = self.gc_inflight.pop() {
                 // Wait for the earliest in-flight erase to land.
                 let stall_from = self.ssd.now_ns();
@@ -1093,7 +1095,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         if self.modes.gc != GcMode::Background || self.gc_inflight.is_empty() {
             return false;
         }
-        self.settled_free_fraction() < gc_watermarks().floor + qos.admission_margin()
+        self.settled_free_fraction() < self.ssd.gc_watermarks().floor + qos.admission_margin()
     }
 
     /// Runs a QoS control tick if one is due: feeds the controller the

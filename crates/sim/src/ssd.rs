@@ -4,7 +4,9 @@
 use crate::allocator::{BlockAllocator, PageRun, Stream};
 use crate::buffer::WriteBuffer;
 use crate::clock::SimClock;
-use crate::config::{gc_watermarks, CheckpointMode, CompactionMode, GcMode, GcPolicy, SsdConfig};
+use crate::config::{
+    gc_watermarks, CheckpointMode, CompactionMode, GcMode, GcPolicy, GcWatermarks, SsdConfig,
+};
 use crate::error::SimError;
 use crate::gc_index::{EraseHistogram, VictimIndex, NOT_A_CANDIDATE};
 use crate::lru::LruCache;
@@ -247,6 +249,8 @@ pub struct Ssd<S: MappingScheme + Clone> {
     /// translation log and [`Validity`]: rebuilt after a crash, never
     /// part of a [`Baseline`].
     gc_index: VictimIndex,
+    /// Where GC starts and stops ([`gc_watermarks`] of `config`).
+    gc_lines: GcWatermarks,
     /// Blocks per erase count — wear levelling's O(1) "no swap is due".
     erase_histogram: EraseHistogram,
     /// Per-die utilization attribution (always on) plus the optional
@@ -396,6 +400,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             block_last_write_ns: vec![0; config.geometry.blocks as usize],
             // A fresh device: every block erased, none a candidate.
             gc_index: VictimIndex::new(config.geometry.blocks as usize),
+            gc_lines: gc_watermarks(&config),
             erase_histogram: EraseHistogram::new(std::iter::repeat_n(
                 0,
                 config.geometry.blocks as usize,
@@ -1344,7 +1349,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     // ------------------------------------------------------------------
 
     fn maybe_gc(&mut self) -> Result<(), SimError> {
-        let lines = gc_watermarks();
+        let lines = self.gc_lines;
         if self.allocator.free_fraction() < lines.low {
             self.collect_while(None, |ssd| ssd.allocator.free_fraction() < lines.high)?;
         }
@@ -1374,6 +1379,12 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             self.service_gc_migrate(victim, true)?;
         }
         Ok(!wanted(self))
+    }
+
+    /// Where GC starts and stops on this device; the device front-end
+    /// reads the same lines.
+    pub(crate) fn gc_watermarks(&self) -> GcWatermarks {
+        self.gc_lines
     }
 
     /// Current free-block fraction (the device's GC pressure signal).
@@ -2405,6 +2416,7 @@ mod tests {
     use super::*;
     use crate::LeaFtlScheme;
     use leaftl_core::ExactPageMap;
+    use leaftl_flash::FlashGeometry;
     use std::collections::BTreeSet;
 
     fn ssd() -> Ssd<ExactPageMap> {
@@ -3285,9 +3297,11 @@ mod tests {
         ssd
     }
 
-    /// Runs `flush` 64 times: every refresh round during one re-reads at
-    /// most a buffer's worth of keys plus the blocks it touched (valid
-    /// count, erase count or open state moved), and no wear check walks
+    /// Runs `flush` 64 times: every refresh round re-reads at most the
+    /// pages flushed plus the blocks touched (valid count, erase count
+    /// or open state moved) since the previous round — a flush that
+    /// stays above the low watermark selects nothing, so its marks
+    /// carry over to the next one that does — and no wear check walks
     /// the blocks. Returns the refresh rounds, one per selection.
     fn assert_gc_work_is_what_changed(
         ssd: &mut Ssd<ExactPageMap>,
@@ -3309,21 +3323,28 @@ mod tests {
         let first = ssd.gc_index.rereads.len();
         let wear_walks = || crate::gc_index::WEAR_WALKS.with(std::cell::Cell::get);
         let walks = wear_walks();
+        // Block states and data programs at the previous selection.
+        let mut since = (block_states(ssd), ssd.stats.flash.data_programs);
         for _ in 0..64 {
-            let before = block_states(ssd);
             let rounds = ssd.gc_index.rereads.len();
             flush(ssd);
-            let touched = before
+            let now = block_states(ssd);
+            let touched = since
+                .0
                 .iter()
-                .zip(block_states(ssd))
-                .filter(|&(was, now)| *was != now)
+                .zip(&now)
+                .filter(|&(was, now)| was != now)
                 .count();
+            let flushed = (ssd.stats.flash.data_programs - since.1) as usize;
             for &reread in &ssd.gc_index.rereads[rounds..] {
                 assert!(
-                    reread <= GC_BUFFER_PAGES + touched,
-                    "{blocks} blocks: a selection re-read {reread} keys \
-                     after a flush that touched {touched} blocks"
+                    reread <= flushed + touched,
+                    "{blocks} blocks: a selection re-read {reread} keys after \
+                     {flushed} pages flushed and {touched} blocks touched"
                 );
+            }
+            if ssd.gc_index.rereads.len() > rounds {
+                since = (now, ssd.stats.flash.data_programs);
             }
         }
         assert_eq!(wear_walks(), walks, "{blocks} blocks: a wear check walked");
@@ -3377,7 +3398,7 @@ mod tests {
             // — one selection per pass plus that last one. Each step
             // flushes the same buffer of pages until one call has run;
             // the first step's call reads every key the fill marked.
-            let high = gc_watermarks().high;
+            let high = ssd.gc_watermarks().high;
             let mut ssd = filled_for_gc(blocks, high + 0.0001);
             let step = |ssd: &mut Ssd<ExactPageMap>| {
                 let runs = ssd.stats.gc_runs;
@@ -3394,6 +3415,50 @@ mod tests {
             let selections = assert_gc_work_is_what_changed(&mut ssd, step);
             let passes = ssd.stats.gc_runs - passes;
             assert_eq!(selections as u64, passes + 64, "{blocks} blocks");
+        }
+    }
+
+    /// The smoke images' shape at an eighth of their page count: 128
+    /// blocks over 16 allocation ways and a one-block write buffer, so
+    /// one flush stripes over eight blocks and one migration over as
+    /// many more. GC must start early enough to keep both in free
+    /// blocks: lines fixed at 3 % / 5 % of all blocks (3.84 / 6.4 free)
+    /// run out of room for a flush, the rule's capped 8 % / 12 % do not.
+    #[test]
+    fn a_wide_small_device_keeps_a_flush_of_free_blocks() {
+        let mut config = SsdConfig::small_test();
+        config.geometry = FlashGeometry {
+            channels: 4,
+            dies_per_channel: 4,
+            blocks: 128,
+            ..FlashGeometry::small_test()
+        };
+        config.stripe_pages = 4;
+        let lines = gc_watermarks(&config);
+        assert_eq!((lines.low, lines.high), (0.08, 0.12));
+        for mode in [CheckpointMode::DramSnapshot, CheckpointMode::FlashLog] {
+            config.checkpoint_mode = mode;
+            let mut ssd = Ssd::new(config.clone(), ExactPageMap::new());
+            let logical = ssd.config.logical_pages();
+            for lpa in 0..logical {
+                ssd.write(Lpa::new(lpa), lpa).unwrap();
+            }
+            // Runs of eight pages from random starts.
+            let (mut seed, mut start) = (0x5a11_u64, 0);
+            for i in 0..3 * logical {
+                if i % 8 == 0 {
+                    seed = seed
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    start = seed >> 33;
+                }
+                let lpa = (start + i % 8) % logical;
+                if let Err(e) = ssd.write(Lpa::new(lpa), i) {
+                    panic!("{mode:?}: write {i} of {}: {e}", 3 * logical);
+                }
+            }
+            assert!(ssd.stats.gc_runs > 0, "{mode:?}");
+            assert_eq!(ssd.check_invariants(), Vec::<String>::new(), "{mode:?}");
         }
     }
 

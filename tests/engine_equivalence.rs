@@ -34,7 +34,7 @@
 //! neither changes what a read returns: after draining, every LPA
 //! holds the blocking run's value. Compaction moves no data, so with
 //! synchronous GC the flash is identical too. Both GC modes start and
-//! stop at the same watermarks (8 % and 12 % of all blocks free).
+//! stop at the same watermarks, which the device reads from the SSD.
 
 #![expect(
     clippy::unwrap_used,

@@ -13,7 +13,7 @@
 //! Blocking path: after every write that erased something, the running
 //! pass count, each erased block with its erase-count step (block
 //! order) and the pages the call migrated — a call collects from the
-//! low watermark to the high one, about ten passes, so that is (pass
+//! low watermark to the high one, about five passes, so that is (pass
 //! #, the call's victims, their live pages). Background GC: every `GcMigrate` completion in
 //! dispatch order with its dispatch time, and the pages migrated per
 //! submission. Both end with every block's erase count.
@@ -60,8 +60,8 @@
 //! All ten constants were recorded again when the watermarks stopped
 //! being configurable and this file stopped setting them one block
 //! apart (0.10 / 0.102): every history now runs at the simulator's one
-//! rule, 8 % / 12 % of all blocks free, so a sync call collects about
-//! ten passes, and the in-order overwrite after the fill grew from 8
+//! rule, then 8 % / 12 % of all blocks free, so a sync call collected
+//! about ten passes, and the in-order overwrite after the fill grew from 8
 //! to [`TIED_BLOCKS`] = 32 blocks, so calls that migrate nothing (the
 //! ties) still occur — with 8 no greedy history had one. The constants
 //! equal what the previous simulator records with the same history and
@@ -69,6 +69,18 @@
 //! 1 727 (sync cost-benefit), 1 650, 1 784, 1 644 and 1 767 behind the
 //! device, 1 361 and 1 497 in the wear histories (1 277 and 1 373
 //! swaps).
+//!
+//! All ten constants were recorded again when the watermarks began to
+//! keep only the free reserve one buffer flush needs: on this device
+//! 3 % / 5 % of all blocks instead of 8 % / 12 %, so a sync call
+//! collects about five passes, later, from victims that have had more
+//! time to go stale. Every history moves: fewer passes, other victims,
+//! other erase counts. Passes, snapshot then log: 1 174 and 1 214 (sync
+//! greedy), 1 175 and 1 218 (sync cost-benefit), 1 183, 1 210, 1 180
+//! and 1 242 behind the device, 1 022 and 1 057 in the wear histories
+//! (1 251 and 1 263 swaps). Coverage holds unedited: five zero-valid
+//! ties per sync history, 66 and 67 log-owned skips, 17–24 queued
+//! migrations at most behind the device.
 
 #![expect(
     clippy::unwrap_used,
@@ -92,13 +104,14 @@ const GAMMA: u32 = 4;
 const CHURN: usize = 20_000;
 /// Blocks overwritten in order right after the fill: enough fully
 /// stale blocks at once that GC calls lift the free fraction from the
-/// low watermark (8 % of all blocks) past the high one (12 %) without
+/// low watermark (3 % of all blocks) past the high one (5 %) without
 /// migrating a page, each pick a tie on valid count.
 const TIED_BLOCKS: u64 = 32;
 
 /// 256 blocks of 32 pages, eight allocation ways and a one-block write
-/// buffer; GC starts below 20.48 free blocks and stops at 30.72 (the
-/// simulator's watermarks, 8 % and 12 % of all blocks).
+/// buffer; GC starts below 7.68 free blocks and stops at 12.8 (the
+/// simulator's watermarks, 3 % and 5 % of all blocks: a flush fills
+/// one block, so the reserve is its 2 % minimum).
 fn config(policy: GcPolicy, checkpoint: CheckpointMode, wear_gap: u32) -> SsdConfig {
     let mut config = SsdConfig::small_test();
     config.geometry.blocks = BLOCKS;
@@ -358,18 +371,18 @@ fn run_background(config: SsdConfig, seed: u64) -> (u64, Coverage) {
     (hash, coverage)
 }
 
-const SYNC_GREEDY_SNAPSHOT: u64 = 0x4117_7f15_a4e1_f520;
-const SYNC_GREEDY_FLASHLOG: u64 = 0xa50a_d7fc_7fbe_4ac1;
-const SYNC_COSTBENEFIT_SNAPSHOT: u64 = 0x7f72_de4f_0dcd_d8e0;
-const SYNC_COSTBENEFIT_FLASHLOG: u64 = 0x81cf_c5f1_35b2_37f7;
-const BACKGROUND_GREEDY_SNAPSHOT: u64 = 0x14f2_7d37_46b3_7881;
-const BACKGROUND_GREEDY_FLASHLOG: u64 = 0x637d_7bab_775b_a59a;
-const BACKGROUND_COSTBENEFIT_SNAPSHOT: u64 = 0x0680_bc06_3b57_f5bd;
-const BACKGROUND_COSTBENEFIT_FLASHLOG: u64 = 0xdb3d_c12c_43f4_a76a;
-const SYNC_GREEDY_WEAR_SWAPS: u64 = 0xc6aa_1c1b_e83a_064d;
+const SYNC_GREEDY_SNAPSHOT: u64 = 0x0c4b_4a70_3ac2_bc77;
+const SYNC_GREEDY_FLASHLOG: u64 = 0x6837_7989_47c8_f0c7;
+const SYNC_COSTBENEFIT_SNAPSHOT: u64 = 0x740e_518c_5779_fec6;
+const SYNC_COSTBENEFIT_FLASHLOG: u64 = 0x6634_d996_5ff2_0136;
+const BACKGROUND_GREEDY_SNAPSHOT: u64 = 0xd65b_e9e8_8c95_428b;
+const BACKGROUND_GREEDY_FLASHLOG: u64 = 0x18f5_540d_2fa2_ff7f;
+const BACKGROUND_COSTBENEFIT_SNAPSHOT: u64 = 0xba29_9eee_e080_9de7;
+const BACKGROUND_COSTBENEFIT_FLASHLOG: u64 = 0x60e3_d702_7de1_d3df;
+const SYNC_GREEDY_WEAR_SWAPS: u64 = 0x5364_660a_a30c_38d3;
 /// Recorded one PR later than the rest, on the commit before wear swaps
 /// and GC migrations became one relocation kernel.
-const SYNC_GREEDY_WEAR_SWAPS_FLASHLOG: u64 = 0x9dc9_9e54_522f_b51e;
+const SYNC_GREEDY_WEAR_SWAPS_FLASHLOG: u64 = 0x04e3_acd9_f6cd_14f1;
 
 #[test]
 fn sync_gc_picks_the_recorded_victims() {
