@@ -3,12 +3,15 @@
 
 use leaftl_baselines::{sftl_full_table_bytes, Dftl, Sftl};
 use leaftl_core::{LeaFtlConfig, LeaFtlTable, MappingScheme};
+use leaftl_flash::Lpa;
 use leaftl_sim::{
     replay, replay_open_loop, replay_queued, DeviceConfig, DramPolicy, HostOp, LeaFtlScheme,
     LookupPaths, MapLogTraffic, QueuedReplayReport, ReplayReport, SimError, SimStats, SpaceReport,
     Ssd, SsdConfig, TimedOp, TrafficClass, UtilizationReport,
 };
 use leaftl_workloads::{warmup_ops, ProfileParams};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
@@ -316,13 +319,19 @@ pub fn warm_up<S: MappingScheme + Clone>(ssd: &mut Ssd<S>, profile: &ProfilePara
 }
 
 /// A device driven past its GC watermark: one full sequential fill,
-/// then a full overwrite pass so steady-state sits at the watermark
-/// with stale blocks everywhere; stats reset.
+/// then one logical capacity of seeded, uniform single-page overwrites,
+/// so steady state sits at the watermark with stale pages in every
+/// block (a second sequential pass would stale whole blocks instead);
+/// stats reset.
 pub fn gc_pressured(kind: SchemeKind, config: SsdConfig) -> AnySsd {
     let logical = config.logical_pages();
     let mut any = AnySsd::build(kind, config);
     any.replay(warmup_ops(logical, 1.0));
-    any.replay(warmup_ops(logical, 1.0));
+    let mut rng = StdRng::seed_from_u64(SEED);
+    any.replay((0..logical).map(|_| HostOp::Write {
+        lpa: Lpa::new(rng.gen_range(0..logical)),
+        pages: 1,
+    }));
     each_ssd!(&mut any, ssd => {
         ssd.flush().expect("flush");
         ssd.reset_stats();
@@ -502,7 +511,7 @@ mod tests {
     #[test]
     fn a_row_cloned_from_the_prefilled_column_equals_one_built_from_scratch() {
         let scale = Scale {
-            capacity: 64 << 20,
+            capacity: 32 << 20,
             dram: 32 << 10,
             buffer_pages: 64,
             stripe_pages: 32,

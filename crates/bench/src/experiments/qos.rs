@@ -28,6 +28,12 @@
 //! guaranteed tenant's p99 meets its budget while at least one static
 //! baseline violates it, and the best-effort class absorbs the GC
 //! interference (its gc-overlap share exceeds the guaranteed class's).
+//! It is a declared gap (ROADMAP 9, 12(d)). The base image is aged by
+//! uniform single-page overwrites ([`gc_pressured`]), so every block
+//! GC can pick holds stale pages; there every policy misses the
+//! budget at the four seeds tried (default, `0x1`, `0x2a`, `0xbeef5`),
+//! the controller by 20× (worst guaranteed p99 0.29–0.38 s) and
+//! static-weighted by less (0.17–0.21 s).
 //! The device runs with the flash-resident translation log enabled so
 //! the map-log background-traffic tax rides the same dies — reported
 //! per tenant class alongside the latency numbers.
@@ -147,7 +153,12 @@ pub fn qos(_quick: bool) -> Figure {
         "under the controller every guaranteed p99 ≤ {budget_us:.0} µs and best-effort tenants \
          overlap GC more; ≥ 1 static arbiter misses the budget"
     );
-    let mut shape = Shape::new(claim, None);
+    let gap = Some(
+        "direction 9: on a device aged by uniform overwrites the controller's worst guaranteed \
+         p99 is 0.29–0.38 s over four seeds (0.45–2.9 s while a full open block stayed in its \
+         slot), 20× the 15 ms budget, and static-weighted's 0.17–0.21 s",
+    );
+    let mut shape = Shape::new(claim, gap);
     let mut static_misses = 0;
     for name in policy_names {
         let background = DeviceConfig::new(tenants, QUEUE_DEPTH).background_gc();

@@ -1,32 +1,36 @@
 //! Flash-block allocation with die striping.
 //!
 //! Hands out runs of physically consecutive pages. Each stream (host
-//! flushes vs GC/wear migrations) keeps one open block per *way* —
-//! one way per die (LUN) on realistically sized devices — and a flush
-//! is striped over the ways in contiguous chunks so the programs
-//! proceed in parallel while each chunk still receives consecutive
-//! PPAs — LeaFTL's "allocate consecutive PPAs to contiguous LPAs at
-//! its best effort" (§3.3). Earlier revisions opened one block per
-//! *channel*, which left `dies_per_channel − 1` of every channel's
-//! dies idle during a flush; per-die striping lets a single flush
-//! program `dies_per_channel×` more pages concurrently. On tiny
+//! flushes vs GC/wear migrations) has one open slot per *way* — one
+//! way per die (LUN) on realistically sized devices — and a flush is
+//! striped over the ways in contiguous chunks so the programs proceed
+//! in parallel while each chunk still receives consecutive PPAs —
+//! LeaFTL's "allocate consecutive PPAs to contiguous LPAs at its best
+//! effort" (§3.3). Earlier revisions opened one block per *channel*,
+//! which left `dies_per_channel − 1` of every channel's dies idle
+//! during a flush; per-die striping lets a single flush program
+//! `dies_per_channel×` more pages concurrently. The host stream fills
+//! the blocks it has open before it opens more, so it holds about one
+//! flush's worth of open blocks (`BlockAllocator::blocks_opened_by`)
+//! rather than one per way; GC migrations stripe round-robin. On tiny
 //! devices (few blocks per die — scaled-down experiments) the way
-//! count is capped at an eighth of the block count so that open
-//! blocks — invisible to GC victim selection — can never pin more
-//! than a quarter of the device across both streams. Allocation
-//! order is recorded for crash recovery (§3.8): the scanner replays
-//! blocks in allocation order to rebuild mappings newest-last.
+//! count is capped at an eighth of the block count. Allocation order
+//! is recorded for crash recovery (§3.8): the scanner replays blocks
+//! in allocation order to rebuild mappings newest-last.
 //!
-//! "Invisible" is a per-block state (free / open / closed) kept at the
-//! only places it changes — a slot taking a fresh block
-//! (`take_chunk`), [`BlockAllocator::take_block`],
-//! [`BlockAllocator::release`], [`BlockAllocator::rebuild_after_crash`]
-//! — so [`BlockAllocator::is_open`] is one load and
+//! An open block is invisible to GC victim selection, and "open" is a
+//! per-block state (free / open / closed) kept at the only places it
+//! changes — a slot taking or giving up a block (`take_chunk`),
+//! [`BlockAllocator::take_block`], [`BlockAllocator::release`],
+//! [`BlockAllocator::rebuild_after_crash`] — so
+//! [`BlockAllocator::is_open`] is one load and
 //! [`BlockAllocator::free_blocks`] a counter, whatever the device
-//! size. A block stays open until its slot is *replaced*, not until it
-//! is full; the blocks a request pushes out of their slots are handed
-//! over by [`BlockAllocator::take_closed`], which is how the SSD's
-//! victim index learns that they have become GC candidates.
+//! size. A host or GC block closes with the allocation that takes its
+//! last page, so no full block waits in a slot; the translation log's
+//! block closes when a fresh one replaces it. The blocks a request
+//! closes are handed over by [`BlockAllocator::take_closed`], which is
+//! how the SSD's victim index learns that they have become GC
+//! candidates.
 
 use leaftl_flash::{BlockId, FlashGeometry, Ppa};
 use serde::{Deserialize, Serialize};
@@ -83,12 +87,13 @@ struct OpenBlock {
 enum BlockState {
     /// Erased and in its way's free pool.
     Free,
-    /// In a stream's open slot. A slot keeps its block, full or not,
-    /// until the stream next needs room there.
+    /// In a stream's open slot. A host or GC slot holds its block only
+    /// while it has room; the log's keeps a full block until it next
+    /// needs a page.
     Open,
-    /// Handed out and in no slot: replaced by a newer block, taken
-    /// whole by [`BlockAllocator::take_block`], or abandoned by a
-    /// crash.
+    /// Handed out and in no slot: filled (host, GC), replaced by a
+    /// newer block (log), taken whole by [`BlockAllocator::take_block`],
+    /// or abandoned by a crash.
     Closed,
 }
 
@@ -115,7 +120,7 @@ pub struct BlockAllocator {
     /// Per stream: the next way to stripe onto (host, GC) or to refill
     /// the log's slot from (round-robin).
     cursor: [usize; 3],
-    /// Blocks pushed out of an open slot since the last
+    /// Blocks that left an open slot since the last
     /// [`BlockAllocator::take_closed`].
     closed: Vec<BlockId>,
 }
@@ -127,19 +132,10 @@ impl BlockAllocator {
         BlockAllocator::with_stripe(geometry, geometry.pages_per_block)
     }
 
-    /// Striping width for a geometry: one way per die, capped so the
-    /// open blocks of both streams can pin at most a quarter of the
-    /// device.
+    /// Striping width for a geometry: one way per die, capped at an
+    /// eighth of the blocks on tiny devices.
     fn ways_for(geometry: &FlashGeometry) -> usize {
         (geometry.total_dies() as usize).min(((geometry.blocks / 8).max(1)) as usize)
-    }
-
-    /// Blocks the host and GC streams' open slots can hold at once: one
-    /// per way each. A slot keeps its block, full or not, until the
-    /// stream next needs room there, and no slot's block is a GC
-    /// candidate.
-    pub(crate) fn slot_blocks(geometry: &FlashGeometry) -> usize {
-        2 * Self::ways_for(geometry)
     }
 
     /// Pages per chunk when a request of `pages` stripes over `ways`
@@ -215,10 +211,11 @@ impl BlockAllocator {
         self.free[way].push_back(block);
     }
 
-    /// Drains the blocks that left an open slot — replaced by a fresh
-    /// block — since the last call. Leaving its slot is what exposes a
-    /// block to GC victim selection, so whoever indexes victims asks
-    /// after every [`BlockAllocator::allocate`].
+    /// Drains the blocks that left an open slot — filled, or (the
+    /// log's) replaced by a fresh block — since the last call. Leaving
+    /// its slot is what exposes a block to GC victim selection, so
+    /// whoever indexes victims asks after every
+    /// [`BlockAllocator::allocate`].
     pub fn take_closed(&mut self) -> impl Iterator<Item = BlockId> + '_ {
         self.closed.drain(..)
     }
@@ -229,9 +226,10 @@ impl BlockAllocator {
     }
 
     /// Checks the per-block state and the free counter against what
-    /// they summarise — a walk of every open slot and every pool —
-    /// returning one line per disagreement (empty = consistent). Linear
-    /// in the device; for tests and invariant checks.
+    /// they summarise — a walk of every open slot and every pool — and
+    /// that no host or GC slot holds a full block, returning one line
+    /// per disagreement (empty = consistent). Linear in the device; for
+    /// tests and invariant checks.
     pub fn check_state(&self) -> Vec<String> {
         let mut expected = vec![BlockState::Closed; self.state.len()];
         for block in self.free.iter().flatten() {
@@ -249,6 +247,17 @@ impl BlockAllocator {
                 format!("block {block}: state {kept:?}, pools and slots say {expected:?}")
             })
             .collect();
+        let pages_per_block = self.geometry.pages_per_block;
+        for stream in [Stream::Host, Stream::Gc] {
+            for (way, open) in self.open[stream.index()].iter().enumerate() {
+                if let Some(open) = open.filter(|open| open.next_page >= pages_per_block) {
+                    violations.push(format!(
+                        "{stream:?} slot {way} holds full block {}",
+                        open.block.raw()
+                    ));
+                }
+            }
+        }
         let pooled: usize = self.free.iter().map(VecDeque::len).sum();
         if pooled != self.free_count {
             violations.push(format!(
@@ -309,20 +318,51 @@ impl BlockAllocator {
     }
 
     /// Allocates `pages` as consecutive-page runs striped across the
-    /// ways, continuing each way's open block and opening new blocks
-    /// as needed. Returns `None` (allocating nothing) when the pools
-    /// cannot satisfy the request — the caller must GC first.
+    /// ways in chunks of `BlockAllocator::chunk_for` pages. The host
+    /// stream first continues its part-filled open blocks, one chunk
+    /// per way, then opens blocks on the ways after its cursor, so a
+    /// flush lands on as many ways as it has chunks and the stream holds
+    /// about one flush's worth of open blocks. GC migrations stripe
+    /// round-robin: they run in the background and overlap one another,
+    /// while a flush waits for the one before it. Returns `None`
+    /// (allocating nothing) when the pools cannot satisfy the request —
+    /// the caller must GC first.
     pub fn allocate(&mut self, stream: Stream, pages: u32) -> Option<Vec<PageRun>> {
         if !self.can_allocate(stream, pages) {
             return None;
         }
         let ways = self.ways;
-        let stripe = Self::chunk_for(&self.geometry, ways, self.stripe_pages, pages);
+        let chunk = Self::chunk_for(&self.geometry, ways, self.stripe_pages, pages);
         let mut runs: Vec<PageRun> = Vec::new();
         let mut remaining = pages;
+        if stream == Stream::Host {
+            // One chunk per way: first the ways whose block has room,
+            // then fresh ways from the cursor. A chunk that fills its
+            // block closes it and leaves the rest to the next way.
+            let host = Stream::Host.index();
+            let cursor = self.cursor[host];
+            for continuing in [true, false] {
+                for way in (0..ways).map(|i| (cursor + i) % ways) {
+                    let open = self.open[host][way].is_some();
+                    let visited = runs.iter().any(|run| self.way_of_block(run.block) == way);
+                    if remaining == 0 || visited || open != continuing {
+                        continue;
+                    }
+                    let Some(run) = self.take_chunk(stream, way, chunk.min(remaining)) else {
+                        continue;
+                    };
+                    if !continuing {
+                        self.cursor[host] = (way + 1) % ways;
+                    }
+                    remaining -= run.len;
+                    runs.push(run);
+                }
+            }
+        }
+        // GC and the log, and what is left of a host request wider than
+        // a chunk on every way or meeting dry pools.
         let mut stalled_ways = 0usize;
         while remaining > 0 {
-            // Host and GC requests stripe round-robin over the ways.
             // The translation log is a sequential journal, not a
             // striped flush: it fills exactly one open block at a time
             // (slot 0) so superseded log blocks close (and become
@@ -337,7 +377,7 @@ impl BlockAllocator {
                 }
                 Stream::MapLog => 0,
             };
-            let Some(run) = self.take_chunk(stream, slot, stripe.min(remaining)) else {
+            let Some(run) = self.take_chunk(stream, slot, chunk.min(remaining)) else {
                 stalled_ways += 1;
                 // All ways dry would contradict `can_allocate`;
                 // guard against infinite spin regardless.
@@ -356,11 +396,13 @@ impl BlockAllocator {
 
     /// Takes up to `want` pages from the block in `stream`'s open slot
     /// `slot`, first putting a fresh block there when the slot is empty
-    /// or its block full. This is the only place a slot changes block:
-    /// the block it held closes here, and the per-block state follows.
-    /// Host and GC slots refill from their own way's pool; the log's
-    /// slot refills round-robin from any way's, so log traffic still
-    /// spreads wear across dies.
+    /// (or, for the log, its block full). These are the only places a
+    /// slot changes block: a host or GC block closes with the
+    /// allocation that takes its last page, the log's when a fresh one
+    /// replaces it, and the per-block state follows. Host and GC slots
+    /// refill from their own way's pool; the log's slot refills
+    /// round-robin from any way's, so log traffic still spreads wear
+    /// across dies.
     fn take_chunk(&mut self, stream: Stream, slot: usize, want: u32) -> Option<PageRun> {
         let pages_per_block = self.geometry.pages_per_block;
         let open = match self.open[stream.index()][slot] {
@@ -370,9 +412,8 @@ impl BlockAllocator {
                     Stream::Host | Stream::Gc => self.free[slot].pop_front()?,
                     Stream::MapLog => self.pop_round_robin()?,
                 };
-                if let Some(closed) = replaced {
-                    self.state[closed.block.raw() as usize] = BlockState::Closed;
-                    self.closed.push(closed.block);
+                if let Some(replaced) = replaced {
+                    self.close(replaced.block);
                 }
                 self.state[block.raw() as usize] = BlockState::Open;
                 self.free_count -= 1;
@@ -383,15 +424,28 @@ impl BlockAllocator {
             }
         };
         let take = (pages_per_block - open.next_page).min(want);
-        self.open[stream.index()][slot] = Some(OpenBlock {
-            block: open.block,
-            next_page: open.next_page + take,
-        });
+        let next_page = open.next_page + take;
+        self.open[stream.index()][slot] =
+            if next_page == pages_per_block && stream != Stream::MapLog {
+                self.close(open.block);
+                None
+            } else {
+                Some(OpenBlock {
+                    block: open.block,
+                    next_page,
+                })
+            };
         Some(PageRun {
             block: open.block,
             first: self.geometry.ppa(open.block, open.next_page),
             len: take,
         })
+    }
+
+    /// Moves a block out of its open slot: from here on GC may pick it.
+    fn close(&mut self, block: BlockId) {
+        self.state[block.raw() as usize] = BlockState::Closed;
+        self.closed.push(block);
     }
 
     /// Pops a free block from the first non-empty pool at or after the
@@ -458,9 +512,10 @@ mod tests {
         let second = a.allocate(Stream::Host, 8).unwrap();
         assert_eq!(first.len(), 1);
         assert_eq!(second.len(), 1);
-        // Round-robin over dies: the second chunk opens the next
-        // die's block.
-        assert_ne!(first[0].block, second[0].block);
+        // The host stream fills the block it has open before it opens
+        // another: the second chunk continues the first's pages.
+        assert_eq!(first[0].block, second[0].block);
+        assert_eq!(second[0].first, first[0].first.offset(8));
     }
 
     #[test]
@@ -491,9 +546,8 @@ mod tests {
     #[test]
     fn release_recycles_blocks() {
         let mut a = allocator();
+        // Eight full blocks, closed as they fill.
         let runs = a.allocate(Stream::Host, 32 * 8).unwrap();
-        // The next chunk replaces the first way's full block.
-        a.allocate(Stream::Host, 1).unwrap();
         let before = a.free_blocks();
         a.release(runs[0].block);
         assert_eq!(a.free_blocks(), before + 1);
@@ -527,10 +581,14 @@ mod tests {
     fn block_state_follows_slots_and_pools() {
         let geometry = FlashGeometry::small_test();
         let mut a = BlockAllocator::new(geometry);
-        // One block-sized chunk per way: eight full blocks, all open.
+        // One block-sized chunk per way: eight full blocks, each closed
+        // by the allocation that filled it.
         let first = a.allocate(Stream::Host, 32).unwrap()[0].block;
-        a.allocate(Stream::Host, 7 * 32).unwrap();
-        assert!(a.is_open(first), "a full block keeps its slot");
+        assert!(!a.is_open(first), "a full block leaves its slot at once");
+        assert_eq!(a.take_closed().collect::<Vec<_>>(), vec![first]);
+        let rest = a.allocate(Stream::Host, 7 * 32).unwrap();
+        assert_eq!(a.take_closed().count(), 7);
+        assert!(rest.iter().all(|run| !a.is_open(run.block)));
         let log = a.allocate(Stream::MapLog, 1).unwrap()[0].block;
         let taken = BlockId::new(63);
         assert!(a.take_block(taken));
@@ -538,7 +596,7 @@ mod tests {
         assert_eq!(a.check_state(), Vec::<String>::new());
         let next = a.allocate(Stream::Host, 8).unwrap()[0].block;
         assert_ne!(next, first);
-        assert!(!a.is_open(first), "replaced in its slot: closed");
+        assert!(!a.is_open(first), "filled: closed");
         assert!(a.is_open(next) && a.is_open(log));
         a.release(first);
         a.release(taken);
@@ -548,6 +606,62 @@ mod tests {
         assert!(!a.is_open(next) && !a.is_open(log));
         assert_eq!(a.free_blocks(), 2);
         assert_eq!(a.check_state(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn check_state_reports_a_full_slot() {
+        let mut a = allocator();
+        let run = a.allocate(Stream::Gc, 4).unwrap()[0];
+        let way = a.way_of_block(run.block);
+        if let Some(open) = a.open[Stream::Gc.index()][way].as_mut() {
+            open.next_page = 32;
+        }
+        assert_eq!(
+            a.check_state(),
+            vec![format!(
+                "Gc slot {way} holds full block {}",
+                run.block.raw()
+            )]
+        );
+        // The log's slot keeps its full block until it needs a page.
+        let mut a = allocator();
+        let log = a.allocate(Stream::MapLog, 32).unwrap()[0].block;
+        assert!(a.is_open(log));
+        assert_eq!(a.check_state(), Vec::<String>::new());
+    }
+
+    /// On the 64-way geometry of the full-size devices, flush-sized host
+    /// requests put each chunk on a way of its own, and the host stream
+    /// holds no more open blocks than one request stripes over — where
+    /// a slot per way kept open blocks on all 64 ways.
+    #[test]
+    fn host_stream_holds_one_request_of_open_blocks() {
+        let geometry = FlashGeometry {
+            channels: 16,
+            dies_per_channel: 4,
+            blocks: 1024,
+            pages_per_block: 256,
+            ..FlashGeometry::small_test()
+        };
+        // (stripe, request): chunks that divide the block, and chunks
+        // that do not, so requests straddle block ends.
+        for (stripe, pages) in [(32, 256), (32, 128), (24, 256), (32, 200)] {
+            let mut a = BlockAllocator::with_stripe(geometry, stripe);
+            assert_eq!(a.ways, 64);
+            let opened = BlockAllocator::blocks_opened_by(&geometry, stripe, pages);
+            for request in 0..300 {
+                let runs = a.allocate(Stream::Host, pages).unwrap();
+                let ways: std::collections::BTreeSet<usize> =
+                    runs.iter().map(|run| a.way_of_block(run.block)).collect();
+                assert_eq!(ways.len(), runs.len(), "stripe {stripe}, request {request}");
+                let open = a.open[Stream::Host.index()].iter().flatten().count();
+                assert!(
+                    open <= opened,
+                    "stripe {stripe}, request {request}: {open} open, {opened} per request"
+                );
+                assert_eq!(a.check_state(), Vec::<String>::new());
+            }
+        }
     }
 
     #[test]

@@ -35,9 +35,8 @@ pub enum GcPolicy {
 /// GC starts when the free blocks fall below the low watermark and
 /// collects until they reach the high one. Both lie a lead above the
 /// free reserve one buffer flush needs: 3 % and 5 % of all blocks on
-/// the full-size devices of at least 1 GiB, capped at 8 % and 12 % on
-/// devices too small for that lead or with eight or fewer blocks per
-/// die. In the flush path GC stalls the submitting write for
+/// the full-size devices of at least 512 MiB, capped at 8 % and 12 % on
+/// devices too small for that lead. In the flush path GC stalls the submitting write for
 /// whole migrate+erase passes. A multi-queue [`crate::Device`] can
 /// instead defer the work: victims are selected at the same
 /// watermarks, but their migration is emitted as background commands
@@ -281,16 +280,8 @@ pub(crate) struct GcWatermarks {
 /// blocks; GC starts one lead of `max(1 %, F)` above it and stops
 /// `max(2 %, F)` higher. The floor stays at 2 %. The low and high lines
 /// are capped at 8 % and 12 %, which is where a device too small for a
-/// flush of lead (a few blocks per way) keeps them.
-///
-/// A device of eight or fewer blocks per die keeps the capped lines too:
-/// its open slots ([`BlockAllocator::slot_blocks`]) can hold a quarter
-/// of its blocks, more than Table 1's 20 % spare. There the stale pages
-/// GC could reclaim sit in blocks no selection sees until their slot is
-/// next replaced, so lines near the floor make when collection starts,
-/// and how full its victims are, follow the order of the writes rather
-/// than the device. On the full-size devices of at least 1 GiB the
-/// lines read 2 / 3 / 5 %.
+/// flush of lead (a few blocks per way) keeps them. On the full-size
+/// devices of at least 512 MiB the lines read 2 / 3 / 5 %.
 pub(crate) fn gc_watermarks(config: &SsdConfig) -> GcWatermarks {
     let blocks = config.geometry.blocks as f64;
     let flush_pages = u32::try_from(config.write_buffer_pages).unwrap_or(u32::MAX);
@@ -301,13 +292,11 @@ pub(crate) fn gc_watermarks(config: &SsdConfig) -> GcWatermarks {
     let reserve = floor.max(flush + 1.0 / blocks);
     let low = reserve + flush.max(0.01);
     let high = low + flush.max(0.02);
-    let slots = BlockAllocator::slot_blocks(&config.geometry) as f64 / blocks;
-    let (low, high) = if slots >= 0.25 {
-        (0.08, 0.12)
-    } else {
-        (low.min(0.08), high.min(0.12))
-    };
-    GcWatermarks { floor, low, high }
+    GcWatermarks {
+        floor,
+        low: low.min(0.08),
+        high: high.min(0.12),
+    }
 }
 
 #[cfg(test)]
@@ -352,10 +341,7 @@ mod tests {
 
     /// The GC lines on every device the repository runs: the unit-test
     /// image, the 256-block golden device, the 128-block smoke images,
-    /// the four full-size ledger devices and Table 1's drive. The
-    /// unit-test image, the smoke images and `fleet_1012`'s 512 blocks
-    /// have eight or fewer blocks per die, so their open slots can hold
-    /// a quarter of the device.
+    /// the four full-size ledger devices and Table 1's drive.
     #[test]
     fn gc_lines_keep_a_flush_of_reserve_and_lead() {
         let sized = |mib: u64, buffer: usize| {
@@ -389,12 +375,22 @@ mod tests {
         };
         // (name, config, blocks one flush stripes over, (low, high)).
         let cases = [
-            ("small_test", SsdConfig::small_test(), 1, (0.08, 0.12)),
+            (
+                "small_test",
+                SsdConfig::small_test(),
+                1,
+                (0.046875, 0.066875),
+            ),
             ("golden 256 x 32", golden, 1, (0.03, 0.05)),
             ("small_test, 8-page chunks", striped, 4, (0.08, 0.12)),
             ("16 blocks x 8 pages", tiny, 1, (0.08, 0.12)),
             ("smoke, 256-page buffer", sized(128, 256), 8, (0.08, 0.12)),
-            ("smoke, 128-page buffer", sized(128, 128), 4, (0.08, 0.12)),
+            (
+                "smoke, 128-page buffer",
+                sized(128, 128),
+                4,
+                (0.0703125, 0.1015625),
+            ),
             (
                 "blocking_mix / read_qd32",
                 sized(2048, 256),
@@ -402,7 +398,7 @@ mod tests {
                 (0.03, 0.05),
             ),
             ("write_gc", sized(1024, 256), 8, (0.03, 0.05)),
-            ("fleet_1012", sized(512, 128), 4, (0.08, 0.12)),
+            ("fleet_1012", sized(512, 128), 4, (0.03, 0.05)),
             ("paper_default", SsdConfig::paper_default(), 8, (0.03, 0.05)),
         ];
         for (name, config, flush, (low, high)) in cases {
@@ -424,11 +420,6 @@ mod tests {
             assert!(lines.low < lines.high, "{name}");
             assert!(lines.high < config.op_ratio, "{name}");
             let blocks = geometry.blocks as f64;
-            let slots = BlockAllocator::slot_blocks(&geometry) as f64;
-            if slots >= blocks / 4.0 {
-                // Open slots can hold a quarter of the device: capped.
-                assert!(close(lines.low, 0.08) && close(lines.high, 0.12), "{name}");
-            }
             let flush = flush as f64;
             let (low, high) = (lines.low * blocks, lines.high * blocks);
             if lines.low < 0.08 {

@@ -1287,8 +1287,8 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     }
 
     /// [`BlockAllocator::allocate`], marking the blocks the request
-    /// closed (pushed out of their open slots): closing is what makes a
-    /// block a GC candidate.
+    /// closed (filled, or the log's replaced in its slot): closing is
+    /// what makes a block a GC candidate.
     fn allocate(&mut self, stream: Stream, pages: u32) -> Option<Vec<PageRun>> {
         let runs = self.allocator.allocate(stream, pages);
         for block in self.allocator.take_closed() {
@@ -3103,13 +3103,14 @@ mod tests {
         };
 
         // Thirty closed blocks of live data with every eighth page
-        // overwritten, and a partly filled open block on every way —
-        // far from the GC watermark, so the only persistence point is
-        // the one below. After it nothing more persists: background
-        // mode keeps the flush path from draining the log.
+        // overwritten, and the host stream's open block one page short
+        // of full (a 25-page flush, then six one-page ones) — far from
+        // the GC watermark, so the only persistence point is the one
+        // below. After it nothing more persists: background mode keeps
+        // the flush path from draining the log.
         (0..960).for_each(|lpa| write(&mut ssd, lpa));
         (0..960).step_by(8).for_each(|lpa| write(&mut ssd, lpa));
-        for lpa in 0..8 {
+        for lpa in 0..7 {
             write(&mut ssd, 8 * lpa + 1);
             ssd.flush().unwrap();
         }
@@ -3124,6 +3125,11 @@ mod tests {
             let block = ssd.device.block(block);
             (block.erase_count(), block.write_ptr())
         };
+        let open_data: Vec<u32> = blocks()
+            .filter(|&block| ssd.allocator.is_open(block) && !ssd.translog.owns(block))
+            .map(|block| ssd.device.block(block).write_ptr())
+            .collect();
+        assert_eq!(open_data, [31]);
         let at_persist: Vec<(u32, u32)> = blocks().map(|block| state(&ssd, block)).collect();
         let mut covered = ssd.device.program_seq();
         let mut victims = ssd.scan_gc_candidates(true, None).map(|(block, _)| block);
