@@ -36,8 +36,9 @@ pub enum GcPolicy {
 /// collects until they reach the high one. Both lie a lead above the
 /// free reserve one buffer flush needs: 3 % and 5 % of all blocks on
 /// the full-size devices of at least 512 MiB, capped at 8 % and 12 % on
-/// devices too small for that lead. In the flush path GC stalls the submitting write for
-/// whole migrate+erase passes. A multi-queue [`crate::Device`] can
+/// devices too small for that lead. In the flush path GC stalls the
+/// submitting write: its victim passes are put on the dies together
+/// and the write waits for the latest erase. A multi-queue [`crate::Device`] can
 /// instead defer the work: victims are selected at the same
 /// watermarks, but their migration is emitted as background commands
 /// that compete for dies through the device's arbiter, and host writes
@@ -46,7 +47,11 @@ pub enum GcPolicy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GcMode {
     /// Collect inside the flush path until the high watermark is
-    /// restored (the blocking path's behaviour; the default).
+    /// restored (the blocking path's behaviour; the default). Every
+    /// victim pass of one collection is chained on the die timelines
+    /// from the flush's dispatch point, so passes on different dies
+    /// overlap, and the host waits once, for the latest erase: no
+    /// later host read queues behind the collection.
     Synchronous,
     /// Only select victims at the watermark; migration runs as
     /// background device traffic ([`crate::Command::GcMigrate`]).

@@ -46,7 +46,11 @@
 //! The device, not the SSD, owns its GC and compaction modes: it
 //! passes them to every write and flush it dispatches, and the SSD's
 //! own [`Ssd::write`] and [`Ssd::flush`] always collect and compact
-//! inline. In [`GcMode::Background`] the flushes it dispatches stop
+//! inline. A synchronous collection chains its victim passes on the
+//! die timelines exactly as background migrations are chained, and
+//! holds the dispatching command once, until the latest erase; the two
+//! modes differ in who dispatches the passes and whether a host
+//! command waits for them. In [`GcMode::Background`] the flushes it dispatches stop
 //! collecting at the watermark. Instead the device selects victims by
 //! the synchronous collector's rule (free fraction below the low
 //! watermark, refilled to the high one: 3 % and 5 % of all blocks on a
@@ -960,7 +964,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             }
         };
         let dispatch_ns = self.ssd.now_ns();
-        let deadline = self.ssd.service_gc_migrate(victim, false)?;
+        let deadline = self.ssd.service_gc_migrate(victim)?;
         self.gc_inflight.push(Reverse(deadline));
         self.gc_busy_until = self.gc_busy_until.max(deadline);
         self.gc_dispatched += 1;

@@ -10,7 +10,7 @@ use crate::config::{
 use crate::error::SimError;
 use crate::gc_index::{EraseHistogram, VictimIndex, NOT_A_CANDIDATE};
 use crate::lru::LruCache;
-use crate::stats::{LookupPaths, SimStats};
+use crate::stats::{LookupPaths, SimStats, SyncGc};
 use crate::trace::{ArgValue, FlashOpKind, TraceSink, Tracer, TrafficClass, UtilizationReport};
 use crate::translog::{Baseline, LogOp, MapLogTraffic, TransLog};
 use crate::validity::Validity;
@@ -230,6 +230,8 @@ pub struct Ssd<S: MappingScheme + Clone> {
     stats: SimStats,
     /// The lookups of `stats` by path, and what resolutions cost.
     paths: LookupPaths,
+    /// What synchronous collections held the host for.
+    sync_gc: SyncGc,
     /// Where the recovery baseline is persisted: the flash-resident
     /// translation log ([`CheckpointMode::FlashLog`]'s durability
     /// mechanism), which also holds [`CheckpointMode::DramSnapshot`]'s
@@ -393,6 +395,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             read_cache: LruCache::new(),
             stats: SimStats::new(),
             paths: LookupPaths::default(),
+            sync_gc: SyncGc::default(),
             translog: TransLog::new(),
             pristine_scheme,
             scheme,
@@ -445,6 +448,12 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         &self.paths
     }
 
+    /// What synchronous collections held the host for, over the same
+    /// window as [`Ssd::stats`].
+    pub fn sync_gc(&self) -> &SyncGc {
+        &self.sync_gc
+    }
+
     /// Resets the statistics (e.g. after a warm-up phase) without
     /// touching device state. The per-die utilization counters reset
     /// together with [`SimStats`] so the two always describe the same
@@ -452,6 +461,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     pub fn reset_stats(&mut self) {
         self.stats = SimStats::new();
         self.paths = LookupPaths::default();
+        self.sync_gc = SyncGc::default();
         self.tracer.util.reset();
     }
 
@@ -1364,19 +1374,36 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// game: a collection the flush path is forced into takes the best
     /// block there is, and the queued migration finds its block
     /// recycled.
+    ///
+    /// Every pass is put on the die timelines from the collection's
+    /// dispatch point ([`Ssd::gc_pass`]), so passes on different dies
+    /// overlap and every victim is selected (and cost-benefit scored)
+    /// at that one time. The host then waits once, for the latest
+    /// erase, so no later host read queues behind the collection's
+    /// relocations.
     fn collect_while(
         &mut self,
         except: Option<BlockId>,
         wanted: impl Fn(&Self) -> bool,
     ) -> Result<bool, SimError> {
+        let started_ns = self.clock.now_ns();
+        let mut done_ns = started_ns;
+        let mut passes = 0;
         for _ in 0..=self.config.geometry.blocks {
             if !wanted(self) {
-                return Ok(true);
+                break;
             }
             let Some(victim) = self.select_gc_victim(true, except) else {
                 break;
             };
-            self.service_gc_migrate(victim, true)?;
+            done_ns = done_ns.max(self.gc_pass(victim)?);
+            passes += 1;
+        }
+        if passes > 0 {
+            self.clock.wait_until(done_ns);
+            self.sync_gc.collections += 1;
+            self.sync_gc.passes += passes;
+            self.sync_gc.wait_ns += self.clock.now_ns().saturating_sub(started_ns);
         }
         Ok(!wanted(self))
     }
@@ -1689,19 +1716,13 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// the victim and journals the move. Returns the erase's completion
     /// time on the die timelines.
     ///
-    /// State mutations are identical in both modes; only time differs.
-    /// `blocking` additionally advances the host clock to each phase
-    /// boundary (reads → programs → erase), the stall semantics of the
-    /// synchronous collector and of every wear swap; otherwise the
-    /// phases are chained with dependency floors and the global clock
-    /// never moves — concurrent host commands compete with the
-    /// migration purely through die occupancy.
-    fn migrate_block(
-        &mut self,
-        victim: BlockId,
-        onto: Option<BlockId>,
-        blocking: bool,
-    ) -> Result<u64, SimError> {
+    /// The host clock does not move: reads start at the dispatch point,
+    /// programs no earlier than the last read, the erase no earlier
+    /// than the last program, so the erase is the pass's last die
+    /// reservation. Concurrent work competes with the migration purely
+    /// through die occupancy; whoever must block on it — a synchronous
+    /// collection, a wear swap — waits for the returned time.
+    fn migrate_block(&mut self, victim: BlockId, onto: Option<BlockId>) -> Result<u64, SimError> {
         let mut valid = std::mem::take(&mut self.live_scratch);
         self.validity.valid_pages(victim, &mut valid);
         let now = self.clock.now_ns();
@@ -1718,24 +1739,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 let lpa = view.lpa.ok_or(SimError::MissingReverseMapping { ppa })?;
                 items.push((lpa, view.content, view.seq));
             }
-            if blocking {
-                self.clock.wait_until(reads_done);
-            }
             let items = Self::dedup_migration_items(items);
 
             let len = items.len() as u32;
-            if onto.is_none() && !blocking {
-                // Emergency fallback for the background path: if the GC
-                // stream itself cannot allocate, collect synchronously
-                // rather than failing — excluding this victim, whose
-                // pages are still marked valid and must not be migrated
-                // twice. The background scheduler normally keeps enough
-                // headroom for this to be unreachable. (The synchronous
-                // caller is already inside a collection loop, where
-                // recursing would be unsound; it fails over to
-                // `DeviceFull` instead.)
-                self.ensure_allocatable(len, Stream::Gc, Some(victim))?;
-            }
             let (runs, op) = match onto {
                 Some(block) => {
                     let first = self.config.geometry.first_ppa(block);
@@ -1747,9 +1753,6 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 }
             };
             (batches, programs_done) = self.program_runs(&runs, &items, reads_done, op)?;
-            if blocking {
-                self.clock.wait_until(programs_done);
-            }
 
             // Old locations are known exactly — no lookup needed.
             for &ppa in &valid {
@@ -1762,9 +1765,6 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         self.live_scratch = valid;
 
         let done = self.reclaim(victim, TrafficClass::Gc, programs_done)?;
-        if blocking {
-            self.clock.wait_until(done);
-        }
         // Journal the re-installed mappings — stamped *after* the
         // programs, so the delta covers them. (A fully stale victim
         // installs nothing and journals nothing; recovery finds its
@@ -1776,21 +1776,35 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         Ok(done)
     }
 
+    /// Services a [`crate::Command::GcMigrate`] of `victim`, the
+    /// background collector's pass ([`GcMode::Background`]): state is
+    /// applied at dispatch, flash work is chained on the die timelines
+    /// and the erase's completion time is returned; the host clock
+    /// does not move.
+    ///
+    /// Emergency fallback: if the GC stream cannot take the victim's
+    /// live pages, it first collects synchronously rather than failing
+    /// — excluding this victim, whose pages are still valid and must
+    /// not be migrated twice. The background scheduler normally keeps
+    /// enough headroom for this to be unreachable. A synchronous
+    /// collection's own passes ([`Ssd::gc_pass`]) never fall back:
+    /// recursing inside a collection loop would be unsound, so they
+    /// fail over to [`SimError::DeviceFull`] instead.
+    pub(crate) fn service_gc_migrate(&mut self, victim: BlockId) -> Result<u64, SimError> {
+        let live = self.validity.valid_count(victim);
+        if live > 0 {
+            self.ensure_allocatable(live, Stream::Gc, Some(victim))?;
+        }
+        self.gc_pass(victim)
+    }
+
     /// One GC pass over `victim` (§3.6): migrate its live pages, erase
     /// it, and persist mapping table + BVC (§3.8) if a persistence
-    /// point is due (`persistence_point_due`). `blocking` is the
-    /// synchronous collector, which stalls the host for the duration;
-    /// without it this services a [`crate::Command::GcMigrate`] —
-    /// state is applied immediately, flash work is chained on per-die
-    /// timelines, and the erase's completion time is returned — the
-    /// whole point of [`GcMode::Background`].
-    pub(crate) fn service_gc_migrate(
-        &mut self,
-        victim: BlockId,
-        blocking: bool,
-    ) -> Result<u64, SimError> {
+    /// point is due (`persistence_point_due`). Returns the erase's
+    /// completion time; the host clock does not move.
+    fn gc_pass(&mut self, victim: BlockId) -> Result<u64, SimError> {
         self.stats.gc_runs += 1;
-        let done = self.migrate_block(victim, None, blocking)?;
+        let done = self.migrate_block(victim, None)?;
         if self.persistence_point_due() {
             self.take_snapshot();
         }
@@ -1859,8 +1873,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// threshold — every flush of a workload that wears evenly — the
     /// answer is "no" without looking at a block. Past that, the walk
     /// below finds the cold data block and the worn free block, and
-    /// [`Ssd::migrate_block`] moves the one onto the other, blocking
-    /// the host like a synchronous GC pass.
+    /// [`Ssd::migrate_block`] moves the one onto the other. The host
+    /// waits once, for the swap's erase, like a synchronous collection
+    /// of one pass.
     fn wear_level_once(&mut self) -> Result<bool, SimError> {
         if self.erase_histogram.spread() <= self.config.wear_gap_threshold {
             return Ok(false);
@@ -1903,7 +1918,8 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         if !self.allocator.take_block(hot) {
             return Ok(false);
         }
-        self.migrate_block(cold, Some(hot), true)?;
+        let done = self.migrate_block(cold, Some(hot))?;
+        self.clock.wait_until(done);
         self.stats.wear_swaps += 1;
         Ok(true)
     }
@@ -2588,12 +2604,15 @@ mod tests {
         ssd.device.program(ppa, 7, None).unwrap();
         ssd.mark_valid(ppa);
         let victim = ssd.config.geometry.block_of(ppa);
-        for blocking in [true, false] {
-            assert_eq!(
-                ssd.service_gc_migrate(victim, blocking),
-                Err(SimError::MissingReverseMapping { ppa })
-            );
-        }
+        // A background migration and a synchronous collection's pass.
+        assert_eq!(
+            ssd.service_gc_migrate(victim),
+            Err(SimError::MissingReverseMapping { ppa })
+        );
+        assert_eq!(
+            ssd.gc_pass(victim),
+            Err(SimError::MissingReverseMapping { ppa })
+        );
     }
 
     #[test]
@@ -2795,12 +2814,12 @@ mod tests {
         let [first, second, third, cold] = [80, 90, 100, 110].map(BlockId::new);
         for victim in [first, second, third] {
             remapped.extend(live_groups(&ssd, victim));
-            ssd.migrate_block(victim, None, true).unwrap();
+            ssd.migrate_block(victim, None).unwrap();
         }
         remapped.extend(live_groups(&ssd, cold));
         let cold_pages = ssd.validity.valid_count(cold) as u64;
         assert!(ssd.allocator.take_block(first));
-        ssd.migrate_block(cold, Some(first), true).unwrap();
+        ssd.migrate_block(cold, Some(first)).unwrap();
         assert_eq!(ssd.stats.flash.wear_programs, cold_pages);
         assert_eq!(cold_pages, 32);
         assert_eq!(ssd.stats.gc_runs, 0, "no point ran since the fill's");
@@ -2899,7 +2918,7 @@ mod tests {
                 .map(BlockId::new)
                 .find(|&block| !ssd.allocator.is_open(block) && ssd.validity.valid_count(block) > 0)
                 .expect("a closed block of the fill");
-            ssd.service_gc_migrate(victim, true).unwrap();
+            ssd.gc_pass(victim).unwrap();
             (ssd.translog.tail_pages(), ssd.maplog_pending())
         };
         assert_eq!(pass(&mut ssd), (1, 1));
@@ -3136,13 +3155,13 @@ mod tests {
         let [emptied, taken_over, refilled, cold] = [(); 4].map(|()| victims.next().unwrap());
         drop(victims);
 
-        ssd.migrate_block(emptied, None, true).unwrap();
+        ssd.migrate_block(emptied, None).unwrap();
         // That journalled a delta, whose page lands on the next block
         // recycled. It makes the delta durable, so the delta's stamp is
         // where the scan starts.
         if mode == CheckpointMode::FlashLog {
             covered = ssd.device.program_seq();
-            ssd.migrate_block(taken_over, None, true).unwrap();
+            ssd.migrate_block(taken_over, None).unwrap();
             assert!(ssd.allocator.take_block(taken_over));
             let Some(LogOp::Program { seq }) = ssd.translog.pop_op() else {
                 panic!("the migration queued its delta's page");
@@ -3152,9 +3171,9 @@ mod tests {
             ssd.translog.note_programmed(seq, taken_over, |_| true);
         }
         // A wear swap by hand refills a recycled block.
-        ssd.migrate_block(refilled, None, true).unwrap();
+        ssd.migrate_block(refilled, None).unwrap();
         assert!(ssd.allocator.take_block(refilled));
-        ssd.migrate_block(cold, Some(refilled), true).unwrap();
+        ssd.migrate_block(cold, Some(refilled)).unwrap();
         // The migrations appended to the GC stream's open blocks; a
         // flush appends to the host stream's.
         write(&mut ssd, 11);
@@ -3466,6 +3485,157 @@ mod tests {
             assert!(ssd.stats.gc_runs > 0, "{mode:?}");
             assert_eq!(ssd.check_invariants(), Vec::<String>::new(), "{mode:?}");
         }
+    }
+
+    /// The aged device of `a_collection_waits_once_for_its_last_erase`
+    /// after its first flush that collects at least four victims, each
+    /// on a die of its own: the victims with the pages each held
+    /// before the flush, and the host clock and [`SyncGc`] when the
+    /// flush began.
+    fn flushed_into_a_wide_collection() -> (Ssd<ExactPageMap>, Vec<(BlockId, u32)>, u64, SyncGc) {
+        let mut config = SsdConfig::small_test();
+        config.geometry = FlashGeometry {
+            channels: 8,
+            dies_per_channel: 4,
+            blocks: 256,
+            pages_per_block: 16,
+            ..FlashGeometry::small_test()
+        };
+        config.write_buffer_pages = GC_BUFFER_PAGES;
+        config.checkpoint_mode = CheckpointMode::Disabled;
+        config.wear_gap_threshold = u32::MAX;
+        let mut ssd = Ssd::new(config, ExactPageMap::new());
+        let logical = ssd.config.logical_pages();
+        for lpa in 0..logical {
+            ssd.write(Lpa::new(lpa), lpa).unwrap();
+        }
+        let blocks = ssd.config.geometry.blocks;
+        let mut seed = 0x0ace_u64;
+        let mut random = |below: u64| {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (seed >> 33) % below
+        };
+        let (mut start, mut next) = (0, 0u64);
+        for _ in 0..300 {
+            let before: Vec<(u32, u32)> = (0..blocks)
+                .map(BlockId::new)
+                .map(|b| {
+                    (
+                        ssd.device.block(b).erase_count(),
+                        ssd.validity.valid_count(b),
+                    )
+                })
+                .collect();
+            let (started_ns, sync_gc) = (ssd.now_ns(), ssd.sync_gc);
+            loop {
+                if next % 8 == 0 {
+                    start = random(logical);
+                }
+                ssd.write(Lpa::new((start + next % 8) % logical), 2)
+                    .unwrap();
+                next += 1;
+                if ssd.buffer.is_empty() {
+                    break;
+                }
+            }
+            let victims: Vec<(BlockId, u32)> = (0..blocks)
+                .map(BlockId::new)
+                .zip(&before)
+                .filter(|&(b, &(erases, _))| ssd.device.block(b).erase_count() > erases)
+                .map(|(b, &(_, valid))| (b, valid))
+                .collect();
+            let dies: BTreeSet<u32> = victims
+                .iter()
+                .map(|&(b, _)| ssd.config.geometry.die_of_block(b).raw())
+                .collect();
+            if victims.len() >= 4 && dies.len() == victims.len() {
+                return (ssd, victims, started_ns, sync_gc);
+            }
+        }
+        panic!("no flush collected four victims on distinct dies");
+    }
+
+    /// A synchronous collection puts every victim pass on the dies
+    /// from its dispatch point and waits once, for the latest erase. On
+    /// an aged device whose flush collects k ≥ 4 victims on distinct
+    /// dies, the host clock moves by less than two passes' span — the
+    /// longest pass alone on idle dies, its reads, its programs all on
+    /// one die and its erase back to back — where waiting for each
+    /// pass moved it by k spans. And once the collection returns, no
+    /// die is reserved past the clock: the next host read costs its
+    /// NAND read alone.
+    #[test]
+    fn a_collection_waits_once_for_its_last_erase() {
+        let (mut ssd, victims, started_ns, sync_gc) = flushed_into_a_wide_collection();
+        let timing = ssd.config.timing;
+        let span_ns = victims
+            .iter()
+            .map(|&(_, valid)| {
+                u64::from(valid) * (timing.read_ns + timing.program_ns) + timing.erase_ns
+            })
+            .max()
+            .unwrap();
+        assert_eq!(ssd.sync_gc.passes - sync_gc.passes, victims.len() as u64);
+        let waited_ns = ssd.sync_gc.wait_ns - sync_gc.wait_ns;
+        assert!(
+            waited_ns < 2 * span_ns,
+            "{} passes held the host {waited_ns} ns; one pass spans {span_ns} ns",
+            victims.len()
+        );
+        assert!(ssd.now_ns() - started_ns >= waited_ns);
+
+        let now_ns = ssd.now_ns();
+        for die in 0..ssd.config.geometry.total_dies() {
+            // A zero-length reservation from time zero ends where the
+            // die's last reservation does, and moves nothing.
+            let busy_ns = ssd.clock.schedule_after(Die::new(die), 0, 0);
+            assert!(
+                busy_ns <= now_ns,
+                "die {die} busy until {busy_ns} ns, host at {now_ns} ns"
+            );
+        }
+        let cold = (0..ssd.config.logical_pages())
+            .map(Lpa::new)
+            .find(|lpa| !ssd.read_cache.contains(lpa))
+            .unwrap();
+        ssd.read(cold).unwrap();
+        assert!(
+            ssd.now_ns() - now_ns < 2 * timing.read_ns,
+            "{}",
+            ssd.now_ns() - now_ns
+        );
+    }
+
+    /// [`SyncGc`] counts what collections held the host for: a call
+    /// that runs passes adds one collection, its passes, and exactly the
+    /// clock's movement inside it; a call with nothing wanted adds
+    /// nothing; [`Ssd::reset_stats`] clears it.
+    #[test]
+    fn sync_gc_counts_the_clock_a_collection_moves() {
+        let (mut ssd, ..) = flushed_into_a_wide_collection();
+        let blocks = ssd.config.geometry.blocks as f64;
+        let target = ssd.free_fraction() + 3.0 / blocks;
+        let (before, started_ns, runs) = (ssd.sync_gc, ssd.now_ns(), ssd.stats.gc_runs);
+        assert!(ssd
+            .collect_while(None, |ssd| ssd.free_fraction() < target)
+            .unwrap());
+        let passes = ssd.stats.gc_runs - runs;
+        assert!(passes >= 3, "{passes}");
+        assert_eq!(
+            ssd.sync_gc,
+            SyncGc {
+                collections: before.collections + 1,
+                passes: before.passes + passes,
+                wait_ns: before.wait_ns + (ssd.now_ns() - started_ns),
+            }
+        );
+        let after = ssd.sync_gc;
+        assert!(ssd.collect_while(None, |_| false).unwrap());
+        assert_eq!(ssd.sync_gc, after);
+        ssd.reset_stats();
+        assert_eq!(ssd.sync_gc, SyncGc::default());
     }
 
     #[test]

@@ -262,6 +262,23 @@ impl LookupPaths {
     }
 }
 
+/// What synchronous garbage collection held the host for: the
+/// collections that ran at least one victim pass, their passes, and
+/// the host nanoseconds waited inside them. A collection puts all its
+/// passes on the die timelines from one dispatch point and waits once,
+/// for the latest erase. Kept beside [`SimStats`], not in it, for the
+/// same reason as [`LookupPaths`], and reset with it
+/// ([`crate::Ssd::reset_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SyncGc {
+    /// Collections that ran at least one pass.
+    pub collections: u64,
+    /// Victim passes those collections ran.
+    pub passes: u64,
+    /// Host nanoseconds the collections waited for their passes.
+    pub wait_ns: u64,
+}
+
 impl SimStats {
     /// A zeroed statistics block.
     pub fn new() -> Self {

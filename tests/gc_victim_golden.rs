@@ -91,6 +91,17 @@
 //! histories and `BACKGROUND_COSTBENEFIT_FLASHLOG` pick such blocks;
 //! the other three cost-benefit histories never did, and kept their
 //! constants. Coverage holds unedited.
+//!
+//! Both `SYNC_COSTBENEFIT` constants were recorded again when a
+//! synchronous collection stopped waiting for each pass before the
+//! next: every pass is put on the dies from the collection's dispatch
+//! point and the host waits once, for the latest erase. The age term
+//! reads the clock, so every victim of one call is now scored at that
+//! call's dispatch time (and its pages stamped with it), and later
+//! picks differ: passes 1 175 → 1 186 under the snapshot, 1 218 →
+//! 1 222 under the log. The greedy, background and wear-swap constants
+//! did not move — the evidence that only time changed for them.
+//! Coverage holds unedited.
 
 #![expect(
     clippy::unwrap_used,
@@ -383,8 +394,8 @@ fn run_background(config: SsdConfig, seed: u64) -> (u64, Coverage) {
 
 const SYNC_GREEDY_SNAPSHOT: u64 = 0x00c7_9712_11ad_58a4;
 const SYNC_GREEDY_FLASHLOG: u64 = 0x461e_0aba_53ea_f1de;
-const SYNC_COSTBENEFIT_SNAPSHOT: u64 = 0x740e_518c_5779_fec6;
-const SYNC_COSTBENEFIT_FLASHLOG: u64 = 0x6634_d996_5ff2_0136;
+const SYNC_COSTBENEFIT_SNAPSHOT: u64 = 0x38ef_9cea_fa10_a1c7;
+const SYNC_COSTBENEFIT_FLASHLOG: u64 = 0x0507_aede_71e0_51f8;
 const BACKGROUND_GREEDY_SNAPSHOT: u64 = 0xd18b_64e0_deb1_5ddb;
 const BACKGROUND_GREEDY_FLASHLOG: u64 = 0x682a_3f07_8b2f_0a29;
 const BACKGROUND_COSTBENEFIT_SNAPSHOT: u64 = 0xba29_9eee_e080_9de7;
