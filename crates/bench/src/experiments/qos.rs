@@ -32,8 +32,8 @@
 //! uniform single-page overwrites ([`gc_pressured`]), so every block
 //! GC can pick holds stale pages; there every policy misses the
 //! budget at the four seeds tried (default, `0x1`, `0x2a`, `0xbeef5`),
-//! the controller by 20× (worst guaranteed p99 0.29–0.38 s) and
-//! static-weighted by less (0.17–0.21 s).
+//! the controller by 14–25× (worst guaranteed p99 0.21–0.37 s) and
+//! static-weighted by less (0.15–0.29 s).
 //! The device runs with the flash-resident translation log enabled so
 //! the map-log background-traffic tax rides the same dies — reported
 //! per tenant class alongside the latency numbers.
@@ -155,8 +155,9 @@ pub fn qos(_quick: bool) -> Figure {
     );
     let gap = Some(
         "direction 9: on a device aged by uniform overwrites the controller's worst guaranteed \
-         p99 is 0.29–0.38 s over four seeds (0.45–2.9 s while a full open block stayed in its \
-         slot), 20× the 15 ms budget, and static-weighted's 0.17–0.21 s",
+         p99 is 0.21–0.37 s over four seeds (0.29–0.38 s while background GC selected its \
+         victims in one batch, 0.45–2.9 s while a full open block stayed in its slot), 14–25× \
+         the 15 ms budget, and static-weighted's 0.15–0.29 s",
     );
     let mut shape = Shape::new(claim, gap);
     let mut static_misses = 0;

@@ -39,9 +39,9 @@ pub enum GcPolicy {
 /// devices too small for that lead. In the flush path GC stalls the
 /// submitting write: its victim passes are put on the dies together
 /// and the write waits for the latest erase. A multi-queue [`crate::Device`] can
-/// instead defer the work: victims are selected at the same
-/// watermarks, but their migration is emitted as background commands
-/// that compete for dies through the device's arbiter, and host writes
+/// instead defer the work: it collects between the same watermarks,
+/// by the same victim rule, but each pass is a background command that
+/// competes for dies through the device's arbiter, and host writes
 /// block only when free blocks fall to the hard floor, 2 % of all
 /// blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -53,8 +53,9 @@ pub enum GcMode {
     /// overlap, and the host waits once, for the latest erase: no
     /// later host read queues behind the collection.
     Synchronous,
-    /// Only select victims at the watermark; migration runs as
-    /// background device traffic ([`crate::Command::GcMigrate`]).
+    /// Collect between the same watermarks, one pass per background
+    /// device command ([`crate::Command::GcMigrate`]), each taking the
+    /// block the synchronous rule picks when it dispatches.
     Background,
 }
 

@@ -2,7 +2,8 @@
 //!
 //! [`Device`] replaces the single-FIFO engine of earlier revisions: it
 //! owns N host submission queues (one per tenant/stream) plus an
-//! internal queue of background GC migrations, and an [`Arbiter`]
+//! internal source of background work (GC migrations, translation-log
+//! ops, compaction sweeps), and an [`Arbiter`]
 //! decides, command by command, which queue the controller serves
 //! next. Every operation — host reads and writes, buffer flushes, GC
 //! page migrations — is a [`Command`] flowing through the same per-die
@@ -50,13 +51,16 @@
 //! die timelines exactly as background migrations are chained, and
 //! holds the dispatching command once, until the latest erase; the two
 //! modes differ in who dispatches the passes and whether a host
-//! command waits for them. In [`GcMode::Background`] the flushes it dispatches stop
-//! collecting at the watermark. Instead the device selects victims by
-//! the synchronous collector's rule (free fraction below the low
-//! watermark, refilled to the high one: 3 % and 5 % of all blocks on a
-//! full-size device of at least 1 GiB, a free reserve one flush needs
-//! plus a flush of lead) but queues them as [`Command::GcMigrate`]
-//! traffic that the arbiter schedules like any other queue. Host writes
+//! command waits for them. In [`GcMode::Background`] the flushes it
+//! dispatches stop collecting at the watermark. Instead the device
+//! collects by the synchronous collector's rule — it starts when the
+//! free fraction falls below the low watermark and stops once it is
+//! back at the high one (3 % and 5 % of all blocks on a full-size
+//! device of at least 1 GiB, a free reserve one flush needs plus a
+//! flush of lead) — one [`Command::GcMigrate`] at a time, as traffic
+//! that the arbiter schedules like any other queue. Each migration
+//! takes the block the synchronous collector would pick when the
+//! migration dispatches; nothing is selected ahead. Host writes
 //! are back-pressured only at the hard floor, 2 % of all blocks: a
 //! write or flush about to dispatch while the *settled* free fraction —
 //! reclaimed blocks whose erase has actually landed — sits below the
@@ -128,7 +132,7 @@ use crate::request::{Command, IoCompletion, IoRequest};
 use crate::ssd::{FlushModes, Ssd};
 use crate::trace::ArgValue;
 use leaftl_core::{MappingScheme, ShardPressure};
-use leaftl_flash::{BlockId, Lpa};
+use leaftl_flash::Lpa;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -394,19 +398,6 @@ impl ClassIndex {
     }
 }
 
-/// A selected-but-not-dispatched background migration.
-#[derive(Debug, Clone, Copy)]
-struct PendingMigration {
-    victim: BlockId,
-    /// Erase count at selection — a mismatch at dispatch means the
-    /// block was reclaimed (and possibly refilled) in the meantime.
-    selected_erase_count: u32,
-    /// Projected net reclaim in blocks: the victim frees one block but
-    /// its live pages consume GC-stream space, so a block with `v`
-    /// valid pages nets `(pages_per_block − v) / pages_per_block`.
-    net_blocks: f64,
-}
-
 /// The multi-queue device front-end over a borrowed [`Ssd`].
 ///
 /// Run the backlog down with [`Device::drain`] before letting the
@@ -425,18 +416,10 @@ pub struct Device<'a, S: MappingScheme + Clone> {
     queue_depth: usize,
     arbiter: Box<dyn Arbiter>,
     next_id: u64,
-    /// Pending background migrations (victims selected, not yet
-    /// dispatched), stamped with the victim's erase count at selection
-    /// (so a block reclaimed in the meantime no-ops at dispatch) and
-    /// its projected net reclaim in block fractions. The SSD's victim
-    /// index withholds exactly these blocks from further selection
-    /// ([`Ssd::queue_gc_victim`] / [`Ssd::release_gc_victim`]).
-    gc_pending: VecDeque<PendingMigration>,
-    /// Sum of the pending migrations' net reclaim, in blocks — the
-    /// replenishment projection.
-    gc_pending_net_blocks: f64,
-    /// Most migrations `gc_pending` has held at once.
-    gc_pending_peak: usize,
+    /// Whether background GC is collecting: set when the free fraction
+    /// falls below the low watermark, cleared once it is back at the
+    /// high one ([`Device::gc_ready`]).
+    gc_collecting: bool,
     /// Host commands pending across all queues.
     host_pending: usize,
     /// Queue heads that had not arrived by the last observing
@@ -548,9 +531,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             queue_depth: config.queue_depth,
             arbiter,
             next_id: 0,
-            gc_pending: VecDeque::new(),
-            gc_pending_net_blocks: 0.0,
-            gc_pending_peak: 0,
+            gc_collecting: false,
             host_pending: 0,
             future_heads: BinaryHeap::new(),
             classes: HeadClass::ALL.map(|_| ClassIndex::new(config.queues)),
@@ -599,12 +580,6 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     /// Background migrations dispatched so far.
     pub fn gc_dispatched(&self) -> u64 {
         self.gc_dispatched
-    }
-
-    /// Most background migrations queued at once so far: from two up, a
-    /// victim was selected while an earlier one still waited.
-    pub fn gc_pending_peak(&self) -> usize {
-        self.gc_pending_peak
     }
 
     /// Virtual nanoseconds host writes spent blocked at the hard floor
@@ -674,7 +649,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
 
     /// Simulates the power failing at the cut point: consumes the
     /// device, discarding everything still queued in its DRAM (pending
-    /// host commands, selected victims, queued log ops) without the
+    /// host commands, queued compaction sweeps and log ops) without the
     /// drop-time undrained assert. Flash state survives on the
     /// borrowed SSD — follow with [`Ssd::crash_and_recover`].
     pub fn power_cut(mut self) {
@@ -785,7 +760,9 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     }
 
     /// Dispatches everything still pending — host commands through the
-    /// arbiter, queued migrations as trailing background work — waits
+    /// arbiter; then, while background GC is collecting, migrations as
+    /// trailing background work, until the free fraction is back at
+    /// the high watermark or nothing is left to collect — waits
     /// for every in-flight host command (advancing the clock to the
     /// last completion), and returns all unretired completions ordered
     /// by completion time. Background migrations appear as
@@ -822,53 +799,27 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         }
     }
 
-    /// Tops the background-GC queue up: below the low watermark,
-    /// victims are selected (exactly as the synchronous collector
-    /// would, minus already-queued ones) until the queued reclaims
-    /// project the free fraction back to the high watermark. Runs on
-    /// every dispatch, also while the device sits below the watermark
-    /// with nothing collectible: selection answers from the SSD's
-    /// victim index, where queued victims are withheld and "no
-    /// candidate" is one comparison, so there is no scan to ration.
-    fn replenish_gc(&mut self) {
+    /// Background GC's start and stop rule, the synchronous
+    /// collector's: collection starts when the free fraction falls
+    /// below the low watermark and stops once it is back at the high
+    /// one. Returns whether a migration may dispatch now: collection
+    /// is on and the SSD's victim index holds a candidate (one
+    /// comparison at its root), so a device sitting below the line
+    /// with nothing collectible offers the arbiter nothing. Runs at
+    /// every pump iteration; each migration picks its victim when it
+    /// dispatches ([`Device::dispatch_gc`]).
+    fn gc_ready(&mut self) -> bool {
         if self.modes.gc != GcMode::Background {
-            return;
+            return false;
         }
         let lines = self.ssd.gc_watermarks();
-        let geometry = self.ssd.config().geometry;
-        let blocks = geometry.blocks as f64;
         let free = self.ssd.free_fraction();
-        let projected = |pending_net: f64| free + pending_net / blocks;
-        if projected(self.gc_pending_net_blocks) >= lines.low {
-            return;
+        if free < lines.low {
+            self.gc_collecting = true;
+        } else if free >= lines.high {
+            self.gc_collecting = false;
         }
-        while projected(self.gc_pending_net_blocks) < lines.high {
-            let Some(victim) = self.ssd.queue_gc_victim() else {
-                return;
-            };
-            // Project the *net* reclaim: the freed block minus the
-            // GC-stream pages its live data will consume. (Greedy
-            // victims always have at least one stale page, so the net
-            // is positive and the loop terminates.)
-            let valid = self.ssd.gc_valid_count(victim) as f64;
-            let net_blocks = ((geometry.pages_per_block as f64 - valid)
-                / geometry.pages_per_block as f64)
-                .max(1.0 / geometry.pages_per_block as f64);
-            self.gc_pending_net_blocks += net_blocks;
-            let now = self.ssd.now_ns();
-            self.ssd.tracer_mut().control_instant("gc_select", now, || {
-                vec![
-                    ("victim", ArgValue::U64(victim.raw())),
-                    ("net_blocks", ArgValue::F64(net_blocks)),
-                ]
-            });
-            self.gc_pending.push_back(PendingMigration {
-                victim,
-                selected_erase_count: self.ssd.erase_count(victim),
-                net_blocks,
-            });
-            self.gc_pending_peak = self.gc_pending_peak.max(self.gc_pending.len());
-        }
+        self.gc_collecting && self.ssd.has_gc_candidate()
     }
 
     /// Tops the background-compaction queue up: every translation
@@ -941,30 +892,22 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         Ok(Some(deadline))
     }
 
-    /// Dispatches the next queued migration as a
-    /// [`Command::GcMigrate`]; returns its completion deadline (or
-    /// `None` when the queue is empty). The migration retires as an
+    /// Dispatches one GC pass as a [`Command::GcMigrate`] while
+    /// background GC is collecting: its victim is the block the
+    /// synchronous collector would pick now. Returns the erase's
+    /// completion deadline, or `None` when collection is off or
+    /// nothing is collectible. The migration retires as an
     /// [`IoCompletion`] on the [`GC_QUEUE`], so replay reports and
     /// tests can observe background traffic alongside host commands.
     fn dispatch_gc(&mut self) -> Result<Option<u64>, SimError> {
-        let victim = loop {
-            let Some(pending) = self.gc_pending.pop_front() else {
-                return Ok(None);
-            };
-            self.ssd.release_gc_victim(pending.victim);
-            self.gc_pending_net_blocks = (self.gc_pending_net_blocks - pending.net_blocks).max(0.0);
-            // A changed erase count means the victim was reclaimed (by
-            // the emergency synchronous fallback) since selection —
-            // even if since reallocated, refilled with fresh live data
-            // and closed again, that data does not need to move. Skip
-            // it silently rather than recording a no-op migration in
-            // gc_dispatched and the completion log.
-            if self.ssd.erase_count(pending.victim) == pending.selected_erase_count {
-                break pending.victim;
-            }
+        if !self.gc_collecting {
+            return Ok(None);
+        }
+        let Some(victim) = self.ssd.select_gc_victim() else {
+            return Ok(None);
         };
         let dispatch_ns = self.ssd.now_ns();
-        let deadline = self.ssd.service_gc_migrate(victim)?;
+        let deadline = self.ssd.gc_pass(victim)?;
         self.gc_inflight.push(Reverse(deadline));
         self.gc_busy_until = self.gc_busy_until.max(deadline);
         self.gc_dispatched += 1;
@@ -1076,7 +1019,6 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
                 }
                 continue;
             }
-            self.replenish_gc();
             if self.dispatch_gc()?.is_none() {
                 // Nothing collectible: the flush path's emergency
                 // synchronous fallback is the last line of defence.
@@ -1285,11 +1227,11 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
                 return Ok(());
             }
             self.retire_due();
-            self.replenish_gc();
+            let gc_ready = self.gc_ready();
             self.replenish_compaction();
             self.qos_tick_if_due();
             if self.host_pending == 0
-                && self.gc_pending.is_empty()
+                && !gc_ready
                 && self.compact_pending.is_empty()
                 && self.ssd.maplog_pending() == 0
             {
@@ -1298,20 +1240,16 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
 
             let now = self.ssd.now_ns();
             // Host commands are dispatchable when arrived, admitted and
-            // a depth slot is free; GC is always dispatchable.
+            // a depth slot is free; a migration whenever GC is ready.
             let host_blocked = self.inflight.len() >= self.queue_depth;
-            // GC pacing: with a controller active, queued migrations
-            // are invisible to the arbiter while the concurrency limit
-            // is reached — the backlog trickles out as erases land
-            // instead of monopolising every die in one mega-round.
-            let gc_throttled = self.qos.as_ref().is_some_and(|qos| {
-                qos.gc_pacing_limit() > 0 && self.gc_inflight.len() >= qos.gc_pacing_limit()
-            }) && !self.gc_pending.is_empty();
-            let gc_dispatchable = if gc_throttled {
-                0
-            } else {
-                self.gc_pending.len()
-            };
+            // GC pacing: with a controller active, migrations are
+            // invisible to the arbiter while the concurrency limit is
+            // reached — collection trickles out as erases land instead
+            // of monopolising every die in one mega-round.
+            let gc_throttled = gc_ready
+                && self.qos.as_ref().is_some_and(|qos| {
+                    qos.gc_pacing_limit() > 0 && self.gc_inflight.len() >= qos.gc_pacing_limit()
+                });
             let deferred_any = !host_blocked && self.observe_hosts(now);
             let classes = self.classes.each_ref().map(|class| AdmissionClass {
                 arrived: &class.arrived,
@@ -1319,7 +1257,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             });
             let view = ArbiterView {
                 classes: &classes,
-                background_pending: gc_dispatchable
+                background_pending: usize::from(gc_ready && !gc_throttled)
                     + self.compact_pending.len()
                     + self.ssd.maplog_pending(),
             };
@@ -1378,8 +1316,8 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
                 Source::Gc => {
                     // The internal background source: space reclamation
                     // first (it guards correctness, but respects the
-                    // pacing limit), then translation-log durability,
-                    // then compaction.
+                    // pacing limit, and runs only while collecting),
+                    // then translation-log durability, then compaction.
                     if (gc_throttled || self.dispatch_gc()?.is_none())
                         && self.dispatch_maplog()?.is_none()
                     {
@@ -1543,8 +1481,6 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
 
 impl<S: MappingScheme + Clone> Drop for Device<'_, S> {
     fn drop(&mut self) {
-        // Selected-but-undispatched victims die with the queue.
-        self.ssd.release_gc_victims();
         // Dropping undrained host commands silently discards work the
         // caller submitted — a bug in the caller. Internal GC/compact
         // backlog is regenerable and exempt; so are devices whose last
@@ -1562,9 +1498,10 @@ impl<S: MappingScheme + Clone> Drop for Device<'_, S> {
 mod tests {
     use super::*;
     use crate::arbiter::{HostPriority, Weighted};
-    use crate::config::SsdConfig;
+    use crate::config::{CheckpointMode, SsdConfig};
+    use crate::request::IoKind;
     use leaftl_core::ExactPageMap;
-    use leaftl_flash::Lpa;
+    use leaftl_flash::{BlockId, Lpa};
 
     fn ssd() -> Ssd<ExactPageMap> {
         Ssd::new(SsdConfig::small_test(), ExactPageMap::new())
@@ -1865,6 +1802,196 @@ mod tests {
             device.gc_stall_ns() > 0,
             "a write-saturated device must eventually hit the floor"
         );
+    }
+
+    /// A small-test device (64 blocks of 32 pages, one block per flush;
+    /// GC starts below 3 free blocks and stops at 5) filled once in LPA
+    /// order, then with its even LPAs overwritten from 0 up until one
+    /// more flush crosses the low line: 18 blocks hold 16 valid pages,
+    /// every other closed data block all 32 (under `FlashLog` the log
+    /// holds blocks of its own), and no block was ever erased.
+    fn aged_to_the_low_line(mode: CheckpointMode) -> Ssd<ExactPageMap> {
+        let mut config = SsdConfig::small_test();
+        config.checkpoint_mode = mode;
+        let mut ssd = Ssd::new(config, ExactPageMap::new());
+        let logical = ssd.config().logical_pages();
+        for lpa in 0..logical {
+            ssd.write(Lpa::new(lpa), lpa).unwrap();
+        }
+        ssd.flush().unwrap();
+        let block = 1.0 / ssd.config().geometry.blocks as f64;
+        let mut even = (0..logical).step_by(2);
+        while ssd.free_fraction() - block >= ssd.gc_watermarks().low {
+            for lpa in even.by_ref().take(32) {
+                ssd.write(Lpa::new(lpa), lpa + 1).unwrap();
+            }
+        }
+        assert!(ssd.free_fraction() >= ssd.gc_watermarks().low);
+        assert_eq!(ssd.stats().flash.erases, 0);
+        ssd
+    }
+
+    /// Dispatches one command and returns its completion, or `None`
+    /// once nothing is pending.
+    fn step<S: MappingScheme + Clone>(device: &mut Device<'_, S>) -> Option<IoCompletion> {
+        device.halt_after_dispatches(1);
+        let mut completions = device.drain().unwrap();
+        assert!(completions.len() <= 1, "{completions:?}");
+        completions.pop()
+    }
+
+    /// Steps `device` until nothing is pending, checking every dispatch
+    /// against the collector's rule: collection starts when the free
+    /// fraction falls below the low line and stops once it is back at
+    /// the high one, a migration dispatches only while collecting, and
+    /// the background source serves a log op or a compaction sweep
+    /// only while not (the devices here always hold a collectable
+    /// block and pace no migration). Returns the dispatched kinds in
+    /// order.
+    fn run_checking_the_rule<S: MappingScheme + Clone>(device: &mut Device<'_, S>) -> Vec<IoKind> {
+        let lines = device.ssd().gc_watermarks();
+        let mut collecting = false;
+        let mut kinds = Vec::new();
+        loop {
+            let free = device.ssd().free_fraction();
+            if free < lines.low {
+                collecting = true;
+            } else if free >= lines.high {
+                collecting = false;
+            }
+            let Some(completion) = step(device) else {
+                break;
+            };
+            let kind = completion.kind();
+            match kind {
+                IoKind::GcMigrate => assert!(
+                    collecting,
+                    "migration {} dispatched at free fraction {free} after collection stopped",
+                    kinds.len()
+                ),
+                IoKind::MapLog | IoKind::Compact => assert!(
+                    !collecting,
+                    "{kind:?} {} took the background turn at free fraction {free} while collecting",
+                    kinds.len()
+                ),
+                IoKind::Read | IoKind::Write | IoKind::Flush => {}
+            }
+            kinds.push(kind);
+        }
+        device.halt_after_dispatches(u64::MAX);
+        kinds
+    }
+
+    /// Each migration takes the block that is emptiest when it
+    /// dispatches: a block that was fully valid when the device crossed
+    /// the low line, and was overwritten whole before the first
+    /// migration ran, is that migration's victim.
+    #[test]
+    fn a_migration_takes_the_block_that_is_emptiest_when_it_dispatches() {
+        let mut ssd = aged_to_the_low_line(CheckpointMode::DramSnapshot);
+        let blocks = ssd.config().geometry.blocks;
+        let holds = |ssd: &Ssd<ExactPageMap>, lpa: u64| {
+            (0..blocks).map(BlockId::new).find(|&block| {
+                ssd.device()
+                    .scan_block(block)
+                    .any(|(_, owner, _)| owner == Some(Lpa::new(lpa)))
+            })
+        };
+        // LPA 1000 was written once: its block is closed and fully valid.
+        let emptied = holds(&ssd, 1000).unwrap();
+        let lpas: Vec<u64> = ssd
+            .device()
+            .scan_block(emptied)
+            .map(|(_, owner, _)| owner.unwrap().raw())
+            .collect();
+        assert_eq!(lpas.len(), 32);
+        {
+            // Host commands first: the flush that crosses the low line,
+            // 32 odd LPAs of the blocks after the overwritten ones, and
+            // then the whole of `emptied`, before any migration.
+            let mut device = Device::new(
+                &mut ssd,
+                DeviceConfig::single(256)
+                    .background_gc()
+                    .with_arbiter(Box::new(HostPriority::new())),
+            );
+            for lpa in (577..).step_by(2).take(32).chain(lpas.iter().copied()) {
+                device
+                    .enqueue_to(0, IoRequest::write(Lpa::new(lpa), 7))
+                    .unwrap();
+            }
+            let first = device
+                .drain()
+                .unwrap()
+                .into_iter()
+                .filter(|completion| completion.kind() == IoKind::GcMigrate)
+                .min_by_key(|completion| completion.id)
+                .unwrap();
+            assert_eq!(first.command, Command::GcMigrate { victim: emptied });
+        }
+        assert_eq!(ssd.check_invariants(), Vec::<String>::new());
+    }
+
+    /// Migrations dispatch only after the free fraction drops below the
+    /// low line, and run until it is back at the high one: a device
+    /// sitting on the low line with collectable blocks migrates
+    /// nothing, and one flush below it collects to the high line.
+    #[test]
+    fn background_gc_starts_below_the_low_line_and_stops_at_the_high_one() {
+        let mut ssd = aged_to_the_low_line(CheckpointMode::DramSnapshot);
+        let lines = ssd.gc_watermarks();
+        let mut device = Device::new(&mut ssd, DeviceConfig::single(8).background_gc());
+        // 31 writes fill the buffer short of a flush: on the line, not
+        // below it.
+        for lpa in (577..).step_by(2).take(31) {
+            device
+                .enqueue_to(0, IoRequest::write(Lpa::new(lpa), 7))
+                .unwrap();
+        }
+        let kinds = run_checking_the_rule(&mut device);
+        assert_eq!(kinds, [IoKind::Write; 31]);
+        assert!(device.ssd().free_fraction() < lines.high);
+        // The 32nd flushes one block and crosses the line.
+        device
+            .enqueue_to(0, IoRequest::write(Lpa::new(639), 7))
+            .unwrap();
+        let kinds = run_checking_the_rule(&mut device);
+        let migrations = kinds
+            .iter()
+            .filter(|&&kind| kind == IoKind::GcMigrate)
+            .count();
+        assert!(migrations >= 2, "{kinds:?}");
+        assert_eq!(migrations as u64, device.gc_dispatched());
+        let free = device.ssd().free_fraction();
+        assert!(
+            free >= lines.high,
+            "collection stopped at {free}, below {}",
+            lines.high
+        );
+    }
+
+    /// With collection off, the background source's turns go to the
+    /// translation log and no migration rides along: under `FlashLog`
+    /// every migration journals a delta, so log ops are pending when
+    /// collection stops, and the log's own programs may take the free
+    /// fraction back under the high line (but not the low one) while
+    /// collectable blocks remain.
+    #[test]
+    fn log_ops_with_collection_off_dispatch_no_migration() {
+        let mut ssd = aged_to_the_low_line(CheckpointMode::FlashLog);
+        let mut device = Device::new(&mut ssd, DeviceConfig::single(8).background_gc());
+        for lpa in (577..).step_by(2).take(96) {
+            device
+                .enqueue_to(0, IoRequest::write(Lpa::new(lpa), 7))
+                .unwrap();
+        }
+        let kinds = run_checking_the_rule(&mut device);
+        let last_migration = kinds.iter().rposition(|&kind| kind == IoKind::GcMigrate);
+        let log_ops_after = kinds[last_migration.unwrap()..]
+            .iter()
+            .filter(|&&kind| kind == IoKind::MapLog)
+            .count();
+        assert!(log_ops_after >= 1, "{kinds:?}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! * [`VictimIndex`] — which block would the §3.6 collector pick? A
 //!   tournament tree over block ids holds each block's valid-page count
 //!   if the block is a candidate (closed, programmed, not owned by the
-//!   translation log, not already queued) and [`NOT_A_CANDIDATE`]
+//!   translation log) and [`NOT_A_CANDIDATE`]
 //!   otherwise; every inner node holds the minimum below it and ties go
 //!   left, so the root answers "fewest valid pages, lowest block id" —
 //!   exactly what a scan of the blocks in id order picks. Whoever
@@ -51,11 +51,6 @@ pub(crate) struct VictimIndex {
     /// `dirty_list`.
     dirty: Vec<bool>,
     dirty_list: Vec<BlockId>,
-    /// Blocks the device front-end has queued for migration: their
-    /// leaves read [`NOT_A_CANDIDATE`] until released, so a queued
-    /// victim is not picked again. Each is listed once in `held_list`.
-    held: Vec<bool>,
-    held_list: Vec<BlockId>,
     /// Keys each refresh round re-read, oldest first: a round is the
     /// [`VictimIndex::pop_dirty`] calls up to the one that finds the
     /// list empty. Unit tests bound selection's work with it.
@@ -74,8 +69,6 @@ impl VictimIndex {
             leaves,
             dirty: vec![false; blocks],
             dirty_list: Vec::new(),
-            held: vec![false; blocks],
-            held_list: Vec::new(),
             #[cfg(test)]
             rereads: Vec::new(),
             #[cfg(test)]
@@ -83,8 +76,7 @@ impl VictimIndex {
         }
     }
 
-    /// An index over `blocks` blocks keyed by `key_of`: nothing held,
-    /// nothing dirty.
+    /// An index over `blocks` blocks keyed by `key_of`, nothing dirty.
     pub fn from_keys(blocks: usize, key_of: impl Fn(BlockId) -> u32) -> Self {
         let mut index = VictimIndex::new(blocks);
         for raw in 0..blocks {
@@ -118,49 +110,10 @@ impl VictimIndex {
         block
     }
 
-    /// Stores `block`'s recomputed key and clears its dirty mark. A
-    /// held block keeps reading [`NOT_A_CANDIDATE`].
+    /// Stores `block`'s recomputed key and clears its dirty mark.
     pub fn refresh(&mut self, block: BlockId, key: u32) {
         let raw = block.raw() as usize;
         self.dirty[raw] = false;
-        let key = if self.held[raw] { NOT_A_CANDIDATE } else { key };
-        self.set_leaf(raw, key);
-    }
-
-    /// Withholds `block` from selection until released.
-    pub fn hold(&mut self, block: BlockId) {
-        let raw = block.raw() as usize;
-        if !self.held[raw] {
-            self.held[raw] = true;
-            self.held_list.push(block);
-            self.set_leaf(raw, NOT_A_CANDIDATE);
-        }
-    }
-
-    /// Returns a held block to selection (its key is recomputed at the
-    /// next refresh round).
-    pub fn release(&mut self, block: BlockId) {
-        let raw = block.raw() as usize;
-        if self.held[raw] {
-            self.held[raw] = false;
-            self.held_list.retain(|&held| held != block);
-            self.touch(block);
-        }
-    }
-
-    /// Releases every held block.
-    pub fn release_all(&mut self) {
-        while let Some(&block) = self.held_list.last() {
-            self.release(block);
-        }
-    }
-
-    /// The blocks currently held.
-    pub fn held(&self) -> &[BlockId] {
-        &self.held_list
-    }
-
-    fn set_leaf(&mut self, raw: usize, key: u32) {
         let mut node = self.leaves + raw;
         if self.tree[node] == key {
             return;
@@ -176,22 +129,15 @@ impl VictimIndex {
         }
     }
 
-    /// The candidate with the smallest key below `limit`, lowest block
-    /// id first among equals, as `(key, block)`; `except` is passed
-    /// over.
-    pub fn first_below(&mut self, limit: u32, except: Option<BlockId>) -> Option<(u32, BlockId)> {
-        let Some(except) = except else {
-            return self.first_below_limit(limit);
-        };
-        let raw = except.raw() as usize;
-        let key = self.tree[self.leaves + raw];
-        self.set_leaf(raw, NOT_A_CANDIDATE);
-        let first = self.first_below_limit(limit);
-        self.set_leaf(raw, key);
-        first
+    /// Whether some candidate's key is below `limit`: one read of the
+    /// root.
+    pub fn any_below(&self, limit: u32) -> bool {
+        self.tree[1] < limit
     }
 
-    fn first_below_limit(&self, limit: u32) -> Option<(u32, BlockId)> {
+    /// The candidate with the smallest key below `limit`, lowest block
+    /// id first among equals, as `(key, block)`.
+    pub fn first_below(&self, limit: u32) -> Option<(u32, BlockId)> {
         let key = self.tree[1];
         if key >= limit {
             return None;
@@ -226,15 +172,15 @@ impl VictimIndex {
     }
 
     /// Checks the index against `key_of`, the key each block should
-    /// have: clean leaves hold it (held ones [`NOT_A_CANDIDATE`]),
-    /// inner nodes the minimum of their children, and the dirty and
-    /// held flags match their lists. One line per disagreement.
+    /// have: clean leaves hold it, inner nodes the minimum of their
+    /// children, and the dirty flags match their list. One line per
+    /// disagreement.
     pub fn check(&self, key_of: impl Fn(BlockId) -> u32) -> Vec<String> {
         let mut violations = Vec::new();
-        for (raw, (&dirty, &held)) in self.dirty.iter().zip(&self.held).enumerate() {
+        for (raw, &dirty) in self.dirty.iter().enumerate() {
             let block = BlockId::new(raw as u64);
             let leaf = self.tree[self.leaves + raw];
-            let expected = if held { NOT_A_CANDIDATE } else { key_of(block) };
+            let expected = key_of(block);
             if !dirty && leaf != expected {
                 violations.push(format!(
                     "block {raw}: clean leaf holds {leaf}, the device says {expected}"
@@ -243,16 +189,11 @@ impl VictimIndex {
             if dirty != self.dirty_list.contains(&block) {
                 violations.push(format!("block {raw}: dirty flag and list disagree"));
             }
-            if held != self.held_list.contains(&block) {
-                violations.push(format!("block {raw}: held flag and list disagree"));
-            }
         }
-        for list in [&self.dirty_list, &self.held_list] {
-            let mut sorted = list.clone();
-            sorted.sort_unstable();
-            if sorted.windows(2).any(|pair| pair[0] == pair[1]) {
-                violations.push("a block is listed twice".to_string());
-            }
+        let mut sorted = self.dirty_list.clone();
+        sorted.sort_unstable();
+        if sorted.windows(2).any(|pair| pair[0] == pair[1]) {
+            violations.push("a block is listed twice".to_string());
         }
         for node in 1..self.leaves {
             if self.tree[node] != self.tree[2 * node].min(self.tree[2 * node + 1]) {
@@ -322,12 +263,11 @@ mod tests {
     fn root_is_fewest_valid_then_lowest_id() {
         // Ten blocks: not a power of two, so padding leaves exist.
         let keys = [7, 3, NOT_A_CANDIDATE, 3, 9, 32, 3, 5, 1, 1];
-        let mut index = VictimIndex::from_keys(keys.len(), |b| keys[b.raw() as usize]);
-        assert_eq!(index.first_below(32, None), Some((1, block(8))));
-        assert_eq!(index.first_below(32, Some(block(8))), Some((1, block(9))));
-        // The exception is restored afterwards.
-        assert_eq!(index.first_below(32, None), Some((1, block(8))));
-        assert_eq!(index.first_below(1, None), None);
+        let index = VictimIndex::from_keys(keys.len(), |b| keys[b.raw() as usize]);
+        assert_eq!(index.first_below(32), Some((1, block(8))));
+        assert!(index.any_below(32) && index.any_below(2));
+        assert_eq!(index.first_below(1), None);
+        assert!(!index.any_below(1));
         let mut seen = Vec::new();
         index.for_each_below(32, &mut |b, key| seen.push((b.raw(), key)));
         let expected: Vec<(u64, u32)> = keys
@@ -349,36 +289,12 @@ mod tests {
         index.touch(block(5));
         // Not yet refreshed: the tree still answers from the old key,
         // and the check tolerates exactly the marked block.
-        assert_eq!(index.first_below(32, None), Some((4, block(0))));
+        assert_eq!(index.first_below(32), Some((4, block(0))));
         assert!(index.check(|b| keys[b.raw() as usize]).is_empty());
         assert_eq!(index.pop_dirty(), Some(block(5)));
         assert_eq!(index.pop_dirty(), None);
         index.refresh(block(5), 2);
-        assert_eq!(index.first_below(32, None), Some((2, block(5))));
-        assert!(index.check(|b| keys[b.raw() as usize]).is_empty());
-    }
-
-    #[test]
-    fn held_blocks_are_passed_over_until_released() {
-        let keys = [5u32, 2, 2, 8];
-        let mut index = VictimIndex::from_keys(keys.len(), |b| keys[b.raw() as usize]);
-        index.hold(block(1));
-        index.hold(block(1));
-        assert_eq!(index.held(), &[block(1)]);
-        assert_eq!(index.first_below(32, None), Some((2, block(2))));
-        // A refresh does not bring a held block back.
-        index.touch(block(1));
-        let dirty = index.pop_dirty().unwrap();
-        index.refresh(dirty, 2);
-        assert_eq!(index.first_below(32, None), Some((2, block(2))));
-        index.hold(block(2));
-        assert_eq!(index.first_below(32, None), Some((5, block(0))));
-        index.release_all();
-        assert!(index.held().is_empty());
-        while let Some(dirty) = index.pop_dirty() {
-            index.refresh(dirty, keys[dirty.raw() as usize]);
-        }
-        assert_eq!(index.first_below(32, None), Some((2, block(1))));
+        assert_eq!(index.first_below(32), Some((2, block(5))));
         assert!(index.check(|b| keys[b.raw() as usize]).is_empty());
     }
 

@@ -112,8 +112,8 @@ pub struct QosControllerConfig {
     pub guaranteed_slot_reserve: u32,
     /// GC pacing: maximum concurrent in-flight background migrations
     /// while the controller is active (`0` disables pacing). Without
-    /// it, a watermark refill dispatches its whole victim backlog
-    /// back-to-back, occupying every die for the better part of a
+    /// it, a collection dispatches its migrations back-to-back from
+    /// the low line to the high one, occupying every die for the better part of a
     /// second — a "mega-round" during which any guaranteed read lands
     /// behind the round on its die and inherits hundreds of
     /// milliseconds of service time no arbitration weight can remove.

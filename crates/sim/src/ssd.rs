@@ -1161,7 +1161,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         if pages.is_empty() {
             return Ok(());
         }
-        self.ensure_allocatable(pages.len() as u32, Stream::Host, None)?;
+        self.ensure_allocatable(pages.len() as u32, Stream::Host)?;
         let runs = self
             .allocate(Stream::Host, pages.len() as u32)
             .ok_or(SimError::DeviceFull)?;
@@ -1281,15 +1281,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         Ok((batches, done))
     }
 
-    /// Collects until `stream` can take `pages` pages, never picking
-    /// `except` (see [`Ssd::collect_while`]).
-    fn ensure_allocatable(
-        &mut self,
-        pages: u32,
-        stream: Stream,
-        except: Option<BlockId>,
-    ) -> Result<(), SimError> {
-        if self.collect_while(except, |ssd| !ssd.allocator.can_allocate(stream, pages))? {
+    /// Collects until `stream` can take `pages` pages.
+    fn ensure_allocatable(&mut self, pages: u32, stream: Stream) -> Result<(), SimError> {
+        if self.collect_while(|ssd| !ssd.allocator.can_allocate(stream, pages))? {
             Ok(())
         } else {
             Err(SimError::DeviceFull)
@@ -1361,19 +1355,16 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     fn maybe_gc(&mut self) -> Result<(), SimError> {
         let lines = self.gc_lines;
         if self.allocator.free_fraction() < lines.low {
-            self.collect_while(None, |ssd| ssd.allocator.free_fraction() < lines.high)?;
+            self.collect_while(|ssd| ssd.allocator.free_fraction() < lines.high)?;
         }
         Ok(())
     }
 
     /// Runs synchronous GC passes while `wanted` holds, giving up when
     /// nothing is left to collect or after one pass per block. Returns
-    /// whether `wanted` was satisfied. `except` is a victim to skip —
-    /// the in-flight background migration must never be re-collected
-    /// mid-service. Victims the device front-end has queued are fair
-    /// game: a collection the flush path is forced into takes the best
-    /// block there is, and the queued migration finds its block
-    /// recycled.
+    /// whether `wanted` was satisfied. Each pass takes the best block
+    /// there is when it runs ([`Ssd::select_gc_victim`]), as a
+    /// background migration does.
     ///
     /// Every pass is put on the die timelines from the collection's
     /// dispatch point ([`Ssd::gc_pass`]), so passes on different dies
@@ -1381,11 +1372,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// at that one time. The host then waits once, for the latest
     /// erase, so no later host read queues behind the collection's
     /// relocations.
-    fn collect_while(
-        &mut self,
-        except: Option<BlockId>,
-        wanted: impl Fn(&Self) -> bool,
-    ) -> Result<bool, SimError> {
+    fn collect_while(&mut self, wanted: impl Fn(&Self) -> bool) -> Result<bool, SimError> {
         let started_ns = self.clock.now_ns();
         let mut done_ns = started_ns;
         let mut passes = 0;
@@ -1393,7 +1380,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             if !wanted(self) {
                 break;
             }
-            let Some(victim) = self.select_gc_victim(true, except) else {
+            let Some(victim) = self.select_gc_victim() else {
                 break;
             };
             done_ns = done_ns.max(self.gc_pass(victim)?);
@@ -1419,27 +1406,13 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         self.allocator.free_fraction()
     }
 
-    /// Picks the next background-GC victim and withholds it from later
-    /// picks until [`Ssd::release_gc_victim`] — the device front-end's
-    /// queue of selected-but-undispatched migrations lives here as
-    /// held blocks, so selecting past them costs nothing and "nothing
-    /// left to collect" is one comparison at the index's root.
-    pub(crate) fn queue_gc_victim(&mut self) -> Option<BlockId> {
-        let victim = self.select_gc_victim(false, None)?;
-        self.gc_index.hold(victim);
-        Some(victim)
-    }
-
-    /// Returns a queued victim to selection (its migration is being
-    /// dispatched, or was dropped as stale).
-    pub(crate) fn release_gc_victim(&mut self, block: BlockId) {
-        self.gc_index.release(block);
-    }
-
-    /// Forgets every queued victim (the device front-end is going
-    /// away, and its queue with it).
-    pub(crate) fn release_gc_victims(&mut self) {
-        self.gc_index.release_all();
+    /// Whether GC has a block to collect: after the marked keys are
+    /// re-read, one comparison at the victim index's root. The device
+    /// front-end asks before it offers a migration to its arbiter.
+    pub(crate) fn has_gc_candidate(&mut self) -> bool {
+        self.refresh_gc_index();
+        self.gc_index
+            .any_below(self.config.geometry.pages_per_block)
     }
 
     /// A block's key in the victim index: its valid-page count if GC
@@ -1472,46 +1445,26 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// fewest valid pages (min-BVC), lowest block id among equals.
     /// Cost-benefit: the best age × (1 − u) / (1 + u) score, lowest
     /// block id among equals. Fully valid blocks reclaim nothing and
-    /// are never picked; nor is `except`; nor, unless `include_held`,
-    /// the victims the device front-end has queued.
+    /// are never picked. Both collectors call it once per pass, when
+    /// the pass runs.
     ///
     /// Answered from the victim index, not a scan: blocks are marked
     /// where their key changes — valid count ([`Ssd::invalidate`],
     /// [`Ssd::mark_valid`], [`Ssd::clear_block`]), leaving an open
     /// slot ([`Ssd::allocate`]), erase ([`Ssd::erase_block`]), the
-    /// translation log taking or forgetting a block, queueing and
-    /// release — and only the marked keys are re-read here. Greedy then
+    /// translation log taking or forgetting a block — and only the
+    /// marked keys are re-read here. Greedy then
     /// reads the index's root; cost-benefit scores the index's
     /// candidates. Debug and test builds re-run the block scan beside
     /// every selection and assert it agrees.
-    fn select_gc_victim(&mut self, include_held: bool, except: Option<BlockId>) -> Option<BlockId> {
+    pub(crate) fn select_gc_victim(&mut self) -> Option<BlockId> {
         self.refresh_gc_index();
         let limit = self.config.geometry.pages_per_block;
-        let held: &[BlockId] = if include_held {
-            self.gc_index.held()
-        } else {
-            &[]
-        };
-        // The index reads held blocks as non-candidates; where they
-        // count, their keys are read directly (the queue is short).
-        let held = held
-            .iter()
-            .filter(|&&block| Some(block) != except)
-            .map(|&block| (self.victim_key(block), block))
-            .filter(|&(valid, _)| valid < limit);
         let picked = match self.config.gc_policy {
-            GcPolicy::Greedy => {
-                let held = held.min();
-                let indexed = self.gc_index.first_below(limit, except);
-                let best = [held, indexed].into_iter().flatten().min();
-                best.map(|(_, block)| block)
-            }
+            GcPolicy::Greedy => self.gc_index.first_below(limit).map(|(_, block)| block),
             GcPolicy::CostBenefit => {
                 let mut best: Option<(f64, BlockId)> = None;
                 let mut consider = |block: BlockId, valid: u32| {
-                    if Some(block) == except {
-                        return;
-                    }
                     let score = self.cost_benefit_score(block, valid);
                     if best
                         .is_none_or(|(top, leader)| score > top || (score == top && block < leader))
@@ -1519,7 +1472,6 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                         best = Some((score, block));
                     }
                 };
-                held.for_each(|(valid, block)| consider(block, valid));
                 self.gc_index.for_each_below(limit, &mut consider);
                 best.map(|(_, block)| block)
             }
@@ -1527,7 +1479,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         #[cfg(any(test, debug_assertions))]
         assert_eq!(
             picked,
-            self.scan_gc_victim(include_held, except),
+            self.scan_gc_victim(),
             "victim index disagrees with the block scan"
         );
         picked
@@ -1547,18 +1499,12 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// in id order. Kept as the reference the index is checked against
     /// (beside every selection in debug and test builds, and by
     /// [`Ssd::check_invariants`]).
-    fn scan_gc_candidates(
-        &self,
-        include_held: bool,
-        except: Option<BlockId>,
-    ) -> impl Iterator<Item = (BlockId, u32)> + '_ {
+    fn scan_gc_candidates(&self) -> impl Iterator<Item = (BlockId, u32)> + '_ {
         let limit = self.config.geometry.pages_per_block;
         (0..self.config.geometry.blocks)
             .map(BlockId::new)
             .filter(move |&block| {
                 !(self.allocator.is_open(block)
-                    || Some(block) == except
-                    || !include_held && self.gc_index.held().contains(&block)
                     || self.translog.owns(block)
                     || self.device.block(block).is_erased())
             })
@@ -1569,10 +1515,10 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// The scan's pick: the first candidate in block order that no
     /// other beats.
     #[cfg(any(test, debug_assertions))]
-    fn scan_gc_victim(&self, include_held: bool, except: Option<BlockId>) -> Option<BlockId> {
+    fn scan_gc_victim(&self) -> Option<BlockId> {
         let mut best_greedy: Option<(u32, BlockId)> = None;
         let mut best_cb: Option<(f64, BlockId)> = None;
-        for (block, valid) in self.scan_gc_candidates(include_held, except) {
+        for (block, valid) in self.scan_gc_candidates() {
             match self.config.gc_policy {
                 GcPolicy::Greedy => match best_greedy {
                     Some((min_valid, _)) if min_valid <= valid => {}
@@ -1647,7 +1593,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         let mut indexed = Vec::new();
         let limit = self.config.geometry.pages_per_block;
         index.for_each_below(limit, &mut |block, valid| indexed.push((block, valid)));
-        let scanned: Vec<(BlockId, u32)> = self.scan_gc_candidates(false, None).collect();
+        let scanned: Vec<(BlockId, u32)> = self.scan_gc_candidates().collect();
         if indexed != scanned {
             violations.push(format!(
                 "index candidates {indexed:?}, the scan finds {scanned:?}"
@@ -1776,33 +1722,16 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         Ok(done)
     }
 
-    /// Services a [`crate::Command::GcMigrate`] of `victim`, the
-    /// background collector's pass ([`GcMode::Background`]): state is
-    /// applied at dispatch, flash work is chained on the die timelines
-    /// and the erase's completion time is returned; the host clock
-    /// does not move.
-    ///
-    /// Emergency fallback: if the GC stream cannot take the victim's
-    /// live pages, it first collects synchronously rather than failing
-    /// — excluding this victim, whose pages are still valid and must
-    /// not be migrated twice. The background scheduler normally keeps
-    /// enough headroom for this to be unreachable. A synchronous
-    /// collection's own passes ([`Ssd::gc_pass`]) never fall back:
-    /// recursing inside a collection loop would be unsound, so they
-    /// fail over to [`SimError::DeviceFull`] instead.
-    pub(crate) fn service_gc_migrate(&mut self, victim: BlockId) -> Result<u64, SimError> {
-        let live = self.validity.valid_count(victim);
-        if live > 0 {
-            self.ensure_allocatable(live, Stream::Gc, Some(victim))?;
-        }
-        self.gc_pass(victim)
-    }
-
     /// One GC pass over `victim` (§3.6): migrate its live pages, erase
     /// it, and persist mapping table + BVC (§3.8) if a persistence
     /// point is due (`persistence_point_due`). Returns the erase's
-    /// completion time; the host clock does not move.
-    fn gc_pass(&mut self, victim: BlockId) -> Result<u64, SimError> {
+    /// completion time; the host clock does not move. A synchronous
+    /// collection runs one per victim; the device front-end runs one
+    /// per [`crate::Command::GcMigrate`] in [`GcMode::Background`]. A
+    /// pass whose live pages the GC stream cannot take fails with
+    /// [`SimError::DeviceFull`]: its victim is the best block there is
+    /// when it runs, so under greedy no other pass could make the room.
+    pub(crate) fn gc_pass(&mut self, victim: BlockId) -> Result<u64, SimError> {
         self.stats.gc_runs += 1;
         let done = self.migrate_block(victim, None)?;
         if self.persistence_point_due() {
@@ -1836,18 +1765,6 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             TrafficClass::Compact,
         );
         Ok(done)
-    }
-
-    /// A block's current erase count (the background GC queue stamps
-    /// victims with it to detect staleness at dispatch).
-    pub(crate) fn erase_count(&self, block: BlockId) -> u32 {
-        self.device.block(block).erase_count()
-    }
-
-    /// A block's current valid-page count (the background GC queue's
-    /// net-reclaim projection).
-    pub(crate) fn gc_valid_count(&self, block: BlockId) -> u32 {
-        self.validity.valid_count(block)
     }
 
     // ------------------------------------------------------------------
@@ -2114,7 +2031,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 }
             }
         }
-        self.ensure_allocatable(1, Stream::MapLog, None)
+        self.ensure_allocatable(1, Stream::MapLog)
     }
 
     /// Dispatches the next queued translation-log op: programs one log
@@ -2604,11 +2521,7 @@ mod tests {
         ssd.device.program(ppa, 7, None).unwrap();
         ssd.mark_valid(ppa);
         let victim = ssd.config.geometry.block_of(ppa);
-        // A background migration and a synchronous collection's pass.
-        assert_eq!(
-            ssd.service_gc_migrate(victim),
-            Err(SimError::MissingReverseMapping { ppa })
-        );
+        // One pass, whichever collector runs it.
         assert_eq!(
             ssd.gc_pass(victim),
             Err(SimError::MissingReverseMapping { ppa })
@@ -3151,7 +3064,7 @@ mod tests {
         assert_eq!(open_data, [31]);
         let at_persist: Vec<(u32, u32)> = blocks().map(|block| state(&ssd, block)).collect();
         let mut covered = ssd.device.program_seq();
-        let mut victims = ssd.scan_gc_candidates(true, None).map(|(block, _)| block);
+        let mut victims = ssd.scan_gc_candidates().map(|(block, _)| block);
         let [emptied, taken_over, refilled, cold] = [(); 4].map(|()| victims.next().unwrap());
         drop(victims);
 
@@ -3276,7 +3189,7 @@ mod tests {
         // index still holds its old count, and the check accepts that.
         ssd.refresh_gc_index();
         let (block, valid) = ssd
-            .scan_gc_candidates(true, None)
+            .scan_gc_candidates()
             .find(|&(_, valid)| valid > 0)
             .expect("an aged device has a partly valid closed block");
         let mut live = Vec::new();
@@ -3619,7 +3532,7 @@ mod tests {
         let target = ssd.free_fraction() + 3.0 / blocks;
         let (before, started_ns, runs) = (ssd.sync_gc, ssd.now_ns(), ssd.stats.gc_runs);
         assert!(ssd
-            .collect_while(None, |ssd| ssd.free_fraction() < target)
+            .collect_while(|ssd| ssd.free_fraction() < target)
             .unwrap());
         let passes = ssd.stats.gc_runs - runs;
         assert!(passes >= 3, "{passes}");
@@ -3632,7 +3545,7 @@ mod tests {
             }
         );
         let after = ssd.sync_gc;
-        assert!(ssd.collect_while(None, |_| false).unwrap());
+        assert!(ssd.collect_while(|_| false).unwrap());
         assert_eq!(ssd.sync_gc, after);
         ssd.reset_stats();
         assert_eq!(ssd.sync_gc, SyncGc::default());

@@ -15,8 +15,8 @@
 //!   instead of a solid block of back-to-back migrations,
 //! * each **die** track alternates host reads with migration
 //!   read/program bursts and the occasional long erase,
-//! * the **control** track carries `gc_select`, `qos_tick`, `gc_stall`
-//!   and `admission_gate_close`/`admission_gate_open` instants — one
+//! * the **control** track carries `qos_tick`, `gc_stall` and
+//!   `admission_gate_close`/`admission_gate_open` instants — one
 //!   per admission gate (`gate`: `slot` for the best-effort slot cap,
 //!   `floor` for the slot cap or the GC-floor margin), with the number
 //!   of queue heads behind it (`members`).
@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace = multi_tenant_trace(&tenants, logical, 0x1ea_f71);
 
     // The PR-8 pacing knob: at most one in-flight migration, so the
-    // watermark-refill backlog trickles onto the timeline instead of
+    // collection trickles onto the timeline instead of
     // monopolising every die in one mega-round.
     let ctrl = QosControllerConfig {
         control_interval_ns: 5_000_000,

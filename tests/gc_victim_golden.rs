@@ -102,6 +102,18 @@
 //! 1 222 under the log. The greedy, background and wear-swap constants
 //! did not move — the evidence that only time changed for them.
 //! Coverage holds unedited.
+//!
+//! All four `BACKGROUND_*` constants were recorded again when
+//! background GC stopped selecting a batch of victims at the low line
+//! and holding them until each dispatched: each migration now takes the
+//! block the synchronous collector would pick when it dispatches, and
+//! collection runs until the free fraction is back at the high line.
+//! Passes behind the device, snapshot then log: greedy 1 190 → 1 184
+//! and 1 236 → 1 225, cost-benefit 1 180 → 1 190 and 1 240 → 1 221
+//! (the synchronous histories make 1 184, 1 219, 1 186 and 1 222). The
+//! check that a background history had queued two victims at once went
+//! with the queue. Every `SYNC_*` and wear-swap constant is the
+//! previous recording's.
 
 #![expect(
     clippy::unwrap_used,
@@ -233,9 +245,6 @@ struct Coverage {
     /// a pass inside the drain needs an empty free pool, and the calls
     /// counted end with eight or more erased blocks.)
     log_owned_skips: u64,
-    /// Most migrations queued at once (background GC): from two up, the
-    /// second was selected past the first, which was still queued.
-    max_gc_pending: usize,
 }
 
 /// Finishes a history's hash: every block's erase count and the
@@ -378,7 +387,6 @@ fn run_background(config: SsdConfig, seed: u64) -> (u64, Coverage) {
             }
             device.drain().unwrap();
             observe(&mut device, &mut hash);
-            coverage.max_gc_pending = coverage.max_gc_pending.max(device.gc_pending_peak());
         }
         ssd.flush().unwrap();
         if to == cut {
@@ -396,10 +404,10 @@ const SYNC_GREEDY_SNAPSHOT: u64 = 0x00c7_9712_11ad_58a4;
 const SYNC_GREEDY_FLASHLOG: u64 = 0x461e_0aba_53ea_f1de;
 const SYNC_COSTBENEFIT_SNAPSHOT: u64 = 0x38ef_9cea_fa10_a1c7;
 const SYNC_COSTBENEFIT_FLASHLOG: u64 = 0x0507_aede_71e0_51f8;
-const BACKGROUND_GREEDY_SNAPSHOT: u64 = 0xd18b_64e0_deb1_5ddb;
-const BACKGROUND_GREEDY_FLASHLOG: u64 = 0x682a_3f07_8b2f_0a29;
-const BACKGROUND_COSTBENEFIT_SNAPSHOT: u64 = 0xba29_9eee_e080_9de7;
-const BACKGROUND_COSTBENEFIT_FLASHLOG: u64 = 0x380f_e923_b2b8_91f8;
+const BACKGROUND_GREEDY_SNAPSHOT: u64 = 0xcb40_436f_924a_03f1;
+const BACKGROUND_GREEDY_FLASHLOG: u64 = 0x6801_b369_4ccb_0108;
+const BACKGROUND_COSTBENEFIT_SNAPSHOT: u64 = 0xd190_59c2_f5f2_1bd2;
+const BACKGROUND_COSTBENEFIT_FLASHLOG: u64 = 0xe871_b8db_929f_1d76;
 const SYNC_GREEDY_WEAR_SWAPS: u64 = 0xb6a5_ff6d_2e1c_5f12;
 /// Recorded one PR later than the rest, on the commit before wear swaps
 /// and GC migrations became one relocation kernel.
@@ -479,7 +487,6 @@ fn background_gc_picks_the_recorded_victims() {
     ] {
         let (hash, coverage) = run_background(config(policy, mode, 16), 0x6c65_6166);
         assert!(coverage.gc_runs > 500, "{name}: {coverage:?}");
-        assert!(coverage.max_gc_pending >= 2, "{name}: {coverage:?}");
         assert_eq!(hash, expected, "{name}: {hash:#018x}");
     }
 }
