@@ -5,13 +5,19 @@
 //! queues under four policies:
 //!
 //! * **sync** — the legacy baseline: GC runs synchronously inside the
-//!   flush path, stalling the submitting write for whole collection
-//!   rounds (round-robin between the host queues).
+//!   flush path, stalling the submitting write until its collection's
+//!   latest erase (round-robin between the host queues).
 //! * **bg-round-robin** — background GC as an equal peer queue.
 //! * **bg-weighted** — background GC with the writer queue weighted
 //!   3:1 over the reader and GC.
-//! * **bg-host-priority** — strict host-over-GC: migrations only run
-//!   in idle gaps (plus hard-floor back-pressure).
+//! * **bg-host-priority** — strict host-over-GC: a collection only
+//!   dispatches in idle gaps (plus hard-floor back-pressure).
+//!
+//! Both modes run the same collection — victim passes applied at one
+//! dispatch point and placed on the dies phase by phase, every read,
+//! then every program, then every erase — and differ in who waits for
+//! it: under sync GC the flush does; a background GC turn dispatches
+//! one collection to the high line that no host command waits for.
 //!
 //! The reproduction target, its shape: host p99 under GC pressure is
 //! lower under every background policy than under synchronous GC,

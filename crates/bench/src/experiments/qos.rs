@@ -33,7 +33,7 @@
 //! GC can pick holds stale pages; there every policy misses the
 //! budget at the four seeds tried (default, `0x1`, `0x2a`, `0xbeef5`),
 //! the controller by 14–25× (worst guaranteed p99 0.21–0.37 s) and
-//! static-weighted by less (0.15–0.29 s).
+//! static-weighted by less (0.10–0.16 s).
 //! The device runs with the flash-resident translation log enabled so
 //! the map-log background-traffic tax rides the same dies — reported
 //! per tenant class alongside the latency numbers.
@@ -157,7 +157,8 @@ pub fn qos(_quick: bool) -> Figure {
         "direction 9: on a device aged by uniform overwrites the controller's worst guaranteed \
          p99 is 0.21–0.37 s over four seeds (0.29–0.38 s while background GC selected its \
          victims in one batch, 0.45–2.9 s while a full open block stayed in its slot), 14–25× \
-         the 15 ms budget, and static-weighted's 0.15–0.29 s",
+         the 15 ms budget, and static-weighted's 0.10–0.16 s (0.15–0.29 s while a GC \
+         collection's passes were chained one after another on the dies)",
     );
     let mut shape = Shape::new(claim, gap);
     let mut static_misses = 0;

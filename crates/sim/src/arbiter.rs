@@ -175,9 +175,10 @@ pub struct ArbiterView<'a> {
     /// class.
     pub classes: &'a [AdmissionClass<'a>],
     /// Background commands dispatchable now, all served from
-    /// [`Source::Gc`]: one GC migration while the device is collecting
-    /// and has a block to collect (none while the QoS controller paces
-    /// them), translation-log ops and compaction sweeps.
+    /// [`Source::Gc`]: one GC collection while the device is
+    /// collecting and has a block to collect (none while the QoS
+    /// controller paces them), translation-log ops and compaction
+    /// sweeps.
     pub background_pending: usize,
 }
 

@@ -36,26 +36,33 @@ pub enum GcPolicy {
 /// collects until they reach the high one. Both lie a lead above the
 /// free reserve one buffer flush needs: 3 % and 5 % of all blocks on
 /// the full-size devices of at least 512 MiB, capped at 8 % and 12 % on
-/// devices too small for that lead. In the flush path GC stalls the
-/// submitting write: its victim passes are put on the dies together
-/// and the write waits for the latest erase. A multi-queue [`crate::Device`] can
-/// instead defer the work: it collects between the same watermarks,
-/// by the same victim rule, but each pass is a background command that
-/// competes for dies through the device's arbiter, and host writes
-/// block only when free blocks fall to the hard floor, 2 % of all
-/// blocks.
+/// devices too small for that lead. Both modes run the same
+/// collection: victim passes applied at one dispatch point, then put
+/// on the dies phase by phase — every read, then every program, then
+/// every erase. In the flush path GC stalls the submitting write, which
+/// waits for the collection's latest erase. A multi-queue
+/// [`crate::Device`] can instead defer the work: it collects between
+/// the same watermarks, by the same victim rule, but a collection is a
+/// background dispatch that competes for dies through the device's
+/// arbiter, and host writes block only when free blocks fall to the
+/// hard floor, 2 % of all blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum GcMode {
     /// Collect inside the flush path until the high watermark is
-    /// restored (the blocking path's behaviour; the default). Every
-    /// victim pass of one collection is chained on the die timelines
-    /// from the flush's dispatch point, so passes on different dies
-    /// overlap, and the host waits once, for the latest erase: no
-    /// later host read queues behind the collection.
+    /// restored (the blocking path's behaviour; the default). The
+    /// victim passes of one collection are placed on the die timelines
+    /// from the flush's dispatch point phase by phase, so passes on
+    /// different dies overlap and no pass's reads queue behind
+    /// another's programs or erase, and the host waits once, for the
+    /// latest erase: no later host read queues behind the collection.
     Synchronous,
-    /// Collect between the same watermarks, one pass per background
-    /// device command ([`crate::Command::GcMigrate`]), each taking the
-    /// block the synchronous rule picks when it dispatches.
+    /// Collect between the same watermarks, one collection per
+    /// background GC dispatch: it runs to the high watermark (or, under
+    /// a QoS controller's GC pacing, to the pacing limit minus the
+    /// erases in flight), each pass taking the block the synchronous
+    /// rule picks when it runs, is placed on the dies as a synchronous
+    /// collection is, and retires one [`crate::Command::GcMigrate`] per
+    /// pass, each completing at its own erase.
     Background,
 }
 

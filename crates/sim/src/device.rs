@@ -47,20 +47,25 @@
 //! The device, not the SSD, owns its GC and compaction modes: it
 //! passes them to every write and flush it dispatches, and the SSD's
 //! own [`Ssd::write`] and [`Ssd::flush`] always collect and compact
-//! inline. A synchronous collection chains its victim passes on the
-//! die timelines exactly as background migrations are chained, and
-//! holds the dispatching command once, until the latest erase; the two
-//! modes differ in who dispatches the passes and whether a host
-//! command waits for them. In [`GcMode::Background`] the flushes it
+//! inline. Both modes run one kind of collection: victim passes
+//! selected and applied at one dispatch point, then placed on the die
+//! timelines phase by phase — every read, then every program, then
+//! every erase, a block's steps in the order its state changed. The
+//! modes differ in who dispatches a collection and whether a host
+//! command waits for it: a synchronous one holds the flush once, until
+//! the latest erase. In [`GcMode::Background`] the flushes the device
 //! dispatches stop collecting at the watermark. Instead the device
 //! collects by the synchronous collector's rule — it starts when the
 //! free fraction falls below the low watermark and stops once it is
 //! back at the high one (3 % and 5 % of all blocks on a full-size
 //! device of at least 1 GiB, a free reserve one flush needs plus a
-//! flush of lead) — one [`Command::GcMigrate`] at a time, as traffic
-//! that the arbiter schedules like any other queue. Each migration
-//! takes the block the synchronous collector would pick when the
-//! migration dispatches; nothing is selected ahead. Host writes
+//! flush of lead) — as traffic that the arbiter schedules like any
+//! other queue: one GC dispatch runs a collection to the high line
+//! (with a QoS controller pacing GC, to its pacing limit minus the
+//! erases in flight) and retires one [`Command::GcMigrate`] per pass,
+//! each completing at its own erase. Each pass takes the block the
+//! synchronous collector would pick when it runs; nothing is selected
+//! ahead. Host writes
 //! are back-pressured only at the hard floor, 2 % of all blocks: a
 //! write or flush about to dispatch while the *settled* free fraction —
 //! reclaimed blocks whose erase has actually landed — sits below the
@@ -132,7 +137,7 @@ use crate::request::{Command, IoCompletion, IoRequest};
 use crate::ssd::{FlushModes, Ssd};
 use crate::trace::ArgValue;
 use leaftl_core::{MappingScheme, ShardPressure};
-use leaftl_flash::Lpa;
+use leaftl_flash::{BlockId, Lpa};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
@@ -443,8 +448,11 @@ pub struct Device<'a, S: MappingScheme + Clone> {
     /// Latest completion deadline of any dispatched migration; host
     /// commands dispatched before it carry the `gc_overlap` bit.
     gc_busy_until: u64,
-    /// Migrations dispatched so far.
+    /// Migrations dispatched so far: one per pass of each collection.
     gc_dispatched: u64,
+    /// The passes of the collection being retired: each victim and
+    /// when its erase completes.
+    gc_done: Vec<(BlockId, u64)>,
     /// Virtual time host writes spent blocked at the hard floor.
     gc_stall_ns: u64,
     /// Background compaction scheduler thresholds.
@@ -543,6 +551,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             completed: Vec::new(),
             gc_busy_until: 0,
             gc_dispatched: 0,
+            gc_done: Vec::new(),
             gc_stall_ns: 0,
             compaction: config.compaction,
             compact_pending: VecDeque::new(),
@@ -632,7 +641,10 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
 
     /// Arms deterministic crash-point injection: after `n` more
     /// dispatched commands the device halts — nothing further applies
-    /// state or advances time — and [`Device::halted`] turns true.
+    /// state or advances time — and [`Device::halted`] turns true. A
+    /// background GC collection counts one dispatch per pass (one per
+    /// [`Command::GcMigrate`] it retires) and runs whole, so a budget
+    /// that runs out inside one halts the device after it.
     /// Follow with [`Device::power_cut`] and
     /// [`Ssd::crash_and_recover`] to simulate a power failure mid-run
     /// (including mid-checkpoint and mid-log-reclaim, since every log
@@ -760,15 +772,15 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     }
 
     /// Dispatches everything still pending — host commands through the
-    /// arbiter; then, while background GC is collecting, migrations as
-    /// trailing background work, until the free fraction is back at
+    /// arbiter; then, while background GC is collecting, a collection
+    /// as trailing background work, until the free fraction is back at
     /// the high watermark or nothing is left to collect — waits
     /// for every in-flight host command (advancing the clock to the
     /// last completion), and returns all unretired completions ordered
     /// by completion time. Background migrations appear as
-    /// [`Command::GcMigrate`] completions on the [`GC_QUEUE`];
-    /// trailing migrations keep their die reservations but the host
-    /// does not wait on them.
+    /// [`Command::GcMigrate`] completions on the [`GC_QUEUE`], one per
+    /// pass of a collection; trailing migrations keep their die
+    /// reservations but the host does not wait on them.
     pub fn drain(&mut self) -> Result<Vec<IoCompletion>, SimError> {
         if let Err(e) = self.pump() {
             self.poisoned = true;
@@ -892,34 +904,51 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         Ok(Some(deadline))
     }
 
-    /// Dispatches one GC pass as a [`Command::GcMigrate`] while
-    /// background GC is collecting: its victim is the block the
-    /// synchronous collector would pick now. Returns the erase's
-    /// completion deadline, or `None` when collection is off or
-    /// nothing is collectible. The migration retires as an
-    /// [`IoCompletion`] on the [`GC_QUEUE`], so replay reports and
-    /// tests can observe background traffic alongside host commands.
+    /// Dispatches one background collection while GC is collecting:
+    /// the synchronous collector's collection ([`Ssd::collect`]), run
+    /// to the high line from this dispatch point — each victim the
+    /// block the synchronous rule picks when its pass runs, and the
+    /// passes placed on the dies phase by phase. While a QoS controller
+    /// paces GC, the collection takes at most the pacing limit minus
+    /// the erases in flight. Each pass retires as its own
+    /// [`Command::GcMigrate`] [`IoCompletion`] on the [`GC_QUEUE`],
+    /// completing at its erase, which enters the settled-free
+    /// accounting on its own. Returns the latest erase's deadline, or
+    /// `None` when collection is off or nothing is collectible.
     fn dispatch_gc(&mut self) -> Result<Option<u64>, SimError> {
         if !self.gc_collecting {
             return Ok(None);
         }
-        let Some(victim) = self.ssd.select_gc_victim() else {
-            return Ok(None);
-        };
+        let high = self.ssd.gc_watermarks().high;
+        let in_flight = self.gc_inflight.len();
+        let max_passes = self
+            .qos
+            .as_ref()
+            .map(QosController::gc_pacing_limit)
+            .filter(|&limit| limit > 0)
+            .map_or(usize::MAX, |limit| limit.saturating_sub(in_flight));
         let dispatch_ns = self.ssd.now_ns();
-        let deadline = self.ssd.gc_pass(victim)?;
-        self.gc_inflight.push(Reverse(deadline));
-        self.gc_busy_until = self.gc_busy_until.max(deadline);
-        self.gc_dispatched += 1;
-        self.retire_background(
-            GC_QUEUE,
-            Command::GcMigrate { victim },
-            "gc_migrate",
-            ("victim", victim.raw()),
-            dispatch_ns,
-            deadline,
-        );
-        Ok(Some(deadline))
+        let mut done = std::mem::take(&mut self.gc_done);
+        done.clear();
+        self.ssd
+            .collect(|ssd| ssd.free_fraction() < high, max_passes, &mut done)?;
+        let mut latest = None;
+        for &(victim, deadline) in &done {
+            self.gc_inflight.push(Reverse(deadline));
+            self.gc_busy_until = self.gc_busy_until.max(deadline);
+            self.gc_dispatched += 1;
+            self.retire_background(
+                GC_QUEUE,
+                Command::GcMigrate { victim },
+                "gc_migrate",
+                ("victim", victim.raw()),
+                dispatch_ns,
+                deadline,
+            );
+            latest = latest.max(Some(deadline));
+        }
+        self.gc_done = done;
+        Ok(latest)
     }
 
     /// Dispatches the next queued translation-log op as a
@@ -1831,23 +1860,32 @@ mod tests {
         ssd
     }
 
-    /// Dispatches one command and returns its completion, or `None`
-    /// once nothing is pending.
-    fn step<S: MappingScheme + Clone>(device: &mut Device<'_, S>) -> Option<IoCompletion> {
+    /// Dispatches one command and returns what it retired — one
+    /// completion, or one [`Command::GcMigrate`] per pass of a
+    /// background collection, all dispatched together — or nothing
+    /// once nothing is pending. A collection counts one dispatch per
+    /// pass and runs whole, so a budget of one halts the device after
+    /// it.
+    fn step<S: MappingScheme + Clone>(device: &mut Device<'_, S>) -> Vec<IoCompletion> {
         device.halt_after_dispatches(1);
-        let mut completions = device.drain().unwrap();
-        assert!(completions.len() <= 1, "{completions:?}");
-        completions.pop()
+        let completions = device.drain().unwrap();
+        let one_collection = completions.iter().all(|completion| {
+            completion.kind() == IoKind::GcMigrate
+                && completion.dispatch_ns == completions[0].dispatch_ns
+        });
+        assert!(completions.len() <= 1 || one_collection, "{completions:?}");
+        completions
     }
 
     /// Steps `device` until nothing is pending, checking every dispatch
     /// against the collector's rule: collection starts when the free
     /// fraction falls below the low line and stops once it is back at
-    /// the high one, a migration dispatches only while collecting, and
-    /// the background source serves a log op or a compaction sweep
-    /// only while not (the devices here always hold a collectable
-    /// block and pace no migration). Returns the dispatched kinds in
-    /// order.
+    /// the high one, a collection dispatches only while collecting and
+    /// runs to the high line, and the background source serves a log
+    /// op or a compaction sweep only while not collecting (the devices
+    /// here always hold a collectable block and pace no migration).
+    /// Returns the retired kinds in order, one per pass of a
+    /// collection.
     fn run_checking_the_rule<S: MappingScheme + Clone>(device: &mut Device<'_, S>) -> Vec<IoKind> {
         let lines = device.ssd().gc_watermarks();
         let mut collecting = false;
@@ -1859,24 +1897,35 @@ mod tests {
             } else if free >= lines.high {
                 collecting = false;
             }
-            let Some(completion) = step(device) else {
+            let completions = step(device);
+            if completions.is_empty() {
                 break;
-            };
-            let kind = completion.kind();
-            match kind {
-                IoKind::GcMigrate => assert!(
-                    collecting,
-                    "migration {} dispatched at free fraction {free} after collection stopped",
-                    kinds.len()
-                ),
-                IoKind::MapLog | IoKind::Compact => assert!(
-                    !collecting,
-                    "{kind:?} {} took the background turn at free fraction {free} while collecting",
-                    kinds.len()
-                ),
-                IoKind::Read | IoKind::Write | IoKind::Flush => {}
             }
-            kinds.push(kind);
+            for completion in completions {
+                let kind = completion.kind();
+                match kind {
+                    IoKind::GcMigrate => assert!(
+                        collecting,
+                        "migration {} dispatched at free fraction {free} after collection stopped",
+                        kinds.len()
+                    ),
+                    IoKind::MapLog | IoKind::Compact => assert!(
+                        !collecting,
+                        "{kind:?} {} took the background turn at free fraction {free} while collecting",
+                        kinds.len()
+                    ),
+                    IoKind::Read | IoKind::Write | IoKind::Flush => {}
+                }
+                kinds.push(kind);
+            }
+            if kinds.last() == Some(&IoKind::GcMigrate) {
+                let after = device.ssd().free_fraction();
+                assert!(
+                    after >= lines.high,
+                    "a collection from free fraction {free} stopped at {after}, below {}",
+                    lines.high
+                );
+            }
         }
         device.halt_after_dispatches(u64::MAX);
         kinds

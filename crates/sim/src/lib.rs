@@ -54,6 +54,7 @@ pub mod allocator;
 pub mod arbiter;
 pub mod buffer;
 pub mod clock;
+mod collection;
 mod config;
 mod device;
 mod error;

@@ -20,7 +20,8 @@
 //!   is surfaced per queue as `admission_wait_ns` (see
 //!   [`crate::Device::admission_wait_ns`]);
 //! * **GC pacing**: at most [`QosControllerConfig::gc_pacing_limit`]
-//!   background migrations are in flight at once.
+//!   background migrations are in flight at once: a background
+//!   collection stops at the limit minus the erases in flight.
 //!
 //! At every control interval (on the device timeline) the controller
 //! logs a [`QosTick`]: each guaranteed queue's window p99 against its
@@ -111,11 +112,13 @@ pub struct QosControllerConfig {
     /// otherwise rescue — until the round ends.
     pub guaranteed_slot_reserve: u32,
     /// GC pacing: maximum concurrent in-flight background migrations
-    /// while the controller is active (`0` disables pacing). Without
-    /// it, a collection dispatches its migrations back-to-back from
-    /// the low line to the high one, occupying every die for the better part of a
-    /// second — a "mega-round" during which any guaranteed read lands
-    /// behind the round on its die and inherits hundreds of
+    /// while the controller is active (`0` disables pacing): a
+    /// background GC dispatch runs a collection of at most this many
+    /// passes minus the erases in flight, and none dispatches while
+    /// that is zero. Without it, one dispatch collects from the low
+    /// line to the high one, occupying every die for the better part
+    /// of a second — a "mega-round" during which any guaranteed read
+    /// lands behind the round on its die and inherits hundreds of
     /// milliseconds of service time no arbitration weight can remove.
     /// Pacing trickles the same reclaim through a few dies at a time;
     /// the hard floor (plus admission throttling at the margin) still

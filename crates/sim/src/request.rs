@@ -33,7 +33,8 @@ pub enum Command {
     /// Force the write buffer to flash (fsync semantics); completes
     /// when the programs drain.
     Flush,
-    /// Migrate a GC victim's live pages and erase it — internal
+    /// Migrate a GC victim's live pages and erase it: one pass of a
+    /// background GC collection, which retires one per pass — internal
     /// background traffic, never host-submittable.
     GcMigrate {
         /// The victim block.

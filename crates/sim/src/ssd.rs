@@ -4,6 +4,7 @@
 use crate::allocator::{BlockAllocator, PageRun, Stream};
 use crate::buffer::WriteBuffer;
 use crate::clock::SimClock;
+use crate::collection::{CollectionPlan, Relocation, Step};
 use crate::config::{
     gc_watermarks, CheckpointMode, CompactionMode, GcMode, GcPolicy, GcWatermarks, SsdConfig,
 };
@@ -39,7 +40,7 @@ type Batch = Vec<(Lpa, Ppa)>;
 /// A flash operation by cause: one variant per counter of
 /// [`crate::FlashOpBreakdown`], the ledger [`Ssd::flash_op`] keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FlashOp {
+pub(crate) enum FlashOp {
     /// A host read's predicted page.
     DataRead,
     /// Any further probe of a read, and every invalidation or recovery
@@ -263,6 +264,10 @@ pub struct Ssd<S: MappingScheme + Clone> {
     /// The live pages of the block being relocated
     /// ([`Ssd::migrate_block`]), kept from pass to pass.
     live_scratch: Vec<Ppa>,
+    /// The collection scheduler's working memory
+    /// ([`Ssd::schedule_collection`]), kept from collection to
+    /// collection.
+    gc_plan: CollectionPlan,
     /// What the next [`CheckpointMode::DramSnapshot`] persistence point
     /// has to write of the mapping table, marked wherever pairs enter
     /// the scheme ([`Ssd::learn_and_mark`], recovery's replay).
@@ -411,6 +416,10 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             tracer: Tracer::new(config.geometry.total_dies()),
             read_scratch: ReadScratch::default(),
             live_scratch: Vec::new(),
+            gc_plan: CollectionPlan::new(
+                config.geometry.blocks as usize,
+                config.geometry.total_dies() as usize,
+            ),
             unpersisted: UnpersistedGroups::new(config.logical_pages()),
             config,
         }
@@ -517,8 +526,18 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// die-track span is recorded when a sink is attached — so what is
     /// counted is what was scheduled is what was attributed
     /// ([`Ssd::check_utilization_conservation`] cross-checks it).
+    /// `block` names the block the operation touches, for the span
+    /// (`None` for a translation page, which the model keeps off the
+    /// block map).
     #[inline]
-    fn flash_op(&mut self, op: FlashOp, class: TrafficClass, die: Die, floor_ns: u64) -> u64 {
+    fn flash_op(
+        &mut self,
+        op: FlashOp,
+        class: TrafficClass,
+        die: Die,
+        block: Option<BlockId>,
+        floor_ns: u64,
+    ) -> u64 {
         let kind = op.kind();
         let latency_ns = kind.latency_ns(&self.config.timing);
         let end_ns = self.clock.schedule_after(die, floor_ns, latency_ns);
@@ -534,7 +553,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             FlashOp::Erase => self.stats.flash.erases += 1,
         }
         self.tracer
-            .flash_op(class, kind, die.raw(), end_ns, latency_ns);
+            .flash_op(class, kind, die.raw(), block, end_ns, latency_ns);
         end_ns
     }
 
@@ -658,11 +677,11 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         }
         let die = self.translation_die(lpa);
         for _ in 0..cost.translation_reads {
-            ready_ns = self.flash_op(FlashOp::TranslationRead, class, die, ready_ns);
+            ready_ns = self.flash_op(FlashOp::TranslationRead, class, die, None, ready_ns);
         }
         for _ in 0..cost.translation_writes {
             // Write-backs occupy the die but extend nothing.
-            self.flash_op(FlashOp::TranslationProgram, class, die, ready_ns);
+            self.flash_op(FlashOp::TranslationProgram, class, die, None, ready_ns);
         }
         ready_ns
     }
@@ -902,12 +921,13 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     ) -> u64 {
         for (index, &ppa) in probes[plan.probes.clone()].iter().enumerate() {
             let die = self.config.geometry.die_of(ppa);
+            let block = self.config.geometry.block_of(ppa);
             let op = if index == 0 && plan.leads_with_data_read {
                 FlashOp::DataRead
             } else {
                 FlashOp::MispredictionRead
             };
-            ready_ns = self.flash_op(op, class, die, ready_ns);
+            ready_ns = self.flash_op(op, class, die, Some(block), ready_ns);
         }
         ready_ns
     }
@@ -1170,14 +1190,20 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         // (delaying subsequent reads) but the host continues.
         let sorted = self.config.sort_buffer_on_flush;
         let now = self.clock.now_ns();
-        let (batches, deadline) = self.program_runs(&runs, &pages, now, FlashOp::DataProgram)?;
+        let batches = self.program_runs(&runs, &pages)?;
+        let mut deadline = now;
+        for run in &runs {
+            deadline = deadline.max(self.schedule_run(run, FlashOp::DataProgram, now));
+        }
         self.flush_deadline_ns = deadline;
 
         // Invalidate prior locations, then install the new mappings.
         let overwritten = batches.iter().flatten().map(|&(lpa, _)| lpa);
         self.invalidate_overwritten(overwritten, Overwriter::Flush)?;
         for batch in &batches {
-            self.learn_and_mark(batch, sorted, TrafficClass::Host);
+            let cost = self.learn_and_mark(batch, sorted);
+            let now = self.clock.now_ns();
+            self.charge_map_cost(batch[0].0, cost, now, TrafficClass::Host);
         }
 
         self.translog_append_delta(batches.into_iter().flatten());
@@ -1220,15 +1246,16 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         Ok(())
     }
 
-    /// Installs a batch's mappings and marks the new pages live.
-    /// `sorted` batches (every sorted flush, GC migration and wear
-    /// swap) take the scheme's pre-sorted fast path. Learning runs on
-    /// the controller CPU alongside the asynchronous flush, so it is
-    /// accounted but does not block the host (§4.5: 0.02% of the flash
-    /// write latency).
-    fn learn_and_mark(&mut self, batch: &[(Lpa, Ppa)], sorted: bool, class: TrafficClass) {
+    /// Installs a batch's mappings and marks the new pages live;
+    /// returns the translation I/O the scheme charged, for the caller
+    /// to place ([`Ssd::charge_map_cost`]). `sorted` batches (every
+    /// sorted flush, GC migration and wear swap) take the scheme's
+    /// pre-sorted fast path. Learning runs on the controller CPU
+    /// alongside the asynchronous flush, so it is accounted but does
+    /// not block the host (§4.5: 0.02% of the flash write latency).
+    fn learn_and_mark(&mut self, batch: &[(Lpa, Ppa)], sorted: bool) -> MapCost {
         if batch.is_empty() {
-            return;
+            return MapCost::FREE;
         }
         self.unpersisted.note(batch);
         let cost = if sorted {
@@ -1236,49 +1263,55 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         } else {
             self.scheme.update_batch(batch)
         };
-        let now = self.clock.now_ns();
-        self.charge_map_cost(batch[0].0, cost, now, class);
         let learn_ns = self.scheme.learn_cost_ns(batch.len());
         self.stats.learn_cpu_ns += learn_ns;
         for &(_, ppa) in batch {
             self.mark_valid(ppa);
         }
+        cost
     }
 
-    /// Programs `pages` onto `runs` in order, each program starting no
-    /// earlier than `floor_ns` on its die; the host clock does not
-    /// move. Returns the installed `(LPA, PPA)` pairs run by run — a
-    /// run is one learning batch — and when the last program completes.
-    /// Every data page the device programs goes through here, for a
-    /// flush ([`FlashOp::DataProgram`], the host's die time), a
-    /// migration or a wear swap (GC's) alike.
+    /// Programs `pages` onto `runs` in order, on the device only: the
+    /// dies are the caller's to schedule ([`Ssd::schedule_run`]).
+    /// Returns the installed `(LPA, PPA)` pairs run by run — a run is
+    /// one learning batch. Every data page the device programs goes
+    /// through here, for a flush, a migration or a wear swap alike.
     fn program_runs(
         &mut self,
         runs: &[PageRun],
         pages: &[(Lpa, u64)],
-        floor_ns: u64,
-        op: FlashOp,
-    ) -> Result<(Vec<Batch>, u64), SimError> {
-        let class = if op == FlashOp::DataProgram {
-            TrafficClass::Host
-        } else {
-            TrafficClass::Gc
-        };
-        let mut done = floor_ns;
+    ) -> Result<Vec<Batch>, SimError> {
         let mut pages = pages.iter();
         let mut batches: Vec<Batch> = Vec::with_capacity(runs.len());
         for run in runs {
             let mut batch = Vec::with_capacity(run.len as usize);
             for (ppa, &(lpa, content)) in run.ppas().zip(&mut pages) {
                 self.device.program(ppa, content, Some(lpa))?;
-                let die = self.config.geometry.die_of(ppa);
-                done = done.max(self.flash_op(op, class, die, floor_ns));
                 self.note_block_write(ppa);
                 batch.push((lpa, ppa));
             }
             batches.push(batch);
         }
-        Ok((batches, done))
+        Ok(batches)
+    }
+
+    /// Puts `run`'s programs on its block's die, each starting no
+    /// earlier than `floor_ns`, and returns when the last completes;
+    /// the host clock does not move. A flush's
+    /// ([`FlashOp::DataProgram`]) is the host's die time, a migration's
+    /// or a wear swap's is GC's.
+    fn schedule_run(&mut self, run: &PageRun, op: FlashOp, floor_ns: u64) -> u64 {
+        let class = if op == FlashOp::DataProgram {
+            TrafficClass::Host
+        } else {
+            TrafficClass::Gc
+        };
+        let die = self.config.geometry.die_of_block(run.block);
+        let mut done = floor_ns;
+        for _ in 0..run.len {
+            done = done.max(self.flash_op(op, class, die, Some(run.block), floor_ns));
+        }
+        done
     }
 
     /// Collects until `stream` can take `pages` pages.
@@ -1328,24 +1361,16 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         Ok(())
     }
 
-    /// Recycles `block`: erases it (no earlier than `floor_ns` on its
-    /// die, charged to `class`), drops whatever validity it held and
-    /// returns it to the free pool. The only way a block gets back
-    /// there — for GC victims, wear swaps and the translation log's
-    /// superseded blocks alike. Returns the erase's completion time;
-    /// the host clock does not move.
-    fn reclaim(
-        &mut self,
-        block: BlockId,
-        class: TrafficClass,
-        floor_ns: u64,
-    ) -> Result<u64, SimError> {
+    /// Recycles `block`: erases it on the device, drops whatever
+    /// validity it held and returns it to the free pool. The only way
+    /// a block gets back there — for GC victims, wear swaps and the
+    /// translation log's superseded blocks alike. The erase's die time
+    /// is the caller's to schedule.
+    fn recycle(&mut self, block: BlockId) -> Result<(), SimError> {
         self.erase_block(block)?;
-        let die = self.config.geometry.die_of_block(block);
-        let done = self.flash_op(FlashOp::Erase, class, die, floor_ns);
         self.clear_block(block);
         self.allocator.release(block);
-        Ok(done)
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -1360,39 +1385,137 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         Ok(())
     }
 
-    /// Runs synchronous GC passes while `wanted` holds, giving up when
-    /// nothing is left to collect or after one pass per block. Returns
-    /// whether `wanted` was satisfied. Each pass takes the best block
-    /// there is when it runs ([`Ssd::select_gc_victim`]), as a
-    /// background migration does.
+    /// Runs a synchronous collection while `wanted` holds, giving up
+    /// when nothing is left to collect or after one pass per block, and
+    /// waits once, for its latest erase. Returns whether `wanted` was
+    /// satisfied.
     ///
-    /// Every pass is put on the die timelines from the collection's
-    /// dispatch point ([`Ssd::gc_pass`]), so passes on different dies
-    /// overlap and every victim is selected (and cost-benefit scored)
-    /// at that one time. The host then waits once, for the latest
-    /// erase, so no later host read queues behind the collection's
-    /// relocations.
+    /// The collection is the one a background GC dispatch runs
+    /// ([`Ssd::collect`]): every victim is selected (and cost-benefit
+    /// scored) at the dispatch point, and the passes are placed on the
+    /// dies phase by phase from there, so no pass's reads queue behind
+    /// another's programs or erase. Only then does the host wait, so no
+    /// later host read queues behind the collection's relocations.
     fn collect_while(&mut self, wanted: impl Fn(&Self) -> bool) -> Result<bool, SimError> {
         let started_ns = self.clock.now_ns();
-        let mut done_ns = started_ns;
-        let mut passes = 0;
-        for _ in 0..=self.config.geometry.blocks {
-            if !wanted(self) {
-                break;
-            }
+        let mut done = Vec::new();
+        let busiest_die_ns = self.collect(&wanted, usize::MAX, &mut done)?;
+        if let Some(last_erase_ns) = done.iter().map(|&(_, erase_ns)| erase_ns).max() {
+            self.clock.wait_until(last_erase_ns);
+            self.sync_gc.collections += 1;
+            self.sync_gc.passes += done.len() as u64;
+            self.sync_gc.wait_ns += self.clock.now_ns().saturating_sub(started_ns);
+            self.sync_gc.busiest_die_ns += busiest_die_ns;
+        }
+        Ok(!wanted(self))
+    }
+
+    /// Runs one GC collection from the dispatch point: while `wanted`
+    /// holds and there is a victim, at most `max_passes` and at most
+    /// one per block, a pass ([`Ssd::gc_pass`]) over the best block
+    /// there is when it runs ([`Ssd::select_gc_victim`]), and then the
+    /// whole collection goes on the dies ([`Ssd::schedule_collection`]). Appends each pass's
+    /// victim and erase completion to `done`, in pass order, and
+    /// returns the busiest die's GC time in the collection; the host
+    /// clock does not move. Both collectors run it: a synchronous one
+    /// waits for the latest erase, a background GC dispatch retires one
+    /// [`crate::Command::GcMigrate`] per pass.
+    ///
+    /// # Errors
+    ///
+    /// A pass's error ([`SimError::DeviceFull`] when the GC stream
+    /// cannot take the victim's live pages), once the passes before it
+    /// are placed.
+    pub(crate) fn collect(
+        &mut self,
+        wanted: impl Fn(&Self) -> bool,
+        max_passes: usize,
+        done: &mut Vec<(BlockId, u64)>,
+    ) -> Result<u64, SimError> {
+        let max_passes = max_passes.min(self.config.geometry.blocks as usize + 1);
+        let mut passes = Vec::new();
+        let mut outcome = Ok(());
+        while passes.len() < max_passes && wanted(self) {
             let Some(victim) = self.select_gc_victim() else {
                 break;
             };
-            done_ns = done_ns.max(self.gc_pass(victim)?);
-            passes += 1;
+            match self.gc_pass(victim) {
+                Ok(pass) => passes.push(pass),
+                Err(error) => {
+                    outcome = Err(error);
+                    break;
+                }
+            }
         }
-        if passes > 0 {
-            self.clock.wait_until(done_ns);
-            self.sync_gc.collections += 1;
-            self.sync_gc.passes += passes;
-            self.sync_gc.wait_ns += self.clock.now_ns().saturating_sub(started_ns);
+        self.schedule_collection(&passes, done);
+        outcome?;
+        let geometry = self.config.geometry;
+        let timing = self.config.timing;
+        Ok(self.gc_plan.busiest_die_ns(&passes, &geometry, &timing))
+    }
+
+    /// Places a collection's passes on the dies from the dispatch
+    /// point, in the order [`CollectionPlan::order`] gives: every read
+    /// first, then every program (each no earlier than its own pass's
+    /// last read), then every erase (each no earlier than its own
+    /// pass's last program), except where a block's previous step in
+    /// the collection comes later. A pass's translation I/O follows its
+    /// programs, from the dispatch point, as a flush's does. Appends
+    /// each pass's victim and erase completion to `done`, in pass
+    /// order; the host clock does not move. Linear in the steps and
+    /// pages.
+    fn schedule_collection(&mut self, passes: &[Relocation], done: &mut Vec<(BlockId, u64)>) {
+        let geometry = self.config.geometry;
+        let now = self.clock.now_ns();
+        let mut plan = std::mem::take(&mut self.gc_plan);
+        // Per pass: when its reads, its programs and its erase are done.
+        let mut times = vec![[now; 3]; passes.len()];
+        for &(index, step) in plan.order(passes) {
+            let pass = &passes[index];
+            let times = &mut times[index];
+            match step {
+                Step::Reads => {
+                    let die = geometry.die_of_block(pass.victim);
+                    for _ in 0..pass.reads {
+                        let end = self.flash_op(
+                            FlashOp::GcRead,
+                            TrafficClass::Gc,
+                            die,
+                            Some(pass.victim),
+                            now,
+                        );
+                        times[0] = times[0].max(end);
+                    }
+                }
+                Step::Run(run) => {
+                    let end = self.schedule_run(&pass.runs[run], pass.program, times[0]);
+                    times[1] = times[1].max(end);
+                }
+                Step::MapCosts => {
+                    for &(lpa, cost) in &pass.map_costs {
+                        self.charge_map_cost(lpa, cost, now, TrafficClass::Gc);
+                    }
+                }
+                Step::Erase => {
+                    let die = geometry.die_of_block(pass.victim);
+                    let floor_ns = times[0].max(times[1]);
+                    times[2] = self.flash_op(
+                        FlashOp::Erase,
+                        TrafficClass::Gc,
+                        die,
+                        Some(pass.victim),
+                        floor_ns,
+                    );
+                }
+            }
         }
-        Ok(!wanted(self))
+        self.gc_plan = plan;
+        done.extend(
+            passes
+                .iter()
+                .zip(&times)
+                .map(|(pass, times)| (pass.victim, times[2])),
+        );
     }
 
     /// Where GC starts and stops on this device; the device front-end
@@ -1654,63 +1777,66 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         out
     }
 
-    /// The relocation kernel GC and wear levelling share (§3.6): reads
-    /// `victim`'s live pages (a block maps to one die, so its reads
-    /// serialise there), sorts/dedups them, programs them — to the GC
-    /// stream, or onto `onto`, a block a wear swap took from the pool —
-    /// re-learns the mappings, invalidates the old locations, recycles
-    /// the victim and journals the move. Returns the erase's completion
-    /// time on the die timelines.
-    ///
-    /// The host clock does not move: reads start at the dispatch point,
-    /// programs no earlier than the last read, the erase no earlier
-    /// than the last program, so the erase is the pass's last die
-    /// reservation. Concurrent work competes with the migration purely
-    /// through die occupancy; whoever must block on it — a synchronous
-    /// collection, a wear swap — waits for the returned time.
-    fn migrate_block(&mut self, victim: BlockId, onto: Option<BlockId>) -> Result<u64, SimError> {
+    /// The relocation kernel GC and wear levelling share (§3.6), as a
+    /// state change only: reads `victim`'s live pages off the device,
+    /// sorts/dedups them, programs them — to the GC stream, or onto
+    /// `onto`, a block a wear swap took from the pool — re-learns the
+    /// mappings, invalidates the old locations, recycles the victim and
+    /// journals the move. Returns what that needs on flash, for
+    /// [`Ssd::schedule_collection`] to place with the rest of its
+    /// collection; nothing here touches a die or the clock.
+    fn migrate_block(
+        &mut self,
+        victim: BlockId,
+        onto: Option<BlockId>,
+    ) -> Result<Relocation, SimError> {
         let mut valid = std::mem::take(&mut self.live_scratch);
         self.validity.valid_pages(victim, &mut valid);
-        let now = self.clock.now_ns();
-        let mut reads_done = now;
-        let mut programs_done = now;
+        let mut relocation = Relocation {
+            victim,
+            reads: valid.len() as u32,
+            runs: Vec::new(),
+            program: if onto.is_some() {
+                FlashOp::WearProgram
+            } else {
+                FlashOp::GcProgram
+            },
+            map_costs: Vec::new(),
+        };
         let mut batches: Vec<Batch> = Vec::new();
         if !valid.is_empty() {
             let mut items: Vec<(Lpa, u64, u64)> = Vec::with_capacity(valid.len());
             for &ppa in &valid {
                 let view = self.device.read(ppa)?;
-                let die = self.config.geometry.die_of(ppa);
-                let end = self.flash_op(FlashOp::GcRead, TrafficClass::Gc, die, now);
-                reads_done = reads_done.max(end);
                 let lpa = view.lpa.ok_or(SimError::MissingReverseMapping { ppa })?;
                 items.push((lpa, view.content, view.seq));
             }
             let items = Self::dedup_migration_items(items);
 
             let len = items.len() as u32;
-            let (runs, op) = match onto {
+            relocation.runs = match onto {
                 Some(block) => {
                     let first = self.config.geometry.first_ppa(block);
-                    (vec![PageRun { block, first, len }], FlashOp::WearProgram)
+                    vec![PageRun { block, first, len }]
                 }
-                None => {
-                    let runs = self.allocate(Stream::Gc, len);
-                    (runs.ok_or(SimError::DeviceFull)?, FlashOp::GcProgram)
-                }
+                None => self.allocate(Stream::Gc, len).ok_or(SimError::DeviceFull)?,
             };
-            (batches, programs_done) = self.program_runs(&runs, &items, reads_done, op)?;
+            batches = self.program_runs(&relocation.runs, &items)?;
 
             // Old locations are known exactly — no lookup needed.
             for &ppa in &valid {
                 self.invalidate(ppa);
             }
             for batch in &batches {
-                self.learn_and_mark(batch, true, TrafficClass::Gc);
+                let cost = self.learn_and_mark(batch, true);
+                if cost != MapCost::FREE {
+                    relocation.map_costs.push((batch[0].0, cost));
+                }
             }
         }
         self.live_scratch = valid;
 
-        let done = self.reclaim(victim, TrafficClass::Gc, programs_done)?;
+        self.recycle(victim)?;
         // Journal the re-installed mappings — stamped *after* the
         // programs, so the delta covers them. (A fully stale victim
         // installs nothing and journals nothing; recovery finds its
@@ -1719,25 +1845,35 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         if !batches.is_empty() {
             self.translog_append_delta(batches.into_iter().flatten());
         }
-        Ok(done)
+        Ok(relocation)
     }
 
     /// One GC pass over `victim` (§3.6): migrate its live pages, erase
     /// it, and persist mapping table + BVC (§3.8) if a persistence
-    /// point is due (`persistence_point_due`). Returns the erase's
-    /// completion time; the host clock does not move. A synchronous
-    /// collection runs one per victim; the device front-end runs one
-    /// per [`crate::Command::GcMigrate`] in [`GcMode::Background`]. A
-    /// pass whose live pages the GC stream cannot take fails with
-    /// [`SimError::DeviceFull`]: its victim is the best block there is
-    /// when it runs, so under greedy no other pass could make the room.
-    pub(crate) fn gc_pass(&mut self, victim: BlockId) -> Result<u64, SimError> {
+    /// point is due (`persistence_point_due`). Returns what the
+    /// relocation needs on flash; the collection that ran the pass
+    /// ([`Ssd::collect`]) places it. A pass whose live pages the GC
+    /// stream cannot take fails with [`SimError::DeviceFull`]: its
+    /// victim is the best block there is when it runs, so under greedy
+    /// no other pass could make the room.
+    pub(crate) fn gc_pass(&mut self, victim: BlockId) -> Result<Relocation, SimError> {
         self.stats.gc_runs += 1;
-        let done = self.migrate_block(victim, None)?;
+        let pass = self.migrate_block(victim, None)?;
         if self.persistence_point_due() {
             self.take_snapshot();
         }
-        Ok(done)
+        Ok(pass)
+    }
+
+    /// Relocates `victim` as a collection of one and returns when its
+    /// erase completes; the host clock does not move. A wear swap runs
+    /// through here (with `onto`), placing its reads, programs,
+    /// translation I/O and erase in that order.
+    fn relocate(&mut self, victim: BlockId, onto: Option<BlockId>) -> Result<u64, SimError> {
+        let pass = self.migrate_block(victim, onto)?;
+        let mut done = Vec::with_capacity(1);
+        self.schedule_collection(std::slice::from_ref(&pass), &mut done);
+        Ok(done.first().map_or(0, |&(_, erase_ns)| erase_ns))
     }
 
     /// Services one background compaction ([`crate::Command::Compact`])
@@ -1790,9 +1926,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// threshold — every flush of a workload that wears evenly — the
     /// answer is "no" without looking at a block. Past that, the walk
     /// below finds the cold data block and the worn free block, and
-    /// [`Ssd::migrate_block`] moves the one onto the other. The host
-    /// waits once, for the swap's erase, like a synchronous collection
-    /// of one pass.
+    /// [`Ssd::relocate`] moves the one onto the other. The host waits
+    /// once, for the swap's erase, like a synchronous collection of one
+    /// pass.
     fn wear_level_once(&mut self) -> Result<bool, SimError> {
         if self.erase_histogram.spread() <= self.config.wear_gap_threshold {
             return Ok(false);
@@ -1835,7 +1971,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         if !self.allocator.take_block(hot) {
             return Ok(false);
         }
-        let done = self.migrate_block(cold, Some(hot))?;
+        let done = self.relocate(cold, Some(hot))?;
         self.clock.wait_until(done);
         self.stats.wear_swaps += 1;
         Ok(true)
@@ -1892,7 +2028,13 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 self.unpersisted.forget();
                 for i in 0..pages {
                     let die = Die::new((i % geometry.total_dies() as usize) as u32);
-                    self.flash_op(FlashOp::TranslationProgram, TrafficClass::MapLog, die, now);
+                    self.flash_op(
+                        FlashOp::TranslationProgram,
+                        TrafficClass::MapLog,
+                        die,
+                        None,
+                        now,
+                    );
                 }
                 self.trace_persist("dram_snapshot", groups, blocks, pages);
                 0
@@ -2012,7 +2154,10 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         if self.allocator.is_open(block) || !self.translog.block_superseded(block, upto) {
             return Ok(None);
         }
-        let done = self.reclaim(block, TrafficClass::MapLog, self.clock.now_ns())?;
+        self.recycle(block)?;
+        let die = self.config.geometry.die_of_block(block);
+        let now = self.clock.now_ns();
+        let done = self.flash_op(FlashOp::Erase, TrafficClass::MapLog, die, Some(block), now);
         self.translog.forget_block(block);
         Ok(Some(done))
     }
@@ -2055,10 +2200,15 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                     let ppa = runs[0].ppas().next().ok_or(SimError::DeviceFull)?;
                     self.device.program(ppa, seq, None)?;
                     let die = self.config.geometry.die_of(ppa);
-                    let now = self.clock.now_ns();
-                    let done =
-                        self.flash_op(FlashOp::TranslationProgram, TrafficClass::MapLog, die, now);
                     let block = self.config.geometry.block_of(ppa);
+                    let now = self.clock.now_ns();
+                    let done = self.flash_op(
+                        FlashOp::TranslationProgram,
+                        TrafficClass::MapLog,
+                        die,
+                        Some(block),
+                        now,
+                    );
                     self.gc_index.touch(block);
                     let allocator = &self.allocator;
                     self.translog
@@ -2233,7 +2383,13 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             let before = pages.len();
             pages.extend(self.device.scan_block(block).skip(first_page as usize));
             for _ in before..pages.len() {
-                let end = self.flash_op(FlashOp::TranslationRead, TrafficClass::MapLog, die, now);
+                let end = self.flash_op(
+                    FlashOp::TranslationRead,
+                    TrafficClass::MapLog,
+                    die,
+                    Some(block),
+                    now,
+                );
                 deadline = deadline.max(end);
             }
         }
@@ -2396,10 +2552,10 @@ mod tests {
             let latency_ns = kind.latency_ns(&ssd.config().timing);
             // A first operation fills the die, so the one under test
             // must queue behind it whatever its floor.
-            let busy_until = ssd.flash_op(op, class, die, 500);
+            let busy_until = ssd.flash_op(op, class, die, None, 500);
             ssd.reset_stats();
 
-            let end_ns = ssd.flash_op(op, class, die, 0);
+            let end_ns = ssd.flash_op(op, class, die, None, 0);
             assert_eq!(end_ns, busy_until + latency_ns, "{op:?} is scheduled");
             assert_eq!(ssd.now_ns(), 0, "{op:?} leaves the host clock alone");
             assert_eq!(ssd.stats().flash, counted, "{op:?} is counted once");
@@ -2523,8 +2679,8 @@ mod tests {
         let victim = ssd.config.geometry.block_of(ppa);
         // One pass, whichever collector runs it.
         assert_eq!(
-            ssd.gc_pass(victim),
-            Err(SimError::MissingReverseMapping { ppa })
+            ssd.gc_pass(victim).err(),
+            Some(SimError::MissingReverseMapping { ppa })
         );
     }
 
@@ -2727,12 +2883,12 @@ mod tests {
         let [first, second, third, cold] = [80, 90, 100, 110].map(BlockId::new);
         for victim in [first, second, third] {
             remapped.extend(live_groups(&ssd, victim));
-            ssd.migrate_block(victim, None).unwrap();
+            ssd.relocate(victim, None).unwrap();
         }
         remapped.extend(live_groups(&ssd, cold));
         let cold_pages = ssd.validity.valid_count(cold) as u64;
         assert!(ssd.allocator.take_block(first));
-        ssd.migrate_block(cold, Some(first)).unwrap();
+        ssd.relocate(cold, Some(first)).unwrap();
         assert_eq!(ssd.stats.flash.wear_programs, cold_pages);
         assert_eq!(cold_pages, 32);
         assert_eq!(ssd.stats.gc_runs, 0, "no point ran since the fill's");
@@ -3068,13 +3224,13 @@ mod tests {
         let [emptied, taken_over, refilled, cold] = [(); 4].map(|()| victims.next().unwrap());
         drop(victims);
 
-        ssd.migrate_block(emptied, None).unwrap();
+        ssd.relocate(emptied, None).unwrap();
         // That journalled a delta, whose page lands on the next block
         // recycled. It makes the delta durable, so the delta's stamp is
         // where the scan starts.
         if mode == CheckpointMode::FlashLog {
             covered = ssd.device.program_seq();
-            ssd.migrate_block(taken_over, None).unwrap();
+            ssd.relocate(taken_over, None).unwrap();
             assert!(ssd.allocator.take_block(taken_over));
             let Some(LogOp::Program { seq }) = ssd.translog.pop_op() else {
                 panic!("the migration queued its delta's page");
@@ -3084,9 +3240,9 @@ mod tests {
             ssd.translog.note_programmed(seq, taken_over, |_| true);
         }
         // A wear swap by hand refills a recycled block.
-        ssd.migrate_block(refilled, None).unwrap();
+        ssd.relocate(refilled, None).unwrap();
         assert!(ssd.allocator.take_block(refilled));
-        ssd.migrate_block(cold, Some(refilled)).unwrap();
+        ssd.relocate(cold, Some(refilled)).unwrap();
         // The migrations appended to the GC stream's open blocks; a
         // flush appends to the host stream's.
         write(&mut ssd, 11);
@@ -3522,8 +3678,9 @@ mod tests {
     }
 
     /// [`SyncGc`] counts what collections held the host for: a call
-    /// that runs passes adds one collection, its passes, and exactly the
-    /// clock's movement inside it; a call with nothing wanted adds
+    /// that runs passes adds one collection, its passes, exactly the
+    /// clock's movement inside it, and its busiest die's GC time, which
+    /// that movement is never below; a call with nothing wanted adds
     /// nothing; [`Ssd::reset_stats`] clears it.
     #[test]
     fn sync_gc_counts_the_clock_a_collection_moves() {
@@ -3542,13 +3699,171 @@ mod tests {
                 collections: before.collections + 1,
                 passes: before.passes + passes,
                 wait_ns: before.wait_ns + (ssd.now_ns() - started_ns),
+                busiest_die_ns: ssd.sync_gc.busiest_die_ns,
             }
         );
+        let busiest_ns = ssd.sync_gc.busiest_die_ns - before.busiest_die_ns;
+        let timing = ssd.config.timing;
+        assert!(busiest_ns >= timing.erase_ns, "{busiest_ns}");
+        assert!(ssd.now_ns() - started_ns >= busiest_ns);
+        assert!(ssd.sync_gc.wait_ns >= ssd.sync_gc.busiest_die_ns);
         let after = ssd.sync_gc;
         assert!(ssd.collect_while(|_| false).unwrap());
         assert_eq!(ssd.sync_gc, after);
         ssd.reset_stats();
         assert_eq!(ssd.sync_gc, SyncGc::default());
+    }
+
+    /// A `small_test()` device widened to 256 blocks on its 8 dies,
+    /// persistence points off and the wear gap out of reach, filled
+    /// once and then overwritten by runs of eight pages from random
+    /// starts, `rounds` times its logical space, then flushed.
+    fn aged_on_eight_dies(rounds: u64) -> Ssd<ExactPageMap> {
+        let mut config = SsdConfig::small_test();
+        config.geometry.blocks = 256;
+        config.checkpoint_mode = CheckpointMode::Disabled;
+        config.wear_gap_threshold = u32::MAX;
+        let mut ssd = Ssd::new(config, ExactPageMap::new());
+        let logical = ssd.config.logical_pages();
+        for lpa in 0..logical {
+            ssd.write(Lpa::new(lpa), lpa).unwrap();
+        }
+        let (mut seed, mut start) = (0x0e1a_u64, 0);
+        for i in 0..rounds * logical {
+            if i % 8 == 0 {
+                seed = seed
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                start = seed >> 33;
+            }
+            ssd.write(Lpa::new((start + i % 8) % logical), i).unwrap();
+        }
+        ssd.flush().unwrap();
+        ssd
+    }
+
+    /// A collection reserves its reads first: on the 8 dies of an
+    /// aged 256-block device, a collection of at least eight greedy
+    /// passes — none over a block the collection itself filled, so the
+    /// per-block rule moves no step — records every GC read of each die
+    /// ahead of that die's first GC program. Chaining one pass after
+    /// another reserved a later pass's reads behind an earlier pass's
+    /// programs on the same die.
+    #[test]
+    fn a_collection_reserves_every_read_of_a_die_before_its_programs() {
+        let mut ssd = aged_on_eight_dies(2);
+        let blocks = ssd.config.geometry.blocks;
+        let candidates: BTreeSet<BlockId> = ssd.scan_gc_candidates().map(|(b, _)| b).collect();
+        let erases = |ssd: &Ssd<ExactPageMap>| -> Vec<u32> {
+            let blocks = (0..blocks).map(BlockId::new);
+            blocks.map(|b| ssd.device.block(b).erase_count()).collect()
+        };
+        let before = erases(&ssd);
+        let target = ssd.free_fraction() + 6.0 / blocks as f64;
+        ssd.attach_trace();
+        assert!(ssd
+            .collect_while(|ssd| ssd.free_fraction() < target)
+            .unwrap());
+        let victims: Vec<BlockId> = (0..blocks)
+            .map(BlockId::new)
+            .zip(erases(&ssd).into_iter().zip(before))
+            .filter(|&(_, (after, before))| after > before)
+            .map(|(block, _)| block)
+            .collect();
+        assert!(victims.len() >= 8, "{victims:?}");
+        assert!(
+            victims.iter().all(|victim| candidates.contains(victim)),
+            "{victims:?}"
+        );
+        let sink = ssd.take_trace().unwrap();
+        for die in 0..ssd.config.geometry.total_dies() {
+            let kinds: Vec<&str> = sink
+                .die_spans()
+                .filter(|&(on, _, class, ..)| on == die && class == "gc")
+                .map(|(_, kind, ..)| kind)
+                .collect();
+            let programs_from = kinds.iter().position(|&kind| kind == "program");
+            let after = &kinds[programs_from.unwrap_or(kinds.len())..];
+            assert!(!after.contains(&"read"), "die {die}: {kinds:?}");
+        }
+    }
+
+    /// The per-block rule, read off the die spans: through the flushes
+    /// of an aged 256-block device, every collection's GC steps on a
+    /// block run one after another, in an order the block allows — a
+    /// read only first or after a program or a read, an erase only
+    /// after a read or first, a program only first or after a program
+    /// or an erase. The flushes run until one collection both reads a
+    /// victim that an earlier pass of it filled and programs a block
+    /// that an earlier pass of it erased.
+    #[test]
+    fn a_collections_steps_on_a_block_follow_one_another() {
+        let mut ssd = aged_on_eight_dies(1);
+        let logical = ssd.config.logical_pages();
+        let mut seed = 0x5eed_u64;
+        let mut random = move || {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            seed >> 33
+        };
+        // Four extents in five start in the hot fifth of the space; one
+        // in eight is 2–41 pages long.
+        let mut lpas = std::iter::from_fn(|| {
+            let start = if random() % 5 < 4 {
+                random() % (logical / 5)
+            } else {
+                random() % logical
+            };
+            let len = if random() % 8 == 0 {
+                2 + random() % 40
+            } else {
+                1
+            };
+            Some((0..len).map(move |i| (start + i) % logical))
+        })
+        .flatten();
+        for i in 0..8 * logical {
+            let collections = ssd.sync_gc.collections;
+            ssd.attach_trace();
+            ssd.write(Lpa::new(lpas.next().unwrap()), i).unwrap();
+            let sink = ssd.take_trace().unwrap();
+            if ssd.sync_gc.collections == collections {
+                continue;
+            }
+            let mut steps: BTreeMap<u64, Vec<(u64, u64, &str)>> = BTreeMap::new();
+            for (_, kind, class, block, start_ns, end_ns) in sink.die_spans() {
+                if class == "gc" {
+                    let block = block.unwrap();
+                    steps
+                        .entry(block)
+                        .or_default()
+                        .push((start_ns, end_ns, kind));
+                }
+            }
+            let (mut filled_then_read, mut erased_then_filled) = (false, false);
+            for (block, mut steps) in steps {
+                steps.sort_unstable();
+                for pair in steps.windows(2) {
+                    let [(_, end_ns, kind), (start_ns, _, next)] = [pair[0], pair[1]];
+                    let allowed = match kind {
+                        "read" => ["read", "erase"].contains(&next),
+                        "program" => ["program", "read"].contains(&next),
+                        _ => next == "program",
+                    };
+                    assert!(
+                        allowed && start_ns >= end_ns,
+                        "block {block}: {next} at {start_ns} after {kind} ending {end_ns}"
+                    );
+                    filled_then_read |= (kind, next) == ("program", "read");
+                    erased_then_filled |= (kind, next) == ("erase", "program");
+                }
+            }
+            if filled_then_read && erased_then_filled {
+                return;
+            }
+        }
+        panic!("no collection read a block it filled and filled a block it erased");
     }
 
     #[test]

@@ -263,12 +263,13 @@ impl LookupPaths {
 }
 
 /// What synchronous garbage collection held the host for: the
-/// collections that ran at least one victim pass, their passes, and
-/// the host nanoseconds waited inside them. A collection puts all its
-/// passes on the die timelines from one dispatch point and waits once,
-/// for the latest erase. Kept beside [`SimStats`], not in it, for the
-/// same reason as [`LookupPaths`], and reset with it
-/// ([`crate::Ssd::reset_stats`]).
+/// collections that ran at least one victim pass, their passes, the
+/// host nanoseconds waited inside them, and the floor under that wait.
+/// A collection puts all its passes on the die timelines from one
+/// dispatch point, phase by phase (every read, then every program,
+/// then every erase), and waits once, for the latest erase. Kept beside
+/// [`SimStats`], not in it, for the same reason as [`LookupPaths`], and
+/// reset with it ([`crate::Ssd::reset_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SyncGc {
     /// Collections that ran at least one pass.
@@ -277,6 +278,10 @@ pub struct SyncGc {
     pub passes: u64,
     /// Host nanoseconds the collections waited for their passes.
     pub wait_ns: u64,
+    /// Summed over the collections, the busiest die's GC read, program
+    /// and erase time: no collection finishes sooner than its busiest
+    /// die, so `wait_ns` is never below it.
+    pub busiest_die_ns: u64,
 }
 
 impl SimStats {

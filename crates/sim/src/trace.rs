@@ -31,7 +31,7 @@
 //! bit-identical with and without it (pinned by the
 //! `trace_attribution` integration tests).
 
-use leaftl_flash::NandTiming;
+use leaftl_flash::{BlockId, NandTiming};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -393,6 +393,42 @@ impl TraceSink {
         self.events.is_empty()
     }
 
+    /// The flash-op spans of die tracks in record order: die, op kind
+    /// label, traffic class label, the block named (if any), start and
+    /// end.
+    #[cfg(test)]
+    pub(crate) fn die_spans(
+        &self,
+    ) -> impl Iterator<Item = (u32, &'static str, &'static str, Option<u64>, u64, u64)> + '_ {
+        self.events.iter().filter_map(|event| {
+            let (Track::Die(die), Some(dur_ns)) = (event.track, event.dur_ns) else {
+                return None;
+            };
+            let arg = |wanted: &str| {
+                let found = event.args.iter().find(|&&(name, _)| name == wanted);
+                found.map(|(_, value)| value)
+            };
+            let class = if let Some(&ArgValue::Str(label)) = arg("class") {
+                label
+            } else {
+                ""
+            };
+            let block = if let Some(&ArgValue::U64(raw)) = arg("block") {
+                Some(raw)
+            } else {
+                None
+            };
+            Some((
+                die,
+                event.name,
+                class,
+                block,
+                event.start_ns,
+                event.start_ns + dur_ns,
+            ))
+        })
+    }
+
     /// Counts the recorded events by track: what
     /// [`TraceSink::export_chrome_json`] renders, read from the sink
     /// instead of parsed back out of its text.
@@ -598,13 +634,15 @@ impl Tracer {
 
     /// Accounts one scheduled flash operation ending at `end_ns` on
     /// `die`: bumps the utilization counters and, with a sink
-    /// attached, records the reservation as a span on the die's track.
+    /// attached, records the reservation as a span on the die's track,
+    /// naming the block it touches when there is one.
     #[inline]
     pub(crate) fn flash_op(
         &mut self,
         class: TrafficClass,
         kind: FlashOpKind,
         die: u32,
+        block: Option<BlockId>,
         end_ns: u64,
         latency_ns: u64,
     ) {
@@ -612,12 +650,14 @@ impl Tracer {
         cell.ops[class.idx()][kind.idx()] += 1;
         cell.busy_ns[class.idx()] += latency_ns;
         if let Some(sink) = &mut self.sink {
+            let mut args = vec![("class", ArgValue::Str(class.label()))];
+            args.extend(block.map(|block| ("block", ArgValue::U64(block.raw()))));
             sink.span(
                 Track::Die(die),
                 kind.label(),
                 end_ns - latency_ns,
                 latency_ns,
-                vec![("class", ArgValue::Str(class.label()))],
+                args,
             );
         }
     }
@@ -695,6 +735,7 @@ mod tests {
             TrafficClass::Host,
             FlashOpKind::Read,
             0,
+            None,
             timing.read_ns,
             timing.read_ns,
         );
@@ -702,6 +743,7 @@ mod tests {
             TrafficClass::Gc,
             FlashOpKind::Program,
             1,
+            None,
             timing.program_ns,
             timing.program_ns,
         );
@@ -709,6 +751,7 @@ mod tests {
             TrafficClass::MapLog,
             FlashOpKind::Erase,
             1,
+            None,
             timing.erase_ns,
             timing.erase_ns,
         );

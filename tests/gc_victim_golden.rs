@@ -114,6 +114,21 @@
 //! check that a background history had queued two victims at once went
 //! with the queue. Every `SYNC_*` and wear-swap constant is the
 //! previous recording's.
+//!
+//! Six constants were recorded again when a collection began to go on
+//! the dies phase by phase — every pass's reads, then every program,
+//! then every erase — and background GC began to run one collection to
+//! the high line per dispatch, retiring one `GcMigrate` per pass. Both
+//! `SYNC_COSTBENEFIT` ones: the age term reads the clock, which a
+//! collection now moves less, so later picks differ (passes 1 186 →
+//! 1 205 under the snapshot, 1 222 → 1 230 under the log). All four
+//! `BACKGROUND_*` ones: a collection's passes now share one dispatch
+//! time and finish in another order; the greedy pair keeps its pass
+//! counts (1 184 and 1 225), cost-benefit moves 1 190 → 1 187 and
+//! 1 221 → 1 228. Both `SYNC_GREEDY_*` constants and both wear-swap
+//! histories hash no time and did not move: a wear swap is a
+//! collection of one, placed in the order it always was. Coverage
+//! holds unedited.
 
 #![expect(
     clippy::unwrap_used,
@@ -402,12 +417,12 @@ fn run_background(config: SsdConfig, seed: u64) -> (u64, Coverage) {
 
 const SYNC_GREEDY_SNAPSHOT: u64 = 0x00c7_9712_11ad_58a4;
 const SYNC_GREEDY_FLASHLOG: u64 = 0x461e_0aba_53ea_f1de;
-const SYNC_COSTBENEFIT_SNAPSHOT: u64 = 0x38ef_9cea_fa10_a1c7;
-const SYNC_COSTBENEFIT_FLASHLOG: u64 = 0x0507_aede_71e0_51f8;
-const BACKGROUND_GREEDY_SNAPSHOT: u64 = 0xcb40_436f_924a_03f1;
-const BACKGROUND_GREEDY_FLASHLOG: u64 = 0x6801_b369_4ccb_0108;
-const BACKGROUND_COSTBENEFIT_SNAPSHOT: u64 = 0xd190_59c2_f5f2_1bd2;
-const BACKGROUND_COSTBENEFIT_FLASHLOG: u64 = 0xe871_b8db_929f_1d76;
+const SYNC_COSTBENEFIT_SNAPSHOT: u64 = 0xab6d_0c9d_0f1b_5431;
+const SYNC_COSTBENEFIT_FLASHLOG: u64 = 0x8f6a_248b_cdc8_4fa7;
+const BACKGROUND_GREEDY_SNAPSHOT: u64 = 0xc1da_0020_0d1f_96f6;
+const BACKGROUND_GREEDY_FLASHLOG: u64 = 0x491d_5877_ebb9_2d65;
+const BACKGROUND_COSTBENEFIT_SNAPSHOT: u64 = 0x3621_a921_973e_1cb4;
+const BACKGROUND_COSTBENEFIT_FLASHLOG: u64 = 0x8900_2c24_329b_d862;
 const SYNC_GREEDY_WEAR_SWAPS: u64 = 0xb6a5_ff6d_2e1c_5f12;
 /// Recorded one PR later than the rest, on the commit before wear swaps
 /// and GC migrations became one relocation kernel.

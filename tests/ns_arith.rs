@@ -6,9 +6,13 @@
 //! is textual: per line of non-test code, `//` comments and string
 //! literals cut, an identifier ending in `_ns` beside a binary `-`.
 
-const FILES: [(&str, &str); 4] = [
+const FILES: [(&str, &str); 5] = [
     ("clock.rs", include_str!("../crates/sim/src/clock.rs")),
     ("ssd.rs", include_str!("../crates/sim/src/ssd.rs")),
+    (
+        "collection.rs",
+        include_str!("../crates/sim/src/collection.rs"),
+    ),
     ("qos.rs", include_str!("../crates/sim/src/qos.rs")),
     ("device.rs", include_str!("../crates/sim/src/device.rs")),
 ];
