@@ -193,7 +193,7 @@ pub fn registry() -> Vec<Experiment> {
         Experiment {
             figures: &[(
                 "sharding",
-                "Sharded translation service: shard count × QD sweep, inline vs background compaction",
+                "Sharded translation service: shard count × QD sweep, inline compaction",
             )],
             run: |quick| vec![sharding::sharding(quick)],
         },

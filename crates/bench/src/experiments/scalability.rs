@@ -63,7 +63,38 @@ pub fn scalability(quick: bool) -> Figure {
             warm_up(ssd, &oltp(), &scale);
         });
 
-        // ---- Part 1: QD sweep ---------------------------------------
+        // ---- Multi-tenant colocation on the same image -------------
+        // Run before the QD sweep, so the sweep's deepest cell is the
+        // last replay and the one `--trace` keeps.
+        let mut ssd = base.clone();
+        let report = ssd.replay_open_loop(trace.clone(), DeviceConfig::new(tenants.len(), 32));
+        ssd.assert_utilization_conserved(&format!("{label} multi-tenant"));
+        let mut row = vec![label.clone(), format!("{:.0}", report.iops())];
+        let mut streams = Vec::new();
+        for stream in &report.per_stream {
+            let mean = stream.latency.mean_ns() / 1000.0;
+            let p50 = stream.latency.percentile_ns(50.0) as f64 / 1000.0;
+            let p99 = stream.latency.percentile_ns(99.0) as f64 / 1000.0;
+            let p999 = stream.latency.percentile_ns(99.9) as f64 / 1000.0;
+            row.push(format!("{mean:.0}µs/{p99:.0}µs"));
+            streams.push(json!({
+                "stream": stream.stream,
+                "requests": stream.latency.count(),
+                "mean_latency_us": mean,
+                "p50_latency_us": p50,
+                "p99_latency_us": p99,
+                "p999_latency_us": p999,
+            }));
+        }
+        mix_rows.push(row);
+        mix_out.push(json!({
+            "scheme": label,
+            "iops": report.iops(),
+            "streams": streams,
+            "utilization": utilization_json(&report.utilization),
+        }));
+
+        // ---- QD sweep -----------------------------------------------
         // Legacy blocking path: the QD=1 cross-check.
         let blocking = {
             let mut ssd = base.clone();
@@ -110,35 +141,6 @@ pub fn scalability(quick: bool) -> Figure {
             "p999_latency_us": depth_p999,
             "blocking_iops": blocking,
             "utilization_qd32": deepest_utilization,
-        }));
-
-        // ---- Part 2: multi-tenant colocation on the same image ------
-        let mut ssd = base;
-        let report = ssd.replay_open_loop(trace.clone(), DeviceConfig::new(tenants.len(), 32));
-        ssd.assert_utilization_conserved(&format!("{label} multi-tenant"));
-        let mut row = vec![label.clone(), format!("{:.0}", report.iops())];
-        let mut streams = Vec::new();
-        for stream in &report.per_stream {
-            let mean = stream.latency.mean_ns() / 1000.0;
-            let p50 = stream.latency.percentile_ns(50.0) as f64 / 1000.0;
-            let p99 = stream.latency.percentile_ns(99.0) as f64 / 1000.0;
-            let p999 = stream.latency.percentile_ns(99.9) as f64 / 1000.0;
-            row.push(format!("{mean:.0}µs/{p99:.0}µs"));
-            streams.push(json!({
-                "stream": stream.stream,
-                "requests": stream.latency.count(),
-                "mean_latency_us": mean,
-                "p50_latency_us": p50,
-                "p99_latency_us": p99,
-                "p999_latency_us": p999,
-            }));
-        }
-        mix_rows.push(row);
-        mix_out.push(json!({
-            "scheme": label,
-            "iops": report.iops(),
-            "streams": streams,
-            "utilization": utilization_json(&report.utilization),
         }));
     }
     print_table(

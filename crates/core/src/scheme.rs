@@ -60,8 +60,8 @@ impl MappingLookup {
     }
 }
 
-/// Structural pressure snapshot of one translation shard — the signal
-/// a background compaction scheduler triggers on. Both axes grow as
+/// Structural pressure snapshot of one translation shard
+/// ([`MappingScheme::shard_pressure`]). Both axes grow as
 /// overwrites stack shadowed state: `levels` is the deepest
 /// log-structured stack (lookup cost), `segments` the resident segment
 /// count (memory cost).
@@ -199,8 +199,8 @@ pub trait MappingScheme {
 
     /// Number of independent translation shards (1 for monolithic
     /// schemes). The simulator sizes one translation-CPU timeline per
-    /// shard, so lookups and compactions of different shards proceed in
-    /// parallel while same-shard work serialises.
+    /// shard, so lookups of different shards proceed in parallel while
+    /// same-shard lookups serialise.
     fn shard_count(&self) -> usize {
         1
     }
@@ -212,28 +212,29 @@ pub trait MappingScheme {
         0
     }
 
-    /// Structural pressure of one shard, polled by the background
-    /// compaction scheduler. Schemes without log-structured state
-    /// report zero and never trigger background compaction.
+    /// Structural pressure of one shard. No scheme in this workspace
+    /// reports it and the simulator reads none: compaction runs inline
+    /// at the flush ([`MappingScheme::maintain`]). Kept, with its
+    /// default, for wrappers that forward it.
     fn shard_pressure(&self, shard: usize) -> ShardPressure {
         let _ = shard;
         ShardPressure::default()
     }
 
-    /// Compacts one shard *now* (unconditionally — the background
-    /// scheduler already decided the shard crossed its threshold,
-    /// unlike the interval-gated [`MappingScheme::maintain`]). Returns
-    /// flash cost plus whether anything was compacted. The default
-    /// forwards to `maintain` for monolithic schemes.
+    /// Compacts one shard *now* (unconditionally, unlike the
+    /// interval-gated [`MappingScheme::maintain`]). Returns flash cost
+    /// plus whether anything was compacted. `ShardedMapping::compact_all`
+    /// sweeps every shard through it; the default forwards to
+    /// `maintain` for monolithic schemes.
     fn maintain_shard(&mut self, shard: usize) -> (MapCost, bool) {
         let _ = shard;
         self.maintain()
     }
 
-    /// CPU nanoseconds compacting `shard` would cost right now (the
-    /// device charges this on the shard's translation-CPU timeline when
-    /// a background compaction command dispatches). 0 for schemes with
-    /// nothing to compact.
+    /// CPU nanoseconds compacting `shard` would cost right now. No
+    /// scheme in this workspace reports it and the simulator reads
+    /// none; kept, with its default of 0, for wrappers that forward
+    /// it.
     fn compact_cost_ns(&self, shard: usize) -> u64 {
         let _ = shard;
         0

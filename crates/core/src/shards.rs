@@ -32,7 +32,7 @@
 //! a shard seeing 1/N of the traffic still compacts on the device's
 //! write interval rather than N× less often.
 
-use crate::scheme::{MapCost, MappingLookup, MappingScheme, ShardPressure};
+use crate::scheme::{MapCost, MappingLookup, MappingScheme};
 use leaftl_flash::{Lpa, Ppa};
 use std::ops::Deref;
 
@@ -101,9 +101,10 @@ impl<S> ShardedMapping<S> {
 }
 
 impl<S: MappingScheme + Clone> ShardedMapping<S> {
-    /// Compacts every shard unconditionally (tests and offline
-    /// footprint measurements; the device compacts shards individually
-    /// through [`MappingScheme::maintain_shard`]).
+    /// Compacts every shard unconditionally, each through
+    /// [`MappingScheme::maintain_shard`] (tests and offline footprint
+    /// measurements; the device compacts inline, through
+    /// [`MappingScheme::maintain`]).
     pub fn compact_all(&mut self) -> MapCost {
         let mut cost = MapCost::FREE;
         for shard in 0..self.shards.len() {
@@ -257,16 +258,8 @@ impl<S: MappingScheme + Clone> MappingScheme for ShardedMapping<S> {
         self.route(lpa)
     }
 
-    fn shard_pressure(&self, shard: usize) -> ShardPressure {
-        self.shards[shard].shard_pressure(0)
-    }
-
     fn maintain_shard(&mut self, shard: usize) -> (MapCost, bool) {
         self.shards[shard].maintain_shard(0)
-    }
-
-    fn compact_cost_ns(&self, shard: usize) -> u64 {
-        self.shards[shard].compact_cost_ns(0)
     }
 }
 

@@ -367,10 +367,8 @@ impl LeaFtlTable {
         self.groups.held()
     }
 
-    /// Deepest log-structured level stack across all groups — the
-    /// lookup-cost half of the compaction-pressure signal a background
-    /// compaction scheduler polls (the other half is
-    /// [`LeaFtlTable::segment_count`]). O(1) — served from the depth
+    /// Deepest log-structured level stack across all groups — what a
+    /// lookup may walk at worst. O(1) — served from the depth
     /// histogram.
     pub fn max_level_depth(&self) -> usize {
         self.accounting.max_depth

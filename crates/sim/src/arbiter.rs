@@ -33,10 +33,9 @@ use std::collections::BinaryHeap;
 pub enum Source {
     /// Host submission queue by index.
     Host(usize),
-    /// The internal background queue: GC migrations, translation-log
-    /// writes ([`crate::Command::MapLog`]), and translation compactions
-    /// ([`crate::Command::Compact`]). The device serves space
-    /// reclamation first, then log durability, then compaction.
+    /// The internal background queue: GC migrations and translation-log
+    /// writes ([`crate::Command::MapLog`]). The device serves space
+    /// reclamation first, then log durability.
     Gc,
 }
 
@@ -177,8 +176,7 @@ pub struct ArbiterView<'a> {
     /// Background commands dispatchable now, all served from
     /// [`Source::Gc`]: one GC collection while the device is
     /// collecting and has a block to collect (none while the QoS
-    /// controller paces them), translation-log ops and compaction
-    /// sweeps.
+    /// controller paces them), and translation-log ops.
     pub background_pending: usize,
 }
 

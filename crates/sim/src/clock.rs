@@ -25,9 +25,8 @@ use serde::{Deserialize, Serialize};
 /// mapping shard ([`SimClock::cpu_reserve`]). They are scheduled exactly
 /// like dies (busy-until timelines that never move `now_ns`) and are
 /// what makes translation a pipeline *stage*: a lookup occupies its
-/// shard's CPU for the lookup cost, a background compaction occupies it
-/// for the whole sweep, and the pipelined read path grants the CPU to
-/// requests in map-ready order rather than arrival order.
+/// shard's CPU for the lookup cost, and the pipelined read path grants
+/// the CPU to requests in map-ready order rather than arrival order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimClock {
     now_ns: u64,

@@ -66,28 +66,6 @@ pub enum GcMode {
     Background,
 }
 
-/// When learned-table compaction runs relative to the host write path.
-///
-/// Inline, it is a side effect of the buffer flush
-/// ([`crate::MappingScheme::maintain`] every
-/// [`SsdConfig::compaction_interval_writes`] host writes), so its CPU
-/// cost is invisible on the timeline. A multi-queue [`crate::Device`]
-/// can instead promote it to first-class background traffic: a compaction scheduler polls per-shard structural pressure
-/// ([`crate::MappingScheme::shard_pressure`]) and emits
-/// [`crate::Command::Compact`] commands that the arbiter schedules
-/// against host queues, charging the compaction sweep on the shard's
-/// translation-CPU timeline where concurrent lookups must wait for it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CompactionMode {
-    /// Compact inside the flush path on the write interval (the
-    /// blocking path's behaviour; the default).
-    Inline,
-    /// Skip inline maintenance; the device emits per-shard
-    /// [`crate::Command::Compact`] background commands when a shard's
-    /// level depth or segment count crosses its threshold.
-    Background,
-}
-
 /// How (and whether) the translation state is checkpointed for crash
 /// recovery.
 ///
@@ -166,7 +144,9 @@ pub struct SsdConfig {
     pub gamma: u32,
     /// Host writes between learned-table compactions (paper §3.7
     /// default: one million). Experiments scale it with the device so
-    /// the steady-state behaviour matches the paper's.
+    /// the steady-state behaviour matches the paper's. A due compaction
+    /// runs inline in the flush, on the blocking path and under every
+    /// [`crate::Device`] alike: there is no other compaction mode.
     pub compaction_interval_writes: u64,
     /// Whether the write buffer is sorted by LPA before flushing
     /// (§3.3). Disabling it is the Fig. 7 ablation.

@@ -2,13 +2,13 @@
 //!
 //! [`Device`] replaces the single-FIFO engine of earlier revisions: it
 //! owns N host submission queues (one per tenant/stream) plus an
-//! internal source of background work (GC migrations, translation-log
-//! ops, compaction sweeps), and an [`Arbiter`]
-//! decides, command by command, which queue the controller serves
-//! next. Every operation — host reads and writes, buffer flushes, GC
-//! page migrations — is a [`Command`] flowing through the same per-die
-//! scheduler, so background work competes with host traffic for dies
-//! instead of stalling it.
+//! internal source of background work (GC migrations and
+//! translation-log ops), and an [`Arbiter`] decides, command by
+//! command, which queue the controller serves next. Every operation —
+//! host reads and writes, buffer flushes, GC page migrations — is a
+//! [`Command`] flowing through the same per-die scheduler, so
+//! background work competes with host traffic for dies instead of
+//! stalling it.
 //!
 //! # Simulation model
 //!
@@ -44,10 +44,11 @@
 //!
 //! # Background GC
 //!
-//! The device, not the SSD, owns its GC and compaction modes: it
-//! passes them to every write and flush it dispatches, and the SSD's
-//! own [`Ssd::write`] and [`Ssd::flush`] always collect and compact
-//! inline. Both modes run one kind of collection: victim passes
+//! The device, not the SSD, owns its GC mode: it passes it to every
+//! write and flush it dispatches, and the SSD's own [`Ssd::write`] and
+//! [`Ssd::flush`] always collect inline. Learned-table compaction has
+//! no mode: every flush, blocking or dispatched, runs it inline
+//! (§3.7). Both GC modes run one kind of collection: victim passes
 //! selected and applied at one dispatch point, then placed on the die
 //! timelines phase by phase — every read, then every program, then
 //! every erase, a block's steps in the order its state changed. The
@@ -130,13 +131,13 @@
 //! ```
 
 use crate::arbiter::{AdmissionClass, Arbiter, ArbiterView, ReadySet, RoundRobin, Source};
-use crate::config::{CompactionMode, GcMode};
+use crate::config::GcMode;
 use crate::error::SimError;
 use crate::qos::{QosController, QosSpec, QosTick, SloClass};
 use crate::request::{Command, IoCompletion, IoRequest};
-use crate::ssd::{FlushModes, Ssd};
+use crate::ssd::Ssd;
 use crate::trace::ArgValue;
-use leaftl_core::{MappingScheme, ShardPressure};
+use leaftl_core::MappingScheme;
 use leaftl_flash::{BlockId, Lpa};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -146,75 +147,14 @@ use std::collections::{BinaryHeap, VecDeque};
 /// queue.
 pub const GC_QUEUE: u32 = u32::MAX;
 
-/// Queue/stream id stamped on background-compaction completions
-/// ([`Command::Compact`]) — like [`GC_QUEUE`], internal device
-/// traffic, not any host submission queue.
-pub const COMPACT_QUEUE: u32 = u32::MAX - 1;
-
 /// Queue/stream id stamped on background translation-log completions
 /// ([`Command::MapLog`]) — checkpoint/delta page programs and log-block
-/// reclaims are internal device traffic like GC and compaction, served
-/// between the two (reclamation first, durability second, compaction
-/// last).
+/// reclaims are internal device traffic like GC, served after it
+/// (reclamation first, durability second).
 pub const MAPLOG_QUEUE: u32 = u32::MAX - 2;
 
-/// The background compaction scheduler's trigger thresholds: a
-/// translation shard whose structural pressure
-/// ([`crate::MappingScheme::shard_pressure`]) is at or past *either*
-/// axis's threshold is queued for a [`Command::Compact`] sweep — the
-/// first time outright, and after that only once the axis that made it
-/// due has grown past what the shard's last sweep left. Level depth is
-/// the lookup-latency trigger (every extra log-structured level is a
-/// longer top-down search), segment count the memory trigger (the
-/// §3.1 bound is restored by dropping shadowed segments). A sweep
-/// cannot flatten levels whose segments still overlap, so a shard can
-/// stay past a threshold after it is swept; the growth guard keeps such
-/// a shard from being re-swept on every flush that merely touches it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompactionScheduler {
-    /// Queue a shard once its deepest group reaches this many levels
-    /// (and, after its first sweep, is deeper than the sweep left it).
-    pub level_threshold: u32,
-    /// Queue a shard once it holds this many learned segments (and,
-    /// after its first sweep, more than the sweep left it).
-    pub segment_threshold: usize,
-}
-
-impl CompactionScheduler {
-    /// Whether a shard at `pressure` is due, given the pressure its
-    /// last sweep left (`None` before its first sweep). An axis counts
-    /// when it is at or past its threshold *and* has grown since that
-    /// sweep: another sweep of structures no deeper and no larger than
-    /// the last one left cannot reclaim much more.
-    fn due(&self, pressure: ShardPressure, last: Option<ShardPressure>) -> bool {
-        let deep = pressure.levels >= self.level_threshold;
-        let large = pressure.segments >= self.segment_threshold;
-        match last {
-            None => deep || large,
-            Some(last) => {
-                (deep && pressure.levels > last.levels)
-                    || (large && pressure.segments > last.segments)
-            }
-        }
-    }
-}
-
-impl Default for CompactionScheduler {
-    /// Level-driven by default: first compact a shard once lookups
-    /// would walk 4 levels, then again each time its deepest group
-    /// grows past what the last sweep left; the segment axis is
-    /// effectively disabled.
-    fn default() -> Self {
-        CompactionScheduler {
-            level_threshold: 4,
-            segment_threshold: usize::MAX,
-        }
-    }
-}
-
 /// Construction-time shape of a [`Device`]: queue count, outstanding
-/// host-command budget, GC scheduling mode, learned-table compaction
-/// mode with its scheduler's thresholds, arbitration policy, and the
+/// host-command budget, GC scheduling mode, arbitration policy, and the
 /// optional QoS spec (per-queue SLOs plus controller).
 #[derive(Debug)]
 pub struct DeviceConfig {
@@ -226,12 +166,6 @@ pub struct DeviceConfig {
     /// Whether GC runs synchronously in the flush path or as
     /// arbitrated background traffic.
     pub gc_mode: GcMode,
-    /// Whether learned-table compaction runs inline in the flush path
-    /// or as scheduled [`Command::Compact`] background traffic.
-    pub compaction_mode: CompactionMode,
-    /// Trigger thresholds for the background compaction scheduler
-    /// (unused in [`CompactionMode::Inline`]).
-    pub compaction: CompactionScheduler,
     /// The arbitration policy.
     pub arbiter: Box<dyn Arbiter>,
     /// Optional QoS control plane: per-queue SLOs plus the controller
@@ -249,8 +183,6 @@ impl DeviceConfig {
             queues: queues.max(1),
             queue_depth: queue_depth.max(1),
             gc_mode: GcMode::Synchronous,
-            compaction_mode: CompactionMode::Inline,
-            compaction: CompactionScheduler::default(),
             arbiter: Box::new(RoundRobin::new()),
             qos: None,
         }
@@ -267,19 +199,15 @@ impl DeviceConfig {
         self
     }
 
-    /// Switches learned-table compaction to scheduled background
-    /// traffic ([`Command::Compact`]) with the default thresholds.
-    pub fn background_compaction(mut self) -> Self {
-        self.compaction_mode = CompactionMode::Background;
+    /// Has no effect: every device compacts the learned table inline,
+    /// at the flush. Kept so configurations that name it still build.
+    pub fn background_compaction(self) -> Self {
         self
     }
 
-    /// Sets the background compaction scheduler's trigger thresholds.
-    pub fn with_compaction_thresholds(mut self, levels: u32, segments: usize) -> Self {
-        self.compaction = CompactionScheduler {
-            level_threshold: levels.max(1),
-            segment_threshold: segments.max(1),
-        };
+    /// Has no effect: there is no background compaction to trigger.
+    /// Kept so configurations that name it still build.
+    pub fn with_compaction_thresholds(self, _levels: u32, _segments: usize) -> Self {
         self
     }
 
@@ -409,14 +337,14 @@ impl ClassIndex {
 /// device go: dropping it with host commands still pending silently
 /// discards them, which debug builds treat as a caller bug
 /// (`debug_assert`). The device never changes how the SSD's own
-/// [`Ssd::write`] and [`Ssd::flush`] behave: it passes its GC and
-/// compaction modes to each write and flush it dispatches.
+/// [`Ssd::write`] and [`Ssd::flush`] behave: it passes its GC mode to
+/// each write and flush it dispatches.
 #[derive(Debug)]
 pub struct Device<'a, S: MappingScheme + Clone> {
     ssd: &'a mut Ssd<S>,
-    /// What the flushes this device dispatches run inline: the
-    /// config's GC and compaction modes.
-    modes: FlushModes,
+    /// Whether the flushes this device dispatches collect inline: the
+    /// config's GC mode.
+    gc_mode: GcMode,
     queues: Vec<HostQueue>,
     queue_depth: usize,
     arbiter: Box<dyn Arbiter>,
@@ -455,30 +383,11 @@ pub struct Device<'a, S: MappingScheme + Clone> {
     gc_done: Vec<(BlockId, u64)>,
     /// Virtual time host writes spent blocked at the hard floor.
     gc_stall_ns: u64,
-    /// Background compaction scheduler thresholds.
-    compaction: CompactionScheduler,
-    /// Shards queued for a background compaction sweep, FIFO.
-    compact_pending: VecDeque<usize>,
-    /// Whether each shard is currently queued, for scan dedup.
-    compact_queued: Vec<bool>,
-    /// Each shard's pressure snapshot right after its last dispatched
-    /// compaction (`None` before its first): once swept, a shard is
-    /// queued again only when an axis past its threshold has grown
-    /// beyond this snapshot ([`CompactionScheduler::due`]) — the guard
-    /// that keeps a threshold below the depth or population a sweep
-    /// leaves behind from re-compacting the shard on every flush that
-    /// touches it.
-    compact_stamp: Vec<Option<ShardPressure>>,
-    /// Program stamp of the last pressure scan (scan skipped while it
-    /// is unchanged).
-    compact_scan_stamp: Option<u64>,
-    /// Compaction sweeps dispatched so far.
-    compact_dispatched: u64,
     /// Translation-log ops dispatched so far.
     maplog_dispatched: u64,
     /// Device commands dispatched so far — host commands (each read in
-    /// a burst counts), migrations, compactions, and translation-log
-    /// ops. The coordinate crash-point injection cuts at.
+    /// a burst counts), migrations, and translation-log ops. The
+    /// coordinate crash-point injection cuts at.
     dispatches: u64,
     /// Remaining dispatch budget once crash injection is armed; at
     /// zero the device freezes (pump returns with work still queued).
@@ -509,7 +418,6 @@ pub struct Device<'a, S: MappingScheme + Clone> {
 impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     /// Wraps an SSD in a multi-queue front-end.
     pub fn new(ssd: &'a mut Ssd<S>, config: DeviceConfig) -> Self {
-        let shard_count = ssd.shard_count();
         let mut queues = Vec::with_capacity(config.queues);
         queues.resize_with(config.queues, HostQueue::default);
         let mut arbiter = config.arbiter;
@@ -531,10 +439,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         };
         Device {
             ssd,
-            modes: FlushModes {
-                gc: config.gc_mode,
-                compaction: config.compaction_mode,
-            },
+            gc_mode: config.gc_mode,
             queues,
             queue_depth: config.queue_depth,
             arbiter,
@@ -553,12 +458,6 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             gc_dispatched: 0,
             gc_done: Vec::new(),
             gc_stall_ns: 0,
-            compaction: config.compaction,
-            compact_pending: VecDeque::new(),
-            compact_queued: vec![false; shard_count],
-            compact_stamp: vec![None; shard_count],
-            compact_scan_stamp: None,
-            compact_dispatched: 0,
             maplog_dispatched: 0,
             dispatches: 0,
             dispatch_budget: None,
@@ -597,9 +496,11 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         self.gc_stall_ns
     }
 
-    /// Background compaction sweeps dispatched so far.
+    /// Always 0: every device compacts the learned table inline, at
+    /// the flush ([`crate::SimStats::compactions`] counts the sweeps).
+    /// Kept so callers that report it still build.
     pub fn compact_dispatched(&self) -> u64 {
-        self.compact_dispatched
+        0
     }
 
     /// Total virtual nanoseconds host queue heads spent deferred by
@@ -631,8 +532,8 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     }
 
     /// Device commands dispatched so far across all traffic classes —
-    /// each read in a burst counts one, as do migrations, compactions
-    /// and translation-log ops. This is the coordinate crash-point
+    /// each read in a burst counts one, as do migrations and
+    /// translation-log ops. This is the coordinate crash-point
     /// injection cuts at: run a workload once, read this off, then
     /// sweep [`Device::halt_after_dispatches`] over `0..=dispatches`.
     pub fn dispatches(&self) -> u64 {
@@ -661,7 +562,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
 
     /// Simulates the power failing at the cut point: consumes the
     /// device, discarding everything still queued in its DRAM (pending
-    /// host commands, queued compaction sweeps and log ops) without the
+    /// host commands and log ops) without the
     /// drop-time undrained assert. Flash state survives on the
     /// borrowed SSD — follow with [`Ssd::crash_and_recover`].
     pub fn power_cut(mut self) {
@@ -694,10 +595,9 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     ///
     /// # Panics
     ///
-    /// Panics if the request carries a [`Command::GcMigrate`],
-    /// [`Command::Compact`] or [`Command::MapLog`] — background
-    /// migrations, compactions and translation-log writes are internal
-    /// device traffic, not host-submittable.
+    /// Panics if the request carries a [`Command::GcMigrate`] or
+    /// [`Command::MapLog`] — background migrations and translation-log
+    /// writes are internal device traffic, not host-submittable.
     pub fn submit_to(&mut self, queue: usize, request: IoRequest) -> Result<u64, SimError> {
         let id = self.enqueue_to(queue, request)?;
         if self.host_pending >= self.queue_depth {
@@ -724,9 +624,9 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         assert!(
             !matches!(
                 request.command,
-                Command::GcMigrate { .. } | Command::Compact { .. } | Command::MapLog { .. }
+                Command::GcMigrate { .. } | Command::MapLog { .. }
             ),
-            "GC migrations, compactions and translation-log writes are internal device traffic"
+            "GC migrations and translation-log writes are internal device traffic"
         );
         if queue >= self.queues.len() {
             return Err(SimError::UnknownQueue(queue));
@@ -821,7 +721,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     /// every pump iteration; each migration picks its victim when it
     /// dispatches ([`Device::dispatch_gc`]).
     fn gc_ready(&mut self) -> bool {
-        if self.modes.gc != GcMode::Background {
+        if self.gc_mode != GcMode::Background {
             return false;
         }
         let lines = self.ssd.gc_watermarks();
@@ -832,76 +732,6 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             self.gc_collecting = false;
         }
         self.gc_collecting && self.ssd.has_gc_candidate()
-    }
-
-    /// Tops the background-compaction queue up: every translation
-    /// shard the scheduler finds due ([`CompactionScheduler::due`]: an
-    /// axis at or past its threshold that, once the shard has been
-    /// swept, has also grown past what the last sweep left) is queued
-    /// for one [`Command::Compact`] sweep. The
-    /// scan is stamped by the flash program count — pressure only
-    /// changes through learning, which only happens on programs, so
-    /// the scan over the shards (one O(1) pressure read each, from the
-    /// table's incremental counters) runs once per flush rather than
-    /// once per dispatch.
-    fn replenish_compaction(&mut self) {
-        if self.modes.compaction != CompactionMode::Background {
-            return;
-        }
-        let programs = self.ssd.stats().flash.total_programs();
-        if self.compact_scan_stamp == Some(programs) {
-            return;
-        }
-        self.compact_scan_stamp = Some(programs);
-        for shard in 0..self.compact_stamp.len() {
-            if self.compact_queued[shard] {
-                continue;
-            }
-            let pressure = self.ssd.shard_pressure(shard);
-            if self.compaction.due(pressure, self.compact_stamp[shard]) {
-                self.compact_queued[shard] = true;
-                self.compact_pending.push_back(shard);
-                let now = self.ssd.now_ns();
-                self.ssd
-                    .tracer_mut()
-                    .control_instant("compact_select", now, || {
-                        vec![
-                            ("shard", ArgValue::U64(shard as u64)),
-                            ("levels", ArgValue::U64(pressure.levels as u64)),
-                            ("segments", ArgValue::U64(pressure.segments as u64)),
-                        ]
-                    });
-            }
-        }
-    }
-
-    /// Dispatches the next queued compaction as a [`Command::Compact`]:
-    /// the shard's structures compact at dispatch (state-at-dispatch,
-    /// like every other command) and the sweep's CPU cost lands on the
-    /// shard's translation-CPU timeline, where concurrent lookups must
-    /// wait for it. Retires as an [`IoCompletion`] on the
-    /// [`COMPACT_QUEUE`] so reports and tests observe compaction
-    /// traffic alongside host commands.
-    fn dispatch_compact(&mut self) -> Result<Option<u64>, SimError> {
-        let Some(shard) = self.compact_pending.pop_front() else {
-            return Ok(None);
-        };
-        self.compact_queued[shard] = false;
-        let dispatch_ns = self.ssd.now_ns();
-        let deadline = self.ssd.service_compact(shard)?;
-        // Snapshot the *post-sweep* pressure: until learning grows a due
-        // axis past it, this shard cannot be re-queued.
-        self.compact_stamp[shard] = Some(self.ssd.shard_pressure(shard));
-        self.compact_dispatched += 1;
-        self.retire_background(
-            COMPACT_QUEUE,
-            Command::Compact { shard },
-            "compact",
-            ("shard", shard as u64),
-            dispatch_ns,
-            deadline,
-        );
-        Ok(Some(deadline))
     }
 
     /// Dispatches one background collection while GC is collecting:
@@ -1067,7 +897,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     /// the right tool anyway.
     fn admission_pressured(&self) -> bool {
         let Some(qos) = &self.qos else { return false };
-        if self.modes.gc != GcMode::Background || self.gc_inflight.is_empty() {
+        if self.gc_mode != GcMode::Background || self.gc_inflight.is_empty() {
             return false;
         }
         self.settled_free_fraction() < self.ssd.gc_watermarks().floor + qos.admission_margin()
@@ -1257,13 +1087,8 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             }
             self.retire_due();
             let gc_ready = self.gc_ready();
-            self.replenish_compaction();
             self.qos_tick_if_due();
-            if self.host_pending == 0
-                && !gc_ready
-                && self.compact_pending.is_empty()
-                && self.ssd.maplog_pending() == 0
-            {
+            if self.host_pending == 0 && !gc_ready && self.ssd.maplog_pending() == 0 {
                 return Ok(());
             }
 
@@ -1287,7 +1112,6 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             let view = ArbiterView {
                 classes: &classes,
                 background_pending: usize::from(gc_ready && !gc_throttled)
-                    + self.compact_pending.len()
                     + self.ssd.maplog_pending(),
             };
             #[cfg(debug_assertions)]
@@ -1346,11 +1170,9 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
                     // The internal background source: space reclamation
                     // first (it guards correctness, but respects the
                     // pacing limit, and runs only while collecting),
-                    // then translation-log durability, then compaction.
-                    if (gc_throttled || self.dispatch_gc()?.is_none())
-                        && self.dispatch_maplog()?.is_none()
-                    {
-                        self.dispatch_compact()?;
+                    // then translation-log durability.
+                    if gc_throttled || self.dispatch_gc()?.is_none() {
+                        self.dispatch_maplog()?;
                     }
                 }
                 Source::Host(queue) => self.dispatch_host(queue, ready_sources)?,
@@ -1376,7 +1198,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             return Err(self.stalled(self.ssd.now_ns()));
         };
         let class = self.head_class(queue);
-        if self.modes.gc == GcMode::Background && req.command.consumes_blocks() {
+        if self.gc_mode == GcMode::Background && req.command.consumes_blocks() {
             self.enforce_hard_floor()?;
         }
         let now = self.ssd.now_ns();
@@ -1430,17 +1252,17 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
                 self.queues[queue].pending.pop_front();
                 self.head_popped(queue, class, 1, now);
                 self.consume_budget(1);
-                let complete_ns = self.ssd.service_write(lpa, content, self.modes)?;
+                let complete_ns = self.ssd.service_write(lpa, content, self.gc_mode)?;
                 self.finish(id, queue, req, None, now, complete_ns);
             }
             Command::Flush => {
                 self.queues[queue].pending.pop_front();
                 self.head_popped(queue, class, 1, now);
                 self.consume_budget(1);
-                let complete_ns = self.ssd.service_flush(self.modes)?;
+                let complete_ns = self.ssd.service_flush(self.gc_mode)?;
                 self.finish(id, queue, req, None, now, complete_ns);
             }
-            Command::GcMigrate { .. } | Command::Compact { .. } | Command::MapLog { .. } => {
+            Command::GcMigrate { .. } | Command::MapLog { .. } => {
                 // Submission rejects these, so one here means the
                 // device put it there itself.
                 return Err(SimError::BackgroundCommandInHostQueue { queue });
@@ -1482,7 +1304,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
             // Background commands never reach a host queue (rejected
             // at submit), but a track name keeps the span valid if
             // that ever changes.
-            Command::GcMigrate { .. } | Command::Compact { .. } | Command::MapLog { .. } => "host",
+            Command::GcMigrate { .. } | Command::MapLog { .. } => "host",
         };
         let tracer = self.ssd.tracer_mut();
         if dispatch_ns > req.arrival_ns {
@@ -1511,7 +1333,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
 impl<S: MappingScheme + Clone> Drop for Device<'_, S> {
     fn drop(&mut self) {
         // Dropping undrained host commands silently discards work the
-        // caller submitted — a bug in the caller. Internal GC/compact
+        // caller submitted — a bug in the caller. Internal GC/log
         // backlog is regenerable and exempt; so are devices whose last
         // dispatch already surfaced an error, and drops during a panic
         // unwind.
@@ -1666,7 +1488,7 @@ mod tests {
         device.submit_write(Lpa::new(1), 1).unwrap();
         // What submission refuses, planted behind it.
         let mut stray = IoRequest::flush();
-        stray.command = Command::Compact { shard: 0 };
+        stray.command = Command::MapLog { seq: 0 };
         device.queues[1].pending.push_back((99, stray));
         device.host_pending += 1;
         device.future_heads.push(Reverse((0, 1)));
@@ -1882,7 +1704,7 @@ mod tests {
     /// fraction falls below the low line and stops once it is back at
     /// the high one, a collection dispatches only while collecting and
     /// runs to the high line, and the background source serves a log
-    /// op or a compaction sweep only while not collecting (the devices
+    /// op only while not collecting (the devices
     /// here always hold a collectable block and pace no migration).
     /// Returns the retired kinds in order, one per pass of a
     /// collection.
@@ -1909,7 +1731,7 @@ mod tests {
                         "migration {} dispatched at free fraction {free} after collection stopped",
                         kinds.len()
                     ),
-                    IoKind::MapLog | IoKind::Compact => assert!(
+                    IoKind::MapLog => assert!(
                         !collecting,
                         "{kind:?} {} took the background turn at free fraction {free} while collecting",
                         kinds.len()
@@ -2041,157 +1863,6 @@ mod tests {
             .filter(|&&kind| kind == IoKind::MapLog)
             .count();
         assert!(log_ops_after >= 1, "{kinds:?}");
-    }
-
-    #[test]
-    fn background_compaction_dispatches_and_preserves_data() {
-        use crate::leaftl_scheme::LeaFtlScheme;
-        use crate::request::IoKind;
-        use leaftl_core::LeaFtlConfig;
-
-        let mut config = SsdConfig::small_test();
-        config.gamma = 0;
-        // Huge inline interval: any compaction observed below must have
-        // come from the background scheduler, not the flush path.
-        let mut device_ssd = Ssd::new(
-            config,
-            LeaFtlScheme::new(LeaFtlConfig::default().with_compaction_interval(u64::MAX)),
-        );
-        let logical = device_ssd.config().logical_pages();
-        {
-            let mut device = Device::new(
-                &mut device_ssd,
-                DeviceConfig::single(8)
-                    .background_compaction()
-                    // Segment-driven trigger: the sliding window grows
-                    // the segment population by ~3 per round (γ=0
-                    // stride-1 trims keep levels flat), so the sweep
-                    // fires several times across the run.
-                    .with_compaction_thresholds(u32::MAX, 24),
-            );
-            // A sliding window of *partially* overlapping writes: each
-            // round shadows only part of the previous round's segments,
-            // so trimmed victims get pushed down and the log-structured
-            // levels stack past the threshold again and again. (Full
-            // overwrites would shadow whole segments away and never
-            // deepen the stack.)
-            for round in 0..10u64 {
-                for i in 0..256u64 {
-                    let lpa = (round * 96 + i) % logical;
-                    device
-                        .submit_write(Lpa::new(lpa), round * 1_000 + i)
-                        .unwrap();
-                }
-            }
-            let completions = device.drain().unwrap();
-            assert!(
-                device.compact_dispatched() > 0,
-                "background compaction must have run"
-            );
-            let compacts: Vec<_> = completions
-                .iter()
-                .filter(|c| c.kind() == IoKind::Compact)
-                .collect();
-            assert_eq!(compacts.len() as u64, device.compact_dispatched());
-            assert!(compacts.iter().all(|c| c.queue == COMPACT_QUEUE));
-            // The sweep costs CPU time on the timeline, never free.
-            assert!(compacts.iter().all(|c| c.complete_ns > c.dispatch_ns));
-        }
-        assert!(device_ssd.stats().compactions > 0);
-        // Last round's window must read back exactly.
-        for i in (0..256u64).step_by(7) {
-            let lpa = (9 * 96 + i) % logical;
-            assert_eq!(
-                device_ssd.read(Lpa::new(lpa)).unwrap(),
-                Some(9 * 1_000 + i),
-                "lpa {lpa}"
-            );
-        }
-    }
-
-    #[test]
-    fn compaction_is_due_on_an_axis_past_its_threshold_that_grew_since_the_last_sweep() {
-        let at = |levels, segments| ShardPressure { levels, segments };
-        let scheduler = CompactionScheduler {
-            level_threshold: 4,
-            segment_threshold: 100,
-        };
-        // Before the first sweep the thresholds alone decide.
-        assert!(!scheduler.due(at(3, 99), None));
-        assert!(scheduler.due(at(4, 0), None));
-        assert!(scheduler.due(at(0, 100), None));
-        // The last sweep left both axes past their thresholds.
-        let last = Some(at(6, 150));
-        assert!(!scheduler.due(at(6, 150), last));
-        assert!(!scheduler.due(at(5, 140), last));
-        assert!(scheduler.due(at(7, 140), last));
-        assert!(scheduler.due(at(5, 151), last));
-        // Growth below a threshold does not count.
-        let shallow = Some(at(2, 150));
-        assert!(!scheduler.due(at(3, 150), shallow));
-        assert!(scheduler.due(at(4, 150), shallow));
-    }
-
-    #[test]
-    fn background_compaction_resweeps_a_shard_only_once_its_due_axis_grew() {
-        use crate::leaftl_scheme::LeaFtlScheme;
-        use leaftl_core::LeaFtlConfig;
-
-        // One flush: a write buffer's worth of `lpas`, then drain (which
-        // dispatches any sweep the flush made due).
-        fn flush(device: &mut Device<'_, LeaFtlScheme>, lpas: impl Iterator<Item = u64>) {
-            for lpa in lpas {
-                device.submit_write(Lpa::new(lpa), lpa).unwrap();
-            }
-            device.drain().unwrap();
-        }
-        // Every 8th LPA of group 0 from `offset`: one stride-8 segment
-        // spanning the whole group, so each offset overlaps the others
-        // and stacks one more level that no sweep can merge away.
-        let strided = |offset: u64| (0..32u64).map(move |j| 8 * j + offset);
-
-        let mut device_ssd = Ssd::new(
-            SsdConfig::small_test(),
-            LeaFtlScheme::new(LeaFtlConfig::default().with_compaction_interval(u64::MAX)),
-        );
-        assert_eq!(device_ssd.config().write_buffer_pages, 32);
-        let mut device = Device::new(
-            &mut device_ssd,
-            DeviceConfig::single(1)
-                .background_compaction()
-                // Level-driven, below the depth a sweep leaves; the
-                // segment axis is not in play.
-                .with_compaction_thresholds(2, usize::MAX),
-        );
-        for offset in 0..4 {
-            flush(&mut device, strided(offset));
-        }
-        let swept = device.compact_dispatched();
-        assert!(swept > 0, "ageing must reach the level threshold");
-        let stamp = device.compact_stamp[0].expect("the shard was swept");
-        assert!(
-            stamp.levels > 2,
-            "a sweep must leave the shard past its level threshold ({stamp:?})"
-        );
-
-        // Sequential flushes into fresh groups: new segments, but no
-        // group deeper than the one the last sweep left.
-        for group in 1..5u64 {
-            flush(&mut device, (0..32).map(|i| 256 * group + i));
-        }
-        let pressure = device.ssd().shard_pressure(0);
-        assert_eq!(pressure.levels, stamp.levels, "no group deepened");
-        assert!(pressure.segments > stamp.segments, "segments grew");
-        assert_eq!(
-            device.compact_dispatched(),
-            swept,
-            "flushes that deepen no group must not re-sweep a shard past its threshold"
-        );
-
-        // The first flush that deepens the deepest group queues it again.
-        flush(&mut device, strided(4));
-        assert_eq!(device.compact_dispatched(), swept + 1);
-        assert!(device.compact_stamp[0].unwrap().levels > stamp.levels);
     }
 
     #[cfg(debug_assertions)]

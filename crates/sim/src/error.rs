@@ -52,7 +52,7 @@ pub enum SimError {
         /// Host commands still pending.
         pending: usize,
     },
-    /// A GC migration, compaction or translation-log write — internal
+    /// A GC migration or translation-log write — internal
     /// traffic that submission rejects — reached the head of a host
     /// submission queue (device logic bug).
     BackgroundCommandInHostQueue {

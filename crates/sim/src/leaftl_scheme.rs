@@ -19,24 +19,9 @@
 
 use crate::lru::LruCache;
 use leaftl_core::{
-    LeaFtlConfig, LeaFtlTable, LookupResult, MapCost, MappingLookup, MappingScheme, ShardPressure,
-    TableStats,
+    LeaFtlConfig, LeaFtlTable, LookupResult, MapCost, MappingLookup, MappingScheme, TableStats,
 };
 use leaftl_flash::{Lpa, Ppa};
-
-/// Base CPU cost of one compaction sweep (setup + re-layering), on top
-/// of the per-segment trim work — the fixed part of
-/// [`MappingScheme::compact_cost_ns`].
-const COMPACT_BASE_NS: u64 = 10_000;
-
-/// Per-segment CPU cost of the compaction sweep the *modelled* device
-/// runs: its controller trims every resident segment against the
-/// cumulative fresher claims (bitmap work + possible CRB splice),
-/// ~Table 3's scale for segment-granular CPU operations. Deliberately
-/// independent of how the host walks the table — `LeaFtlTable::compact`
-/// visiting only the groups that changed moves the host clock, never
-/// this one.
-const COMPACT_PER_SEGMENT_NS: u64 = 500;
 
 /// CPU cost of learning one batch of up to 256 mappings (Table 3:
 /// ~10 µs).
@@ -267,30 +252,15 @@ impl MappingScheme for LeaFtlScheme {
         );
     }
 
-    fn shard_pressure(&self, _shard: usize) -> ShardPressure {
-        ShardPressure {
-            levels: self.table.max_level_depth() as u32,
-            segments: self.table.segment_count(),
-        }
-    }
-
     fn maintain_shard(&mut self, _shard: usize) -> (MapCost, bool) {
-        // The background scheduler already decided this shard crossed
-        // its pressure threshold: compact now, regardless of the
-        // interval the inline `maintain` path is gated on.
+        // Compact now, regardless of the interval the inline
+        // `maintain` path is gated on.
         if self.table.segment_count() == 0 {
             return (MapCost::FREE, false);
         }
         let swept = self.table.compact();
         self.resync_resident_after_compaction(&swept);
         (MapCost::FREE, true)
-    }
-
-    fn compact_cost_ns(&self, _shard: usize) -> u64 {
-        // The modelled sweep trims every resident segment against the
-        // cumulative fresher claims; cost scales with the segment
-        // population, whatever share of it the host had to revisit.
-        COMPACT_BASE_NS + COMPACT_PER_SEGMENT_NS * self.table.segment_count() as u64
     }
 }
 

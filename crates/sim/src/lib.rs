@@ -6,19 +6,18 @@
 //! * a virtual nanosecond clock with per-die parallelism ([`clock`]),
 //! * an NVMe-style multi-queue device front-end ([`Device`]): N host
 //!   submission queues plus internal background traffic (GC migrations
-//!   and translation-shard compactions), a pluggable [`Arbiter`]
+//!   and translation-log writes), a pluggable [`Arbiter`]
 //!   (round-robin / weighted / host-priority), background GC with
-//!   hard-floor back-pressure ([`GcMode`]), scheduled background
-//!   compaction ([`CompactionMode`], [`CompactionScheduler`]),
-//!   out-of-order completion, and open-loop multi-stream replay
-//!   ([`replay_queued`], [`replay_open_loop`]),
+//!   hard-floor back-pressure ([`GcMode`]), out-of-order completion,
+//!   and open-loop multi-stream replay ([`replay_queued`],
+//!   [`replay_open_loop`]),
 //! * per-shard translation-CPU timelines for sharded mapping schemes
-//!   ([`ShardedMapping`]): lookups serialise on their shard's CPU and
-//!   a background compaction sweep stalls only its own shard,
+//!   ([`ShardedMapping`]): lookups serialise on their shard's CPU,
 //! * the controller DRAM split between mapping structures, write
 //!   buffer, and LRU data cache ([`SsdConfig`], [`DramPolicy`]),
 //! * the write path: buffering, LPA-sorted block-granular flushes
-//!   (§3.3), flash programming with OOB reverse mappings,
+//!   (§3.3), flash programming with OOB reverse mappings, and the
+//!   learned table's periodic compaction, inline in every flush (§3.7),
 //! * the read path: cache lookups, learned/exact address translation,
 //!   OOB-based misprediction recovery with exactly one extra flash
 //!   read in the window case (§3.5),
@@ -73,10 +72,8 @@ pub mod validity;
 pub use arbiter::{
     AdmissionClass, Arbiter, ArbiterView, HostPriority, ReadySet, RoundRobin, Source, Weighted,
 };
-pub use config::{CheckpointMode, CompactionMode, DramPolicy, GcMode, GcPolicy, SsdConfig};
-pub use device::{
-    CompactionScheduler, Device, DeviceConfig, COMPACT_QUEUE, GC_QUEUE, MAPLOG_QUEUE,
-};
+pub use config::{CheckpointMode, DramPolicy, GcMode, GcPolicy, SsdConfig};
+pub use device::{Device, DeviceConfig, GC_QUEUE, MAPLOG_QUEUE};
 pub use error::SimError;
 pub use leaftl_core::{
     CowSlots, ExactPageMap, MapCost, MappingLookup, MappingScheme, ShardPressure, ShardedMapping,

@@ -16,8 +16,8 @@
 //!   experience bursty, overlapping tenants.
 //!
 //! Both take a full [`DeviceConfig`], which is how experiments select
-//! queue depth, arbitration policy, GC and compaction modes and a QoS
-//! controller; `DeviceConfig::single(n)` is the plain depth-`n` device.
+//! queue depth, arbitration policy, GC mode and a QoS controller;
+//! `DeviceConfig::single(n)` is the plain depth-`n` device.
 
 use crate::device::{Device, DeviceConfig};
 use crate::error::SimError;
@@ -246,9 +246,6 @@ pub struct QueuedReplayReport {
     /// Background GC migrations the device dispatched during the
     /// replay (0 under synchronous GC).
     pub gc_dispatched: u64,
-    /// Background translation-shard compactions the device dispatched
-    /// during the replay (0 under inline compaction).
-    pub compact_dispatched: u64,
     /// Virtual time host writes spent blocked at the hard floor
     /// waiting for forced migrations (0 under synchronous GC).
     pub gc_stall_ns: u64,
@@ -360,7 +357,7 @@ where
     let mut last_complete = start_ns;
 
     let mut stream_queue: BTreeMap<u32, usize> = BTreeMap::new();
-    let (completions, gc_dispatched, gc_stall_ns, compact_dispatched, admission_waits, qos_ticks) = {
+    let (completions, gc_dispatched, gc_stall_ns, admission_waits, qos_ticks) = {
         let mut device = Device::new(ssd, config);
         for request in requests {
             let queue = queue_of(request.stream);
@@ -381,7 +378,6 @@ where
             completions,
             device.gc_dispatched(),
             device.gc_stall_ns(),
-            device.compact_dispatched(),
             device.admission_wait_per_queue().to_vec(),
             device.qos_ticks().to_vec(),
         )
@@ -390,7 +386,7 @@ where
         match completion.kind() {
             IoKind::Read => pages_read += 1,
             IoKind::Write => pages_written += 1,
-            IoKind::Flush | IoKind::GcMigrate | IoKind::Compact | IoKind::MapLog => continue,
+            IoKind::Flush | IoKind::GcMigrate | IoKind::MapLog => continue,
         }
         // Open-loop requests have real arrival times, so their latency
         // includes queueing delay and their wait is measured; closed-loop
@@ -440,7 +436,6 @@ where
             .collect(),
         gc_dispatched,
         gc_stall_ns,
-        compact_dispatched,
         admission_wait_ns: admission_waits.iter().sum(),
         qos_ticks,
         stats: ssd.stats().clone(),
@@ -452,7 +447,7 @@ where
 /// the host keeps up to `config.queue_depth` page requests outstanding,
 /// refilling as completions retire. Closed-loop ops carry no stream
 /// ids, so they all target queue 0; the config matters for its depth,
-/// GC and compaction modes and (with background work) arbitration
+/// GC mode and (with background work) arbitration
 /// against the internal queues. `DeviceConfig::single(1)` reproduces
 /// [`replay`]'s blocking behaviour, and with synchronous GC its device
 /// state is identical at *any* depth — only timing changes.

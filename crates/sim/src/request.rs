@@ -40,15 +40,6 @@ pub enum Command {
         /// The victim block.
         victim: BlockId,
     },
-    /// Compact one translation shard's learned structures — internal
-    /// background traffic emitted by the device's compaction scheduler
-    /// ([`crate::CompactionMode::Background`]), never host-submittable.
-    /// Its CPU sweep occupies the shard's translation-CPU timeline, so
-    /// concurrent lookups routed to that shard wait for it.
-    Compact {
-        /// The translation shard to compact.
-        shard: usize,
-    },
     /// One translation-log operation (a checkpoint page program, a
     /// flush-delta append, or a log-block reclaim) — internal
     /// background traffic emitted under
@@ -70,8 +61,6 @@ pub enum IoKind {
     Flush,
     /// A background GC migration.
     GcMigrate,
-    /// A background translation-shard compaction.
-    Compact,
     /// A background translation-log operation.
     MapLog,
 }
@@ -84,7 +73,6 @@ impl Command {
             Command::Write { .. } => IoKind::Write,
             Command::Flush => IoKind::Flush,
             Command::GcMigrate { .. } => IoKind::GcMigrate,
-            Command::Compact { .. } => IoKind::Compact,
             Command::MapLog { .. } => IoKind::MapLog,
         }
     }
@@ -93,10 +81,7 @@ impl Command {
     pub fn lpa(&self) -> Option<Lpa> {
         match *self {
             Command::Read { lpa } | Command::Write { lpa, .. } => Some(lpa),
-            Command::Flush
-            | Command::GcMigrate { .. }
-            | Command::Compact { .. }
-            | Command::MapLog { .. } => None,
+            Command::Flush | Command::GcMigrate { .. } | Command::MapLog { .. } => None,
         }
     }
 
@@ -268,10 +253,6 @@ mod tests {
         assert_eq!(gc.kind(), IoKind::GcMigrate);
         assert_eq!(gc.lpa(), None);
         assert_eq!(Command::Flush.lpa(), None);
-        let compact = Command::Compact { shard: 2 };
-        assert!(!compact.consumes_blocks());
-        assert_eq!(compact.kind(), IoKind::Compact);
-        assert_eq!(compact.lpa(), None);
         let maplog = Command::MapLog { seq: 9 };
         assert!(!maplog.consumes_blocks());
         assert_eq!(maplog.kind(), IoKind::MapLog);

@@ -5,9 +5,7 @@ use crate::allocator::{BlockAllocator, PageRun, Stream};
 use crate::buffer::WriteBuffer;
 use crate::clock::SimClock;
 use crate::collection::{CollectionPlan, Relocation, Step};
-use crate::config::{
-    gc_watermarks, CheckpointMode, CompactionMode, GcMode, GcPolicy, GcWatermarks, SsdConfig,
-};
+use crate::config::{gc_watermarks, CheckpointMode, GcMode, GcPolicy, GcWatermarks, SsdConfig};
 use crate::error::SimError;
 use crate::gc_index::{EraseHistogram, VictimIndex, NOT_A_CANDIDATE};
 use crate::lru::LruCache;
@@ -15,7 +13,7 @@ use crate::stats::{LookupPaths, SimStats, SyncGc};
 use crate::trace::{ArgValue, FlashOpKind, TraceSink, Tracer, TrafficClass, UtilizationReport};
 use crate::translog::{Baseline, LogOp, MapLogTraffic, TransLog};
 use crate::validity::Validity;
-use leaftl_core::{MapCost, MappingLookup, MappingScheme, ShardPressure};
+use leaftl_core::{MapCost, MappingLookup, MappingScheme};
 use leaftl_flash::{BlockId, Die, FlashDevice, IntSet, Lpa, Ppa};
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -294,24 +292,6 @@ struct ReadPlan {
     leads_with_data_read: bool,
 }
 
-/// Which background work a flush runs inline: watermark GC and
-/// learned-table compaction. The blocking [`Ssd::write`] and
-/// [`Ssd::flush`] run both; a [`crate::Device`] passes the modes of
-/// its [`crate::DeviceConfig`] and dispatches the rest as commands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct FlushModes {
-    pub(crate) gc: GcMode,
-    pub(crate) compaction: CompactionMode,
-}
-
-impl FlushModes {
-    /// Synchronous GC and inline compaction: the blocking path.
-    pub(crate) const BLOCKING: FlushModes = FlushModes {
-        gc: GcMode::Synchronous,
-        compaction: CompactionMode::Inline,
-    };
-}
-
 /// Who runs a resolution pass ([`Ssd::invalidate_overwritten`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Overwriter {
@@ -388,11 +368,10 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         Ssd {
             device: FlashDevice::new(config.geometry),
             // One translation CPU per mapping shard: a lookup occupies
-            // its shard's CPU for the lookup cost, a background
-            // compaction for the whole sweep — so one shard stalls
-            // every concurrent translation while N shards only stall
-            // their own range. At queue depth 1 the CPU is always idle
-            // by dispatch time, so the grant adds the bare lookup cost.
+            // its shard's CPU for the lookup cost, so concurrent
+            // lookups routed to one shard queue behind each other. At
+            // queue depth 1 the CPU is always idle by dispatch time, so
+            // the grant adds the bare lookup cost.
             clock: SimClock::with_cpus(config.geometry.total_dies(), shard_count),
             allocator: BlockAllocator::with_stripe(config.geometry, config.stripe_pages),
             validity: Validity::new(config.geometry),
@@ -423,21 +402,6 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             unpersisted: UnpersistedGroups::new(config.logical_pages()),
             config,
         }
-    }
-
-    /// Number of independent translation shards the mapping scheme
-    /// exposes (1 for monolithic schemes).
-    pub fn shard_count(&self) -> usize {
-        self.clock.cpus()
-    }
-
-    /// Structural compaction pressure of one translation shard (the
-    /// background compaction scheduler's trigger signal). Out-of-range
-    /// indices clamp to the last shard, like every shard-indexed path.
-    /// Polled per dispatched command, so schemes serve it from
-    /// incremental counters (O(1)), never a table walk.
-    pub fn shard_pressure(&self, shard: usize) -> ShardPressure {
-        self.scheme.shard_pressure(shard.min(self.clock.cpus() - 1))
     }
 
     /// The device configuration.
@@ -840,9 +804,8 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             };
             // Mapping-table CPU cost, serialised on the target shard's
             // translation CPU: concurrent lookups routed to one shard
-            // queue behind each other (and behind an in-flight
-            // background compaction of that shard), while lookups on
-            // other shards proceed unimpeded.
+            // queue behind each other, while lookups on other shards
+            // proceed unimpeded.
             let cpu_ns =
                 LOOKUP_BASE_NS + LOOKUP_PER_LEVEL_NS * hit.levels_visited.saturating_sub(1) as u64;
             let shard = self.scheme.shard_of(lpa).min(self.clock.cpus() - 1);
@@ -889,13 +852,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 let (cpu_start, cpu_done) =
                     self.clock.cpu_reserve(grant.shard, map_ready, grant.cpu_ns);
                 self.stats.translation_stall_ns += cpu_start.saturating_sub(map_ready);
-                self.tracer.cpu_span(
-                    grant.shard,
-                    "lookup",
-                    cpu_done,
-                    grant.cpu_ns,
-                    TrafficClass::Host,
-                );
+                self.tracer.lookup_span(grant.shard, cpu_done, grant.cpu_ns);
                 results[read.index].1 =
                     self.schedule_probes(&grant.plan, probes, cpu_done, TrafficClass::Host);
             }
@@ -1122,7 +1079,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// * [`SimError::LpaOutOfRange`] — address beyond logical capacity.
     /// * [`SimError::DeviceFull`] — no reclaimable space left.
     pub fn write(&mut self, lpa: Lpa, content: u64) -> Result<(), SimError> {
-        self.service_write(lpa, content, FlushModes::BLOCKING)
+        self.service_write(lpa, content, GcMode::Synchronous)
             .map(|_| ())
     }
 
@@ -1130,13 +1087,13 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// insert is a serial DRAM access (the clock advances); when it
     /// fills the buffer the flush — and any stall on the previous
     /// in-flight flush — is part of this request's latency, exactly as
-    /// in the blocking path. `modes` says which background work that
-    /// flush runs inline.
+    /// in the blocking path. `gc` says whether that flush collects
+    /// inline.
     pub(crate) fn service_write(
         &mut self,
         lpa: Lpa,
         content: u64,
-        modes: FlushModes,
+        gc: GcMode,
     ) -> Result<u64, SimError> {
         self.check_lpa(lpa)?;
         let started = self.clock.now_ns();
@@ -1145,7 +1102,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         self.buffer.insert(lpa, content);
         self.clock.advance(DRAM_HIT_NS);
         if self.buffer.len() >= self.config.write_buffer_pages {
-            self.flush_buffer(modes)?;
+            self.flush_buffer(gc)?;
         }
         let done = self.clock.now_ns();
         self.stats.write_latency.record(done - started);
@@ -1155,7 +1112,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// Forces the write buffer to flash and waits for it to drain
     /// (host flush / fsync semantics).
     pub fn flush(&mut self) -> Result<(), SimError> {
-        let deadline = self.service_flush(FlushModes::BLOCKING)?;
+        let deadline = self.service_flush(GcMode::Synchronous)?;
         self.clock.wait_until(deadline);
         Ok(())
     }
@@ -1163,14 +1120,14 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// Services a host flush command without blocking on the programs:
     /// the buffer is flushed (state applied, dies scheduled) and the
     /// drain deadline returned — the [`crate::Device`] completes the
-    /// command when that deadline passes. `modes` says which
-    /// background work the flush runs inline.
-    pub(crate) fn service_flush(&mut self, modes: FlushModes) -> Result<u64, SimError> {
-        self.flush_buffer(modes)?;
+    /// command when that deadline passes. `gc` says whether the flush
+    /// collects inline.
+    pub(crate) fn service_flush(&mut self, gc: GcMode) -> Result<u64, SimError> {
+        self.flush_buffer(gc)?;
         Ok(self.flush_deadline_ns.max(self.clock.now_ns()))
     }
 
-    fn flush_buffer(&mut self, modes: FlushModes) -> Result<(), SimError> {
+    fn flush_buffer(&mut self, gc: GcMode) -> Result<(), SimError> {
         // Double buffering: block until the previous flush drained.
         self.clock.wait_until(self.flush_deadline_ns);
         let pages = if self.config.sort_buffer_on_flush {
@@ -1215,22 +1172,18 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         }
         self.enforce_cache_capacity();
 
-        // Background mode promotes compaction to scheduled device
-        // traffic ([`crate::Command::Compact`]); the flush path then
-        // leaves the learned table alone.
-        if modes.compaction == CompactionMode::Inline {
-            let (cost, compacted) = self.scheme.maintain();
-            let now = self.clock.now_ns();
-            let ready = self.charge_map_cost(Lpa::new(0), cost, now, TrafficClass::Compact);
-            self.clock.wait_until(ready);
-            if compacted {
-                self.stats.compactions += 1;
-            }
+        // Learned-table compaction (§3.7) runs here on every path.
+        let (cost, compacted) = self.scheme.maintain();
+        let now = self.clock.now_ns();
+        let ready = self.charge_map_cost(Lpa::new(0), cost, now, TrafficClass::Compact);
+        self.clock.wait_until(ready);
+        if compacted {
+            self.stats.compactions += 1;
         }
         // Background mode leaves watermark GC to the device front-end;
         // wear levelling stays synchronous in both modes (rare, and its
         // trigger is erase-count skew, not the write path).
-        if modes.gc == GcMode::Synchronous {
+        if gc == GcMode::Synchronous {
             self.maybe_gc()?;
         }
         self.maybe_wear_level()?;
@@ -1238,9 +1191,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         // ops, so the flush drains them synchronously (the log is
         // durable at every flush boundary). Under background GC the
         // multi-queue device serves them as `Command::MapLog` traffic.
-        if self.config.checkpoint_mode == CheckpointMode::FlashLog
-            && modes.gc == GcMode::Synchronous
-        {
+        if self.config.checkpoint_mode == CheckpointMode::FlashLog && gc == GcMode::Synchronous {
             self.drain_maplog()?;
         }
         Ok(())
@@ -1874,33 +1825,6 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         let mut done = Vec::with_capacity(1);
         self.schedule_collection(std::slice::from_ref(&pass), &mut done);
         Ok(done.first().map_or(0, |&(_, erase_ns)| erase_ns))
-    }
-
-    /// Services one background compaction ([`crate::Command::Compact`])
-    /// of translation shard `shard`: the shard's learned structures are
-    /// compacted immediately (the simulation fiction — state at
-    /// dispatch), and the sweep's CPU cost occupies the shard's
-    /// translation-CPU timeline, so concurrent lookups routed to that
-    /// shard wait for it. Returns the sweep's completion time; the
-    /// global clock does not move.
-    pub(crate) fn service_compact(&mut self, shard: usize) -> Result<u64, SimError> {
-        let shard = shard.min(self.clock.cpus() - 1);
-        let sweep_ns = self.scheme.compact_cost_ns(shard);
-        let (cost, compacted) = self.scheme.maintain_shard(shard);
-        let now = self.clock.now_ns();
-        self.charge_map_cost(Lpa::new(0), cost, now, TrafficClass::Compact);
-        if compacted {
-            self.stats.compactions += 1;
-        }
-        let (_, done) = self.clock.cpu_reserve(shard, now, sweep_ns);
-        self.tracer.cpu_span(
-            shard,
-            "compact_sweep",
-            done,
-            sweep_ns,
-            TrafficClass::Compact,
-        );
-        Ok(done)
     }
 
     // ------------------------------------------------------------------
@@ -3204,10 +3128,6 @@ mod tests {
         }
         assert_eq!(ssd.stats.gc_runs, 0);
         persist_now(&mut ssd);
-        let background = FlushModes {
-            gc: GcMode::Background,
-            ..FlushModes::BLOCKING
-        };
         let blocks = || (0..geometry.blocks).map(BlockId::new);
         let state = |ssd: &Ssd<LeaFtlScheme>, block| {
             let block = ssd.device.block(block);
@@ -3246,7 +3166,7 @@ mod tests {
         // The migrations appended to the GC stream's open blocks; a
         // flush appends to the host stream's.
         write(&mut ssd, 11);
-        let drained = ssd.service_flush(background).unwrap();
+        let drained = ssd.service_flush(GcMode::Background).unwrap();
         ssd.clock.wait_until(drained);
 
         assert_eq!(state(&ssd, emptied), (1, 0));
@@ -4070,7 +3990,7 @@ mod tests {
             ssd.write(Lpa::new(lpa), 1_000 + lpa).unwrap();
         }
         let dispatched = ssd.now_ns();
-        ssd.service_flush(FlushModes::BLOCKING).unwrap();
+        ssd.service_flush(GcMode::Synchronous).unwrap();
         let held = ssd.now_ns().saturating_sub(dispatched);
         for &lpa in lpas {
             assert_eq!(ssd.read(Lpa::new(lpa)).unwrap(), Some(1_000 + lpa));

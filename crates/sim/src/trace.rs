@@ -16,15 +16,15 @@
 //!   [`TraceSink`] is attached ([`crate::Ssd::attach_trace`], before
 //!   the SSD is wrapped in a [`crate::Device`]). With a sink attached, every
 //!   die reservation becomes a span on that die's track, translation
-//!   lookups and compaction sweeps become spans on per-shard-CPU
-//!   tracks, host commands become wait/service spans on per-queue
-//!   tracks, and control-plane decisions (QoS ticks, admission
-//!   deferrals, GC victim selection, hard-floor stalls) become instant
-//!   events. [`TraceSink::export_chrome_json`] renders the whole
-//!   timeline as Chrome trace-event JSON that loads directly in
-//!   Perfetto or `chrome://tracing`; [`TraceSink::check`] counts the
-//!   same events per track from the sink itself (the file is read back
-//!   only by CI, with Python's `json`).
+//!   lookups become spans on per-shard-CPU tracks, host commands
+//!   become wait/service spans on per-queue tracks, and control-plane
+//!   decisions (QoS ticks, admission deferrals, GC victim selection,
+//!   hard-floor stalls) become instant events.
+//!   [`TraceSink::export_chrome_json`] renders the whole timeline as
+//!   Chrome trace-event JSON that loads directly in Perfetto or
+//!   `chrome://tracing`; [`TraceSink::check`] counts the same events
+//!   per track from the sink itself (the file is read back only by CI,
+//!   with Python's `json`).
 //!
 //! Tracing is observational: attaching a sink changes no scheduling
 //! decision, so replay digests and virtual-time results are
@@ -50,8 +50,8 @@ pub enum TrafficClass {
     /// re-programs, erases, and the re-learning translation I/O they
     /// trigger.
     Gc,
-    /// Learned-table compaction: shard sweep translation I/O (inline
-    /// or background).
+    /// Learned-table compaction: the translation I/O of the sweep the
+    /// flush path runs.
     Compact,
     /// Translation-log/checkpoint traffic: snapshot page programs,
     /// log-page programs, log-block reclaims, and recovery scans.
@@ -287,8 +287,7 @@ pub(crate) enum Track {
     /// A translation-shard CPU's timeline.
     Cpu(u32),
     /// A submission queue's timeline (host queue index, or the
-    /// [`crate::GC_QUEUE`]/[`crate::COMPACT_QUEUE`]/
-    /// [`crate::MAPLOG_QUEUE`] pseudo-queues).
+    /// [`crate::GC_QUEUE`]/[`crate::MAPLOG_QUEUE`] pseudo-queues).
     Queue(u32),
     /// The control-plane instant track (QoS ticks, admission windows,
     /// scheduling decisions).
@@ -327,7 +326,6 @@ const PID_CONTROL: u32 = 4;
 /// renders as noise in trace viewers; remap to small named tids after
 /// a gap above any plausible host queue count).
 const TID_GC: u32 = 1_000_000;
-const TID_COMPACT: u32 = 1_000_001;
 const TID_MAPLOG: u32 = 1_000_002;
 
 /// An attached event recorder. Obtain one filled in via
@@ -456,7 +454,6 @@ impl TraceSink {
     fn queue_tid(queue: u32) -> u32 {
         match queue {
             crate::device::GC_QUEUE => TID_GC,
-            crate::device::COMPACT_QUEUE => TID_COMPACT,
             crate::device::MAPLOG_QUEUE => TID_MAPLOG,
             host => host,
         }
@@ -475,7 +472,7 @@ impl TraceSink {
     /// (`{"traceEvents": [...]}`) that loads in Perfetto or
     /// `chrome://tracing`: one thread per die under a "flash dies"
     /// process, one per translation-shard CPU, one per submission
-    /// queue (plus the gc/compact/maplog pseudo-queues), and a
+    /// queue (plus the gc/maplog pseudo-queues), and a
     /// control-plane instant track. Timestamps are microseconds with
     /// nanosecond precision; output is byte-deterministic for a given
     /// recording (events render in record order with fixed number
@@ -520,7 +517,6 @@ impl TraceSink {
         for &tid in &queue_tids {
             let name = match tid {
                 TID_GC => "gc".to_string(),
-                TID_COMPACT => "compact".to_string(),
                 TID_MAPLOG => "maplog".to_string(),
                 host => format!("queue {host}"),
             };
@@ -662,25 +658,18 @@ impl Tracer {
         }
     }
 
-    /// Records a translation-shard CPU occupation span (lookup or
-    /// compaction sweep) ending at `end_ns`. Sink-only: CPU time is
-    /// not die time and stays out of the utilization counters.
+    /// Records a host lookup's translation-shard CPU occupation span
+    /// ending at `end_ns`. Sink-only: CPU time is not die time and
+    /// stays out of the utilization counters.
     #[inline]
-    pub(crate) fn cpu_span(
-        &mut self,
-        cpu: usize,
-        name: &'static str,
-        end_ns: u64,
-        dur_ns: u64,
-        class: TrafficClass,
-    ) {
+    pub(crate) fn lookup_span(&mut self, cpu: usize, end_ns: u64, dur_ns: u64) {
         if let Some(sink) = &mut self.sink {
             sink.span(
                 Track::Cpu(cpu as u32),
-                name,
+                "lookup",
                 end_ns - dur_ns,
                 dur_ns,
-                vec![("class", ArgValue::Str(class.label()))],
+                vec![("class", ArgValue::Str(TrafficClass::Host.label()))],
             );
         }
     }

@@ -54,8 +54,7 @@
 //! Each pending page program / block reclaim is queued here as a
 //! [`LogOp`] and drained either synchronously at flush boundaries
 //! (blocking path) or by the multi-queue [`crate::Device`] as
-//! [`crate::Command::MapLog`] background traffic beside GC and
-//! compaction.
+//! [`crate::Command::MapLog`] background traffic beside GC.
 //!
 //! Log pages are programmed with `lpa = None` (metadata, invisible to
 //! data-block recovery scans) and `content = entry seq`, so recovery

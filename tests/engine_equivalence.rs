@@ -6,12 +6,12 @@
 //! device, where a flush is "drain, then a host flush". After both
 //! runs each SSD passes its own cross-checks ([`invariants`]).
 //!
-//! **Synchronous GC and inline compaction: the same state at any queue
-//! depth.** A single queue dispatches host commands in submission
-//! order, so the device ends with the blocking run's reads, flash
-//! contents (per-page content, reverse mapping, program sequence),
-//! wear, mapping bytes and event counts ([`check_equivalence`]). Queue
-//! depth may only change *when* things happen, never *what* happens.
+//! **Synchronous GC: the same state at any queue depth.** A single
+//! queue dispatches host commands in submission order, so the device
+//! ends with the blocking run's reads, flash contents (per-page
+//! content, reverse mapping, program sequence), wear, mapping bytes and
+//! event counts ([`check_equivalence`]). Queue depth may only change
+//! *when* things happen, never *what* happens.
 //! At depth 1 the device is also cycle-exact — the same clock,
 //! translation stall and cache hits — with and without a QoS
 //! controller on a guaranteed queue: one queue leaves the arbiter no
@@ -25,16 +25,17 @@
 //! and LeaFTL behind 1/2/4/8 range shards; a 1-shard service is also
 //! the unsharded scheme, cycle for cycle.
 //!
-//! **Background work converges** ([`check_convergence`]). A device
-//! passes its config's GC and compaction modes to every write and
-//! flush it dispatches; the blocking calls always collect and compact
-//! inline, so the two runs differ by those modes alone. Background GC
-//! migrates pages at other times and places than the synchronous
-//! collector, and background compaction sweeps at other times, but
-//! neither changes what a read returns: after draining, every LPA
-//! holds the blocking run's value. Compaction moves no data, so with
-//! synchronous GC the flash is identical too. Both GC modes start and
-//! stop at the same watermarks, which the device reads from the SSD.
+//! **Background GC converges** ([`check_convergence`]). A device
+//! passes its config's GC mode to every write and flush it dispatches;
+//! the blocking calls always collect inline, so the two runs differ by
+//! that mode alone. Background GC migrates pages at other times and
+//! places than the synchronous collector, but that changes no read:
+//! after draining, every LPA holds the blocking run's value. Both GC
+//! modes start and stop at the same watermarks, which the device reads
+//! from the SSD. Every device, like the blocking calls, compacts the
+//! learned table inline at the flush; `DeviceConfig::background_compaction`
+//! is kept as a name and changes nothing
+//! ([`background_compaction_is_the_inline_run`]).
 
 #![expect(
     clippy::unwrap_used,
@@ -49,14 +50,13 @@ use leaftl_repro::baselines::{Dftl, Sftl};
 use leaftl_repro::core::{LeaFtlConfig, ShardedMapping};
 use leaftl_repro::flash::{BlockId, Lpa, Ppa};
 use leaftl_repro::sim::{
-    Arbiter, Command, Device, DeviceConfig, ExactPageMap, GcMode, HostPriority, IoCompletion,
-    IoKind, IoRequest, LeaFtlScheme, MappingScheme, QosSpec, RoundRobin, SimStats, Slo, Ssd,
-    SsdConfig, Weighted, COMPACT_QUEUE,
+    Arbiter, Device, DeviceConfig, ExactPageMap, GcMode, HostPriority, IoCompletion, IoKind,
+    IoRequest, LeaFtlScheme, MappingScheme, QosSpec, RoundRobin, SimStats, Slo, Ssd, SsdConfig,
+    Weighted,
 };
 use ops::{action, page_ops, Action, Op};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::collections::HashSet;
 
 /// Runs `ops` through the blocking calls; returns the reads in order.
 fn run_blocking<S: MappingScheme + Clone>(ssd: &mut Ssd<S>, ops: &[Op]) -> Vec<Option<u64>> {
@@ -213,7 +213,7 @@ where
 }
 
 /// A device running `config`'s background work reads what the blocking
-/// run (synchronous GC, inline compaction) reads, and after draining
+/// run (synchronous GC) reads, and after draining
 /// holds the same data at every LPA; with synchronous GC, the same
 /// flash.
 fn check_convergence<S, F>(
@@ -388,25 +388,6 @@ proptest! {
         invariants(&one_shard)?;
     }
 
-    /// Arbitrated `Command::Compact` traffic costs time, never state: at
-    /// every shard count and any depth it ends with the inline run's
-    /// reads and flash.
-    #[test]
-    fn background_compaction_matches_inline_state(
-        actions in vec(action(), 10..60),
-        queue_depth in 1usize..17,
-        gamma in 0u32..3,
-        level_threshold in 2u32..5,
-        segment_threshold in 32usize..200,
-    ) {
-        for shards in SHARDS {
-            let config = DeviceConfig::single(queue_depth)
-                .background_compaction()
-                .with_compaction_thresholds(level_threshold, segment_threshold);
-            check_convergence(|| sharded(resident(), shards, gamma), &actions, config)?;
-        }
-    }
-
     /// Background GC, LeaFTL, under each arbiter.
     #[test]
     fn leaftl_background_gc_converges(
@@ -474,41 +455,40 @@ fn background_gc_collects_under_heavy_overwrite() -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// A sliding window of writes over four shards: the device dispatches
-/// background compactions on the compaction queue, for more than one
-/// shard, each for a shard that exists.
+/// `background_compaction()` and its thresholds change nothing: over
+/// four shards and a sliding window of overwrites, with background GC,
+/// the device compacts inline (a sweep at least once), dispatches no
+/// compaction command, and ends with the same completions, statistics,
+/// clock and flash as the device configured without them.
 #[test]
-fn background_compaction_fires_per_shard() -> Result<(), TestCaseError> {
-    let config = resident();
-    let logical = config.logical_pages();
-    let mut ssd = Ssd::new(
-        config,
-        ShardedMapping::new(4, logical, |_| {
-            LeaFtlScheme::new(LeaFtlConfig::default().with_compaction_interval(u64::MAX))
-        }),
-    );
+fn background_compaction_is_the_inline_run() -> Result<(), TestCaseError> {
+    let logical = gc_pressured().logical_pages();
     let ops: Vec<Op> = (0..12u64)
         .flat_map(|round| {
             (0..256u64).map(move |i| Op::Write((round * 131 + i * 5) % logical, round * 10_000 + i))
         })
         .collect();
-    let config = DeviceConfig::single(8)
+    let run = |config: DeviceConfig| {
+        let mut ssd = sharded(gc_pressured(), 4, 2);
+        let mut device = Device::new(&mut ssd, config);
+        let completions = drive(&mut device, &ops);
+        assert_eq!(device.compact_dispatched(), 0);
+        drop(device);
+        (completions, ssd)
+    };
+    let config = || DeviceConfig::single(8).background_gc();
+    let (plain_completions, plain) = run(config());
+    let (named_completions, named) = run(config()
         .background_compaction()
-        .with_compaction_thresholds(u32::MAX, 16);
-    let mut device = Device::new(&mut ssd, config);
-    let mut compacted_shards = HashSet::new();
-    for c in drive(&mut device, &ops) {
-        if let Command::Compact { shard } = c.command {
-            assert!(shard < 4, "shard id in range");
-            assert_eq!(c.queue, COMPACT_QUEUE);
-            compacted_shards.insert(shard);
-        }
-    }
-    assert!(device.compact_dispatched() > 0, "compaction must fire");
-    drop(device);
-    assert!(
-        compacted_shards.len() > 1,
-        "writes span the LPA space: more than one shard must compact (got {compacted_shards:?})"
+        .with_compaction_thresholds(2, 16));
+    assert!(named.stats().compactions > 0, "the flush path must compact");
+    assert!(named.stats().gc_runs > 0, "background GC must collect");
+    assert_eq!(named_completions, plain_completions);
+    assert_eq!(
+        format!("{:?}", named.stats()),
+        format!("{:?}", plain.stats())
     );
-    invariants(&ssd)
+    assert_eq!(named.now_ns(), plain.now_ns());
+    same_state(&named, &plain)?;
+    invariants(&named)
 }

@@ -8,8 +8,9 @@
 //! compaction — and the §3.1 bound (segments ≤ live pages) holds
 //! *inside each shard* against only that shard's live LPAs.
 //!
-//! A full SSD on a sharded service, blocking and queued, inline and
-//! background compaction, is held equal in `tests/engine_equivalence.rs`.
+//! A full SSD on a sharded service, blocking and queued, is held equal
+//! in `tests/engine_equivalence.rs`; every path compacts inline at the
+//! flush.
 
 use leaftl_repro::core::{LeaFtlConfig, MappingScheme, ShardedMapping};
 use leaftl_repro::flash::{Lpa, Ppa};

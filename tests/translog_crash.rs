@@ -132,8 +132,7 @@ fn sweep_workload_exercises_checkpoints_and_log_gc() {
                     Command::Read { .. }
                     | Command::Write { .. }
                     | Command::Flush
-                    | Command::GcMigrate { .. }
-                    | Command::Compact { .. } => None,
+                    | Command::GcMigrate { .. } => None,
                 }),
         );
     }
