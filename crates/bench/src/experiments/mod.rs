@@ -10,7 +10,6 @@ mod perf;
 mod qos;
 mod reliability;
 mod scalability;
-mod sharding;
 mod structure;
 mod tables;
 
@@ -192,13 +191,6 @@ pub fn registry() -> Vec<Experiment> {
         },
         Experiment {
             figures: &[(
-                "sharding",
-                "Sharded translation service: shard count × QD sweep, inline compaction",
-            )],
-            run: |quick| vec![sharding::sharding(quick)],
-        },
-        Experiment {
-            figures: &[(
                 "ablation_sort",
                 "Ablation: LPA-sorted flush (Fig. 7 motivation)",
             )],
@@ -260,8 +252,8 @@ mod tests {
         assert_eq!(shape.reason().as_deref(), Some(note));
     }
 
-    /// The 26 names the harness accepts.
-    const NAMES: [&str; 26] = [
+    /// The 25 names the harness accepts.
+    const NAMES: [&str; 25] = [
         "table1",
         "fig5",
         "fig10",
@@ -285,7 +277,6 @@ mod tests {
         "scalability",
         "arbitration",
         "qos",
-        "sharding",
         "ablation_sort",
         "ablation_gc",
     ];

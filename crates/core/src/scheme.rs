@@ -198,9 +198,9 @@ pub trait MappingScheme {
     }
 
     /// Number of independent translation shards (1 for monolithic
-    /// schemes). The simulator sizes one translation-CPU timeline per
-    /// shard, so lookups of different shards proceed in parallel while
-    /// same-shard lookups serialise.
+    /// schemes). The simulator reads none: a lookup's CPU cost runs on
+    /// its request's own dependency chain, whatever its shard. Kept,
+    /// with its default, for wrappers that forward it.
     fn shard_count(&self) -> usize {
         1
     }

@@ -1,21 +1,18 @@
 //! Sharded translation service: the LPA space partitioned into N
 //! independent range shards, each a complete mapping scheme of its own.
 //!
-//! The monolithic table keeps every 256-LPA group behind one `&mut`, so
-//! a queued device that dispatches read bursts in parallel across flash
-//! dies still *translates* them serially. [`ShardedMapping`] removes
-//! that bottleneck structurally: each shard owns a contiguous LPA range
+//! In a [`ShardedMapping`] each shard owns a contiguous LPA range
 //! (aligned to group boundaries, so a group never straddles shards) and
 //! carries its own group map, CRB and — for demand-paged schemes — LRU
 //! residency state. A lookup routes to the one shard that owns its
 //! address, sorted flush batches split at shard boundaries
 //! ([`MappingScheme::update_batch_sorted`]), and compaction runs
-//! per shard, which is what lets the device front-end schedule it as
-//! background traffic instead of a stop-the-world flush side effect.
+//! per shard.
 //!
-//! The parallelism is the *simulated device's*: the simulator gives
-//! every shard its own translation-CPU timeline, so lookups on
-//! different shards overlap in virtual time. On the host a burst is
+//! The simulator models no translation CPU to parallelise: a lookup
+//! costs CPU time on its own request's dependency chain, so lookups
+//! overlap in virtual time at any shard count and the shard a lookup
+//! routes to never changes when it runs. On the host a burst is
 //! translated one address at a time on the caller's thread.
 //!
 //! # Equivalence

@@ -21,56 +21,22 @@ use serde::{Deserialize, Serialize};
 /// I/O engine relies on this: each request carries its own ready time
 /// while `now_ns` only moves at dispatch/completion boundaries.
 ///
-/// Beside the dies, the clock also tracks *translation CPUs* — one per
-/// mapping shard ([`SimClock::cpu_reserve`]). They are scheduled exactly
-/// like dies (busy-until timelines that never move `now_ns`) and are
-/// what makes translation a pipeline *stage*: a lookup occupies its
-/// shard's CPU for the lookup cost, and the pipelined read path grants
-/// the CPU to requests in map-ready order rather than arrival order.
+/// Dies are the only contended resource. A lookup's CPU cost is not a
+/// timeline: it runs from the request's map-ready time on the request's
+/// own dependency chain, so no lookup waits for another.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimClock {
     now_ns: u64,
     die_busy_until: Vec<u64>,
-    /// Per-translation-shard CPU availability. Defaults to one CPU so
-    /// pre-sharding callers keep the single-timeline semantics.
-    cpu_busy_until: Vec<u64>,
 }
 
 impl SimClock {
-    /// A clock at time zero for `dies` flash dies and one translation
-    /// CPU.
+    /// A clock at time zero for `dies` flash dies.
     pub fn new(dies: u32) -> Self {
-        Self::with_cpus(dies, 1)
-    }
-
-    /// A clock at time zero for `dies` flash dies and `cpus`
-    /// translation CPUs (one per mapping shard).
-    pub fn with_cpus(dies: u32, cpus: usize) -> Self {
         SimClock {
             now_ns: 0,
             die_busy_until: vec![0; dies as usize],
-            cpu_busy_until: vec![0; cpus.max(1)],
         }
-    }
-
-    /// Number of translation CPUs (mapping shards) this clock tracks.
-    pub fn cpus(&self) -> usize {
-        self.cpu_busy_until.len()
-    }
-
-    /// Occupies translation CPU `cpu` for `cost_ns`, starting no
-    /// earlier than `earliest_ns` (the request's map-ready time) nor
-    /// before the CPU frees up, and returns the `(start, end)` pair of
-    /// the reservation. Like [`SimClock::schedule_after`] the global
-    /// clock does not move — grant order is the caller's scheduling
-    /// policy, which is exactly where the pipelined read path reorders
-    /// lookups.
-    pub fn cpu_reserve(&mut self, cpu: usize, earliest_ns: u64, cost_ns: u64) -> (u64, u64) {
-        let busy = &mut self.cpu_busy_until[cpu];
-        let start = (*busy).max(earliest_ns);
-        let end = start + cost_ns;
-        *busy = end;
-        (start, end)
     }
 
     /// Current virtual time in nanoseconds.
@@ -155,21 +121,6 @@ mod tests {
         clock.schedule_after(Die::new(0), 0, 300); // fills the die
         let latency = blocking_op(&mut clock, Die::new(0), 100);
         assert_eq!(latency, 400);
-    }
-
-    #[test]
-    fn cpu_timelines_serialize_per_cpu_and_parallel_across() {
-        let mut clock = SimClock::with_cpus(1, 2);
-        assert_eq!(clock.cpus(), 2);
-        // Two grants on CPU 0 queue behind each other...
-        assert_eq!(clock.cpu_reserve(0, 0, 100), (0, 100));
-        assert_eq!(clock.cpu_reserve(0, 0, 50), (100, 150));
-        // ...while CPU 1 is independent, and a later map-ready floor
-        // delays the start (the request waits on its translation read,
-        // not on the CPU).
-        assert_eq!(clock.cpu_reserve(1, 400, 50), (400, 450));
-        // The global clock never moved.
-        assert_eq!(clock.now_ns(), 0);
     }
 
     #[test]

@@ -30,17 +30,17 @@
 //! Within one dispatched read burst, translation is a pipeline *stage*
 //! rather than a serial prefix: [`crate::Ssd::service_read_batch`]
 //! applies all state changes in strict submission order (so digests and
-//! counters match the blocking path exactly), then grants each mapping
-//! shard's translation CPU to requests in *map-ready* order. A request
-//! whose mapping is resident no longer waits behind an earlier
-//! request's demand-paged translation read — its sub-µs lookup and its
-//! data read overlap the slower request's flash traffic on the die
-//! timelines, and the time a lookup does spend queued behind a busy
-//! shard CPU is charged to
-//! [`crate::SimStats::translation_stall_ns`]. A burst of a single read
-//! (queue depth 1) is the degenerate case — translation reads, lookup
-//! and data probes chain serially — and it is also what the blocking
-//! [`Ssd::read`] runs, which is why depth 1 is cycle-exact with it.
+//! counters match the blocking path exactly), then places each
+//! request's data probes in *map-ready* order. A lookup costs CPU time
+//! on its own request's dependency chain, from that request's map-ready
+//! time; it has no timeline to queue on. A request whose mapping is
+//! resident therefore never waits behind another request's demand-paged
+//! translation read, in its burst or in any later one — its sub-µs
+//! lookup and its data read overlap the slower request's flash traffic
+//! on the die timelines. A burst of a single read (queue depth 1) is
+//! the degenerate case — translation reads, lookup and data probes
+//! chain serially — and it is also what the blocking [`Ssd::read`]
+//! runs, which is why depth 1 is cycle-exact with it.
 //!
 //! # Background GC
 //!
@@ -583,8 +583,8 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     /// queue-depth batch is pending across all queues (or on
     /// [`Device::drain`]); deferring dispatch lets reads that are
     /// pending together be dispatched as one burst, which is what the
-    /// pipelined read timeline reorders ([`Ssd`]'s read path grants
-    /// shard CPUs in map-ready order within a burst).
+    /// pipelined read timeline reorders ([`Ssd`]'s read path places
+    /// data probes in map-ready order within a burst).
     ///
     /// # Errors
     ///
@@ -914,11 +914,10 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         // controller borrows the device.
         let settled = self.settled_free_fraction();
         let gc_stall = self.gc_stall_ns;
-        let translation_stall = self.ssd.stats().translation_stall_ns;
         let Some(qos) = self.qos.as_mut() else {
             return;
         };
-        qos.tick(now, gc_stall, translation_stall, settled);
+        qos.tick(now, gc_stall, settled);
         let tick = qos.last_tick();
         self.ssd.tracer_mut().control_instant("qos_tick", now, || {
             tick.map(|tick| {

@@ -11,8 +11,6 @@
 //!   hard-floor back-pressure ([`GcMode`]), out-of-order completion,
 //!   and open-loop multi-stream replay ([`replay_queued`],
 //!   [`replay_open_loop`]),
-//! * per-shard translation-CPU timelines for sharded mapping schemes
-//!   ([`ShardedMapping`]): lookups serialise on their shard's CPU,
 //! * the controller DRAM split between mapping structures, write
 //!   buffer, and LRU data cache ([`SsdConfig`], [`DramPolicy`]),
 //! * the write path: buffering, LPA-sorted block-granular flushes

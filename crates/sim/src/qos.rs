@@ -25,8 +25,8 @@
 //!
 //! At every control interval (on the device timeline) the controller
 //! logs a [`QosTick`]: each guaranteed queue's window p99 against its
-//! budget, the best-effort window, and the device's `gc_overlap`,
-//! `gc_stall_ns` and `translation_stall_ns` interference attribution.
+//! budget, the best-effort window, and the device's `gc_overlap` and
+//! `gc_stall_ns` interference attribution.
 //! The log is observation only; nothing is retuned from it.
 //!
 //! Everything here is opt-in: a device without a [`QosSpec`] behaves
@@ -191,8 +191,6 @@ pub struct QosTick {
     pub worst_error: f64,
     /// `gc_stall_ns` accumulated since the previous tick.
     pub gc_stall_delta_ns: u64,
-    /// `translation_stall_ns` accumulated since the previous tick.
-    pub translation_stall_delta_ns: u64,
     /// Settled free fraction at the tick.
     pub settled_free_fraction: f64,
     /// Guaranteed-class completions whose dispatch overlapped an
@@ -229,7 +227,6 @@ pub struct QosController {
     be_window_gc_overlap: u64,
     next_tick_ns: u64,
     last_gc_stall_ns: u64,
-    last_translation_stall_ns: u64,
     ticks: Vec<QosTick>,
 }
 
@@ -258,7 +255,6 @@ impl QosController {
             be_window_gc_overlap: 0,
             next_tick_ns: 0,
             last_gc_stall_ns: 0,
-            last_translation_stall_ns: 0,
             ticks: Vec::new(),
             slos,
             guaranteed,
@@ -321,20 +317,11 @@ impl QosController {
 
     /// Runs one control tick at device time `now_ns`: logs every
     /// guaranteed queue's window p99 against its budget, the
-    /// best-effort window and the stall deltas since the previous
-    /// tick, then resets the windows.
-    pub fn tick(
-        &mut self,
-        now_ns: u64,
-        gc_stall_ns: u64,
-        translation_stall_ns: u64,
-        settled_free_fraction: f64,
-    ) {
+    /// best-effort window and the GC stall since the previous tick,
+    /// then resets the windows.
+    pub fn tick(&mut self, now_ns: u64, gc_stall_ns: u64, settled_free_fraction: f64) {
         let gc_stall_delta = gc_stall_ns.saturating_sub(self.last_gc_stall_ns);
-        let translation_stall_delta =
-            translation_stall_ns.saturating_sub(self.last_translation_stall_ns);
         self.last_gc_stall_ns = gc_stall_ns;
-        self.last_translation_stall_ns = translation_stall_ns;
 
         let mut worst_error: Option<f64> = None;
         let mut guaranteed_overlap = 0u64;
@@ -363,7 +350,6 @@ impl QosController {
             at_ns: now_ns,
             worst_error: worst_error.unwrap_or(0.0),
             gc_stall_delta_ns: gc_stall_delta,
-            translation_stall_delta_ns: translation_stall_delta,
             settled_free_fraction,
             guaranteed_gc_overlap: guaranteed_overlap,
             best_effort_gc_overlap: self.be_window_gc_overlap,
@@ -413,7 +399,7 @@ mod tests {
             c.observe(1, 2_000, true);
         }
         assert!(c.due(0));
-        c.tick(1_000_000, 0, 0, 0.5);
+        c.tick(1_000_000, 0, 0.5);
         assert!(!c.due(1_500_000));
         assert!(c.due(2_000_000));
         let tick = &c.ticks()[0];
@@ -424,7 +410,7 @@ mod tests {
         // Window cleared: an immediate second tick sees zero samples,
         // reports no error, and carries the stall accrued since the
         // first.
-        c.tick(2_000_000, 500_000, 0, 0.05);
+        c.tick(2_000_000, 500_000, 0.05);
         let tick = &c.ticks()[1];
         assert_eq!(tick.guaranteed[0].samples, 0);
         assert_eq!(tick.gc_stall_delta_ns, 500_000);
@@ -433,7 +419,7 @@ mod tests {
         // 100 µs budget is three budgets over.
         c.observe(0, 400_000, false);
         c.observe(0, 400_000, false);
-        c.tick(3_000_000, 500_000, 0, 0.5);
+        c.tick(3_000_000, 500_000, 0.5);
         let tick = &c.ticks()[2];
         assert_eq!(tick.guaranteed[0].samples, 2);
         assert_eq!(tick.guaranteed[0].p99_us, 400.0);

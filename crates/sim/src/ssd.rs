@@ -340,15 +340,14 @@ struct PendingRead {
     cost: MapCost,
     /// The lookup and data probes that follow the charge; `None` for
     /// a never-written page, which completes once the charge is paid.
-    grant: Option<CpuGrant>,
+    translated: Option<Translated>,
 }
 
-/// A flash-backed read's claim on its shard's translation CPU, and the
-/// data probes that follow the grant.
+/// A flash-backed read's lookup cost, and the data probes that follow
+/// the lookup.
 #[derive(Debug, Clone)]
-struct CpuGrant {
+struct Translated {
     cpu_ns: u64,
-    shard: usize,
     plan: ReadPlan,
 }
 
@@ -364,15 +363,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         config.validate();
         scheme.set_memory_budget(config.mapping_budget());
         let pristine_scheme = scheme.clone();
-        let shard_count = scheme.shard_count().max(1);
         Ssd {
             device: FlashDevice::new(config.geometry),
-            // One translation CPU per mapping shard: a lookup occupies
-            // its shard's CPU for the lookup cost, so concurrent
-            // lookups routed to one shard queue behind each other. At
-            // queue depth 1 the CPU is always idle by dispatch time, so
-            // the grant adds the bare lookup cost.
-            clock: SimClock::with_cpus(config.geometry.total_dies(), shard_count),
+            clock: SimClock::new(config.geometry.total_dies()),
             allocator: BlockAllocator::with_stripe(config.geometry, config.stripe_pages),
             validity: Validity::new(config.geometry),
             buffer: WriteBuffer::new(),
@@ -447,15 +440,12 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     }
 
     /// Attaches a timeline event sink. From here on, every die
-    /// reservation, shard-CPU occupation, command lifecycle span and
-    /// control-plane decision is recorded until [`Ssd::take_trace`]
-    /// detaches it. Tracing is observational only: scheduling decisions
-    /// and virtual-time results are unchanged.
+    /// reservation, command lifecycle span and control-plane decision
+    /// is recorded until [`Ssd::take_trace`] detaches it. Tracing is
+    /// observational only: scheduling decisions and virtual-time
+    /// results are unchanged.
     pub fn attach_trace(&mut self) {
-        self.tracer.sink = Some(TraceSink::new(
-            self.config.geometry.total_dies(),
-            self.clock.cpus() as u32,
-        ));
+        self.tracer.sink = Some(TraceSink::new(self.config.geometry.total_dies()));
     }
 
     /// Detaches and returns the event sink, if one was attached.
@@ -687,9 +677,8 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// time), while on the timeline each request's map lookup proceeds
     /// *out of order* — a resident request's sub-µs lookup does not
     /// wait behind an earlier request's demand-paged translation-page
-    /// read for the shard CPU, and its data read overlaps that
-    /// translation read on the die timelines
-    /// ([`Ssd::service_read_pipelined`]).
+    /// read, and its data read overlaps that translation read on the
+    /// die timelines ([`Ssd::service_read_pipelined`]).
     ///
     /// While the scheme's lookups are pure
     /// ([`MappingScheme::lookup_is_pure`], i.e. the table is resident)
@@ -746,11 +735,11 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// in batch order (exactly what servicing the requests one by one
     /// would do); pass 2 lays the work onto the timelines with
     /// out-of-order lookups — translation charges chain per request,
-    /// then shard CPUs are granted in *map-ready* order rather than
-    /// batch order, and each granted request's data probes claim die
-    /// time immediately, overlapping later-ready requests' translation
-    /// reads. A burst of one degenerates to the serial chain
-    /// translation reads → lookup → data probes.
+    /// then, in *map-ready* order rather than batch order, each
+    /// request's lookup runs from its map-ready time and its data
+    /// probes claim die time immediately, overlapping later-ready
+    /// requests' translation reads. A burst of one degenerates to the
+    /// serial chain translation reads → lookup → data probes.
     fn service_read_pipelined(
         &mut self,
         lpas: &[Lpa],
@@ -798,17 +787,13 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                     index,
                     lpa,
                     cost,
-                    grant: None,
+                    translated: None,
                 });
                 continue;
             };
-            // Mapping-table CPU cost, serialised on the target shard's
-            // translation CPU: concurrent lookups routed to one shard
-            // queue behind each other, while lookups on other shards
-            // proceed unimpeded.
+            // Mapping-table CPU cost, on the request's own chain.
             let cpu_ns =
                 LOOKUP_BASE_NS + LOOKUP_PER_LEVEL_NS * hit.levels_visited.saturating_sub(1) as u64;
-            let shard = self.scheme.shard_of(lpa).min(self.clock.cpus() - 1);
             self.stats.lookup_cpu_ns += cpu_ns;
             self.stats.lookups += 1;
             self.paths.read_lookups += 1;
@@ -825,11 +810,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 index,
                 lpa,
                 cost,
-                grant: Some(CpuGrant {
-                    cpu_ns,
-                    shard,
-                    plan,
-                }),
+                translated: Some(Translated { cpu_ns, plan }),
             });
         }
 
@@ -840,21 +821,17 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             results[read.index].1 =
                 self.charge_map_cost(read.lpa, read.cost, started, TrafficClass::Host);
         }
-        // Out-of-order stage: grant shard CPUs in map-ready order (ties
-        // broken by batch index), and let each granted request's data
-        // probes claim die time immediately — a resident lookup and its
-        // data read overlap an earlier request's in-flight
+        // Out-of-order stage: in map-ready order (ties broken by batch
+        // index), each request's lookup runs from its map-ready time and
+        // its data probes claim die time immediately — a resident lookup
+        // and its data read overlap an earlier request's in-flight
         // translation-page read instead of queueing behind it.
         pending.sort_unstable_by_key(|read| (results[read.index].1, read.index));
         for read in pending.iter() {
-            let map_ready = results[read.index].1;
-            if let Some(grant) = &read.grant {
-                let (cpu_start, cpu_done) =
-                    self.clock.cpu_reserve(grant.shard, map_ready, grant.cpu_ns);
-                self.stats.translation_stall_ns += cpu_start.saturating_sub(map_ready);
-                self.tracer.lookup_span(grant.shard, cpu_done, grant.cpu_ns);
+            if let Some(translated) = &read.translated {
+                let looked_up = results[read.index].1 + translated.cpu_ns;
                 results[read.index].1 =
-                    self.schedule_probes(&grant.plan, probes, cpu_done, TrafficClass::Host);
+                    self.schedule_probes(&translated.plan, probes, looked_up, TrafficClass::Host);
             }
             let complete_ns = results[read.index].1;
             self.stats
@@ -896,7 +873,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// `probes` for the caller to schedule. Planning
     /// first and scheduling after is what lets a burst plan every
     /// request's probes in batch order (state) while scheduling them in
-    /// CPU-grant order (time).
+    /// map-ready order (time).
     ///
     /// Correct-page criterion: the OOB reverse mapping matches *and* the
     /// PVT says the page is live — stale copies of the same LPA within
@@ -3883,11 +3860,6 @@ mod tests {
             results[1].1,
             results[0].1
         );
-        // And the map-ready grant order means neither lookup queued
-        // behind the other on the shard CPU: the resident lookup ran
-        // while the translation read was in flight, and by the time the
-        // paged request was map-ready the CPU was idle again.
-        assert_eq!(ssd.stats().translation_stall_ns, 0);
         assert_eq!(ssd.stats().flash.translation_reads, 1);
 
         // State is bit-identical to servicing the requests one burst
@@ -3903,20 +3875,33 @@ mod tests {
     }
 
     #[test]
-    fn same_shard_lookups_serialize_on_the_translation_cpu() {
-        // All-resident burst: lookups are granted back-to-back on the
-        // single shard CPU, so later requests stall behind earlier
-        // ones' CPU time (but not behind any flash work).
-        let mut ssd = demand_ssd(u64::MAX); // nothing actually paged
-        let lpas: Vec<Lpa> = (0..8).map(Lpa::new).collect();
-        let mut results = vec![(None, 0); lpas.len()];
-        ssd.service_read_batch(&lpas, &mut results).unwrap();
-        for (i, (value, _)) in results.iter().enumerate() {
-            assert_eq!(*value, Some(500 + i as u64));
+    fn a_demand_paged_lookup_does_not_delay_a_later_dispatchs_resident_one() {
+        let slow = Lpa::new(512); // demand-paged, its translation page on die 1
+        let fast = Lpa::new(9); // resident, its data on die 0
+        let mut ssd = demand_ssd(slow.raw());
+        // A second full buffer lands on die 1: its flush leaves 32
+        // programs queued there, and die 0 idle.
+        for i in 0..32u64 {
+            ssd.write(Lpa::new(512 + i), 500 + i).unwrap();
         }
-        let cpu_ns = LOOKUP_BASE_NS;
-        // Request i waits behind i earlier grants: 0 + 1 + ... + 7.
-        assert_eq!(ssd.stats().translation_stall_ns, 28 * cpu_ns);
+        let timing = ssd.config().timing;
+        let dispatch = ssd.now_ns();
+
+        let mut paged = [(None, 0)];
+        ssd.service_read_batch(&[slow], &mut paged).unwrap();
+        assert_eq!(paged[0].0, Some(500));
+        assert!(
+            paged[0].1 > dispatch + timing.program_ns,
+            "the translation read must queue behind the flush: {} from {dispatch}",
+            paged[0].1
+        );
+
+        // A later burst at the same dispatch point, on the same shard:
+        // its lookup does not wait for the paged one's map-ready time.
+        let mut resident = [(None, 0)];
+        ssd.service_read_batch(&[fast], &mut resident).unwrap();
+        assert_eq!(resident[0].0, Some(500 + fast.raw()));
+        assert_eq!(resident[0].1, dispatch + LOOKUP_BASE_NS + timing.read_ns);
     }
 
     /// [`ExactPageMap`] posing as a learned table: every lookup is

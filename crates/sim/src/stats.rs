@@ -206,12 +206,10 @@ pub struct SimStats {
     pub lookup_level_histogram: Vec<u64>,
     /// Nanoseconds spent in mapping-table CPU work (Fig. 23b).
     pub lookup_cpu_ns: u64,
-    /// Nanoseconds lookups spent queued behind a busy translation-shard
-    /// CPU (an earlier lookup or an in-flight compaction sweep) before
-    /// being granted. The pipelined read path exists to shrink this: a
-    /// resident request's sub-µs lookup no longer waits behind an
-    /// earlier request's demand-paged translation read for the shard
-    /// CPU.
+    /// Always 0: a lookup runs on its request's own dependency chain
+    /// and never queues behind another. Kept because the benchmark
+    /// ledger reads it, and because `sim_digest` hashes this struct's
+    /// `Debug` rendering.
     pub translation_stall_ns: u64,
     /// Nanoseconds spent learning segments (Table 3 / §4.5).
     pub learn_cpu_ns: u64,

@@ -15,8 +15,7 @@
 //! * **Event tracing** — off by default, zero allocation until a
 //!   [`TraceSink`] is attached ([`crate::Ssd::attach_trace`], before
 //!   the SSD is wrapped in a [`crate::Device`]). With a sink attached, every
-//!   die reservation becomes a span on that die's track, translation
-//!   lookups become spans on per-shard-CPU tracks, host commands
+//!   die reservation becomes a span on that die's track, host commands
 //!   become wait/service spans on per-queue tracks, and control-plane
 //!   decisions (QoS ticks, admission deferrals, GC victim selection,
 //!   hard-floor stalls) become instant events.
@@ -277,15 +276,13 @@ impl UtilizationReport {
 // Event sink
 // ---------------------------------------------------------------------
 
-/// Which timeline an event lands on. Dies, shard CPUs and queues each
-/// render as their own Perfetto process with one thread per unit;
-/// control-plane instants share a single track.
+/// Which timeline an event lands on. Dies and queues each render as
+/// their own Perfetto process with one thread per unit; control-plane
+/// instants share a single track.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Track {
     /// A flash die's timeline.
     Die(u32),
-    /// A translation-shard CPU's timeline.
-    Cpu(u32),
     /// A submission queue's timeline (host queue index, or the
     /// [`crate::GC_QUEUE`]/[`crate::MAPLOG_QUEUE`] pseudo-queues).
     Queue(u32),
@@ -318,7 +315,6 @@ struct TraceEvent {
 
 /// Chrome trace-event pids: one "process" per track family.
 const PID_DIES: u32 = 1;
-const PID_CPUS: u32 = 2;
 const PID_QUEUES: u32 = 3;
 const PID_CONTROL: u32 = 4;
 
@@ -335,15 +331,13 @@ const TID_MAPLOG: u32 = 1_000_002;
 #[derive(Debug, Clone)]
 pub struct TraceSink {
     dies: u32,
-    cpus: u32,
     events: Vec<TraceEvent>,
 }
 
 impl TraceSink {
-    pub(crate) fn new(dies: u32, cpus: u32) -> Self {
+    pub(crate) fn new(dies: u32) -> Self {
         TraceSink {
             dies,
-            cpus,
             events: Vec::new(),
         }
     }
@@ -443,9 +437,7 @@ impl TraceSink {
                 (Track::Die(die), Some(_)) => check.die_events[die as usize] += 1,
                 (Track::Queue(_), Some(_)) => check.queue_events += 1,
                 (Track::Control, None) => check.control_events += 1,
-                (Track::Die(_) | Track::Queue(_), None)
-                | (Track::Cpu(_), _)
-                | (Track::Control, Some(_)) => {}
+                (Track::Die(_) | Track::Queue(_), None) | (Track::Control, Some(_)) => {}
             }
         }
         check
@@ -462,7 +454,6 @@ impl TraceSink {
     fn pid_tid(track: Track) -> (u32, u32) {
         match track {
             Track::Die(die) => (PID_DIES, die),
-            Track::Cpu(cpu) => (PID_CPUS, cpu),
             Track::Queue(queue) => (PID_QUEUES, Self::queue_tid(queue)),
             Track::Control => (PID_CONTROL, 0),
         }
@@ -471,9 +462,8 @@ impl TraceSink {
     /// Renders the recorded timeline as Chrome trace-event JSON
     /// (`{"traceEvents": [...]}`) that loads in Perfetto or
     /// `chrome://tracing`: one thread per die under a "flash dies"
-    /// process, one per translation-shard CPU, one per submission
-    /// queue (plus the gc/maplog pseudo-queues), and a
-    /// control-plane instant track. Timestamps are microseconds with
+    /// process, one per submission queue (plus the gc/maplog
+    /// pseudo-queues), and a control-plane instant track. Timestamps are microseconds with
     /// nanosecond precision; output is byte-deterministic for a given
     /// recording (events render in record order with fixed number
     /// formatting).
@@ -501,17 +491,13 @@ impl TraceSink {
         for die in 0..self.dies {
             emit(&thread(PID_DIES, die, &format!("die {die}")), &mut out);
         }
-        emit(&process(PID_CPUS, "translation shard CPUs"), &mut out);
-        for cpu in 0..self.cpus {
-            emit(&thread(PID_CPUS, cpu, &format!("shard {cpu}")), &mut out);
-        }
         emit(&process(PID_QUEUES, "submission queues"), &mut out);
         let queue_tids: BTreeSet<u32> = self
             .events
             .iter()
             .filter_map(|e| match e.track {
                 Track::Queue(queue) => Some(Self::queue_tid(queue)),
-                Track::Die(_) | Track::Cpu(_) | Track::Control => None,
+                Track::Die(_) | Track::Control => None,
             })
             .collect();
         for &tid in &queue_tids {
@@ -658,22 +644,6 @@ impl Tracer {
         }
     }
 
-    /// Records a host lookup's translation-shard CPU occupation span
-    /// ending at `end_ns`. Sink-only: CPU time is not die time and
-    /// stays out of the utilization counters.
-    #[inline]
-    pub(crate) fn lookup_span(&mut self, cpu: usize, end_ns: u64, dur_ns: u64) {
-        if let Some(sink) = &mut self.sink {
-            sink.span(
-                Track::Cpu(cpu as u32),
-                "lookup",
-                end_ns - dur_ns,
-                dur_ns,
-                vec![("class", ArgValue::Str(TrafficClass::Host.label()))],
-            );
-        }
-    }
-
     /// Records a command-lifecycle span on a queue track. `args` builds
     /// the span's arguments and runs only with a sink attached, so the
     /// disabled path allocates nothing whatever the call site does.
@@ -766,7 +736,7 @@ mod tests {
 
     #[test]
     fn check_counts_tracks_and_the_export_agrees() {
-        let mut sink = TraceSink::new(2, 1);
+        let mut sink = TraceSink::new(2);
         sink.span(
             Track::Die(0),
             "read",
@@ -804,7 +774,7 @@ mod tests {
 
     #[test]
     fn non_finite_float_arguments_render_as_null() {
-        let mut sink = TraceSink::new(1, 1);
+        let mut sink = TraceSink::new(1);
         sink.instant(
             Track::Control,
             "qos_tick",
@@ -824,7 +794,7 @@ mod tests {
 
     #[test]
     fn empty_die_track_fails_the_smoke_criterion() {
-        let mut sink = TraceSink::new(2, 1);
+        let mut sink = TraceSink::new(2);
         sink.span(Track::Die(0), "read", 0, 10, Vec::new());
         let check = sink.check();
         assert_eq!(check.die_events, vec![1, 0]);

@@ -73,6 +73,17 @@
 //! control ticks 255 → 254 and longer admission waits. The completion
 //! digests and the drain-order digest (7 119 commands, as before) move.
 //!
+//! All four were taken again when the per-shard translation-CPU
+//! timelines went: a lookup now runs from its request's map-ready time
+//! instead of queueing behind the lookups granted before it on the
+//! device's one translation CPU, so reads complete sooner. Round robin
+//! and host priority keep their counts; weighted + QoS, whose controller
+//! ticks and admission gates see the earlier completions, goes to
+//! 7 057 completions and dispatches (7 054), 157 background GC
+//! dispatches (154), 252 control ticks (254) and longer admission
+//! waits. The completion digests and the drain-order digest (7 119
+//! commands, as before) move.
+//!
 //! The proptest at the end holds the three bitset arbitration policies
 //! to a slice-walk transcription of the algorithms they replaced, on
 //! views drawn as gated admission classes the way the device forms
@@ -228,23 +239,23 @@ fn weighted_qos_fleet_matches_the_full_scan() {
     assert_eq!(
         golden,
         Golden {
-            completions_fnv: 18065105075143692872,
-            completions: 7054,
+            completions_fnv: 7489704626909476893,
+            completions: 7057,
             admission_wait_per_queue: vec![
-                0, 0, 0, 0, 0, 0, 255712320, 255712320, 255712320, 255712320, 255712320, 255712320,
-                255712320, 255712320, 255712320, 255712320, 255712320, 255712320, 255712320,
-                255712320, 255712320, 255712320, 255712320, 255712320, 255712320, 255712320,
-                255712320, 255712320, 255712320, 255712320, 255712320, 255712320, 255712320,
-                255712320, 255712320, 255712320, 255712320, 255712320, 255712320, 255712320,
-                200334760, 198996280, 192091160, 168645680, 165709160, 120762240, 163788080,
-                187782600, 176700160, 215831160, 195541560, 172611720, 196777680, 197627360,
-                176785200, 191151280, 188679440, 205433880, 184258080, 156098080, 214878600,
-                198257280, 186169680, 175632640, 196787000, 206873360, 200689320, 190520360,
-                188310920, 203029440, 161366080, 177099720
+                0, 0, 0, 0, 0, 0, 274352040, 274352040, 274352040, 274352040, 274352040, 274352040,
+                274352040, 274352040, 274352040, 274352040, 274352040, 274352040, 274352040,
+                274352040, 274352040, 274352040, 274352040, 274352040, 274352040, 274352040,
+                274352040, 274352040, 274352040, 274352040, 274352040, 274352040, 274352040,
+                274352040, 274352040, 274352040, 274352040, 274352040, 274352040, 274352040,
+                214495720, 206277640, 187879520, 194145040, 164229880, 145321680, 175724480,
+                183258760, 182922720, 225666680, 199502000, 167726960, 211758880, 204546680,
+                198833600, 187434200, 198500760, 219843720, 200723240, 169807760, 227164160,
+                209019960, 185011880, 174337640, 205762840, 213336640, 205607640, 201206640,
+                201453000, 209391160, 150527840, 198843720
             ],
-            qos_ticks: 254,
-            dispatches: 7054,
-            gc_dispatched: 154,
+            qos_ticks: 252,
+            dispatches: 7057,
+            gc_dispatched: 157,
         }
     );
 }
@@ -255,7 +266,7 @@ fn round_robin_fleet_matches_the_full_scan() {
     assert_eq!(
         golden,
         Golden {
-            completions_fnv: 13526508471064721632,
+            completions_fnv: 6876291068151821955,
             completions: 7056,
             admission_wait_per_queue: vec![0; QUEUES],
             qos_ticks: 0,
@@ -271,7 +282,7 @@ fn host_priority_fleet_matches_the_full_scan() {
     assert_eq!(
         golden,
         Golden {
-            completions_fnv: 12304753368966882831,
+            completions_fnv: 4924211169030026595,
             completions: 7056,
             admission_wait_per_queue: vec![0; QUEUES],
             qos_ticks: 0,
@@ -349,7 +360,7 @@ fn drain_order_is_the_stable_sort_on_a_1012_queue_fleet() {
         fnv1a(&mut hash, c.dispatch_ns);
         fnv1a(&mut hash, c.complete_ns);
     }
-    assert_eq!((drained.len(), hash), (7119, 18013435203658398056));
+    assert_eq!((drained.len(), hash), (7119, 1305579984588032338));
 }
 
 /// The three policies as they were before the ready bitset: each walks

@@ -155,17 +155,16 @@ where
     Ok(())
 }
 
-/// Cycle-exact: the same clock, translation stall and cache hits.
+/// Cycle-exact: the same clock and cache hits.
 fn same_clock<S, T>(a: &Ssd<S>, b: &Ssd<T>) -> Result<(), TestCaseError>
 where
     S: MappingScheme + Clone,
     T: MappingScheme + Clone,
 {
-    let (x, y) = (a.stats(), b.stats());
     prop_assert_eq!(
-        (a.now_ns(), x.translation_stall_ns, x.cache_hits),
-        (b.now_ns(), y.translation_stall_ns, y.cache_hits),
-        "(now_ns, translation_stall_ns, cache_hits) must be cycle-exact"
+        (a.now_ns(), a.stats().cache_hits),
+        (b.now_ns(), b.stats().cache_hits),
+        "(now_ns, cache_hits) must be cycle-exact"
     );
     Ok(())
 }
