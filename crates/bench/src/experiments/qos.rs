@@ -32,9 +32,9 @@
 //! uniform single-page overwrites ([`gc_pressured`]), so every block
 //! GC can pick holds stale pages; there every policy misses the
 //! budget at the four seeds tried (default, `0x1`, `0x2a`, `0xbeef5`),
-//! the controller by 1.4–2.2× (worst guaranteed p99 21–33 ms) and
-//! every static arbiter by 7–13× (0.11–0.20 s), and guaranteed tenants
-//! overlap GC more than best-effort ones (67–74 % against 9–20 % under
+//! the controller by 1.3–1.4× (worst guaranteed p99 19–21 ms) and
+//! every static arbiter by 6–11× (0.09–0.17 s), and guaranteed tenants
+//! overlap GC more than best-effort ones (71–78 % against 9–20 % under
 //! the controller).
 //! The device runs with the flash-resident translation log enabled so
 //! the map-log background-traffic tax rides the same dies — reported
@@ -157,12 +157,14 @@ pub fn qos(_quick: bool) -> Figure {
     );
     let gap = Some(
         "direction 9: on a device aged by uniform overwrites the controller's worst guaranteed \
-         p99 is 21–33 ms over four seeds (0.21–0.37 s while a lookup queued on its shard's \
-         translation CPU behind a demand-paged one, 0.29–0.38 s while background GC selected \
-         its victims in one batch, 0.45–2.9 s while a full open block stayed in its slot), \
-         1.4–2.2× the 15 ms budget, and static-weighted's 0.11–0.14 s (0.10–0.16 s with the \
-         translation CPU, 0.15–0.29 s while a GC collection's passes were chained one after \
-         another on the dies); guaranteed tenants overlap GC more than best-effort ones",
+         p99 is 19–21 ms over four seeds (21–33 ms while host reads queued behind a flush's \
+         programs, 0.21–0.37 s while a lookup queued on its shard's translation CPU behind a \
+         demand-paged one, 0.29–0.38 s while background GC selected its victims in one batch, \
+         0.45–2.9 s while a full open block stayed in its slot), 1.3–1.4× the 15 ms budget, \
+         and static-weighted's 0.09–0.14 s (0.11–0.14 s while reads queued behind programs, \
+         0.10–0.16 s with the translation CPU, 0.15–0.29 s while a GC collection's passes were \
+         chained one after another on the dies); guaranteed tenants overlap GC more than \
+         best-effort ones",
     );
     let mut shape = Shape::new(claim, gap);
     let mut static_misses = 0;

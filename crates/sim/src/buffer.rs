@@ -14,7 +14,8 @@ use std::collections::hash_map::Entry;
 ///
 /// Pages sit in arrival order (a rewrite keeps its first slot) behind a
 /// hashed index — every host read probes the buffer first, and only a
-/// flush needs an order, so the LPA sort happens once, at drain.
+/// flush needs an order, so the LPA sort happens once, when the flush
+/// takes the pages.
 #[derive(Debug, Clone, Default)]
 pub struct WriteBuffer {
     /// Position of each buffered LPA in `pages`.
@@ -59,19 +60,22 @@ impl WriteBuffer {
         self.pages.is_empty()
     }
 
-    /// Drains every page sorted by LPA (the §3.3 optimisation).
-    pub fn drain_sorted(&mut self) -> Vec<(Lpa, u64)> {
-        let mut pages = self.drain_unsorted();
-        // One entry per LPA, so no two keys compare equal.
-        pages.sort_unstable_by_key(|&(lpa, _)| lpa);
+    /// Every buffered page, sorted by LPA (the §3.3 optimisation) or,
+    /// unsorted, in arrival order (the Fig. 7 "unoptimized" ablation);
+    /// the buffer keeps them.
+    pub fn pages(&self, sorted: bool) -> Vec<(Lpa, u64)> {
+        let mut pages = self.pages.clone();
+        if sorted {
+            // One entry per LPA, so no two keys compare equal.
+            pages.sort_unstable_by_key(|&(lpa, _)| lpa);
+        }
         pages
     }
 
-    /// Drains every page in arrival order (the Fig. 7 "unoptimized"
-    /// ablation: no LPA sorting before allocation).
-    pub fn drain_unsorted(&mut self) -> Vec<(Lpa, u64)> {
+    /// Empties the buffer, keeping its memory for the next fill.
+    pub fn clear(&mut self) {
         self.index.clear();
-        std::mem::take(&mut self.pages)
+        self.pages.clear();
     }
 }
 
@@ -99,27 +103,30 @@ mod tests {
     }
 
     #[test]
-    fn drain_sorted_orders_by_lpa() {
+    fn sorted_pages_order_by_lpa() {
         let mut buffer = WriteBuffer::new();
         for lpa in [78u64, 32, 33, 76, 115, 34, 38] {
             buffer.insert(Lpa::new(lpa), lpa * 10);
         }
-        let drained = buffer.drain_sorted();
-        let lpas: Vec<u64> = drained.iter().map(|(l, _)| l.raw()).collect();
+        let pages = buffer.pages(true);
+        let lpas: Vec<u64> = pages.iter().map(|(l, _)| l.raw()).collect();
         assert_eq!(lpas, vec![32, 33, 34, 38, 76, 78, 115]);
+        assert_eq!(buffer.len(), 7);
+        buffer.clear();
         assert!(buffer.is_empty());
+        assert_eq!(buffer.get(Lpa::new(32)), None);
     }
 
     #[test]
-    fn drain_unsorted_preserves_arrival_order() {
+    fn unsorted_pages_keep_arrival_order() {
         let mut buffer = WriteBuffer::new();
         for lpa in [78u64, 32, 33] {
             buffer.insert(Lpa::new(lpa), lpa);
         }
         buffer.insert(Lpa::new(78), 780); // coalesce keeps first arrival slot
-        let drained = buffer.drain_unsorted();
-        let lpas: Vec<u64> = drained.iter().map(|(l, _)| l.raw()).collect();
+        let pages = buffer.pages(false);
+        let lpas: Vec<u64> = pages.iter().map(|(l, _)| l.raw()).collect();
         assert_eq!(lpas, vec![78, 32, 33]);
-        assert_eq!(drained[0].1, 780);
+        assert_eq!(pages[0].1, 780);
     }
 }

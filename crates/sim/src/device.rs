@@ -25,6 +25,17 @@
 //! point, the global clock only advances when the host must wait, and
 //! completions retire out of order.
 //!
+//! A flush's programs do not reserve their dies when it dispatches:
+//! they wait in a per-die queue of unstarted programs
+//! ([`crate::clock::SimClock`]), and a host read — data, misprediction
+//! or translation — goes ahead of them, suspending the one running at
+//! its floor. So a read that dispatches after a flush, the flushing
+//! write's own resolution reads included, waits at most for the
+//! program it cuts, not for the 32-program chunk. Every other
+//! operation places the queue first. The flush's pages are read from
+//! DRAM until the next flush's double-buffer wait, and a flush command
+//! places every queued program and completes when the last one ends.
+//!
 //! # Pipelined translation
 //!
 //! Within one dispatched read burst, translation is a pipeline *stage*

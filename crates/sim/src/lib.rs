@@ -84,7 +84,7 @@ pub use replay::{
 };
 pub use request::{Command, IoCompletion, IoKind, IoRequest};
 pub use ssd::{RecoveryReport, SpaceReport, Ssd, LOOKUP_BASE_NS, LOOKUP_PER_LEVEL_NS};
-pub use stats::{FlashOpBreakdown, LatencyHistogram, LookupPaths, SimStats, SyncGc};
+pub use stats::{FlashOpBreakdown, LatencyHistogram, LookupPaths, ReadPriority, SimStats, SyncGc};
 pub use trace::{
     DieUtilization, FlashOpKind, TraceCheck, TraceSink, TrafficClass, UtilizationReport,
 };

@@ -9,7 +9,7 @@ use crate::config::{gc_watermarks, CheckpointMode, GcMode, GcPolicy, GcWatermark
 use crate::error::SimError;
 use crate::gc_index::{EraseHistogram, VictimIndex, NOT_A_CANDIDATE};
 use crate::lru::LruCache;
-use crate::stats::{LookupPaths, SimStats, SyncGc};
+use crate::stats::{LookupPaths, ReadPriority, SimStats, SyncGc};
 use crate::trace::{ArgValue, FlashOpKind, TraceSink, Tracer, TrafficClass, UtilizationReport};
 use crate::translog::{Baseline, LogOp, MapLogTraffic, TransLog};
 use crate::validity::Validity;
@@ -75,6 +75,15 @@ impl FlashOp {
             FlashOp::Erase => FlashOpKind::Erase,
         }
     }
+}
+
+/// What a flash operation touches: a translation page (the model keeps
+/// those off the block map, so only their die), a block, or one page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Target {
+    Translation(Die),
+    Block(BlockId),
+    Page(Ppa),
 }
 
 /// The mapping table's 256-LPA groups ([`Lpa::group`]) by persistence
@@ -225,22 +234,24 @@ pub struct Ssd<S: MappingScheme + Clone> {
     allocator: BlockAllocator,
     validity: Validity,
     buffer: WriteBuffer,
+    /// The pages of the last flush, whose programs may still be queued
+    /// on their dies: readable from DRAM until the next flush waits for
+    /// those programs (double buffering).
+    in_flight: WriteBuffer,
     read_cache: LruCache<Lpa, u64>,
     stats: SimStats,
     /// The lookups of `stats` by path, and what resolutions cost.
     paths: LookupPaths,
     /// What synchronous collections held the host for.
     sync_gc: SyncGc,
+    /// How host reads went ahead of flush programs.
+    priority: ReadPriority,
     /// Where the recovery baseline is persisted: the flash-resident
     /// translation log ([`CheckpointMode::FlashLog`]'s durability
     /// mechanism), which also holds [`CheckpointMode::DramSnapshot`]'s
     /// snapshot as a generation of no log pages.
     translog: TransLog<S>,
     pristine_scheme: S,
-    /// Completion time of the in-flight asynchronous buffer flush.
-    /// A new flush blocks until the previous one drains (double
-    /// buffering); an explicit host flush waits for it.
-    flush_deadline_ns: u64,
     /// Virtual time of each block's most recent program, for the
     /// cost-benefit GC policy's age term.
     block_last_write_ns: Vec<u64>,
@@ -369,14 +380,15 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             allocator: BlockAllocator::with_stripe(config.geometry, config.stripe_pages),
             validity: Validity::new(config.geometry),
             buffer: WriteBuffer::new(),
+            in_flight: WriteBuffer::new(),
             read_cache: LruCache::new(),
             stats: SimStats::new(),
             paths: LookupPaths::default(),
             sync_gc: SyncGc::default(),
+            priority: ReadPriority::default(),
             translog: TransLog::new(),
             pristine_scheme,
             scheme,
-            flush_deadline_ns: 0,
             block_last_write_ns: vec![0; config.geometry.blocks as usize],
             // A fresh device: every block erased, none a candidate.
             gc_index: VictimIndex::new(config.geometry.blocks as usize),
@@ -420,6 +432,13 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         &self.sync_gc
     }
 
+    /// How host reads went ahead of flush programs — suspensions,
+    /// overtaking reads, in-flight buffer hits and the flushes' drain
+    /// wait — over the same window as [`Ssd::stats`].
+    pub fn read_priority(&self) -> &ReadPriority {
+        &self.priority
+    }
+
     /// Resets the statistics (e.g. after a warm-up phase) without
     /// touching device state. The per-die utilization counters reset
     /// together with [`SimStats`] so the two always describe the same
@@ -428,6 +447,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         self.stats = SimStats::new();
         self.paths = LookupPaths::default();
         self.sync_gc = SyncGc::default();
+        self.priority = ReadPriority::default();
         self.tracer.util.reset();
     }
 
@@ -472,29 +492,61 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         &mut self.tracer
     }
 
-    /// Puts one flash operation on `die`, starting no earlier than
+    /// Puts one flash operation on its die, starting no earlier than
     /// `floor_ns`, and returns when it completes; the host clock does
-    /// not move. The only way onto a die: the operation's NAND latency
-    /// is reserved on the die's timeline, its [`SimStats`] counter and
-    /// its (`class`, kind) utilization cell each move by one, and a
-    /// die-track span is recorded when a sink is attached — so what is
-    /// counted is what was scheduled is what was attributed
-    /// ([`Ssd::check_utilization_conservation`] cross-checks it).
-    /// `block` names the block the operation touches, for the span
-    /// (`None` for a translation page, which the model keeps off the
-    /// block map).
+    /// not move. With [`Ssd::queue_program`], the only way onto a die:
+    /// the operation is counted ([`Ssd::count_op`]), placed on its die
+    /// and recorded as a die-track span when a sink is attached — so
+    /// what is counted is what was scheduled is what was attributed
+    /// ([`Ssd::check_utilization_conservation`] cross-checks it). A
+    /// host read goes ahead of the flush programs queued on its die
+    /// ([`SimClock::schedule_read`]); every other operation goes behind
+    /// them.
     #[inline]
-    fn flash_op(
-        &mut self,
-        op: FlashOp,
-        class: TrafficClass,
-        die: Die,
-        block: Option<BlockId>,
-        floor_ns: u64,
-    ) -> u64 {
+    fn flash_op(&mut self, op: FlashOp, class: TrafficClass, target: Target, floor_ns: u64) -> u64 {
+        debug_assert_ne!(op, FlashOp::DataProgram, "a flush's programs are queued");
+        let geometry = &self.config.geometry;
+        let (die, block, page) = match target {
+            Target::Translation(die) => (die, None, None),
+            Target::Block(block) => (geometry.die_of_block(block), Some(block), None),
+            Target::Page(ppa) => (
+                geometry.die_of(ppa),
+                Some(geometry.block_of(ppa)),
+                Some(ppa),
+            ),
+        };
+        let kind = op.kind();
+        let latency_ns = self.count_op(op, class, die);
+        let end_ns = if class == TrafficClass::Host && kind == FlashOpKind::Read {
+            let read = self.clock.schedule_read(die, floor_ns, latency_ns, page);
+            self.priority.suspensions += u64::from(read.suspended);
+            self.priority.overtaking_reads += u64::from(read.overtook);
+            read.end_ns
+        } else {
+            self.clock.schedule_after(die, floor_ns, latency_ns)
+        };
+        self.trace_programs();
+        let start_ns = end_ns.saturating_sub(latency_ns);
+        self.tracer
+            .die_span(class, kind, die.raw(), block, start_ns, latency_ns);
+        end_ns
+    }
+
+    /// Queues a flush's program of `ppa` on its die, to start no
+    /// earlier than `floor_ns` ([`SimClock::queue_program`]); it is
+    /// counted now and placed when its die needs it.
+    fn queue_program(&mut self, ppa: Ppa, floor_ns: u64) {
+        let die = self.config.geometry.die_of(ppa);
+        let latency_ns = self.count_op(FlashOp::DataProgram, TrafficClass::Host, die);
+        self.clock.queue_program(die, floor_ns, latency_ns, ppa);
+    }
+
+    /// Counts one operation on `die`: its [`SimStats`] counter and its
+    /// (`class`, kind) utilization cell each move by one. The only place
+    /// either moves. Returns the operation's NAND latency.
+    fn count_op(&mut self, op: FlashOp, class: TrafficClass, die: Die) -> u64 {
         let kind = op.kind();
         let latency_ns = kind.latency_ns(&self.config.timing);
-        let end_ns = self.clock.schedule_after(die, floor_ns, latency_ns);
         match op {
             FlashOp::DataRead => self.stats.flash.data_reads += 1,
             FlashOp::MispredictionRead => self.stats.flash.misprediction_reads += 1,
@@ -506,8 +558,33 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             FlashOp::TranslationProgram => self.stats.flash.translation_programs += 1,
             FlashOp::Erase => self.stats.flash.erases += 1,
         }
-        self.tracer
-            .flash_op(class, kind, die.raw(), block, end_ns, latency_ns);
+        self.tracer.count(class, kind, die.raw(), latency_ns);
+        latency_ns
+    }
+
+    /// Records the flush-program stretches the clock placed since the
+    /// last call as die-track spans (one per stretch, so a suspended
+    /// program shows as two or more).
+    fn trace_programs(&mut self) {
+        let geometry = &self.config.geometry;
+        for segment in self.clock.take_placed() {
+            let block = geometry.block_of(segment.page);
+            self.tracer.die_span(
+                TrafficClass::Host,
+                FlashOpKind::Program,
+                segment.die,
+                Some(block),
+                segment.start_ns,
+                segment.end_ns.saturating_sub(segment.start_ns),
+            );
+        }
+    }
+
+    /// Places every queued flush program ([`SimClock::place_programs`])
+    /// and returns when the last one ends.
+    fn place_programs(&mut self) -> u64 {
+        let end_ns = self.clock.place_programs();
+        self.trace_programs();
         end_ns
     }
 
@@ -631,11 +708,21 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         }
         let die = self.translation_die(lpa);
         for _ in 0..cost.translation_reads {
-            ready_ns = self.flash_op(FlashOp::TranslationRead, class, die, None, ready_ns);
+            ready_ns = self.flash_op(
+                FlashOp::TranslationRead,
+                class,
+                Target::Translation(die),
+                ready_ns,
+            );
         }
         for _ in 0..cost.translation_writes {
             // Write-backs occupy the die but extend nothing.
-            self.flash_op(FlashOp::TranslationProgram, class, die, None, ready_ns);
+            self.flash_op(
+                FlashOp::TranslationProgram,
+                class,
+                Target::Translation(die),
+                ready_ns,
+            );
         }
         ready_ns
     }
@@ -714,6 +801,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             scratch.needs_lookup.clear();
             for (index, &lpa) in lpas.iter().enumerate() {
                 if self.buffer.get(lpa).is_none()
+                    && self.in_flight.get(lpa).is_none()
                     && !self.read_cache.contains(&lpa)
                     && scratch.seen.insert(lpa)
                 {
@@ -764,6 +852,10 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             self.stats.host_reads += 1;
             let dram_hit = if let Some(content) = self.buffer.get(lpa) {
                 self.stats.buffer_hits += 1;
+                Some(content)
+            } else if let Some(content) = self.in_flight.get(lpa) {
+                self.stats.buffer_hits += 1;
+                self.priority.in_flight_hits += 1;
                 Some(content)
             } else if let Some(&content) = self.read_cache.get(&lpa) {
                 self.stats.cache_hits += 1;
@@ -854,14 +946,12 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         class: TrafficClass,
     ) -> u64 {
         for (index, &ppa) in probes[plan.probes.clone()].iter().enumerate() {
-            let die = self.config.geometry.die_of(ppa);
-            let block = self.config.geometry.block_of(ppa);
             let op = if index == 0 && plan.leads_with_data_read {
                 FlashOp::DataRead
             } else {
                 FlashOp::MispredictionRead
             };
-            ready_ns = self.flash_op(op, class, die, Some(block), ready_ns);
+            ready_ns = self.flash_op(op, class, Target::Page(ppa), ready_ns);
         }
         ready_ns
     }
@@ -1095,41 +1185,44 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     }
 
     /// Services a host flush command without blocking on the programs:
-    /// the buffer is flushed (state applied, dies scheduled) and the
-    /// drain deadline returned — the [`crate::Device`] completes the
-    /// command when that deadline passes. `gc` says whether the flush
-    /// collects inline.
+    /// the buffer is flushed (state applied), every queued program is
+    /// placed, and the drain deadline returned — the
+    /// [`crate::Device`] completes the command when that deadline
+    /// passes. `gc` says whether the flush collects inline.
     pub(crate) fn service_flush(&mut self, gc: GcMode) -> Result<u64, SimError> {
         self.flush_buffer(gc)?;
-        Ok(self.flush_deadline_ns.max(self.clock.now_ns()))
+        Ok(self.place_programs().max(self.clock.now_ns()))
     }
 
     fn flush_buffer(&mut self, gc: GcMode) -> Result<(), SimError> {
-        // Double buffering: block until the previous flush drained.
-        self.clock.wait_until(self.flush_deadline_ns);
-        let pages = if self.config.sort_buffer_on_flush {
-            self.buffer.drain_sorted()
-        } else {
-            self.buffer.drain_unsorted()
-        };
-        if pages.is_empty() {
+        // Double buffering: the previous flush's programs drain, behind
+        // whatever reads went ahead of them, before this one starts;
+        // only then do its pages leave DRAM.
+        let waited_from = self.clock.now_ns();
+        let drained = self.place_programs();
+        self.clock.wait_until(drained);
+        self.priority.flush_wait_ns += self.clock.now_ns().saturating_sub(waited_from);
+        self.in_flight.clear();
+        if self.buffer.is_empty() {
             return Ok(());
         }
+        std::mem::swap(&mut self.buffer, &mut self.in_flight);
+        let sorted = self.config.sort_buffer_on_flush;
+        let pages = self.in_flight.pages(sorted);
         self.ensure_allocatable(pages.len() as u32, Stream::Host)?;
         let runs = self
             .allocate(Stream::Host, pages.len() as u32)
             .ok_or(SimError::DeviceFull)?;
 
-        // Program all pages asynchronously: the dies stay busy
-        // (delaying subsequent reads) but the host continues.
-        let sorted = self.config.sort_buffer_on_flush;
+        // Queue every program on its die: the host continues, and the
+        // dies serve reads ahead of them.
         let now = self.clock.now_ns();
         let batches = self.program_runs(&runs, &pages)?;
-        let mut deadline = now;
         for run in &runs {
-            deadline = deadline.max(self.schedule_run(run, FlashOp::DataProgram, now));
+            for ppa in run.ppas() {
+                self.queue_program(ppa, now);
+            }
         }
-        self.flush_deadline_ns = deadline;
 
         // Invalidate prior locations, then install the new mappings.
         let overwritten = batches.iter().flatten().map(|&(lpa, _)| lpa);
@@ -1223,21 +1316,14 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         Ok(batches)
     }
 
-    /// Puts `run`'s programs on its block's die, each starting no
-    /// earlier than `floor_ns`, and returns when the last completes;
-    /// the host clock does not move. A flush's
-    /// ([`FlashOp::DataProgram`]) is the host's die time, a migration's
-    /// or a wear swap's is GC's.
+    /// Puts a migration's or a wear swap's `run` of programs on its
+    /// block's die, each starting no earlier than `floor_ns`, and
+    /// returns when the last completes; the host clock does not move.
     fn schedule_run(&mut self, run: &PageRun, op: FlashOp, floor_ns: u64) -> u64 {
-        let class = if op == FlashOp::DataProgram {
-            TrafficClass::Host
-        } else {
-            TrafficClass::Gc
-        };
-        let die = self.config.geometry.die_of_block(run.block);
         let mut done = floor_ns;
         for _ in 0..run.len {
-            done = done.max(self.flash_op(op, class, die, Some(run.block), floor_ns));
+            let end = self.flash_op(op, TrafficClass::Gc, Target::Block(run.block), floor_ns);
+            done = done.max(end);
         }
         done
     }
@@ -1393,7 +1479,6 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// order; the host clock does not move. Linear in the steps and
     /// pages.
     fn schedule_collection(&mut self, passes: &[Relocation], done: &mut Vec<(BlockId, u64)>) {
-        let geometry = self.config.geometry;
         let now = self.clock.now_ns();
         let mut plan = std::mem::take(&mut self.gc_plan);
         // Per pass: when its reads, its programs and its erase are done.
@@ -1403,13 +1488,11 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             let times = &mut times[index];
             match step {
                 Step::Reads => {
-                    let die = geometry.die_of_block(pass.victim);
                     for _ in 0..pass.reads {
                         let end = self.flash_op(
                             FlashOp::GcRead,
                             TrafficClass::Gc,
-                            die,
-                            Some(pass.victim),
+                            Target::Block(pass.victim),
                             now,
                         );
                         times[0] = times[0].max(end);
@@ -1425,13 +1508,11 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                     }
                 }
                 Step::Erase => {
-                    let die = geometry.die_of_block(pass.victim);
                     let floor_ns = times[0].max(times[1]);
                     times[2] = self.flash_op(
                         FlashOp::Erase,
                         TrafficClass::Gc,
-                        die,
-                        Some(pass.victim),
+                        Target::Block(pass.victim),
                         floor_ns,
                     );
                 }
@@ -1932,8 +2013,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                     self.flash_op(
                         FlashOp::TranslationProgram,
                         TrafficClass::MapLog,
-                        die,
-                        None,
+                        Target::Translation(die),
                         now,
                     );
                 }
@@ -2056,9 +2136,13 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             return Ok(None);
         }
         self.recycle(block)?;
-        let die = self.config.geometry.die_of_block(block);
         let now = self.clock.now_ns();
-        let done = self.flash_op(FlashOp::Erase, TrafficClass::MapLog, die, Some(block), now);
+        let done = self.flash_op(
+            FlashOp::Erase,
+            TrafficClass::MapLog,
+            Target::Block(block),
+            now,
+        );
         self.translog.forget_block(block);
         Ok(Some(done))
     }
@@ -2100,14 +2184,12 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                         .ok_or(SimError::DeviceFull)?;
                     let ppa = runs[0].ppas().next().ok_or(SimError::DeviceFull)?;
                     self.device.program(ppa, seq, None)?;
-                    let die = self.config.geometry.die_of(ppa);
                     let block = self.config.geometry.block_of(ppa);
                     let now = self.clock.now_ns();
                     let done = self.flash_op(
                         FlashOp::TranslationProgram,
                         TrafficClass::MapLog,
-                        die,
-                        Some(block),
+                        Target::Page(ppa),
                         now,
                     );
                     self.gc_index.touch(block);
@@ -2169,6 +2251,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     pub fn crash_and_recover(&mut self) -> Result<RecoveryReport, SimError> {
         let lost_buffered_writes = self.buffer.len();
         self.buffer = WriteBuffer::new();
+        self.in_flight = WriteBuffer::new();
         self.read_cache = LruCache::new();
         let scan_start_ns = self.clock.now_ns();
 
@@ -2280,15 +2363,13 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         let mut deadline = now;
         let mut pages = Vec::new();
         for &(block, first_page) in scan_from {
-            let die = self.config.geometry.die_of_block(block);
             let before = pages.len();
             pages.extend(self.device.scan_block(block).skip(first_page as usize));
             for _ in before..pages.len() {
                 let end = self.flash_op(
                     FlashOp::TranslationRead,
                     TrafficClass::MapLog,
-                    die,
-                    Some(block),
+                    Target::Block(block),
                     now,
                 );
                 deadline = deadline.max(end);
@@ -2404,6 +2485,7 @@ pub(crate) struct MapLogDispatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::RESUME_NS;
     use crate::LeaFtlScheme;
     use leaftl_core::ExactPageMap;
     use leaftl_flash::FlashGeometry;
@@ -2449,14 +2531,28 @@ mod tests {
         for (index, (op, kind, counted)) in cases.into_iter().enumerate() {
             let mut ssd = ssd();
             let class = TrafficClass::ALL[index % TrafficClass::ALL.len()];
-            let die = Die::new(index as u32 % ssd.config().geometry.total_dies());
+            let geometry = ssd.config().geometry;
+            let die = Die::new(index as u32 % geometry.total_dies());
+            let block = (0..geometry.blocks)
+                .map(BlockId::new)
+                .find(|&block| geometry.die_of_block(block) == die)
+                .unwrap();
             let latency_ns = kind.latency_ns(&ssd.config().timing);
             // A first operation fills the die, so the one under test
-            // must queue behind it whatever its floor.
-            let busy_until = ssd.flash_op(op, class, die, None, 500);
+            // must queue behind it whatever its floor. A flush's program
+            // is queued, and placed when the flush's programs are.
+            let place = |ssd: &mut Ssd<ExactPageMap>, floor_ns| {
+                if op == FlashOp::DataProgram {
+                    ssd.queue_program(geometry.first_ppa(block), floor_ns);
+                    ssd.place_programs()
+                } else {
+                    ssd.flash_op(op, class, Target::Block(block), floor_ns)
+                }
+            };
+            let busy_until = place(&mut ssd, 500);
             ssd.reset_stats();
 
-            let end_ns = ssd.flash_op(op, class, die, None, 0);
+            let end_ns = place(&mut ssd, 0);
             assert_eq!(end_ns, busy_until + latency_ns, "{op:?} is scheduled");
             assert_eq!(ssd.now_ns(), 0, "{op:?} leaves the host clock alone");
             assert_eq!(ssd.stats().flash, counted, "{op:?} is counted once");
@@ -2472,6 +2568,78 @@ mod tests {
             }
             assert_eq!(ssd.check_utilization_conservation(), Ok(()));
         }
+    }
+
+    /// A host read goes ahead of a flush's queued programs and suspends
+    /// the one running at its floor; a read of a page of the flush is
+    /// answered from DRAM until the next flush waits for the programs,
+    /// which by then drain behind the reads. Eight flushes put a block
+    /// on each of the eight dies and a host flush drains them; a ninth
+    /// queues its 32 programs (6.4 ms) on one die, where the reads then
+    /// land. No data cache, so a read of a flushed page reaches flash.
+    #[test]
+    fn host_reads_go_ahead_of_a_flushs_queued_programs() {
+        let mut config = SsdConfig::small_test();
+        config.dram_bytes = 0;
+        let timing = config.timing;
+        let mut ssd = Ssd::new(config, ExactPageMap::new());
+        for lpa in 0..256 {
+            ssd.write(Lpa::new(lpa), lpa).unwrap();
+        }
+        ssd.flush().unwrap();
+        for lpa in 1_000..1_032 {
+            ssd.write(Lpa::new(lpa), lpa).unwrap();
+        }
+        let flushed_ns = ssd.now_ns();
+        let die_of = |ssd: &mut Ssd<ExactPageMap>, lpa: u64| {
+            let hit = ssd.scheme.lookup(Lpa::new(lpa)).0.unwrap();
+            ssd.config.geometry.die_of(hit.ppa)
+        };
+        let chunk_die = die_of(&mut ssd, 1_000);
+        let mut on_chunk_die = (0..256).filter(|&lpa| die_of(&mut ssd, lpa) == chunk_die);
+        let (first, second) = (on_chunk_die.next().unwrap(), on_chunk_die.next().unwrap());
+        ssd.reset_stats();
+
+        // Issued right after the flush: ahead of the whole chunk. Its
+        // lookup's 40 ns put it just after the first program started,
+        // so it suspends that program.
+        assert_eq!(ssd.read(Lpa::new(first)).unwrap(), Some(first));
+        let latency = ssd.now_ns().saturating_sub(flushed_ns);
+        assert!(latency <= timing.read_ns + RESUME_NS, "{latency} ns");
+        // 50 µs later the first program runs again: the read suspends
+        // it a second time.
+        let issued_ns = ssd.now_ns() + 50_000;
+        ssd.advance_to(issued_ns);
+        assert_eq!(ssd.read(Lpa::new(second)).unwrap(), Some(second));
+        let latency = ssd.now_ns().saturating_sub(issued_ns);
+        assert!(latency <= timing.read_ns + RESUME_NS, "{latency} ns");
+        // A page of the flush is a buffer hit, and reads no flash.
+        assert_eq!(ssd.read(Lpa::new(1_000)).unwrap(), Some(1_000));
+        assert_eq!(ssd.stats().flash.data_reads, 2);
+        assert_eq!(ssd.stats().buffer_hits, 1);
+        assert_eq!(
+            *ssd.read_priority(),
+            ReadPriority {
+                suspensions: 2,
+                overtaking_reads: 2,
+                in_flight_hits: 1,
+                flush_wait_ns: 0,
+            }
+        );
+
+        // The next flush waits for the chunk, which drained behind both
+        // reads and both resumes; then its pages are read from flash.
+        let drained_ns = flushed_ns + 32 * timing.program_ns + 2 * (timing.read_ns + RESUME_NS);
+        for lpa in 1_100..1_132 {
+            ssd.write(Lpa::new(lpa), lpa).unwrap();
+        }
+        assert!(ssd.now_ns() >= drained_ns);
+        let waited = ssd.read_priority().flush_wait_ns;
+        assert!(waited > 0 && waited <= drained_ns.saturating_sub(flushed_ns));
+        assert_eq!(ssd.read(Lpa::new(1_000)).unwrap(), Some(1_000));
+        assert_eq!(ssd.stats().flash.data_reads, 3);
+        assert_eq!(ssd.read_priority().in_flight_hits, 1);
+        assert_eq!(ssd.check_invariants(), Vec::<String>::new());
     }
 
     #[test]
@@ -3830,11 +3998,13 @@ mod tests {
         // reads from DRAM — the test needs them on the flash path.
         config.dram_bytes = 0;
         let mut ssd = Ssd::new(config, scheme);
-        // One full buffer: everything flushes to flash, so reads go
+        // One full buffer, then a host flush that waits for its
+        // programs: everything is on flash and out of DRAM, so reads go
         // through translation rather than the write buffer.
         for i in 0..32u64 {
             ssd.write(Lpa::new(i), 500 + i).unwrap();
         }
+        ssd.flush().unwrap();
         // The flush's invalidation lookups already charged scheme costs;
         // start the measured window clean.
         ssd.reset_stats();
@@ -3879,20 +4049,24 @@ mod tests {
         let slow = Lpa::new(512); // demand-paged, its translation page on die 1
         let fast = Lpa::new(9); // resident, its data on die 0
         let mut ssd = demand_ssd(slow.raw());
-        // A second full buffer lands on die 1: its flush leaves 32
-        // programs queued there, and die 0 idle.
+        // A second buffer lands on die 1 and drains; then an erase holds
+        // die 1 (a host read goes ahead of queued programs, not of an
+        // erase), and die 0 is idle.
         for i in 0..32u64 {
             ssd.write(Lpa::new(512 + i), 500 + i).unwrap();
         }
+        ssd.flush().unwrap();
         let timing = ssd.config().timing;
         let dispatch = ssd.now_ns();
+        let erase = Target::Translation(ssd.translation_die(slow));
+        ssd.flash_op(FlashOp::Erase, TrafficClass::Gc, erase, dispatch);
 
         let mut paged = [(None, 0)];
         ssd.service_read_batch(&[slow], &mut paged).unwrap();
         assert_eq!(paged[0].0, Some(500));
         assert!(
-            paged[0].1 > dispatch + timing.program_ns,
-            "the translation read must queue behind the flush: {} from {dispatch}",
+            paged[0].1 > dispatch + timing.erase_ns,
+            "the translation read must queue behind the erase: {} from {dispatch}",
             paged[0].1
         );
 

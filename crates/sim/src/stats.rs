@@ -282,6 +282,27 @@ pub struct SyncGc {
     pub busiest_die_ns: u64,
 }
 
+/// How host reads and flush programs shared the dies. A flush's
+/// programs wait in a queue on each die; a host read goes ahead of them
+/// and may suspend the one running at its floor, and the flush's pages
+/// stay readable from DRAM until the next flush waits for them to drain
+/// ([`crate::clock::SimClock`] has the rule). Kept beside [`SimStats`],
+/// not in it, for the same reason as [`LookupPaths`], and reset with it
+/// ([`crate::Ssd::reset_stats`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ReadPriority {
+    /// Programs a host read suspended.
+    pub suspensions: u64,
+    /// Host reads placed ahead of at least one queued program.
+    pub overtaking_reads: u64,
+    /// Host reads answered from the pages of the flush in flight (also
+    /// counted in [`SimStats::buffer_hits`]).
+    pub in_flight_hits: u64,
+    /// Host nanoseconds flushes waited for the previous flush's
+    /// programs to drain (double buffering).
+    pub flush_wait_ns: u64,
+}
+
 impl SimStats {
     /// A zeroed statistics block.
     pub fn new() -> Self {

@@ -15,7 +15,8 @@
 //! * **Event tracing** — off by default, zero allocation until a
 //!   [`TraceSink`] is attached ([`crate::Ssd::attach_trace`], before
 //!   the SSD is wrapped in a [`crate::Device`]). With a sink attached, every
-//!   die reservation becomes a span on that die's track, host commands
+//!   die reservation becomes a span on that die's track (a flush program
+//!   when it is placed, one span per stretch a suspension leaves), host commands
 //!   become wait/service spans on per-queue tracks, and control-plane
 //!   decisions (QoS ticks, admission deferrals, GC victim selection,
 //!   hard-floor stalls) become instant events.
@@ -614,33 +615,38 @@ impl Tracer {
         }
     }
 
-    /// Accounts one scheduled flash operation ending at `end_ns` on
-    /// `die`: bumps the utilization counters and, with a sink
-    /// attached, records the reservation as a span on the die's track,
-    /// naming the block it touches when there is one.
+    /// Accounts one flash operation on `die`: bumps the utilization
+    /// counters of its (`class`, `kind`) cell.
     #[inline]
-    pub(crate) fn flash_op(
+    pub(crate) fn count(
         &mut self,
         class: TrafficClass,
         kind: FlashOpKind,
         die: u32,
-        block: Option<BlockId>,
-        end_ns: u64,
         latency_ns: u64,
     ) {
         let cell = &mut self.util.dies[die as usize];
         cell.ops[class.idx()][kind.idx()] += 1;
         cell.busy_ns[class.idx()] += latency_ns;
+    }
+
+    /// With a sink attached, records a stretch of die time an operation
+    /// holds as a span on the die's track, naming the block it touches
+    /// when there is one.
+    #[inline]
+    pub(crate) fn die_span(
+        &mut self,
+        class: TrafficClass,
+        kind: FlashOpKind,
+        die: u32,
+        block: Option<BlockId>,
+        start_ns: u64,
+        dur_ns: u64,
+    ) {
         if let Some(sink) = &mut self.sink {
             let mut args = vec![("class", ArgValue::Str(class.label()))];
             args.extend(block.map(|block| ("block", ArgValue::U64(block.raw()))));
-            sink.span(
-                Track::Die(die),
-                kind.label(),
-                end_ns - latency_ns,
-                latency_ns,
-                args,
-            );
+            sink.span(Track::Die(die), kind.label(), start_ns, dur_ns, args);
         }
     }
 
@@ -690,30 +696,9 @@ mod tests {
     fn utilization_conservation_holds_by_construction() {
         let mut tracer = Tracer::new(2);
         let timing = NandTiming::paper_default();
-        tracer.flash_op(
-            TrafficClass::Host,
-            FlashOpKind::Read,
-            0,
-            None,
-            timing.read_ns,
-            timing.read_ns,
-        );
-        tracer.flash_op(
-            TrafficClass::Gc,
-            FlashOpKind::Program,
-            1,
-            None,
-            timing.program_ns,
-            timing.program_ns,
-        );
-        tracer.flash_op(
-            TrafficClass::MapLog,
-            FlashOpKind::Erase,
-            1,
-            None,
-            timing.erase_ns,
-            timing.erase_ns,
-        );
+        tracer.count(TrafficClass::Host, FlashOpKind::Read, 0, timing.read_ns);
+        tracer.count(TrafficClass::Gc, FlashOpKind::Program, 1, timing.program_ns);
+        tracer.count(TrafficClass::MapLog, FlashOpKind::Erase, 1, timing.erase_ns);
         let mut flash = FlashOpBreakdown {
             data_reads: 1,
             gc_programs: 1,

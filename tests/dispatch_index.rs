@@ -84,6 +84,17 @@
 //! waits. The completion digests and the drain-order digest (7 119
 //! commands, as before) move.
 //!
+//! All four were taken again when a flush stopped reserving its
+//! programs on the dies up front: they wait in a per-die queue, host
+//! reads go ahead of them, and the flush's pages are read from DRAM
+//! until the next flush waits for the programs. Reads complete sooner,
+//! so the background GC that follows them starts at other times and
+//! takes other turns: round robin 7 059 completions and dispatches
+//! (159 of them GC; 7 056 and 156 before), host priority 7 055 (155),
+//! weighted + QoS 7 054 (154; 7 057 and 157 before) with 236 control
+//! ticks (252) and shorter admission waits. Every completion digest
+//! moves, and the drain-order digest now hashes 7 120 commands (7 119).
+//!
 //! The proptest at the end holds the three bitset arbitration policies
 //! to a slice-walk transcription of the algorithms they replaced, on
 //! views drawn as gated admission classes the way the device forms
@@ -239,23 +250,23 @@ fn weighted_qos_fleet_matches_the_full_scan() {
     assert_eq!(
         golden,
         Golden {
-            completions_fnv: 7489704626909476893,
-            completions: 7057,
+            completions_fnv: 4789045679087199536,
+            completions: 7054,
             admission_wait_per_queue: vec![
-                0, 0, 0, 0, 0, 0, 274352040, 274352040, 274352040, 274352040, 274352040, 274352040,
-                274352040, 274352040, 274352040, 274352040, 274352040, 274352040, 274352040,
-                274352040, 274352040, 274352040, 274352040, 274352040, 274352040, 274352040,
-                274352040, 274352040, 274352040, 274352040, 274352040, 274352040, 274352040,
-                274352040, 274352040, 274352040, 274352040, 274352040, 274352040, 274352040,
-                214495720, 206277640, 187879520, 194145040, 164229880, 145321680, 175724480,
-                183258760, 182922720, 225666680, 199502000, 167726960, 211758880, 204546680,
-                198833600, 187434200, 198500760, 219843720, 200723240, 169807760, 227164160,
-                209019960, 185011880, 174337640, 205762840, 213336640, 205607640, 201206640,
-                201453000, 209391160, 150527840, 198843720
+                0, 0, 0, 0, 0, 0, 250343720, 250343720, 250343720, 250343720, 250343720, 250343720,
+                250343720, 250343720, 250343720, 250343720, 250343720, 250343720, 250343720,
+                250343720, 250343720, 250343720, 250343720, 250343720, 250343720, 250343720,
+                250343720, 250343720, 250343720, 250343720, 250343720, 250343720, 250343720,
+                250343720, 250343720, 250343720, 250343720, 250343720, 250343720, 250343720,
+                187052320, 181418320, 177749320, 170632480, 143733880, 115971880, 155700320,
+                171330320, 164061040, 197491560, 189500200, 150810280, 191226240, 173645640,
+                167836200, 172336080, 172678760, 197621880, 177299400, 146794000, 202889080,
+                194084320, 178724880, 155351400, 194000480, 185635480, 164310120, 176348960,
+                189763240, 196816400, 148812800, 164001360
             ],
-            qos_ticks: 252,
-            dispatches: 7057,
-            gc_dispatched: 157,
+            qos_ticks: 236,
+            dispatches: 7054,
+            gc_dispatched: 154,
         }
     );
 }
@@ -266,12 +277,12 @@ fn round_robin_fleet_matches_the_full_scan() {
     assert_eq!(
         golden,
         Golden {
-            completions_fnv: 6876291068151821955,
-            completions: 7056,
+            completions_fnv: 5351595353162892048,
+            completions: 7059,
             admission_wait_per_queue: vec![0; QUEUES],
             qos_ticks: 0,
-            dispatches: 7056,
-            gc_dispatched: 156,
+            dispatches: 7059,
+            gc_dispatched: 159,
         }
     );
 }
@@ -282,12 +293,12 @@ fn host_priority_fleet_matches_the_full_scan() {
     assert_eq!(
         golden,
         Golden {
-            completions_fnv: 4924211169030026595,
-            completions: 7056,
+            completions_fnv: 6071039438999625243,
+            completions: 7055,
             admission_wait_per_queue: vec![0; QUEUES],
             qos_ticks: 0,
-            dispatches: 7056,
-            gc_dispatched: 156,
+            dispatches: 7055,
+            gc_dispatched: 155,
         }
     );
 }
@@ -360,7 +371,7 @@ fn drain_order_is_the_stable_sort_on_a_1012_queue_fleet() {
         fnv1a(&mut hash, c.dispatch_ns);
         fnv1a(&mut hash, c.complete_ns);
     }
-    assert_eq!((drained.len(), hash), (7119, 1305579984588032338));
+    assert_eq!((drained.len(), hash), (7120, 793490080711567286));
 }
 
 /// The three policies as they were before the ready bitset: each walks

@@ -203,8 +203,8 @@ proptest! {
 
     /// The reference buffer is an ordered map plus the list of first
     /// arrivals: a rewrite coalesces (new content, old arrival slot),
-    /// the sorted drain is the map's order, the unsorted drain the
-    /// arrival list's, and either leaves the buffer empty.
+    /// the sorted pages are the map's order, the unsorted pages the
+    /// arrival list's, and a clear leaves the buffer empty.
     #[test]
     fn write_buffer_matches_the_map_and_arrival_list(ops in vec(buffer_op(), 1..300)) {
         let mut buffer = WriteBuffer::new();
@@ -225,14 +225,16 @@ proptest! {
                 BufferOp::DrainSorted => {
                     let want: Vec<(Lpa, u64)> =
                         pages.iter().map(|(&lpa, &c)| (Lpa::new(lpa), c)).collect();
-                    prop_assert_eq!(buffer.drain_sorted(), want);
+                    prop_assert_eq!(buffer.pages(true), want);
+                    buffer.clear();
                     pages.clear();
                     arrival.clear();
                 }
                 BufferOp::DrainUnsorted => {
                     let want: Vec<(Lpa, u64)> =
                         arrival.iter().map(|&lpa| (Lpa::new(lpa), pages[&lpa])).collect();
-                    prop_assert_eq!(buffer.drain_unsorted(), want);
+                    prop_assert_eq!(buffer.pages(false), want);
+                    buffer.clear();
                     pages.clear();
                     arrival.clear();
                 }

@@ -129,6 +129,18 @@
 //! histories hash no time and did not move: a wear swap is a
 //! collection of one, placed in the order it always was. Coverage
 //! holds unedited.
+//!
+//! The same six were recorded again when a flush stopped reserving its
+//! programs on the dies up front: they wait in a per-die queue that
+//! host reads go ahead of, and the next flush waits for them to drain.
+//! Only time moved, and these six read it. Both `SYNC_COSTBENEFIT` ones
+//! (the age term): passes 1 205 → 1 192 under the snapshot, 1 230 →
+//! 1 227 under the log. All four `BACKGROUND_*` ones (dispatch follows
+//! time): the greedy pair keeps its pass counts (1 184 and 1 225),
+//! cost-benefit moves 1 187 → 1 178 and 1 228 → 1 240. Both
+//! `SYNC_GREEDY_*` constants (1 184 and 1 219 passes) and both
+//! wear-swap histories hash no time and did not move. Coverage holds
+//! unedited.
 
 #![expect(
     clippy::unwrap_used,
@@ -417,12 +429,12 @@ fn run_background(config: SsdConfig, seed: u64) -> (u64, Coverage) {
 
 const SYNC_GREEDY_SNAPSHOT: u64 = 0x00c7_9712_11ad_58a4;
 const SYNC_GREEDY_FLASHLOG: u64 = 0x461e_0aba_53ea_f1de;
-const SYNC_COSTBENEFIT_SNAPSHOT: u64 = 0xab6d_0c9d_0f1b_5431;
-const SYNC_COSTBENEFIT_FLASHLOG: u64 = 0x8f6a_248b_cdc8_4fa7;
-const BACKGROUND_GREEDY_SNAPSHOT: u64 = 0xc1da_0020_0d1f_96f6;
-const BACKGROUND_GREEDY_FLASHLOG: u64 = 0x491d_5877_ebb9_2d65;
-const BACKGROUND_COSTBENEFIT_SNAPSHOT: u64 = 0x3621_a921_973e_1cb4;
-const BACKGROUND_COSTBENEFIT_FLASHLOG: u64 = 0x8900_2c24_329b_d862;
+const SYNC_COSTBENEFIT_SNAPSHOT: u64 = 0x4dba_9461_a08f_285b;
+const SYNC_COSTBENEFIT_FLASHLOG: u64 = 0xfa07_9279_45a4_5caf;
+const BACKGROUND_GREEDY_SNAPSHOT: u64 = 0x8f78_f2be_7951_1f26;
+const BACKGROUND_GREEDY_FLASHLOG: u64 = 0x6df7_c717_f6c6_9dd9;
+const BACKGROUND_COSTBENEFIT_SNAPSHOT: u64 = 0x8c34_4b6b_3563_7bd8;
+const BACKGROUND_COSTBENEFIT_FLASHLOG: u64 = 0xca21_d1b9_73e9_33ed;
 const SYNC_GREEDY_WEAR_SWAPS: u64 = 0xb6a5_ff6d_2e1c_5f12;
 /// Recorded one PR later than the rest, on the commit before wear swaps
 /// and GC migrations became one relocation kernel.
