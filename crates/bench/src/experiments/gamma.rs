@@ -17,12 +17,14 @@ const GAMMA_STORY: &str = "direction 4: the PLR keeps segments costlier than the
 
 /// What is left of Fig. 21's gap once a flush resolves its overwrites
 /// in one pass and host reads go ahead of the flush's queued programs.
-const FIG21_GAP: &str = "direction 4(b)(ii): with reads ahead of queued programs the MSR/FIU \
-                         rows are within 1.02× at full scale; a flush still reads one page per \
-                         OOB window to resolve its approximate overwrites (full scale, γ=16: \
-                         0.29 per host write on MSR-prxy; lazy invalidation would drop them), \
-                         and host reads that mispredict re-read flash (γ=16: 29 % on MSR-prxy, \
-                         4–9 % on the application rows, which stay at 1.05–1.07×)";
+const FIG21_GAP: &str = "direction 4(b)(ii): with reads ahead of queued programs, and flushed \
+                         pages read from DRAM until a write takes their slots, the MSR/FIU rows \
+                         are within 1.05× at full scale; a flush still reads one page per OOB \
+                         window to resolve its approximate overwrites (full scale, γ=16: 0.29 per \
+                         host write on MSR-prxy; lazy invalidation would drop them), and host \
+                         reads that mispredict re-read flash (γ=16: 28 % on MSR-prxy, 4–9 % on the \
+                         application rows, which read 1.05–1.13×: γ=0 reads faster, so the same \
+                         re-reads weigh more)";
 
 /// Fig. 19: LeaFTL mapping-table size as γ grows (normalised to γ=0,
 /// lower is better), across all 12 workloads.

@@ -6,9 +6,15 @@
 //! learnable. The buffer also absorbs read hits for recently written
 //! pages and write coalescing (a rewrite of a buffered page costs no
 //! flash traffic at all).
+//!
+//! The buffer and the pages of earlier flushes share the controller's
+//! DRAM page slots ([`WritePool`]): a flushed page keeps its slot, and
+//! stays readable from DRAM, until a write that finds every slot held
+//! takes it once the page's program has ended.
 
 use leaftl_flash::{IntMap, Lpa};
 use std::collections::hash_map::Entry;
+use std::collections::VecDeque;
 
 /// Write buffer: pending `(LPA → content)` pages awaiting flush.
 ///
@@ -64,18 +70,199 @@ impl WriteBuffer {
     /// unsorted, in arrival order (the Fig. 7 "unoptimized" ablation);
     /// the buffer keeps them.
     pub fn pages(&self, sorted: bool) -> Vec<(Lpa, u64)> {
-        let mut pages = self.pages.clone();
+        let mut order = Vec::new();
+        self.order(sorted, &mut order);
+        order.iter().map(|&at| self.pages[at as usize]).collect()
+    }
+
+    /// Fills `order` with the arrival positions of the pages in the
+    /// order [`WriteBuffer::pages`] lists them.
+    fn order(&self, sorted: bool, order: &mut Vec<u32>) {
+        order.clear();
+        order.extend(0..self.pages.len() as u32);
         if sorted {
             // One entry per LPA, so no two keys compare equal.
-            pages.sort_unstable_by_key(|&(lpa, _)| lpa);
+            order.sort_unstable_by_key(|&at| self.pages[at as usize].0);
         }
-        pages
     }
 
     /// Empties the buffer, keeping its memory for the next fill.
     pub fn clear(&mut self) {
         self.index.clear();
         self.pages.clear();
+    }
+}
+
+/// The controller's DRAM page slots: the [`WriteBuffer`] that fills,
+/// and the pages of earlier flushes still in DRAM, `capacity` slots
+/// between them.
+///
+/// [`WritePool::flush`] hands the buffer's pages out for programming,
+/// each named by a tag, and keeps them: a flushed page holds its slot
+/// and is read from DRAM (the newest flush of its address decides)
+/// until [`WritePool::release`] gives the slot up. The caller releases
+/// a page only once its program has ended, and only for a write that
+/// found every slot held ([`WritePool::overflows`] after it); from then
+/// on the page is read from flash.
+#[derive(Debug, Clone)]
+pub struct WritePool {
+    capacity: usize,
+    buffer: WriteBuffer,
+    /// Every flush from the oldest one with a page in DRAM on, oldest
+    /// first.
+    flushed: VecDeque<Flushed>,
+    /// The number of `flushed[0]`: flush `n`'s `i`-th page is tagged
+    /// `n << 32 | i`.
+    first_flush: u64,
+    /// Flushed pages holding a slot.
+    resident: usize,
+    /// Emptied flushes, kept for their memory.
+    spare: Vec<Flushed>,
+    /// A flush's programming order, kept from flush to flush.
+    order: Vec<u32>,
+}
+
+/// The pages of one flush.
+#[derive(Debug, Clone, Default)]
+struct Flushed {
+    pages: WriteBuffer,
+    /// Where the page at each arrival position came in the order the
+    /// flush handed the pages out (the index its tag names).
+    rank: Vec<u32>,
+    /// One bit per page, by that index: it gave its slot up.
+    released: Vec<u64>,
+    /// Pages still holding a slot.
+    resident: usize,
+}
+
+impl Flushed {
+    /// Whether the page with index `rank` gave its slot up.
+    fn is_released(&self, rank: u32) -> bool {
+        self.released[rank as usize / 64] & 1 << (rank % 64) != 0
+    }
+}
+
+impl WritePool {
+    /// An empty pool of `capacity` page slots.
+    pub fn new(capacity: usize) -> Self {
+        WritePool {
+            capacity,
+            buffer: WriteBuffer::new(),
+            flushed: VecDeque::new(),
+            first_flush: 0,
+            resident: 0,
+            spare: Vec::new(),
+            order: Vec::new(),
+        }
+    }
+
+    /// Page slots in all.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
+    /// The buffer that fills.
+    pub fn buffer(&self) -> &WriteBuffer {
+        &self.buffer
+    }
+
+    /// Flushed pages holding a slot.
+    pub fn resident(&self) -> usize {
+        self.resident
+    }
+
+    /// Whether the pages hold more than every slot: after a write the
+    /// buffer did not hold before, one page must give its slot up.
+    pub fn overflows(&self) -> bool {
+        self.buffer.len() + self.resident > self.capacity
+    }
+
+    /// Buffers a page write, coalescing rewrites; returns `true` when
+    /// the buffer already held the address.
+    pub fn insert(&mut self, lpa: Lpa, content: u64) -> bool {
+        self.buffer.insert(lpa, content)
+    }
+
+    /// A flushed page still in DRAM: the newest flush of `lpa` decides,
+    /// so once that one released its slot the page is read from flash.
+    pub fn flushed(&self, lpa: Lpa) -> Option<u64> {
+        for flushed in self.flushed.iter().rev() {
+            if let Some(&at) = flushed.pages.index.get(&lpa) {
+                let released = flushed.is_released(flushed.rank[at]);
+                return (!released).then(|| flushed.pages.pages[at].1);
+            }
+        }
+        None
+    }
+
+    /// What DRAM holds for `lpa`: the buffer's page, else a flushed one.
+    pub fn get(&self, lpa: Lpa) -> Option<u64> {
+        self.buffer.get(lpa).or_else(|| self.flushed(lpa))
+    }
+
+    /// Flushes the buffer: returns its pages in programming order (as
+    /// [`WriteBuffer::pages`] lists them) and the first page's tag (the
+    /// `i`-th page's is that plus `i`). The pages keep their slots.
+    pub fn flush(&mut self, sorted: bool) -> (Vec<(Lpa, u64)>, u64) {
+        let mut flushed = self.spare.pop().unwrap_or_default();
+        std::mem::swap(&mut flushed.pages, &mut self.buffer);
+        let order = &mut self.order;
+        flushed.pages.order(sorted, order);
+        let len = order.len();
+        flushed.rank.clear();
+        flushed.rank.resize(len, 0);
+        for (rank, &at) in order.iter().enumerate() {
+            flushed.rank[at as usize] = rank as u32;
+        }
+        flushed.released.clear();
+        flushed.released.resize(len.div_ceil(64), 0);
+        flushed.resident = len;
+        self.resident += len;
+        let pages = order
+            .iter()
+            .map(|&at| flushed.pages.pages[at as usize])
+            .collect();
+        let tag = (self.first_flush + self.flushed.len() as u64) << 32;
+        self.flushed.push_back(flushed);
+        (pages, tag)
+    }
+
+    /// Gives up the slot of the flushed page `tag` names: from here on
+    /// the page is not in DRAM.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `tag` names no page still holding a slot.
+    pub fn release(&mut self, tag: u64) {
+        let flush = (tag >> 32) - self.first_flush;
+        let flushed = &mut self.flushed[flush as usize];
+        let rank = tag as u32;
+        assert!(!flushed.is_released(rank), "page {tag:#x} released twice");
+        flushed.released[rank as usize / 64] |= 1 << (rank % 64);
+        flushed.resident -= 1;
+        self.resident -= 1;
+        while self
+            .flushed
+            .front()
+            .is_some_and(|oldest| oldest.resident == 0)
+        {
+            if let Some(mut emptied) = self.flushed.pop_front() {
+                self.first_flush += 1;
+                emptied.pages.clear();
+                if self.spare.len() < 2 {
+                    self.spare.push(emptied);
+                }
+            }
+        }
+    }
+
+    /// Empties every slot (a power cut: DRAM is lost). Tags handed out
+    /// before name no page afterwards.
+    pub fn clear(&mut self) {
+        self.buffer.clear();
+        self.first_flush += self.flushed.len() as u64;
+        self.flushed.clear();
+        self.resident = 0;
     }
 }
 
@@ -128,5 +315,40 @@ mod tests {
         let lpas: Vec<u64> = pages.iter().map(|(l, _)| l.raw()).collect();
         assert_eq!(lpas, vec![78, 32, 33]);
         assert_eq!(pages[0].1, 780);
+    }
+
+    #[test]
+    fn a_flushed_page_reads_from_dram_until_its_slot_is_released() {
+        let mut pool = WritePool::new(4);
+        pool.insert(Lpa::new(7), 70);
+        pool.insert(Lpa::new(3), 30);
+        let (pages, first) = pool.flush(true);
+        assert_eq!(pages, vec![(Lpa::new(3), 30), (Lpa::new(7), 70)]);
+        assert_eq!(pool.resident(), 2);
+        assert_eq!(pool.get(Lpa::new(7)), Some(70));
+        // A newer flush of address 7 shadows the older one, released
+        // or not.
+        pool.insert(Lpa::new(7), 71);
+        pool.insert(Lpa::new(9), 90);
+        assert_eq!(pool.get(Lpa::new(7)), Some(71));
+        let (_, second) = pool.flush(true);
+        assert!(!pool.overflows());
+        pool.insert(Lpa::new(1), 10);
+        assert!(pool.overflows());
+        pool.release(first + 1);
+        assert_eq!(pool.get(Lpa::new(7)), Some(71));
+        pool.release(second);
+        assert_eq!(pool.get(Lpa::new(7)), None);
+        assert_eq!(pool.get(Lpa::new(3)), Some(30));
+        pool.release(first);
+        assert_eq!(pool.get(Lpa::new(3)), None);
+        // The oldest flush left DRAM whole; the newer one still holds 9.
+        assert_eq!(pool.flushed.len(), 1);
+        pool.release(second + 1);
+        assert_eq!(pool.get(Lpa::new(9)), None);
+        assert_eq!(pool.resident(), 0);
+        assert!(pool.flushed.is_empty());
+        pool.clear();
+        assert_eq!(pool.get(Lpa::new(1)), None);
     }
 }

@@ -35,22 +35,33 @@ pub const RESUME_NS: u64 = 5_000;
 /// dispatch/completion boundaries.
 ///
 /// Beside its busy-until, each die keeps a FIFO of **unstarted flush
-/// programs** (`SimClock::queue_program`). There are three ways onto a
-/// die, and one placement rule behind them:
+/// programs** (`SimClock::queue_program`), each tagged with the caller's
+/// name for it. There are three ways onto a die, and one placement rule
+/// behind them:
 ///
 /// - [`SimClock::schedule_after`] (every op but a host read or a flush
 ///   program) places the die's whole queue, then itself: with nothing
 ///   queued, a plain FIFO.
-/// - `SimClock::schedule_read` (a host read) first lets queued
-///   programs use the die's idle time before its floor. A program still
-///   running at the floor is suspended — what it had left, plus
-///   [`RESUME_NS`], goes back to the front of the queue — unless it was
-///   suspended [`SUSPEND_LIMIT`] times already. The read is then placed
-///   after whatever the die holds, ahead of whatever is still queued. A
-///   read of a page whose program is still queued first places the
-///   queue up to that program.
-/// - `SimClock::place_programs` places every queue (a flush's
-///   double-buffer wait, an explicit flush).
+/// - `SimClock::schedule_read` (a host read) first places the queue up
+///   to the program of the page it reads, if that one is still queued.
+///   Then it lets queued programs use the die's idle time before its
+///   floor. A program still running at the floor is suspended — what it
+///   had left, plus [`RESUME_NS`], goes back to the front of the queue —
+///   unless it was suspended [`SUSPEND_LIMIT`] times already. The read
+///   is then placed after whatever the die holds, ahead of whatever is
+///   still queued.
+/// - `SimClock::place_programs` places every queue (an explicit flush,
+///   a power cut).
+///
+/// The caller takes the tags back one at a time, earliest end first
+/// (`SimClock::take_earliest_program`, which keeps one entry per die
+/// that holds an untaken program): a write that finds every DRAM slot
+/// held takes the slot of the page whose program ended first, waiting
+/// for that end if it is still ahead. A program still queued when its
+/// tag is taken is placed then, where any later op would place it:
+/// every op from then on starts no earlier than the program's end, and
+/// a read lets a program that ends before its floor run in the idle
+/// time first. So taking a tag changes no placement.
 ///
 /// Each placed stretch of a program (a whole one, or the parts a
 /// suspension cut it into) is handed to the caller for its trace
@@ -63,6 +74,13 @@ pub const RESUME_NS: u64 = 5_000;
 pub struct SimClock {
     now_ns: u64,
     dies: Vec<DieLine>,
+    /// (when the die's earliest program whose tag is not taken ends;
+    /// die) for every die that holds one, sorted
+    /// ([`DieLine::next_end_ns`]). A key may be early, never late: that
+    /// end only moves later until the tag is taken, and an entry is
+    /// brought up to date when it reaches the front. A die's new key is
+    /// most often the latest, so an insert scans from the back.
+    untaken: VecDeque<(u64, u32)>,
     /// Latest end of any placed flush program.
     programs_end_ns: u64,
     /// Placed program stretches not yet taken by the caller.
@@ -75,6 +93,12 @@ pub struct SimClock {
 struct DieLine {
     busy_until_ns: u64,
     queue: VecDeque<Program>,
+    /// (end, tag) of each placed program whose tag is not taken, in
+    /// the order placed — which is end order, as a die runs one thing
+    /// at a time.
+    programmed: VecDeque<(u64, u64)>,
+    /// Whether [`SimClock::untaken`] holds an entry for the die.
+    listed: bool,
 }
 
 /// A flush program waiting for its die, or what a suspension left of
@@ -82,6 +106,9 @@ struct DieLine {
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 struct Program {
     page: Ppa,
+    /// The caller's name for the program, handed back once it is placed
+    /// ([`SimClock::take_earliest_program`]).
+    tag: u64,
     floor_ns: u64,
     /// Die time still owed.
     latency_ns: u64,
@@ -110,6 +137,21 @@ pub(crate) struct ReadPlacement {
 }
 
 impl DieLine {
+    /// When the queue's head would end, were it placed now.
+    fn head_end_ns(&self) -> Option<u64> {
+        let head = self.queue.front()?;
+        Some(self.busy_until_ns.max(head.floor_ns) + head.latency_ns)
+    }
+
+    /// When the earliest program whose tag is not taken ends: a placed
+    /// one, else the queue's head were it placed now.
+    fn next_end_ns(&self) -> Option<u64> {
+        match self.programmed.front() {
+            Some(&(end_ns, _)) => Some(end_ns),
+            None => self.head_end_ns(),
+        }
+    }
+
     /// Places the queue's head after whatever the die holds.
     fn place_head(&mut self) -> Option<(Program, u64)> {
         let program = self.queue.pop_front()?;
@@ -133,6 +175,7 @@ impl SimClock {
         SimClock {
             now_ns: 0,
             dies: vec![DieLine::default(); dies as usize],
+            untaken: VecDeque::new(),
             programs_end_ns: 0,
             placed: Vec::new(),
         }
@@ -160,16 +203,32 @@ impl SimClock {
         self.dies[at].place(earliest_ns, latency_ns)
     }
 
-    /// Queues a flush program of `latency_ns` for `page` on `die`, to start no earlier than `floor_ns`. It is placed when an
-    /// op behind it needs the die, when a read leaves the die idle ahead
-    /// of it, or at [`SimClock::place_programs`].
-    pub(crate) fn queue_program(&mut self, die: Die, floor_ns: u64, latency_ns: u64, page: Ppa) {
-        self.dies[die.raw() as usize].queue.push_back(Program {
+    /// Queues a flush program of `latency_ns` for `page` on `die`, to
+    /// start no earlier than `floor_ns`; `tag` names it to the caller
+    /// ([`SimClock::take_earliest_program`]). It is placed when an op
+    /// behind it needs the die, when a read leaves the die idle ahead of
+    /// it, when its tag is taken, or at [`SimClock::place_programs`].
+    pub(crate) fn queue_program(
+        &mut self,
+        die: Die,
+        floor_ns: u64,
+        latency_ns: u64,
+        page: Ppa,
+        tag: u64,
+    ) {
+        let line = &mut self.dies[die.raw() as usize];
+        line.queue.push_back(Program {
             page,
+            tag,
             floor_ns,
             latency_ns,
             suspensions: 0,
         });
+        if !line.listed {
+            line.listed = true;
+            let end_ns = line.busy_until_ns.max(floor_ns) + latency_ns;
+            self.insert_untaken((end_ns, die.raw()));
+        }
     }
 
     /// Schedules a host read of `latency_ns` on `die` from `floor_ns`,
@@ -185,43 +244,42 @@ impl SimClock {
     ) -> ReadPlacement {
         let at = die.raw() as usize;
         let queue = &self.dies[at].queue;
-        let mut suspended = false;
         if let Some(own) = page.and_then(|page| queue.iter().position(|queued| queued.page == page))
         {
             self.place_queue(at, own + 1);
-        } else {
-            // The idle time before the floor goes to queued programs; a
-            // program that runs across the floor is suspended there.
-            while let Some(head) = self.dies[at].queue.front() {
-                if self.dies[at].busy_until_ns.max(head.floor_ns) >= floor_ns {
-                    break;
-                }
-                let Some((program, start_ns)) = self.dies[at].place_head() else {
-                    break;
-                };
-                let end_ns = start_ns + program.latency_ns;
-                if floor_ns < end_ns && program.suspensions < SUSPEND_LIMIT {
-                    // Its first stretch is final; the rest, plus the
-                    // resume, heads the queue.
-                    self.placed.push(Segment {
-                        die: at as u32,
-                        page: program.page,
-                        start_ns,
-                        end_ns: floor_ns,
-                    });
-                    let line = &mut self.dies[at];
-                    line.queue.push_front(Program {
-                        floor_ns,
-                        latency_ns: end_ns.saturating_sub(floor_ns) + RESUME_NS,
-                        suspensions: program.suspensions + 1,
-                        ..program
-                    });
-                    line.busy_until_ns = floor_ns;
-                    suspended = true;
-                    break;
-                }
-                self.note_placed(at, program, start_ns);
+        }
+        // The idle time before the floor goes to queued programs; a
+        // program that runs across the floor is suspended there.
+        let mut suspended = false;
+        while let Some(head) = self.dies[at].queue.front() {
+            if self.dies[at].busy_until_ns.max(head.floor_ns) >= floor_ns {
+                break;
             }
+            let Some((program, start_ns)) = self.dies[at].place_head() else {
+                break;
+            };
+            let end_ns = start_ns + program.latency_ns;
+            if floor_ns < end_ns && program.suspensions < SUSPEND_LIMIT {
+                // Its first stretch is final; the rest, plus the resume,
+                // heads the queue.
+                self.placed.push(Segment {
+                    die: at as u32,
+                    page: program.page,
+                    start_ns,
+                    end_ns: floor_ns,
+                });
+                let line = &mut self.dies[at];
+                line.queue.push_front(Program {
+                    floor_ns,
+                    latency_ns: end_ns.saturating_sub(floor_ns) + RESUME_NS,
+                    suspensions: program.suspensions + 1,
+                    ..program
+                });
+                line.busy_until_ns = floor_ns;
+                suspended = true;
+                break;
+            }
+            self.note_placed(at, program, start_ns);
         }
         let line = &mut self.dies[at];
         let overtook = !line.queue.is_empty();
@@ -241,6 +299,91 @@ impl SimClock {
         self.programs_end_ns
     }
 
+    /// Files `entry` in [`SimClock::untaken`], in order.
+    fn insert_untaken(&mut self, entry: (u64, u32)) {
+        if self.untaken.back().is_none_or(|&last| last <= entry) {
+            self.untaken.push_back(entry);
+            return;
+        }
+        let at = self
+            .untaken
+            .iter()
+            .rposition(|&filed| filed <= entry)
+            .map_or(0, |before| before + 1);
+        self.untaken.insert(at, entry);
+    }
+
+    /// The die holding the earliest-ending program whose tag is not
+    /// taken, and when that program ends: the front of
+    /// [`SimClock::untaken`] once its key is up to date (the entry of a
+    /// die that holds none goes).
+    pub(crate) fn earliest_untaken(&mut self) -> Option<(u64, usize)> {
+        while let Some(&(key_ns, die)) = self.untaken.front() {
+            let line = &mut self.dies[die as usize];
+            let next_ns = line.next_end_ns();
+            debug_assert!(next_ns.is_none_or(|end_ns| end_ns >= key_ns), "a late key");
+            if next_ns == Some(key_ns) {
+                return Some((key_ns, die as usize));
+            }
+            self.untaken.pop_front();
+            match next_ns {
+                Some(end_ns) => self.insert_untaken((end_ns, die)),
+                None => line.listed = false,
+            }
+        }
+        None
+    }
+
+    /// Takes the tag of the earliest-ending flush program whose tag is
+    /// not taken, with when that program ends; each tag comes back
+    /// once. A program still queued is placed first, where it would be
+    /// placed anyway: the caller places nothing that starts before the
+    /// returned end (the host waits for it), and any op that starts no
+    /// earlier places the program the same way (a read lets it run in
+    /// the idle time before its floor).
+    pub(crate) fn take_earliest_program(&mut self) -> Option<(u64, u64)> {
+        let (end_ns, at) = self.earliest_untaken()?;
+        let tag = match self.dies[at].programmed.pop_front() {
+            Some((_, tag)) => tag,
+            None => {
+                let (program, start_ns) = self.dies[at].place_head()?;
+                self.record_placed(at, program, start_ns);
+                program.tag
+            }
+        };
+        self.untaken.pop_front();
+        match self.dies[at].next_end_ns() {
+            Some(next_ns) => self.insert_untaken((next_ns, at as u32)),
+            None => self.dies[at].listed = false,
+        }
+        Some((end_ns, tag))
+    }
+
+    /// Flush programs whose tags are not taken, and how many of them
+    /// have not ended by `now_ns` (still queued, or placed to end
+    /// later).
+    pub(crate) fn untaken_programs(&self, now_ns: u64) -> (usize, usize) {
+        let mut untaken = 0;
+        let mut unended = 0;
+        for line in &self.dies {
+            let running = line
+                .programmed
+                .iter()
+                .filter(|&&(end_ns, _)| end_ns > now_ns);
+            untaken += line.queue.len() + line.programmed.len();
+            unended += line.queue.len() + running.count();
+        }
+        (untaken, unended)
+    }
+
+    /// Drops every placed program's tag (the caller forgot what they
+    /// name, as at a power cut).
+    pub(crate) fn forget_programmed(&mut self) {
+        for line in &mut self.dies {
+            line.programmed.clear();
+        }
+    }
+
     /// Places the first `count` programs queued on die `at`, in order.
     fn place_queue(&mut self, at: usize, count: usize) {
         for _ in 0..count {
@@ -250,8 +393,16 @@ impl SimClock {
         }
     }
 
-    /// Records a program placed whole from `start_ns` on die `at`.
+    /// Records a program placed whole from `start_ns` on die `at`, its
+    /// tag to be taken.
     fn note_placed(&mut self, at: usize, program: Program, start_ns: u64) {
+        let end_ns = self.record_placed(at, program, start_ns);
+        self.dies[at].programmed.push_back((end_ns, program.tag));
+    }
+
+    /// Records a program placed whole from `start_ns` on die `at`;
+    /// returns when it ends.
+    fn record_placed(&mut self, at: usize, program: Program, start_ns: u64) -> u64 {
         let end_ns = start_ns + program.latency_ns;
         self.programs_end_ns = self.programs_end_ns.max(end_ns);
         self.placed.push(Segment {
@@ -260,6 +411,7 @@ impl SimClock {
             start_ns,
             end_ns,
         });
+        end_ns
     }
 
     /// The program stretches placed since the last call, in the order
@@ -292,7 +444,7 @@ mod tests {
     /// Queues `count` programs of pages `first..` on die 0 from `floor`.
     fn queue(clock: &mut SimClock, first: u64, count: u64, floor: u64) {
         for page in first..first + count {
-            clock.queue_program(Die::new(0), floor, PROGRAM_NS, Ppa::new(page));
+            clock.queue_program(Die::new(0), floor, PROGRAM_NS, Ppa::new(page), page);
         }
     }
 
@@ -475,5 +627,158 @@ mod tests {
             8 * PROGRAM_NS + 40 * READ_NS + suspensions * RESUME_NS
         );
         assert_eq!(busy.iter().map(|&(_, end)| end).max(), Some(last));
+    }
+
+    /// A splitmix64 step: the tests' deterministic randomness.
+    fn draw(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    /// Every placed stretch as (die, start, end, page), sorted.
+    fn stretches(clock: &mut SimClock) -> Vec<(u32, u64, u64, u64)> {
+        let mut all: Vec<_> = clock
+            .take_placed()
+            .map(|segment| {
+                let Segment {
+                    die,
+                    page,
+                    start_ns,
+                    end_ns,
+                } = segment;
+                (die, start_ns, end_ns, page.raw())
+            })
+            .collect();
+        all.sort_unstable();
+        all
+    }
+
+    /// Over random flush programs, host reads (some of a queued page)
+    /// and other ops on two dies, each op's floor no earlier than a
+    /// "now" that only grows: a clock whose caller takes the tags of
+    /// programs that end by any time up to "now" before each op —
+    /// placing them early — places every op and every program stretch
+    /// exactly where a clock whose caller takes none does. The tags
+    /// come back in end order, and each once.
+    #[test]
+    fn settling_no_later_than_the_next_floor_changes_no_placement() {
+        let mut early = 0;
+        for seed in 0..300 {
+            let mut rng = seed;
+            let mut plain = SimClock::new(2);
+            let mut settled = SimClock::new(2);
+            let mut now = 0;
+            let mut pages: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
+            let mut next_page = 0;
+            let mut taken = Vec::new();
+            for _ in 0..80 {
+                now += draw(&mut rng) % 120_000;
+                let until = now.saturating_sub(draw(&mut rng) % 300_000);
+                for _ in 0..draw(&mut rng) % 6 {
+                    if settled
+                        .earliest_untaken()
+                        .is_none_or(|(end_ns, _)| end_ns > until)
+                    {
+                        break;
+                    }
+                    let queued: usize = settled.dies.iter().map(|line| line.queue.len()).sum();
+                    let Some((_, tag)) = settled.take_earliest_program() else {
+                        break;
+                    };
+                    let left: usize = settled.dies.iter().map(|line| line.queue.len()).sum();
+                    early += queued - left;
+                    taken.push(tag);
+                }
+                let die = (draw(&mut rng) % 2) as usize;
+                let floor = now + [0, 0, 7_000, 90_000][(draw(&mut rng) % 4) as usize];
+                match draw(&mut rng) % 3 {
+                    0 => {
+                        for _ in 0..1 + draw(&mut rng) % 4 {
+                            for clock in [&mut plain, &mut settled] {
+                                let page = Ppa::new(next_page);
+                                clock.queue_program(
+                                    Die::new(die as u32),
+                                    now,
+                                    PROGRAM_NS,
+                                    page,
+                                    next_page,
+                                );
+                            }
+                            pages[die].push(next_page);
+                            next_page += 1;
+                        }
+                    }
+                    1 => {
+                        let page = match pages[die].len() {
+                            0 => None,
+                            len => Some(Ppa::new(pages[die][(draw(&mut rng) as usize) % len])),
+                        }
+                        .filter(|_| draw(&mut rng).is_multiple_of(2));
+                        let want = plain.schedule_read(Die::new(die as u32), floor, READ_NS, page);
+                        let got = settled.schedule_read(Die::new(die as u32), floor, READ_NS, page);
+                        assert_eq!(got, want, "seed {seed}: read on die {die} at {floor}");
+                    }
+                    _ => {
+                        let want = plain.schedule_after(Die::new(die as u32), floor, READ_NS);
+                        let got = settled.schedule_after(Die::new(die as u32), floor, READ_NS);
+                        assert_eq!(got, want, "seed {seed}: op on die {die} at {floor}");
+                    }
+                }
+            }
+            assert_eq!(
+                settled.place_programs(),
+                plain.place_programs(),
+                "seed {seed}"
+            );
+            let placed = stretches(&mut plain);
+            assert_eq!(stretches(&mut settled), placed, "seed {seed}");
+            // Every tag once: the taken ones in end order, then the rest.
+            let end_of = |tag: u64| {
+                let last = placed.iter().rev().find(|stretch| stretch.3 == tag);
+                last.map(|stretch| stretch.2)
+            };
+            assert!(
+                taken
+                    .windows(2)
+                    .all(|pair| end_of(pair[0]) <= end_of(pair[1])),
+                "seed {seed}"
+            );
+            taken
+                .extend(std::iter::from_fn(|| settled.take_earliest_program()).map(|(_, tag)| tag));
+            taken.sort_unstable();
+            assert_eq!(taken, (0..next_page).collect::<Vec<_>>(), "seed {seed}");
+        }
+        assert!(early > 300, "{early} programs placed early");
+    }
+
+    #[test]
+    fn a_program_tag_comes_back_once_by_end_time() {
+        let mut clock = SimClock::new(2);
+        // Die 0 holds two programs from 0, die 1 one from 50 µs.
+        queue(&mut clock, 0, 2, 0);
+        clock.queue_program(Die::new(1), 50_000, PROGRAM_NS, Ppa::new(9), 9);
+        assert_eq!(clock.untaken_programs(0), (3, 3));
+        assert_eq!(clock.take_earliest_program(), Some((PROGRAM_NS, 0)));
+        assert_eq!(clock.untaken_programs(PROGRAM_NS), (2, 2));
+        // A read on die 0 at 250 µs suspends its second program there.
+        let read = clock.schedule_read(Die::new(0), 250_000, READ_NS, None);
+        assert!(read.suspended);
+        // Die 1's program ends before die 0's second, which the read
+        // and the resume pushed back.
+        assert_eq!(
+            clock.take_earliest_program(),
+            Some((50_000 + PROGRAM_NS, 9))
+        );
+        let resumed = 2 * PROGRAM_NS + READ_NS + RESUME_NS;
+        assert_eq!(clock.untaken_programs(resumed - 1), (1, 1));
+        assert_eq!(clock.take_earliest_program(), Some((resumed, 1)));
+        assert_eq!(clock.take_earliest_program(), None);
+        assert_eq!(clock.untaken_programs(0), (0, 0));
+        // Taking the tags placed every program and emptied the index.
+        assert!(clock.untaken.is_empty());
+        assert_eq!(clock.take_placed().count(), 4);
     }
 }

@@ -126,10 +126,13 @@ pub struct SsdConfig {
     pub op_ratio: f64,
     /// DRAM split policy between mapping structures and data cache.
     pub dram_policy: DramPolicy,
-    /// Write data buffer capacity in pages (paper §3.3 default: 8 MB).
-    /// The buffer is dedicated controller memory, *not* part of
-    /// [`SsdConfig::dram_bytes`] (which funds the mapping structures
-    /// and the read data cache).
+    /// Write data buffer capacity in pages (paper §3.3 default: 8 MB):
+    /// a full buffer flushes. The buffer is dedicated controller
+    /// memory, *not* part of [`SsdConfig::dram_bytes`] (which funds the
+    /// mapping structures and the read data cache), and DRAM holds
+    /// twice this many pages: the buffer and the flushed pages whose
+    /// slots no write has taken yet share `2 × write_buffer_pages`
+    /// slots ([`crate::buffer::WritePool`]).
     pub write_buffer_pages: usize,
     /// Preferred flush stripe chunk in pages. Block-sized chunks (the
     /// paper's flush granularity) maximise learned-segment length;

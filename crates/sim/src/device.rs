@@ -17,7 +17,10 @@
 //! dispatch time, atomically per command. With a single queue and
 //! [`GcMode::Synchronous`], dispatch order is submission order and the
 //! device's final state is *identical at every queue depth* to the
-//! blocking [`Ssd::read`]/[`Ssd::write`] interface (the
+//! blocking [`Ssd::read`]/[`Ssd::write`] interface — every read result,
+//! flash contents, wear, mapping bytes, programs, erases and GC — while
+//! where a read was served (DRAM, read cache or flash) may differ,
+//! because which flushed pages are still in DRAM depends on time (the
 //! `engine_equivalence` proptests pin this for every scheme; depth 1
 //! is additionally cycle-exact). What queue depth, queue count, arbitration policy and
 //! GC mode change is *which command dispatches next* and *time*: flash
@@ -32,9 +35,14 @@
 //! its floor. So a read that dispatches after a flush, the flushing
 //! write's own resolution reads included, waits at most for the
 //! program it cuts, not for the 32-program chunk. Every other
-//! operation places the queue first. The flush's pages are read from
-//! DRAM until the next flush's double-buffer wait, and a flush command
-//! places every queued program and completes when the last one ends.
+//! operation places the queue first. A flush's pages keep their DRAM
+//! slots and are read from DRAM until a write takes their slot: the
+//! write buffer and the flushed pages share `2 × write_buffer_pages`
+//! slots, and a write that finds every one held waits for the earliest
+//! program to end and takes that page's slot. That wait holds every
+//! queue, as any host wait does, but for one program, not a previous
+//! flush's chunk. A flush command places every queued program and
+//! completes when the last one ends.
 //!
 //! # Pipelined translation
 //!

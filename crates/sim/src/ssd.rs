@@ -2,7 +2,7 @@
 //! GC, wear levelling, and crash recovery together.
 
 use crate::allocator::{BlockAllocator, PageRun, Stream};
-use crate::buffer::WriteBuffer;
+use crate::buffer::WritePool;
 use crate::clock::SimClock;
 use crate::collection::{CollectionPlan, Relocation, Step};
 use crate::config::{gc_watermarks, CheckpointMode, GcMode, GcPolicy, GcWatermarks, SsdConfig};
@@ -233,11 +233,11 @@ pub struct Ssd<S: MappingScheme + Clone> {
     scheme: S,
     allocator: BlockAllocator,
     validity: Validity,
-    buffer: WriteBuffer,
-    /// The pages of the last flush, whose programs may still be queued
-    /// on their dies: readable from DRAM until the next flush waits for
-    /// those programs (double buffering).
-    in_flight: WriteBuffer,
+    /// The write buffer and the flushed pages still in DRAM, in
+    /// `2 × write_buffer_pages` slots: a flushed page is read from DRAM
+    /// until a write takes its slot, which it can once the page's
+    /// program has ended ([`Ssd::take_slot`]).
+    pool: WritePool,
     read_cache: LruCache<Lpa, u64>,
     stats: SimStats,
     /// The lookups of `stats` by path, and what resolutions cost.
@@ -379,8 +379,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             clock: SimClock::new(config.geometry.total_dies()),
             allocator: BlockAllocator::with_stripe(config.geometry, config.stripe_pages),
             validity: Validity::new(config.geometry),
-            buffer: WriteBuffer::new(),
-            in_flight: WriteBuffer::new(),
+            pool: WritePool::new(2 * config.write_buffer_pages),
             read_cache: LruCache::new(),
             stats: SimStats::new(),
             paths: LookupPaths::default(),
@@ -432,8 +431,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         &self.sync_gc
     }
 
-    /// How host reads went ahead of flush programs — suspensions,
-    /// overtaking reads, in-flight buffer hits and the flushes' drain
+    /// How host reads went ahead of flush programs and writes waited
+    /// for DRAM slots — suspensions, overtaking reads, reads of flushed
+    /// pages still in DRAM, writes that waited for a slot and their
     /// wait — over the same window as [`Ssd::stats`].
     pub fn read_priority(&self) -> &ReadPriority {
         &self.priority
@@ -505,15 +505,11 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     #[inline]
     fn flash_op(&mut self, op: FlashOp, class: TrafficClass, target: Target, floor_ns: u64) -> u64 {
         debug_assert_ne!(op, FlashOp::DataProgram, "a flush's programs are queued");
-        let geometry = &self.config.geometry;
-        let (die, block, page) = match target {
-            Target::Translation(die) => (die, None, None),
-            Target::Block(block) => (geometry.die_of_block(block), Some(block), None),
-            Target::Page(ppa) => (
-                geometry.die_of(ppa),
-                Some(geometry.block_of(ppa)),
-                Some(ppa),
-            ),
+        let geometry = self.config.geometry;
+        let (die, page) = match target {
+            Target::Translation(die) => (die, None),
+            Target::Block(block) => (geometry.die_of_block(block), None),
+            Target::Page(ppa) => (geometry.die_of(ppa), Some(ppa)),
         };
         let kind = op.kind();
         let latency_ns = self.count_op(op, class, die);
@@ -527,18 +523,33 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         };
         self.trace_programs();
         let start_ns = end_ns.saturating_sub(latency_ns);
-        self.tracer
-            .die_span(class, kind, die.raw(), block, start_ns, latency_ns);
+        self.tracer.die_span(
+            class,
+            kind,
+            die.raw(),
+            start_ns,
+            latency_ns,
+            || match target {
+                Target::Translation(_) => (None, None),
+                Target::Block(block) => (Some(block), None),
+                Target::Page(ppa) => (
+                    Some(geometry.block_of(ppa)),
+                    (kind == FlashOpKind::Program).then(|| geometry.page_in_block(ppa)),
+                ),
+            },
+        );
         end_ns
     }
 
     /// Queues a flush's program of `ppa` on its die, to start no
     /// earlier than `floor_ns` ([`SimClock::queue_program`]); it is
-    /// counted now and placed when its die needs it.
-    fn queue_program(&mut self, ppa: Ppa, floor_ns: u64) {
+    /// counted now and placed when its die needs it. `tag` names the
+    /// page's DRAM slot.
+    fn queue_program(&mut self, ppa: Ppa, floor_ns: u64, tag: u64) {
         let die = self.config.geometry.die_of(ppa);
         let latency_ns = self.count_op(FlashOp::DataProgram, TrafficClass::Host, die);
-        self.clock.queue_program(die, floor_ns, latency_ns, ppa);
+        self.clock
+            .queue_program(die, floor_ns, latency_ns, ppa, tag);
     }
 
     /// Counts one operation on `die`: its [`SimStats`] counter and its
@@ -566,16 +577,21 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// last call as die-track spans (one per stretch, so a suspended
     /// program shows as two or more).
     fn trace_programs(&mut self) {
-        let geometry = &self.config.geometry;
+        let geometry = self.config.geometry;
         for segment in self.clock.take_placed() {
-            let block = geometry.block_of(segment.page);
             self.tracer.die_span(
                 TrafficClass::Host,
                 FlashOpKind::Program,
                 segment.die,
-                Some(block),
                 segment.start_ns,
                 segment.end_ns.saturating_sub(segment.start_ns),
+                || {
+                    let page = segment.page;
+                    (
+                        Some(geometry.block_of(page)),
+                        Some(geometry.page_in_block(page)),
+                    )
+                },
             );
         }
     }
@@ -800,8 +816,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             scratch.slots.clear();
             scratch.needs_lookup.clear();
             for (index, &lpa) in lpas.iter().enumerate() {
-                if self.buffer.get(lpa).is_none()
-                    && self.in_flight.get(lpa).is_none()
+                if self.pool.get(lpa).is_none()
                     && !self.read_cache.contains(&lpa)
                     && scratch.seen.insert(lpa)
                 {
@@ -850,10 +865,10 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         // which fills in its completion time.
         for (index, &lpa) in lpas.iter().enumerate() {
             self.stats.host_reads += 1;
-            let dram_hit = if let Some(content) = self.buffer.get(lpa) {
+            let dram_hit = if let Some(content) = self.pool.buffer().get(lpa) {
                 self.stats.buffer_hits += 1;
                 Some(content)
-            } else if let Some(content) = self.in_flight.get(lpa) {
+            } else if let Some(content) = self.pool.flushed(lpa) {
                 self.stats.buffer_hits += 1;
                 self.priority.in_flight_hits += 1;
                 Some(content)
@@ -1151,9 +1166,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     }
 
     /// Services one write, returning its completion time. The buffer
-    /// insert is a serial DRAM access (the clock advances); when it
-    /// fills the buffer the flush — and any stall on the previous
-    /// in-flight flush — is part of this request's latency, exactly as
+    /// insert is a serial DRAM access (the clock advances); a wait for a
+    /// DRAM slot ([`Ssd::take_slot`]) and, when the insert fills the
+    /// buffer, the flush are part of this request's latency, exactly as
     /// in the blocking path. `gc` says whether that flush collects
     /// inline.
     pub(crate) fn service_write(
@@ -1166,9 +1181,11 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         let started = self.clock.now_ns();
         self.stats.host_writes += 1;
         self.read_cache.remove(&lpa);
-        self.buffer.insert(lpa, content);
+        if !self.pool.insert(lpa, content) && self.pool.overflows() {
+            self.take_slot();
+        }
         self.clock.advance(DRAM_HIT_NS);
-        if self.buffer.len() >= self.config.write_buffer_pages {
+        if self.pool.buffer().len() >= self.config.write_buffer_pages {
             self.flush_buffer(gc)?;
         }
         let done = self.clock.now_ns();
@@ -1194,21 +1211,35 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         Ok(self.place_programs().max(self.clock.now_ns()))
     }
 
+    /// Frees a DRAM slot for a write that finds every one held: the
+    /// flushed page whose program ended first gives its slot up, and is
+    /// read from flash from then on. When no program has ended, the
+    /// host waits for the earliest to end — one program, plus a resume
+    /// if reads suspended it.
+    fn take_slot(&mut self) {
+        let taken = self.clock.take_earliest_program();
+        debug_assert!(taken.is_some(), "a full pool holds a flushed page");
+        let Some((end_ns, tag)) = taken else {
+            return;
+        };
+        let now = self.clock.now_ns();
+        if end_ns > now {
+            self.clock.wait_until(end_ns);
+            self.priority.slot_waits += 1;
+            self.priority.slot_wait_ns += end_ns.saturating_sub(now);
+        }
+        self.trace_programs();
+        self.pool.release(tag);
+    }
+
     fn flush_buffer(&mut self, gc: GcMode) -> Result<(), SimError> {
-        // Double buffering: the previous flush's programs drain, behind
-        // whatever reads went ahead of them, before this one starts;
-        // only then do its pages leave DRAM.
-        let waited_from = self.clock.now_ns();
-        let drained = self.place_programs();
-        self.clock.wait_until(drained);
-        self.priority.flush_wait_ns += self.clock.now_ns().saturating_sub(waited_from);
-        self.in_flight.clear();
-        if self.buffer.is_empty() {
+        if self.pool.buffer().is_empty() {
             return Ok(());
         }
-        std::mem::swap(&mut self.buffer, &mut self.in_flight);
+        // The pages keep their DRAM slots; their programs queue behind
+        // whatever earlier flushes left queued.
         let sorted = self.config.sort_buffer_on_flush;
-        let pages = self.in_flight.pages(sorted);
+        let (pages, first_tag) = self.pool.flush(sorted);
         self.ensure_allocatable(pages.len() as u32, Stream::Host)?;
         let runs = self
             .allocate(Stream::Host, pages.len() as u32)
@@ -1218,10 +1249,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         // dies serve reads ahead of them.
         let now = self.clock.now_ns();
         let batches = self.program_runs(&runs, &pages)?;
-        for run in &runs {
-            for ppa in run.ppas() {
-                self.queue_program(ppa, now);
-            }
+        let ppas = runs.iter().flat_map(PageRun::ppas);
+        for (tag, ppa) in (first_tag..).zip(ppas) {
+            self.queue_program(ppa, now, tag);
         }
 
         // Invalidate prior locations, then install the new mappings.
@@ -1321,8 +1351,8 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// returns when the last completes; the host clock does not move.
     fn schedule_run(&mut self, run: &PageRun, op: FlashOp, floor_ns: u64) -> u64 {
         let mut done = floor_ns;
-        for _ in 0..run.len {
-            let end = self.flash_op(op, TrafficClass::Gc, Target::Block(run.block), floor_ns);
+        for ppa in run.ppas() {
+            let end = self.flash_op(op, TrafficClass::Gc, Target::Page(ppa), floor_ns);
             done = done.max(end);
         }
         done
@@ -1671,6 +1701,29 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         }
     }
 
+    /// The DRAM slot bound: buffered pages plus flushed pages whose
+    /// programs have not ended fit in `2 × write_buffer_pages` slots
+    /// (so do buffered plus flushed pages still in DRAM), and every
+    /// flushed page holding a slot is one whose program the clock has
+    /// not handed back.
+    fn check_slots(&self) -> Vec<String> {
+        let mut violations = Vec::new();
+        let (untaken, unended) = self.clock.untaken_programs(self.clock.now_ns());
+        let (buffered, resident) = (self.pool.buffer().len(), self.pool.resident());
+        let slots = self.pool.capacity();
+        if buffered + unended.max(resident) > slots {
+            violations.push(format!(
+                "{buffered} buffered, {unended} unprogrammed and {resident} flushed pages in {slots} slots"
+            ));
+        }
+        if untaken != resident {
+            violations.push(format!(
+                "{resident} flushed pages hold a slot, {untaken} programs not handed back"
+            ));
+        }
+        violations
+    }
+
     /// Checks the simulator's own bookkeeping against what it
     /// summarises, returning one line per disagreement (empty =
     /// consistent): the victim index against a scan of the blocks
@@ -1717,6 +1770,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 self.erase_histogram
             ));
         }
+        violations.extend(self.check_slots());
         violations.extend(self.gc_index.check(|block| self.victim_key(block)));
         let mut index = self.gc_index.clone();
         while let Some(block) = index.pop_dirty() {
@@ -2249,9 +2303,13 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// [`CheckpointMode::FlashLog`] ever writes log pages, so in the
     /// other modes the log scan and the tail replay are empty.
     pub fn crash_and_recover(&mut self) -> Result<RecoveryReport, SimError> {
-        let lost_buffered_writes = self.buffer.len();
-        self.buffer = WriteBuffer::new();
-        self.in_flight = WriteBuffer::new();
+        let lost_buffered_writes = self.pool.buffer().len();
+        // A flush's state was applied when it queued its programs, so
+        // the drive finishes them before the scan: they are durable.
+        let programmed_ns = self.place_programs();
+        self.clock.wait_until(programmed_ns);
+        self.clock.forget_programmed();
+        self.pool.clear();
         self.read_cache = LruCache::new();
         let scan_start_ns = self.clock.now_ns();
 
@@ -2543,7 +2601,7 @@ mod tests {
             // is queued, and placed when the flush's programs are.
             let place = |ssd: &mut Ssd<ExactPageMap>, floor_ns| {
                 if op == FlashOp::DataProgram {
-                    ssd.queue_program(geometry.first_ppa(block), floor_ns);
+                    ssd.queue_program(geometry.first_ppa(block), floor_ns, 0);
                     ssd.place_programs()
                 } else {
                     ssd.flash_op(op, class, Target::Block(block), floor_ns)
@@ -2572,11 +2630,11 @@ mod tests {
 
     /// A host read goes ahead of a flush's queued programs and suspends
     /// the one running at its floor; a read of a page of the flush is
-    /// answered from DRAM until the next flush waits for the programs,
-    /// which by then drain behind the reads. Eight flushes put a block
-    /// on each of the eight dies and a host flush drains them; a ninth
-    /// queues its 32 programs (6.4 ms) on one die, where the reads then
-    /// land. No data cache, so a read of a flushed page reaches flash.
+    /// answered from DRAM, and the next flush waits for none of it.
+    /// Eight flushes put a block on each of the eight dies and a host
+    /// flush drains them; a ninth queues its 32 programs (6.4 ms) on one
+    /// die, where the reads then land. No data cache, so a read of a
+    /// flushed page that left DRAM reaches flash.
     #[test]
     fn host_reads_go_ahead_of_a_flushs_queued_programs() {
         let mut config = SsdConfig::small_test();
@@ -2623,23 +2681,116 @@ mod tests {
                 suspensions: 2,
                 overtaking_reads: 2,
                 in_flight_hits: 1,
-                flush_wait_ns: 0,
+                slot_waits: 0,
+                slot_wait_ns: 0,
             }
         );
 
-        // The next flush waits for the chunk, which drained behind both
-        // reads and both resumes; then its pages are read from flash.
-        let drained_ns = flushed_ns + 32 * timing.program_ns + 2 * (timing.read_ns + RESUME_NS);
+        // The next flush waits for nothing: its writes take the slots
+        // of pages programmed before the chunk, which still programs,
+        // and whose pages stay in DRAM.
+        let writes_ns = ssd.now_ns();
         for lpa in 1_100..1_132 {
             ssd.write(Lpa::new(lpa), lpa).unwrap();
         }
-        assert!(ssd.now_ns() >= drained_ns);
-        let waited = ssd.read_priority().flush_wait_ns;
-        assert!(waited > 0 && waited <= drained_ns.saturating_sub(flushed_ns));
+        assert_eq!(ssd.now_ns(), writes_ns + 32 * DRAM_HIT_NS);
+        assert!(ssd.clock.earliest_untaken().map(|(end_ns, _)| end_ns) > Some(ssd.now_ns()));
         assert_eq!(ssd.read(Lpa::new(1_000)).unwrap(), Some(1_000));
-        assert_eq!(ssd.stats().flash.data_reads, 3);
-        assert_eq!(ssd.read_priority().in_flight_hits, 1);
+        assert_eq!(ssd.stats().flash.data_reads, 2);
+        assert_eq!(ssd.read_priority().in_flight_hits, 2);
+        assert_eq!(ssd.read_priority().slot_waits, 0);
         assert_eq!(ssd.check_invariants(), Vec::<String>::new());
+    }
+
+    /// Two flushes fill the DRAM slots while the first one's 6.4 ms
+    /// chunk still programs: each write after them waits for the
+    /// earliest program to end, never for a chunk, and the third flush
+    /// queues behind the first two without waiting for them. (A write
+    /// that waited for the previous flush to drain waited 6.4 ms.)
+    #[test]
+    fn a_write_waits_for_one_program_not_for_the_previous_flush() {
+        let mut ssd = ssd();
+        let timing = ssd.config.timing;
+        let mut slowest = 0;
+        for lpa in (0..32).chain(100..132).chain(200..232) {
+            let issued_ns = ssd.now_ns();
+            ssd.write(Lpa::new(lpa), lpa).unwrap();
+            slowest = slowest.max(ssd.now_ns().saturating_sub(issued_ns));
+        }
+        assert!(
+            slowest <= DRAM_HIT_NS + timing.program_ns + RESUME_NS,
+            "{slowest} ns"
+        );
+        let priority = *ssd.read_priority();
+        assert!(priority.slot_waits > 0, "{priority:?}");
+        // The 32 writes that needed a slot took the 32 programs that
+        // ended first, 16 on each of the two dies, while the first
+        // flush's last page still waits for its program.
+        assert!(ssd.now_ns() < 17 * timing.program_ns, "{} ns", ssd.now_ns());
+        assert_eq!(ssd.stats().flash.data_programs, 96);
+        assert_eq!(ssd.pool.resident(), 64);
+        assert_eq!(ssd.check_invariants(), Vec::<String>::new());
+    }
+
+    /// A flushed page is read from DRAM until its program has ended and
+    /// a write has taken its slot, and from flash after that; a page a
+    /// later flush rewrote is read from that flush. No data cache.
+    #[test]
+    fn a_flushed_page_leaves_dram_when_a_write_takes_its_slot() {
+        let mut config = SsdConfig::small_test();
+        config.dram_bytes = 0;
+        let mut ssd = Ssd::new(config, ExactPageMap::new());
+        for lpa in 0..32 {
+            ssd.write(Lpa::new(lpa), lpa).unwrap();
+        }
+        // Long after every program ended, no write needed a slot.
+        let later_ns = ssd.now_ns() + 100 * ssd.config.timing.program_ns;
+        ssd.advance_to(later_ns);
+        assert_eq!(ssd.read(Lpa::new(0)).unwrap(), Some(0));
+        assert_eq!(ssd.stats().buffer_hits, 1);
+        // The second flush fills the slots; the next write takes the
+        // slot of the page whose program ended first, page 0's.
+        for lpa in (100..131).chain([5, 300]) {
+            ssd.write(Lpa::new(lpa), lpa + 1).unwrap();
+        }
+        assert_eq!(ssd.read(Lpa::new(0)).unwrap(), Some(0));
+        assert_eq!(ssd.stats().flash.data_reads, 1);
+        assert_eq!(ssd.read(Lpa::new(1)).unwrap(), Some(1));
+        assert_eq!(ssd.read(Lpa::new(5)).unwrap(), Some(6));
+        assert_eq!(
+            (ssd.stats().buffer_hits, ssd.stats().flash.data_reads),
+            (3, 1)
+        );
+        assert_eq!(ssd.read_priority().in_flight_hits, 3);
+        assert_eq!(ssd.check_invariants(), Vec::<String>::new());
+    }
+
+    /// A power cut lets the drive finish the programs flushes queued
+    /// (their state was applied when they queued, so they are durable)
+    /// before recovery scans: the scan takes what the same cut takes
+    /// after a host flush drained them.
+    #[test]
+    fn a_cut_finishes_the_queued_programs_before_the_recovery_scan() {
+        let cut = |flush_first: bool| {
+            let mut ssd = ssd();
+            // Three flushes, the buffer empty: two chunks still queued.
+            for lpa in 0..96 {
+                ssd.write(Lpa::new(lpa), lpa).unwrap();
+            }
+            assert!(ssd.clock.earliest_untaken().map(|(end_ns, _)| end_ns) > Some(ssd.now_ns()));
+            if flush_first {
+                ssd.flush().unwrap();
+            }
+            let report = ssd.crash_and_recover().unwrap();
+            assert_eq!(ssd.check_invariants(), Vec::<String>::new());
+            (report, ssd.now_ns())
+        };
+        let (queued, queued_ns) = cut(false);
+        let (flushed, flushed_ns) = cut(true);
+        assert_eq!(queued.recovered_pages, 96);
+        assert!(queued.scan_time_ns > 0);
+        assert_eq!(queued, flushed);
+        assert_eq!(queued_ns, flushed_ns);
     }
 
     #[test]
@@ -3540,7 +3691,7 @@ mod tests {
             let mut flush = |ssd: &mut Ssd<ExactPageMap>| loop {
                 let lpa = hot[random(hot.len() as u64) as usize];
                 ssd.write(Lpa::new(lpa), 2).unwrap();
-                if ssd.buffer.is_empty() {
+                if ssd.pool.buffer().is_empty() {
                     break;
                 }
             };
@@ -3565,7 +3716,7 @@ mod tests {
                     for lpa in 0..GC_BUFFER_PAGES as u64 {
                         ssd.write(Lpa::new(lpa), 3).unwrap();
                     }
-                    assert!(ssd.buffer.is_empty());
+                    assert!(ssd.pool.buffer().is_empty());
                 }
                 assert!(ssd.free_fraction() < high, "{blocks} blocks");
             };
@@ -3670,7 +3821,7 @@ mod tests {
                 ssd.write(Lpa::new((start + next % 8) % logical), 2)
                     .unwrap();
                 next += 1;
-                if ssd.buffer.is_empty() {
+                if ssd.pool.buffer().is_empty() {
                     break;
                 }
             }
@@ -3990,6 +4141,22 @@ mod tests {
         }
     }
 
+    /// Lets every flushed page whose program has ended give its DRAM
+    /// slot up, as writes that need the slots would.
+    fn release_programmed<S: MappingScheme + Clone>(ssd: &mut Ssd<S>) {
+        let now = ssd.now_ns();
+        while ssd
+            .clock
+            .earliest_untaken()
+            .is_some_and(|(end_ns, _)| end_ns <= now)
+        {
+            if let Some((_, tag)) = ssd.clock.take_earliest_program() {
+                ssd.pool.release(tag);
+            }
+        }
+        ssd.trace_programs();
+    }
+
     fn demand_ssd(paged: u64) -> Ssd<DemandCost> {
         let mut scheme = DemandCost::default();
         scheme.paged.insert(paged);
@@ -3999,12 +4166,14 @@ mod tests {
         config.dram_bytes = 0;
         let mut ssd = Ssd::new(config, scheme);
         // One full buffer, then a host flush that waits for its
-        // programs: everything is on flash and out of DRAM, so reads go
-        // through translation rather than the write buffer.
+        // programs, and the slots of its pages given up: everything is
+        // on flash and out of DRAM, so reads go through translation
+        // rather than the write buffer.
         for i in 0..32u64 {
             ssd.write(Lpa::new(i), 500 + i).unwrap();
         }
         ssd.flush().unwrap();
+        release_programmed(&mut ssd);
         // The flush's invalidation lookups already charged scheme costs;
         // start the measured window clean.
         ssd.reset_stats();
@@ -4056,6 +4225,7 @@ mod tests {
             ssd.write(Lpa::new(512 + i), 500 + i).unwrap();
         }
         ssd.flush().unwrap();
+        release_programmed(&mut ssd);
         let timing = ssd.config().timing;
         let dispatch = ssd.now_ns();
         let erase = Target::Translation(ssd.translation_die(slow));

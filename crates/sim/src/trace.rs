@@ -631,21 +631,24 @@ impl Tracer {
     }
 
     /// With a sink attached, records a stretch of die time an operation
-    /// holds as a span on the die's track, naming the block it touches
-    /// when there is one.
+    /// holds as a span on the die's track. `place` names the block the
+    /// operation touches, when there is one, and for a program the page
+    /// in that block; it runs only with a sink attached.
     #[inline]
     pub(crate) fn die_span(
         &mut self,
         class: TrafficClass,
         kind: FlashOpKind,
         die: u32,
-        block: Option<BlockId>,
         start_ns: u64,
         dur_ns: u64,
+        place: impl FnOnce() -> (Option<BlockId>, Option<u32>),
     ) {
         if let Some(sink) = &mut self.sink {
+            let (block, page) = place();
             let mut args = vec![("class", ArgValue::Str(class.label()))];
             args.extend(block.map(|block| ("block", ArgValue::U64(block.raw()))));
+            args.extend(page.map(|page| ("page", ArgValue::U64(u64::from(page)))));
             sink.span(Track::Die(die), kind.label(), start_ns, dur_ns, args);
         }
     }

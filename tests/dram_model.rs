@@ -1,12 +1,13 @@
 //! Model-based tests for the simulator's DRAM containers.
 //!
-//! [`LruCache`] (data cache, DFTL's CMT, the group-residency LRUs) and
-//! [`WriteBuffer`] sit under every host read and write, so their
-//! implementations are tuned for the host clock. These properties hold
-//! them to transparent reference models under arbitrary operation
-//! sequences: whatever index or hasher is behind them, the observable
-//! behaviour — values, byte accounting, dirty flags, recency order,
-//! coalescing, both drain orders — is the model's.
+//! [`LruCache`] (data cache, DFTL's CMT, the group-residency LRUs),
+//! [`WriteBuffer`] and the [`WritePool`] of DRAM page slots around it
+//! sit under every host read and write, so their implementations are
+//! tuned for the host clock. These properties hold them to transparent
+//! reference models under arbitrary operation sequences: whatever index
+//! or hasher is behind them, the observable behaviour — values, byte
+//! accounting, dirty flags, recency order, coalescing, both drain
+//! orders, which flushed page DRAM still serves — is the model's.
 
 #![expect(
     clippy::expect_used,
@@ -14,7 +15,7 @@
 )]
 
 use leaftl_repro::flash::Lpa;
-use leaftl_repro::sim::buffer::WriteBuffer;
+use leaftl_repro::sim::buffer::{WriteBuffer, WritePool};
 use leaftl_repro::sim::lru::LruCache;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -241,6 +242,156 @@ proptest! {
             }
             prop_assert_eq!(buffer.len(), pages.len());
             prop_assert_eq!(buffer.is_empty(), pages.is_empty());
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum PoolOp {
+    Write(u64, u64),
+    Get(u64),
+    Flush(bool),
+    Release(usize),
+    Clear,
+}
+
+fn pool_op() -> impl Strategy<Value = PoolOp> {
+    let lpa = || prop_oneof![3 => 0u64..24, 1 => (0u64..24).prop_map(|k| k * 4099 + 7)];
+    prop_oneof![
+        10 => (lpa(), 0u64..1_000_000).prop_map(|(lpa, content)| PoolOp::Write(lpa, content)),
+        8 => lpa().prop_map(PoolOp::Get),
+        2 => (0u32..2).prop_map(|sorted| PoolOp::Flush(sorted == 1)),
+        5 => (0usize..64).prop_map(PoolOp::Release),
+        1 => Just(PoolOp::Clear),
+    ]
+}
+
+/// One flushed page of the reference pool.
+#[derive(Debug, Clone, Copy)]
+struct FlushedPage {
+    lpa: u64,
+    content: u64,
+    tag: u64,
+    released: bool,
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The reference pool is the reference buffer plus every flush as
+    /// the list of pages it handed out, newest last. The buffer and the
+    /// pages not released share `capacity` slots: a write of a new
+    /// address into a full pool overflows it until a flushed page gives
+    /// its slot up; a read is the buffer's page, else the newest flush
+    /// of the address unless that page was released; a clear empties
+    /// everything. Pages are released in any order, as their programs
+    /// end.
+    #[test]
+    fn write_pool_matches_the_list_of_flushes(
+        ops in vec(pool_op(), 1..300),
+        capacity in 1usize..40,
+    ) {
+        let mut pool = WritePool::new(capacity);
+        let mut pages: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut arrival: Vec<u64> = Vec::new();
+        let mut flushes: Vec<Vec<FlushedPage>> = Vec::new();
+        let mut tags: Vec<u64> = Vec::new();
+        let resident = |flushes: &[Vec<FlushedPage>]| {
+            flushes.iter().flatten().filter(|page| !page.released).count()
+        };
+        for op in ops {
+            match op {
+                PoolOp::Write(lpa, content) => {
+                    let coalesced = pages.contains_key(&lpa);
+                    let held = pages.len() + resident(&flushes);
+                    if held == capacity && !coalesced && resident(&flushes) == 0 {
+                        // No flushed page could give its slot up.
+                        continue;
+                    }
+                    pages.insert(lpa, content);
+                    if !coalesced {
+                        arrival.push(lpa);
+                    }
+                    prop_assert_eq!(pool.insert(Lpa::new(lpa), content), coalesced);
+                    let overflows = held == capacity && !coalesced;
+                    prop_assert_eq!(pool.overflows(), overflows);
+                    if overflows {
+                        // The write takes the first resident page's slot.
+                        let page = flushes
+                            .iter_mut()
+                            .flatten()
+                            .find(|page| !page.released)
+                            .expect("a resident page");
+                        page.released = true;
+                        pool.release(page.tag);
+                    }
+                }
+                PoolOp::Get(lpa) => {
+                    let flushed = flushes
+                        .iter()
+                        .rev()
+                        .find_map(|flush| flush.iter().find(|page| page.lpa == lpa))
+                        .and_then(|page| (!page.released).then_some(page.content));
+                    prop_assert_eq!(pool.flushed(Lpa::new(lpa)), flushed);
+                    let want = pages.get(&lpa).copied().or(flushed);
+                    prop_assert_eq!(pool.get(Lpa::new(lpa)), want);
+                    prop_assert_eq!(pool.buffer().get(Lpa::new(lpa)), pages.get(&lpa).copied());
+                }
+                PoolOp::Flush(sorted) => {
+                    if pages.is_empty() {
+                        continue;
+                    }
+                    let order: Vec<u64> = if sorted {
+                        pages.keys().copied().collect()
+                    } else {
+                        arrival.clone()
+                    };
+                    let want: Vec<(Lpa, u64)> =
+                        order.iter().map(|&lpa| (Lpa::new(lpa), pages[&lpa])).collect();
+                    let (got, first) = pool.flush(sorted);
+                    prop_assert_eq!(got, want);
+                    let flush: Vec<FlushedPage> = order
+                        .iter()
+                        .zip(first..)
+                        .map(|(&lpa, tag)| FlushedPage {
+                            lpa,
+                            content: pages[&lpa],
+                            tag,
+                            released: false,
+                        })
+                        .collect();
+                    for page in &flush {
+                        prop_assert!(!tags.contains(&page.tag), "tag {:#x} handed out twice", page.tag);
+                        tags.push(page.tag);
+                    }
+                    flushes.push(flush);
+                    pages.clear();
+                    arrival.clear();
+                }
+                PoolOp::Release(pick) => {
+                    let count = resident(&flushes);
+                    if count == 0 {
+                        continue;
+                    }
+                    let page = flushes
+                        .iter_mut()
+                        .flatten()
+                        .filter(|page| !page.released)
+                        .nth(pick % count)
+                        .expect("pick is below the count");
+                    page.released = true;
+                    pool.release(page.tag);
+                }
+                PoolOp::Clear => {
+                    pool.clear();
+                    pages.clear();
+                    arrival.clear();
+                    flushes.clear();
+                }
+            }
+            prop_assert_eq!(pool.buffer().len(), pages.len());
+            prop_assert_eq!(pool.resident(), resident(&flushes));
+            prop_assert!(pages.len() + resident(&flushes) <= capacity);
         }
     }
 }

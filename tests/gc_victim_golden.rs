@@ -141,6 +141,19 @@
 //! `SYNC_GREEDY_*` constants (1 184 and 1 219 passes) and both
 //! wear-swap histories hash no time and did not move. Coverage holds
 //! unedited.
+//!
+//! The same six were recorded again when the write buffer and the
+//! flushed pages began to share `2 × write_buffer_pages` DRAM slots: a
+//! flush no longer waits for the previous one's programs to drain, and
+//! a write that finds every slot held waits for one program to end, so
+//! a flush holds the clock for less. Only time moved, and these six
+//! read it. Both `SYNC_COSTBENEFIT` ones (the age term): passes 1 192 →
+//! 1 186 under the snapshot, 1 227 → 1 223 under the log. All four
+//! `BACKGROUND_*` ones (dispatch follows time): the greedy pair keeps
+//! its pass counts (1 184 and 1 225), cost-benefit moves 1 178 → 1 186
+//! and 1 240 → 1 239. Both `SYNC_GREEDY_*` constants and both
+//! wear-swap histories hash no time and did not move. Coverage holds
+//! unedited.
 
 #![expect(
     clippy::unwrap_used,
@@ -429,12 +442,12 @@ fn run_background(config: SsdConfig, seed: u64) -> (u64, Coverage) {
 
 const SYNC_GREEDY_SNAPSHOT: u64 = 0x00c7_9712_11ad_58a4;
 const SYNC_GREEDY_FLASHLOG: u64 = 0x461e_0aba_53ea_f1de;
-const SYNC_COSTBENEFIT_SNAPSHOT: u64 = 0x4dba_9461_a08f_285b;
-const SYNC_COSTBENEFIT_FLASHLOG: u64 = 0xfa07_9279_45a4_5caf;
-const BACKGROUND_GREEDY_SNAPSHOT: u64 = 0x8f78_f2be_7951_1f26;
-const BACKGROUND_GREEDY_FLASHLOG: u64 = 0x6df7_c717_f6c6_9dd9;
-const BACKGROUND_COSTBENEFIT_SNAPSHOT: u64 = 0x8c34_4b6b_3563_7bd8;
-const BACKGROUND_COSTBENEFIT_FLASHLOG: u64 = 0xca21_d1b9_73e9_33ed;
+const SYNC_COSTBENEFIT_SNAPSHOT: u64 = 0x2ea8_b3f4_f4ff_cf22;
+const SYNC_COSTBENEFIT_FLASHLOG: u64 = 0x9216_aedf_f18c_252a;
+const BACKGROUND_GREEDY_SNAPSHOT: u64 = 0x3c35_fbd7_9fe0_f094;
+const BACKGROUND_GREEDY_FLASHLOG: u64 = 0xc164_f881_74dc_0748;
+const BACKGROUND_COSTBENEFIT_SNAPSHOT: u64 = 0x63f3_29e5_82c3_87e2;
+const BACKGROUND_COSTBENEFIT_FLASHLOG: u64 = 0xda9a_cb58_3114_e7d6;
 const SYNC_GREEDY_WEAR_SWAPS: u64 = 0xb6a5_ff6d_2e1c_5f12;
 /// Recorded one PR later than the rest, on the commit before wear swaps
 /// and GC migrations became one relocation kernel.

@@ -39,8 +39,8 @@ fn flush_is_asynchronous_but_backpressured() {
         p100 < 3_000_000,
         "flush must not stall the host for the full drain, got {p100} ns"
     );
-    // A second buffer immediately after must wait for the first drain:
-    // its max write latency reflects the backpressure.
+    // Two more buffers right after need the DRAM slots the first two
+    // hold: their writes wait for programs to end.
     for i in 32..64u64 {
         ssd.write(Lpa::new(i), i).unwrap();
     }
@@ -49,7 +49,7 @@ fn flush_is_asynchronous_but_backpressured() {
     }
     assert!(
         ssd.stats().write_latency.max_ns() > p100,
-        "sustained writes must feel the drain backpressure"
+        "sustained writes must feel the programs' backpressure"
     );
 }
 
@@ -110,6 +110,11 @@ fn misprediction_costs_exactly_one_extra_read() {
         lpa += step;
     }
     ssd.flush().unwrap();
+    // Writes elsewhere take the DRAM slots the flushed pages hold, so
+    // the sweep below reads them from flash.
+    for i in 0..64u64 {
+        ssd.write(Lpa::new(1_000 + i), i).unwrap();
+    }
     ssd.reset_stats();
     // Sweep all written pages; every misprediction may add exactly one
     // extra read over the baseline of one read per lookup (plus rare
