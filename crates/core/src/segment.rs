@@ -248,6 +248,30 @@ pub(crate) fn slope_stride(k_bits: u16) -> Option<u32> {
     Some((1u32 << scale).div_ceil(significand))
 }
 
+/// A non-negative finite half-float slope as `multiplier × 2^-shift`,
+/// exactly: `(multiplier, shift)`.
+pub(crate) fn fixed_slope(k_bits: u16) -> (u64, u32) {
+    debug_assert!(
+        k_bits < 0x7c00,
+        "slope {k_bits:#06x} is not non-negative and finite"
+    );
+    let exponent = u32::from(k_bits >> 10);
+    let mantissa = u64::from(k_bits & 0x3ff);
+    match exponent {
+        0 => (mantissa, 24),
+        // From 2^10 up the value is a whole multiple of the significand.
+        26.. => ((1024 + mantissa) << (exponent - 25), 0),
+        _ => (1024 + mantissa, 25 - exponent),
+    }
+}
+
+/// `round(slope · offset)` for the slope [`fixed_slope`] gives, in
+/// integers: what [`round_product`] computes for a non-negative slope.
+#[inline]
+pub(crate) fn round_fixed((multiplier, shift): (u64, u32), offset: u8) -> i64 {
+    ((multiplier * u64::from(offset) + ((1 << shift) >> 1)) >> shift) as i64
+}
+
 /// `round(slope · offset)` as the translation's integer part, without
 /// the call `f64::round` costs: a half-float times a byte has at most 19
 /// significant bits no finer than 2⁻²⁴, so adding ½ toward its sign is
@@ -301,6 +325,22 @@ mod tests {
             };
             let segment = Segment::from_parts(0, 255, k_bits, 0);
             assert_eq!(segment.stride(), by_division, "k_bits {k_bits:#06x}");
+        }
+    }
+
+    /// The learner's integer rounding against [`round_product`] on every
+    /// non-negative finite slope and every offset.
+    #[test]
+    fn fixed_point_rounding_equals_round_product_on_every_slope() {
+        for k_bits in 0..0x7c00u16 {
+            let slope = fixed_slope(k_bits);
+            for offset in 0..=255u8 {
+                assert_eq!(
+                    round_fixed(slope, offset),
+                    round_product(f16::decode(k_bits), offset),
+                    "k_bits {k_bits:#06x} offset {offset}"
+                );
+            }
         }
     }
 

@@ -133,6 +133,12 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.index.get(key).map(|&idx| &self.slots[idx].value)
     }
 
+    /// Changes an entry's value in place, without promotion.
+    pub fn peek_mut(&mut self, key: &K) -> Option<&mut V> {
+        let idx = *self.index.get(key)?;
+        Some(&mut self.slots[idx].value)
+    }
+
     /// Inserts or replaces an entry with the given byte size, promoting
     /// it. Returns the previous value if the key was resident.
     pub fn insert(&mut self, key: K, value: V, bytes: usize, dirty: bool) -> Option<V> {

@@ -238,7 +238,7 @@ pub struct Ssd<S: MappingScheme + Clone> {
     /// until a write takes its slot, which it can once the page's
     /// program has ended ([`Ssd::take_slot`]).
     pool: WritePool,
-    read_cache: LruCache<Lpa, u64>,
+    read_cache: LruCache<Lpa, CachedPage>,
     stats: SimStats,
     /// The lookups of `stats` by path, and what resolutions cost.
     paths: LookupPaths,
@@ -336,6 +336,18 @@ struct ReadScratch {
     pending: Vec<PendingRead>,
     /// Every planned probe of the burst, plan after plan.
     probes: Vec<Ppa>,
+    /// Data-cache hits on a page a read of the same burst brings in:
+    /// (the hit's burst position, the filling read's).
+    fill_waits: Vec<(usize, usize)>,
+}
+
+/// A data-cache entry: a page's content and when it is in DRAM — the
+/// end of the flash read that brought it there, or 0 for a page a flush
+/// wrote through.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct CachedPage {
+    content: u64,
+    ready_ns: u64,
 }
 
 /// A read that missed DRAM, after the state pass over its burst (see
@@ -855,32 +867,46 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             prefetched,
             pending,
             probes,
+            fill_waits,
             ..
         } = scratch;
         pending.clear();
         probes.clear();
+        fill_waits.clear();
 
         // Pass 1 — state, strict batch order. A DRAM hit's result is
-        // final; a miss gets its value now and is queued for pass 2,
-        // which fills in its completion time.
+        // final, unless its page is still on its way from flash; a miss
+        // gets its value now and is queued for pass 2, which fills in
+        // its completion time.
         for (index, &lpa) in lpas.iter().enumerate() {
             self.stats.host_reads += 1;
             let dram_hit = if let Some(content) = self.pool.buffer().get(lpa) {
                 self.stats.buffer_hits += 1;
-                Some(content)
+                Some((content, 0))
             } else if let Some(content) = self.pool.flushed(lpa) {
                 self.stats.buffer_hits += 1;
                 self.priority.in_flight_hits += 1;
-                Some(content)
-            } else if let Some(&content) = self.read_cache.get(&lpa) {
+                Some((content, 0))
+            } else if let Some(&cached) = self.read_cache.get(&lpa) {
                 self.stats.cache_hits += 1;
-                Some(content)
+                // A page an earlier read of this burst brought in is
+                // ready when that read ends, which pass 2 places.
+                if let Some(filler) = pending.iter().rev().find(|read| read.lpa == lpa) {
+                    debug_assert!(
+                        filler.translated.is_some(),
+                        "an unmapped read fills nothing"
+                    );
+                    fill_waits.push((index, filler.index));
+                    results[index].0 = Some(cached.content);
+                    continue;
+                }
+                Some((cached.content, cached.ready_ns))
             } else {
                 None
             };
-            if dram_hit.is_some() {
-                self.stats.read_latency.record(DRAM_HIT_NS);
-                results[index] = (dram_hit, started + DRAM_HIT_NS);
+            if let Some((content, ready_ns)) = dram_hit {
+                let complete_ns = self.dram_hit_done(started, ready_ns);
+                results[index] = (Some(content), complete_ns);
                 continue;
             }
             let (hit, cost) = match prefetched.get_mut(index).and_then(Option::take) {
@@ -910,7 +936,12 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 self.stats.mispredictions += 1;
                 self.paths.read_mispredictions += 1;
             }
-            self.read_cache.insert(lpa, plan.content, page_bytes, false);
+            // In DRAM once the read ends, which pass 2 sets.
+            let cached = CachedPage {
+                content: plan.content,
+                ready_ns: started,
+            };
+            self.read_cache.insert(lpa, cached, page_bytes, false);
             self.enforce_cache_capacity();
             results[index] = (Some(plan.content), started);
             pending.push(PendingRead {
@@ -937,15 +968,38 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         for read in pending.iter() {
             if let Some(translated) = &read.translated {
                 let looked_up = results[read.index].1 + translated.cpu_ns;
-                results[read.index].1 =
+                let read_ns =
                     self.schedule_probes(&translated.plan, probes, looked_up, TrafficClass::Host);
+                results[read.index].1 = read_ns;
+                if let Some(cached) = self.read_cache.peek_mut(&read.lpa) {
+                    cached.ready_ns = cached.ready_ns.max(read_ns);
+                }
             }
             let complete_ns = results[read.index].1;
             self.stats
                 .read_latency
                 .record(complete_ns.saturating_sub(started));
         }
+        for &(index, filler) in fill_waits.iter() {
+            results[index].1 = self.dram_hit_done(started, results[filler].1);
+        }
         Ok(())
+    }
+
+    /// Completes a DRAM hit dispatched at `started` on a page that is in
+    /// DRAM from `ready_ns`: records its latency and returns its
+    /// completion time.
+    fn dram_hit_done(&mut self, started: u64, ready_ns: u64) -> u64 {
+        let hit_ns = started + DRAM_HIT_NS;
+        if ready_ns > hit_ns {
+            self.priority.fill_waits += 1;
+            self.priority.fill_wait_ns += ready_ns.saturating_sub(hit_ns);
+        }
+        let complete_ns = hit_ns.max(ready_ns);
+        self.stats
+            .read_latency
+            .record(complete_ns.saturating_sub(started));
+        complete_ns
     }
 
     /// Chains a plan's probes (its range of `probes`, the list it was
@@ -1268,7 +1322,11 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         // Write-through: flushed pages stay readable from DRAM.
         let page_bytes = self.config.geometry.page_size as usize;
         for &(lpa, content) in &pages {
-            self.read_cache.insert(lpa, content, page_bytes, false);
+            let cached = CachedPage {
+                content,
+                ready_ns: 0,
+            };
+            self.read_cache.insert(lpa, cached, page_bytes, false);
         }
         self.enforce_cache_capacity();
 
@@ -2683,6 +2741,8 @@ mod tests {
                 in_flight_hits: 1,
                 slot_waits: 0,
                 slot_wait_ns: 0,
+                fill_waits: 0,
+                fill_wait_ns: 0,
             }
         );
 
@@ -4246,6 +4306,57 @@ mod tests {
         ssd.service_read_batch(&[fast], &mut resident).unwrap();
         assert_eq!(resident[0].0, Some(500 + fast.raw()));
         assert_eq!(resident[0].1, dispatch + LOOKUP_BASE_NS + timing.read_ns);
+    }
+
+    #[test]
+    fn a_data_cache_hit_waits_for_the_read_that_brings_its_page_in() {
+        let config = SsdConfig::small_test();
+        let timing = config.timing;
+        let mut ssd = Ssd::new(config, ExactPageMap::new());
+        for lpa in 0..64 {
+            ssd.write(Lpa::new(lpa), lpa).unwrap();
+        }
+        ssd.flush().unwrap();
+        ssd.advance_to(ssd.now_ns() + 100 * timing.program_ns);
+        release_programmed(&mut ssd);
+        // Cold: in neither the write buffer, the flushed pages nor the
+        // data cache the flush wrote through.
+        ssd.read_cache = LruCache::new();
+        ssd.reset_stats();
+        let lpa = Lpa::new(5);
+        let ppa = ssd.scheme.lookup(lpa).0.unwrap().ppa;
+        // An erase holds the page's die (a host read goes ahead of
+        // queued programs, not of an erase).
+        let dispatch = ssd.now_ns();
+        let erased_ns = ssd.flash_op(
+            FlashOp::Erase,
+            TrafficClass::Gc,
+            Target::Page(ppa),
+            dispatch,
+        );
+
+        // The first read fills the cache; the second, in the same burst,
+        // hits it and completes when the page is there.
+        let mut burst = [(None, 0); 2];
+        ssd.service_read_batch(&[lpa, lpa], &mut burst).unwrap();
+        let filled_ns = erased_ns + timing.read_ns;
+        assert_eq!(burst, [(Some(5), filled_ns); 2]);
+        // So does a hit dispatched later, before the read ends.
+        let later_ns = dispatch + 2 * DRAM_HIT_NS;
+        ssd.advance_to(later_ns);
+        let mut one = [(None, 0)];
+        ssd.service_read_batch(&[lpa], &mut one).unwrap();
+        assert_eq!(one, [(Some(5), filled_ns)]);
+        // Once it has ended, a hit costs one DRAM access.
+        ssd.advance_to(filled_ns);
+        ssd.service_read_batch(&[lpa], &mut one).unwrap();
+        assert_eq!(one, [(Some(5), filled_ns + DRAM_HIT_NS)]);
+
+        assert_eq!(ssd.stats().flash.data_reads, 1);
+        assert_eq!(ssd.stats().cache_hits, 3);
+        let waited = (filled_ns - dispatch - DRAM_HIT_NS) + (filled_ns - later_ns - DRAM_HIT_NS);
+        let priority = ssd.read_priority();
+        assert_eq!((priority.fill_waits, priority.fill_wait_ns), (2, waited));
     }
 
     /// [`ExactPageMap`] posing as a learned table: every lookup is

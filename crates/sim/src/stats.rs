@@ -304,6 +304,11 @@ pub struct ReadPriority {
     pub slot_waits: u64,
     /// Host nanoseconds those writes waited.
     pub slot_wait_ns: u64,
+    /// Data-cache hits on a page whose flash read had not ended: each
+    /// completes when that read ends, not a DRAM access after dispatch.
+    pub fill_waits: u64,
+    /// Nanoseconds those hits waited beyond the DRAM access.
+    pub fill_wait_ns: u64,
 }
 
 impl SimStats {

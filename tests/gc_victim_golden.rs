@@ -154,6 +154,13 @@
 //! and 1 240 → 1 239. Both `SYNC_GREEDY_*` constants and both
 //! wear-swap histories hash no time and did not move. Coverage holds
 //! unedited.
+//!
+//! The same six were recorded again when an approximate segment began to
+//! store the (K, I) that predicts the most of its members exactly, and a
+//! data-cache hit on a page still being read from flash began to wait for
+//! that read: fewer misprediction reads and later hits move time, and
+//! these six read it. Both `SYNC_GREEDY_*` constants and both wear-swap
+//! histories hash no time and did not move. Coverage holds unedited.
 
 #![expect(
     clippy::unwrap_used,
@@ -442,12 +449,12 @@ fn run_background(config: SsdConfig, seed: u64) -> (u64, Coverage) {
 
 const SYNC_GREEDY_SNAPSHOT: u64 = 0x00c7_9712_11ad_58a4;
 const SYNC_GREEDY_FLASHLOG: u64 = 0x461e_0aba_53ea_f1de;
-const SYNC_COSTBENEFIT_SNAPSHOT: u64 = 0x2ea8_b3f4_f4ff_cf22;
-const SYNC_COSTBENEFIT_FLASHLOG: u64 = 0x9216_aedf_f18c_252a;
-const BACKGROUND_GREEDY_SNAPSHOT: u64 = 0x3c35_fbd7_9fe0_f094;
-const BACKGROUND_GREEDY_FLASHLOG: u64 = 0xc164_f881_74dc_0748;
-const BACKGROUND_COSTBENEFIT_SNAPSHOT: u64 = 0x63f3_29e5_82c3_87e2;
-const BACKGROUND_COSTBENEFIT_FLASHLOG: u64 = 0xda9a_cb58_3114_e7d6;
+const SYNC_COSTBENEFIT_SNAPSHOT: u64 = 0x5462_ed8c_010b_4175;
+const SYNC_COSTBENEFIT_FLASHLOG: u64 = 0xa1af_8176_97ce_8b11;
+const BACKGROUND_GREEDY_SNAPSHOT: u64 = 0x57e1_d847_e52d_b31a;
+const BACKGROUND_GREEDY_FLASHLOG: u64 = 0xb238_d4e0_9155_8c6d;
+const BACKGROUND_COSTBENEFIT_SNAPSHOT: u64 = 0x39dd_2f6b_bba6_db16;
+const BACKGROUND_COSTBENEFIT_FLASHLOG: u64 = 0x1f2e_5c4a_1a26_7fc0;
 const SYNC_GREEDY_WEAR_SWAPS: u64 = 0xb6a5_ff6d_2e1c_5f12;
 /// Recorded one PR later than the rest, on the commit before wear swaps
 /// and GC migrations became one relocation kernel.
