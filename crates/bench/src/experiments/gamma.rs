@@ -16,23 +16,28 @@ const GAMMA_STORY: &str = "direction 4: the PLR keeps segments costlier than the
                            replace, and mispredictions re-read flash (LearnedFTL cross-checks)";
 
 /// Why a larger γ mispredicts more than the paper's 10 % (Fig. 24).
-const FIG24_GAP: &str = "direction 4: mispredictions re-read flash, most of them a flush \
-                         resolving its approximate overwrites (full scale, γ=16: 58 % of lookups \
-                         on MSR-prxy and 44 % on FIU-mail, where host reads mispredict 20 % and \
-                         13 %; 82 % and 76 % of lookups while a segment stored the midrange \
-                         intercept, not the pair that predicts the most members exactly); \
-                         LearnedFTL cross-checks";
+const FIG24_GAP: &str = "direction 4: most mispredicting lookups are a flush resolving its \
+                         approximate overwrites (full scale, γ=16: 58 % of lookups on MSR-prxy \
+                         and 44 % on FIU-mail, where host reads mispredict 20 % and 13 %; 82 % \
+                         and 76 % of lookups while a segment stored the midrange intercept, not \
+                         the pair that predicts the most members exactly). Such a miss re-reads \
+                         nothing when the predicted page's OOB window names the old copy, and \
+                         reads nothing when that copy is still in DRAM, so the ratio overstates \
+                         the flash reads; LearnedFTL cross-checks";
 
 /// What is left of Fig. 21's gap once a flush resolves its overwrites
-/// in one pass and host reads go ahead of the flush's queued programs.
-const FIG21_GAP: &str = "direction 4(b)(ii): with reads ahead of queued programs, and flushed \
-                         pages read from DRAM until a write takes their slots, the MSR/FIU rows \
-                         are within 1.04× at full scale; a flush still reads one page per OOB \
-                         window to resolve its approximate overwrites (full scale, γ=16: 0.29 per \
-                         host write on MSR-prxy; lazy invalidation would drop them), and host \
-                         reads that mispredict re-read flash (γ=16: 20 % on MSR-prxy, 2–5 % on the \
-                         application rows, which read 1.03–1.10×: γ=0 reads faster, so the same \
-                         re-reads weigh more)";
+/// in one pass without holding the host for them, and host reads go
+/// ahead of the flush's queued programs.
+const FIG21_GAP: &str = "direction 4(b)(ii): with reads ahead of queued programs, flushed pages \
+                         read from DRAM until a write takes their slots, and a flush that \
+                         neither waits for its resolution reads nor reads an old copy still in \
+                         DRAM, the MSR/FIU rows are within 1.01× at full scale (1.04× while a \
+                         flush waited for them). What is left: the resolution reads still take \
+                         die time ahead of later host reads (full scale, γ=16: 0.29 per host \
+                         write on MSR-prxy; lazy invalidation would drop them), and host reads \
+                         that mispredict re-read flash (γ=16: 20 % on MSR-prxy, 2–5 % on the \
+                         application rows, which read 1.02–1.04×: γ=0 reads faster, so the \
+                         same re-reads weigh more)";
 
 /// Fig. 19: LeaFTL mapping-table size as γ grows (normalised to γ=0,
 /// lower is better), across all 12 workloads.

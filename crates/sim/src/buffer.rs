@@ -10,9 +10,11 @@
 //! The buffer and the pages of earlier flushes share the controller's
 //! DRAM page slots ([`WritePool`]): a flushed page keeps its slot, and
 //! stays readable from DRAM, until a write that finds every slot held
-//! takes it once the page's program has ended.
+//! takes it once the page's program has ended. The pool knows where
+//! each flushed page went on flash, so an overwrite of a page still in
+//! DRAM finds the old copy without reading flash.
 
-use leaftl_flash::{IntMap, Lpa};
+use leaftl_flash::{IntMap, Lpa, Ppa};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
@@ -104,6 +106,11 @@ impl WriteBuffer {
 /// a page only once its program has ended, and only for a write that
 /// found every slot held ([`WritePool::overflows`] after it); from then
 /// on the page is read from flash.
+///
+/// The pool also knows each flushed page's PPA: [`WritePool::flush`]
+/// takes the PPAs the flush allocated, and [`WritePool::moved`]
+/// follows a page that GC or a wear swap relocates. So [`WritePool::overwritten`] names the copy a flush
+/// overwrites while that copy still holds its slot.
 #[derive(Debug, Clone)]
 pub struct WritePool {
     capacity: usize,
@@ -129,6 +136,8 @@ struct Flushed {
     /// Where the page at each arrival position came in the order the
     /// flush handed the pages out (the index its tag names).
     rank: Vec<u32>,
+    /// Where each page is on flash, by that index.
+    ppas: Vec<Ppa>,
     /// One bit per page, by that index: it gave its slot up.
     released: Vec<u64>,
     /// Pages still holding a slot.
@@ -139,6 +148,11 @@ impl Flushed {
     /// Whether the page with index `rank` gave its slot up.
     fn is_released(&self, rank: u32) -> bool {
         self.released[rank as usize / 64] & 1 << (rank % 64) != 0
+    }
+
+    /// The index of `lpa`'s page, if this flush wrote it.
+    fn rank_of(&self, lpa: Lpa) -> Option<u32> {
+        self.pages.index.get(&lpa).map(|&at| self.rank[at])
     }
 }
 
@@ -195,15 +209,50 @@ impl WritePool {
         None
     }
 
+    /// Where the copy of `lpa` that the newest flush overwrote is on
+    /// flash, while that copy still holds its slot: the page of the
+    /// newest flush before it that wrote `lpa`. `None` when that page
+    /// gave its slot up (its program has ended; read flash to find it)
+    /// or no flush in DRAM wrote `lpa`.
+    pub fn overwritten(&self, lpa: Lpa) -> Option<Ppa> {
+        for flushed in self.flushed.iter().rev().skip(1) {
+            if let Some(rank) = flushed.rank_of(lpa) {
+                return (!flushed.is_released(rank)).then(|| flushed.ppas[rank as usize]);
+            }
+        }
+        None
+    }
+
+    /// Follows `lpa`'s live copy to `to`, where GC or a wear swap moved
+    /// it: the newest flush of `lpa` in DRAM wrote that copy, so its
+    /// record is the one to change.
+    pub fn moved(&mut self, lpa: Lpa, to: Ppa) {
+        for flushed in self.flushed.iter_mut().rev() {
+            if let Some(rank) = flushed.rank_of(lpa) {
+                flushed.ppas[rank as usize] = to;
+                return;
+            }
+        }
+    }
+
     /// What DRAM holds for `lpa`: the buffer's page, else a flushed one.
     pub fn get(&self, lpa: Lpa) -> Option<u64> {
         self.buffer.get(lpa).or_else(|| self.flushed(lpa))
     }
 
-    /// Flushes the buffer: returns its pages in programming order (as
-    /// [`WriteBuffer::pages`] lists them) and the first page's tag (the
-    /// `i`-th page's is that plus `i`). The pages keep their slots.
-    pub fn flush(&mut self, sorted: bool) -> (Vec<(Lpa, u64)>, u64) {
+    /// Flushes the buffer onto `ppas`, one page each: returns its pages
+    /// in programming order (as [`WriteBuffer::pages`] lists them, the
+    /// `i`-th onto the `i`-th PPA) and the first page's tag (the `i`-th
+    /// page's is that plus `i`). The pages keep their slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `ppas` does not name one page per buffered page.
+    pub fn flush(
+        &mut self,
+        sorted: bool,
+        ppas: impl IntoIterator<Item = Ppa>,
+    ) -> (Vec<(Lpa, u64)>, u64) {
         let mut flushed = self.spare.pop().unwrap_or_default();
         std::mem::swap(&mut flushed.pages, &mut self.buffer);
         let order = &mut self.order;
@@ -214,6 +263,9 @@ impl WritePool {
         for (rank, &at) in order.iter().enumerate() {
             flushed.rank[at as usize] = rank as u32;
         }
+        flushed.ppas.clear();
+        flushed.ppas.extend(ppas);
+        assert_eq!(flushed.ppas.len(), len, "one PPA per flushed page");
         flushed.released.clear();
         flushed.released.resize(len.div_ceil(64), 0);
         flushed.resident = len;
@@ -322,7 +374,7 @@ mod tests {
         let mut pool = WritePool::new(4);
         pool.insert(Lpa::new(7), 70);
         pool.insert(Lpa::new(3), 30);
-        let (pages, first) = pool.flush(true);
+        let (pages, first) = pool.flush(true, [Ppa::new(0), Ppa::new(1)]);
         assert_eq!(pages, vec![(Lpa::new(3), 30), (Lpa::new(7), 70)]);
         assert_eq!(pool.resident(), 2);
         assert_eq!(pool.get(Lpa::new(7)), Some(70));
@@ -331,7 +383,7 @@ mod tests {
         pool.insert(Lpa::new(7), 71);
         pool.insert(Lpa::new(9), 90);
         assert_eq!(pool.get(Lpa::new(7)), Some(71));
-        let (_, second) = pool.flush(true);
+        let (_, second) = pool.flush(true, [Ppa::new(2), Ppa::new(3)]);
         assert!(!pool.overflows());
         pool.insert(Lpa::new(1), 10);
         assert!(pool.overflows());
@@ -350,5 +402,36 @@ mod tests {
         assert!(pool.flushed.is_empty());
         pool.clear();
         assert_eq!(pool.get(Lpa::new(1)), None);
+    }
+
+    #[test]
+    fn the_pool_names_the_overwritten_copy_while_it_holds_its_slot() {
+        let mut pool = WritePool::new(8);
+        pool.insert(Lpa::new(7), 70);
+        pool.insert(Lpa::new(3), 30);
+        let (_, first) = pool.flush(true, [Ppa::new(10), Ppa::new(11)]);
+        // The newest flush overwrites nothing of its own.
+        assert_eq!(pool.overwritten(Lpa::new(7)), None);
+        // GC moves address 7's page; a newer flush overwrites both.
+        pool.moved(Lpa::new(7), Ppa::new(40));
+        pool.moved(Lpa::new(9), Ppa::new(41));
+        pool.insert(Lpa::new(7), 71);
+        pool.insert(Lpa::new(3), 31);
+        pool.insert(Lpa::new(9), 91);
+        let (_, second) = pool.flush(true, [Ppa::new(20), Ppa::new(21), Ppa::new(22)]);
+        assert_eq!(pool.overwritten(Lpa::new(7)), Some(Ppa::new(40)));
+        assert_eq!(pool.overwritten(Lpa::new(3)), Some(Ppa::new(10)));
+        assert_eq!(pool.overwritten(Lpa::new(9)), None);
+        // Once the old copy gives its slot up, flash must be read.
+        pool.release(first);
+        assert_eq!(pool.overwritten(Lpa::new(3)), None);
+        // A third flush overwrites the second's copies: 7's is moved
+        // again, and the move follows the newest copy only.
+        pool.moved(Lpa::new(7), Ppa::new(50));
+        pool.insert(Lpa::new(7), 72);
+        pool.flush(true, [Ppa::new(30)]);
+        assert_eq!(pool.overwritten(Lpa::new(7)), Some(Ppa::new(50)));
+        pool.release(second + 1);
+        assert_eq!(pool.overwritten(Lpa::new(7)), None);
     }
 }

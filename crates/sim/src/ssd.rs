@@ -39,10 +39,11 @@ type Batch = Vec<(Lpa, Ppa)>;
 /// [`crate::FlashOpBreakdown`], the ledger [`Ssd::flash_op`] keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FlashOp {
-    /// A host read's predicted page.
+    /// The predicted page of a host read or of a resolution (a flush's
+    /// or recovery's).
     DataRead,
-    /// Any further probe of a read, and every invalidation or recovery
-    /// probe.
+    /// Any further probe of a read or a resolution: the re-read after a
+    /// misprediction, or the outward scan.
     MispredictionRead,
     /// A demand-paged translation page, or a page of a recovery scan.
     TranslationRead,
@@ -236,7 +237,8 @@ pub struct Ssd<S: MappingScheme + Clone> {
     /// The write buffer and the flushed pages still in DRAM, in
     /// `2 × write_buffer_pages` slots: a flushed page is read from DRAM
     /// until a write takes its slot, which it can once the page's
-    /// program has ended ([`Ssd::take_slot`]).
+    /// program has ended ([`Ssd::take_slot`]). It knows where each
+    /// flushed page is on flash, so an overwrite of one needs no read.
     pool: WritePool,
     read_cache: LruCache<Lpa, CachedPage>,
     stats: SimStats,
@@ -297,9 +299,9 @@ struct ReadPlan {
     /// into: one list holds a whole burst's probes back to back, so a
     /// read owns no allocation however far its fallback scan went.
     probes: Range<usize>,
-    /// Whether the first probe is a host read's predicted page — the
-    /// one probe that counts as a data read. Every other probe is a
-    /// misprediction read.
+    /// Whether the first probe is the predicted page — the one probe
+    /// that counts as a data read, for a host read and a resolution
+    /// alike. Every other probe is a misprediction read.
     leads_with_data_read: bool,
 }
 
@@ -446,7 +448,8 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// How host reads went ahead of flush programs and writes waited
     /// for DRAM slots — suspensions, overtaking reads, reads of flushed
     /// pages still in DRAM, writes that waited for a slot and their
-    /// wait — over the same window as [`Ssd::stats`].
+    /// wait, reads of a page whose program was still queued — over the
+    /// same window as [`Ssd::stats`].
     pub fn read_priority(&self) -> &ReadPriority {
         &self.priority
     }
@@ -529,6 +532,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             let read = self.clock.schedule_read(die, floor_ns, latency_ns, page);
             self.priority.suspensions += u64::from(read.suspended);
             self.priority.overtaking_reads += u64::from(read.overtook);
+            self.priority.queued_page_reads += u64::from(read.behind_own_program);
             read.end_ns
         } else {
             self.clock.schedule_after(die, floor_ns, latency_ns)
@@ -1039,7 +1043,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// the error window are rejected by the validity check. A host read
     /// (`host_read`) needs the live page's content, so a page the
     /// predicted page's window names is read too; a resolution for
-    /// invalidation needs only its address, which the window gives.
+    /// invalidation needs only its address, which the window gives, and
+    /// lists no page whose program is still queued: that page is in
+    /// DRAM, OOB and all.
     fn plan_read_probes(
         &self,
         lpa: Lpa,
@@ -1050,19 +1056,23 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         let gamma = hit.error_bound as u64;
         let predicted = hit.ppa;
         let first = probes.len();
-        // The predicted page, when in range, is always probed first.
-        let in_range = self.config.geometry.contains(predicted);
+        let geometry = self.config.geometry;
+        // A page whose program is still queued holds its DRAM slot.
+        let read_flash =
+            |page: Ppa| host_read || !self.clock.is_queued(geometry.die_of(page), page);
         let plan = |exact: Ppa, content: u64, probes: &[Ppa]| ReadPlan {
             exact,
             content,
             mispredicted: exact != predicted,
-            leads_with_data_read: host_read && in_range,
+            leads_with_data_read: probes.get(first) == Some(&predicted),
             probes: first..probes.len(),
         };
 
-        // First attempt: the predicted page.
-        if in_range {
-            probes.push(predicted);
+        // First attempt: the predicted page, when in range.
+        if geometry.contains(predicted) {
+            if read_flash(predicted) {
+                probes.push(predicted);
+            }
             if let Ok(view) = self.device.read(predicted) {
                 if view.lpa == Some(lpa) && self.validity.is_valid(predicted) {
                     return Ok(plan(predicted, view.content, probes));
@@ -1093,10 +1103,12 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             .into_iter()
             .flatten()
             {
-                if !self.config.geometry.contains(candidate) || !self.validity.is_valid(candidate) {
+                if !geometry.contains(candidate) || !self.validity.is_valid(candidate) {
                     continue;
                 }
-                probes.push(candidate);
+                if read_flash(candidate) {
+                    probes.push(candidate);
+                }
                 if let Ok(view) = self.device.read(candidate) {
                     if view.lpa == Some(lpa) {
                         return Ok(plan(candidate, view.content, probes));
@@ -1122,15 +1134,18 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// Invalidates the pages `lpas` overwrite, in one resolution pass.
     /// Each LPA's old mapping is looked up in order and an exact hit is
     /// invalidated directly. An approximate hit needs the old page's
-    /// exact address (a *resolution*): when the OOB window of the page
-    /// the pass read last names a live copy, that is it, with no read;
+    /// exact address (a *resolution*). A flush finds it without a read
+    /// when the old copy is a flushed page still in DRAM (the pool
+    /// knows where that page went, [`WritePool::overwritten`]) or when
+    /// the OOB window of the page the pass read last names a live copy;
     /// otherwise the predicted page is read once and its window names
     /// the address — the named page is not read again, invalidation
     /// needs no content — and only a prediction the window cannot name
     /// scans outward. Every probe starts from the pass's one dispatch
-    /// point, chained per LPA behind whatever the dies already hold
-    /// (the flush's programs), and the host clock waits once, for the
-    /// last.
+    /// point, as a host-class read chained per LPA behind whatever the
+    /// dies already hold. A flush does not wait for them: nothing the
+    /// host sees depends on them, as nothing depends on its translation
+    /// I/O. Recovery's replay waits for the last.
     fn invalidate_overwritten(
         &mut self,
         lpas: impl IntoIterator<Item = Lpa>,
@@ -1162,14 +1177,34 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 self.invalidate(hit.ppa);
                 continue;
             }
-            let windowed = last_read.and_then(|(page, gamma)| self.named_live(page, gamma, lpa));
-            let (exact, reads) = match windowed {
+            // Recovery's replay finds the pool empty: a power cut
+            // cleared it.
+            let in_dram = self.pool.overwritten(lpa);
+            debug_assert!(
+                in_dram.is_none_or(|ppa| self.validity.is_valid(ppa)
+                    && self
+                        .device
+                        .read(ppa)
+                        .is_ok_and(|page| page.lpa == Some(lpa))),
+                "the pool's copy of {lpa:?} at {in_dram:?} is not its live page"
+            );
+            let windowed = if in_dram.is_some() {
+                None
+            } else {
+                last_read.and_then(|(page, gamma)| self.named_live(page, gamma, lpa))
+            };
+            let (exact, reads) = match in_dram.or(windowed) {
                 Some(exact) => (exact, 0),
                 None => {
                     probes.clear();
                     match self.plan_read_probes(lpa, &hit, false, &mut probes) {
                         Ok(plan) => {
+                            let queued = self.priority.queued_page_reads;
                             let ready_ns = self.schedule_probes(&plan, &probes, dispatch_ns, class);
+                            debug_assert!(
+                                self.priority.queued_page_reads == queued,
+                                "a resolution of {lpa:?} read a page whose program is queued"
+                            );
                             done_ns = done_ns.max(ready_ns);
                             last_read = probes.last().map(|&page| (page, hit.error_bound));
                             (plan.exact, probes.len() as u64)
@@ -1187,6 +1222,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 self.stats.lookups += 1;
                 self.paths.resolutions += 1;
                 self.paths.resolution_reads += reads;
+                if in_dram.is_some() {
+                    self.paths.dram_resolutions += 1;
+                }
                 if windowed.is_some() {
                     self.paths.window_resolutions += 1;
                 }
@@ -1198,7 +1236,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             self.invalidate(exact);
         }
         self.read_scratch.probes = probes;
-        self.clock.wait_until(done_ns);
+        if by == Overwriter::Replay {
+            self.clock.wait_until(done_ns);
+        }
         outcome
     }
 
@@ -1290,14 +1330,16 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         if self.pool.buffer().is_empty() {
             return Ok(());
         }
-        // The pages keep their DRAM slots; their programs queue behind
-        // whatever earlier flushes left queued.
+        // The pages keep their DRAM slots, and the pool learns where
+        // each goes; their programs queue behind whatever earlier
+        // flushes left queued.
         let sorted = self.config.sort_buffer_on_flush;
-        let (pages, first_tag) = self.pool.flush(sorted);
-        self.ensure_allocatable(pages.len() as u32, Stream::Host)?;
+        let len = self.pool.buffer().len() as u32;
+        self.ensure_allocatable(len, Stream::Host)?;
         let runs = self
-            .allocate(Stream::Host, pages.len() as u32)
+            .allocate(Stream::Host, len)
             .ok_or(SimError::DeviceFull)?;
+        let (pages, first_tag) = self.pool.flush(sorted, runs.iter().flat_map(PageRun::ppas));
 
         // Queue every program on its die: the host continues, and the
         // dies serve reads ahead of them.
@@ -1943,6 +1985,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 None => self.allocate(Stream::Gc, len).ok_or(SimError::DeviceFull)?,
             };
             batches = self.program_runs(&relocation.runs, &items)?;
+            for &(lpa, ppa) in batches.iter().flatten() {
+                self.pool.moved(lpa, ppa);
+            }
 
             // Old locations are known exactly — no lookup needed.
             for &ppa in &valid {
@@ -2743,6 +2788,7 @@ mod tests {
                 slot_wait_ns: 0,
                 fill_waits: 0,
                 fill_wait_ns: 0,
+                queued_page_reads: 0,
             }
         );
 
@@ -4402,7 +4448,8 @@ mod tests {
     }
 
     /// A γ = 4 device whose LPAs `0..pages` were flushed in buffers of
-    /// 32, every flush drained, and the stats reset.
+    /// 32, every flush drained (its pages still hold their DRAM slots),
+    /// and the stats reset.
     fn approximate_ssd(pages: u64) -> Ssd<Approximate> {
         let mut config = SsdConfig::small_test();
         config.gamma = 4;
@@ -4419,68 +4466,184 @@ mod tests {
         ssd
     }
 
+    /// [`approximate_ssd`] with every flushed page's slot given up: the
+    /// old copies an overwrite resolves are on flash alone.
+    fn approximate_on_flash(pages: u64) -> Ssd<Approximate> {
+        let mut ssd = approximate_ssd(pages);
+        release_programmed(&mut ssd);
+        ssd
+    }
+
     fn page_of(ssd: &Ssd<Approximate>, lpa: u64) -> Ppa {
         ssd.scheme().inner.get(Lpa::new(lpa)).unwrap()
     }
 
-    /// Overwrites `lpas` in one flush; returns how far the flush held
-    /// the host clock (its programs drain asynchronously).
-    fn overwrite(ssd: &mut Ssd<Approximate>, lpas: &[u64]) -> u64 {
+    /// Overwrites `lpas` in one flush, reads them back and checks the
+    /// invariants.
+    fn overwrite(ssd: &mut Ssd<Approximate>, lpas: &[u64]) {
         for &lpa in lpas {
             ssd.write(Lpa::new(lpa), 1_000 + lpa).unwrap();
         }
-        let dispatched = ssd.now_ns();
         ssd.service_flush(GcMode::Synchronous).unwrap();
-        let held = ssd.now_ns().saturating_sub(dispatched);
         for &lpa in lpas {
             assert_eq!(ssd.read(Lpa::new(lpa)).unwrap(), Some(1_000 + lpa));
         }
         assert_eq!(ssd.check_invariants(), Vec::<String>::new());
-        held
     }
 
     /// A flush resolves its approximate overwrites in one pass: one
-    /// read per OOB window, no second read for an address the window
-    /// names, and one wait for the host.
+    /// read per OOB window, counted as the predicted page's data read,
+    /// and no second read for an address the window names.
     #[test]
     fn a_flush_resolves_its_overwrites_with_one_read_per_window() {
-        let read_ns = SsdConfig::small_test().timing.read_ns;
-
         // k overwrites whose live pages one window names: the first
         // reads its predicted page, whose window names the other two.
-        let mut ssd = approximate_ssd(32);
+        let mut ssd = approximate_on_flash(32);
         let first = page_of(&ssd, 0);
         for lpa in 1..3 {
             assert_eq!(page_of(&ssd, lpa), first.offset(lpa), "one run of pages");
         }
         overwrite(&mut ssd, &[0, 1, 2]);
-        assert_eq!(ssd.stats().flash.misprediction_reads, 1);
+        let flash = ssd.stats().flash;
+        assert_eq!((flash.data_reads, flash.misprediction_reads), (1, 0));
         let paths = *ssd.lookup_paths();
         assert_eq!((paths.resolutions, paths.window_resolutions), (3, 2));
         assert_eq!((paths.resolution_reads, ssd.stats().lookups), (1, 3));
+        assert_eq!(paths.dram_resolutions, 0);
         assert_eq!(ssd.stats().mispredictions, 0);
 
         // A mispredicted overwrite the window names: the predicted page
         // is read, and the window gives the address without a second.
-        let mut ssd = approximate_ssd(32);
+        let mut ssd = approximate_on_flash(32);
         ssd.scheme.shift.insert(5, 1);
         overwrite(&mut ssd, &[5]);
-        assert_eq!(ssd.stats().flash.misprediction_reads, 1);
+        let flash = ssd.stats().flash;
+        assert_eq!((flash.data_reads, flash.misprediction_reads), (1, 0));
         assert_eq!(ssd.stats().mispredictions, 1);
         assert_eq!(ssd.lookup_paths().resolution_mispredictions, 1);
+    }
 
-        // Resolutions on two idle dies hold the host for the slower
-        // chain, not for both.
-        let mut ssd = approximate_ssd(64);
+    /// An overwrite whose old copy is a flushed page still in DRAM
+    /// takes its address from the pool: no probe reaches flash, and the
+    /// lookup is counted as before.
+    #[test]
+    fn an_overwrite_of_a_page_still_in_dram_resolves_without_a_flash_read() {
+        let mut ssd = approximate_ssd(32);
+        ssd.scheme.shift.insert(5, 1);
+        let old: Vec<Ppa> = [0, 5, 17].iter().map(|&lpa| page_of(&ssd, lpa)).collect();
+        overwrite(&mut ssd, &[0, 5, 17]);
+        let flash = ssd.stats().flash;
+        assert_eq!((flash.data_reads, flash.misprediction_reads), (0, 0));
+        let paths = *ssd.lookup_paths();
+        assert_eq!((paths.resolutions, paths.dram_resolutions), (3, 3));
+        assert_eq!((paths.resolution_reads, paths.window_resolutions), (0, 0));
+        assert_eq!((ssd.stats().lookups, ssd.stats().mispredictions), (3, 1));
+        assert!(old.iter().all(|&ppa| !ssd.validity.is_valid(ppa)));
+    }
+
+    /// The flush's resolution reads stay on their dies, and the write
+    /// that flushed completes before either ends.
+    #[test]
+    fn a_flushing_write_does_not_wait_for_its_resolution_reads() {
+        let read_ns = SsdConfig::small_test().timing.read_ns;
+        let mut ssd = approximate_on_flash(64);
         let (a, b) = (page_of(&ssd, 0), page_of(&ssd, 32));
         let geometry = ssd.config().geometry;
         assert_ne!(geometry.die_of(a), geometry.die_of(b));
-        let held = overwrite(&mut ssd, &[0, 32]);
-        for new in [page_of(&ssd, 0), page_of(&ssd, 32)] {
-            let die = geometry.die_of(new);
-            assert!(die != geometry.die_of(a) && die != geometry.die_of(b));
+        // Two overwrites, one per die, among pages never written.
+        ssd.write(Lpa::new(0), 1_000).unwrap();
+        for lpa in 100..130 {
+            ssd.write(Lpa::new(lpa), lpa).unwrap();
         }
-        assert_eq!(ssd.stats().flash.misprediction_reads, 2);
-        assert_eq!(held, read_ns);
+        // The 32nd write fills the buffer and flushes it.
+        let started = ssd.now_ns();
+        let done = ssd
+            .service_write(Lpa::new(32), 1_032, GcMode::Synchronous)
+            .unwrap();
+        assert_eq!(ssd.pool.buffer().len(), 0, "the write flushed");
+        assert_eq!(ssd.lookup_paths().resolution_reads, 2);
+        // A resolution read ends no sooner than `read_ns` after the
+        // flush dispatched it.
+        assert_eq!(done - started, DRAM_HIT_NS);
+        assert!(done < started + read_ns);
+        for (lpa, old) in [(0, a), (32, b)] {
+            assert!(!ssd.validity.is_valid(old));
+            assert_eq!(ssd.read(Lpa::new(lpa)).unwrap(), Some(1_000 + lpa));
+        }
+        assert_eq!(ssd.check_invariants(), Vec::<String>::new());
+    }
+
+    /// GC moves a block whose pages still hold DRAM slots: the pool
+    /// follows them, and an overwrite invalidates where they went.
+    #[test]
+    fn gc_relocation_keeps_the_pools_record_exact() {
+        let mut ssd = approximate_ssd(32);
+        let geometry = ssd.config().geometry;
+        let victim = geometry.block_of(page_of(&ssd, 0));
+        assert!(ssd.validity.valid_count(victim) > 0);
+        ssd.relocate(victim, None).unwrap();
+        let moved: Vec<Ppa> = [0, 5, 31].iter().map(|&lpa| page_of(&ssd, lpa)).collect();
+        assert!(moved.iter().all(|&ppa| geometry.block_of(ppa) != victim));
+        assert_eq!(ssd.pool.resident(), 32, "the moved pages are still in DRAM");
+        overwrite(&mut ssd, &[0, 5, 31]);
+        let paths = *ssd.lookup_paths();
+        assert_eq!((paths.dram_resolutions, paths.resolution_reads), (3, 0));
+        let flash = ssd.stats().flash;
+        assert_eq!((flash.data_reads, flash.misprediction_reads), (0, 0));
+        assert!(moved.iter().all(|&ppa| !ssd.validity.is_valid(ppa)));
+    }
+
+    /// Under background GC, a block's erase goes on its die after every
+    /// resolution read of one of its pages that came before it: the
+    /// host no longer waits for those reads, but the die still does.
+    #[test]
+    fn a_resolution_read_ends_before_its_blocks_erase() {
+        let mut config = SsdConfig::small_test();
+        config.gamma = 4;
+        config.op_ratio = 0.5;
+        let scheme = Approximate {
+            gamma: config.gamma,
+            ..Approximate::default()
+        };
+        let mut ssd = Ssd::new(config, scheme);
+        let logical = ssd.config().logical_pages();
+        ssd.attach_trace();
+        {
+            let mut device =
+                crate::Device::new(&mut ssd, crate::DeviceConfig::single(8).background_gc());
+            // Sequential rounds: each flush overwrites whole blocks, so
+            // GC erases a block soon after the reads that resolved it.
+            for i in 0..4 * logical {
+                device.submit_write(Lpa::new(i % logical), i).unwrap();
+            }
+            device.drain().unwrap();
+            assert!(device.gc_dispatched() > 0, "background GC must have run");
+        }
+        assert!(ssd.lookup_paths().resolution_reads > 0);
+        let sink = ssd.take_trace().unwrap();
+        // Every host-class read here is a resolution: nothing reads.
+        let mut reads_end: BTreeMap<u64, u64> = BTreeMap::new();
+        let mut checked = 0;
+        for (_, kind, class, block, start_ns, end_ns) in sink.die_spans() {
+            let Some(block) = block else { continue };
+            match (kind, class) {
+                ("read", "host") => {
+                    let end = reads_end.entry(block).or_default();
+                    *end = (*end).max(end_ns);
+                }
+                ("erase", _) => {
+                    if let Some(read_end) = reads_end.remove(&block) {
+                        assert!(
+                            start_ns >= read_end,
+                            "block {block} erased at {start_ns}, read until {read_end}"
+                        );
+                        checked += 1;
+                    }
+                }
+                _ => {}
+            }
+        }
+        assert!(checked > 0, "no erased block had been read by a resolution");
+        assert_eq!(ssd.check_invariants(), Vec::<String>::new());
     }
 }

@@ -166,13 +166,15 @@ pub struct FlashOpBreakdown {
     pub wear_programs: u64,
     /// Translation/metadata pages written (mapping flushes, snapshots).
     pub translation_programs: u64,
-    /// Host data page reads from flash.
+    /// Predicted data pages read from flash: a host read's, or a
+    /// resolution's (an overwrite of an approximately mapped page).
     pub data_reads: u64,
     /// Reads issued by GC/wear migrations.
     pub gc_reads: u64,
     /// Translation-page reads (mapping-cache misses).
     pub translation_reads: u64,
-    /// Extra reads caused by address mispredictions (§3.5).
+    /// Extra reads caused by address mispredictions (§3.5): every probe
+    /// after the predicted page.
     pub misprediction_reads: u64,
     /// Block erases.
     pub erases: u64,
@@ -248,6 +250,9 @@ pub struct LookupPaths {
     /// Resolutions the OOB window of a page the same flush had already
     /// read answered, with no read of their own.
     pub window_resolutions: u64,
+    /// Resolutions whose old copy was a flushed page still in DRAM: the
+    /// pool knew its address, so they read nothing.
+    pub dram_resolutions: u64,
 }
 
 impl LookupPaths {
@@ -309,6 +314,11 @@ pub struct ReadPriority {
     pub fill_waits: u64,
     /// Nanoseconds those hits waited beyond the DRAM access.
     pub fill_wait_ns: u64,
+    /// Host reads of a page whose program was still queued: each had
+    /// that program placed ahead of it. Only a probe after a
+    /// misprediction lands there — a page still queued is in DRAM — and
+    /// a flush's resolutions read such a page's OOB from DRAM instead.
+    pub queued_page_reads: u64,
 }
 
 impl SimStats {

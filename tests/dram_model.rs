@@ -14,7 +14,7 @@
     reason = "a test: a step that fails should fail it with its message"
 )]
 
-use leaftl_repro::flash::Lpa;
+use leaftl_repro::flash::{Lpa, Ppa};
 use leaftl_repro::sim::buffer::{WriteBuffer, WritePool};
 use leaftl_repro::sim::lru::LruCache;
 use proptest::collection::vec;
@@ -252,6 +252,7 @@ enum PoolOp {
     Get(u64),
     Flush(bool),
     Release(usize),
+    Move(u64),
     Clear,
 }
 
@@ -262,6 +263,7 @@ fn pool_op() -> impl Strategy<Value = PoolOp> {
         8 => lpa().prop_map(PoolOp::Get),
         2 => (0u32..2).prop_map(|sorted| PoolOp::Flush(sorted == 1)),
         5 => (0usize..64).prop_map(PoolOp::Release),
+        2 => lpa().prop_map(PoolOp::Move),
         1 => Just(PoolOp::Clear),
     ]
 }
@@ -272,6 +274,7 @@ struct FlushedPage {
     lpa: u64,
     content: u64,
     tag: u64,
+    ppa: u64,
     released: bool,
 }
 
@@ -285,7 +288,10 @@ proptest! {
     /// its slot up; a read is the buffer's page, else the newest flush
     /// of the address unless that page was released; a clear empties
     /// everything. Pages are released in any order, as their programs
-    /// end.
+    /// end. Each flushed page is where the flush put it until a move
+    /// relocates the newest flush's copy of its address; the copy a
+    /// flush overwrote is the newest earlier flush's page of the
+    /// address, while that page is not released.
     #[test]
     fn write_pool_matches_the_list_of_flushes(
         ops in vec(pool_op(), 1..300),
@@ -296,6 +302,7 @@ proptest! {
         let mut arrival: Vec<u64> = Vec::new();
         let mut flushes: Vec<Vec<FlushedPage>> = Vec::new();
         let mut tags: Vec<u64> = Vec::new();
+        let mut next_ppa = 0u64;
         let resident = |flushes: &[Vec<FlushedPage>]| {
             flushes.iter().flatten().filter(|page| !page.released).count()
         };
@@ -336,6 +343,13 @@ proptest! {
                     let want = pages.get(&lpa).copied().or(flushed);
                     prop_assert_eq!(pool.get(Lpa::new(lpa)), want);
                     prop_assert_eq!(pool.buffer().get(Lpa::new(lpa)), pages.get(&lpa).copied());
+                    let older = &flushes[..flushes.len().saturating_sub(1)];
+                    let overwritten = older
+                        .iter()
+                        .rev()
+                        .find_map(|flush| flush.iter().find(|page| page.lpa == lpa))
+                        .and_then(|page| (!page.released).then_some(Ppa::new(page.ppa)));
+                    prop_assert_eq!(pool.overwritten(Lpa::new(lpa)), overwritten);
                 }
                 PoolOp::Flush(sorted) => {
                     if pages.is_empty() {
@@ -348,15 +362,19 @@ proptest! {
                     };
                     let want: Vec<(Lpa, u64)> =
                         order.iter().map(|&lpa| (Lpa::new(lpa), pages[&lpa])).collect();
-                    let (got, first) = pool.flush(sorted);
+                    let ppas = next_ppa..next_ppa + order.len() as u64;
+                    next_ppa = ppas.end;
+                    let (got, first) = pool.flush(sorted, ppas.clone().map(Ppa::new));
                     prop_assert_eq!(got, want);
                     let flush: Vec<FlushedPage> = order
                         .iter()
                         .zip(first..)
-                        .map(|(&lpa, tag)| FlushedPage {
+                        .zip(ppas)
+                        .map(|((&lpa, tag), ppa)| FlushedPage {
                             lpa,
                             content: pages[&lpa],
                             tag,
+                            ppa,
                             released: false,
                         })
                         .collect();
@@ -381,6 +399,17 @@ proptest! {
                         .expect("pick is below the count");
                     page.released = true;
                     pool.release(page.tag);
+                }
+                PoolOp::Move(lpa) => {
+                    let newest = flushes
+                        .iter_mut()
+                        .rev()
+                        .find_map(|flush| flush.iter_mut().find(|page| page.lpa == lpa));
+                    if let Some(page) = newest {
+                        page.ppa = next_ppa;
+                    }
+                    pool.moved(Lpa::new(lpa), Ppa::new(next_ppa));
+                    next_ppa += 1;
                 }
                 PoolOp::Clear => {
                     pool.clear();

@@ -161,6 +161,14 @@
 //! that read: fewer misprediction reads and later hits move time, and
 //! these six read it. Both `SYNC_GREEDY_*` constants and both wear-swap
 //! histories hash no time and did not move. Coverage holds unedited.
+//!
+//! The same six were recorded again when a flush stopped waiting for its
+//! resolution reads, and an overwrite whose old copy is a flushed page
+//! still in DRAM began to take that copy's address from the write pool
+//! instead of reading flash: every flush holds the clock for less, and
+//! the same pages are invalidated. Only time moved, and these six read
+//! it. Both `SYNC_GREEDY_*` constants and both wear-swap histories hash
+//! no time and did not move. Coverage holds unedited.
 
 #![expect(
     clippy::unwrap_used,
@@ -449,12 +457,12 @@ fn run_background(config: SsdConfig, seed: u64) -> (u64, Coverage) {
 
 const SYNC_GREEDY_SNAPSHOT: u64 = 0x00c7_9712_11ad_58a4;
 const SYNC_GREEDY_FLASHLOG: u64 = 0x461e_0aba_53ea_f1de;
-const SYNC_COSTBENEFIT_SNAPSHOT: u64 = 0x5462_ed8c_010b_4175;
-const SYNC_COSTBENEFIT_FLASHLOG: u64 = 0xa1af_8176_97ce_8b11;
-const BACKGROUND_GREEDY_SNAPSHOT: u64 = 0x57e1_d847_e52d_b31a;
-const BACKGROUND_GREEDY_FLASHLOG: u64 = 0xb238_d4e0_9155_8c6d;
-const BACKGROUND_COSTBENEFIT_SNAPSHOT: u64 = 0x39dd_2f6b_bba6_db16;
-const BACKGROUND_COSTBENEFIT_FLASHLOG: u64 = 0x1f2e_5c4a_1a26_7fc0;
+const SYNC_COSTBENEFIT_SNAPSHOT: u64 = 0x215e_675a_dff2_be60;
+const SYNC_COSTBENEFIT_FLASHLOG: u64 = 0x5ed5_b486_3b91_3e6a;
+const BACKGROUND_GREEDY_SNAPSHOT: u64 = 0x5b0d_88b7_1845_7b74;
+const BACKGROUND_GREEDY_FLASHLOG: u64 = 0xfe5f_fa07_0ae6_fc8e;
+const BACKGROUND_COSTBENEFIT_SNAPSHOT: u64 = 0xdffa_110f_03b1_e5e9;
+const BACKGROUND_COSTBENEFIT_FLASHLOG: u64 = 0xd143_d05f_410d_b61c;
 const SYNC_GREEDY_WEAR_SWAPS: u64 = 0xb6a5_ff6d_2e1c_5f12;
 /// Recorded one PR later than the rest, on the commit before wear swaps
 /// and GC migrations became one relocation kernel.
