@@ -10,9 +10,11 @@
 //! The buffer and the pages of earlier flushes share the controller's
 //! DRAM page slots ([`WritePool`]): a flushed page keeps its slot, and
 //! stays readable from DRAM, until a write that finds every slot held
-//! takes it once the page's program has ended. The pool knows where
-//! each flushed page went on flash, so an overwrite of a page still in
-//! DRAM finds the old copy without reading flash.
+//! takes it once the page's program has ended. A page is in DRAM in one
+//! place: the buffer or a pool slot holds what a write brought in, the
+//! read cache what a read brought in. The pool knows where each flushed
+//! page went on flash, so an overwrite of a page still in DRAM finds the
+//! old copy without reading flash.
 
 use leaftl_flash::{IntMap, Lpa, Ppa};
 use std::collections::hash_map::Entry;
@@ -72,20 +74,12 @@ impl WriteBuffer {
     /// unsorted, in arrival order (the Fig. 7 "unoptimized" ablation);
     /// the buffer keeps them.
     pub fn pages(&self, sorted: bool) -> Vec<(Lpa, u64)> {
-        let mut order = Vec::new();
-        self.order(sorted, &mut order);
-        order.iter().map(|&at| self.pages[at as usize]).collect()
-    }
-
-    /// Fills `order` with the arrival positions of the pages in the
-    /// order [`WriteBuffer::pages`] lists them.
-    fn order(&self, sorted: bool, order: &mut Vec<u32>) {
-        order.clear();
-        order.extend(0..self.pages.len() as u32);
+        let mut pages = self.pages.clone();
         if sorted {
             // One entry per LPA, so no two keys compare equal.
-            order.sort_unstable_by_key(|&at| self.pages[at as usize].0);
+            pages.sort_unstable_by_key(|&(lpa, _)| lpa);
         }
+        pages
     }
 
     /// Empties the buffer, keeping its memory for the next fill.
@@ -100,60 +94,42 @@ impl WriteBuffer {
 /// between them.
 ///
 /// [`WritePool::flush`] hands the buffer's pages out for programming,
-/// each named by a tag, and keeps them: a flushed page holds its slot
-/// and is read from DRAM (the newest flush of its address decides)
-/// until [`WritePool::release`] gives the slot up. The caller releases
-/// a page only once its program has ended, and only for a write that
-/// found every slot held ([`WritePool::overflows`] after it); from then
-/// on the page is read from flash.
+/// each named by a tag (one count over every flush), and keeps them: a
+/// flushed page holds its slot and is read from DRAM (the newest flush
+/// of its address decides) until [`WritePool::release`] gives the slot
+/// up. The caller releases a page only once its program has ended, and
+/// only for a write that found every slot held ([`WritePool::overflows`]
+/// after it); from then on the page is read from flash.
 ///
-/// The pool also knows each flushed page's PPA: [`WritePool::flush`]
-/// takes the PPAs the flush allocated, and [`WritePool::moved`]
-/// follows a page that GC or a wear swap relocates. So [`WritePool::overwritten`] names the copy a flush
-/// overwrites while that copy still holds its slot.
+/// One record per address holds its newest flushed copy, with the PPA
+/// the flush gave it (followed through GC and wear swaps by
+/// [`WritePool::moved`]), and where the copy it overwrote is while that
+/// one holds its slot: [`WritePool::overwritten`] names it.
 #[derive(Debug, Clone)]
 pub struct WritePool {
     capacity: usize,
     buffer: WriteBuffer,
-    /// Every flush from the oldest one with a page in DRAM on, oldest
-    /// first.
-    flushed: VecDeque<Flushed>,
-    /// The number of `flushed[0]`: flush `n`'s `i`-th page is tagged
-    /// `n << 32 | i`.
-    first_flush: u64,
+    /// Kept while an address's newest copy, or the one it overwrote,
+    /// holds a slot.
+    records: IntMap<Lpa, Record>,
+    /// Each tag's address from `first_tag` on, `None` once its page gave
+    /// its slot up; the next tag is the first past the end.
+    slots: VecDeque<Option<Lpa>>,
+    first_tag: u64,
+    /// The first tag of the newest flush.
+    newest_flush: u64,
     /// Flushed pages holding a slot.
     resident: usize,
-    /// Emptied flushes, kept for their memory.
-    spare: Vec<Flushed>,
-    /// A flush's programming order, kept from flush to flush.
-    order: Vec<u32>,
 }
 
-/// The pages of one flush.
-#[derive(Debug, Clone, Default)]
-struct Flushed {
-    pages: WriteBuffer,
-    /// Where the page at each arrival position came in the order the
-    /// flush handed the pages out (the index its tag names).
-    rank: Vec<u32>,
-    /// Where each page is on flash, by that index.
-    ppas: Vec<Ppa>,
-    /// One bit per page, by that index: it gave its slot up.
-    released: Vec<u64>,
-    /// Pages still holding a slot.
-    resident: usize,
-}
-
-impl Flushed {
-    /// Whether the page with index `rank` gave its slot up.
-    fn is_released(&self, rank: u32) -> bool {
-        self.released[rank as usize / 64] & 1 << (rank % 64) != 0
-    }
-
-    /// The index of `lpa`'s page, if this flush wrote it.
-    fn rank_of(&self, lpa: Lpa) -> Option<u32> {
-        self.pages.index.get(&lpa).map(|&at| self.rank[at])
-    }
+/// An address's newest flushed copy, and the PPA and tag of the copy it
+/// overwrote while that one holds its slot.
+#[derive(Debug, Clone, Copy)]
+struct Record {
+    content: u64,
+    ppa: Ppa,
+    tag: u64,
+    overwrote: Option<(Ppa, u64)>,
 }
 
 impl WritePool {
@@ -162,11 +138,11 @@ impl WritePool {
         WritePool {
             capacity,
             buffer: WriteBuffer::new(),
-            flushed: VecDeque::new(),
-            first_flush: 0,
+            records: IntMap::default(),
+            slots: VecDeque::new(),
+            first_tag: 0,
+            newest_flush: 0,
             resident: 0,
-            spare: Vec::new(),
-            order: Vec::new(),
         }
     }
 
@@ -197,16 +173,18 @@ impl WritePool {
         self.buffer.insert(lpa, content)
     }
 
+    /// Whether the page `tag` names still holds its slot.
+    fn holds_slot(&self, tag: u64) -> bool {
+        let at = tag.checked_sub(self.first_tag);
+        at.and_then(|at| self.slots.get(at as usize))
+            .is_some_and(Option::is_some)
+    }
+
     /// A flushed page still in DRAM: the newest flush of `lpa` decides,
     /// so once that one released its slot the page is read from flash.
     pub fn flushed(&self, lpa: Lpa) -> Option<u64> {
-        for flushed in self.flushed.iter().rev() {
-            if let Some(&at) = flushed.pages.index.get(&lpa) {
-                let released = flushed.is_released(flushed.rank[at]);
-                return (!released).then(|| flushed.pages.pages[at].1);
-            }
-        }
-        None
+        let record = self.records.get(&lpa)?;
+        self.holds_slot(record.tag).then_some(record.content)
     }
 
     /// Where the copy of `lpa` that the newest flush overwrote is on
@@ -215,23 +193,18 @@ impl WritePool {
     /// gave its slot up (its program has ended; read flash to find it)
     /// or no flush in DRAM wrote `lpa`.
     pub fn overwritten(&self, lpa: Lpa) -> Option<Ppa> {
-        for flushed in self.flushed.iter().rev().skip(1) {
-            if let Some(rank) = flushed.rank_of(lpa) {
-                return (!flushed.is_released(rank)).then(|| flushed.ppas[rank as usize]);
-            }
+        let record = self.records.get(&lpa)?;
+        if record.tag >= self.newest_flush {
+            return record.overwrote.map(|(ppa, _)| ppa);
         }
-        None
+        self.holds_slot(record.tag).then_some(record.ppa)
     }
 
-    /// Follows `lpa`'s live copy to `to`, where GC or a wear swap moved
-    /// it: the newest flush of `lpa` in DRAM wrote that copy, so its
-    /// record is the one to change.
+    /// Follows `lpa`'s live copy, its newest flushed one, to `to`, where
+    /// GC or a wear swap moved it.
     pub fn moved(&mut self, lpa: Lpa, to: Ppa) {
-        for flushed in self.flushed.iter_mut().rev() {
-            if let Some(rank) = flushed.rank_of(lpa) {
-                flushed.ppas[rank as usize] = to;
-                return;
-            }
+        if let Entry::Occupied(mut record) = self.records.entry(lpa) {
+            record.get_mut().ppa = to;
         }
     }
 
@@ -253,30 +226,28 @@ impl WritePool {
         sorted: bool,
         ppas: impl IntoIterator<Item = Ppa>,
     ) -> (Vec<(Lpa, u64)>, u64) {
-        let mut flushed = self.spare.pop().unwrap_or_default();
-        std::mem::swap(&mut flushed.pages, &mut self.buffer);
-        let order = &mut self.order;
-        flushed.pages.order(sorted, order);
-        let len = order.len();
-        flushed.rank.clear();
-        flushed.rank.resize(len, 0);
-        for (rank, &at) in order.iter().enumerate() {
-            flushed.rank[at as usize] = rank as u32;
+        let pages = self.buffer.pages(sorted);
+        self.buffer.clear();
+        self.newest_flush = self.first_tag + self.slots.len() as u64;
+        let mut ppas = ppas.into_iter();
+        for (&(lpa, content), ppa) in pages.iter().zip(ppas.by_ref()) {
+            let older = self.records.get(&lpa).map(|older| (older.ppa, older.tag));
+            let overwrote = older.filter(|&(_, tag)| self.holds_slot(tag));
+            let tag = self.first_tag + self.slots.len() as u64;
+            let record = Record {
+                content,
+                ppa,
+                tag,
+                overwrote,
+            };
+            self.records.insert(lpa, record);
+            self.slots.push_back(Some(lpa));
         }
-        flushed.ppas.clear();
-        flushed.ppas.extend(ppas);
-        assert_eq!(flushed.ppas.len(), len, "one PPA per flushed page");
-        flushed.released.clear();
-        flushed.released.resize(len.div_ceil(64), 0);
-        flushed.resident = len;
-        self.resident += len;
-        let pages = order
-            .iter()
-            .map(|&at| flushed.pages.pages[at as usize])
-            .collect();
-        let tag = (self.first_flush + self.flushed.len() as u64) << 32;
-        self.flushed.push_back(flushed);
-        (pages, tag)
+        let tags = self.first_tag + self.slots.len() as u64 - self.newest_flush;
+        let one_each = tags == pages.len() as u64 && ppas.next().is_none();
+        assert!(one_each, "one PPA per flushed page");
+        self.resident += pages.len();
+        (pages, self.newest_flush)
     }
 
     /// Gives up the slot of the flushed page `tag` names: from here on
@@ -286,25 +257,23 @@ impl WritePool {
     ///
     /// Panics when `tag` names no page still holding a slot.
     pub fn release(&mut self, tag: u64) {
-        let flush = (tag >> 32) - self.first_flush;
-        let flushed = &mut self.flushed[flush as usize];
-        let rank = tag as u32;
-        assert!(!flushed.is_released(rank), "page {tag:#x} released twice");
-        flushed.released[rank as usize / 64] |= 1 << (rank % 64);
-        flushed.resident -= 1;
+        let at = tag.checked_sub(self.first_tag);
+        let lpa = at.and_then(|at| self.slots.get_mut(at as usize)?.take());
+        let lpa = lpa.unwrap_or_else(|| panic!("page {tag} holds no slot"));
         self.resident -= 1;
-        while self
-            .flushed
-            .front()
-            .is_some_and(|oldest| oldest.resident == 0)
-        {
-            if let Some(mut emptied) = self.flushed.pop_front() {
-                self.first_flush += 1;
-                emptied.pages.clear();
-                if self.spare.len() < 2 {
-                    self.spare.push(emptied);
-                }
-            }
+        while self.slots.front().is_some_and(Option::is_none) {
+            self.slots.pop_front();
+            self.first_tag += 1;
+        }
+        // The record goes once neither copy it names holds a slot.
+        let Some(&record) = self.records.get(&lpa) else {
+            return;
+        };
+        let overwrote = record.overwrote.filter(|&(_, older)| older != tag);
+        if overwrote.is_none() && !self.holds_slot(record.tag) {
+            self.records.remove(&lpa);
+        } else if let Entry::Occupied(mut kept) = self.records.entry(lpa) {
+            kept.get_mut().overwrote = overwrote;
         }
     }
 
@@ -312,8 +281,9 @@ impl WritePool {
     /// before name no page afterwards.
     pub fn clear(&mut self) {
         self.buffer.clear();
-        self.first_flush += self.flushed.len() as u64;
-        self.flushed.clear();
+        self.records.clear();
+        self.first_tag += self.slots.len() as u64;
+        self.slots.clear();
         self.resident = 0;
     }
 }
@@ -370,7 +340,7 @@ mod tests {
     }
 
     #[test]
-    fn a_flushed_page_reads_from_dram_until_its_slot_is_released() {
+    fn a_flushed_page_reads_from_dram_until_it_gives_its_slot_up() {
         let mut pool = WritePool::new(4);
         pool.insert(Lpa::new(7), 70);
         pool.insert(Lpa::new(3), 30);
@@ -395,11 +365,12 @@ mod tests {
         pool.release(first);
         assert_eq!(pool.get(Lpa::new(3)), None);
         // The oldest flush left DRAM whole; the newer one still holds 9.
-        assert_eq!(pool.flushed.len(), 1);
+        assert_eq!(pool.slots.len(), 1);
         pool.release(second + 1);
         assert_eq!(pool.get(Lpa::new(9)), None);
         assert_eq!(pool.resident(), 0);
-        assert!(pool.flushed.is_empty());
+        assert!(pool.slots.is_empty());
+        assert!(pool.records.is_empty());
         pool.clear();
         assert_eq!(pool.get(Lpa::new(1)), None);
     }
@@ -433,5 +404,14 @@ mod tests {
         assert_eq!(pool.overwritten(Lpa::new(7)), Some(Ppa::new(50)));
         pool.release(second + 1);
         assert_eq!(pool.overwritten(Lpa::new(7)), None);
+        // A newer copy may give its slot up first (its program ended
+        // first, on another die): the copy it overwrote is still named.
+        pool.insert(Lpa::new(3), 32);
+        let (_, fourth) = pool.flush(true, [Ppa::new(60)]);
+        pool.release(fourth);
+        assert_eq!(pool.get(Lpa::new(3)), None);
+        assert_eq!(pool.overwritten(Lpa::new(3)), Some(Ppa::new(20)));
+        pool.release(second);
+        assert_eq!(pool.overwritten(Lpa::new(3)), None);
     }
 }

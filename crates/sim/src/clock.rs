@@ -42,12 +42,12 @@ pub const RESUME_NS: u64 = 5_000;
 /// - [`SimClock::schedule_after`] (every op but a host read or a flush
 ///   program) places the die's whole queue, then itself: with nothing
 ///   queued, a plain FIFO.
-/// - `SimClock::schedule_read` (a host read) first places the queue up
-///   to the program of the page it reads, if that one is still queued.
-///   Then it lets queued programs use the die's idle time before its
-///   floor. A program still running at the floor is suspended — what it
-///   had left, plus [`RESUME_NS`], goes back to the front of the queue —
-///   unless it was suspended [`SUSPEND_LIMIT`] times already. The read
+/// - `SimClock::schedule_read` (a host read, never of a page whose
+///   program is still queued: that page is in DRAM) lets queued
+///   programs use the die's idle time before its floor. A program still
+///   running at the floor is suspended — what it had left, plus
+///   [`RESUME_NS`], goes back to the front of the queue — unless it was
+///   suspended [`SUSPEND_LIMIT`] times already. The read
 ///   is then placed after whatever the die holds, ahead of whatever is
 ///   still queued.
 /// - `SimClock::place_programs` places every queue (an explicit flush,
@@ -134,9 +134,6 @@ pub(crate) struct ReadPlacement {
     pub(crate) suspended: bool,
     /// It was placed ahead of at least one queued program.
     pub(crate) overtook: bool,
-    /// It read a page whose program was still queued, and waited for
-    /// that program.
-    pub(crate) behind_own_program: bool,
 }
 
 impl DieLine {
@@ -236,21 +233,14 @@ impl SimClock {
 
     /// Schedules a host read of `latency_ns` on `die` from `floor_ns`,
     /// ahead of the programs queued there (see [`SimClock`] for the
-    /// rule). `page` (`None` for a translation page) is what it reads: a read of a page whose program is still queued waits
-    /// for that program.
+    /// rule).
     pub(crate) fn schedule_read(
         &mut self,
         die: Die,
         floor_ns: u64,
         latency_ns: u64,
-        page: Option<Ppa>,
     ) -> ReadPlacement {
         let at = die.raw() as usize;
-        let queue = &self.dies[at].queue;
-        let own = page.and_then(|page| queue.iter().position(|queued| queued.page == page));
-        if let Some(own) = own {
-            self.place_queue(at, own + 1);
-        }
         // The idle time before the floor goes to queued programs; a
         // program that runs across the floor is suspended there.
         let mut suspended = false;
@@ -290,7 +280,6 @@ impl SimClock {
             end_ns: line.place(floor_ns, latency_ns),
             suspended,
             overtook,
-            behind_own_program: own.is_some(),
         }
     }
 
@@ -532,14 +521,13 @@ mod tests {
         let mut clock = SimClock::new(1);
         queue(&mut clock, 0, 2, 0);
         // The first program runs from 0; the read at 50 µs cuts it.
-        let read = clock.schedule_read(Die::new(0), 50_000, READ_NS, None);
+        let read = clock.schedule_read(Die::new(0), 50_000, READ_NS);
         assert_eq!(
             read,
             ReadPlacement {
                 end_ns: 50_000 + READ_NS,
                 suspended: true,
                 overtook: true,
-                behind_own_program: false,
             }
         );
         let end = clock.place_programs();
@@ -564,7 +552,7 @@ mod tests {
         queue(&mut clock, 0, 1, 0);
         let mut floor = 1_000;
         for _ in 0..SUSPEND_LIMIT {
-            let read = clock.schedule_read(Die::new(0), floor, READ_NS, None);
+            let read = clock.schedule_read(Die::new(0), floor, READ_NS);
             assert!(read.suspended, "{read:?}");
             assert_eq!(read.end_ns, floor + READ_NS);
             // The remainder resumes in the idle time before the next read.
@@ -572,7 +560,7 @@ mod tests {
         }
         // Each suspension let the program run 1 µs, then cost a resume.
         let program_end = PROGRAM_NS + SUSPEND_LIMIT as u64 * (READ_NS + RESUME_NS);
-        let read = clock.schedule_read(Die::new(0), floor, READ_NS, None);
+        let read = clock.schedule_read(Die::new(0), floor, READ_NS);
         assert!(!read.suspended);
         assert!(!read.overtook);
         assert_eq!(read.end_ns, program_end + READ_NS);
@@ -593,24 +581,6 @@ mod tests {
     }
 
     #[test]
-    fn a_read_of_a_queued_page_waits_for_that_pages_program() {
-        let mut clock = SimClock::new(1);
-        queue(&mut clock, 10, 4, 0);
-        // Page 12 is the third program: the read follows it, and the
-        // fourth stays queued behind the read.
-        let read = clock.schedule_read(Die::new(0), 0, READ_NS, Some(Ppa::new(12)));
-        assert_eq!(
-            read,
-            ReadPlacement {
-                end_ns: 3 * PROGRAM_NS + READ_NS,
-                suspended: false,
-                overtook: true,
-                behind_own_program: true,
-            }
-        );
-    }
-
-    #[test]
     fn die_busy_time_is_conserved() {
         let mut clock = SimClock::new(1);
         queue(&mut clock, 0, 8, 0);
@@ -618,7 +588,7 @@ mod tests {
         let mut busy: Vec<(u64, u64)> = Vec::new();
         let mut suspensions = 0;
         for floor in (0..40).map(|i| i * 37_000) {
-            let read = clock.schedule_read(Die::new(0), floor, READ_NS, None);
+            let read = clock.schedule_read(Die::new(0), floor, READ_NS);
             suspensions += u64::from(read.suspended);
             busy.push((read.end_ns - READ_NS, read.end_ns));
         }
@@ -670,13 +640,13 @@ mod tests {
         all
     }
 
-    /// Over random flush programs, host reads (some of a queued page)
-    /// and other ops on two dies, each op's floor no earlier than a
-    /// "now" that only grows: a clock whose caller takes the tags of
-    /// programs that end by any time up to "now" before each op —
-    /// placing them early — places every op and every program stretch
-    /// exactly where a clock whose caller takes none does. The tags
-    /// come back in end order, and each once.
+    /// Over random flush programs, host reads and other ops on two
+    /// dies, each op's floor no earlier than a "now" that only grows: a
+    /// clock whose caller takes the tags of programs that end by any
+    /// time up to "now" before each op — placing them early — places
+    /// every op and every program stretch exactly where a clock whose
+    /// caller takes none does. The tags come back in end order, and
+    /// each once.
     #[test]
     fn settling_no_later_than_the_next_floor_changes_no_placement() {
         let mut early = 0;
@@ -685,7 +655,6 @@ mod tests {
             let mut plain = SimClock::new(2);
             let mut settled = SimClock::new(2);
             let mut now = 0;
-            let mut pages: [Vec<u64>; 2] = [Vec::new(), Vec::new()];
             let mut next_page = 0;
             let mut taken = Vec::new();
             for _ in 0..80 {
@@ -721,28 +690,13 @@ mod tests {
                                     next_page,
                                 );
                             }
-                            pages[die].push(next_page);
                             next_page += 1;
                         }
                     }
                     1 => {
-                        let page = match pages[die].len() {
-                            0 => None,
-                            len => Some(Ppa::new(pages[die][(draw(&mut rng) as usize) % len])),
-                        }
-                        .filter(|_| draw(&mut rng).is_multiple_of(2));
-                        let want = plain.schedule_read(Die::new(die as u32), floor, READ_NS, page);
-                        let got = settled.schedule_read(Die::new(die as u32), floor, READ_NS, page);
-                        // Whether the read met its page's program still
-                        // queued depends on whether that tag was taken
-                        // early; where everything lands does not.
-                        let placed =
-                            |read: ReadPlacement| (read.end_ns, read.suspended, read.overtook);
-                        assert_eq!(
-                            placed(got),
-                            placed(want),
-                            "seed {seed}: read on die {die} at {floor}"
-                        );
+                        let want = plain.schedule_read(Die::new(die as u32), floor, READ_NS);
+                        let got = settled.schedule_read(Die::new(die as u32), floor, READ_NS);
+                        assert_eq!(got, want, "seed {seed}: read on die {die} at {floor}");
                     }
                     _ => {
                         let want = plain.schedule_after(Die::new(die as u32), floor, READ_NS);
@@ -787,7 +741,7 @@ mod tests {
         assert_eq!(clock.take_earliest_program(), Some((PROGRAM_NS, 0)));
         assert_eq!(clock.untaken_programs(PROGRAM_NS), (2, 2));
         // A read on die 0 at 250 µs suspends its second program there.
-        let read = clock.schedule_read(Die::new(0), 250_000, READ_NS, None);
+        let read = clock.schedule_read(Die::new(0), 250_000, READ_NS);
         assert!(read.suspended);
         // Die 1's program ends before die 0's second, which the read
         // and the resume pushed back.

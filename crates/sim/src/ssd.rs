@@ -344,8 +344,7 @@ struct ReadScratch {
 }
 
 /// A data-cache entry: a page's content and when it is in DRAM — the
-/// end of the flash read that brought it there, or 0 for a page a flush
-/// wrote through.
+/// end of the flash read that brought it there.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct CachedPage {
     content: u64,
@@ -448,8 +447,8 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// How host reads went ahead of flush programs and writes waited
     /// for DRAM slots — suspensions, overtaking reads, reads of flushed
     /// pages still in DRAM, writes that waited for a slot and their
-    /// wait, reads of a page whose program was still queued — over the
-    /// same window as [`Ssd::stats`].
+    /// wait, cache hits that waited for their fill — over the same
+    /// window as [`Ssd::stats`].
     pub fn read_priority(&self) -> &ReadPriority {
         &self.priority
     }
@@ -529,10 +528,13 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         let kind = op.kind();
         let latency_ns = self.count_op(op, class, die);
         let end_ns = if class == TrafficClass::Host && kind == FlashOpKind::Read {
-            let read = self.clock.schedule_read(die, floor_ns, latency_ns, page);
+            debug_assert!(
+                !page.is_some_and(|ppa| self.clock.is_queued(die, ppa)),
+                "a host read of {page:?}, whose program is queued and so in DRAM"
+            );
+            let read = self.clock.schedule_read(die, floor_ns, latency_ns);
             self.priority.suspensions += u64::from(read.suspended);
             self.priority.overtaking_reads += u64::from(read.overtook);
-            self.priority.queued_page_reads += u64::from(read.behind_own_program);
             read.end_ns
         } else {
             self.clock.schedule_after(die, floor_ns, latency_ns)
@@ -759,11 +761,6 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         ready_ns
     }
 
-    fn enforce_cache_capacity(&mut self) {
-        // The data cache is write-through: no victim is ever dirty.
-        self.read_cache.evict_to(self.data_cache_capacity());
-    }
-
     /// Reads one logical page. Returns `None` for never-written pages.
     ///
     /// The blocking queue-depth-1 interface: services a burst of one
@@ -945,8 +942,10 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 content: plan.content,
                 ready_ns: started,
             };
+            // The cache holds what reads brought in (a written page is
+            // in the write pool): no victim is ever dirty.
             self.read_cache.insert(lpa, cached, page_bytes, false);
-            self.enforce_cache_capacity();
+            self.read_cache.evict_to(self.data_cache_capacity());
             results[index] = (Some(plan.content), started);
             pending.push(PendingRead {
                 index,
@@ -1043,9 +1042,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// the error window are rejected by the validity check. A host read
     /// (`host_read`) needs the live page's content, so a page the
     /// predicted page's window names is read too; a resolution for
-    /// invalidation needs only its address, which the window gives, and
-    /// lists no page whose program is still queued: that page is in
-    /// DRAM, OOB and all.
+    /// invalidation needs only its address, which the window gives.
+    /// Neither lists a page whose program is still queued: that page is
+    /// in DRAM, OOB and all.
     fn plan_read_probes(
         &self,
         lpa: Lpa,
@@ -1058,8 +1057,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         let first = probes.len();
         let geometry = self.config.geometry;
         // A page whose program is still queued holds its DRAM slot.
-        let read_flash =
-            |page: Ppa| host_read || !self.clock.is_queued(geometry.die_of(page), page);
+        let read_flash = |page: Ppa| !self.clock.is_queued(geometry.die_of(page), page);
         let plan = |exact: Ppa, content: u64, probes: &[Ppa]| ReadPlan {
             exact,
             content,
@@ -1199,12 +1197,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                     probes.clear();
                     match self.plan_read_probes(lpa, &hit, false, &mut probes) {
                         Ok(plan) => {
-                            let queued = self.priority.queued_page_reads;
                             let ready_ns = self.schedule_probes(&plan, &probes, dispatch_ns, class);
-                            debug_assert!(
-                                self.priority.queued_page_reads == queued,
-                                "a resolution of {lpa:?} read a page whose program is queued"
-                            );
                             done_ns = done_ns.max(ready_ns);
                             last_read = probes.last().map(|&page| (page, hit.error_bound));
                             (plan.exact, probes.len() as u64)
@@ -1360,17 +1353,6 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         }
 
         self.translog_append_delta(batches.into_iter().flatten());
-
-        // Write-through: flushed pages stay readable from DRAM.
-        let page_bytes = self.config.geometry.page_size as usize;
-        for &(lpa, content) in &pages {
-            let cached = CachedPage {
-                content,
-                ready_ns: 0,
-            };
-            self.read_cache.insert(lpa, cached, page_bytes, false);
-        }
-        self.enforce_cache_capacity();
 
         // Learned-table compaction (§3.7) runs here on every path.
         let (cost, compacted) = self.scheme.maintain();
@@ -2736,14 +2718,11 @@ mod tests {
     /// answered from DRAM, and the next flush waits for none of it.
     /// Eight flushes put a block on each of the eight dies and a host
     /// flush drains them; a ninth queues its 32 programs (6.4 ms) on one
-    /// die, where the reads then land. No data cache, so a read of a
-    /// flushed page that left DRAM reaches flash.
+    /// die, where the reads then land.
     #[test]
     fn host_reads_go_ahead_of_a_flushs_queued_programs() {
-        let mut config = SsdConfig::small_test();
-        config.dram_bytes = 0;
-        let timing = config.timing;
-        let mut ssd = Ssd::new(config, ExactPageMap::new());
+        let mut ssd = ssd();
+        let timing = ssd.config.timing;
         for lpa in 0..256 {
             ssd.write(Lpa::new(lpa), lpa).unwrap();
         }
@@ -2788,7 +2767,6 @@ mod tests {
                 slot_wait_ns: 0,
                 fill_waits: 0,
                 fill_wait_ns: 0,
-                queued_page_reads: 0,
             }
         );
 
@@ -2840,12 +2818,10 @@ mod tests {
 
     /// A flushed page is read from DRAM until its program has ended and
     /// a write has taken its slot, and from flash after that; a page a
-    /// later flush rewrote is read from that flush. No data cache.
+    /// later flush rewrote is read from that flush.
     #[test]
     fn a_flushed_page_leaves_dram_when_a_write_takes_its_slot() {
-        let mut config = SsdConfig::small_test();
-        config.dram_bytes = 0;
-        let mut ssd = Ssd::new(config, ExactPageMap::new());
+        let mut ssd = ssd();
         for lpa in 0..32 {
             ssd.write(Lpa::new(lpa), lpa).unwrap();
         }
@@ -4266,11 +4242,7 @@ mod tests {
     fn demand_ssd(paged: u64) -> Ssd<DemandCost> {
         let mut scheme = DemandCost::default();
         scheme.paged.insert(paged);
-        let mut config = SsdConfig::small_test();
-        // No data cache: the write-through flush must not satisfy the
-        // reads from DRAM — the test needs them on the flash path.
-        config.dram_bytes = 0;
-        let mut ssd = Ssd::new(config, scheme);
+        let mut ssd = Ssd::new(SsdConfig::small_test(), scheme);
         // One full buffer, then a host flush that waits for its
         // programs, and the slots of its pages given up: everything is
         // on flash and out of DRAM, so reads go through translation
@@ -4366,8 +4338,7 @@ mod tests {
         ssd.advance_to(ssd.now_ns() + 100 * timing.program_ns);
         release_programmed(&mut ssd);
         // Cold: in neither the write buffer, the flushed pages nor the
-        // data cache the flush wrote through.
-        ssd.read_cache = LruCache::new();
+        // data cache.
         ssd.reset_stats();
         let lpa = Lpa::new(5);
         let ppa = ssd.scheme.lookup(lpa).0.unwrap().ppa;
@@ -4447,12 +4418,13 @@ mod tests {
         }
     }
 
-    /// A γ = 4 device whose LPAs `0..pages` were flushed in buffers of
-    /// 32, every flush drained (its pages still hold their DRAM slots),
-    /// and the stats reset.
+    /// A γ = 4 device with no data cache (every read that misses the
+    /// write pool probes flash) whose LPAs `0..pages` were flushed in
+    /// buffers of 32, every flush drained (its pages still hold their
+    /// DRAM slots), and the stats reset.
     fn approximate_ssd(pages: u64) -> Ssd<Approximate> {
         let mut config = SsdConfig::small_test();
-        config.gamma = 4;
+        (config.gamma, config.dram_bytes) = (4, 0);
         let scheme = Approximate {
             gamma: config.gamma,
             ..Approximate::default()
@@ -4591,6 +4563,74 @@ mod tests {
         let flash = ssd.stats().flash;
         assert_eq!((flash.data_reads, flash.misprediction_reads), (0, 0));
         assert!(moved.iter().all(|&ppa| !ssd.validity.is_valid(ppa)));
+    }
+
+    /// A mispredicted host read whose predicted page's program is still
+    /// queued takes that page's OOB window from DRAM: it reads only the
+    /// live page, on another die, and every program lands where it
+    /// would without the read.
+    #[test]
+    fn a_mispredicted_read_leaves_a_queued_page_to_dram() {
+        let mut ssd = approximate_on_flash(32);
+        // The next flush fills the next block, on the next die, and its
+        // programs stay queued.
+        for lpa in 100..132 {
+            ssd.write(Lpa::new(lpa), lpa).unwrap();
+        }
+        let (live, predicted) = (page_of(&ssd, 31), page_of(&ssd, 100));
+        let geometry = ssd.config().geometry;
+        let die = geometry.die_of(predicted);
+        assert_eq!(predicted, live.offset(1), "adjacent blocks");
+        assert_ne!(geometry.die_of(live), die);
+        assert!(ssd.clock.is_queued(die, predicted));
+        ssd.scheme.shift.insert(31, 1);
+        ssd.reset_stats();
+        let mut unread = ssd.clone();
+
+        let dispatch = ssd.now_ns();
+        assert_eq!(ssd.read(Lpa::new(31)).unwrap(), Some(31));
+        let read_ns = ssd.config().timing.read_ns;
+        assert_eq!(ssd.now_ns(), dispatch + LOOKUP_BASE_NS + read_ns);
+        let (stats, flash) = (ssd.stats(), ssd.stats().flash);
+        let reads = (flash.data_reads, flash.misprediction_reads);
+        assert_eq!((reads, stats.mispredictions), ((0, 1), 1));
+        assert!(ssd.clock.is_queued(die, predicted));
+        let placed = |ssd: &mut Ssd<Approximate>| {
+            ssd.clock.place_programs();
+            ssd.clock.take_placed().collect::<Vec<_>>()
+        };
+        assert_eq!(placed(&mut ssd), placed(&mut unread));
+    }
+
+    /// A flush puts none of its pages in the data cache, so the pages
+    /// reads brought in stay there; here it holds four.
+    #[test]
+    fn a_flush_leaves_the_pages_reads_cached() {
+        let mut config = SsdConfig::small_test();
+        let page_bytes = config.geometry.page_size as usize;
+        // 64 mapped addresses at 8 B each, and four pages.
+        config.dram_bytes = 64 * 8 + 4 * page_bytes;
+        let mut ssd = Ssd::new(config, ExactPageMap::new());
+        for lpa in 0..64 {
+            ssd.write(Lpa::new(lpa), lpa).unwrap();
+        }
+        ssd.flush().unwrap();
+        release_programmed(&mut ssd);
+        assert_eq!(ssd.data_cache_capacity(), 4 * page_bytes);
+        for lpa in 0..4 {
+            assert_eq!(ssd.read(Lpa::new(lpa)).unwrap(), Some(lpa));
+        }
+        // One full buffer of overwrites flushes; the map keeps its size.
+        for lpa in 32..64 {
+            ssd.write(Lpa::new(lpa), lpa + 1).unwrap();
+        }
+        assert!(ssd.pool.buffer().is_empty(), "the buffer flushed");
+        ssd.reset_stats();
+        for lpa in 0..4 {
+            assert_eq!(ssd.read(Lpa::new(lpa)).unwrap(), Some(lpa));
+        }
+        let stats = ssd.stats();
+        assert_eq!((stats.cache_hits, stats.flash.data_reads), (4, 0));
     }
 
     /// Under background GC, a block's erase goes on its die after every

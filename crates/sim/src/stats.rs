@@ -314,11 +314,6 @@ pub struct ReadPriority {
     pub fill_waits: u64,
     /// Nanoseconds those hits waited beyond the DRAM access.
     pub fill_wait_ns: u64,
-    /// Host reads of a page whose program was still queued: each had
-    /// that program placed ahead of it. Only a probe after a
-    /// misprediction lands there — a page still queued is in DRAM — and
-    /// a flush's resolutions read such a page's OOB from DRAM instead.
-    pub queued_page_reads: u64,
 }
 
 impl SimStats {

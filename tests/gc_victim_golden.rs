@@ -169,6 +169,12 @@
 //! the same pages are invalidated. Only time moved, and these six read
 //! it. Both `SYNC_GREEDY_*` constants and both wear-swap histories hash
 //! no time and did not move. Coverage holds unedited.
+//!
+//! The four `BACKGROUND_*` constants were recorded again when a flush
+//! stopped copying its pages into the read cache: read times, and the
+//! background dispatches that follow them, move (alone, the change that
+//! no read reaches a page whose program is queued moves none). The other
+//! six constants did not move. Coverage holds unedited.
 
 #![expect(
     clippy::unwrap_used,
@@ -459,10 +465,10 @@ const SYNC_GREEDY_SNAPSHOT: u64 = 0x00c7_9712_11ad_58a4;
 const SYNC_GREEDY_FLASHLOG: u64 = 0x461e_0aba_53ea_f1de;
 const SYNC_COSTBENEFIT_SNAPSHOT: u64 = 0x215e_675a_dff2_be60;
 const SYNC_COSTBENEFIT_FLASHLOG: u64 = 0x5ed5_b486_3b91_3e6a;
-const BACKGROUND_GREEDY_SNAPSHOT: u64 = 0x5b0d_88b7_1845_7b74;
-const BACKGROUND_GREEDY_FLASHLOG: u64 = 0xfe5f_fa07_0ae6_fc8e;
-const BACKGROUND_COSTBENEFIT_SNAPSHOT: u64 = 0xdffa_110f_03b1_e5e9;
-const BACKGROUND_COSTBENEFIT_FLASHLOG: u64 = 0xd143_d05f_410d_b61c;
+const BACKGROUND_GREEDY_SNAPSHOT: u64 = 0x116f_cd65_a327_cca2;
+const BACKGROUND_GREEDY_FLASHLOG: u64 = 0x5601_3501_268d_212f;
+const BACKGROUND_COSTBENEFIT_SNAPSHOT: u64 = 0x78a6_3e5d_c569_30d2;
+const BACKGROUND_COSTBENEFIT_FLASHLOG: u64 = 0x630f_b6c0_b641_5ab2;
 const SYNC_GREEDY_WEAR_SWAPS: u64 = 0xb6a5_ff6d_2e1c_5f12;
 /// Recorded one PR later than the rest, on the commit before wear swaps
 /// and GC migrations became one relocation kernel.

@@ -59,7 +59,7 @@ fn cache_hits_bypass_flash_timing() {
     for i in 0..32u64 {
         ssd.write(Lpa::new(i), i).unwrap();
     }
-    // Flushed pages stay in the read cache (write-through).
+    // Flushed pages hold their DRAM slots until a write takes them.
     let reads_before = ssd.stats().flash.data_reads;
     let t0 = ssd.now_ns();
     ssd.read(Lpa::new(5)).unwrap();

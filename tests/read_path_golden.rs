@@ -162,6 +162,16 @@
 //! DRAM at another time). `device_qd32_bursts_on_an_aged_four_shard_leaftl`
 //! measures reads alone, so only its times moved; its outward-scan
 //! assertion holds unedited. DFTL kept its record.
+//!
+//! Six LeaFTL records were taken again when a flush stopped copying its
+//! pages into the read cache, which now keeps only what reads brought
+//! in. Cache hits: blocking demand-paged 17 → 40, queue depth 1 and 8
+//! 15 → 65, the three blocking recovery runs 243 → 100 (they read pages
+//! whose slots writes had taken, which the cache held as copies).
+//! Lookups, mispredictions, stats, utilization and times move with them;
+//! unmapped and translation reads and the recovery reports do not.
+//! Alone, the change that no read reaches a page whose program is queued
+//! moves no record.
 
 #![expect(
     clippy::expect_used,
@@ -345,14 +355,14 @@ fn blocking_demand_paged_leaftl_gamma4() {
     assert_eq!(
         got,
         Golden {
-            io_fnv: 3767978108257396195,
-            stats_fnv: 502660278695439958,
-            utilization_fnv: 5024623221744023295,
-            now_ns: 325562010,
-            lookups: 1366,
-            mispredictions: 725,
+            io_fnv: 6779813160293499493,
+            stats_fnv: 17289127853427940136,
+            utilization_fnv: 9946490365723115964,
+            now_ns: 325183870,
+            lookups: 1343,
+            mispredictions: 715,
             unmapped_reads: 341,
-            cache_hits: 17,
+            cache_hits: 40,
             translation_reads: 89,
         }
     );
@@ -407,14 +417,14 @@ fn device_qd1_four_shard_resident_leaftl() {
     assert_eq!(
         golden(&ssd, io_fnv),
         Golden {
-            io_fnv: 8291285502878341257,
-            stats_fnv: 99977749000902802,
-            utilization_fnv: 1150633382984991917,
-            now_ns: 305000530,
-            lookups: 1488,
-            mispredictions: 768,
+            io_fnv: 1929097079655977620,
+            stats_fnv: 4106777310013765586,
+            utilization_fnv: 7818504049434284293,
+            now_ns: 304429850,
+            lookups: 1438,
+            mispredictions: 754,
             unmapped_reads: 338,
-            cache_hits: 15,
+            cache_hits: 65,
             translation_reads: 0,
         }
     );
@@ -431,14 +441,14 @@ fn device_qd8_four_shard_resident_leaftl() {
     assert_eq!(
         got,
         Golden {
-            io_fnv: 15444659061633937497,
-            stats_fnv: 1475273539313545428,
-            utilization_fnv: 18010653186924263913,
-            now_ns: 234085020,
-            lookups: 1488,
-            mispredictions: 769,
+            io_fnv: 13258432183682596487,
+            stats_fnv: 11859810118301935767,
+            utilization_fnv: 13258960249813466441,
+            now_ns: 233966890,
+            lookups: 1438,
+            mispredictions: 755,
             unmapped_reads: 338,
-            cache_hits: 15,
+            cache_hits: 65,
             translation_reads: 0,
         }
     );
@@ -634,22 +644,22 @@ fn dram_snapshot_recovery() {
         crash_run(CheckpointMode::DramSnapshot, None),
         RecoveryGolden {
             pre_crash: Golden {
-                io_fnv: 3863382603145655398,
-                stats_fnv: 3517787120847281583,
-                utilization_fnv: 17427153646518721916,
-                now_ns: 698688090,
-                lookups: 4873,
-                mispredictions: 2451,
+                io_fnv: 8894799406799185420,
+                stats_fnv: 14032509742715193517,
+                utilization_fnv: 18413183407985516886,
+                now_ns: 701267190,
+                lookups: 5016,
+                mispredictions: 2509,
                 unmapped_reads: 58,
-                cache_hits: 243,
+                cache_hits: 100,
                 translation_reads: 0,
             },
             report: "RecoveryReport { scanned_data_blocks: 1, scanned_log_blocks: 0, replayed_log_entries: 0, recovered_pages: 8, lost_buffered_writes: 26, scan_time_ns: 180000, maplog_bytes_written: 0 }"
                 .into(),
-            recovered_now_ns: 698868090,
-            recovered_stats_fnv: 962174242663028808,
-            recovered_utilization_fnv: 7998793679890632160,
-            readback_fnv: 8349062647213416867,
+            recovered_now_ns: 701447190,
+            recovered_stats_fnv: 12802590160489021512,
+            recovered_utilization_fnv: 3939349296030316586,
+            readback_fnv: 6191621528308588720,
         }
     );
 }
@@ -662,22 +672,22 @@ fn flash_log_recovery() {
         crash_run(CheckpointMode::FlashLog, None),
         RecoveryGolden {
             pre_crash: Golden {
-                io_fnv: 9197192863481665181,
-                stats_fnv: 5164888665476325363,
-                utilization_fnv: 1588765996770769237,
-                now_ns: 808173270,
-                lookups: 4871,
-                mispredictions: 2445,
+                io_fnv: 5992463286423962131,
+                stats_fnv: 1846871405709269639,
+                utilization_fnv: 12788103859462171327,
+                now_ns: 810672780,
+                lookups: 5014,
+                mispredictions: 2506,
                 unmapped_reads: 58,
-                cache_hits: 243,
+                cache_hits: 100,
                 translation_reads: 0,
             },
             report: "RecoveryReport { scanned_data_blocks: 0, scanned_log_blocks: 1, replayed_log_entries: 10, recovered_pages: 0, lost_buffered_writes: 26, scan_time_ns: 360000, maplog_bytes_written: 1761280 }"
                 .into(),
-            recovered_now_ns: 808533270,
-            recovered_stats_fnv: 10054604248774909349,
-            recovered_utilization_fnv: 14427885977548759917,
-            readback_fnv: 7701240067981176726,
+            recovered_now_ns: 811032780,
+            recovered_stats_fnv: 16847033895259104789,
+            recovered_utilization_fnv: 14550961309303731335,
+            readback_fnv: 12566756136690758237,
         }
     );
 }
@@ -718,22 +728,22 @@ fn checkpointless_recovery() {
         crash_run(CheckpointMode::Disabled, None),
         RecoveryGolden {
             pre_crash: Golden {
-                io_fnv: 12120183729416093397,
-                stats_fnv: 6092770979180723397,
-                utilization_fnv: 7552357202821689863,
-                now_ns: 693703090,
-                lookups: 4873,
-                mispredictions: 2451,
+                io_fnv: 6861943991791537548,
+                stats_fnv: 15635109419306288285,
+                utilization_fnv: 13006130736730910566,
+                now_ns: 696282190,
+                lookups: 5016,
+                mispredictions: 2509,
                 unmapped_reads: 58,
-                cache_hits: 243,
+                cache_hits: 100,
                 translation_reads: 0,
             },
             report: "RecoveryReport { scanned_data_blocks: 59, scanned_log_blocks: 0, replayed_log_entries: 0, recovered_pages: 1806, lost_buffered_writes: 26, scan_time_ns: 8100000, maplog_bytes_written: 0 }"
                 .into(),
-            recovered_now_ns: 701803090,
-            recovered_stats_fnv: 18403301068374038204,
-            recovered_utilization_fnv: 15351658952936091823,
-            readback_fnv: 11526550605759599404,
+            recovered_now_ns: 704382190,
+            recovered_stats_fnv: 16952675065003209381,
+            recovered_utilization_fnv: 2067137353779246990,
+            readback_fnv: 17215454733288803804,
         }
     );
 }
