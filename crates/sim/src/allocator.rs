@@ -12,7 +12,11 @@
 //! `dies_per_channel×` more pages concurrently. The host stream fills
 //! the blocks it has open before it opens more, so it holds about one
 //! flush's worth of open blocks (`BlockAllocator::blocks_opened_by`)
-//! rather than one per way; GC migrations stripe round-robin. On tiny
+//! per *lane* rather than one per way: with `n` lanes a request skips
+//! the ways the `n − 1` requests before it wrote, so consecutive
+//! flushes (the ones the write pool holds at once) program on disjoint
+//! dies, and one lane is the plain fill-first rule. GC migrations
+//! stripe round-robin. On tiny
 //! devices (few blocks per die — scaled-down experiments) the way
 //! count is capped at an eighth of the block count. Allocation order
 //! is recorded for crash recovery (§3.8): the scanner replays blocks
@@ -120,6 +124,14 @@ pub struct BlockAllocator {
     /// Per stream: the next way to stripe onto (host, GC) or to refill
     /// the log's slot from (round-robin).
     cursor: [usize; 3],
+    /// Sets of open blocks the host stream keeps, one per flush the
+    /// write pool holds ([`BlockAllocator::with_lanes`]; 1 by default).
+    lanes: usize,
+    /// Host requests since the allocator was built or rebuilt.
+    host_requests: u64,
+    /// Per way, the host request (counted from 1) that last wrote it;
+    /// 0 for none.
+    host_written: Vec<u64>,
     /// Blocks that left an open slot since the last
     /// [`BlockAllocator::take_closed`].
     closed: Vec<BlockId>,
@@ -151,7 +163,8 @@ impl BlockAllocator {
     /// Blocks one request of `pages` pages stripes over: one per chunk,
     /// at most one per way — what it opens when the slots it lands on
     /// are full. For a buffer flush, the free blocks it can take before
-    /// the GC behind it runs.
+    /// the GC behind it runs. The host stream keeps this many open per
+    /// lane, but a request still opens no more than this.
     pub(crate) fn blocks_opened_by(
         geometry: &FlashGeometry,
         stripe_pages: u32,
@@ -181,6 +194,9 @@ impl BlockAllocator {
             state: vec![BlockState::Free; geometry.blocks as usize],
             open: std::array::from_fn(|_| vec![None; ways]),
             cursor: [0; 3],
+            lanes: 1,
+            host_requests: 0,
+            host_written: vec![0; ways],
             closed: Vec::new(),
         };
         for raw in 0..geometry.blocks {
@@ -189,6 +205,23 @@ impl BlockAllocator {
             allocator.free[way].push_back(block);
         }
         allocator
+    }
+
+    /// Keeps `lanes` (at least one) sets of open blocks on the host
+    /// stream: a host request skips the ways the `lanes − 1` requests
+    /// before it wrote (see [`BlockAllocator::allocate`]). One lane, the
+    /// default, is the plain fill-first rule.
+    pub(crate) fn with_lanes(mut self, lanes: usize) -> Self {
+        debug_assert!(lanes >= 1, "{lanes} host lanes");
+        self.lanes = lanes;
+        self
+    }
+
+    /// Whether host way `way` belongs to another lane: the current host
+    /// request or one of the `lanes − 1` before it wrote it.
+    fn lane_taken(&self, way: usize) -> bool {
+        let written = self.host_written[way];
+        written > 0 && written + self.lanes as u64 > self.host_requests
     }
 
     /// Number of fully free blocks (open blocks excluded).
@@ -314,6 +347,8 @@ impl BlockAllocator {
         }
         self.open = std::array::from_fn(|_| vec![None; self.ways]);
         self.cursor = [0; 3];
+        self.host_requests = 0;
+        self.host_written.fill(0);
         self.closed.clear();
     }
 
@@ -322,9 +357,12 @@ impl BlockAllocator {
     /// stream first continues its part-filled open blocks, one chunk
     /// per way, then opens blocks on the ways after its cursor, so a
     /// flush lands on as many ways as it has chunks and the stream holds
-    /// about one flush's worth of open blocks. GC migrations stripe
-    /// round-robin: they run in the background and overlap one another,
-    /// while a flush waits for the one before it. Returns `None`
+    /// about one flush's worth of open blocks per lane. Both steps skip
+    /// the ways the `lanes − 1` requests before this one wrote: with two
+    /// lanes a flush continues the blocks its predecessor did not write,
+    /// so it programs on other dies than the flush still draining ahead
+    /// of it. GC migrations stripe round-robin: they run in the
+    /// background and overlap one another. Returns `None`
     /// (allocating nothing) when the pools cannot satisfy the request —
     /// the caller must GC first.
     pub fn allocate(&mut self, stream: Stream, pages: u32) -> Option<Vec<PageRun>> {
@@ -336,16 +374,17 @@ impl BlockAllocator {
         let mut runs: Vec<PageRun> = Vec::new();
         let mut remaining = pages;
         if stream == Stream::Host {
-            // One chunk per way: first the ways whose block has room,
-            // then fresh ways from the cursor. A chunk that fills its
-            // block closes it and leaves the rest to the next way.
+            // One chunk per way of this request's lane: first the ways
+            // whose block has room, then fresh ways from the cursor. A
+            // chunk that fills its block closes it and leaves the rest
+            // to the next way.
+            self.host_requests += 1;
             let host = Stream::Host.index();
             let cursor = self.cursor[host];
             for continuing in [true, false] {
                 for way in (0..ways).map(|i| (cursor + i) % ways) {
                     let open = self.open[host][way].is_some();
-                    let visited = runs.iter().any(|run| self.way_of_block(run.block) == way);
-                    if remaining == 0 || visited || open != continuing {
+                    if remaining == 0 || self.lane_taken(way) || open != continuing {
                         continue;
                     }
                     let Some(run) = self.take_chunk(stream, way, chunk.min(remaining)) else {
@@ -354,6 +393,7 @@ impl BlockAllocator {
                     if !continuing {
                         self.cursor[host] = (way + 1) % ways;
                     }
+                    self.host_written[way] = self.host_requests;
                     remaining -= run.len;
                     runs.push(run);
                 }
@@ -388,6 +428,9 @@ impl BlockAllocator {
                 continue;
             };
             stalled_ways = 0;
+            if stream == Stream::Host {
+                self.host_written[slot] = self.host_requests;
+            }
             remaining -= run.len;
             runs.push(run);
         }
@@ -661,6 +704,69 @@ mod tests {
                 );
                 assert_eq!(a.check_state(), Vec::<String>::new());
             }
+        }
+    }
+
+    /// With two lanes, consecutive flush-sized host requests land on
+    /// disjoint ways, the third continues the first one's blocks where
+    /// it left them, and the stream holds a request of open blocks per
+    /// lane. With one lane the second request continues the first's.
+    #[test]
+    fn each_host_lane_continues_its_own_open_blocks() {
+        let geometry = FlashGeometry {
+            channels: 16,
+            dies_per_channel: 4,
+            blocks: 1024,
+            pages_per_block: 256,
+            ..FlashGeometry::small_test()
+        };
+        let opened = BlockAllocator::blocks_opened_by(&geometry, 32, 256);
+        assert_eq!(opened, 8);
+        for lanes in [1, 2] {
+            let mut a = BlockAllocator::with_stripe(geometry, 32).with_lanes(lanes);
+            let requests: Vec<Vec<PageRun>> = (0..3)
+                .map(|_| a.allocate(Stream::Host, 256).unwrap())
+                .collect();
+            let ways = |runs: &[PageRun]| -> std::collections::BTreeSet<usize> {
+                runs.iter().map(|run| a.way_of_block(run.block)).collect()
+            };
+            assert!(requests.iter().all(|runs| ways(runs).len() == opened));
+            let open = a.open[Stream::Host.index()].iter().flatten().count();
+            assert_eq!(open, lanes * opened, "{lanes} lanes");
+            assert_eq!(
+                ways(&requests[1]).is_disjoint(&ways(&requests[0])),
+                lanes == 2
+            );
+            for (run, before) in requests[lanes].iter().zip(&requests[0]) {
+                assert_eq!(run.block, before.block, "{lanes} lanes");
+                assert_eq!(run.first, before.first.offset(32), "{lanes} lanes");
+            }
+            assert_eq!(a.check_state(), Vec::<String>::new());
+        }
+        // Over many requests, straddling block ends or not, no request
+        // shares a way with the one before it, and the stream holds no
+        // more open blocks than a request stripes over per lane.
+        for (stripe, pages) in [(32, 256), (32, 128), (24, 256), (32, 200)] {
+            let mut a = BlockAllocator::with_stripe(geometry, stripe).with_lanes(2);
+            let opened = BlockAllocator::blocks_opened_by(&geometry, stripe, pages);
+            let mut before = std::collections::BTreeSet::new();
+            for request in 0..300 {
+                let runs = a.allocate(Stream::Host, pages).unwrap();
+                let ways: std::collections::BTreeSet<usize> =
+                    runs.iter().map(|run| a.way_of_block(run.block)).collect();
+                assert_eq!(ways.len(), runs.len(), "stripe {stripe}, request {request}");
+                assert!(
+                    ways.is_disjoint(&before),
+                    "stripe {stripe}, request {request}"
+                );
+                let open = a.open[Stream::Host.index()].iter().flatten().count();
+                assert!(
+                    open <= 2 * opened,
+                    "stripe {stripe}, request {request}: {open} open, {opened} per request"
+                );
+                before = ways;
+            }
+            assert_eq!(a.check_state(), Vec::<String>::new());
         }
     }
 

@@ -89,9 +89,17 @@ impl WriteBuffer {
     }
 }
 
+/// Buffers' worth of page slots in the controller's [`WritePool`]: the
+/// buffer that fills shares them with the flush before it. The host
+/// stream keeps as many lanes of open blocks, so those two flushes
+/// program on disjoint dies (one lane on a device too small for a
+/// flush of lead).
+pub(crate) const POOL_FLUSHES: usize = 2;
+
 /// The controller's DRAM page slots: the [`WriteBuffer`] that fills,
 /// and the pages of earlier flushes still in DRAM, `capacity` slots
-/// between them.
+/// between them (two buffers' worth in [`crate::Ssd`], whose host stream
+/// keeps a lane of open blocks per buffer).
 ///
 /// [`WritePool::flush`] hands the buffer's pages out for programming,
 /// each named by a tag (one count over every flush), and keeps them: a

@@ -1,6 +1,7 @@
 //! Simulator configuration.
 
 use crate::allocator::BlockAllocator;
+use crate::buffer::POOL_FLUSHES;
 use leaftl_flash::{FlashGeometry, NandTiming};
 use serde::{Deserialize, Serialize};
 
@@ -278,7 +279,40 @@ pub(crate) struct GcWatermarks {
 /// are capped at 8 % and 12 %, which is where a device too small for a
 /// flush of lead (a few blocks per way) keeps them. On the full-size
 /// devices of at least 512 MiB the lines read 2 / 3 / 5 %.
+///
+/// The cap also decides how many sets of open blocks the host stream
+/// keeps ([`host_lanes`]).
 pub(crate) fn gc_watermarks(config: &SsdConfig) -> GcWatermarks {
+    let lines = uncapped_watermarks(config);
+    GcWatermarks {
+        low: lines.low.min(LOW_CAP),
+        high: lines.high.min(HIGH_CAP),
+        ..lines
+    }
+}
+
+/// Where [`gc_watermarks`] caps the low and high lines.
+const LOW_CAP: f64 = 0.08;
+const HIGH_CAP: f64 = 0.12;
+
+/// Sets of open blocks ("lanes") the host stream keeps
+/// ([`BlockAllocator::with_lanes`]): one per flush the write pool
+/// holds ([`POOL_FLUSHES`]), so consecutive flushes program on disjoint
+/// dies, on a device with room for a flush of lead — one whose GC lines
+/// [`gc_watermarks`] does not cap. A capped device keeps one lane: the
+/// spare a second lane's part-filled blocks hold is more than its lines
+/// leave GC.
+pub(crate) fn host_lanes(config: &SsdConfig) -> usize {
+    let lines = uncapped_watermarks(config);
+    if lines.low < LOW_CAP && lines.high < HIGH_CAP {
+        POOL_FLUSHES
+    } else {
+        1
+    }
+}
+
+/// [`gc_watermarks`] before the cap.
+fn uncapped_watermarks(config: &SsdConfig) -> GcWatermarks {
     let blocks = config.geometry.blocks as f64;
     let flush_pages = u32::try_from(config.write_buffer_pages).unwrap_or(u32::MAX);
     let flush = BlockAllocator::blocks_opened_by(&config.geometry, config.stripe_pages, flush_pages)
@@ -288,11 +322,7 @@ pub(crate) fn gc_watermarks(config: &SsdConfig) -> GcWatermarks {
     let reserve = floor.max(flush + 1.0 / blocks);
     let low = reserve + flush.max(0.01);
     let high = low + flush.max(0.02);
-    GcWatermarks {
-        floor,
-        low: low.min(0.08),
-        high: high.min(0.12),
-    }
+    GcWatermarks { floor, low, high }
 }
 
 #[cfg(test)]
@@ -337,7 +367,9 @@ mod tests {
 
     /// The GC lines on every device the repository runs: the unit-test
     /// image, the 256-block golden device, the 128-block smoke images,
-    /// the four full-size ledger devices and Table 1's drive.
+    /// the four full-size ledger devices and Table 1's drive. A device
+    /// whose lines sit at the cap keeps one host lane, any other one per
+    /// flush the write pool holds.
     #[test]
     fn gc_lines_keep_a_flush_of_reserve_and_lead() {
         let sized = |mib: u64, buffer: usize| {
@@ -369,35 +401,51 @@ mod tests {
             stripe_pages: 8,
             ..SsdConfig::small_test()
         };
-        // (name, config, blocks one flush stripes over, (low, high)).
+        // (name, config, blocks one flush stripes over, (low, high),
+        // host lanes).
         let cases = [
             (
                 "small_test",
                 SsdConfig::small_test(),
                 1,
                 (0.046875, 0.066875),
+                POOL_FLUSHES,
             ),
-            ("golden 256 x 32", golden, 1, (0.03, 0.05)),
-            ("small_test, 8-page chunks", striped, 4, (0.08, 0.12)),
-            ("16 blocks x 8 pages", tiny, 1, (0.08, 0.12)),
-            ("smoke, 256-page buffer", sized(128, 256), 8, (0.08, 0.12)),
+            ("golden 256 x 32", golden, 1, (0.03, 0.05), POOL_FLUSHES),
+            ("small_test, 8-page chunks", striped, 4, (0.08, 0.12), 1),
+            ("16 blocks x 8 pages", tiny, 1, (0.08, 0.12), 1),
+            (
+                "smoke, 256-page buffer",
+                sized(128, 256),
+                8,
+                (0.08, 0.12),
+                1,
+            ),
             (
                 "smoke, 128-page buffer",
                 sized(128, 128),
                 4,
                 (0.0703125, 0.1015625),
+                POOL_FLUSHES,
             ),
             (
                 "blocking_mix / read_qd32",
                 sized(2048, 256),
                 8,
                 (0.03, 0.05),
+                POOL_FLUSHES,
             ),
-            ("write_gc", sized(1024, 256), 8, (0.03, 0.05)),
-            ("fleet_1012", sized(512, 128), 4, (0.03, 0.05)),
-            ("paper_default", SsdConfig::paper_default(), 8, (0.03, 0.05)),
+            ("write_gc", sized(1024, 256), 8, (0.03, 0.05), POOL_FLUSHES),
+            ("fleet_1012", sized(512, 128), 4, (0.03, 0.05), POOL_FLUSHES),
+            (
+                "paper_default",
+                SsdConfig::paper_default(),
+                8,
+                (0.03, 0.05),
+                POOL_FLUSHES,
+            ),
         ];
-        for (name, config, flush, (low, high)) in cases {
+        for (name, config, flush, (low, high), lanes) in cases {
             let geometry = config.geometry;
             let opened = BlockAllocator::blocks_opened_by(
                 &geometry,
@@ -412,6 +460,7 @@ mod tests {
                 "{name}: {lines:?}"
             );
             assert_eq!(lines.floor, 0.02, "{name}");
+            assert_eq!(host_lanes(&config), lanes, "{name}");
             assert!(lines.floor < lines.low, "{name}");
             assert!(lines.low < lines.high, "{name}");
             assert!(lines.high < config.op_ratio, "{name}");

@@ -2,10 +2,12 @@
 //! GC, wear levelling, and crash recovery together.
 
 use crate::allocator::{BlockAllocator, PageRun, Stream};
-use crate::buffer::WritePool;
+use crate::buffer::{WritePool, POOL_FLUSHES};
 use crate::clock::SimClock;
 use crate::collection::{CollectionPlan, Relocation, Step};
-use crate::config::{gc_watermarks, CheckpointMode, GcMode, GcPolicy, GcWatermarks, SsdConfig};
+use crate::config::{
+    gc_watermarks, host_lanes, CheckpointMode, GcMode, GcPolicy, GcWatermarks, SsdConfig,
+};
 use crate::error::SimError;
 use crate::gc_index::{EraseHistogram, VictimIndex, NOT_A_CANDIDATE};
 use crate::lru::LruCache;
@@ -390,9 +392,10 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         Ssd {
             device: FlashDevice::new(config.geometry),
             clock: SimClock::new(config.geometry.total_dies()),
-            allocator: BlockAllocator::with_stripe(config.geometry, config.stripe_pages),
+            allocator: BlockAllocator::with_stripe(config.geometry, config.stripe_pages)
+                .with_lanes(host_lanes(&config)),
             validity: Validity::new(config.geometry),
-            pool: WritePool::new(2 * config.write_buffer_pages),
+            pool: WritePool::new(POOL_FLUSHES * config.write_buffer_pages),
             read_cache: LruCache::new(),
             stats: SimStats::new(),
             paths: LookupPaths::default(),
@@ -3493,15 +3496,18 @@ mod tests {
         };
 
         // Thirty closed blocks of live data with every eighth page
-        // overwritten, and the host stream's open block one page short
-        // of full (a 25-page flush, then six one-page ones) — far from
-        // the GC watermark, so the only persistence point is the one
-        // below. After it nothing more persists: background mode keeps
-        // the flush path from draining the log.
+        // overwritten, and the host stream's two open blocks, one per
+        // lane: one a page short of full (a 25-page flush, then six
+        // one-page ones), the other holding the six one-page flushes in
+        // between — far from the GC watermark, so the only persistence
+        // point is the one below. After it nothing more persists:
+        // background mode keeps the flush path from draining the log.
+        // The one-page flushes cycle through seven addresses, so past
+        // the seventh they rewrite pages of the open blocks only.
         (0..960).for_each(|lpa| write(&mut ssd, lpa));
         (0..960).step_by(8).for_each(|lpa| write(&mut ssd, lpa));
-        for lpa in 0..7 {
-            write(&mut ssd, 8 * lpa + 1);
+        for flush in 0..13 {
+            write(&mut ssd, 8 * (flush % 7) + 1);
             ssd.flush().unwrap();
         }
         assert_eq!(ssd.stats.gc_runs, 0);
@@ -3511,11 +3517,12 @@ mod tests {
             let block = ssd.device.block(block);
             (block.erase_count(), block.write_ptr())
         };
-        let open_data: Vec<u32> = blocks()
+        let mut open_data: Vec<u32> = blocks()
             .filter(|&block| ssd.allocator.is_open(block) && !ssd.translog.owns(block))
             .map(|block| ssd.device.block(block).write_ptr())
             .collect();
-        assert_eq!(open_data, [31]);
+        open_data.sort_unstable();
+        assert_eq!(open_data, [6, 31]);
         let at_persist: Vec<(u32, u32)> = blocks().map(|block| state(&ssd, block)).collect();
         let mut covered = ssd.device.program_seq();
         let mut victims = ssd.scan_gc_candidates().map(|(block, _)| block);
@@ -3852,6 +3859,44 @@ mod tests {
             assert!(ssd.stats.gc_runs > 0, "{mode:?}");
             assert_eq!(ssd.check_invariants(), Vec::<String>::new(), "{mode:?}");
         }
+    }
+
+    /// On a device with room for a flush of lead the host stream keeps
+    /// a lane of open blocks per flush the write pool holds: two
+    /// consecutive full-buffer flushes program on disjoint dies, and the
+    /// third continues the first one's blocks. Here a flush is four
+    /// 8-page chunks, so a block takes four flushes to fill.
+    #[test]
+    fn consecutive_flushes_program_on_disjoint_dies() {
+        let mut config = SsdConfig::small_test();
+        config.geometry.blocks = 256;
+        config.stripe_pages = 8;
+        assert_eq!(host_lanes(&config), POOL_FLUSHES);
+        let mut ssd = Ssd::new(config, ExactPageMap::new());
+        let buffer = ssd.config.write_buffer_pages as u64;
+        let mut flushes = Vec::new();
+        for flush in 0..3 {
+            ssd.attach_trace();
+            for lpa in flush * buffer..(flush + 1) * buffer {
+                ssd.write(Lpa::new(lpa), lpa).unwrap();
+            }
+            ssd.flush().unwrap();
+            let sink = ssd.take_trace().unwrap();
+            let programs: Vec<(u32, u64)> = sink
+                .die_spans()
+                .filter(|&(_, kind, class, ..)| (kind, class) == ("program", "host"))
+                .map(|(die, _, _, block, ..)| (die, block.unwrap()))
+                .collect();
+            assert_eq!(programs.len() as u64, buffer, "flush {flush}");
+            let dies: BTreeSet<u32> = programs.iter().map(|&(die, _)| die).collect();
+            let blocks: BTreeSet<u64> = programs.iter().map(|&(_, block)| block).collect();
+            assert_eq!(dies.len(), 4, "flush {flush}");
+            flushes.push((dies, blocks));
+        }
+        assert!(flushes[0].0.is_disjoint(&flushes[1].0), "{flushes:?}");
+        assert!(flushes[1].0.is_disjoint(&flushes[2].0), "{flushes:?}");
+        assert_eq!(flushes[2].1, flushes[0].1);
+        assert_eq!(ssd.check_invariants(), Vec::<String>::new());
     }
 
     /// The aged device of `a_collection_waits_once_for_its_last_erase`

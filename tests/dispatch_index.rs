@@ -123,6 +123,16 @@
 //! completes 7 055 → 7 053 commands, GC dispatches 155 → 153, control
 //! ticks 230 → 211; the other two keep their counts. Every digest moves.
 //!
+//! The three fleet records were taken again when the host stream began
+//! to keep one lane of open blocks per flush the write pool holds (the
+//! `small_test()` device is not capped, so it keeps two): consecutive
+//! flushes now alternate between two open blocks on two dies, so the
+//! free space GC finds and the times it runs move. Round robin 7 055 →
+//! 7 061 completions and dispatches (GC 155 → 161); host priority keeps
+//! 7 055 (155); weighted + QoS 7 053 → 7 059 (GC 153 → 159) with control
+//! ticks 211 → 220 and longer admission waits. The completion digests
+//! move; the drain-order digest (7 121 commands) does not.
+//!
 //! The proptest at the end holds the three bitset arbitration policies
 //! to a slice-walk transcription of the algorithms they replaced, on
 //! views drawn as gated admission classes the way the device forms
@@ -278,23 +288,23 @@ fn weighted_qos_fleet_matches_the_full_scan() {
     assert_eq!(
         golden,
         Golden {
-            completions_fnv: 1924181522547591839,
-            completions: 7053,
+            completions_fnv: 4290535332278910105,
+            completions: 7059,
             admission_wait_per_queue: vec![
-                0, 0, 0, 0, 0, 0, 221963800, 221963800, 221963800, 221963800, 221963800, 221963800,
-                221963800, 221963800, 221963800, 221963800, 221963800, 221963800, 221963800,
-                221963800, 221963800, 221963800, 221963800, 221963800, 221963800, 221963800,
-                221963800, 221963800, 221963800, 221963800, 221963800, 221963800, 221963800,
-                221963800, 221963800, 221963800, 221963800, 221963800, 221963800, 221963800,
-                149418080, 149078920, 145045440, 119190280, 112745920, 102918760, 122170640,
-                133667600, 128108120, 166843080, 160903560, 116575040, 165567160, 139021480,
-                131395160, 133367600, 138555760, 161656960, 140065880, 120754160, 167864240,
-                154809240, 126536920, 113644240, 137802480, 142941400, 149951120, 128159760,
-                140726920, 166816120, 100086600, 141795480
+                0, 0, 0, 0, 0, 0, 239062000, 239062000, 239062000, 239062000, 239062000, 239062000,
+                239062000, 239062000, 239062000, 239062000, 239062000, 239062000, 239062000,
+                239062000, 239062000, 239062000, 239062000, 239062000, 239062000, 239062000,
+                239062000, 239062000, 239062000, 239062000, 239062000, 239062000, 239062000,
+                239062000, 239062000, 239062000, 239062000, 239062000, 239062000, 239062000,
+                174668840, 173062640, 145994000, 138904760, 166903360, 102412640, 136504120,
+                150089400, 138705080, 186792760, 181437120, 128929160, 172424480, 178956800,
+                149174960, 145923760, 144558280, 185383120, 174681640, 141937840, 184969000,
+                174734120, 152006400, 123171680, 164611560, 177414840, 180211720, 146268520,
+                174488120, 188339520, 122967520, 149275760
             ],
-            qos_ticks: 211,
-            dispatches: 7053,
-            gc_dispatched: 153,
+            qos_ticks: 220,
+            dispatches: 7059,
+            gc_dispatched: 159,
         }
     );
 }
@@ -305,12 +315,12 @@ fn round_robin_fleet_matches_the_full_scan() {
     assert_eq!(
         golden,
         Golden {
-            completions_fnv: 9922241158678752605,
-            completions: 7055,
+            completions_fnv: 590975335103491676,
+            completions: 7061,
             admission_wait_per_queue: vec![0; QUEUES],
             qos_ticks: 0,
-            dispatches: 7055,
-            gc_dispatched: 155,
+            dispatches: 7061,
+            gc_dispatched: 161,
         }
     );
 }
@@ -321,7 +331,7 @@ fn host_priority_fleet_matches_the_full_scan() {
     assert_eq!(
         golden,
         Golden {
-            completions_fnv: 12676272762716115119,
+            completions_fnv: 7137025700831855105,
             completions: 7055,
             admission_wait_per_queue: vec![0; QUEUES],
             qos_ticks: 0,

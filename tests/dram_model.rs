@@ -252,6 +252,9 @@ enum PoolOp {
     Get(u64),
     Flush(bool),
     Release(usize),
+    /// The newest flush's copy of an address gives its slot up, while
+    /// the copy it overwrote may still hold one.
+    ReleaseNewest(u64),
     Move(u64),
     Clear,
 }
@@ -263,6 +266,7 @@ fn pool_op() -> impl Strategy<Value = PoolOp> {
         8 => lpa().prop_map(PoolOp::Get),
         2 => (0u32..2).prop_map(|sorted| PoolOp::Flush(sorted == 1)),
         5 => (0usize..64).prop_map(PoolOp::Release),
+        3 => lpa().prop_map(PoolOp::ReleaseNewest),
         2 => lpa().prop_map(PoolOp::Move),
         1 => Just(PoolOp::Clear),
     ]
@@ -276,6 +280,17 @@ struct FlushedPage {
     tag: u64,
     ppa: u64,
     released: bool,
+}
+
+/// The copy of `lpa` the newest flush overwrote: the newest earlier
+/// flush's page of it, unless that page was released.
+fn overwritten(flushes: &[Vec<FlushedPage>], lpa: u64) -> Option<Ppa> {
+    let older = &flushes[..flushes.len().saturating_sub(1)];
+    older
+        .iter()
+        .rev()
+        .find_map(|flush| flush.iter().find(|page| page.lpa == lpa))
+        .and_then(|page| (!page.released).then_some(Ppa::new(page.ppa)))
 }
 
 proptest! {
@@ -343,13 +358,7 @@ proptest! {
                     let want = pages.get(&lpa).copied().or(flushed);
                     prop_assert_eq!(pool.get(Lpa::new(lpa)), want);
                     prop_assert_eq!(pool.buffer().get(Lpa::new(lpa)), pages.get(&lpa).copied());
-                    let older = &flushes[..flushes.len().saturating_sub(1)];
-                    let overwritten = older
-                        .iter()
-                        .rev()
-                        .find_map(|flush| flush.iter().find(|page| page.lpa == lpa))
-                        .and_then(|page| (!page.released).then_some(Ppa::new(page.ppa)));
-                    prop_assert_eq!(pool.overwritten(Lpa::new(lpa)), overwritten);
+                    prop_assert_eq!(pool.overwritten(Lpa::new(lpa)), overwritten(&flushes, lpa));
                 }
                 PoolOp::Flush(sorted) => {
                     if pages.is_empty() {
@@ -399,6 +408,17 @@ proptest! {
                         .expect("pick is below the count");
                     page.released = true;
                     pool.release(page.tag);
+                }
+                PoolOp::ReleaseNewest(lpa) => {
+                    let newest = flushes
+                        .last_mut()
+                        .and_then(|flush| flush.iter_mut().find(|page| page.lpa == lpa))
+                        .filter(|page| !page.released);
+                    if let Some(page) = newest {
+                        page.released = true;
+                        pool.release(page.tag);
+                    }
+                    prop_assert_eq!(pool.overwritten(Lpa::new(lpa)), overwritten(&flushes, lpa));
                 }
                 PoolOp::Move(lpa) => {
                     let newest = flushes
