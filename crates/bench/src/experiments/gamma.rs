@@ -4,7 +4,7 @@
 
 use super::{Figure, Shape};
 use crate::common::{build_mapping_state, print_table, run_grid, Runs, Scale, SchemeKind};
-use leaftl_sim::DramPolicy;
+use leaftl_sim::{DramPolicy, LookupPaths};
 use leaftl_workloads::full_suite;
 use serde_json::json;
 
@@ -184,11 +184,18 @@ fn fig24(runs: &Runs) -> Figure {
         };
         rows.push(percent_row(&ratios));
         read_rows.push(percent_row(&read_ratios));
+        let paths = |count: fn(&LookupPaths) -> u64| -> Vec<u64> {
+            results.iter().map(|r| count(&r.paths)).collect()
+        };
         out.push(json!({
             "workload": results[0].workload,
             "gammas": GAMMAS,
             "ratio_pct": ratios,
             "read_ratio_pct": read_ratios,
+            "read_lookups": paths(|p| p.read_lookups),
+            "read_mispredictions": paths(|p| p.read_mispredictions),
+            "relocated_read_lookups": paths(|p| p.relocated_read_lookups),
+            "relocated_read_mispredictions": paths(|p| p.relocated_read_mispredictions),
         }));
     }
     let header = ["workload", "γ=0", "γ=1", "γ=4", "γ=16"];
@@ -203,6 +210,8 @@ fn fig24(runs: &Runs) -> Figure {
         "judged": "ratio_pct: every lookup that returned an address, host reads and flush resolutions",
         "reading": "read_ratio_pct: host-read lookups alone, declared beside the judged series; \
                     the paper's definition cannot be quoted here, so the shape keeps judging ratio_pct",
+        "provenance": "relocated_read_*: the host-read lookups (and their mispredictions) whose \
+                       live page a GC or wear relocation wrote, of read_lookups / read_mispredictions",
         "series": out,
     });
     (record, shape)

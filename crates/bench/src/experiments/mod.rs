@@ -199,7 +199,7 @@ pub fn registry() -> Vec<Experiment> {
         Experiment {
             figures: &[(
                 "ablation_gc",
-                "Ablation: GC victim policy (greedy vs cost-benefit)",
+                "Ablation: GC victim policy (die-balanced greedy vs cost-benefit)",
             )],
             run: |quick| vec![ablation::ablation_gc(quick)],
         },

@@ -118,6 +118,9 @@ pub struct BlockAllocator {
     free_count: usize,
     /// Every block's standing, by block id.
     state: Vec<BlockState>,
+    /// Per block, the stream that last took it from its pool; `None`
+    /// for a block never taken ([`BlockAllocator::opened_by`]).
+    opened_by: Vec<Option<Stream>>,
     /// Open slots per stream ([`Stream::index`]), one per way. The
     /// translation log only ever uses slot 0.
     open: [Vec<Option<OpenBlock>>; 3],
@@ -192,6 +195,7 @@ impl BlockAllocator {
             free: vec![VecDeque::new(); ways],
             free_count: geometry.blocks as usize,
             state: vec![BlockState::Free; geometry.blocks as usize],
+            opened_by: vec![None; geometry.blocks as usize],
             open: std::array::from_fn(|_| vec![None; ways]),
             cursor: [0; 3],
             lanes: 1,
@@ -251,6 +255,16 @@ impl BlockAllocator {
     /// [`BlockAllocator::allocate`].
     pub fn take_closed(&mut self) -> impl Iterator<Item = BlockId> + '_ {
         self.closed.drain(..)
+    }
+
+    /// The stream that last took `block` from its pool, and so wrote
+    /// the pages it holds: [`Stream::Gc`] for a block GC or a wear swap
+    /// relocated pages into (a block [`BlockAllocator::take_block`]
+    /// took is a wear swap's target), `None` for a block never taken. A
+    /// crash keeps the record: the pages on flash are the ones that
+    /// stream wrote.
+    pub fn opened_by(&self, block: BlockId) -> Option<Stream> {
+        self.opened_by[block.raw() as usize]
     }
 
     /// Whether `block` is currently open on any stream.
@@ -320,13 +334,15 @@ impl BlockAllocator {
     }
 
     /// Removes a specific block from the free pool (wear levelling
-    /// targets a particular worn block). Returns whether it was free.
+    /// targets a particular worn block), as the GC stream's. Returns
+    /// whether it was free.
     pub fn take_block(&mut self, block: BlockId) -> bool {
         let way = self.way_of_block(block);
         if let Some(pos) = self.free[way].iter().position(|&b| b == block) {
             self.free[way].remove(pos);
             self.free_count -= 1;
             self.state[block.raw() as usize] = BlockState::Closed;
+            self.opened_by[block.raw() as usize] = Some(Stream::Gc);
             true
         } else {
             false
@@ -459,6 +475,7 @@ impl BlockAllocator {
                     self.close(replaced.block);
                 }
                 self.state[block.raw() as usize] = BlockState::Open;
+                self.opened_by[block.raw() as usize] = Some(stream);
                 self.free_count -= 1;
                 OpenBlock {
                     block,

@@ -36,7 +36,7 @@
 use crate::allocator::PageRun;
 use crate::ssd::FlashOp;
 use leaftl_core::MapCost;
-use leaftl_flash::{BlockId, FlashGeometry, Lpa, NandTiming};
+use leaftl_flash::{BlockId, Die, FlashGeometry, Lpa, NandTiming};
 
 /// What one relocation needs on flash, as the SSD's state change left
 /// it: the victim's reads (all on its die), the runs its live pages
@@ -58,6 +58,15 @@ pub(crate) struct Relocation {
     pub(crate) map_costs: Vec<(Lpa, MapCost)>,
 }
 
+/// Greedy's slack within a collection: Δ = ⌈(v·t_read + t_erase) /
+/// t_program⌉ valid pages over the fewest any candidate holds, v =
+/// `fewest` — as many page programs as one victim's own reads and
+/// erase cost its die.
+pub(crate) fn victim_slack(timing: &NandTiming, fewest: u32) -> u32 {
+    let victim_ns = u64::from(fewest) * timing.read_ns + timing.erase_ns;
+    u32::try_from(victim_ns.div_ceil(timing.program_ns.max(1))).unwrap_or(u32::MAX)
+}
+
 /// A step of one pass, as [`CollectionPlan::order`] lists it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Step {
@@ -72,8 +81,10 @@ pub(crate) enum Step {
     Erase,
 }
 
-/// The collection scheduler's working memory, kept by the SSD from
-/// collection to collection and empty between them.
+/// The collection scheduler's working memory, and the victims each die
+/// has given the collection being run (which greedy selection
+/// balances), kept by the SSD from collection to collection and empty
+/// between them.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CollectionPlan {
     /// Per block: 1 + the index of the latest step on it in the
@@ -83,6 +94,9 @@ pub(crate) struct CollectionPlan {
     /// Per die: the collection's GC read, program and erase time. All
     /// zero between collections.
     die_ns: Vec<u64>,
+    /// Per die: the victims the collection being run has taken from it,
+    /// which greedy selection balances. All zero between collections.
+    die_victims: Vec<u32>,
     /// Every step as `(pass, step)`, in state order: a pass's reads,
     /// runs, translation I/O and erase are contiguous.
     steps: Vec<(usize, Step)>,
@@ -117,8 +131,25 @@ impl CollectionPlan {
         CollectionPlan {
             block_last: vec![0; blocks],
             die_ns: vec![0; dies],
+            die_victims: vec![0; dies],
             ..CollectionPlan::default()
         }
+    }
+
+    /// The victims the collection being run has taken from `die`.
+    pub(crate) fn victims_on(&self, die: Die) -> u32 {
+        self.die_victims[die.raw() as usize]
+    }
+
+    /// Counts a victim taken from `die` by the collection being run.
+    pub(crate) fn count_victim(&mut self, die: Die) {
+        self.die_victims[die.raw() as usize] += 1;
+    }
+
+    /// Ends the collection being run for victim selection: every die is
+    /// back to no victim.
+    pub(crate) fn forget_victims(&mut self) {
+        self.die_victims.fill(0);
     }
 
     /// The order to place the steps of `passes` (in state order) in:
@@ -334,6 +365,16 @@ mod tests {
             ]
         );
         assert!(plan.block_last.iter().all(|&step| step == 0));
+    }
+
+    /// Δ is one victim's reads and erase in page programs, rounded up:
+    /// 8 at v = 0 (7.5 programs), 25 at v = 168 (24.3) under the
+    /// paper's timing.
+    #[test]
+    fn the_slack_is_a_victims_reads_and_erase_in_programs() {
+        let timing = NandTiming::paper_default();
+        let slacks = [0, 168, 255].map(|fewest| victim_slack(&timing, fewest));
+        assert_eq!(slacks, [8, 25, 33]);
     }
 
     #[test]

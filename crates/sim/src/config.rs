@@ -264,6 +264,14 @@ pub(crate) struct GcWatermarks {
     pub(crate) high: f64,
 }
 
+impl GcWatermarks {
+    /// Whether [`gc_watermarks`] capped these lines: the device is too
+    /// small for a flush of lead.
+    pub(crate) fn capped(&self) -> bool {
+        self.low >= LOW_CAP || self.high >= HIGH_CAP
+    }
+}
+
 /// The one GC start/stop rule, a function of the configuration alone
 /// ([`crate::Ssd::new`] evaluates it once). The paper fixes
 /// over-provisioning at 20 % (Table 1) but sets no watermarks; these
@@ -281,7 +289,8 @@ pub(crate) struct GcWatermarks {
 /// devices of at least 512 MiB the lines read 2 / 3 / 5 %.
 ///
 /// The cap also decides how many sets of open blocks the host stream
-/// keeps ([`host_lanes`]).
+/// keeps ([`host_lanes`]) and whether greedy GC balances the dies
+/// within a collection ([`crate::Ssd`]'s victim selection).
 pub(crate) fn gc_watermarks(config: &SsdConfig) -> GcWatermarks {
     let lines = uncapped_watermarks(config);
     GcWatermarks {
@@ -303,11 +312,10 @@ const HIGH_CAP: f64 = 0.12;
 /// spare a second lane's part-filled blocks hold is more than its lines
 /// leave GC.
 pub(crate) fn host_lanes(config: &SsdConfig) -> usize {
-    let lines = uncapped_watermarks(config);
-    if lines.low < LOW_CAP && lines.high < HIGH_CAP {
-        POOL_FLUSHES
-    } else {
+    if gc_watermarks(config).capped() {
         1
+    } else {
+        POOL_FLUSHES
     }
 }
 
@@ -461,6 +469,7 @@ mod tests {
             );
             assert_eq!(lines.floor, 0.02, "{name}");
             assert_eq!(host_lanes(&config), lanes, "{name}");
+            assert_eq!(lines.capped(), lanes == 1, "{name}");
             assert!(lines.floor < lines.low, "{name}");
             assert!(lines.low < lines.high, "{name}");
             assert!(lines.high < config.op_ratio, "{name}");

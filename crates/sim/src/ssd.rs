@@ -4,7 +4,7 @@
 use crate::allocator::{BlockAllocator, PageRun, Stream};
 use crate::buffer::{WritePool, POOL_FLUSHES};
 use crate::clock::SimClock;
-use crate::collection::{CollectionPlan, Relocation, Step};
+use crate::collection::{victim_slack, CollectionPlan, Relocation, Step};
 use crate::config::{
     gc_watermarks, host_lanes, CheckpointMode, GcMode, GcPolicy, GcWatermarks, SsdConfig,
 };
@@ -936,9 +936,13 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             self.paths.read_lookups += 1;
             self.stats.record_lookup_levels(hit.levels_visited);
             let plan = self.plan_read_probes(lpa, &hit, true, probes)?;
+            let block = self.config.geometry.block_of(plan.exact);
+            let relocated = self.allocator.opened_by(block) == Some(Stream::Gc);
+            self.paths.relocated_read_lookups += u64::from(relocated);
             if plan.mispredicted {
                 self.stats.mispredictions += 1;
                 self.paths.read_mispredictions += 1;
+                self.paths.relocated_read_mispredictions += u64::from(relocated);
             }
             // In DRAM once the read ends, which pass 2 sets.
             let cached = CachedPage {
@@ -1569,13 +1573,24 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 break;
             };
             match self.gc_pass(victim) {
-                Ok(pass) => passes.push(pass),
+                Ok(pass) => {
+                    // A device whose GC lines sit at the cap keeps plain
+                    // greedy, as it keeps one host lane: with a few free
+                    // blocks per way, the pages the slack lets a victim
+                    // keep cost free space it does not have.
+                    if !self.gc_lines.capped() {
+                        let die = self.config.geometry.die_of_block(victim);
+                        self.gc_plan.count_victim(die);
+                    }
+                    passes.push(pass);
+                }
                 Err(error) => {
                     outcome = Err(error);
                     break;
                 }
             }
         }
+        self.gc_plan.forget_victims();
         self.schedule_collection(&passes, done);
         outcome?;
         let geometry = self.config.geometry;
@@ -1689,7 +1704,22 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     }
 
     /// Victim selection (§3.6). Greedy: the closed block with the
-    /// fewest valid pages (min-BVC), lowest block id among equals.
+    /// fewest valid pages (min-BVC), lowest block id among equals —
+    /// except within a collection, where it balances the dies (a
+    /// declared deviation from §3.6's plain greedy). With v the fewest
+    /// valid pages any candidate holds, every candidate holding at most
+    /// v + Δ qualifies, Δ = ⌈(v·t_read + t_erase) / t_program⌉
+    /// ([`victim_slack`]; 25 at v = 168 under the paper's timing), and
+    /// the pick is the qualifying block whose die has given the
+    /// collection the fewest victims so far, then the fewest valid
+    /// pages, then the lowest block id. A collection ends when its
+    /// busiest die is done, and a victim costs its own die v reads and
+    /// an erase: a victim on a die that has given fewer is worth up to
+    /// that much in extra page programs, which the GC stream spreads
+    /// over the dies round-robin. Outside a collection, and on a
+    /// collection's first pass, no die has given a victim, so the pick
+    /// is plain greedy's; so it is throughout on a device whose GC
+    /// lines sit at the cap ([`Ssd::collect`] counts no victim there).
     /// Cost-benefit: the best age × (1 − u) / (1 + u) score, lowest
     /// block id among equals. Fully valid blocks reclaim nothing and
     /// are never picked. Both collectors call it once per pass, when
@@ -1701,14 +1731,27 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// slot ([`Ssd::allocate`]), erase ([`Ssd::erase_block`]), the
     /// translation log taking or forgetting a block — and only the
     /// marked keys are re-read here. Greedy then
-    /// reads the index's root; cost-benefit scores the index's
-    /// candidates. Debug and test builds re-run the block scan beside
-    /// every selection and assert it agrees.
+    /// reads the index's root, and once the root's die has given a
+    /// victim, the candidates within Δ of it; cost-benefit scores the
+    /// index's candidates. Debug and test builds re-run the block scan
+    /// beside every selection and assert it agrees.
     pub(crate) fn select_gc_victim(&mut self) -> Option<BlockId> {
         self.refresh_gc_index();
         let limit = self.config.geometry.pages_per_block;
         let picked = match self.config.gc_policy {
-            GcPolicy::Greedy => self.gc_index.first_below(limit).map(|(_, block)| block),
+            GcPolicy::Greedy => self.gc_index.first_below(limit).map(|(fewest, first)| {
+                let mut best = (self.collection_rank(first, fewest), first);
+                if best.0 .0 > 0 {
+                    let within = self.greedy_bound(fewest);
+                    self.gc_index.for_each_below(within, &mut |block, valid| {
+                        let rank = self.collection_rank(block, valid);
+                        if rank < best.0 {
+                            best = (rank, block);
+                        }
+                    });
+                }
+                best.1
+            }),
             GcPolicy::CostBenefit => {
                 let mut best: Option<(f64, BlockId)> = None;
                 let mut consider = |block: BlockId, valid: u32| {
@@ -1730,6 +1773,26 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             "victim index disagrees with the block scan"
         );
         picked
+    }
+
+    /// Greedy's rank of a candidate holding `valid` live pages within
+    /// the collection being run: the victims its die has given the
+    /// collection, then its valid count. The lowest rank wins, the
+    /// lowest block id among equals.
+    fn collection_rank(&self, block: BlockId, valid: u32) -> (u32, u32) {
+        let die = self.config.geometry.die_of_block(block);
+        (self.gc_plan.victims_on(die), valid)
+    }
+
+    /// The valid counts greedy may pick when the fewest any candidate
+    /// holds is `fewest`: those below the returned bound — at most
+    /// `fewest` + [`victim_slack`], and never a fully valid block.
+    fn greedy_bound(&self, fewest: u32) -> u32 {
+        let slack = victim_slack(&self.config.timing, fewest);
+        fewest
+            .saturating_add(slack)
+            .saturating_add(1)
+            .min(self.config.geometry.pages_per_block)
     }
 
     /// The cost-benefit policy's score of a block holding `valid` live
@@ -1760,29 +1823,35 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     }
 
     /// The scan's pick: the first candidate in block order that no
-    /// other beats.
+    /// other beats — under greedy, among those within Δ of the fewest
+    /// valid pages, by [`Ssd::collection_rank`].
     #[cfg(any(test, debug_assertions))]
     fn scan_gc_victim(&self) -> Option<BlockId> {
-        let mut best_greedy: Option<(u32, BlockId)> = None;
-        let mut best_cb: Option<(f64, BlockId)> = None;
-        for (block, valid) in self.scan_gc_candidates() {
-            match self.config.gc_policy {
-                GcPolicy::Greedy => match best_greedy {
-                    Some((min_valid, _)) if min_valid <= valid => {}
-                    _ => best_greedy = Some((valid, block)),
-                },
-                GcPolicy::CostBenefit => {
+        match self.config.gc_policy {
+            GcPolicy::Greedy => {
+                let candidates: Vec<(BlockId, u32)> = self.scan_gc_candidates().collect();
+                let fewest = candidates.iter().map(|&(_, valid)| valid).min()?;
+                let within = self.greedy_bound(fewest);
+                let mut best: Option<((u32, u32), BlockId)> = None;
+                for (block, valid) in candidates {
+                    let rank = self.collection_rank(block, valid);
+                    if valid < within && best.is_none_or(|(top, _)| rank < top) {
+                        best = Some((rank, block));
+                    }
+                }
+                best.map(|(_, block)| block)
+            }
+            GcPolicy::CostBenefit => {
+                let mut best_cb: Option<(f64, BlockId)> = None;
+                for (block, valid) in self.scan_gc_candidates() {
                     let score = self.cost_benefit_score(block, valid);
                     match best_cb {
                         Some((best, _)) if best >= score => {}
                         _ => best_cb = Some((score, block)),
                     }
                 }
+                best_cb.map(|(_, block)| block)
             }
-        }
-        match self.config.gc_policy {
-            GcPolicy::Greedy => best_greedy.map(|(_, block)| block),
-            GcPolicy::CostBenefit => best_cb.map(|(_, block)| block),
         }
     }
 
@@ -4209,6 +4278,155 @@ mod tests {
         panic!("no collection read a block it filled and filled a block it erased");
     }
 
+    /// A `small_test()` device, persistence points and wear levelling
+    /// off, half its logical space written once and flushed: each
+    /// closed block holds every page valid, so none is a GC candidate.
+    fn half_written() -> Ssd<ExactPageMap> {
+        let mut config = SsdConfig::small_test();
+        config.checkpoint_mode = CheckpointMode::Disabled;
+        config.wear_gap_threshold = u32::MAX;
+        let mut ssd = Ssd::new(config, ExactPageMap::new());
+        for lpa in 0..ssd.config.logical_pages() / 2 {
+            ssd.write(Lpa::new(lpa), lpa).unwrap();
+        }
+        ssd.flush().unwrap();
+        ssd
+    }
+
+    /// The closed blocks of `ssd` holding every page valid, in block
+    /// order.
+    fn fully_valid_blocks(ssd: &Ssd<ExactPageMap>) -> Vec<BlockId> {
+        let pages = ssd.config.geometry.pages_per_block;
+        (0..ssd.config.geometry.blocks)
+            .map(BlockId::new)
+            .filter(|&block| {
+                !ssd.allocator.is_open(block)
+                    && !ssd.device.block(block).is_erased()
+                    && ssd.validity.valid_count(block) == pages
+            })
+            .collect()
+    }
+
+    /// Within a collection greedy balances the dies. The only
+    /// candidates: blocks a and b on one die, holding 10 and 11 valid
+    /// pages, and c on another. A collection of two passes takes a,
+    /// then — with the fewest at 11 and Δ(11) = ⌈(11·t_read + t_erase)
+    /// / t_program⌉ = 9 — c while c holds 20 pages, and b once c holds
+    /// 21. Plain greedy takes a, then b, and so does a device whose GC
+    /// lines sit at the cap (set here once the layout is written) while
+    /// c holds 20. Every die is back to no victim once the collection
+    /// returns.
+    #[test]
+    fn a_collection_takes_its_second_victim_from_another_die_within_delta() {
+        for (c_valid, capped, second) in [(20, false, 2), (21, false, 1), (20, true, 1)] {
+            let mut ssd = half_written();
+            let geometry = ssd.config.geometry;
+            let die = |block| geometry.die_of_block(block);
+            let full = fully_valid_blocks(&ssd);
+            let a = full[0];
+            let b = *full.iter().find(|&&x| x != a && die(x) == die(a)).unwrap();
+            let c = *full.iter().find(|&&x| die(x) != die(a)).unwrap();
+            for (block, valid) in [(a, 10), (b, 11), (c, c_valid)] {
+                let mut pages = Vec::new();
+                ssd.validity.valid_pages(block, &mut pages);
+                for &ppa in &pages[valid as usize..] {
+                    let lpa = ssd.device.read(ppa).unwrap().lpa.unwrap();
+                    ssd.write(lpa, 0).unwrap();
+                }
+            }
+            ssd.flush().unwrap();
+            let candidates: BTreeSet<(BlockId, u32)> = ssd.scan_gc_candidates().collect();
+            assert_eq!(candidates, BTreeSet::from([(a, 10), (b, 11), (c, c_valid)]));
+            if capped {
+                ssd.gc_lines.low = 0.08;
+                assert!(ssd.gc_lines.capped());
+            }
+            let mut done = Vec::new();
+            ssd.collect(|_| true, 2, &mut done).unwrap();
+            let victims: Vec<BlockId> = done.iter().map(|&(victim, _)| victim).collect();
+            let case = format!("c holds {c_valid}, capped {capped}");
+            assert_eq!(victims, [a, [a, b, c][second]], "{case}");
+            for raw in 0..geometry.total_dies() {
+                assert_eq!(ssd.gc_plan.victims_on(Die::new(raw)), 0, "die {raw}");
+            }
+            assert_eq!(ssd.check_invariants(), Vec::<String>::new());
+        }
+    }
+
+    /// Greedy over random candidate layouts (a quarter of the closed
+    /// blocks kept fully valid, the rest left 0–31 of 32 valid pages):
+    /// with no die having given a victim — outside a collection, or on
+    /// its first pass — the pick is plain greedy's, the fewest valid
+    /// pages and the lowest block id among equals. With 0–3 victims
+    /// taken from each die, the pick holds at most Δ(v) = ⌈(v·t_read +
+    /// t_erase) / t_program⌉ valid pages over the fewest, v, and is the
+    /// candidate within that bound whose die has given the fewest, then
+    /// the one with the fewest valid pages, then the lowest block id.
+    #[test]
+    fn greedy_stays_within_delta_of_the_fewest_and_balances_the_dies() {
+        let filled = half_written();
+        let geometry = filled.config.geometry;
+        let timing = filled.config.timing;
+        let closed = fully_valid_blocks(&filled);
+        let mut seed = 0xba1a_u64;
+        let mut random = move |below: u64| {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (seed >> 33) % below
+        };
+        let mut balanced = 0;
+        for case in 0..64 {
+            let mut ssd = filled.clone();
+            for &block in &closed {
+                if random(4) == 0 {
+                    continue;
+                }
+                let valid = random(u64::from(geometry.pages_per_block)) as usize;
+                let mut pages = Vec::new();
+                ssd.validity.valid_pages(block, &mut pages);
+                for &ppa in &pages[valid..] {
+                    ssd.invalidate(ppa);
+                }
+            }
+            let candidates: Vec<(BlockId, u32)> = ssd.scan_gc_candidates().collect();
+            let fewest = candidates.iter().map(|&(_, valid)| valid).min().unwrap();
+            let greedy = candidates
+                .iter()
+                .filter(|&&(_, valid)| valid == fewest)
+                .map(|&(block, _)| block)
+                .min();
+            assert_eq!(ssd.select_gc_victim(), greedy, "case {case}: first pass");
+
+            for raw in 0..geometry.total_dies() {
+                for _ in 0..random(4) {
+                    ssd.gc_plan.count_victim(Die::new(raw));
+                }
+            }
+            let pick = ssd.select_gc_victim().unwrap();
+            let slack =
+                (u64::from(fewest) * timing.read_ns + timing.erase_ns).div_ceil(timing.program_ns);
+            let within = |valid: u32| u64::from(valid) <= u64::from(fewest) + slack;
+            let victims = |block| ssd.gc_plan.victims_on(geometry.die_of_block(block));
+            let picked_valid = ssd.validity.valid_count(pick);
+            assert!(
+                within(picked_valid),
+                "case {case}: {picked_valid} valid, fewest {fewest}, Δ {slack}"
+            );
+            let expected = candidates
+                .iter()
+                .filter(|&&(_, valid)| within(valid))
+                .min_by_key(|&&(block, valid)| (victims(block), valid, block))
+                .map(|&(block, _)| block);
+            assert_eq!(Some(pick), expected, "case {case}");
+            balanced += usize::from(Some(pick) != greedy);
+        }
+        assert!(
+            balanced >= 16,
+            "only {balanced} of 64 picks left plain greedy's"
+        );
+    }
+
     #[test]
     fn stats_reset_keeps_state() {
         let mut ssd = ssd();
@@ -4676,6 +4894,34 @@ mod tests {
         }
         let stats = ssd.stats();
         assert_eq!((stats.cache_hits, stats.flash.data_reads), (4, 0));
+    }
+
+    /// [`LookupPaths`] splits host reads by who wrote the live page:
+    /// a read of a page a GC pass relocated counts as relocated, and so
+    /// does its misprediction; a read of a page a host flush wrote does
+    /// not.
+    #[test]
+    fn lookup_paths_count_the_reads_of_relocated_pages() {
+        let mut ssd = approximate_on_flash(64);
+        let geometry = ssd.config.geometry;
+        let (moved, flushed) = (page_of(&ssd, 0), page_of(&ssd, 40));
+        assert_ne!(geometry.block_of(moved), geometry.block_of(flushed));
+        ssd.relocate(geometry.block_of(moved), None).unwrap();
+        let relocated = geometry.block_of(page_of(&ssd, 10));
+        assert_eq!(ssd.allocator.opened_by(relocated), Some(Stream::Gc));
+        let flushed = geometry.block_of(flushed);
+        assert_eq!(ssd.allocator.opened_by(flushed), Some(Stream::Host));
+        ssd.scheme.shift.extend([(10, 1), (40, 1)]);
+        for lpa in [10, 11, 40, 41] {
+            assert_eq!(ssd.read(Lpa::new(lpa)).unwrap(), Some(lpa));
+        }
+        let paths = *ssd.lookup_paths();
+        assert_eq!((paths.read_lookups, paths.read_mispredictions), (4, 2));
+        let relocated = (
+            paths.relocated_read_lookups,
+            paths.relocated_read_mispredictions,
+        );
+        assert_eq!(relocated, (2, 1));
     }
 
     /// Under background GC, a block's erase goes on its die after every

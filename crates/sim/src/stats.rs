@@ -240,6 +240,11 @@ pub struct LookupPaths {
     pub read_lookups: u64,
     /// Of those, the ones whose first flash read was the wrong page.
     pub read_mispredictions: u64,
+    /// Host reads' lookups whose live page a GC or wear relocation
+    /// wrote: the allocator's migration stream opened its block.
+    pub relocated_read_lookups: u64,
+    /// Of those, the ones whose first flash read was the wrong page.
+    pub relocated_read_mispredictions: u64,
     /// Flush resolutions: approximate lookups of an overwritten LPA,
     /// resolved to the old page's exact address to invalidate it.
     pub resolutions: u64,
