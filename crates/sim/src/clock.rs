@@ -39,17 +39,19 @@ pub const RESUME_NS: u64 = 5_000;
 /// name for it. There are three ways onto a die, and one placement rule
 /// behind them:
 ///
-/// - [`SimClock::schedule_after`] (every op but a host read or a flush
-///   program) places the die's whole queue, then itself: with nothing
-///   queued, a plain FIFO.
-/// - `SimClock::schedule_read` (a host read, never of a page whose
-///   program is still queued: that page is in DRAM) lets queued
-///   programs use the die's idle time before its floor. A program still
-///   running at the floor is suspended — what it had left, plus
-///   [`RESUME_NS`], goes back to the front of the queue — unless it was
-///   suspended [`SUSPEND_LIMIT`] times already. The read
-///   is then placed after whatever the die holds, ahead of whatever is
-///   still queued.
+/// - [`SimClock::schedule_after`] (background work: a background
+///   collection, the map log, a flush's translation I/O, a wear swap)
+///   places the die's whole queue, then itself: with nothing queued, a
+///   plain FIFO.
+/// - `SimClock::schedule_ahead` (what the host waits on: a host read,
+///   never of a page whose program is still queued, for that page is in
+///   DRAM; every step of a synchronous collection) lets queued programs
+///   use the die's idle time before its floor, and is then placed after
+///   whatever the die holds, ahead of whatever is still queued. A host
+///   read suspends the program still running at its floor — what it had
+///   left, plus [`RESUME_NS`], goes back to the front of the queue —
+///   unless it was suspended [`SUSPEND_LIMIT`] times already; any other
+///   op waits for that program to end, so it never splits one.
 /// - `SimClock::place_programs` places every queue (an explicit flush,
 ///   a power cut).
 ///
@@ -60,8 +62,9 @@ pub const RESUME_NS: u64 = 5_000;
 /// for that end if it is still ahead. A program still queued when its
 /// tag is taken is placed then, where any later op would place it:
 /// every op from then on starts no earlier than the program's end, and
-/// a read lets a program that ends before its floor run in the idle
-/// time first. So taking a tag changes no placement.
+/// an op placed ahead of the queue lets a program that starts before
+/// its floor run in the idle time first. So taking a tag changes no
+/// placement.
 ///
 /// Each placed stretch of a program (a whole one, or the parts a
 /// suspension cut it into) is handed to the caller for its trace
@@ -125,10 +128,10 @@ pub(crate) struct Segment {
     pub(crate) end_ns: u64,
 }
 
-/// Where a host read landed, and what it did to the programs queued on
-/// its die.
+/// Where an op placed ahead of the queued programs landed, and what it
+/// did to them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ReadPlacement {
+pub(crate) struct Placement {
     pub(crate) end_ns: u64,
     /// It suspended the program running at its floor.
     pub(crate) suspended: bool,
@@ -198,9 +201,8 @@ impl SimClock {
     /// global clock does not — use [`SimClock::wait_until`] when the
     /// host blocks on the result.
     pub fn schedule_after(&mut self, die: Die, earliest_ns: u64, latency_ns: u64) -> u64 {
-        let at = die.raw() as usize;
-        self.place_queue(at, self.dies[at].queue.len());
-        self.dies[at].place(earliest_ns, latency_ns)
+        self.place_queue_of(die);
+        self.dies[die.raw() as usize].place(earliest_ns, latency_ns)
     }
 
     /// Queues a flush program of `latency_ns` for `page` on `die`, to
@@ -231,18 +233,19 @@ impl SimClock {
         }
     }
 
-    /// Schedules a host read of `latency_ns` on `die` from `floor_ns`,
-    /// ahead of the programs queued there (see [`SimClock`] for the
-    /// rule).
-    pub(crate) fn schedule_read(
+    /// Schedules an op of `latency_ns` on `die` from `floor_ns`, ahead
+    /// of the programs queued there (see [`SimClock`] for the rule):
+    /// queued programs run in the idle time before the floor, and one
+    /// still running at the floor is suspended there if `suspend` (a
+    /// host read) and it may still be, else placed whole ahead of the op.
+    pub(crate) fn schedule_ahead(
         &mut self,
         die: Die,
         floor_ns: u64,
         latency_ns: u64,
-    ) -> ReadPlacement {
+        suspend: bool,
+    ) -> Placement {
         let at = die.raw() as usize;
-        // The idle time before the floor goes to queued programs; a
-        // program that runs across the floor is suspended there.
         let mut suspended = false;
         while let Some(head) = self.dies[at].queue.front() {
             if self.dies[at].busy_until_ns.max(head.floor_ns) >= floor_ns {
@@ -252,7 +255,7 @@ impl SimClock {
                 break;
             };
             let end_ns = start_ns + program.latency_ns;
-            if floor_ns < end_ns && program.suspensions < SUSPEND_LIMIT {
+            if suspend && floor_ns < end_ns && program.suspensions < SUSPEND_LIMIT {
                 // Its first stretch is final; the rest, plus the resume,
                 // heads the queue.
                 self.placed.push(Segment {
@@ -276,7 +279,7 @@ impl SimClock {
         }
         let line = &mut self.dies[at];
         let overtook = !line.queue.is_empty();
-        ReadPlacement {
+        Placement {
             end_ns: line.place(floor_ns, latency_ns),
             suspended,
             overtook,
@@ -285,17 +288,38 @@ impl SimClock {
 
     /// Whether the program of `page`, on `die`, is still queued.
     pub(crate) fn is_queued(&self, die: Die, page: Ppa) -> bool {
+        self.queues_any(die, page, 1)
+    }
+
+    /// Whether a program of one of the `pages` pages from `first`, on
+    /// `die`, is still queued.
+    pub(crate) fn queues_any(&self, die: Die, first: Ppa, pages: u64) -> bool {
+        let pages = first.raw()..first.raw() + pages;
         self.dies[die.raw() as usize]
             .queue
             .iter()
-            .any(|queued| queued.page == page)
+            .any(|queued| pages.contains(&queued.page.raw()))
+    }
+
+    /// Places `die`'s queued programs, in order.
+    pub(crate) fn place_queue_of(&mut self, die: Die) {
+        let at = die.raw() as usize;
+        while let Some((program, start_ns)) = self.dies[at].place_head() {
+            self.note_placed(at, program, start_ns);
+        }
+    }
+
+    /// When `die` frees up from what is placed on it (its queued
+    /// programs reserve nothing).
+    pub(crate) fn reserved_until(&self, die: Die) -> u64 {
+        self.dies[die.raw() as usize].busy_until_ns
     }
 
     /// Places every die's queued programs; returns when the last flush
     /// program placed so far ends.
     pub(crate) fn place_programs(&mut self) -> u64 {
         for at in 0..self.dies.len() {
-            self.place_queue(at, self.dies[at].queue.len());
+            self.place_queue_of(Die::new(at as u32));
         }
         self.programs_end_ns
     }
@@ -382,15 +406,6 @@ impl SimClock {
     pub(crate) fn forget_programmed(&mut self) {
         for line in &mut self.dies {
             line.programmed.clear();
-        }
-    }
-
-    /// Places the first `count` programs queued on die `at`, in order.
-    fn place_queue(&mut self, at: usize, count: usize) {
-        for _ in 0..count {
-            if let Some((program, start_ns)) = self.dies[at].place_head() {
-                self.note_placed(at, program, start_ns);
-            }
         }
     }
 
@@ -521,10 +536,10 @@ mod tests {
         let mut clock = SimClock::new(1);
         queue(&mut clock, 0, 2, 0);
         // The first program runs from 0; the read at 50 µs cuts it.
-        let read = clock.schedule_read(Die::new(0), 50_000, READ_NS);
+        let read = clock.schedule_ahead(Die::new(0), 50_000, READ_NS, true);
         assert_eq!(
             read,
-            ReadPlacement {
+            Placement {
                 end_ns: 50_000 + READ_NS,
                 suspended: true,
                 overtook: true,
@@ -552,7 +567,7 @@ mod tests {
         queue(&mut clock, 0, 1, 0);
         let mut floor = 1_000;
         for _ in 0..SUSPEND_LIMIT {
-            let read = clock.schedule_read(Die::new(0), floor, READ_NS);
+            let read = clock.schedule_ahead(Die::new(0), floor, READ_NS, true);
             assert!(read.suspended, "{read:?}");
             assert_eq!(read.end_ns, floor + READ_NS);
             // The remainder resumes in the idle time before the next read.
@@ -560,11 +575,51 @@ mod tests {
         }
         // Each suspension let the program run 1 µs, then cost a resume.
         let program_end = PROGRAM_NS + SUSPEND_LIMIT as u64 * (READ_NS + RESUME_NS);
-        let read = clock.schedule_read(Die::new(0), floor, READ_NS);
+        let read = clock.schedule_ahead(Die::new(0), floor, READ_NS, true);
         assert!(!read.suspended);
         assert!(!read.overtook);
         assert_eq!(read.end_ns, program_end + READ_NS);
         assert_eq!(clock.place_programs(), program_end);
+    }
+
+    /// An op placed ahead of the queue without suspending lets queued
+    /// programs run in the idle time before its floor and waits for the
+    /// one running across it, whole, however often it cuts in: each
+    /// program is one stretch, and the op starts at its floor or at the
+    /// end of the program it found running there.
+    #[test]
+    fn an_op_ahead_of_the_queue_that_may_not_suspend_never_splits_a_program() {
+        let mut clock = SimClock::new(1);
+        queue(&mut clock, 0, 4, 0);
+        // At 50 µs the first program runs: the op follows it whole,
+        // ahead of the other three.
+        let ahead = clock.schedule_ahead(Die::new(0), 50_000, READ_NS, false);
+        assert_eq!(
+            ahead,
+            Placement {
+                end_ns: PROGRAM_NS + READ_NS,
+                suspended: false,
+                overtook: true,
+            }
+        );
+        // With the die idle at its floor it starts there, still ahead.
+        let floor = PROGRAM_NS + READ_NS;
+        let ahead = clock.schedule_ahead(Die::new(0), floor, READ_NS, false);
+        assert_eq!(ahead.end_ns, floor + READ_NS);
+        assert!(ahead.overtook);
+        // Ops every 30 µs: each finds a program running, and waits.
+        let mut floor = ahead.end_ns + 30_000;
+        for _ in 0..3 {
+            let ahead = clock.schedule_ahead(Die::new(0), floor, READ_NS, false);
+            assert!(!ahead.suspended);
+            floor = ahead.end_ns + 30_000;
+        }
+        let placed = segments(&mut clock);
+        assert_eq!(placed.len(), 4, "{placed:?}");
+        assert!(placed
+            .iter()
+            .all(|segment| segment.end_ns - segment.start_ns == PROGRAM_NS));
+        assert_eq!(clock.place_programs(), placed[3].end_ns);
     }
 
     #[test]
@@ -588,7 +643,7 @@ mod tests {
         let mut busy: Vec<(u64, u64)> = Vec::new();
         let mut suspensions = 0;
         for floor in (0..40).map(|i| i * 37_000) {
-            let read = clock.schedule_read(Die::new(0), floor, READ_NS);
+            let read = clock.schedule_ahead(Die::new(0), floor, READ_NS, true);
             suspensions += u64::from(read.suspended);
             busy.push((read.end_ns - READ_NS, read.end_ns));
         }
@@ -640,10 +695,11 @@ mod tests {
         all
     }
 
-    /// Over random flush programs, host reads and other ops on two
-    /// dies, each op's floor no earlier than a "now" that only grows: a
-    /// clock whose caller takes the tags of programs that end by any
-    /// time up to "now" before each op — placing them early — places
+    /// Over random flush programs, host reads, other ops placed ahead
+    /// of the queue and ops placed behind it on two dies, each op's
+    /// floor no earlier than a "now" that only grows: a clock whose
+    /// caller takes the tags of programs that end by any time up to
+    /// "now" before each op — placing them early — places
     /// every op and every program stretch exactly where a clock whose
     /// caller takes none does. The tags come back in end order, and
     /// each once.
@@ -677,7 +733,7 @@ mod tests {
                 }
                 let die = (draw(&mut rng) % 2) as usize;
                 let floor = now + [0, 0, 7_000, 90_000][(draw(&mut rng) % 4) as usize];
-                match draw(&mut rng) % 3 {
+                match draw(&mut rng) % 4 {
                     0 => {
                         for _ in 0..1 + draw(&mut rng) % 4 {
                             for clock in [&mut plain, &mut settled] {
@@ -693,10 +749,12 @@ mod tests {
                             next_page += 1;
                         }
                     }
-                    1 => {
-                        let want = plain.schedule_read(Die::new(die as u32), floor, READ_NS);
-                        let got = settled.schedule_read(Die::new(die as u32), floor, READ_NS);
-                        assert_eq!(got, want, "seed {seed}: read on die {die} at {floor}");
+                    kind @ (1 | 2) => {
+                        let suspend = kind == 1;
+                        let die = Die::new(die as u32);
+                        let want = plain.schedule_ahead(die, floor, READ_NS, suspend);
+                        let got = settled.schedule_ahead(die, floor, READ_NS, suspend);
+                        assert_eq!(got, want, "seed {seed}: {kind} on {die:?} at {floor}");
                     }
                     _ => {
                         let want = plain.schedule_after(Die::new(die as u32), floor, READ_NS);
@@ -741,7 +799,7 @@ mod tests {
         assert_eq!(clock.take_earliest_program(), Some((PROGRAM_NS, 0)));
         assert_eq!(clock.untaken_programs(PROGRAM_NS), (2, 2));
         // A read on die 0 at 250 µs suspends its second program there.
-        let read = clock.schedule_read(Die::new(0), 250_000, READ_NS);
+        let read = clock.schedule_ahead(Die::new(0), 250_000, READ_NS, true);
         assert!(read.suspended);
         // Die 1's program ends before die 0's second, which the read
         // and the resume pushed back.

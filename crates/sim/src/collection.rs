@@ -58,6 +58,17 @@ pub(crate) struct Relocation {
     pub(crate) map_costs: Vec<(Lpa, MapCost)>,
 }
 
+/// What one collection cost its dies ([`crate::Ssd`]'s `collect`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CollectionCost {
+    /// The busiest die's GC read, program and erase time
+    /// ([`CollectionPlan::busiest_die_ns`]).
+    pub(crate) busiest_die_ns: u64,
+    /// The longest any die its steps use was already reserved past the
+    /// dispatch point when they were placed.
+    pub(crate) behind_ns: u64,
+}
+
 /// Greedy's slack within a collection: Δ = ⌈(v·t_read + t_erase) /
 /// t_program⌉ valid pages over the fewest any candidate holds, v =
 /// `fewest` — as many page programs as one victim's own reads and

@@ -34,8 +34,10 @@
 //! or translation — goes ahead of them, suspending the one running at
 //! its floor. So a read that dispatches after a flush, the flushing
 //! write's own resolution reads included, waits at most for the
-//! program it cuts, not for the 32-program chunk. Every other
-//! operation places the queue first. A flush's pages keep their DRAM
+//! program it cuts, not for the 32-program chunk. A synchronous
+//! collection (a flush the host is blocked on) goes ahead of them too,
+//! without suspending one; every other operation — background GC
+//! among them — places the queue first. A flush's pages keep their DRAM
 //! slots and are read from DRAM until a write takes their slot: the
 //! write buffer and the flushed pages share `2 × write_buffer_pages`
 //! slots, and a write that finds every one held waits for the earliest

@@ -4,7 +4,7 @@
 use crate::allocator::{BlockAllocator, PageRun, Stream};
 use crate::buffer::{WritePool, POOL_FLUSHES};
 use crate::clock::SimClock;
-use crate::collection::{victim_slack, CollectionPlan, Relocation, Step};
+use crate::collection::{victim_slack, CollectionCost, CollectionPlan, Relocation, Step};
 use crate::config::{
     gc_watermarks, host_lanes, CheckpointMode, GcMode, GcPolicy, GcWatermarks, SsdConfig,
 };
@@ -285,6 +285,13 @@ pub struct Ssd<S: MappingScheme + Clone> {
     /// has to write of the mapping table, marked wherever pairs enter
     /// the scheme ([`Ssd::learn_and_mark`], recovery's replay).
     unpersisted: UnpersistedGroups,
+    /// The die the next [`CheckpointMode::DramSnapshot`] point's first
+    /// page goes on: each point continues where the previous one ended.
+    point_die: u32,
+    /// Whether a synchronous collection is running: the host waits on
+    /// it, so what it puts on a die goes ahead of the flush programs
+    /// queued there ([`Ssd::flash_op`]).
+    host_blocked_on_gc: bool,
 }
 
 /// The state half of a resolved read: which pages must be read (in
@@ -420,6 +427,8 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 config.geometry.total_dies() as usize,
             ),
             unpersisted: UnpersistedGroups::new(config.logical_pages()),
+            point_die: 0,
+            host_blocked_on_gc: false,
             config,
         }
     }
@@ -515,10 +524,12 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// the operation is counted ([`Ssd::count_op`]), placed on its die
     /// and recorded as a die-track span when a sink is attached — so
     /// what is counted is what was scheduled is what was attributed
-    /// ([`Ssd::check_utilization_conservation`] cross-checks it). A
-    /// host read goes ahead of the flush programs queued on its die
-    /// ([`SimClock::schedule_read`]); every other operation goes behind
-    /// them.
+    /// ([`Ssd::check_utilization_conservation`] cross-checks it). What
+    /// the host waits on goes ahead of the flush programs queued on its
+    /// die ([`SimClock::schedule_ahead`]): a host read, which may suspend
+    /// the program running at its floor, and every operation of a
+    /// synchronous collection, which never does. Every other operation
+    /// goes behind them.
     #[inline]
     fn flash_op(&mut self, op: FlashOp, class: TrafficClass, target: Target, floor_ns: u64) -> u64 {
         debug_assert_ne!(op, FlashOp::DataProgram, "a flush's programs are queued");
@@ -535,10 +546,14 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 !page.is_some_and(|ppa| self.clock.is_queued(die, ppa)),
                 "a host read of {page:?}, whose program is queued and so in DRAM"
             );
-            let read = self.clock.schedule_read(die, floor_ns, latency_ns);
+            let read = self.clock.schedule_ahead(die, floor_ns, latency_ns, true);
             self.priority.suspensions += u64::from(read.suspended);
             self.priority.overtaking_reads += u64::from(read.overtook);
             read.end_ns
+        } else if self.host_blocked_on_gc {
+            self.clock
+                .schedule_ahead(die, floor_ns, latency_ns, false)
+                .end_ns
         } else {
             self.clock.schedule_after(die, floor_ns, latency_ns)
         };
@@ -1361,11 +1376,10 @@ impl<S: MappingScheme + Clone> Ssd<S> {
 
         self.translog_append_delta(batches.into_iter().flatten());
 
-        // Learned-table compaction (§3.7) runs here on every path.
+        // Learned-table compaction (§3.7) runs here on every path, in
+        // DRAM: no scheme charges it flash I/O.
         let (cost, compacted) = self.scheme.maintain();
-        let now = self.clock.now_ns();
-        let ready = self.charge_map_cost(Lpa::new(0), cost, now, TrafficClass::Compact);
-        self.clock.wait_until(ready);
+        debug_assert_eq!(cost, MapCost::FREE, "a compaction that charges flash I/O");
         if compacted {
             self.stats.compactions += 1;
         }
@@ -1527,18 +1541,25 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// ([`Ssd::collect`]): every victim is selected (and cost-benefit
     /// scored) at the dispatch point, and the passes are placed on the
     /// dies phase by phase from there, so no pass's reads queue behind
-    /// another's programs or erase. Only then does the host wait, so no
-    /// later host read queues behind the collection's relocations.
+    /// another's programs or erase. The host is blocked on it, so all
+    /// it puts on a die — the passes' persistence points too — goes
+    /// ahead of the flush programs queued there, as a host read does
+    /// ([`Ssd::flash_op`]). Only then does the host wait, so no later
+    /// host read queues behind the collection's relocations.
     fn collect_while(&mut self, wanted: impl Fn(&Self) -> bool) -> Result<bool, SimError> {
         let started_ns = self.clock.now_ns();
         let mut done = Vec::new();
-        let busiest_die_ns = self.collect(&wanted, usize::MAX, &mut done)?;
+        self.host_blocked_on_gc = true;
+        let collected = self.collect(&wanted, usize::MAX, &mut done);
+        self.host_blocked_on_gc = false;
+        let collected = collected?;
         if let Some(last_erase_ns) = done.iter().map(|&(_, erase_ns)| erase_ns).max() {
             self.clock.wait_until(last_erase_ns);
             self.sync_gc.collections += 1;
             self.sync_gc.passes += done.len() as u64;
             self.sync_gc.wait_ns += self.clock.now_ns().saturating_sub(started_ns);
-            self.sync_gc.busiest_die_ns += busiest_die_ns;
+            self.sync_gc.busiest_die_ns += collected.busiest_die_ns;
+            self.sync_gc.behind_ns += collected.behind_ns;
         }
         Ok(!wanted(self))
     }
@@ -1547,11 +1568,12 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// holds and there is a victim, at most `max_passes` and at most
     /// one per block, a pass ([`Ssd::gc_pass`]) over the best block
     /// there is when it runs ([`Ssd::select_gc_victim`]), and then the
-    /// whole collection goes on the dies ([`Ssd::schedule_collection`]). Appends each pass's
-    /// victim and erase completion to `done`, in pass order, and
-    /// returns the busiest die's GC time in the collection; the host
-    /// clock does not move. Both collectors run it: a synchronous one
-    /// waits for the latest erase, a background GC dispatch retires one
+    /// whole collection goes on the dies ([`Ssd::schedule_collection`]).
+    /// Appends each pass's victim and erase completion to `done`, in pass
+    /// order, and returns the busiest die's GC time in the collection and
+    /// how long its dies were already reserved; the host clock does not
+    /// move. Both collectors run it: a synchronous one waits for the
+    /// latest erase, a background GC dispatch retires one
     /// [`crate::Command::GcMigrate`] per pass.
     ///
     /// # Errors
@@ -1564,7 +1586,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         wanted: impl Fn(&Self) -> bool,
         max_passes: usize,
         done: &mut Vec<(BlockId, u64)>,
-    ) -> Result<u64, SimError> {
+    ) -> Result<CollectionCost, SimError> {
         let max_passes = max_passes.min(self.config.geometry.blocks as usize + 1);
         let mut passes = Vec::new();
         let mut outcome = Ok(());
@@ -1591,11 +1613,26 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             }
         }
         self.gc_plan.forget_victims();
+        let geometry = self.config.geometry;
+        let now = self.clock.now_ns();
+        let behind_ns = passes
+            .iter()
+            .flat_map(|pass| {
+                std::iter::once(pass.victim).chain(pass.runs.iter().map(|run| run.block))
+            })
+            .map(|block| {
+                let die = geometry.die_of_block(block);
+                self.clock.reserved_until(die).saturating_sub(now)
+            })
+            .max()
+            .unwrap_or(0);
         self.schedule_collection(&passes, done);
         outcome?;
-        let geometry = self.config.geometry;
         let timing = self.config.timing;
-        Ok(self.gc_plan.busiest_die_ns(&passes, &geometry, &timing))
+        Ok(CollectionCost {
+            busiest_die_ns: self.gc_plan.busiest_die_ns(&passes, &geometry, &timing),
+            behind_ns,
+        })
     }
 
     /// Places a collection's passes on the dies from the dispatch
@@ -1608,14 +1645,30 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// each pass's victim and erase completion to `done`, in pass
     /// order; the host clock does not move. Linear in the steps and
     /// pages.
+    ///
+    /// Ahead of the queued flush programs (a synchronous collection),
+    /// a victim whose program is still queued — a block the flush that
+    /// triggered the collection closed — is read and erased behind its
+    /// die's queue, so its steps follow its programs.
     fn schedule_collection(&mut self, passes: &[Relocation], done: &mut Vec<(BlockId, u64)>) {
         let now = self.clock.now_ns();
+        let geometry = self.config.geometry;
         let mut plan = std::mem::take(&mut self.gc_plan);
         // Per pass: when its reads, its programs and its erase are done.
         let mut times = vec![[now; 3]; passes.len()];
         for &(index, step) in plan.order(passes) {
             let pass = &passes[index];
             let times = &mut times[index];
+            if self.host_blocked_on_gc && matches!(step, Step::Reads | Step::Erase) {
+                let die = geometry.die_of_block(pass.victim);
+                let first = geometry.first_ppa(pass.victim);
+                if self
+                    .clock
+                    .queues_any(die, first, u64::from(geometry.pages_per_block))
+                {
+                    self.clock.place_queue_of(die);
+                }
+            }
             match step {
                 Step::Reads => {
                     for _ in 0..pass.reads {
@@ -2185,8 +2238,11 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// recovery's replay — a compaction sweep changes no answer and
     /// dirties none) and the BVC entries of the blocks [`Validity`]
     /// lists as touched, charged as `MapLog`-class translation
-    /// programs striped over the dies. Nothing changed, nothing is
-    /// programmed; the first point after a fill writes the whole table.
+    /// programs on consecutive dies, from the die after the previous
+    /// point's last page: the points of a collection's passes spread
+    /// over the dies instead of piling on the first ones. Nothing
+    /// changed, nothing is programmed; the first point after a fill
+    /// writes the whole table.
     /// A group is priced at the table's mean,
     /// [`MappingScheme::snapshot_bytes`] over the groups ever mapped —
     /// not at its own bytes, which would take a scheme method a
@@ -2219,8 +2275,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                     .div_ceil(self.unpersisted.mapped.max(1));
                 let pages = (table_bytes + BVC_ENTRY_BYTES * blocks).div_ceil(page_size);
                 self.unpersisted.forget();
-                for i in 0..pages {
-                    let die = Die::new((i % geometry.total_dies() as usize) as u32);
+                for _ in 0..pages {
+                    let die = Die::new(self.point_die);
+                    self.point_die = (self.point_die + 1) % geometry.total_dies();
                     self.flash_op(
                         FlashOp::TranslationProgram,
                         TrafficClass::MapLog,
@@ -4112,6 +4169,7 @@ mod tests {
                 passes: before.passes + passes,
                 wait_ns: before.wait_ns + (ssd.now_ns() - started_ns),
                 busiest_die_ns: ssd.sync_gc.busiest_die_ns,
+                behind_ns: ssd.sync_gc.behind_ns,
             }
         );
         let busiest_ns = ssd.sync_gc.busiest_die_ns - before.busiest_die_ns;
@@ -4127,13 +4185,13 @@ mod tests {
     }
 
     /// A `small_test()` device widened to 256 blocks on its 8 dies,
-    /// persistence points off and the wear gap out of reach, filled
+    /// persistence points in `mode` and the wear gap out of reach, filled
     /// once and then overwritten by runs of eight pages from random
     /// starts, `rounds` times its logical space, then flushed.
-    fn aged_on_eight_dies(rounds: u64) -> Ssd<ExactPageMap> {
+    fn aged_on_eight_dies(rounds: u64, mode: CheckpointMode) -> Ssd<ExactPageMap> {
         let mut config = SsdConfig::small_test();
         config.geometry.blocks = 256;
-        config.checkpoint_mode = CheckpointMode::Disabled;
+        config.checkpoint_mode = mode;
         config.wear_gap_threshold = u32::MAX;
         let mut ssd = Ssd::new(config, ExactPageMap::new());
         let logical = ssd.config.logical_pages();
@@ -4163,7 +4221,7 @@ mod tests {
     /// programs on the same die.
     #[test]
     fn a_collection_reserves_every_read_of_a_die_before_its_programs() {
-        let mut ssd = aged_on_eight_dies(2);
+        let mut ssd = aged_on_eight_dies(2, CheckpointMode::Disabled);
         let blocks = ssd.config.geometry.blocks;
         let candidates: BTreeSet<BlockId> = ssd.scan_gc_candidates().map(|(b, _)| b).collect();
         let erases = |ssd: &Ssd<ExactPageMap>| -> Vec<u32> {
@@ -4210,7 +4268,7 @@ mod tests {
     /// that an earlier pass of it erased.
     #[test]
     fn a_collections_steps_on_a_block_follow_one_another() {
-        let mut ssd = aged_on_eight_dies(1);
+        let mut ssd = aged_on_eight_dies(1, CheckpointMode::Disabled);
         let logical = ssd.config.logical_pages();
         let mut seed = 0x5eed_u64;
         let mut random = move || {
@@ -4276,6 +4334,208 @@ mod tests {
             }
         }
         panic!("no collection read a block it filled and filled a block it erased");
+    }
+
+    /// A collection's passes each run a persistence point, and under
+    /// `DramSnapshot` each point's pages continue over the dies from
+    /// where the previous one's ended: a synchronous collection of k ≥
+    /// 2 × dies passes puts at most ⌈P / dies⌉ + 1 of its P point
+    /// programs on any die. Points that each started on die 0 put k
+    /// there.
+    #[test]
+    fn a_collections_persistence_points_rotate_over_the_dies() {
+        let mut ssd = aged_on_eight_dies(2, CheckpointMode::DramSnapshot);
+        let dies = ssd.config.geometry.total_dies();
+        let blocks = ssd.config.geometry.blocks as f64;
+        let target = ssd.free_fraction() + 24.0 / blocks;
+        let runs = ssd.stats.gc_runs;
+        ssd.attach_trace();
+        assert!(ssd
+            .collect_while(|ssd| ssd.free_fraction() < target)
+            .unwrap());
+        let passes = ssd.stats.gc_runs - runs;
+        assert!(passes >= 2 * u64::from(dies), "{passes} passes");
+        let sink = ssd.take_trace().unwrap();
+        let mut per_die = vec![0u64; dies as usize];
+        for (die, kind, class, ..) in sink.die_spans() {
+            if (kind, class) == ("program", "maplog") {
+                per_die[die as usize] += 1;
+            }
+        }
+        let points: u64 = per_die.iter().sum();
+        assert!(points >= passes, "{points} point pages, {passes} passes");
+        let bound = points.div_ceil(u64::from(dies)) + 1;
+        assert!(
+            per_die.iter().all(|&on_die| on_die <= bound),
+            "{passes} passes put {per_die:?} point pages on the dies, bound {bound}"
+        );
+    }
+
+    /// A die span as a trace records it: die, op kind, traffic class,
+    /// block, start and end.
+    type DieSpan = (u32, &'static str, &'static str, Option<u64>, u64, u64);
+
+    /// An aged 256-block device, then a 31-page flush whose programs
+    /// are still queued when a collection of at least eight passes runs
+    /// from the same dispatch point: synchronously (the host waits on
+    /// it) or as background GC. Returns the dispatch point and every
+    /// die span from the flush on, the flush's programs placed.
+    fn collected_behind_a_queued_flush(synchronous: bool) -> (u64, Vec<DieSpan>) {
+        let mut ssd = aged_on_eight_dies(2, CheckpointMode::Disabled);
+        let blocks = ssd.config.geometry.blocks as f64;
+        let target = ssd.free_fraction() + 8.0 / blocks;
+        ssd.attach_trace();
+        for lpa in 0..31 {
+            ssd.write(Lpa::new(lpa), u64::MAX).unwrap();
+        }
+        ssd.flush_buffer(GcMode::Background).unwrap();
+        let (dispatch_ns, runs) = (ssd.now_ns(), ssd.stats.gc_runs);
+        let wanted = |ssd: &Ssd<ExactPageMap>| ssd.free_fraction() < target;
+        if synchronous {
+            assert!(ssd.collect_while(wanted).unwrap());
+        } else {
+            ssd.collect(wanted, usize::MAX, &mut Vec::new()).unwrap();
+        }
+        assert!(ssd.stats.gc_runs - runs >= 8);
+        ssd.place_programs();
+        let sink = ssd.take_trace().unwrap();
+        (dispatch_ns, sink.die_spans().collect())
+    }
+
+    /// The collection the host is blocked on goes ahead of the flush
+    /// programs queued on its dies: on a die that holds some, its
+    /// first GC read starts at the dispatch point, and the flush's
+    /// programs there end after the collection's last step there. A
+    /// background collection from the same image places each die's
+    /// queue first: its first GC read there starts after the flush's
+    /// programs end.
+    #[test]
+    fn a_synchronous_collection_goes_ahead_of_queued_flush_programs() {
+        for synchronous in [true, false] {
+            let (dispatch_ns, spans) = collected_behind_a_queued_flush(synchronous);
+            let on = |die: u32, wanted: &'static str| {
+                spans
+                    .iter()
+                    .filter(move |&&(on, _, class, ..)| on == die && class == wanted)
+                    .map(|&(_, kind, _, _, start_ns, end_ns)| (kind, start_ns, end_ns))
+            };
+            let flushed: BTreeSet<u32> = spans
+                .iter()
+                .filter(|&&(_, kind, class, ..)| (kind, class) == ("program", "host"))
+                .map(|&(die, ..)| die)
+                .collect();
+            let mut checked = 0;
+            for &die in &flushed {
+                let Some(first_read) = on(die, "gc")
+                    .filter(|&(kind, ..)| kind == "read")
+                    .map(|(_, start_ns, _)| start_ns)
+                    .min()
+                else {
+                    continue;
+                };
+                let gc_end = on(die, "gc").map(|(.., end_ns)| end_ns).max().unwrap();
+                let flush_end = on(die, "host").map(|(.., end_ns)| end_ns).max().unwrap();
+                if synchronous {
+                    assert_eq!(first_read, dispatch_ns, "die {die}");
+                    assert!(flush_end > gc_end, "die {die}: {flush_end} ≤ {gc_end}");
+                } else {
+                    assert!(
+                        first_read >= flush_end,
+                        "die {die}: {first_read} < {flush_end}"
+                    );
+                }
+                checked += 1;
+            }
+            assert!(
+                checked > 0,
+                "no die holds the flush and a GC read: {flushed:?}"
+            );
+        }
+    }
+
+    /// A victim whose own programs are still queued — a block the
+    /// flush that triggered the collection closed — is read after
+    /// them, though the rest of the collection goes ahead of the queue:
+    /// a 32-page flush closes a block, a second flush overwrites 28 of
+    /// its pages before any of its programs has run, and a synchronous
+    /// collection of one pass takes it.
+    #[test]
+    fn a_victim_with_a_queued_program_is_read_after_it() {
+        let mut ssd = half_written();
+        let geometry = ssd.config.geometry;
+        let logical = ssd.config.logical_pages();
+        ssd.attach_trace();
+        let fresh: Vec<u64> = (logical / 2..logical / 2 + 32).collect();
+        for &lpa in &fresh {
+            ssd.write(Lpa::new(lpa), 1).unwrap();
+        }
+        for &lpa in fresh[..28].iter().chain(&[0, 1, 2, 3]) {
+            ssd.write(Lpa::new(lpa), 2).unwrap();
+        }
+        let block = geometry.block_of(ssd.scheme.lookup(Lpa::new(fresh[31])).0.unwrap().ppa);
+        assert_eq!(ssd.validity.valid_count(block), 4);
+        let die = geometry.die_of_block(block);
+        assert!(ssd.clock.queues_any(
+            die,
+            geometry.first_ppa(block),
+            u64::from(geometry.pages_per_block)
+        ));
+        let runs = ssd.stats.gc_runs;
+        assert!(ssd.collect_while(|ssd| ssd.stats.gc_runs == runs).unwrap());
+        ssd.place_programs();
+        let sink = ssd.take_trace().unwrap();
+        let spans: Vec<(&'static str, &'static str, u64, u64)> = sink
+            .die_spans()
+            .filter(|&(_, _, _, on, ..)| on == Some(block.raw()))
+            .map(|(_, kind, class, _, start_ns, end_ns)| (kind, class, start_ns, end_ns))
+            .collect();
+        let of_block = |wanted: (&'static str, &'static str)| {
+            let spans = spans.iter();
+            spans.filter(move |&&(kind, class, ..)| (kind, class) == wanted)
+        };
+        let programmed_ns = of_block(("program", "host")).map(|span| span.3).max();
+        let first_read_ns = of_block(("read", "gc")).map(|span| span.2).min();
+        assert_eq!(of_block(("read", "gc")).count(), 4);
+        assert!(
+            first_read_ns >= programmed_ns,
+            "read from {first_read_ns:?}, programmed until {programmed_ns:?}"
+        );
+        assert_eq!(ssd.check_invariants(), Vec::<String>::new());
+    }
+
+    /// [`SyncGc::behind_ns`] adds, per collection, the longest any die
+    /// its steps use was already reserved past the dispatch point: two
+    /// dies reserved 3 ms and 1 ms ahead add 3 ms, not 4, and a
+    /// collection on idle dies adds nothing.
+    #[test]
+    fn sync_gc_behind_is_the_longest_reservation_a_collection_found() {
+        let mut ssd = aged_on_eight_dies(2, CheckpointMode::Disabled);
+        let blocks = ssd.config.geometry.blocks as f64;
+        let collect = |ssd: &mut Ssd<ExactPageMap>| {
+            let before = ssd.sync_gc.behind_ns;
+            let target = ssd.free_fraction() + 8.0 / blocks;
+            assert!(ssd
+                .collect_while(|ssd| ssd.free_fraction() < target)
+                .unwrap());
+            ssd.sync_gc.behind_ns - before
+        };
+        let mut idle = ssd.clone();
+        assert_eq!(collect(&mut idle), 0);
+        let now = ssd.now_ns();
+        ssd.clock.schedule_after(Die::new(2), now, 3_000_000);
+        ssd.clock.schedule_after(Die::new(5), now, 1_000_000);
+        ssd.attach_trace();
+        assert_eq!(collect(&mut ssd), 3_000_000);
+        // Both reserved dies hold a step of the collection.
+        let sink = ssd.take_trace().unwrap();
+        let used: BTreeSet<u32> = sink
+            .die_spans()
+            .filter(|&(_, _, class, ..)| class == "gc")
+            .map(|(die, ..)| die)
+            .collect();
+        assert!(used.is_superset(&BTreeSet::from([2, 5])), "{used:?}");
+        ssd.reset_stats();
+        assert_eq!(ssd.sync_gc.behind_ns, 0);
     }
 
     /// A `small_test()` device, persistence points and wear levelling

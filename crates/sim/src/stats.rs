@@ -272,10 +272,12 @@ impl LookupPaths {
 
 /// What synchronous garbage collection held the host for: the
 /// collections that ran at least one victim pass, their passes, the
-/// host nanoseconds waited inside them, and the floor under that wait.
-/// A collection puts all its passes on the die timelines from one
-/// dispatch point, phase by phase (every read, then every program,
-/// then every erase), and waits once, for the latest erase. Kept beside
+/// host nanoseconds waited inside them, the floor under that wait, and
+/// how long the dies they used were already reserved. A collection puts
+/// all its passes on the die timelines from one dispatch point, phase
+/// by phase (every read, then every program, then every erase), ahead
+/// of the flush programs queued there, and waits once, for the latest
+/// erase. Kept beside
 /// [`SimStats`], not in it, for the same reason as [`LookupPaths`], and
 /// reset with it ([`crate::Ssd::reset_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -290,6 +292,10 @@ pub struct SyncGc {
     /// and erase time: no collection finishes sooner than its busiest
     /// die, so `wait_ns` is never below it.
     pub busiest_die_ns: u64,
+    /// Summed over the collections, the longest any die a collection's
+    /// steps use was already reserved past its dispatch point when they
+    /// were placed: what it waited for besides its own GC work.
+    pub behind_ns: u64,
 }
 
 /// How host reads and flush programs shared the dies, and how writes

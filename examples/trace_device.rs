@@ -2,7 +2,7 @@
 //! pacing control plane at work.
 //!
 //! ```text
-//! cargo run --release --example trace_device [out.json]
+//! cargo run --release --example trace_device [out.json] [blocking.json]
 //! ```
 //!
 //! The run colocates an SLO reader with two GC bullies on a small,
@@ -20,6 +20,13 @@
 //!   per admission gate (`gate`: `slot` for the best-effort slot cap,
 //!   `floor` for the slot cap or the GC-floor margin), with the number
 //!   of queue heads behind it (`members`).
+//!
+//! It then replays a mix of writes and reads on a copy of the same aged
+//! device through the blocking interface and writes that timeline too
+//! (`blocking.json`, default `blocking_trace.json`): every collection
+//! there is synchronous, so its steps go ahead of the flush programs
+//! queued on their dies, and each pass's persistence point continues
+//! over the dies from where the previous one ended.
 
 #![expect(
     clippy::expect_used,
@@ -27,6 +34,7 @@
 )]
 
 use leaftl_repro::core::LeaFtlConfig;
+use leaftl_repro::flash::Lpa;
 use leaftl_repro::sim::{
     replay_open_loop, DeviceConfig, LeaFtlScheme, QosControllerConfig, QosSpec, Slo, Ssd,
     SsdConfig, TrafficClass, Weighted,
@@ -34,9 +42,13 @@ use leaftl_repro::sim::{
 use leaftl_repro::workloads::{gc_bully, multi_tenant_trace, slo_reader, warmup_ops, TenantSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let out = std::env::args()
-        .nth(1)
+    let mut args = std::env::args().skip(1);
+    let out = args
+        .next()
         .unwrap_or_else(|| "trace_device.json".to_string());
+    let blocking_out = args
+        .next()
+        .unwrap_or_else(|| "blocking_trace.json".to_string());
 
     // A small, heavily pre-aged device: the bullies keep it
     // collecting at the GC watermark for the whole run.
@@ -53,16 +65,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for op in ops {
             if let leaftl_repro::sim::HostOp::Write { lpa, pages } = op {
                 for i in 0..pages as u64 {
-                    ssd.write(
-                        leaftl_repro::flash::Lpa::new((lpa.raw() + i) % logical),
-                        i + 1,
-                    )?;
+                    ssd.write(Lpa::new((lpa.raw() + i) % logical), i + 1)?;
                 }
             }
         }
     }
     ssd.flush()?;
     ssd.reset_stats();
+    let mut blocking = ssd.clone();
 
     // One guaranteed reader between two GC bullies.
     let tenants = vec![
@@ -117,5 +127,37 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     println!("\nopen {out} at https://ui.perfetto.dev to see the paced timeline");
+
+    // The blocking path on the same image: scattered overwrites of twice
+    // the logical space, with a read after every fourth write.
+    blocking.attach_trace();
+    let mut at = 0x1ea_f71u64;
+    for i in 0..2 * logical {
+        at = at
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        blocking.write(Lpa::new((at >> 33) % logical), i)?;
+        if i % 4 == 3 {
+            blocking.read(Lpa::new((at >> 17) % logical))?;
+        }
+    }
+    blocking.flush()?;
+    let sink = blocking.take_trace().expect("tracing was enabled");
+    let check = sink.check();
+    std::fs::write(&blocking_out, sink.export_chrome_json())?;
+    let gc = blocking.sync_gc();
+    println!(
+        "\nwrote {blocking_out}: {} events, {}/{} die tracks active; {} synchronous \
+         collections of {} passes held the host {:.1} ms (busiest dies' GC {:.1} ms, \
+         dies already reserved {:.1} ms)",
+        check.events,
+        check.active_die_tracks(),
+        check.die_tracks,
+        gc.collections,
+        gc.passes,
+        gc.wait_ns as f64 / 1e6,
+        gc.busiest_die_ns as f64 / 1e6,
+        gc.behind_ns as f64 / 1e6
+    );
     Ok(())
 }

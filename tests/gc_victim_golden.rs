@@ -189,6 +189,20 @@
 //! the wear histories (1 359 → 1 388 and 1 651 → 1 323 swaps). The four
 //! cost-benefit constants did not move: the balance is greedy's alone.
 //! Coverage holds unedited.
+//!
+//! Five constants were recorded again when a synchronous collection
+//! began to go ahead of the flush programs queued on its dies (never
+//! suspending one), and a `DramSnapshot` point's pages began to
+//! continue over the dies from where the previous point's ended instead
+//! of starting on die 0: collections end at other times. The four
+//! cost-benefit constants move because cost-benefit ages a block by the
+//! clock, so later picks change; `BACKGROUND_GREEDY_SNAPSHOT` because
+//! the points of its background collections move, and with them the
+//! dispatch times the background hash reads. Both `SYNC_GREEDY_*`
+//! constants and both wear-swap histories hash no time and did not
+//! move; neither did `BACKGROUND_GREEDY_FLASHLOG`, whose points put
+//! nothing on a die and whose dispatch times stayed. Coverage holds
+//! unedited.
 
 #![expect(
     clippy::unwrap_used,
@@ -477,12 +491,12 @@ fn run_background(config: SsdConfig, seed: u64) -> (u64, Coverage) {
 
 const SYNC_GREEDY_SNAPSHOT: u64 = 0x4762_e5b5_d1bd_22c8;
 const SYNC_GREEDY_FLASHLOG: u64 = 0x5e92_77c3_a7da_bbb4;
-const SYNC_COSTBENEFIT_SNAPSHOT: u64 = 0x215e_675a_dff2_be60;
-const SYNC_COSTBENEFIT_FLASHLOG: u64 = 0x5ed5_b486_3b91_3e6a;
-const BACKGROUND_GREEDY_SNAPSHOT: u64 = 0x711e_924f_5340_d920;
+const SYNC_COSTBENEFIT_SNAPSHOT: u64 = 0x5a2c_dacf_147a_af31;
+const SYNC_COSTBENEFIT_FLASHLOG: u64 = 0xfa21_348d_5f00_801e;
+const BACKGROUND_GREEDY_SNAPSHOT: u64 = 0x5b26_6676_9a40_1d7e;
 const BACKGROUND_GREEDY_FLASHLOG: u64 = 0x2bb1_b800_7755_a338;
-const BACKGROUND_COSTBENEFIT_SNAPSHOT: u64 = 0x78a6_3e5d_c569_30d2;
-const BACKGROUND_COSTBENEFIT_FLASHLOG: u64 = 0x630f_b6c0_b641_5ab2;
+const BACKGROUND_COSTBENEFIT_SNAPSHOT: u64 = 0xc7fb_ebde_a68e_f84f;
+const BACKGROUND_COSTBENEFIT_FLASHLOG: u64 = 0x8875_01c9_f1aa_ec99;
 const SYNC_GREEDY_WEAR_SWAPS: u64 = 0x2e57_8dbf_797e_9b83;
 /// Recorded one PR later than the rest, on the commit before wear swaps
 /// and GC migrations became one relocation kernel.
