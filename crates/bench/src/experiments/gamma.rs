@@ -28,7 +28,7 @@ const FIG24_GAP: &str = "direction 4: most mispredicting lookups are a flush res
 /// What is left of Fig. 21's gap once a flush resolves its overwrites
 /// in one pass without holding the host for them, and host reads go
 /// ahead of the flush's queued programs.
-const FIG21_GAP: &str = "direction 4(b)(ii): with reads ahead of queued programs, flushed pages \
+const FIG21_GAP: &str = "direction 15: with reads ahead of queued programs, flushed pages \
                          read from DRAM until a write takes their slots, and a flush that \
                          neither waits for its resolution reads nor reads an old copy still in \
                          DRAM, the MSR/FIU rows are within 1.01× at full scale (1.04× while a \

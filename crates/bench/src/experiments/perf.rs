@@ -176,7 +176,7 @@ fn fig23a(runs: &Runs) -> Figure {
     let mut rows = Vec::new();
     let mut out = Vec::new();
     let claim = "90 % of lookups end at the top level, 99 % within 10 (paper)";
-    let gap = Some("direction 6(c): compaction leaves groups deeper than it triggers at");
+    let gap = Some("direction 14: compaction leaves groups deeper than it triggers at");
     let mut shape = Shape::new(claim, gap);
     for results in runs {
         let r = &results[LEAFTL];

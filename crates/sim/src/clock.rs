@@ -39,13 +39,13 @@ pub const RESUME_NS: u64 = 5_000;
 /// name for it. There are three ways onto a die, and one placement rule
 /// behind them:
 ///
-/// - [`SimClock::schedule_after`] (background work: a background
-///   collection, the map log, a flush's translation I/O, a wear swap)
-///   places the die's whole queue, then itself: with nothing queued, a
-///   plain FIFO.
+/// - [`SimClock::schedule_after`] places the die's whole queue, then
+///   itself: with nothing queued, a plain FIFO. Every op but a host read
+///   goes this way unless its caller places it `Placement::Ahead`.
 /// - `SimClock::schedule_ahead` (what the host waits on: a host read,
 ///   never of a page whose program is still queued, for that page is in
-///   DRAM; every step of a synchronous collection) lets queued programs
+///   DRAM, and what its caller places `Placement::Ahead` — GC work goes
+///   where `Ssd::place_gc`'s placement argument says) lets queued programs
 ///   use the die's idle time before its floor, and is then placed after
 ///   whatever the die holds, ahead of whatever is still queued. A host
 ///   read suspends the program still running at its floor — what it had

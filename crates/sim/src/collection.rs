@@ -3,15 +3,16 @@
 //! A collection is the victim passes one collector runs from one
 //! dispatch point: a synchronous collection inside a flush, or one
 //! background GC dispatch of a [`crate::Device`]. Every pass changes
-//! the SSD's state at once and leaves a [`Relocation`]: what it needs
-//! on flash. [`CollectionPlan::order`] decides the order in which those
-//! steps go onto the FIFO die timelines: every pass's reads first, then
-//! every program, then every erase, so no pass's reads queue behind
-//! another pass's programs or erase on the same die (§3.6 relocates a
-//! victim; LFTL runs GC across flash units in parallel). Placed in that
-//! order from the dispatch point, a pass's programs start no earlier
-//! than its own last read and its erase no earlier than its own last
-//! program.
+//! the SSD's state at once (`gc.rs`) and leaves a [`Relocation`] on the
+//! collection's plan; a wear swap is a plan of one. `Ssd::place_gc`
+//! places a plan, and [`CollectionPlan::order`] decides the order in
+//! which its steps go onto the FIFO die timelines: every pass's reads
+//! first, then every program, then every erase, so no pass's reads
+//! queue behind another pass's programs or erase on the same die (§3.6
+//! relocates a victim; LFTL runs GC across flash units in parallel).
+//! Placed in that order from the dispatch point, a pass's programs start
+//! no earlier than its own last read and its erase no earlier than its
+//! own last program.
 //!
 //! One rule overrides the phases: a step on a block never starts
 //! before the previous step on that block in the same collection ends.
@@ -36,7 +37,7 @@
 use crate::allocator::PageRun;
 use crate::ssd::FlashOp;
 use leaftl_core::MapCost;
-use leaftl_flash::{BlockId, Die, FlashGeometry, Lpa, NandTiming};
+use leaftl_flash::{BlockId, FlashGeometry, Lpa, NandTiming};
 
 /// What one relocation needs on flash, as the SSD's state change left
 /// it: the victim's reads (all on its die), the runs its live pages
@@ -56,17 +57,6 @@ pub(crate) struct Relocation {
     /// The re-learned batches' translation I/O, each with the batch's
     /// first LPA; only batches that cost flash I/O are listed.
     pub(crate) map_costs: Vec<(Lpa, MapCost)>,
-}
-
-/// What one collection cost its dies ([`crate::Ssd`]'s `collect`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct CollectionCost {
-    /// The busiest die's GC read, program and erase time
-    /// ([`CollectionPlan::busiest_die_ns`]).
-    pub(crate) busiest_die_ns: u64,
-    /// The longest any die its steps use was already reserved past the
-    /// dispatch point when they were placed.
-    pub(crate) behind_ns: u64,
 }
 
 /// Greedy's slack within a collection: Δ = ⌈(v·t_read + t_erase) /
@@ -92,22 +82,14 @@ pub(crate) enum Step {
     Erase,
 }
 
-/// The collection scheduler's working memory, and the victims each die
-/// has given the collection being run (which greedy selection
-/// balances), kept by the SSD from collection to collection and empty
-/// between them.
+/// The collection scheduler's working memory, kept by the SSD from
+/// collection to collection and empty between them.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CollectionPlan {
     /// Per block: 1 + the index of the latest step on it in the
     /// collection being ordered, 0 for none. All zero between
     /// collections.
     block_last: Vec<u32>,
-    /// Per die: the collection's GC read, program and erase time. All
-    /// zero between collections.
-    die_ns: Vec<u64>,
-    /// Per die: the victims the collection being run has taken from it,
-    /// which greedy selection balances. All zero between collections.
-    die_victims: Vec<u32>,
     /// Every step as `(pass, step)`, in state order: a pass's reads,
     /// runs, translation I/O and erase are contiguous.
     steps: Vec<(usize, Step)>,
@@ -137,30 +119,12 @@ fn phase(step: Step) -> usize {
 }
 
 impl CollectionPlan {
-    /// Working memory for a device of `blocks` blocks on `dies` dies.
-    pub(crate) fn new(blocks: usize, dies: usize) -> Self {
+    /// Working memory for a device of `blocks` blocks.
+    pub(crate) fn new(blocks: usize) -> Self {
         CollectionPlan {
             block_last: vec![0; blocks],
-            die_ns: vec![0; dies],
-            die_victims: vec![0; dies],
             ..CollectionPlan::default()
         }
-    }
-
-    /// The victims the collection being run has taken from `die`.
-    pub(crate) fn victims_on(&self, die: Die) -> u32 {
-        self.die_victims[die.raw() as usize]
-    }
-
-    /// Counts a victim taken from `die` by the collection being run.
-    pub(crate) fn count_victim(&mut self, die: Die) {
-        self.die_victims[die.raw() as usize] += 1;
-    }
-
-    /// Ends the collection being run for victim selection: every die is
-    /// back to no victim.
-    pub(crate) fn forget_victims(&mut self) {
-        self.die_victims.fill(0);
     }
 
     /// The order to place the steps of `passes` (in state order) in:
@@ -258,41 +222,28 @@ impl CollectionPlan {
             }
         }
     }
+}
 
-    /// The busiest die's GC read, program and erase time in `passes`:
-    /// no collection of them finishes sooner, however it is ordered.
-    /// Linear in the passes' runs.
-    pub(crate) fn busiest_die_ns(
-        &mut self,
-        passes: &[Relocation],
-        geometry: &FlashGeometry,
-        timing: &NandTiming,
-    ) -> u64 {
-        let mut busiest = 0;
-        let mut add = |die_ns: &mut Vec<u64>, block: BlockId, ns: u64| {
-            let die = &mut die_ns[geometry.die_of_block(block).raw() as usize];
-            *die += ns;
-            busiest = busiest.max(*die);
-        };
-        for pass in passes {
-            let victim_ns = u64::from(pass.reads) * timing.read_ns + timing.erase_ns;
-            add(&mut self.die_ns, pass.victim, victim_ns);
-            for run in &pass.runs {
-                add(
-                    &mut self.die_ns,
-                    run.block,
-                    u64::from(run.len) * timing.program_ns,
-                );
-            }
+/// The busiest die's GC read, program and erase time in `passes`: no
+/// collection of them finishes sooner, however it is ordered. Linear in
+/// the passes' runs and the dies.
+pub(crate) fn busiest_die_ns(
+    passes: &[Relocation],
+    geometry: &FlashGeometry,
+    timing: &NandTiming,
+) -> u64 {
+    let mut die_ns = vec![0; geometry.total_dies() as usize];
+    let mut add = |block, ns| die_ns[geometry.die_of_block(block).raw() as usize] += ns;
+    for pass in passes {
+        add(
+            pass.victim,
+            u64::from(pass.reads) * timing.read_ns + timing.erase_ns,
+        );
+        for run in &pass.runs {
+            add(run.block, u64::from(run.len) * timing.program_ns);
         }
-        for pass in passes {
-            self.die_ns[geometry.die_of_block(pass.victim).raw() as usize] = 0;
-            for run in &pass.runs {
-                self.die_ns[geometry.die_of_block(run.block).raw() as usize] = 0;
-            }
-        }
-        busiest
     }
+    die_ns.into_iter().max().unwrap_or(0)
 }
 
 #[cfg(test)]
@@ -321,7 +272,7 @@ mod tests {
     /// program, then every erase, each phase in pass order.
     #[test]
     fn independent_passes_go_phase_by_phase() {
-        let mut plan = CollectionPlan::new(16, 4);
+        let mut plan = CollectionPlan::new(16);
         let passes = [
             pass(1, 2, &[(8, 2)]),
             pass(2, 3, &[(8, 1), (9, 2)]),
@@ -351,7 +302,7 @@ mod tests {
     /// into the program phase.
     #[test]
     fn a_block_keeps_its_state_order() {
-        let mut plan = CollectionPlan::new(16, 4);
+        let mut plan = CollectionPlan::new(16);
         // Pass 0 fills block 5, which pass 1 then collects; pass 2
         // programs into block 1, which pass 0 erased.
         let passes = [
@@ -392,13 +343,11 @@ mod tests {
     fn the_busiest_die_sums_its_reads_programs_and_erases() {
         let geometry = FlashGeometry::small_test();
         let timing = NandTiming::paper_default();
-        let mut plan = CollectionPlan::new(geometry.blocks as usize, 8);
         let dies = geometry.total_dies() as u64;
         // Victims 0 and `dies` share die 0; the runs land on die 1.
         let passes = [pass(0, 3, &[(1, 3)]), pass(dies, 1, &[(1, 1)])];
-        let busiest = plan.busiest_die_ns(&passes, &geometry, &timing);
+        let busiest = busiest_die_ns(&passes, &geometry, &timing);
         let die0 = 4 * timing.read_ns + 2 * timing.erase_ns;
         assert_eq!(busiest, die0.max(4 * timing.program_ns));
-        assert!(plan.die_ns.iter().all(|&ns| ns == 0));
     }
 }

@@ -156,7 +156,7 @@ use crate::config::GcMode;
 use crate::error::SimError;
 use crate::qos::{QosController, QosSpec, QosTick, SloClass};
 use crate::request::{Command, IoCompletion, IoRequest};
-use crate::ssd::Ssd;
+use crate::ssd::{Placement, Ssd};
 use crate::trace::ArgValue;
 use leaftl_core::MappingScheme;
 use leaftl_flash::{BlockId, Lpa};
@@ -756,10 +756,11 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
     }
 
     /// Dispatches one background collection while GC is collecting:
-    /// the synchronous collector's collection ([`Ssd::collect`]), run
-    /// to the high line from this dispatch point — each victim the
-    /// block the synchronous rule picks when its pass runs, and the
-    /// passes placed on the dies phase by phase. While a QoS controller
+    /// the synchronous collector's ([`Ssd::plan_collection`]), run to
+    /// the high line from this dispatch point — each victim the block
+    /// the synchronous rule picks when its pass runs — and placed phase
+    /// by phase behind the queued flush programs ([`Ssd::place_gc`]).
+    /// While a QoS controller
     /// paces GC, the collection takes at most the pacing limit minus
     /// the erases in flight. Each pass retires as its own
     /// [`Command::GcMigrate`] [`IoCompletion`] on the [`GC_QUEUE`],
@@ -781,8 +782,10 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         let dispatch_ns = self.ssd.now_ns();
         let mut done = std::mem::take(&mut self.gc_done);
         done.clear();
-        self.ssd
-            .collect(|ssd| ssd.free_fraction() < high, max_passes, &mut done)?;
+        let wanted = |ssd: &Ssd<S>| ssd.free_fraction() < high;
+        let (plan, collected) = self.ssd.plan_collection(wanted, max_passes, dispatch_ns);
+        self.ssd.place_gc(&plan, Placement::Behind, &mut done);
+        collected?;
         let mut latest = None;
         for &(victim, deadline) in &done {
             self.gc_inflight.push(Reverse(deadline));

@@ -1,19 +1,23 @@
 //! The simulated SSD: ties the flash device, mapping scheme, caches,
 //! GC, wear levelling, and crash recovery together.
 
+#[path = "gc.rs"]
+mod gc;
+
+pub(crate) use gc::GcPlan;
+use gc::UnpersistedGroups;
+
 use crate::allocator::{BlockAllocator, PageRun, Stream};
 use crate::buffer::{WritePool, POOL_FLUSHES};
 use crate::clock::SimClock;
-use crate::collection::{victim_slack, CollectionCost, CollectionPlan, Relocation, Step};
-use crate::config::{
-    gc_watermarks, host_lanes, CheckpointMode, GcMode, GcPolicy, GcWatermarks, SsdConfig,
-};
+use crate::collection::{busiest_die_ns, CollectionPlan, Step};
+use crate::config::{gc_watermarks, host_lanes, CheckpointMode, GcMode, GcWatermarks, SsdConfig};
 use crate::error::SimError;
-use crate::gc_index::{EraseHistogram, VictimIndex, NOT_A_CANDIDATE};
+use crate::gc_index::{EraseHistogram, VictimIndex};
 use crate::lru::LruCache;
 use crate::stats::{LookupPaths, ReadPriority, SimStats, SyncGc};
-use crate::trace::{ArgValue, FlashOpKind, TraceSink, Tracer, TrafficClass, UtilizationReport};
-use crate::translog::{Baseline, LogOp, MapLogTraffic, TransLog};
+use crate::trace::{FlashOpKind, TraceSink, Tracer, TrafficClass, UtilizationReport};
+use crate::translog::{LogOp, MapLogTraffic, TransLog};
 use crate::validity::Validity;
 use leaftl_core::{MapCost, MappingLookup, MappingScheme};
 use leaftl_flash::{BlockId, Die, FlashDevice, IntSet, Lpa, Ppa};
@@ -30,9 +34,6 @@ pub const LOOKUP_BASE_NS: u64 = 40;
 
 /// Additional lookup cost per extra level visited.
 pub const LOOKUP_PER_LEVEL_NS: u64 = 10;
-
-/// Bytes of one block's BVC entry as a persistence point writes it.
-const BVC_ENTRY_BYTES: usize = 4;
 
 /// `(LPA, PPA)` pairs installed together: one learning batch.
 type Batch = Vec<(Lpa, Ppa)>;
@@ -89,63 +90,14 @@ enum Target {
     Page(Ppa),
 }
 
-/// The mapping table's 256-LPA groups ([`Lpa::group`]) by persistence
-/// standing: how many were ever mapped, and which were remapped since
-/// the last [`CheckpointMode::DramSnapshot`] persistence point — each
-/// listed once, however often it was rewritten. It is kept beside the
-/// scheme rather than asked of it, so a scheme behind a forwarding
-/// wrapper is priced exactly as the bare one.
-#[derive(Debug, Clone)]
-struct UnpersistedGroups {
-    /// Groups a mapping was ever installed in.
-    mapped: usize,
-    mapped_mark: Vec<bool>,
-    /// Groups remapped since the last point — exactly the groups
-    /// `listed_mark` flags.
-    listed: Vec<u32>,
-    listed_mark: Vec<bool>,
-}
-
-impl UnpersistedGroups {
-    fn new(logical_pages: u64) -> Self {
-        let groups = logical_pages.div_ceil(Lpa::GROUP_SIZE) as usize;
-        UnpersistedGroups {
-            mapped: 0,
-            mapped_mark: vec![false; groups],
-            listed: Vec::new(),
-            listed_mark: vec![false; groups],
-        }
-    }
-
-    /// Lists the groups `batch` installs mappings in.
-    fn note(&mut self, batch: &[(Lpa, Ppa)]) {
-        // Batches are runs of neighbouring LPAs: look a group up once.
-        let mut last = u64::MAX;
-        for &(lpa, _) in batch {
-            let group = lpa.group();
-            if group == last {
-                continue;
-            }
-            last = group;
-            let index = group as usize;
-            if !self.listed_mark[index] {
-                self.listed_mark[index] = true;
-                self.listed.push(index as u32);
-                if !self.mapped_mark[index] {
-                    self.mapped_mark[index] = true;
-                    self.mapped += 1;
-                }
-            }
-        }
-    }
-
-    /// Forgets the list: what it named is persisted (or, after a power
-    /// cut, lost with the table that held it).
-    fn forget(&mut self) {
-        for group in self.listed.drain(..) {
-            self.listed_mark[group as usize] = false;
-        }
-    }
+/// Where an operation goes among the flush programs queued on its die
+/// ([`Ssd::place_op`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Placement {
+    /// Ahead of them, never splitting one: what the host waits on.
+    Ahead,
+    /// Behind them: the die's queue is placed first.
+    Behind,
 }
 
 /// Where every physical page of the device stands
@@ -263,7 +215,7 @@ pub struct Ssd<S: MappingScheme + Clone> {
     /// the places their candidacy or valid count changes (see
     /// [`Ssd::select_gc_victim`]). Derived from the device, allocator,
     /// translation log and [`Validity`]: rebuilt after a crash, never
-    /// part of a [`Baseline`].
+    /// part of a [`crate::translog::Baseline`].
     gc_index: VictimIndex,
     /// Where GC starts and stops ([`gc_watermarks`] of `config`).
     gc_lines: GcWatermarks,
@@ -277,9 +229,8 @@ pub struct Ssd<S: MappingScheme + Clone> {
     /// The live pages of the block being relocated
     /// ([`Ssd::migrate_block`]), kept from pass to pass.
     live_scratch: Vec<Ppa>,
-    /// The collection scheduler's working memory
-    /// ([`Ssd::schedule_collection`]), kept from collection to
-    /// collection.
+    /// The collection scheduler's working memory ([`Ssd::place_gc`]),
+    /// kept from collection to collection.
     gc_plan: CollectionPlan,
     /// What the next [`CheckpointMode::DramSnapshot`] persistence point
     /// has to write of the mapping table, marked wherever pairs enter
@@ -288,10 +239,6 @@ pub struct Ssd<S: MappingScheme + Clone> {
     /// The die the next [`CheckpointMode::DramSnapshot`] point's first
     /// page goes on: each point continues where the previous one ended.
     point_die: u32,
-    /// Whether a synchronous collection is running: the host waits on
-    /// it, so what it puts on a die goes ahead of the flush programs
-    /// queued there ([`Ssd::flash_op`]).
-    host_blocked_on_gc: bool,
 }
 
 /// The state half of a resolved read: which pages must be read (in
@@ -422,13 +369,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             tracer: Tracer::new(config.geometry.total_dies()),
             read_scratch: ReadScratch::default(),
             live_scratch: Vec::new(),
-            gc_plan: CollectionPlan::new(
-                config.geometry.blocks as usize,
-                config.geometry.total_dies() as usize,
-            ),
+            gc_plan: CollectionPlan::new(config.geometry.blocks as usize),
             unpersisted: UnpersistedGroups::new(config.logical_pages()),
             point_die: 0,
-            host_blocked_on_gc: false,
             config,
         }
     }
@@ -518,6 +461,14 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         &mut self.tracer
     }
 
+    /// [`Ssd::place_op`] behind the queued flush programs (a host read
+    /// goes ahead of them): every operation but GC's, which
+    /// [`Ssd::place_gc`] places where its caller says.
+    #[inline]
+    fn flash_op(&mut self, op: FlashOp, class: TrafficClass, target: Target, floor_ns: u64) -> u64 {
+        self.place_op(op, class, target, floor_ns, Placement::Behind)
+    }
+
     /// Puts one flash operation on its die, starting no earlier than
     /// `floor_ns`, and returns when it completes; the host clock does
     /// not move. With [`Ssd::queue_program`], the only way onto a die:
@@ -527,11 +478,19 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// ([`Ssd::check_utilization_conservation`] cross-checks it). What
     /// the host waits on goes ahead of the flush programs queued on its
     /// die ([`SimClock::schedule_ahead`]): a host read, which may suspend
-    /// the program running at its floor, and every operation of a
-    /// synchronous collection, which never does. Every other operation
-    /// goes behind them.
+    /// the program running at its floor, and whatever its caller places
+    /// [`Placement::Ahead`] — a synchronous collection's operations —
+    /// which never does. Every other operation goes behind them
+    /// ([`SimClock::schedule_after`]).
     #[inline]
-    fn flash_op(&mut self, op: FlashOp, class: TrafficClass, target: Target, floor_ns: u64) -> u64 {
+    fn place_op(
+        &mut self,
+        op: FlashOp,
+        class: TrafficClass,
+        target: Target,
+        floor_ns: u64,
+        placement: Placement,
+    ) -> u64 {
         debug_assert_ne!(op, FlashOp::DataProgram, "a flush's programs are queued");
         let geometry = self.config.geometry;
         let (die, page) = match target {
@@ -550,7 +509,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             self.priority.suspensions += u64::from(read.suspended);
             self.priority.overtaking_reads += u64::from(read.overtook);
             read.end_ns
-        } else if self.host_blocked_on_gc {
+        } else if placement == Placement::Ahead {
             self.clock
                 .schedule_ahead(die, floor_ns, latency_ns, false)
                 .end_ns
@@ -746,13 +705,15 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// a call's ops land on one die, so its FIFO orders them the same
     /// whether they chain from each other or are each scheduled "now".
     /// `class` attributes the die time to whoever triggered the
-    /// operation. The global clock does not move.
+    /// operation, and `placement` puts it among the queued flush
+    /// programs. The global clock does not move.
     fn charge_map_cost(
         &mut self,
         lpa: Lpa,
         cost: MapCost,
         floor_ns: u64,
         class: TrafficClass,
+        placement: Placement,
     ) -> u64 {
         let mut ready_ns = floor_ns;
         if cost.translation_reads == 0 && cost.translation_writes == 0 {
@@ -760,20 +721,22 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         }
         let die = self.translation_die(lpa);
         for _ in 0..cost.translation_reads {
-            ready_ns = self.flash_op(
+            ready_ns = self.place_op(
                 FlashOp::TranslationRead,
                 class,
                 Target::Translation(die),
                 ready_ns,
+                placement,
             );
         }
         for _ in 0..cost.translation_writes {
             // Write-backs occupy the die but extend nothing.
-            self.flash_op(
+            self.place_op(
                 FlashOp::TranslationProgram,
                 class,
                 Target::Translation(die),
                 ready_ns,
+                placement,
             );
         }
         ready_ns
@@ -981,8 +944,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         // shared dispatch point, in batch order; each leaves the
         // request map-ready.
         for read in pending.iter() {
+            let (class, placement) = (TrafficClass::Host, Placement::Behind);
             results[read.index].1 =
-                self.charge_map_cost(read.lpa, read.cost, started, TrafficClass::Host);
+                self.charge_map_cost(read.lpa, read.cost, started, class, placement);
         }
         // Out-of-order stage: in map-ready order (ties broken by batch
         // index), each request's lookup runs from its map-ready time and
@@ -1187,7 +1151,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             if by == Overwriter::Flush {
                 // The translation I/O occupies its die (delaying future
                 // reads) without blocking the host.
-                self.charge_map_cost(lpa, cost, dispatch_ns, class);
+                self.charge_map_cost(lpa, cost, dispatch_ns, class, Placement::Behind);
             }
             let Some(hit) = hit else { continue };
             if !hit.approximate {
@@ -1359,7 +1323,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         // Queue every program on its die: the host continues, and the
         // dies serve reads ahead of them.
         let now = self.clock.now_ns();
-        let batches = self.program_runs(&runs, &pages)?;
+        let batches = self.program_runs(&runs, &pages, now)?;
         let ppas = runs.iter().flat_map(PageRun::ppas);
         for (tag, ppa) in (first_tag..).zip(ppas) {
             self.queue_program(ppa, now, tag);
@@ -1371,7 +1335,8 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         for batch in &batches {
             let cost = self.learn_and_mark(batch, sorted);
             let now = self.clock.now_ns();
-            self.charge_map_cost(batch[0].0, cost, now, TrafficClass::Host);
+            let (class, placement) = (TrafficClass::Host, Placement::Behind);
+            self.charge_map_cost(batch[0].0, cost, now, class, placement);
         }
 
         self.translog_append_delta(batches.into_iter().flatten());
@@ -1425,15 +1390,16 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         cost
     }
 
-    /// Programs `pages` onto `runs` in order, on the device only: the
-    /// dies are the caller's to schedule ([`Ssd::schedule_run`]).
-    /// Returns the installed `(LPA, PPA)` pairs run by run — a run is
-    /// one learning batch. Every data page the device programs goes
-    /// through here, for a flush, a migration or a wear swap alike.
+    /// Programs `pages` onto `runs` in order at `now_ns`, on the device
+    /// only: the dies are the caller's to schedule. Returns the
+    /// installed `(LPA, PPA)` pairs run by run — a run is one learning
+    /// batch. Every data page the device programs goes through here, for
+    /// a flush, a migration or a wear swap alike.
     fn program_runs(
         &mut self,
         runs: &[PageRun],
         pages: &[(Lpa, u64)],
+        now_ns: u64,
     ) -> Result<Vec<Batch>, SimError> {
         let mut pages = pages.iter();
         let mut batches: Vec<Batch> = Vec::with_capacity(runs.len());
@@ -1441,24 +1407,12 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             let mut batch = Vec::with_capacity(run.len as usize);
             for (ppa, &(lpa, content)) in run.ppas().zip(&mut pages) {
                 self.device.program(ppa, content, Some(lpa))?;
-                self.note_block_write(ppa);
+                self.note_block_write(ppa, now_ns);
                 batch.push((lpa, ppa));
             }
             batches.push(batch);
         }
         Ok(batches)
-    }
-
-    /// Puts a migration's or a wear swap's `run` of programs on its
-    /// block's die, each starting no earlier than `floor_ns`, and
-    /// returns when the last completes; the host clock does not move.
-    fn schedule_run(&mut self, run: &PageRun, op: FlashOp, floor_ns: u64) -> u64 {
-        let mut done = floor_ns;
-        for ppa in run.ppas() {
-            let end = self.flash_op(op, TrafficClass::Gc, Target::Page(ppa), floor_ns);
-            done = done.max(end);
-        }
-        done
     }
 
     /// Collects until `stream` can take `pages` pages.
@@ -1521,145 +1475,86 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     }
 
     // ------------------------------------------------------------------
-    // Garbage collection (§3.6)
+    // Garbage collection (§3.6): the state half is `gc.rs`'s
     // ------------------------------------------------------------------
 
-    fn maybe_gc(&mut self) -> Result<(), SimError> {
-        let lines = self.gc_lines;
-        if self.allocator.free_fraction() < lines.low {
-            self.collect_while(|ssd| ssd.allocator.free_fraction() < lines.high)?;
-        }
-        Ok(())
-    }
-
     /// Runs a synchronous collection while `wanted` holds, giving up
-    /// when nothing is left to collect or after one pass per block, and
-    /// waits once, for its latest erase. Returns whether `wanted` was
+    /// when nothing is left to collect or after one pass per block: the
+    /// collection a background GC dispatch runs
+    /// ([`Ssd::plan_collection`]), placed ahead of the flush programs
+    /// queued on its dies (the host is blocked on it, as on a read) and
+    /// then waited for once, for its latest erase, so no later host read
+    /// queues behind its relocations. Returns whether `wanted` was
     /// satisfied.
-    ///
-    /// The collection is the one a background GC dispatch runs
-    /// ([`Ssd::collect`]): every victim is selected (and cost-benefit
-    /// scored) at the dispatch point, and the passes are placed on the
-    /// dies phase by phase from there, so no pass's reads queue behind
-    /// another's programs or erase. The host is blocked on it, so all
-    /// it puts on a die — the passes' persistence points too — goes
-    /// ahead of the flush programs queued there, as a host read does
-    /// ([`Ssd::flash_op`]). Only then does the host wait, so no later
-    /// host read queues behind the collection's relocations.
     fn collect_while(&mut self, wanted: impl Fn(&Self) -> bool) -> Result<bool, SimError> {
         let started_ns = self.clock.now_ns();
+        let (plan, collected) = self.plan_collection(&wanted, usize::MAX, started_ns);
         let mut done = Vec::new();
-        self.host_blocked_on_gc = true;
-        let collected = self.collect(&wanted, usize::MAX, &mut done);
-        self.host_blocked_on_gc = false;
-        let collected = collected?;
+        let behind_ns = self.place_gc(&plan, Placement::Ahead, &mut done);
+        collected?;
         if let Some(last_erase_ns) = done.iter().map(|&(_, erase_ns)| erase_ns).max() {
             self.clock.wait_until(last_erase_ns);
+            let (geometry, timing) = (&self.config.geometry, &self.config.timing);
             self.sync_gc.collections += 1;
             self.sync_gc.passes += done.len() as u64;
             self.sync_gc.wait_ns += self.clock.now_ns().saturating_sub(started_ns);
-            self.sync_gc.busiest_die_ns += collected.busiest_die_ns;
-            self.sync_gc.behind_ns += collected.behind_ns;
+            self.sync_gc.busiest_die_ns += busiest_die_ns(&plan.passes, geometry, timing);
+            self.sync_gc.behind_ns += behind_ns;
         }
         Ok(!wanted(self))
     }
 
-    /// Runs one GC collection from the dispatch point: while `wanted`
-    /// holds and there is a victim, at most `max_passes` and at most
-    /// one per block, a pass ([`Ssd::gc_pass`]) over the best block
-    /// there is when it runs ([`Ssd::select_gc_victim`]), and then the
-    /// whole collection goes on the dies ([`Ssd::schedule_collection`]).
-    /// Appends each pass's victim and erase completion to `done`, in pass
-    /// order, and returns the busiest die's GC time in the collection and
-    /// how long its dies were already reserved; the host clock does not
-    /// move. Both collectors run it: a synchronous one waits for the
-    /// latest erase, a background GC dispatch retires one
-    /// [`crate::Command::GcMigrate`] per pass.
+    /// Puts a [`GcPlan`] on the dies from its dispatch point: its
+    /// persistence points' pages, then its passes' steps in the order
+    /// [`CollectionPlan::order`] gives — every read, then every program
+    /// (each no earlier than its pass's last read), then every erase
+    /// (each no earlier than its pass's last program), a block's steps
+    /// in state order. A pass's translation I/O follows its programs, as
+    /// a flush's does. The one way GC work reaches a die: `placement`
+    /// puts all of it ahead of the flush programs queued there (a
+    /// synchronous collection, which the host waits on) or behind them
+    /// (a background dispatch, a wear swap, a persistence point run on
+    /// its own). Ahead of them, a victim whose program is still queued
+    /// is read and erased behind its die's queue.
     ///
-    /// # Errors
-    ///
-    /// A pass's error ([`SimError::DeviceFull`] when the GC stream
-    /// cannot take the victim's live pages), once the passes before it
-    /// are placed.
-    pub(crate) fn collect(
+    /// Appends each pass's victim and erase completion to `done`, in
+    /// pass order, and returns the longest any die the steps use was
+    /// already reserved past the dispatch point once the points were
+    /// placed ([`SyncGc::behind_ns`]). The host clock does not move.
+    pub(crate) fn place_gc(
         &mut self,
-        wanted: impl Fn(&Self) -> bool,
-        max_passes: usize,
+        plan: &GcPlan,
+        placement: Placement,
         done: &mut Vec<(BlockId, u64)>,
-    ) -> Result<CollectionCost, SimError> {
-        let max_passes = max_passes.min(self.config.geometry.blocks as usize + 1);
-        let mut passes = Vec::new();
-        let mut outcome = Ok(());
-        while passes.len() < max_passes && wanted(self) {
-            let Some(victim) = self.select_gc_victim() else {
-                break;
-            };
-            match self.gc_pass(victim) {
-                Ok(pass) => {
-                    // A device whose GC lines sit at the cap keeps plain
-                    // greedy, as it keeps one host lane: with a few free
-                    // blocks per way, the pages the slack lets a victim
-                    // keep cost free space it does not have.
-                    if !self.gc_lines.capped() {
-                        let die = self.config.geometry.die_of_block(victim);
-                        self.gc_plan.count_victim(die);
-                    }
-                    passes.push(pass);
-                }
-                Err(error) => {
-                    outcome = Err(error);
-                    break;
-                }
+    ) -> u64 {
+        let now = plan.dispatch_ns;
+        let geometry = self.config.geometry;
+        let dies = geometry.total_dies() as usize;
+        for point in &plan.points {
+            for page in 0..point.pages {
+                let die = Die::new(((point.first_die as usize + page) % dies) as u32);
+                let target = Target::Translation(die);
+                let (op, class) = (FlashOp::TranslationProgram, TrafficClass::MapLog);
+                self.place_op(op, class, target, now, placement);
             }
         }
-        self.gc_plan.forget_victims();
-        let geometry = self.config.geometry;
-        let now = self.clock.now_ns();
+        let passes = &plan.passes;
         let behind_ns = passes
             .iter()
             .flat_map(|pass| {
                 std::iter::once(pass.victim).chain(pass.runs.iter().map(|run| run.block))
             })
-            .map(|block| {
-                let die = geometry.die_of_block(block);
-                self.clock.reserved_until(die).saturating_sub(now)
-            })
+            .map(|block| self.clock.reserved_until(geometry.die_of_block(block)))
+            .map(|reserved_ns| reserved_ns.saturating_sub(now))
             .max()
             .unwrap_or(0);
-        self.schedule_collection(&passes, done);
-        outcome?;
-        let timing = self.config.timing;
-        Ok(CollectionCost {
-            busiest_die_ns: self.gc_plan.busiest_die_ns(&passes, &geometry, &timing),
-            behind_ns,
-        })
-    }
-
-    /// Places a collection's passes on the dies from the dispatch
-    /// point, in the order [`CollectionPlan::order`] gives: every read
-    /// first, then every program (each no earlier than its own pass's
-    /// last read), then every erase (each no earlier than its own
-    /// pass's last program), except where a block's previous step in
-    /// the collection comes later. A pass's translation I/O follows its
-    /// programs, from the dispatch point, as a flush's does. Appends
-    /// each pass's victim and erase completion to `done`, in pass
-    /// order; the host clock does not move. Linear in the steps and
-    /// pages.
-    ///
-    /// Ahead of the queued flush programs (a synchronous collection),
-    /// a victim whose program is still queued — a block the flush that
-    /// triggered the collection closed — is read and erased behind its
-    /// die's queue, so its steps follow its programs.
-    fn schedule_collection(&mut self, passes: &[Relocation], done: &mut Vec<(BlockId, u64)>) {
-        let now = self.clock.now_ns();
-        let geometry = self.config.geometry;
-        let mut plan = std::mem::take(&mut self.gc_plan);
+        let mut order = std::mem::take(&mut self.gc_plan);
         // Per pass: when its reads, its programs and its erase are done.
         let mut times = vec![[now; 3]; passes.len()];
-        for &(index, step) in plan.order(passes) {
+        for &(index, step) in order.order(passes) {
             let pass = &passes[index];
             let times = &mut times[index];
-            if self.host_blocked_on_gc && matches!(step, Step::Reads | Step::Erase) {
+            if placement == Placement::Ahead && matches!(step, Step::Reads | Step::Erase) {
                 let die = geometry.die_of_block(pass.victim);
                 let first = geometry.first_ppa(pass.victim);
                 if self
@@ -1669,243 +1564,40 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                     self.clock.place_queue_of(die);
                 }
             }
+            let (class, victim) = (TrafficClass::Gc, Target::Block(pass.victim));
             match step {
                 Step::Reads => {
                     for _ in 0..pass.reads {
-                        let end = self.flash_op(
-                            FlashOp::GcRead,
-                            TrafficClass::Gc,
-                            Target::Block(pass.victim),
-                            now,
-                        );
+                        let end = self.place_op(FlashOp::GcRead, class, victim, now, placement);
                         times[0] = times[0].max(end);
                     }
                 }
                 Step::Run(run) => {
-                    let end = self.schedule_run(&pass.runs[run], pass.program, times[0]);
-                    times[1] = times[1].max(end);
+                    for ppa in pass.runs[run].ppas() {
+                        let page = Target::Page(ppa);
+                        let end = self.place_op(pass.program, class, page, times[0], placement);
+                        times[1] = times[1].max(end);
+                    }
                 }
                 Step::MapCosts => {
                     for &(lpa, cost) in &pass.map_costs {
-                        self.charge_map_cost(lpa, cost, now, TrafficClass::Gc);
+                        self.charge_map_cost(lpa, cost, now, class, placement);
                     }
                 }
                 Step::Erase => {
                     let floor_ns = times[0].max(times[1]);
-                    times[2] = self.flash_op(
-                        FlashOp::Erase,
-                        TrafficClass::Gc,
-                        Target::Block(pass.victim),
-                        floor_ns,
-                    );
+                    times[2] = self.place_op(FlashOp::Erase, class, victim, floor_ns, placement);
                 }
             }
         }
-        self.gc_plan = plan;
+        self.gc_plan = order;
         done.extend(
             passes
                 .iter()
                 .zip(&times)
                 .map(|(pass, times)| (pass.victim, times[2])),
         );
-    }
-
-    /// Where GC starts and stops on this device; the device front-end
-    /// reads the same lines.
-    pub(crate) fn gc_watermarks(&self) -> GcWatermarks {
-        self.gc_lines
-    }
-
-    /// Current free-block fraction (the device's GC pressure signal).
-    pub(crate) fn free_fraction(&self) -> f64 {
-        self.allocator.free_fraction()
-    }
-
-    /// Whether GC has a block to collect: after the marked keys are
-    /// re-read, one comparison at the victim index's root. The device
-    /// front-end asks before it offers a migration to its arbiter.
-    pub(crate) fn has_gc_candidate(&mut self) -> bool {
-        self.refresh_gc_index();
-        self.gc_index
-            .any_below(self.config.geometry.pages_per_block)
-    }
-
-    /// A block's key in the victim index: its valid-page count if GC
-    /// may pick it — closed, programmed, and not the translation log's
-    /// (log pages carry no reverse mapping, so a log block counts zero
-    /// valid *data* pages and greedy selection would erase a live
-    /// checkpoint out from under recovery; the log reclaims its own
-    /// blocks via retention).
-    fn victim_key(&self, block: BlockId) -> u32 {
-        if self.allocator.is_open(block)
-            || self.device.block(block).is_erased()
-            || self.translog.owns(block)
-        {
-            NOT_A_CANDIDATE
-        } else {
-            self.validity.valid_count(block)
-        }
-    }
-
-    /// Brings the victim index up to date: re-reads the key of every
-    /// block marked since the last selection.
-    fn refresh_gc_index(&mut self) {
-        while let Some(block) = self.gc_index.pop_dirty() {
-            let key = self.victim_key(block);
-            self.gc_index.refresh(block, key);
-        }
-    }
-
-    /// Victim selection (§3.6). Greedy: the closed block with the
-    /// fewest valid pages (min-BVC), lowest block id among equals —
-    /// except within a collection, where it balances the dies (a
-    /// declared deviation from §3.6's plain greedy). With v the fewest
-    /// valid pages any candidate holds, every candidate holding at most
-    /// v + Δ qualifies, Δ = ⌈(v·t_read + t_erase) / t_program⌉
-    /// ([`victim_slack`]; 25 at v = 168 under the paper's timing), and
-    /// the pick is the qualifying block whose die has given the
-    /// collection the fewest victims so far, then the fewest valid
-    /// pages, then the lowest block id. A collection ends when its
-    /// busiest die is done, and a victim costs its own die v reads and
-    /// an erase: a victim on a die that has given fewer is worth up to
-    /// that much in extra page programs, which the GC stream spreads
-    /// over the dies round-robin. Outside a collection, and on a
-    /// collection's first pass, no die has given a victim, so the pick
-    /// is plain greedy's; so it is throughout on a device whose GC
-    /// lines sit at the cap ([`Ssd::collect`] counts no victim there).
-    /// Cost-benefit: the best age × (1 − u) / (1 + u) score, lowest
-    /// block id among equals. Fully valid blocks reclaim nothing and
-    /// are never picked. Both collectors call it once per pass, when
-    /// the pass runs.
-    ///
-    /// Answered from the victim index, not a scan: blocks are marked
-    /// where their key changes — valid count ([`Ssd::invalidate`],
-    /// [`Ssd::mark_valid`], [`Ssd::clear_block`]), leaving an open
-    /// slot ([`Ssd::allocate`]), erase ([`Ssd::erase_block`]), the
-    /// translation log taking or forgetting a block — and only the
-    /// marked keys are re-read here. Greedy then
-    /// reads the index's root, and once the root's die has given a
-    /// victim, the candidates within Δ of it; cost-benefit scores the
-    /// index's candidates. Debug and test builds re-run the block scan
-    /// beside every selection and assert it agrees.
-    pub(crate) fn select_gc_victim(&mut self) -> Option<BlockId> {
-        self.refresh_gc_index();
-        let limit = self.config.geometry.pages_per_block;
-        let picked = match self.config.gc_policy {
-            GcPolicy::Greedy => self.gc_index.first_below(limit).map(|(fewest, first)| {
-                let mut best = (self.collection_rank(first, fewest), first);
-                if best.0 .0 > 0 {
-                    let within = self.greedy_bound(fewest);
-                    self.gc_index.for_each_below(within, &mut |block, valid| {
-                        let rank = self.collection_rank(block, valid);
-                        if rank < best.0 {
-                            best = (rank, block);
-                        }
-                    });
-                }
-                best.1
-            }),
-            GcPolicy::CostBenefit => {
-                let mut best: Option<(f64, BlockId)> = None;
-                let mut consider = |block: BlockId, valid: u32| {
-                    let score = self.cost_benefit_score(block, valid);
-                    if best
-                        .is_none_or(|(top, leader)| score > top || (score == top && block < leader))
-                    {
-                        best = Some((score, block));
-                    }
-                };
-                self.gc_index.for_each_below(limit, &mut consider);
-                best.map(|(_, block)| block)
-            }
-        };
-        #[cfg(any(test, debug_assertions))]
-        assert_eq!(
-            picked,
-            self.scan_gc_victim(),
-            "victim index disagrees with the block scan"
-        );
-        picked
-    }
-
-    /// Greedy's rank of a candidate holding `valid` live pages within
-    /// the collection being run: the victims its die has given the
-    /// collection, then its valid count. The lowest rank wins, the
-    /// lowest block id among equals.
-    fn collection_rank(&self, block: BlockId, valid: u32) -> (u32, u32) {
-        let die = self.config.geometry.die_of_block(block);
-        (self.gc_plan.victims_on(die), valid)
-    }
-
-    /// The valid counts greedy may pick when the fewest any candidate
-    /// holds is `fewest`: those below the returned bound — at most
-    /// `fewest` + [`victim_slack`], and never a fully valid block.
-    fn greedy_bound(&self, fewest: u32) -> u32 {
-        let slack = victim_slack(&self.config.timing, fewest);
-        fewest
-            .saturating_add(slack)
-            .saturating_add(1)
-            .min(self.config.geometry.pages_per_block)
-    }
-
-    /// The cost-benefit policy's score of a block holding `valid` live
-    /// pages: age × (1 − u) / (1 + u).
-    fn cost_benefit_score(&self, block: BlockId, valid: u32) -> f64 {
-        let u = valid as f64 / self.config.geometry.pages_per_block as f64;
-        let last_write = self.block_last_write_ns[block.raw() as usize];
-        let age = self.clock.now_ns().saturating_sub(last_write) as f64 + 1.0;
-        age * (1.0 - u) / (1.0 + u)
-    }
-
-    /// Every block GC may pick, with its valid count, found the way
-    /// selection found victims before the index: a scan of all blocks
-    /// in id order. Kept as the reference the index is checked against
-    /// (beside every selection in debug and test builds, and by
-    /// [`Ssd::check_invariants`]).
-    fn scan_gc_candidates(&self) -> impl Iterator<Item = (BlockId, u32)> + '_ {
-        let limit = self.config.geometry.pages_per_block;
-        (0..self.config.geometry.blocks)
-            .map(BlockId::new)
-            .filter(move |&block| {
-                !(self.allocator.is_open(block)
-                    || self.translog.owns(block)
-                    || self.device.block(block).is_erased())
-            })
-            .map(|block| (block, self.validity.valid_count(block)))
-            .filter(move |&(_, valid)| valid < limit)
-    }
-
-    /// The scan's pick: the first candidate in block order that no
-    /// other beats — under greedy, among those within Δ of the fewest
-    /// valid pages, by [`Ssd::collection_rank`].
-    #[cfg(any(test, debug_assertions))]
-    fn scan_gc_victim(&self) -> Option<BlockId> {
-        match self.config.gc_policy {
-            GcPolicy::Greedy => {
-                let candidates: Vec<(BlockId, u32)> = self.scan_gc_candidates().collect();
-                let fewest = candidates.iter().map(|&(_, valid)| valid).min()?;
-                let within = self.greedy_bound(fewest);
-                let mut best: Option<((u32, u32), BlockId)> = None;
-                for (block, valid) in candidates {
-                    let rank = self.collection_rank(block, valid);
-                    if valid < within && best.is_none_or(|(top, _)| rank < top) {
-                        best = Some((rank, block));
-                    }
-                }
-                best.map(|(_, block)| block)
-            }
-            GcPolicy::CostBenefit => {
-                let mut best_cb: Option<(f64, BlockId)> = None;
-                for (block, valid) in self.scan_gc_candidates() {
-                    let score = self.cost_benefit_score(block, valid);
-                    match best_cb {
-                        Some((best, _)) if best >= score => {}
-                        _ => best_cb = Some((score, block)),
-                    }
-                }
-                best_cb.map(|(_, block)| block)
-            }
-        }
+        behind_ns
     }
 
     /// The DRAM slot bound: buffered pages plus flushed pages whose
@@ -2020,135 +1712,6 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         report
     }
 
-    fn note_block_write(&mut self, ppa: Ppa) {
-        let block = self.config.geometry.block_of(ppa).raw() as usize;
-        self.block_last_write_ns[block] = self.clock.now_ns();
-    }
-
-    /// Sorts migrated pages by LPA, keeping only the freshest copy
-    /// (highest program sequence) of each. A victim never holds two
-    /// valid copies of one LPA — that would be a bookkeeping bug, and
-    /// [`Ssd::check_invariants`] reports it — but the sorted learning
-    /// path requires strictly increasing LPAs, so the dedup stays as a
-    /// defence: should a stale duplicate ever be valid, it is dropped
-    /// rather than migrated, and its old location is invalidated with
-    /// the rest of the victim.
-    fn dedup_migration_items(mut items: Vec<(Lpa, u64, u64)>) -> Vec<(Lpa, u64)> {
-        // (LPA, sequence) keys are unique: an unstable sort gives the
-        // stable order without a scratch buffer.
-        items.sort_unstable_by_key(|&(lpa, _, seq)| (lpa, seq));
-        let mut out: Vec<(Lpa, u64)> = Vec::with_capacity(items.len());
-        for (lpa, content, _) in items {
-            match out.last_mut() {
-                Some(last) if last.0 == lpa => last.1 = content,
-                _ => out.push((lpa, content)),
-            }
-        }
-        out
-    }
-
-    /// The relocation kernel GC and wear levelling share (§3.6), as a
-    /// state change only: reads `victim`'s live pages off the device,
-    /// sorts/dedups them, programs them — to the GC stream, or onto
-    /// `onto`, a block a wear swap took from the pool — re-learns the
-    /// mappings, invalidates the old locations, recycles the victim and
-    /// journals the move. Returns what that needs on flash, for
-    /// [`Ssd::schedule_collection`] to place with the rest of its
-    /// collection; nothing here touches a die or the clock.
-    fn migrate_block(
-        &mut self,
-        victim: BlockId,
-        onto: Option<BlockId>,
-    ) -> Result<Relocation, SimError> {
-        let mut valid = std::mem::take(&mut self.live_scratch);
-        self.validity.valid_pages(victim, &mut valid);
-        let mut relocation = Relocation {
-            victim,
-            reads: valid.len() as u32,
-            runs: Vec::new(),
-            program: if onto.is_some() {
-                FlashOp::WearProgram
-            } else {
-                FlashOp::GcProgram
-            },
-            map_costs: Vec::new(),
-        };
-        let mut batches: Vec<Batch> = Vec::new();
-        if !valid.is_empty() {
-            let mut items: Vec<(Lpa, u64, u64)> = Vec::with_capacity(valid.len());
-            for &ppa in &valid {
-                let view = self.device.read(ppa)?;
-                let lpa = view.lpa.ok_or(SimError::MissingReverseMapping { ppa })?;
-                items.push((lpa, view.content, view.seq));
-            }
-            let items = Self::dedup_migration_items(items);
-
-            let len = items.len() as u32;
-            relocation.runs = match onto {
-                Some(block) => {
-                    let first = self.config.geometry.first_ppa(block);
-                    vec![PageRun { block, first, len }]
-                }
-                None => self.allocate(Stream::Gc, len).ok_or(SimError::DeviceFull)?,
-            };
-            batches = self.program_runs(&relocation.runs, &items)?;
-            for &(lpa, ppa) in batches.iter().flatten() {
-                self.pool.moved(lpa, ppa);
-            }
-
-            // Old locations are known exactly — no lookup needed.
-            for &ppa in &valid {
-                self.invalidate(ppa);
-            }
-            for batch in &batches {
-                let cost = self.learn_and_mark(batch, true);
-                if cost != MapCost::FREE {
-                    relocation.map_costs.push((batch[0].0, cost));
-                }
-            }
-        }
-        self.live_scratch = valid;
-
-        self.recycle(victim)?;
-        // Journal the re-installed mappings — stamped *after* the
-        // programs, so the delta covers them. (A fully stale victim
-        // installs nothing and journals nothing; recovery finds its
-        // erase on the block itself — erased, or refilled with pages
-        // newer than the stamp — whichever entry it restores from.)
-        if !batches.is_empty() {
-            self.translog_append_delta(batches.into_iter().flatten());
-        }
-        Ok(relocation)
-    }
-
-    /// One GC pass over `victim` (§3.6): migrate its live pages, erase
-    /// it, and persist mapping table + BVC (§3.8) if a persistence
-    /// point is due (`persistence_point_due`). Returns what the
-    /// relocation needs on flash; the collection that ran the pass
-    /// ([`Ssd::collect`]) places it. A pass whose live pages the GC
-    /// stream cannot take fails with [`SimError::DeviceFull`]: its
-    /// victim is the best block there is when it runs, so under greedy
-    /// no other pass could make the room.
-    pub(crate) fn gc_pass(&mut self, victim: BlockId) -> Result<Relocation, SimError> {
-        self.stats.gc_runs += 1;
-        let pass = self.migrate_block(victim, None)?;
-        if self.persistence_point_due() {
-            self.take_snapshot();
-        }
-        Ok(pass)
-    }
-
-    /// Relocates `victim` as a collection of one and returns when its
-    /// erase completes; the host clock does not move. A wear swap runs
-    /// through here (with `onto`), placing its reads, programs,
-    /// translation I/O and erase in that order.
-    fn relocate(&mut self, victim: BlockId, onto: Option<BlockId>) -> Result<u64, SimError> {
-        let pass = self.migrate_block(victim, onto)?;
-        let mut done = Vec::with_capacity(1);
-        self.schedule_collection(std::slice::from_ref(&pass), &mut done);
-        Ok(done.first().map_or(0, |&(_, erase_ns)| erase_ns))
-    }
-
     // ------------------------------------------------------------------
     // Wear levelling (§3.6)
     // ------------------------------------------------------------------
@@ -2164,61 +1727,19 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         Ok(())
     }
 
-    /// One cold/hot swap; returns whether a swap happened.
-    ///
-    /// A swap needs a cold block more than `wear_gap_threshold` erases
-    /// behind the most worn one, and no block is further behind than
-    /// the least worn: while the erase histogram's spread is within the
-    /// threshold — every flush of a workload that wears evenly — the
-    /// answer is "no" without looking at a block. Past that, the walk
-    /// below finds the cold data block and the worn free block, and
-    /// [`Ssd::relocate`] moves the one onto the other. The host waits
-    /// once, for the swap's erase, like a synchronous collection of one
-    /// pass.
+    /// One cold/hot swap ([`Ssd::plan_wear_swap`]); returns whether a
+    /// swap happened. The swap is placed behind the queued flush
+    /// programs, and the host waits once, for its erase, like a
+    /// synchronous collection of one pass.
     fn wear_level_once(&mut self) -> Result<bool, SimError> {
-        if self.erase_histogram.spread() <= self.config.wear_gap_threshold {
-            return Ok(false);
-        }
-        crate::gc_index::note_wear_walk();
-        let mut min: Option<(u32, BlockId)> = None;
-        let mut max_erase = 0u32;
-        let mut hot_free: Option<(u32, BlockId)> = None;
-        for (block, erases) in self.device.erase_counts() {
-            max_erase = max_erase.max(erases);
-            let is_erased = self.device.block(block).is_erased();
-            if is_erased {
-                // Candidate hot free block.
-                if hot_free.is_none_or(|(worst, _)| erases > worst) {
-                    hot_free = Some((erases, block));
-                }
-            } else if !self.allocator.is_open(block)
-                && self.validity.valid_count(block) > 0
-                && min.is_none_or(|(best, _)| erases < best)
-            {
-                // Fully stale blocks are GC's job, not a wear swap's:
-                // "moving" them would program nothing and strand the
-                // worn free block outside every pool.
-                min = Some((erases, block));
-            }
-        }
-        let (Some((cold_erases, cold)), Some((hot_erases, hot))) = (min, hot_free) else {
+        let Some(plan) = self.plan_wear_swap(self.clock.now_ns())? else {
             return Ok(false);
         };
-        if max_erase.saturating_sub(cold_erases) <= self.config.wear_gap_threshold {
-            return Ok(false);
+        let mut done = Vec::with_capacity(1);
+        self.place_gc(&plan, Placement::Behind, &mut done);
+        for &(_, erase_ns) in &done {
+            self.clock.wait_until(erase_ns);
         }
-        // Parking cold data on a young block would not slow its wear;
-        // require a meaningfully worn target.
-        if hot_erases <= cold_erases {
-            return Ok(false);
-        }
-        // Swap: move the cold (static) data onto the worn free block so
-        // the young cold block re-enters circulation.
-        if !self.allocator.take_block(hot) {
-            return Ok(false);
-        }
-        let done = self.relocate(cold, Some(hot))?;
-        self.clock.wait_until(done);
         self.stats.wear_swaps += 1;
         Ok(true)
     }
@@ -2227,9 +1748,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     // Crash consistency and recovery (§3.8)
     // ------------------------------------------------------------------
 
-    /// Runs the configured persistence point now, unconditionally — the
-    /// "persist now" of tests, experiments and recovery; a GC pass, the
-    /// one automatic caller, asks `persistence_point_due` first.
+    /// Runs the configured persistence point now, unconditionally, behind
+    /// the queued flush programs — the "persist now" of tests,
+    /// experiments and recovery; a GC pass asks `persistence_point_due`.
     /// The mapping table and BVC as they stand become the next recovery
     /// `Baseline`, stamped with the flash program sequence.
     /// [`CheckpointMode::DramSnapshot`] writes back what
@@ -2263,114 +1784,14 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// [`Validity::sync_checkpoint`]), never rebuilt from the live
     /// state.
     pub fn take_snapshot(&mut self) {
-        let geometry = self.config.geometry;
-        let page_size = geometry.page_size as usize;
-        let log_pages = match self.config.checkpoint_mode {
-            CheckpointMode::Disabled => return,
-            CheckpointMode::DramSnapshot => {
-                let now = self.clock.now_ns();
-                let groups = self.unpersisted.listed.len();
-                let blocks = self.validity.touched_blocks();
-                let table_bytes = (self.scheme.snapshot_bytes() * groups)
-                    .div_ceil(self.unpersisted.mapped.max(1));
-                let pages = (table_bytes + BVC_ENTRY_BYTES * blocks).div_ceil(page_size);
-                self.unpersisted.forget();
-                for _ in 0..pages {
-                    let die = Die::new(self.point_die);
-                    self.point_die = (self.point_die + 1) % geometry.total_dies();
-                    self.flash_op(
-                        FlashOp::TranslationProgram,
-                        TrafficClass::MapLog,
-                        Target::Translation(die),
-                        now,
-                    );
-                }
-                self.trace_persist("dram_snapshot", groups, blocks, pages);
-                0
-            }
-            CheckpointMode::FlashLog => {
-                if self.translog.checkpoint_in_flight() {
-                    return;
-                }
-                let blocks = geometry.blocks as usize;
-                let pages = self.flashlog_generation_pages();
-                self.trace_persist("flash_log", self.unpersisted.mapped, blocks, pages);
-                pages as u32
-            }
+        let dispatch_ns = self.clock.now_ns();
+        let points = self.persist(dispatch_ns).into_iter().collect();
+        let plan = GcPlan {
+            dispatch_ns,
+            passes: Vec::new(),
+            points,
         };
-        // The next generation is the previous one brought up to date,
-        // not a new copy: moved out of the log when this one supersedes
-        // it on arrival, cloned when it has to stay recoverable while
-        // this one is written out. Either way it is what the live state
-        // was when its change lists were last drained — as is the state
-        // recovery restores from it.
-        let kept = if log_pages == 0 {
-            self.translog.take_durable_baseline()
-        } else {
-            self.translog.durable_baseline().cloned()
-        };
-        let mut baseline = kept.unwrap_or_else(|| self.pristine_baseline());
-        self.scheme.sync_checkpoint(&mut baseline.scheme);
-        self.validity.sync_checkpoint(&mut baseline.validity);
-        baseline.stamp = self.device.program_seq();
-        self.translog.push_checkpoint(baseline, log_pages);
-    }
-
-    /// Whether the GC pass that just ended should run a persistence
-    /// point. §3.8's answer is "always", and the modes whose point
-    /// costs what changed keep it. Under [`CheckpointMode::FlashLog`]
-    /// the pass is journalled as a delta already, so a checkpoint
-    /// generation only truncates the journal — and is due once the
-    /// journal has earned it: when the delta pages appended since the
-    /// newest generation was requested are at least the pages a
-    /// generation takes. That is the break-even where replaying the
-    /// tail costs recovery what writing the generation costs the
-    /// device, so generations are at most half the log's pages and the
-    /// tail recovery replays stays within one generation's length plus
-    /// what accrues while one is written out ([`Ssd::take_snapshot`]
-    /// holds the other half of the rule: one in flight at a time).
-    fn persistence_point_due(&self) -> bool {
-        self.config.checkpoint_mode != CheckpointMode::FlashLog
-            || self.translog.tail_pages() as usize >= self.flashlog_generation_pages()
-    }
-
-    /// Log pages one [`CheckpointMode::FlashLog`] checkpoint generation
-    /// spans: the scheme's [`MappingScheme::checkpoint_footprint`] plus
-    /// the whole BVC.
-    fn flashlog_generation_pages(&self) -> usize {
-        let geometry = self.config.geometry;
-        let (segment_bytes, crb_bytes) = self.scheme.checkpoint_footprint();
-        (segment_bytes + crb_bytes + BVC_ENTRY_BYTES * geometry.blocks as usize)
-            .div_ceil(geometry.page_size as usize)
-            .max(1)
-    }
-
-    /// Records what a persistence point writes — mapping groups, BVC
-    /// entries, and the pages they come to — on the control track, with
-    /// the journal tail it truncates (the delta pages that earned a
-    /// `FlashLog` generation; no other mode journals).
-    fn trace_persist(&mut self, mode: &'static str, groups: usize, blocks: usize, pages: usize) {
-        let now = self.clock.now_ns();
-        let tail = self.translog.tail_pages();
-        self.tracer.control_instant("persist", now, || {
-            vec![
-                ("mode", ArgValue::Str(mode)),
-                ("groups", ArgValue::U64(groups as u64)),
-                ("blocks", ArgValue::U64(blocks as u64)),
-                ("pages", ArgValue::U64(pages as u64)),
-                ("tail", ArgValue::U64(u64::from(tail))),
-            ]
-        });
-    }
-
-    /// What the device recovers from when nothing was ever persisted:
-    /// the scheme as handed to [`Ssd::new`] and no valid page.
-    fn pristine_baseline(&self) -> Baseline<S> {
-        Baseline {
-            scheme: self.pristine_scheme.clone(),
-            validity: Validity::new(self.config.geometry),
-            stamp: 0,
-        }
+        self.place_gc(&plan, Placement::Behind, &mut Vec::new());
     }
 
     // ------------------------------------------------------------------
@@ -2724,12 +2145,6 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         }
     }
 
-    /// Recomputes every block's key in the victim index.
-    fn rebuild_gc_index(&mut self) {
-        let blocks = self.config.geometry.blocks as usize;
-        self.gc_index = VictimIndex::from_keys(blocks, |block| self.victim_key(block));
-    }
-
     /// Rebuilds the allocator's free pool from the physical state.
     fn rebuild_allocator_after_crash(&mut self) {
         let free: Vec<BlockId> = (0..self.config.geometry.blocks)
@@ -2765,6 +2180,39 @@ mod tests {
 
     fn ssd() -> Ssd<ExactPageMap> {
         Ssd::new(SsdConfig::small_test(), ExactPageMap::new())
+    }
+
+    /// Relocates `victim` — onto `onto`, a block taken from the pool, as
+    /// a wear swap does — as a plan of one pass placed behind the queued
+    /// flush programs, and returns when its erase completes.
+    fn run_relocation<S: MappingScheme + Clone>(
+        ssd: &mut Ssd<S>,
+        victim: BlockId,
+        onto: Option<BlockId>,
+    ) -> Result<u64, SimError> {
+        let dispatch_ns = ssd.now_ns();
+        let passes = vec![ssd.migrate_block(victim, onto, dispatch_ns)?];
+        let plan = GcPlan {
+            dispatch_ns,
+            passes,
+            points: Vec::new(),
+        };
+        let mut done = Vec::new();
+        ssd.place_gc(&plan, Placement::Behind, &mut done);
+        Ok(done[0].1)
+    }
+
+    /// Runs a collection as a background GC dispatch does: planned from
+    /// the clock, placed behind the queued flush programs.
+    fn collect<S: MappingScheme + Clone>(
+        ssd: &mut Ssd<S>,
+        wanted: impl Fn(&Ssd<S>) -> bool,
+        max_passes: usize,
+        done: &mut Vec<(BlockId, u64)>,
+    ) -> Result<(), SimError> {
+        let (plan, collected) = ssd.plan_collection(wanted, max_passes, ssd.now_ns());
+        ssd.place_gc(&plan, Placement::Behind, done);
+        collected
     }
 
     #[test]
@@ -3110,7 +2558,7 @@ mod tests {
         let victim = ssd.config.geometry.block_of(ppa);
         // One pass, whichever collector runs it.
         assert_eq!(
-            ssd.gc_pass(victim).err(),
+            ssd.gc_pass(victim, &mut GcPlan::default()).err(),
             Some(SimError::MissingReverseMapping { ppa })
         );
     }
@@ -3314,12 +2762,12 @@ mod tests {
         let [first, second, third, cold] = [80, 90, 100, 110].map(BlockId::new);
         for victim in [first, second, third] {
             remapped.extend(live_groups(&ssd, victim));
-            ssd.relocate(victim, None).unwrap();
+            run_relocation(&mut ssd, victim, None).unwrap();
         }
         remapped.extend(live_groups(&ssd, cold));
         let cold_pages = ssd.validity.valid_count(cold) as u64;
         assert!(ssd.allocator.take_block(first));
-        ssd.relocate(cold, Some(first)).unwrap();
+        run_relocation(&mut ssd, cold, Some(first)).unwrap();
         assert_eq!(ssd.stats.flash.wear_programs, cold_pages);
         assert_eq!(cold_pages, 32);
         assert_eq!(ssd.stats.gc_runs, 0, "no point ran since the fill's");
@@ -3418,7 +2866,7 @@ mod tests {
                 .map(BlockId::new)
                 .find(|&block| !ssd.allocator.is_open(block) && ssd.validity.valid_count(block) > 0)
                 .expect("a closed block of the fill");
-            ssd.gc_pass(victim).unwrap();
+            ssd.gc_pass(victim, &mut GcPlan::default()).unwrap();
             (ssd.translog.tail_pages(), ssd.maplog_pending())
         };
         assert_eq!(pass(&mut ssd), (1, 1));
@@ -3655,13 +3103,13 @@ mod tests {
         let [emptied, taken_over, refilled, cold] = [(); 4].map(|()| victims.next().unwrap());
         drop(victims);
 
-        ssd.relocate(emptied, None).unwrap();
+        run_relocation(&mut ssd, emptied, None).unwrap();
         // That journalled a delta, whose page lands on the next block
         // recycled. It makes the delta durable, so the delta's stamp is
         // where the scan starts.
         if mode == CheckpointMode::FlashLog {
             covered = ssd.device.program_seq();
-            ssd.relocate(taken_over, None).unwrap();
+            run_relocation(&mut ssd, taken_over, None).unwrap();
             assert!(ssd.allocator.take_block(taken_over));
             let Some(LogOp::Program { seq }) = ssd.translog.pop_op() else {
                 panic!("the migration queued its delta's page");
@@ -3671,9 +3119,9 @@ mod tests {
             ssd.translog.note_programmed(seq, taken_over, |_| true);
         }
         // A wear swap by hand refills a recycled block.
-        ssd.relocate(refilled, None).unwrap();
+        run_relocation(&mut ssd, refilled, None).unwrap();
         assert!(ssd.allocator.take_block(refilled));
-        ssd.relocate(cold, Some(refilled)).unwrap();
+        run_relocation(&mut ssd, cold, Some(refilled)).unwrap();
         // The migrations appended to the GC stream's open blocks; a
         // flush appends to the host stream's.
         write(&mut ssd, 11);
@@ -4212,6 +3660,66 @@ mod tests {
         ssd
     }
 
+    /// Planning a collection is its state change alone. On an aged
+    /// `DramSnapshot` device with a flush's programs still queued, every
+    /// pass of a collection of at least eight runs a persistence point,
+    /// and yet planning reserves no die, places no queued program and
+    /// counts no flash operation. Placed ahead of the queue, the plan's
+    /// erases end when they did while the victim-selection loop placed
+    /// each point's pages as it went, and the synchronous collector
+    /// records the [`SyncGc`] it did then.
+    #[test]
+    fn a_collection_plan_places_nothing() {
+        // µs after the dispatch point, recorded on the interleaved loop.
+        const ERASE_ENDS_US: [u64; 24] = [
+            17_180, 9_280, 15_520, 10_980, 10_940, 13_600, 11_400, 9_940, 18_680, 17_180, 17_020,
+            18_840, 19_300, 21_100, 17_840, 17_280, 20_180, 18_680, 21_340, 23_000, 18_520, 22_600,
+            25_740, 25_740,
+        ];
+        let mut ssd = aged_on_eight_dies(2, CheckpointMode::DramSnapshot);
+        let blocks = ssd.config.geometry.blocks as f64;
+        let target = ssd.free_fraction() + 8.0 / blocks;
+        for lpa in 0..31 {
+            ssd.write(Lpa::new(lpa), u64::MAX).unwrap();
+        }
+        ssd.flush_buffer(GcMode::Background).unwrap();
+        let wanted = |ssd: &Ssd<ExactPageMap>| ssd.free_fraction() < target;
+        let mut synchronous = ssd.clone();
+        let (clock, flash) = (format!("{:?}", ssd.clock), ssd.stats.flash);
+        let dispatch_ns = ssd.now_ns();
+
+        let (plan, collected) = ssd.plan_collection(wanted, usize::MAX, dispatch_ns);
+        collected.unwrap();
+        assert_eq!(plan.passes.len(), ERASE_ENDS_US.len());
+        assert_eq!(plan.points.len(), plan.passes.len());
+        assert!(plan.points.iter().all(|point| point.pages > 0));
+        let dies = ssd.config.geometry.total_dies();
+        let queued =
+            (0..dies).any(|die| ssd.clock.queues_any(Die::new(die), Ppa::new(0), u64::MAX));
+        assert!(queued, "the flush's programs are queued");
+        assert_eq!(format!("{:?}", ssd.clock), clock, "planning touched a die");
+        assert_eq!(ssd.stats.flash, flash, "planning counted a flash operation");
+
+        let mut done = Vec::new();
+        ssd.place_gc(&plan, Placement::Ahead, &mut done);
+        let ends: Vec<u64> = done
+            .iter()
+            .map(|&(_, erase_ns)| (erase_ns - dispatch_ns) / 1_000)
+            .collect();
+        assert_eq!(ends, ERASE_ENDS_US);
+
+        synchronous.reset_stats();
+        assert!(synchronous.collect_while(wanted).unwrap());
+        let recorded = SyncGc {
+            collections: 1,
+            passes: 24,
+            wait_ns: 25_740_000,
+            busiest_die_ns: 21_020_000,
+            behind_ns: 1_800_000,
+        };
+        assert_eq!(synchronous.sync_gc, recorded);
+    }
+
     /// A collection reserves its reads first: on the 8 dies of an
     /// aged 256-block device, a collection of at least eight greedy
     /// passes — none over a block the collection itself filled, so the
@@ -4394,7 +3902,7 @@ mod tests {
         if synchronous {
             assert!(ssd.collect_while(wanted).unwrap());
         } else {
-            ssd.collect(wanted, usize::MAX, &mut Vec::new()).unwrap();
+            collect(&mut ssd, wanted, usize::MAX, &mut Vec::new()).unwrap();
         }
         assert!(ssd.stats.gc_runs - runs >= 8);
         ssd.place_programs();
@@ -4574,8 +4082,7 @@ mod tests {
     /// / t_program⌉ = 9 — c while c holds 20 pages, and b once c holds
     /// 21. Plain greedy takes a, then b, and so does a device whose GC
     /// lines sit at the cap (set here once the layout is written) while
-    /// c holds 20. Every die is back to no victim once the collection
-    /// returns.
+    /// c holds 20.
     #[test]
     fn a_collection_takes_its_second_victim_from_another_die_within_delta() {
         for (c_valid, capped, second) in [(20, false, 2), (21, false, 1), (20, true, 1)] {
@@ -4602,13 +4109,10 @@ mod tests {
                 assert!(ssd.gc_lines.capped());
             }
             let mut done = Vec::new();
-            ssd.collect(|_| true, 2, &mut done).unwrap();
+            collect(&mut ssd, |_| true, 2, &mut done).unwrap();
             let victims: Vec<BlockId> = done.iter().map(|&(victim, _)| victim).collect();
             let case = format!("c holds {c_valid}, capped {capped}");
             assert_eq!(victims, [a, [a, b, c][second]], "{case}");
-            for raw in 0..geometry.total_dies() {
-                assert_eq!(ssd.gc_plan.victims_on(Die::new(raw)), 0, "die {raw}");
-            }
             assert_eq!(ssd.check_invariants(), Vec::<String>::new());
         }
     }
@@ -4656,18 +4160,21 @@ mod tests {
                 .filter(|&&(_, valid)| valid == fewest)
                 .map(|&(block, _)| block)
                 .min();
-            assert_eq!(ssd.select_gc_victim(), greedy, "case {case}: first pass");
+            let now = ssd.now_ns();
+            assert_eq!(
+                ssd.select_gc_victim(now, &[]),
+                greedy,
+                "case {case}: first pass"
+            );
 
-            for raw in 0..geometry.total_dies() {
-                for _ in 0..random(4) {
-                    ssd.gc_plan.count_victim(Die::new(raw));
-                }
-            }
-            let pick = ssd.select_gc_victim().unwrap();
+            let die_victims: Vec<u32> = (0..geometry.total_dies())
+                .map(|_| random(4) as u32)
+                .collect();
+            let pick = ssd.select_gc_victim(now, &die_victims).unwrap();
             let slack =
                 (u64::from(fewest) * timing.read_ns + timing.erase_ns).div_ceil(timing.program_ns);
             let within = |valid: u32| u64::from(valid) <= u64::from(fewest) + slack;
-            let victims = |block| ssd.gc_plan.victims_on(geometry.die_of_block(block));
+            let victims = |block| die_victims[geometry.die_of_block(block).raw() as usize];
             let picked_valid = ssd.validity.valid_count(pick);
             assert!(
                 within(picked_valid),
@@ -5076,7 +4583,7 @@ mod tests {
         let geometry = ssd.config().geometry;
         let victim = geometry.block_of(page_of(&ssd, 0));
         assert!(ssd.validity.valid_count(victim) > 0);
-        ssd.relocate(victim, None).unwrap();
+        run_relocation(&mut ssd, victim, None).unwrap();
         let moved: Vec<Ppa> = [0, 5, 31].iter().map(|&lpa| page_of(&ssd, lpa)).collect();
         assert!(moved.iter().all(|&ppa| geometry.block_of(ppa) != victim));
         assert_eq!(ssd.pool.resident(), 32, "the moved pages are still in DRAM");
@@ -5166,7 +4673,7 @@ mod tests {
         let geometry = ssd.config.geometry;
         let (moved, flushed) = (page_of(&ssd, 0), page_of(&ssd, 40));
         assert_ne!(geometry.block_of(moved), geometry.block_of(flushed));
-        ssd.relocate(geometry.block_of(moved), None).unwrap();
+        run_relocation(&mut ssd, geometry.block_of(moved), None).unwrap();
         let relocated = geometry.block_of(page_of(&ssd, 10));
         assert_eq!(ssd.allocator.opened_by(relocated), Some(Stream::Gc));
         let flushed = geometry.block_of(flushed);

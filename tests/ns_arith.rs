@@ -6,9 +6,10 @@
 //! is textual: per line of non-test code, `//` comments and string
 //! literals cut, an identifier ending in `_ns` beside a binary `-`.
 
-const FILES: [(&str, &str); 5] = [
+const FILES: [(&str, &str); 6] = [
     ("clock.rs", include_str!("../crates/sim/src/clock.rs")),
     ("ssd.rs", include_str!("../crates/sim/src/ssd.rs")),
+    ("gc.rs", include_str!("../crates/sim/src/gc.rs")),
     (
         "collection.rs",
         include_str!("../crates/sim/src/collection.rs"),
