@@ -28,40 +28,31 @@
 //! point, the global clock only advances when the host must wait, and
 //! completions retire out of order.
 //!
-//! A flush's programs do not reserve their dies when it dispatches:
-//! they wait in a per-die queue of unstarted programs
-//! ([`crate::clock::SimClock`]), and a host read — data, misprediction
-//! or translation — goes ahead of them, suspending the one running at
-//! its floor. So a read that dispatches after a flush, the flushing
-//! write's own resolution reads included, waits at most for the
-//! program it cuts, not for the 32-program chunk. A synchronous
-//! collection (a flush the host is blocked on) goes ahead of them too,
-//! without suspending one; every other operation — background GC
-//! among them — places the queue first. A flush's pages keep their DRAM
-//! slots and are read from DRAM until a write takes their slot: the
-//! write buffer and the flushed pages share `2 × write_buffer_pages`
-//! slots, and a write that finds every one held waits for the earliest
-//! program to end and takes that page's slot. That wait holds every
-//! queue, as any host wait does, but for one program, not a previous
-//! flush's chunk. A flush command places every queued program and
-//! completes when the last one ends.
+//! Inside the SSD each command is two halves: a state change that
+//! reads no clock and returns a plan — a flush's (`flush.rs`), a
+//! collection's (`gc.rs`) — and the one function that places that plan
+//! on the dies (`Ssd::place_flush`, `Ssd::place_gc`). A flush's
+//! programs do not reserve their dies: they wait in a per-die queue of
+//! unstarted programs ([`crate::clock::SimClock`]). A host-class read
+//! (data, misprediction, translation, a flush's own resolution reads)
+//! goes ahead of them, suspending the one running at its floor, so it
+//! waits at most for the program it cuts; what else the host waits on
+//! (a synchronous collection, a wear swap) goes ahead without
+//! suspending one; every other operation places the queue first. A
+//! flush's pages are read from DRAM until a write takes their slot
+//! (`2 × write_buffer_pages` slots, shared with the write buffer): a
+//! write that finds every one held waits for the earliest program to
+//! end. A flush command places every queued program and completes when
+//! the last one ends.
 //!
 //! # Pipelined translation
 //!
-//! Within one dispatched read burst, translation is a pipeline *stage*
-//! rather than a serial prefix: [`crate::Ssd::service_read_batch`]
-//! applies all state changes in strict submission order (so digests and
-//! counters match the blocking path exactly), then places each
-//! request's data probes in *map-ready* order. A lookup costs CPU time
-//! on its own request's dependency chain, from that request's map-ready
-//! time; it has no timeline to queue on. A request whose mapping is
-//! resident therefore never waits behind another request's demand-paged
-//! translation read, in its burst or in any later one — its sub-µs
-//! lookup and its data read overlap the slower request's flash traffic
-//! on the die timelines. A burst of a single read (queue depth 1) is
-//! the degenerate case — translation reads, lookup and data probes
-//! chain serially — and it is also what the blocking [`Ssd::read`]
-//! runs, which is why depth 1 is cycle-exact with it.
+//! Within one read burst, translation is a pipeline stage:
+//! [`crate::Ssd::service_read_batch`] applies every state change in
+//! submission order, then places each request's probes in map-ready
+//! order, so a resident lookup never waits behind another request's
+//! demand-paged translation read. A burst of one — queue depth 1, and
+//! the blocking [`Ssd::read`] — chains serially: depth 1 is cycle-exact.
 //!
 //! # Background GC
 //!
@@ -784,7 +775,7 @@ impl<'a, S: MappingScheme + Clone> Device<'a, S> {
         done.clear();
         let wanted = |ssd: &Ssd<S>| ssd.free_fraction() < high;
         let (plan, collected) = self.ssd.plan_collection(wanted, max_passes, dispatch_ns);
-        self.ssd.place_gc(&plan, Placement::Behind, &mut done);
+        self.ssd.place_gc(&plan, Placement::Behind, None, &mut done);
         collected?;
         let mut latest = None;
         for &(victim, deadline) in &done {

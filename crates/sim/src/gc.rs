@@ -453,6 +453,27 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         Ok(relocation)
     }
 
+    /// Erases `block` on the device, keeping the erase-count histogram
+    /// and the victim index (an erased block is no candidate) current.
+    fn erase_block(&mut self, block: BlockId) -> Result<(), SimError> {
+        let erases = self.device.erase(block)?;
+        self.erase_histogram.note_erase(erases - 1);
+        self.gc_index.touch(block);
+        Ok(())
+    }
+
+    /// Recycles `block`: erases it on the device, drops whatever
+    /// validity it held and returns it to the free pool. The only way
+    /// a block gets back there — for GC victims, wear swaps and the
+    /// translation log's superseded blocks alike. The erase's die time
+    /// is the caller's to schedule.
+    pub(super) fn recycle(&mut self, block: BlockId) -> Result<(), SimError> {
+        self.erase_block(block)?;
+        self.clear_block(block);
+        self.allocator.release(block);
+        Ok(())
+    }
+
     /// Plans one cold/hot swap dispatched at `now_ns`, or `None` when
     /// none is due.
     ///

@@ -1,9 +1,12 @@
 //! The simulated SSD: ties the flash device, mapping scheme, caches,
 //! GC, wear levelling, and crash recovery together.
 
+#[path = "flush.rs"]
+mod flush;
 #[path = "gc.rs"]
 mod gc;
 
+use flush::{FlushPlan, ReadPlan};
 pub(crate) use gc::GcPlan;
 use gc::UnpersistedGroups;
 
@@ -22,7 +25,6 @@ use crate::validity::Validity;
 use leaftl_core::{MapCost, MappingLookup, MappingScheme};
 use leaftl_flash::{BlockId, Die, FlashDevice, IntSet, Lpa, Ppa};
 use std::collections::BTreeMap;
-use std::ops::Range;
 
 /// DRAM access latency charged for buffer/cache hits (page transfer
 /// over the controller's internal bus).
@@ -241,38 +243,6 @@ pub struct Ssd<S: MappingScheme + Clone> {
     point_die: u32,
 }
 
-/// The state half of a resolved read: which pages must be read (in
-/// probe order), what the live page holds, and whether the prediction
-/// missed. Produced by [`Ssd::plan_read_probes`]; the caller turns the
-/// probe list into die time ([`Ssd::schedule_probes`]) whenever its
-/// scheduling policy dictates.
-#[derive(Debug, Clone)]
-struct ReadPlan {
-    exact: Ppa,
-    content: u64,
-    mispredicted: bool,
-    /// Where the plan's probes sit in the probe list it was planned
-    /// into: one list holds a whole burst's probes back to back, so a
-    /// read owns no allocation however far its fallback scan went.
-    probes: Range<usize>,
-    /// Whether the first probe is the predicted page — the one probe
-    /// that counts as a data read, for a host read and a resolution
-    /// alike. Every other probe is a misprediction read.
-    leads_with_data_read: bool,
-}
-
-/// Who runs a resolution pass ([`Ssd::invalidate_overwritten`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Overwriter {
-    /// A host flush: its lookups' translation I/O is charged to the
-    /// host, its resolutions are counted, and a prediction nothing
-    /// resolves is mapping corruption.
-    Flush,
-    /// Recovery replaying a batch: charged to the map log, uncounted,
-    /// and lenient — a prediction nothing resolves is skipped.
-    Replay,
-}
-
 /// A translation hoisted ahead of its read's turn in the burst.
 type Prefetched = Option<(Option<MappingLookup>, MapCost)>;
 
@@ -292,7 +262,7 @@ struct ReadScratch {
     /// The reads that missed DRAM, between the state pass and the
     /// timing pass.
     pending: Vec<PendingRead>,
-    /// Every planned probe of the burst, plan after plan.
+    /// Every probe the burst reads, plan after plan.
     probes: Vec<Ppa>,
     /// Data-cache hits on a page a read of the same burst brings in:
     /// (the hit's burst position, the filling read's).
@@ -479,8 +449,8 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// the host waits on goes ahead of the flush programs queued on its
     /// die ([`SimClock::schedule_ahead`]): a host read, which may suspend
     /// the program running at its floor, and whatever its caller places
-    /// [`Placement::Ahead`] — a synchronous collection's operations —
-    /// which never does. Every other operation goes behind them
+    /// [`Placement::Ahead`] — a synchronous collection's or a wear
+    /// swap's operations — which never does. Every other operation goes behind them
     /// ([`SimClock::schedule_after`]).
     #[inline]
     fn place_op(
@@ -913,11 +883,14 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             self.stats.lookups += 1;
             self.paths.read_lookups += 1;
             self.stats.record_lookup_levels(hit.levels_visited);
-            let plan = self.plan_read_probes(lpa, &hit, true, probes)?;
+            let mut plan = self.plan_read_probes(lpa, &hit, true, probes)?;
+            plan.probes.end =
+                plan.probes.start + self.drop_queued(&mut probes[plan.probes.clone()]);
+            probes.truncate(plan.probes.end);
             let block = self.config.geometry.block_of(plan.exact);
             let relocated = self.allocator.opened_by(block) == Some(Stream::Gc);
             self.paths.relocated_read_lookups += u64::from(relocated);
-            if plan.mispredicted {
+            if plan.exact != plan.predicted {
                 self.stats.mispredictions += 1;
                 self.paths.read_mispredictions += 1;
                 self.paths.relocated_read_mispredictions += u64::from(relocated);
@@ -957,8 +930,9 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         for read in pending.iter() {
             if let Some(translated) = &read.translated {
                 let looked_up = results[read.index].1 + translated.cpu_ns;
-                let read_ns =
-                    self.schedule_probes(&translated.plan, probes, looked_up, TrafficClass::Host);
+                let plan = &translated.plan;
+                let (planned, host) = (&probes[plan.probes.clone()], TrafficClass::Host);
+                let read_ns = self.schedule_probes(planned, plan.predicted, looked_up, host);
                 results[read.index].1 = read_ns;
                 if let Some(cached) = self.read_cache.peek_mut(&read.lpa) {
                     cached.ready_ns = cached.ready_ns.max(read_ns);
@@ -991,20 +965,20 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         complete_ns
     }
 
-    /// Chains a plan's probes (its range of `probes`, the list it was
-    /// planned into) as flash reads on a request's dependency chain
-    /// starting at `ready_ns`; returns the chain's completion time. The
-    /// only place a probe is put on a die, so a plan that was never
-    /// scheduled is never counted.
+    /// Chains `probes` as flash reads on a request's dependency chain
+    /// starting at `ready_ns`; returns the chain's completion time. A
+    /// probe of the `predicted` page is a data read, any other a
+    /// misprediction read. The only place a probe is put on a die, so a
+    /// plan that was never scheduled is never counted.
     fn schedule_probes(
         &mut self,
-        plan: &ReadPlan,
         probes: &[Ppa],
+        predicted: Ppa,
         mut ready_ns: u64,
         class: TrafficClass,
     ) -> u64 {
-        for (index, &ppa) in probes[plan.probes.clone()].iter().enumerate() {
-            let op = if index == 0 && plan.leads_with_data_read {
+        for &ppa in probes {
+            let op = if ppa == predicted {
                 FlashOp::DataRead
             } else {
                 FlashOp::MispredictionRead
@@ -1014,211 +988,20 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         ready_ns
     }
 
-    /// Resolves a (possibly approximate) prediction to the live page
-    /// without touching any timeline or counter (it takes `&self`, and
-    /// a device read is a query): walks the probe sequence against the
-    /// device and appends the pages that must be read, in order, to
-    /// `probes` for the caller to schedule. Planning
-    /// first and scheduling after is what lets a burst plan every
-    /// request's probes in batch order (state) while scheduling them in
-    /// map-ready order (time).
-    ///
-    /// Correct-page criterion: the OOB reverse mapping matches *and* the
-    /// PVT says the page is live — stale copies of the same LPA within
-    /// the error window are rejected by the validity check. A host read
-    /// (`host_read`) needs the live page's content, so a page the
-    /// predicted page's window names is read too; a resolution for
-    /// invalidation needs only its address, which the window gives.
-    /// Neither lists a page whose program is still queued: that page is
-    /// in DRAM, OOB and all.
-    fn plan_read_probes(
-        &self,
-        lpa: Lpa,
-        hit: &MappingLookup,
-        host_read: bool,
-        probes: &mut Vec<Ppa>,
-    ) -> Result<ReadPlan, SimError> {
-        let gamma = hit.error_bound as u64;
-        let predicted = hit.ppa;
-        let first = probes.len();
+    /// Moves the pages of `probes` whose programs are not queued to its
+    /// front, in order, and returns how many there are: a page whose
+    /// program is queued is in DRAM, OOB and all, and is not read.
+    fn drop_queued(&self, probes: &mut [Ppa]) -> usize {
         let geometry = self.config.geometry;
-        // A page whose program is still queued holds its DRAM slot.
-        let read_flash = |page: Ppa| !self.clock.is_queued(geometry.die_of(page), page);
-        let plan = |exact: Ppa, content: u64, probes: &[Ppa]| ReadPlan {
-            exact,
-            content,
-            mispredicted: exact != predicted,
-            leads_with_data_read: probes.get(first) == Some(&predicted),
-            probes: first..probes.len(),
-        };
-
-        // First attempt: the predicted page, when in range.
-        if geometry.contains(predicted) {
-            if read_flash(predicted) {
-                probes.push(predicted);
-            }
-            if let Ok(view) = self.device.read(predicted) {
-                if view.lpa == Some(lpa) && self.validity.is_valid(predicted) {
-                    return Ok(plan(predicted, view.content, probes));
-                }
-                // Misprediction: consult the OOB reverse-mapping window
-                // of the page we already read (§3.5) — one extra flash
-                // access suffices when the window names the LPA, and
-                // none when only its address is wanted.
-                if let Some(candidate) = self.named_live(predicted, hit.error_bound, lpa) {
-                    if host_read {
-                        probes.push(candidate);
-                    }
-                    let view = self.device.read(candidate)?;
-                    debug_assert_eq!(view.lpa, Some(lpa));
-                    return Ok(plan(candidate, view.content, probes));
-                }
+        let mut kept = 0;
+        for at in 0..probes.len() {
+            let page = probes[at];
+            if !self.clock.is_queued(geometry.die_of(page), page) {
+                probes[kept] = page;
+                kept += 1;
             }
         }
-
-        // Fallback: scan outward within the guaranteed bound. Reached
-        // only when the predicted page was erased/out-of-range or the
-        // window was clipped at a block boundary.
-        for distance in 1..=gamma.max(1) {
-            for candidate in [
-                predicted.checked_sub(distance),
-                Some(predicted.offset(distance)),
-            ]
-            .into_iter()
-            .flatten()
-            {
-                if !geometry.contains(candidate) || !self.validity.is_valid(candidate) {
-                    continue;
-                }
-                if read_flash(candidate) {
-                    probes.push(candidate);
-                }
-                if let Ok(view) = self.device.read(candidate) {
-                    if view.lpa == Some(lpa) {
-                        return Ok(plan(candidate, view.content, probes));
-                    }
-                }
-            }
-        }
-        Err(SimError::MappingCorruption { lpa, predicted })
-    }
-
-    /// The live page of `lpa` among those the OOB window of `page`
-    /// names (§3.5). The window comes with a read of `page`, so asking
-    /// it costs no flash access; a page the PVT marks live whose reverse
-    /// mapping is `lpa` is that LPA's one live copy.
-    fn named_live(&self, page: Ppa, gamma: u32, lpa: Lpa) -> Option<Ppa> {
-        self.device
-            .oob_window(page, gamma)?
-            .find(lpa)
-            .map(|delta| Ppa::new((page.raw() as i64 + delta) as u64))
-            .find(|&candidate| self.validity.is_valid(candidate))
-    }
-
-    /// Invalidates the pages `lpas` overwrite, in one resolution pass.
-    /// Each LPA's old mapping is looked up in order and an exact hit is
-    /// invalidated directly. An approximate hit needs the old page's
-    /// exact address (a *resolution*). A flush finds it without a read
-    /// when the old copy is a flushed page still in DRAM (the pool
-    /// knows where that page went, [`WritePool::overwritten`]) or when
-    /// the OOB window of the page the pass read last names a live copy;
-    /// otherwise the predicted page is read once and its window names
-    /// the address — the named page is not read again, invalidation
-    /// needs no content — and only a prediction the window cannot name
-    /// scans outward. Every probe starts from the pass's one dispatch
-    /// point, as a host-class read chained per LPA behind whatever the
-    /// dies already hold. A flush does not wait for them: nothing the
-    /// host sees depends on them, as nothing depends on its translation
-    /// I/O. Recovery's replay waits for the last.
-    fn invalidate_overwritten(
-        &mut self,
-        lpas: impl IntoIterator<Item = Lpa>,
-        by: Overwriter,
-    ) -> Result<(), SimError> {
-        let class = match by {
-            Overwriter::Flush => TrafficClass::Host,
-            Overwriter::Replay => TrafficClass::MapLog,
-        };
-        let dispatch_ns = self.clock.now_ns();
-        let mut done_ns = dispatch_ns;
-        let mut probes = std::mem::take(&mut self.read_scratch.probes);
-        // The page the pass read last, with the bound of the lookup
-        // that read it: the window that came with it.
-        let mut last_read: Option<(Ppa, u32)> = None;
-        let mut outcome = Ok(());
-        for lpa in lpas {
-            let (hit, cost) = self.scheme.lookup(lpa);
-            if by == Overwriter::Flush {
-                // The translation I/O occupies its die (delaying future
-                // reads) without blocking the host.
-                self.charge_map_cost(lpa, cost, dispatch_ns, class, Placement::Behind);
-            }
-            let Some(hit) = hit else { continue };
-            if !hit.approximate {
-                // A replayed mapping may name a page erased since:
-                // clearing an already-cleared bit is a no-op.
-                debug_assert!(by == Overwriter::Replay || self.validity.is_valid(hit.ppa));
-                self.invalidate(hit.ppa);
-                continue;
-            }
-            // Recovery's replay finds the pool empty: a power cut
-            // cleared it.
-            let in_dram = self.pool.overwritten(lpa);
-            debug_assert!(
-                in_dram.is_none_or(|ppa| self.validity.is_valid(ppa)
-                    && self
-                        .device
-                        .read(ppa)
-                        .is_ok_and(|page| page.lpa == Some(lpa))),
-                "the pool's copy of {lpa:?} at {in_dram:?} is not its live page"
-            );
-            let windowed = if in_dram.is_some() {
-                None
-            } else {
-                last_read.and_then(|(page, gamma)| self.named_live(page, gamma, lpa))
-            };
-            let (exact, reads) = match in_dram.or(windowed) {
-                Some(exact) => (exact, 0),
-                None => {
-                    probes.clear();
-                    match self.plan_read_probes(lpa, &hit, false, &mut probes) {
-                        Ok(plan) => {
-                            let ready_ns = self.schedule_probes(&plan, &probes, dispatch_ns, class);
-                            done_ns = done_ns.max(ready_ns);
-                            last_read = probes.last().map(|&page| (page, hit.error_bound));
-                            (plan.exact, probes.len() as u64)
-                        }
-                        // The old copy is gone (see `replay_mapping_batch`).
-                        Err(_) if by == Overwriter::Replay => continue,
-                        Err(error) => {
-                            outcome = Err(error);
-                            break;
-                        }
-                    }
-                }
-            };
-            if by == Overwriter::Flush {
-                self.stats.lookups += 1;
-                self.paths.resolutions += 1;
-                self.paths.resolution_reads += reads;
-                if in_dram.is_some() {
-                    self.paths.dram_resolutions += 1;
-                }
-                if windowed.is_some() {
-                    self.paths.window_resolutions += 1;
-                }
-                if exact != hit.ppa {
-                    self.stats.mispredictions += 1;
-                    self.paths.resolution_mispredictions += 1;
-                }
-            }
-            self.invalidate(exact);
-        }
-        self.read_scratch.probes = probes;
-        if by == Overwriter::Replay {
-            self.clock.wait_until(done_ns);
-        }
-        outcome
+        kept
     }
 
     /// Writes one logical page. The page lands in the write buffer; a
@@ -1305,49 +1088,18 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         self.pool.release(tag);
     }
 
+    /// Flushes the write buffer: GC makes the host stream room if it
+    /// has none, the flush is planned from now ([`Ssd::plan_flush`]) and
+    /// placed ([`Ssd::place_flush`]), and then GC runs if `gc` says so,
+    /// wear levels and the map log drains.
     fn flush_buffer(&mut self, gc: GcMode) -> Result<(), SimError> {
-        if self.pool.buffer().is_empty() {
+        let len = self.pool.buffer().len() as u32;
+        if len == 0 {
             return Ok(());
         }
-        // The pages keep their DRAM slots, and the pool learns where
-        // each goes; their programs queue behind whatever earlier
-        // flushes left queued.
-        let sorted = self.config.sort_buffer_on_flush;
-        let len = self.pool.buffer().len() as u32;
         self.ensure_allocatable(len, Stream::Host)?;
-        let runs = self
-            .allocate(Stream::Host, len)
-            .ok_or(SimError::DeviceFull)?;
-        let (pages, first_tag) = self.pool.flush(sorted, runs.iter().flat_map(PageRun::ppas));
-
-        // Queue every program on its die: the host continues, and the
-        // dies serve reads ahead of them.
-        let now = self.clock.now_ns();
-        let batches = self.program_runs(&runs, &pages, now)?;
-        let ppas = runs.iter().flat_map(PageRun::ppas);
-        for (tag, ppa) in (first_tag..).zip(ppas) {
-            self.queue_program(ppa, now, tag);
-        }
-
-        // Invalidate prior locations, then install the new mappings.
-        let overwritten = batches.iter().flatten().map(|&(lpa, _)| lpa);
-        self.invalidate_overwritten(overwritten, Overwriter::Flush)?;
-        for batch in &batches {
-            let cost = self.learn_and_mark(batch, sorted);
-            let now = self.clock.now_ns();
-            let (class, placement) = (TrafficClass::Host, Placement::Behind);
-            self.charge_map_cost(batch[0].0, cost, now, class, placement);
-        }
-
-        self.translog_append_delta(batches.into_iter().flatten());
-
-        // Learned-table compaction (§3.7) runs here on every path, in
-        // DRAM: no scheme charges it flash I/O.
-        let (cost, compacted) = self.scheme.maintain();
-        debug_assert_eq!(cost, MapCost::FREE, "a compaction that charges flash I/O");
-        if compacted {
-            self.stats.compactions += 1;
-        }
+        let plan = self.plan_flush(self.clock.now_ns())?;
+        self.place_flush(plan);
         // Background mode leaves watermark GC to the device front-end;
         // wear levelling stays synchronous in both modes (rare, and its
         // trigger is erase-count skew, not the write path).
@@ -1365,54 +1117,52 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         Ok(())
     }
 
-    /// Installs a batch's mappings and marks the new pages live;
-    /// returns the translation I/O the scheme charged, for the caller
-    /// to place ([`Ssd::charge_map_cost`]). `sorted` batches (every
-    /// sorted flush, GC migration and wear swap) take the scheme's
-    /// pre-sorted fast path. Learning runs on the controller CPU
-    /// alongside the asynchronous flush, so it is accounted but does
-    /// not block the host (§4.5: 0.02% of the flash write latency).
-    fn learn_and_mark(&mut self, batch: &[(Lpa, Ppa)], sorted: bool) -> MapCost {
-        if batch.is_empty() {
-            return MapCost::FREE;
+    /// Puts a [`FlushPlan`] on the dies from its dispatch point, in the
+    /// order its state change ran, behind the queued programs and
+    /// waited for by nothing the host sees: its programs queue, then its
+    /// translation I/O goes on, and after each resolution's lookup its
+    /// probes are read, chained, as host-class reads — none if the pool
+    /// had the page or the OOB window of the page the flush read last
+    /// names it (§3.5), and never a page whose program is queued. Counts
+    /// the resolutions by path ([`LookupPaths`]).
+    fn place_flush(&mut self, plan: FlushPlan) {
+        let FlushPlan {
+            dispatch_ns: now,
+            runs,
+            first_tag,
+            map_costs,
+            mut probes,
+        } = plan;
+        for (tag, ppa) in (first_tag..).zip(runs.iter().flat_map(PageRun::ppas)) {
+            self.queue_program(ppa, now, tag);
         }
-        self.unpersisted.note(batch);
-        let cost = if sorted {
-            self.scheme.update_batch_sorted(batch)
-        } else {
-            self.scheme.update_batch(batch)
-        };
-        let learn_ns = self.scheme.learn_cost_ns(batch.len());
-        self.stats.learn_cpu_ns += learn_ns;
-        for &(_, ppa) in batch {
-            self.mark_valid(ppa);
-        }
-        cost
-    }
-
-    /// Programs `pages` onto `runs` in order at `now_ns`, on the device
-    /// only: the dies are the caller's to schedule. Returns the
-    /// installed `(LPA, PPA)` pairs run by run — a run is one learning
-    /// batch. Every data page the device programs goes through here, for
-    /// a flush, a migration or a wear swap alike.
-    fn program_runs(
-        &mut self,
-        runs: &[PageRun],
-        pages: &[(Lpa, u64)],
-        now_ns: u64,
-    ) -> Result<Vec<Batch>, SimError> {
-        let mut pages = pages.iter();
-        let mut batches: Vec<Batch> = Vec::with_capacity(runs.len());
-        for run in runs {
-            let mut batch = Vec::with_capacity(run.len as usize);
-            for (ppa, &(lpa, content)) in run.ppas().zip(&mut pages) {
-                self.device.program(ppa, content, Some(lpa))?;
-                self.note_block_write(ppa, now_ns);
-                batch.push((lpa, ppa));
+        let (class, placement) = (TrafficClass::Host, Placement::Behind);
+        // The page read last, with the bound of the lookup that read it.
+        let mut last_read: Option<(Ppa, u32)> = None;
+        for (lpa, cost, resolution) in map_costs {
+            self.charge_map_cost(lpa, cost, now, class, placement);
+            let Some(resolved) = resolution else {
+                continue;
+            };
+            let (hit, exact) = (resolved.hit, resolved.exact);
+            self.paths.resolutions += 1;
+            self.paths.resolution_mispredictions += u64::from(exact != hit.ppa);
+            let Some(planned) = resolved.probes else {
+                self.paths.dram_resolutions += 1;
+                continue;
+            };
+            if last_read.is_some_and(|read| self.window_names(read, lpa, exact)) {
+                self.paths.window_resolutions += 1;
+                continue;
             }
-            batches.push(batch);
+            let kept = self.drop_queued(&mut probes[planned.clone()]);
+            let read = &probes[planned.start..planned.start + kept];
+            self.schedule_probes(read, hit.ppa, now, class);
+            self.paths.resolution_reads += read.len() as u64;
+            last_read = read.last().map(|&page| (page, hit.error_bound));
         }
-        Ok(batches)
+        probes.clear();
+        self.read_scratch.probes = probes;
     }
 
     /// Collects until `stream` can take `pages` pages.
@@ -1424,56 +1174,6 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         }
     }
 
-    /// [`BlockAllocator::allocate`], marking the blocks the request
-    /// closed (filled, or the log's replaced in its slot): closing is
-    /// what makes a block a GC candidate.
-    fn allocate(&mut self, stream: Stream, pages: u32) -> Option<Vec<PageRun>> {
-        let runs = self.allocator.allocate(stream, pages);
-        for block in self.allocator.take_closed() {
-            self.gc_index.touch(block);
-        }
-        runs
-    }
-
-    // The three ways a valid count changes. Each marks the block for
-    // the victim index, which re-reads the count at the next selection.
-
-    fn invalidate(&mut self, ppa: Ppa) {
-        self.validity.invalidate(ppa);
-        self.gc_index.touch(self.config.geometry.block_of(ppa));
-    }
-
-    fn mark_valid(&mut self, ppa: Ppa) {
-        self.validity.mark_valid(ppa);
-        self.gc_index.touch(self.config.geometry.block_of(ppa));
-    }
-
-    fn clear_block(&mut self, block: BlockId) {
-        self.validity.clear_block(block);
-        self.gc_index.touch(block);
-    }
-
-    /// Erases `block` on the device, keeping the erase-count histogram
-    /// and the victim index (an erased block is no candidate) current.
-    fn erase_block(&mut self, block: BlockId) -> Result<(), SimError> {
-        let erases = self.device.erase(block)?;
-        self.erase_histogram.note_erase(erases - 1);
-        self.gc_index.touch(block);
-        Ok(())
-    }
-
-    /// Recycles `block`: erases it on the device, drops whatever
-    /// validity it held and returns it to the free pool. The only way
-    /// a block gets back there — for GC victims, wear swaps and the
-    /// translation log's superseded blocks alike. The erase's die time
-    /// is the caller's to schedule.
-    fn recycle(&mut self, block: BlockId) -> Result<(), SimError> {
-        self.erase_block(block)?;
-        self.clear_block(block);
-        self.allocator.release(block);
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // Garbage collection (§3.6): the state half is `gc.rs`'s
     // ------------------------------------------------------------------
@@ -1483,17 +1183,15 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// collection a background GC dispatch runs
     /// ([`Ssd::plan_collection`]), placed ahead of the flush programs
     /// queued on its dies (the host is blocked on it, as on a read) and
-    /// then waited for once, for its latest erase, so no later host read
-    /// queues behind its relocations. Returns whether `wanted` was
-    /// satisfied.
+    /// then waited for ([`Ssd::wait_for_last_erase`]). Returns whether
+    /// `wanted` was satisfied.
     fn collect_while(&mut self, wanted: impl Fn(&Self) -> bool) -> Result<bool, SimError> {
         let started_ns = self.clock.now_ns();
         let (plan, collected) = self.plan_collection(&wanted, usize::MAX, started_ns);
-        let mut done = Vec::new();
-        let behind_ns = self.place_gc(&plan, Placement::Ahead, &mut done);
+        let (mut done, mut behind_ns) = (Vec::new(), 0);
+        self.place_gc(&plan, Placement::Ahead, Some(&mut behind_ns), &mut done);
         collected?;
-        if let Some(last_erase_ns) = done.iter().map(|&(_, erase_ns)| erase_ns).max() {
-            self.clock.wait_until(last_erase_ns);
+        if self.wait_for_last_erase(&done) {
             let (geometry, timing) = (&self.config.geometry, &self.config.timing);
             self.sync_gc.collections += 1;
             self.sync_gc.passes += done.len() as u64;
@@ -1504,6 +1202,15 @@ impl<S: MappingScheme + Clone> Ssd<S> {
         Ok(!wanted(self))
     }
 
+    /// Waits once for the latest erase of GC work placed ahead of the
+    /// queued flush programs, so no later host read queues behind its
+    /// relocations. Returns whether there was one.
+    fn wait_for_last_erase(&mut self, done: &[(BlockId, u64)]) -> bool {
+        let last = done.iter().map(|&(_, erase_ns)| erase_ns).max();
+        self.clock.wait_until(last.unwrap_or(0));
+        last.is_some()
+    }
+
     /// Puts a [`GcPlan`] on the dies from its dispatch point: its
     /// persistence points' pages, then its passes' steps in the order
     /// [`CollectionPlan::order`] gives — every read, then every program
@@ -1511,22 +1218,23 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// (each no earlier than its pass's last program), a block's steps
     /// in state order. A pass's translation I/O follows its programs, as
     /// a flush's does. The one way GC work reaches a die: `placement`
-    /// puts all of it ahead of the flush programs queued there (a
-    /// synchronous collection, which the host waits on) or behind them
-    /// (a background dispatch, a wear swap, a persistence point run on
-    /// its own). Ahead of them, a victim whose program is still queued
-    /// is read and erased behind its die's queue.
+    /// puts all of it ahead of the flush programs queued there (what the
+    /// host waits on: a synchronous collection, a wear swap) or behind
+    /// them (a background dispatch, a persistence point run on its own).
+    /// Ahead of them, a victim whose program is still queued is read and
+    /// erased behind its die's queue.
     ///
     /// Appends each pass's victim and erase completion to `done`, in
-    /// pass order, and returns the longest any die the steps use was
-    /// already reserved past the dispatch point once the points were
+    /// pass order, and sets `behind` to the longest any die the steps use
+    /// was already reserved past the dispatch point once the points were
     /// placed ([`SyncGc::behind_ns`]). The host clock does not move.
     pub(crate) fn place_gc(
         &mut self,
         plan: &GcPlan,
         placement: Placement,
+        behind: Option<&mut u64>,
         done: &mut Vec<(BlockId, u64)>,
-    ) -> u64 {
+    ) {
         let now = plan.dispatch_ns;
         let geometry = self.config.geometry;
         let dies = geometry.total_dies() as usize;
@@ -1539,15 +1247,17 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             }
         }
         let passes = &plan.passes;
-        let behind_ns = passes
-            .iter()
-            .flat_map(|pass| {
-                std::iter::once(pass.victim).chain(pass.runs.iter().map(|run| run.block))
-            })
-            .map(|block| self.clock.reserved_until(geometry.die_of_block(block)))
-            .map(|reserved_ns| reserved_ns.saturating_sub(now))
-            .max()
-            .unwrap_or(0);
+        if let Some(behind) = behind {
+            *behind = passes
+                .iter()
+                .flat_map(|pass| {
+                    std::iter::once(pass.victim).chain(pass.runs.iter().map(|run| run.block))
+                })
+                .map(|block| self.clock.reserved_until(geometry.die_of_block(block)))
+                .map(|reserved_ns| reserved_ns.saturating_sub(now))
+                .max()
+                .unwrap_or(0);
+        }
         let mut order = std::mem::take(&mut self.gc_plan);
         // Per pass: when its reads, its programs and its erase are done.
         let mut times = vec![[now; 3]; passes.len()];
@@ -1597,7 +1307,6 @@ impl<S: MappingScheme + Clone> Ssd<S> {
                 .zip(&times)
                 .map(|(pass, times)| (pass.victim, times[2])),
         );
-        behind_ns
     }
 
     /// The DRAM slot bound: buffered pages plus flushed pages whose
@@ -1728,18 +1437,16 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     }
 
     /// One cold/hot swap ([`Ssd::plan_wear_swap`]); returns whether a
-    /// swap happened. The swap is placed behind the queued flush
-    /// programs, and the host waits once, for its erase, like a
-    /// synchronous collection of one pass.
+    /// swap happened. The host waits for the swap as for a synchronous
+    /// collection of one pass: it goes ahead of the queued flush
+    /// programs, and the host waits once, for its erase.
     fn wear_level_once(&mut self) -> Result<bool, SimError> {
         let Some(plan) = self.plan_wear_swap(self.clock.now_ns())? else {
             return Ok(false);
         };
         let mut done = Vec::with_capacity(1);
-        self.place_gc(&plan, Placement::Behind, &mut done);
-        for &(_, erase_ns) in &done {
-            self.clock.wait_until(erase_ns);
-        }
+        self.place_gc(&plan, Placement::Ahead, None, &mut done);
+        self.wait_for_last_erase(&done);
         self.stats.wear_swaps += 1;
         Ok(true)
     }
@@ -1791,7 +1498,7 @@ impl<S: MappingScheme + Clone> Ssd<S> {
             passes: Vec::new(),
             points,
         };
-        self.place_gc(&plan, Placement::Behind, &mut Vec::new());
+        self.place_gc(&plan, Placement::Behind, None, &mut Vec::new());
     }
 
     // ------------------------------------------------------------------
@@ -1804,17 +1511,6 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// power cut loses them.
     pub fn maplog_pending(&self) -> usize {
         self.translog.pending_ops()
-    }
-
-    /// Journals `batch`'s installed mappings as a translation-log delta
-    /// (one per flush, migration or wear swap), which recovery replays
-    /// instead of rescanning the blocks they landed in. Only
-    /// [`CheckpointMode::FlashLog`] keeps a journal.
-    fn translog_append_delta(&mut self, batch: impl IntoIterator<Item = (Lpa, Ppa)>) {
-        if self.config.checkpoint_mode == CheckpointMode::FlashLog {
-            let batch = batch.into_iter().collect();
-            self.translog.push_delta(batch, self.device.program_seq());
-        }
     }
 
     /// Recycles log block `block` if the durable checkpoint `upto`
@@ -2122,14 +1818,42 @@ impl<S: MappingScheme + Clone> Ssd<S> {
     /// whose block was recycled after `stamp` (the page is erased, or
     /// holds a newer program): that copy is gone, and a later entry's
     /// approximate lookup, resolved against the flash as it is now,
-    /// could not find it to invalidate it.
+    /// could not find it to invalidate it. The invalidation resolves as
+    /// a flush does (the last read page's window, else [`Ssd::resolve`]),
+    /// as `MapLog`-class reads the replay waits for, and skips an LPA it
+    /// cannot resolve: its old copy was erased since.
     fn replay_mapping_batch(&mut self, batch: &[(Lpa, Ppa)], stamp: u64) {
-        // Pre-crash mappings may point into blocks erased after the
-        // checkpoint, so invalidation is lenient here: an unresolvable
-        // approximate target means the old copy is gone.
-        let replayed =
-            self.invalidate_overwritten(batch.iter().map(|&(lpa, _)| lpa), Overwriter::Replay);
-        debug_assert!(replayed.is_ok(), "a replay skips what it cannot resolve");
+        let dispatch_ns = self.clock.now_ns();
+        let mut done_ns = dispatch_ns;
+        let mut probes = std::mem::take(&mut self.read_scratch.probes);
+        let mut last_read: Option<(Ppa, u32)> = None;
+        for &(lpa, _) in batch {
+            let Some(hit) = self.scheme.lookup(lpa).0 else {
+                continue;
+            };
+            let old = if !hit.approximate {
+                // A replayed mapping may name a page erased since:
+                // clearing an already-cleared bit is a no-op.
+                hit.ppa
+            } else if let Some(windowed) =
+                last_read.and_then(|(page, gamma)| self.named_live(page, gamma, lpa))
+            {
+                windowed
+            } else {
+                probes.clear();
+                let Ok(resolved) = self.resolve(lpa, hit, &mut probes) else {
+                    continue;
+                };
+                let class = TrafficClass::MapLog;
+                let read_ns = self.schedule_probes(&probes, hit.ppa, dispatch_ns, class);
+                done_ns = done_ns.max(read_ns);
+                last_read = probes.last().map(|&page| (page, hit.error_bound));
+                resolved.exact
+            };
+            self.invalidate(old);
+        }
+        self.read_scratch.probes = probes;
+        self.clock.wait_until(done_ns);
         self.unpersisted.note(batch);
         let _cost = self.scheme.update_batch(batch);
         let mut later: IntSet<Lpa> = IntSet::default();
@@ -2198,7 +1922,7 @@ mod tests {
             points: Vec::new(),
         };
         let mut done = Vec::new();
-        ssd.place_gc(&plan, Placement::Behind, &mut done);
+        ssd.place_gc(&plan, Placement::Behind, None, &mut done);
         Ok(done[0].1)
     }
 
@@ -2211,7 +1935,7 @@ mod tests {
         done: &mut Vec<(BlockId, u64)>,
     ) -> Result<(), SimError> {
         let (plan, collected) = ssd.plan_collection(wanted, max_passes, ssd.now_ns());
-        ssd.place_gc(&plan, Placement::Behind, done);
+        ssd.place_gc(&plan, Placement::Behind, None, done);
         collected
     }
 
@@ -3701,7 +3425,7 @@ mod tests {
         assert_eq!(ssd.stats.flash, flash, "planning counted a flash operation");
 
         let mut done = Vec::new();
-        ssd.place_gc(&plan, Placement::Ahead, &mut done);
+        ssd.place_gc(&plan, Placement::Ahead, None, &mut done);
         let ends: Vec<u64> = done
             .iter()
             .map(|&(_, erase_ns)| (erase_ns - dispatch_ns) / 1_000)
@@ -4742,6 +4466,134 @@ mod tests {
             }
         }
         assert!(checked > 0, "no erased block had been read by a resolution");
+        assert_eq!(ssd.check_invariants(), Vec::<String>::new());
+    }
+
+    /// A γ = 4 LeaFTL `small_test()` device filled once and overwritten
+    /// once more in runs of eight pages from random starts up to a flush
+    /// (its programs still queued), then 31 overwrites buffered.
+    fn leaftl_behind_a_queued_flush() -> Ssd<LeaFtlScheme> {
+        let mut config = SsdConfig::small_test();
+        config.wear_gap_threshold = u32::MAX;
+        let scheme = LeaFtlScheme::new(leaftl_core::LeaFtlConfig::default().with_gamma(4));
+        let mut ssd = Ssd::new(config, scheme);
+        let logical = ssd.config.logical_pages();
+        for lpa in 0..logical {
+            ssd.write(Lpa::new(lpa), lpa).unwrap();
+        }
+        let (mut seed, mut start) = (0x5eed_u64, 0);
+        let mut run = |i: u64| {
+            if i.is_multiple_of(8) {
+                seed = seed
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                start = seed >> 33;
+            }
+            Lpa::new((start + i % 8) % logical)
+        };
+        let mut i = 0;
+        while i < logical || !ssd.pool.buffer().is_empty() {
+            ssd.write(run(i), i).unwrap();
+            i += 1;
+        }
+        for i in 0..31 {
+            ssd.write(run(i), i).unwrap();
+        }
+        ssd
+    }
+
+    /// Planning a flush is its state change alone. Behind a flush whose
+    /// programs are still queued, planning the next one reserves no die,
+    /// places no queued program and counts no flash operation; placed,
+    /// the plan leaves the dies reserved, the flash operations counted
+    /// and the resolutions split by path as the interleaved pass did.
+    #[test]
+    fn a_flush_plan_places_nothing() {
+        // µs each die is reserved past the dispatch point, recorded on
+        // the interleaved pass.
+        const RESERVED_US: [u64; 8] = [9, 0, 0, 20, 0, 40, 0, 0];
+        let mut ssd = leaftl_behind_a_queued_flush();
+        ssd.reset_stats();
+        let dies = ssd.config.geometry.total_dies();
+        let queued =
+            (0..dies).any(|die| ssd.clock.queues_any(Die::new(die), Ppa::new(0), u64::MAX));
+        assert!(queued, "the previous flush's programs are queued");
+        let (clock, flash) = (format!("{:?}", ssd.clock), ssd.stats.flash);
+        let dispatch_ns = ssd.now_ns();
+
+        let plan = ssd.plan_flush(dispatch_ns).unwrap();
+        assert_eq!(plan.runs.iter().map(|run| run.len).sum::<u32>(), 31);
+        assert_eq!(format!("{:?}", ssd.clock), clock, "planning touched a die");
+        assert_eq!(ssd.stats.flash, flash, "planning counted a flash operation");
+        assert_eq!(*ssd.lookup_paths(), LookupPaths::default());
+
+        ssd.place_flush(plan);
+        let reserved: Vec<u64> = (0..dies)
+            .map(|die| {
+                ssd.clock
+                    .reserved_until(Die::new(die))
+                    .saturating_sub(dispatch_ns)
+                    / 1_000
+            })
+            .collect();
+        assert_eq!(reserved, RESERVED_US);
+        let flash = ssd.stats.flash;
+        assert_eq!((flash.data_programs, flash.data_reads), (31, 3));
+        assert_eq!(flash.misprediction_reads, 0);
+        let paths = *ssd.lookup_paths();
+        assert_eq!((paths.resolutions, paths.resolution_mispredictions), (9, 4));
+        let by_path = (
+            paths.resolution_reads,
+            paths.window_resolutions,
+            paths.dram_resolutions,
+        );
+        assert_eq!(by_path, (3, 4, 2));
+        assert_eq!((ssd.stats.lookups, ssd.stats.mispredictions), (9, 4));
+        assert_eq!(ssd.now_ns(), dispatch_ns, "the host waits for none of it");
+    }
+
+    /// The resolutions of one flush, by path: LPA 30's prediction is a
+    /// page of the previous flush whose program is still queued, so its
+    /// two reads are the outward scan's, both misprediction reads, and
+    /// the second is LPA 30's live page; that page's window names LPA
+    /// 31's, which reads nothing; LPA 100's old copy is still in DRAM.
+    /// The ledger's digest hashes `SimStats` alone: this pins the
+    /// [`LookupPaths`] counters the interleaved pass recorded.
+    #[test]
+    fn a_resolution_skips_a_queued_page_and_the_next_is_windowed() {
+        let mut ssd = approximate_on_flash(32);
+        for lpa in 100..132 {
+            ssd.write(Lpa::new(lpa), lpa).unwrap();
+        }
+        let queued = page_of(&ssd, 100);
+        let geometry = ssd.config().geometry;
+        assert!(ssd.clock.is_queued(geometry.die_of(queued), queued));
+        let live = page_of(&ssd, 30);
+        assert_eq!(live.offset(2), queued);
+        ssd.scheme.shift.insert(30, 2);
+        for lpa in [30, 31, 100] {
+            ssd.write(Lpa::new(lpa), 1_000 + lpa).unwrap();
+        }
+        ssd.reset_stats();
+        let dispatch_ns = ssd.now_ns();
+        ssd.flush_buffer(GcMode::Background).unwrap();
+
+        let read_ns = ssd.config().timing.read_ns;
+        let reserved_ns = ssd.clock.reserved_until(geometry.die_of(live));
+        assert_eq!(reserved_ns, dispatch_ns + 2 * read_ns);
+        let flash = ssd.stats().flash;
+        assert_eq!((flash.data_reads, flash.misprediction_reads), (0, 2));
+        let paths = *ssd.lookup_paths();
+        assert_eq!((paths.resolutions, paths.resolution_mispredictions), (3, 1));
+        let by_path = (
+            paths.resolution_reads,
+            paths.window_resolutions,
+            paths.dram_resolutions,
+        );
+        assert_eq!(by_path, (2, 1, 1));
+        for lpa in [30, 31, 100] {
+            assert_eq!(ssd.read(Lpa::new(lpa)).unwrap(), Some(1_000 + lpa));
+        }
         assert_eq!(ssd.check_invariants(), Vec::<String>::new());
     }
 }

@@ -6,10 +6,11 @@
 //! is textual: per line of non-test code, `//` comments and string
 //! literals cut, an identifier ending in `_ns` beside a binary `-`.
 
-const FILES: [(&str, &str); 6] = [
+const FILES: [(&str, &str); 7] = [
     ("clock.rs", include_str!("../crates/sim/src/clock.rs")),
     ("ssd.rs", include_str!("../crates/sim/src/ssd.rs")),
     ("gc.rs", include_str!("../crates/sim/src/gc.rs")),
+    ("flush.rs", include_str!("../crates/sim/src/flush.rs")),
     (
         "collection.rs",
         include_str!("../crates/sim/src/collection.rs"),
